@@ -13,7 +13,7 @@ BENCH_COUNT ?=
 BENCH_SCALE ?=
 export BENCH_COUNT BENCH_SCALE
 
-.PHONY: all build vet test race race-shard faults batch-guard obs-guard bench bench-diff bench-full bench-live bench-recovery verify
+.PHONY: all build vet test race race-shard faults batch-guard obs-guard bench bench-diff bench-full bench-live bench-recovery bench-harness verify
 
 all: verify
 
@@ -57,9 +57,15 @@ faults:
 # pin on the keyed steady-state PushBatch, the dispatch-stats accounting
 # test, and a single-iteration BenchmarkBatchPush smoke with -benchmem so
 # an alloc regression on the batch path is visible in the verify output.
+# Watermark completion rides along: the completionIndex cost pin (an advance
+# takes exactly the groups it closes off the heap), the five operators against their
+# walk-every-group references, and BenchmarkWatermarkAdvance, whose
+# closed=1k and closed=100k rows must read alike (history independence).
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestPartitionedRoundSizeInvariance|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
+	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
+	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /
@@ -120,4 +126,13 @@ bench-diff:
 bench-full:
 	NEXMARK_BENCH_STRICT=1 NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestNexmarkBench -v -timeout 20m
 
-verify: vet build race race-shard faults batch-guard obs-guard bench
+# The repository benchmark's harness (benchmark/, named by BENCHMARK.json) is
+# a Go module of its own, so `go build ./...` and `go test ./...` at the root
+# never compile it: vet it and run its unit tests plus TestSmoke (a 1/100-size
+# run of every workload against a real cmd/serve over a real listener), so an
+# engine change that breaks what the harness uses fails here, not at
+# measurement time.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+verify: vet build race race-shard faults batch-guard obs-guard bench bench-harness

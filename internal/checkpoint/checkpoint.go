@@ -277,7 +277,11 @@ func (d *Decoder) readByte() byte {
 		d.fail(fmt.Errorf("checkpoint: unexpected end of stream: %w", err))
 		return 0
 	}
-	d.crc = crc32.Update(d.crc, castagnoli, []byte{b})
+	// crc32.Update for one byte, inlined: most fields are one- or two-byte
+	// varints and tags, and a call (plus a one-byte slice) per byte was the
+	// largest single cost of a restore.
+	c := ^d.crc
+	d.crc = ^(castagnoli[byte(c)^b] ^ (c >> 8))
 	return b
 }
 

@@ -16,8 +16,9 @@ import (
 //
 // Event-time grouping keys interact with watermarks exactly as Extension 2
 // prescribes: when the watermark passes a group's event-time keys the group
-// is complete — late inputs are dropped and the group's accumulator state is
-// freed (the output row, already emitted, is final).
+// is complete — late inputs are dropped and the group is evicted (the output
+// row, already emitted, is final). See completionIndex for how a watermark
+// finds the groups it completes without visiting the rest.
 type aggOp struct {
 	out    sink
 	keys   []plan.Scalar
@@ -25,22 +26,17 @@ type aggOp struct {
 	sch    *types.Schema
 	global bool
 
-	// eventKeys are output positions of event-time keys with completion
-	// offsets: group complete when wm >= key + offset for all.
-	eventKeys []eventKey
-
-	groups   map[string]*aggGroup
-	order    []string // group keys in first-seen order (deterministic scans)
+	groups   map[string]*aggGroup       // open groups only
+	idx      completionIndex[*aggGroup] // which groups a watermark completes
 	wm       types.Time
 	lateDrop int
-	freed    int
 	keyBuf   []byte // reusable group-key encoding buffer
 
 	// Run cache: the group resolved by the previous data event. Consecutive
 	// events for the same key (the common shape inside a batch) compare
-	// encoded keys and skip the map probe entirely. Groups are never removed
-	// from the map (completion only marks them dead), so the cached pointer
-	// stays valid across dispatches and watermarks.
+	// encoded keys and skip the map probe entirely. The cached pointer stays
+	// valid across dispatches; onWatermark invalidates it when the cached
+	// group is among those the watermark closes.
 	prevKey  []byte
 	runGroup *aggGroup
 	runValid bool
@@ -48,11 +44,6 @@ type aggOp struct {
 	keyScratch  types.Row   // reusable group-key evaluation row
 	emitScratch types.Row   // reusable candidate-output row (reemit)
 	pend        []tvr.Event // per-dispatch output buffer, flushed once
-}
-
-type eventKey struct {
-	pos    int
-	offset types.Duration
 }
 
 // eventKeysOf extracts the aggregate's event-time grouping keys with their
@@ -66,46 +57,24 @@ func eventKeysOf(x *plan.Aggregate) []eventKey {
 	return out
 }
 
-// groupComplete reports whether a group's event-time keys are all passed by
-// the watermark (accounting for per-column completion offsets). Groups with
-// no event-time keys, or NULL key values, never complete. This single
-// predicate decides late-data dropping and state cleanup for the serial
-// aggregate AND both halves of a two-stage aggregate — the three stages must
-// agree or partitioned output diverges from serial.
-func groupComplete(keys []eventKey, keyRow types.Row, wm types.Time) bool {
-	if len(keys) == 0 {
-		return false
-	}
-	for _, ek := range keys {
-		v := keyRow[ek.pos]
-		if v.IsNull() || v.Kind() != types.KindTimestamp {
-			return false
-		}
-		if wm < v.Timestamp().Add(ek.offset) {
-			return false
-		}
-	}
-	return true
-}
-
 type aggGroup struct {
 	keyRow types.Row
 	accs   []accumulator
 	n      int       // live input rows
 	outRow types.Row // last emitted output row (nil if none)
-	dead   bool      // state freed by watermark completion
+	seq    int       // first-seen sequence (snapshot order)
 }
 
 func newAggOp(x *plan.Aggregate, out sink) *aggOp {
 	return &aggOp{
-		out:       out,
-		keys:      x.Keys,
-		aggs:      x.Aggs,
-		sch:       x.Sch,
-		global:    x.Global(),
-		groups:    make(map[string]*aggGroup),
-		wm:        types.MinTime,
-		eventKeys: eventKeysOf(x),
+		out:    out,
+		keys:   x.Keys,
+		aggs:   x.Aggs,
+		sch:    x.Sch,
+		global: x.Global(),
+		groups: make(map[string]*aggGroup),
+		idx:    completionIndex[*aggGroup]{keys: eventKeysOf(x)},
+		wm:     types.MinTime,
 	}
 }
 
@@ -118,7 +87,7 @@ func (a *aggOp) Open() error {
 	}
 	g := a.newGroup(types.Row{})
 	a.groups[""] = g
-	a.order = append(a.order, "")
+	g.seq = a.idx.add("", g, g.keyRow)
 	a.pend = a.pend[:0]
 	a.reemit(g, types.MinTime)
 	return a.flush()
@@ -131,12 +100,6 @@ func (a *aggOp) newGroup(keyRow types.Row) *aggGroup {
 		g.accs[i] = newAccumulator(call)
 	}
 	return g
-}
-
-// complete reports whether a group's event-time keys are all passed by the
-// watermark.
-func (a *aggOp) complete(keyRow types.Row, wm types.Time) bool {
-	return groupComplete(a.eventKeys, keyRow, wm)
 }
 
 func (a *aggOp) Push(ev tvr.Event) error {
@@ -194,24 +157,20 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 		var ok bool
 		g, ok = a.groups[string(a.keyBuf)] // allocation-free lookup
 		if !ok {
-			if a.complete(keyRow, a.wm) {
-				// The group was completed (and freed) before this row
-				// arrived, or arrives late from the start.
+			if a.idx.complete(keyRow, a.wm) {
+				// The group was completed (and evicted) before this row
+				// arrived, or the row arrives late from the start.
 				a.lateDrop++
 				return nil
 			}
 			g = a.newGroup(keyRow)
 			gk := string(a.keyBuf)
 			a.groups[gk] = g
-			a.order = append(a.order, gk)
+			g.seq = a.idx.add(gk, g, g.keyRow)
 		}
 		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
 		a.runGroup = g
 		a.runValid = true
-	}
-	if g.dead {
-		a.lateDrop++
-		return nil
 	}
 
 	delta := 1
@@ -269,27 +228,19 @@ func (a *aggOp) reemit(g *aggGroup, p types.Time) {
 	a.pend = append(a.pend, tvr.InsertEvent(p, g.outRow))
 }
 
-// onWatermark advances the watermark, completes groups, frees their state,
-// and forwards the watermark downstream (via the pending buffer).
+// onWatermark advances the watermark, evicts the groups it completes (their
+// emitted output rows are final; a later row for one is late by the complete
+// check in pushEvent), and forwards the watermark downstream (via the pending
+// buffer).
 func (a *aggOp) onWatermark(ev tvr.Event) error {
 	if ev.Wm <= a.wm {
 		return nil
 	}
 	a.wm = ev.Wm
-	if len(a.eventKeys) > 0 {
-		for _, gk := range a.order {
-			g := a.groups[gk]
-			if g == nil || g.dead {
-				continue
-			}
-			if a.complete(g.keyRow, a.wm) {
-				// The emitted output row is final; free the
-				// accumulators but remember the key to drop
-				// late arrivals.
-				g.accs = nil
-				g.dead = true
-				a.freed++
-			}
+	for _, c := range a.idx.advance(a.wm) {
+		delete(a.groups, c.key)
+		if c.g == a.runGroup {
+			a.runValid = false
 		}
 	}
 	a.pend = append(a.pend, ev)
@@ -299,16 +250,12 @@ func (a *aggOp) onWatermark(ev tvr.Event) error {
 func (a *aggOp) Finish() error { return a.out.Finish() }
 
 func (a *aggOp) stats(s *Stats) {
-	live := 0
 	for _, g := range a.groups {
-		if !g.dead {
-			live++
-			s.StateRows += g.n
-		}
+		s.StateRows += g.n
 	}
-	s.StateGroups += live
+	s.StateGroups += len(a.groups)
 	s.LateDropped += a.lateDrop
-	s.FreedGroups += a.freed
+	s.FreedGroups += a.idx.freed
 }
 
 // ---- accumulators ----

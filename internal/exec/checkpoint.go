@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"container/heap"
 	"fmt"
 	"io"
 
@@ -646,8 +647,16 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 	return dec.Err()
 }
 
+// Groups closed by a watermark are evicted, so only open groups are written,
+// in first-seen order (firstSeen); the completion heap is never serialized —
+// LoadState re-registers every group with the operator's completionIndex,
+// which rebuilds it from the stored key rows and renumbers the groups. Each group record still carries the
+// closed flag of the format's earlier writers (always false now): snapshots
+// that predate eviction hold closed groups as tombstones, which LoadState
+// reads past and discards.
+
 // saveAggCommon serializes the group bookkeeping shared by all three
-// aggregate stages: watermark, late/freed counters, and the group order.
+// aggregate stages: watermark, late/freed counters, and the open-group count.
 func saveAggCommon(enc *checkpoint.Encoder, wm types.Time, lateDrop, freed, groups int) {
 	enc.Time(wm)
 	enc.Int(lateDrop)
@@ -655,59 +664,57 @@ func saveAggCommon(enc *checkpoint.Encoder, wm types.Time, lateDrop, freed, grou
 	enc.Uvarint(uint64(groups))
 }
 
-// SaveState implements stateSaver: every group in first-seen order with its
-// key row, live-row count, accumulator states (live groups only), and last
-// emitted output row.
+// SaveState implements stateSaver: every open group in first-seen order with
+// its key row, live-row count, accumulator states, and last emitted output
+// row.
 func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, a.wm, a.lateDrop, a.freed, len(a.order))
-	for _, gk := range a.order {
-		g := a.groups[gk]
+	saveAggCommon(enc, a.wm, a.lateDrop, a.idx.freed, len(a.groups))
+	for _, g := range firstSeen(a.groups, func(g *aggGroup) int { return g.seq }) {
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
-		enc.Bool(g.dead)
+		enc.Bool(false) // closed
 		enc.Row(g.outRow)
-		if !g.dead {
-			for _, acc := range g.accs {
-				saveAcc(enc, acc)
-			}
+		for _, acc := range g.accs {
+			saveAcc(enc, acc)
 		}
 	}
 }
 
 // LoadState implements stateSaver.
 func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
+	// A global aggregate's Open already created its one group; restore
+	// replaces it wholesale.
+	a.idx.reset()
 	a.wm = dec.Time()
 	a.lateDrop = dec.Int()
-	a.freed = dec.Int()
+	a.idx.freed = dec.Int()
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	// A global aggregate's Open already created its one group; restore
-	// replaces it wholesale.
 	a.groups = make(map[string]*aggGroup, checkpoint.CapHint(uint64(n)))
-	a.order = a.order[:0]
 	for i := 0; i < n; i++ {
 		keyRow := dec.Row()
 		gn := dec.Int()
-		dead := dec.Bool()
+		closed := dec.Bool()
 		outRow := dec.Row()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		g := &aggGroup{keyRow: keyRow, n: gn, dead: dead, outRow: outRow}
-		if !dead {
-			g.accs = make([]accumulator, len(a.aggs))
-			for ci, call := range a.aggs {
-				g.accs[ci] = newAccumulator(call)
-				if err := loadAcc(dec, g.accs[ci]); err != nil {
-					return err
-				}
+		if closed {
+			continue
+		}
+		g := &aggGroup{keyRow: keyRow, n: gn, outRow: outRow}
+		g.accs = make([]accumulator, len(a.aggs))
+		for ci, call := range a.aggs {
+			g.accs[ci] = newAccumulator(call)
+			if err := loadAcc(dec, g.accs[ci]); err != nil {
+				return err
 			}
 		}
 		gk := keyRow.Key()
 		a.groups[gk] = g
-		a.order = append(a.order, gk)
+		g.seq = a.idx.add(gk, g, keyRow)
 	}
 	return dec.Err()
 }
@@ -715,16 +722,13 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 // SaveState implements stateSaver for the per-partition half of a two-stage
 // aggregate.
 func (p *partialAggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, p.wm, p.lateDrop, p.freed, len(p.order))
-	for _, gk := range p.order {
-		g := p.groups[gk]
+	saveAggCommon(enc, p.wm, p.lateDrop, p.idx.freed, len(p.groups))
+	for _, g := range firstSeen(p.groups, func(g *partialGroup) int { return g.seq }) {
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
-		enc.Bool(g.dead)
-		if !g.dead {
-			for _, acc := range g.accs {
-				saveAcc(enc, acc)
-			}
+		enc.Bool(false) // closed
+		for _, acc := range g.accs {
+			saveAcc(enc, acc)
 		}
 	}
 }
@@ -733,7 +737,7 @@ func (p *partialAggOp) SaveState(enc *checkpoint.Encoder) {
 func (p *partialAggOp) LoadState(dec *checkpoint.Decoder) error {
 	p.wm = dec.Time()
 	p.lateDrop = dec.Int()
-	p.freed = dec.Int()
+	p.idx.freed = dec.Int()
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
@@ -741,23 +745,24 @@ func (p *partialAggOp) LoadState(dec *checkpoint.Decoder) error {
 	for i := 0; i < n; i++ {
 		keyRow := dec.Row()
 		gn := dec.Int()
-		dead := dec.Bool()
+		closed := dec.Bool()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		g := &partialGroup{keyRow: keyRow, n: gn, dead: dead}
-		if !dead {
-			g.accs = make([]accumulator, len(p.aggs))
-			for ci, call := range p.aggs {
-				g.accs[ci] = newAccumulator(call)
-				if err := loadAcc(dec, g.accs[ci]); err != nil {
-					return err
-				}
+		if closed {
+			continue
+		}
+		g := &partialGroup{keyRow: keyRow, n: gn}
+		g.accs = make([]accumulator, len(p.aggs))
+		for ci, call := range p.aggs {
+			g.accs[ci] = newAccumulator(call)
+			if err := loadAcc(dec, g.accs[ci]); err != nil {
+				return err
 			}
 		}
 		gk := keyRow.Key()
 		p.groups[gk] = g
-		p.order = append(p.order, gk)
+		g.seq = p.idx.add(gk, g, keyRow)
 	}
 	return dec.Err()
 }
@@ -766,70 +771,64 @@ func (p *partialAggOp) LoadState(dec *checkpoint.Decoder) error {
 // aggregate: per group, the latest state snapshot received from each
 // partition plus the merged output row.
 func (f *finalAggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, f.wm, f.lateDrop, f.freed, len(f.order))
-	for _, gk := range f.order {
-		g := f.groups[gk]
+	saveAggCommon(enc, f.wm, f.lateDrop, f.idx.freed, len(f.groups))
+	for _, g := range firstSeen(f.groups, func(g *finalGroup) int { return g.seq }) {
 		enc.Row(g.keyRow)
-		enc.Bool(g.dead)
+		enc.Bool(false) // closed
 		enc.Row(g.outRow)
-		if !g.dead {
-			for _, snap := range g.snaps {
-				enc.Row(snap)
-			}
+		for _, snap := range g.snaps {
+			enc.Row(snap)
 		}
 	}
 }
 
 // LoadState implements stateSaver.
 func (f *finalAggOp) LoadState(dec *checkpoint.Decoder) error {
+	// A global final aggregate's Open already created its one group;
+	// restore replaces it.
+	f.idx.reset()
 	f.wm = dec.Time()
 	f.lateDrop = dec.Int()
-	f.freed = dec.Int()
+	f.idx.freed = dec.Int()
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	// A global final aggregate's Open already created its one group;
-	// restore replaces it.
 	f.groups = make(map[string]*finalGroup, checkpoint.CapHint(uint64(n)))
-	f.order = f.order[:0]
 	for i := 0; i < n; i++ {
 		keyRow := dec.Row()
-		dead := dec.Bool()
+		closed := dec.Bool()
 		outRow := dec.Row()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		g := &finalGroup{keyRow: keyRow, dead: dead, outRow: outRow}
-		if !dead {
-			g.snaps = make([]types.Row, f.parts)
-			for pi := range g.snaps {
-				g.snaps[pi] = dec.Row()
-			}
+		if closed {
+			continue
+		}
+		g := &finalGroup{keyRow: keyRow, outRow: outRow, snaps: make([]types.Row, f.parts)}
+		for pi := range g.snaps {
+			g.snaps[pi] = dec.Row()
 		}
 		gk := keyRow.Key()
 		f.groups[gk] = g
-		f.order = append(f.order, gk)
+		g.seq = f.idx.add(gk, g, keyRow)
 	}
 	return dec.Err()
 }
 
 // ---- EMIT materialization states ----
 
-// SaveState implements stateSaver: per event-time group, the buffered
+// SaveState implements stateSaver: per open event-time group, the buffered
 // relation awaiting watermark completion.
 func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(e.wm)
 	enc.Int(e.late)
-	enc.Int(e.freed)
-	enc.Uvarint(uint64(len(e.order)))
-	for _, k := range e.order {
-		g := e.groups[k]
+	enc.Int(e.idx.freed)
+	enc.Uvarint(uint64(len(e.groups)))
+	for _, g := range firstSeen(e.groups, func(g *wmGroup) int { return g.seq }) {
 		enc.Row(g.sample)
-		enc.Bool(g.done)
-		if !g.done {
-			g.rel.SaveState(enc)
-		}
+		enc.Bool(false) // closed
+		g.rel.SaveState(enc)
 	}
 }
 
@@ -837,53 +836,61 @@ func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 	e.wm = dec.Time()
 	e.late = dec.Int()
-	e.freed = dec.Int()
+	e.idx.freed = dec.Int()
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
 		sample := dec.Row()
-		done := dec.Bool()
+		closed := dec.Bool()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		g := &wmGroup{sample: sample, done: done}
-		if !done {
-			g.rel = tvr.NewRelation()
-			if err := g.rel.LoadState(dec); err != nil {
-				return err
-			}
+		if closed {
+			continue
 		}
-		k := e.keys.keyOf(sample)
+		g := &wmGroup{sample: sample, rel: tvr.NewRelation()}
+		if err := g.rel.LoadState(dec); err != nil {
+			return err
+		}
+		k := sample.KeyOf(e.keys.idxs)
 		e.groups[k] = g
-		e.order = append(e.order, k)
+		g.seq = e.idx.add(k, g, sample)
 	}
 	return dec.Err()
 }
 
-// SaveState implements stateSaver: per group the last-materialized and live
-// relations, plus the pending processing-time timer queue. The heap slice is
-// serialized in its array order (a valid heap round-trips as a valid heap);
-// timers reference their group by its event-time key.
+// SaveState implements stateSaver: per open group the last-materialized and
+// live relations, plus the pending processing-time timer queue in its array
+// order; timers reference their group by its event-time key. A timer whose
+// group the watermark closed is a no-op (see delayGroup) and is not written;
+// LoadState re-heapifies, and (deadline, seq) being a total order makes the
+// pop sequence independent of the array layout.
 func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(e.wm)
 	enc.Int(e.late)
-	enc.Int(e.freed)
+	enc.Int(e.idx.freed)
 	enc.Int(e.seq)
-	enc.Uvarint(uint64(len(e.order)))
-	for _, k := range e.order {
-		g := e.groups[k]
+	enc.Uvarint(uint64(len(e.groups)))
+	for _, g := range firstSeen(e.groups, func(g *delayGroup) int { return g.seq }) {
 		enc.Row(g.sample)
 		enc.Bool(g.armed)
-		enc.Bool(g.done)
-		if !g.done {
-			g.lastMat.SaveState(enc)
-			g.cur.SaveState(enc)
+		enc.Bool(false) // closed
+		g.lastMat.SaveState(enc)
+		g.cur.SaveState(enc)
+	}
+	pending := 0
+	for _, t := range e.timers {
+		if t.group.armed {
+			pending++
 		}
 	}
-	enc.Uvarint(uint64(len(e.timers)))
+	enc.Uvarint(uint64(pending))
 	for _, t := range e.timers {
+		if !t.group.armed {
+			continue
+		}
 		enc.Time(t.deadline)
 		enc.Int(t.seq)
 		enc.String(t.group.key)
@@ -894,33 +901,36 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 	e.wm = dec.Time()
 	e.late = dec.Int()
-	e.freed = dec.Int()
+	e.idx.freed = dec.Int()
 	e.seq = dec.Int()
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
 	}
+	closedKeys := map[string]bool{} // tombstones of a pre-eviction snapshot
 	for i := 0; i < n; i++ {
 		sample := dec.Row()
 		armed := dec.Bool()
-		done := dec.Bool()
+		closed := dec.Bool()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		k := e.keys.keyOf(sample)
-		g := &delayGroup{key: k, sample: sample, armed: armed, done: done}
-		if !done {
-			g.lastMat = tvr.NewRelation()
-			if err := g.lastMat.LoadState(dec); err != nil {
-				return err
-			}
-			g.cur = tvr.NewRelation()
-			if err := g.cur.LoadState(dec); err != nil {
-				return err
-			}
+		k := sample.KeyOf(e.keys.idxs)
+		if closed {
+			closedKeys[k] = true
+			continue
+		}
+		g := &delayGroup{key: k, sample: sample, armed: armed}
+		g.lastMat = tvr.NewRelation()
+		if err := g.lastMat.LoadState(dec); err != nil {
+			return err
+		}
+		g.cur = tvr.NewRelation()
+		if err := g.cur.LoadState(dec); err != nil {
+			return err
 		}
 		e.groups[k] = g
-		e.order = append(e.order, k)
+		g.seq = e.idx.add(k, g, sample)
 	}
 	nt := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
@@ -935,9 +945,13 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 		}
 		g, ok := e.groups[gk]
 		if !ok {
+			if closedKeys[gk] {
+				continue // stale timer of a closed group: a no-op
+			}
 			return fmt.Errorf("exec: checkpoint timer references unknown group")
 		}
 		e.timers = append(e.timers, timer{deadline: deadline, seq: seq, group: g})
 	}
+	heap.Init(&e.timers)
 	return dec.Err()
 }

@@ -41,9 +41,7 @@ func goldenEngine(t *testing.T) *core.Engine {
 	if err := e.RegisterStream("R", sch.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	row := func(k, v int64, at types.Time) types.Row {
-		return types.Row{types.NewInt(k), types.NewInt(v), types.NewTimestamp(at)}
-	}
+	row := goldenRow
 	if err := e.AppendLog("S", tvr.Changelog{
 		tvr.InsertEvent(1000, row(1, 10, 1000)),
 		tvr.InsertEvent(2000, row(2, 25, 2000)),
@@ -180,5 +178,144 @@ GROUP BY TB.wstart, TB.wend`
 		if _, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(data)); err != nil {
 			t.Errorf("%s: golden checkpoint no longer restores: %v", c.name, err)
 		}
+	}
+}
+
+// preEvictionDelayEngine and preEvictionDelaySQL are the input the
+// tumble_emit_delay_wm_pre_eviction fixture was written from (by the last
+// commit before eviction): the watermark closes the first window while that
+// window's 7 s delay timer, armed at ptime 1000, is still pending.
+func preEvictionDelayEngine(t *testing.T) *core.Engine {
+	t.Helper()
+	e := core.NewEngine(core.WithUnboundedGroupBy())
+	sch := types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt64},
+		types.Column{Name: "v", Kind: types.KindInt64},
+		types.Column{Name: "t", Kind: types.KindTimestamp, EventTime: true},
+	)
+	if err := e.RegisterStream("S", sch); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendLog("S", tvr.Changelog{
+		tvr.InsertEvent(1000, goldenRow(1, 10, 1000)),
+		tvr.InsertEvent(2000, goldenRow(2, 25, 2000)),
+		tvr.InsertEvent(3000, goldenRow(1, 40, 11000)),
+		tvr.InsertEvent(5000, goldenRow(3, 7, 26000)),
+		tvr.WatermarkEvent(6000, 15000),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+const preEvictionDelaySQL = `
+SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c, MAX(TB.v) mx
+FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
+GROUP BY TB.wstart, TB.wend
+EMIT STREAM AFTER DELAY INTERVAL '7' SECONDS AND AFTER WATERMARK`
+
+func goldenRow(k, v int64, at types.Time) types.Row {
+	return types.Row{types.NewInt(k), types.NewInt(v), types.NewTimestamp(at)}
+}
+
+// TestCheckpointPreEvictionGolden: the *_pre_eviction goldens were written
+// before watermark-closed groups were evicted, so they still serialize closed
+// groups as tombstones (closed=true records with no state behind them) and,
+// for EMIT AFTER DELAY, the stale timer of a closed group. They must keep
+// loading: the restored pipeline discards both and, fed more input (late rows
+// for the closed groups included), produces exactly what a pipeline that ran
+// uninterrupted produces.
+func TestCheckpointPreEvictionGolden(t *testing.T) {
+	var sessionSQL string
+	for _, c := range goldenCases() {
+		if c.name == "session_window" {
+			sessionSQL = c.sql
+		}
+	}
+	cases := []struct {
+		fixture string
+		engine  *core.Engine
+		sql     string
+		more    tvr.Changelog
+	}{
+		// The session_window golden as committed before eviction. The session
+		// operator re-cuts sessions on rows behind the watermark, so the rows
+		// at 1.5 s and 11.5 s retract and re-insert members of sessions the
+		// aggregate has closed: late for the tombstones then, for the absent
+		// groups now.
+		{"session_window_pre_eviction", goldenEngine(t), sessionSQL, tvr.Changelog{
+			tvr.InsertEvent(7000, goldenRow(4, 1, 1500)),
+			tvr.InsertEvent(7500, goldenRow(1, 5, 12000)),
+			tvr.WatermarkEvent(8000, 21000),
+			tvr.InsertEvent(8500, goldenRow(2, 9, 11500)),
+			tvr.InsertEvent(9000, goldenRow(3, 3, 27000)),
+			tvr.WatermarkEvent(9500, 60000), // closes everything
+			tvr.InsertEvent(10000, goldenRow(5, 5, 70000)),
+		}},
+		{"tumble_emit_delay_wm_pre_eviction", preEvictionDelayEngine(t), preEvictionDelaySQL, tvr.Changelog{
+			tvr.InsertEvent(7000, goldenRow(4, 1, 3000)),   // late for the closed first window
+			tvr.InsertEvent(7500, goldenRow(5, 50, 12000)), // second window, timer pending since 3000
+			tvr.HeartbeatEvent(9000),                       // pops the closed window's stale timer (8000)
+			tvr.InsertEvent(11000, goldenRow(6, 60, 13000)),
+			tvr.WatermarkEvent(12000, 21000),               // closes the second window
+			tvr.InsertEvent(12500, goldenRow(7, 1, 14000)), // late
+			tvr.InsertEvent(13000, goldenRow(8, 8, 27000)),
+			tvr.HeartbeatEvent(30000),
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.fixture, func(t *testing.T) {
+			pq := planSQL(t, c.engine, c.sql)
+			dump, err := os.ReadFile(filepath.Join("testdata", c.fixture+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now := goldenBytes(t, c.engine, c.sql, 1); len(old) <= len(now) {
+				t.Fatalf("fixture is %d bytes, today's checkpoint of the same state %d: the fixture should carry tombstones today's does not", len(old), len(now))
+			}
+			restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(old))
+			if err != nil {
+				t.Fatalf("pre-eviction checkpoint no longer restores: %v", err)
+			}
+
+			uninterrupted := compileDriver(t, pq, 1)
+			if err := uninterrupted.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := uninterrupted.Feed(execSourcesFor(t, c.engine, pq.Root)); err != nil {
+				t.Fatal(err)
+			}
+			uninterrupted.Drain()
+
+			var outs [2][]string
+			var stats [2]exec.Stats
+			for i, d := range []exec.Driver{uninterrupted, restored} {
+				if err := d.Feed([]exec.Source{{Name: "S", Log: c.more}}); err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = fmtLog(d.Drain())
+				stats[i] = d.Stats()
+				if _, err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = append(outs[i], fmtLog(d.Drain())...)
+			}
+			if fmt.Sprint(outs[1]) != fmt.Sprint(outs[0]) {
+				t.Fatalf("restored from the pre-eviction checkpoint:\n got %v\nwant %v", outs[1], outs[0])
+			}
+			want, got := stats[0], stats[1]
+			if got.StateGroups != want.StateGroups || got.StateRows != want.StateRows ||
+				got.FreedGroups != want.FreedGroups || got.LateDropped != want.LateDropped {
+				t.Fatalf("restored stats %+v, uninterrupted %+v", got, want)
+			}
+			if want.LateDropped < 2 || len(outs[0]) == 0 {
+				t.Fatalf("the continuation should drop late rows and emit output; got %d late, %d events", want.LateDropped, len(outs[0]))
+			}
+			t.Logf("continuation: %d late, %d freed, %d open; output %v", want.LateDropped, want.FreedGroups, want.StateGroups, outs[0])
+		})
 	}
 }

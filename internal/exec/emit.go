@@ -11,37 +11,17 @@ import (
 // paper's EMIT extensions delay/coalesce materialization per event-time
 // grouping (e.g. per window).
 type emitGroupKeys struct {
-	idxs    []int
-	offsets []types.Duration
+	idxs []int      // the group's map key is the row's values at these columns
+	keys []eventKey // the same columns with their completion offsets
 }
 
 func groupKeysOf(sch *types.Schema) emitGroupKeys {
 	var g emitGroupKeys
 	for _, i := range sch.EmitKeyCols() {
 		g.idxs = append(g.idxs, i)
-		g.offsets = append(g.offsets, sch.Cols[i].WmOffset)
+		g.keys = append(g.keys, eventKey{pos: i, offset: sch.Cols[i].WmOffset})
 	}
 	return g
-}
-
-func (g emitGroupKeys) keyOf(row types.Row) string { return row.KeyOf(g.idxs) }
-
-// complete reports whether the watermark has passed every event-time key of
-// the row (accounting for per-column completion offsets).
-func (g emitGroupKeys) complete(row types.Row, wm types.Time) bool {
-	if len(g.idxs) == 0 {
-		return false
-	}
-	for i, idx := range g.idxs {
-		v := row[idx]
-		if v.IsNull() || v.Kind() != types.KindTimestamp {
-			return false
-		}
-		if wm < v.Timestamp().Add(g.offsets[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // emitAfterWatermarkOp implements Extension 5 (EMIT AFTER WATERMARK): it
@@ -51,24 +31,26 @@ func (g emitGroupKeys) complete(row types.Row, wm types.Time) bool {
 type emitAfterWatermarkOp struct {
 	out    sink
 	keys   emitGroupKeys
-	groups map[string]*wmGroup
-	order  []string
+	groups map[string]*wmGroup       // open groups only
+	idx    completionIndex[*wmGroup] // which groups a watermark completes
 	wm     types.Time
 	late   int
-	freed  int
+	keyBuf []byte // reusable group-key encoding buffer
 }
 
 type wmGroup struct {
 	sample types.Row // carries the event-time key values
 	rel    *tvr.Relation
-	done   bool
+	seq    int // first-seen sequence (snapshot order)
 }
 
 func newEmitAfterWatermark(sch *types.Schema, out sink) *emitAfterWatermarkOp {
+	keys := groupKeysOf(sch)
 	return &emitAfterWatermarkOp{
 		out:    out,
-		keys:   groupKeysOf(sch),
+		keys:   keys,
 		groups: make(map[string]*wmGroup),
+		idx:    completionIndex[*wmGroup]{keys: keys.keys},
 		wm:     types.MinTime,
 	}
 }
@@ -80,20 +62,19 @@ func (e *emitAfterWatermarkOp) Push(ev tvr.Event) error {
 	case tvr.Heartbeat:
 		return e.out.Push(ev)
 	}
-	k := e.keys.keyOf(ev.Row)
-	g, ok := e.groups[k]
-	if ok && g.done {
-		e.late++
-		return nil
-	}
+	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
+	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
 	if !ok {
-		if e.keys.complete(ev.Row, e.wm) {
+		if e.idx.complete(ev.Row, e.wm) {
+			// The group was materialized and evicted before this row
+			// arrived, or the row arrives late from the start.
 			e.late++
 			return nil
 		}
 		g = &wmGroup{sample: ev.Row.Clone(), rel: tvr.NewRelation()}
+		k := string(e.keyBuf)
 		e.groups[k] = g
-		e.order = append(e.order, k)
+		g.seq = e.idx.add(k, g, g.sample)
 	}
 	return g.rel.Apply(ev)
 }
@@ -103,23 +84,14 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) error {
 		return nil
 	}
 	e.wm = ev.Wm
-	for _, k := range e.order {
-		g := e.groups[k]
-		if g == nil || g.done {
-			continue
-		}
-		if !e.keys.complete(g.sample, e.wm) {
-			continue
-		}
+	for _, c := range e.idx.advance(e.wm) {
+		delete(e.groups, c.key)
 		// Materialize the final contents of the group, once.
-		for _, row := range g.rel.Rows() {
+		for _, row := range c.g.rel.Rows() {
 			if err := e.out.Push(tvr.InsertEvent(ev.Ptime, row)); err != nil {
 				return err
 			}
 		}
-		g.rel = nil
-		g.done = true
-		e.freed++
 	}
 	return e.out.Push(ev)
 }
@@ -127,16 +99,12 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) error {
 func (e *emitAfterWatermarkOp) Finish() error { return e.out.Finish() }
 
 func (e *emitAfterWatermarkOp) stats(s *Stats) {
-	live := 0
 	for _, g := range e.groups {
-		if !g.done {
-			live++
-			s.StateRows += g.rel.Len()
-		}
+		s.StateRows += g.rel.Len()
 	}
-	s.StateGroups += live
+	s.StateGroups += len(e.groups)
 	s.LateDropped += e.late
-	s.FreedGroups += e.freed
+	s.FreedGroups += e.idx.freed
 }
 
 // emitAfterDelayOp implements Extension 6 (EMIT AFTER DELAY) and Extension 7
@@ -152,22 +120,26 @@ type emitAfterDelayOp struct {
 	delay         types.Duration
 	alsoWatermark bool
 
-	groups map[string]*delayGroup
-	order  []string
+	groups map[string]*delayGroup       // open groups only
+	idx    completionIndex[*delayGroup] // which groups a watermark completes
 	timers timerHeap
 	seq    int
 	wm     types.Time
 	late   int
-	freed  int
+	keyBuf []byte // reusable group-key encoding buffer
 }
 
+// delayGroup is one event-time group's buffered contents. A group closed by
+// the watermark leaves the map and the index but may still be referenced by
+// a pending timer: closing fires it, which disarms it, and fire ignores
+// disarmed groups — so the stale timer is a no-op when it pops.
 type delayGroup struct {
 	key     string
 	sample  types.Row
 	lastMat *tvr.Relation // contents at last materialization
 	cur     *tvr.Relation // live contents
 	armed   bool
-	done    bool
+	seq     int // first-seen sequence (snapshot order)
 }
 
 type timer struct {
@@ -190,7 +162,7 @@ func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timer)) }
 func (h *timerHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 func newEmitAfterDelay(sch *types.Schema, delay types.Duration, alsoWatermark bool, out sink) *emitAfterDelayOp {
-	return &emitAfterDelayOp{
+	e := &emitAfterDelayOp{
 		out:           out,
 		keys:          groupKeysOf(sch),
 		delay:         delay,
@@ -198,6 +170,12 @@ func newEmitAfterDelay(sch *types.Schema, delay types.Duration, alsoWatermark bo
 		groups:        make(map[string]*delayGroup),
 		wm:            types.MinTime,
 	}
+	if alsoWatermark {
+		// Without AFTER WATERMARK the index has no event keys: groups never
+		// complete and it only numbers them.
+		e.idx.keys = e.keys.keys
+	}
+	return e
 }
 
 func (e *emitAfterDelayOp) Push(ev tvr.Event) error {
@@ -217,25 +195,21 @@ func (e *emitAfterDelayOp) Push(ev tvr.Event) error {
 		}
 		return e.out.Push(ev)
 	}
-	k := e.keys.keyOf(ev.Row)
-	g, ok := e.groups[k]
-	if ok && g.done {
-		e.late++
-		return nil
-	}
+	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
+	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
 	if !ok {
-		if e.alsoWatermark && e.keys.complete(ev.Row, e.wm) {
+		if e.idx.complete(ev.Row, e.wm) {
 			e.late++
 			return nil
 		}
 		g = &delayGroup{
-			key:     k,
+			key:     string(e.keyBuf),
 			sample:  ev.Row.Clone(),
 			lastMat: tvr.NewRelation(),
 			cur:     tvr.NewRelation(),
 		}
-		e.groups[k] = g
-		e.order = append(e.order, k)
+		e.groups[g.key] = g
+		g.seq = e.idx.add(g.key, g, g.sample)
 	}
 	if err := g.cur.Apply(ev); err != nil {
 		return err
@@ -273,7 +247,7 @@ func (e *emitAfterDelayOp) fireDueInclusive(p types.Time) error {
 
 // fire materializes the group's pending changes as a diff at ptime p.
 func (e *emitAfterDelayOp) fire(g *delayGroup, p types.Time) error {
-	if g.done || !g.armed {
+	if !g.armed {
 		return nil
 	}
 	g.armed = false
@@ -291,21 +265,15 @@ func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) error {
 		return e.out.Push(tvr.WatermarkEvent(ev.Ptime, e.wm))
 	}
 	e.wm = ev.Wm
-	if e.alsoWatermark {
-		for _, k := range e.order {
-			g := e.groups[k]
-			if g == nil || g.done || !e.keys.complete(g.sample, e.wm) {
-				continue
-			}
-			// Final on-time materialization, then close the group.
-			g.armed = true // force the diff even if no timer pending
-			if err := e.fire(g, ev.Ptime); err != nil {
-				return err
-			}
-			g.done = true
-			g.lastMat, g.cur = nil, nil
-			e.freed++
+	for _, c := range e.idx.advance(e.wm) {
+		delete(e.groups, c.key)
+		// Final on-time materialization closes the group.
+		g := c.g
+		g.armed = true // force the diff even if no timer pending
+		if err := e.fire(g, ev.Ptime); err != nil {
+			return err
 		}
+		g.lastMat, g.cur = nil, nil
 	}
 	return e.out.Push(ev)
 }
@@ -323,14 +291,10 @@ func (e *emitAfterDelayOp) Finish() error {
 }
 
 func (e *emitAfterDelayOp) stats(s *Stats) {
-	live := 0
 	for _, g := range e.groups {
-		if !g.done {
-			live++
-			s.StateRows += g.cur.Len()
-		}
+		s.StateRows += g.cur.Len()
 	}
-	s.StateGroups += live
+	s.StateGroups += len(e.groups)
 	s.LateDropped += e.late
-	s.FreedGroups += e.freed
+	s.FreedGroups += e.idx.freed
 }

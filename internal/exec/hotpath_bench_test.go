@@ -150,6 +150,82 @@ func BenchmarkBatchPush(b *testing.B) {
 	}
 }
 
+// benchWindowedPlan is the windowed_agg shape reduced to its two completing
+// operators: GROUP BY (key, wend) MAX(price) over rows that already carry
+// their window end, materialized by EMIT AFTER WATERMARK.
+func benchWindowedPlan() *plan.Aggregate {
+	in := types.NewSchema(
+		types.Column{Name: "key", Kind: types.KindInt64},
+		types.Column{Name: "wend", Kind: types.KindTimestamp, EventTime: true},
+		types.Column{Name: "price", Kind: types.KindInt64},
+	)
+	return &plan.Aggregate{
+		Input: &plan.Scan{Name: "s", Sch: in, Stream: true},
+		Keys: []plan.Scalar{
+			&plan.ColRef{Idx: 0, K: types.KindInt64},
+			&plan.ColRef{Idx: 1, K: types.KindTimestamp},
+		},
+		Aggs: []plan.AggCall{{Kind: plan.AggMax, Arg: &plan.ColRef{Idx: 2, K: types.KindInt64}, K: types.KindInt64}},
+		Sch:  types.NewSchema(in.Cols[0], in.Cols[1], types.Column{Name: "maxPrice", Kind: types.KindInt64}),
+	}
+}
+
+// BenchmarkWatermarkAdvance measures one watermark round — ten new groups
+// open, the watermark passes them, they materialize and are evicted — through
+// aggOp -> emitAfterWatermarkOp, against different amounts of history: 1k vs
+// 100k groups closed earlier (the per-round cost must not depend on it), and
+// 100k groups still open beside the ten that close.
+func BenchmarkWatermarkAdvance(b *testing.B) {
+	const closing = 10
+	for _, c := range []struct {
+		name         string
+		closed, open int
+	}{
+		{"closed=1k", 1_000, 0},
+		{"closed=100k", 100_000, 0},
+		{"open=100k", 0, 100_000},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			node := benchWindowedPlan()
+			agg := newAggOp(node, newEmitAfterWatermark(node.Sch, &nullSink{}))
+			wm := types.Time(0)
+			round := func(groups int) {
+				wm += types.Time(types.Second)
+				for k := 0; k < groups; k++ {
+					row := types.Row{types.NewInt(int64(k)), types.NewTimestamp(wm), types.NewInt(int64(k))}
+					if err := agg.Push(tvr.InsertEvent(wm, row)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := agg.Push(tvr.WatermarkEvent(wm, wm)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for done := 0; done < c.closed; done += closing {
+				round(closing)
+			}
+			far := types.NewTimestamp(types.MaxTime / 2)
+			for k := 0; k < c.open; k++ {
+				if err := agg.Push(tvr.InsertEvent(wm, types.Row{types.NewInt(int64(k)), far, types.NewInt(1)})); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if agg.idx.freed != c.closed || len(agg.groups) != c.open {
+				b.Fatalf("set-up left %d closed, %d open; want %d, %d", agg.idx.freed, len(agg.groups), c.closed, c.open)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round(closing)
+			}
+			b.StopTimer()
+			if len(agg.groups) != c.open {
+				b.Fatalf("%d groups held after the run, want %d", len(agg.groups), c.open)
+			}
+		})
+	}
+}
+
 // TestKeyedHotPathAllocFree pins the 0-allocs/op property of the keyed
 // aggregate's steady-state lookup: once every group exists and the incoming
 // value does not change the MAX, a PushBatch costs zero heap allocations —

@@ -227,7 +227,28 @@ SELECT W.seller seller, AVG(W.price) avgPrice, MIN(W.price) minPrice
 FROM (SELECT P.id id, P.name seller, B.price price
       FROM Person P JOIN Bid B ON P.id = B.bidder) W
 GROUP BY W.seller`
+	// One-second windows over the ~70 s dataset: at any split point past the
+	// first few seconds most groups ever created have already been closed by
+	// the watermark and evicted (TestCheckpointRestoreEquivalence asserts it),
+	// so restores land on state that is mostly *absent* — keyed (single-stage
+	// under parts>1) and window-only (two-stage), with both watermark-closing
+	// EMIT flavors.
+	shortKeyed := `
+SELECT TB.auction auction, TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice
+FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
+            dur => INTERVAL '1' SECONDS) TB
+GROUP BY TB.auction, TB.wstart, TB.wend`
+	shortTwoStage := `
+SELECT TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice, COUNT(*) bids
+FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
+            dur => INTERVAL '1' SECONDS) TB
+GROUP BY TB.wend, TB.wstart`
+	const delayAndWm = ` EMIT STREAM AFTER DELAY INTERVAL '3' SECONDS AND AFTER WATERMARK`
 	return []struct{ name, sql string }{
+		{"short-window-keyed-emit-wm", shortKeyed + ` EMIT STREAM AFTER WATERMARK`},
+		{"short-window-keyed-emit-delay-and-wm", shortKeyed + delayAndWm},
+		{"short-window-two-stage-emit-wm", shortTwoStage + ` EMIT STREAM AFTER WATERMARK`},
+		{"short-window-two-stage-emit-delay-and-wm", shortTwoStage + delayAndWm},
 		{"selection", `SELECT auction, price FROM Bid WHERE MOD(auction, 5) = 0`},
 		{"join", `SELECT P.name, A.id FROM Auction A JOIN Person P ON A.seller = P.id`},
 		{"windowed-max", windowedMax},

@@ -44,18 +44,16 @@ type partialAggOp struct {
 	keys []plan.Scalar
 	aggs []plan.AggCall
 
-	eventKeys []eventKey
-	groups    map[string]*partialGroup
-	order     []string
-	wm        types.Time
-	lateDrop  int
-	freed     int
-	keyBuf    []byte
-	rowWidth  int
+	groups   map[string]*partialGroup       // open groups only
+	idx      completionIndex[*partialGroup] // which groups a watermark completes
+	wm       types.Time
+	lateDrop int
+	keyBuf   []byte
+	rowWidth int
 
 	// Run cache + scratch, mirroring aggOp: consecutive same-key events skip
-	// the map probe, and the key-evaluation row is reused. Groups are never
-	// removed from the map, so the cached pointer stays valid.
+	// the map probe, and the key-evaluation row is reused. onWatermark
+	// invalidates the cache when it evicts the cached group.
 	prevKey    []byte
 	runGroup   *partialGroup
 	runValid   bool
@@ -67,7 +65,7 @@ type partialGroup struct {
 	keyRow types.Row
 	accs   []accumulator
 	n      int
-	dead   bool
+	seq    int // first-seen sequence (snapshot order)
 }
 
 func newPartialAggOp(x *plan.Aggregate, out sink) (*partialAggOp, error) {
@@ -76,6 +74,7 @@ func newPartialAggOp(x *plan.Aggregate, out sink) (*partialAggOp, error) {
 		keys:   x.Keys,
 		aggs:   x.Aggs,
 		groups: make(map[string]*partialGroup),
+		idx:    completionIndex[*partialGroup]{keys: eventKeysOf(x)},
 		wm:     types.MinTime,
 	}
 	p.rowWidth = len(x.Keys) + 1
@@ -85,14 +84,7 @@ func newPartialAggOp(x *plan.Aggregate, out sink) (*partialAggOp, error) {
 		}
 		p.rowWidth += partialStateWidth(call.Kind)
 	}
-	p.eventKeys = eventKeysOf(x)
 	return p, nil
-}
-
-// complete applies the shared completion rule for the partial stage's
-// watermark policy.
-func (p *partialAggOp) complete(keyRow types.Row, wm types.Time) bool {
-	return groupComplete(p.eventKeys, keyRow, wm)
 }
 
 func (p *partialAggOp) Push(ev tvr.Event) error {
@@ -141,7 +133,7 @@ func (p *partialAggOp) pushEvent(ev tvr.Event) error {
 		var ok bool
 		g, ok = p.groups[string(p.keyBuf)]
 		if !ok {
-			if p.complete(keyRow, p.wm) {
+			if p.idx.complete(keyRow, p.wm) {
 				p.lateDrop++
 				return nil
 			}
@@ -151,15 +143,11 @@ func (p *partialAggOp) pushEvent(ev tvr.Event) error {
 			}
 			gk := string(p.keyBuf)
 			p.groups[gk] = g
-			p.order = append(p.order, gk)
+			g.seq = p.idx.add(gk, g, g.keyRow)
 		}
 		p.prevKey = append(p.prevKey[:0], p.keyBuf...)
 		p.runGroup = g
 		p.runValid = true
-	}
-	if g.dead {
-		p.lateDrop++
-		return nil
 	}
 
 	delta := 1
@@ -197,7 +185,7 @@ func (p *partialAggOp) pushEvent(ev tvr.Event) error {
 	return nil
 }
 
-// onWatermark mirrors the serial aggregate: advance, free complete groups,
+// onWatermark mirrors the serial aggregate: advance, evict complete groups,
 // forward (via the pending buffer). The final stage performs the same
 // completion on the merged watermark, so late input is dropped here — before
 // it can reach the tail — exactly when the serial aggregate would drop it.
@@ -206,17 +194,10 @@ func (p *partialAggOp) onWatermark(ev tvr.Event) error {
 		return nil
 	}
 	p.wm = ev.Wm
-	if len(p.eventKeys) > 0 {
-		for _, gk := range p.order {
-			g := p.groups[gk]
-			if g == nil || g.dead {
-				continue
-			}
-			if p.complete(g.keyRow, p.wm) {
-				g.accs = nil
-				g.dead = true
-				p.freed++
-			}
+	for _, c := range p.idx.advance(p.wm) {
+		delete(p.groups, c.key)
+		if c.g == p.runGroup {
+			p.runValid = false
 		}
 	}
 	p.pend = append(p.pend, ev)
@@ -226,16 +207,12 @@ func (p *partialAggOp) onWatermark(ev tvr.Event) error {
 func (p *partialAggOp) Finish() error { return p.out.Finish() }
 
 func (p *partialAggOp) stats(s *Stats) {
-	live := 0
 	for _, g := range p.groups {
-		if !g.dead {
-			live++
-			s.StateRows += g.n
-		}
+		s.StateRows += g.n
 	}
-	s.StateGroups += live
+	s.StateGroups += len(p.groups)
 	s.LateDropped += p.lateDrop
-	s.FreedGroups += p.freed
+	s.FreedGroups += p.idx.freed
 }
 
 // finalAggOp is the serial-tail half of a two-stage aggregate. It receives
@@ -253,20 +230,18 @@ type finalAggOp struct {
 	offs   []int
 	global bool
 
-	eventKeys []eventKey
-	groups    map[string]*finalGroup
-	order     []string
-	wm        types.Time
-	lateDrop  int
-	freed     int
-	keyBuf    []byte
+	groups   map[string]*finalGroup       // open groups only
+	idx      completionIndex[*finalGroup] // which groups a watermark completes
+	wm       types.Time
+	lateDrop int
+	keyBuf   []byte
 }
 
 type finalGroup struct {
 	keyRow types.Row
 	snaps  []types.Row // per-partition snapshot suffix [n, states...]; nil = none yet
 	outRow types.Row
-	dead   bool
+	seq    int // first-seen sequence (snapshot order)
 }
 
 func newFinalAggOp(x *plan.Aggregate, parts int, out sink) *finalAggOp {
@@ -277,6 +252,7 @@ func newFinalAggOp(x *plan.Aggregate, parts int, out sink) *finalAggOp {
 		parts:  parts,
 		global: x.Global(),
 		groups: make(map[string]*finalGroup),
+		idx:    completionIndex[*finalGroup]{keys: eventKeysOf(x)},
 		wm:     types.MinTime,
 	}
 	off := 1 // snapshot suffix starts with the live-row count
@@ -284,7 +260,6 @@ func newFinalAggOp(x *plan.Aggregate, parts int, out sink) *finalAggOp {
 		f.offs = append(f.offs, off)
 		off += partialStateWidth(call.Kind)
 	}
-	f.eventKeys = eventKeysOf(x)
 	return f
 }
 
@@ -297,16 +272,12 @@ func (f *finalAggOp) Open() error {
 	}
 	g := f.newGroup(types.Row{})
 	f.groups[""] = g
-	f.order = append(f.order, "")
+	g.seq = f.idx.add("", g, g.keyRow)
 	return f.reemit(g, types.MinTime)
 }
 
 func (f *finalAggOp) newGroup(keyRow types.Row) *finalGroup {
 	return &finalGroup{keyRow: keyRow.Clone(), snaps: make([]types.Row, f.parts)}
-}
-
-func (f *finalAggOp) complete(keyRow types.Row, wm types.Time) bool {
-	return groupComplete(f.eventKeys, keyRow, wm)
 }
 
 // Push handles control events; data events must arrive via PushPartial.
@@ -327,17 +298,17 @@ func (f *finalAggOp) PushPartial(part int, ev tvr.Event) error {
 	snap := ev.Row[f.nKeys:]
 	f.keyBuf = keyRow.AppendKey(f.keyBuf[:0])
 	g, ok := f.groups[string(f.keyBuf)]
-	if ok && g.dead {
-		// Partials drop late data before it reaches the exchange; keep the
-		// defensive parity anyway.
-		f.lateDrop++
-		return nil
-	}
 	if !ok {
+		if f.idx.complete(keyRow, f.wm) {
+			// Partials drop late data before it reaches the exchange; keep
+			// the defensive parity anyway.
+			f.lateDrop++
+			return nil
+		}
 		g = f.newGroup(keyRow)
 		gk := string(f.keyBuf)
 		f.groups[gk] = g
-		f.order = append(f.order, gk)
+		g.seq = f.idx.add(gk, g, g.keyRow)
 	}
 	g.snaps[part] = snap
 	return f.reemit(g, ev.Ptime)
@@ -487,18 +458,8 @@ func (f *finalAggOp) onWatermark(ev tvr.Event) error {
 		return nil
 	}
 	f.wm = ev.Wm
-	if len(f.eventKeys) > 0 {
-		for _, gk := range f.order {
-			g := f.groups[gk]
-			if g == nil || g.dead {
-				continue
-			}
-			if f.complete(g.keyRow, f.wm) {
-				g.snaps = nil
-				g.dead = true
-				f.freed++
-			}
-		}
+	for _, c := range f.idx.advance(f.wm) {
+		delete(f.groups, c.key)
 	}
 	return f.out.Push(ev)
 }
@@ -506,14 +467,10 @@ func (f *finalAggOp) onWatermark(ev tvr.Event) error {
 func (f *finalAggOp) Finish() error { return f.out.Finish() }
 
 func (f *finalAggOp) stats(s *Stats) {
-	live := 0
 	for _, g := range f.groups {
-		if !g.dead {
-			live++
-			s.StateRows += int(g.liveRows())
-		}
+		s.StateRows += int(g.liveRows())
 	}
-	s.StateGroups += live
+	s.StateGroups += len(f.groups)
 	s.LateDropped += f.lateDrop
-	s.FreedGroups += f.freed
+	s.FreedGroups += f.idx.freed
 }
