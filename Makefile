@@ -61,11 +61,17 @@ faults:
 # takes exactly the groups it closes off the heap), the five operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose
 # closed=1k and closed=100k rows must read alike (history independence).
+# Output retention rides along too: a standing collector holds nothing after
+# each Drain (serial and partitioned, 120k events), only a one-shot Run folds
+# the table rendering (and still rejects a retraction of an absent row), and
+# a snapshot from before the collector stopped checkpointing its relation
+# still restores and continues identically.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestPartitionedRoundSizeInvariance|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
+	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /

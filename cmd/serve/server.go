@@ -81,6 +81,13 @@ type Server struct {
 	reqTimeout time.Duration
 }
 
+// maxBodyBytes caps every POST body (register, ingest, heartbeat). A larger
+// body is refused with 413 before anything is decoded or committed, so one
+// request cannot make the server buffer an unbounded amount of memory. 8 MiB
+// holds tens of thousands of changelog events; larger loads belong in several
+// requests.
+const maxBodyBytes = 8 << 20
+
 // ckptDegradeAfter is how many consecutive checkpoint failures flip the
 // engine into degraded read-only mode. A disk that keeps refusing snapshots
 // will not keep honoring WAL appends for long, and every failed snapshot
@@ -271,6 +278,26 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorJSON{Error: err.Error()})
 }
 
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it. Numbers decoded into untyped values stay json.Number,
+// preserving full BIGINT precision. On failure it writes the error response
+// (413 for an oversized body, 400 otherwise) and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.UseNumber()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+	} else {
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
 // writeCommitErr routes a failed commit-path request (register, ingest,
 // heartbeat). A degraded engine is overload/fault shedding, not a client
 // mistake: 503 with Retry-After tells well-behaved clients to back off and
@@ -422,8 +449,7 @@ func encodeSchema(sch *types.Schema) []columnJSON {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	cols := make([]types.Column, 0, len(req.Schema))
@@ -461,22 +487,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestJSON
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber() // preserve full BIGINT precision (no float64 round-trip)
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	log := make(tvr.Changelog, 0, len(req.Events))
 	for i, ev := range req.Events {
-		switch strings.ToLower(ev.Kind) {
+		switch kind := strings.ToLower(ev.Kind); kind {
 		case "insert", "delete":
 			row, err := decodeRow(ev.Row, rel.Schema)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, fmt.Errorf("event %d: %w", i, err))
 				return
 			}
-			if strings.ToLower(ev.Kind) == "insert" {
+			if kind == "insert" {
 				log = append(log, tvr.InsertEvent(ev.Ptime, row))
 			} else {
 				log = append(log, tvr.DeleteEvent(ev.Ptime, row))
@@ -494,15 +517,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeCommitErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"appended": len(log)})
+	// The reply is written directly: it is the same bytes writeJSON would
+	// encode ({"appended":N} plus the encoder's newline), without a map and a
+	// reflecting encoder on every ingest.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	var buf [40]byte
+	reply := strconv.AppendInt(append(buf[:0], `{"appended":`...), int64(len(log)), 10)
+	_, _ = w.Write(append(reply, "}\n"...))
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Ptime types.Time `json:"ptime"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.engine.Heartbeat(req.Ptime); err != nil {

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,11 +76,31 @@ func registerBid(t *testing.T, c *http.Client, base string) {
 	}
 }
 
+// ingestBids posts one changelog batch to Bid and pins the reply's bytes:
+// {"appended":N}, newline-terminated, as application/json.
 func ingestBids(t *testing.T, c *http.Client, base string, events []eventJSON) {
 	t.Helper()
-	code, body := postJSON(t, c, base+"/v1/relations/Bid/events", ingestJSON{Events: events})
-	if code != http.StatusOK {
-		t.Fatalf("ingest: status %d body %v", code, body)
+	data, err := json.Marshal(ingestJSON{Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Post(base+"/v1/relations/Bid/events", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d body %s", resp.StatusCode, body)
+	}
+	if want := fmt.Sprintf("{\"appended\":%d}\n", len(events)); string(body) != want {
+		t.Fatalf("ingest reply = %q, want %q", body, want)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("ingest reply content type = %q", ct)
 	}
 }
 
@@ -255,6 +276,57 @@ func TestServeIngestAtomicity(t *testing.T) {
 	}
 	if rows := res["rows"].([]any); len(rows) != 0 {
 		t.Fatalf("rows after failed batch = %v, want none (atomicity)", rows)
+	}
+}
+
+// TestServeBodyLimit: a POST body over maxBodyBytes is refused with 413 and
+// an error naming the limit, and commits nothing — the WAL sequence and the
+// relation's row count are unchanged — on ingest, register and heartbeat.
+func TestServeBodyLimit(t *testing.T) {
+	_, ts, _ := openServer(t, t.TempDir())
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	ingestBids(t, c, ts.URL, []eventJSON{{Kind: "insert", Ptime: timeMS(1000), Row: []any{1, 500, 1000}}})
+	state := func() (walSeq, count float64) {
+		t.Helper()
+		_, hz := getJSON(t, c, ts.URL+"/v1/healthz")
+		code, res := getJSON(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid`))
+		if code != http.StatusOK {
+			t.Fatalf("count query: status %d body %v", code, res)
+		}
+		return hz["walSeq"].(float64), res["rows"].([]any)[0].([]any)[0].(float64)
+	}
+	seq, count := state()
+
+	// One well-formed batch just over the limit: every event in it is valid.
+	var body bytes.Buffer
+	body.WriteString(`{"events":[`)
+	for i := 0; body.Len() <= maxBodyBytes; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"kind":"insert","ptime":%d,"row":[%d,700,%d]}`, 2000+i, i, 2000+i)
+	}
+	body.WriteString(`]}`)
+	for _, path := range []string{"/v1/relations/Bid/events", "/v1/relations", "/v1/heartbeat"} {
+		resp, err := c.Post(ts.URL+path, "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode response: %v", path, err)
+		}
+		msg, _ := out["error"].(string)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg, fmt.Sprint(maxBodyBytes)) {
+			t.Fatalf("%s: status %d body %v, want 413 naming the %d-byte limit", path, resp.StatusCode, out, maxBodyBytes)
+		}
+	}
+	if gotSeq, gotCount := state(); gotSeq != seq || gotCount != count {
+		t.Fatalf("after the refused bodies: walSeq %v count %v, want %v and %v", gotSeq, gotCount, seq, count)
 	}
 }
 

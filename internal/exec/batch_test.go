@@ -118,16 +118,16 @@ func runRechunked(t *testing.T, pq *plan.PlannedQuery, evs []tvr.Event, chunks [
 			i = end
 		}
 	}
-	res, err := p.Close()
-	if err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	out := p.Drain()
 	var sb strings.Builder
-	for _, ev := range res.Log {
+	for _, ev := range out {
 		sb.WriteString(ev.String())
 		sb.WriteByte('\n')
 	}
-	sb.WriteString(tvr.FormatStreamTable(res.Schema, res.StreamRows()))
+	sb.WriteString(tvr.FormatStreamTable(pq.Root.Schema(), tvr.RenderStream(out, pq.EmitKeyIdxs)))
 	return sb.String()
 }
 

@@ -328,33 +328,33 @@ func (s *scanOp) LoadState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SaveState implements stateSaver: the collector's materialized relation,
-// output counters, watermark, and the not-yet-drained output tail. The
-// already-drained prefix of the output log is NOT retained — a restored
-// pipeline's Drain resumes exactly at the first undelivered event, which is
-// what keeps the concatenation of pre- and post-restore drains identical to
-// the uninterrupted sequence. (Standing queries retain delivered history at
-// the session layer, where retention policy lives.)
+// SaveState implements stateSaver: an empty relation (the slot keeps the
+// byte layout; the collector holds no relation), the output counters,
+// watermark, and the not-yet-drained output. A restored pipeline's Drain
+// resumes exactly at the first undelivered event, which is what keeps the
+// concatenation of pre- and post-restore drains identical to the
+// uninterrupted sequence. (Standing queries retain delivered history at the
+// session layer, where retention policy lives.)
 func (c *Collector) SaveState(enc *checkpoint.Encoder) {
-	c.rel.SaveState(enc)
+	tvr.NewRelation().SaveState(enc)
 	enc.Int(c.outN)
 	enc.Time(c.wm)
-	tvr.SaveChangelog(enc, c.log[c.drained:])
+	tvr.SaveChangelog(enc, c.out)
 }
 
-// LoadState implements stateSaver.
+// LoadState implements stateSaver. An older snapshot's relation slot holds
+// the whole output relation; it is read past and discarded.
 func (c *Collector) LoadState(dec *checkpoint.Decoder) error {
-	if err := c.rel.LoadState(dec); err != nil {
+	if err := tvr.NewRelation().LoadState(dec); err != nil {
 		return err
 	}
 	c.outN = dec.Int()
 	c.wm = dec.Time()
-	tail, err := tvr.LoadChangelog(dec)
+	out, err := tvr.LoadChangelog(dec)
 	if err != nil {
 		return err
 	}
-	c.log = tail
-	c.drained = 0
+	c.out = out
 	return dec.Err()
 }
 
@@ -469,9 +469,9 @@ func (j *joinOp) SaveState(enc *checkpoint.Encoder) {
 		keys := tvr.SortedKeys(side.buckets)
 		enc.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
-			bucket := side.buckets[k]
-			enc.Uvarint(uint64(len(bucket)))
-			for _, jr := range bucket {
+			rows := side.buckets[k].rows
+			enc.Uvarint(uint64(len(rows)))
+			for _, jr := range rows {
 				enc.Row(jr.row)
 				enc.Int(jr.count)
 				enc.Int(jr.matches)
@@ -489,7 +489,7 @@ func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 		nb := int(dec.Uvarint())
 		for b := 0; b < nb; b++ {
 			nr := int(dec.Uvarint())
-			var key string
+			bucket := &joinBucket{}
 			for r := 0; r < nr; r++ {
 				row := dec.Row()
 				count := dec.Int()
@@ -498,9 +498,10 @@ func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 					return err
 				}
 				if r == 0 {
-					key = j.keyFor(sideIdx, row)
+					bucket.key = row.KeyOf(j.keysOf(sideIdx))
+					side.buckets[bucket.key] = bucket
 				}
-				side.buckets[key] = append(side.buckets[key], &joinRow{row: row, count: count, matches: matches})
+				bucket.rows = append(bucket.rows, &joinRow{row: row, count: count, matches: matches})
 				side.size += count
 			}
 		}

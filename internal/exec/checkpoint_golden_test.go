@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -265,57 +266,100 @@ func TestCheckpointPreEvictionGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {
-			pq := planSQL(t, c.engine, c.sql)
-			dump, err := os.ReadFile(filepath.Join("testdata", c.fixture+".golden"))
-			if err != nil {
-				t.Fatal(err)
+			st, out := continueFromFixture(t, c.fixture, c.engine, c.sql, c.more)
+			if st.LateDropped < 2 || len(out) == 0 {
+				t.Fatalf("the continuation should drop late rows and emit output; got %d late, %d events", st.LateDropped, len(out))
 			}
-			old, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if now := goldenBytes(t, c.engine, c.sql, 1); len(old) <= len(now) {
-				t.Fatalf("fixture is %d bytes, today's checkpoint of the same state %d: the fixture should carry tombstones today's does not", len(old), len(now))
-			}
-			restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(old))
-			if err != nil {
-				t.Fatalf("pre-eviction checkpoint no longer restores: %v", err)
-			}
-
-			uninterrupted := compileDriver(t, pq, 1)
-			if err := uninterrupted.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := uninterrupted.Feed(execSourcesFor(t, c.engine, pq.Root)); err != nil {
-				t.Fatal(err)
-			}
-			uninterrupted.Drain()
-
-			var outs [2][]string
-			var stats [2]exec.Stats
-			for i, d := range []exec.Driver{uninterrupted, restored} {
-				if err := d.Feed([]exec.Source{{Name: "S", Log: c.more}}); err != nil {
-					t.Fatal(err)
-				}
-				outs[i] = fmtLog(d.Drain())
-				stats[i] = d.Stats()
-				if _, err := d.Close(); err != nil {
-					t.Fatal(err)
-				}
-				outs[i] = append(outs[i], fmtLog(d.Drain())...)
-			}
-			if fmt.Sprint(outs[1]) != fmt.Sprint(outs[0]) {
-				t.Fatalf("restored from the pre-eviction checkpoint:\n got %v\nwant %v", outs[1], outs[0])
-			}
-			want, got := stats[0], stats[1]
-			if got.StateGroups != want.StateGroups || got.StateRows != want.StateRows ||
-				got.FreedGroups != want.FreedGroups || got.LateDropped != want.LateDropped {
-				t.Fatalf("restored stats %+v, uninterrupted %+v", got, want)
-			}
-			if want.LateDropped < 2 || len(outs[0]) == 0 {
-				t.Fatalf("the continuation should drop late rows and emit output; got %d late, %d events", want.LateDropped, len(outs[0]))
-			}
-			t.Logf("continuation: %d late, %d freed, %d open; output %v", want.LateDropped, want.FreedGroups, want.StateGroups, outs[0])
+			t.Logf("continuation: %d late, %d freed, %d open; output %v", st.LateDropped, st.FreedGroups, st.StateGroups, out)
 		})
 	}
+}
+
+// TestCheckpointPreCollectorGolden: agg_accumulators_pre_collector is the
+// agg_accumulators golden as written while the collector still kept the
+// whole output relation and checkpointed it. It must keep loading: the
+// restored pipeline discards that relation and, fed more input that retracts
+// rows the relation held, produces exactly what a pipeline that ran
+// uninterrupted produces.
+func TestCheckpointPreCollectorGolden(t *testing.T) {
+	var sql string
+	for _, c := range goldenCases() {
+		if c.name == "agg_accumulators" {
+			sql = c.sql
+		}
+	}
+	_, out := continueFromFixture(t, "agg_accumulators_pre_collector", goldenEngine(t), sql, tvr.Changelog{
+		tvr.InsertEvent(7000, goldenRow(1, 60, 12000)), // updates (retracts) k=1's row
+		tvr.DeleteEvent(7500, goldenRow(2, 25, 2000)),  // empties k=2: retraction only
+		tvr.InsertEvent(8000, goldenRow(3, 7, 27000)),  // repeats a value under COUNT(DISTINCT)
+		tvr.InsertEvent(8500, goldenRow(4, 1, 28000)),  // a new group
+		tvr.WatermarkEvent(9000, 30000),
+	})
+	retractions := 0
+	for _, ev := range out {
+		if strings.Contains(ev, "DELETE") {
+			retractions++
+		}
+	}
+	if retractions < 3 {
+		t.Fatalf("the continuation should retract rows emitted before the checkpoint; got %v", out)
+	}
+}
+
+// continueFromFixture restores the committed golden fixture into a pipeline
+// for sql, feeds more into it and into a pipeline that ran uninterrupted over
+// the engine's logs, and fails unless both drain the same output and report
+// the same state. The fixture must be larger than today's checkpoint of the
+// same state: it carries state today's format no longer writes. It returns
+// the uninterrupted pipeline's stats and drained output.
+func continueFromFixture(t *testing.T, fixture string, e *core.Engine, sql string, more tvr.Changelog) (exec.Stats, []string) {
+	t.Helper()
+	pq := planSQL(t, e, sql)
+	dump, err := os.ReadFile(filepath.Join("testdata", fixture+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := goldenBytes(t, e, sql, 1); len(old) <= len(now) {
+		t.Fatalf("fixture is %d bytes, today's checkpoint of the same state %d: the fixture should carry state today's does not", len(old), len(now))
+	}
+	restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("%s no longer restores: %v", fixture, err)
+	}
+
+	uninterrupted := compileDriver(t, pq, 1)
+	if err := uninterrupted.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := uninterrupted.Feed(execSourcesFor(t, e, pq.Root)); err != nil {
+		t.Fatal(err)
+	}
+	uninterrupted.Drain()
+
+	var outs [2][]string
+	var stats [2]exec.Stats
+	for i, d := range []exec.Driver{uninterrupted, restored} {
+		if err := d.Feed([]exec.Source{{Name: "S", Log: more}}); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = fmtLog(d.Drain())
+		stats[i] = d.Stats()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = append(outs[i], fmtLog(d.Drain())...)
+	}
+	if fmt.Sprint(outs[1]) != fmt.Sprint(outs[0]) {
+		t.Fatalf("restored from %s:\n got %v\nwant %v", fixture, outs[1], outs[0])
+	}
+	want, got := stats[0], stats[1]
+	if got.StateGroups != want.StateGroups || got.StateRows != want.StateRows ||
+		got.FreedGroups != want.FreedGroups || got.LateDropped != want.LateDropped {
+		t.Fatalf("restored stats %+v, uninterrupted %+v", got, want)
+	}
+	return want, outs[0]
 }

@@ -537,38 +537,81 @@ func TestUnionOpRoundTrip(t *testing.T) {
 }
 
 // TestCollectorRoundTrip: the collector resumes Drain at the first
-// undelivered event and keeps the materialized snapshot.
+// undelivered event, writes its relation slot empty, and still loads a
+// snapshot whose relation slot carries the whole output relation (the layout
+// from before the collector stopped keeping one), discarding that relation.
 func TestCollectorRoundTrip(t *testing.T) {
-	pqLike := func() *Collector {
-		return &Collector{schema: wmSchema(), rel: tvr.NewRelation(), wm: types.MinTime}
-	}
-	a := pqLike()
-	for _, ev := range []tvr.Event{
+	newCollector := func() *Collector { return &Collector{schema: wmSchema(), wm: types.MinTime} }
+	pushed := []tvr.Event{
 		tvr.InsertEvent(1, wRow(1000, 1)),
 		tvr.InsertEvent(2, wRow(2000, 2)),
 		tvr.WatermarkEvent(3, 1500),
-	} {
+	}
+	tail := tvr.InsertEvent(4, wRow(3000, 3))
+	a := newCollector()
+	for _, ev := range pushed {
 		if err := a.Push(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.drain() // deliver the first two
-	if err := a.Push(tvr.InsertEvent(4, wRow(3000, 3))); err != nil {
+	if err := a.Push(tail); err != nil {
 		t.Fatal(err) // undrained tail of one event
 	}
-	b := pqLike()
+	b := newCollector()
 	saverRoundTrip(t, a, b)
 	gotTail := b.drain()
-	if len(gotTail) != 1 || gotTail[0].String() != tvr.InsertEvent(4, wRow(3000, 3)).String() {
+	if len(gotTail) != 1 || gotTail[0].String() != tail.String() {
 		t.Fatalf("restored drain = %v, want just the undelivered tail", gotTail)
 	}
 	if b.watermark() != 1500 {
 		t.Fatalf("restored watermark = %v, want 1500", b.watermark())
 	}
-	if b.rel.Len() != 3 {
-		t.Fatalf("restored snapshot has %d rows, want 3", b.rel.Len())
-	}
 	if b.outN != a.outN {
 		t.Fatalf("restored outN = %d, want %d", b.outN, a.outN)
+	}
+
+	saved := encodeState(t, a)
+	dec, err := checkpoint.NewDecoder(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := tvr.NewRelation()
+	if err := slot.LoadState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if slot.Len() != 0 {
+		t.Fatalf("checkpointed relation slot holds %d rows, want 0", slot.Len())
+	}
+
+	// The older layout: the same counters and tail behind a full relation.
+	full := tvr.NewRelation()
+	for _, ev := range append(pushed, tail) {
+		if err := full.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var old bytes.Buffer
+	enc := checkpoint.NewEncoder(&old)
+	full.SaveState(enc)
+	enc.Int(a.outN)
+	enc.Time(a.wm)
+	tvr.SaveChangelog(enc, tvr.Changelog{tail})
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err = checkpoint.NewDecoder(bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCollector()
+	if err := c.LoadState(dec); err != nil {
+		t.Fatalf("older collector layout no longer loads: %v", err)
+	}
+	if err := dec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeState(t, c), saved) {
+		t.Fatal("collector restored from the older layout re-saves differently")
 	}
 }

@@ -28,9 +28,10 @@ type Driver interface {
 	Feed(batch []Source) error
 	// Advance moves the processing-time clock to pt (a heartbeat).
 	Advance(pt types.Time) error
-	// Close signals end-of-input and returns the final result.
-	Close() (*Result, error)
-	// Drain returns output events materialized since the previous Drain.
+	// Close signals end-of-input; what that materializes is left for Drain.
+	Close() error
+	// Drain hands over the output events materialized since the previous
+	// Drain; the caller owns them (see the package doc).
 	Drain() tvr.Changelog
 	// OutputWatermark is the output relation's current watermark.
 	OutputWatermark() types.Time

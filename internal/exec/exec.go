@@ -1,14 +1,3 @@
-// Package exec implements the push-based incremental execution engine.
-//
-// A compiled pipeline is a DAG of operators mirroring the logical plan. The
-// driver merges the source changelogs into a single processing-time-ordered
-// event timeline and pushes each event into the scans; every operator
-// transforms input changelog events into the exact delta of its output
-// relation, so at any processing time the materialized output equals the
-// logical plan applied to the inputs' instantaneous relations (the pointwise
-// semantics of Section 3.1 of the paper). Watermark events flow through the
-// same channels and drive group completion, state cleanup, and the EMIT
-// materialization operators.
 package exec
 
 import (
@@ -287,7 +276,8 @@ func (p *Pipeline) build(n plan.Node, out sink) error {
 // Run feeds the sources through the pipeline. Events with ptime greater than
 // upTo are excluded (pass types.MaxTime to consume everything); a heartbeat
 // at upTo fires any pending processing-time timers, and Finish flushes the
-// rest. Run may be called once per compiled pipeline and cannot be mixed
+// rest. The Result holds the whole output log and the table rendering folded
+// from it. Run may be called once per compiled pipeline and cannot be mixed
 // with the incremental lifecycle.
 func (p *Pipeline) Run(sources []Source, upTo types.Time) (*Result, error) {
 	if p.opened {
@@ -306,7 +296,10 @@ func (p *Pipeline) Run(sources []Source, upTo types.Time) (*Result, error) {
 			return nil, err
 		}
 	}
-	return p.Close()
+	if err := p.Close(); err != nil {
+		return nil, err
+	}
+	return p.collector.result()
 }
 
 // Start opens every operator, making the pipeline ready for incremental
@@ -387,27 +380,28 @@ func (p *Pipeline) Advance(pt types.Time) error {
 }
 
 // Close signals end-of-input on every scan (completing bounded relations and
-// flushing pending timers) and returns the materialized result.
-func (p *Pipeline) Close() (*Result, error) {
+// flushing pending timers). What that materializes is left for Drain.
+func (p *Pipeline) Close() error {
 	if !p.opened {
-		return nil, fmt.Errorf("exec: pipeline not started")
+		return fmt.Errorf("exec: pipeline not started")
 	}
 	if p.closed {
-		return nil, fmt.Errorf("exec: pipeline already closed")
+		return fmt.Errorf("exec: pipeline already closed")
 	}
 	p.closed = true
 	for _, name := range p.scanOrder {
 		for _, s := range p.scans[name] {
 			if err := s.Finish(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return p.collector.result()
+	return nil
 }
 
-// Drain returns the output changelog events materialized since the previous
-// Drain (or since Start), in emission order.
+// Drain hands over the output changelog events materialized since the
+// previous Drain (or since Start), in emission order. The caller owns the
+// returned slice; the pipeline keeps nothing of it.
 func (p *Pipeline) Drain() tvr.Changelog { return p.collector.drain() }
 
 // OutputWatermark reports the output relation's current watermark: the
@@ -437,13 +431,14 @@ func (p *Pipeline) DispatchStats() (dispatches, events int64) {
 	return p.dispatches, p.dispatchedEvents
 }
 
-// Result is a query's materialized output.
+// Result is a one-shot Run's materialized output.
 type Result struct {
 	// Schema describes the output columns.
 	Schema *types.Schema
 	// Log is the output changelog (data events only, ptime-ordered).
 	Log tvr.Changelog
-	// Snapshot is the final output relation (the table rendering).
+	// Snapshot is the final output relation (the table rendering), folded
+	// from Log.
 	Snapshot *tvr.Relation
 	// EmitKeyIdxs are the event-time grouping columns used for changelog
 	// version numbering.
@@ -494,25 +489,22 @@ func (r *Result) StreamRows() []tvr.StreamRow {
 	return tvr.RenderStream(r.Log, r.EmitKeyIdxs)
 }
 
-// Collector is the terminal sink: it materializes both renderings of the
-// output TVR.
+// Collector is the terminal sink. It holds only the output not yet drained,
+// plus the output watermark and counters: drain hands that buffer over, and a
+// one-shot Run builds its Result from it.
 type Collector struct {
 	schema  *types.Schema
-	rel     *tvr.Relation
-	log     tvr.Changelog
+	out     tvr.Changelog // output not yet drained
 	keys    []int
 	orderBy []plan.SortKey
 	limit   *int64
 	outN    int
-	drained int
 	wm      types.Time
-	err     error
 }
 
 func newCollector(pq *plan.PlannedQuery) *Collector {
 	return &Collector{
 		schema:  pq.Root.Schema(),
-		rel:     tvr.NewRelation(),
 		keys:    pq.EmitKeyIdxs,
 		orderBy: pq.OrderBy,
 		limit:   pq.Limit,
@@ -520,17 +512,11 @@ func newCollector(pq *plan.PlannedQuery) *Collector {
 	}
 }
 
-// Push implements sink. The relation maintains its bag key via its internal
-// scratch encoder (no per-event key string unless the row is new), and skips
-// the defensive row copy: the collector retains every pushed event in its
-// log anyway, so pushed rows are immutable by contract.
+// Push implements sink.
 func (c *Collector) Push(ev tvr.Event) error {
 	switch ev.Kind {
 	case tvr.Insert, tvr.Delete:
-		if err := c.rel.ApplyOwned(ev); err != nil {
-			return err
-		}
-		c.log = append(c.log, ev)
+		c.out = append(c.out, ev)
 		c.outN++
 	case tvr.Watermark:
 		if ev.Wm > c.wm {
@@ -551,33 +537,10 @@ func (c *Collector) PushBatch(evs []tvr.Event) error {
 	return nil
 }
 
-// PushKeyed is Push with the row's bag key precomputed by the caller. The
-// partitioned driver hashes rows in the worker goroutines, so the serial
-// merge stage can reuse that work instead of re-serializing every output row.
-func (c *Collector) PushKeyed(ev tvr.Event, key string) error {
-	if key == "" {
-		return c.Push(ev)
-	}
-	switch ev.Kind {
-	case tvr.Insert, tvr.Delete:
-		if err := c.rel.ApplyKeyedOwned(ev, key); err != nil {
-			return err
-		}
-		c.log = append(c.log, ev)
-		c.outN++
-	case tvr.Watermark:
-		if ev.Wm > c.wm {
-			c.wm = ev.Wm
-		}
-	}
-	return nil
-}
-
-// drain returns the output events appended since the previous drain. The
-// three-index slice keeps later appends from aliasing into the caller's view.
+// drain hands the undrained output to the caller and starts a fresh buffer.
 func (c *Collector) drain() tvr.Changelog {
-	out := c.log[c.drained:len(c.log):len(c.log)]
-	c.drained = len(c.log)
+	out := c.out
+	c.out = nil
 	return out
 }
 
@@ -588,14 +551,22 @@ func (c *Collector) Finish() error { return nil }
 
 func (c *Collector) stats(s *Stats) { s.OutputEvents += c.outN }
 
+// result builds a one-shot Run's Result. Run never drains, so the collector
+// holds the whole output log; the table rendering is folded from it here,
+// once, and a retraction of a row the log never inserted fails the run.
+// Emitted rows are immutable, so the fold shares them with the log.
 func (c *Collector) result() (*Result, error) {
-	if c.err != nil {
-		return nil, c.err
+	log := c.drain()
+	snap := tvr.NewRelation()
+	for _, ev := range log {
+		if err := snap.ApplyOwned(ev); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{
 		Schema:      c.schema,
-		Log:         c.log,
-		Snapshot:    c.rel,
+		Log:         log,
+		Snapshot:    snap,
 		EmitKeyIdxs: c.keys,
 		OrderBy:     c.orderBy,
 		Limit:       c.limit,

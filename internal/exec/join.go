@@ -33,12 +33,21 @@ type joinOp struct {
 
 	leftExpiry  *plan.ExpiryBound
 	rightExpiry *plan.ExpiryBound
+
+	keyBuf []byte // equi-key encoding scratch, reused across events
 }
 
-// joinSide holds one input's live rows bucketed by equi-key.
+// joinSide holds one input's live rows bucketed by equi-key. Buckets are held
+// by pointer so adding a row to an existing bucket never re-stores its map
+// key: the key string is allocated once, when the bucket is created.
 type joinSide struct {
-	buckets map[string][]*joinRow
+	buckets map[string]*joinBucket
 	size    int
+}
+
+type joinBucket struct {
+	key  string // the bucket's map key, for allocation-free removal
+	rows []*joinRow
 }
 
 type joinRow struct {
@@ -56,8 +65,8 @@ func newJoinOp(x *plan.Join, out sink) *joinOp {
 		residual:    x.Residual,
 		leftW:       x.Left.Schema().Len(),
 		rightW:      x.Right.Schema().Len(),
-		left:        &joinSide{buckets: make(map[string][]*joinRow)},
-		right:       &joinSide{buckets: make(map[string][]*joinRow)},
+		left:        &joinSide{buckets: make(map[string]*joinBucket)},
+		right:       &joinSide{buckets: make(map[string]*joinBucket)},
 		leftExpiry:  x.LeftExpiry,
 		rightExpiry: x.RightExpiry,
 	}
@@ -98,11 +107,12 @@ func (j *joinOp) padRight() bool {
 	return j.kind == sqlparser.RightJoin || j.kind == sqlparser.FullJoin
 }
 
-func (j *joinOp) keyFor(side int, row types.Row) string {
+// keysOf returns the equi-key columns of the given side.
+func (j *joinOp) keysOf(side int) []int {
 	if side == 0 {
-		return row.KeyOf(j.leftKeys)
+		return j.leftKeys
 	}
-	return row.KeyOf(j.rightKeys)
+	return j.rightKeys
 }
 
 // pair builds the joined row in left-right order regardless of which side
@@ -142,15 +152,19 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 	if ev.Kind == tvr.Delete {
 		delta = -1
 	}
-	k := j.keyFor(side, ev.Row)
+	// Both sides are probed through the key scratch: m[string(buf)] lookups
+	// do not allocate.
+	j.keyBuf = ev.Row.AppendKeyOf(j.keyBuf[:0], j.keysOf(side))
 
 	// Locate/create my row entry.
-	bucket := mySide.buckets[k]
+	bucket := mySide.buckets[string(j.keyBuf)]
 	var mine *joinRow
-	for _, jr := range bucket {
-		if jr.row.Equal(ev.Row) {
-			mine = jr
-			break
+	if bucket != nil {
+		for _, jr := range bucket.rows {
+			if jr.row.Equal(ev.Row) {
+				mine = jr
+				break
+			}
 		}
 	}
 	if mine == nil {
@@ -158,13 +172,21 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 			return fmt.Errorf("exec: join retraction of absent row %s", ev.Row)
 		}
 		mine = &joinRow{row: ev.Row.Clone()}
-		mySide.buckets[k] = append(bucket, mine)
+		if bucket == nil {
+			bucket = &joinBucket{key: string(j.keyBuf)}
+			mySide.buckets[bucket.key] = bucket
+		}
+		bucket.rows = append(bucket.rows, mine)
 	}
 
 	// Walk matching opposite rows, emitting joined deltas and updating
 	// their match counts.
+	var others []*joinRow
+	if ob := otherSide.buckets[string(j.keyBuf)]; ob != nil {
+		others = ob.rows
+	}
 	myMatches := 0
-	for _, other := range otherSide.buckets[k] {
+	for _, other := range others {
 		if other.count == 0 {
 			continue
 		}
@@ -229,7 +251,7 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 			}
 		}
 		if mine.count == 0 {
-			j.dropRow(mySide, k, mine)
+			dropRow(mySide, bucket, mine)
 		}
 	}
 	return nil
@@ -242,16 +264,17 @@ func (j *joinOp) emitData(p types.Time, delta int, row types.Row) error {
 	return j.out.Push(tvr.DeleteEvent(p, row))
 }
 
-func (j *joinOp) dropRow(side *joinSide, key string, target *joinRow) {
-	bucket := side.buckets[key]
-	for i, jr := range bucket {
+// dropRow removes target from its bucket, and the bucket from the side once
+// empty.
+func dropRow(side *joinSide, bucket *joinBucket, target *joinRow) {
+	for i, jr := range bucket.rows {
 		if jr == target {
-			side.buckets[key] = append(bucket[:i], bucket[i+1:]...)
+			bucket.rows = append(bucket.rows[:i], bucket.rows[i+1:]...)
 			break
 		}
 	}
-	if len(side.buckets[key]) == 0 {
-		delete(side.buckets, key)
+	if len(bucket.rows) == 0 {
+		delete(side.buckets, bucket.key)
 	}
 }
 
@@ -271,8 +294,8 @@ func (j *joinOp) expire(wm types.Time, _ types.Time) error {
 
 func expireSide(side *joinSide, b *plan.ExpiryBound, wm types.Time) {
 	for key, bucket := range side.buckets {
-		kept := bucket[:0]
-		for _, jr := range bucket {
+		kept := bucket.rows[:0]
+		for _, jr := range bucket.rows {
 			v := jr.row[b.Col]
 			if !v.IsNull() && v.Kind() == types.KindTimestamp && wm >= v.Timestamp().Add(b.Bound) {
 				side.size -= jr.count
@@ -283,7 +306,7 @@ func expireSide(side *joinSide, b *plan.ExpiryBound, wm types.Time) {
 		if len(kept) == 0 {
 			delete(side.buckets, key)
 		} else {
-			side.buckets[key] = kept
+			bucket.rows = kept
 		}
 	}
 }

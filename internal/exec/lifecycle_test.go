@@ -127,9 +127,9 @@ func compileDriver(t *testing.T, pq *plan.PlannedQuery, parts int) exec.Driver {
 // feedInBatches drives the incremental lifecycle: the sources are cut along
 // the ptime axis at the given boundaries (each batch holds every remaining
 // event with ptime <= cut), fed batch by batch, drained incrementally, then
-// advanced to upTo (when finite) and closed. It returns the final result and
-// the concatenation of all Drain calls.
-func feedInBatches(t *testing.T, d exec.Driver, sources []exec.Source, cuts []types.Time, upTo types.Time) (*exec.Result, tvr.Changelog) {
+// advanced to upTo (when finite) and closed. It returns the concatenation of
+// all Drain calls — everything the pipeline output.
+func feedInBatches(t *testing.T, d exec.Driver, sources []exec.Source, cuts []types.Time, upTo types.Time) tvr.Changelog {
 	t.Helper()
 	if err := d.Start(); err != nil {
 		t.Fatalf("start: %v", err)
@@ -162,32 +162,38 @@ func feedInBatches(t *testing.T, d exec.Driver, sources []exec.Source, cuts []ty
 		}
 		drained = append(drained, d.Drain()...)
 	}
-	res, err := d.Close()
-	if err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	drained = append(drained, d.Drain()...)
-	return res, drained
+	return append(drained, d.Drain()...)
 }
 
-// assertResultsIdentical compares every rendering of two results.
-func assertResultsIdentical(t *testing.T, label string, got, want *exec.Result) {
+// assertDrainedMatchesRun compares the concatenated drains of an incremental
+// run, and both renderings derived from them, with a one-shot Run's result:
+// the stream rendering of the drained log, and a table folded from it and
+// presented in the Run's order.
+func assertDrainedMatchesRun(t *testing.T, label string, drained tvr.Changelog, want *exec.Result) {
 	t.Helper()
-	gl, wl := fmtLog(got.Log), fmtLog(want.Log)
+	gl, wl := fmtLog(drained), fmtLog(want.Log)
 	if len(gl) != len(wl) {
-		t.Fatalf("%s: %d output events, want %d", label, len(gl), len(wl))
+		t.Fatalf("%s: drained %d output events, want %d", label, len(gl), len(wl))
 	}
 	for i := range wl {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s: event %d = %s, want %s", label, i, gl[i], wl[i])
+			t.Fatalf("%s: drained event %d = %s, want %s", label, i, gl[i], wl[i])
 		}
 	}
-	gs := tvr.FormatStreamTable(got.Schema, got.StreamRows())
+	gs := tvr.FormatStreamTable(want.Schema, tvr.RenderStream(drained, want.EmitKeyIdxs))
 	ws := tvr.FormatStreamTable(want.Schema, want.StreamRows())
 	if gs != ws {
 		t.Fatalf("%s: stream rendering differs:\ngot:\n%s\nwant:\n%s", label, gs, ws)
 	}
-	gt := tvr.FormatRelationTable(got.Schema, got.TableRows())
+	snap, err := drained.SnapshotAt(types.MaxTime)
+	if err != nil {
+		t.Fatalf("%s: folding the drained log: %v", label, err)
+	}
+	got := &exec.Result{Schema: want.Schema, Snapshot: snap, OrderBy: want.OrderBy, Limit: want.Limit}
+	gt := tvr.FormatRelationTable(want.Schema, got.TableRows())
 	wt := tvr.FormatRelationTable(want.Schema, want.TableRows())
 	if gt != wt {
 		t.Fatalf("%s: table rendering differs:\ngot:\n%s\nwant:\n%s", label, gt, wt)
@@ -304,19 +310,8 @@ func TestFeedSplitEquivalence(t *testing.T) {
 						}
 						for ci, cuts := range cutsets {
 							d := compileDriver(t, pq, parts)
-							got, drained := feedInBatches(t, d, sources, cuts, upTo)
-							label := fmt.Sprintf("horizon=%s cutset=%d", upTo, ci)
-							assertResultsIdentical(t, label, got, want)
-							// Drain must observe exactly the final log,
-							// incrementally.
-							if len(drained) != len(got.Log) {
-								t.Fatalf("%s: drained %d events, result log has %d", label, len(drained), len(got.Log))
-							}
-							for i := range drained {
-								if drained[i].String() != got.Log[i].String() {
-									t.Fatalf("%s: drained event %d = %s, want %s", label, i, drained[i], got.Log[i])
-								}
-							}
+							drained := feedInBatches(t, d, sources, cuts, upTo)
+							assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
 						}
 					}
 				})
@@ -396,10 +391,10 @@ func TestLifecycleMisuse(t *testing.T) {
 	if err := pipe.Start(); err == nil {
 		t.Error("double Start should fail")
 	}
-	if _, err := pipe.Close(); err != nil {
+	if err := pipe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Close(); err == nil {
+	if err := pipe.Close(); err == nil {
 		t.Error("double Close should fail")
 	}
 	if err := pipe.Feed(nil); err == nil {

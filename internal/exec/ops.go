@@ -162,9 +162,9 @@ func (p *projectOp) Push(ev tvr.Event) error {
 }
 
 // PushBatch implements batchSink. Output rows for the whole batch are carved
-// out of one block allocation: the rows are immutable once emitted (and the
-// collector retains the batch's events together), so sharing a backing array
-// is safe and replaces N row allocations with one.
+// out of one block allocation: the rows are immutable once emitted (and a
+// batch's output is drained together), so sharing a backing array is safe and
+// replaces N row allocations with one.
 func (p *projectOp) PushBatch(evs []tvr.Event) error {
 	nData := 0
 	for i := range evs {

@@ -101,10 +101,7 @@ type PartitionedPipeline struct {
 	portSinks   []sink
 	portPartial []partialReceiver // non-nil where the port is a final aggregate
 	collector   *Collector
-	// directTail is set when the single port is the bare collector,
-	// enabling the precomputed-key fast path.
-	directTail bool
-	twoStage   bool
+	twoStage    bool
 
 	// Per-port watermark/heartbeat merge state.
 	ports []portState
@@ -224,14 +221,12 @@ type taggedEvent struct {
 	seq  int
 	port int
 	ev   tvr.Event
-	key  string // precomputed row key for data events (fast collector path)
 }
 
 // tagSink is the per-chain output buffer shared by the chain's port sinks.
 type tagSink struct {
-	seq     int
-	precomp bool
-	buf     []taggedEvent
+	seq int
+	buf []taggedEvent
 }
 
 // portTagSink terminates one partitioned subtree of a chain, recording
@@ -244,11 +239,7 @@ type portTagSink struct {
 }
 
 func (s *portTagSink) Push(ev tvr.Event) error {
-	te := taggedEvent{seq: s.t.seq, port: s.port, ev: ev}
-	if s.t.precomp && ev.IsData() {
-		te.key = ev.Row.Key()
-	}
-	s.t.buf = append(s.t.buf, te)
+	s.t.buf = append(s.t.buf, taggedEvent{seq: s.t.seq, port: s.port, ev: ev})
 	return nil
 }
 
@@ -259,11 +250,7 @@ func (s *portTagSink) Push(ev tvr.Event) error {
 // absent from every other partition.
 func (s *portTagSink) PushBatch(evs []tvr.Event) error {
 	for i := range evs {
-		te := taggedEvent{seq: s.t.seq, port: s.port, ev: evs[i]}
-		if s.t.precomp && evs[i].IsData() {
-			te.key = evs[i].Row.Key()
-		}
-		s.t.buf = append(s.t.buf, te)
+		s.t.buf = append(s.t.buf, taggedEvent{seq: s.t.seq, port: s.port, ev: evs[i]})
 	}
 	return nil
 }
@@ -327,7 +314,6 @@ func CompilePartitioned(pq *plan.PlannedQuery, parts int) (*PartitionedPipeline,
 		return nil, fmt.Errorf("exec: internal: scan above the exchange frontier")
 	}
 	pp.tailOps = append(pp.tailOps, tailPipe.allOps...)
-	pp.directTail = len(cutNodes) == 1 && pp.portSinks[0] == sink(pp.collector)
 	pp.portPartial = make([]partialReceiver, len(cutNodes))
 	for i, s := range pp.portSinks {
 		if pr, ok := s.(partialReceiver); ok {
@@ -340,7 +326,7 @@ func CompilePartitioned(pq *plan.PlannedQuery, parts int) (*PartitionedPipeline,
 	}
 
 	for i := 0; i < parts; i++ {
-		tag := &tagSink{precomp: pp.directTail}
+		tag := &tagSink{}
 		pipe := &Pipeline{scans: make(map[string][]*scanOp)}
 		for ci, cut := range cutNodes {
 			top := &portTagSink{t: tag, port: ci}
@@ -467,7 +453,10 @@ func (pp *PartitionedPipeline) Run(sources []Source, upTo types.Time) (*Result, 
 			return nil, err
 		}
 	}
-	return pp.Close()
+	if err := pp.Close(); err != nil {
+		return nil, err
+	}
+	return pp.collector.result()
 }
 
 // Start opens the tail and every partition chain's operators and launches the
@@ -717,18 +706,18 @@ func (pp *PartitionedPipeline) Advance(pt types.Time) error {
 }
 
 // Close signals end-of-input on every scan in every partition, merges the
-// final rounds through the serial tail, finishes the exchange ports, and
-// returns the materialized result.
-func (pp *PartitionedPipeline) Close() (*Result, error) {
+// final rounds through the serial tail, and finishes the exchange ports; what
+// that materializes is left for Drain.
+func (pp *PartitionedPipeline) Close() error {
 	if !pp.opened {
-		return nil, fmt.Errorf("exec: pipeline not started")
+		return fmt.Errorf("exec: pipeline not started")
 	}
 	if pp.closed {
-		return nil, fmt.Errorf("exec: pipeline already closed")
+		return fmt.Errorf("exec: pipeline already closed")
 	}
 	pp.closed = true
 	if pp.failed != nil {
-		return nil, pp.failed
+		return pp.failed
 	}
 	for _, name := range pp.scanOrder {
 		for _, si := range pp.scanIdxOf[name] {
@@ -737,7 +726,7 @@ func (pp *PartitionedPipeline) Close() (*Result, error) {
 		}
 	}
 	if err := pp.sync(); err != nil {
-		return nil, err
+		return err
 	}
 	pp.stopWorkers()
 	// Finish the tail ports. All merged events (including the finish-time
@@ -746,14 +735,14 @@ func (pp *PartitionedPipeline) Close() (*Result, error) {
 	// yields the serial finish cascade.
 	for _, ps := range pp.portSinks {
 		if err := ps.Finish(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return pp.collector.result()
+	return nil
 }
 
-// Drain returns the output changelog events materialized since the previous
-// Drain (or since Start), in emission order.
+// Drain hands over the output changelog events materialized since the
+// previous Drain (or since Start), in emission order; the caller owns them.
 func (pp *PartitionedPipeline) Drain() tvr.Changelog {
 	if pp.fallback != nil {
 		return pp.fallback.Drain()
@@ -860,9 +849,6 @@ func (pp *PartitionedPipeline) emit(te taggedEvent, part int) error {
 		}
 		return nil
 	default:
-		if pp.directTail {
-			return pp.collector.PushKeyed(te.ev, te.key)
-		}
 		if pr := pp.portPartial[te.port]; pr != nil {
 			return pr.PushPartial(part, te.ev)
 		}

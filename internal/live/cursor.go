@@ -202,7 +202,7 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 	defer s.ingestMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.driver.Close(); err != nil {
+	if err := s.driver.Close(); err != nil {
 		s.setErr(err)
 		c.setErr(err)
 		s.removeCursorLocked(c)

@@ -23,8 +23,7 @@ import (
 type echoDriver struct {
 	started  bool
 	closed   bool
-	out      tvr.Changelog
-	drained  int
+	out      tvr.Changelog // undrained output
 	wm       types.Time
 	final    types.Row    // emitted at Close when non-nil
 	advances []types.Time // recorded Advance calls
@@ -57,17 +56,17 @@ func (d *echoDriver) Advance(pt types.Time) error {
 	return nil
 }
 
-func (d *echoDriver) Close() (*exec.Result, error) {
+func (d *echoDriver) Close() error {
 	d.closed = true
 	if d.final != nil {
 		d.out = append(d.out, tvr.InsertEvent(types.MaxTime, d.final))
 	}
-	return &exec.Result{Log: d.out}, nil
+	return nil
 }
 
 func (d *echoDriver) Drain() tvr.Changelog {
-	out := d.out[d.drained:len(d.out):len(d.out)]
-	d.drained = len(d.out)
+	out := d.out
+	d.out = nil
 	return out
 }
 

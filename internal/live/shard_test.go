@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,7 +138,19 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 	m := live.NewManagerWith(live.Options{Shards: 4})
 	defer m.Close()
-	var clock atomic.Int64
+	// Heartbeats commit in clock order: reading the clock and committing
+	// happen under one lock, or two storm goroutines could commit their
+	// values out of order and the regression check below would fire on the
+	// test's own race. Registration still runs concurrently with the storm.
+	var clockMu sync.Mutex
+	var clock types.Time
+	advance := func() types.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		clock++
+		m.Advance(clock)
+		return clock
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -151,7 +162,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					m.Advance(types.Time(clock.Add(1)))
+					advance()
 				}
 			}
 		}()
@@ -163,8 +174,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 	}
 	var regs []reg
 	for i := 0; i < 40; i++ {
-		lo := types.Time(clock.Add(1))
-		m.Advance(lo) // committed once this returns: a floor for the catch-up
+		lo := advance() // committed once this returns: a floor for the catch-up
 		d := &echoDriver{}
 		s, err := live.NewSession(d, live.Config{
 			Name: fmt.Sprintf("storm%d", i), Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},

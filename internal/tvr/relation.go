@@ -31,53 +31,30 @@ func NewRelation() *Relation {
 // relation's scratch buffer; the key string is only materialized when the row
 // enters the bag for the first time (map lookups through string(scratch) are
 // allocation-free).
-func (r *Relation) Insert(row types.Row) {
+func (r *Relation) Insert(row types.Row) { r.insert(row, true) }
+
+// insert adds one copy of row; clone says whether a row entering the bag for
+// the first time is copied or retained as is.
+func (r *Relation) insert(row types.Row, clone bool) {
 	r.scratch = row.AppendKey(r.scratch[:0])
 	if e, ok := r.entries[string(r.scratch)]; ok {
 		if e.count == 0 {
-			// Materialize the key only on the cold re-entry branch.
-			r.bump(e, string(r.scratch))
-		} else {
-			e.count++
-			r.size++
+			// Re-entering the bag: move to the back of the iteration order.
+			// Only this cold branch materializes the key.
+			k := string(r.scratch)
+			r.removeFromOrder(k)
+			r.order = append(r.order, k)
 		}
+		e.count++
+		r.size++
 		return
 	}
-	r.insertNew(row, string(r.scratch))
-}
-
-// InsertKeyed is Insert with the row's serialized key precomputed by the
-// caller (k must equal row.Key()); the parallel executor hashes rows in
-// worker goroutines and reuses the serialization here.
-func (r *Relation) InsertKeyed(row types.Row, k string) {
-	if e, ok := r.entries[k]; ok {
-		r.bump(e, k)
-		return
+	if clone {
+		row = row.Clone()
 	}
-	r.insertNew(row, k)
-}
-
-func (r *Relation) insertNew(row types.Row, k string) {
-	e := &entry{row: row.Clone(), count: 1}
-	r.entries[k] = e
+	k := string(r.scratch)
+	r.entries[k] = &entry{row: row, count: 1}
 	r.order = append(r.order, k)
-	r.size++
-}
-
-func (r *Relation) insertOwned(row types.Row, k string) {
-	e := &entry{row: row, count: 1}
-	r.entries[k] = e
-	r.order = append(r.order, k)
-	r.size++
-}
-
-func (r *Relation) bump(e *entry, k string) {
-	if e.count == 0 {
-		// Re-entering the bag: move to the back of the iteration order.
-		r.removeFromOrder(k)
-		r.order = append(r.order, k)
-	}
-	e.count++
 	r.size++
 }
 
@@ -87,18 +64,6 @@ func (r *Relation) bump(e *entry, k string) {
 func (r *Relation) Delete(row types.Row) error {
 	r.scratch = row.AppendKey(r.scratch[:0])
 	e, ok := r.entries[string(r.scratch)]
-	if !ok || e.count == 0 {
-		return fmt.Errorf("tvr: retraction of absent row %s", row)
-	}
-	e.count--
-	r.size--
-	return nil
-}
-
-// DeleteKeyed is Delete with the row's serialized key precomputed (k must
-// equal row.Key()).
-func (r *Relation) DeleteKeyed(row types.Row, k string) error {
-	e, ok := r.entries[k]
 	if !ok || e.count == 0 {
 		return fmt.Errorf("tvr: retraction of absent row %s", row)
 	}
@@ -121,61 +86,14 @@ func (r *Relation) Apply(e Event) error {
 }
 
 // ApplyOwned is Apply for callers that guarantee e.Row is immutable and may
-// be retained (e.g. a sink that also appends the event to a changelog). It
-// skips the defensive copy a first-time insert would otherwise make.
+// be retained (e.g. a fold over a changelog the caller keeps). It skips the
+// defensive copy a first-time insert would otherwise make.
 func (r *Relation) ApplyOwned(e Event) error {
-	switch e.Kind {
-	case Insert:
-		r.scratch = e.Row.AppendKey(r.scratch[:0])
-		if en, ok := r.entries[string(r.scratch)]; ok {
-			if en.count == 0 {
-				// Materialize the key only on the cold re-entry branch.
-				r.bump(en, string(r.scratch))
-			} else {
-				en.count++
-				r.size++
-			}
-			return nil
-		}
-		r.insertOwned(e.Row, string(r.scratch))
-		return nil
-	case Delete:
-		return r.Delete(e.Row)
-	default:
+	if e.Kind == Insert {
+		r.insert(e.Row, false)
 		return nil
 	}
-}
-
-// ApplyKeyedOwned is ApplyKeyed for callers that guarantee e.Row is
-// immutable and may be retained (see ApplyOwned).
-func (r *Relation) ApplyKeyedOwned(e Event, k string) error {
-	switch e.Kind {
-	case Insert:
-		if en, ok := r.entries[k]; ok {
-			r.bump(en, k)
-			return nil
-		}
-		r.insertOwned(e.Row, k)
-		return nil
-	case Delete:
-		return r.DeleteKeyed(e.Row, k)
-	default:
-		return nil
-	}
-}
-
-// ApplyKeyed folds a data event into the bag using a precomputed row key
-// (k must equal e.Row.Key()).
-func (r *Relation) ApplyKeyed(e Event, k string) error {
-	switch e.Kind {
-	case Insert:
-		r.InsertKeyed(e.Row, k)
-		return nil
-	case Delete:
-		return r.DeleteKeyed(e.Row, k)
-	default:
-		return nil
-	}
+	return r.Apply(e)
 }
 
 func (r *Relation) removeFromOrder(k string) {
