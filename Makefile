@@ -13,7 +13,7 @@ BENCH_COUNT ?=
 BENCH_SCALE ?=
 export BENCH_COUNT BENCH_SCALE
 
-.PHONY: all build vet test race race-shard faults batch-guard obs-guard bench bench-diff bench-full bench-live bench-recovery bench-harness verify
+.PHONY: all build vet test race race-shard faults batch-guard obs-guard bench bench-diff bench-live bench-recovery bench-harness verify
 
 all: verify
 
@@ -51,23 +51,22 @@ faults:
 	$(GO) test ./internal/exec/ ./internal/live/ -run 'Panic' -v
 	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout' -v
 
-# Batched-execution guardrails: the re-chunking and round-size invariance
-# properties (any PushBatch chunking of a log, and any partitioned round
-# size, must render byte-identically to per-event push), the 0 allocs/op
-# pin on the keyed steady-state PushBatch, the dispatch-stats accounting
+# Batched-execution guardrails: the re-chunking invariance property (any
+# PushBatch chunking of a log must render byte-identically to per-event
+# push), the 0 allocs/op pin on the keyed steady-state PushBatch, the dispatch-stats accounting
 # test, and a single-iteration BenchmarkBatchPush smoke with -benchmem so
 # an alloc regression on the batch path is visible in the verify output.
 # Watermark completion rides along: the completionIndex cost pin (an advance
-# takes exactly the groups it closes off the heap), the five operators against their
+# takes exactly the groups it closes off the heap), the three operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose
 # closed=1k and closed=100k rows must read alike (history independence).
 # Output retention rides along too: a standing collector holds nothing after
-# each Drain (serial and partitioned, 120k events), only a one-shot Run folds
+# each Drain (120k events), only a one-shot Run folds
 # the table rendering (and still rejects a retraction of an absent row), and
 # a snapshot from before the collector stopped checkpointing its relation
 # still restores and continues identically.
 batch-guard:
-	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestPartitionedRoundSizeInvariance|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
+	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
@@ -88,13 +87,12 @@ obs-guard:
 	$(GO) test ./internal/exec -run 'TestKeyedHotPathAllocFree' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 
-# Short-mode benchmark harness: asserts serial/partitioned equivalence at
-# reduced scale and refreshes the reduced-scale records
-# (BENCH_nexmark_short.json, BENCH_live_short.json). The committed
-# full-scale BENCH_nexmark.json / BENCH_live.json are only rewritten by
-# bench-full / bench-live.
+# Short-mode standing-query benchmarks: run the serving and recovery benches
+# at reduced scale and refresh the reduced-scale record
+# (BENCH_live_short.json). The committed full-scale BENCH_live.json is only
+# rewritten by bench-live / bench-recovery.
 bench:
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestNexmarkBench|TestSerialParallelEquivalence|TestLiveBench|TestRecoveryBench' -short -v
+	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestLiveBench|TestRecoveryBench' -short -v
 
 # Standing-query serving benchmark: ingests the NEXMark bid stream through
 # live subscriptions — single-subscriber scenarios plus the K-subscriber
@@ -104,33 +102,22 @@ bench-live:
 	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestLiveBench -v -timeout 10m
 
 # Recovery benchmark: checkpoint size, checkpoint/restore latency, and the
-# full-history replay it replaces, for the standing benchmark query (serial
-# and partitioned). Merges into the Recovery section of BENCH_live.json
+# full-history replay it replaces, for the standing benchmark query. Merges into the Recovery section of BENCH_live.json
 # (short runs: BENCH_live_short.json) without touching the subscription rows.
 bench-recovery:
 	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestRecoveryBench -v -timeout 10m
 
-# Compare fresh short benchmark runs against the committed short-mode
-# baselines (like for like — short runs never compare against the
-# full-scale BENCH_nexmark.json / BENCH_live.json): snapshots both
-# baselines, reruns the short benches (which rewrite
-# BENCH_nexmark_short.json and BENCH_live_short.json), and prints
-# per-query speedup deltas plus per-subscription fan-out throughput deltas.
+# Compare a fresh short benchmark run against the committed short-mode
+# baseline (like for like — short runs never compare against the full-scale
+# BENCH_live.json): snapshots the baseline, reruns the short benches (which
+# rewrite BENCH_live_short.json), and prints per-subscription throughput and
+# recovery deltas.
 bench-diff:
-	@base=$$(mktemp -t bench_base.XXXXXX.json) && \
-	livebase=$$(mktemp -t bench_live_base.XXXXXX.json) && \
-	cp BENCH_nexmark_short.json $$base && \
+	@livebase=$$(mktemp -t bench_live_base.XXXXXX.json) && \
 	cp BENCH_live_short.json $$livebase && \
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestNexmarkBench|TestLiveBench|TestRecoveryBench' -short && \
-	$(GO) run ./cmd/benchdiff $$base BENCH_nexmark_short.json && \
+	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestLiveBench|TestRecoveryBench' -short && \
 	$(GO) run ./cmd/benchdiff $$livebase BENCH_live_short.json; \
-	status=$$?; rm -f $$base $$livebase; exit $$status
-
-# Full-scale benchmark: regenerates BENCH_nexmark.json at 60k events and
-# enforces the >=1.5x partitioned speedup bar on machines with >=4 cores
-# (the bar never arms in the regular/race test suite).
-bench-full:
-	NEXMARK_BENCH_STRICT=1 NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestNexmarkBench -v -timeout 20m
+	status=$$?; rm -f $$livebase; exit $$status
 
 # The repository benchmark's harness (benchmark/, named by BENCHMARK.json) is
 # a Go module of its own, so `go build ./...` and `go test ./...` at the root

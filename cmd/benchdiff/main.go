@@ -1,12 +1,10 @@
-// Command benchdiff compares two benchmark records — typically the committed
-// baseline and a fresh run at the same scale — and prints per-entry
-// throughput deltas, so a perf regression is visible as one table in a PR.
-// It understands both record shapes the harness emits: NEXMark one-shot
-// records (BENCH_nexmark*.json, per-query serial-vs-partitioned speedups)
-// and standing-query records (BENCH_live*.json, per-subscription ingest
-// throughput and delta latency, including the K-subscriber shared-plan
-// fan-out rows). `make bench-diff` and CI wire it like for like: fresh short
-// runs against the committed short-mode baselines.
+// Command benchdiff compares two standing-query benchmark records
+// (BENCH_live*.json) — typically the committed baseline and a fresh run at
+// the same scale — and prints per-subscription ingest throughput and delta
+// latency deltas (including the K-subscriber shared-plan fan-out rows) plus
+// the recovery rows, so a perf regression is visible as one table in a PR.
+// `make bench-diff` wires it like for like: a fresh short run against the
+// committed short-mode baseline.
 //
 // Usage:
 //
@@ -27,14 +25,12 @@ import (
 	"repro/internal/bench"
 )
 
-// record is the union of the on-disk shapes: NEXMark records populate
-// Queries; live records populate Subscriptions and/or Recovery.
+// record is the on-disk shape of a live record.
 type record struct {
 	Benchmark     string                 `json:"benchmark"`
 	Timestamp     string                 `json:"timestamp"`
 	GoMaxProcs    int                    `json:"gomaxprocs"`
 	ShortMode     bool                   `json:"short_mode"`
-	Queries       []bench.QueryResult    `json:"queries"`
 	Subscriptions []bench.LiveResult     `json:"subscriptions"`
 	Recovery      []bench.RecoveryResult `json:"recovery"`
 }
@@ -53,17 +49,11 @@ func main() {
 		fatal(err)
 	}
 	header(os.Stdout, oldRec, newRec)
-	switch {
-	case len(newRec.Subscriptions) > 0 || len(oldRec.Subscriptions) > 0 ||
-		len(newRec.Recovery) > 0 || len(oldRec.Recovery) > 0:
-		if len(newRec.Subscriptions) > 0 || len(oldRec.Subscriptions) > 0 {
-			diffLive(os.Stdout, oldRec, newRec)
-		}
-		if len(newRec.Recovery) > 0 || len(oldRec.Recovery) > 0 {
-			diffRecovery(os.Stdout, oldRec, newRec)
-		}
-	default:
-		diffQueries(os.Stdout, oldRec, newRec)
+	if len(newRec.Subscriptions) > 0 || len(oldRec.Subscriptions) > 0 {
+		diffLive(os.Stdout, oldRec, newRec)
+	}
+	if len(newRec.Recovery) > 0 || len(oldRec.Recovery) > 0 {
+		diffRecovery(os.Stdout, oldRec, newRec)
 	}
 }
 
@@ -86,59 +76,24 @@ func fatal(err error) {
 
 func header(w *os.File, oldRec, newRec *record) {
 	fmt.Fprintf(w, "baseline: %s %s (%d entries, gomaxprocs=%d, short=%v)\n",
-		oldRec.Benchmark, oldRec.Timestamp, len(oldRec.Queries)+len(oldRec.Subscriptions),
+		oldRec.Benchmark, oldRec.Timestamp, len(oldRec.Subscriptions),
 		oldRec.GoMaxProcs, oldRec.ShortMode)
 	fmt.Fprintf(w, "fresh:    %s %s (%d entries, gomaxprocs=%d, short=%v)\n\n",
-		newRec.Benchmark, newRec.Timestamp, len(newRec.Queries)+len(newRec.Subscriptions),
+		newRec.Benchmark, newRec.Timestamp, len(newRec.Subscriptions),
 		newRec.GoMaxProcs, newRec.ShortMode)
 	if oldRec.ShortMode != newRec.ShortMode || oldRec.GoMaxProcs != newRec.GoMaxProcs {
 		fmt.Fprintf(w, "note: environments differ; deltas are indicative only\n\n")
 	}
 }
 
-// queryKey identifies a query across records (IDs repeat only for ad-hoc -1
-// entries, which are disambiguated by name).
-func queryKey(q bench.QueryResult) string { return fmt.Sprintf("%d/%s", q.ID, q.Name) }
-
-// diffQueries prints two deltas per query: the serial-throughput delta (the
-// single-core hot-path number the batching work moves) and the speedup delta
-// (parallel scaling relative to that serial base — a serial win can legally
-// shrink the speedup ratio while every absolute number improves).
-func diffQueries(w *os.File, oldRec, newRec *record) {
-	byKey := make(map[string]bench.QueryResult, len(oldRec.Queries))
-	for _, q := range oldRec.Queries {
-		byKey[queryKey(q)] = q
-	}
-	fmt.Fprintf(w, "%-44s %14s %12s %8s %14s %9s %9s %8s\n",
-		"query", "serial ev/s", "baseline", "delta", "parallel ev/s", "speedup", "baseline", "delta")
-	for _, nq := range newRec.Queries {
-		oq, ok := byKey[queryKey(nq)]
-		if !ok {
-			fmt.Fprintf(w, "%-44.44s %14.0f %12s %8s %14.0f %8.2fx %9s %8s\n",
-				nq.Name, nq.SerialEventsPerSec, "(new)", "", nq.ParallelEventsPerSec, nq.Speedup, "", "")
-			continue
-		}
-		delete(byKey, queryKey(nq))
-		fmt.Fprintf(w, "%-44.44s %14.0f %12.0f %+7.1f%% %14.0f %8.2fx %8.2fx %+7.1f%%\n",
-			nq.Name, nq.SerialEventsPerSec, oq.SerialEventsPerSec, pct(nq.SerialEventsPerSec, oq.SerialEventsPerSec),
-			nq.ParallelEventsPerSec, nq.Speedup, oq.Speedup, pct(nq.Speedup, oq.Speedup))
-	}
-	for _, oq := range oldRec.Queries {
-		if _, gone := byKey[queryKey(oq)]; gone {
-			fmt.Fprintf(w, "%-44.44s %14s %12.0f %8s %14s %9s %8.2fx (removed)\n",
-				oq.Name, "-", oq.SerialEventsPerSec, "", "-", "-", oq.Speedup)
-		}
-	}
-}
-
 // liveKey identifies a standing-query scenario across records: the same
-// query measured at a different mode, parallelism, fan-out width, sharing
-// posture, shard count, query count, or pinned GOMAXPROCS is a different
-// row. The shard/query/proc fields are zero for pre-sharding records, so
-// old baselines keep matching.
+// query measured at a different mode, fan-out width, sharing posture, shard
+// count, query count, or pinned GOMAXPROCS is a different row. The
+// shard/query/proc fields are zero for pre-sharding records, so old
+// baselines keep matching.
 func liveKey(q bench.LiveResult) string {
-	return fmt.Sprintf("%s/%s/p%d/k%d/shared=%v/sh%d/q%d/procs%d",
-		q.Query, q.Mode, q.Partitions, q.Subscribers, q.Shared, q.Shards, q.Queries, q.Procs)
+	return fmt.Sprintf("%s/%s/k%d/shared=%v/sh%d/q%d/procs%d",
+		q.Query, q.Mode, q.Subscribers, q.Shared, q.Shards, q.Queries, q.Procs)
 }
 
 func diffLive(w *os.File, oldRec, newRec *record) {
@@ -146,11 +101,11 @@ func diffLive(w *os.File, oldRec, newRec *record) {
 	for _, q := range oldRec.Subscriptions {
 		byKey[liveKey(q)] = q
 	}
-	fmt.Fprintf(w, "%-40s %-6s %3s %3s %7s %3s %5s %12s %10s %10s %12s %8s\n",
-		"subscription", "mode", "p", "k", "shared", "sh", "procs", "ingest ev/s", "p50", "p99", "baseline", "delta")
+	fmt.Fprintf(w, "%-40s %-6s %3s %7s %3s %5s %12s %10s %10s %12s %8s\n",
+		"subscription", "mode", "k", "shared", "sh", "procs", "ingest ev/s", "p50", "p99", "baseline", "delta")
 	for _, nq := range newRec.Subscriptions {
-		line := fmt.Sprintf("%-40.40s %-6s %3d %3d %7v %3d %5d %12.0f %10s %10s",
-			nq.Query, nq.Mode, nq.Partitions, nq.Subscribers, nq.Shared, nq.Shards, nq.Procs, nq.EventsPerSec,
+		line := fmt.Sprintf("%-40.40s %-6s %3d %7v %3d %5d %12.0f %10s %10s",
+			nq.Query, nq.Mode, nq.Subscribers, nq.Shared, nq.Shards, nq.Procs, nq.EventsPerSec,
 			time.Duration(nq.LatencyP50Ns), time.Duration(nq.LatencyP99Ns))
 		oq, ok := byKey[liveKey(nq)]
 		if !ok {
@@ -162,8 +117,8 @@ func diffLive(w *os.File, oldRec, newRec *record) {
 	}
 	for _, oq := range oldRec.Subscriptions {
 		if _, gone := byKey[liveKey(oq)]; gone {
-			fmt.Fprintf(w, "%-40.40s %-6s %3d %3d %7v %3d %5d %12s (removed, was %.0f ev/s)\n",
-				oq.Query, oq.Mode, oq.Partitions, oq.Subscribers, oq.Shared, oq.Shards, oq.Procs, "-", oq.EventsPerSec)
+			fmt.Fprintf(w, "%-40.40s %-6s %3d %7v %3d %5d %12s (removed, was %.0f ev/s)\n",
+				oq.Query, oq.Mode, oq.Subscribers, oq.Shared, oq.Shards, oq.Procs, "-", oq.EventsPerSec)
 		}
 	}
 }
@@ -172,7 +127,7 @@ func diffLive(w *os.File, oldRec, newRec *record) {
 // scenario across records. Durability rows repeat one query at several
 // history sizes, so the event count joins the key.
 func recoveryKey(q bench.RecoveryResult) string {
-	return fmt.Sprintf("%s/%s/p%d/e%d", q.Query, q.Mode, q.Partitions, q.Events)
+	return fmt.Sprintf("%s/%s/e%d", q.Query, q.Mode, q.Events)
 }
 
 // diffRecovery prints the checkpoint-size and restore-vs-replay deltas from
@@ -184,14 +139,14 @@ func diffRecovery(w *os.File, oldRec, newRec *record) {
 	for _, q := range oldRec.Recovery {
 		byKey[recoveryKey(q)] = q
 	}
-	fmt.Fprintf(w, "\n%-40s %3s %10s %10s %10s %9s %9s %8s\n",
-		"recovery", "p", "ckpt KiB", "restore", "replay", "speedup", "baseline", "delta")
+	fmt.Fprintf(w, "\n%-40s %10s %10s %10s %9s %9s %8s\n",
+		"recovery", "ckpt KiB", "restore", "replay", "speedup", "baseline", "delta")
 	for _, nq := range newRec.Recovery {
 		if nq.DeltaEvents > 0 {
 			continue // durability rows get their own table below
 		}
-		line := fmt.Sprintf("%-40.40s %3d %10.1f %10s %10s %8.2fx",
-			nq.Query, nq.Partitions, float64(nq.CheckpointBytes)/1024,
+		line := fmt.Sprintf("%-40.40s %10.1f %10s %10s %8.2fx",
+			nq.Query, float64(nq.CheckpointBytes)/1024,
 			time.Duration(nq.RestoreNs), time.Duration(nq.ReplayNs), nq.Speedup)
 		oq, ok := byKey[recoveryKey(nq)]
 		if !ok {
@@ -206,8 +161,8 @@ func diffRecovery(w *os.File, oldRec, newRec *record) {
 			continue
 		}
 		if _, gone := byKey[recoveryKey(oq)]; gone {
-			fmt.Fprintf(w, "%-40.40s %3d %10s %10s %10s %9s (removed, was %.2fx)\n",
-				oq.Query, oq.Partitions, "-", "-", "-", "-", oq.Speedup)
+			fmt.Fprintf(w, "%-40.40s %10s %10s %10s %9s (removed, was %.2fx)\n",
+				oq.Query, "-", "-", "-", "-", oq.Speedup)
 		}
 	}
 	diffDurability(w, oldRec, newRec, byKey)

@@ -1,15 +1,11 @@
 // Command nexmark runs the NEXMark benchmark queries against the streaming
 // SQL engine from the terminal: generate a deterministic dataset, execute a
-// query on the serial or key-partitioned parallel executor (or both, with an
-// equivalence check), and print the result table, the routing scheme, and
-// throughput.
+// query, and print the result table and throughput.
 //
 // Examples:
 //
-//	go run ./cmd/nexmark -query 7                 # Q7 on the serial engine
-//	go run ./cmd/nexmark -query 3 -parts 4        # Q3 partitioned 4 ways
-//	go run ./cmd/nexmark -query 5 -parts 4 -both  # serial vs parallel + diff
-//	go run ./cmd/nexmark -query 2 -explain        # plan + partitioning only
+//	go run ./cmd/nexmark -query 7           # Q7 over 5000 generated events
+//	go run ./cmd/nexmark -query 2 -explain  # optimized plan only
 package main
 
 import (
@@ -38,9 +34,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		queryID = fs.Int("query", 7, "NEXMark query number (0-8)")
 		events  = fs.Int("events", 5000, "number of generated input events")
 		seed    = fs.Int64("seed", 42, "generator seed")
-		parts   = fs.Int("parts", 1, "partitions (>1 enables the parallel executor)")
-		both    = fs.Bool("both", false, "run serial AND partitioned, verify identical output")
-		explain = fs.Bool("explain", false, "print the optimized plan and partitioning, don't execute")
+		explain = fs.Bool("explain", false, "print the optimized plan, don't execute")
 		rows    = fs.Int("rows", 10, "result rows to print (0 = all)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -49,14 +43,14 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := run(stdout, *queryID, *events, *seed, *parts, *both, *explain, *rows); err != nil {
+	if err := run(stdout, *queryID, *events, *seed, *explain, *rows); err != nil {
 		fmt.Fprintln(stderr, "nexmark:", err)
 		return 1
 	}
 	return 0
 }
 
-func run(out io.Writer, queryID, events int, seed int64, parts int, both, explain bool, maxRows int) error {
+func run(out io.Writer, queryID, events int, seed int64, explain bool, maxRows int) error {
 	q, err := nexmark.QueryByID(queryID)
 	if err != nil {
 		return err
@@ -76,11 +70,6 @@ func run(out io.Writer, queryID, events int, seed int64, parts int, both, explai
 	fmt.Fprintf(out, "Q%d: %s  (%d persons, %d auctions, %d bids)\n",
 		q.ID, q.Name, g.NumPersons, g.NumAuctions, g.NumBids)
 
-	part, err := e.ExplainPartitioning(q.SQL)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "partitioning: %s\n", part)
 	if explain {
 		plan, err := e.Explain(q.SQL)
 		if err != nil {
@@ -90,48 +79,14 @@ func run(out io.Writer, queryID, events int, seed int64, parts int, both, explai
 		return nil
 	}
 
-	query := func(p int) (*core.TableResult, time.Duration, error) {
-		start := time.Now()
-		var res *core.TableResult
-		var err error
-		if p > 1 {
-			res, err = e.QueryTableParallel(q.SQL, types.MaxTime, p)
-		} else {
-			res, err = e.QueryTable(q.SQL, types.MaxTime)
-		}
-		return res, time.Since(start), err
-	}
-
-	if both {
-		if parts < 2 {
-			parts = 4
-		}
-		serial, sd, err := query(1)
-		if err != nil {
-			return err
-		}
-		parallel, pd, err := query(parts)
-		if err != nil {
-			return err
-		}
-		if s, p := serial.Format(), parallel.Format(); s != p {
-			return fmt.Errorf("serial and partitioned results DIFFER:\nserial:\n%s\npartitioned:\n%s", s, p)
-		}
-		fmt.Fprintf(out, "serial:      %10.0f events/s (%s)\n", float64(events)/sd.Seconds(), sd.Round(time.Microsecond))
-		fmt.Fprintf(out, "partitioned: %10.0f events/s (%s, %d chains, path %s)\n",
-			float64(events)/pd.Seconds(), pd.Round(time.Microsecond), parallel.Stats.Partitions, parallel.Stats.Path)
-		fmt.Fprintf(out, "results identical across both executors (%d rows)\n", len(serial.Rows))
-		printRows(out, serial, maxRows)
-		return nil
-	}
-
-	res, d, err := query(parts)
+	start := time.Now()
+	res, err := e.QueryTable(q.SQL, types.MaxTime)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "executed on %d chain(s) [%s] in %s (%.0f events/s); state rows %d, late dropped %d\n",
-		res.Stats.Partitions, res.Stats.Path, d.Round(time.Microsecond), float64(events)/d.Seconds(),
-		res.Stats.StateRows, res.Stats.LateDropped)
+	d := time.Since(start)
+	fmt.Fprintf(out, "executed in %s (%.0f events/s); state rows %d, late dropped %d\n",
+		d.Round(time.Microsecond), float64(events)/d.Seconds(), res.Stats.StateRows, res.Stats.LateDropped)
 	printRows(out, res, maxRows)
 	return nil
 }

@@ -7,7 +7,7 @@ package main
 // serving live traffic instead of a per-query batch tool.
 //
 // Standing queries share plans: concurrent subscriptions with the same
-// (SQL, mode, effective partitions) are served from one resident pipeline,
+// (SQL, mode) are served from one resident pipeline,
 // each over its own delivery cursor, so N identical subscribers cost one
 // compilation and one incremental evaluation per ingested change. The
 // /v1/subscriptions listing exposes the sharing: each entry reports the
@@ -35,6 +35,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,6 +95,11 @@ const maxBodyBytes = 8 << 20
 // means an ever-longer WAL tail to replay — refusing new ingest is the
 // defined behavior, not an ever-growing durability debt.
 const ckptDegradeAfter = 3
+
+// maxSubscribeBuffer caps the buffer= parameter of /v1/subscribe. The delta
+// channel allocates every slot up front, so an unchecked buffer would let one
+// GET reserve gigabytes.
+const maxSubscribeBuffer = 65536
 
 type subEntry struct {
 	id   int
@@ -558,24 +564,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		at = types.Time(n)
 	}
-	parts := 1
-	if v := r.URL.Query().Get("parts"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parts parameter: %w", err))
-			return
-		}
-		parts = n
-	}
 	switch r.URL.Query().Get("mode") {
 	case "", "table":
-		var res *core.TableResult
-		var err error
-		if parts > 1 {
-			res, err = s.engine.QueryTableParallel(sql, at, parts)
-		} else {
-			res, err = s.engine.QueryTable(sql, at)
-		}
+		res, err := s.engine.QueryTable(sql, at)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -586,16 +577,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"schema": encodeSchema(res.Schema), "rows": rows,
-			"partitions": res.Stats.Partitions,
 		})
 	case "stream":
-		var res *core.StreamResult
-		var err error
-		if parts > 1 {
-			res, err = s.engine.QueryStreamAtParallel(sql, at, parts)
-		} else {
-			res, err = s.engine.QueryStreamAt(sql, at)
-		}
+		res, err := s.engine.QueryStreamAt(sql, at)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -606,7 +590,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"schema": encodeSchema(res.Schema), "rows": rows,
-			"partitions": res.Stats.Partitions,
 		})
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("mode must be table or stream"))
@@ -656,18 +639,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := core.SubscribeOptions{}
-	if v := q.Get("parts"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parts parameter: %w", err))
-			return
-		}
-		opts.Parts = n
-	}
 	if v := q.Get("buffer"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad buffer parameter: %w", err))
+			return
+		}
+		if n > maxSubscribeBuffer {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("buffer %d exceeds the limit of %d", n, maxSubscribeBuffer))
 			return
 		}
 		opts.Buffer = n
@@ -676,6 +655,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad retain parameter: %w", err))
+			return
+		}
+		if n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("retain %d is negative; use 0 for unbounded", n))
 			return
 		}
 		opts.MaxRetainedRows = n
@@ -782,6 +765,7 @@ func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 		entries = append(entries, e)
 	}
 	s.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	out := make([]map[string]any, 0, len(entries))
 	for _, e := range entries {
 		st := e.sub.Stats()
@@ -789,7 +773,7 @@ func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 			"id": e.id, "sql": e.sql, "mode": e.mode,
 			"eventsIn": st.EventsIn, "deltasOut": st.DeltasOut,
 			"rowsOut": st.RowsOut, "watermark": int64(st.Watermark),
-			"queueDepth": st.QueueDepth, "partitions": st.Partitions,
+			"queueDepth": st.QueueDepth,
 			// Plan sharing: subscriptions served from the same resident
 			// pipeline report the same pipeline id and the count of
 			// subscribers attached to it.

@@ -394,6 +394,76 @@ func TestServeSharedSubscriptions(t *testing.T) {
 	}
 }
 
+// TestServeSubscribeLimits: a buffer above maxSubscribeBuffer and a negative
+// retain are refused with 400 and an error naming the limit, before any
+// session opens — liveSessions in /v1/healthz does not move — while a buffer
+// at the limit is accepted.
+func TestServeSubscribeLimits(t *testing.T) {
+	ts, c := newTestServer(t)
+	registerBid(t, c, ts.URL)
+	sql := "sql=" + queryEscape(`SELECT auction, price FROM Bid`)
+	sessions := func() float64 {
+		t.Helper()
+		_, hz := getJSON(t, c, ts.URL+"/v1/healthz")
+		return hz["liveSessions"].(float64)
+	}
+	for _, tc := range []struct{ params, want string }{
+		{fmt.Sprintf("&buffer=%d", maxSubscribeBuffer+1), fmt.Sprint(maxSubscribeBuffer)},
+		{"&buffer=100000000", fmt.Sprint(maxSubscribeBuffer)},
+		{"&retain=-1", "negative"},
+	} {
+		code, body := getJSON(t, c, ts.URL+"/v1/subscribe?"+sql+tc.params)
+		msg, _ := body["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%s: status %d body %v, want 400 naming %q", tc.params, code, body, tc.want)
+		}
+		if n := sessions(); n != 0 {
+			t.Fatalf("%s: a refused subscribe left %v live sessions", tc.params, n)
+		}
+	}
+	resp, read := subscribeLines(t, c, ts.URL, sql+fmt.Sprintf("&buffer=%d&retain=0", maxSubscribeBuffer))
+	defer resp.Body.Close()
+	if line := read(); line["type"] != "schema" {
+		t.Fatalf("first line = %v, want the schema", line)
+	}
+	if n := sessions(); n != 1 {
+		t.Fatalf("%v live sessions after a subscribe at the limit, want 1", n)
+	}
+}
+
+// TestServeSubscriptionsSorted: /v1/subscriptions lists entries in id order,
+// the same order on every call.
+func TestServeSubscriptionsSorted(t *testing.T) {
+	ts, c := newTestServer(t)
+	registerBid(t, c, ts.URL)
+	for _, q := range []string{
+		`SELECT auction FROM Bid`, `SELECT price FROM Bid`, `SELECT auction, price FROM Bid`,
+	} {
+		resp, read := subscribeLines(t, c, ts.URL, "sql="+queryEscape(q))
+		defer resp.Body.Close()
+		read() // the schema line: the subscription is registered
+	}
+	var first []float64
+	for i := 0; i < 20; i++ {
+		code, stats := getJSON(t, c, ts.URL+"/v1/subscriptions")
+		if code != http.StatusOK {
+			t.Fatalf("subscriptions: status %d", code)
+		}
+		var ids []float64
+		for _, e := range stats["subscriptions"].([]any) {
+			ids = append(ids, e.(map[string]any)["id"].(float64))
+		}
+		if len(ids) != 3 || ids[0] >= ids[1] || ids[1] >= ids[2] {
+			t.Fatalf("call %d listed ids %v, want three in ascending order", i, ids)
+		}
+		if first == nil {
+			first = ids
+		} else if fmt.Sprint(ids) != fmt.Sprint(first) {
+			t.Fatalf("call %d listed %v, first call %v", i, ids, first)
+		}
+	}
+}
+
 // TestServeSharded: the HTTP front-end over a sharded engine. Deltas still
 // arrive (through the shard workers instead of the ingesting goroutine), the
 // subscription listing reports each pipeline's shard placement plus the

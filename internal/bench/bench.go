@@ -1,8 +1,8 @@
-// Package bench is a small benchmark reporter: it collects per-query timing
-// records (serial vs. key-partitioned execution) and writes them as a JSON
-// perf record, seeding the repo's performance trajectory. The record captures
-// the execution environment (GOMAXPROCS, CPU count) because parallel speedup
-// is only meaningful relative to the hardware that produced it.
+// Package bench is a small benchmark reporter for the in-process
+// standing-query benchmarks: it collects subscription and recovery
+// measurements and writes them as a JSON perf record. The record captures the
+// execution environment (GOMAXPROCS, CPU count) because a timing is only
+// meaningful relative to the hardware that produced it.
 package bench
 
 import (
@@ -14,80 +14,6 @@ import (
 	"time"
 )
 
-// QueryResult is one query's serial-vs-partitioned measurement.
-type QueryResult struct {
-	// ID is the NEXMark query number, or -1 for ad-hoc benchmark queries.
-	ID int `json:"id"`
-	// Name is the query's short description.
-	Name string `json:"name"`
-	// Partitioning describes the routing scheme ("hash(Bid:[0])",
-	// "round-robin", or "serial (<reason>)" for fallback queries).
-	Partitioning string `json:"partitioning"`
-	// Events is the number of input data events generated.
-	Events int `json:"events"`
-	// OutputEvents is the size of the output changelog.
-	OutputEvents int `json:"output_events"`
-	// Partitions is the parallelism the partitioned run actually used
-	// (1 means it fell back to the serial pipeline).
-	Partitions int `json:"partitions"`
-	// SerialNs / ParallelNs are wall-clock medians in nanoseconds.
-	SerialNs   int64 `json:"serial_ns"`
-	ParallelNs int64 `json:"parallel_ns"`
-	// Throughput in input events per second, derived from the medians.
-	SerialEventsPerSec   float64 `json:"serial_events_per_sec"`
-	ParallelEventsPerSec float64 `json:"parallel_events_per_sec"`
-	// Speedup is SerialNs / ParallelNs.
-	Speedup float64 `json:"speedup"`
-}
-
-// Record is a full benchmark run.
-type Record struct {
-	Benchmark  string        `json:"benchmark"`
-	Timestamp  string        `json:"timestamp"`
-	GoVersion  string        `json:"go_version"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	ShortMode  bool          `json:"short_mode"`
-	Queries    []QueryResult `json:"queries"`
-}
-
-// New creates a record stamped with the current environment.
-func New(name string, short bool) *Record {
-	return &Record{
-		Benchmark:  name,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		ShortMode:  short,
-	}
-}
-
-// Add derives the throughput/speedup fields and appends the result.
-func (r *Record) Add(q QueryResult) {
-	if q.SerialNs > 0 {
-		q.SerialEventsPerSec = float64(q.Events) / (float64(q.SerialNs) / 1e9)
-	}
-	if q.ParallelNs > 0 {
-		q.ParallelEventsPerSec = float64(q.Events) / (float64(q.ParallelNs) / 1e9)
-		q.Speedup = float64(q.SerialNs) / float64(q.ParallelNs)
-	}
-	r.Queries = append(r.Queries, q)
-}
-
-// WriteFile writes the record as indented JSON.
-func (r *Record) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return nil
-}
-
 // LiveResult is one standing-query subscription measurement: steady-state
 // ingest throughput and the distribution of per-delta delivery latency
 // (ingest call start to delta receipt).
@@ -96,8 +22,6 @@ type LiveResult struct {
 	Query string `json:"query"`
 	// Mode is the delta rendering ("stream" or "table").
 	Mode string `json:"mode"`
-	// Partitions is the standing pipeline's parallelism (1 = serial).
-	Partitions int `json:"partitions"`
 	// Subscribers is the number of concurrent subscriptions to the query.
 	Subscribers int `json:"subscribers"`
 	// Shared reports whether the subscriptions shared one resident
@@ -139,8 +63,6 @@ type RecoveryResult struct {
 	Query string `json:"query"`
 	// Mode is the delta rendering ("stream" or "table").
 	Mode string `json:"mode"`
-	// Partitions is the standing pipeline's parallelism (1 = serial).
-	Partitions int `json:"partitions"`
 	// Events is the number of source events ingested before the checkpoint.
 	Events int `json:"events"`
 	// DeltaEvents, when non-zero, marks this row as a steady-state
@@ -279,32 +201,4 @@ func MedianNs(runs int, fn func() error) (int64, error) {
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], nil
-}
-
-// MedianPairNs interleaves two functions run by run (A, B, A, B, ...) and
-// returns each one's median wall-clock nanoseconds. Interleaving is what
-// makes an A-vs-B comparison honest on a noisy machine: slow environmental
-// drift (duty-cycled CPU, background load, heap growth) hits both sides
-// equally instead of biasing whichever was measured second.
-func MedianPairNs(runs int, fnA, fnB func() error) (int64, int64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	ta := make([]int64, 0, runs)
-	tb := make([]int64, 0, runs)
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		if err := fnA(); err != nil {
-			return 0, 0, err
-		}
-		ta = append(ta, time.Since(start).Nanoseconds())
-		start = time.Now()
-		if err := fnB(); err != nil {
-			return 0, 0, err
-		}
-		tb = append(tb, time.Since(start).Nanoseconds())
-	}
-	sort.Slice(ta, func(i, j int) bool { return ta[i] < ta[j] })
-	sort.Slice(tb, func(i, j int) bool { return tb[i] < tb[j] })
-	return ta[len(ta)/2], tb[len(tb)/2], nil
 }

@@ -21,15 +21,17 @@ import (
 	"repro/internal/types"
 )
 
-// restartEngine checkpoints e and restores a brand-new engine from the
-// bytes — the in-process stand-in for a process crash + restart.
-func restartEngine(t *testing.T, e *core.Engine) *core.Engine {
+// restartEngine checkpoints e and restores a brand-new engine, built with
+// opts, from the bytes — the in-process stand-in for a process crash +
+// restart.
+func restartEngine(t *testing.T, e *core.Engine, opts ...core.Option) *core.Engine {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := e.CheckpointAll(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	restored := core.NewEngine()
+	restored := core.NewEngine(opts...)
+	t.Cleanup(restored.Close)
 	if err := restored.RestoreAll(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -41,8 +43,8 @@ func restartEngine(t *testing.T, e *core.Engine) *core.Engine {
 // engine from a checkpoint at that split point, finish ingestion on the
 // restored engine, and require (a) a late attacher to the restored shared
 // session to be byte-identical to a dedicated twin opened at the same
-// instant, and (b) both to equal the uninterrupted replay — serial and
-// partitioned.
+// instant, and (b) both to equal the uninterrupted replay — on the serial
+// fan-out and on a sharded one.
 func TestCheckpointRestoreLive(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
@@ -55,13 +57,7 @@ func TestCheckpointRestoreLive(t *testing.T) {
 			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
 				t.Fatal(err)
 			}
-			var want *core.StreamResult
-			var err error
-			if parts > 1 {
-				want, err = replayEngine.QueryStreamParallel(liveBidQuery, parts)
-			} else {
-				want, err = replayEngine.QueryStream(liveBidQuery)
-			}
+			want, err := replayEngine.QueryStream(liveBidQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,11 +65,11 @@ func TestCheckpointRestoreLive(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(7 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{Parts: parts, Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
 			exclOpts := opts
 			exclOpts.Exclusive = true
 			for _, split := range splits {
-				e := newBidEngine(t)
+				e := partsEngine(t, parts)
 				early, err := e.SubscribeStream(liveBidQuery, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -91,7 +87,7 @@ func TestCheckpointRestoreLive(t *testing.T) {
 				}
 
 				// Process restart at the split point.
-				restored := restartEngine(t, e)
+				restored := restartEngine(t, e, shardOpts(parts)...)
 				if got := restored.LiveSessions(); got != 1 {
 					t.Fatalf("split=%d: restored engine has %d live sessions, want 1", split, got)
 				}

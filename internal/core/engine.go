@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -41,12 +40,11 @@ import (
 // the live manager's ordering lock so standing queries observe changes in
 // commit order.
 type Engine struct {
-	mu      sync.RWMutex
-	rels    map[string]*relation
-	cfg     plan.Config
-	live    *live.Manager
-	gateMin int // small-input gate override; -1 = exec default
-	shards  int // live fan-out shard workers; 0 = serial (see WithShards)
+	mu     sync.RWMutex
+	rels   map[string]*relation
+	cfg    plan.Config
+	live   *live.Manager
+	shards int // live fan-out shard workers; 0 = serial (see WithShards)
 
 	// wal, when attached, receives every committed change before it is
 	// applied or fanned out; walSeq is the last committed sequence number
@@ -92,15 +90,6 @@ func WithUnboundedGroupBy() Option {
 	return func(e *Engine) { e.cfg.AllowUnboundedGroupBy = true }
 }
 
-// WithSmallInputGate overrides the partitioned executor's small-input cost
-// gate: one-shot parallel queries run serially when the scanned relations
-// carry fewer than parts*minPerPart recorded events (the fan-out/merge
-// overhead would dominate). Pass 0 to always run partitioned. Without this
-// option the executor's default threshold (one round per partition) applies.
-func WithSmallInputGate(minPerPart int) Option {
-	return func(e *Engine) { e.gateMin = minPerPart }
-}
-
 // WithShards enables the sharded ingest subsystem for standing queries: n
 // shard workers fan committed changes out to resident sessions off the
 // committing goroutine, each session pinned to one shard, per-shard strictly
@@ -125,7 +114,7 @@ func WithFS(fsys vfs.FS) Option {
 
 // NewEngine creates an empty engine.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{rels: make(map[string]*relation), gateMin: -1, fs: vfs.Default,
+	e := &Engine{rels: make(map[string]*relation), fs: vfs.Default,
 		slowCommit: obs.DefaultSlowCommit}
 	for _, o := range opts {
 		o(e)
@@ -422,51 +411,6 @@ func (e *Engine) QueryStreamAt(sql string, at types.Time) (*StreamResult, error)
 	return &StreamResult{Schema: res.Schema, Rows: res.StreamRows(), Stats: stats}, nil
 }
 
-// QueryTableParallel is QueryTable executed on a key-partitioned parallel
-// pipeline with the given number of partitions. Results are byte-identical
-// to the serial rendering; plans with no valid hash partitioning fall back
-// to serial execution (Stats.Partitions reports which path ran).
-func (e *Engine) QueryTableParallel(sql string, at types.Time, parts int) (*TableResult, error) {
-	res, stats, err := e.runWith(sql, at, parts)
-	if err != nil {
-		return nil, err
-	}
-	return &TableResult{Schema: res.Schema, Rows: res.TableRows(), Stats: stats}, nil
-}
-
-// QueryStreamParallel is QueryStream on the partitioned pipeline.
-func (e *Engine) QueryStreamParallel(sql string, parts int) (*StreamResult, error) {
-	res, stats, err := e.runWith(sql, types.MaxTime, parts)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamResult{Schema: res.Schema, Rows: res.StreamRows(), Stats: stats}, nil
-}
-
-// QueryStreamAtParallel is QueryStreamAt on the partitioned pipeline.
-func (e *Engine) QueryStreamAtParallel(sql string, at types.Time, parts int) (*StreamResult, error) {
-	res, stats, err := e.runWith(sql, at, parts)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamResult{Schema: res.Schema, Rows: res.StreamRows(), Stats: stats}, nil
-}
-
-// ExplainPartitioning reports how the query would be routed across
-// partitions: the per-scan hash columns, "round-robin" for stateless plans,
-// or "serial (<reason>)" when the plan cannot be partitioned.
-func (e *Engine) ExplainPartitioning(sql string) (string, error) {
-	pq, err := e.plan(sql)
-	if err != nil {
-		return "", err
-	}
-	part, err := plan.DerivePartitioning(pq)
-	if err != nil {
-		return fmt.Sprintf("serial (%v)", err), nil
-	}
-	return part.Describe(), nil
-}
-
 // Explain returns the optimized logical plan of the query.
 func (e *Engine) Explain(sql string) (string, error) {
 	pq, err := e.plan(sql)
@@ -488,26 +432,20 @@ func (e *Engine) plan(sql string) (*plan.PlannedQuery, error) {
 	return opt.Optimize(pq), nil
 }
 
+// run plans the query and replays the recorded changelogs of the relations
+// it scans through a freshly compiled pipeline. Query latency feeds the
+// engine_queries_* families.
 func (e *Engine) run(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
-	return e.runWith(sql, at, 1)
-}
-
-// runWith plans the query and executes it on the partitioned pipeline when
-// parts > 1 and the plan admits a hash partitioning, merging the
-// per-partition outputs deterministically; otherwise it runs the serial
-// pipeline. Both paths produce byte-identical results. Query latency and
-// the chosen execution path feed the engine_queries_* families.
-func (e *Engine) runWith(sql string, at types.Time, parts int) (*exec.Result, exec.Stats, error) {
 	if e.metrics == nil {
-		return e.runWithInner(sql, at, parts)
+		return e.runInner(sql, at)
 	}
 	t0 := time.Now()
-	res, st, err := e.runWithInner(sql, at, parts)
-	e.metrics.noteQuery(st.Path, time.Since(t0), err)
+	res, st, err := e.runInner(sql, at)
+	e.metrics.noteQuery(time.Since(t0), err)
 	return res, st, err
 }
 
-func (e *Engine) runWithInner(sql string, at types.Time, parts int) (*exec.Result, exec.Stats, error) {
+func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
 	// Read-your-writes: under the sharded fan-out an acknowledged change may
 	// still be in a shard queue; one-shot queries read the recorded catalog
 	// logs, which the commit already updated, but quiescing first also keeps
@@ -521,46 +459,6 @@ func (e *Engine) runWithInner(sql string, at types.Time, parts int) (*exec.Resul
 	if err != nil {
 		return nil, exec.Stats{}, err
 	}
-	if parts > 1 {
-		// Small-input cost gate, applied before CompilePartitioned: a
-		// tiny input cannot amortize the fan-out/merge overhead, so it
-		// should not even pay for building the partition chains.
-		gate := e.gateMin
-		if gate < 0 {
-			gate = exec.SmallInputMinPerPartition
-		}
-		if exec.SmallInput(sources, parts, gate) {
-			res, st, err := e.runSerial(pq, sources, at)
-			if err == nil {
-				// Only claim the gate preempted parallelism when the
-				// plan could actually have partitioned; a plan with no
-				// valid routing runs serially at any input size.
-				if _, derr := plan.DerivePartitioning(pq); derr == nil {
-					st.Path = exec.PathSerialSmallInput
-				}
-			}
-			return res, st, err
-		}
-		pp, perr := exec.CompilePartitioned(pq, parts)
-		switch {
-		case perr == nil:
-			// The size decision is already made; disable the
-			// executor's own backstop gate.
-			pp.SetSmallInputGate(0)
-			res, err := pp.Run(sources, at)
-			if err != nil {
-				return nil, exec.Stats{}, err
-			}
-			return res, pp.Stats(), nil
-		case !errors.Is(perr, exec.ErrNotPartitionable):
-			return nil, exec.Stats{}, perr
-		}
-		// Not partitionable: fall through to the serial pipeline.
-	}
-	return e.runSerial(pq, sources, at)
-}
-
-func (e *Engine) runSerial(pq *plan.PlannedQuery, sources []exec.Source, at types.Time) (*exec.Result, exec.Stats, error) {
 	pipe, err := exec.Compile(pq)
 	if err != nil {
 		return nil, exec.Stats{}, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -10,17 +9,15 @@ import (
 	"repro/internal/exec"
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/types"
 )
 
 // This file is the engine's standing-query surface. A subscription parses
 // and plans its SQL, then either attaches to an already-resident pipeline
-// for the same plan — subscriptions are keyed by (normalized SQL, mode,
-// effective partitions), so N identical subscribers share one compiled
-// pipeline with per-subscriber delivery cursors — or compiles the pipeline
-// once and registers it. A fresh pipeline replays the recorded history of
+// for the same plan — subscriptions are keyed by (normalized SQL, mode), so
+// N identical subscribers share one compiled pipeline with per-subscriber
+// delivery cursors — or compiles the pipeline once and registers it. A fresh pipeline replays the recorded history of
 // the scanned relations and is caught up to the engine's processing-time
 // clock; a late-attaching cursor instead receives a snapshot hand-off
 // synthesized from the pipeline's retained output. Either way, every
@@ -32,10 +29,6 @@ import (
 
 // SubscribeOptions configures a standing query.
 type SubscribeOptions struct {
-	// Parts > 1 requests key-partitioned parallel execution for the
-	// standing pipeline; plans with no valid hash partitioning fall back
-	// to serial, exactly as the one-shot parallel query paths do.
-	Parts int
 	// Buffer is the delta channel capacity (default 64).
 	Buffer int
 	// Policy is the slow-consumer policy (live.Block or
@@ -86,41 +79,17 @@ func (e *Engine) subscribe(sql string, mode live.Mode, opts SubscribeOptions) (*
 	if mode == live.Table && (len(pq.OrderBy) > 0 || pq.Limit != nil) {
 		return nil, fmt.Errorf("core: ORDER BY/LIMIT are not supported by table subscriptions (diffs cannot maintain presentation order)")
 	}
-	// The effective parallelism decides both the compiled pipeline and
-	// the sharing key: a Parts=4 subscription to a plan with no valid
-	// hash partitioning runs the same serial pipeline a Parts=1
-	// subscription would, so the two share.
-	parts := 1
-	if opts.Parts > 1 {
-		if _, derr := plan.DerivePartitioning(pq); derr == nil {
-			parts = opts.Parts
-		}
-	}
 	key := ""
 	if !opts.Exclusive {
-		key = planKey(sql, mode, parts)
+		key = planKey(sql, mode)
 	}
 	names := scanNames(pq.Root)
 	create := func() (*live.Session, error) {
-		var d exec.Driver
-		if parts > 1 {
-			pp, perr := exec.CompilePartitioned(pq, parts)
-			switch {
-			case perr == nil:
-				d = pp
-			case !errors.Is(perr, exec.ErrNotPartitionable):
-				return nil, perr
-			}
-			// Not partitionable: fall through to the serial pipeline.
+		p, err := exec.Compile(pq)
+		if err != nil {
+			return nil, err
 		}
-		if d == nil {
-			p, cerr := exec.Compile(pq)
-			if cerr != nil {
-				return nil, cerr
-			}
-			d = p
-		}
-		return live.NewSession(d, live.Config{
+		return live.NewSession(p, live.Config{
 			Name:            sql,
 			Mode:            mode,
 			Schema:          pq.Root.Schema(),
@@ -133,18 +102,20 @@ func (e *Engine) subscribe(sql string, mode live.Mode, opts SubscribeOptions) (*
 	// replay recorded history into it. The manager runs both under its
 	// ordering lock, so no concurrently committed change can fall between
 	// the snapshot (history replay or late-attach hand-off) and live
-	// routing; on any failure it cancels the session, so a started
-	// driver's goroutines cannot leak.
+	// routing; on any failure it cancels the session.
 	return e.live.Subscribe(key, live.CursorOpts{Buffer: opts.Buffer, Policy: opts.Policy}, create,
 		func() ([]exec.Source, error) { return e.sourcesByName(names) })
 }
 
 // planKey identifies a shareable standing-query plan: same normalized SQL
-// text, same delta rendering, same effective parallelism. Whitespace runs
-// are collapsed so trivially reformatted SQL still shares; anything beyond
-// that (case, literal spelling) conservatively keys a separate pipeline.
-func planKey(sql string, mode live.Mode, parts int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", normalizeSQL(sql), mode, parts)
+// text, same delta rendering. Whitespace runs are collapsed so trivially
+// reformatted SQL still shares; anything beyond that (case, literal
+// spelling) conservatively keys a separate pipeline. Snapshots store each
+// session under this key and restore registers it verbatim, so the bytes
+// must not change: the trailing "1" is a field earlier keys used for the
+// partition count, and every serial session wrote it.
+func planKey(sql string, mode live.Mode) string {
+	return normalizeSQL(sql) + "\x00" + mode.String() + "\x001"
 }
 
 // normalizeSQL collapses whitespace runs outside quoted regions into one

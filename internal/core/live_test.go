@@ -2,9 +2,8 @@ package core_test
 
 // End-to-end tests for the standing-query subsystem: a live EMIT STREAM
 // subscription fed event by event must observe exactly the delta sequence a
-// post-hoc QueryStream replay of the same changelog produces — on both the
-// serial and key-partitioned executors, including late data and
-// watermark-driven EMIT — and table subscriptions' consolidated diffs must
+// post-hoc QueryStream replay of the same changelog produces — including
+// late data and watermark-driven EMIT — and table subscriptions' consolidated diffs must
 // reconstruct the QueryTable snapshot.
 
 import (
@@ -28,9 +27,7 @@ import (
 
 // liveBidQuery is a NEXMark-shaped standing query over the Bid stream:
 // per-auction windowed MAX with watermark-driven EMIT, so deltas are
-// produced by group completion and late bids are dropped. Grouping by the
-// scan-backed auction column keeps the plan hash-partitionable, so the
-// parts>1 variants genuinely exercise the partitioned standing pipeline.
+// produced by group completion and late bids are dropped.
 const liveBidQuery = `
 SELECT TB.auction auction, TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice
 FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
@@ -52,6 +49,31 @@ func liveData(t testing.TB) *nexmark.Generated {
 func newBidEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	e := core.NewEngine()
+	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// shardOpts are the engine options of a parts=N subtest: parts=1 keeps the
+// serial fan-out, a larger count partitions the resident pipelines across
+// that many shard workers.
+func shardOpts(parts int) []core.Option {
+	if parts == 1 {
+		return nil
+	}
+	return []core.Option{core.WithShards(parts)}
+}
+
+// partsEngine is newBidEngine for a parts=N subtest; the shard workers, if
+// any, stop when the test ends.
+func partsEngine(t testing.TB, parts int) *core.Engine {
+	t.Helper()
+	e := core.NewEngine(shardOpts(parts)...)
+	t.Cleanup(e.Close)
+	if parts > 1 && e.Shards() != parts {
+		t.Fatalf("Shards() = %d, want %d", e.Shards(), parts)
+	}
 	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +115,8 @@ func collectStream(sub *live.Subscription, final *live.Delta) []tvr.StreamRow {
 // TestLiveStreamMatchesReplay is the subsystem's core guarantee: subscribe,
 // ingest the changelog event by event (half of it before subscribing, to
 // exercise the history-replay handoff), close, and the concatenated delta
-// sequence is byte-identical to QueryStream replay over the full log.
+// sequence is byte-identical to QueryStream replay over the full log — on
+// the serial fan-out and on a sharded one.
 func TestLiveStreamMatchesReplay(t *testing.T) {
 	g := liveData(t)
 	for _, parts := range []int{1, 4} {
@@ -104,26 +127,20 @@ func TestLiveStreamMatchesReplay(t *testing.T) {
 			if err := replayEngine.AppendLog("Bid", g.Bids); err != nil {
 				t.Fatal(err)
 			}
-			var want *core.StreamResult
-			var err error
-			if parts > 1 {
-				want, err = replayEngine.QueryStreamParallel(liveBidQuery, parts)
-			} else {
-				want, err = replayEngine.QueryStream(liveBidQuery)
-			}
+			want, err := replayEngine.QueryStream(liveBidQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			// Live: ingest the first half as history, subscribe, then feed
 			// the second half event by event.
-			liveEngine := newBidEngine(t)
+			liveEngine := partsEngine(t, parts)
 			half := len(g.Bids) / 2
 			if err := liveEngine.AppendLog("Bid", g.Bids[:half]); err != nil {
 				t.Fatal(err)
 			}
 			sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{
-				Parts: parts, Buffer: len(g.Bids) + 16,
+				Buffer: len(g.Bids) + 16,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -131,16 +148,10 @@ func TestLiveStreamMatchesReplay(t *testing.T) {
 			for _, ev := range g.Bids[half:] {
 				ingestEvent(t, liveEngine, "Bid", ev)
 			}
+			liveEngine.Quiesce() // sharded fan-out applies changes asynchronously
 			st := sub.Stats()
 			if st.EventsIn != int64(len(g.Bids)) {
 				t.Errorf("EventsIn = %d, want %d", st.EventsIn, len(g.Bids))
-			}
-			wantParts := parts
-			if wantParts < 1 {
-				wantParts = 1
-			}
-			if st.Partitions != wantParts {
-				t.Errorf("Partitions = %d, want %d", st.Partitions, wantParts)
 			}
 			final, err := sub.Close()
 			if err != nil {
@@ -386,7 +397,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	}
 }
 
-// TestSharedPlanDedup: identical (SQL, mode, effective parts) subscriptions
+// TestSharedPlanDedup: identical (SQL, mode) subscriptions
 // share one resident pipeline — observable via LiveSessions/LiveSubscribers
 // and the PipelineID/Subscribers stats — while any difference in the key (or
 // Exclusive) gets its own pipeline.
@@ -413,13 +424,9 @@ func TestSharedPlanDedup(t *testing.T) {
 	if stA.Subscribers != 2 || stB.Subscribers != 2 {
 		t.Fatalf("Subscribers = %d/%d, want 2/2", stA.Subscribers, stB.Subscribers)
 	}
-	// A different mode, a different effective parallelism, or an explicit
-	// Exclusive each get their own resident pipeline.
+	// A different mode or an explicit Exclusive each get their own resident
+	// pipeline.
 	subTable, err := e.SubscribeTable(`SELECT auction, price FROM Bid`, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subParts, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64, Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +434,14 @@ func TestSharedPlanDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.LiveSessions() != 4 || e.LiveSubscribers() != 5 {
-		t.Fatalf("sessions=%d subscribers=%d, want 4/5", e.LiveSessions(), e.LiveSubscribers())
+	if e.LiveSessions() != 3 || e.LiveSubscribers() != 4 {
+		t.Fatalf("sessions=%d subscribers=%d, want 3/4", e.LiveSessions(), e.LiveSubscribers())
 	}
 	for name, st := range map[string]live.Stats{
-		"table": subTable.Stats(), "parts": subParts.Stats(), "exclusive": subExcl.Stats(),
+		"table": subTable.Stats(), "exclusive": subExcl.Stats(),
 	} {
 		if st.PipelineID == stA.PipelineID {
-			t.Errorf("%s subscription shares pipeline %d with the stream/serial plan", name, st.PipelineID)
+			t.Errorf("%s subscription shares pipeline %d with the stream plan", name, st.PipelineID)
 		}
 		if st.Subscribers != 1 {
 			t.Errorf("%s Subscribers = %d, want 1", name, st.Subscribers)
@@ -443,8 +450,8 @@ func TestSharedPlanDedup(t *testing.T) {
 	// The departure of one sharer must not disturb the other; the
 	// pipeline dies with the last one.
 	subA.Cancel()
-	if e.LiveSessions() != 4 || e.LiveSubscribers() != 4 {
-		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 4/4",
+	if e.LiveSessions() != 3 || e.LiveSubscribers() != 3 {
+		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 3/3",
 			e.LiveSessions(), e.LiveSubscribers())
 	}
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
@@ -466,7 +473,6 @@ func TestSharedPlanDedup(t *testing.T) {
 	}
 	subB.Cancel()
 	subTable.Cancel()
-	subParts.Cancel()
 	subExcl.Cancel()
 	if e.LiveSessions() != 0 || e.LiveSubscribers() != 0 {
 		t.Fatalf("sessions=%d subscribers=%d after all cancels, want 0/0",
@@ -559,9 +565,9 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 // with a dedicated Exclusive subscription opened at the same instant), and
 // every subscriber's concatenated delta rows — snapshot hand-off included —
 // must be byte-identical to its dedicated twin AND to a post-hoc QueryStream
-// replay. Serial and partitioned. A final far-future watermark completes all
-// windows before closing, so close-time flushes are empty and the property
-// covers every subscriber, not just the last closer.
+// replay, on the serial fan-out and on a sharded one. A final far-future
+// watermark completes all windows before closing, so close-time flushes are
+// empty and the property covers every subscriber, not just the last closer.
 func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
@@ -573,22 +579,16 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
 				t.Fatal(err)
 			}
-			var want *core.StreamResult
-			var err error
-			if parts > 1 {
-				want, err = replayEngine.QueryStreamParallel(liveBidQuery, parts)
-			} else {
-				want, err = replayEngine.QueryStream(liveBidQuery)
-			}
+			want, err := replayEngine.QueryStream(liveBidQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
 
-			e := newBidEngine(t)
+			e := partsEngine(t, parts)
 			rng := rand.New(rand.NewSource(int64(31 * parts)))
 			attachAt := []int{0, len(g.Bids) / 3, 2 * len(g.Bids) / 3}
-			opts := core.SubscribeOptions{Parts: parts, Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
 			exclOpts := opts
 			exclOpts.Exclusive = true
 			type pair struct{ shared, dedicated *live.Subscription }
@@ -806,8 +806,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	}
 }
 
-// planFor builds the optimized plan of sql against the engine's catalog, so
-// driver-level tests can compile real pipelines outside Engine.subscribe.
+// planFor parses, plans and optimizes sql against e's catalog.
 func planFor(t *testing.T, e *core.Engine, sql string) *plan.PlannedQuery {
 	t.Helper()
 	q, err := sqlparser.Parse(sql)
@@ -840,39 +839,46 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestFailedRegisterReleasesPartitionedWorkers is the failed-subscribe leak
-// regression: live.NewSession has already Start()ed the driver (spawning a
-// partitioned pipeline's persistent workers), so a Manager.Register that
-// fails in the history snapshot must cancel the session — before the fix the
-// workers were stranded forever.
+// regression: live.NewSession has already Start()ed the driver, so a
+// Manager.Register that fails in the history snapshot must cancel the
+// session — completing the driver and registering nothing — and the
+// manager's shard workers must still stop cleanly on Close.
 func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 	e := newBidEngine(t)
 	boom := errors.New("history snapshot failed")
 	base := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		pq := planFor(t, e, liveBidQuery)
-		pp, err := exec.CompilePartitioned(pq, 4)
+		p, err := exec.Compile(pq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := live.NewSession(pp, live.Config{
+		sess, err := live.NewSession(p, live.Config{
 			Name: liveBidQuery, Mode: live.Stream, Schema: pq.Root.Schema(),
 			EmitKeys: pq.EmitKeyIdxs, Sources: []string{"bid"},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := live.NewManager()
+		m := live.NewManagerWith(live.Options{Shards: 4})
 		if err := m.Register(sess, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
 			t.Fatalf("Register error = %v, want %v", err, boom)
 		}
+		if m.Len() != 0 {
+			t.Fatalf("failed Register left %d sessions registered", m.Len())
+		}
+		if err := p.Close(); err == nil {
+			t.Fatal("failed Register left the started pipeline open")
+		}
+		m.Close()
 	}
 	waitForGoroutines(t, base)
 }
 
 // TestSubscriptionGoroutineHygiene drives every subscription-ending path —
 // failed subscribe (runtime error during history replay), slow-consumer
-// drop, cancel, and graceful close, shared and partitioned — and checks the
-// goroutine count settles back to the baseline.
+// drop, cancel, and graceful close, shared — and checks the goroutine count
+// settles back to the baseline.
 func TestSubscriptionGoroutineHygiene(t *testing.T) {
 	e := newBidEngine(t)
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
@@ -886,9 +892,9 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	// Failed subscribe: the history replay hits a runtime error (integer
-	// division by zero), the pipeline is already started and partitioned.
+	// division by zero), the pipeline is already started.
 	if _, err := e.SubscribeStream(`SELECT price / (price - price) q FROM Bid`,
-		core.SubscribeOptions{Parts: 4}); err == nil {
+		core.SubscribeOptions{}); err == nil {
 		t.Fatal("expected a runtime error from the replayed division by zero")
 	}
 	if e.LiveSessions() != 0 {
@@ -897,7 +903,7 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 
 	// Slow-consumer drop.
 	drop, err := e.SubscribeStream(`SELECT auction, price FROM Bid`,
-		core.SubscribeOptions{Parts: 4, Buffer: 1, Policy: live.DropWithError})
+		core.SubscribeOptions{Buffer: 1, Policy: live.DropWithError})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -913,11 +919,11 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 	}
 
 	// Cancel and graceful close on a shared pair.
-	a, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Parts: 4, Buffer: 64})
+	a, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Parts: 4, Buffer: 64})
+	b, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ type engineMetrics struct {
 	degraded         *obs.Gauge
 	degradedTrans    *obs.Counter
 
-	queries      map[string]*obs.Counter // by exec path
+	queries      *obs.Counter
 	queryErrors  *obs.Counter
 	querySeconds *obs.Histogram
 
@@ -64,18 +64,13 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		walFailures:      reg.Counter("engine_wal_failures_total", "Commit-log append failures."),
 		degraded:         reg.Gauge("engine_degraded", "1 while the engine is in degraded read-only mode."),
 		degradedTrans:    reg.Counter("engine_degraded_transitions_total", "Healthy-to-degraded transitions."),
+		queries:          reg.Counter("engine_queries_total", "One-shot queries that succeeded."),
 		queryErrors:      reg.Counter("engine_query_errors_total", "One-shot queries that failed."),
 		querySeconds:     reg.Histogram("engine_query_seconds", "One-shot query latency.", obs.DurationScale, obs.DurationBuckets),
 		ckptTotal:        reg.Counter("checkpoint_total", "Checkpoints written."),
 		ckptFailures:     reg.Counter("checkpoint_failures_total", "Checkpoint writes that failed."),
 		ckptBytes:        reg.Gauge("checkpoint_bytes", "Size of the last successful checkpoint."),
 		ckptSeconds:      reg.Histogram("checkpoint_seconds", "Checkpoint write duration.", obs.DurationScale, obs.DurationBuckets),
-	}
-	// Pre-register the execution paths so the per-query note is a map
-	// lookup, never a registration (which takes the registry lock).
-	m.queries = make(map[string]*obs.Counter)
-	for _, p := range []string{"serial", "parallel", "parallel-two-stage", "serial-small-input"} {
-		m.queries[p] = reg.Counter("engine_queries_total", "One-shot queries by execution path.", "path", p)
 	}
 	return m
 }
@@ -117,7 +112,7 @@ func (m *engineMetrics) noteDegraded(on bool) {
 	}
 }
 
-func (m *engineMetrics) noteQuery(path string, d time.Duration, err error) {
+func (m *engineMetrics) noteQuery(d time.Duration, err error) {
 	if m == nil {
 		return
 	}
@@ -125,9 +120,7 @@ func (m *engineMetrics) noteQuery(path string, d time.Duration, err error) {
 		m.queryErrors.Inc()
 		return
 	}
-	if c := m.queries[path]; c != nil {
-		c.Inc()
-	}
+	m.queries.Inc()
 	m.querySeconds.Observe(int64(d))
 }
 

@@ -23,13 +23,14 @@ import (
 // walBidEngine builds an empty engine with a WAL attached in dir and then
 // registers the Bid stream THROUGH the log (record 1), so recovery rebuilds
 // the catalog entry from the log rather than assuming it.
-func walBidEngine(t *testing.T, dir string) (*core.Engine, *wal.Writer) {
+func walBidEngine(t *testing.T, dir string, opts ...core.Option) (*core.Engine, *wal.Writer) {
 	t.Helper()
 	w, err := wal.Open(dir, 1, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine()
+	e := core.NewEngine(opts...)
+	t.Cleanup(e.Close)
 	if err := e.AttachWAL(w); err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,10 @@ func walBidEngine(t *testing.T, dir string) (*core.Engine, *wal.Writer) {
 
 // recoverEngine performs the production recovery stitch: fresh engine,
 // restore the snapshot when one exists, replay the WAL tail.
-func recoverEngine(t *testing.T, ckptPath, walDir string) (*core.Engine, wal.ReplayInfo) {
+func recoverEngine(t *testing.T, ckptPath, walDir string, opts ...core.Option) (*core.Engine, wal.ReplayInfo) {
 	t.Helper()
-	r := core.NewEngine()
+	r := core.NewEngine(opts...)
+	t.Cleanup(r.Close)
 	if ckptPath != "" {
 		if err := r.RestoreFile(ckptPath); err != nil {
 			t.Fatalf("restore: %v", err)
@@ -61,10 +63,10 @@ func recoverEngine(t *testing.T, ckptPath, walDir string) (*core.Engine, wal.Rep
 // snapshot + WAL tail, and require (a) everything ingested after the
 // snapshot to survive — nothing is rewound — and (b) a late attacher to the
 // recovered resident pipeline to be byte-identical to a dedicated twin and
-// to the uninterrupted replay, serial and partitioned. Odd split indexes
-// truncate the log after the snapshot; even ones crash between snapshot and
-// truncation, so recovery must skip the already-covered records by sequence
-// number.
+// to the uninterrupted replay, on the serial fan-out and on a sharded one.
+// Odd split indexes truncate the log after the snapshot; even ones crash
+// between snapshot and truncation, so recovery must skip the already-covered
+// records by sequence number.
 func TestWALRecoveryLive(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
@@ -77,13 +79,7 @@ func TestWALRecoveryLive(t *testing.T) {
 			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
 				t.Fatal(err)
 			}
-			var want *core.StreamResult
-			var err error
-			if parts > 1 {
-				want, err = replayEngine.QueryStreamParallel(liveBidQuery, parts)
-			} else {
-				want, err = replayEngine.QueryStream(liveBidQuery)
-			}
+			want, err := replayEngine.QueryStream(liveBidQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,14 +87,14 @@ func TestWALRecoveryLive(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(11 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{Parts: parts, Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
 			exclOpts := opts
 			exclOpts.Exclusive = true
 			for si, split := range splits {
 				dataDir := t.TempDir()
 				walDir := filepath.Join(dataDir, "wal")
 				ckptPath := filepath.Join(dataDir, "checkpoint.ckpt")
-				e, w := walBidEngine(t, dataDir+"/wal")
+				e, w := walBidEngine(t, dataDir+"/wal", shardOpts(parts)...)
 
 				early, err := e.SubscribeStream(liveBidQuery, opts)
 				if err != nil {
@@ -146,7 +142,7 @@ func TestWALRecoveryLive(t *testing.T) {
 
 				// Crash: no Close, no final snapshot. Recover from the
 				// snapshot plus the log tail.
-				r, info := recoverEngine(t, ckptPath, walDir)
+				r, info := recoverEngine(t, ckptPath, walDir, shardOpts(parts)...)
 				if info.LastSeq != crashSeq || r.WALSeq() != crashSeq {
 					t.Fatalf("split=%d: recovered through seq %d (log says %d), crashed at %d",
 						split, r.WALSeq(), info.LastSeq, crashSeq)

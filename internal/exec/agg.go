@@ -47,8 +47,7 @@ type aggOp struct {
 }
 
 // eventKeysOf extracts the aggregate's event-time grouping keys with their
-// completion offsets — shared by the serial, partial, and final operators so
-// the three stages use one completion rule.
+// completion offsets.
 func eventKeysOf(x *plan.Aggregate) []eventKey {
 	var out []eventKey
 	for _, pos := range x.EventKeyIdxs() {
@@ -267,31 +266,6 @@ type accumulator interface {
 	value() types.Value
 }
 
-// partialCarrier is implemented by accumulators that support two-stage
-// (partial/final) aggregation. appendPartial appends the accumulator's
-// communicated state — a fixed number of columns per aggregate kind (see
-// partialStateWidth) — to a partial-update row; the final aggregate merges
-// the latest such state per partition. The encoding must merge *exactly*:
-// combining the per-partition states has to reproduce the serial
-// accumulator's value at every input prefix, which is why sums stay in exact
-// integer arithmetic (plan.twoStageEligible gates out floating-point sums)
-// and MIN/MAX communicate only the extremum while the retraction-correct
-// multiset stays partition-local.
-type partialCarrier interface {
-	appendPartial(dst types.Row) types.Row
-}
-
-// partialStateWidth is the number of columns an aggregate kind contributes to
-// a partial-update row.
-func partialStateWidth(kind plan.AggKind) int {
-	switch kind {
-	case plan.AggCountStar, plan.AggCount:
-		return 1 // [count]
-	default:
-		return 2 // [sum-or-extremum, non-null count]
-	}
-}
-
 func newAccumulator(call plan.AggCall) accumulator {
 	var inner accumulator
 	switch call.Kind {
@@ -323,10 +297,6 @@ func (c *countStarAcc) update(_ types.Value, delta int) error {
 
 func (c *countStarAcc) value() types.Value { return types.NewInt(c.n) }
 
-func (c *countStarAcc) appendPartial(dst types.Row) types.Row {
-	return append(dst, types.NewInt(c.n))
-}
-
 type countAcc struct{ n int64 }
 
 func (c *countAcc) update(v types.Value, delta int) error {
@@ -337,10 +307,6 @@ func (c *countAcc) update(v types.Value, delta int) error {
 }
 
 func (c *countAcc) value() types.Value { return types.NewInt(c.n) }
-
-func (c *countAcc) appendPartial(dst types.Row) types.Row {
-	return append(dst, types.NewInt(c.n))
-}
 
 // sumAcc keeps exact integer sums for BIGINT and float sums otherwise; SUM
 // over zero non-NULL inputs is NULL per SQL.
@@ -383,26 +349,10 @@ func (s *sumAcc) value() types.Value {
 	}
 }
 
-// appendPartial communicates the raw sum by kind plus the non-null count (so
-// the final stage reproduces SUM's zero-input NULL).
-func (s *sumAcc) appendPartial(dst types.Row) types.Row {
-	var sum types.Value
-	switch s.kind {
-	case types.KindInt64:
-		sum = types.NewInt(s.i)
-	case types.KindInterval:
-		sum = types.NewInterval(types.Duration(s.i))
-	default:
-		sum = types.NewFloat(s.f)
-	}
-	return append(dst, sum, types.NewInt(s.n))
-}
-
 // avgAcc keeps the running sum in exact int64 arithmetic while every input is
 // a BIGINT, falling back to the order-dependent float sum the moment a
-// non-integer contributes. The exact path is what makes AVG mergeable across
-// partitions: integer partial sums add associatively, so the final stage's
-// float64(totalSum)/totalCount equals the serial value at every prefix.
+// non-integer contributes. The exact path makes the average independent of
+// the order inserts and retractions arrive in; output bytes depend on it.
 type avgAcc struct {
 	sumI    int64
 	sumF    float64
@@ -432,14 +382,6 @@ func (a *avgAcc) value() types.Value {
 		return types.NewFloat(a.sumF / float64(a.n))
 	}
 	return types.NewFloat(float64(a.sumI) / float64(a.n))
-}
-
-func (a *avgAcc) appendPartial(dst types.Row) types.Row {
-	sum := types.NewInt(a.sumI)
-	if a.inexact {
-		sum = types.NewFloat(a.sumF)
-	}
-	return append(dst, sum, types.NewInt(a.n))
 }
 
 // minMaxAcc supports retractions by keeping the multiset of values; the
@@ -524,14 +466,6 @@ func (m *minMaxAcc) value() types.Value {
 		m.valid = true
 	}
 	return m.current
-}
-
-// appendPartial communicates only the partition-local extremum (plus the
-// non-null count for NULL semantics); the multiset that keeps it
-// retraction-correct never leaves the partition. Sub-bag routing guarantees
-// the extremum-of-extremums is the global extremum.
-func (m *minMaxAcc) appendPartial(dst types.Row) types.Row {
-	return append(dst, m.value(), types.NewInt(m.n))
 }
 
 // distinctAcc wraps another accumulator, forwarding only multiplicity

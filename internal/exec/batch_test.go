@@ -3,9 +3,9 @@ package exec
 // White-box property tests for the PushBatch fast path: delivering the same
 // event sequence to an operator chain in ANY re-chunking of PushBatch calls —
 // including size-1 batches, which pushBatch routes through the per-event
-// Push — must produce byte-identical collector output. The partitioned
-// driver's internal round size (the other axis that decides how runs
-// coalesce into batches) must be equally invisible.
+// Push — must produce byte-identical collector output. The number of events
+// per Pipeline.Feed call (the other axis that decides how runs coalesce into
+// batches) must be equally invisible.
 
 import (
 	"math/rand"
@@ -27,7 +27,6 @@ var (
 	_ batchSink = (*projectOp)(nil)
 	_ batchSink = (*windowOp)(nil)
 	_ batchSink = (*aggOp)(nil)
-	_ batchSink = (*partialAggOp)(nil)
 	_ batchSink = (*Collector)(nil)
 )
 
@@ -170,11 +169,10 @@ func TestPushBatchRechunkEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionedRoundSizeInvariance: the partitioned driver's round size
-// decides how consecutive-seq runs coalesce into worker batch dispatches; the
-// merged output must be byte-identical to the serial pipeline at every round
-// size, for both the hash-routed (keyed aggregate) and block round-robin
-// (stateless chain) paths.
+// TestPartitionedRoundSizeInvariance: the number of events handed to each
+// Pipeline.Feed call decides how consecutive-seq runs coalesce into batch
+// dispatches; the drained output must be byte-identical to the one-shot Run
+// at every round size, for the keyed aggregate and the stateless chain.
 func TestPartitionedRoundSizeInvariance(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -187,28 +185,36 @@ func TestPartitionedRoundSizeInvariance(t *testing.T) {
 	for _, shape := range shapes {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			sources := []Source{{Name: "s", Log: evs}}
 			serial, err := Compile(shape.pq(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := serial.Run(sources, types.MaxTime)
+			ref, err := serial.Run([]Source{{Name: "s", Log: evs}}, types.MaxTime)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := tvr.FormatStreamTable(ref.Schema, ref.StreamRows())
 			for _, rs := range []int{1, 7, 8192} {
-				pp, err := CompilePartitioned(shape.pq(t), 3)
+				p, err := Compile(shape.pq(t))
 				if err != nil {
 					t.Fatal(err)
 				}
-				pp.round = rs
-				res, err := pp.Run(sources, types.MaxTime)
-				if err != nil {
+				if err := p.Start(); err != nil {
 					t.Fatal(err)
 				}
-				if got := tvr.FormatStreamTable(res.Schema, res.StreamRows()); got != want {
-					t.Fatalf("round=%d diverges from serial:\ngot:\n%s\nwant:\n%s", rs, got, want)
+				var out tvr.Changelog
+				for off := 0; off < len(evs); off += rs {
+					if err := p.Feed([]Source{{Name: "s", Log: evs[off:min(off+rs, len(evs))]}}); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, p.Drain()...)
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, p.Drain()...)
+				if got := tvr.FormatStreamTable(ref.Schema, tvr.RenderStream(out, ref.EmitKeyIdxs)); got != want {
+					t.Fatalf("round=%d diverges from one-shot Run:\ngot:\n%s\nwant:\n%s", rs, got, want)
 				}
 			}
 		})

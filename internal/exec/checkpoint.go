@@ -11,7 +11,7 @@ import (
 	"repro/internal/types"
 )
 
-// This file implements durable checkpoint/restore for both drivers: every
+// This file implements durable checkpoint/restore for the pipeline: every
 // stateful operator serializes its state through the versioned
 // internal/checkpoint encoding, and a pipeline compiled from the same plan
 // can be re-hydrated to exactly the point the checkpoint was taken — the
@@ -36,8 +36,7 @@ import (
 // checkpoint and are part of the restored downstream state.
 //
 // Checkpoints are only taken at quiescent points — between Feed/Advance
-// calls, with no partial round in flight — which both drivers' lifecycle
-// guarantees (Feed and Advance fully sync before returning).
+// calls — which the pipeline lifecycle guarantees.
 
 // stateSaver is implemented by operators with checkpointable state.
 type stateSaver interface {
@@ -45,31 +44,21 @@ type stateSaver interface {
 	LoadState(dec *checkpoint.Decoder) error
 }
 
-// Driver-kind tags in the checkpoint stream.
-const (
-	driverKindSerial      = "serial"
-	driverKindPartitioned = "partitioned"
-)
+// driverKindSerial tags a pipeline's state in the checkpoint stream.
+const driverKindSerial = "serial"
 
 // SaveDriver writes a driver's full state (embeddable: the caller owns the
-// stream header and trailer). The driver must be started, unclosed, and
-// quiescent.
+// stream header and trailer). The driver must be a started, unclosed
+// pipeline.
 func SaveDriver(enc *checkpoint.Encoder, d Driver) error {
-	enc.Section("exec.Driver")
-	switch x := d.(type) {
-	case *Pipeline:
-		enc.String(driverKindSerial)
-		if err := x.saveState(enc); err != nil {
-			return err
-		}
-	case *PartitionedPipeline:
-		enc.String(driverKindPartitioned)
-		enc.Int(x.parts)
-		if err := x.saveState(enc); err != nil {
-			return err
-		}
-	default:
+	p, ok := d.(*Pipeline)
+	if !ok {
 		return fmt.Errorf("exec: cannot checkpoint driver of type %T", d)
+	}
+	enc.Section("exec.Driver")
+	enc.String(driverKindSerial)
+	if err := p.saveState(enc); err != nil {
+		return err
 	}
 	return enc.Err()
 }
@@ -78,7 +67,7 @@ func SaveDriver(enc *checkpoint.Encoder, d Driver) error {
 // driver state into it. The returned driver is already started (Open is not
 // re-run: open-time emissions happened before the checkpoint) and resumes
 // accepting Feed/Advance exactly where the checkpointed one stopped.
-func LoadDriver(dec *checkpoint.Decoder, pq *plan.PlannedQuery) (Driver, error) {
+func LoadDriver(dec *checkpoint.Decoder, pq *plan.PlannedQuery) (*Pipeline, error) {
 	if err := dec.Expect("exec.Driver"); err != nil {
 		return nil, err
 	}
@@ -97,27 +86,16 @@ func LoadDriver(dec *checkpoint.Decoder, pq *plan.PlannedQuery) (Driver, error) 
 		}
 		p.opened = true
 		return p, nil
-	case driverKindPartitioned:
-		parts := dec.Int()
-		if err := dec.Err(); err != nil {
-			return nil, err
-		}
-		pp, err := CompilePartitioned(pq, parts)
-		if err != nil {
-			return nil, err
-		}
-		if err := pp.loadState(dec); err != nil {
-			return nil, err
-		}
-		pp.opened = true
-		pp.launchWorkers()
-		return pp, nil
+	case "partitioned":
+		// Written by the key-partitioned executor, which no longer exists:
+		// its state has no pipeline to go into.
+		return nil, fmt.Errorf("exec: checkpoint holds a partitioned pipeline, and partitioned execution was removed; the snapshot cannot be restored")
 	default:
 		return nil, fmt.Errorf("exec: unknown driver kind %q in checkpoint", kind)
 	}
 }
 
-// Checkpoint writes a standalone checkpoint stream for the serial pipeline.
+// Checkpoint writes a standalone checkpoint stream for the pipeline.
 func (p *Pipeline) Checkpoint(w io.Writer) error {
 	enc := checkpoint.NewEncoder(w)
 	if err := SaveDriver(enc, p); err != nil {
@@ -126,65 +104,26 @@ func (p *Pipeline) Checkpoint(w io.Writer) error {
 	return enc.Close()
 }
 
-// CompileFromCheckpoint compiles pq and restores a serial pipeline from a
+// CompileFromCheckpoint compiles pq and restores a pipeline from a
 // standalone checkpoint stream written by Checkpoint.
 func CompileFromCheckpoint(pq *plan.PlannedQuery, r io.Reader) (*Pipeline, error) {
-	d, err := restoreDriver(pq, r)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := d.(*Pipeline)
-	if !ok {
-		return nil, fmt.Errorf("exec: checkpoint holds a %T, not a serial pipeline", d)
-	}
-	return p, nil
-}
-
-// Checkpoint writes a standalone checkpoint stream for the partitioned
-// pipeline.
-func (pp *PartitionedPipeline) Checkpoint(w io.Writer) error {
-	enc := checkpoint.NewEncoder(w)
-	if err := SaveDriver(enc, pp); err != nil {
-		return err
-	}
-	return enc.Close()
-}
-
-// CompilePartitionedFromCheckpoint compiles pq and restores a partitioned
-// pipeline from a standalone checkpoint stream. The partition count is read
-// from the stream, so the restored pipeline routes exactly as the
-// checkpointed one did.
-func CompilePartitionedFromCheckpoint(pq *plan.PlannedQuery, r io.Reader) (*PartitionedPipeline, error) {
-	d, err := restoreDriver(pq, r)
-	if err != nil {
-		return nil, err
-	}
-	pp, ok := d.(*PartitionedPipeline)
-	if !ok {
-		return nil, fmt.Errorf("exec: checkpoint holds a %T, not a partitioned pipeline", d)
-	}
-	return pp, nil
-}
-
-// restoreDriver reads one standalone checkpoint stream.
-func restoreDriver(pq *plan.PlannedQuery, r io.Reader) (Driver, error) {
 	dec, err := checkpoint.NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	d, err := LoadDriver(dec, pq)
+	p, err := LoadDriver(dec, pq)
 	if err != nil {
 		return nil, err
 	}
 	if err := dec.Close(); err != nil {
 		return nil, err
 	}
-	return d, nil
+	return p, nil
 }
 
 // ---- pipeline-level save/load ----
 
-// saveState writes the serial pipeline's operator states in build order.
+// saveState writes the pipeline's operator states in build order.
 func (p *Pipeline) saveState(enc *checkpoint.Encoder) error {
 	if !p.opened || p.closed {
 		return fmt.Errorf("exec: can only checkpoint a started, unclosed pipeline")
@@ -200,81 +139,6 @@ func (p *Pipeline) loadState(dec *checkpoint.Decoder) error {
 		return err
 	}
 	return loadOps(dec, p.allOps)
-}
-
-// saveState writes the partitioned pipeline's state: the delivery-sequence
-// counter, per-port watermark/heartbeat merge state, the serial tail, and
-// all N partition chains.
-func (pp *PartitionedPipeline) saveState(enc *checkpoint.Encoder) error {
-	switch {
-	case !pp.opened || pp.closed:
-		return fmt.Errorf("exec: can only checkpoint a started, unclosed pipeline")
-	case pp.failed != nil:
-		return fmt.Errorf("exec: cannot checkpoint a failed pipeline: %w", pp.failed)
-	case pp.fallback != nil:
-		return fmt.Errorf("exec: cannot checkpoint after a one-shot Run")
-	case pp.pending != 0 || pp.inflight != nil:
-		return fmt.Errorf("exec: internal: checkpoint of a non-quiescent pipeline")
-	}
-	enc.Section("exec.PartitionedPipeline")
-	enc.Varint(int64(pp.seq))
-	enc.Uvarint(uint64(len(pp.ports)))
-	for i := range pp.ports {
-		ps := &pp.ports[i]
-		ps.wmMerge.SaveState(enc)
-		enc.Time(ps.wmPtime)
-		enc.Int(ps.wmSeq)
-		enc.Bool(ps.hasHB)
-		enc.Time(ps.lastHB)
-	}
-	enc.Section("exec.tail")
-	saveOps(enc, pp.tailOps)
-	for i, c := range pp.chains {
-		enc.Section(fmt.Sprintf("exec.chain%d", i))
-		saveOps(enc, c.pipe.allOps)
-	}
-	return enc.Err()
-}
-
-// loadState restores into a freshly compiled partitioned pipeline (same plan,
-// same partition count).
-func (pp *PartitionedPipeline) loadState(dec *checkpoint.Decoder) error {
-	if err := dec.Expect("exec.PartitionedPipeline"); err != nil {
-		return err
-	}
-	pp.seq = int(dec.Varint())
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != len(pp.ports) {
-		return fmt.Errorf("exec: checkpoint has %d exchange ports, plan has %d", n, len(pp.ports))
-	}
-	for i := range pp.ports {
-		ps := &pp.ports[i]
-		if err := ps.wmMerge.LoadState(dec); err != nil {
-			return err
-		}
-		ps.wmPtime = dec.Time()
-		ps.wmSeq = dec.Int()
-		ps.hasHB = dec.Bool()
-		ps.lastHB = dec.Time()
-	}
-	if err := dec.Expect("exec.tail"); err != nil {
-		return err
-	}
-	if err := loadOps(dec, pp.tailOps); err != nil {
-		return err
-	}
-	for i, c := range pp.chains {
-		if err := dec.Expect(fmt.Sprintf("exec.chain%d", i)); err != nil {
-			return err
-		}
-		if err := loadOps(dec, c.pipe.allOps); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
 }
 
 // saveOps writes each operator's state framed by a section naming its
@@ -656,20 +520,14 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 // that predate eviction hold closed groups as tombstones, which LoadState
 // reads past and discards.
 
-// saveAggCommon serializes the group bookkeeping shared by all three
-// aggregate stages: watermark, late/freed counters, and the open-group count.
-func saveAggCommon(enc *checkpoint.Encoder, wm types.Time, lateDrop, freed, groups int) {
-	enc.Time(wm)
-	enc.Int(lateDrop)
-	enc.Int(freed)
-	enc.Uvarint(uint64(groups))
-}
-
-// SaveState implements stateSaver: every open group in first-seen order with
-// its key row, live-row count, accumulator states, and last emitted output
-// row.
+// SaveState implements stateSaver: the watermark, late/freed counters, and
+// every open group in first-seen order with its key row, live-row count,
+// accumulator states, and last emitted output row.
 func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, a.wm, a.lateDrop, a.idx.freed, len(a.groups))
+	enc.Time(a.wm)
+	enc.Int(a.lateDrop)
+	enc.Int(a.idx.freed)
+	enc.Uvarint(uint64(len(a.groups)))
 	for _, g := range firstSeen(a.groups, func(g *aggGroup) int { return g.seq }) {
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
@@ -716,103 +574,6 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 		gk := keyRow.Key()
 		a.groups[gk] = g
 		g.seq = a.idx.add(gk, g, keyRow)
-	}
-	return dec.Err()
-}
-
-// SaveState implements stateSaver for the per-partition half of a two-stage
-// aggregate.
-func (p *partialAggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, p.wm, p.lateDrop, p.idx.freed, len(p.groups))
-	for _, g := range firstSeen(p.groups, func(g *partialGroup) int { return g.seq }) {
-		enc.Row(g.keyRow)
-		enc.Int(g.n)
-		enc.Bool(false) // closed
-		for _, acc := range g.accs {
-			saveAcc(enc, acc)
-		}
-	}
-}
-
-// LoadState implements stateSaver.
-func (p *partialAggOp) LoadState(dec *checkpoint.Decoder) error {
-	p.wm = dec.Time()
-	p.lateDrop = dec.Int()
-	p.idx.freed = dec.Int()
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		keyRow := dec.Row()
-		gn := dec.Int()
-		closed := dec.Bool()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if closed {
-			continue
-		}
-		g := &partialGroup{keyRow: keyRow, n: gn}
-		g.accs = make([]accumulator, len(p.aggs))
-		for ci, call := range p.aggs {
-			g.accs[ci] = newAccumulator(call)
-			if err := loadAcc(dec, g.accs[ci]); err != nil {
-				return err
-			}
-		}
-		gk := keyRow.Key()
-		p.groups[gk] = g
-		g.seq = p.idx.add(gk, g, keyRow)
-	}
-	return dec.Err()
-}
-
-// SaveState implements stateSaver for the serial-tail half of a two-stage
-// aggregate: per group, the latest state snapshot received from each
-// partition plus the merged output row.
-func (f *finalAggOp) SaveState(enc *checkpoint.Encoder) {
-	saveAggCommon(enc, f.wm, f.lateDrop, f.idx.freed, len(f.groups))
-	for _, g := range firstSeen(f.groups, func(g *finalGroup) int { return g.seq }) {
-		enc.Row(g.keyRow)
-		enc.Bool(false) // closed
-		enc.Row(g.outRow)
-		for _, snap := range g.snaps {
-			enc.Row(snap)
-		}
-	}
-}
-
-// LoadState implements stateSaver.
-func (f *finalAggOp) LoadState(dec *checkpoint.Decoder) error {
-	// A global final aggregate's Open already created its one group;
-	// restore replaces it.
-	f.idx.reset()
-	f.wm = dec.Time()
-	f.lateDrop = dec.Int()
-	f.idx.freed = dec.Int()
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	f.groups = make(map[string]*finalGroup, checkpoint.CapHint(uint64(n)))
-	for i := 0; i < n; i++ {
-		keyRow := dec.Row()
-		closed := dec.Bool()
-		outRow := dec.Row()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if closed {
-			continue
-		}
-		g := &finalGroup{keyRow: keyRow, outRow: outRow, snaps: make([]types.Row, f.parts)}
-		for pi := range g.snaps {
-			g.snaps[pi] = dec.Row()
-		}
-		gk := keyRow.Key()
-		f.groups[gk] = g
-		g.seq = f.idx.add(gk, g, keyRow)
 	}
 	return dec.Err()
 }

@@ -90,30 +90,19 @@ GROUP BY TB.wstart, TB.wend`},
 }
 
 // goldenBytes produces the canonical checkpoint for one case.
-func goldenBytes(t *testing.T, e *core.Engine, sql string, parts int) []byte {
+func goldenBytes(t *testing.T, e *core.Engine, sql string) []byte {
 	t.Helper()
 	pq := planSQL(t, e, sql)
-	sources := execSourcesFor(t, e, pq.Root)
-	d := compileDriver(t, pq, parts)
-	if pp, ok := d.(*exec.PartitionedPipeline); ok {
-		defer pp.Abandon()
-	}
+	d := compileDriver(t, pq)
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Feed(sources); err != nil {
+	if err := d.Feed(execSourcesFor(t, e, pq.Root)); err != nil {
 		t.Fatal(err)
 	}
 	d.Drain()
 	var buf bytes.Buffer
-	var err error
-	switch x := d.(type) {
-	case *exec.Pipeline:
-		err = x.Checkpoint(&buf)
-	case *exec.PartitionedPipeline:
-		err = x.Checkpoint(&buf)
-	}
-	if err != nil {
+	if err := d.Checkpoint(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	return buf.Bytes()
@@ -154,28 +143,50 @@ func checkGolden(t *testing.T, name string, data []byte) {
 	}
 }
 
-// TestCheckpointGolden pins the serial checkpoint encoding per operator
-// family, plus one partitioned two-stage pipeline (ports + chains framing).
+// readFixture decodes a committed golden file back into checkpoint bytes.
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	dump, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointGolden pins the checkpoint encoding per operator family. The
+// partitioned_two_stage fixture was written by the key-partitioned executor;
+// restoring it must fail with an error naming the removal, never panic or
+// hand back a half-restored pipeline.
 func TestCheckpointGolden(t *testing.T) {
 	e := goldenEngine(t)
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			checkGolden(t, c.name, goldenBytes(t, e, c.sql, 1))
+			checkGolden(t, c.name, goldenBytes(t, e, c.sql))
 		})
 	}
 	t.Run("partitioned_two_stage", func(t *testing.T) {
-		sql := `
+		pq := planSQL(t, e, `
 SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c, SUM(TB.v) s
 FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
-GROUP BY TB.wstart, TB.wend`
-		checkGolden(t, "partitioned_two_stage", goldenBytes(t, e, sql, 2))
+GROUP BY TB.wstart, TB.wend`)
+		p, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(readFixture(t, "partitioned_two_stage")))
+		if err == nil || !strings.Contains(err.Error(), "partitioned execution was removed") {
+			t.Fatalf("restoring a partitioned checkpoint = %v, want the removal error", err)
+		}
+		if p != nil {
+			t.Fatal("a refused restore handed back a pipeline")
+		}
 	})
 	// Restorability: every golden file must still load into a freshly
 	// compiled pipeline (the format is not just stable but live).
 	for _, c := range goldenCases() {
 		pq := planSQL(t, e, c.sql)
-		data := goldenBytes(t, e, c.sql, 1)
+		data := goldenBytes(t, e, c.sql)
 		if _, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(data)); err != nil {
 			t.Errorf("%s: golden checkpoint no longer restores: %v", c.name, err)
 		}
@@ -315,15 +326,8 @@ func TestCheckpointPreCollectorGolden(t *testing.T) {
 func continueFromFixture(t *testing.T, fixture string, e *core.Engine, sql string, more tvr.Changelog) (exec.Stats, []string) {
 	t.Helper()
 	pq := planSQL(t, e, sql)
-	dump, err := os.ReadFile(filepath.Join("testdata", fixture+".golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now := goldenBytes(t, e, sql, 1); len(old) <= len(now) {
+	old := readFixture(t, fixture)
+	if now := goldenBytes(t, e, sql); len(old) <= len(now) {
 		t.Fatalf("fixture is %d bytes, today's checkpoint of the same state %d: the fixture should carry state today's does not", len(old), len(now))
 	}
 	restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(old))
@@ -331,7 +335,7 @@ func continueFromFixture(t *testing.T, fixture string, e *core.Engine, sql strin
 		t.Fatalf("%s no longer restores: %v", fixture, err)
 	}
 
-	uninterrupted := compileDriver(t, pq, 1)
+	uninterrupted := compileDriver(t, pq)
 	if err := uninterrupted.Start(); err != nil {
 		t.Fatal(err)
 	}

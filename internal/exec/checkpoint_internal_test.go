@@ -372,82 +372,6 @@ func TestAggOpWatermarkRoundTrip(t *testing.T) {
 		})
 }
 
-// twoStageAggNode is aggNode without the DISTINCT call (DISTINCT aggregates
-// have no partial/final form — plan.twoStageEligible keeps them serial).
-func twoStageAggNode() *plan.Aggregate {
-	node := aggNode(false)
-	node.Aggs = node.Aggs[:len(node.Aggs)-1]
-	node.Sch = types.NewSchema(node.Sch.Cols[:len(node.Sch.Cols)-1]...)
-	return node
-}
-
-func TestPartialAggOpRoundTrip(t *testing.T) {
-	node := twoStageAggNode()
-	opRoundTrip(t, "partial-agg",
-		func(out sink) stateSaver {
-			p, err := newPartialAggOp(node, out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
-		[]tvr.Event{tvr.InsertEvent(1, ints(1, 10)), tvr.InsertEvent(2, ints(2, 7))},
-		[]tvr.Event{tvr.DeleteEvent(3, ints(1, 10)), tvr.InsertEvent(4, ints(2, 9))})
-}
-
-func TestFinalAggOpRoundTrip(t *testing.T) {
-	node := twoStageAggNode()
-	// Build matching partials to produce genuine snapshot rows.
-	mkSnap := func(part int, evs ...tvr.Event) []tvr.Event {
-		sink := &memSink{}
-		p, err := newPartialAggOp(node, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range evs {
-			if err := p.Push(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sink.evs
-	}
-	snapsP0 := mkSnap(0, tvr.InsertEvent(1, ints(1, 10)), tvr.InsertEvent(2, ints(1, 30)))
-	snapsP1 := mkSnap(1, tvr.InsertEvent(3, ints(1, 5)))
-
-	origOut := &memSink{}
-	a := newFinalAggOp(node, 2, origOut)
-	if err := a.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PushPartial(0, snapsP0[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PushPartial(1, snapsP1[0]); err != nil {
-		t.Fatal(err)
-	}
-	restoredOut := &memSink{}
-	b := newFinalAggOp(node, 2, restoredOut)
-	// NOTE: restore path never calls Open — LoadState replaces the groups.
-	saverRoundTrip(t, a, b)
-	mark := len(origOut.evs)
-	for _, f := range []*finalAggOp{a, b} {
-		if err := f.PushPartial(0, snapsP0[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Push(tvr.WatermarkEvent(5, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gotA := origOut.render()[mark:]
-	gotB := restoredOut.render()
-	if fmt.Sprint(gotA) != fmt.Sprint(gotB) {
-		t.Fatalf("suffix emissions differ:\noriginal: %v\nrestored: %v", gotA, gotB)
-	}
-	if !bytes.Equal(encodeState(t, a), encodeState(t, b)) {
-		t.Fatal("final states diverge")
-	}
-}
-
 // wmSchema is an output schema with one windowed event-time column, so the
 // EMIT operators group by it.
 func wmSchema() *types.Schema {

@@ -1,12 +1,11 @@
 package exec_test
 
-// The checkpoint/restore invariant, property-tested serial and partitioned:
-// for random Feed splits of the source changelogs, checkpointing the
-// pipeline at a split boundary, discarding it, and restoring a fresh
-// pipeline from the checkpoint yields byte-identical output to the
-// uninterrupted run — at EVERY split boundary, including mid-window, with
-// armed EMIT AFTER DELAY timers, partially-complete groups, and in-flight
-// join state.
+// The checkpoint/restore invariant, property-tested: for random Feed splits
+// of the source changelogs, checkpointing the pipeline at a split boundary,
+// discarding it, and restoring a fresh pipeline from the checkpoint yields
+// byte-identical output to the uninterrupted run — at EVERY split boundary,
+// including mid-window, with armed EMIT AFTER DELAY timers,
+// partially-complete groups, and in-flight join state.
 
 import (
 	"bytes"
@@ -21,48 +20,29 @@ import (
 	"repro/internal/types"
 )
 
-// checkpointRoundTrip snapshots d, rebuilds a driver from the snapshot, and
-// returns it along with the encoded size. The original driver is NOT closed:
-// discarding it mid-flight is exactly the crash the checkpoint protects
-// against (its goroutines, if any, are shut down to keep tests leak-free).
-func checkpointRoundTrip(t *testing.T, d exec.Driver, pq *plan.PlannedQuery) exec.Driver {
+// checkpointRoundTrip snapshots p and returns a pipeline rebuilt from the
+// snapshot. The original pipeline is NOT closed: discarding it mid-flight is
+// exactly the crash the checkpoint protects against.
+func checkpointRoundTrip(t *testing.T, p *exec.Pipeline, pq *plan.PlannedQuery) *exec.Pipeline {
 	t.Helper()
 	var buf bytes.Buffer
-	switch x := d.(type) {
-	case *exec.Pipeline:
-		if err := x.Checkpoint(&buf); err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
-		restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		return restored
-	case *exec.PartitionedPipeline:
-		if err := x.Checkpoint(&buf); err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
-		restored, err := exec.CompilePartitionedFromCheckpoint(pq, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		// Release the abandoned pipeline's worker goroutines; a real crash
-		// would take the whole process with it.
-		x.Abandon()
-		return restored
-	default:
-		t.Fatalf("unknown driver type %T", d)
-		return nil
+	if err := p.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
+	restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return restored
 }
 
 // feedWithRestores drives the incremental lifecycle like feedInBatches, but
 // after every batch boundary the pipeline is checkpointed, thrown away, and
 // replaced by a restore — the process-restart-at-every-split-point property.
 // It returns the concatenation of all Drain calls across the restarts.
-func feedWithRestores(t *testing.T, pq *plan.PlannedQuery, parts int, sources []exec.Source, cuts []types.Time, upTo types.Time) tvr.Changelog {
+func feedWithRestores(t *testing.T, pq *plan.PlannedQuery, sources []exec.Source, cuts []types.Time, upTo types.Time) tvr.Changelog {
 	t.Helper()
-	d := compileDriver(t, pq, parts)
+	d := compileDriver(t, pq)
 	if err := d.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -103,10 +83,10 @@ func feedWithRestores(t *testing.T, pq *plan.PlannedQuery, parts int, sources []
 	return append(drained, d.Drain()...)
 }
 
-// TestCheckpointRestoreEquivalence: for every query shape, both executors,
-// and several random cut sets, restoring from a checkpoint at every split
-// boundary produces the same drained output sequence — and so the same
-// stream and table renderings — as the uninterrupted one-shot Run.
+// TestCheckpointRestoreEquivalence: for every query shape and several random
+// cut sets, restoring from a checkpoint at every split boundary produces the
+// same drained output sequence — and so the same stream and table renderings
+// — as the uninterrupted one-shot Run.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	e := lifecycleEngine(t)
 	for _, q := range lifecycleQueries() {
@@ -119,53 +99,45 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			if len(pts) > 2 {
 				horizons = append(horizons, pts[len(pts)/2])
 			}
-			for _, parts := range []int{1, 3} {
-				parts := parts
-				t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-					if strings.HasPrefix(q.name, "short-window") {
-						// These queries are here for restores onto mostly
-						// evicted state: halfway through the input, closed
-						// groups must outnumber open ones.
-						d := compileDriver(t, pq, parts)
-						if err := d.Start(); err != nil {
-							t.Fatal(err)
-						}
-						if err := d.Feed(trimSources(sources, pts[len(pts)/2])); err != nil {
-							t.Fatal(err)
-						}
-						if st := d.Stats(); st.FreedGroups <= st.StateGroups {
-							t.Fatalf("halfway: %d groups evicted, %d open; want mostly evicted", st.FreedGroups, st.StateGroups)
-						}
-						if err := d.Close(); err != nil {
-							t.Fatal(err)
-						}
+			// parts=1: the whole input runs through one pipeline.
+			t.Run("parts=1", func(t *testing.T) {
+				if strings.HasPrefix(q.name, "short-window") {
+					// These queries are here for restores onto mostly evicted
+					// state: halfway through the input, closed groups must
+					// outnumber open ones.
+					d := compileDriver(t, pq)
+					if err := d.Start(); err != nil {
+						t.Fatal(err)
 					}
-					for hi, upTo := range horizons {
-						oneShot := compileDriver(t, pq, parts)
-						if pp, ok := oneShot.(*exec.PartitionedPipeline); ok {
-							pp.SetSmallInputGate(0)
-						}
-						want, err := oneShot.(interface {
-							Run([]exec.Source, types.Time) (*exec.Result, error)
-						}).Run(sources, upTo)
-						if err != nil {
-							t.Fatalf("run: %v", err)
-						}
-						rng := rand.New(rand.NewSource(int64(977 + hi)))
-						cutsets := [][]types.Time{
-							randomCuts(rng, pts, 4),
-							randomCuts(rng, pts, len(pts)/4+1),
-						}
-						if !testing.Short() {
-							cutsets = append(cutsets, pts) // restart after every distinct ptime
-						}
-						for ci, cuts := range cutsets {
-							drained := feedWithRestores(t, pq, parts, sources, cuts, upTo)
-							assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
-						}
+					if err := d.Feed(trimSources(sources, pts[len(pts)/2])); err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					if st := d.Stats(); st.FreedGroups <= st.StateGroups {
+						t.Fatalf("halfway: %d groups evicted, %d open; want mostly evicted", st.FreedGroups, st.StateGroups)
+					}
+					if err := d.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for hi, upTo := range horizons {
+					want, err := compileDriver(t, pq).Run(sources, upTo)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					rng := rand.New(rand.NewSource(int64(977 + hi)))
+					cutsets := [][]types.Time{
+						randomCuts(rng, pts, 4),
+						randomCuts(rng, pts, len(pts)/4+1),
+					}
+					if !testing.Short() {
+						cutsets = append(cutsets, pts) // restart after every distinct ptime
+					}
+					for ci, cuts := range cutsets {
+						drained := feedWithRestores(t, pq, sources, cuts, upTo)
+						assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
+					}
+				}
+			})
 		})
 	}
 }
@@ -177,7 +149,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 	for _, q := range lifecycleQueries() {
 		pq := planSQL(t, e, q.sql)
 		sources := execSourcesFor(t, e, pq.Root)
-		d := compileDriver(t, pq, 1).(*exec.Pipeline)
+		d := compileDriver(t, pq)
 		if err := d.Start(); err != nil {
 			t.Fatal(err)
 		}

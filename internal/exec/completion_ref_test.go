@@ -1,6 +1,6 @@
 package exec
 
-// Test-only reference operators: the five watermark-completing operators as
+// Test-only reference operators: the three watermark-completing operators as
 // they were before the completionIndex — every group ever created stays in
 // the map behind a dead/done tombstone, and every advancing watermark walks
 // the whole first-seen order slice probing each entry. The property test in
@@ -19,18 +19,17 @@ import (
 	"repro/internal/types"
 )
 
-// refAggGroup is the pre-eviction aggregate group for all three stages.
+// refAggGroup is the pre-eviction aggregate group.
 type refAggGroup struct {
 	keyRow types.Row
-	accs   []accumulator // serial and partial stages
-	snaps  []types.Row   // final stage
+	accs   []accumulator
 	n      int
 	outRow types.Row
 	dead   bool
 }
 
-// refGroups is the bookkeeping the three aggregate references share: the
-// map that never shrinks, the first-seen order, and the walk over it.
+// refGroups is the aggregate reference's group bookkeeping: the map that
+// never shrinks, the first-seen order, and the walk over it.
 type refGroups struct {
 	out      sink
 	evKeys   []eventKey
@@ -61,7 +60,7 @@ func (r *refGroups) control(ev tvr.Event) error {
 					continue
 				}
 				if groupComplete(r.evKeys, g.keyRow, r.wm) {
-					g.accs, g.snaps = nil, nil
+					g.accs = nil
 					g.dead = true
 					r.freed++
 				}
@@ -72,13 +71,12 @@ func (r *refGroups) control(ev tvr.Event) error {
 }
 
 // resolve finds or creates the group for keyRow; nil means the row is late —
-// its group is a tombstone, or (when lateAtCreation) it is absent and already
-// complete.
-func (r *refGroups) resolve(keyRow types.Row, lateAtCreation bool) *refAggGroup {
+// its group is a tombstone, or it is absent and already complete.
+func (r *refGroups) resolve(keyRow types.Row) *refAggGroup {
 	gk := keyRow.Key()
 	g, ok := r.groups[gk]
 	if !ok {
-		if lateAtCreation && groupComplete(r.evKeys, keyRow, r.wm) {
+		if groupComplete(r.evKeys, keyRow, r.wm) {
 			r.lateDrop++
 			return nil
 		}
@@ -93,7 +91,7 @@ func (r *refGroups) resolve(keyRow types.Row, lateAtCreation bool) *refAggGroup 
 	return g
 }
 
-// reemit is the retract/emit/suppress step of the serial and final stages.
+// reemit is the aggregate's retract/emit/suppress step.
 func (r *refGroups) reemit(g *refAggGroup, row types.Row, p types.Time) error {
 	if g.outRow != nil && row != nil && g.outRow.Equal(row) {
 		return nil
@@ -126,9 +124,9 @@ func (r *refGroups) refStats(s *Stats, rows func(*refAggGroup) int) {
 	s.FreedGroups += r.freed
 }
 
-// refAccumulate is the data path the serial and partial references share:
-// evaluate the keys, resolve the group, fold the event into its accumulators.
-// A nil group means the row was dropped as late.
+// refAccumulate is the aggregate reference's data path: evaluate the keys,
+// resolve the group, fold the event into its accumulators. A nil group means
+// the row was dropped as late.
 func (r *refGroups) refAccumulate(keys []plan.Scalar, aggs []plan.AggCall, ev tvr.Event) (*refAggGroup, error) {
 	keyRow := make(types.Row, len(keys))
 	for i, k := range keys {
@@ -138,7 +136,7 @@ func (r *refGroups) refAccumulate(keys []plan.Scalar, aggs []plan.AggCall, ev tv
 		}
 		keyRow[i] = v
 	}
-	g := r.resolve(keyRow, true)
+	g := r.resolve(keyRow)
 	if g == nil {
 		return nil, nil
 	}
@@ -172,7 +170,7 @@ func (r *refGroups) refAccumulate(keys []plan.Scalar, aggs []plan.AggCall, ev tv
 	return g, nil
 }
 
-// ---- serial aggregate ----
+// ---- aggregate ----
 
 type refAggOp struct {
 	refGroups
@@ -204,89 +202,6 @@ func (a *refAggOp) Push(ev tvr.Event) error {
 
 func (a *refAggOp) stats(s *Stats) {
 	a.refStats(s, func(g *refAggGroup) int { return g.n })
-}
-
-// ---- partial aggregate ----
-
-type refPartialAggOp struct {
-	refGroups
-	keys []plan.Scalar
-	aggs []plan.AggCall
-}
-
-func newRefPartialAggOp(x *plan.Aggregate, out sink) *refPartialAggOp {
-	return &refPartialAggOp{refGroups: newRefGroups(x, out), keys: x.Keys, aggs: x.Aggs}
-}
-
-func (p *refPartialAggOp) Push(ev tvr.Event) error {
-	if !ev.IsData() {
-		return p.control(ev)
-	}
-	g, err := p.refAccumulate(p.keys, p.aggs, ev)
-	if g == nil {
-		return err
-	}
-	row := append(g.keyRow.Clone(), types.NewInt(int64(g.n)))
-	for _, acc := range g.accs {
-		row = acc.(partialCarrier).appendPartial(row)
-	}
-	return p.out.Push(tvr.InsertEvent(ev.Ptime, row))
-}
-
-func (p *refPartialAggOp) stats(s *Stats) {
-	p.refStats(s, func(g *refAggGroup) int { return g.n })
-}
-
-// ---- final aggregate ----
-
-// refFinalAggOp borrows a production finalAggOp for the per-call merge
-// arithmetic (combine, liveRows), which is not under test.
-type refFinalAggOp struct {
-	refGroups
-	merge *finalAggOp
-}
-
-func newRefFinalAggOp(x *plan.Aggregate, parts int, out sink) *refFinalAggOp {
-	return &refFinalAggOp{refGroups: newRefGroups(x, out), merge: newFinalAggOp(x, parts, nil)}
-}
-
-func (f *refFinalAggOp) Push(ev tvr.Event) error {
-	if !ev.IsData() {
-		return f.control(ev)
-	}
-	return fmt.Errorf("exec: internal: final aggregate received a data event without partition origin")
-}
-
-func (f *refFinalAggOp) PushPartial(part int, ev tvr.Event) error {
-	// The pre-change final stage opened a group for any absent key, complete
-	// or not (partials had already dropped late input).
-	g := f.resolve(ev.Row[:f.merge.nKeys], false)
-	if g == nil {
-		return nil
-	}
-	if g.snaps == nil {
-		g.snaps = make([]types.Row, f.merge.parts)
-	}
-	g.snaps[part] = ev.Row[f.merge.nKeys:]
-	merged := &finalGroup{keyRow: g.keyRow, snaps: g.snaps}
-	var row types.Row
-	if merged.liveRows() > 0 {
-		row = g.keyRow.Clone()
-		for ci := range f.merge.aggs {
-			v, err := f.merge.combine(ci, merged)
-			if err != nil {
-				return err
-			}
-			row = append(row, v)
-		}
-	}
-	return f.reemit(g, row, ev.Ptime)
-}
-
-func (f *refFinalAggOp) stats(s *Stats) {
-	f.refStats(s, func(g *refAggGroup) int {
-		return int((&finalGroup{snaps: g.snaps}).liveRows())
-	})
 }
 
 // ---- EMIT AFTER WATERMARK ----

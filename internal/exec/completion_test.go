@@ -2,7 +2,7 @@ package exec
 
 // Tests for watermark completion through the completionIndex: the index's
 // own contract (first-seen order out, O(closing) work in), and the property
-// that each of the five operators built on it behaves byte-for-byte like its
+// that each of the three operators built on it behaves byte-for-byte like its
 // walk-every-group reference (completion_ref_test.go) while holding no
 // closed group.
 
@@ -97,7 +97,7 @@ func TestCompletionIndexTouchesOnlyClosingGroups(t *testing.T) {
 	}
 }
 
-// ---- the five operators against their walk-everything references ----
+// ---- the three operators against their walk-everything references ----
 
 // completionSchema is the row shape every operator in the property test
 // sees: a plain key, two event-time keys (one with a completion offset, so a
@@ -111,8 +111,8 @@ func completionSchema() *types.Schema {
 	)
 }
 
-// completionAggNode groups completionSchema rows by (k, t1, t2) with every
-// mergeable accumulator (so the same node serves all three aggregate stages).
+// completionAggNode groups completionSchema rows by (k, t1, t2) with COUNT(*),
+// SUM, AVG, MIN and MAX over v.
 func completionAggNode() *plan.Aggregate {
 	in := completionSchema()
 	arg := &plan.ColRef{Idx: 3, K: types.KindInt64}
@@ -216,7 +216,7 @@ func finishBoth(op, ref sink) func() (error, error) {
 	return func() (error, error) { return op.Finish(), ref.Finish() }
 }
 
-func completionCases(t *testing.T) []func() *completionCase {
+func completionCases() []func() *completionCase {
 	node := completionAggNode()
 	sch := completionSchema()
 	mk := func(name string) *completionCase {
@@ -239,66 +239,6 @@ func completionCases(t *testing.T) []func() *completionCase {
 			op, ref := newAggOp(node, c.out), newRefAggOp(node, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return len(op.groups) }
-			return c
-		},
-		func() *completionCase {
-			c := mk("partial-agg")
-			op, err := newPartialAggOp(node, c.out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefPartialAggOp(node, c.exp)
-			c.op, c.ref = op, ref
-			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return len(op.groups) }
-			return c
-		},
-		func() *completionCase {
-			// The final stage takes its data from real partial stages (one
-			// per partition, routed by k) that never see a watermark, so
-			// rows for closed groups do reach it. Rows for a complete group
-			// the final stage has never seen are withheld: the reference
-			// would open a group for them where the serial aggregate drops
-			// them, and the exchange cannot deliver one (a partition's
-			// watermark is never behind the merged one).
-			const parts = 2
-			c := mk("final-agg")
-			op, ref := newFinalAggOp(node, parts, c.out), newRefFinalAggOp(node, parts, c.exp)
-			c.op, c.ref = op, ref
-			partials := make([]*partialAggOp, parts)
-			snaps := make([]*memSink, parts)
-			for i := range partials {
-				snaps[i] = &memSink{}
-				p, err := newPartialAggOp(node, snaps[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				partials[i] = p
-			}
-			seen := map[string]bool{}
-			wm := types.MinTime
-			c.push = func(ev tvr.Event) (error, error) {
-				if !ev.IsData() {
-					if ev.Kind == tvr.Watermark && ev.Wm > wm {
-						wm = ev.Wm
-					}
-					return op.Push(ev), ref.Push(ev)
-				}
-				keyRow := ev.Row[:3]
-				if !seen[keyRow.Key()] && groupComplete(op.idx.keys, keyRow, wm) {
-					return nil, nil
-				}
-				seen[keyRow.Key()] = true
-				part := int(ev.Row[0].Int()) % parts
-				snaps[part].evs = snaps[part].evs[:0]
-				if err := partials[part].Push(ev); err != nil {
-					return err, err
-				}
-				snap := snaps[part].evs[0]
-				return op.PushPartial(part, snap), ref.PushPartial(part, snap)
-			}
-			c.finish = finishBoth(op, ref)
 			c.groups = func() int { return len(op.groups) }
 			return c
 		},
@@ -330,7 +270,7 @@ func TestWatermarkCompletionMatchesWalk(t *testing.T) {
 	if testing.Short() {
 		logs = 10
 	}
-	for _, mk := range completionCases(t) {
+	for _, mk := range completionCases() {
 		name := mk().name
 		t.Run(name, func(t *testing.T) {
 			freed := 0

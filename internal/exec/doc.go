@@ -10,6 +10,17 @@
 // same channels and drive group completion, state cleanup, and the EMIT
 // materialization operators.
 //
+// One driver, Pipeline, runs every one-shot query and every standing query.
+//
+// # Adding an operator
+//
+// A new operator implements sink, and batchSink when batching pays (see
+// pushBatch for the equivalence a batch must keep); a stateful one also
+// implements SaveState/LoadState (the contract is in checkpoint.go) and, if
+// its state is keyed by event-time columns, registers its groups with a
+// completionIndex so a watermark closes and evicts them. Pipeline.build wires
+// it to its plan node. Nothing else changes.
+//
 // # Output: who holds it, who renders it
 //
 // A pipeline's output is held once, by whoever asked for it. The Collector

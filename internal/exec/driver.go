@@ -7,8 +7,9 @@ import (
 	"repro/internal/types"
 )
 
-// Driver is the incremental execution lifecycle shared by the serial and
-// key-partitioned pipelines. A driver is compiled once and then kept
+// Driver is the incremental execution lifecycle a standing query runs on.
+// Pipeline is its implementation; the interface lets the standing-query
+// layer's tests substitute a fake. A driver is compiled once and then kept
 // resident: Start opens the operators, Feed pushes batches of new source
 // events through the same deterministic k-way ptime merge the one-shot Run
 // uses, Advance moves the processing-time clock (firing EMIT AFTER DELAY
@@ -45,14 +46,11 @@ type Driver interface {
 	DispatchStats() (dispatches, events int64)
 }
 
-var (
-	_ Driver = (*Pipeline)(nil)
-	_ Driver = (*PartitionedPipeline)(nil)
-)
+var _ Driver = (*Pipeline)(nil)
 
 // forEachMergedRuns merges the batch's per-source changelogs into one
 // ptime-ordered delivery sequence — ties broken by scan registration order,
-// the same tie-break both drivers' one-shot Run uses — and invokes deliver
+// the same tie-break the one-shot Run uses — and invokes deliver
 // once per maximal run of consecutive events drawn from the same cursor.
 // Concatenating the delivered runs reproduces the per-event merge order
 // exactly; the run grouping only changes the dispatch shape, letting callers

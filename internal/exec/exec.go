@@ -64,21 +64,6 @@ type statser interface {
 	stats(*Stats)
 }
 
-// Execution-path labels reported in Stats.Path.
-const (
-	// PathSerial is the ordinary serial pipeline.
-	PathSerial = "serial"
-	// PathParallel is the key-partitioned pipeline with single-stage
-	// operators.
-	PathParallel = "parallel"
-	// PathParallelTwoStage is the key-partitioned pipeline with at least
-	// one partial/final aggregate pair.
-	PathParallelTwoStage = "parallel-two-stage"
-	// PathSerialSmallInput is the serial pipeline chosen by the
-	// partitioned driver's small-input cost gate.
-	PathSerialSmallInput = "serial-small-input"
-)
-
 // Stats aggregates observability counters across a pipeline, the raw
 // material for the paper's state-size and update-volume experiments.
 type Stats struct {
@@ -95,14 +80,6 @@ type Stats struct {
 	FreedGroups int
 	// OutputEvents counts data events emitted by the pipeline root.
 	OutputEvents int
-	// Partitions is the number of parallel operator chains the query ran
-	// on (1 for the serial pipeline).
-	Partitions int
-	// TwoStage reports whether the plan used partial/final aggregation.
-	TwoStage bool
-	// Path identifies which execution path ran (see the Path* constants),
-	// including the partitioned driver's small-input serial fallback.
-	Path string
 	// Dispatches counts scan deliveries (batched or single) made by the
 	// driver, and DispatchedEvents the events they carried; their ratio is
 	// the average batch size reaching the operators. Neither is part of
@@ -126,27 +103,12 @@ type Pipeline struct {
 	collector *Collector
 	scans     map[string][]*scanOp // lower-cased source name -> scan operators
 	scanOrder []string             // deterministic source ordering
-	scanBind  []scanBinding        // scan operator -> plan node, in build order
 	allOps    []sink               // in build (parent-before-child) order
 	opened    bool
 	closed    bool
 
 	dispatches       int64 // scan deliveries (batched or single)
 	dispatchedEvents int64 // events carried by those deliveries
-
-	// cutHook, when set, intercepts plan nodes at the partitioned
-	// pipeline's exchange frontier: the tail builder uses it to stop the
-	// serial segment at each cut and record the sink the cut subtree's
-	// merged stream must feed. Returning handled=true skips building the
-	// node's subtree.
-	cutHook func(n plan.Node, out sink) (handled bool, err error)
-}
-
-// scanBinding ties a compiled scan operator back to its plan node, so the
-// partitioned driver can look up per-scan routing keys.
-type scanBinding struct {
-	node *plan.Scan
-	op   *scanOp
 }
 
 // Source provides the recorded changelog of one named relation.
@@ -155,34 +117,22 @@ type Source struct {
 	Log  tvr.Changelog
 }
 
-// buildTail constructs the materialization tail shared by the serial and
-// partitioned pipelines: the collector, wrapped by the query's EMIT
-// materialization-control operators. It returns the operators (collector
-// first) and the topmost sink the plan root should feed. Keeping this in one
-// place is what guarantees the two execution paths materialize identically.
-func buildTail(pq *plan.PlannedQuery) (collector *Collector, ops []sink, top sink) {
-	collector = newCollector(pq)
-	ops = append(ops, collector)
-	top = collector
-	switch {
-	case pq.Emit.AfterWatermark && pq.Emit.Delay == nil:
-		e := newEmitAfterWatermark(pq.Root.Schema(), top)
-		ops = append(ops, e)
-		top = e
-	case pq.Emit.Delay != nil:
-		e := newEmitAfterDelay(pq.Root.Schema(), *pq.Emit.Delay, pq.Emit.AfterWatermark, top)
-		ops = append(ops, e)
-		top = e
-	}
-	return collector, ops, top
-}
-
-// Compile builds a pipeline for the planned query.
+// Compile builds a pipeline for the planned query: the collector, wrapped by
+// the query's EMIT materialization-control operator (if any), fed by the
+// operator tree of the plan.
 func Compile(pq *plan.PlannedQuery) (*Pipeline, error) {
 	p := &Pipeline{scans: make(map[string][]*scanOp)}
-	collector, tailOps, top := buildTail(pq)
-	p.collector = collector
-	p.allOps = append(p.allOps, tailOps...)
+	p.collector = newCollector(pq)
+	p.allOps = append(p.allOps, p.collector)
+	var top sink = p.collector
+	switch {
+	case pq.Emit.AfterWatermark && pq.Emit.Delay == nil:
+		top = newEmitAfterWatermark(pq.Root.Schema(), top)
+		p.allOps = append(p.allOps, top)
+	case pq.Emit.Delay != nil:
+		top = newEmitAfterDelay(pq.Root.Schema(), *pq.Emit.Delay, pq.Emit.AfterWatermark, top)
+		p.allOps = append(p.allOps, top)
+	}
 	if err := p.build(pq.Root, top); err != nil {
 		return nil, err
 	}
@@ -209,17 +159,11 @@ func lowered(s string) string {
 
 // build wires the operator for n so that its output flows into out.
 func (p *Pipeline) build(n plan.Node, out sink) error {
-	if p.cutHook != nil {
-		if handled, err := p.cutHook(n, out); handled || err != nil {
-			return err
-		}
-	}
 	switch x := n.(type) {
 	case *plan.Scan:
 		s := &scanOp{out: out, asOf: x.AsOf, bounded: !x.Stream}
 		p.allOps = append(p.allOps, s)
 		p.addScan(x.Name, s)
-		p.scanBind = append(p.scanBind, scanBinding{node: x, op: s})
 		return nil
 	case *plan.Values:
 		v := &valuesOp{out: out, rows: x.Rows}
@@ -342,7 +286,7 @@ func (p *Pipeline) feed(batch []Source, upTo types.Time, requireAll bool) error 
 			p.dispatchedEvents += int64(len(evs))
 			return pushBatch(scans[0], evs)
 		}
-		// Several scan operators read this source (a self-join): the serial
+		// Several scan operators read this source (a self-join): the delivery
 		// order interleaves the scans per event, so a whole-run dispatch to
 		// one scan at a time would reorder deliveries. Fall back to the
 		// per-event path.
@@ -416,8 +360,6 @@ func (p *Pipeline) Stats() Stats {
 			s.stats(&st)
 		}
 	}
-	st.Partitions = 1
-	st.Path = PathSerial
 	st.Dispatches = p.dispatches
 	st.DispatchedEvents = p.dispatchedEvents
 	if st.Dispatches > 0 {

@@ -320,9 +320,6 @@ func TestStatsStateTracking(t *testing.T) {
 	if st.OutputEvents != 1 {
 		t.Errorf("OutputEvents = %d, want 1", st.OutputEvents)
 	}
-	if st.Partitions != 1 {
-		t.Errorf("Partitions = %d, want 1", st.Partitions)
-	}
 	if got := fmt.Sprintf("%d", st.StateGroups); got != "0" {
 		t.Errorf("StateGroups = %s, want 0", got)
 	}

@@ -1,7 +1,6 @@
 package exec
 
-// Micro-benchmarks guarding the hot-path allocation work: routing-key
-// hashing must not materialize a per-delivery string, and the keyed
+// Micro-benchmarks guarding the hot-path allocation work: the keyed
 // aggregate-group lookup must stay allocation-free for existing groups.
 // Run with -benchmem; the wins show up as 0 allocs/op on the lookup paths.
 
@@ -29,31 +28,6 @@ func benchScanPlan() *plan.PlannedQuery {
 			types.Column{Name: "n", Kind: types.KindInt64},
 		),
 	}}
-}
-
-// BenchmarkRouteHash measures the per-delivery partition routing: FNV-1a over
-// the key columns encoded into the pipeline's reusable scratch buffer.
-func BenchmarkRouteHash(b *testing.B) {
-	pp, err := CompilePartitioned(benchScanPlan(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]types.Row, 64)
-	for i := range rows {
-		rows[i] = types.Row{
-			types.NewInt(int64(i * 7)),
-			types.NewInt(int64(i)),
-			types.NewString("abcdefgh"),
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		d := delivery{seq: i, ev: tvr.InsertEvent(types.Time(i), rows[i%len(rows)])}
-		sink += pp.route(d)
-	}
-	_ = sink
 }
 
 // BenchmarkAggGroupUpdate measures the aggregate operator's keyed group

@@ -2,12 +2,10 @@ package exec_test
 
 // Property tests for the incremental Start/Feed/Advance/Close lifecycle: any
 // split of the source changelogs into Feed batches along the ptime axis must
-// produce byte-identical output to a single one-shot Run — on both the
-// serial and the key-partitioned pipelines. This is the invariant the
-// standing-query subsystem (internal/live) relies on.
+// produce byte-identical output to a single one-shot Run. This is the
+// invariant the standing-query subsystem (internal/live) relies on.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -104,19 +102,9 @@ func splitPoints(sources []exec.Source) []types.Time {
 	return pts
 }
 
-// compileDriver builds the serial or partitioned pipeline for pq.
-func compileDriver(t *testing.T, pq *plan.PlannedQuery, parts int) exec.Driver {
+// compileDriver builds the pipeline for pq.
+func compileDriver(t *testing.T, pq *plan.PlannedQuery) *exec.Pipeline {
 	t.Helper()
-	if parts > 1 {
-		pp, err := exec.CompilePartitioned(pq, parts)
-		if err != nil {
-			if errors.Is(err, exec.ErrNotPartitionable) {
-				t.Skipf("not partitionable: %v", err)
-			}
-			t.Fatalf("compile partitioned: %v", err)
-		}
-		return pp
-	}
 	pipe, err := exec.Compile(pq)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -209,25 +197,21 @@ SELECT TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice
 FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
             dur => INTERVAL '10' SECONDS) TB
 GROUP BY TB.wstart, TB.wend`
-	// Grouping by the scan-backed auction column keeps the plan
-	// hash-partitionable, so the parts>1 variants run on the partitioned
-	// pipeline instead of skipping.
+	// Grouping by the auction column as well as the window.
 	keyedMax := `
 SELECT TB.auction auction, TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice
 FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
             dur => INTERVAL '10' SECONDS) TB
 GROUP BY TB.auction, TB.wstart, TB.wend`
-	// Grouping only by the window columns forces the two-stage
-	// (partial/final) path under parts>1: per-partition partial MAX/COUNT/
-	// AVG states merged by a final aggregate in the serial tail.
+	// Grouping only by the window columns, with MAX, COUNT and AVG.
 	twoStage := `
 SELECT TB.wstart wstart, TB.wend wend,
        MAX(TB.price) maxPrice, COUNT(*) bids, AVG(TB.price) avgPrice
 FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
             dur => INTERVAL '10' SECONDS) TB
 GROUP BY TB.wend, TB.wstart`
-	// An aggregate re-keying the join routing exercises two-stage above a
-	// hash-constrained (rather than full-row-hashed) partitioned subtree.
+	// An aggregate re-keying a join's output by a column that is not the
+	// join key.
 	twoStageRekey := `
 SELECT W.seller seller, AVG(W.price) avgPrice, MIN(W.price) minPrice
 FROM (SELECT P.id id, P.name seller, B.price price
@@ -236,9 +220,8 @@ GROUP BY W.seller`
 	// One-second windows over the ~70 s dataset: at any split point past the
 	// first few seconds most groups ever created have already been closed by
 	// the watermark and evicted (TestCheckpointRestoreEquivalence asserts it),
-	// so restores land on state that is mostly *absent* — keyed (single-stage
-	// under parts>1) and window-only (two-stage), with both watermark-closing
-	// EMIT flavors.
+	// so restores land on state that is mostly *absent* — keyed and
+	// window-only, with both watermark-closing EMIT flavors.
 	shortKeyed := `
 SELECT TB.auction auction, TB.wstart wstart, TB.wend wend, MAX(TB.price) maxPrice
 FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
@@ -270,10 +253,10 @@ GROUP BY TB.wend, TB.wstart`
 	}
 }
 
-// TestFeedSplitEquivalence: for every query and both executors, feeding the
-// recorded changelogs in one-event-deep ptime batches, in randomly cut
-// batches, and in one big batch all produce byte-identical results to the
-// one-shot Run — over the full input and truncated at a finite horizon.
+// TestFeedSplitEquivalence: for every query, feeding the recorded changelogs
+// in one-event-deep ptime batches, in randomly cut batches, and in one big
+// batch all produce byte-identical results to the one-shot Run — over the
+// full input and truncated at a finite horizon.
 func TestFeedSplitEquivalence(t *testing.T) {
 	e := lifecycleEngine(t)
 	for _, q := range lifecycleQueries() {
@@ -286,36 +269,26 @@ func TestFeedSplitEquivalence(t *testing.T) {
 			if len(pts) > 2 {
 				horizons = append(horizons, pts[len(pts)/2])
 			}
-			for _, parts := range []int{1, 3} {
-				parts := parts
-				t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-					for hi, upTo := range horizons {
-						oneShot := compileDriver(t, pq, parts)
-						var want *exec.Result
-						{
-							res, err := oneShot.(interface {
-								Run([]exec.Source, types.Time) (*exec.Result, error)
-							}).Run(sources, upTo)
-							if err != nil {
-								t.Fatalf("run: %v", err)
-							}
-							want = res
-						}
-						rng := rand.New(rand.NewSource(int64(42 + hi)))
-						cutsets := [][]types.Time{
-							pts, // finest valid split: one ptime per batch
-							nil, // single batch
-							randomCuts(rng, pts, 5),
-							randomCuts(rng, pts, len(pts)/3+1),
-						}
-						for ci, cuts := range cutsets {
-							d := compileDriver(t, pq, parts)
-							drained := feedInBatches(t, d, sources, cuts, upTo)
-							assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
-						}
+			// parts=1: the whole input runs through one pipeline.
+			t.Run("parts=1", func(t *testing.T) {
+				for hi, upTo := range horizons {
+					want, err := compileDriver(t, pq).Run(sources, upTo)
+					if err != nil {
+						t.Fatalf("run: %v", err)
 					}
-				})
-			}
+					rng := rand.New(rand.NewSource(int64(42 + hi)))
+					cutsets := [][]types.Time{
+						pts, // finest valid split: one ptime per batch
+						nil, // single batch
+						randomCuts(rng, pts, 5),
+						randomCuts(rng, pts, len(pts)/3+1),
+					}
+					for ci, cuts := range cutsets {
+						drained := feedInBatches(t, compileDriver(t, pq), sources, cuts, upTo)
+						assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
+					}
+				}
+			})
 		})
 	}
 }
@@ -351,7 +324,7 @@ func TestBatchDispatchStats(t *testing.T) {
 		total += len(s.Log)
 	}
 	feed := func(cuts []types.Time) exec.Stats {
-		d := compileDriver(t, pq, 1)
+		d := compileDriver(t, pq)
 		feedInBatches(t, d, sources, cuts, types.MaxTime)
 		return d.Stats()
 	}

@@ -5,11 +5,10 @@ import (
 	"runtime/debug"
 )
 
-// PanicError is a panic caught at an isolation boundary — a partition
-// worker goroutine here, or a standing-query session in internal/live —
-// and converted into an ordinary error so one misbehaving operator fails
-// its own query instead of the process. The original panic value and stack
-// ride along for diagnosis.
+// PanicError is a panic caught at an isolation boundary — a standing-query
+// session or a shard worker in internal/live — and converted into an
+// ordinary error so one misbehaving operator fails its own query instead of
+// the process. The original panic value and stack ride along for diagnosis.
 type PanicError struct {
 	Value any
 	Stack []byte

@@ -1,9 +1,9 @@
 package exec
 
-// White-box tests for the partition-worker panic boundary: a panicking
-// operator inside one partition's round must surface as a *PanicError on
-// the round's error path — failing that query — instead of unwinding the
-// worker goroutine and killing the process.
+// White-box tests for the panic-to-error conversion the isolation
+// boundaries in internal/live use: a recovered panic must become a
+// *PanicError carrying its value and stack, failing one query instead of
+// the process.
 
 import (
 	"errors"
@@ -28,23 +28,5 @@ func TestCapturePanic(t *testing.T) {
 	}
 	if !strings.Contains(perr.Error(), "panic: boom") {
 		t.Fatalf("Error() = %q", perr.Error())
-	}
-}
-
-// TestDrainRoundCapturesPanic drives a round through a chain whose state
-// is broken (nil tag sink — the kind of invariant violation an operator
-// bug produces) and requires the panic back as an ordinary error.
-func TestDrainRoundCapturesPanic(t *testing.T) {
-	defer func() {
-		if v := recover(); v != nil {
-			t.Fatalf("panic escaped drainRound: %v", v)
-		}
-	}()
-	c := &partChain{tag: &tagSink{}} // scanOps empty: any delivery panics
-	var buf []taggedEvent
-	err := c.drainRound([]delivery{{scan: 0}}, &buf)
-	var perr *PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("drainRound = %v (%T), want *PanicError", err, err)
 	}
 }

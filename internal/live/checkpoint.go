@@ -110,7 +110,6 @@ func restoreSession(dec *checkpoint.Decoder, restore RestoreDriver) (*Session, e
 		driver:     d,
 		renderer:   tvr.NewStreamRenderer(cfg.EmitKeys),
 		sources:    make(map[string]bool, len(cfg.Sources)),
-		partitions: d.Stats().Partitions,
 		produced:   produced,
 		noRetain:   noRetain,
 		overflowed: overflowed,

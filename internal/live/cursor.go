@@ -83,7 +83,6 @@ func (c *cursor) stats() Stats {
 		RowsOut:     c.rowsOut.Load(),
 		Watermark:   types.Time(s.wm.Load()),
 		QueueDepth:  len(c.deltas),
-		Partitions:  s.partitions,
 		PipelineID:  int(s.id.Load()),
 		Subscribers: int(s.nsubs.Load()),
 		Shard:       s.shardIndex(),

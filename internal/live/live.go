@@ -7,8 +7,7 @@
 // and stream renderings as equal citizens. The engine's one-shot query paths
 // (core.QueryTable / core.QueryStream) replay a recorded changelog through a
 // freshly compiled pipeline; package live supplies the third mode of
-// consumption: a Session wraps an exec.Driver (serial or key-partitioned)
-// started once, feeds it every subsequent ingested change through the same
+// consumption: a Session wraps an exec.Driver started once, feeds it every subsequent ingested change through the same
 // deterministic merge the replay path uses, and delivers the incremental
 // output — stream-rendered deltas or consolidated table diffs — to its
 // subscribers. Because the driver lifecycle guarantees that incremental
@@ -20,8 +19,7 @@
 // consumers watch it, so sessions are shared: a Session is the resident
 // pipeline, and any number of subscriber cursors attach to it, each with its
 // own bounded delta channel, slow-consumer policy, and stats (Attach). The
-// Manager keys resident sessions by plan (normalized SQL, mode, partitions)
-// so identical subscriptions reuse one pipeline; a cursor that attaches
+// Manager keys resident sessions by plan (normalized SQL, mode) so identical subscriptions reuse one pipeline; a cursor that attaches
 // after the pipeline has already produced output receives a snapshot
 // hand-off first — the table rendering as one consolidated initial diff, or
 // the stream rendering re-rendered from the retained output changelog so it
@@ -200,7 +198,7 @@ func consolidate(out tvr.Changelog) *TableDiff {
 }
 
 // Stats is a point-in-time snapshot of a subscription's counters. EventsIn,
-// Watermark, Partitions, PipelineID, and Subscribers describe the shared
+// Watermark, PipelineID, and Subscribers describe the shared
 // resident pipeline; DeltasOut, RowsOut, and QueueDepth are this
 // subscriber's own cursor.
 type Stats struct {
@@ -215,8 +213,6 @@ type Stats struct {
 	Watermark types.Time
 	// QueueDepth is the number of deltas waiting in the channel.
 	QueueDepth int
-	// Partitions is the parallelism of the standing pipeline (1 = serial).
-	Partitions int
 	// PipelineID identifies the resident pipeline; subscriptions sharing
 	// a plan report the same id.
 	PipelineID int

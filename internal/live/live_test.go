@@ -71,7 +71,7 @@ func (d *echoDriver) Drain() tvr.Changelog {
 }
 
 func (d *echoDriver) OutputWatermark() types.Time   { return d.wm }
-func (d *echoDriver) Stats() exec.Stats             { return exec.Stats{Partitions: 1} }
+func (d *echoDriver) Stats() exec.Stats             { return exec.Stats{} }
 func (d *echoDriver) DispatchStats() (int64, int64) { return 0, 0 }
 
 func testSchema() *types.Schema {
@@ -905,8 +905,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 
 // TestRegisterFailureCancelsSession: a registration whose history snapshot
 // fails must cancel the already-started session instead of stranding its
-// driver (bugfix: failed-subscribe leak). The driver-level proof with real
-// partitioned worker goroutines lives in core's live tests.
+// driver (bugfix: failed-subscribe leak).
 func TestRegisterFailureCancelsSession(t *testing.T) {
 	m := live.NewManager()
 	d := &echoDriver{}

@@ -193,8 +193,7 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 // and its batch is replayed through the session before registration; the
 // session is then caught up to the latest broadcast processing time. The
 // session's teardown hook is set to unregister it. On any error the session
-// is canceled, so its started driver (and a partitioned pipeline's worker
-// goroutines) cannot leak.
+// is canceled, so its started driver cannot leak.
 func (m *Manager) Register(sess *Session, history func() ([]exec.Source, error)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -308,7 +307,7 @@ func (m *Manager) refreshLocked() {
 // happens under the ordering lock; the deliveries themselves run on the
 // committing goroutine in serial mode or on the shard workers otherwise.
 // Each session receives the whole batch in one delivery (one delta per
-// attached cursor, one partitioned round) rather than per-event. A session
+// attached cursor) rather than per-event. A session
 // that refuses the batch (canceled, every cursor dropped, or failed) is
 // removed from the routing table; its subscribers learn why from
 // Subscription.Err.

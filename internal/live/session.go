@@ -56,11 +56,10 @@ type Config struct {
 // exerts backpressure. Lock order: ingestMu before mu; neither is held while
 // acquiring the manager lock (runTeardown).
 type Session struct {
-	cfg        Config
-	driver     exec.Driver
-	renderer   *tvr.StreamRenderer
-	sources    map[string]bool
-	partitions int
+	cfg      Config
+	driver   exec.Driver
+	renderer *tvr.StreamRenderer
+	sources  map[string]bool
 
 	// ingestMu serializes driver access and keeps deliveries in order.
 	ingestMu sync.Mutex
@@ -120,11 +119,10 @@ func NewSession(d exec.Driver, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		cfg:        cfg,
-		driver:     d,
-		renderer:   tvr.NewStreamRenderer(cfg.EmitKeys),
-		sources:    make(map[string]bool, len(cfg.Sources)),
-		partitions: d.Stats().Partitions,
+		cfg:      cfg,
+		driver:   d,
+		renderer: tvr.NewStreamRenderer(cfg.EmitKeys),
+		sources:  make(map[string]bool, len(cfg.Sources)),
 	}
 	s.parkCond = sync.NewCond(&s.mu)
 	s.shard.Store(-1)
@@ -302,8 +300,7 @@ func (s *Session) removeCursorLocked(c *cursor) {
 
 // closeSessionLocked ends the session: the terminal error is recorded, every
 // remaining cursor is dropped with it, and the driver is completed (errors
-// irrelevant on a failing session) so a partitioned pipeline's worker
-// goroutines are released. Callers hold s.mu AND ingestMu (driver access),
+// irrelevant on a failing session). Callers hold s.mu AND ingestMu (driver access),
 // with no cursor parked. Cursor-detach-path callers must run runTeardown
 // afterwards, without holding any lock; the ingest path instead returns the
 // error to the manager, which removes the session itself.
@@ -376,8 +373,8 @@ func (s *Session) noteDispatches() {
 }
 
 // feedDriver and advanceDriver are the operator panic boundary: a panic in
-// a standing pipeline (serial operators run on the ingesting goroutine;
-// the partitioned tail runs inside Feed) becomes this session's terminal
+// a standing pipeline (its operators run on the ingesting goroutine or a
+// shard worker) becomes this session's terminal
 // error — subscribers observe it through Err() with the panic value and
 // stack — instead of unwinding the committing goroutine or a shard worker
 // and killing the process. The driver holds only this session's state, so

@@ -20,9 +20,8 @@ import (
 	"repro/internal/types"
 )
 
-// liveBenchSQL is the serving benchmark's standing query: the per-auction
-// windowed rollup (hash-partitionable, watermark-driven EMIT) that the batch
-// harness also measures, so the two records are comparable.
+// liveBenchSQL is the serving benchmark's standing query: a per-auction
+// windowed rollup with watermark-driven EMIT.
 const liveBenchSQL = `
 SELECT auction, wstart, wend, MAX(price) maxPrice
 FROM Tumble(
@@ -33,7 +32,7 @@ GROUP BY auction, wstart, wend
 EMIT STREAM AFTER WATERMARK`
 
 // liveSubscribe opens the benchmark subscription on a Bid-only engine.
-func liveSubscribe(t testing.TB, mode live.Mode, parts, buffer int) (*core.Engine, *live.Subscription) {
+func liveSubscribe(t testing.TB, mode live.Mode, buffer int) (*core.Engine, *live.Subscription) {
 	t.Helper()
 	e := core.NewEngine()
 	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
@@ -41,7 +40,7 @@ func liveSubscribe(t testing.TB, mode live.Mode, parts, buffer int) (*core.Engin
 	}
 	var sub *live.Subscription
 	var err error
-	opts := core.SubscribeOptions{Parts: parts, Buffer: buffer}
+	opts := core.SubscribeOptions{Buffer: buffer}
 	if mode == live.Table {
 		sub, err = e.SubscribeTable(liveBenchSQL, opts)
 	} else {
@@ -57,9 +56,9 @@ func liveSubscribe(t testing.TB, mode live.Mode, parts, buffer int) (*core.Engin
 // measures throughput and per-delta latency. The consumer is inline and
 // non-blocking (drain after every ingest), so latency is the full
 // ingest->pipeline->delivery path as a synchronous server would see it.
-func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode, parts int) bench.LiveResult {
+func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode) bench.LiveResult {
 	t.Helper()
-	e, sub := liveSubscribe(t, mode, parts, len(bids)+16)
+	e, sub := liveSubscribe(t, mode, len(bids)+16)
 	st0 := sub.Stats()
 
 	var latencies []int64
@@ -107,7 +106,6 @@ func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode, parts int) be
 	return bench.LiveResult{
 		Query:        "Per-auction windowed max (EMIT AFTER WATERMARK)",
 		Mode:         mode.String(),
-		Partitions:   st.Partitions,
 		Subscribers:  1,
 		Shared:       true,
 		Events:       len(bids),
@@ -191,7 +189,6 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int, shared bool) ben
 	res := bench.LiveResult{
 		Query:       "Per-auction windowed max, K-subscriber fan-out",
 		Mode:        live.Stream.String(),
-		Partitions:  subs[0].Stats().Partitions,
 		Subscribers: k,
 		Shared:      shared,
 		Events:      len(bids),
@@ -282,7 +279,6 @@ func measureMultiQuery(t testing.TB, bids tvr.Changelog, shards, procs, queries 
 	res := bench.LiveResult{
 		Query:       "Disjoint windowed maxes, aggregate ingest",
 		Mode:        live.Stream.String(),
-		Partitions:  1,
 		Subscribers: queries,
 		Shared:      false,
 		Shards:      shards,
@@ -318,20 +314,13 @@ func TestLiveBench(t *testing.T) {
 	g := Generate(GeneratorConfig{Seed: 42, NumEvents: n, MaxOutOfOrderness: 2 * types.Second})
 	rec := bench.NewLive("nexmark-live", testing.Short() || raceEnabled)
 	logRes := func(res bench.LiveResult) {
-		t.Logf("%s parts=%d subs=%d shared=%v: %d events, %d deltas, %.0f events/s, p50=%s p99=%s",
-			res.Mode, res.Partitions, res.Subscribers, res.Shared, res.Events, res.Deltas,
+		t.Logf("%s subs=%d shared=%v: %d events, %d deltas, %.0f events/s, p50=%s p99=%s",
+			res.Mode, res.Subscribers, res.Shared, res.Events, res.Deltas,
 			float64(res.Events)/(float64(res.IngestNs)/1e9),
 			time.Duration(res.LatencyP50Ns), time.Duration(res.LatencyP99Ns))
 	}
-	for _, cfg := range []struct {
-		mode  live.Mode
-		parts int
-	}{
-		{live.Stream, 1},
-		{live.Stream, 4},
-		{live.Table, 1},
-	} {
-		res := measureLive(t, g.Bids, cfg.mode, cfg.parts)
+	for _, mode := range []live.Mode{live.Stream, live.Table} {
+		res := measureLive(t, g.Bids, mode)
 		rec.Add(res)
 		logRes(res)
 	}

@@ -3,8 +3,7 @@
 package nexmark
 
 // raceEnabled reports that the race detector is instrumenting this build.
-// The bench harness runs at reduced scale under -race: instrumentation slows
-// the goroutine-crossing path by an order of magnitude, the speedup bar never
-// arms there anyway (see TestNexmarkBench), and full scale belongs to `make
-// bench-full`.
+// The bench harnesses run at reduced scale under -race: instrumentation slows
+// them by an order of magnitude, their wall-clock bars never arm there, and
+// full scale belongs to `make bench-live` / `make bench-recovery`.
 const raceEnabled = true

@@ -15,6 +15,7 @@ package nexmark
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -27,9 +28,9 @@ import (
 
 // measureRecovery builds one loaded engine (subscription + full ingested
 // history), then times checkpoint, restore, and replay-rebuild.
-func measureRecovery(t *testing.T, g *Generated, parts, runs int) bench.RecoveryResult {
+func measureRecovery(t *testing.T, g *Generated, runs int) bench.RecoveryResult {
 	t.Helper()
-	opts := core.SubscribeOptions{Parts: parts, Buffer: 16}
+	opts := core.SubscribeOptions{Buffer: 16}
 
 	// The serving engine whose durability we measure.
 	e := core.NewEngine()
@@ -65,8 +66,8 @@ func measureRecovery(t *testing.T, g *Generated, parts, runs int) bench.Recovery
 	}
 
 	// Restore path: fresh engine from the checkpoint bytes. The restored
-	// engines (and their resident pipelines' worker goroutines) are torn
-	// down outside the timed region by attaching and canceling a cursor.
+	// engines' resident pipelines are torn down outside the timed region by
+	// attaching and canceling a cursor.
 	var restoredEngines []*core.Engine
 	restoreNs, err := bench.MedianNs(runs, func() error {
 		restored := core.NewEngine()
@@ -102,7 +103,7 @@ func measureRecovery(t *testing.T, g *Generated, parts, runs int) bench.Recovery
 	}
 	replayNs, err := bench.MedianNs(runs, func() error {
 		s, err := replayEngine.SubscribeStream(liveBenchSQL, core.SubscribeOptions{
-			Parts: parts, Buffer: 16, Exclusive: true, // dedicated pipeline per run
+			Buffer: 16, Exclusive: true, // dedicated pipeline per run
 		})
 		if err != nil {
 			return err
@@ -114,11 +115,9 @@ func measureRecovery(t *testing.T, g *Generated, parts, runs int) bench.Recovery
 		t.Fatal(err)
 	}
 
-	st := sub.Stats()
 	return bench.RecoveryResult{
 		Query:           "Per-auction windowed max (EMIT AFTER WATERMARK)",
 		Mode:            live.Stream.String(),
-		Partitions:      st.Partitions,
 		Events:          len(g.Bids),
 		CheckpointBytes: int64(ckpt.Len()),
 		CheckpointNs:    ckptNs,
@@ -140,7 +139,7 @@ func measureDurability(t *testing.T, g *Generated, history, delta, batch int) be
 	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Parts: 1, Buffer: 16})
+	sub, err := e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,6 @@ func measureDurability(t *testing.T, g *Generated, history, delta, batch int) be
 	return bench.RecoveryResult{
 		Query:            "WAL steady-state durability (delta vs full snapshot)",
 		Mode:             live.Stream.String(),
-		Partitions:       1,
 		Events:           history,
 		DeltaEvents:      delta,
 		WalIntervalBytes: after.SyncedBytes - before.SyncedBytes,
@@ -226,23 +224,22 @@ func TestRecoveryBench(t *testing.T) {
 	}
 	rec.Recovery = nil
 
-	for _, parts := range []int{1, 4} {
-		res := measureRecovery(t, g, parts, runs)
-		rec.AddRecovery(res)
-		t.Logf("parts=%d: checkpoint %.1f KiB in %s, restore %s, full-history replay %s (%.1fx)",
-			res.Partitions, float64(res.CheckpointBytes)/1024,
-			time.Duration(res.CheckpointNs), time.Duration(res.RestoreNs),
-			time.Duration(res.ReplayNs), float64(res.ReplayNs)/float64(res.RestoreNs))
-		// The acceptance bar — restoring operator state beats replaying the
-		// whole recorded history — arms at full bench scale only: reduced
-		// short/race runs shrink the replay work (and the race detector
-		// taxes the allocation-heavy decode path) until the comparison
-		// measures instrumentation, not recovery. The committed full-scale
-		// BENCH_live.json records the real gap (~2x at 30k events).
-		if !short && res.RestoreNs >= res.ReplayNs {
-			t.Errorf("parts=%d: restore (%s) is not faster than full-history replay (%s)",
-				res.Partitions, time.Duration(res.RestoreNs), time.Duration(res.ReplayNs))
-		}
+	res := measureRecovery(t, g, runs)
+	rec.AddRecovery(res)
+	t.Logf("checkpoint %.1f KiB in %s, restore %s, full-history replay %s (%.1fx)",
+		float64(res.CheckpointBytes)/1024,
+		time.Duration(res.CheckpointNs), time.Duration(res.RestoreNs),
+		time.Duration(res.ReplayNs), float64(res.ReplayNs)/float64(res.RestoreNs))
+	// The acceptance bar — restoring operator state beats replaying the whole
+	// recorded history — is a wall-clock comparison, so like the other
+	// wall-clock bars it arms only under NEXMARK_BENCH_STRICT=1, at full bench
+	// scale: reduced short/race runs shrink the replay work (and the race
+	// detector taxes the allocation-heavy decode path) until the comparison
+	// measures instrumentation, not recovery.
+	strict := os.Getenv("NEXMARK_BENCH_STRICT") == "1"
+	if strict && !short && res.RestoreNs >= res.ReplayNs {
+		t.Errorf("restore (%s) is not faster than full-history replay (%s)",
+			time.Duration(res.RestoreNs), time.Duration(res.ReplayNs))
 	}
 	// Steady-state durability: fix the per-interval delta and grow the
 	// resident history 10x. The WAL interval cost (bytes fsynced for the
@@ -270,9 +267,9 @@ func TestRecoveryBench(t *testing.T) {
 			res.Events, res.DeltaEvents, float64(res.WalIntervalBytes)/1024,
 			res.WalIntervalSyncs, float64(res.CheckpointBytes)/1024)
 	}
-	// Arms at full scale only, like the restore-vs-replay bar above: the
-	// ratios are scale-dependent and the committed BENCH_live.json records
-	// the real ones.
+	// Byte counts are deterministic, so these checks need no
+	// NEXMARK_BENCH_STRICT; they arm at full scale only because the ratios
+	// are scale-dependent.
 	if !short {
 		small, big := durRows[0], durRows[1]
 		if big.WalIntervalBytes > 2*small.WalIntervalBytes {

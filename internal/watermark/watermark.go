@@ -37,47 +37,6 @@ func (t *Tracker) Advance(wm types.Time) bool {
 	return false
 }
 
-// MinMerger combines the watermarks of several inputs into the watermark of
-// an operator that consumes all of them (e.g. a join): the output watermark
-// is the minimum of the inputs, which "holds back" faster inputs so that all
-// event-time attributes of the output remain aligned (the multi-attribute
-// lesson in Section 5).
-type MinMerger struct {
-	inputs []types.Time
-	out    Tracker
-}
-
-// NewMinMerger creates a merger over n inputs, all initially at MinTime.
-func NewMinMerger(n int) *MinMerger {
-	ins := make([]types.Time, n)
-	for i := range ins {
-		ins[i] = types.MinTime
-	}
-	return &MinMerger{inputs: ins}
-}
-
-// Advance records a watermark for input i and returns the merged output
-// watermark together with whether it advanced.
-func (m *MinMerger) Advance(i int, wm types.Time) (types.Time, bool) {
-	if wm > m.inputs[i] {
-		m.inputs[i] = wm
-	}
-	min := m.inputs[0]
-	for _, w := range m.inputs[1:] {
-		if w < min {
-			min = w
-		}
-	}
-	if min == types.MinTime {
-		return types.MinTime, false
-	}
-	advanced := m.out.Advance(min)
-	return m.out.Current(), advanced
-}
-
-// Current returns the merged watermark.
-func (m *MinMerger) Current() types.Time { return m.out.Current() }
-
 // BoundedOutOfOrderness is the heuristic watermark generator used by the
 // NEXMark source: it trails the maximum observed event timestamp by a fixed
 // slack, asserting that events arrive at most `bound` out of order. This is

@@ -44,66 +44,6 @@ func TestQuickTrackerNeverRegresses(t *testing.T) {
 	}
 }
 
-func TestMinMergerHoldsBack(t *testing.T) {
-	m := NewMinMerger(2)
-	// Only one input has advanced: output stays at MinTime.
-	if wm, adv := m.Advance(0, types.ClockTime(9, 0)); adv || wm != types.MinTime {
-		t.Fatalf("premature advance: %v %v", wm, adv)
-	}
-	// Second input advances to 8:30: output = min = 8:30.
-	wm, adv := m.Advance(1, types.ClockTime(8, 30))
-	if !adv || wm != types.ClockTime(8, 30) {
-		t.Fatalf("merged = %v adv=%v", wm, adv)
-	}
-	// Slow input catches up: output follows the new minimum.
-	wm, adv = m.Advance(1, types.ClockTime(8, 45))
-	if !adv || wm != types.ClockTime(8, 45) {
-		t.Fatalf("merged = %v adv=%v", wm, adv)
-	}
-	// Fast input regresses (ignored) — min unchanged.
-	wm, adv = m.Advance(0, types.ClockTime(8, 0))
-	if adv || wm != types.ClockTime(8, 45) {
-		t.Fatalf("after regression: %v adv=%v", wm, adv)
-	}
-	if m.Current() != types.ClockTime(8, 45) {
-		t.Fatalf("Current = %v", m.Current())
-	}
-}
-
-func TestQuickMinMergerIsMin(t *testing.T) {
-	f := func(a, b []int64) bool {
-		m := NewMinMerger(2)
-		maxA, maxB := types.MinTime, types.MinTime
-		for i := 0; i < len(a) || i < len(b); i++ {
-			if i < len(a) {
-				v := types.Time(a[i] % 100000)
-				m.Advance(0, v)
-				if v > maxA {
-					maxA = v
-				}
-			}
-			if i < len(b) {
-				v := types.Time(b[i] % 100000)
-				m.Advance(1, v)
-				if v > maxB {
-					maxB = v
-				}
-			}
-		}
-		want := maxA
-		if maxB < want {
-			want = maxB
-		}
-		if want == types.MinTime {
-			return m.Current() == types.MinTime
-		}
-		return m.Current() == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBoundedOutOfOrderness(t *testing.T) {
 	g := NewBoundedOutOfOrderness(2 * types.Minute)
 	if g.Current() != types.MinTime {
