@@ -13,7 +13,7 @@ BENCH_COUNT ?=
 BENCH_SCALE ?=
 export BENCH_COUNT BENCH_SCALE
 
-.PHONY: all build vet test race race-shard faults batch-guard obs-guard bench bench-diff bench-live bench-recovery bench-harness verify
+.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard bench bench-diff bench-live bench-recovery bench-harness verify
 
 all: verify
 
@@ -28,6 +28,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Reachability check: every function and method must be reachable from a
+# program (cmd/*, benchmark/) or be named, with its reason, in
+# internal/tools/deadcode/allow.txt. Stdlib only; prints what it flags.
+deadcode:
+	$(GO) run ./internal/tools/deadcode
 
 # The sharded ingest subsystem under forced parallelism: the shard workers,
 # commit sequencer, and sharded-vs-serial equivalence properties race-checked
@@ -128,4 +134,4 @@ bench-diff:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-verify: vet build race race-shard faults batch-guard obs-guard bench bench-harness
+verify: vet build deadcode race race-shard faults batch-guard obs-guard bench bench-harness

@@ -341,7 +341,7 @@ func openEngine(preload int, seed int64, dataDir, walSync string, shards int, op
 }
 
 // sweepStaleCheckpointTemps removes checkpoint temp files a previous run's
-// crash mid-WriteFileAtomic left behind. They are never the live snapshot
+// crash mid-WriteFileAtomicFS left behind. They are never the live snapshot
 // (the atomic swap either renamed the temp away or abandoned it), so
 // without this they accumulate in -data-dir forever.
 func sweepStaleCheckpointTemps(dataDir string) error {

@@ -212,13 +212,15 @@ func TestMetricsAbsentWithoutRegistry(t *testing.T) {
 
 // TestServeSlowCommitLog: a commit slower than the -slow-commit threshold
 // (forced to 1ns) emits exactly one structured span-breakdown line through
-// the engine's trace logger, with per-stage durations.
+// the process logger, with per-stage durations.
 func TestServeSlowCommitLog(t *testing.T) {
 	var buf syncBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
 	engine := core.NewEngine(core.WithUnboundedGroupBy(),
 		core.WithObs(obs.NewRegistry()),
-		core.WithSlowCommit(time.Nanosecond),
-		core.WithTraceLogger(slog.New(slog.NewJSONHandler(&buf, nil))))
+		core.WithSlowCommit(time.Nanosecond))
 	defer engine.Close()
 	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()

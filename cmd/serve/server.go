@@ -338,19 +338,17 @@ func parseKind(s string) (types.Kind, error) {
 	}
 }
 
-// asInt64 extracts an integral JSON value without the float64 round-trip
-// that corrupts integers above 2^53 (ingest decodes with UseNumber, so
-// numbers arrive as json.Number).
+// asInt64 extracts an integral JSON value. Bodies decode with UseNumber, so
+// numbers arrive as json.Number and never take the float64 round-trip that
+// corrupts integers above 2^53; a fractional number is refused, not
+// truncated.
 func asInt64(v any) (int64, bool) {
-	switch n := v.(type) {
-	case json.Number:
-		i, err := n.Int64()
-		return i, err == nil
-	case float64:
-		return int64(n), true
-	default:
+	n, ok := v.(json.Number)
+	if !ok {
 		return 0, false
 	}
+	i, err := n.Int64()
+	return i, err == nil
 }
 
 // decodeRow coerces JSON values into a typed row using the relation schema.
@@ -379,18 +377,13 @@ func decodeRow(vals []any, sch *types.Schema) (types.Row, error) {
 			}
 			row[i] = types.NewInt(n)
 		case types.KindFloat64:
-			var f float64
-			switch n := v.(type) {
-			case json.Number:
-				parsed, err := n.Float64()
-				if err != nil {
-					return nil, fmt.Errorf("column %s: %w", c.Name, err)
-				}
-				f = parsed
-			case float64:
-				f = n
-			default:
+			n, ok := v.(json.Number)
+			if !ok {
 				return nil, fmt.Errorf("column %s: expected number", c.Name)
+			}
+			f, err := n.Float64()
+			if err != nil {
+				return nil, fmt.Errorf("column %s: %w", c.Name, err)
 			}
 			row[i] = types.NewFloat(f)
 		case types.KindString:
@@ -476,6 +469,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		err = s.engine.RegisterTable(req.Name, sch)
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("kind must be stream or table, got %q", req.Kind))
+		return
+	}
+	if errors.Is(err, core.ErrInvalidSchema) {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err != nil {

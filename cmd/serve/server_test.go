@@ -279,6 +279,34 @@ func TestServeIngestAtomicity(t *testing.T) {
 	}
 }
 
+// TestServeRegisterRefusesUnservableSchema: registering a schema the engine
+// cannot serve answers 400 and logs nothing.
+func TestServeRegisterRefusesUnservableSchema(t *testing.T) {
+	_, ts, _ := openServer(t, t.TempDir())
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	walSeq := func() float64 {
+		t.Helper()
+		_, hz := getJSON(t, c, ts.URL+"/v1/healthz")
+		return hz["walSeq"].(float64)
+	}
+	seq := walSeq()
+	for _, schema := range [][]columnJSON{
+		{{Name: "a", Type: "BIGINT"}, {Name: "A", Type: "VARCHAR"}},
+		{{Name: "", Type: "BIGINT"}},
+		{{Name: "t", Type: "BIGINT", EventTime: true}, {Name: "v", Type: "BIGINT"}},
+	} {
+		code, body := postJSON(t, c, ts.URL+"/v1/relations", registerJSON{Name: "D", Kind: "stream", Schema: schema})
+		if code != http.StatusBadRequest {
+			t.Errorf("register %v: status %d body %v, want 400", schema, code, body)
+		}
+	}
+	if got := walSeq(); got != seq {
+		t.Fatalf("refused registrations moved walSeq from %v to %v", seq, got)
+	}
+}
+
 // TestServeBodyLimit: a POST body over maxBodyBytes is refused with 413 and
 // an error naming the limit, and commits nothing — the WAL sequence and the
 // relation's row count are unchanged — on ingest, register and heartbeat.

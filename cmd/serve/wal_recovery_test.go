@@ -171,7 +171,7 @@ func TestServeWALDoubleCrash(t *testing.T) {
 }
 
 // TestStaleCheckpointTempSweep: temp files abandoned by a crash inside
-// WriteFileAtomic are removed at startup; unrelated files survive.
+// WriteFileAtomicFS are removed at startup; unrelated files survive.
 func TestStaleCheckpointTempSweep(t *testing.T) {
 	dir := t.TempDir()
 	stale1 := filepath.Join(dir, checkpointFileName+".tmp123456")

@@ -440,24 +440,19 @@ func (d *Decoder) Expect(name string) error {
 	return d.err
 }
 
-// WriteFileAtomic writes a checkpoint file crash-safely: the stream is
-// produced into a temp file in the same directory, synced, renamed over
-// path, and the parent directory is synced, so a crash at any point leaves
-// either the old complete checkpoint or the new one — never a torn file.
+// WriteFileAtomicFS writes a checkpoint file through fsys crash-safely: the
+// stream is produced into a temp file in the same directory, synced, renamed
+// over path, and the parent directory is synced, so a crash at any point
+// leaves either the old complete checkpoint or the new one — never a torn
+// file.
 // The directory fsync is what makes the rename itself durable: without it a
 // crash shortly after return can roll the directory entry back to the old
 // file (or to nothing, in a freshly created data dir), silently undoing a
 // checkpoint that was already reported successful. The write callback
-// receives the open Encoder; the trailer is appended after it returns.
-func WriteFileAtomic(path string, write func(*Encoder) error) (int64, error) {
-	return WriteFileAtomicFS(vfs.Default, path, write)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem
-// (fault-injection tests; vfs.Default elsewhere). On any failure the temp
-// file is removed, so an interrupted checkpoint leaves no `.tmp` litter of
-// its own — only a hard crash can, and the serve startup sweep collects
-// those.
+// receives the open Encoder; the trailer is appended after it returns. On
+// any failure the temp file is removed, so an interrupted checkpoint leaves
+// no `.tmp` litter of its own — only a hard crash can, and the serve startup
+// sweep collects those.
 func WriteFileAtomicFS(fsys vfs.FS, path string, write func(*Encoder) error) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -492,13 +487,8 @@ func WriteFileAtomicFS(fsys vfs.FS, path string, write func(*Encoder) error) (in
 	return size, nil
 }
 
-// ReadFile opens a checkpoint file, hands the Decoder to read, and verifies
-// the trailer afterwards.
-func ReadFile(path string, read func(*Decoder) error) error {
-	return ReadFileFS(vfs.Default, path, read)
-}
-
-// ReadFileFS is ReadFile through an explicit filesystem.
+// ReadFileFS opens a checkpoint file through fsys, hands the Decoder to
+// read, and verifies the trailer afterwards.
 func ReadFileFS(fsys vfs.FS, path string, read func(*Decoder) error) error {
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/types"
+	"repro/internal/vfs"
 )
 
 // TestRoundTrip encodes one of every primitive and reads it back.
@@ -188,11 +189,11 @@ func TestBadMagic(t *testing.T) {
 }
 
 // TestWriteFileAtomic: the on-disk swap leaves either the old or the new
-// complete checkpoint, and ReadFile verifies the trailer.
+// complete checkpoint, and ReadFileFS verifies the trailer.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.ckpt")
-	size, err := WriteFileAtomic(path, func(e *Encoder) error {
+	size, err := WriteFileAtomicFS(vfs.Default, path, func(e *Encoder) error {
 		e.Section("v1")
 		e.Int(1)
 		return e.Err()
@@ -204,7 +205,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("size = %d", size)
 	}
 	// Overwrite with new content; a failed write must not clobber it.
-	if _, err := WriteFileAtomic(path, func(e *Encoder) error {
+	if _, err := WriteFileAtomicFS(vfs.Default, path, func(e *Encoder) error {
 		e.Section("v2")
 		e.Int(2)
 		return e.Err()
@@ -212,7 +213,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	if err := ReadFile(path, func(d *Decoder) error {
+	if err := ReadFileFS(vfs.Default, path, func(d *Decoder) error {
 		if err := d.Expect("v2"); err != nil {
 			return err
 		}

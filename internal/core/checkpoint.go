@@ -20,7 +20,7 @@ import (
 // standing-query pipeline in one consistent stream; RestoreAll rebuilds a
 // fresh engine to exactly that commit point, with every restored pipeline
 // resuming where it stopped — no history rescan. Both run under the live
-// manager's ordering lock, the same lock every Publish commits under, so the
+// manager's ordering lock, the same lock every PublishSpan commits under, so the
 // snapshot can never observe a half-routed change.
 
 // saveAll and loadAll are the single definitions of the checkpoint stream's

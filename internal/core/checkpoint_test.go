@@ -270,7 +270,7 @@ func TestCheckpointCompletesAfterParkedDeliveryReleased(t *testing.T) {
 		defer close(ingestDone)
 		for i := 0; i < 4; i++ {
 			row := types.Row{types.NewInt(int64(i)), types.NewInt(1000), types.NewTimestamp(types.Time(i * 1000))}
-			if err := e.Insert("Bid", types.Time(i*1000), row); err != nil {
+			if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(types.Time(i*1000), row)}); err != nil {
 				return // session torn down by the cancel below
 			}
 		}
@@ -327,7 +327,7 @@ func TestRetainedOverflowDegradesLateAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := g.Bids[len(g.Bids)-1]
-	if err := e.AdvanceWatermark("Bid", last.Ptime+1, last.Ptime+types.Time(1000*types.Second)); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))}); err != nil {
 		t.Fatal(err)
 	}
 	if st := first.Stats(); st.RowsOut <= 8 {

@@ -23,20 +23,10 @@ import (
 // maps it to 503 + Retry-After).
 var ErrDegraded = errors.New("core: engine is in degraded read-only mode")
 
-// DefaultDegradeAfter is how many consecutive commit-log failures flip the
-// engine into degraded mode when WithDegradeAfter is not given. A poisoned
-// log (fsync-gate) degrades on the first failure regardless.
-const DefaultDegradeAfter = 3
-
-// WithDegradeAfter sets the consecutive WAL-failure threshold for entering
-// degraded mode. n <= 0 keeps the default.
-func WithDegradeAfter(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.degradeAfter = n
-		}
-	}
-}
+// degradeAfter is how many consecutive commit-log failures flip the engine
+// into degraded mode. A poisoned log (fsync-gate) degrades on the first
+// failure regardless.
+const degradeAfter = 3
 
 // Degraded reports the engine's degraded state: nil when healthy,
 // otherwise an error wrapping ErrDegraded with the original cause.
@@ -111,9 +101,9 @@ func (e *Engine) ClearDegraded() error {
 }
 
 // noteWALResultLocked is the degraded-mode tripwire, called with e.mu held
-// after every commit-log append. Failures count; degradeAfter consecutive
-// ones (or a single one that leaves the log poisoned — it will never
-// succeed again on its own) flip the engine into degraded mode. Any
+// after every commit-log append. Failures count; degradeAfter
+// consecutive ones (or a single one that leaves the log poisoned — it will
+// never succeed again on its own) flip the engine into degraded mode. Any
 // success resets the count.
 func (e *Engine) noteWALResultLocked(err error) {
 	if err == nil {
@@ -122,15 +112,11 @@ func (e *Engine) noteWALResultLocked(err error) {
 	}
 	e.walFails++
 	e.metrics.noteWALFailure()
-	threshold := e.degradeAfter
-	if threshold <= 0 {
-		threshold = DefaultDegradeAfter
-	}
 	poisoned := false
 	if s, ok := e.wal.(interface{ Sick() error }); ok && s.Sick() != nil {
 		poisoned = true
 	}
-	if e.degraded == nil && (poisoned || e.walFails >= threshold) {
+	if e.degraded == nil && (poisoned || e.walFails >= degradeAfter) {
 		e.degraded = err
 		e.metrics.noteDegraded(true)
 	}

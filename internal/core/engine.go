@@ -11,8 +11,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -58,20 +58,17 @@ type Engine struct {
 
 	// Degraded read-only mode (see degraded.go): degraded holds the cause
 	// when ingest is refused, walFails counts consecutive commit-log
-	// failures, degradeAfter is the trip threshold (0 = default). All
-	// guarded by mu.
-	degraded     error
-	walFails     int
-	degradeAfter int
+	// failures. Both guarded by mu.
+	degraded error
+	walFails int
 
 	// Observability (see obs.go): all nil/zero without WithObs, costing
 	// the hot paths only nil checks. tracer hands out a commit-path span
-	// per Publish/Heartbeat; slowCommit is its log threshold.
+	// per AppendLog/Heartbeat; slowCommit is its log threshold.
 	obsReg     *obs.Registry
 	metrics    *engineMetrics
 	tracer     *obs.CommitTracer
 	slowCommit time.Duration
-	traceLog   *slog.Logger
 }
 
 type relation struct {
@@ -121,7 +118,7 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	if e.obsReg != nil {
 		e.metrics = newEngineMetrics(e.obsReg)
-		e.tracer = obs.NewCommitTracer(e.obsReg, e.slowCommit, e.traceLog)
+		e.tracer = obs.NewCommitTracer(e.obsReg, e.slowCommit)
 	}
 	e.live = live.NewManagerWith(live.Options{Shards: e.shards, Obs: e.obsReg})
 	return e
@@ -140,6 +137,9 @@ func (e *Engine) Close() { e.live.Close() }
 // RegisterStream registers an unbounded relation (a stream). Columns marked
 // EventTime carry the stream's watermark.
 func (e *Engine) RegisterStream(name string, schema *types.Schema) error {
+	if err := checkSchema(name, schema); err != nil {
+		return err
+	}
 	return e.register(name, schema, true)
 }
 
@@ -147,7 +147,40 @@ func (e *Engine) RegisterStream(name string, schema *types.Schema) error {
 // time a table is considered complete: a final watermark is asserted when
 // its recorded changelog is exhausted.
 func (e *Engine) RegisterTable(name string, schema *types.Schema) error {
+	if err := checkSchema(name, schema); err != nil {
+		return err
+	}
 	return e.register(name, schema, false)
+}
+
+// ErrInvalidSchema is wrapped by every registration refused for its schema.
+var ErrInvalidSchema = errors.New("core: invalid schema")
+
+// checkSchema refuses what the engine cannot serve: a column without a name,
+// two columns whose names differ only in case (names resolve
+// case-insensitively, so the second could never be read), and an EventTime
+// flag on a column that is not TIMESTAMP (watermarks are timestamps, so such
+// a column's groups would never close). It runs before anything is logged.
+// Replaying a WAL registration skips it, so a log written before it existed
+// still replays.
+func checkSchema(name string, schema *types.Schema) error {
+	if schema == nil {
+		return nil // register refuses it
+	}
+	seen := make(map[string]bool, schema.Len())
+	for i, c := range schema.Cols {
+		key := strings.ToLower(c.Name)
+		switch {
+		case key == "":
+			return fmt.Errorf("%w: relation %q: column %d has no name", ErrInvalidSchema, name, i+1)
+		case seen[key]:
+			return fmt.Errorf("%w: relation %q: column %q repeats a column name", ErrInvalidSchema, name, c.Name)
+		case c.EventTime && c.Kind != types.KindTimestamp:
+			return fmt.Errorf("%w: relation %q: event-time column %q is %s, not TIMESTAMP", ErrInvalidSchema, name, c.Name, c.Kind)
+		}
+		seen[key] = true
+	}
+	return nil
 }
 
 func (e *Engine) register(name string, schema *types.Schema, unbounded bool) error {
@@ -184,44 +217,19 @@ func (e *Engine) register(name string, schema *types.Schema, unbounded bool) err
 	return nil
 }
 
-// Insert appends an INSERT change to the relation's changelog at ptime.
-func (e *Engine) Insert(name string, ptime types.Time, row types.Row) error {
-	return e.append(name, tvr.InsertEvent(ptime, row))
-}
-
-// Delete appends a DELETE (retraction) change at ptime.
-func (e *Engine) Delete(name string, ptime types.Time, row types.Row) error {
-	return e.append(name, tvr.DeleteEvent(ptime, row))
-}
-
-// AdvanceWatermark records a watermark observation for the relation at the
-// given processing time.
-func (e *Engine) AdvanceWatermark(name string, ptime types.Time, wm types.Time) error {
-	return e.append(name, tvr.WatermarkEvent(ptime, wm))
-}
-
 // AppendLog appends a pre-built changelog to the relation atomically: the
 // whole log is validated against the relation's current state under a single
 // lock acquisition before any event is applied, so a mid-log validation
-// error leaves the relation untouched rather than half-appended.
-func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
-	return e.publish(name, log)
-}
-
-// append records one change and routes it to matching standing queries. The
-// live manager's ordering lock brackets the commit and the fan-out, so every
-// subscription observes changes in commit order.
-func (e *Engine) append(name string, ev tvr.Event) error {
-	return e.publish(name, tvr.Changelog{ev})
-}
-
-// publish commits a changelog through the live manager's ordering lock,
-// carrying a commit-path span when tracing is enabled: validate and WAL
+// error leaves the relation untouched rather than half-appended. The commit
+// and the fan-out to matching standing queries run under the live manager's
+// ordering lock, so every subscription observes changes in commit order.
+//
+// A commit-path span is carried when tracing is enabled: validate and WAL
 // stages are timed inside applyLog, sequence/enqueue by the manager,
 // apply/render/deliver inside each session. The span finalizes — recording
 // histograms and possibly the slow-commit log line — when the last
 // participant (the publisher, or the last shard worker) releases it.
-func (e *Engine) publish(name string, log tvr.Changelog) error {
+func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
 	span := e.tracer.Begin(name, len(log))
 	err := e.live.PublishSpan(func() error { return e.applyLog(name, log, span) }, name, log, span)
 	if err == nil {
@@ -320,19 +328,6 @@ func (e *Engine) Resolve(name string) (*plan.Relation, error) {
 	return &meta, nil
 }
 
-// Log returns a copy of the relation's recorded changelog.
-func (e *Engine) Log(name string) (tvr.Changelog, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rel, ok := e.rels[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("core: relation %q not found", name)
-	}
-	out := make(tvr.Changelog, len(rel.log))
-	copy(out, rel.log)
-	return out, nil
-}
-
 // TableResult is the table rendering of a query: the output relation's rows
 // at the evaluation time, in presentation order.
 type TableResult struct {
@@ -346,39 +341,12 @@ func (r *TableResult) Format() string {
 	return tvr.FormatRelationTable(r.Schema, r.Rows)
 }
 
-// SortedBy returns a copy of the rows sorted by the given columns; the
-// listings harness uses this where the paper presents windows in order.
-func (r *TableResult) SortedBy(cols ...int) []types.Row {
-	rows := make([]types.Row, len(r.Rows))
-	copy(rows, r.Rows)
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, c := range cols {
-			a, b := rows[i][c], rows[j][c]
-			if a.IsNull() || b.IsNull() {
-				continue
-			}
-			cmp, err := a.Compare(b)
-			if err != nil || cmp == 0 {
-				continue
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return rows
-}
-
 // StreamResult is the stream rendering of a query: the changelog with
 // undo/ptime/ver metadata (Extension 4).
 type StreamResult struct {
 	Schema *types.Schema
 	Rows   []tvr.StreamRow
 	Stats  exec.Stats
-}
-
-// Format renders the stream as the paper's EMIT STREAM listings.
-func (r *StreamResult) Format() string {
-	return tvr.FormatStreamTable(r.Schema, r.Rows)
 }
 
 // QueryTable evaluates the query as a classic point-in-time table at

@@ -202,8 +202,8 @@ func TestDegradedModePersistentFsyncFault(t *testing.T) {
 
 // TestDegradedThreshold: append-safe WAL failures (here: segment rotation
 // hitting ENOSPC) do not poison the log, so the engine counts them and
-// degrades only after the configured number of CONSECUTIVE failures; a
-// success in between resets the count.
+// degrades only after DegradeAfter CONSECUTIVE failures; a success in
+// between resets the count.
 func TestDegradedThreshold(t *testing.T) {
 	dir := t.TempDir()
 	ffs := vfs.NewFault(vfs.Default)
@@ -214,7 +214,7 @@ func TestDegradedThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	e := core.NewEngine(core.WithUnboundedGroupBy(), core.WithDegradeAfter(2))
+	e := core.NewEngine(core.WithUnboundedGroupBy())
 	defer e.Close()
 	if err := e.AttachWAL(w); err != nil {
 		t.Fatal(err)
@@ -224,17 +224,19 @@ func TestDegradedThreshold(t *testing.T) {
 	}
 
 	ffs.AddFault(vfs.Fault{Op: vfs.OpCreate, Path: "wal-", Err: vfs.ErrNoSpace})
-	if err := e.AppendLog("Bid", faultBatch(0)); err == nil || errors.Is(err, core.ErrDegraded) {
-		t.Fatalf("failure 1 of 2 should refuse the commit without degrading, got %v", err)
-	}
-	if e.Degraded() != nil {
-		t.Fatal("one append-safe failure must not degrade (threshold 2)")
+	for i := 1; i < core.DegradeAfter; i++ {
+		if err := e.AppendLog("Bid", faultBatch(0)); err == nil || errors.Is(err, core.ErrDegraded) {
+			t.Fatalf("failure %d of %d should refuse the commit without degrading, got %v", i, core.DegradeAfter, err)
+		}
+		if e.Degraded() != nil {
+			t.Fatalf("%d append-safe failures must not degrade (threshold %d)", i, core.DegradeAfter)
+		}
 	}
 	if err := e.AppendLog("Bid", faultBatch(0)); err == nil {
-		t.Fatal("failure 2 of 2 must refuse the commit")
+		t.Fatal("the last failure must refuse the commit")
 	}
 	if e.Degraded() == nil {
-		t.Fatal("second consecutive failure must degrade (threshold 2)")
+		t.Fatalf("failure %d in a row must degrade", core.DegradeAfter)
 	}
 	if err := e.AppendLog("Bid", faultBatch(0)); !errors.Is(err, core.ErrDegraded) {
 		t.Fatalf("ingest while degraded = %v, want ErrDegraded", err)

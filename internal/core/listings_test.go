@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -61,6 +62,25 @@ func assertRows(t *testing.T, got []types.Row, want []string) {
 	}
 }
 
+// sortedBy returns a copy of rows sorted by the given columns, NULLs left in
+// place; the paper presents windows in order.
+func sortedBy(rows []types.Row, cols ...int) []types.Row {
+	rows = append([]types.Row(nil), rows...)
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, c := range cols {
+			a, b := rows[i][c], rows[j][c]
+			if a.IsNull() || b.IsNull() {
+				continue
+			}
+			if cmp, err := a.Compare(b); err == nil && cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	return rows
+}
+
 func renderAll(rows []types.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -93,7 +113,7 @@ func TestListing3(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The paper presents windows in wstart order.
-	assertRows(t, res.SortedBy(0), []string{
+	assertRows(t, sortedBy(res.Rows, 0), []string{
 		"8:00|8:10|8:09|5|D",
 		"8:10|8:20|8:17|6|F",
 	})
@@ -107,7 +127,7 @@ func TestListing4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(0), []string{
+	assertRows(t, sortedBy(res.Rows, 0), []string{
 		"8:00|8:10|8:05|4|C",
 		"8:10|8:20|8:11|3|B",
 	})
@@ -152,7 +172,7 @@ func TestListing6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(1), []string{
+	assertRows(t, sortedBy(res.Rows, 1), []string{
 		"8:00|8:10|11",
 		"8:10|8:20|10",
 	})
@@ -204,7 +224,7 @@ func TestListing8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(1), []string{
+	assertRows(t, sortedBy(res.Rows, 1), []string{
 		"8:00|8:10|11",
 		"8:05|8:15|15",
 		"8:10|8:20|10",
@@ -256,7 +276,7 @@ func TestListing10to12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(0), []string{ // Listing 12
+	assertRows(t, sortedBy(res.Rows, 0), []string{ // Listing 12
 		"8:00|8:10|8:09|5|D",
 		"8:10|8:20|8:17|6|F",
 	})
@@ -305,7 +325,7 @@ func TestListing2OverRecordedTable(t *testing.T) {
 	// Record only the data (a table has no watermarks).
 	for _, ev := range nexmark.PaperBidLog() {
 		if ev.IsData() {
-			if err := e.Insert("Bid", ev.Ptime, ev.Row); err != nil {
+			if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(ev.Ptime, ev.Row)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -314,7 +334,7 @@ func TestListing2OverRecordedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(0), []string{
+	assertRows(t, sortedBy(res.Rows, 0), []string{
 		"8:00|8:10|8:09|5|D",
 		"8:10|8:20|8:17|6|F",
 	})
@@ -324,7 +344,7 @@ func TestListing2OverRecordedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, res.SortedBy(0), []string{
+	assertRows(t, sortedBy(res.Rows, 0), []string{
 		"8:00|8:10|8:09|5|D",
 		"8:10|8:20|8:17|6|F",
 	})

@@ -21,7 +21,7 @@ import (
 // the scanned relations and is caught up to the engine's processing-time
 // clock; a late-attaching cursor instead receives a snapshot hand-off
 // synthesized from the pipeline's retained output. Either way, every
-// Insert/Delete/AdvanceWatermark that touches a scanned relation is then
+// AppendLog that touches a scanned relation is then
 // routed to the pipeline incrementally. Because the exec lifecycle makes
 // incremental feeding byte-identical to replay, the delta sequence each
 // subscriber observes equals what a post-hoc QueryStream over the final
@@ -210,9 +210,4 @@ func (e *Engine) LiveSubscribers() int {
 // subscriber.
 func (e *Engine) ShardStats() []shard.Stat {
 	return e.live.ShardStats()
-}
-
-// Shards reports the number of shard workers (0 = serial fan-out).
-func (e *Engine) Shards() int {
-	return e.live.Shards()
 }

@@ -71,8 +71,8 @@ func partsEngine(t testing.TB, parts int) *core.Engine {
 	t.Helper()
 	e := core.NewEngine(shardOpts(parts)...)
 	t.Cleanup(e.Close)
-	if parts > 1 && e.Shards() != parts {
-		t.Fatalf("Shards() = %d, want %d", e.Shards(), parts)
+	if got := len(e.ShardStats()); parts > 1 && got != parts {
+		t.Fatalf("%d shards, want %d", got, parts)
 	}
 	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
 		t.Fatal(err)
@@ -80,22 +80,13 @@ func partsEngine(t testing.TB, parts int) *core.Engine {
 	return e
 }
 
-// ingestEvent routes one recorded changelog event through the engine's
-// public ingestion API.
+// ingestEvent commits one recorded changelog event on its own.
 func ingestEvent(t testing.TB, e *core.Engine, name string, ev tvr.Event) {
 	t.Helper()
-	var err error
-	switch ev.Kind {
-	case tvr.Insert:
-		err = e.Insert(name, ev.Ptime, ev.Row)
-	case tvr.Delete:
-		err = e.Delete(name, ev.Ptime, ev.Row)
-	case tvr.Watermark:
-		err = e.AdvanceWatermark(name, ev.Ptime, ev.Wm)
-	default:
+	if !ev.IsData() && ev.Kind != tvr.Watermark {
 		t.Fatalf("unexpected event kind %s", ev.Kind)
 	}
-	if err != nil {
+	if err := e.AppendLog(name, tvr.Changelog{ev}); err != nil {
 		t.Fatalf("ingest %s: %v", ev, err)
 	}
 }
@@ -347,9 +338,9 @@ func TestLiveAppendLogAtomic(t *testing.T) {
 	}
 	// The relation must still accept valid appends from its pre-failure
 	// cursor state.
-	if err := e.Insert("Bid", 2, types.Row{
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(2, types.Row{
 		types.NewInt(2), types.NewInt(2), types.NewInt(6), types.NewTimestamp(2),
-	}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -370,7 +361,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	}
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
 	row := types.Row{types.NewInt(1), types.NewInt(1), types.NewInt(10), types.NewTimestamp(sec(2))}
-	if err := e.Insert("Bid", sec(1), row); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(1), row)}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -455,12 +446,12 @@ func TestSharedPlanDedup(t *testing.T) {
 			e.LiveSessions(), e.LiveSubscribers())
 	}
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
-	if err := e.Insert("Bid", sec(1), types.Row{
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(1), types.Row{
 		types.NewInt(1), types.NewInt(1), types.NewInt(10), types.NewTimestamp(sec(2)),
-	}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AdvanceWatermark("Bid", sec(12), sec(11)); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.WatermarkEvent(sec(12), sec(11))}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -516,7 +507,7 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 		t.Fatalf("reformatted twin pipeline %d != original %d", c.Stats().PipelineID, a.Stats().PipelineID)
 	}
 	// The two literal variants really are different queries end to end.
-	if err := e.Insert("S", 1, types.Row{types.NewString("a  b"), types.NewInt(7)}); err != nil {
+	if err := e.AppendLog("S", tvr.Changelog{tvr.InsertEvent(1, types.Row{types.NewString("a  b"), types.NewInt(7)})}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -763,7 +754,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 		t.Fatal(err)
 	}
 	// Arm a delay timer (deadline 6s), then fire it via a heartbeat.
-	if err := e.Insert("Bid", sec(1), bid(10, sec(2))); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(1), bid(10, sec(2)))}); err != nil {
 		t.Fatal(err)
 	}
 	e.Heartbeat(sec(10))
@@ -779,7 +770,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	// second revision at the next heartbeat; a stale-clocked late joiner
 	// would still hold the 6s timer and coalesce both bids into one
 	// revision instead.
-	if err := e.Insert("Bid", sec(5), bid(25, sec(6))); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(5), bid(25, sec(6)))}); err != nil {
 		t.Fatal(err)
 	}
 	e.Heartbeat(sec(12))
@@ -840,7 +831,7 @@ func waitForGoroutines(t *testing.T, base int) {
 
 // TestFailedRegisterReleasesPartitionedWorkers is the failed-subscribe leak
 // regression: live.NewSession has already Start()ed the driver, so a
-// Manager.Register that fails in the history snapshot must cancel the
+// registration that fails in the history snapshot must cancel the
 // session — completing the driver and registering nothing — and the
 // manager's shard workers must still stop cleanly on Close.
 func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
@@ -861,8 +852,9 @@ func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := live.NewManagerWith(live.Options{Shards: 4})
-		if err := m.Register(sess, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
-			t.Fatalf("Register error = %v, want %v", err, boom)
+		if _, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil },
+			func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
+			t.Fatalf("Subscribe error = %v, want %v", err, boom)
 		}
 		if m.Len() != 0 {
 			t.Fatalf("failed Register left %d sessions registered", m.Len())
@@ -883,9 +875,9 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 	e := newBidEngine(t)
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
 	for i := int64(0); i < 8; i++ {
-		if err := e.Insert("Bid", sec(i), types.Row{
+		if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(i), types.Row{
 			types.NewInt(i % 3), types.NewInt(i), types.NewInt(100 + i), types.NewTimestamp(sec(i)),
-		}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -908,9 +900,9 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(8); i < 16 && drop.Err() == nil; i++ {
-		if err := e.Insert("Bid", sec(i), types.Row{
+		if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(i), types.Row{
 			types.NewInt(i % 3), types.NewInt(i), types.NewInt(100 + i), types.NewTimestamp(sec(i)),
-		}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"log/slog"
 	"time"
 
 	"repro/internal/obs"
@@ -23,12 +22,6 @@ func WithObs(reg *obs.Registry) Option {
 // keeping the histograms). Only meaningful together with WithObs.
 func WithSlowCommit(d time.Duration) Option {
 	return func(e *Engine) { e.slowCommit = d }
-}
-
-// WithTraceLogger routes slow-commit span lines to the given logger
-// instead of slog.Default().
-func WithTraceLogger(l *slog.Logger) Option {
-	return func(e *Engine) { e.traceLog = l }
 }
 
 // Obs returns the engine's metrics registry (nil without WithObs). The

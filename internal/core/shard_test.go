@@ -64,8 +64,8 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 	serial := newBidEngine(t)
 	sharded := newShardedBidEngine(t, 4)
 	defer sharded.Close()
-	if got := sharded.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
+	if got := len(sharded.ShardStats()); got != 4 {
+		t.Fatalf("%d shards, want 4", got)
 	}
 
 	opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}

@@ -9,14 +9,14 @@ import (
 )
 
 // The engine's write-ahead log seam. With a log attached, every committed
-// change — Insert/Delete/AppendLog/AdvanceWatermark batches, Heartbeats,
-// and relation registrations — is appended to the log under the same
-// ordering that standing queries observe it, stamped with a commit sequence
-// number, BEFORE it is applied or fanned out. Recovery is then "restore the
-// last snapshot, re-publish the WAL tail through the normal commit path":
-// replayed records flow through exactly the code live changes flow through,
-// so restored subscribers' delta sequences are byte-identical to an
-// uninterrupted run (the property the checkpoint tests pin).
+// change — AppendLog batches, Heartbeats, and relation registrations — is
+// appended to the log under the same ordering that standing queries observe
+// it, stamped with a commit sequence number, BEFORE it is applied or fanned
+// out. Recovery is then "restore the last snapshot, re-publish the WAL tail
+// through the normal commit path": replayed records flow through exactly the
+// code live changes flow through, so restored subscribers' delta sequences
+// are byte-identical to an uninterrupted run (the property the checkpoint
+// tests pin).
 //
 // Ordering: publishes and heartbeats commit under the live manager's
 // ordering lock and allocate their sequence number under the catalog lock

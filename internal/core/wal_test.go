@@ -9,9 +9,11 @@ package core_test
 // property TestCheckpointRestoreLive pins for snapshot-only recovery).
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -282,12 +284,41 @@ func TestWALRecoveryFreshRelation(t *testing.T) {
 func TestWALReplayRefusedWhenAttached(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := walBidEngine(t, dir)
-	if err := e.Insert("Bid", 0, bidRow(1, 100, 0)); err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(0, bidRow(1, 100, 0))}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := wal.Replay(dir, e.ReplayWALRecord)
 	if err == nil {
 		t.Fatal("replay into an attached engine succeeded")
+	}
+}
+
+// TestRegisterRefusesUnservableSchema: a column without a name, two names
+// that differ only in case, and EventTime on a column that is not TIMESTAMP
+// are refused with an error naming the column, before anything is logged.
+func TestRegisterRefusesUnservableSchema(t *testing.T) {
+	e, _ := walBidEngine(t, t.TempDir())
+	seq := e.WALSeq()
+	for _, c := range []struct {
+		cols []types.Column
+		want string
+	}{
+		{[]types.Column{{Name: "a", Kind: types.KindInt64}, {Name: "A", Kind: types.KindString}}, `"A"`},
+		{[]types.Column{{Name: "a", Kind: types.KindInt64}, {Kind: types.KindInt64}}, "column 2"},
+		{[]types.Column{{Name: "t", Kind: types.KindInt64, EventTime: true}, {Name: "v", Kind: types.KindInt64}}, `"t"`},
+	} {
+		sch := types.NewSchema(c.cols...)
+		for _, register := range []func(string, *types.Schema) error{e.RegisterStream, e.RegisterTable} {
+			if err := register("D", sch); !errors.Is(err, core.ErrInvalidSchema) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("register %s: %v, want ErrInvalidSchema naming %s", sch, err, c.want)
+			}
+		}
+	}
+	if got := e.WALSeq(); got != seq {
+		t.Fatalf("refused registrations moved the WAL from %d to %d", seq, got)
+	}
+	if _, err := e.Resolve("D"); err == nil {
+		t.Fatal("a refused relation is in the catalog")
 	}
 }
 

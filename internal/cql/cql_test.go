@@ -2,9 +2,12 @@ package cql
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
+	"repro/internal/nexmark"
 	"repro/internal/tvr"
 	"repro/internal/types"
 )
@@ -252,6 +255,72 @@ func TestQuery7PaperData(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestCQLListing1MatchesTVRListing2 is the paper's comparison: over the
+// section 4 bids, the CQL formulation of NEXMark Q7 (Listing 1, Rstream of
+// the windowed max) and the TVR formulation (Listing 2, run by the engine)
+// agree. At every tick T, CQL's Rstream rows equal the engine's rows whose
+// window ends at T, projected to (price, item).
+func TestCQLListing1MatchesTVRListing2(t *testing.T) {
+	e := core.NewEngine()
+	if err := e.RegisterStream("Bid", nexmark.BidSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendLog("Bid", nexmark.PaperBidLog()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.QueryTable(nexmark.Query7SQL, types.MaxTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wend, price, item := res.Schema.IndexOf("wend"), res.Schema.IndexOf("price"), res.Schema.IndexOf("item")
+	tvrRows := map[types.Time][]string{}
+	for _, r := range res.Rows {
+		at := r[wend].Timestamp()
+		tvrRows[at] = append(tvrRows[at], types.Row{r[price], r[item]}.String())
+	}
+
+	// The same bids through CQL, with TestQuery7PaperData's heartbeats in
+	// place of the watermarks (the first lowered to 8:04, which bid C does
+	// not violate).
+	ex := NewExecutor()
+	qi := ex.Register(Query7(1, 2))
+	heartbeats := []types.Time{types.ClockTime(8, 4), types.ClockTime(8, 8), types.ClockTime(8, 12), types.ClockTime(8, 20)}
+	for _, ev := range nexmark.PaperBidLog() {
+		switch ev.Kind {
+		case tvr.Insert:
+			if err := ex.Push(Tuple{TS: ev.Row[0].Timestamp(), Row: ev.Row}); err != nil {
+				t.Fatal(err)
+			}
+		case tvr.Watermark:
+			if err := ex.Heartbeat(heartbeats[0]); err != nil {
+				t.Fatal(err)
+			}
+			heartbeats = heartbeats[1:]
+		}
+	}
+	cqlRows := map[types.Time][]string{}
+	for _, o := range ex.Results(qi) {
+		cqlRows[o.TS] = append(cqlRows[o.TS], o.Row.String())
+	}
+
+	if len(cqlRows) == 0 || len(cqlRows) != len(tvrRows) {
+		t.Fatalf("CQL emitted at ticks %v, the engine has windows ending at %v", cqlRows, tvrRows)
+	}
+	for at, want := range cqlRows {
+		got := tvrRows[at]
+		sort.Strings(want)
+		sort.Strings(got)
+		if len(got) != len(want) {
+			t.Fatalf("tick %s: CQL %v, engine %v", at, want, got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tick %s: CQL %v, engine %v", at, want, got)
+			}
+		}
+	}
+}
 
 func TestExecutorPerTupleTicks(t *testing.T) {
 	// With no slide, [NOW] ticks at each tuple timestamp.

@@ -3,7 +3,6 @@ package exec
 import (
 	"container/heap"
 	"fmt"
-	"io"
 
 	"repro/internal/checkpoint"
 	"repro/internal/plan"
@@ -93,32 +92,6 @@ func LoadDriver(dec *checkpoint.Decoder, pq *plan.PlannedQuery) (*Pipeline, erro
 	default:
 		return nil, fmt.Errorf("exec: unknown driver kind %q in checkpoint", kind)
 	}
-}
-
-// Checkpoint writes a standalone checkpoint stream for the pipeline.
-func (p *Pipeline) Checkpoint(w io.Writer) error {
-	enc := checkpoint.NewEncoder(w)
-	if err := SaveDriver(enc, p); err != nil {
-		return err
-	}
-	return enc.Close()
-}
-
-// CompileFromCheckpoint compiles pq and restores a pipeline from a
-// standalone checkpoint stream written by Checkpoint.
-func CompileFromCheckpoint(pq *plan.PlannedQuery, r io.Reader) (*Pipeline, error) {
-	dec, err := checkpoint.NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	p, err := LoadDriver(dec, pq)
-	if err != nil {
-		return nil, err
-	}
-	if err := dec.Close(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // ---- pipeline-level save/load ----

@@ -28,9 +28,9 @@ import (
 
 // goldenEngine registers a tiny two-stream catalog with a fixed changelog —
 // no generators, so the bytes cannot drift with unrelated code.
-func goldenEngine(t *testing.T) *core.Engine {
+func goldenEngine(t *testing.T) *fixture {
 	t.Helper()
-	e := core.NewEngine(core.WithUnboundedGroupBy())
+	e := newFixture(core.WithUnboundedGroupBy())
 	sch := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt64},
 		types.Column{Name: "v", Kind: types.KindInt64},
@@ -90,7 +90,7 @@ GROUP BY TB.wstart, TB.wend`},
 }
 
 // goldenBytes produces the canonical checkpoint for one case.
-func goldenBytes(t *testing.T, e *core.Engine, sql string) []byte {
+func goldenBytes(t *testing.T, e *fixture, sql string) []byte {
 	t.Helper()
 	pq := planSQL(t, e, sql)
 	d := compileDriver(t, pq)
@@ -102,7 +102,7 @@ func goldenBytes(t *testing.T, e *core.Engine, sql string) []byte {
 	}
 	d.Drain()
 	var buf bytes.Buffer
-	if err := d.Checkpoint(&buf); err != nil {
+	if err := saveCheckpoint(&buf, d); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	return buf.Bytes()
@@ -174,7 +174,7 @@ func TestCheckpointGolden(t *testing.T) {
 SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c, SUM(TB.v) s
 FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
 GROUP BY TB.wstart, TB.wend`)
-		p, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(readFixture(t, "partitioned_two_stage")))
+		p, err := loadCheckpoint(pq, bytes.NewReader(readFixture(t, "partitioned_two_stage")))
 		if err == nil || !strings.Contains(err.Error(), "partitioned execution was removed") {
 			t.Fatalf("restoring a partitioned checkpoint = %v, want the removal error", err)
 		}
@@ -187,7 +187,7 @@ GROUP BY TB.wstart, TB.wend`)
 	for _, c := range goldenCases() {
 		pq := planSQL(t, e, c.sql)
 		data := goldenBytes(t, e, c.sql)
-		if _, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(data)); err != nil {
+		if _, err := loadCheckpoint(pq, bytes.NewReader(data)); err != nil {
 			t.Errorf("%s: golden checkpoint no longer restores: %v", c.name, err)
 		}
 	}
@@ -197,9 +197,9 @@ GROUP BY TB.wstart, TB.wend`)
 // tumble_emit_delay_wm_pre_eviction fixture was written from (by the last
 // commit before eviction): the watermark closes the first window while that
 // window's 7 s delay timer, armed at ptime 1000, is still pending.
-func preEvictionDelayEngine(t *testing.T) *core.Engine {
+func preEvictionDelayEngine(t *testing.T) *fixture {
 	t.Helper()
-	e := core.NewEngine(core.WithUnboundedGroupBy())
+	e := newFixture(core.WithUnboundedGroupBy())
 	sch := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt64},
 		types.Column{Name: "v", Kind: types.KindInt64},
@@ -246,7 +246,7 @@ func TestCheckpointPreEvictionGolden(t *testing.T) {
 	}
 	cases := []struct {
 		fixture string
-		engine  *core.Engine
+		engine  *fixture
 		sql     string
 		more    tvr.Changelog
 	}{
@@ -323,14 +323,14 @@ func TestCheckpointPreCollectorGolden(t *testing.T) {
 // the same state. The fixture must be larger than today's checkpoint of the
 // same state: it carries state today's format no longer writes. It returns
 // the uninterrupted pipeline's stats and drained output.
-func continueFromFixture(t *testing.T, fixture string, e *core.Engine, sql string, more tvr.Changelog) (exec.Stats, []string) {
+func continueFromFixture(t *testing.T, fixture string, e *fixture, sql string, more tvr.Changelog) (exec.Stats, []string) {
 	t.Helper()
 	pq := planSQL(t, e, sql)
 	old := readFixture(t, fixture)
 	if now := goldenBytes(t, e, sql); len(old) <= len(now) {
 		t.Fatalf("fixture is %d bytes, today's checkpoint of the same state %d: the fixture should carry state today's does not", len(old), len(now))
 	}
-	restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(old))
+	restored, err := loadCheckpoint(pq, bytes.NewReader(old))
 	if err != nil {
 		t.Fatalf("%s no longer restores: %v", fixture, err)
 	}

@@ -10,15 +10,40 @@ package exec_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/tvr"
 	"repro/internal/types"
 )
+
+// saveCheckpoint writes d's state as a standalone checkpoint stream.
+func saveCheckpoint(w io.Writer, d exec.Driver) error {
+	enc := checkpoint.NewEncoder(w)
+	if err := exec.SaveDriver(enc, d); err != nil {
+		return err
+	}
+	return enc.Close()
+}
+
+// loadCheckpoint compiles pq and restores it from a stream saveCheckpoint
+// wrote.
+func loadCheckpoint(pq *plan.PlannedQuery, r io.Reader) (*exec.Pipeline, error) {
+	dec, err := checkpoint.NewDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	p, err := exec.LoadDriver(dec, pq)
+	if err != nil {
+		return nil, err
+	}
+	return p, dec.Close()
+}
 
 // checkpointRoundTrip snapshots p and returns a pipeline rebuilt from the
 // snapshot. The original pipeline is NOT closed: discarding it mid-flight is
@@ -26,10 +51,10 @@ import (
 func checkpointRoundTrip(t *testing.T, p *exec.Pipeline, pq *plan.PlannedQuery) *exec.Pipeline {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := p.Checkpoint(&buf); err != nil {
+	if err := saveCheckpoint(&buf, p); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	restored, err := exec.CompileFromCheckpoint(pq, bytes.NewReader(buf.Bytes()))
+	restored, err := loadCheckpoint(pq, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -158,10 +183,10 @@ func TestCheckpointDeterministic(t *testing.T) {
 		}
 		d.Drain()
 		var a, b bytes.Buffer
-		if err := d.Checkpoint(&a); err != nil {
+		if err := saveCheckpoint(&a, d); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Checkpoint(&b); err != nil {
+		if err := saveCheckpoint(&b, d); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -183,28 +208,28 @@ func TestCheckpointLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.Checkpoint(&buf); err == nil {
+	if err := saveCheckpoint(&buf, p); err == nil {
 		t.Error("checkpoint before Start should fail")
 	}
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := p.Checkpoint(&buf); err != nil {
+	if err := saveCheckpoint(&buf, p); err != nil {
 		t.Fatalf("checkpoint of a started pipeline: %v", err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var post bytes.Buffer
-	if err := p.Checkpoint(&post); err == nil {
+	if err := saveCheckpoint(&post, p); err == nil {
 		t.Error("checkpoint after Close should fail")
 	}
 
 	// Restoring into a different plan shape fails loudly at the first
 	// divergent operator frame, not silently.
 	other := planSQL(t, e, `SELECT COUNT(*) c FROM Bid`)
-	if _, err := exec.CompileFromCheckpoint(other, bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := loadCheckpoint(other, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("restore into a mismatched plan should fail")
 	}
 }

@@ -8,6 +8,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -22,14 +23,35 @@ import (
 
 // lifecycleEngine loads a small deterministic NEXMark dataset with enough
 // out-of-orderness to exercise late data and watermark-driven EMIT.
-func lifecycleEngine(t testing.TB) *core.Engine {
+func lifecycleEngine(t testing.TB) *fixture {
 	t.Helper()
 	g := nexmark.Generate(nexmark.GeneratorConfig{Seed: 11, NumEvents: 700, MaxOutOfOrderness: 2 * types.Second})
 	e, err := nexmark.NewEngine(g, core.WithUnboundedGroupBy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return &fixture{Engine: e, logs: map[string]tvr.Changelog{
+		"person": g.Persons, "auction": g.Auctions, "bid": g.Bids, "category": g.Categories}}
+}
+
+// fixture is an engine, the planner's catalog, plus the changelogs appended
+// to it by lower-cased relation name, the pipelines' sources.
+type fixture struct {
+	*core.Engine
+	logs map[string]tvr.Changelog
+}
+
+func newFixture(opts ...core.Option) *fixture {
+	return &fixture{Engine: core.NewEngine(opts...), logs: map[string]tvr.Changelog{}}
+}
+
+// AppendLog appends log to the engine and records it.
+func (f *fixture) AppendLog(name string, log tvr.Changelog) error {
+	if err := f.Engine.AppendLog(name, log); err != nil {
+		return err
+	}
+	f.logs[strings.ToLower(name)] = append(f.logs[strings.ToLower(name)], log...)
+	return nil
 }
 
 func planSQL(t *testing.T, cat plan.Catalog, sql string) *plan.PlannedQuery {
@@ -45,7 +67,7 @@ func planSQL(t *testing.T, cat plan.Catalog, sql string) *plan.PlannedQuery {
 	return opt.Optimize(pq)
 }
 
-func execSourcesFor(t *testing.T, e *core.Engine, root plan.Node) []exec.Source {
+func execSourcesFor(t *testing.T, e *fixture, root plan.Node) []exec.Source {
 	t.Helper()
 	names := map[string]bool{}
 	var walk func(plan.Node)
@@ -60,9 +82,9 @@ func execSourcesFor(t *testing.T, e *core.Engine, root plan.Node) []exec.Source 
 	walk(root)
 	var out []exec.Source
 	for name := range names {
-		log, err := e.Log(name)
-		if err != nil {
-			t.Fatal(err)
+		log, ok := e.logs[strings.ToLower(name)]
+		if !ok {
+			t.Fatalf("no changelog for %s", name)
 		}
 		out = append(out, exec.Source{Name: name, Log: log})
 	}

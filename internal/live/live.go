@@ -1,31 +1,3 @@
-// Package live implements standing queries: compiled pipelines that stay
-// resident and are fed incrementally as new changes arrive, pushing EMIT
-// deltas to subscribers instead of recompiling and rescanning history per
-// request.
-//
-// The paper's central object is the time-varying relation, with the table
-// and stream renderings as equal citizens. The engine's one-shot query paths
-// (core.QueryTable / core.QueryStream) replay a recorded changelog through a
-// freshly compiled pipeline; package live supplies the third mode of
-// consumption: a Session wraps an exec.Driver started once, feeds it every subsequent ingested change through the same
-// deterministic merge the replay path uses, and delivers the incremental
-// output — stream-rendered deltas or consolidated table diffs — to its
-// subscribers. Because the driver lifecycle guarantees that incremental
-// feeding is byte-identical to replay, a standing subscription observes
-// exactly the delta sequence a post-hoc EMIT STREAM query over the final
-// changelog would produce.
-//
-// One SQL text denotes one time-varying relation regardless of how many
-// consumers watch it, so sessions are shared: a Session is the resident
-// pipeline, and any number of subscriber cursors attach to it, each with its
-// own bounded delta channel, slow-consumer policy, and stats (Attach). The
-// Manager keys resident sessions by plan (normalized SQL, mode) so identical subscriptions reuse one pipeline; a cursor that attaches
-// after the pipeline has already produced output receives a snapshot
-// hand-off first — the table rendering as one consolidated initial diff, or
-// the stream rendering re-rendered from the retained output changelog so it
-// starts at the current version numbers — which is byte-identical to what a
-// dedicated subscription opened at the same instant would deliver. The
-// session tears down when its last cursor departs.
 package live
 
 import (

@@ -95,6 +95,11 @@ func newTestSession(t *testing.T, d exec.Driver, mode live.Mode, buffer int, pol
 	return s, sub
 }
 
+// ingest feeds one event of relation "s" through sess.
+func ingest(sess *live.Session, ev tvr.Event) error {
+	return sess.IngestLog([]exec.Source{{Name: "s", Log: tvr.Changelog{ev}}})
+}
+
 // streamInts extracts the int payloads of a delta's stream rows.
 func streamInts(d live.Delta) []int64 {
 	var out []int64
@@ -111,7 +116,7 @@ func TestDropWithError(t *testing.T) {
 	sess, sub := newTestSession(t, &echoDriver{}, live.Stream, 2, live.DropWithError)
 	var err error
 	for i := 0; i < 10; i++ {
-		err = sess.Ingest("s", tvr.InsertEvent(types.Time(i), intRow(int64(i))))
+		err = ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i))))
 		if err != nil {
 			break
 		}
@@ -132,7 +137,7 @@ func TestDropWithError(t *testing.T) {
 		t.Fatalf("drained %d buffered deltas, want 2", n)
 	}
 	// Further ingests keep failing with the recorded error.
-	if err := sess.Ingest("s", tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrSlowConsumer) {
+	if err := ingest(sess, tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrSlowConsumer) {
 		t.Fatalf("post-drop ingest error = %v", err)
 	}
 }
@@ -145,7 +150,7 @@ func TestBlockBackpressure(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := sess.Ingest("s", tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
 				done <- err
 				return
 			}
@@ -177,7 +182,7 @@ func TestCancelUnblocksProducer(t *testing.T) {
 	go func() {
 		var err error
 		for i := 0; i < 5; i++ {
-			if err = sess.Ingest("s", tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+			if err = ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
 				break
 			}
 		}
@@ -205,7 +210,7 @@ func TestCancelUnblocksProducer(t *testing.T) {
 	for range sub.Deltas() {
 	}
 	// The session died with its last cursor: no more input accepted.
-	if err := sess.Ingest("s", tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrClosed) {
+	if err := ingest(sess, tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrClosed) {
 		t.Fatalf("post-cancel ingest error = %v, want ErrClosed", err)
 	}
 }
@@ -216,7 +221,7 @@ func TestCancelUnblocksProducer(t *testing.T) {
 func TestGracefulCloseDeliversFinalDelta(t *testing.T) {
 	d := &echoDriver{final: intRow(999)}
 	sess, sub := newTestSession(t, d, live.Stream, 4, live.Block)
-	if err := sess.Ingest("s", tvr.InsertEvent(1, intRow(1))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(1, intRow(1))); err != nil {
 		t.Fatal(err)
 	}
 	final, err := sub.Close()
@@ -248,12 +253,12 @@ func TestCloseKeepsInterruptedDelta(t *testing.T) {
 	d := &echoDriver{final: intRow(999)}
 	sess, sub := newTestSession(t, d, live.Stream, 1, live.Block)
 	// Fill the buffer (delta 0 delivered), then block a producer on delta 1.
-	if err := sess.Ingest("s", tvr.InsertEvent(1, intRow(1))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(1, intRow(1))); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- sess.Ingest("s", tvr.InsertEvent(2, intRow(2)))
+		blocked <- ingest(sess, tvr.InsertEvent(2, intRow(2)))
 	}()
 	time.Sleep(10 * time.Millisecond) // let the producer block
 	final, err := sub.Close()
@@ -310,19 +315,16 @@ func TestTableDiffConsolidation(t *testing.T) {
 // TestSharedFanout: every attached cursor receives every delta, with its own
 // counters, and the pipeline id/subscriber count are visible in Stats.
 func TestSharedFanout(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	sess, err := live.NewSession(&echoDriver{}, live.Config{
 		Name: "fanout", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(sess, nil); err != nil {
-		t.Fatal(err)
-	}
 	subs := make([]*live.Subscription, 3)
 	for i := range subs {
-		if subs[i], err = sess.Attach(live.CursorOpts{Buffer: 8}); err != nil {
+		if subs[i], err = m.Subscribe("fanout", live.CursorOpts{Buffer: 8}, func() (*live.Session, error) { return sess, nil }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,8 +332,8 @@ func TestSharedFanout(t *testing.T) {
 		t.Fatalf("Len=%d Subscribers=%d, want 1/3", m.Len(), m.Subscribers())
 	}
 	for i := 0; i < 3; i++ {
-		if err := m.Publish(func() error { return nil }, "s",
-			tvr.Changelog{tvr.InsertEvent(types.Time(i), intRow(int64(i)))}); err != nil {
+		if err := m.PublishSpan(func() error { return nil }, "s",
+			tvr.Changelog{tvr.InsertEvent(types.Time(i), intRow(int64(i)))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +368,7 @@ func TestSharedFanout(t *testing.T) {
 // last cursor leaves, and only then is the driver closed and the session
 // unregistered.
 func TestRefcountTeardown(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	d := &echoDriver{}
 	sess, err := live.NewSession(d, live.Config{
 		Name: "rc", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
@@ -374,10 +376,10 @@ func TestRefcountTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(sess, nil); err != nil {
+	a, err := m.Subscribe("rc", live.CursorOpts{Buffer: 4}, func() (*live.Session, error) { return sess, nil }, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := sess.Attach(live.CursorOpts{Buffer: 4})
 	b, _ := sess.Attach(live.CursorOpts{Buffer: 4})
 	a.Cancel()
 	if d.closed {
@@ -387,8 +389,8 @@ func TestRefcountTeardown(t *testing.T) {
 		t.Fatalf("Len=%d Subscribers=%d after first cancel, want 1/1", m.Len(), m.Subscribers())
 	}
 	// The survivor still receives deltas.
-	if err := m.Publish(func() error { return nil }, "s",
-		tvr.Changelog{tvr.InsertEvent(1, intRow(7))}); err != nil {
+	if err := m.PublishSpan(func() error { return nil }, "s",
+		tvr.Changelog{tvr.InsertEvent(1, intRow(7))}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := streamInts(<-b.Deltas()); len(got) != 1 || got[0] != 7 {
@@ -413,7 +415,7 @@ func TestNonLastCloseLeavesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Ingest("s", tvr.InsertEvent(1, intRow(1))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(1, intRow(1))); err != nil {
 		t.Fatal(err)
 	}
 	final, err := a.Close()
@@ -430,7 +432,7 @@ func TestNonLastCloseLeavesPipeline(t *testing.T) {
 		t.Fatal("driver closed while a subscriber remains")
 	}
 	// The pipeline keeps serving b.
-	if err := sess.Ingest("s", tvr.InsertEvent(2, intRow(2))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(2, intRow(2))); err != nil {
 		t.Fatal(err)
 	}
 	finalB, err := b.Close()
@@ -460,7 +462,7 @@ func TestLateAttachSnapshot(t *testing.T) {
 	t.Run("stream", func(t *testing.T) {
 		sess, early := newTestSession(t, &echoDriver{}, live.Stream, 8, live.Block)
 		for i := 0; i < 3; i++ {
-			if err := sess.Ingest("s", tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -474,7 +476,7 @@ func TestLateAttachSnapshot(t *testing.T) {
 		}
 		// Version numbers continue across the hand-off: the next delta's
 		// row versions at the late cursor equal the early cursor's.
-		if err := sess.Ingest("s", tvr.InsertEvent(10, intRow(10))); err != nil {
+		if err := ingest(sess, tvr.InsertEvent(10, intRow(10))); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
@@ -496,7 +498,7 @@ func TestLateAttachSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Ingest("s", tvr.DeleteEvent(3, intRow(1))); err != nil {
+		if err := ingest(sess, tvr.DeleteEvent(3, intRow(1))); err != nil {
 			t.Fatal(err)
 		}
 		late, err := sess.Attach(live.CursorOpts{Buffer: 8})
@@ -531,12 +533,12 @@ func TestSlowBlockPeerDoesNotStallOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delta 0 fills slow's buffer; delta 1 blocks the producer on slow.
-	if err := sess.Ingest("s", tvr.InsertEvent(0, intRow(0))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(0, intRow(0))); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- sess.Ingest("s", tvr.InsertEvent(1, intRow(1)))
+		blocked <- ingest(sess, tvr.InsertEvent(1, intRow(1)))
 	}()
 	// The fast cursor receives delta 1 even though the producer is still
 	// blocked on the slow peer.
@@ -581,12 +583,12 @@ func TestCancelNotBlockedBehindSlowPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delta 0 fills slow's buffer; delta 1 parks the producer on slow.
-	if err := sess.Ingest("s", tvr.InsertEvent(0, intRow(0))); err != nil {
+	if err := ingest(sess, tvr.InsertEvent(0, intRow(0))); err != nil {
 		t.Fatal(err)
 	}
 	parked := make(chan error, 1)
 	go func() {
-		parked <- sess.Ingest("s", tvr.InsertEvent(1, intRow(1)))
+		parked <- ingest(sess, tvr.InsertEvent(1, intRow(1)))
 	}()
 	time.Sleep(10 * time.Millisecond) // let the producer park
 	canceled := make(chan struct{})
@@ -629,7 +631,7 @@ func TestCancelNotBlockedBehindSlowPeer(t *testing.T) {
 // sharing. Stress loop: with the bug, a stale teardown deletes the live
 // plans entry and the next subscribe builds a second resident pipeline.
 func TestPlanTableSurvivesTeardownRace(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	subscribe := func() *live.Subscription {
 		t.Helper()
 		sub, err := m.Subscribe("k", live.CursorOpts{Buffer: 8},
@@ -652,7 +654,7 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 		inCommit := make(chan struct{})
 		pubDone := make(chan struct{})
 		go func() {
-			_ = m.Publish(func() error { close(inCommit); <-hold; return nil }, "unmatched", tvr.Changelog{tvr.InsertEvent(1, intRow(1))})
+			_ = m.PublishSpan(func() error { close(inCommit); <-hold; return nil }, "unmatched", tvr.Changelog{tvr.InsertEvent(1, intRow(1))}, nil)
 			close(pubDone)
 		}()
 		<-inCommit
@@ -702,7 +704,7 @@ func TestDropOnlyDropsSlowCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := sess.Ingest("s", tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+		if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
 			t.Fatalf("ingest %d failed: %v (drop must not kill the shared session)", i, err)
 		}
 	}
@@ -736,7 +738,7 @@ func TestDropOnlyDropsSlowCursor(t *testing.T) {
 // TestManagerRouting: Publish routes only to sessions scanning the named
 // relation, in commit order, and drops dead sessions from the table.
 func TestManagerRouting(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	mk := func(source string) *live.Subscription {
 		s, err := live.NewSession(&echoDriver{}, live.Config{
 			Name: source, Mode: live.Stream, Schema: testSchema(), Sources: []string{source},
@@ -744,10 +746,7 @@ func TestManagerRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Register(s, nil); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := s.Attach(live.CursorOpts{Buffer: 64})
+		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -760,8 +759,8 @@ func TestManagerRouting(t *testing.T) {
 	}
 	commits := 0
 	publish := func(name string, v int64) {
-		if err := m.Publish(func() error { commits++; return nil }, name,
-			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}); err != nil {
+		if err := m.PublishSpan(func() error { commits++; return nil }, name,
+			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -790,8 +789,8 @@ func TestManagerRouting(t *testing.T) {
 	}
 	// A failed commit must not route.
 	wantErr := errors.New("commit failed")
-	if err := m.Publish(func() error { return wantErr }, "a",
-		tvr.Changelog{tvr.InsertEvent(99, intRow(99))}); !errors.Is(err, wantErr) {
+	if err := m.PublishSpan(func() error { return wantErr }, "a",
+		tvr.Changelog{tvr.InsertEvent(99, intRow(99))}, nil); !errors.Is(err, wantErr) {
 		t.Fatalf("publish error = %v", err)
 	}
 	if got := readAll(subA); len(got) != 0 {
@@ -813,7 +812,7 @@ func TestManagerRouting(t *testing.T) {
 // registration-id order, not map order — churning the registry must not
 // perturb delivery order (bugfix: nondeterministic map-range fan-out).
 func TestFanoutRegistrationOrder(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	var got []int
 	mk := func(tag int) *live.Subscription {
 		d := &echoDriver{}
@@ -824,10 +823,7 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Register(s, nil); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := s.Attach(live.CursorOpts{Buffer: 64})
+		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -845,8 +841,8 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 	want := []int{0, 1, 3, 4, 6, 7, 8, 9}
 	for round := 0; round < 20; round++ {
 		got = got[:0]
-		if err := m.Publish(func() error { return nil }, "s",
-			tvr.Changelog{tvr.InsertEvent(types.Time(round), intRow(int64(round)))}); err != nil {
+		if err := m.PublishSpan(func() error { return nil }, "s",
+			tvr.Changelog{tvr.InsertEvent(types.Time(round), intRow(int64(round)))}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
@@ -868,7 +864,7 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 // live, so pending EMIT AFTER DELAY timers fire exactly as an earlier
 // registration's would (bugfix: stale clock on late-joining subscriptions).
 func TestRegisterCatchesUpClock(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	early := &echoDriver{}
 	s1, err := live.NewSession(early, live.Config{
 		Name: "early", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
@@ -876,14 +872,15 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(s1, nil); err != nil {
+	sub1, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return s1, nil }, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(early.advances) != 0 {
 		t.Fatalf("first registration advanced to %v with no heartbeat broadcast yet", early.advances)
 	}
-	m.Advance(100)
-	m.Advance(250)
+	m.AdvanceWithSpan(100, nil, nil)
+	m.AdvanceWithSpan(250, nil, nil)
 	late := &echoDriver{}
 	s2, err := live.NewSession(late, live.Config{
 		Name: "late", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
@@ -891,14 +888,13 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(s2, func() ([]exec.Source, error) { return nil, nil }); err != nil {
+	sub2, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return s2, nil }, func() ([]exec.Source, error) { return nil, nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(late.advances) != 1 || late.advances[0] != 250 {
 		t.Fatalf("late registration advances = %v, want [250] (catch-up to last heartbeat)", late.advances)
 	}
-	sub1, _ := s1.Attach(live.CursorOpts{})
-	sub2, _ := s2.Attach(live.CursorOpts{})
 	sub1.Cancel()
 	sub2.Cancel()
 }
@@ -907,7 +903,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 // fails must cancel the already-started session instead of stranding its
 // driver (bugfix: failed-subscribe leak).
 func TestRegisterFailureCancelsSession(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	d := &echoDriver{}
 	sess, err := live.NewSession(d, live.Config{
 		Name: "fail", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
@@ -916,8 +912,8 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("history snapshot failed")
-	if err := m.Register(sess, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("Register error = %v, want %v", err, boom)
+	if _, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil }, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("Subscribe error = %v, want %v", err, boom)
 	}
 	if !d.closed {
 		t.Fatal("driver left running after failed registration")
@@ -934,17 +930,14 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 // cursor as a single delivery, so a small DropWithError buffer survives
 // large atomic appends instead of being spuriously dropped.
 func TestPublishBatchesOneDelta(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	s, err := live.NewSession(&echoDriver{}, live.Config{
 		Name: "batch", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(s, nil); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := s.Attach(live.CursorOpts{Buffer: 1, Policy: live.DropWithError})
+	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 1, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -952,7 +945,7 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		log = append(log, tvr.InsertEvent(types.Time(i), intRow(int64(i))))
 	}
-	if err := m.Publish(func() error { return nil }, "s", log); err != nil {
+	if err := m.PublishSpan(func() error { return nil }, "s", log, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sub.Err(); err != nil {
@@ -972,17 +965,14 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 // TestConcurrentIngestAndCancel: racing publishers, a consumer, and a
 // midstream cancel must neither deadlock nor panic (run with -race).
 func TestConcurrentIngestAndCancel(t *testing.T) {
-	m := live.NewManager()
+	m := live.NewManagerWith(live.Options{})
 	s, err := live.NewSession(&echoDriver{}, live.Config{
 		Name: "race", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(s, nil); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := s.Attach(live.CursorOpts{Buffer: 2, Policy: live.Block})
+	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 2, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -991,8 +981,8 @@ func TestConcurrentIngestAndCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			_ = m.Publish(func() error { return nil }, "s",
-				tvr.Changelog{tvr.InsertEvent(types.Time(i), intRow(int64(i)))})
+			_ = m.PublishSpan(func() error { return nil }, "s",
+				tvr.Changelog{tvr.InsertEvent(types.Time(i), intRow(int64(i)))}, nil)
 		}
 	}()
 	wg.Add(1)

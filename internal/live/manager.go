@@ -16,36 +16,7 @@ import (
 // Manager is the routing half of the standing-query subsystem: a registry of
 // live sessions keyed by the relations they scan, plus the shared-plan table
 // that dedupes identical subscriptions onto one resident pipeline. The
-// owning engine funnels every catalog mutation through Publish, which
-// serializes the commit under one ordering lock so all sessions observe
-// changes in the same global order they entered the catalog — the property
-// that makes a standing subscription's delta sequence equal a post-hoc
-// replay.
-//
-// Fan-out runs in one of two modes. The default (serial) mode feeds every
-// matching session on the committing goroutine, inside the critical section,
-// in registration-id order. With Options.Shards > 0 the manager instead runs
-// the sharded ingest subsystem (internal/shard): the commit acquires a
-// global sequence number from the sequencer and enqueues one task per
-// affected shard while still inside the critical section, and each shard's
-// single worker applies its tasks in FIFO — therefore global commit — order.
-// Every session lives on exactly one shard (hash of its registration id,
-// never rebalanced) and is only ever fed by that shard's worker, so its
-// delivery order is identical to the serial mode's; a Block-policy
-// subscriber that stops draining stalls only its own shard, and a full
-// shard queue blocks the publisher — backpressure reaches the committer
-// either way, just with a bounded amount of slack.
-//
-// Lock order is Manager.mu -> engine catalog lock -> Session.mu; nothing may
-// take them in reverse. Shard workers take only session locks (ingestMu,
-// then mu) — never Manager.mu — so a publisher blocked on a full shard
-// queue while holding Manager.mu cannot deadlock against its own workers; a
-// worker that must unregister a dead session defers that to a fresh
-// goroutine. Drain barriers (attach, checkpoint, Quiesce, a cursor's
-// graceful close) wait on shard queue watermarks without holding locks the
-// workers need. Concurrent reads and queries against the engine proceed
-// during a stalled delivery (as do the lock-free Stats/Err accessors);
-// further ingestion waits: that is the backpressure.
+// package documentation states its commit, fan-out and lock-order contract.
 type Manager struct {
 	mu     sync.Mutex
 	nextID int
@@ -89,11 +60,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// NewManager creates an empty registry with the serial fan-out.
-func NewManager() *Manager {
-	return NewManagerWith(Options{})
-}
-
 // NewManagerWith creates an empty registry with the given fan-out options.
 func NewManagerWith(o Options) *Manager {
 	m := &Manager{
@@ -110,14 +76,6 @@ func NewManagerWith(o Options) *Manager {
 		m.registerMetrics(o.Obs)
 	}
 	return m
-}
-
-// Shards reports the number of shard workers (0 = serial fan-out).
-func (m *Manager) Shards() int {
-	if m.pool == nil {
-		return 0
-	}
-	return m.pool.Shards()
 }
 
 // Subscribe is the shared-plan entry point. When key is non-empty and a
@@ -184,24 +142,6 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 		sess.DropRetainedOutput()
 	}
 	return sub, nil
-}
-
-// Register adds a session to the routing table (outside the shared-plan
-// table; Subscribe is the deduping entry point). When history is non-nil it
-// runs first — under the ordering lock, so no concurrently published change
-// can slip between the snapshot it returns and the start of live routing —
-// and its batch is replayed through the session before registration; the
-// session is then caught up to the latest broadcast processing time. The
-// session's teardown hook is set to unregister it. On any error the session
-// is canceled, so its started driver cannot leak.
-func (m *Manager) Register(sess *Session, history func() ([]exec.Source, error)) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.registerLocked(sess, history); err != nil {
-		sess.cancel()
-		return err
-	}
-	return nil
 }
 
 func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, error)) (int, error) {
@@ -301,8 +241,8 @@ func (m *Manager) refreshLocked() {
 	m.snap.Store(sessions)
 }
 
-// Publish atomically commits an engine-side change and routes the resulting
-// events to every session scanning the named relation. The commit (and, in
+// PublishSpan atomically commits an engine-side change and routes the
+// resulting events to every session scanning the named relation. The commit (and, in
 // sharded mode, the sequence-number acquisition and per-shard enqueues)
 // happens under the ordering lock; the deliveries themselves run on the
 // committing goroutine in serial mode or on the shard workers otherwise.
@@ -311,12 +251,8 @@ func (m *Manager) refreshLocked() {
 // that refuses the batch (canceled, every cursor dropped, or failed) is
 // removed from the routing table; its subscribers learn why from
 // Subscription.Err.
-func (m *Manager) Publish(commit func() error, name string, evs []tvr.Event) error {
-	return m.PublishSpan(commit, name, evs, nil)
-}
-
-// PublishSpan is Publish carrying a commit-path span. The span's sequence
-// and enqueue stages are timed here; validate/WAL happen inside commit (the
+//
+// The commit-path span's sequence and enqueue stages are timed here; validate/WAL happen inside commit (the
 // engine times them before handing the span over) and apply/render/deliver
 // inside each session. The publisher releases its span reference before
 // returning; in sharded mode the span finalizes — recording histograms and
@@ -360,25 +296,15 @@ func (m *Manager) PublishSpan(commit func() error, name string, evs []tvr.Event,
 	return nil
 }
 
-// Advance broadcasts a processing-time heartbeat to every session, firing
-// due EMIT AFTER DELAY timers across all standing queries, and records pt in
-// the sequencer so later-registered sessions start from the same clock.
-func (m *Manager) Advance(pt types.Time) {
-	m.AdvanceWith(pt, nil) // never errors with a nil commit
-}
-
-// AdvanceWith is Advance with a commit hook run under the ordering lock
-// before any session sees the heartbeat — the same commit-before-fan-out
-// shape as Publish. The engine uses it to append the heartbeat to its
-// write-ahead log in exactly the global order sessions observe it; a commit
-// failure suppresses the broadcast entirely, so the log never misses a
-// heartbeat that fired a timer.
-func (m *Manager) AdvanceWith(pt types.Time, commit func() error) error {
-	return m.AdvanceWithSpan(pt, commit, nil)
-}
-
-// AdvanceWithSpan is AdvanceWith carrying a commit-path span (see
-// PublishSpan for the stage ownership).
+// AdvanceWithSpan broadcasts a processing-time heartbeat to every session,
+// firing due EMIT AFTER DELAY timers across all standing queries, and records
+// pt in the sequencer so later-registered sessions start from the same
+// clock. A non-nil commit runs under the ordering lock before any session
+// sees the heartbeat — the same commit-before-fan-out shape as PublishSpan.
+// The engine uses it to append the heartbeat to its write-ahead log in
+// exactly the global order sessions observe it; a commit failure suppresses
+// the broadcast entirely, so the log never misses a heartbeat that fired a
+// timer. The span follows PublishSpan's stage ownership.
 func (m *Manager) AdvanceWithSpan(pt types.Time, commit func() error, span *obs.CommitSpan) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

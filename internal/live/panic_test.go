@@ -83,11 +83,8 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub, err := s.Attach(live.CursorOpts{Buffer: 64, Policy: live.Block})
+				sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Register(s, nil); err != nil {
 					t.Fatal(err)
 				}
 				return s, sub
@@ -97,8 +94,8 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 
 			publish := func(v int64) {
 				t.Helper()
-				err := m.Publish(func() error { return nil }, "S",
-					[]tvr.Event{tvr.InsertEvent(types.Time(v), intRow(v))})
+				err := m.PublishSpan(func() error { return nil }, "S",
+					[]tvr.Event{tvr.InsertEvent(types.Time(v), intRow(v))}, nil)
 				if err != nil {
 					t.Fatalf("publish %d: %v", v, err)
 				}
@@ -166,14 +163,11 @@ func TestPanicDuringAdvance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := s.Attach(live.CursorOpts{Buffer: 8, Policy: live.Block})
+			sub, err := m.Subscribe("", live.CursorOpts{Buffer: 8, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Register(s, nil); err != nil {
-				t.Fatal(err)
-			}
-			m.Advance(types.Time(types.Second))
+			m.AdvanceWithSpan(types.Time(types.Second), nil, nil)
 			m.Quiesce()
 			recvClosed(t, sub, "post-heartbeat-panic")
 			var perr *exec.PanicError

@@ -191,9 +191,6 @@ func (s *Session) terminalErr() error {
 	return ErrClosed
 }
 
-// Name returns the session's diagnostic label.
-func (s *Session) Name() string { return s.cfg.Name }
-
 // Subscribers reports the number of attached cursors. Lock-free.
 func (s *Session) Subscribers() int { return int(s.nsubs.Load()) }
 
@@ -321,12 +318,6 @@ func (s *Session) closeSessionLocked(err error) {
 			s.driver.Close()             //nolint:errcheck
 		}()
 	}
-}
-
-// Ingest feeds one source event through the standing pipeline and delivers
-// any deltas that materialize.
-func (s *Session) Ingest(source string, ev tvr.Event) error {
-	return s.IngestLog([]exec.Source{{Name: source, Log: tvr.Changelog{ev}}})
 }
 
 // IngestLog feeds a batch of per-source events (merged deterministically by

@@ -48,7 +48,7 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				serial := live.NewManager()
+				serial := live.NewManagerWith(live.Options{})
 				sharded := live.NewManagerWith(live.Options{Shards: shards, QueueDepth: 8})
 				defer sharded.Close()
 
@@ -60,10 +60,7 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Register(s, nil); err != nil {
-						t.Fatal(err)
-					}
-					sub, err := s.Attach(live.CursorOpts{Buffer: 4096})
+					sub, err := m.Subscribe("", live.CursorOpts{Buffer: 4096}, func() (*live.Session, error) { return s, nil }, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,8 +88,8 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 						addPair(sources[rng.Intn(len(sources))])
 					case rng.Intn(5) == 0:
 						pt += types.Time(rng.Intn(3) + 1)
-						serial.Advance(pt)
-						sharded.Advance(pt)
+						serial.AdvanceWithSpan(pt, nil, nil)
+						sharded.AdvanceWithSpan(pt, nil, nil)
 					default:
 						src := sources[rng.Intn(len(sources))]
 						n := rng.Intn(3) + 1
@@ -102,10 +99,10 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 							val++
 							log = append(log, tvr.InsertEvent(pt, intRow(val)))
 						}
-						if err := serial.Publish(func() error { return nil }, src, log); err != nil {
+						if err := serial.PublishSpan(func() error { return nil }, src, log, nil); err != nil {
 							t.Fatal(err)
 						}
-						if err := sharded.Publish(func() error { return nil }, src, log); err != nil {
+						if err := sharded.PublishSpan(func() error { return nil }, src, log, nil); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -148,7 +145,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 		clockMu.Lock()
 		defer clockMu.Unlock()
 		clock++
-		m.Advance(clock)
+		m.AdvanceWithSpan(clock, nil, nil)
 		return clock
 	}
 	stop := make(chan struct{})
@@ -182,10 +179,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Register(s, func() ([]exec.Source, error) { return nil, nil }); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := s.Attach(live.CursorOpts{Buffer: 64, Policy: live.DropWithError})
+		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,10 +222,7 @@ func TestCrossShardFairness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Register(s, nil); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := s.Attach(live.CursorOpts{Buffer: buffer, Policy: live.Block})
+		sub, err := m.Subscribe("", live.CursorOpts{Buffer: buffer, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +235,10 @@ func TestCrossShardFairness(t *testing.T) {
 	}
 	// Find a session that hashes onto a different shard.
 	var fast *live.Subscription
+	var fastSrc string
 	for i := 0; i < 64 && fast == nil; i++ {
-		sub := mk(fmt.Sprintf("fast%d", i), 64)
+		fastSrc = fmt.Sprintf("fast%d", i)
+		sub := mk(fastSrc, 64)
 		if sub.Stats().Shard != slowShard {
 			fast = sub
 		} else {
@@ -255,11 +248,10 @@ func TestCrossShardFairness(t *testing.T) {
 	if fast == nil {
 		t.Fatal("could not place two sessions on distinct shards")
 	}
-	fastSrc := fast.Name()
 	publish := func(src string, v int64) {
 		t.Helper()
-		if err := m.Publish(func() error { return nil }, src,
-			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}); err != nil {
+		if err := m.PublishSpan(func() error { return nil }, src,
+			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,8 +309,8 @@ func TestShardedLateAttachSeesAckedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := int64(1); v <= 5; v++ {
-		if err := m.Publish(func() error { return nil }, "s",
-			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}); err != nil {
+		if err := m.PublishSpan(func() error { return nil }, "s",
+			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,18 +348,15 @@ func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register(s, nil); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := s.Attach(live.CursorOpts{Buffer: 1, Policy: live.Block})
+	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 1, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three acked commits against a buffer of one: delta 1 lands in the
 	// buffer, the shard worker parks on delta 2, delta 3 queues behind it.
 	for v := int64(1); v <= 3; v++ {
-		if err := m.Publish(func() error { return nil }, "s",
-			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}); err != nil {
+		if err := m.PublishSpan(func() error { return nil }, "s",
+			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,12 +28,6 @@ func (b *Subscription) Stats() Stats { return b.c.stats() }
 // Schema describes the delta rows' columns.
 func (b *Subscription) Schema() *types.Schema { return b.c.s.cfg.Schema }
 
-// Mode reports the delta rendering.
-func (b *Subscription) Mode() Mode { return b.c.s.cfg.Mode }
-
-// Name returns the subscription's diagnostic label (typically the SQL).
-func (b *Subscription) Name() string { return b.c.s.cfg.Name }
-
 // Cancel terminates the subscription immediately, abandoning any
 // undelivered output. Safe to call any number of times and concurrently
 // with ingestion; a producer blocked on this subscriber's full channel is

@@ -103,12 +103,12 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 }
 
 // Generated holds the generator's output: one recorded changelog per stream
-// plus the static category rows.
+// plus the static Category table's, every row inserted at ptime 0.
 type Generated struct {
 	Persons    tvr.Changelog
 	Auctions   tvr.Changelog
 	Bids       tvr.Changelog
-	Categories []types.Row
+	Categories tvr.Changelog
 	// Counts of data events per stream.
 	NumPersons, NumAuctions, NumBids int
 }
@@ -135,10 +135,10 @@ func Generate(cfg GeneratorConfig) *Generated {
 	out := &Generated{}
 
 	for i := 0; i < cfg.NumCategories; i++ {
-		out.Categories = append(out.Categories, types.Row{
+		out.Categories = append(out.Categories, tvr.InsertEvent(0, types.Row{
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("category-%d", i)),
-		})
+		}))
 	}
 
 	cycle := cfg.PersonProportion + cfg.AuctionProportion + cfg.BidProportion

@@ -78,16 +78,7 @@ func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode) bench.LiveRes
 	start := time.Now()
 	for _, ev := range bids {
 		t0 := time.Now()
-		var err error
-		switch ev.Kind {
-		case tvr.Insert:
-			err = e.Insert("Bid", ev.Ptime, ev.Row)
-		case tvr.Delete:
-			err = e.Delete("Bid", ev.Ptime, ev.Row)
-		case tvr.Watermark:
-			err = e.AdvanceWatermark("Bid", ev.Ptime, ev.Wm)
-		}
-		if err != nil {
+		if err := e.AppendLog("Bid", tvr.Changelog{ev}); err != nil {
 			t.Fatal(err)
 		}
 		drain(t0)
@@ -171,16 +162,7 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int, shared bool) ben
 	start := time.Now()
 	for _, ev := range bids {
 		t0 := time.Now()
-		var err error
-		switch ev.Kind {
-		case tvr.Insert:
-			err = e.Insert("Bid", ev.Ptime, ev.Row)
-		case tvr.Delete:
-			err = e.Delete("Bid", ev.Ptime, ev.Row)
-		case tvr.Watermark:
-			err = e.AdvanceWatermark("Bid", ev.Ptime, ev.Wm)
-		}
-		if err != nil {
+		if err := e.AppendLog("Bid", tvr.Changelog{ev}); err != nil {
 			t.Fatal(err)
 		}
 		drainAll(t0)
@@ -261,16 +243,7 @@ func measureMultiQuery(t testing.TB, bids tvr.Changelog, shards, procs, queries 
 	}
 	start := time.Now()
 	for _, ev := range bids {
-		var err error
-		switch ev.Kind {
-		case tvr.Insert:
-			err = e.Insert("Bid", ev.Ptime, ev.Row)
-		case tvr.Delete:
-			err = e.Delete("Bid", ev.Ptime, ev.Row)
-		case tvr.Watermark:
-			err = e.AdvanceWatermark("Bid", ev.Ptime, ev.Wm)
-		}
-		if err != nil {
+		if err := e.AppendLog("Bid", tvr.Changelog{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

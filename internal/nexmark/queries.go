@@ -182,10 +182,8 @@ func NewEngine(g *Generated, opts ...core.Option) (*core.Engine, error) {
 	if err := e.AppendLog("Bid", g.Bids); err != nil {
 		return nil, err
 	}
-	for _, row := range g.Categories {
-		if err := e.Insert("Category", 0, row); err != nil {
-			return nil, err
-		}
+	if err := e.AppendLog("Category", g.Categories); err != nil {
+		return nil, err
 	}
 	return e, nil
 }

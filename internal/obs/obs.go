@@ -76,14 +76,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by n (may be negative). Safe on a nil receiver.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -126,14 +118,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 		return
 	}
 	h.Observe(int64(time.Since(t0)))
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // DurationBuckets are the standard latency bounds, in nanoseconds: 50µs to

@@ -55,14 +55,13 @@ type CommitTracer struct {
 	total     *Histogram                // commit_seconds
 	slow      *Counter                  // commit_slow_total
 	threshold int64                     // ns; <=0 disables slow logging
-	log       *slog.Logger
 }
 
 // NewCommitTracer registers the commit-path metric families on reg and
-// returns a tracer. slow <= 0 disables slow-commit logging; a nil logger
-// falls back to slog.Default() at emit time.
-func NewCommitTracer(reg *Registry, slow time.Duration, log *slog.Logger) *CommitTracer {
-	t := &CommitTracer{threshold: int64(slow), log: log}
+// returns a tracer. slow <= 0 disables slow-commit logging; the log line
+// goes to slog.Default() at emit time.
+func NewCommitTracer(reg *Registry, slow time.Duration) *CommitTracer {
+	t := &CommitTracer{threshold: int64(slow)}
 	for i := SpanStage(0); i < numSpanStages; i++ {
 		t.stages[i] = reg.Histogram("commit_stage_seconds",
 			"Time spent per commit-path stage.",
@@ -99,14 +98,6 @@ type CommitSpan struct {
 	start   time.Time
 	stages  [numSpanStages]atomic.Int64 // ns per stage
 	pending atomic.Int32
-}
-
-// Add accrues d to the given stage. Safe from concurrent shard workers.
-func (s *CommitSpan) Add(stage SpanStage, d time.Duration) {
-	if s == nil || d < 0 {
-		return
-	}
-	s.stages[stage].Add(int64(d))
 }
 
 // AddSince accrues the elapsed time since t0 to the given stage.
@@ -158,10 +149,6 @@ func (s *CommitSpan) Finish() {
 		return
 	}
 	t.slow.Inc()
-	log := t.log
-	if log == nil {
-		log = slog.Default()
-	}
 	attrs := make([]any, 0, 2*int(numSpanStages)+8)
 	attrs = append(attrs,
 		slog.String("relation", s.name),
@@ -174,7 +161,7 @@ func (s *CommitSpan) Finish() {
 			attrs = append(attrs, slog.Duration(i.String(), time.Duration(v)))
 		}
 	}
-	log.Warn("slow commit", attrs...)
+	slog.Default().Warn("slow commit", attrs...)
 }
 
 // Discard abandons the span without recording anything — for commits that

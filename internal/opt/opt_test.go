@@ -15,19 +15,25 @@ import (
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
+	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
 // nexmarkEngine loads a small deterministic NEXMark dataset; the engine
-// doubles as the planner's catalog.
-func nexmarkEngine(t testing.TB) *core.Engine {
+// doubles as the planner's catalog, and the map holds what it recorded.
+func nexmarkEngine(t testing.TB) (*core.Engine, map[string]tvr.Changelog) {
 	t.Helper()
 	g := nexmark.Generate(nexmark.GeneratorConfig{Seed: 5, NumEvents: 600, MaxOutOfOrderness: 2 * types.Second})
 	e, err := nexmark.NewEngine(g, core.WithUnboundedGroupBy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, nexmarkLogs(g)
+}
+
+// nexmarkLogs maps each NEXMark relation, lower-cased, to its changelog.
+func nexmarkLogs(g *nexmark.Generated) map[string]tvr.Changelog {
+	return map[string]tvr.Changelog{"person": g.Persons, "auction": g.Auctions, "bid": g.Bids, "category": g.Categories}
 }
 
 // planQuery parses and plans without optimizing.
@@ -44,9 +50,8 @@ func planQuery(t *testing.T, cat plan.Catalog, sql string, unboundedGroupBy bool
 	return pq
 }
 
-// sourcesFor collects the recorded changelog of every relation the plan
-// scans.
-func sourcesFor(t *testing.T, e *core.Engine, root plan.Node) []exec.Source {
+// sourcesFor collects the changelog of every relation the plan scans.
+func sourcesFor(t *testing.T, logs map[string]tvr.Changelog, root plan.Node) []exec.Source {
 	t.Helper()
 	names := map[string]bool{}
 	var walk func(plan.Node)
@@ -61,22 +66,22 @@ func sourcesFor(t *testing.T, e *core.Engine, root plan.Node) []exec.Source {
 	walk(root)
 	var out []exec.Source
 	for name := range names {
-		log, err := e.Log(name)
-		if err != nil {
-			t.Fatal(err)
+		log, ok := logs[strings.ToLower(name)]
+		if !ok {
+			t.Fatalf("no changelog for %s", name)
 		}
 		out = append(out, exec.Source{Name: name, Log: log})
 	}
 	return out
 }
 
-func runQuery(t *testing.T, e *core.Engine, pq *plan.PlannedQuery) *exec.Result {
+func runQuery(t *testing.T, logs map[string]tvr.Changelog, pq *plan.PlannedQuery) *exec.Result {
 	t.Helper()
 	pipe, err := exec.Compile(pq)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := pipe.Run(sourcesFor(t, e, pq.Root), types.MaxTime)
+	res, err := pipe.Run(sourcesFor(t, logs, pq.Root), types.MaxTime)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -87,12 +92,12 @@ func runQuery(t *testing.T, e *core.Engine, pq *plan.PlannedQuery) *exec.Result 
 // once on the raw planner output, once optimized — and asserts the output
 // TVRs are identical event for event.
 func TestOptimizedPlansSemanticallyEquivalent(t *testing.T) {
-	e := nexmarkEngine(t)
+	e, logs := nexmarkEngine(t)
 	for _, q := range nexmark.Queries() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
-			raw := runQuery(t, e, planQuery(t, e, q.SQL, q.NeedsUnboundedGroupBy))
-			optimized := runQuery(t, e, opt.Optimize(planQuery(t, e, q.SQL, q.NeedsUnboundedGroupBy)))
+			raw := runQuery(t, logs, planQuery(t, e, q.SQL, q.NeedsUnboundedGroupBy))
+			optimized := runQuery(t, logs, opt.Optimize(planQuery(t, e, q.SQL, q.NeedsUnboundedGroupBy)))
 
 			if len(raw.Log) != len(optimized.Log) {
 				t.Fatalf("output log lengths differ: raw %d vs optimized %d", len(raw.Log), len(optimized.Log))
@@ -146,7 +151,7 @@ func TestConstantFolding(t *testing.T) {
 // TestPredicatePushdown: WHERE conjuncts over a comma join become equi-join
 // keys, single-side filters below the join, and residuals.
 func TestPredicatePushdown(t *testing.T) {
-	e := nexmarkEngine(t)
+	e, _ := nexmarkEngine(t)
 	pq := planQuery(t, e, `
 		SELECT A.id, P.name
 		FROM Auction A, Person P
@@ -228,8 +233,9 @@ func TestIntervalJoinExpiry(t *testing.T) {
 	if err := e.AppendLog("Bid", nexmark.PaperBidLog()); err != nil {
 		t.Fatal(err)
 	}
-	raw := runQuery(t, e, planQuery(t, e, nexmark.Query7SQL, false))
-	optimized := runQuery(t, e, opt.Optimize(planQuery(t, e, nexmark.Query7SQL, false)))
+	logs := map[string]tvr.Changelog{"bid": nexmark.PaperBidLog()}
+	raw := runQuery(t, logs, planQuery(t, e, nexmark.Query7SQL, false))
+	optimized := runQuery(t, logs, opt.Optimize(planQuery(t, e, nexmark.Query7SQL, false)))
 	if len(raw.Log) != len(optimized.Log) {
 		t.Fatalf("Q7 outputs differ: %d vs %d events", len(raw.Log), len(optimized.Log))
 	}
@@ -258,7 +264,7 @@ func TestExpiryActuallyFreesState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.Run(sourcesFor(t, e, pq.Root), types.MaxTime); err != nil {
+		if _, err := pipe.Run(sourcesFor(t, nexmarkLogs(g), pq.Root), types.MaxTime); err != nil {
 			t.Fatal(err)
 		}
 		return pipe.Stats()

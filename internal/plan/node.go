@@ -318,12 +318,6 @@ func (w *WindowTVF) Describe() string {
 	}
 }
 
-// WstartIdx and WendIdx locate the appended window columns.
-func (w *WindowTVF) WstartIdx() int { return len(w.Sch.Cols) - 2 }
-
-// WendIdx locates the appended wend column.
-func (w *WindowTVF) WendIdx() int { return len(w.Sch.Cols) - 1 }
-
 // Union concatenates inputs (UNION ALL). Distinct UNION is planned as
 // Distinct over Union.
 type Union struct {

@@ -52,9 +52,6 @@ func NewSequencer() *Sequencer {
 // commit critical section.
 func (q *Sequencer) Next() uint64 { return q.seq.Add(1) }
 
-// Last returns the most recently allocated sequence number (0 = none).
-func (q *Sequencer) Last() uint64 { return q.seq.Load() }
-
 // RecordHeartbeat advances the last-heartbeat clock to pt if it moved
 // forward. Call only inside the commit critical section, before the
 // heartbeat is enqueued to any shard.
@@ -165,14 +162,9 @@ type Pool struct {
 // publisher quickly.
 const DefaultQueueDepth = 64
 
-// NewPool starts n shard workers with bounded queues of the given depth
-// (DefaultQueueDepth when depth <= 0). n must be >= 1.
-func NewPool(n, depth int) *Pool {
-	return NewPoolObs(n, depth, nil)
-}
-
-// NewPoolObs is NewPool with shard_* metric families registered on reg
-// (nil reg = no observability, identical to NewPool). Per-shard queue
+// NewPoolObs starts n shard workers with bounded queues of the given depth
+// (DefaultQueueDepth when depth <= 0); n must be >= 1. With a non-nil reg the
+// shard_* metric families are registered on it. Per-shard queue
 // depth/lag gauges and enqueue/apply counters are sampled from the workers'
 // existing atomics at scrape time; apply latency is recorded by the worker
 // goroutine into a pool-wide histogram. All metric state is wired before

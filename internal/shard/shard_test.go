@@ -14,7 +14,7 @@ import (
 // applied strictly in enqueue order, while different shards proceed
 // independently.
 func TestPerShardFIFO(t *testing.T) {
-	p := shard.NewPool(4, 8)
+	p := shard.NewPoolObs(4, 8, nil)
 	defer p.Close()
 	const perShard = 200
 	got := make([][]uint64, p.Shards())
@@ -50,7 +50,7 @@ func TestPerShardFIFO(t *testing.T) {
 // TestDrainShardBarrier: DrainShard waits for everything enqueued before the
 // call, and only on that shard.
 func TestDrainShardBarrier(t *testing.T) {
-	p := shard.NewPool(2, 8)
+	p := shard.NewPoolObs(2, 8, nil)
 	defer p.Close()
 	release := make(chan struct{})
 	var applied atomic.Int64
@@ -82,7 +82,7 @@ func TestDrainShardBarrier(t *testing.T) {
 // TestEnqueueBackpressure: a full bounded queue blocks Enqueue until the
 // worker makes space — the publisher-facing backpressure path.
 func TestEnqueueBackpressure(t *testing.T) {
-	p := shard.NewPool(1, 1)
+	p := shard.NewPoolObs(1, 1, nil)
 	defer p.Close()
 	release := make(chan struct{})
 	p.Enqueue(0, 1, func() { <-release }) // worker picks this up and blocks
@@ -121,7 +121,7 @@ func TestEnqueueBackpressure(t *testing.T) {
 // TestShardOfStable: placement is a pure function of the id — the
 // rebalance-free property — and spreads ids across shards.
 func TestShardOfStable(t *testing.T) {
-	p := shard.NewPool(4, 1)
+	p := shard.NewPoolObs(4, 1, nil)
 	defer p.Close()
 	hit := make(map[int]bool)
 	for id := 0; id < 64; id++ {
@@ -142,7 +142,7 @@ func TestShardOfStable(t *testing.T) {
 // TestCloseAppliesPending: Close drains queued tasks before stopping, and is
 // idempotent; a drain after Close returns immediately.
 func TestCloseAppliesPending(t *testing.T) {
-	p := shard.NewPool(2, 16)
+	p := shard.NewPoolObs(2, 16, nil)
 	var applied atomic.Int64
 	for i := 0; i < 10; i++ {
 		p.Enqueue(i%2, uint64(i+1), func() { applied.Add(1) })
@@ -181,8 +181,8 @@ func TestSequencer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if q.Last() != 1000 {
-		t.Fatalf("Last = %d, want 1000", q.Last())
+	if next := q.Next(); next != 1001 {
+		t.Fatalf("Next after 1000 = %d, want 1001", next)
 	}
 	q.RecordHeartbeat(100)
 	q.RecordHeartbeat(50) // regress: ignored

@@ -141,21 +141,6 @@ func (c Changelog) SnapshotAt(p types.Time) (*Relation, error) {
 	return rel, nil
 }
 
-// WatermarkAt returns the relation watermark as of processing time p
-// (inclusive), or types.MinTime if no watermark has been asserted yet.
-func (c Changelog) WatermarkAt(p types.Time) types.Time {
-	wm := types.MinTime
-	for _, e := range c {
-		if e.Ptime > p {
-			break
-		}
-		if e.Kind == Watermark {
-			wm = e.Wm
-		}
-	}
-	return wm
-}
-
 // DataCount returns the number of Insert/Delete events, the "update volume"
 // measure used by the materialization-delay experiments.
 func (c Changelog) DataCount() int {

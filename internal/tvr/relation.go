@@ -2,7 +2,6 @@ package tvr
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -116,17 +115,6 @@ func (r *Relation) Count(row types.Row) int {
 // Len returns the total number of rows (counting multiplicity).
 func (r *Relation) Len() int { return r.size }
 
-// Distinct returns the number of distinct rows present.
-func (r *Relation) Distinct() int {
-	n := 0
-	for _, e := range r.entries {
-		if e.count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Rows returns every row (expanded by multiplicity) in deterministic
 // first-insertion order.
 func (r *Relation) Rows() []types.Row {
@@ -138,33 +126,6 @@ func (r *Relation) Rows() []types.Row {
 		}
 	}
 	return out
-}
-
-// RowsSortedBy returns the rows sorted by the given column indexes
-// (ascending, NULLs first), used for rendering ordered table snapshots.
-func (r *Relation) RowsSortedBy(cols ...int) []types.Row {
-	rows := r.Rows()
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, c := range cols {
-			a, b := rows[i][c], rows[j][c]
-			if a.IsNull() || b.IsNull() {
-				if a.IsNull() && !b.IsNull() {
-					return true
-				}
-				if !a.IsNull() {
-					return false
-				}
-				continue
-			}
-			cmp, err := a.Compare(b)
-			if err != nil || cmp == 0 {
-				continue
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return rows
 }
 
 // Equal reports whether two relations contain exactly the same bag of rows.

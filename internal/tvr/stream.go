@@ -37,9 +37,9 @@ func (s StreamRow) String() string {
 // change a version number relative to other changes of the same group. The
 // group of a row is identified by the values at keyIdxs (in the paper's
 // examples, the window columns wstart/wend); if keyIdxs is empty every row
-// belongs to one global group and versions are assigned per identical row
-// content instead, which matches "changes to the same event time grouping"
-// degenerating to the whole relation.
+// belongs to one global group, so versions count every change of the
+// relation in order: "changes to the same event time grouping" degenerating
+// to the whole relation.
 func RenderStream(c Changelog, keyIdxs []int) []StreamRow {
 	return NewStreamRenderer(keyIdxs).Append(c)
 }
@@ -108,21 +108,6 @@ func (r *StreamRenderer) Append(c Changelog) []StreamRow {
 			Ver:   *ver,
 		})
 		*ver++
-	}
-	return out
-}
-
-// ReplayStream converts a stream rendering back into the underlying
-// changelog, demonstrating the declarative stream->table conversion the
-// paper highlights (Section 3.3.1: no special operators needed).
-func ReplayStream(rows []StreamRow) Changelog {
-	out := make(Changelog, 0, len(rows))
-	for _, s := range rows {
-		if s.Undo {
-			out = append(out, DeleteEvent(s.Ptime, s.Row))
-		} else {
-			out = append(out, InsertEvent(s.Ptime, s.Row))
-		}
 	}
 	return out
 }

@@ -38,15 +38,6 @@ func (r Row) Concat(o Row) Row {
 	return append(out, o...)
 }
 
-// Project returns a new row containing the values at the given indexes.
-func (r Row) Project(idxs []int) Row {
-	out := make(Row, len(idxs))
-	for i, idx := range idxs {
-		out[i] = r[idx]
-	}
-	return out
-}
-
 // Key returns a canonical byte-string encoding of the row, suitable for use
 // as a map key in operator state. Numeric values encode through float64 so
 // that BIGINT 1 and DOUBLE 1.0 produce the same key (mirroring Equal).
@@ -176,17 +167,6 @@ func (s *Schema) IndexOf(name string) int {
 		}
 	}
 	return -1
-}
-
-// EventTimeCols returns the indexes of all event-time columns.
-func (s *Schema) EventTimeCols() []int {
-	var out []int
-	for i, c := range s.Cols {
-		if c.EventTime {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // EmitKeyCols returns the columns that identify an output row's event-time

@@ -40,10 +40,6 @@ func TestRowConcatProject(t *testing.T) {
 	if len(r) != 3 || r[2].Int() != 3 {
 		t.Fatalf("Concat = %v", r)
 	}
-	p := r.Project([]int{2, 0})
-	if len(p) != 2 || p[0].Int() != 3 || p[1].Int() != 1 {
-		t.Fatalf("Project = %v", p)
-	}
 }
 
 func TestRowKeyDistinguishes(t *testing.T) {
@@ -103,8 +99,8 @@ func TestSchemaBasics(t *testing.T) {
 	if !s.HasEventTime() {
 		t.Error("HasEventTime should be true")
 	}
-	if cols := s.EventTimeCols(); len(cols) != 1 || cols[0] != 0 {
-		t.Errorf("EventTimeCols = %v", cols)
+	if cols := s.EmitKeyCols(); len(cols) != 1 || cols[0] != 0 {
+		t.Errorf("EmitKeyCols = %v", cols)
 	}
 	if got := s.WithoutEventTime(); got.HasEventTime() {
 		t.Error("WithoutEventTime left a flag set")

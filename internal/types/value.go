@@ -93,9 +93,6 @@ func ClockTime(h, m int, secs ...int) Time {
 // Add returns the time shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // String renders the time. Times that fall on a whole minute within the
 // first day print in the paper's "8:07" style; other values print with
 // full millisecond precision as day/hh:mm:ss.mmm.

@@ -21,7 +21,7 @@
 // encoding discipline snapshots use (magic + format version + tagged values
 // + its own trailer) — beginning with the record's commit sequence number.
 // The caller supplies the record body through the same write-callback shape
-// checkpoint.WriteFileAtomic uses, so the engine encodes WAL records with
+// checkpoint.WriteFileAtomicFS uses, so the engine encodes WAL records with
 // exactly the helpers it encodes snapshots with.
 //
 // Failure discipline mirrors internal/checkpoint: loud, never silent.
