@@ -57,11 +57,14 @@ faults:
 	$(GO) test ./internal/exec/ ./internal/live/ -run 'Panic' -v
 	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout' -v
 
-# Batched-execution guardrails: the re-chunking invariance property (any
-# PushBatch chunking of a log must render byte-identically to per-event
-# push), the 0 allocs/op pin on the keyed steady-state PushBatch, the dispatch-stats accounting
-# test, and a single-iteration BenchmarkBatchPush smoke with -benchmem so
-# an alloc regression on the batch path is visible in the verify output.
+# Batched-execution guardrails: the re-chunking invariance property (for
+# every operator family, any PushBatch chunking of a log must reproduce the
+# output recorded in internal/exec/testdata/rechunk_*.golden while operators
+# still had a per-event entry point), the 0 allocs/op pin on the keyed
+# steady-state PushBatch, the dispatch-stats accounting test, and a
+# single-iteration BenchmarkBatchPush smoke with -benchmem (the Q1 chain, the
+# keyed aggregate and a Q4-shaped join -> aggregate) so an alloc regression
+# on the batch path is visible in the verify output.
 # Watermark completion rides along: the completionIndex cost pin (an advance
 # takes exactly the groups it closes off the heap), the three operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose

@@ -87,9 +87,8 @@ func (a *aggOp) Open() error {
 	g := a.newGroup(types.Row{})
 	a.groups[""] = g
 	g.seq = a.idx.add("", g, g.keyRow)
-	a.pend = a.pend[:0]
 	a.reemit(g, types.MinTime)
-	return a.flush()
+	return flush(a.out, &a.pend)
 }
 
 func (a *aggOp) newGroup(keyRow types.Row) *aggGroup {
@@ -101,31 +100,17 @@ func (a *aggOp) newGroup(keyRow types.Row) *aggGroup {
 	return g
 }
 
-func (a *aggOp) Push(ev tvr.Event) error {
-	a.pend = a.pend[:0]
-	if err := a.pushEvent(ev); err != nil {
-		return err
-	}
-	return a.flush()
-}
-
-// PushBatch implements batchSink: the whole batch runs through the group
+// PushBatch implements sink: the whole batch runs through the group
 // machinery with the outputs gathered into the pending buffer and flushed in
 // one downstream dispatch. Consecutive same-key events hit the run cache
 // instead of the group map.
 func (a *aggOp) PushBatch(evs []tvr.Event) error {
-	a.pend = a.pend[:0]
 	for i := range evs {
 		if err := a.pushEvent(evs[i]); err != nil {
 			return err
 		}
 	}
-	return a.flush()
-}
-
-// flush hands the pending outputs downstream in one dispatch.
-func (a *aggOp) flush() error {
-	return pushBatch(a.out, a.pend)
+	return flush(a.out, &a.pend)
 }
 
 // pushEvent applies one event to group state, appending any output events to

@@ -1,33 +1,31 @@
 package exec
 
-// White-box property tests for the PushBatch fast path: delivering the same
-// event sequence to an operator chain in ANY re-chunking of PushBatch calls —
-// including size-1 batches, which pushBatch routes through the per-event
-// Push — must produce byte-identical collector output. The number of events
-// per Pipeline.Feed call (the other axis that decides how runs coalesce into
-// batches) must be equally invisible.
+// White-box property tests for the batch contract: delivering the same event
+// sequence to a pipeline in ANY re-chunking of PushBatch calls — size-1,
+// whole-log, mixed, random — must produce byte-identical output, for every
+// operator family. The reference for each shape is a golden file of its
+// per-event output (testdata/rechunk_*.golden), recorded while operators still
+// had a separate per-event entry point, so a batch path is checked against
+// that path and not only against itself. Regenerate deliberately with
+//
+//	UPDATE_GOLDEN=1 go test ./internal/exec -run TestPushBatchRechunkEquivalence
+//
+// The number of events per Pipeline.Feed call (the other axis that decides
+// how runs coalesce into batches) must be equally invisible.
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
 	"repro/internal/tvr"
 	"repro/internal/types"
-)
-
-// Compile-time proof that the high-traffic operators implement the batch
-// fast path (fall back to per-event Push and these tests still pass, but the
-// batching win silently disappears).
-var (
-	_ batchSink = (*scanOp)(nil)
-	_ batchSink = (*filterOp)(nil)
-	_ batchSink = (*projectOp)(nil)
-	_ batchSink = (*windowOp)(nil)
-	_ batchSink = (*aggOp)(nil)
-	_ batchSink = (*Collector)(nil)
 )
 
 // batchChainPlan is a Q1-shaped stateless chain: scan -> filter -> project
@@ -86,10 +84,91 @@ func batchEvents(n int) []tvr.Event {
 	return evs
 }
 
-// runRechunked compiles pq, pushes evs into its scan under the given
-// repeating chunk-size pattern (nil = per-event Push, the reference), and
-// returns the rendered output log.
-func runRechunked(t *testing.T, pq *plan.PlannedQuery, evs []tvr.Event, chunks []int) string {
+// rechunkCatalog resolves the two streams S and R, both (k, v, t) with t the
+// event-time column, that the SQL-built shapes read.
+type rechunkCatalog struct{}
+
+func (rechunkCatalog) Resolve(name string) (*plan.Relation, error) {
+	switch strings.ToUpper(name) {
+	case "S", "R":
+		return &plan.Relation{Name: strings.ToUpper(name), Unbounded: true, Schema: types.NewSchema(
+			types.Column{Name: "k", Kind: types.KindInt64},
+			types.Column{Name: "v", Kind: types.KindInt64},
+			types.Column{Name: "t", Kind: types.KindTimestamp, EventTime: true},
+		)}, nil
+	}
+	return nil, fmt.Errorf("no relation %q", name)
+}
+
+// planRechunkSQL plans and optimizes sql against rechunkCatalog.
+func planRechunkSQL(t testing.TB, sql string) *plan.PlannedQuery {
+	t.Helper()
+	q, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	pq, err := plan.New(rechunkCatalog{}, plan.Config{AllowUnboundedGroupBy: true}).Plan(q)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return opt.Optimize(pq)
+}
+
+// srcEvent is one event of a multi-source delivery sequence.
+type srcEvent struct {
+	src string
+	ev  tvr.Event
+}
+
+// rechunkLog generates a delivery sequence over S and R with one event per
+// ptime (so the merge order is unambiguous), in same-source runs of random
+// length: inserts with event times around the watermark (some late),
+// retractions of live rows, per-source watermarks, and heartbeats.
+func rechunkLog(n int) []srcEvent {
+	rng := rand.New(rand.NewSource(27))
+	live := map[string][]types.Row{}
+	src := "S"
+	log := make([]srcEvent, 0, n)
+	for i := 1; i <= n; i++ {
+		pt := types.Time(int64(i) * int64(types.Second))
+		if rng.Intn(4) == 0 {
+			src = map[string]string{"S": "R", "R": "S"}[src]
+		}
+		var ev tvr.Event
+		switch r := rng.Intn(20); {
+		case r < 2:
+			ev = tvr.WatermarkEvent(pt, pt-4*types.Time(types.Second))
+		case r < 3:
+			ev = tvr.HeartbeatEvent(pt)
+		case r < 7 && len(live[src]) > 0:
+			j := rng.Intn(len(live[src]))
+			ev = tvr.DeleteEvent(pt, live[src][j])
+			live[src] = append(live[src][:j], live[src][j+1:]...)
+		default:
+			at := pt - types.Time(int64(rng.Intn(6))*int64(types.Second))
+			row := types.Row{types.NewInt(int64(rng.Intn(4))), types.NewInt(int64(rng.Intn(20))), types.NewTimestamp(at)}
+			live[src] = append(live[src], row)
+			ev = tvr.InsertEvent(pt, row)
+		}
+		log = append(log, srcEvent{src: src, ev: ev})
+	}
+	return log
+}
+
+// onSource tags a single-source log.
+func onSource(name string, evs []tvr.Event) []srcEvent {
+	out := make([]srcEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = srcEvent{src: name, ev: ev}
+	}
+	return out
+}
+
+// runRechunked compiles pq and feeds log through Pipeline.Feed in chunks of
+// the repeating size pattern; within a chunk the driver dispatches each
+// maximal same-source run as one batch. It returns the drained output, one
+// event per line, and the final output watermark.
+func runRechunked(t *testing.T, pq *plan.PlannedQuery, log []srcEvent, chunks []int) string {
 	t.Helper()
 	p, err := Compile(pq)
 	if err != nil {
@@ -98,71 +177,123 @@ func runRechunked(t *testing.T, pq *plan.PlannedQuery, evs []tvr.Event, chunks [
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	scan := p.scans["s"][0]
-	if chunks == nil {
-		for _, ev := range evs {
-			if err := scan.Push(ev); err != nil {
-				t.Fatal(err)
-			}
+	var sb strings.Builder
+	render := func(out tvr.Changelog) {
+		for _, ev := range out {
+			sb.WriteString(ev.String())
+			sb.WriteByte('\n')
 		}
-	} else {
-		for i, ci := 0, 0; i < len(evs); ci++ {
-			end := i + chunks[ci%len(chunks)]
-			if end > len(evs) {
-				end = len(evs)
+	}
+	for i, ci := 0, 0; i < len(log); ci++ {
+		end := min(i+chunks[ci%len(chunks)], len(log))
+		var batch []Source
+		at := map[string]int{}
+		for _, se := range log[i:end] {
+			j, ok := at[se.src]
+			if !ok {
+				j = len(batch)
+				at[se.src] = j
+				batch = append(batch, Source{Name: se.src})
 			}
-			if err := pushBatch(scan, evs[i:end]); err != nil {
-				t.Fatal(err)
-			}
-			i = end
+			batch[j].Log = append(batch[j].Log, se.ev)
 		}
+		if err := p.Feed(batch); err != nil {
+			t.Fatal(err)
+		}
+		render(p.Drain())
+		i = end
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := p.Drain()
-	var sb strings.Builder
-	for _, ev := range out {
-		sb.WriteString(ev.String())
-		sb.WriteByte('\n')
-	}
-	sb.WriteString(tvr.FormatStreamTable(pq.Root.Schema(), tvr.RenderStream(out, pq.EmitKeyIdxs)))
+	render(p.Drain())
+	fmt.Fprintf(&sb, "output watermark %s\n", p.OutputWatermark())
 	return sb.String()
 }
 
-// TestPushBatchRechunkEquivalence: for the stateless chain and the keyed
-// aggregate, every re-chunking of the input into PushBatch calls renders
-// byte-identically to the per-event Push path.
+// rechunkShape is one query and the delivery sequence it is fed.
+type rechunkShape struct {
+	name string
+	pq   func(testing.TB) *plan.PlannedQuery
+	log  []srcEvent
+}
+
+// rechunkShapes is one query per operator family.
+func rechunkShapes() []rechunkShape {
+	sql := func(q string) func(testing.TB) *plan.PlannedQuery {
+		return func(t testing.TB) *plan.PlannedQuery { return planRechunkSQL(t, q) }
+	}
+	two := rechunkLog(300)
+	bids := onSource("s", batchEvents(300))
+	return []rechunkShape{
+		{"stateless-chain", batchChainPlan, bids},
+		{"keyed-agg", func(testing.TB) *plan.PlannedQuery { return benchScanPlan() }, bids},
+		{"inner-join", sql(`SELECT a.k, a.v, b.k FROM S a JOIN R b ON a.v = b.v`), two},
+		{"outer-join", sql(`SELECT a.k, a.v, b.k, b.v FROM S a FULL JOIN R b ON a.v = b.v AND a.k < b.k`), two},
+		{"self-join", sql(`SELECT a.k, a.v, b.v FROM S a JOIN S b ON a.k = b.k AND a.v + 10 < b.v`), two},
+		{"union-all", sql(`SELECT k, v FROM S UNION ALL SELECT k, v FROM R`), two},
+		{"intersect", sql(`SELECT k, v FROM S INTERSECT SELECT k, v FROM R`), two},
+		{"except-all", sql(`SELECT k, v FROM S EXCEPT ALL SELECT k, v FROM R`), two},
+		{"distinct", sql(`SELECT DISTINCT k, v FROM S`), two},
+		{"session-window", sql(`
+SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c
+FROM Session(data => TABLE(S), timecol => DESCRIPTOR(t), gap => INTERVAL '2' SECONDS) TB
+GROUP BY TB.wstart, TB.wend`), two},
+		{"emit-after-watermark", sql(`
+SELECT TB.wstart wstart, TB.wend wend, MAX(TB.v) mx
+FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
+GROUP BY TB.wstart, TB.wend
+EMIT STREAM AFTER WATERMARK`), two},
+		{"emit-after-delay", sql(`
+SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c
+FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
+GROUP BY TB.wstart, TB.wend
+EMIT STREAM AFTER DELAY INTERVAL '3' SECONDS`), two},
+		{"emit-after-delay-and-watermark", sql(`
+SELECT TB.wstart wstart, TB.wend wend, COUNT(*) c, MAX(TB.v) mx
+FROM Tumble(data => TABLE(S), timecol => DESCRIPTOR(t), dur => INTERVAL '10' SECONDS) TB
+GROUP BY TB.wstart, TB.wend
+EMIT STREAM AFTER DELAY INTERVAL '3' SECONDS AND AFTER WATERMARK`), two},
+	}
+}
+
+// TestPushBatchRechunkEquivalence: for every operator family, every
+// re-chunking of the input into PushBatch calls renders byte-identically to
+// the recorded per-event output.
 func TestPushBatchRechunkEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	randomChunks := make([]int, 64)
 	for i := range randomChunks {
 		randomChunks[i] = 1 + rng.Intn(9)
 	}
-	shapes := []struct {
-		name string
-		pq   func(testing.TB) *plan.PlannedQuery
-	}{
-		{"stateless-chain", batchChainPlan},
-		{"keyed-agg", func(testing.TB) *plan.PlannedQuery { return benchScanPlan() }},
-	}
-	evs := batchEvents(600)
 	chunkings := []struct {
 		name   string
 		chunks []int
 	}{
 		{"size-1", []int{1}},
-		{"whole-log", []int{len(evs)}},
+		{"whole-log", []int{1 << 30}},
 		{"mixed", []int{3, 1, 7, 2, 13}},
 		{"random", randomChunks},
 	}
-	for _, shape := range shapes {
+	for _, shape := range rechunkShapes() {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
-			want := runRechunked(t, shape.pq(t), evs, nil)
+			path := filepath.Join("testdata", "rechunk_"+shape.name+".golden")
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, []byte(runRechunked(t, shape.pq(t), shape.log, []int{1})), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file %s: %v", path, err)
+			}
+			if strings.Count(string(want), "\n") < 10 {
+				t.Fatalf("%s holds too little output to pin anything", path)
+			}
 			for _, c := range chunkings {
-				if got := runRechunked(t, shape.pq(t), evs, c.chunks); got != want {
-					t.Fatalf("chunking %q diverges from per-event push:\ngot:\n%s\nwant:\n%s", c.name, got, want)
+				if got := runRechunked(t, shape.pq(t), shape.log, c.chunks); got != string(want) {
+					t.Fatalf("chunking %q diverges from the per-event output in %s:\ngot:\n%s", c.name, path, got)
 				}
 			}
 		})

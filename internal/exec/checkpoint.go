@@ -117,7 +117,7 @@ func (p *Pipeline) loadState(dec *checkpoint.Decoder) error {
 // saveOps writes each operator's state framed by a section naming its
 // position and type, so a plan/checkpoint mismatch fails loudly at the first
 // divergent operator. Stateless operators contribute only their frame.
-func saveOps(enc *checkpoint.Encoder, ops []sink) {
+func saveOps(enc *checkpoint.Encoder, ops []any) {
 	enc.Uvarint(uint64(len(ops)))
 	for i, op := range ops {
 		enc.Section(fmt.Sprintf("op%d:%T", i, op))
@@ -129,7 +129,7 @@ func saveOps(enc *checkpoint.Encoder, ops []sink) {
 
 // loadOps restores each operator's state; the compiled operator list must
 // match the checkpoint's (same plan → same build order and types).
-func loadOps(dec *checkpoint.Decoder, ops []sink) error {
+func loadOps(dec *checkpoint.Decoder, ops []any) error {
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
@@ -207,7 +207,8 @@ func (d *distinctOp) SaveState(enc *checkpoint.Encoder) {
 	}
 }
 
-// LoadState implements stateSaver.
+// LoadState implements stateSaver. Snapshots written before DISTINCT forgot
+// rows at multiplicity 0 may hold such rows; they are read past and dropped.
 func (d *distinctOp) LoadState(dec *checkpoint.Decoder) error {
 	n := int(dec.Uvarint())
 	for i := 0; i < n; i++ {
@@ -216,7 +217,9 @@ func (d *distinctOp) LoadState(dec *checkpoint.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		d.counts[row.Key()] = &rowCount{row: row, count: count}
+		if count != 0 {
+			d.counts[row.Key()] = &rowCount{row: row, count: count}
+		}
 	}
 	return dec.Err()
 }
@@ -275,7 +278,8 @@ func (s *setOp) SaveState(enc *checkpoint.Encoder) {
 	}
 }
 
-// LoadState implements stateSaver.
+// LoadState implements stateSaver. Rows whose three multiplicities are all 0
+// (written before the operator forgot such rows) are read past and dropped.
 func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := s.loadMergeState(dec); err != nil {
 		return err
@@ -286,6 +290,9 @@ func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 		l, r, o := dec.Int(), dec.Int(), dec.Int()
 		if err := dec.Err(); err != nil {
 			return err
+		}
+		if l == 0 && r == 0 && o == 0 {
+			continue
 		}
 		k := row.Key()
 		s.rowsByKey[k] = row

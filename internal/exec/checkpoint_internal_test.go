@@ -26,8 +26,11 @@ type memSink struct {
 	finished bool
 }
 
-func (m *memSink) Push(ev tvr.Event) error { m.evs = append(m.evs, ev); return nil }
-func (m *memSink) Finish() error           { m.finished = true; return nil }
+func (m *memSink) PushBatch(evs []tvr.Event) error { m.evs = append(m.evs, evs...); return nil }
+func (m *memSink) Finish() error                   { m.finished = true; return nil }
+
+// push delivers evs to s as one batch.
+func push(s sink, evs ...tvr.Event) error { return s.PushBatch(evs) }
 
 func (m *memSink) render() []string {
 	out := make([]string, len(m.evs))
@@ -81,7 +84,7 @@ func opRoundTrip(t *testing.T, label string, mk func(out sink) stateSaver, prefi
 	push := func(op stateSaver, evs []tvr.Event) {
 		t.Helper()
 		for _, ev := range evs {
-			if err := op.(sink).Push(ev); err != nil {
+			if err := push(op.(sink), ev); err != nil {
 				t.Fatalf("%s: push %s: %v", label, ev, err)
 			}
 		}
@@ -156,11 +159,11 @@ func TestSetOpRoundTrip(t *testing.T) {
 			a := newSetOp(&plan.SetOp{Op: cfg.op, All: cfg.all}, origOut)
 			prefix := func(s *setOp) {
 				for _, ev := range []tvr.Event{tvr.InsertEvent(1, ints(1)), tvr.InsertEvent(2, ints(1)), tvr.InsertEvent(3, ints(2))} {
-					if err := s.leftPort().Push(ev); err != nil {
+					if err := push(s.port(0), ev); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := s.rightPort().Push(tvr.InsertEvent(4, ints(1))); err != nil {
+				if err := push(s.port(1), tvr.InsertEvent(4, ints(1))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -170,16 +173,16 @@ func TestSetOpRoundTrip(t *testing.T) {
 			saverRoundTrip(t, a, b)
 			mark := len(origOut.evs)
 			suffix := func(s *setOp) {
-				if err := s.rightPort().Push(tvr.InsertEvent(5, ints(2))); err != nil {
+				if err := push(s.port(1), tvr.InsertEvent(5, ints(2))); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.leftPort().Push(tvr.DeleteEvent(6, ints(1))); err != nil {
+				if err := push(s.port(0), tvr.DeleteEvent(6, ints(1))); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.leftPort().Push(tvr.WatermarkEvent(7, 100)); err != nil {
+				if err := push(s.port(0), tvr.WatermarkEvent(7, 100)); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.rightPort().Push(tvr.WatermarkEvent(8, 200)); err != nil {
+				if err := push(s.port(1), tvr.WatermarkEvent(8, 200)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -220,11 +223,11 @@ func TestJoinOpRoundTrip(t *testing.T) {
 			a := newJoinOp(node, origOut)
 			feedPrefix := func(j *joinOp) {
 				for _, ev := range []tvr.Event{tvr.InsertEvent(1, ints(1, 10)), tvr.InsertEvent(2, ints(2, 20))} {
-					if err := j.leftPort().Push(ev); err != nil {
+					if err := push(j.port(0), ev); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := j.rightPort().Push(tvr.InsertEvent(3, ints(1, 100))); err != nil {
+				if err := push(j.port(1), tvr.InsertEvent(3, ints(1, 100))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -236,13 +239,13 @@ func TestJoinOpRoundTrip(t *testing.T) {
 			feedSuffix := func(j *joinOp) {
 				// New matches on both sides, a retraction, and an unmatched
 				// row transition (exercises outer-join match counting).
-				if err := j.rightPort().Push(tvr.InsertEvent(4, ints(2, 200))); err != nil {
+				if err := push(j.port(1), tvr.InsertEvent(4, ints(2, 200))); err != nil {
 					t.Fatal(err)
 				}
-				if err := j.leftPort().Push(tvr.DeleteEvent(5, ints(1, 10))); err != nil {
+				if err := push(j.port(0), tvr.DeleteEvent(5, ints(1, 10))); err != nil {
 					t.Fatal(err)
 				}
-				if err := j.rightPort().Push(tvr.InsertEvent(6, ints(1, 101))); err != nil {
+				if err := push(j.port(1), tvr.InsertEvent(6, ints(1, 101))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -432,10 +435,10 @@ func TestEmitAfterDelayOpRoundTrip(t *testing.T) {
 func TestUnionOpRoundTrip(t *testing.T) {
 	origOut := &memSink{}
 	a := newUnionOp(2, origOut)
-	if err := a.port(0).Push(tvr.WatermarkEvent(1, 100)); err != nil {
+	if err := push(a.port(0), tvr.WatermarkEvent(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.port(1).Push(tvr.HeartbeatEvent(2)); err != nil {
+	if err := push(a.port(1), tvr.HeartbeatEvent(2)); err != nil {
 		t.Fatal(err)
 	}
 	restoredOut := &memSink{}
@@ -445,11 +448,11 @@ func TestUnionOpRoundTrip(t *testing.T) {
 	for _, u := range []*unionOp{a, b} {
 		// The merged watermark only advances when BOTH ports pass 100 —
 		// restored per-port state decides this.
-		if err := u.port(1).Push(tvr.WatermarkEvent(3, 150)); err != nil {
+		if err := push(u.port(1), tvr.WatermarkEvent(3, 150)); err != nil {
 			t.Fatal(err)
 		}
 		// A stale heartbeat must stay deduplicated after restore.
-		if err := u.port(0).Push(tvr.HeartbeatEvent(2)); err != nil {
+		if err := push(u.port(0), tvr.HeartbeatEvent(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -474,12 +477,12 @@ func TestCollectorRoundTrip(t *testing.T) {
 	tail := tvr.InsertEvent(4, wRow(3000, 3))
 	a := newCollector()
 	for _, ev := range pushed {
-		if err := a.Push(ev); err != nil {
+		if err := push(a, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.drain() // deliver the first two
-	if err := a.Push(tail); err != nil {
+	if err := push(a, tail); err != nil {
 		t.Fatal(err) // undrained tail of one event
 	}
 	b := newCollector()

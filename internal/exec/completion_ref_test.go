@@ -67,7 +67,7 @@ func (r *refGroups) control(ev tvr.Event) error {
 			}
 		}
 	}
-	return r.out.Push(ev)
+	return push(r.out, ev)
 }
 
 // resolve finds or creates the group for keyRow; nil means the row is late —
@@ -97,7 +97,7 @@ func (r *refGroups) reemit(g *refAggGroup, row types.Row, p types.Time) error {
 		return nil
 	}
 	if g.outRow != nil {
-		if err := r.out.Push(tvr.DeleteEvent(p, g.outRow)); err != nil {
+		if err := push(r.out, tvr.DeleteEvent(p, g.outRow)); err != nil {
 			return err
 		}
 		g.outRow = nil
@@ -106,7 +106,7 @@ func (r *refGroups) reemit(g *refAggGroup, row types.Row, p types.Time) error {
 		return nil
 	}
 	g.outRow = row
-	return r.out.Push(tvr.InsertEvent(p, row))
+	return push(r.out, tvr.InsertEvent(p, row))
 }
 
 func (r *refGroups) Finish() error { return r.out.Finish() }
@@ -241,7 +241,7 @@ func (e *refEmitAfterWatermarkOp) Push(ev tvr.Event) error {
 				continue
 			}
 			for _, row := range g.rel.Rows() {
-				if err := e.out.Push(tvr.InsertEvent(ev.Ptime, row)); err != nil {
+				if err := push(e.out, tvr.InsertEvent(ev.Ptime, row)); err != nil {
 					return err
 				}
 			}
@@ -249,9 +249,9 @@ func (e *refEmitAfterWatermarkOp) Push(ev tvr.Event) error {
 			g.done = true
 			e.freed++
 		}
-		return e.out.Push(ev)
+		return push(e.out, ev)
 	case tvr.Heartbeat:
-		return e.out.Push(ev)
+		return push(e.out, ev)
 	}
 	k := ev.Row.KeyOf(e.keys.idxs)
 	g, ok := e.groups[k]
@@ -343,7 +343,7 @@ func (e *refEmitAfterDelayOp) Push(ev tvr.Event) error {
 	switch ev.Kind {
 	case tvr.Watermark:
 		if ev.Wm <= e.wm {
-			return e.out.Push(tvr.WatermarkEvent(ev.Ptime, e.wm))
+			return push(e.out, tvr.WatermarkEvent(ev.Ptime, e.wm))
 		}
 		e.wm = ev.Wm
 		if e.alsoWatermark {
@@ -361,12 +361,12 @@ func (e *refEmitAfterDelayOp) Push(ev tvr.Event) error {
 				e.freed++
 			}
 		}
-		return e.out.Push(ev)
+		return push(e.out, ev)
 	case tvr.Heartbeat:
 		if err := e.fireThrough(ev.Ptime, true); err != nil {
 			return err
 		}
-		return e.out.Push(ev)
+		return push(e.out, ev)
 	}
 	k := ev.Row.KeyOf(e.keys.idxs)
 	g, ok := e.groups[k]
@@ -411,7 +411,7 @@ func (e *refEmitAfterDelayOp) fire(g *refDelayGroup, p types.Time) error {
 	}
 	g.armed = false
 	for _, ev := range g.lastMat.Diff(g.cur, p) {
-		if err := e.out.Push(ev); err != nil {
+		if err := push(e.out, ev); err != nil {
 			return err
 		}
 	}

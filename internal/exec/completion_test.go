@@ -208,11 +208,18 @@ type completionCase struct {
 	finish   func() (opErr, refErr error)
 }
 
-func pushBoth(op, ref sink) func(tvr.Event) (error, error) {
-	return func(ev tvr.Event) (error, error) { return op.Push(ev), ref.Push(ev) }
+// refOp is a reference operator: per-event, as the operators were written
+// before the batch contract.
+type refOp interface {
+	Push(ev tvr.Event) error
+	Finish() error
 }
 
-func finishBoth(op, ref sink) func() (error, error) {
+func pushBoth(op sink, ref refOp) func(tvr.Event) (error, error) {
+	return func(ev tvr.Event) (error, error) { return push(op, ev), ref.Push(ev) }
+}
+
+func finishBoth(op sink, ref refOp) func() (error, error) {
 	return func() (error, error) { return op.Finish(), ref.Finish() }
 }
 

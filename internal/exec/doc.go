@@ -2,7 +2,7 @@
 //
 // A compiled pipeline is a DAG of operators mirroring the logical plan. The
 // driver merges the source changelogs into a single processing-time-ordered
-// event timeline and pushes each event into the scans; every operator
+// event timeline and hands it to the scans in batches; every operator
 // transforms input changelog events into the exact delta of its output
 // relation, so at any processing time the materialized output equals the
 // logical plan applied to the inputs' instantaneous relations (the pointwise
@@ -12,14 +12,112 @@
 //
 // One driver, Pipeline, runs every one-shot query and every standing query.
 //
+// # The operator contract
+//
+// Every operator input is a sink with one way in: PushBatch(evs) delivers a
+// run of the input changelog, and Finish says no more events will arrive on
+// that input. A batch is nothing but a run of the changelog (the source
+// paper defines an operator by the changelog it turns into its output
+// changelog), so an operator must:
+//
+//   - process the events in order, as if they arrived one at a time: a
+//     batch never reorders, splits emissions differently or changes
+//     watermark semantics, so any re-chunking of a log into PushBatch calls
+//     gives byte-identical output;
+//   - let control events take effect in position: watermarks and heartbeats
+//     arrive inside batches, between data events;
+//   - neither retain nor mutate evs: callers reuse the backing array, and
+//     drivers hand down sub-slices of the source logs;
+//   - treat an empty batch, PushBatch(nil) included, as a no-op.
+//
+// Events obey non-decreasing ptime. The common shape (aggOp is the model)
+// processes the batch in order, appends its outputs to a reused pend buffer
+// and hands that downstream once through flush, which never dispatches an
+// empty batch and leaves pend empty. pend is never checkpointed: it is empty
+// whenever a call returns (an error is terminal; the pipeline that returned
+// it is not fed again). Operators with several inputs (join, UNION ALL,
+// INTERSECT/EXCEPT) take events through port sinks that share one
+// mergingSink: watermarks min-merge and heartbeats deduplicate in position,
+// data goes to the operator's apply, and every port flushes the shared pend.
+//
+// TestPushBatchRechunkEquivalence pins the contract for every operator
+// family: size-1, whole-log, mixed and random chunkings must each reproduce
+// testdata/rechunk_*.golden, the per-event output recorded while operators
+// still had a separate per-event entry point.
+//
+// Dispatch shape. The driver's k-way ptime merge hands each maximal run of
+// same-scan events to that scan as one batch (a single-source Feed is one
+// batch). A source read by several scans (a self-join) is the exception:
+// the merge interleaves those scans per event, and that order is semantic —
+// handing one scan the whole run first would stamp join pairs with the
+// earlier side's ptime — so each scan gets one-event sub-slices. Stats
+// counts Dispatches and DispatchedEvents, whose ratio is the batching the
+// ingest granularity allows.
+//
+// Costs the batch shape buys: scan, filter and project forward one scratch
+// batch (project carves all output rows from one block allocation); the
+// keyed aggregate probes its group map once per run of same-key events (a
+// run cache keyed on the previous event's encoded key) and builds a
+// suppressed reemit's candidate row in reused scratch, so its steady state
+// costs 0 allocs/op (TestKeyedHotPathAllocFree). make batch-guard runs the
+// re-chunking property, that pin and BenchmarkBatchPush with -benchmem
+// (including a Q4-shaped join -> aggregate case).
+//
+// Constant relations are complete: a VALUES operator emits its rows at Open
+// followed by a final watermark, and Close finishes it with the scans.
+// DISTINCT and INTERSECT/EXCEPT forget a row whose multiplicities return to
+// 0, so their state tracks the live rows.
+//
 // # Adding an operator
 //
-// A new operator implements sink, and batchSink when batching pays (see
-// pushBatch for the equivalence a batch must keep); a stateful one also
-// implements SaveState/LoadState (the contract is in checkpoint.go) and, if
-// its state is keyed by event-time columns, registers its groups with a
-// completionIndex so a watermark closes and evicts them. Pipeline.build wires
-// it to its plan node. Nothing else changes.
+// A new operator implements sink (and Open, if it emits before any input);
+// a stateful one also implements SaveState/LoadState (the contract is in
+// checkpoint.go) and, if its state is keyed by event-time columns,
+// registers its groups with a completionIndex. Pipeline.build wires it to
+// its plan node, and a shape in TestPushBatchRechunkEquivalence covers it.
+// Nothing else changes.
+//
+// # Watermark completion
+//
+// A watermark lets an operator finish a group, so cost and memory track the
+// open groups, not the stream's history (the paper's Extensions 2 and 5).
+// completionIndex (completion.go) is how aggOp, emitAfterWatermarkOp and
+// emitAfterDelayOp do that:
+//
+//   - It owns a min-heap of the operator's open groups by completion time
+//     max(key_i + WmOffset_i), first-seen sequence as tie-break, plus the
+//     sequence counter and the closed-group count. The open groups are
+//     exactly the entries of the operator's groups map. A group with a NULL
+//     or non-timestamp event key, and every group of an operator with no
+//     event-time keys (Q4's aggregates, AFTER DELAY without AND AFTER
+//     WATERMARK), gets a sequence number and is never held by the index.
+//   - State keyed by event-time columns registers with the index (add) when
+//     the group is created. An advancing watermark calls advance(wm), which
+//     pops exactly the groups whose completion time has passed and returns
+//     them in first-seen order (materialization order is part of the
+//     byte-identical contract); the operator finishes each one and deletes
+//     it from its groups map. No operator scans closed groups or keeps a
+//     tombstone: a row whose group is absent is late iff complete(keyRow,
+//     wm). aggOp invalidates its run cache when the cached group is
+//     evicted; emitAfterDelayOp's timer heap may still point at a closed
+//     group, which is disarmed, so fire ignores it.
+//   - So a watermark costs O(groups closing · log open), and groups,
+//     checkpoints and RSS hold open groups only. stats reads StateGroups
+//     and FreedGroups in O(1) and sums StateRows over open groups.
+//   - Checkpoint layout is unchanged from before eviction: each group record
+//     carries a closed flag, always written false; groups are written in
+//     first-seen order; the heap is never serialized (LoadState re-adds each
+//     group). Snapshots written before eviction hold closed groups as
+//     tombstones (and stale AFTER DELAY timers), which LoadState reads past
+//     and discards (testdata/*_pre_eviction.golden).
+//   - completion_ref_test.go keeps the walk-every-group operators as
+//     references for TestWatermarkCompletionMatchesWalk;
+//     TestCompletionIndexTouchesOnlyClosingGroups and
+//     BenchmarkWatermarkAdvance (closed=1k and closed=100k must read alike)
+//     pin the cost. All run in make batch-guard.
+//
+// joinOp.expire still walks every bucket of both sides per watermark:
+// O(live buckets), since expired rows are dropped, and no workload shows it.
 //
 // # Output: who holds it, who renders it
 //

@@ -35,7 +35,8 @@ type emitAfterWatermarkOp struct {
 	idx    completionIndex[*wmGroup] // which groups a watermark completes
 	wm     types.Time
 	late   int
-	keyBuf []byte // reusable group-key encoding buffer
+	keyBuf []byte      // reusable group-key encoding buffer
+	pend   []tvr.Event // per-dispatch output buffer, flushed once
 }
 
 type wmGroup struct {
@@ -55,12 +56,23 @@ func newEmitAfterWatermark(sch *types.Schema, out sink) *emitAfterWatermarkOp {
 	}
 }
 
-func (e *emitAfterWatermarkOp) Push(ev tvr.Event) error {
+func (e *emitAfterWatermarkOp) PushBatch(evs []tvr.Event) error {
+	for _, ev := range evs {
+		if err := e.pushEvent(ev); err != nil {
+			return err
+		}
+	}
+	return flush(e.out, &e.pend)
+}
+
+func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 	switch ev.Kind {
 	case tvr.Watermark:
-		return e.onWatermark(ev)
+		e.onWatermark(ev)
+		return nil
 	case tvr.Heartbeat:
-		return e.out.Push(ev)
+		e.pend = append(e.pend, ev)
+		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
 	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
@@ -79,21 +91,19 @@ func (e *emitAfterWatermarkOp) Push(ev tvr.Event) error {
 	return g.rel.Apply(ev)
 }
 
-func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) error {
+func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
 	if ev.Wm <= e.wm {
-		return nil
+		return
 	}
 	e.wm = ev.Wm
 	for _, c := range e.idx.advance(e.wm) {
 		delete(e.groups, c.key)
 		// Materialize the final contents of the group, once.
 		for _, row := range c.g.rel.Rows() {
-			if err := e.out.Push(tvr.InsertEvent(ev.Ptime, row)); err != nil {
-				return err
-			}
+			e.pend = append(e.pend, tvr.InsertEvent(ev.Ptime, row))
 		}
 	}
-	return e.out.Push(ev)
+	e.pend = append(e.pend, ev)
 }
 
 func (e *emitAfterWatermarkOp) Finish() error { return e.out.Finish() }
@@ -126,7 +136,8 @@ type emitAfterDelayOp struct {
 	seq    int
 	wm     types.Time
 	late   int
-	keyBuf []byte // reusable group-key encoding buffer
+	keyBuf []byte      // reusable group-key encoding buffer
+	pend   []tvr.Event // per-dispatch output buffer, flushed once
 }
 
 // delayGroup is one event-time group's buffered contents. A group closed by
@@ -178,22 +189,29 @@ func newEmitAfterDelay(sch *types.Schema, delay types.Duration, alsoWatermark bo
 	return e
 }
 
-func (e *emitAfterDelayOp) Push(ev tvr.Event) error {
+func (e *emitAfterDelayOp) PushBatch(evs []tvr.Event) error {
+	for _, ev := range evs {
+		if err := e.pushEvent(ev); err != nil {
+			return err
+		}
+	}
+	return flush(e.out, &e.pend)
+}
+
+func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 	// Timers strictly earlier than the new processing time fire first, so
 	// emissions remain ptime-ordered. A timer whose deadline equals the
 	// event's ptime fires after the event is applied (the paper's Listing
 	// 14 shows the 8:18 input included in the 8:18 materialization).
-	if err := e.fireDue(ev.Ptime); err != nil {
-		return err
-	}
+	e.fireDue(ev.Ptime, false)
 	switch ev.Kind {
 	case tvr.Watermark:
-		return e.onWatermark(ev)
+		e.onWatermark(ev)
+		return nil
 	case tvr.Heartbeat:
-		if err := e.fireDueInclusive(ev.Ptime); err != nil {
-			return err
-		}
-		return e.out.Push(ev)
+		e.fireDue(ev.Ptime, true)
+		e.pend = append(e.pend, ev)
+		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
 	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
@@ -222,47 +240,29 @@ func (e *emitAfterDelayOp) Push(ev tvr.Event) error {
 	return nil
 }
 
-// fireDue fires timers with deadline strictly before p.
-func (e *emitAfterDelayOp) fireDue(p types.Time) error {
-	for len(e.timers) > 0 && e.timers[0].deadline < p {
+// fireDue fires timers with deadline strictly before p, or at or before p
+// when inclusive (heartbeats, which mark "processing time has reached p").
+func (e *emitAfterDelayOp) fireDue(p types.Time, inclusive bool) {
+	for len(e.timers) > 0 && (e.timers[0].deadline < p || inclusive && e.timers[0].deadline == p) {
 		t := heap.Pop(&e.timers).(timer)
-		if err := e.fire(t.group, t.deadline); err != nil {
-			return err
-		}
+		e.fire(t.group, t.deadline)
 	}
-	return nil
-}
-
-// fireDueInclusive fires timers with deadline at or before p (used for
-// heartbeats, which mark "processing time has reached p").
-func (e *emitAfterDelayOp) fireDueInclusive(p types.Time) error {
-	for len(e.timers) > 0 && e.timers[0].deadline <= p {
-		t := heap.Pop(&e.timers).(timer)
-		if err := e.fire(t.group, t.deadline); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fire materializes the group's pending changes as a diff at ptime p.
-func (e *emitAfterDelayOp) fire(g *delayGroup, p types.Time) error {
+func (e *emitAfterDelayOp) fire(g *delayGroup, p types.Time) {
 	if !g.armed {
-		return nil
+		return
 	}
 	g.armed = false
-	for _, ev := range g.lastMat.Diff(g.cur, p) {
-		if err := e.out.Push(ev); err != nil {
-			return err
-		}
-	}
+	e.pend = append(e.pend, g.lastMat.Diff(g.cur, p)...)
 	g.lastMat = g.cur.Clone()
-	return nil
 }
 
-func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) error {
+func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) {
 	if ev.Wm <= e.wm {
-		return e.out.Push(tvr.WatermarkEvent(ev.Ptime, e.wm))
+		e.pend = append(e.pend, tvr.WatermarkEvent(ev.Ptime, e.wm))
+		return
 	}
 	e.wm = ev.Wm
 	for _, c := range e.idx.advance(e.wm) {
@@ -270,22 +270,18 @@ func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) error {
 		// Final on-time materialization closes the group.
 		g := c.g
 		g.armed = true // force the diff even if no timer pending
-		if err := e.fire(g, ev.Ptime); err != nil {
-			return err
-		}
+		e.fire(g, ev.Ptime)
 		g.lastMat, g.cur = nil, nil
 	}
-	return e.out.Push(ev)
+	e.pend = append(e.pend, ev)
 }
 
 // Finish flushes all pending timers at their deadlines: the end of the
 // recorded input means processing time runs to infinity.
 func (e *emitAfterDelayOp) Finish() error {
-	for len(e.timers) > 0 {
-		t := heap.Pop(&e.timers).(timer)
-		if err := e.fire(t.group, t.deadline); err != nil {
-			return err
-		}
+	e.fireDue(types.MaxTime, true)
+	if err := flush(e.out, &e.pend); err != nil {
+		return err
 	}
 	return e.out.Finish()
 }

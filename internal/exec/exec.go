@@ -9,48 +9,23 @@ import (
 	"repro/internal/types"
 )
 
-// sink receives changelog events and an end-of-input signal.
+// sink is the one operator contract (see the package documentation):
+// PushBatch delivers a run of the input changelog, processed in order, and
+// Finish signals that no more events will arrive on this input.
 type sink interface {
-	// Push delivers one event. Events arrive in non-decreasing ptime
-	// order.
-	Push(ev tvr.Event) error
-	// Finish signals that no more events will arrive on this input.
+	PushBatch(evs []tvr.Event) error
 	Finish() error
 }
 
-// batchSink is the optional batch fast path on the sink contract.
-// PushBatch(evs) must be observably identical to pushing each event in
-// order — batching is a dispatch-shape optimization, never a semantic one —
-// and implementations may not retain or mutate the slice (callers reuse the
-// backing array, and drivers hand down sub-slices of the source logs). The
-// events obey the same non-decreasing ptime contract as Push, and a batch
-// may mix data and control (watermark/heartbeat) events. Operators that
-// don't implement batchSink are fed through the pushBatch adapter, which
-// preserves the one-event semantics exactly.
-type batchSink interface {
-	PushBatch(evs []tvr.Event) error
-}
-
-// pushBatch delivers evs to s, using the batch fast path when the sink opts
-// in and falling back to per-event Push otherwise. Single-event batches take
-// the Push path directly so size-1 dispatch is byte-for-byte the per-event
-// path.
-func pushBatch(s sink, evs []tvr.Event) error {
-	switch len(evs) {
-	case 0:
+// flush hands the pending outputs downstream in one dispatch and empties the
+// buffer, keeping its capacity. An empty buffer dispatches nothing.
+func flush(out sink, pend *[]tvr.Event) error {
+	evs := *pend
+	if len(evs) == 0 {
 		return nil
-	case 1:
-		return s.Push(evs[0])
 	}
-	if bs, ok := s.(batchSink); ok {
-		return bs.PushBatch(evs)
-	}
-	for i := range evs {
-		if err := s.Push(evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	*pend = evs[:0]
+	return out.PushBatch(evs)
 }
 
 // opener is implemented by operators that emit output before any input
@@ -103,7 +78,8 @@ type Pipeline struct {
 	collector *Collector
 	scans     map[string][]*scanOp // lower-cased source name -> scan operators
 	scanOrder []string             // deterministic source ordering
-	allOps    []sink               // in build (parent-before-child) order
+	values    []*valuesOp          // constant-relation roots
+	allOps    []any                // in build (parent-before-child) order
 	opened    bool
 	closed    bool
 
@@ -168,6 +144,7 @@ func (p *Pipeline) build(n plan.Node, out sink) error {
 	case *plan.Values:
 		v := &valuesOp{out: out, rows: x.Rows}
 		p.allOps = append(p.allOps, v)
+		p.values = append(p.values, v)
 		return nil
 	case *plan.Filter:
 		f := &filterOp{out: out, cond: x.Cond}
@@ -188,10 +165,10 @@ func (p *Pipeline) build(n plan.Node, out sink) error {
 	case *plan.Join:
 		j := newJoinOp(x, out)
 		p.allOps = append(p.allOps, j)
-		if err := p.build(x.Left, j.leftPort()); err != nil {
+		if err := p.build(x.Left, j.port(0)); err != nil {
 			return err
 		}
-		return p.build(x.Right, j.rightPort())
+		return p.build(x.Right, j.port(1))
 	case *plan.Distinct:
 		d := &distinctOp{out: out, counts: make(map[string]*rowCount)}
 		p.allOps = append(p.allOps, d)
@@ -208,10 +185,10 @@ func (p *Pipeline) build(n plan.Node, out sink) error {
 	case *plan.SetOp:
 		s := newSetOp(x, out)
 		p.allOps = append(p.allOps, s)
-		if err := p.build(x.Left, s.leftPort()); err != nil {
+		if err := p.build(x.Left, s.port(0)); err != nil {
 			return err
 		}
-		return p.build(x.Right, s.rightPort())
+		return p.build(x.Right, s.port(1))
 	default:
 		return fmt.Errorf("exec: unsupported plan node %T", n)
 	}
@@ -284,17 +261,17 @@ func (p *Pipeline) feed(batch []Source, upTo types.Time, requireAll bool) error 
 		if len(scans) == 1 {
 			p.dispatches++
 			p.dispatchedEvents += int64(len(evs))
-			return pushBatch(scans[0], evs)
+			return scans[0].PushBatch(evs)
 		}
-		// Several scan operators read this source (a self-join): the delivery
-		// order interleaves the scans per event, so a whole-run dispatch to
-		// one scan at a time would reorder deliveries. Fall back to the
-		// per-event path.
-		for _, ev := range evs {
+		// Several scan operators read this source (a self-join). Delivery
+		// interleaves the scans per event, and that order is semantic: handing
+		// one scan the whole run first would stamp join pairs with the
+		// earlier side's ptime. So each scan gets one event at a time.
+		for i := range evs {
 			for _, s := range scans {
 				p.dispatches++
 				p.dispatchedEvents++
-				if err := s.Push(ev); err != nil {
+				if err := s.PushBatch(evs[i : i+1]); err != nil {
 					return err
 				}
 			}
@@ -310,12 +287,12 @@ func (p *Pipeline) Advance(pt types.Time) error {
 	if !p.opened || p.closed {
 		return fmt.Errorf("exec: pipeline not accepting input")
 	}
-	hb := tvr.HeartbeatEvent(pt)
+	hb := []tvr.Event{tvr.HeartbeatEvent(pt)}
 	for _, name := range p.scanOrder {
 		for _, s := range p.scans[name] {
 			p.dispatches++
 			p.dispatchedEvents++
-			if err := s.Push(hb); err != nil {
+			if err := s.PushBatch(hb); err != nil {
 				return err
 			}
 		}
@@ -324,7 +301,9 @@ func (p *Pipeline) Advance(pt types.Time) error {
 }
 
 // Close signals end-of-input on every scan (completing bounded relations and
-// flushing pending timers). What that materializes is left for Drain.
+// flushing pending timers), then on every constant relation, so a
+// multi-input operator fed by one finishes too. What that materializes is
+// left for Drain.
 func (p *Pipeline) Close() error {
 	if !p.opened {
 		return fmt.Errorf("exec: pipeline not started")
@@ -338,6 +317,11 @@ func (p *Pipeline) Close() error {
 			if err := s.Finish(); err != nil {
 				return err
 			}
+		}
+	}
+	for _, v := range p.values {
+		if err := v.Finish(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -454,26 +438,16 @@ func newCollector(pq *plan.PlannedQuery) *Collector {
 	}
 }
 
-// Push implements sink.
-func (c *Collector) Push(ev tvr.Event) error {
-	switch ev.Kind {
-	case tvr.Insert, tvr.Delete:
-		c.out = append(c.out, ev)
-		c.outN++
-	case tvr.Watermark:
-		if ev.Wm > c.wm {
-			c.wm = ev.Wm
-		}
-	}
-	return nil
-}
-
-// PushBatch implements batchSink: the terminal sink applies the whole batch
-// in one call, saving a dispatch per event.
+// PushBatch implements sink: data events join the undrained output, and
+// watermarks advance the output watermark.
 func (c *Collector) PushBatch(evs []tvr.Event) error {
 	for i := range evs {
-		if err := c.Push(evs[i]); err != nil {
-			return err
+		switch evs[i].Kind {
+		case tvr.Insert, tvr.Delete:
+			c.out = append(c.out, evs[i])
+			c.outN++
+		case tvr.Watermark:
+			c.wm = max(c.wm, evs[i].Wm)
 		}
 	}
 	return nil

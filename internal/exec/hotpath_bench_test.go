@@ -44,11 +44,12 @@ func BenchmarkAggGroupUpdate(b *testing.B) {
 			types.NewString("abcdefgh"),
 		}
 	}
+	one := make([]tvr.Event, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := tvr.InsertEvent(types.Time(i), rows[i%len(rows)])
-		if err := agg.Push(ev); err != nil {
+		one[0] = tvr.InsertEvent(types.Time(i), rows[i%len(rows)])
+		if err := agg.PushBatch(one); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,18 +89,47 @@ func batchBenchEvents(n, groups, price int) []tvr.Event {
 	return evs
 }
 
+// benchQ4Plan is NEXMark Q4's shape over the S/R streams: auctions (S: id,
+// category) join bids (R: auction, price) on the auction id, MAX(price) per
+// auction, and AVG of those per category.
+func benchQ4Plan(t testing.TB) *plan.PlannedQuery {
+	return planRechunkSQL(t, `
+SELECT Q.c, AVG(Q.final) AS avgPrice
+FROM (
+  SELECT a.k AS id, a.v AS c, MAX(b.v) AS final
+  FROM S a JOIN R b ON a.k = b.k
+  GROUP BY a.k, a.v
+) Q
+GROUP BY Q.c`)
+}
+
 // BenchmarkBatchPush measures the batched hot path end to end: one PushBatch
 // of 512 events per iteration, against (a) the Q1-shaped stateless chain
-// (filter -> project with integer arithmetic) and (b) the keyed aggregate.
-// ns/op divided by 512 is the per-event cost the serial driver pays once the
-// run merge hands it whole batches.
+// (filter -> project with integer arithmetic), (b) the keyed aggregate and
+// (c) the Q4-shaped join -> aggregate -> aggregate, with bids arriving for 32
+// auctions already in the join. ns/op divided by 512 is the per-event cost the
+// serial driver pays once the run merge hands it whole batches.
 func BenchmarkBatchPush(b *testing.B) {
+	keyed := batchBenchEvents(512, 32, 100)
+	auctions := make([]tvr.Event, 32)
+	for i := range auctions {
+		auctions[i] = tvr.InsertEvent(0, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 4)), types.NewTimestamp(0)})
+	}
+	bids := make([]tvr.Event, 512)
+	for i := range bids {
+		at := types.Time(i)
+		bids[i] = tvr.InsertEvent(at, types.Row{types.NewInt(int64(i % 32)), types.NewInt(100), types.NewTimestamp(at)})
+	}
 	shapes := []struct {
 		name string
 		pq   *plan.PlannedQuery
+		warm []tvr.Event // pushed into scan "s" before the clock starts
+		scan string      // the scan each iteration's batch enters
+		evs  []tvr.Event
 	}{
-		{"q1-chain", batchChainPlan(b)},
-		{"keyed-agg", benchScanPlan()},
+		{"q1-chain", batchChainPlan(b), nil, "s", keyed},
+		{"keyed-agg", benchScanPlan(), nil, "s", keyed},
+		{"q4-join-agg", benchQ4Plan(b), auctions, "r", bids},
 	}
 	for _, shape := range shapes {
 		shape := shape
@@ -111,12 +141,14 @@ func BenchmarkBatchPush(b *testing.B) {
 			if err := p.Start(); err != nil {
 				b.Fatal(err)
 			}
-			scan := p.scans["s"][0]
-			evs := batchBenchEvents(512, 32, 100)
+			if err := p.scans["s"][0].PushBatch(shape.warm); err != nil {
+				b.Fatal(err)
+			}
+			scan := p.scans[shape.scan][0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := pushBatch(scan, evs); err != nil {
+				if err := scan.PushBatch(shape.evs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,11 +199,11 @@ func BenchmarkWatermarkAdvance(b *testing.B) {
 				wm += types.Time(types.Second)
 				for k := 0; k < groups; k++ {
 					row := types.Row{types.NewInt(int64(k)), types.NewTimestamp(wm), types.NewInt(int64(k))}
-					if err := agg.Push(tvr.InsertEvent(wm, row)); err != nil {
+					if err := push(agg, tvr.InsertEvent(wm, row)); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if err := agg.Push(tvr.WatermarkEvent(wm, wm)); err != nil {
+				if err := push(agg, tvr.WatermarkEvent(wm, wm)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,7 +212,7 @@ func BenchmarkWatermarkAdvance(b *testing.B) {
 			}
 			far := types.NewTimestamp(types.MaxTime / 2)
 			for k := 0; k < c.open; k++ {
-				if err := agg.Push(tvr.InsertEvent(wm, types.Row{types.NewInt(int64(k)), far, types.NewInt(1)})); err != nil {
+				if err := push(agg, tvr.InsertEvent(wm, types.Row{types.NewInt(int64(k)), far, types.NewInt(1)})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -231,5 +263,5 @@ func TestKeyedHotPathAllocFree(t *testing.T) {
 // nullSink discards pushes (isolates the operator under benchmark).
 type nullSink struct{}
 
-func (n *nullSink) Push(tvr.Event) error { return nil }
-func (n *nullSink) Finish() error        { return nil }
+func (n *nullSink) PushBatch([]tvr.Event) error { return nil }
+func (n *nullSink) Finish() error               { return nil }

@@ -70,32 +70,10 @@ func newJoinOp(x *plan.Join, out sink) *joinOp {
 		leftExpiry:  x.LeftExpiry,
 		rightExpiry: x.RightExpiry,
 	}
+	j.apply = j.applySide
 	j.onWatermark = j.expire
 	return j
 }
-
-type joinPort struct {
-	j    *joinOp
-	side int // 0 = left, 1 = right
-}
-
-func (j *joinOp) leftPort() sink  { return &joinPort{j: j, side: 0} }
-func (j *joinOp) rightPort() sink { return &joinPort{j: j, side: 1} }
-
-func (p *joinPort) Push(ev tvr.Event) error {
-	if done, err := p.j.pushControl(p.side, ev); done || err != nil {
-		return err
-	}
-	return p.j.apply(p.side, ev)
-}
-
-func (p *joinPort) Finish() error { return p.j.finishPort() }
-
-// Push/Finish satisfy sink on the operator itself; ports are the real inputs.
-func (j *joinOp) Push(ev tvr.Event) error { return j.out.Push(ev) }
-
-// Finish implements sink.
-func (j *joinOp) Finish() error { return nil }
 
 // padLeft reports whether unmatched left rows emit null-padded outputs.
 func (j *joinOp) padLeft() bool {
@@ -140,8 +118,9 @@ func (j *joinOp) nullPad(side int, row types.Row) types.Row {
 	return types.Row(padded).Concat(row)
 }
 
-// apply processes one data event from the given side.
-func (j *joinOp) apply(side int, ev tvr.Event) error {
+// applySide processes one data event from the given side (0 = left,
+// 1 = right).
+func (j *joinOp) applySide(side int, ev tvr.Event) error {
 	mySide, otherSide := j.left, j.right
 	myPad, otherPad := j.padLeft(), j.padRight()
 	if side == 1 {
@@ -200,11 +179,8 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 		}
 		myMatches += other.count
 		// Emit one joined delta per pair instance.
-		n := other.count
-		for i := 0; i < n; i++ {
-			if err := j.emitData(ev.Ptime, delta, joined); err != nil {
-				return err
-			}
+		for i := 0; i < other.count; i++ {
+			j.emitData(ev.Ptime, delta, joined)
 		}
 		// The opposite row's match count changes by my delta.
 		before := other.matches
@@ -213,15 +189,11 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 			if before == 0 && other.matches > 0 {
 				// Retract its null-padded output (once per instance).
 				for i := 0; i < other.count; i++ {
-					if err := j.emitData(ev.Ptime, -1, j.nullPad(1-side, other.row)); err != nil {
-						return err
-					}
+					j.emitData(ev.Ptime, -1, j.nullPad(1-side, other.row))
 				}
 			} else if before > 0 && other.matches == 0 {
 				for i := 0; i < other.count; i++ {
-					if err := j.emitData(ev.Ptime, 1, j.nullPad(1-side, other.row)); err != nil {
-						return err
-					}
+					j.emitData(ev.Ptime, 1, j.nullPad(1-side, other.row))
 				}
 			}
 		}
@@ -235,9 +207,7 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 		mine.count++
 		mySide.size++
 		if myPad && mine.matches == 0 {
-			if err := j.emitData(ev.Ptime, 1, j.nullPad(side, mine.row)); err != nil {
-				return err
-			}
+			j.emitData(ev.Ptime, 1, j.nullPad(side, mine.row))
 		}
 	} else {
 		mine.count--
@@ -246,9 +216,7 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 			return fmt.Errorf("exec: join retraction underflow for row %s", ev.Row)
 		}
 		if myPad && mine.matches == 0 {
-			if err := j.emitData(ev.Ptime, -1, j.nullPad(side, mine.row)); err != nil {
-				return err
-			}
+			j.emitData(ev.Ptime, -1, j.nullPad(side, mine.row))
 		}
 		if mine.count == 0 {
 			dropRow(mySide, bucket, mine)
@@ -257,11 +225,13 @@ func (j *joinOp) apply(side int, ev tvr.Event) error {
 	return nil
 }
 
-func (j *joinOp) emitData(p types.Time, delta int, row types.Row) error {
+// emitData appends one joined (or null-padded) delta to the output.
+func (j *joinOp) emitData(p types.Time, delta int, row types.Row) {
 	if delta > 0 {
-		return j.out.Push(tvr.InsertEvent(p, row))
+		j.pend = append(j.pend, tvr.InsertEvent(p, row))
+	} else {
+		j.pend = append(j.pend, tvr.DeleteEvent(p, row))
 	}
-	return j.out.Push(tvr.DeleteEvent(p, row))
 }
 
 // dropRow removes target from its bucket, and the bucket from the side once
@@ -282,14 +252,13 @@ func dropRow(side *joinSide, bucket *joinBucket, target *joinRow) {
 // watermark. Expired rows can no longer produce new matches (the optimizer
 // proved the bound from the join predicate) so dropping them is output-
 // invariant.
-func (j *joinOp) expire(wm types.Time, _ types.Time) error {
+func (j *joinOp) expire(wm types.Time) {
 	if j.leftExpiry != nil {
 		expireSide(j.left, j.leftExpiry, wm)
 	}
 	if j.rightExpiry != nil {
 		expireSide(j.right, j.rightExpiry, wm)
 	}
-	return nil
 }
 
 func expireSide(side *joinSide, b *plan.ExpiryBound, wm types.Time) {

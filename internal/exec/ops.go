@@ -21,42 +21,27 @@ type scanOp struct {
 	bounded   bool
 	lastPtime types.Time
 	finished  bool
-	batch     []tvr.Event // asOf filtering scratch, reused across batches
+	pend      []tvr.Event // asOf filtering scratch, reused across batches
 }
 
-func (s *scanOp) Push(ev tvr.Event) error {
-	if ev.Ptime > s.lastPtime {
-		s.lastPtime = ev.Ptime
-	}
-	if s.asOf != nil && ev.Ptime > *s.asOf {
-		// Beyond the snapshot horizon: the relation is frozen, but the
-		// processing-time clock still advances for downstream timers.
-		if ev.Kind == tvr.Heartbeat {
-			return s.out.Push(ev)
-		}
+// PushBatch implements sink. Without a snapshot bound the batch passes
+// through untouched (zero copy). With one, events beyond the horizon are
+// dropped: the relation is frozen, but heartbeats still pass, since the
+// processing-time clock advances for downstream timers.
+func (s *scanOp) PushBatch(evs []tvr.Event) error {
+	if len(evs) == 0 {
 		return nil
 	}
-	return s.out.Push(ev)
-}
-
-// PushBatch implements batchSink. Without a snapshot bound the batch passes
-// through untouched (zero copy); with one, surviving events are gathered into
-// a reused scratch slice.
-func (s *scanOp) PushBatch(evs []tvr.Event) error {
-	if last := evs[len(evs)-1].Ptime; last > s.lastPtime {
-		s.lastPtime = last
-	}
+	s.lastPtime = max(s.lastPtime, evs[len(evs)-1].Ptime)
 	if s.asOf == nil {
-		return pushBatch(s.out, evs)
+		return s.out.PushBatch(evs)
 	}
-	s.batch = s.batch[:0]
 	for _, ev := range evs {
-		if ev.Ptime > *s.asOf && ev.Kind != tvr.Heartbeat {
-			continue
+		if ev.Ptime <= *s.asOf || ev.Kind == tvr.Heartbeat {
+			s.pend = append(s.pend, ev)
 		}
-		s.batch = append(s.batch, ev)
 	}
-	return pushBatch(s.out, s.batch)
+	return flush(s.out, &s.pend)
 }
 
 func (s *scanOp) Finish() error {
@@ -66,61 +51,45 @@ func (s *scanOp) Finish() error {
 	s.finished = true
 	if s.bounded || s.asOf != nil {
 		// A bounded relation (table or snapshot) is complete: assert it.
-		if err := s.out.Push(tvr.WatermarkEvent(s.lastPtime, types.MaxTime)); err != nil {
+		if err := s.out.PushBatch([]tvr.Event{tvr.WatermarkEvent(s.lastPtime, types.MaxTime)}); err != nil {
 			return err
 		}
 	}
 	return s.out.Finish()
 }
 
-// valuesOp emits a constant relation at open time.
+// valuesOp emits a constant relation at open time. A constant relation is
+// complete from the start, so its rows are followed by a final watermark,
+// the way a bounded scan completes at Finish; Close finishes it with the
+// scans.
 type valuesOp struct {
 	out  sink
 	rows []types.Row
 }
 
 func (v *valuesOp) Open() error {
+	evs := make([]tvr.Event, 0, len(v.rows)+1)
 	for _, r := range v.rows {
-		if err := v.out.Push(tvr.InsertEvent(types.MinTime, r)); err != nil {
-			return err
-		}
+		evs = append(evs, tvr.InsertEvent(types.MinTime, r))
 	}
-	return nil
+	return v.out.PushBatch(append(evs, tvr.WatermarkEvent(types.MinTime, types.MaxTime)))
 }
 
-func (v *valuesOp) Push(ev tvr.Event) error { return v.out.Push(ev) }
-
-func (v *valuesOp) Finish() error {
-	return v.out.Finish()
-}
+func (v *valuesOp) Finish() error { return v.out.Finish() }
 
 // filterOp keeps rows whose condition evaluates to TRUE. Because the
 // predicate is deterministic, inserts and deletes filter identically and
 // retraction consistency is preserved.
 type filterOp struct {
-	out   sink
-	cond  plan.Scalar
-	batch []tvr.Event // surviving-event scratch, reused across batches
+	out  sink
+	cond plan.Scalar
+	pend []tvr.Event // surviving-event scratch, reused across batches
 }
 
-func (f *filterOp) Push(ev tvr.Event) error {
-	if ev.IsData() {
-		ok, err := plan.EvalBool(f.cond, ev.Row)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-	return f.out.Push(ev)
-}
-
-// PushBatch implements batchSink: evaluate the predicate across the batch,
-// then hand the survivors (data that passed plus all control events, in
-// order) downstream in one dispatch.
+// PushBatch implements sink: evaluate the predicate across the batch, then
+// hand the survivors (data that passed plus all control events, in order)
+// downstream in one dispatch.
 func (f *filterOp) PushBatch(evs []tvr.Event) error {
-	f.batch = f.batch[:0]
 	for _, ev := range evs {
 		if ev.IsData() {
 			ok, err := plan.EvalBool(f.cond, ev.Row)
@@ -131,9 +100,9 @@ func (f *filterOp) PushBatch(evs []tvr.Event) error {
 				continue
 			}
 		}
-		f.batch = append(f.batch, ev)
+		f.pend = append(f.pend, ev)
 	}
-	return pushBatch(f.out, f.batch)
+	return flush(f.out, &f.pend)
 }
 
 func (f *filterOp) Finish() error { return f.out.Finish() }
@@ -142,26 +111,10 @@ func (f *filterOp) Finish() error { return f.out.Finish() }
 type projectOp struct {
 	out   sink
 	exprs []plan.Scalar
-	batch []tvr.Event // output-event scratch, reused across batches
+	pend  []tvr.Event // output-event scratch, reused across batches
 }
 
-func (p *projectOp) Push(ev tvr.Event) error {
-	if !ev.IsData() {
-		return p.out.Push(ev)
-	}
-	row := make(types.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(ev.Row)
-		if err != nil {
-			return err
-		}
-		row[i] = v
-	}
-	ev.Row = row
-	return p.out.Push(ev)
-}
-
-// PushBatch implements batchSink. Output rows for the whole batch are carved
+// PushBatch implements sink. Output rows for the whole batch are carved
 // out of one block allocation: the rows are immutable once emitted (and a
 // batch's output is drained together), so sharing a backing array is safe and
 // replaces N row allocations with one.
@@ -177,7 +130,6 @@ func (p *projectOp) PushBatch(evs []tvr.Event) error {
 	if nData > 0 && width > 0 {
 		block = make(types.Row, nData*width)
 	}
-	p.batch = p.batch[:0]
 	off := 0
 	for _, ev := range evs {
 		if ev.IsData() {
@@ -192,9 +144,9 @@ func (p *projectOp) PushBatch(evs []tvr.Event) error {
 			}
 			ev.Row = row
 		}
-		p.batch = append(p.batch, ev)
+		p.pend = append(p.pend, ev)
 	}
-	return pushBatch(p.out, p.batch)
+	return flush(p.out, &p.pend)
 }
 
 func (p *projectOp) Finish() error { return p.out.Finish() }
@@ -218,7 +170,7 @@ type windowOp struct {
 	rowsAt   map[types.Time][]rowRef // rows carrying each timestamp
 	timeList []types.Time            // insertion order of distinct timestamps
 
-	batch []tvr.Event // tumble/hop output scratch, reused across batches
+	pend []tvr.Event // output scratch, reused across batches
 }
 
 type rowRef struct {
@@ -238,60 +190,21 @@ func newWindowOp(x *plan.WindowTVF, out sink) *windowOp {
 	return w
 }
 
-func (w *windowOp) Push(ev tvr.Event) error {
-	if !ev.IsData() {
-		return w.out.Push(ev)
-	}
-	tv := ev.Row[w.timeIdx]
-	if tv.IsNull() {
-		// Rows without an event timestamp belong to no window.
-		return nil
-	}
-	t := tv.Timestamp()
-	switch w.fn {
-	case plan.TumbleFn:
-		iv := window.Tumble(t, w.dur, w.offset)
-		return w.emit(ev, iv)
-	case plan.HopFn:
-		for _, iv := range window.Hop(t, w.dur, w.slide, w.offset) {
-			if err := w.emit(ev, iv); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return w.pushSession(ev, t)
-	}
-}
-
-func (w *windowOp) emit(ev tvr.Event, iv window.Interval) error {
-	return w.out.Push(w.widen(ev, iv))
-}
-
-// widen appends the window bounds to the event's row.
-func (w *windowOp) widen(ev tvr.Event, iv window.Interval) tvr.Event {
+// emit appends ev's row, widened with the window bounds, to the output.
+func (w *windowOp) emit(ev tvr.Event, iv window.Interval) {
 	row := make(types.Row, 0, len(ev.Row)+2)
 	row = append(row, ev.Row...)
 	row = append(row, types.NewTimestamp(iv.Start), types.NewTimestamp(iv.End))
-	return tvr.Event{Ptime: ev.Ptime, Kind: ev.Kind, Row: row}
+	w.pend = append(w.pend, tvr.Event{Ptime: ev.Ptime, Kind: ev.Kind, Row: row})
 }
 
-// PushBatch implements batchSink for the stateless window functions: the
-// widened rows for the whole batch are gathered and handed down in one
-// dispatch. The stateful session TVF keeps the per-event path.
+// PushBatch implements sink: the widened rows for the whole batch, session
+// retractions and re-emissions included, are gathered and handed down in one
+// dispatch.
 func (w *windowOp) PushBatch(evs []tvr.Event) error {
-	if w.fn == plan.SessionFn {
-		for i := range evs {
-			if err := w.Push(evs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	w.batch = w.batch[:0]
 	for _, ev := range evs {
 		if !ev.IsData() {
-			w.batch = append(w.batch, ev)
+			w.pend = append(w.pend, ev)
 			continue
 		}
 		tv := ev.Row[w.timeIdx]
@@ -302,14 +215,18 @@ func (w *windowOp) PushBatch(evs []tvr.Event) error {
 		t := tv.Timestamp()
 		switch w.fn {
 		case plan.TumbleFn:
-			w.batch = append(w.batch, w.widen(ev, window.Tumble(t, w.dur, w.offset)))
+			w.emit(ev, window.Tumble(t, w.dur, w.offset))
 		case plan.HopFn:
 			for _, iv := range window.Hop(t, w.dur, w.slide, w.offset) {
-				w.batch = append(w.batch, w.widen(ev, iv))
+				w.emit(ev, iv)
+			}
+		default:
+			if err := w.pushSession(ev, t); err != nil {
+				return err
 			}
 		}
 	}
-	return pushBatch(w.out, w.batch)
+	return flush(w.out, &w.pend)
 }
 
 // pushSession handles the stateful session TVF. The strategy: determine the
@@ -346,9 +263,7 @@ func (w *windowOp) pushSession(ev tvr.Event, t types.Time) error {
 		}
 		for _, rr := range w.rowsAt[ts] {
 			for i := 0; i < rr.count; i++ {
-				if err := w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Delete, Row: rr.row}, iv); err != nil {
-					return err
-				}
+				w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Delete, Row: rr.row}, iv)
 			}
 		}
 	}
@@ -385,9 +300,7 @@ func (w *windowOp) pushSession(ev tvr.Event, t types.Time) error {
 		}
 		for _, rr := range w.rowsAt[ts] {
 			for i := 0; i < rr.count; i++ {
-				if err := w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Insert, Row: rr.row}, iv); err != nil {
-					return err
-				}
+				w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Insert, Row: rr.row}, iv)
 			}
 		}
 	}
@@ -450,38 +363,40 @@ type rowCount struct {
 }
 
 // distinctOp converts bag to set semantics incrementally: a row appears in
-// the output while its input multiplicity is positive.
+// the output while its input multiplicity is positive. A row whose
+// multiplicity returns to 0 is forgotten, so state tracks the live rows.
 type distinctOp struct {
 	out    sink
 	counts map[string]*rowCount
+	pend   []tvr.Event
 }
 
-func (d *distinctOp) Push(ev tvr.Event) error {
-	if !ev.IsData() {
-		return d.out.Push(ev)
-	}
-	k := ev.Row.Key()
-	rc, ok := d.counts[k]
-	if !ok {
-		rc = &rowCount{row: ev.Row.Clone()}
-		d.counts[k] = rc
-	}
-	switch ev.Kind {
-	case tvr.Insert:
-		rc.count++
-		if rc.count == 1 {
-			return d.out.Push(tvr.InsertEvent(ev.Ptime, rc.row))
+func (d *distinctOp) PushBatch(evs []tvr.Event) error {
+	for _, ev := range evs {
+		if !ev.IsData() {
+			d.pend = append(d.pend, ev)
+			continue
 		}
-	case tvr.Delete:
-		if rc.count <= 0 {
+		k := ev.Row.Key()
+		rc := d.counts[k]
+		if ev.Kind == tvr.Insert {
+			if rc == nil {
+				rc = &rowCount{row: ev.Row.Clone()}
+				d.counts[k] = rc
+				d.pend = append(d.pend, tvr.InsertEvent(ev.Ptime, rc.row))
+			}
+			rc.count++
+			continue
+		}
+		if rc == nil {
 			return fmt.Errorf("exec: DISTINCT retraction of absent row %s", ev.Row)
 		}
-		rc.count--
-		if rc.count == 0 {
-			return d.out.Push(tvr.DeleteEvent(ev.Ptime, rc.row))
+		if rc.count--; rc.count == 0 {
+			delete(d.counts, k)
+			d.pend = append(d.pend, tvr.DeleteEvent(ev.Ptime, rc.row))
 		}
 	}
-	return nil
+	return flush(d.out, &d.pend)
 }
 
 func (d *distinctOp) Finish() error { return d.out.Finish() }
@@ -490,7 +405,8 @@ func (d *distinctOp) stats(s *Stats) { s.StateRows += len(d.counts) }
 
 // mergingSink is shared machinery for operators with several input ports:
 // watermarks min-merge, heartbeats deduplicate, and Finish propagates only
-// after every port finished.
+// after every port finished. Data events go to apply; every port appends its
+// outputs to the one pend buffer and flushes it once per batch.
 type mergingSink struct {
 	out         sink
 	inputs      int
@@ -499,7 +415,9 @@ type mergingSink struct {
 	mergedWM    types.Time
 	lastHB      types.Time
 	hasHB       bool
-	onWatermark func(wm types.Time, ptime types.Time) error
+	apply       func(port int, ev tvr.Event) error
+	onWatermark func(wm types.Time)
+	pend        []tvr.Event
 }
 
 func newMergingSink(inputs int, out sink) *mergingSink {
@@ -507,17 +425,42 @@ func newMergingSink(inputs int, out sink) *mergingSink {
 	for i := range wms {
 		wms[i] = types.MinTime
 	}
-	return &mergingSink{out: out, inputs: inputs, wms: wms, mergedWM: types.MinTime}
+	m := &mergingSink{out: out, inputs: inputs, wms: wms, mergedWM: types.MinTime}
+	m.apply = func(_ int, ev tvr.Event) error {
+		m.pend = append(m.pend, ev)
+		return nil
+	}
+	return m
 }
 
-// pushControl handles Watermark/Heartbeat events for input port i, returning
-// true if the event was consumed as a control event.
-func (m *mergingSink) pushControl(i int, ev tvr.Event) (bool, error) {
+// inPort is input port i of a multi-input operator.
+type inPort struct {
+	m *mergingSink
+	i int
+}
+
+func (m *mergingSink) port(i int) sink { return &inPort{m: m, i: i} }
+
+func (p *inPort) PushBatch(evs []tvr.Event) error {
+	for _, ev := range evs {
+		if ev.IsData() {
+			if err := p.m.apply(p.i, ev); err != nil {
+				return err
+			}
+		} else {
+			p.m.control(p.i, ev)
+		}
+	}
+	return flush(p.m.out, &p.m.pend)
+}
+
+func (p *inPort) Finish() error { return p.m.finishPort() }
+
+// control handles a Watermark or Heartbeat event arriving on input port i.
+func (m *mergingSink) control(i int, ev tvr.Event) {
 	switch ev.Kind {
 	case tvr.Watermark:
-		if ev.Wm > m.wms[i] {
-			m.wms[i] = ev.Wm
-		}
+		m.wms[i] = max(m.wms[i], ev.Wm)
 		min := m.wms[0]
 		for _, w := range m.wms[1:] {
 			if w < min {
@@ -527,22 +470,17 @@ func (m *mergingSink) pushControl(i int, ev tvr.Event) (bool, error) {
 		if min > m.mergedWM {
 			m.mergedWM = min
 			if m.onWatermark != nil {
-				if err := m.onWatermark(min, ev.Ptime); err != nil {
-					return true, err
-				}
+				m.onWatermark(min)
 			}
-			return true, m.out.Push(tvr.WatermarkEvent(ev.Ptime, min))
+			m.pend = append(m.pend, tvr.WatermarkEvent(ev.Ptime, min))
 		}
-		return true, nil
 	case tvr.Heartbeat:
 		if !m.hasHB || ev.Ptime > m.lastHB {
 			m.hasHB = true
 			m.lastHB = ev.Ptime
-			return true, m.out.Push(ev)
+			m.pend = append(m.pend, ev)
 		}
-		return true, nil
 	}
-	return false, nil
 }
 
 // finishPort records one port finishing; downstream finishes when all have.
@@ -563,32 +501,10 @@ func newUnionOp(inputs int, out sink) *unionOp {
 	return &unionOp{mergingSink: newMergingSink(inputs, out)}
 }
 
-type unionPort struct {
-	u *unionOp
-	i int
-}
-
-func (u *unionOp) port(i int) sink { return &unionPort{u: u, i: i} }
-
-func (p *unionPort) Push(ev tvr.Event) error {
-	if done, err := p.u.pushControl(p.i, ev); done || err != nil {
-		return err
-	}
-	return p.u.out.Push(ev)
-}
-
-func (p *unionPort) Finish() error { return p.u.finishPort() }
-
-// Push implements sink for the operator itself (unused; ports are the
-// entry points) — present so unionOp satisfies interfaces uniformly.
-func (u *unionOp) Push(ev tvr.Event) error { return u.out.Push(ev) }
-
-// Finish implements sink.
-func (u *unionOp) Finish() error { return nil }
-
 // setOp implements INTERSECT [ALL] and EXCEPT [ALL] incrementally by
 // tracking per-row multiplicities on both sides and emitting the delta of
-// the output multiplicity function on every change.
+// the output multiplicity function on every change. A row is forgotten once
+// both sides' multiplicities and its output multiplicity are 0.
 type setOp struct {
 	*mergingSink
 	op        func(l, r int) int
@@ -606,6 +522,7 @@ func newSetOp(x *plan.SetOp, out sink) *setOp {
 		outN:        make(map[string]int),
 		rowsByKey:   make(map[string]types.Row),
 	}
+	s.apply = s.applySide
 	intersect := x.Op.String() == "INTERSECT"
 	all := x.All
 	s.op = func(l, r int) int {
@@ -635,64 +552,47 @@ func newSetOp(x *plan.SetOp, out sink) *setOp {
 	return s
 }
 
-type setPort struct {
-	s    *setOp
-	side int // 0 = left, 1 = right
-}
-
-func (s *setOp) leftPort() sink  { return &setPort{s: s, side: 0} }
-func (s *setOp) rightPort() sink { return &setPort{s: s, side: 1} }
-
-func (p *setPort) Push(ev tvr.Event) error {
-	if done, err := p.s.pushControl(p.side, ev); done || err != nil {
-		return err
-	}
-	return p.s.apply(p.side, ev)
-}
-
-func (p *setPort) Finish() error { return p.s.finishPort() }
-
-func (s *setOp) apply(side int, ev tvr.Event) error {
+func (s *setOp) applySide(side int, ev tvr.Event) error {
 	k := ev.Row.Key()
-	if _, ok := s.rowsByKey[k]; !ok {
-		s.rowsByKey[k] = ev.Row.Clone()
+	counts := s.leftN
+	if side == 1 {
+		counts = s.rightN
 	}
-	delta := 1
 	if ev.Kind == tvr.Delete {
-		delta = -1
-	}
-	if side == 0 {
-		s.leftN[k] += delta
-		if s.leftN[k] < 0 {
+		if counts[k] == 0 {
 			return fmt.Errorf("exec: set operation retraction of absent row %s", ev.Row)
 		}
+		counts[k]--
 	} else {
-		s.rightN[k] += delta
-		if s.rightN[k] < 0 {
-			return fmt.Errorf("exec: set operation retraction of absent row %s", ev.Row)
+		if _, ok := s.rowsByKey[k]; !ok {
+			s.rowsByKey[k] = ev.Row.Clone()
 		}
+		counts[k]++
 	}
-	newOut := s.op(s.leftN[k], s.rightN[k])
+	l, r := s.leftN[k], s.rightN[k]
+	newOut := s.op(l, r)
 	old := s.outN[k]
-	s.outN[k] = newOut
 	row := s.rowsByKey[k]
 	for i := old; i < newOut; i++ {
-		if err := s.out.Push(tvr.InsertEvent(ev.Ptime, row)); err != nil {
-			return err
-		}
+		s.pend = append(s.pend, tvr.InsertEvent(ev.Ptime, row))
 	}
 	for i := newOut; i < old; i++ {
-		if err := s.out.Push(tvr.DeleteEvent(ev.Ptime, row)); err != nil {
-			return err
-		}
+		s.pend = append(s.pend, tvr.DeleteEvent(ev.Ptime, row))
 	}
+	if l == 0 && r == 0 && newOut == 0 {
+		s.forget(k)
+		return nil
+	}
+	s.outN[k] = newOut
 	return nil
 }
 
-// Push and Finish satisfy sink on the operator itself.
-func (s *setOp) Push(ev tvr.Event) error { return s.out.Push(ev) }
-
-// Finish implements sink.
-func (s *setOp) Finish() error { return nil }
+// forget drops every trace of row key k.
+func (s *setOp) forget(k string) {
+	delete(s.leftN, k)
+	delete(s.rightN, k)
+	delete(s.outN, k)
+	delete(s.rowsByKey, k)
+}
 
 func (s *setOp) stats(st *Stats) { st.StateRows += len(s.rowsByKey) }
