@@ -39,8 +39,12 @@ deadcode:
 # commit sequencer, and sharded-vs-serial equivalence properties race-checked
 # at GOMAXPROCS=4 even on boxes whose default would serialize the schedule
 # (a 1-core default hides exactly the interleavings sharding introduces).
+# The one-shot reads answered from a resident pipeline ride along: quiesce
+# then read while another goroutine commits through 4 shards, and a read
+# beside a parked Block-policy delivery.
 race-shard:
 	GOMAXPROCS=4 $(GO) test -race ./internal/shard/... ./internal/live/...
+	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
 
 # Fault-injection and crash-safety suite: the vfs fault matrix, the WAL and
 # checkpoint I/O-failure tests, the ALICE-style crash-point soak (crash after

@@ -96,6 +96,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code, body, _ := getBody(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid`)); code != http.StatusOK {
 		t.Fatalf("query: status %d body %s", code, body)
 	}
+	// The standing query's own SQL: answered from its resident pipeline.
+	if code, body, _ := getBody(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT auction, price FROM Bid`)); code != http.StatusOK {
+		t.Fatalf("query: status %d body %s", code, body)
+	}
 	if code, body := postJSON(t, c, ts.URL+"/v1/checkpoint", nil); code != http.StatusOK {
 		t.Fatalf("checkpoint: status %d body %v", code, body)
 	}
@@ -112,7 +116,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`engine_commits_total{kind="publish"} 1`,
 		`engine_commits_total{kind="heartbeat"} 1`,
-		"engine_queries_total 1",
+		"engine_queries_total 2",
+		"engine_query_resident_total 1",
 		"checkpoint_total 1",
 		"wal_appends_total",
 		"wal_fsync_seconds_bucket{le=",

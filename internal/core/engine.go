@@ -333,7 +333,9 @@ func (e *Engine) Resolve(name string) (*plan.Relation, error) {
 type TableResult struct {
 	Schema *types.Schema
 	Rows   []types.Row
-	Stats  exec.Stats
+	// Stats are the replaying pipeline's; a read answered from a resident
+	// pipeline walks no operator state and leaves them zero.
+	Stats exec.Stats
 }
 
 // Format renders the result as the paper's bordered listing tables.
@@ -350,9 +352,13 @@ type StreamResult struct {
 }
 
 // QueryTable evaluates the query as a classic point-in-time table at
-// processing time `at` (only input changes with ptime <= at are visible).
+// processing time `at` (only input changes with ptime <= at are visible). At
+// the current instant (types.MaxTime) it is answered from a resident
+// stream-mode pipeline for the same SQL when one holds the answer (see
+// residentResult); otherwise, and for every earlier instant, the recorded
+// history is replayed.
 func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
-	res, stats, err := e.run(sql, at)
+	res, stats, err := e.run(sql, at, at == types.MaxTime)
 	if err != nil {
 		return nil, err
 	}
@@ -362,17 +368,13 @@ func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
 // QueryStream evaluates the query over the full recorded input and returns
 // the stream rendering of its output TVR.
 func (e *Engine) QueryStream(sql string) (*StreamResult, error) {
-	res, stats, err := e.run(sql, types.MaxTime)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamResult{Schema: res.Schema, Rows: res.StreamRows(), Stats: stats}, nil
+	return e.QueryStreamAt(sql, types.MaxTime)
 }
 
 // QueryStreamAt evaluates the stream rendering with input truncated at the
 // given processing time.
 func (e *Engine) QueryStreamAt(sql string, at types.Time) (*StreamResult, error) {
-	res, stats, err := e.run(sql, at)
+	res, stats, err := e.run(sql, at, false)
 	if err != nil {
 		return nil, err
 	}
@@ -400,20 +402,21 @@ func (e *Engine) plan(sql string) (*plan.PlannedQuery, error) {
 	return opt.Optimize(pq), nil
 }
 
-// run plans the query and replays the recorded changelogs of the relations
-// it scans through a freshly compiled pipeline. Query latency feeds the
-// engine_queries_* families.
-func (e *Engine) run(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
+// run plans the query and evaluates it: from a resident pipeline's retained
+// output when resident is set and one qualifies, otherwise by replaying the
+// recorded changelogs of the relations it scans through a freshly compiled
+// pipeline. Query latency feeds the engine_queries_* families.
+func (e *Engine) run(sql string, at types.Time, resident bool) (*exec.Result, exec.Stats, error) {
 	if e.metrics == nil {
-		return e.runInner(sql, at)
+		return e.runInner(sql, at, resident)
 	}
 	t0 := time.Now()
-	res, st, err := e.runInner(sql, at)
+	res, st, err := e.runInner(sql, at, resident)
 	e.metrics.noteQuery(time.Since(t0), err)
 	return res, st, err
 }
 
-func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
+func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Result, exec.Stats, error) {
 	// Read-your-writes: under the sharded fan-out an acknowledged change may
 	// still be in a shard queue; one-shot queries read the recorded catalog
 	// logs, which the commit already updated, but quiescing first also keeps
@@ -422,6 +425,11 @@ func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, 
 	pq, err := e.plan(sql)
 	if err != nil {
 		return nil, exec.Stats{}, err
+	}
+	if resident {
+		if res, ok, err := e.residentResult(sql, pq); ok {
+			return res, exec.Stats{}, err
+		}
 	}
 	sources, err := e.sources(pq.Root)
 	if err != nil {
@@ -438,19 +446,65 @@ func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, 
 	return res, pipe.Stats(), nil
 }
 
-// scanNames lists the distinct (lower-cased, sorted) relations a plan scans.
-func scanNames(root plan.Node) []string {
-	set := map[string]bool{}
+// residentResult answers a current-instant table read from the retained
+// output of the stream-mode session resident under the query's plan key,
+// folded exactly as a one-shot Run folds its own output. ok is false, and
+// the caller replays, unless the plan is close-inert and the session still
+// qualifies (live.Manager.ResidentOutput). The read takes no ordering lock:
+// after the caller's Quiesce, the retained output reflects every commit
+// acknowledged before the read began.
+func (e *Engine) residentResult(sql string, pq *plan.PlannedQuery) (*exec.Result, bool, error) {
+	if !closeInert(pq) {
+		return nil, false, nil
+	}
+	log, ok := e.live.ResidentOutput(planKey(sql, live.Stream))
+	if !ok {
+		return nil, false, nil
+	}
+	e.metrics.noteResident()
+	res, err := exec.FoldResult(pq, log)
+	return res, true, err
+}
+
+// closeInert reports whether closing a pipeline for pq emits nothing, so the
+// output a resident pipeline has retained is all a one-shot Run at the
+// current instant would collect. Only two operators emit at Close: a bounded
+// or AS OF scan asserts its final watermark, and EMIT AFTER DELAY flushes its
+// timers. Heartbeats pass through every other operator.
+func closeInert(pq *plan.PlannedQuery) bool {
+	if pq.Emit.Delay != nil {
+		return false
+	}
+	for _, s := range scans(pq.Root) {
+		if !s.Unbounded() {
+			return false
+		}
+	}
+	return true
+}
+
+// scans lists the plan's scan nodes.
+func scans(root plan.Node) []*plan.Scan {
+	var out []*plan.Scan
 	var walk func(n plan.Node)
 	walk = func(n plan.Node) {
 		if s, ok := n.(*plan.Scan); ok {
-			set[strings.ToLower(s.Name)] = true
+			out = append(out, s)
 		}
 		for _, c := range n.Children() {
 			walk(c)
 		}
 	}
 	walk(root)
+	return out
+}
+
+// scanNames lists the distinct (lower-cased, sorted) relations a plan scans.
+func scanNames(root plan.Node) []string {
+	set := map[string]bool{}
+	for _, s := range scans(root) {
+		set[strings.ToLower(s.Name)] = true
+	}
 	names := make([]string, 0, len(set))
 	for name := range set {
 		names = append(names, name)

@@ -22,10 +22,13 @@ import (
 // clock; a late-attaching cursor instead receives a snapshot hand-off
 // synthesized from the pipeline's retained output. Either way, every
 // AppendLog that touches a scanned relation is then
-// routed to the pipeline incrementally. Because the exec lifecycle makes
-// incremental feeding byte-identical to replay, the delta sequence each
-// subscriber observes equals what a post-hoc QueryStream over the final
-// changelog would return — shared or not.
+// routed to the pipeline incrementally. The exec lifecycle makes incremental
+// feeding byte-identical to replay when commits reach the pipeline in
+// (ptime, scan order) across the relations it scans; then the delta
+// sequence each subscriber observes equals what a post-hoc QueryStream over
+// the final changelog would return — shared or not. A Stream-mode resident
+// pipeline also answers QueryTable at the current instant (see
+// residentResult and the read contract in package live).
 
 // SubscribeOptions configures a standing query.
 type SubscribeOptions struct {

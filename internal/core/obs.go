@@ -39,9 +39,10 @@ type engineMetrics struct {
 	degraded         *obs.Gauge
 	degradedTrans    *obs.Counter
 
-	queries      *obs.Counter
-	queryErrors  *obs.Counter
-	querySeconds *obs.Histogram
+	queries       *obs.Counter
+	queryErrors   *obs.Counter
+	querySeconds  *obs.Histogram
+	queryResident *obs.Counter
 
 	ckptTotal    *obs.Counter
 	ckptFailures *obs.Counter
@@ -60,6 +61,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		queries:          reg.Counter("engine_queries_total", "One-shot queries that succeeded."),
 		queryErrors:      reg.Counter("engine_query_errors_total", "One-shot queries that failed."),
 		querySeconds:     reg.Histogram("engine_query_seconds", "One-shot query latency.", obs.DurationScale, obs.DurationBuckets),
+		queryResident:    reg.Counter("engine_query_resident_total", "One-shot queries answered from a resident pipeline."),
 		ckptTotal:        reg.Counter("checkpoint_total", "Checkpoints written."),
 		ckptFailures:     reg.Counter("checkpoint_failures_total", "Checkpoint writes that failed."),
 		ckptBytes:        reg.Gauge("checkpoint_bytes", "Size of the last successful checkpoint."),
@@ -115,6 +117,13 @@ func (m *engineMetrics) noteQuery(d time.Duration, err error) {
 	}
 	m.queries.Inc()
 	m.querySeconds.Observe(int64(d))
+}
+
+func (m *engineMetrics) noteResident() {
+	if m == nil {
+		return
+	}
+	m.queryResident.Inc()
 }
 
 func (m *engineMetrics) noteCheckpoint(bytes int64, d time.Duration, err error) {

@@ -84,6 +84,7 @@ func LoadDriver(dec *checkpoint.Decoder, pq *plan.PlannedQuery) (*Pipeline, erro
 			return nil, err
 		}
 		p.opened = true
+		p.outOfOrder = true // the merge-order bit is not checkpointed
 		return p, nil
 	case "partitioned":
 		// Written by the key-partitioned executor, which no longer exists:

@@ -468,7 +468,7 @@ func TestUnionOpRoundTrip(t *testing.T) {
 // snapshot whose relation slot carries the whole output relation (the layout
 // from before the collector stopped keeping one), discarding that relation.
 func TestCollectorRoundTrip(t *testing.T) {
-	newCollector := func() *Collector { return &Collector{schema: wmSchema(), wm: types.MinTime} }
+	newCollector := func() *Collector { return &Collector{wm: types.MinTime} }
 	pushed := []tvr.Event{
 		tvr.InsertEvent(1, wRow(1000, 1)),
 		tvr.InsertEvent(2, wRow(2000, 2)),

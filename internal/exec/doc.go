@@ -134,7 +134,10 @@
 //     collected and folds the table rendering (Result.Snapshot) from that
 //     log once, failing on a retraction of a row the log never inserted.
 //     The stream rendering (Result.StreamRows) is derived from the log on
-//     demand. Nothing on the incremental path builds a table rendering.
+//     demand. A standing pipeline builds no table rendering as it runs; a
+//     one-shot read the engine answers from a resident pipeline folds the
+//     output that pipeline's session retained, once per read, through the
+//     same FoldResult that Run uses.
 //
 // Emitted rows are immutable: the collector, a Result and a drain caller
 // may all share them without copying.

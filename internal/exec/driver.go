@@ -21,6 +21,7 @@ import (
 // sequence of Feed batches whose concatenated delivery order equals the
 // one-shot merge order (always true when batches are split along the ptime
 // axis) produces byte-identical output to a single Run over the same logs.
+// FedInMergeOrder reports whether that precondition has held so far.
 type Driver interface {
 	// Start opens the pipeline's operators.
 	Start() error
@@ -44,6 +45,11 @@ type Driver interface {
 	// event count without touching operator state — cheap enough to call
 	// after every Feed/Advance.
 	DispatchStats() (dispatches, events int64)
+	// FedInMergeOrder reports whether every Feed so far continued the
+	// one-shot merge order: no Feed's first event sorted, by (ptime, scan
+	// rank), before the last event fed. False once violated, and false for a
+	// driver restored from a checkpoint, which does not record it.
+	FedInMergeOrder() bool
 }
 
 var _ Driver = (*Pipeline)(nil)
@@ -51,8 +57,9 @@ var _ Driver = (*Pipeline)(nil)
 // forEachMergedRuns merges the batch's per-source changelogs into one
 // ptime-ordered delivery sequence — ties broken by scan registration order,
 // the same tie-break the one-shot Run uses — and invokes deliver
-// once per maximal run of consecutive events drawn from the same cursor.
-// Concatenating the delivered runs reproduces the per-event merge order
+// once per maximal run of consecutive events drawn from the same cursor,
+// naming the run's source by its rank in scanOrder. Concatenating the
+// delivered runs reproduces the per-event merge order
 // exactly; the run grouping only changes the dispatch shape, letting callers
 // hand contiguous log slices to the batch fast path. The delivered slice
 // aliases the source log: callees must not retain or mutate it.
@@ -60,18 +67,18 @@ var _ Driver = (*Pipeline)(nil)
 // Events with ptime beyond upTo are discarded. With requireAll set, every
 // scanned source must appear in the batch (the Run contract); otherwise
 // absent sources simply contribute no events.
-func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requireAll bool, deliver func(name string, evs []tvr.Event) error) error {
+func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requireAll bool, deliver func(rank int, evs []tvr.Event) error) error {
 	bySource := make(map[string]tvr.Changelog, len(batch))
 	for _, s := range batch {
 		bySource[lowered(s.Name)] = s.Log
 	}
 	type cursor struct {
-		name string
+		rank int
 		log  tvr.Changelog
 		pos  int
 	}
 	var cursors []*cursor
-	for _, name := range scanOrder {
+	for rank, name := range scanOrder {
 		log, ok := bySource[name]
 		if !ok {
 			if requireAll {
@@ -91,7 +98,7 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 			}
 			log = log[:cut]
 		}
-		cursors = append(cursors, &cursor{name: name, log: log})
+		cursors = append(cursors, &cursor{rank: rank, log: log})
 	}
 	if len(cursors) == 1 {
 		// Single-source fast path: the whole batch is one run.
@@ -99,7 +106,7 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 		if len(c.log) == 0 {
 			return nil
 		}
-		return deliver(c.name, c.log)
+		return deliver(c.rank, c.log)
 	}
 	for {
 		best := -1
@@ -138,7 +145,7 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 			}
 			c.pos++
 		}
-		if err := deliver(c.name, c.log[start:c.pos:c.pos]); err != nil {
+		if err := deliver(c.rank, c.log[start:c.pos:c.pos]); err != nil {
 			return err
 		}
 	}

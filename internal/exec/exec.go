@@ -85,6 +85,12 @@ type Pipeline struct {
 
 	dispatches       int64 // scan deliveries (batched or single)
 	dispatchedEvents int64 // events carried by those deliveries
+
+	// The merge-order bit (see Driver.FedInMergeOrder): the (ptime, scan
+	// rank) of the last event fed, and whether a Feed ever started before it.
+	lastPtime  types.Time
+	lastRank   int
+	outOfOrder bool
 }
 
 // Source provides the recorded changelog of one named relation.
@@ -97,7 +103,7 @@ type Source struct {
 // the query's EMIT materialization-control operator (if any), fed by the
 // operator tree of the plan.
 func Compile(pq *plan.PlannedQuery) (*Pipeline, error) {
-	p := &Pipeline{scans: make(map[string][]*scanOp)}
+	p := &Pipeline{scans: make(map[string][]*scanOp), lastPtime: types.MinTime}
 	p.collector = newCollector(pq)
 	p.allOps = append(p.allOps, p.collector)
 	var top sink = p.collector
@@ -256,8 +262,16 @@ func (p *Pipeline) feed(batch []Source, upTo types.Time, requireAll bool) error 
 	if !p.opened || p.closed {
 		return fmt.Errorf("exec: pipeline not accepting input")
 	}
-	return forEachMergedRuns(batch, p.scanOrder, upTo, requireAll, func(name string, evs []tvr.Event) error {
-		scans := p.scans[name]
+	first := true
+	return forEachMergedRuns(batch, p.scanOrder, upTo, requireAll, func(rank int, evs []tvr.Event) error {
+		// The merge orders runs by (ptime, rank), so only a Feed's first run
+		// can sort before what earlier Feeds delivered.
+		if first && (evs[0].Ptime < p.lastPtime || evs[0].Ptime == p.lastPtime && rank < p.lastRank) {
+			p.outOfOrder = true
+		}
+		first = false
+		p.lastPtime, p.lastRank = evs[len(evs)-1].Ptime, rank
+		scans := p.scans[p.scanOrder[rank]]
 		if len(scans) == 1 {
 			p.dispatches++
 			p.dispatchedEvents += int64(len(evs))
@@ -352,6 +366,9 @@ func (p *Pipeline) Stats() Stats {
 	return st
 }
 
+// FedInMergeOrder implements Driver.
+func (p *Pipeline) FedInMergeOrder() bool { return !p.outOfOrder }
+
 // DispatchStats returns the dispatch counters without walking operator state.
 func (p *Pipeline) DispatchStats() (dispatches, events int64) {
 	return p.dispatches, p.dispatchedEvents
@@ -419,23 +436,14 @@ func (r *Result) StreamRows() []tvr.StreamRow {
 // plus the output watermark and counters: drain hands that buffer over, and a
 // one-shot Run builds its Result from it.
 type Collector struct {
-	schema  *types.Schema
-	out     tvr.Changelog // output not yet drained
-	keys    []int
-	orderBy []plan.SortKey
-	limit   *int64
-	outN    int
-	wm      types.Time
+	pq   *plan.PlannedQuery
+	out  tvr.Changelog // output not yet drained
+	outN int
+	wm   types.Time
 }
 
 func newCollector(pq *plan.PlannedQuery) *Collector {
-	return &Collector{
-		schema:  pq.Root.Schema(),
-		keys:    pq.EmitKeyIdxs,
-		orderBy: pq.OrderBy,
-		limit:   pq.Limit,
-		wm:      types.MinTime,
-	}
+	return &Collector{pq: pq, wm: types.MinTime}
 }
 
 // PushBatch implements sink: data events join the undrained output, and
@@ -468,11 +476,16 @@ func (c *Collector) Finish() error { return nil }
 func (c *Collector) stats(s *Stats) { s.OutputEvents += c.outN }
 
 // result builds a one-shot Run's Result. Run never drains, so the collector
-// holds the whole output log; the table rendering is folded from it here,
-// once, and a retraction of a row the log never inserted fails the run.
-// Emitted rows are immutable, so the fold shares them with the log.
-func (c *Collector) result() (*Result, error) {
-	log := c.drain()
+// holds the whole output log.
+func (c *Collector) result() (*Result, error) { return FoldResult(c.pq, c.drain()) }
+
+// FoldResult builds the Result of pq from its complete output changelog: the
+// table rendering is folded from log once, and a retraction of a row the log
+// never inserted fails. A one-shot Run and a read served from a standing
+// pipeline's retained output both come through here, so presentation (ORDER
+// BY, LIMIT) and the fold's errors have one source. Emitted rows are
+// immutable, so the fold shares them with the log.
+func FoldResult(pq *plan.PlannedQuery, log tvr.Changelog) (*Result, error) {
 	snap := tvr.NewRelation()
 	for _, ev := range log {
 		if err := snap.ApplyOwned(ev); err != nil {
@@ -480,11 +493,11 @@ func (c *Collector) result() (*Result, error) {
 		}
 	}
 	return &Result{
-		Schema:      c.schema,
+		Schema:      pq.Root.Schema(),
 		Log:         log,
 		Snapshot:    snap,
-		EmitKeyIdxs: c.keys,
-		OrderBy:     c.orderBy,
-		Limit:       c.limit,
+		EmitKeyIdxs: pq.EmitKeyIdxs,
+		OrderBy:     pq.OrderBy,
+		Limit:       pq.Limit,
 	}, nil
 }

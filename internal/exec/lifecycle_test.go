@@ -306,12 +306,60 @@ func TestFeedSplitEquivalence(t *testing.T) {
 						randomCuts(rng, pts, len(pts)/3+1),
 					}
 					for ci, cuts := range cutsets {
-						drained := feedInBatches(t, compileDriver(t, pq), sources, cuts, upTo)
+						d := compileDriver(t, pq)
+						drained := feedInBatches(t, d, sources, cuts, upTo)
 						assertDrainedMatchesRun(t, fmt.Sprintf("horizon=%s cutset=%d", upTo, ci), drained, want)
+						if !d.FedInMergeOrder() {
+							t.Fatalf("horizon=%s cutset=%d: ptime-axis batches reported out of merge order", upTo, ci)
+						}
 					}
 				}
 			})
 		})
+	}
+}
+
+// TestFedInMergeOrder: the merge-order bit clears once a Feed starts before
+// the last event fed, by ptime or, at equal ptime, by scan order, stays
+// clear, and a restored driver never reports it set. Splits along the ptime
+// axis keep it set (TestFeedSplitEquivalence).
+func TestFedInMergeOrder(t *testing.T) {
+	e := lifecycleEngine(t)
+	pq := planSQL(t, e, `SELECT P.name, A.id FROM Auction A JOIN Person P ON A.seller = P.id`)
+	first := func(name string, pt types.Time) []exec.Source {
+		for _, ev := range e.logs[name] {
+			if ev.Kind == tvr.Insert {
+				ev.Ptime = pt
+				return []exec.Source{{Name: name, Log: tvr.Changelog{ev}}}
+			}
+		}
+		t.Fatalf("no insert in %s", name)
+		return nil
+	}
+	for _, tc := range []struct {
+		name    string
+		batches [][]exec.Source
+		want    bool
+	}{
+		{"scan order at one ptime", [][]exec.Source{first("auction", 5), first("person", 5)}, true},
+		{"earlier ptime", [][]exec.Source{first("person", 9), first("auction", 5), first("person", 12)}, false},
+		{"earlier scan at one ptime", [][]exec.Source{first("person", 5), first("auction", 5)}, false},
+	} {
+		d := compileDriver(t, pq)
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range tc.batches {
+			if err := d.Feed(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.FedInMergeOrder(); got != tc.want {
+			t.Errorf("%s: FedInMergeOrder = %v, want %v", tc.name, got, tc.want)
+		}
+		if checkpointRoundTrip(t, d, pq).FedInMergeOrder() {
+			t.Errorf("%s: a restored driver reports merge order", tc.name)
+		}
 	}
 }
 

@@ -118,6 +118,7 @@ func restoreSession(dec *checkpoint.Decoder, restore RestoreDriver) (*Session, e
 	s.shard.Store(-1)
 	s.wm.Store(int64(wm))
 	s.eventsIn.Store(eventsIn)
+	s.outOfOrder.Store(!d.FedInMergeOrder())
 	for _, name := range cfg.Sources {
 		s.sources[strings.ToLower(name)] = true
 	}
@@ -262,9 +263,9 @@ func (m *Manager) RestoreAll(dec *checkpoint.Decoder, restore RestoreDriver) err
 		sess.setObs(m.obsm) // restored pipelines count like registered ones
 		id := m.nextID
 		m.nextID++
-		m.installLocked(id, sess) // routing table + shard placement
 		m.plans[key] = sess
 		m.keys[id] = key
+		m.installLocked(id, sess) // routing table + shard placement
 	}
 	return dec.Err()
 }

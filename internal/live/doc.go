@@ -6,14 +6,21 @@
 // The paper's central object is the time-varying relation, with the table
 // and stream renderings as equal citizens. The engine's one-shot query paths
 // (core.QueryTable / core.QueryStream) replay a recorded changelog through a
-// freshly compiled pipeline; package live supplies the third mode of
+// freshly compiled pipeline, unless a resident pipeline can answer (see the
+// read contract below); package live supplies the third mode of
 // consumption: a Session wraps an exec.Driver started once, feeds it every
 // subsequent ingested change through the same deterministic merge the replay
 // path uses, and delivers the incremental output — stream-rendered deltas or
-// consolidated table diffs — to its subscribers. Because the driver
-// lifecycle guarantees that incremental feeding is byte-identical to replay,
-// a standing subscription observes exactly the delta sequence a post-hoc
-// EMIT STREAM query over the final changelog would produce.
+// consolidated table diffs — to its subscribers. The driver lifecycle
+// guarantees that incremental feeding is byte-identical to replay when the
+// batches reach the pipeline in the replay's merge order: by ptime, ties
+// broken by scan order, across every relation the plan scans (see
+// exec.Driver). When commits do, a standing subscription observes exactly
+// the delta sequence a post-hoc EMIT STREAM query over the final changelog
+// would produce. Each relation's own commits are ptime-ordered, but two
+// relations can be committed out of that order (a Bid at ptime 100, then an
+// Auction at ptime 50); a session scanning both then sees the commit order,
+// and its output may differ from the replay's.
 //
 // # Shared sessions and late attach
 //
@@ -61,6 +68,37 @@
 // shard before a one-shot query or a checkpoint, a plan-hit attach drains
 // its session's shard before snapshotting, and a graceful cursor Close
 // drains its shard so acknowledged commits fold into the final delta.
+//
+// # One-shot reads from a resident pipeline
+//
+// A Stream-mode session's retained output changelog is the output a
+// one-shot Run of the same plan would collect, as long as closing the
+// pipeline would add nothing. So the engine answers a table read at the
+// current instant from it (Manager.ResidentOutput) instead of replaying the
+// recorded history, when all of these hold:
+//
+//   - the plan is close-inert: it scans only streams, none AS OF, and has
+//     no EMIT AFTER DELAY (the engine checks this; a bounded or AS OF scan
+//     completes, and a delay timer fires, only at Close);
+//   - a session is resident under the plan key of the same SQL in Stream
+//     mode, so exclusive and Table-mode-only sessions never answer;
+//   - the session is open and still retains its output, so neither
+//     DropRetainedOutput nor a MaxRetainedRows overflow released it;
+//   - its driver has only ever been fed in merge order
+//     (exec.Driver.FedInMergeOrder). The session mirrors that bit into an
+//     atomic after each feed, before the feed's output is retained, so a
+//     read never sees output of an out-of-order feed. The bit is not
+//     checkpointed: a restored session counts as out of order.
+//
+// The commit point is the engine's Quiesce, the same barrier a replaying
+// read passes: every commit acknowledged before the read began has been
+// applied, and its output retained, before the read looks. The read takes
+// only the session's mu, long enough to copy the slice header of the
+// retained log (capped, so later appends stay invisible), and folds it
+// outside any lock. It never takes Manager.mu or ingestMu, so a delivery
+// parked on a full Block-policy cursor, whose output is retained before it
+// parks, cannot stall it. Anything else replays: reads at an earlier
+// instant, stream-rendering reads, and every case the list above excludes.
 //
 // # Lock order
 //

@@ -73,6 +73,7 @@ func (d *echoDriver) Drain() tvr.Changelog {
 func (d *echoDriver) OutputWatermark() types.Time   { return d.wm }
 func (d *echoDriver) Stats() exec.Stats             { return exec.Stats{} }
 func (d *echoDriver) DispatchStats() (int64, int64) { return 0, 0 }
+func (d *echoDriver) FedInMergeOrder() bool         { return false }
 
 func testSchema() *types.Schema {
 	return types.NewSchema(types.Column{Name: "v", Kind: types.KindInt64})

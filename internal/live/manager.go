@@ -37,6 +37,9 @@ type Manager struct {
 
 	count atomic.Int64 // len(subs), readable without m.mu
 	snap  atomic.Value // []*Session, for lock-free Subscribers()
+	// plansSnap is a copy-on-write copy of plans (map[string]*Session), so
+	// ResidentOutput finds a session without m.mu.
+	plansSnap atomic.Value
 
 	// obsm holds the manager-wide delivery counters (nil without
 	// Options.Obs; see obs.go). Sessions receive the same pointer at
@@ -72,6 +75,7 @@ func NewManagerWith(o Options) *Manager {
 		m.pool = shard.NewPoolObs(o.Shards, o.QueueDepth, o.Obs)
 	}
 	m.snap.Store([]*Session{})
+	m.plansSnap.Store(map[string]*Session{})
 	if o.Obs != nil {
 		m.registerMetrics(o.Obs)
 	}
@@ -114,6 +118,7 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 			// departed between our lookup and the attach); fall
 			// through and build a replacement.
 			delete(m.plans, key)
+			m.refreshLocked()
 		}
 	}
 	sess, err := create()
@@ -135,6 +140,7 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 	if key != "" {
 		m.plans[key] = sess
 		m.keys[id] = key
+		m.refreshLocked()
 	} else {
 		// A dedicated session can never see a late attach, so retaining
 		// its output changelog for snapshot hand-off would be dead
@@ -231,7 +237,8 @@ func (m *Manager) removeLocked(id int) {
 	m.refreshLocked()
 }
 
-// refreshLocked rebuilds the lock-free observability state.
+// refreshLocked rebuilds the lock-free state: the observability snapshot and
+// the copy of the plan table. Every change to subs or plans ends here.
 func (m *Manager) refreshLocked() {
 	m.count.Store(int64(len(m.subs)))
 	sessions := make([]*Session, 0, len(m.order))
@@ -239,6 +246,23 @@ func (m *Manager) refreshLocked() {
 		sessions = append(sessions, m.subs[id])
 	}
 	m.snap.Store(sessions)
+	plans := make(map[string]*Session, len(m.plans))
+	for key, sess := range m.plans {
+		plans[key] = sess
+	}
+	m.plansSnap.Store(plans)
+}
+
+// ResidentOutput returns the retained output changelog of the session
+// resident under key, when it can answer a current-instant read (see the
+// read contract in the package documentation); ok is false otherwise. It
+// takes neither m.mu nor any session's ingestMu, only the session's mu.
+func (m *Manager) ResidentOutput(key string) (log tvr.Changelog, ok bool) {
+	sess := m.plansSnap.Load().(map[string]*Session)[key]
+	if sess == nil {
+		return nil, false
+	}
+	return sess.retainedOutput()
 }
 
 // PublishSpan atomically commits an engine-side change and routes the

@@ -95,6 +95,10 @@ type Session struct {
 	// without touching the driver.
 	dispatches       atomic.Int64
 	dispatchedEvents atomic.Int64
+	// outOfOrder mirrors !driver.FedInMergeOrder() the same way, before the
+	// feed's output reaches outLog, so retainedOutput never serves output of
+	// an out-of-order feed.
+	outOfOrder atomic.Bool
 
 	teardown     func() // unregisters from the owning manager
 	teardownOnce sync.Once
@@ -205,6 +209,26 @@ func (s *Session) DropRetainedOutput() {
 	s.noRetain = true
 	s.outLog = nil
 	s.tableSnap = nil
+}
+
+// retainedOutput returns the cumulative output changelog of an open
+// Stream-mode session whose driver has only been fed in merge order, capped
+// so later appends never show through; ok is false otherwise (see the read
+// contract in the package documentation). It takes only s.mu, so a
+// Block-policy delivery parked on a full cursor cannot stall it.
+func (s *Session) retainedOutput() (log tvr.Changelog, ok bool) {
+	if s.cfg.Mode != Stream {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The bit is read after s.mu is taken: a feed stores it before its
+	// delivery appends to outLog under s.mu, so output of an out-of-order
+	// feed is never handed out.
+	if s.closed || s.noRetain || s.overflowed || s.outOfOrder.Load() {
+		return nil, false
+	}
+	return s.outLog[:len(s.outLog):len(s.outLog)], true
 }
 
 // releaseRetainedLocked drops the late-attach retention after it outgrew the
@@ -351,16 +375,17 @@ func (s *Session) ingestLog(batch []exec.Source, span *obs.CommitSpan) error {
 		return err
 	}
 	span.AddSince(obs.SpanApply, tApply)
-	s.noteDispatches()
+	s.mirrorDriver()
 	return s.deliver(span)
 }
 
-// noteDispatches mirrors the driver's dispatch counters into the session's
-// atomics. Caller holds ingestMu, so the driver is quiescent.
-func (s *Session) noteDispatches() {
+// mirrorDriver copies the driver's dispatch counters and merge-order bit into
+// the session's atomics. Caller holds ingestMu, so the driver is quiescent.
+func (s *Session) mirrorDriver() {
 	d, ev := s.driver.DispatchStats()
 	s.dispatches.Store(d)
 	s.dispatchedEvents.Store(ev)
+	s.outOfOrder.Store(!s.driver.FedInMergeOrder())
 }
 
 // feedDriver and advanceDriver are the operator panic boundary: a panic in
@@ -410,7 +435,7 @@ func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
 		return err
 	}
 	span.AddSince(obs.SpanApply, tApply)
-	s.noteDispatches()
+	s.mirrorDriver()
 	return s.deliver(span)
 }
 
