@@ -41,10 +41,12 @@ deadcode:
 # (a 1-core default hides exactly the interleavings sharding introduces).
 # The one-shot reads answered from a resident pipeline ride along: quiesce
 # then read while another goroutine commits through 4 shards, and a read
-# beside a parked Block-policy delivery.
+# beside a parked Block-policy delivery. So do shared plans: stream and table
+# cursors of several spellings on one session, attaching late, on 4 shards.
 race-shard:
 	GOMAXPROCS=4 $(GO) test -race ./internal/shard/... ./internal/live/...
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
+	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestSharedPlan'
 
 # Fault-injection and crash-safety suite: the vfs fault matrix, the WAL and
 # checkpoint I/O-failure tests, the ALICE-style crash-point soak (crash after

@@ -6,10 +6,12 @@ package main
 // ndjson response. It exists so the engine can run as a long-lived process
 // serving live traffic instead of a per-query batch tool.
 //
-// Standing queries share plans: concurrent subscriptions with the same
-// (SQL, mode) are served from one resident pipeline,
-// each over its own delivery cursor, so N identical subscribers cost one
-// compilation and one incremental evaluation per ingested change. The
+// Standing queries share plans: concurrent subscriptions of the same
+// optimized plan are served from one resident pipeline, whatever their mode
+// (stream and table readers render one output changelog) and however the
+// SQL is spelled, each over its own delivery cursor, so N subscribers of one
+// relation cost one compilation and one incremental evaluation per ingested
+// change. The
 // /v1/subscriptions listing exposes the sharing: each entry reports the
 // resident pipeline's id and how many subscribers are attached to it
 // (entries sharing a pipeline report the same id). Pass exclusive=1 to

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -419,6 +420,64 @@ func TestServeSharedSubscriptions(t *testing.T) {
 	}
 	if hz["liveSessions"].(float64) != 2 || hz["liveSubscribers"].(float64) != 3 {
 		t.Fatalf("healthz = %v, want 2 pipelines / 3 subscribers", hz)
+	}
+}
+
+// TestServeOnePipelinePerRelation: a stream reader, a table reader and a
+// keyword-case respelling of one query are three subscriptions of one
+// relation, served by one resident pipeline — one pipeline id with
+// subscribers=3 in the listing, live_sessions 1 on /metrics — and each
+// reader receives its own rendering of the same change.
+func TestServeOnePipelinePerRelation(t *testing.T) {
+	ts := httptest.NewServer(NewServer(core.NewEngine(core.WithObs(obs.NewRegistry()))))
+	t.Cleanup(ts.Close)
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	const sql = `SELECT auction, price FROM Bid WHERE price > 900`
+	var reads []func() map[string]any
+	for _, params := range []string{
+		"mode=stream&sql=" + queryEscape(sql),
+		"mode=table&sql=" + queryEscape(sql),
+		"sql=" + queryEscape(`select auction, price from Bid where price > 900`),
+	} {
+		resp, read := subscribeLines(t, c, ts.URL, params)
+		t.Cleanup(func() { resp.Body.Close() })
+		if m := read(); m["type"] != "schema" {
+			t.Fatalf("first line %v, want the schema", m)
+		}
+		reads = append(reads, read)
+	}
+
+	code, stats := getJSON(t, c, ts.URL+"/v1/subscriptions")
+	if code != http.StatusOK {
+		t.Fatalf("subscriptions: status %d", code)
+	}
+	entries := stats["subscriptions"].([]any)
+	if len(entries) != 3 {
+		t.Fatalf("%d subscriptions listed, want 3", len(entries))
+	}
+	pipeline := entries[0].(map[string]any)["pipeline"]
+	for _, e := range entries {
+		m := e.(map[string]any)
+		if m["pipeline"] != pipeline || m["subscribers"].(float64) != 3 {
+			t.Fatalf("subscription %v: want pipeline %v with 3 subscribers", m, pipeline)
+		}
+	}
+	code, body, _ := getBody(t, c, ts.URL+"/metrics")
+	if code != http.StatusOK || !strings.Contains(body, "\nlive_sessions 1\n") {
+		t.Fatalf("/metrics (status %d) does not read live_sessions 1:\n%s", code, body)
+	}
+
+	ingestBids(t, c, ts.URL, []eventJSON{
+		{Kind: "insert", Ptime: timeMS(1000), Row: []any{int64(7), int64(950), int64(1000)}},
+	})
+	for i, read := range reads {
+		d := read()
+		_, stream := d["rows"]
+		_, table := d["inserted"]
+		if stream == (i == 1) || table != (i == 1) {
+			t.Fatalf("reader %d delta %v: want the %s rendering", i, d, map[bool]string{true: "table", false: "stream"}[i == 1])
+		}
 	}
 }
 

@@ -351,8 +351,15 @@ func (d *Decoder) String() string {
 		d.fail(fmt.Errorf("checkpoint: implausible string length %d", n))
 		return ""
 	}
-	p := make([]byte, n)
-	d.readFull(p)
+	// Grow in bounded steps, so a corrupt length fails at the end of the
+	// stream instead of allocating up to 2 GiB first (see CapHint).
+	p := make([]byte, 0, CapHint(n))
+	for rem := n; rem > 0 && d.err == nil; {
+		k := min(rem, 1<<16)
+		p = append(p, make([]byte, k)...)
+		d.readFull(p[uint64(len(p))-k:])
+		rem -= k
+	}
 	return string(p)
 }
 
@@ -422,19 +429,20 @@ func CapHint(n uint64) int {
 	return int(n)
 }
 
+// Section consumes a section marker and returns its name, for a reader that
+// accepts more than one layout at this point of the stream.
+func (d *Decoder) Section() string {
+	if b := d.readByte(); d.err == nil && b != tagSection {
+		d.fail(fmt.Errorf("checkpoint: expected a section, found value tag 0x%02x", b))
+	}
+	return d.String()
+}
+
 // Expect consumes a section marker and verifies its name, failing with a
 // got/want error on drift. This is the loud-failure seam between encoding
 // layers.
 func (d *Decoder) Expect(name string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if b := d.readByte(); b != tagSection {
-		d.fail(fmt.Errorf("checkpoint: expected section %q, found value tag 0x%02x", name, b))
-		return d.err
-	}
-	got := d.String()
-	if d.err == nil && got != name {
+	if got := d.Section(); d.err == nil && got != name {
 		d.fail(fmt.Errorf("checkpoint: section mismatch: stream has %q, reader wants %q", got, name))
 	}
 	return d.err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/types"
@@ -168,6 +169,33 @@ func TestTruncationDetected(t *testing.T) {
 	_ = dec.String()
 	if dec.Close() == nil {
 		t.Fatal("truncation not detected")
+	}
+}
+
+// TestCorruptStringLengthFailsSmall: a string length read from a corrupt
+// stream is not trusted as an allocation size; decoding fails at the end of
+// the stream having allocated about what the stream holds, not 1 GiB.
+func TestCorruptStringLengthFailsSmall(t *testing.T) {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	enc.Uvarint(1 << 30) // the length of a string whose bytes never follow
+	enc.Uvarint(7)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = dec.String()
+	runtime.ReadMemStats(&after)
+	if dec.Err() == nil {
+		t.Fatal("a string longer than the stream decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding allocated %d bytes for a string the stream cannot hold", grew)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/exec"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/tvr"
@@ -46,7 +45,7 @@ func (e *Engine) loadAll(dec *checkpoint.Decoder) error {
 	if err := e.loadCatalog(dec); err != nil {
 		return err
 	}
-	return e.live.RestoreAll(dec, e.restoreSessionDriver)
+	return e.live.RestoreAll(dec, e.restoreQuery)
 }
 
 // CheckpointAll writes the engine's full durable state to w.
@@ -171,25 +170,14 @@ func (e *Engine) loadCatalog(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// restoreSessionDriver is the live.RestoreDriver callback: re-plan the
-// checkpointed SQL against the (already restored) catalog and rehydrate the
-// driver state into the freshly compiled pipeline.
-func (e *Engine) restoreSessionDriver(sql string, mode live.Mode, dec *checkpoint.Decoder) (exec.Driver, live.Config, error) {
+// restoreQuery is the live.RestoreQuery callback: re-plan the checkpointed
+// SQL against the (already restored) catalog.
+func (e *Engine) restoreQuery(sql string) (live.Query, error) {
 	pq, err := e.plan(sql)
 	if err != nil {
-		return nil, live.Config{}, fmt.Errorf("core: re-planning checkpointed query: %w", err)
+		return live.Query{}, fmt.Errorf("core: re-planning checkpointed query: %w", err)
 	}
-	d, err := exec.LoadDriver(dec, pq)
-	if err != nil {
-		return nil, live.Config{}, err
-	}
-	return d, live.Config{
-		Name:     sql,
-		Mode:     mode,
-		Schema:   pq.Root.Schema(),
-		EmitKeys: pq.EmitKeyIdxs,
-		Sources:  scanNames(pq.Root),
-	}, nil
+	return e.standing(sql, pq), nil
 }
 
 // ---- schema and log wire helpers ----

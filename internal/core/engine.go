@@ -354,9 +354,9 @@ type StreamResult struct {
 // QueryTable evaluates the query as a classic point-in-time table at
 // processing time `at` (only input changes with ptime <= at are visible). At
 // the current instant (types.MaxTime) it is answered from a resident
-// stream-mode pipeline for the same SQL when one holds the answer (see
-// residentResult); otherwise, and for every earlier instant, the recorded
-// history is replayed.
+// pipeline for the same plan when one holds the answer (see residentResult);
+// otherwise, and for every earlier instant, the recorded history is
+// replayed.
 func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
 	res, stats, err := e.run(sql, at, at == types.MaxTime)
 	if err != nil {
@@ -427,7 +427,7 @@ func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Resul
 		return nil, exec.Stats{}, err
 	}
 	if resident {
-		if res, ok, err := e.residentResult(sql, pq); ok {
+		if res, ok, err := e.residentResult(pq); ok {
 			return res, exec.Stats{}, err
 		}
 	}
@@ -447,17 +447,18 @@ func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Resul
 }
 
 // residentResult answers a current-instant table read from the retained
-// output of the stream-mode session resident under the query's plan key,
-// folded exactly as a one-shot Run folds its own output. ok is false, and
-// the caller replays, unless the plan is close-inert and the session still
-// qualifies (live.Manager.ResidentOutput). The read takes no ordering lock:
-// after the caller's Quiesce, the retained output reflects every commit
-// acknowledged before the read began.
-func (e *Engine) residentResult(sql string, pq *plan.PlannedQuery) (*exec.Result, bool, error) {
+// output of the session resident under the query's plan key, whatever its
+// readers' modes, folded exactly as a one-shot Run folds its own output
+// (ORDER BY and LIMIT included). ok is false, and the caller replays, unless
+// the plan is close-inert and the session still qualifies
+// (live.Manager.ResidentOutput). The read takes no ordering lock: after the
+// caller's Quiesce, the retained output reflects every commit acknowledged
+// before the read began.
+func (e *Engine) residentResult(pq *plan.PlannedQuery) (*exec.Result, bool, error) {
 	if !closeInert(pq) {
 		return nil, false, nil
 	}
-	log, ok := e.live.ResidentOutput(planKey(sql, live.Stream))
+	log, ok := e.live.ResidentOutput(planKey(pq))
 	if !ok {
 		return nil, false, nil
 	}

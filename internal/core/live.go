@@ -9,25 +9,27 @@ import (
 	"repro/internal/exec"
 	"repro/internal/live"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/types"
 )
 
 // This file is the engine's standing-query surface. A subscription parses
-// and plans its SQL, then either attaches to an already-resident pipeline
-// for the same plan — subscriptions are keyed by (normalized SQL, mode), so
-// N identical subscribers share one compiled pipeline with per-subscriber
-// delivery cursors — or compiles the pipeline once and registers it. A fresh pipeline replays the recorded history of
-// the scanned relations and is caught up to the engine's processing-time
-// clock; a late-attaching cursor instead receives a snapshot hand-off
-// synthesized from the pipeline's retained output. Either way, every
-// AppendLog that touches a scanned relation is then
-// routed to the pipeline incrementally. The exec lifecycle makes incremental
-// feeding byte-identical to replay when commits reach the pipeline in
-// (ptime, scan order) across the relations it scans; then the delta
-// sequence each subscriber observes equals what a post-hoc QueryStream over
-// the final changelog would return — shared or not. A Stream-mode resident
-// pipeline also answers QueryTable at the current instant (see
+// and plans its SQL, then either attaches to the resident pipeline already
+// computing the same time-varying relation — sessions are keyed by the
+// optimized plan (planKey), so any number of subscribers, stream or table
+// readers and any spelling of the query, share one compiled pipeline with
+// per-subscriber delivery cursors — or compiles the pipeline once and
+// registers it. A fresh pipeline replays the recorded history of the scanned
+// relations and is caught up to the engine's processing-time clock; a
+// late-attaching cursor instead receives a snapshot hand-off synthesized from
+// the pipeline's retained output. Either way, every AppendLog that touches a
+// scanned relation is then routed to the pipeline incrementally. The exec
+// lifecycle makes incremental feeding byte-identical to replay when commits
+// reach the pipeline in (ptime, scan order) across the relations it scans;
+// then the delta sequence each subscriber observes equals what a post-hoc
+// QueryStream over the final changelog would return — shared or not. A
+// resident pipeline also answers QueryTable at the current instant (see
 // residentResult and the read contract in package live).
 
 // SubscribeOptions configures a standing query.
@@ -44,14 +46,18 @@ type SubscribeOptions struct {
 	// isolation (a benchmark A/B, or decoupling from a peer's Block-policy
 	// backpressure).
 	Exclusive bool
-	// MaxRetainedRows bounds the shared session's late-attach retention
-	// (the Stream-mode output changelog / Table-mode distinct-row
-	// accumulator). 0 means unbounded. When the retained output outgrows
+	// MaxRetainedRows bounds the shared session's late-attach retention:
+	// its output changelog, from which both a stream and a table reader's
+	// hand-off derive. 0 means unbounded. When the retained output outgrows
 	// the cap it is released — memory stays bounded — and later attaches to
 	// that session fail with live.ErrRetainedOverflow instead of receiving
 	// an incomplete snapshot; existing subscribers are unaffected. The cap
 	// is fixed by the subscription that creates the resident pipeline
 	// (later sharers inherit it).
+	//
+	// The trade of one pipeline per relation: a session that only table
+	// readers use retains its changelog too, not one entry per distinct
+	// row, so the cap counts changelog rows for every session.
 	MaxRetainedRows int
 }
 
@@ -82,79 +88,55 @@ func (e *Engine) subscribe(sql string, mode live.Mode, opts SubscribeOptions) (*
 	if mode == live.Table && (len(pq.OrderBy) > 0 || pq.Limit != nil) {
 		return nil, fmt.Errorf("core: ORDER BY/LIMIT are not supported by table subscriptions (diffs cannot maintain presentation order)")
 	}
-	key := ""
-	if !opts.Exclusive {
-		key = planKey(sql, mode)
-	}
-	names := scanNames(pq.Root)
-	create := func() (*live.Session, error) {
-		p, err := exec.Compile(pq)
-		if err != nil {
-			return nil, err
-		}
-		return live.NewSession(p, live.Config{
-			Name:            sql,
-			Mode:            mode,
-			Schema:          pq.Root.Schema(),
-			EmitKeys:        pq.EmitKeyIdxs,
-			Sources:         names,
-			MaxRetainedRows: opts.MaxRetainedRows,
-		})
+	q := e.standing(sql, pq)
+	q.Config.MaxRetainedRows = opts.MaxRetainedRows
+	if opts.Exclusive {
+		q.Key = ""
 	}
 	// Attach to the resident pipeline for this plan, or compile one and
 	// replay recorded history into it. The manager runs both under its
 	// ordering lock, so no concurrently committed change can fall between
 	// the snapshot (history replay or late-attach hand-off) and live
 	// routing; on any failure it cancels the session.
-	return e.live.Subscribe(key, live.CursorOpts{Buffer: opts.Buffer, Policy: opts.Policy}, create,
-		func() ([]exec.Source, error) { return e.sourcesByName(names) })
+	return e.live.Subscribe(q.Key, live.CursorOpts{Buffer: opts.Buffer, Policy: opts.Policy, Mode: mode}, q.Create, q.History)
 }
 
-// planKey identifies a shareable standing-query plan: same normalized SQL
-// text, same delta rendering. Whitespace runs are collapsed so trivially
-// reformatted SQL still shares; anything beyond that (case, literal
-// spelling) conservatively keys a separate pipeline. Snapshots store each
-// session under this key and restore registers it verbatim, so the bytes
-// must not change: the trailing "1" is a field earlier keys used for the
-// partition count, and every serial session wrote it.
-func planKey(sql string, mode live.Mode) string {
-	return normalizeSQL(sql) + "\x00" + mode.String() + "\x001"
-}
-
-// normalizeSQL collapses whitespace runs outside quoted regions into one
-// space and trims the ends. Whitespace inside a single-quoted string
-// literal or a double-quoted identifier is significant to the lexer ('a b'
-// and 'a  b' are different literals, "a b" and "a  b" different relations),
-// so quoted bytes pass through verbatim. The ” literal escape reads as
-// close-then-reopen, which preserves bytes just the same; quoted
-// identifiers have no escape (the next '"' closes them).
-func normalizeSQL(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
-	var quote byte // the delimiter of the quoted region we are inside, or 0
-	pendingSpace := false
-	for i := 0; i < len(sql); i++ {
-		ch := sql[i]
-		if quote != 0 {
-			b.WriteByte(ch)
-			if ch == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch ch {
-		case ' ', '\t', '\n', '\r':
-			pendingSpace = true
-			continue
-		case '\'', '"':
-			quote = ch
-		}
-		if pendingSpace && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		pendingSpace = false
-		b.WriteByte(ch)
+// standing describes the planned query to the live manager: its plan key,
+// session config, and how to build its driver fresh or from a checkpoint.
+func (e *Engine) standing(sql string, pq *plan.PlannedQuery) live.Query {
+	names := scanNames(pq.Root)
+	return live.Query{
+		Key: planKey(pq),
+		Config: live.Config{
+			Name:     sql,
+			Schema:   pq.Root.Schema(),
+			EmitKeys: pq.EmitKeyIdxs,
+			Sources:  names,
+		},
+		Compile: func() (exec.Driver, error) { return exec.Compile(pq) },
+		History: func() ([]exec.Source, error) { return e.sourcesByName(names) },
+		Load:    func(dec *checkpoint.Decoder) (exec.Driver, error) { return exec.LoadDriver(dec, pq) },
 	}
+}
+
+// planKey names the time-varying relation a standing query computes: the
+// optimized plan as EXPLAIN renders it, the output schema, and the
+// materialization control the pipeline applies (EMIT AFTER WATERMARK, the
+// AFTER DELAY duration, the emit-key columns). Texts that differ only in
+// spelling — whitespace, keyword case, table aliases — plan alike and share
+// one pipeline; EMIT STREAM, ORDER BY and LIMIT are left out because they
+// choose how a reader renders the relation, not which relation it is.
+func planKey(pq *plan.PlannedQuery) string {
+	var b strings.Builder
+	b.WriteString(plan.Format(pq.Root))
+	for _, c := range pq.Root.Schema().Cols {
+		fmt.Fprintf(&b, "%q %s event=%t offset=%s windowed=%t\n", c.Name, c.Kind, c.EventTime, c.WmOffset, c.Windowed)
+	}
+	fmt.Fprintf(&b, "emit wm=%t", pq.Emit.AfterWatermark)
+	if pq.Emit.Delay != nil {
+		fmt.Fprintf(&b, " delay=%s", *pq.Emit.Delay)
+	}
+	fmt.Fprintf(&b, " keys=%v", pq.EmitKeyIdxs)
 	return b.String()
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -388,10 +389,10 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	}
 }
 
-// TestSharedPlanDedup: identical (SQL, mode) subscriptions
-// share one resident pipeline — observable via LiveSessions/LiveSubscribers
-// and the PipelineID/Subscribers stats — while any difference in the key (or
-// Exclusive) gets its own pipeline.
+// TestSharedPlanDedup: subscriptions of one plan share one resident
+// pipeline whatever their rendering — observable via
+// LiveSessions/LiveSubscribers and the PipelineID/Subscribers stats — while
+// Exclusive gets its own pipeline.
 func TestSharedPlanDedup(t *testing.T) {
 	e := newBidEngine(t)
 	opts := core.SubscribeOptions{Buffer: 64}
@@ -415,9 +416,9 @@ func TestSharedPlanDedup(t *testing.T) {
 	if stA.Subscribers != 2 || stB.Subscribers != 2 {
 		t.Fatalf("Subscribers = %d/%d, want 2/2", stA.Subscribers, stB.Subscribers)
 	}
-	// A different mode or an explicit Exclusive each get their own resident
-	// pipeline.
-	subTable, err := e.SubscribeTable(`SELECT auction, price FROM Bid`, opts)
+	// A table reader of the same query joins the same pipeline; an explicit
+	// Exclusive gets its own.
+	subTable, err := e.SubscribeTable(liveBidQuery, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,24 +426,21 @@ func TestSharedPlanDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.LiveSessions() != 3 || e.LiveSubscribers() != 4 {
-		t.Fatalf("sessions=%d subscribers=%d, want 3/4", e.LiveSessions(), e.LiveSubscribers())
+	if e.LiveSessions() != 2 || e.LiveSubscribers() != 4 {
+		t.Fatalf("sessions=%d subscribers=%d, want 2/4", e.LiveSessions(), e.LiveSubscribers())
 	}
-	for name, st := range map[string]live.Stats{
-		"table": subTable.Stats(), "exclusive": subExcl.Stats(),
-	} {
-		if st.PipelineID == stA.PipelineID {
-			t.Errorf("%s subscription shares pipeline %d with the stream plan", name, st.PipelineID)
-		}
-		if st.Subscribers != 1 {
-			t.Errorf("%s Subscribers = %d, want 1", name, st.Subscribers)
-		}
+	if st := subTable.Stats(); st.PipelineID != stA.PipelineID || st.Subscribers != 3 {
+		t.Errorf("table reader: pipeline %d with %d subscribers, want the stream plan's %d with 3",
+			st.PipelineID, st.Subscribers, stA.PipelineID)
+	}
+	if st := subExcl.Stats(); st.PipelineID == stA.PipelineID || st.Subscribers != 1 {
+		t.Errorf("exclusive: pipeline %d with %d subscribers, want its own with 1", st.PipelineID, st.Subscribers)
 	}
 	// The departure of one sharer must not disturb the other; the
 	// pipeline dies with the last one.
 	subA.Cancel()
-	if e.LiveSessions() != 3 || e.LiveSubscribers() != 3 {
-		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 3/3",
+	if e.LiveSessions() != 2 || e.LiveSubscribers() != 3 {
+		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 2/3",
 			e.LiveSessions(), e.LiveSubscribers())
 	}
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
@@ -461,6 +459,14 @@ func TestSharedPlanDedup(t *testing.T) {
 		}
 	default:
 		t.Fatal("surviving sharer received no delta after its peer canceled")
+	}
+	select {
+	case d := <-subTable.Deltas():
+		if d.Table == nil || len(d.Table.Inserted) != 1 || d.Stream != nil {
+			t.Fatalf("table reader delta = %+v, want one inserted row and no stream rows", d)
+		}
+	default:
+		t.Fatal("table reader received no delta")
 	}
 	subB.Cancel()
 	subTable.Cancel()
@@ -551,18 +557,28 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 }
 
 // TestSharedPlanMatchesDedicatedAndReplay is the shared-plan byte-identity
-// property: K subscribers attach to one SQL at random points of a randomly
-// Feed-split ingest (the first from the start, the rest late, each paired
-// with a dedicated Exclusive subscription opened at the same instant), and
-// every subscriber's concatenated delta rows — snapshot hand-off included —
-// must be byte-identical to its dedicated twin AND to a post-hoc QueryStream
-// replay, on the serial fan-out and on a sharded one. A final far-future
-// watermark completes all windows before closing, so close-time flushes are
-// empty and the property covers every subscriber, not just the last closer.
+// property: readers of one relation attach to one SQL's pipeline at random
+// points of a randomly Feed-split ingest (the first from the start, the rest
+// late), in both renderings and under four spellings of the query —
+// verbatim, reflowed whitespace, lower-case keywords, another table alias.
+// Each is paired with a dedicated Exclusive subscription of the same text
+// and mode opened at the same instant. All shared readers must land on one
+// pipeline, and every reader's concatenated deltas — snapshot hand-off
+// included — must equal its dedicated twin's and a post-hoc QueryStream
+// replay (a stream reader) or the fold of it (a table reader), on the
+// serial fan-out and on a sharded one. A final far-future watermark
+// completes all windows before closing, so close-time flushes are empty and
+// the property covers every reader, not just the last closer.
 func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
 	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+	readers := []reader{
+		{sql: liveBidQuery},
+		{sql: strings.Join(strings.Fields(liveBidQuery), " "), table: true},
+		{sql: keywordCase.Replace(liveBidQuery)},
+		{sql: strings.ReplaceAll(liveBidQuery, "TB", "W"), table: true},
+	}
 	for _, parts := range []int{1, 4} {
 		parts := parts
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -575,6 +591,16 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
+			wantRel := tvr.NewRelation()
+			for _, r := range want.Rows {
+				if r.Undo {
+					if err := wantRel.Delete(r.Row); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					wantRel.Insert(r.Row)
+				}
+			}
 
 			e := partsEngine(t, parts)
 			rng := rand.New(rand.NewSource(int64(31 * parts)))
@@ -582,20 +608,17 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
 			exclOpts := opts
 			exclOpts.Exclusive = true
-			type pair struct{ shared, dedicated *live.Subscription }
+			type pair struct {
+				reader
+				shared, dedicated *live.Subscription
+			}
 			var pairs []pair
 			i, next := 0, 0
 			for i <= len(g.Bids) {
 				for next < len(attachAt) && attachAt[next] <= i {
-					shared, err := e.SubscribeStream(liveBidQuery, opts)
-					if err != nil {
-						t.Fatal(err)
+					for _, r := range readers {
+						pairs = append(pairs, pair{r, r.subscribe(t, e, opts), r.subscribe(t, e, exclOpts)})
 					}
-					dedicated, err := e.SubscribeStream(liveBidQuery, exclOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pairs = append(pairs, pair{shared, dedicated})
 					next++
 				}
 				if i == len(g.Bids) {
@@ -614,9 +637,9 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 			if err := e.AppendLog("Bid", tvr.Changelog{finalWM}); err != nil {
 				t.Fatal(err)
 			}
-			// One resident pipeline serves all shared subscribers; each
+			// One resident pipeline serves all shared readers; each
 			// dedicated twin has its own.
-			k := len(attachAt)
+			k := len(pairs)
 			if e.LiveSessions() != 1+k || e.LiveSubscribers() != 2*k {
 				t.Fatalf("sessions=%d subscribers=%d, want %d/%d",
 					e.LiveSessions(), e.LiveSubscribers(), 1+k, 2*k)
@@ -631,23 +654,83 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 				}
 			}
 			// Close shared cursors in attach order (only the last completes
-			// the pipeline) and every dedicated pipeline individually; all
-			// 2K sequences must match the replay.
+			// the pipeline) and every dedicated pipeline individually.
 			for pi, p := range pairs {
-				for which, sub := range map[string]*live.Subscription{"shared": p.shared, "dedicated": p.dedicated} {
-					final, err := sub.Close()
-					if err != nil {
-						t.Fatalf("pair %d %s close: %v", pi, which, err)
+				got, twin := closeDeltas(t, p.shared), closeDeltas(t, p.dedicated)
+				if a, b := formatDeltas(p.shared.Schema(), got), formatDeltas(p.shared.Schema(), twin); fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("pair %d (table=%v) shared reader differs from its dedicated twin:\n%s\nwant:\n%s",
+						pi, p.table, truncate(fmt.Sprint(a)), truncate(fmt.Sprint(b)))
+				}
+				if p.table {
+					if rel := foldDiffs(t, got); !rel.Equal(wantRel) {
+						t.Fatalf("pair %d table reader folds to\n%s\nwant the fold of the replay\n%s",
+							pi, truncate(rel.String()), truncate(wantRel.String()))
 					}
-					rows := collectStream(sub, final)
-					if got := tvr.FormatStreamTable(sub.Schema(), rows); got != wantStr {
-						t.Fatalf("pair %d %s subscriber differs from replay:\ngot (%d rows):\n%s\nwant (%d rows):\n%s",
-							pi, which, len(rows), truncate(got), len(want.Rows), truncate(wantStr))
-					}
+					continue
+				}
+				var rows []tvr.StreamRow
+				for _, d := range got {
+					rows = append(rows, d.Stream...)
+				}
+				if got := tvr.FormatStreamTable(p.shared.Schema(), rows); got != wantStr {
+					t.Fatalf("pair %d stream reader differs from replay:\ngot (%d rows):\n%s\nwant (%d rows):\n%s",
+						pi, len(rows), truncate(got), len(want.Rows), truncate(wantStr))
 				}
 			}
 			if e.LiveSessions() != 0 {
 				t.Fatalf("%d sessions left after closing every subscriber", e.LiveSessions())
+			}
+		})
+	}
+}
+
+// foldDiffs applies a table reader's diffs to an empty relation.
+func foldDiffs(t *testing.T, ds []live.Delta) *tvr.Relation {
+	t.Helper()
+	rel := tvr.NewRelation()
+	for _, d := range ds {
+		for _, r := range d.Table.Inserted {
+			rel.Insert(r)
+		}
+		for _, r := range d.Table.Deleted {
+			if err := rel.Delete(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return rel
+}
+
+// TestPlanKeyKeepsDistinctRelationsApart: the plan key shares spellings of
+// one relation, never two relations. Each pair differs in something that
+// changes what the pipeline computes or what its rows are called — EMIT
+// AFTER WATERMARK, the AFTER DELAY duration, an output column alias — and
+// gets two sessions.
+func TestPlanKeyKeepsDistinctRelationsApart(t *testing.T) {
+	const window = `
+SELECT TB.auction auction, TB.wend wend, MAX(TB.price) %s
+FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
+            dur => INTERVAL '10' SECONDS) TB
+GROUP BY TB.auction, TB.wend %s`
+	for _, tc := range []struct{ name, a, b string }{
+		{"emit after watermark", fmt.Sprintf(window, "maxPrice", ""), fmt.Sprintf(window, "maxPrice", "EMIT AFTER WATERMARK")},
+		{"delay duration", fmt.Sprintf(window, "maxPrice", "EMIT AFTER DELAY INTERVAL '2' SECONDS"), fmt.Sprintf(window, "maxPrice", "EMIT AFTER DELAY INTERVAL '3' SECONDS")},
+		{"column alias", fmt.Sprintf(window, "maxPrice", ""), fmt.Sprintf(window, "topPrice", "")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newBidEngine(t)
+			a, err := e.SubscribeStream(tc.a, core.SubscribeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Cancel()
+			b, err := e.SubscribeStream(tc.b, core.SubscribeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Cancel()
+			if n := e.LiveSessions(); n != 2 || a.Stats().PipelineID == b.Stats().PipelineID {
+				t.Fatalf("%d sessions, pipelines %d and %d: want two", n, a.Stats().PipelineID, b.Stats().PipelineID)
 			}
 		})
 	}
@@ -845,7 +928,7 @@ func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess, err := live.NewSession(p, live.Config{
-			Name: liveBidQuery, Mode: live.Stream, Schema: pq.Root.Schema(),
+			Name: liveBidQuery, Schema: pq.Root.Schema(),
 			EmitKeys: pq.EmitKeyIdxs, Sources: []string{"bid"},
 		})
 		if err != nil {

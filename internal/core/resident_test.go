@@ -1,10 +1,10 @@
 package core_test
 
 // Pins for one-shot table reads answered from a resident pipeline: at the
-// current instant QueryTable folds the retained output of the stream-mode
-// session resident under the same SQL instead of replaying the recorded
-// history, and every such read must equal the replay a twin engine without
-// subscriptions computes over the same commits.
+// current instant QueryTable folds the retained output of the session
+// resident under the same plan, whatever its readers' modes, instead of
+// replaying the recorded history, and every such read must equal the replay
+// a twin engine without subscriptions computes over the same commits.
 
 import (
 	"fmt"
@@ -32,6 +32,10 @@ type residentQuery struct {
 	// scansBoth: the plan scans Auction and Bid, so a commit that breaks
 	// their merge order disqualifies its session for good.
 	scansBoth bool
+	// subscribe is the SQL of the standing subscription when it is not sql
+	// itself, and table makes that subscription a table reader.
+	subscribe string
+	table     bool
 }
 
 func residentQueries(t testing.TB) []residentQuery {
@@ -50,6 +54,12 @@ FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
 GROUP BY TB.auction, TB.wstart, TB.wend
 EMIT AFTER WATERMARK`, resident: true},
 		{name: "order-limit", sql: `SELECT auction, MAX(price) AS top FROM Bid GROUP BY auction ORDER BY top DESC, auction LIMIT 5`, resident: true},
+		// Served by a session only table readers use.
+		{name: "table-reader", sql: `SELECT auction, bidder, price FROM Bid WHERE price > 5000`, resident: true, table: true},
+		// ORDER BY and LIMIT are presentation: the read is served by the
+		// pipeline of the plain query.
+		{name: "order-limit-over-plain", sql: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction ORDER BY low, auction LIMIT 5`,
+			subscribe: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction`, resident: true},
 		// Close flushes pending delay timers.
 		{name: "delay", sql: `
 SELECT TB.auction auction, TB.wend wend, MAX(TB.price) maxPrice
@@ -220,8 +230,9 @@ func checkResidentRead(t *testing.T, live, twin *core.Engine, reg *obs.Registry,
 }
 
 // TestResidentReadMatchesReplay is the correctness guard for reads served
-// from a resident pipeline. Every query of the matrix has a resident
-// stream-mode session; at random commit points each current-instant read
+// from a resident pipeline. Every query of the matrix has a resident session
+// (a stream reader's, a table reader's, or the plain query's under an
+// ORDER BY … LIMIT read); at random commit points each current-instant read
 // must equal a subscription-free twin's replay, and the resident counter
 // must move exactly for the close-inert queries whose session was fed in
 // merge order — after the injected reorder, no longer for Q4.
@@ -242,7 +253,14 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 			for k, c := range commits {
 				if k == subscribeAt {
 					for _, q := range queries {
-						sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{Buffer: 2*len(commits) + 16})
+						sql, subscribe := q.sql, live.SubscribeStream
+						if q.subscribe != "" {
+							sql = q.subscribe
+						}
+						if q.table {
+							subscribe = live.SubscribeTable
+						}
+						sub, err := subscribe(sql, core.SubscribeOptions{Buffer: 2*len(commits) + 16})
 						if err != nil {
 							t.Fatalf("subscribe %s: %v", q.name, err)
 						}

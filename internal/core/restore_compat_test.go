@@ -1,11 +1,13 @@
 package core_test
 
-// Restore compatibility with an engine snapshot taken before the
-// key-partitioned executor was removed. Sessions are stored in a snapshot
-// under their plan key, and restore registers them under exactly that key:
-// if the key a subscription computes today differed from the stored one, a
-// reconnecting subscriber would compile a second pipeline while the restored
-// one sat resident with no cursors, forever.
+// Restore compatibility with engine snapshots written in earlier layouts.
+// serial_sessions.golden was taken before the key-partitioned executor was
+// removed, legacy_mixed_modes.golden while every session had a mode and was
+// keyed by its SQL text; both restore into today's one-session-per-relation
+// layout, and sessions.golden pins that layout's bytes. A restored session
+// must be registered under the key a subscription computes today: otherwise
+// a reconnecting subscriber would compile a second pipeline while the
+// restored one sat resident with no cursors, forever.
 
 import (
 	"bytes"
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -38,16 +41,22 @@ FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
 GROUP BY TB.auction, TB.wstart, TB.wend`
 )
 
+// keywordCase respells a query's keywords in lower case. Only keywords:
+// lower-casing an output column alias would name a different relation.
+var keywordCase = strings.NewReplacer("SELECT", "select", "FROM", "from", "GROUP BY", "group by",
+	"TABLE", "table", "DESCRIPTOR", "descriptor", "INTERVAL", "interval", "SECONDS", "seconds",
+	"EMIT STREAM AFTER WATERMARK", "emit stream after watermark")
+
 func fixtureSec(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
 
 func fixtureBid(auction, bidder, price, sec int64) types.Row {
 	return types.Row{types.NewInt(auction), types.NewInt(bidder), types.NewInt(price), types.NewTimestamp(fixtureSec(sec))}
 }
 
-// fixtureSessionsEngine is the engine serial_sessions.golden was taken of:
-// the Bid stream, one shared Stream session and one shared Table session,
-// and a changelog with a retraction and a watermark that closes the first
-// window.
+// fixtureSessionsEngine is the engine serial_sessions.golden and
+// sessions.golden were taken of: the Bid stream, a shared stream
+// subscription and a shared table subscription of two queries, and a
+// changelog with a retraction and a watermark that closes the first window.
 func fixtureSessionsEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	e := core.NewEngine()
@@ -89,93 +98,193 @@ func fixtureMoreBids() tvr.Changelog {
 	}
 }
 
-// TestRestoreSerialSessionsFixture: serial_sessions.golden was written before
-// the key-partitioned executor was removed. Today's snapshot of the same
-// engine is byte-identical to it; it restores both sessions; reconnecting
-// subscribers attach to the restored pipelines instead of compiling new ones
-// (LiveSessions stays 2); and what each receives — the snapshot hand-off and
-// every later delta — is byte-identical to a dedicated twin's.
-func TestRestoreSerialSessionsFixture(t *testing.T) {
-	dump, err := os.ReadFile(filepath.Join("testdata", "serial_sessions.golden"))
+// readGolden decodes a hex-dumped engine snapshot from testdata.
+func readGolden(t testing.TB, name string) []byte {
+	t.Helper()
+	dump, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
+	b, err := hex.DecodeString(string(bytes.ReplaceAll(dump, []byte("\n"), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var now bytes.Buffer
-	if err := fixtureSessionsEngine(t).CheckpointAll(&now); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(now.Bytes(), fixture) {
-		t.Fatalf("today's snapshot of the fixture engine is %d bytes and differs from the %d-byte fixture", now.Len(), len(fixture))
-	}
+	return b
+}
 
+// restoreGolden restores a testdata snapshot into a fresh engine and checks
+// how many sessions it holds.
+func restoreGolden(t *testing.T, name string, sessions int) *core.Engine {
+	t.Helper()
 	e := core.NewEngine()
-	if err := e.RestoreAll(bytes.NewReader(fixture)); err != nil {
-		t.Fatalf("restore: %v", err)
+	if err := e.RestoreAll(bytes.NewReader(readGolden(t, name))); err != nil {
+		t.Fatalf("restore %s: %v", name, err)
 	}
-	if n := e.LiveSessions(); n != 2 {
-		t.Fatalf("restored %d sessions, want 2", n)
+	if n := e.LiveSessions(); n != sessions {
+		t.Fatalf("%s restored %d sessions, want %d", name, n, sessions)
 	}
+	return e
+}
+
+// reader is one reconnecting subscriber of a restored engine.
+type reader struct {
+	sql   string
+	table bool
+}
+
+func (r reader) subscribe(t *testing.T, e *core.Engine, opts core.SubscribeOptions) *live.Subscription {
+	t.Helper()
+	subscribe := e.SubscribeStream
+	if r.table {
+		subscribe = e.SubscribeTable
+	}
+	sub, err := subscribe(r.sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// checkReconnects attaches every reader to the restored engine e and checks
+// that none compiled a pipeline (LiveSessions unchanged), then continues the
+// changelog and requires each reader's deltas — the snapshot hand-off and
+// every later one — to equal those of an Exclusive twin opened at the same
+// instant.
+func checkReconnects(t *testing.T, e *core.Engine, readers []reader) {
+	t.Helper()
 	opts := core.SubscribeOptions{Buffer: 64}
-	stream, err := e.SubscribeStream(fixtureStreamSQL, opts)
-	if err != nil {
-		t.Fatal(err)
+	sessions := e.LiveSessions()
+	shared := make([]*live.Subscription, len(readers))
+	for i, r := range readers {
+		shared[i] = r.subscribe(t, e, opts)
 	}
-	table, err := e.SubscribeTable(fixtureTableSQL, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := e.LiveSessions(); n != 2 {
-		t.Fatalf("%d sessions after reconnecting, want 2: a reconnect compiled a pipeline instead of attaching to the restored one", n)
+	if n := e.LiveSessions(); n != sessions {
+		t.Fatalf("%d sessions after reconnecting, want %d: a reconnect compiled a pipeline instead of attaching to the restored one", n, sessions)
 	}
 	excl := opts
 	excl.Exclusive = true
-	streamTwin, err := e.SubscribeStream(fixtureStreamSQL, excl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableTwin, err := e.SubscribeTable(fixtureTableSQL, excl)
-	if err != nil {
-		t.Fatal(err)
+	twins := make([]*live.Subscription, len(readers))
+	for i, r := range readers {
+		twins[i] = r.subscribe(t, e, excl)
 	}
 	if err := e.AppendLog("Bid", fixtureMoreBids()); err != nil {
 		t.Fatal(err)
 	}
+	for i, r := range readers {
+		got, want := deltaLines(t, shared[i]), deltaLines(t, twins[i])
+		if len(got) < 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("reader %d (table=%v) received\n%v\ndedicated twin\n%v", i, r.table, got, want)
+		}
+	}
+}
 
-	got, want := deltaLines(t, stream), deltaLines(t, streamTwin)
-	if len(got) < 2 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("stream reconnect received\n%v\ndedicated twin\n%v", got, want)
+// TestRestoreSerialSessionsFixture: serial_sessions.golden holds one stream
+// and one table session of two different relations (the stream query emits
+// after the watermark). It restores both — the table session, which kept no
+// output changelog, rebuilt from the recorded history — and reconnecting
+// readers, a stream reader of the table query included, attach to them and
+// receive what a dedicated twin receives.
+func TestRestoreSerialSessionsFixture(t *testing.T) {
+	e := restoreGolden(t, "serial_sessions.golden", 2)
+	checkReconnects(t, e, []reader{
+		{sql: fixtureStreamSQL},
+		{sql: fixtureTableSQL, table: true},
+		{sql: fixtureTableSQL},
+	})
+}
+
+// TestRestoreLegacyMixedModes: legacy_mixed_modes.golden was written while a
+// stream and a table subscription of one SQL ran two pipelines (a whitespace
+// variant shared the stream one). It restores to one session, which serves
+// both modes and every spelling.
+func TestRestoreLegacyMixedModes(t *testing.T) {
+	e := restoreGolden(t, "legacy_mixed_modes.golden", 1)
+	checkReconnects(t, e, []reader{
+		{sql: fixtureTableSQL, table: true},
+		{sql: fixtureTableSQL},
+		{sql: strings.Join(strings.Fields(fixtureTableSQL), " ")},
+		{sql: keywordCase.Replace(fixtureTableSQL), table: true},
+	})
+}
+
+// TestSessionsGolden pins today's snapshot layout: the fixture engine
+// checkpoints to exactly sessions.golden (UPDATE_GOLDEN=1 rewrites it), which
+// restores and serves like the engine it was taken of.
+func TestSessionsGolden(t *testing.T) {
+	var now bytes.Buffer
+	if err := fixtureSessionsEngine(t).CheckpointAll(&now); err != nil {
+		t.Fatal(err)
 	}
-	got, want = deltaLines(t, table), deltaLines(t, tableTwin)
-	if len(got) < 2 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("table reconnect received\n%v\ndedicated twin\n%v", got, want)
+	path := filepath.Join("testdata", "sessions.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		h := hex.EncodeToString(now.Bytes())
+		var dump strings.Builder
+		for ; len(h) > 64; h = h[64:] {
+			dump.WriteString(h[:64] + "\n")
+		}
+		dump.WriteString(h + "\n")
+		if err := os.WriteFile(path, []byte(dump.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if want := readGolden(t, "sessions.golden"); !bytes.Equal(now.Bytes(), want) {
+		t.Fatalf("today's snapshot of the fixture engine is %d bytes and differs from the %d-byte sessions.golden (regenerate deliberately with UPDATE_GOLDEN=1)", now.Len(), len(want))
+	}
+	e := restoreGolden(t, "sessions.golden", 2)
+	checkReconnects(t, e, []reader{
+		{sql: fixtureStreamSQL},
+		{sql: fixtureTableSQL, table: true},
+		{sql: fixtureTableSQL},
+	})
+}
+
+// FuzzRestoreAll: restore reads bytes from disk that may be torn, corrupt
+// or written by another build, and checks the CRC trailer only after
+// decoding everything before it. Every input must restore or return an
+// error; none may panic. Seeded with the three snapshot goldens.
+func FuzzRestoreAll(f *testing.F) {
+	for _, name := range []string{"serial_sessions.golden", "legacy_mixed_modes.golden", "sessions.golden"} {
+		f.Add(readGolden(f, name))
+	}
+	f.Fuzz(func(t *testing.T, snapshot []byte) {
+		_ = core.NewEngine().RestoreAll(bytes.NewReader(snapshot))
+	})
 }
 
 // deltaLines closes sub and renders every delta it received, the final one
 // included, one line per delta.
 func deltaLines(t *testing.T, sub *live.Subscription) []string {
 	t.Helper()
+	return formatDeltas(sub.Schema(), closeDeltas(t, sub))
+}
+
+// closeDeltas closes sub and returns every delta it received, the final one
+// included.
+func closeDeltas(t *testing.T, sub *live.Subscription) []live.Delta {
+	t.Helper()
 	final, err := sub.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	render := func(d live.Delta) {
-		if d.Table != nil {
-			lines = append(lines, fmt.Sprintf("wm=%s %+v", d.Watermark, *d.Table))
-			return
-		}
-		lines = append(lines, fmt.Sprintf("wm=%s %s", d.Watermark, tvr.FormatStreamTable(sub.Schema(), d.Stream)))
-	}
+	var ds []live.Delta
 	for d := range sub.Deltas() {
-		render(d)
+		ds = append(ds, d)
 	}
 	if final != nil {
-		render(*final)
+		ds = append(ds, *final)
+	}
+	return ds
+}
+
+// formatDeltas renders deltas one line each.
+func formatDeltas(sch *types.Schema, ds []live.Delta) []string {
+	lines := make([]string, len(ds))
+	for i, d := range ds {
+		if d.Table != nil {
+			lines[i] = fmt.Sprintf("wm=%s %+v", d.Watermark, *d.Table)
+		} else {
+			lines[i] = fmt.Sprintf("wm=%s %s", d.Watermark, tvr.FormatStreamTable(sch, d.Stream))
+		}
 	}
 	return lines
 }

@@ -332,7 +332,7 @@ func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 	}
 	for sideIdx, side := range []*joinSide{j.left, j.right} {
 		nb := int(dec.Uvarint())
-		for b := 0; b < nb; b++ {
+		for b := 0; b < nb && dec.Err() == nil; b++ {
 			nr := int(dec.Uvarint())
 			bucket := &joinBucket{}
 			for r := 0; r < nr; r++ {

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/plan"
@@ -260,6 +261,34 @@ func TestJoinOpRoundTrip(t *testing.T) {
 				t.Fatal("final states diverge")
 			}
 		})
+	}
+}
+
+// TestJoinOpLoadCorruptBucketCount: a bucket count read from a corrupt
+// stream ends the load at the end of the stream, not after that many
+// iterations of an already-failed decoder.
+func TestJoinOpLoadCorruptBucketCount(t *testing.T) {
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf)
+	newJoinOp(joinPlan(sqlparser.InnerJoin), &memSink{}).saveMergeState(enc)
+	enc.Uvarint(1 << 62) // left-side buckets that never follow
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the trailer too, so the stream ends right after the count.
+	dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()[:buf.Len()-4]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- newJoinOp(joinPlan(sqlparser.InnerJoin), &memSink{}).LoadState(dec) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a join state with missing buckets loaded without error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("LoadState still running 10 s after the stream ended")
 	}
 }
 

@@ -2,8 +2,6 @@ package live
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/exec"
@@ -11,43 +9,25 @@ import (
 	"repro/internal/types"
 )
 
-// Durable checkpoint/restore for the standing-query subsystem. A checkpoint
-// captures every *shareable* resident session — the driver's full operator
-// state plus the session's rendering state (stream-version counters, the
-// retained output used for late-attach hand-offs) — under the manager's
-// ordering lock, so the snapshot is consistent with a single commit point:
-// no published change can be half-applied across sessions or fall between
-// the catalog (serialized by the owning engine through the extra callback)
-// and the pipelines.
-//
-// Exclusive sessions are deliberately NOT checkpointed: their only
-// subscriber is a live connection that does not survive the process, they
-// retain no output for late attach, and a restored copy could never be
-// attached to again — it would be a leak, not a recovery.
-//
-// A restored session is resident with zero cursors, exactly like a session
-// between registration and its first Attach: subscribers that reconnect
-// attach to it and receive the snapshot hand-off synthesized from the
-// restored retained output — byte-identical to what a dedicated subscription
-// opened at the same instant would replay — with no history rescan.
+// Durable checkpoint/restore of the resident sessions. The contract —
+// what a snapshot holds, why exclusive sessions are skipped, how restore
+// re-derives keys and reads the legacy layout — is in the package
+// documentation, "Checkpoint and restore".
 
-// ParseMode converts a Mode.String() value back to the Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "stream":
-		return Stream, nil
-	case "table":
-		return Table, nil
-	default:
-		return 0, fmt.Errorf("live: unknown mode %q in checkpoint", s)
-	}
-}
+// Sessions are written under sessionsSection with neither a key nor a mode:
+// restore re-derives the key from the re-planned SQL, and every session
+// retains the output changelog both renderings derive from. legacySection
+// is the layout written while each session had a mode and was keyed by its
+// SQL text; RestoreAll reads both.
+const (
+	sessionsSection = "live.Sessions"
+	legacySection   = "live.Manager"
+)
 
-// RestoreDriver rebuilds a checkpointed session's execution state: it plans
-// sql, restores the driver from the decoder (exec.LoadDriver), and returns
-// the driver plus the session Config derived from the plan. The engine layer
-// supplies it, because only the engine can resolve SQL against the catalog.
-type RestoreDriver func(sql string, mode Mode, dec *checkpoint.Decoder) (exec.Driver, Config, error)
+// RestoreQuery re-plans a checkpointed session's SQL against the restored
+// catalog. The engine supplies it, because only the engine can resolve SQL
+// against the catalog.
+type RestoreQuery func(sql string) (Query, error)
 
 // saveStateLocked writes one session. Caller holds ingestMu and mu (the
 // manager's checkpoint pass locks every open session first), and the session
@@ -55,7 +35,6 @@ type RestoreDriver func(sql string, mode Mode, dec *checkpoint.Decoder) (exec.Dr
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Section("live.Session")
 	enc.String(s.cfg.Name)
-	enc.String(s.cfg.Mode.String())
 	enc.Int(s.cfg.MaxRetainedRows)
 	enc.Varint(s.eventsIn.Load())
 	enc.Time(types.Time(s.wm.Load()))
@@ -66,25 +45,38 @@ func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 		return err
 	}
 	s.renderer.SaveState(enc)
-	if s.cfg.Mode == Table {
-		enc.Bool(s.tableSnap != nil)
-		if s.tableSnap != nil {
-			s.tableSnap.saveState(enc)
-		}
-	} else {
-		tvr.SaveChangelog(enc, s.outLog)
-	}
+	tvr.SaveChangelog(enc, s.outLog)
 	return enc.Err()
 }
 
-// restoreSession reads one session written by saveStateLocked, rebuilding
-// the driver through the engine-supplied callback.
-func restoreSession(dec *checkpoint.Decoder, restore RestoreDriver) (*Session, error) {
+// restoreSessionLocked reads one session, in either layout, and installs it
+// under the plan key of its re-planned SQL. A session whose key is already
+// taken is decoded and dropped: its readers reconnect to the survivor, which
+// renders either mode. A legacy table session kept only its distinct rows,
+// no changelog a stream reader could be handed, so its state is decoded and
+// dropped too, and the session is rebuilt from the recorded history and
+// caught up to the last heartbeat, as Subscribe builds one. Caller holds
+// m.mu.
+func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, restore RestoreQuery) error {
+	if legacy {
+		_ = dec.String() // the SQL-text key
+	}
 	if err := dec.Expect("live.Session"); err != nil {
-		return nil, err
+		return err
 	}
 	sql := dec.String()
-	modeStr := dec.String()
+	table := false
+	if legacy {
+		switch mode := dec.String(); mode {
+		case "table":
+			table = true
+		case "stream":
+		default:
+			if dec.Err() == nil {
+				return fmt.Errorf("live: unknown mode %q in checkpoint", mode)
+			}
+		}
+	}
 	maxRetain := dec.Int()
 	eventsIn := dec.Varint()
 	wm := dec.Time()
@@ -92,88 +84,64 @@ func restoreSession(dec *checkpoint.Decoder, restore RestoreDriver) (*Session, e
 	noRetain := dec.Bool()
 	overflowed := dec.Bool()
 	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	mode, err := ParseMode(modeStr)
-	if err != nil {
-		return nil, err
-	}
-	d, cfg, err := restore(sql, mode, dec)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Name = sql
-	cfg.Mode = mode
-	cfg.MaxRetainedRows = maxRetain
-	s := &Session{
-		cfg:        cfg,
-		driver:     d,
-		renderer:   tvr.NewStreamRenderer(cfg.EmitKeys),
-		sources:    make(map[string]bool, len(cfg.Sources)),
-		produced:   produced,
-		noRetain:   noRetain,
-		overflowed: overflowed,
-	}
-	s.parkCond = sync.NewCond(&s.mu)
-	s.shard.Store(-1)
-	s.wm.Store(int64(wm))
-	s.eventsIn.Store(eventsIn)
-	s.outOfOrder.Store(!d.FedInMergeOrder())
-	for _, name := range cfg.Sources {
-		s.sources[strings.ToLower(name)] = true
-	}
-	if err := s.renderer.LoadState(dec); err != nil {
-		return nil, err
-	}
-	if mode == Table {
-		if dec.Bool() {
-			s.tableSnap = newTableAcc()
-			if err := s.tableSnap.loadState(dec); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		log, err := tvr.LoadChangelog(dec)
-		if err != nil {
-			return nil, err
-		}
-		s.outLog = log
-	}
-	return s, dec.Err()
-}
-
-// saveState writes the table accumulator in its first-appearance order (the
-// order its diffs render in — part of the byte-identical contract).
-func (a *tableAcc) saveState(enc *checkpoint.Encoder) {
-	enc.Section("live.tableAcc")
-	enc.Time(a.ptime)
-	enc.Uvarint(uint64(len(a.order)))
-	for _, k := range a.order {
-		r := a.counts[k]
-		enc.Row(r.row)
-		enc.Int(r.n)
-	}
-}
-
-// loadState rebuilds the accumulator; the map keys are re-derived from the
-// rows.
-func (a *tableAcc) loadState(dec *checkpoint.Decoder) error {
-	if err := dec.Expect("live.tableAcc"); err != nil {
 		return err
 	}
-	a.ptime = dec.Time()
-	n := int(dec.Uvarint())
-	for i := 0; i < n; i++ {
-		row := dec.Row()
-		rn := dec.Int()
-		if err := dec.Err(); err != nil {
+	q, err := restore(sql)
+	if err != nil {
+		return err
+	}
+	q.Config.MaxRetainedRows = maxRetain
+	d, err := q.Load(dec)
+	if err != nil {
+		return err
+	}
+	s := newSession(d, q.Config)
+	if err := s.renderer.LoadState(dec); err != nil {
+		return err
+	}
+	if table {
+		skipTableAcc(dec)
+	} else if s.outLog, err = tvr.LoadChangelog(dec); err != nil {
+		return err
+	}
+	if err := dec.Err(); err != nil || m.plans[q.Key] != nil {
+		return err
+	}
+	var id int
+	if table {
+		if s, err = q.Create(); err != nil {
 			return err
 		}
-		k := row.Key()
-		a.counts[k] = &rowAcc{row: row, n: rn}
-		a.order = append(a.order, k)
+		if id, err = m.registerLocked(s, q.History); err != nil {
+			s.cancel()
+			return err
+		}
+	} else {
+		s.produced, s.noRetain, s.overflowed = produced, noRetain, overflowed
+		s.wm.Store(int64(wm))
+		s.eventsIn.Store(eventsIn)
+		s.outOfOrder.Store(!d.FedInMergeOrder())
+		s.setObs(m.obsm) // restored pipelines count like registered ones
+		id = m.nextID
+		m.nextID++
+		m.installLocked(id, s) // routing table + shard placement
 	}
-	return dec.Err()
+	m.shareLocked(q.Key, id, s)
+	return nil
+}
+
+// skipTableAcc consumes a legacy table session's distinct-row accumulator:
+// a presence flag, then its section, latest ptime, and each row with its net
+// multiplicity.
+func skipTableAcc(dec *checkpoint.Decoder) {
+	if !dec.Bool() || dec.Expect("live.tableAcc") != nil {
+		return
+	}
+	dec.Time()
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		dec.Row()
+		dec.Int()
+	}
 }
 
 // CheckpointAll writes the manager's routing clock and every shareable open
@@ -199,12 +167,7 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 			return err
 		}
 	}
-	type entry struct {
-		key  string
-		sess *Session
-	}
-	var open []entry
-	var held []*Session
+	var open, held []*Session
 	defer func() {
 		for _, s := range held {
 			s.mu.Unlock()
@@ -212,8 +175,7 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 		}
 	}()
 	for _, id := range m.order {
-		key, shared := m.keys[id]
-		if !shared {
+		if _, shared := m.keys[id]; !shared {
 			continue // exclusive/dedicated sessions die with their subscriber
 		}
 		s := m.subs[id]
@@ -221,15 +183,14 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 		s.mu.Lock()
 		held = append(held, s)
 		if !s.closed {
-			open = append(open, entry{key: key, sess: s})
+			open = append(open, s)
 		}
 	}
-	enc.Section("live.Manager")
+	enc.Section(sessionsSection)
 	enc.Time(m.seq.LastHeartbeat())
 	enc.Uvarint(uint64(len(open)))
-	for _, e := range open {
-		enc.String(e.key)
-		if err := e.sess.saveStateLocked(enc); err != nil {
+	for _, s := range open {
+		if err := s.saveStateLocked(enc); err != nil {
 			return err
 		}
 	}
@@ -237,35 +198,26 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 }
 
 // RestoreAll rebuilds the checkpointed sessions into this manager (normally
-// freshly created), registering each under its original plan key so
+// freshly created), registering each under the plan key restore derives, so
 // reconnecting subscribers attach to the restored pipeline instead of
 // compiling a new one.
-func (m *Manager) RestoreAll(dec *checkpoint.Decoder, restore RestoreDriver) error {
+func (m *Manager) RestoreAll(dec *checkpoint.Decoder, restore RestoreQuery) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := dec.Expect("live.Manager"); err != nil {
-		return err
+	legacy := false
+	switch name := dec.Section(); {
+	case dec.Err() != nil:
+		return dec.Err()
+	case name == legacySection:
+		legacy = true
+	case name != sessionsSection:
+		return fmt.Errorf("live: unknown checkpoint section %q", name)
 	}
 	m.seq.RecordHeartbeat(dec.Time())
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		key := dec.String()
-		if err := dec.Err(); err != nil {
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		if err := m.restoreSessionLocked(dec, legacy, restore); err != nil {
 			return err
 		}
-		sess, err := restoreSession(dec, restore)
-		if err != nil {
-			return err
-		}
-		sess.setObs(m.obsm) // restored pipelines count like registered ones
-		id := m.nextID
-		m.nextID++
-		m.plans[key] = sess
-		m.keys[id] = key
-		m.installLocked(id, sess) // routing table + shard placement
 	}
 	return dec.Err()
 }

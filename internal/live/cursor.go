@@ -8,13 +8,15 @@ import (
 )
 
 // cursor is one subscriber's delivery state on a shared Session: its own
-// bounded delta channel, slow-consumer policy, and counters. The session
-// fans every rendered delta out to all attached cursors in attach order, so
-// a cursor's delta sequence is exactly what a dedicated session would have
-// delivered — sharing changes ownership, not bytes.
+// bounded delta channel, slow-consumer policy, rendering mode, and counters.
+// The session fans every rendered delta out to all attached cursors in
+// attach order, each in its cursor's mode, so a cursor's delta sequence is
+// exactly what a dedicated session would have delivered — sharing changes
+// ownership, not bytes.
 type cursor struct {
 	s      *Session
 	policy Policy
+	mode   Mode
 	deltas chan Delta
 	done   chan struct{} // closed by Cancel/Close to unblock a producer
 	once   sync.Once     // guards close(done)
@@ -207,7 +209,11 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 		s.removeCursorLocked(c)
 		return nil, err
 	}
-	final := mergeDeltas(s.cfg.Mode, c.pending, s.renderLocked())
+	final := c.pending
+	if d := s.renderLocked(); d != nil {
+		v := d.as(c.mode)
+		final = mergeDeltas(c.mode, final, &v)
+	}
 	c.pending = nil
 	if final != nil {
 		c.noteDelivered(final)

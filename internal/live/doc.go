@@ -24,20 +24,55 @@
 //
 // # Shared sessions and late attach
 //
-// One SQL text denotes one time-varying relation regardless of how many
-// consumers watch it, so sessions are shared: a Session is the resident
-// pipeline, and any number of subscriber cursors attach to it, each with its
-// own bounded delta channel, slow-consumer policy, and stats (Attach).
-// Manager.Subscribe keys resident sessions by plan (normalized SQL, mode) so
-// identical subscriptions reuse one pipeline; an empty key makes a dedicated
-// session that retains no output. A cursor that attaches after the pipeline
-// has already produced output receives a snapshot hand-off first — the table
-// rendering as one consolidated initial diff, or the stream rendering
-// re-rendered from the retained output changelog so it starts at the current
-// version numbers — which is byte-identical to what a dedicated subscription
-// opened at the same instant would deliver. Attach runs under the manager's
-// ordering lock, so no commit slips between the snapshot and live routing.
-// The session tears down when its last cursor departs.
+// One time-varying relation is one pipeline, however many consumers watch it
+// and in whichever rendering: a Session is the resident pipeline, and any
+// number of subscriber cursors attach to it, each with its own bounded delta
+// channel, slow-consumer policy, rendering mode and stats (Attach).
+// Manager.Subscribe shares sessions by plan key, which the engine derives
+// from the optimized plan: its EXPLAIN rendering, the output schema, EMIT
+// AFTER WATERMARK, the AFTER DELAY duration and the emit-key columns. Stream
+// and table readers of a query, and its spellings (whitespace, keyword case,
+// table aliases), therefore share one pipeline; EMIT STREAM, ORDER BY and
+// LIMIT are presentation and stay out of the key. An empty key makes a
+// dedicated session that retains no output (core's Exclusive option).
+//
+// The mode belongs to the cursor (CursorOpts.Mode). The session retains one
+// output changelog, from which both renderings derive: every delivery
+// advances the stream renderer, whose version counters must see every row,
+// and is consolidated into a table diff only while a table cursor is
+// attached; each cursor takes its own (Delta.as). A cursor attaching after
+// the pipeline has produced output first receives a snapshot hand-off: the
+// stream rendering re-rendered from the retained log, so it starts at the
+// current version numbers, or the log consolidated into one diff. Either is
+// byte-identical to what a dedicated subscription opened at the same instant
+// would deliver. Attach runs under the manager's ordering lock, so no commit
+// slips between the snapshot and live routing. The session tears down when
+// its last cursor departs; that cursor's Close completes the pipeline and
+// receives the close-time output in its own mode.
+//
+// The retained log is the cost of one pipeline per relation: a session only
+// table readers use keeps its changelog too, not one entry per distinct row.
+// Config.MaxRetainedRows caps it in changelog rows; past the cap the log is
+// released and later attaches fail with ErrRetainedOverflow, existing
+// cursors unaffected. The subscription that creates the session fixes it.
+//
+// # Checkpoint and restore
+//
+// Manager.CheckpointAll writes every shareable open session (driver state,
+// stream-renderer counters, retained log) under the ordering lock, after the
+// engine's catalog, so both describe one commit point. Exclusive sessions are
+// skipped: their one subscriber dies with the process. Sessions are written
+// with neither key nor mode. RestoreAll re-plans each one's SQL against the
+// restored catalog (RestoreQuery), re-derives its key, and registers it with
+// zero cursors, so a reconnecting reader of either mode attaches and gets
+// the hand-off. It also reads the layout written while sessions had a mode
+// and were keyed by SQL text. A legacy stream session loads as above. A
+// legacy table session kept only distinct rows, no log a stream reader could
+// be handed, so its state is decoded and dropped, and the session is rebuilt
+// from the recorded history and caught up to the last heartbeat, as
+// Subscribe builds one. A session whose re-derived key is already taken is
+// decoded and dropped; its readers reconnect to the survivor. The snapshot
+// goldens in internal/core/testdata pin both layouts.
 //
 // # Commit and fan-out
 //
@@ -71,17 +106,17 @@
 //
 // # One-shot reads from a resident pipeline
 //
-// A Stream-mode session's retained output changelog is the output a
-// one-shot Run of the same plan would collect, as long as closing the
-// pipeline would add nothing. So the engine answers a table read at the
-// current instant from it (Manager.ResidentOutput) instead of replaying the
-// recorded history, when all of these hold:
+// A session's retained output changelog is the output a one-shot Run of the
+// same plan would collect, as long as closing the pipeline would add
+// nothing. So the engine answers a table read at the current instant from
+// it (Manager.ResidentOutput) instead of replaying the recorded history,
+// folding it with the read's own ORDER BY and LIMIT, when all of these hold:
 //
 //   - the plan is close-inert: it scans only streams, none AS OF, and has
 //     no EMIT AFTER DELAY (the engine checks this; a bounded or AS OF scan
 //     completes, and a delay timer fires, only at Close);
-//   - a session is resident under the plan key of the same SQL in Stream
-//     mode, so exclusive and Table-mode-only sessions never answer;
+//   - a session is resident under the read's plan key, whatever its
+//     readers' modes; exclusive sessions never answer;
 //   - the session is open and still retains its output, so neither
 //     DropRetainedOutput nor a MaxRetainedRows overflow released it;
 //   - its driver has only ever been fed in merge order

@@ -7,7 +7,8 @@ import (
 	"repro/internal/types"
 )
 
-// Mode selects which rendering of the output TVR a subscription receives.
+// Mode selects which rendering of the output TVR a subscription receives. It
+// is a property of the cursor, not of the session (see CursorOpts).
 type Mode int
 
 const (
@@ -80,6 +81,16 @@ type Delta struct {
 	Watermark types.Time
 }
 
+// as projects a session delivery, which carries the stream rendering and,
+// while a table cursor is attached, the table rendering too, onto the one a
+// cursor of mode m receives.
+func (d *Delta) as(m Mode) Delta {
+	if m == Table {
+		return Delta{Table: d.Table, Watermark: d.Watermark}
+	}
+	return Delta{Stream: d.Stream, Watermark: d.Watermark}
+}
+
 // TableDiff is the net change to the output snapshot across one delivery:
 // insert/delete pairs for the same row within the window cancel out.
 type TableDiff struct {
@@ -91,67 +102,40 @@ type TableDiff struct {
 	Deleted []types.Row
 }
 
-// tableAcc incrementally maintains the state consolidate derives from a
-// changelog: per-row net multiplicities in first-appearance order, plus the
-// latest data ptime. A shared Table-mode session keeps one alive across
-// deliveries so a late attacher's snapshot hand-off is synthesized from
-// state bounded by distinct rows, not by the full output history.
-type tableAcc struct {
-	counts map[string]*rowAcc
-	order  []string
-	ptime  types.Time
-	// scratch is the reusable key-encoding buffer: steady-state applies look
-	// the row up through string(scratch) (allocation-free) and only
-	// materialize the key string when the row is first seen.
-	scratch []byte
-}
-
-type rowAcc struct {
-	row types.Row
-	n   int
-}
-
-func newTableAcc() *tableAcc {
-	return &tableAcc{counts: make(map[string]*rowAcc), ptime: types.MinTime}
-}
-
-// apply folds one changelog event into the accumulator.
-func (a *tableAcc) apply(ev tvr.Event) {
-	if !ev.IsData() {
-		return
+// consolidate nets an output changelog into a snapshot diff: each row's net
+// multiplicity, in first-appearance order, plus the latest data ptime. A
+// table cursor receives it per delivery, and over the whole retained log as
+// its late-attach hand-off.
+func consolidate(out tvr.Changelog) *TableDiff {
+	type rowAcc struct {
+		row types.Row
+		n   int
 	}
-	if ev.Ptime > a.ptime {
-		a.ptime = ev.Ptime
+	counts := make(map[string]*rowAcc)
+	var order []*rowAcc
+	var key []byte // reused: a lookup through string(key) does not allocate
+	d := &TableDiff{Ptime: types.MinTime}
+	for _, ev := range out {
+		if !ev.IsData() {
+			continue
+		}
+		if ev.Ptime > d.Ptime {
+			d.Ptime = ev.Ptime
+		}
+		key = ev.Row.AppendKey(key[:0])
+		r := counts[string(key)]
+		if r == nil {
+			r = &rowAcc{row: ev.Row}
+			counts[string(key)] = r
+			order = append(order, r)
+		}
+		if ev.Kind == tvr.Insert {
+			r.n++
+		} else {
+			r.n--
+		}
 	}
-	a.scratch = ev.Row.AppendKey(a.scratch[:0])
-	r := a.counts[string(a.scratch)] // allocation-free lookup
-	if r == nil {
-		r = &rowAcc{row: ev.Row}
-		k := string(a.scratch)
-		a.counts[k] = r
-		a.order = append(a.order, k)
-	}
-	if ev.Kind == tvr.Insert {
-		r.n++
-	} else {
-		r.n--
-	}
-}
-
-// applyLog folds a whole drained batch into the accumulator — the batch
-// counterpart the per-delta delivery path uses so a session consolidates one
-// applied batch in a single call.
-func (a *tableAcc) applyLog(out tvr.Changelog) {
-	for i := range out {
-		a.apply(out[i])
-	}
-}
-
-// diff renders the accumulated net change as a fresh snapshot diff.
-func (a *tableAcc) diff() *TableDiff {
-	d := &TableDiff{Ptime: a.ptime}
-	for _, k := range a.order {
-		r := a.counts[k]
+	for _, r := range order {
 		for i := 0; i < r.n; i++ {
 			d.Inserted = append(d.Inserted, r.row)
 		}
@@ -160,13 +144,6 @@ func (a *tableAcc) diff() *TableDiff {
 		}
 	}
 	return d
-}
-
-// consolidate nets a drained output changelog into a snapshot diff.
-func consolidate(out tvr.Changelog) *TableDiff {
-	a := newTableAcc()
-	a.applyLog(out)
-	return a.diff()
 }
 
 // Stats is a point-in-time snapshot of a subscription's counters. EventsIn,
@@ -209,4 +186,7 @@ type CursorOpts struct {
 	Buffer int
 	// Policy is the cursor's slow-consumer policy.
 	Policy Policy
+	// Mode is the rendering the cursor receives. Cursors of either mode
+	// share one session: both renderings derive from its output changelog.
+	Mode Mode
 }

@@ -84,12 +84,12 @@ func intRow(v int64) types.Row { return types.Row{types.NewInt(v)} }
 func newTestSession(t *testing.T, d exec.Driver, mode live.Mode, buffer int, pol live.Policy) (*live.Session, *live.Subscription) {
 	t.Helper()
 	s, err := live.NewSession(d, live.Config{
-		Name: "test", Mode: mode, Schema: testSchema(), Sources: []string{"S"},
+		Name: "test", Schema: testSchema(), Sources: []string{"S"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := s.Attach(live.CursorOpts{Buffer: buffer, Policy: pol})
+	sub, err := s.Attach(live.CursorOpts{Buffer: buffer, Policy: pol, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestTableDiffConsolidation(t *testing.T) {
 func TestSharedFanout(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	sess, err := live.NewSession(&echoDriver{}, live.Config{
-		Name: "fanout", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "fanout", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestRefcountTeardown(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	d := &echoDriver{}
 	sess, err := live.NewSession(d, live.Config{
-		Name: "rc", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "rc", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +502,7 @@ func TestLateAttachSnapshot(t *testing.T) {
 		if err := ingest(sess, tvr.DeleteEvent(3, intRow(1))); err != nil {
 			t.Fatal(err)
 		}
-		late, err := sess.Attach(live.CursorOpts{Buffer: 8})
+		late, err := sess.Attach(live.CursorOpts{Buffer: 8, Mode: live.Table})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,7 +638,7 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 		sub, err := m.Subscribe("k", live.CursorOpts{Buffer: 8},
 			func() (*live.Session, error) {
 				return live.NewSession(&echoDriver{}, live.Config{
-					Name: "k", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+					Name: "k", Schema: testSchema(), Sources: []string{"s"},
 				})
 			}, nil)
 		if err != nil {
@@ -742,7 +742,7 @@ func TestManagerRouting(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	mk := func(source string) *live.Subscription {
 		s, err := live.NewSession(&echoDriver{}, live.Config{
-			Name: source, Mode: live.Stream, Schema: testSchema(), Sources: []string{source},
+			Name: source, Schema: testSchema(), Sources: []string{source},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -819,7 +819,7 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 		d := &echoDriver{}
 		d.feeds = func() { got = append(got, tag) }
 		s, err := live.NewSession(d, live.Config{
-			Name: "ord", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+			Name: "ord", Schema: testSchema(), Sources: []string{"s"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -868,7 +868,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	early := &echoDriver{}
 	s1, err := live.NewSession(early, live.Config{
-		Name: "early", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "early", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -884,7 +884,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	m.AdvanceWithSpan(250, nil, nil)
 	late := &echoDriver{}
 	s2, err := live.NewSession(late, live.Config{
-		Name: "late", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "late", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -907,7 +907,7 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	d := &echoDriver{}
 	sess, err := live.NewSession(d, live.Config{
-		Name: "fail", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "fail", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -933,7 +933,7 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 func TestPublishBatchesOneDelta(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	s, err := live.NewSession(&echoDriver{}, live.Config{
-		Name: "batch", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "batch", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -968,7 +968,7 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 func TestConcurrentIngestAndCancel(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	s, err := live.NewSession(&echoDriver{}, live.Config{
-		Name: "race", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "race", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)

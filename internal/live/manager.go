@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -82,14 +83,38 @@ func NewManagerWith(o Options) *Manager {
 	return m
 }
 
+// Query is a standing query as the engine plans it, in the terms the manager
+// needs to start or restore its session.
+type Query struct {
+	// Key is the plan key the session is shared under (see Subscribe).
+	Key    string
+	Config Config
+	// Compile builds a fresh, unstarted driver, and History returns the
+	// recorded changelogs it replays to catch up.
+	Compile func() (exec.Driver, error)
+	History func() ([]exec.Source, error)
+	// Load restores a checkpointed driver from dec, already started.
+	Load func(dec *checkpoint.Decoder) (exec.Driver, error)
+}
+
+// Create starts a session with no cursors on a freshly compiled driver.
+func (q Query) Create() (*Session, error) {
+	d, err := q.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return NewSession(d, q.Config)
+}
+
 // Subscribe is the shared-plan entry point. When key is non-empty and a
 // resident session for it exists, the new subscriber attaches to it as an
-// extra cursor — no second pipeline is compiled or fed. Otherwise create
-// builds a fresh session, which is registered (history replay plus
-// processing-time catch-up, all under the ordering lock so no concurrently
-// published change can slip into the gap) and recorded under key. An empty
-// key always creates a dedicated session. Any failure on the create path
-// cancels the session so a started driver can never leak.
+// extra cursor, in whichever mode opts asks for — no second pipeline is
+// compiled or fed. Otherwise create builds a fresh session, which is
+// registered (history replay plus processing-time catch-up, all under the
+// ordering lock so no concurrently published change can slip into the gap)
+// and recorded under key. An empty key always creates a dedicated session.
+// Any failure on the create path cancels the session so a started driver
+// can never leak.
 func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session, error), history func() ([]exec.Source, error)) (*Subscription, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -138,9 +163,7 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 		return nil, err
 	}
 	if key != "" {
-		m.plans[key] = sess
-		m.keys[id] = key
-		m.refreshLocked()
+		m.shareLocked(key, id, sess)
 	} else {
 		// A dedicated session can never see a late attach, so retaining
 		// its output changelog for snapshot hand-off would be dead
@@ -180,6 +203,14 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 	m.nextID++
 	m.installLocked(id, sess)
 	return id, nil
+}
+
+// shareLocked records the registered session id under plan key, where
+// Subscribe attaches to it and ResidentOutput finds it.
+func (m *Manager) shareLocked(key string, id int, sess *Session) {
+	m.plans[key] = sess
+	m.keys[id] = key
+	m.refreshLocked()
 }
 
 // installLocked wires a session into the routing table under the given id:

@@ -78,7 +78,7 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 
 			newSess := func(name string, d exec.Driver) (*live.Session, *live.Subscription) {
 				s, err := live.NewSession(d, live.Config{
-					Name: name, Mode: live.Stream, Schema: testSchema(), Sources: []string{"S"},
+					Name: name, Schema: testSchema(), Sources: []string{"S"},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -158,7 +158,7 @@ func TestPanicDuringAdvance(t *testing.T) {
 			defer m.Close()
 			d := &advancePanicDriver{}
 			s, err := live.NewSession(d, live.Config{
-				Name: "t", Mode: live.Stream, Schema: testSchema(), Sources: []string{"S"},
+				Name: "t", Schema: testSchema(), Sources: []string{"S"},
 			})
 			if err != nil {
 				t.Fatal(err)

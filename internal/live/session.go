@@ -18,8 +18,6 @@ import (
 type Config struct {
 	// Name labels the session for diagnostics (typically the SQL text).
 	Name string
-	// Mode selects the delta rendering (Stream or Table).
-	Mode Mode
 	// Schema is the output schema of the compiled plan.
 	Schema *types.Schema
 	// EmitKeys are the event-time grouping columns used for stream-
@@ -29,11 +27,10 @@ type Config struct {
 	// accepts events for these).
 	Sources []string
 	// MaxRetainedRows bounds the late-attach retention: the output-changelog
-	// rows a Stream-mode session keeps (or the distinct rows a Table-mode
-	// accumulator tracks) so late subscribers can receive a snapshot
-	// hand-off. 0 means unbounded. On overflow the retained state is
-	// released — memory stays bounded — and subsequent Attach calls fail
-	// with ErrRetainedOverflow instead of handing off an incomplete
+	// rows the session keeps so late subscribers of either mode can receive
+	// a snapshot hand-off. 0 means unbounded. On overflow the retained log
+	// is released — memory stays bounded — and subsequent Attach calls
+	// fail with ErrRetainedOverflow instead of handing off an incomplete
 	// snapshot.
 	MaxRetainedRows int
 }
@@ -42,10 +39,10 @@ type Config struct {
 // exec.Driver and converts ingested source events into subscriber deltas.
 // One session serves any number of subscribers — the consumer-facing half is
 // the per-subscriber cursor created by Attach — and every rendered delta is
-// fanned out to all attached cursors in attach order. The session retains
-// its cumulative output changelog so a cursor attaching late receives a
-// snapshot hand-off first (see Attach); it tears down when the last cursor
-// departs, or immediately on a pipeline error.
+// fanned out to all attached cursors in attach order, each in its own mode.
+// The session retains its cumulative output changelog so a cursor attaching
+// late receives a snapshot hand-off first (see Attach); it tears down when
+// the last cursor departs, or immediately on a pipeline error.
 //
 // A session is safe for concurrent use. Two locks split the work: ingestMu
 // serializes the producer side (driver access: Feed/Advance/Close and
@@ -70,15 +67,12 @@ type Session struct {
 	cursors      []*cursor  // attach order — also the fan-out order
 	everAttached bool
 	produced     bool // the pipeline has drained output at least once
-	// The late-attach snapshot state. A Stream-mode session retains the
-	// cumulative output changelog (the rendering needs every row's
-	// version history; same retention posture as the engine's recorded
-	// relation changelogs), while a Table-mode session folds output into
-	// a consolidated accumulator bounded by distinct rows. Both are
-	// dropped on sessions that can never see a late attach (see
-	// DropRetainedOutput).
+	// The late-attach snapshot state: the cumulative output changelog,
+	// from which both hand-offs derive (the stream rendering needs every
+	// row's version history; same retention posture as the engine's
+	// recorded relation changelogs). Dropped on sessions that can never
+	// see a late attach (see DropRetainedOutput).
 	outLog     tvr.Changelog
-	tableSnap  *tableAcc
 	noRetain   bool
 	overflowed bool // retention exceeded cfg.MaxRetainedRows and was released
 
@@ -122,6 +116,11 @@ func NewSession(d exec.Driver, cfg Config) (*Session, error) {
 	if err := d.Start(); err != nil {
 		return nil, err
 	}
+	return newSession(d, cfg), nil
+}
+
+// newSession wraps an already started driver (see restoreSessionLocked).
+func newSession(d exec.Driver, cfg Config) *Session {
 	s := &Session{
 		cfg:      cfg,
 		driver:   d,
@@ -130,14 +129,11 @@ func NewSession(d exec.Driver, cfg Config) (*Session, error) {
 	}
 	s.parkCond = sync.NewCond(&s.mu)
 	s.shard.Store(-1)
-	if cfg.Mode == Table {
-		s.tableSnap = newTableAcc()
-	}
 	s.wm.Store(int64(types.MinTime))
 	for _, name := range cfg.Sources {
 		s.sources[strings.ToLower(name)] = true
 	}
-	return s, nil
+	return s
 }
 
 // SetTeardown installs the hook run when the session leaves its manager.
@@ -208,18 +204,14 @@ func (s *Session) DropRetainedOutput() {
 	defer s.mu.Unlock()
 	s.noRetain = true
 	s.outLog = nil
-	s.tableSnap = nil
 }
 
-// retainedOutput returns the cumulative output changelog of an open
-// Stream-mode session whose driver has only been fed in merge order, capped
-// so later appends never show through; ok is false otherwise (see the read
-// contract in the package documentation). It takes only s.mu, so a
-// Block-policy delivery parked on a full cursor cannot stall it.
+// retainedOutput returns the cumulative output changelog of an open session
+// whose driver has only been fed in merge order, capped so later appends
+// never show through; ok is false otherwise (see the read contract in the
+// package documentation). It takes only s.mu, so a Block-policy delivery
+// parked on a full cursor cannot stall it.
 func (s *Session) retainedOutput() (log tvr.Changelog, ok bool) {
-	if s.cfg.Mode != Stream {
-		return nil, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The bit is read after s.mu is taken: a feed stores it before its
@@ -238,19 +230,19 @@ func (s *Session) retainedOutput() (log tvr.Changelog, ok bool) {
 func (s *Session) releaseRetainedLocked() {
 	s.overflowed = true
 	s.outLog = nil
-	s.tableSnap = nil
 }
 
-// Attach adds a subscriber cursor and returns its consumer-facing handle.
-// When the pipeline has already produced output, the cursor's first delta is
-// a snapshot hand-off synthesized from the retained output changelog: in
-// Table mode the consolidated diff reconstructing the current snapshot, in
-// Stream mode the full stream rendering (re-rendered from the log, so its
-// version numbers match the ones already delivered to earlier subscribers
-// and new rows continue from the current counters). That is byte-identical
-// to the history-replay delta a dedicated subscription opened at the same
-// instant would receive. The caller must guarantee no publish runs
-// concurrently (the manager attaches under its ordering lock).
+// Attach adds a subscriber cursor in opts.Mode and returns its
+// consumer-facing handle. When the pipeline has already produced output, the
+// cursor's first delta is a snapshot hand-off synthesized from the retained
+// output changelog: for a table cursor the consolidated diff reconstructing
+// the current snapshot, for a stream cursor the full stream rendering
+// (re-rendered from the log, so its version numbers match the ones already
+// delivered to earlier subscribers and new rows continue from the current
+// counters). That is byte-identical to the history-replay delta a dedicated
+// subscription opened at the same instant would receive. The caller must
+// guarantee no publish runs concurrently (the manager attaches under its
+// ordering lock).
 func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 64
@@ -269,10 +261,11 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	c := &cursor{
 		s:      s,
 		policy: opts.Policy,
+		mode:   opts.Mode,
 		deltas: make(chan Delta, opts.Buffer),
 		done:   make(chan struct{}),
 	}
-	if d := s.snapshotDeltaLocked(); d != nil {
+	if d := s.snapshotDeltaLocked(opts.Mode); d != nil {
 		c.deltas <- *d // fresh channel, capacity >= 1: never blocks
 		c.noteDelivered(d)
 	}
@@ -282,17 +275,17 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	return &Subscription{c: c}, nil
 }
 
-// snapshotDeltaLocked synthesizes the late-attach initial delta from the
-// retained output: exactly what replaying the full history through a
-// dedicated pipeline would have delivered as its first delta. Nil when the
+// snapshotDeltaLocked synthesizes a mode cursor's late-attach initial delta
+// from the retained output: exactly what replaying the full history through
+// a dedicated pipeline would have delivered as its first delta. Nil when the
 // pipeline has produced no output yet.
-func (s *Session) snapshotDeltaLocked() *Delta {
+func (s *Session) snapshotDeltaLocked(mode Mode) *Delta {
 	if !s.produced {
 		return nil
 	}
 	d := Delta{Watermark: types.Time(s.wm.Load())}
-	if s.cfg.Mode == Table {
-		d.Table = s.tableSnap.diff()
+	if mode == Table {
+		d.Table = consolidate(s.outLog)
 	} else {
 		d.Stream = tvr.RenderStream(s.outLog, s.cfg.EmitKeys)
 	}
@@ -453,9 +446,11 @@ func (s *Session) failFeed(err error) {
 }
 
 // renderLocked drains the driver's new output, retains it in the cumulative
-// output log, and renders it per the session mode. It returns nil when
-// nothing materialized. Caller holds ingestMu (driver access) and s.mu
-// (renderer/outLog).
+// output log, and renders it: the stream rendering always, since the
+// renderer's version counters must advance on every delivery, and the table
+// rendering only while a table cursor is attached. Each cursor takes its
+// own (Delta.as). It returns nil when nothing materialized. Caller holds
+// ingestMu (driver access) and s.mu (renderer/outLog/cursors).
 func (s *Session) renderLocked() *Delta {
 	out := s.driver.Drain()
 	wm := s.driver.OutputWatermark()
@@ -465,23 +460,17 @@ func (s *Session) renderLocked() *Delta {
 	}
 	s.produced = true
 	if !s.noRetain && !s.overflowed {
-		if s.cfg.Mode == Table {
-			s.tableSnap.applyLog(out)
-			if s.cfg.MaxRetainedRows > 0 && len(s.tableSnap.order) > s.cfg.MaxRetainedRows {
-				s.releaseRetainedLocked()
-			}
-		} else {
-			s.outLog = append(s.outLog, out...)
-			if s.cfg.MaxRetainedRows > 0 && len(s.outLog) > s.cfg.MaxRetainedRows {
-				s.releaseRetainedLocked()
-			}
+		s.outLog = append(s.outLog, out...)
+		if s.cfg.MaxRetainedRows > 0 && len(s.outLog) > s.cfg.MaxRetainedRows {
+			s.releaseRetainedLocked()
 		}
 	}
-	d := Delta{Watermark: wm}
-	if s.cfg.Mode == Table {
-		d.Table = consolidate(out)
-	} else {
-		d.Stream = s.renderer.Append(out)
+	d := Delta{Watermark: wm, Stream: s.renderer.Append(out)}
+	for _, c := range s.cursors {
+		if c.mode == Table {
+			d.Table = consolidate(out)
+			break
+		}
 	}
 	return &d
 }
@@ -518,13 +507,15 @@ func (s *Session) deliver(span *obs.CommitSpan) error {
 	var blocked []*cursor
 	var dropped []*cursor
 	for _, c := range s.cursors {
+		v := d.as(c.mode)
 		if c.leaving {
-			c.pending = mergeDeltas(s.cfg.Mode, c.pending, d)
+			pending := v // a copy per folded cursor, so v itself stays on the stack
+			c.pending = mergeDeltas(c.mode, c.pending, &pending)
 			continue
 		}
 		select {
-		case c.deltas <- *d:
-			c.noteDelivered(d)
+		case c.deltas <- v:
+			c.noteDelivered(&v)
 		default:
 			if c.policy == DropWithError {
 				dropped = append(dropped, c)
@@ -576,7 +567,7 @@ func (s *Session) deliver(span *obs.CommitSpan) error {
 func (s *Session) parkAndDeliver(blocked []*cursor, d *Delta) {
 	cases := make([]reflect.SelectCase, 2*len(blocked))
 	for i, c := range blocked {
-		cases[2*i] = reflect.SelectCase{Dir: reflect.SelectSend, Chan: reflect.ValueOf(c.deltas), Send: reflect.ValueOf(*d)}
+		cases[2*i] = reflect.SelectCase{Dir: reflect.SelectSend, Chan: reflect.ValueOf(c.deltas), Send: reflect.ValueOf(d.as(c.mode))}
 		cases[2*i+1] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(c.done)}
 	}
 	for remaining := len(blocked); remaining > 0; remaining-- {
@@ -586,17 +577,18 @@ func (s *Session) parkAndDeliver(blocked []*cursor, d *Delta) {
 		sent := chosen%2 == 0
 		cases[2*ci].Chan = reflect.Value{} // a zero Chan is never selected
 		cases[2*ci+1].Chan = reflect.Value{}
+		v := d.as(c.mode)
 		s.mu.Lock()
 		c.parked = false
 		if sent {
-			c.noteDelivered(d)
+			c.noteDelivered(&v)
 		} else {
 			// Departed mid-delivery: keep the rendered delta so a
 			// graceful Close can still hand it over (Cancel discards
 			// it by design), and stop delivering to this cursor.
 			c.leaving = true
 			if !c.discard {
-				c.pending = mergeDeltas(s.cfg.Mode, c.pending, d)
+				c.pending = mergeDeltas(c.mode, c.pending, &v)
 			}
 		}
 		s.parkCond.Broadcast()
@@ -657,7 +649,7 @@ func mergeDeltas(mode Mode, a, b *Delta) *Delta {
 
 // String renders a one-line diagnostic summary of the shared pipeline.
 func (s *Session) String() string {
-	return fmt.Sprintf("live %s [%s] id=%d subs=%d in=%d wm=%s",
-		s.cfg.Mode, s.cfg.Name, s.id.Load(), s.nsubs.Load(), s.eventsIn.Load(),
+	return fmt.Sprintf("live [%s] id=%d subs=%d in=%d wm=%s",
+		s.cfg.Name, s.id.Load(), s.nsubs.Load(), s.eventsIn.Load(),
 		types.Time(s.wm.Load()))
 }

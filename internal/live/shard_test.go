@@ -55,7 +55,7 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 				mk := func(m *live.Manager, src string) *live.Subscription {
 					t.Helper()
 					s, err := live.NewSession(&echoDriver{}, live.Config{
-						Name: src, Mode: live.Stream, Schema: testSchema(), Sources: []string{src},
+						Name: src, Schema: testSchema(), Sources: []string{src},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -174,7 +174,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 		lo := advance() // committed once this returns: a floor for the catch-up
 		d := &echoDriver{}
 		s, err := live.NewSession(d, live.Config{
-			Name: fmt.Sprintf("storm%d", i), Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+			Name: fmt.Sprintf("storm%d", i), Schema: testSchema(), Sources: []string{"s"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestCrossShardFairness(t *testing.T) {
 	mk := func(src string, buffer int) *live.Subscription {
 		t.Helper()
 		s, err := live.NewSession(&echoDriver{}, live.Config{
-			Name: src, Mode: live.Stream, Schema: testSchema(), Sources: []string{src},
+			Name: src, Schema: testSchema(), Sources: []string{src},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestShardedLateAttachSeesAckedCommits(t *testing.T) {
 	defer m.Close()
 	create := func() (*live.Session, error) {
 		return live.NewSession(&echoDriver{}, live.Config{
-			Name: "k", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+			Name: "k", Schema: testSchema(), Sources: []string{"s"},
 		})
 	}
 	sub1, err := m.Subscribe("k", live.CursorOpts{Buffer: 64}, create, nil)
@@ -343,7 +343,7 @@ func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	defer m.Close()
 	d := &echoDriver{final: intRow(999)}
 	s, err := live.NewSession(d, live.Config{
-		Name: "close", Mode: live.Stream, Schema: testSchema(), Sources: []string{"s"},
+		Name: "close", Schema: testSchema(), Sources: []string{"s"},
 	})
 	if err != nil {
 		t.Fatal(err)

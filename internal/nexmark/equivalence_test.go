@@ -173,7 +173,12 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			table, err := e.SubscribeTable(q.SQL, subOpts)
+			// Exclusive: closing the table reader at mid must complete a
+			// pipeline of its own, while a shared one would live on for the
+			// stream reader.
+			tableOpts := subOpts
+			tableOpts.Exclusive = true
+			table, err := e.SubscribeTable(q.SQL, tableOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -403,7 +403,17 @@ func (v *Values) Unbounded() bool { return false }
 func (v *Values) Children() []Node { return nil }
 
 // Describe implements Node.
-func (v *Values) Describe() string { return fmt.Sprintf("Values(%d rows)", len(v.Rows)) }
+func (v *Values) Describe() string {
+	rows := make([]string, len(v.Rows))
+	for i, r := range v.Rows {
+		vals := make([]string, len(r))
+		for j, x := range r {
+			vals[j] = (&Const{Val: x}).String()
+		}
+		rows[i] = "(" + strings.Join(vals, ", ") + ")"
+	}
+	return "Values(" + strings.Join(rows, ", ") + ")"
+}
 
 // SortKey is one presentation-order key.
 type SortKey struct {

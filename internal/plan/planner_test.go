@@ -409,11 +409,19 @@ func TestPlanDistinct(t *testing.T) {
 }
 
 func TestPlanFormat(t *testing.T) {
-	pq := mustPlan(t, "SELECT item FROM Bid WHERE price > 1")
-	out := Format(pq.Root)
-	for _, want := range []string{"Project", "Filter", "Scan(Bid)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format missing %s:\n%s", want, out)
+	for sql, wants := range map[string][]string{
+		"SELECT item FROM Bid WHERE price > 1": {"Project", "Filter", "Scan(Bid)"},
+		// A string literal is quoted, so its text cannot read as plan
+		// syntax: the rendering keys shared standing queries.
+		`SELECT item FROM Bid WHERE item = 'x:VARCHAR) AND ($0'`: {`"x:VARCHAR) AND ($0":VARCHAR`},
+		// The constant relation shows its rows, not only their count.
+		"SELECT 1 AS one": {"Values(())"},
+	} {
+		out := Format(mustPlan(t, sql).Root)
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				t.Errorf("Format of %q missing %s:\n%s", sql, want, out)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -56,7 +57,14 @@ func (c *Const) Eval(types.Row) (types.Value, error) { return c.Val, nil }
 // Kind implements Scalar.
 func (c *Const) Kind() types.Kind { return c.Val.Kind() }
 
-func (c *Const) String() string { return c.Val.String() + ":" + c.Val.Kind().String() }
+// String renders the literal with its kind; a string literal is quoted, so
+// its text cannot read as plan syntax (plan keys and EXPLAIN rely on that).
+func (c *Const) String() string {
+	if c.Val.Kind() == types.KindString {
+		return strconv.Quote(c.Val.Str()) + ":" + c.Val.Kind().String()
+	}
+	return c.Val.String() + ":" + c.Val.Kind().String()
+}
 
 // BinOp applies a binary operator with SQL semantics (NULL propagation for
 // arithmetic and comparisons, Kleene logic for AND/OR).

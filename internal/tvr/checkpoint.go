@@ -166,8 +166,7 @@ func (sr *StreamRenderer) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Expect("tvr.StreamRenderer"); err != nil {
 		return err
 	}
-	n := dec.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
 		k := dec.String()
 		v := dec.Int()
 		sr.vers[k] = &v

@@ -1,9 +1,12 @@
 package tvr
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/types"
 )
 
@@ -213,5 +216,33 @@ func TestFormatTable(t *testing.T) {
 	out = FormatStreamTable(sch, srows)
 	if !strings.Contains(out, "undo") || !strings.Contains(out, "8:08") {
 		t.Errorf("FormatStreamTable:\n%s", out)
+	}
+}
+
+// TestStreamRendererLoadCorruptCount: a counter count read from a corrupt
+// stream ends the load at the end of the stream, not after that many
+// iterations of an already-failed decoder.
+func TestStreamRendererLoadCorruptCount(t *testing.T) {
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf)
+	enc.Section("tvr.StreamRenderer")
+	enc.Uvarint(1 << 62) // counters that never follow
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the trailer too, so the stream ends right after the count.
+	dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()[:buf.Len()-4]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- NewStreamRenderer(nil).LoadState(dec) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("renderer state with missing counters loaded without error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("LoadState still running 10 s after the stream ended")
 	}
 }
