@@ -13,7 +13,7 @@ BENCH_COUNT ?=
 BENCH_SCALE ?=
 export BENCH_COUNT BENCH_SCALE
 
-.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard bench bench-diff bench-live bench-recovery bench-harness verify
+.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-diff bench-live bench-recovery bench-harness verify
 
 all: verify
 
@@ -71,6 +71,9 @@ faults:
 # single-iteration BenchmarkBatchPush smoke with -benchmem (the Q1 chain, the
 # keyed aggregate and a Q4-shaped join -> aggregate) so an alloc regression
 # on the batch path is visible in the verify output.
+# The ptime rule reads from a resident pipeline rest on rides along too:
+# fed in merge order, output ptimes never decrease and follow the input that
+# caused them; and a replay's horizon cut keeps every event tied at it.
 # Watermark completion rides along: the completionIndex cost pin (an advance
 # takes exactly the groups it closes off the heap), the three operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose
@@ -81,7 +84,7 @@ faults:
 # a snapshot from before the collector stopped checkpointing its relation
 # still restores and continues identically.
 batch-guard:
-	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
+	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
@@ -101,6 +104,15 @@ obs-guard:
 	$(GO) test ./internal/live -run 'TestNoHotPathDriverStats' -v
 	$(GO) test ./internal/exec -run 'TestKeyedHotPathAllocFree' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
+
+# Fuzz smoke: ten seconds each of the engine-snapshot decoder (FuzzRestoreAll)
+# and of reads served from a resident pipeline against replay
+# (FuzzResidentRead), two workers each. Minimizing a new input takes 60 s by
+# default, which reads as a stall; -fuzzminimizetime caps it at 3 s. A
+# failing input is written under internal/core/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRestoreAll$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzResidentRead$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
 # Short-mode standing-query benchmarks: run the serving and recovery benches
 # at reduced scale and refresh the reduced-scale record
@@ -143,4 +155,4 @@ bench-diff:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-verify: vet build deadcode race race-shard faults batch-guard obs-guard bench bench-harness
+verify: vet build deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-harness

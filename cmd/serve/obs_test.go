@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -93,12 +94,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code, body := postJSON(t, c, ts.URL+"/v1/heartbeat", map[string]any{"ptime": 3000}); code != http.StatusOK {
 		t.Fatalf("heartbeat: status %d body %v", code, body)
 	}
-	if code, body, _ := getBody(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid`)); code != http.StatusOK {
+	// An AS OF scan completes only at Close: the read replays.
+	if code, body, _ := getBody(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid AS OF SYSTEM TIME TIMESTAMP '0:00:03'`)); code != http.StatusOK {
 		t.Fatalf("query: status %d body %s", code, body)
 	}
-	// The standing query's own SQL: answered from its resident pipeline.
-	if code, body, _ := getBody(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT auction, price FROM Bid`)); code != http.StatusOK {
-		t.Fatalf("query: status %d body %s", code, body)
+	// The standing query's own SQL at an earlier instant: answered from the
+	// prefix of its resident pipeline's output, which holds the first bid.
+	code, body, _ := getBody(t, c, fmt.Sprintf("%s/v1/query?at=%d&sql=%s", ts.URL, int64(timeMS(1500)), queryEscape(`SELECT auction, price FROM Bid`)))
+	if code != http.StatusOK || !strings.Contains(body, `"rows":[[1,500]]`) {
+		t.Fatalf("query at 1.5 s: status %d body %s", code, body)
 	}
 	if code, body := postJSON(t, c, ts.URL+"/v1/checkpoint", nil); code != http.StatusOK {
 		t.Fatalf("checkpoint: status %d body %v", code, body)
@@ -118,6 +122,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`engine_commits_total{kind="heartbeat"} 1`,
 		"engine_queries_total 2",
 		"engine_query_resident_total 1",
+		`engine_query_replay_total{reason="not_inert"} 1`,
+		`engine_query_replay_total{reason="no_session"} 0`,
 		"checkpoint_total 1",
 		"wal_appends_total",
 		"wal_fsync_seconds_bucket{le=",

@@ -348,17 +348,18 @@ func (r *TableResult) Format() string {
 type StreamResult struct {
 	Schema *types.Schema
 	Rows   []tvr.StreamRow
-	Stats  exec.Stats
+	// Stats are zero for a read answered from a resident pipeline, as in
+	// TableResult.
+	Stats exec.Stats
 }
 
 // QueryTable evaluates the query as a classic point-in-time table at
-// processing time `at` (only input changes with ptime <= at are visible). At
-// the current instant (types.MaxTime) it is answered from a resident
-// pipeline for the same plan when one holds the answer (see residentResult);
-// otherwise, and for every earlier instant, the recorded history is
-// replayed.
+// processing time `at` (only input changes with ptime <= at are visible).
+// When a resident pipeline for the same plan holds the answer, the read
+// folds the prefix of its retained output with ptime <= at (see
+// residentResult); otherwise the recorded history is replayed.
 func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
-	res, stats, err := e.run(sql, at, at == types.MaxTime)
+	res, stats, err := e.run(sql, at)
 	if err != nil {
 		return nil, err
 	}
@@ -372,9 +373,11 @@ func (e *Engine) QueryStream(sql string) (*StreamResult, error) {
 }
 
 // QueryStreamAt evaluates the stream rendering with input truncated at the
-// given processing time.
+// given processing time. Like QueryTable, it renders the ptime <= at prefix
+// of a resident pipeline's retained output when one holds the answer, with
+// versions counted from 1 as a replay counts them, and replays otherwise.
 func (e *Engine) QueryStreamAt(sql string, at types.Time) (*StreamResult, error) {
-	res, stats, err := e.run(sql, at, false)
+	res, stats, err := e.run(sql, at)
 	if err != nil {
 		return nil, err
 	}
@@ -403,20 +406,20 @@ func (e *Engine) plan(sql string) (*plan.PlannedQuery, error) {
 }
 
 // run plans the query and evaluates it: from a resident pipeline's retained
-// output when resident is set and one qualifies, otherwise by replaying the
-// recorded changelogs of the relations it scans through a freshly compiled
-// pipeline. Query latency feeds the engine_queries_* families.
-func (e *Engine) run(sql string, at types.Time, resident bool) (*exec.Result, exec.Stats, error) {
+// output when one qualifies, otherwise by replaying the recorded changelogs
+// of the relations it scans through a freshly compiled pipeline. Query
+// latency feeds the engine_queries_* families.
+func (e *Engine) run(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
 	if e.metrics == nil {
-		return e.runInner(sql, at, resident)
+		return e.runInner(sql, at)
 	}
 	t0 := time.Now()
-	res, st, err := e.runInner(sql, at, resident)
+	res, st, err := e.runInner(sql, at)
 	e.metrics.noteQuery(time.Since(t0), err)
 	return res, st, err
 }
 
-func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Result, exec.Stats, error) {
+func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
 	// Read-your-writes: under the sharded fan-out an acknowledged change may
 	// still be in a shard queue; one-shot queries read the recorded catalog
 	// logs, which the commit already updated, but quiescing first also keeps
@@ -426,11 +429,11 @@ func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Resul
 	if err != nil {
 		return nil, exec.Stats{}, err
 	}
-	if resident {
-		if res, ok, err := e.residentResult(pq); ok {
-			return res, exec.Stats{}, err
-		}
+	res, replay, err := e.residentResult(pq, at)
+	if replay == "" {
+		return res, exec.Stats{}, err
 	}
+	e.metrics.noteReplay(replay)
 	sources, err := e.sources(pq.Root)
 	if err != nil {
 		return nil, exec.Stats{}, err
@@ -439,39 +442,44 @@ func (e *Engine) runInner(sql string, at types.Time, resident bool) (*exec.Resul
 	if err != nil {
 		return nil, exec.Stats{}, err
 	}
-	res, err := pipe.Run(sources, at)
-	if err != nil {
+	if res, err = pipe.Run(sources, at); err != nil {
 		return nil, exec.Stats{}, err
 	}
 	return res, pipe.Stats(), nil
 }
 
-// residentResult answers a current-instant table read from the retained
+// replayNotInert is the replay reason of a plan that emits at Close.
+const replayNotInert = "not_inert"
+
+// residentResult answers a read at processing time at from the retained
 // output of the session resident under the query's plan key, whatever its
-// readers' modes, folded exactly as a one-shot Run folds its own output
-// (ORDER BY and LIMIT included). ok is false, and the caller replays, unless
-// the plan is close-inert and the session still qualifies
-// (live.Manager.ResidentOutput). The read takes no ordering lock: after the
-// caller's Quiesce, the retained output reflects every commit acknowledged
-// before the read began.
-func (e *Engine) residentResult(pq *plan.PlannedQuery) (*exec.Result, bool, error) {
+// readers' modes: the prefix of that changelog with ptime <= at, folded
+// exactly as a one-shot Run folds its own output (ORDER BY and LIMIT
+// included). Why that prefix is what a replay up to at collects is the read
+// contract in package live. Unless the plan is close-inert and the session
+// qualifies (live.Manager.ResidentOutput), replay names why the caller must
+// replay. The read takes no ordering lock: after the caller's Quiesce, the
+// retained output reflects every commit acknowledged before the read began.
+func (e *Engine) residentResult(pq *plan.PlannedQuery, at types.Time) (res *exec.Result, replay string, err error) {
 	if !closeInert(pq) {
-		return nil, false, nil
+		return nil, replayNotInert, nil
 	}
-	log, ok := e.live.ResidentOutput(planKey(pq))
-	if !ok {
-		return nil, false, nil
+	log, replay := e.live.ResidentOutput(planKey(pq))
+	if replay != "" {
+		return nil, replay, nil
 	}
+	n := sort.Search(len(log), func(i int) bool { return log[i].Ptime > at })
 	e.metrics.noteResident()
-	res, err := exec.FoldResult(pq, log)
-	return res, true, err
+	res, err = exec.FoldResult(pq, log[:n:n])
+	return res, "", err
 }
 
-// closeInert reports whether closing a pipeline for pq emits nothing, so the
-// output a resident pipeline has retained is all a one-shot Run at the
-// current instant would collect. Only two operators emit at Close: a bounded
-// or AS OF scan asserts its final watermark, and EMIT AFTER DELAY flushes its
-// timers. Heartbeats pass through every other operator.
+// closeInert reports whether the heartbeat and Close a one-shot Run ends with
+// emit nothing for pq, so the output a resident pipeline has retained up to
+// an instant is all a Run up to that instant would collect. Only two
+// operators emit at Close: a bounded or AS OF scan asserts its final
+// watermark, and EMIT AFTER DELAY flushes its timers (it also fires them on
+// a heartbeat). Heartbeats pass through every other operator.
 func closeInert(pq *plan.PlannedQuery) bool {
 	if pq.Emit.Delay != nil {
 		return false

@@ -29,8 +29,9 @@ import (
 // reach the pipeline in (ptime, scan order) across the relations it scans;
 // then the delta sequence each subscriber observes equals what a post-hoc
 // QueryStream over the final changelog would return — shared or not. A
-// resident pipeline also answers QueryTable at the current instant (see
-// residentResult and the read contract in package live).
+// resident pipeline also answers QueryTable and QueryStreamAt at any instant
+// from a prefix of its retained output (see residentResult and the read
+// contract in package live).
 
 // SubscribeOptions configures a standing query.
 type SubscribeOptions struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/obs"
 )
 
@@ -43,6 +44,7 @@ type engineMetrics struct {
 	queryErrors   *obs.Counter
 	querySeconds  *obs.Histogram
 	queryResident *obs.Counter
+	queryReplay   map[string]*obs.Counter // by replay reason
 
 	ckptTotal    *obs.Counter
 	ckptFailures *obs.Counter
@@ -62,10 +64,15 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		queryErrors:      reg.Counter("engine_query_errors_total", "One-shot queries that failed."),
 		querySeconds:     reg.Histogram("engine_query_seconds", "One-shot query latency.", obs.DurationScale, obs.DurationBuckets),
 		queryResident:    reg.Counter("engine_query_resident_total", "One-shot queries answered from a resident pipeline."),
+		queryReplay:      map[string]*obs.Counter{},
 		ckptTotal:        reg.Counter("checkpoint_total", "Checkpoints written."),
 		ckptFailures:     reg.Counter("checkpoint_failures_total", "Checkpoint writes that failed."),
 		ckptBytes:        reg.Gauge("checkpoint_bytes", "Size of the last successful checkpoint."),
 		ckptSeconds:      reg.Histogram("checkpoint_seconds", "Checkpoint write duration.", obs.DurationScale, obs.DurationBuckets),
+	}
+	for _, reason := range []string{replayNotInert, live.ReplayNoSession, live.ReplayOutOfOrder, live.ReplayOverflow, live.ReplayClosed} {
+		m.queryReplay[reason] = reg.Counter("engine_query_replay_total",
+			"One-shot queries that replayed history, by why no resident pipeline answered.", "reason", reason)
 	}
 	return m
 }
@@ -124,6 +131,13 @@ func (m *engineMetrics) noteResident() {
 		return
 	}
 	m.queryResident.Inc()
+}
+
+func (m *engineMetrics) noteReplay(reason string) {
+	if m == nil {
+		return
+	}
+	m.queryReplay[reason].Inc()
 }
 
 func (m *engineMetrics) noteCheckpoint(bytes int64, d time.Duration, err error) {

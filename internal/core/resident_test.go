@@ -1,10 +1,11 @@
 package core_test
 
-// Pins for one-shot table reads answered from a resident pipeline: at the
-// current instant QueryTable folds the retained output of the session
-// resident under the same plan, whatever its readers' modes, instead of
-// replaying the recorded history, and every such read must equal the replay
-// a twin engine without subscriptions computes over the same commits.
+// Pins for one-shot reads answered from a resident pipeline: QueryTable and
+// QueryStreamAt at an instant T fold the ptime <= T prefix of the retained
+// output of the session resident under the same plan, whatever its readers'
+// modes, instead of replaying the recorded history, and every such read
+// must equal the replay a twin engine without subscriptions computes over
+// the same commits.
 
 import (
 	"fmt"
@@ -26,8 +27,8 @@ import (
 type residentQuery struct {
 	name string
 	sql  string
-	// resident: the plan is close-inert, so a current-instant read may be
-	// answered from the resident pipeline.
+	// resident: the plan is close-inert, so a read may be answered from the
+	// resident pipeline.
 	resident bool
 	// scansBoth: the plan scans Auction and Bid, so a commit that breaks
 	// their merge order disqualifies its session for good.
@@ -200,42 +201,102 @@ func residentWorkload(rng *rand.Rand) []residentCommit {
 	return commits
 }
 
-// checkResidentRead compares a current-instant read on live with the replay
-// on twin, row for row and byte for byte, and checks the read was answered
-// from the resident pipeline exactly when served.
-func checkResidentRead(t *testing.T, live, twin *core.Engine, reg *obs.Registry, q residentQuery, served bool) *core.TableResult {
+// replayReads reads engine_query_replay_total for one reason.
+func replayReads(reg *obs.Registry, reason string) int64 {
+	return reg.Counter("engine_query_replay_total", "", "reason", reason).Value()
+}
+
+// residentRead is one one-shot read: the table (QueryTable) or stream
+// (QueryStreamAt) rendering at processing time at.
+type residentRead struct {
+	at     types.Time
+	stream bool
+}
+
+func (r residentRead) String() string {
+	mode := "table"
+	if r.stream {
+		mode = "stream"
+	}
+	return fmt.Sprintf("%s at %s", mode, r.at)
+}
+
+// doRead runs r on e and returns its rows and their bordered rendering.
+func doRead(e *core.Engine, sql string, r residentRead) (rows any, format string, err error) {
+	if r.stream {
+		res, err := e.QueryStreamAt(sql, r.at)
+		if err != nil {
+			return nil, "", err
+		}
+		return res.Rows, tvr.FormatStreamTable(res.Schema, res.Rows), nil
+	}
+	res, err := e.QueryTable(sql, r.at)
+	if err != nil {
+		return nil, "", err
+	}
+	return res.Rows, res.Format(), nil
+}
+
+// checkRead compares read r on live with the replay on twin, row for row
+// and byte for byte, and checks the read was answered from the resident
+// pipeline exactly when served. It returns the number of rows read.
+func checkRead(t *testing.T, live, twin *core.Engine, reg *obs.Registry, q residentQuery, r residentRead, served bool) int {
 	t.Helper()
 	before := residentReads(reg)
-	got, err := live.QueryTable(q.sql, types.MaxTime)
+	got, gotF, err := doRead(live, q.sql, r)
 	if err != nil {
-		t.Fatalf("%s: %v", q.name, err)
+		t.Fatalf("%s %s: %v", q.name, r, err)
 	}
 	moved := residentReads(reg) - before
-	want, err := twin.QueryTable(q.sql, types.MaxTime)
+	want, wantF, err := doRead(twin, q.sql, r)
 	if err != nil {
-		t.Fatalf("%s (twin): %v", q.name, err)
+		t.Fatalf("%s %s (twin): %v", q.name, r, err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) || got.Format() != want.Format() {
-		t.Fatalf("%s: read (resident=%v) differs from replay:\ngot:\n%s\nwant:\n%s",
-			q.name, moved == 1, truncate(got.Format()), truncate(want.Format()))
+	if !reflect.DeepEqual(got, want) || gotF != wantF {
+		t.Fatalf("%s %s: read (resident=%v) differs from replay:\ngot:\n%s\nwant:\n%s",
+			q.name, r, moved == 1, truncate(gotF), truncate(wantF))
 	}
 	wantMoved := int64(0)
 	if served {
 		wantMoved = 1
 	}
 	if moved != wantMoved {
-		t.Fatalf("%s: resident counter moved by %d, want %d", q.name, moved, wantMoved)
+		t.Fatalf("%s %s: resident counter moved by %d, want %d", q.name, r, moved, wantMoved)
 	}
-	return got
+	return reflect.ValueOf(got).Len()
+}
+
+// randomReads picks the reads of one read point: table and stream reads at
+// the current instant, at a random instant up to pt, and at instants drawn
+// from the query's output ptimes on twin (two output ptimes exactly, and one
+// tick before the first). An off-by-one cut at a tied ptime shows on the
+// exact instants.
+func randomReads(t *testing.T, rng *rand.Rand, twin *core.Engine, q residentQuery, pt types.Time) []residentRead {
+	t.Helper()
+	out, err := twin.QueryStreamAt(q.sql, types.MaxTime)
+	if err != nil {
+		t.Fatalf("%s (twin stream): %v", q.name, err)
+	}
+	ats := []types.Time{types.Time(rng.Int63n(int64(pt) + 1))}
+	if n := len(out.Rows); n > 0 {
+		exact := out.Rows[rng.Intn(n)].Ptime
+		ats = append(ats, exact, exact-1, out.Rows[rng.Intn(n)].Ptime)
+	}
+	reads := []residentRead{{at: types.MaxTime}, {at: types.MaxTime, stream: true}}
+	for _, at := range ats {
+		reads = append(reads, residentRead{at: at}, residentRead{at: at, stream: true})
+	}
+	return reads
 }
 
 // TestResidentReadMatchesReplay is the correctness guard for reads served
 // from a resident pipeline. Every query of the matrix has a resident session
 // (a stream reader's, a table reader's, or the plain query's under an
-// ORDER BY … LIMIT read); at random commit points each current-instant read
-// must equal a subscription-free twin's replay, and the resident counter
-// must move exactly for the close-inert queries whose session was fed in
-// merge order — after the injected reorder, no longer for Q4.
+// ORDER BY … LIMIT read); at random commit points each table and stream
+// read, at the current instant and at earlier ones (some tying an output
+// ptime), must equal a subscription-free twin's replay, and the resident
+// counter must move exactly for the close-inert queries whose session was
+// fed in merge order — after the injected reorder, no longer for Q4.
 func TestResidentReadMatchesReplay(t *testing.T) {
 	queries := residentQueries(t)
 	for _, shards := range []int{0, 4} {
@@ -286,9 +347,11 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 				}
 				for _, q := range queries {
 					served := q.resident && !(q.scansBoth && disordered)
-					res := checkResidentRead(t, live, twin, reg, q, served)
-					if k == len(commits)-1 && len(res.Rows) == 0 {
-						t.Errorf("%s: empty final result; the comparison is vacuous", q.name)
+					for _, r := range randomReads(t, rng, twin, q, pt) {
+						n := checkRead(t, live, twin, reg, q, r, served)
+						if k == len(commits)-1 && r.at == types.MaxTime && n == 0 {
+							t.Errorf("%s %s: empty final result; the comparison is vacuous", q.name, r)
+						}
 					}
 				}
 				reads++
@@ -302,8 +365,10 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 
 // TestResidentReadFallsBackAfterReorder: a Q4 session fed a Bid commit at
 // ptime 100 and then an Auction commit at ptime 50 did not see them in merge
-// order, so its retained output is not what replay computes. The read must
-// replay instead: equal to a twin without subscriptions, counter unmoved.
+// order, so its retained output is not what replay computes. Every read,
+// table or stream, now or at an earlier instant, must replay instead: equal
+// to a twin without subscriptions, resident counter unmoved, each replay
+// counted as out of order.
 func TestResidentReadFallsBackAfterReorder(t *testing.T) {
 	queries := residentQueries(t)
 	q4 := queries[0]
@@ -325,14 +390,22 @@ func TestResidentReadFallsBackAfterReorder(t *testing.T) {
 			}
 		}
 	}
-	if res := checkResidentRead(t, live, twin, reg, q4, false); len(res.Rows) != 2 {
-		t.Fatalf("Q4 over the reordered commits: %d rows, want 2", len(res.Rows))
+	if n := checkRead(t, live, twin, reg, q4, residentRead{at: types.MaxTime}, false); n != 2 {
+		t.Fatalf("Q4 over the reordered commits: %d rows, want 2", n)
+	}
+	reads := []residentRead{{at: 50}, {at: 99}, {at: 100}, {at: 50, stream: true}, {at: 100, stream: true}, {at: types.MaxTime, stream: true}}
+	for _, r := range reads {
+		checkRead(t, live, twin, reg, q4, r, false)
+	}
+	if got := replayReads(reg, "out_of_order"); got != int64(len(reads)+1) {
+		t.Fatalf("%d reads counted as out-of-order replays, want %d", got, len(reads)+1)
 	}
 }
 
 // TestResidentReadFallsBackAfterRestore: the merge-order bit is not
 // checkpointed, so a session restored from a snapshot counts as out of
-// order and its reads replay, though every commit reached it in order.
+// order and its reads replay, table or stream, at any instant, though every
+// commit reached it in order.
 func TestResidentReadFallsBackAfterRestore(t *testing.T) {
 	q := residentQueries(t)[1] // the filter
 	reg := obs.NewRegistry()
@@ -349,14 +422,69 @@ func TestResidentReadFallsBackAfterRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkResidentRead(t, e, twin, reg, q, true)
+	mid := g.Bids[len(g.Bids)/2].Ptime
+	reads := []residentRead{{at: types.MaxTime}, {at: mid}, {at: types.MaxTime, stream: true}, {at: mid, stream: true}}
+	for _, r := range reads {
+		checkRead(t, e, twin, reg, q, r, true)
+	}
 
 	restoredReg := obs.NewRegistry()
 	restored := restartEngine(t, e, core.WithObs(restoredReg))
 	if restored.LiveSessions() != 1 {
 		t.Fatalf("%d sessions restored, want 1", restored.LiveSessions())
 	}
-	checkResidentRead(t, restored, twin, restoredReg, q, false)
+	for _, r := range reads {
+		checkRead(t, restored, twin, restoredReg, q, r, false)
+	}
+	if got := replayReads(restoredReg, "out_of_order"); got != int64(len(reads)) {
+		t.Fatalf("%d reads counted as out-of-order replays, want %d", got, len(reads))
+	}
+}
+
+// TestResidentReadReplayReasons: a read no resident session can answer
+// replays, equal to a twin without subscriptions, and
+// engine_query_replay_total counts it under its reason: a plan that emits
+// at Close, a plan nobody subscribed to, and a session whose retained
+// output overflowed its cap.
+func TestResidentReadReplayReasons(t *testing.T) {
+	queries := residentQueries(t)
+	filter, delay := queries[1], queries[6]
+	reg := obs.NewRegistry()
+	live := residentEngine(t, 0, reg)
+	twin := residentEngine(t, 0, nil)
+	for _, sub := range []struct {
+		sql     string
+		maxRows int
+	}{{delay.sql, 0}, {filter.sql, 5}} {
+		s, err := live.SubscribeStream(sub.sql, core.SubscribeOptions{Buffer: 16, MaxRetainedRows: sub.maxRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Cancel()
+	}
+	g := liveData(t)
+	for _, e := range []*core.Engine{live, twin} {
+		if err := e.AppendLog("Bid", g.Bids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := g.Bids[len(g.Bids)/2].Ptime
+	for _, c := range []struct {
+		q      residentQuery
+		reason string
+	}{
+		{delay, "not_inert"},
+		{queries[3], "no_session"},
+		{filter, "overflow"},
+	} {
+		for _, r := range []residentRead{{at: types.MaxTime}, {at: mid, stream: true}} {
+			before := replayReads(reg, c.reason)
+			checkRead(t, live, twin, reg, c.q, r, false)
+			if moved := replayReads(reg, c.reason) - before; moved != 1 {
+				t.Fatalf("%s %s: %s replays moved by %d, want 1", c.q.name, r, c.reason, moved)
+			}
+		}
+	}
 }
 
 // TestResidentReadDuringCommits race-checks the quiesce-then-read path: a
@@ -540,4 +668,109 @@ func TestResidentReadWhileBlockParked(t *testing.T) {
 	}
 	sub.Cancel()
 	wg.Wait()
+}
+
+// fuzzCommits is FuzzResidentRead's fixed input: ~300 generated Person,
+// Auction and Bid events (watermarks included), merged in ptime order and
+// re-stamped with distinct ptimes, so committing them in order is merge
+// order for every plan, then split into single-relation commits of at most
+// 16 events. The Category table is the first commit.
+var fuzzCommits = sync.OnceValue(func() []residentCommit {
+	g := nexmark.Generate(nexmark.GeneratorConfig{
+		Seed: 5, NumEvents: 300, MaxOutOfOrderness: 2 * types.Second,
+		WatermarkInterval: 3 * types.Second,
+		PersonProportion:  3, AuctionProportion: 9, BidProportion: 38,
+	})
+	logs := []struct {
+		rel string
+		log tvr.Changelog
+	}{{"Person", g.Persons}, {"Auction", g.Auctions}, {"Bid", g.Bids}}
+	pos := make([]int, len(logs))
+	commits := []residentCommit{{rel: "Category", log: g.Categories}}
+	for pt := types.Time(1); ; pt++ {
+		next := -1
+		for i, l := range logs {
+			if pos[i] < len(l.log) && (next < 0 || l.log[pos[i]].Ptime < logs[next].log[pos[next]].Ptime) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return commits
+		}
+		ev := logs[next].log[pos[next]]
+		pos[next]++
+		ev.Ptime = pt * types.Time(types.Millisecond)
+		last := &commits[len(commits)-1]
+		if last.rel != logs[next].rel || len(last.log) == 16 {
+			commits = append(commits, residentCommit{rel: logs[next].rel})
+			last = &commits[len(commits)-1]
+		}
+		last.log = append(last.log, ev)
+	}
+})
+
+// FuzzResidentRead is the differential check of resident reads over
+// arbitrary SQL: an engine with a standing subscription to the query
+// (opened a third of the way into the commits, so its session both replays
+// history and is fed live) must answer QueryTable and QueryStreamAt at the
+// fuzzed instant exactly as a subscription-free twin replays them, and
+// either both fail or neither does. Any panic fails the target. The seeds
+// are the NEXMark queries at the current instant, mid-log and at an output
+// ptime; go test runs them, and
+//
+//	go test -run '^$' -fuzz=FuzzResidentRead -fuzztime=60s ./internal/core
+//
+// explores further.
+func FuzzResidentRead(f *testing.F) {
+	commits := fuzzCommits()
+	mid := commits[len(commits)/2].log[0].Ptime
+	for _, q := range nexmark.Queries() {
+		for _, at := range []types.Time{types.MaxTime, mid, mid + 3*types.Time(types.Millisecond)} {
+			f.Add(q.SQL, int64(at))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sql string, at int64) {
+		if len(sql) > 2000 {
+			t.Skip("long SQL")
+		}
+		engines := [2]*core.Engine{}
+		for i := range engines {
+			e := core.NewEngine(core.WithUnboundedGroupBy())
+			t.Cleanup(e.Close)
+			for _, err := range []error{
+				e.RegisterStream("Person", nexmark.PersonSchema()),
+				e.RegisterStream("Auction", nexmark.AuctionSchema()),
+				e.RegisterStream("Bid", nexmark.BidFullSchema()),
+				e.RegisterTable("Category", nexmark.CategorySchema()),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			engines[i] = e
+		}
+		live, twin := engines[0], engines[1]
+		for k, c := range commits {
+			if k == len(commits)/3 {
+				if sub, err := live.SubscribeStream(sql, core.SubscribeOptions{Buffer: len(commits) + 16}); err == nil {
+					t.Cleanup(sub.Cancel)
+				}
+			}
+			for _, e := range engines {
+				if err := e.AppendLog(c.rel, c.log); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, r := range []residentRead{{at: types.Time(at)}, {at: types.Time(at), stream: true}} {
+			got, gotF, gotErr := doRead(live, sql, r)
+			want, wantF, wantErr := doRead(twin, sql, r)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: error %v, replay error %v", r, gotErr, wantErr)
+			}
+			if gotErr == nil && (!reflect.DeepEqual(got, want) || gotF != wantF) {
+				t.Fatalf("%s differs from replay:\ngot:\n%s\nwant:\n%s", r, truncate(gotF), truncate(wantF))
+			}
+		}
+	})
 }

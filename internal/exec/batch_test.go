@@ -300,6 +300,61 @@ func TestPushBatchRechunkEquivalence(t *testing.T) {
 	}
 }
 
+// TestOutputPtimesFollowInput pins the ptime rule of the operator contract
+// that a read served from a resident pipeline's retained output rests on:
+// fed in merge order, a pipeline's output ptimes never decrease, and an
+// output event carries the ptime of the input event whose delivery emitted
+// it. EMIT AFTER DELAY is the one exception: a timer fire is stamped with
+// its deadline, which is no later than that input's ptime. Every shape
+// without a delay also emits nothing at Close.
+func TestOutputPtimesFollowInput(t *testing.T) {
+	for _, shape := range rechunkShapes() {
+		t.Run(shape.name, func(t *testing.T) {
+			pq := shape.pq(t)
+			delay := pq.Emit.Delay != nil
+			p, err := Compile(pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			last, n := types.MinTime, 0
+			for i, se := range shape.log {
+				if err := p.Feed([]Source{{Name: se.src, Log: tvr.Changelog{se.ev}}}); err != nil {
+					t.Fatal(err)
+				}
+				for _, out := range p.Drain() {
+					switch {
+					case out.Ptime < last:
+						t.Fatalf("input %d (%s): output ptime %s after %s", i, se.ev, out.Ptime, last)
+					case out.Ptime > se.ev.Ptime, !delay && out.Ptime != se.ev.Ptime:
+						t.Fatalf("input %d (%s) emitted %s", i, se.ev, out)
+					}
+					last = out.Ptime
+					n++
+				}
+			}
+			if n < 10 {
+				t.Fatalf("%d output events; the check is vacuous", n)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			closed := p.Drain()
+			if !delay && len(closed) > 0 {
+				t.Fatalf("Close emitted %d events, first %s", len(closed), closed[0])
+			}
+			for _, out := range closed {
+				if out.Ptime < last {
+					t.Fatalf("Close: output ptime %s after %s", out.Ptime, last)
+				}
+				last = out.Ptime
+			}
+		})
+	}
+}
+
 // TestPartitionedRoundSizeInvariance: the number of events handed to each
 // Pipeline.Feed call decides how consecutive-seq runs coalesce into batch
 // dispatches; the drained output must be byte-identical to the one-shot Run

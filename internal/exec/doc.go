@@ -28,7 +28,15 @@
 //     arrive inside batches, between data events;
 //   - neither retain nor mutate evs: callers reuse the backing array, and
 //     drivers hand down sub-slices of the source logs;
-//   - treat an empty batch, PushBatch(nil) included, as a no-op.
+//   - treat an empty batch, PushBatch(nil) included, as a no-op;
+//   - stamp every output event with the ptime of the input event whose
+//     processing emitted it. EMIT AFTER DELAY is the one exception: a timer
+//     fire carries its deadline, which is no later than that ptime. So a
+//     pipeline fed in merge order emits non-decreasing ptimes, and its
+//     output up to ptime T is exactly what the inputs up to T caused: the
+//     engine answers a read at T from a resident pipeline by cutting its
+//     retained output there (internal/live, "One-shot reads").
+//     TestOutputPtimesFollowInput pins the rule over the rechunk shapes.
 //
 // Events obey non-decreasing ptime. The common shape (aggOp is the model)
 // processes the batch in order, appends its outputs to a reused pend buffer
@@ -74,7 +82,8 @@
 // a stateful one also implements SaveState/LoadState (the contract is in
 // checkpoint.go) and, if its state is keyed by event-time columns,
 // registers its groups with a completionIndex. Pipeline.build wires it to
-// its plan node, and a shape in TestPushBatchRechunkEquivalence covers it.
+// its plan node, and a shape in rechunkShapes covers it in
+// TestPushBatchRechunkEquivalence and TestOutputPtimesFollowInput.
 // Nothing else changes.
 //
 // # Watermark completion

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/tvr"
 	"repro/internal/types"
@@ -87,16 +88,9 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 			continue
 		}
 		if upTo != types.MaxTime {
-			// Discard the tail beyond the horizon up front (logs are
-			// ptime-ordered, so everything after the first violation goes).
-			cut := len(log)
-			for i := range log {
-				if log[i].Ptime > upTo {
-					cut = i
-					break
-				}
-			}
-			log = log[:cut]
+			// Discard the tail beyond the horizon up front: logs are
+			// ptime-ordered, so everything from the first event past it goes.
+			log = log[:sort.Search(len(log), func(i int) bool { return log[i].Ptime > upTo })]
 		}
 		cursors = append(cursors, &cursor{rank: rank, log: log})
 	}

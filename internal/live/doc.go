@@ -106,34 +106,51 @@
 //
 // # One-shot reads from a resident pipeline
 //
-// A session's retained output changelog is the output a one-shot Run of the
-// same plan would collect, as long as closing the pipeline would add
-// nothing. So the engine answers a table read at the current instant from
-// it (Manager.ResidentOutput) instead of replaying the recorded history,
-// folding it with the read's own ORDER BY and LIMIT, when all of these hold:
+// A session's retained output changelog holds every one-shot read of its
+// plan. A table read at processing time T is the snapshot of the output TVR
+// at T, and a stream read up to T is its changelog up to T (the source
+// paper's section 3): both are the prefix of the retained output with
+// ptime <= T, found by binary search, then folded with the read's own
+// ORDER BY and LIMIT (table) or rendered with versions counted from 1
+// (stream), through the same exec.FoldResult a one-shot Run uses.
+//
+// The cut is exact. The session is fed in (ptime, scan rank) merge order,
+// and every operator stamps an output event with the ptime of the input
+// that caused it (the operator contract in internal/exec). So the retained
+// ptimes never decrease, the output up to T is what the inputs up to T
+// caused, and those are exactly the inputs a replay up to T feeds. What a
+// replay adds after them, a heartbeat at T and Close, emits nothing for a
+// close-inert plan.
+//
+// The engine serves a read this way (Manager.ResidentOutput) instead of
+// replaying the recorded history when all of these hold; otherwise it
+// replays, and engine_query_replay_total{reason} counts why:
 //
 //   - the plan is close-inert: it scans only streams, none AS OF, and has
 //     no EMIT AFTER DELAY (the engine checks this; a bounded or AS OF scan
-//     completes, and a delay timer fires, only at Close);
+//     completes, and a delay timer fires, only at Close or on a heartbeat).
+//     Reason not_inert;
 //   - a session is resident under the read's plan key, whatever its
-//     readers' modes; exclusive sessions never answer;
-//   - the session is open and still retains its output, so neither
-//     DropRetainedOutput nor a MaxRetainedRows overflow released it;
+//     readers' modes; exclusive sessions never answer. Reason no_session;
+//   - the session is open. Reason closed;
 //   - its driver has only ever been fed in merge order
 //     (exec.Driver.FedInMergeOrder). The session mirrors that bit into an
 //     atomic after each feed, before the feed's output is retained, so a
 //     read never sees output of an out-of-order feed. The bit is not
-//     checkpointed: a restored session counts as out of order.
+//     checkpointed: a restored session counts as out of order. Reason
+//     out_of_order;
+//   - the session still retains its output, so neither DropRetainedOutput
+//     nor a MaxRetainedRows overflow released it. Reason overflow.
 //
 // The commit point is the engine's Quiesce, the same barrier a replaying
 // read passes: every commit acknowledged before the read began has been
 // applied, and its output retained, before the read looks. The read takes
 // only the session's mu, long enough to copy the slice header of the
-// retained log (capped, so later appends stay invisible), and folds it
-// outside any lock. It never takes Manager.mu or ingestMu, so a delivery
-// parked on a full Block-policy cursor, whose output is retained before it
-// parks, cannot stall it. Anything else replays: reads at an earlier
-// instant, stream-rendering reads, and every case the list above excludes.
+// retained log (capped, so later appends stay invisible), and cuts and
+// folds it outside any lock. It never takes Manager.mu or ingestMu, so a
+// delivery parked on a full Block-policy cursor, whose output is retained
+// before it parks, cannot stall it. TestResidentReadMatchesReplay and
+// FuzzResidentRead hold every served read to a replay.
 //
 // # Lock order
 //

@@ -284,14 +284,25 @@ func (m *Manager) refreshLocked() {
 	m.plansSnap.Store(plans)
 }
 
+// Why a one-shot read of a close-inert plan could not be answered from a
+// resident session and replays instead (see the read contract in the
+// package documentation). They label engine_query_replay_total.
+const (
+	ReplayNoSession  = "no_session"   // no session is resident under the plan key
+	ReplayClosed     = "closed"       // the resident session has closed
+	ReplayOutOfOrder = "out_of_order" // its driver was fed out of merge order, or restored
+	ReplayOverflow   = "overflow"     // its retained output was released
+)
+
 // ResidentOutput returns the retained output changelog of the session
-// resident under key, when it can answer a current-instant read (see the
-// read contract in the package documentation); ok is false otherwise. It
-// takes neither m.mu nor any session's ingestMu, only the session's mu.
-func (m *Manager) ResidentOutput(key string) (log tvr.Changelog, ok bool) {
+// resident under key, when it can answer a read (see the read contract in
+// the package documentation); otherwise replay is one of the Replay*
+// reasons. It takes neither m.mu nor any session's ingestMu, only the
+// session's mu.
+func (m *Manager) ResidentOutput(key string) (log tvr.Changelog, replay string) {
 	sess := m.plansSnap.Load().(map[string]*Session)[key]
 	if sess == nil {
-		return nil, false
+		return nil, ReplayNoSession
 	}
 	return sess.retainedOutput()
 }

@@ -208,19 +208,24 @@ func (s *Session) DropRetainedOutput() {
 
 // retainedOutput returns the cumulative output changelog of an open session
 // whose driver has only been fed in merge order, capped so later appends
-// never show through; ok is false otherwise (see the read contract in the
-// package documentation). It takes only s.mu, so a Block-policy delivery
-// parked on a full cursor cannot stall it.
-func (s *Session) retainedOutput() (log tvr.Changelog, ok bool) {
+// never show through; otherwise replay names why not (see the read contract
+// in the package documentation). It takes only s.mu, so a Block-policy
+// delivery parked on a full cursor cannot stall it.
+func (s *Session) retainedOutput() (log tvr.Changelog, replay string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The bit is read after s.mu is taken: a feed stores it before its
 	// delivery appends to outLog under s.mu, so output of an out-of-order
 	// feed is never handed out.
-	if s.closed || s.noRetain || s.overflowed || s.outOfOrder.Load() {
-		return nil, false
+	switch {
+	case s.closed:
+		return nil, ReplayClosed
+	case s.outOfOrder.Load():
+		return nil, ReplayOutOfOrder
+	case s.noRetain || s.overflowed:
+		return nil, ReplayOverflow
 	}
-	return s.outLog[:len(s.outLog):len(s.outLog)], true
+	return s.outLog[:len(s.outLog):len(s.outLog)], ""
 }
 
 // releaseRetainedLocked drops the late-attach retention after it outgrew the
