@@ -83,12 +83,17 @@ faults:
 # the table rendering (and still rejects a retraction of an absent row), and
 # a snapshot from before the collector stopped checkpointing its relation
 # still restores and continues identically.
+# The wire codec rides along: a Bid batch decodes in a constant handful of
+# allocations at 50 and at 500 events, a delta appends into a warmed buffer
+# with none, and BenchmarkIngestDecode/BenchmarkDeltaEncode print us/event.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
 	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
+	$(GO) test ./cmd/serve -run 'TestWireAllocs' -v
+	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /
@@ -105,14 +110,17 @@ obs-guard:
 	$(GO) test ./internal/exec -run 'TestKeyedHotPathAllocFree' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 
-# Fuzz smoke: ten seconds each of the engine-snapshot decoder (FuzzRestoreAll)
-# and of reads served from a resident pipeline against replay
-# (FuzzResidentRead), two workers each. Minimizing a new input takes 60 s by
-# default, which reads as a stall; -fuzzminimizetime caps it at 3 s. A
-# failing input is written under internal/core/testdata/fuzz.
+# Fuzz smoke: ten seconds each of the engine-snapshot decoder (FuzzRestoreAll),
+# of reads served from a resident pipeline against replay (FuzzResidentRead),
+# and of cmd/serve's wire codec against its encoding/json reference
+# (FuzzIngestDecode, FuzzWireEncode), two workers each. Minimizing a new input
+# takes 60 s by default, which reads as a stall; -fuzzminimizetime caps it at
+# 3 s. A failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRestoreAll$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzResidentRead$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
+	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
+	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
 # Short-mode standing-query benchmarks: run the serving and recovery benches
 # at reduced scale and refresh the reduced-scale record

@@ -34,6 +34,29 @@
 // duration like "250ms" (background interval fsync; a crash can lose at
 // most that window).
 //
+// Wire format. Ingest, subscription lines and one-shot query responses go
+// through one schema-directed codec (wire.go) that keeps encoding/json's
+// behaviour byte for byte, except where noted:
+//
+//   - An ingest body is {"events":[...]} decoded by the relation's column
+//     kinds. Keys match as encoding/json matches struct fields (exactly,
+//     else bytes.EqualFold after unescaping); unknown keys are skipped; a
+//     repeated key's last value wins, and null leaves a field as it was.
+//     "kind" is case-insensitive; a null row value is SQL NULL.
+//   - Numbers: BIGINT, TIMESTAMP and INTERVAL values and ptime/wm take
+//     json.Number.Int64's rule (no fraction, no exponent, overflow refused);
+//     DOUBLE values take strconv.ParseFloat's. Strings are fully unescaped,
+//     surrogate pairs included; invalid UTF-8 becomes U+FFFD.
+//   - Anything but whitespace after a body's top-level value is refused with
+//     400, on every POST route (encoding/json would stop reading there). A
+//     refused ingest body's error names the event index and byte offset.
+//   - Delta and response bytes are json.Encoder's for the equivalent maps:
+//     sorted keys, <, >, &, U+2028 and U+2029 escaped, invalid UTF-8 as
+//     \ufffd, encoding/json's float format, a trailing newline. JSON has no
+//     ±Inf or NaN: a query whose result holds one is refused with a JSON
+//     error, and a subscription whose delta holds one ends with an end line
+//     naming it.
+//
 // Demo session (with -nexmark preloading the benchmark catalog):
 //
 //	go run ./cmd/serve -addr :8080 -nexmark 2000 -data-dir /var/lib/sql1 &

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -45,7 +46,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
@@ -257,21 +257,6 @@ type registerJSON struct {
 	Schema []columnJSON `json:"schema"`
 }
 
-type eventJSON struct {
-	// Kind is "insert", "delete", or "watermark".
-	Kind string `json:"kind"`
-	// Ptime is the processing time in engine milliseconds.
-	Ptime types.Time `json:"ptime"`
-	// Row holds the column values for insert/delete.
-	Row []any `json:"row,omitempty"`
-	// Wm is the watermark value for watermark events.
-	Wm types.Time `json:"wm,omitempty"`
-}
-
-type ingestJSON struct {
-	Events []eventJSON `json:"events"`
-}
-
 type errorJSON struct {
 	Error string `json:"error"`
 }
@@ -287,23 +272,35 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 // decodeBody decodes the request's JSON body into v, reading at most
-// maxBodyBytes of it. Numbers decoded into untyped values stay json.Number,
-// preserving full BIGINT precision. On failure it writes the error response
-// (413 for an oversized body, 400 otherwise) and reports false.
+// maxBodyBytes of it. Anything but whitespace after the value is refused,
+// not ignored. On failure it writes the error response (413 for an oversized
+// body, 400 otherwise) and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.UseNumber()
 	err := dec.Decode(v)
 	if err == nil {
-		return true
+		at := dec.InputOffset()
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		var tooBig *http.MaxBytesError
+		if !errors.As(err, &tooBig) {
+			err = &wireError{Event: -1, Offset: int(at), Err: errTrailingData}
+		}
 	}
+	writeBodyErr(w, err)
+	return false
+}
+
+// writeBodyErr answers a body that could not be read or decoded: 413 for an
+// oversized body, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
-	} else {
-		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	return false
+	writeErr(w, http.StatusBadRequest, err)
 }
 
 // writeCommitErr routes a failed commit-path request (register, ingest,
@@ -338,112 +335,6 @@ func parseKind(s string) (types.Kind, error) {
 	default:
 		return 0, fmt.Errorf("unknown column type %q", s)
 	}
-}
-
-// asInt64 extracts an integral JSON value. Bodies decode with UseNumber, so
-// numbers arrive as json.Number and never take the float64 round-trip that
-// corrupts integers above 2^53; a fractional number is refused, not
-// truncated.
-func asInt64(v any) (int64, bool) {
-	n, ok := v.(json.Number)
-	if !ok {
-		return 0, false
-	}
-	i, err := n.Int64()
-	return i, err == nil
-}
-
-// decodeRow coerces JSON values into a typed row using the relation schema.
-func decodeRow(vals []any, sch *types.Schema) (types.Row, error) {
-	if len(vals) != sch.Len() {
-		return nil, fmt.Errorf("row has %d values, schema has %d columns", len(vals), sch.Len())
-	}
-	row := make(types.Row, len(vals))
-	for i, v := range vals {
-		c := sch.Cols[i]
-		if v == nil {
-			row[i] = types.Null()
-			continue
-		}
-		switch c.Kind {
-		case types.KindBool:
-			b, ok := v.(bool)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected boolean", c.Name)
-			}
-			row[i] = types.NewBool(b)
-		case types.KindInt64:
-			n, ok := asInt64(v)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected integer", c.Name)
-			}
-			row[i] = types.NewInt(n)
-		case types.KindFloat64:
-			n, ok := v.(json.Number)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected number", c.Name)
-			}
-			f, err := n.Float64()
-			if err != nil {
-				return nil, fmt.Errorf("column %s: %w", c.Name, err)
-			}
-			row[i] = types.NewFloat(f)
-		case types.KindString:
-			str, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected string", c.Name)
-			}
-			row[i] = types.NewString(str)
-		case types.KindTimestamp:
-			n, ok := asInt64(v)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected timestamp milliseconds", c.Name)
-			}
-			row[i] = types.NewTimestamp(types.Time(n))
-		case types.KindInterval:
-			n, ok := asInt64(v)
-			if !ok {
-				return nil, fmt.Errorf("column %s: expected interval milliseconds", c.Name)
-			}
-			row[i] = types.NewInterval(types.Duration(n))
-		default:
-			return nil, fmt.Errorf("column %s: unsupported kind", c.Name)
-		}
-	}
-	return row, nil
-}
-
-// encodeRow renders a typed row as JSON scalars (timestamps and intervals as
-// engine milliseconds).
-func encodeRow(row types.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Kind() {
-		case types.KindNull:
-			out[i] = nil
-		case types.KindBool:
-			out[i] = v.Bool()
-		case types.KindInt64:
-			out[i] = v.Int()
-		case types.KindFloat64:
-			out[i] = v.Float()
-		case types.KindString:
-			out[i] = v.Str()
-		case types.KindTimestamp:
-			out[i] = int64(v.Timestamp())
-		case types.KindInterval:
-			out[i] = int64(v.Interval())
-		}
-	}
-	return out
-}
-
-func encodeSchema(sch *types.Schema) []columnJSON {
-	out := make([]columnJSON, sch.Len())
-	for i, c := range sch.Cols {
-		out[i] = columnJSON{Name: c.Name, Type: c.Kind.String(), EventTime: c.EventTime}
-	}
-	return out
 }
 
 // ---- handlers ----
@@ -491,30 +382,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	var req ingestJSON
-	if !decodeBody(w, r, &req) {
+	d := ingestDecoders.Get().(*ingestDecoder)
+	defer ingestDecoders.Put(d)
+	body, err := d.readBody(w, r)
+	if err != nil {
+		writeBodyErr(w, err)
 		return
 	}
-	log := make(tvr.Changelog, 0, len(req.Events))
-	for i, ev := range req.Events {
-		switch kind := strings.ToLower(ev.Kind); kind {
-		case "insert", "delete":
-			row, err := decodeRow(ev.Row, rel.Schema)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("event %d: %w", i, err))
-				return
-			}
-			if kind == "insert" {
-				log = append(log, tvr.InsertEvent(ev.Ptime, row))
-			} else {
-				log = append(log, tvr.DeleteEvent(ev.Ptime, row))
-			}
-		case "watermark":
-			log = append(log, tvr.WatermarkEvent(ev.Ptime, ev.Wm))
-		default:
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("event %d: unknown kind %q", i, ev.Kind))
-			return
-		}
+	log, err := d.decode(body, rel.Schema)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	// AppendLog validates and applies the whole batch atomically and
 	// routes it to standing queries in commit order.
@@ -563,67 +441,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		at = types.Time(n)
 	}
+	var body []byte
+	var err error
 	switch r.URL.Query().Get("mode") {
 	case "", "table":
-		res, err := s.engine.QueryTable(sql, at)
-		if err != nil {
+		var res *core.TableResult
+		if res, err = s.engine.QueryTable(sql, at); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		rows := make([][]any, len(res.Rows))
-		for i, row := range res.Rows {
-			rows[i] = encodeRow(row)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"schema": encodeSchema(res.Schema), "rows": rows,
-		})
+		body, err = appendTableResponse(nil, res.Schema, res.Rows)
 	case "stream":
-		res, err := s.engine.QueryStreamAt(sql, at)
-		if err != nil {
+		var res *core.StreamResult
+		if res, err = s.engine.QueryStreamAt(sql, at); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		rows := make([]map[string]any, len(res.Rows))
-		for i, sr := range res.Rows {
-			rows[i] = encodeStreamRow(sr)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"schema": encodeSchema(res.Schema), "rows": rows,
-		})
+		body, err = appendStreamResponse(nil, res.Schema, res.Rows)
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("mode must be table or stream"))
+		return
 	}
-}
-
-func encodeStreamRow(sr tvr.StreamRow) map[string]any {
-	return map[string]any{
-		"row": encodeRow(sr.Row), "undo": sr.Undo,
-		"ptime": int64(sr.Ptime), "ver": sr.Ver,
+	// The body is built before the header goes out, so a result JSON
+	// cannot carry (a non-finite DOUBLE) is refused rather than cut short.
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-}
-
-func encodeDelta(d live.Delta) map[string]any {
-	out := map[string]any{"type": "delta", "watermark": int64(d.Watermark)}
-	if d.Table != nil {
-		ins := make([][]any, len(d.Table.Inserted))
-		for i, r := range d.Table.Inserted {
-			ins[i] = encodeRow(r)
-		}
-		del := make([][]any, len(d.Table.Deleted))
-		for i, r := range d.Table.Deleted {
-			del[i] = encodeRow(r)
-		}
-		out["ptime"] = int64(d.Table.Ptime)
-		out["inserted"] = ins
-		out["deleted"] = del
-		return out
-	}
-	rows := make([]map[string]any, len(d.Stream))
-	for i, sr := range d.Stream {
-		rows[i] = encodeStreamRow(sr)
-	}
-	out["rows"] = rows
-	return out
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // handleSubscribe opens a standing query and streams its deltas as ndjson
@@ -704,9 +551,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
+	// One buffer, reused for every line of the subscription.
+	line := appendSchemaLine(nil, entry.id, mode, sub.Schema())
+	send := func() bool {
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 		if flusher != nil {
@@ -714,10 +562,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	if !writeLine(map[string]any{
-		"type": "schema", "id": entry.id, "mode": mode,
-		"columns": encodeSchema(sub.Schema()),
-	}) {
+	if !send() {
 		return
 	}
 	ctx := r.Context()
@@ -727,14 +572,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		case d, ok := <-sub.Deltas():
 			if !ok {
-				end := map[string]any{"type": "end"}
-				if err := sub.Err(); err != nil {
-					end["error"] = err.Error()
-				}
-				writeLine(end)
+				line = appendEndLine(line[:0], sub.Err())
+				send()
 				return
 			}
-			if !writeLine(encodeDelta(d)) {
+			var err error
+			if line, err = appendDelta(line[:0], d); err != nil {
+				// A delta JSON cannot carry ends the subscription with a
+				// reason rather than a cut connection.
+				line = appendEndLine(line[:0], err)
+				send()
+				return
+			}
+			if !send() {
 				return
 			}
 		}

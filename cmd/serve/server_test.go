@@ -669,3 +669,76 @@ func deltaPrices(t *testing.T, d map[string]any) []int64 {
 func queryEscape(s string) string {
 	return strings.ReplaceAll(strings.ReplaceAll(s, " ", "+"), ">", "%3E")
 }
+
+// TestServeRefusesTrailingData: a body holding anything but whitespace after
+// its JSON value is refused with 400 on every POST route, and nothing of it
+// is applied — not even the first value, which used to be committed while
+// the rest was dropped without a word.
+func TestServeRefusesTrailingData(t *testing.T) {
+	ts, c := newTestServer(t)
+	registerBid(t, c, ts.URL)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := c.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out errorJSON
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: decode response: %v", path, err)
+		}
+		return resp.StatusCode, out.Error
+	}
+	ev := `{"kind":"insert","ptime":1000,"row":[1,500,1000]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/relations/Bid/events", `{"events":[` + ev + `]}{"events":[` + ev + `]}`},
+		{"/v1/relations/Bid/events", `{"events":[` + ev + `]} garbage`},
+		{"/v1/relations", `{"name":"T","kind":"stream","schema":[{"name":"x","type":"BIGINT"}]} {}`},
+		{"/v1/heartbeat", `{"ptime":5000} {"ptime":6000}`},
+	} {
+		if code, msg := post(tc.path, tc.body); code != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+			t.Errorf("POST %s %s: status %d error %q, want 400 naming the trailing data", tc.path, tc.body, code, msg)
+		}
+	}
+	code, res := getJSON(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid`))
+	if code != http.StatusOK || res["rows"].([]any)[0].([]any)[0].(float64) != 0 {
+		t.Fatalf("Bid after refused batches: status %d body %v, want a count of 0", code, res)
+	}
+	if code, _ := postJSON(t, c, ts.URL+"/v1/relations", registerJSON{Name: "T", Kind: "stream",
+		Schema: []columnJSON{{Name: "x", Type: "BIGINT"}}}); code != http.StatusCreated {
+		t.Fatalf("registering T after the refused registration: status %d, want 201", code)
+	}
+}
+
+// TestServeNonFiniteResult: a result holding a DOUBLE JSON cannot represent
+// (here +Inf) is refused with a JSON error instead of an empty 200, and a
+// subscription whose delta holds one ends with an end line naming it.
+func TestServeNonFiniteResult(t *testing.T) {
+	ts, c := newTestServer(t)
+	if code, body := postJSON(t, c, ts.URL+"/v1/relations", registerJSON{Name: "T", Kind: "stream",
+		Schema: []columnJSON{{Name: "x", Type: "DOUBLE"}}}); code != http.StatusCreated {
+		t.Fatalf("register: status %d body %v", code, body)
+	}
+	sql := queryEscape(`SELECT x * 10 AS y FROM T`)
+	resp, read := subscribeLines(t, c, ts.URL, "sql="+sql)
+	defer resp.Body.Close()
+	if line := read(); line["type"] != "schema" {
+		t.Fatalf("first line = %v, want the schema", line)
+	}
+	code, _ := postJSON(t, c, ts.URL+"/v1/relations/T/events", ingestJSON{Events: []eventJSON{
+		{Kind: "insert", Ptime: timeMS(1000), Row: []any{1e308}},
+	}})
+	if code != http.StatusOK {
+		t.Fatalf("ingest: status %d", code)
+	}
+	if line := read(); line["type"] != "end" || !strings.Contains(fmt.Sprint(line["error"]), "+Inf") {
+		t.Fatalf("subscription line = %v, want an end line naming +Inf", line)
+	}
+	for _, mode := range []string{"table", "stream"} {
+		code, res := getJSON(t, c, ts.URL+"/v1/query?mode="+mode+"&sql="+sql)
+		if code < 300 || !strings.Contains(fmt.Sprint(res["error"]), "+Inf") {
+			t.Errorf("%s query: status %d body %v, want a non-2xx error naming +Inf", mode, code, res)
+		}
+	}
+}
