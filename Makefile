@@ -86,6 +86,10 @@ faults:
 # The wire codec rides along: a Bid batch decodes in a constant handful of
 # allocations at 50 and at 500 events, a delta appends into a warmed buffer
 # with none, and BenchmarkIngestDecode/BenchmarkDeltaEncode print us/event.
+# So does the relation a resident table read folds into: a row leaves the
+# bag at multiplicity zero (10k insert/delete pairs leave it empty), a
+# leave/re-enter pair allocates only the new entry and its key, and
+# BenchmarkRelationChurn prints ns and allocs per churn round.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
@@ -94,6 +98,8 @@ batch-guard:
 	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
 	$(GO) test ./cmd/serve -run 'TestWireAllocs' -v
 	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem
+	$(GO) test ./internal/tvr -run 'TestRelationForgetsRowsAtZero|TestRelationChurnAllocs|TestRelationMatchesReference' -v
+	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkRelationChurn -benchtime 200x -benchmem
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /

@@ -122,6 +122,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`engine_commits_total{kind="heartbeat"} 1`,
 		"engine_queries_total 2",
 		"engine_query_resident_total 1",
+		"engine_query_folded_rows_total 1", // the first bid, the prefix up to 1.5 s
 		`engine_query_replay_total{reason="not_inert"} 1`,
 		`engine_query_replay_total{reason="no_session"} 0`,
 		"checkpoint_total 1",

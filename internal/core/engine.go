@@ -356,14 +356,14 @@ type StreamResult struct {
 // QueryTable evaluates the query as a classic point-in-time table at
 // processing time `at` (only input changes with ptime <= at are visible).
 // When a resident pipeline for the same plan holds the answer, the read
-// folds the prefix of its retained output with ptime <= at (see
-// residentResult); otherwise the recorded history is replayed.
+// takes the snapshot at at from that pipeline's fold of its retained output
+// (see residentRead); otherwise the recorded history is replayed.
 func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
-	res, stats, err := e.run(sql, at)
+	r, err := e.run(sql, at, true)
 	if err != nil {
 		return nil, err
 	}
-	return &TableResult{Schema: res.Schema, Rows: res.TableRows(), Stats: stats}, nil
+	return &TableResult{Schema: r.schema, Rows: r.table, Stats: r.stats}, nil
 }
 
 // QueryStream evaluates the query over the full recorded input and returns
@@ -377,11 +377,11 @@ func (e *Engine) QueryStream(sql string) (*StreamResult, error) {
 // of a resident pipeline's retained output when one holds the answer, with
 // versions counted from 1 as a replay counts them, and replays otherwise.
 func (e *Engine) QueryStreamAt(sql string, at types.Time) (*StreamResult, error) {
-	res, stats, err := e.run(sql, at)
+	r, err := e.run(sql, at, false)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamResult{Schema: res.Schema, Rows: res.StreamRows(), Stats: stats}, nil
+	return &StreamResult{Schema: r.schema, Rows: r.stream, Stats: r.stats}, nil
 }
 
 // Explain returns the optimized logical plan of the query.
@@ -405,21 +405,30 @@ func (e *Engine) plan(sql string) (*plan.PlannedQuery, error) {
 	return opt.Optimize(pq), nil
 }
 
-// run plans the query and evaluates it: from a resident pipeline's retained
-// output when one qualifies, otherwise by replaying the recorded changelogs
-// of the relations it scans through a freshly compiled pipeline. Query
-// latency feeds the engine_queries_* families.
-func (e *Engine) run(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
-	if e.metrics == nil {
-		return e.runInner(sql, at)
-	}
-	t0 := time.Now()
-	res, st, err := e.runInner(sql, at)
-	e.metrics.noteQuery(time.Since(t0), err)
-	return res, st, err
+// reading is a one-shot read's answer in the rendering its caller asked for.
+type reading struct {
+	schema *types.Schema
+	table  []types.Row     // a table read's rows, presentation applied
+	stream []tvr.StreamRow // a stream read's rows
+	stats  exec.Stats
 }
 
-func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, error) {
+// run plans the query and evaluates it at at, in the table rendering when
+// table is set and in the stream rendering otherwise: from a resident
+// pipeline's retained output when one qualifies, otherwise by replaying the
+// recorded changelogs of the relations it scans through a freshly compiled
+// pipeline. Query latency feeds the engine_queries_* families.
+func (e *Engine) run(sql string, at types.Time, table bool) (*reading, error) {
+	if e.metrics == nil {
+		return e.runInner(sql, at, table)
+	}
+	t0 := time.Now()
+	r, err := e.runInner(sql, at, table)
+	e.metrics.noteQuery(time.Since(t0), err)
+	return r, err
+}
+
+func (e *Engine) runInner(sql string, at types.Time, table bool) (*reading, error) {
 	// Read-your-writes: under the sharded fan-out an acknowledged change may
 	// still be in a shard queue; one-shot queries read the recorded catalog
 	// logs, which the commit already updated, but quiescing first also keeps
@@ -427,51 +436,73 @@ func (e *Engine) runInner(sql string, at types.Time) (*exec.Result, exec.Stats, 
 	e.live.Quiesce()
 	pq, err := e.plan(sql)
 	if err != nil {
-		return nil, exec.Stats{}, err
+		return nil, err
 	}
-	res, replay, err := e.residentResult(pq, at)
+	r := &reading{schema: pq.Root.Schema()}
+	replay, err := e.residentRead(pq, at, table, r)
 	if replay == "" {
-		return res, exec.Stats{}, err
+		return r, err
 	}
 	e.metrics.noteReplay(replay)
 	sources, err := e.sources(pq.Root)
 	if err != nil {
-		return nil, exec.Stats{}, err
+		return nil, err
 	}
 	pipe, err := exec.Compile(pq)
 	if err != nil {
-		return nil, exec.Stats{}, err
+		return nil, err
 	}
-	if res, err = pipe.Run(sources, at); err != nil {
-		return nil, exec.Stats{}, err
+	res, err := pipe.Run(sources, at)
+	if err != nil {
+		return nil, err
 	}
-	return res, pipe.Stats(), nil
+	if table {
+		r.table = res.TableRows()
+	} else {
+		r.stream = res.StreamRows()
+	}
+	r.stats = pipe.Stats()
+	return r, nil
 }
 
 // replayNotInert is the replay reason of a plan that emits at Close.
 const replayNotInert = "not_inert"
 
-// residentResult answers a read at processing time at from the retained
-// output of the session resident under the query's plan key, whatever its
-// readers' modes: the prefix of that changelog with ptime <= at, folded
-// exactly as a one-shot Run folds its own output (ORDER BY and LIMIT
-// included). Why that prefix is what a replay up to at collects is the read
-// contract in package live. Unless the plan is close-inert and the session
-// qualifies (live.Manager.ResidentOutput), replay names why the caller must
-// replay. The read takes no ordering lock: after the caller's Quiesce, the
-// retained output reflects every commit acknowledged before the read began.
-func (e *Engine) residentResult(pq *plan.PlannedQuery, at types.Time) (res *exec.Result, replay string, err error) {
+// residentRead answers a read at processing time at into r from the session
+// resident under the query's plan key, whatever its readers' modes. A table
+// read takes the snapshot at at from the session's fold of its retained
+// output (live.Manager.ResidentTable) and presents it with the read's own
+// ORDER BY and LIMIT; a stream read renders the prefix of the retained
+// output with ptime <= at, folded as a one-shot Run folds its own output.
+// Why that prefix is what a replay up to at collects is the read contract in
+// package live. Unless the plan is close-inert and the session qualifies,
+// replay names why the caller must replay. The read takes no ordering lock:
+// after the caller's Quiesce, the retained output reflects every commit
+// acknowledged before the read began.
+func (e *Engine) residentRead(pq *plan.PlannedQuery, at types.Time, table bool, r *reading) (replay string, err error) {
 	if !closeInert(pq) {
-		return nil, replayNotInert, nil
+		return replayNotInert, nil
 	}
-	log, replay := e.live.ResidentOutput(planKey(pq))
+	if table {
+		rows, folded, replay, err := e.live.ResidentTable(planKey(pq), at)
+		if replay != "" {
+			return replay, nil
+		}
+		e.metrics.noteResident(folded)
+		r.table = exec.PresentRows(rows, pq.OrderBy, pq.Limit)
+		return "", err
+	}
+	log, replay := e.live.ResidentOutput(planKey(pq), at)
 	if replay != "" {
-		return nil, replay, nil
+		return replay, nil
 	}
-	n := sort.Search(len(log), func(i int) bool { return log[i].Ptime > at })
-	e.metrics.noteResident()
-	res, err = exec.FoldResult(pq, log[:n:n])
-	return res, "", err
+	e.metrics.noteResident(len(log))
+	res, err := exec.FoldResult(pq, log)
+	if err != nil {
+		return "", err
+	}
+	r.stream = res.StreamRows()
+	return "", nil
 }
 
 // closeInert reports whether the heartbeat and Close a one-shot Run ends with

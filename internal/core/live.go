@@ -30,7 +30,7 @@ import (
 // then the delta sequence each subscriber observes equals what a post-hoc
 // QueryStream over the final changelog would return — shared or not. A
 // resident pipeline also answers QueryTable and QueryStreamAt at any instant
-// from a prefix of its retained output (see residentResult and the read
+// from a prefix of its retained output (see residentRead and the read
 // contract in package live).
 
 // SubscribeOptions configures a standing query.

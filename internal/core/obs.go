@@ -44,6 +44,7 @@ type engineMetrics struct {
 	queryErrors   *obs.Counter
 	querySeconds  *obs.Histogram
 	queryResident *obs.Counter
+	queryFolded   *obs.Counter
 	queryReplay   map[string]*obs.Counter // by replay reason
 
 	ckptTotal    *obs.Counter
@@ -64,6 +65,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		queryErrors:      reg.Counter("engine_query_errors_total", "One-shot queries that failed."),
 		querySeconds:     reg.Histogram("engine_query_seconds", "One-shot query latency.", obs.DurationScale, obs.DurationBuckets),
 		queryResident:    reg.Counter("engine_query_resident_total", "One-shot queries answered from a resident pipeline."),
+		queryFolded:      reg.Counter("engine_query_folded_rows_total", "Retained-output rows folded by one-shot queries answered from a resident pipeline."),
 		queryReplay:      map[string]*obs.Counter{},
 		ckptTotal:        reg.Counter("checkpoint_total", "Checkpoints written."),
 		ckptFailures:     reg.Counter("checkpoint_failures_total", "Checkpoint writes that failed."),
@@ -126,11 +128,14 @@ func (m *engineMetrics) noteQuery(d time.Duration, err error) {
 	m.querySeconds.Observe(int64(d))
 }
 
-func (m *engineMetrics) noteResident() {
+// noteResident counts a read answered from a resident pipeline that folded
+// folded rows of its retained output.
+func (m *engineMetrics) noteResident(folded int) {
 	if m == nil {
 		return
 	}
 	m.queryResident.Inc()
+	m.queryFolded.Add(int64(folded))
 }
 
 func (m *engineMetrics) noteReplay(reason string) {

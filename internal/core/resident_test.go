@@ -61,6 +61,11 @@ EMIT AFTER WATERMARK`, resident: true},
 		// pipeline of the plain query.
 		{name: "order-limit-over-plain", sql: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction ORDER BY low, auction LIMIT 5`,
 			subscribe: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction`, resident: true},
+		// A second reader of that plan, presenting the fold the first one
+		// shares in its iteration order: a read that reordered the other's
+		// rows would show here.
+		{name: "limit-over-plain", sql: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction LIMIT 4`,
+			subscribe: `SELECT auction, MIN(price) AS low FROM Bid GROUP BY auction`, resident: true},
 		// Close flushes pending delay timers.
 		{name: "delay", sql: `
 SELECT TB.auction auction, TB.wend wend, MAX(TB.price) maxPrice
@@ -266,11 +271,15 @@ func checkRead(t *testing.T, live, twin *core.Engine, reg *obs.Registry, q resid
 	return reflect.ValueOf(got).Len()
 }
 
-// randomReads picks the reads of one read point: table and stream reads at
-// the current instant, at a random instant up to pt, and at instants drawn
-// from the query's output ptimes on twin (two output ptimes exactly, and one
-// tick before the first). An off-by-one cut at a tied ptime shows on the
-// exact instants.
+// randomReads picks the reads of one read point: a table read at or just
+// before one of the query's newest output ptimes on twin, table and stream
+// reads at the current instant, at a random instant up to pt, and at
+// instants drawn from the output ptimes (two exactly, and one tick before
+// the first), then a table read at the current instant again. An
+// off-by-one cut at a tied ptime shows on the exact instants. Table reads
+// thus go forward (extending the session's fold over the previous read
+// point's commits, often only part of the way), back (folding their own
+// prefix) and forward again.
 func randomReads(t *testing.T, rng *rand.Rand, twin *core.Engine, q residentQuery, pt types.Time) []residentRead {
 	t.Helper()
 	out, err := twin.QueryStreamAt(q.sql, types.MaxTime)
@@ -278,25 +287,32 @@ func randomReads(t *testing.T, rng *rand.Rand, twin *core.Engine, q residentQuer
 		t.Fatalf("%s (twin stream): %v", q.name, err)
 	}
 	ats := []types.Time{types.Time(rng.Int63n(int64(pt) + 1))}
+	var reads []residentRead
 	if n := len(out.Rows); n > 0 {
 		exact := out.Rows[rng.Intn(n)].Ptime
 		ats = append(ats, exact, exact-1, out.Rows[rng.Intn(n)].Ptime)
+		// Often between the previous read point's output and the newest.
+		recent := out.Rows[n-1-rng.Intn(min(n, 8))].Ptime - types.Time(rng.Intn(2))
+		reads = append(reads, residentRead{at: recent})
 	}
-	reads := []residentRead{{at: types.MaxTime}, {at: types.MaxTime, stream: true}}
+	reads = append(reads, residentRead{at: types.MaxTime}, residentRead{at: types.MaxTime, stream: true})
 	for _, at := range ats {
 		reads = append(reads, residentRead{at: at}, residentRead{at: at, stream: true})
 	}
-	return reads
+	// Forward again: the earlier reads must have left the session's fold
+	// as the current-instant read extended it.
+	return append(reads, residentRead{at: types.MaxTime})
 }
 
 // TestResidentReadMatchesReplay is the correctness guard for reads served
 // from a resident pipeline. Every query of the matrix has a resident session
-// (a stream reader's, a table reader's, or the plain query's under an
-// ORDER BY … LIMIT read); at random commit points each table and stream
-// read, at the current instant and at earlier ones (some tying an output
-// ptime), must equal a subscription-free twin's replay, and the resident
-// counter must move exactly for the close-inert queries whose session was
-// fed in merge order — after the injected reorder, no longer for Q4.
+// (a stream reader's, a table reader's, or the plain query's under two
+// readers with different ORDER BY … LIMIT); at random commit points each
+// table and stream read, at the current instant, at earlier ones (some
+// tying an output ptime) and at the current instant again, must equal a
+// subscription-free twin's replay, and the resident counter must move
+// exactly for the close-inert queries whose session was fed in merge order
+// — after the injected reorder, no longer for Q4.
 func TestResidentReadMatchesReplay(t *testing.T) {
 	queries := residentQueries(t)
 	for _, shards := range []int{0, 4} {
@@ -361,6 +377,79 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResidentTableReadFoldsOnlyNewOutput pins the fold a resident session
+// keeps for table reads, through engine_query_folded_rows_total: the first
+// table read folds the retained prefix, a repeat read with no commit between
+// folds nothing, a read after k more output rows folds exactly k, a read at
+// an older instant folds its own prefix and leaves the fold alone, and so
+// does a stream read, so the next current-instant read folds only the new
+// suffix; a read at an instant between the fold and the newest output
+// extends the fold up to that instant only. Every read equals the replay of
+// a subscription-free twin.
+func TestResidentTableReadFoldsOnlyNewOutput(t *testing.T) {
+	q := residentQuery{name: "max-per-auction", sql: `SELECT auction, MAX(price) AS top FROM Bid GROUP BY auction`}
+	reg := obs.NewRegistry()
+	live := residentEngine(t, 0, reg)
+	twin := residentEngine(t, 0, nil)
+	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	folded := reg.Counter("engine_query_folded_rows_total", "")
+	commit := func(bids ...[3]int64) {
+		t.Helper()
+		var log tvr.Changelog
+		for _, b := range bids {
+			p := types.Time(b[0])
+			log = append(log, tvr.InsertEvent(p, types.Row{types.NewInt(b[1]), types.NewInt(7), types.NewInt(b[2]), types.NewTimestamp(p)}))
+		}
+		for _, e := range []*core.Engine{live, twin} {
+			if err := e.AppendLog("Bid", log); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// outRows is the number of output rows with ptime <= at.
+	outRows := func(at types.Time) int64 {
+		t.Helper()
+		res, err := twin.QueryStreamAt(q.sql, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(res.Rows))
+	}
+	read := func(r residentRead, want int64) {
+		t.Helper()
+		before := folded.Value()
+		checkRead(t, live, twin, reg, q, r, true)
+		if got := folded.Value() - before; got != want {
+			t.Fatalf("%s folded %d rows, want %d", r, got, want)
+		}
+	}
+	now := residentRead{at: types.MaxTime}
+
+	// +(1,100) +(2,200) -(1,100) +(1,300)
+	commit([3]int64{10, 1, 100}, [3]int64{20, 2, 200}, [3]int64{30, 1, 300})
+	read(now, 4)
+	read(now, 0)
+	// -(2,200) +(2,250) +(3,50)
+	before := outRows(types.MaxTime)
+	commit([3]int64{40, 2, 250}, [3]int64{50, 3, 50})
+	if k := outRows(types.MaxTime) - before; k != 3 {
+		t.Fatalf("the second commit output %d rows, want 3", k)
+	}
+	read(now, 3)
+	read(residentRead{at: 25}, outRows(25))
+	read(residentRead{at: 45, stream: true}, outRows(45))
+	read(now, 0)
+	// -(1,300) +(1,400) at 60, +(4,10) at 70: a read at 65 extends the fold
+	// by the two rows up to it, and no further.
+	commit([3]int64{60, 1, 400}, [3]int64{70, 4, 10})
+	read(residentRead{at: 65}, 2)
+	read(now, 1)
 }
 
 // TestResidentReadFallsBackAfterReorder: a Q4 session fed a Bid commit at
@@ -448,7 +537,7 @@ func TestResidentReadFallsBackAfterRestore(t *testing.T) {
 // output overflowed its cap.
 func TestResidentReadReplayReasons(t *testing.T) {
 	queries := residentQueries(t)
-	filter, delay := queries[1], queries[6]
+	filter, delay := queries[1], queries[7]
 	reg := obs.NewRegistry()
 	live := residentEngine(t, 0, reg)
 	twin := residentEngine(t, 0, nil)
@@ -488,11 +577,12 @@ func TestResidentReadReplayReasons(t *testing.T) {
 }
 
 // TestResidentReadDuringCommits race-checks the quiesce-then-read path: a
-// goroutine commits bids through a sharded engine while reads run beside
-// it. Every read must be answered from the resident pipeline and equal the
-// replay after some whole commit — never a partial one — no earlier than
-// the last commit acknowledged before the read began, and never older than
-// the previous read.
+// goroutine commits bids through a sharded engine while three table readers
+// run beside it, extending and sharing the session's fold. Every read must
+// be answered from the resident pipeline and equal the replay after some
+// whole commit — never a partial one — no earlier than the last commit
+// acknowledged before the read began, and never older than its reader's
+// previous read.
 func TestResidentReadDuringCommits(t *testing.T) {
 	const q = `SELECT auction, price, dateTime FROM Bid WHERE price > 2000`
 	g := liveData(t)
@@ -551,38 +641,61 @@ func TestResidentReadDuringCommits(t *testing.T) {
 			acked.Add(1)
 		}
 	}()
-	reads, prevLo := int64(0), 0
-	for finished := false; !finished; {
-		select {
-		case <-done:
-			finished = true // one more read, after the last ack
-		default:
-		}
-		floor := int(acked.Load())
-		res, err := e.QueryTable(q, types.MaxTime)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads++
-		s, ok := states[res.Format()]
-		switch {
-		case !ok:
-			t.Fatalf("read %d matches the replay after no whole commit:\n%s", reads, truncate(res.Format()))
-		case s.hi < floor:
-			t.Fatalf("read %d reflects at most %d commits, but %d were acknowledged before it", reads, s.hi, floor)
-		case s.hi < prevLo:
-			t.Fatalf("read %d went back to %d commits after a read of at least %d", reads, s.hi, prevLo)
-		}
-		prevLo = s.lo
+	// Each reader's reads must move forward; together they extend and
+	// share the session's one fold.
+	const readers = 3
+	var reads atomic.Int64
+	lastLo := make([]int, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prevLo := 0
+			for finished := false; !finished; {
+				select {
+				case <-done:
+					finished = true // one more read, after the last ack
+				default:
+				}
+				floor := int(acked.Load())
+				res, err := e.QueryTable(q, types.MaxTime)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := reads.Add(1)
+				s, ok := states[res.Format()]
+				switch {
+				case !ok:
+					t.Errorf("reader %d, read %d matches the replay after no whole commit:\n%s", r, n, truncate(res.Format()))
+					return
+				case s.hi < floor:
+					t.Errorf("reader %d, read %d reflects at most %d commits, but %d were acknowledged before it", r, n, s.hi, floor)
+					return
+				case s.hi < prevLo:
+					t.Errorf("reader %d, read %d went back to %d commits after a read of at least %d", r, n, s.hi, prevLo)
+					return
+				}
+				prevLo = s.lo
+			}
+			lastLo[r] = prevLo
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	if commitErr != nil {
 		t.Fatal(commitErr)
 	}
-	if prevLo != states[mustFormat(t, twin, q)].lo {
-		t.Fatal("the read after the last acknowledgement missed commits")
+	for r, lo := range lastLo {
+		if lo != states[mustFormat(t, twin, q)].lo {
+			t.Fatalf("reader %d: the read after the last acknowledgement missed commits", r)
+		}
 	}
-	if got := residentReads(reg); got != reads {
-		t.Fatalf("%d of %d reads answered from the resident pipeline, want all", got, reads)
+	if got := residentReads(reg); got != reads.Load() {
+		t.Fatalf("%d of %d reads answered from the resident pipeline, want all", got, reads.Load())
 	}
 }
 

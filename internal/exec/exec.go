@@ -391,13 +391,21 @@ type Result struct {
 	Limit   *int64
 }
 
-// TableRows renders the snapshot with presentation order applied: ORDER BY
-// keys first, then insertion order for stability.
+// TableRows renders the snapshot with presentation order applied (see
+// PresentRows).
 func (r *Result) TableRows() []types.Row {
-	rows := r.Snapshot.Rows()
-	if len(r.OrderBy) > 0 {
+	return PresentRows(r.Snapshot.Rows(), r.OrderBy, r.Limit)
+}
+
+// PresentRows applies a query's presentation to the rows of a table
+// rendering, given in the relation's iteration order: ORDER BY keys first,
+// then that order for stability, then LIMIT. It sorts rows in place. A
+// one-shot Run and a read served from a resident pipeline's fold both
+// present through here.
+func PresentRows(rows []types.Row, orderBy []plan.SortKey, limit *int64) []types.Row {
+	if len(orderBy) > 0 {
 		sort.SliceStable(rows, func(i, j int) bool {
-			for _, k := range r.OrderBy {
+			for _, k := range orderBy {
 				a, b := rows[i][k.Col], rows[j][k.Col]
 				if a.IsNull() && b.IsNull() {
 					continue
@@ -420,8 +428,8 @@ func (r *Result) TableRows() []types.Row {
 			return false
 		})
 	}
-	if r.Limit != nil && int64(len(rows)) > *r.Limit {
-		rows = rows[:*r.Limit]
+	if limit != nil && int64(len(rows)) > *limit {
+		rows = rows[:*limit]
 	}
 	return rows
 }
@@ -487,10 +495,8 @@ func (c *Collector) result() (*Result, error) { return FoldResult(c.pq, c.drain(
 // immutable, so the fold shares them with the log.
 func FoldResult(pq *plan.PlannedQuery, log tvr.Changelog) (*Result, error) {
 	snap := tvr.NewRelation()
-	for _, ev := range log {
-		if err := snap.ApplyOwned(ev); err != nil {
-			return nil, err
-		}
+	if err := snap.ApplyOwned(log); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Schema:      pq.Root.Schema(),

@@ -109,10 +109,24 @@
 // A session's retained output changelog holds every one-shot read of its
 // plan. A table read at processing time T is the snapshot of the output TVR
 // at T, and a stream read up to T is its changelog up to T (the source
-// paper's section 3): both are the prefix of the retained output with
-// ptime <= T, found by binary search, then folded with the read's own
-// ORDER BY and LIMIT (table) or rendered with versions counted from 1
-// (stream), through the same exec.FoldResult a one-shot Run uses.
+// paper's section 3): both derive from the prefix of the retained output
+// with ptime <= T, found by binary search. A stream read renders that prefix
+// with versions counted from 1, through the same exec.FoldResult a one-shot
+// Run uses.
+//
+// A table read takes the snapshot from the session's fold: the table
+// rendering of the first n rows of the retained output, kept in a
+// tvr.Relation, which forgets a row at multiplicity zero, so the fold is as
+// large as the current table, not as the history. A read whose prefix
+// holds at least n rows extends the fold by the rows in between and copies
+// its rows out under the fold's own mutex; a read at an earlier instant
+// folds its own prefix afresh and leaves the fold alone. Either way the rows
+// come out in the iteration order a Run's fold of the same prefix has, and
+// each read applies its own ORDER BY and LIMIT to its copy
+// (exec.PresentRows), so readers of one plan that present it differently
+// share the fold. Only table reads touch it: no commit, delivery or stream
+// read extends it, and it goes when the retained output does (overflow,
+// DropRetainedOutput) and at close.
 //
 // The cut is exact. The session is fed in (ptime, scan rank) merge order,
 // and every operator stamps an output event with the ptime of the input
@@ -122,9 +136,10 @@
 // replay adds after them, a heartbeat at T and Close, emits nothing for a
 // close-inert plan.
 //
-// The engine serves a read this way (Manager.ResidentOutput) instead of
-// replaying the recorded history when all of these hold; otherwise it
-// replays, and engine_query_replay_total{reason} counts why:
+// The engine serves a read this way (Manager.ResidentOutput,
+// Manager.ResidentTable) instead of replaying the recorded history when all
+// of these hold; otherwise it replays, and engine_query_replay_total{reason}
+// counts why:
 //
 //   - the plan is close-inert: it scans only streams, none AS OF, and has
 //     no EMIT AFTER DELAY (the engine checks this; a bounded or AS OF scan
@@ -145,22 +160,26 @@
 // The commit point is the engine's Quiesce, the same barrier a replaying
 // read passes: every commit acknowledged before the read began has been
 // applied, and its output retained, before the read looks. The read takes
-// only the session's mu, long enough to copy the slice header of the
-// retained log (capped, so later appends stay invisible), and cuts and
-// folds it outside any lock. It never takes Manager.mu or ingestMu, so a
-// delivery parked on a full Block-policy cursor, whose output is retained
-// before it parks, cannot stall it. TestResidentReadMatchesReplay and
-// FuzzResidentRead hold every served read to a replay.
+// the session's mu only long enough to copy the slice header of the
+// retained log (capped, so later appends stay invisible) and the fold, and
+// cuts the log outside it; a table read then takes the fold's mutex alone.
+// It never takes Manager.mu or ingestMu, so a delivery parked on a full
+// Block-policy cursor, whose output is retained before it parks, cannot
+// stall it. TestResidentReadMatchesReplay and FuzzResidentRead hold every
+// served read to a replay, and TestResidentTableReadFoldsOnlyNewOutput pins
+// how much of the retained output each table read folds.
 //
 // # Lock order
 //
 // Manager.mu → engine catalog lock → Session.ingestMu → Session.mu; nothing
-// takes them in reverse. ingestMu serializes driver access; mu guards the
-// cursor list, channels and retained output, and is never held while a
-// Block-policy delivery parks on a full cursor, so Attach, Stats and a
-// peer's Cancel or Close stay responsive during backpressure. Shard workers
-// take only the session locks, never Manager.mu, so a publisher blocked on a
-// full shard queue cannot deadlock against its own workers; a worker that
-// must unregister a dead session does so from a fresh goroutine, and
-// teardown takes Manager.mu with neither session lock held.
+// takes them in reverse. A table read takes the fold's mutex with no other
+// lock held, and takes none while holding it. ingestMu serializes driver
+// access; mu guards the cursor list, channels and retained output, and is
+// never held while a Block-policy delivery parks on a full cursor, so
+// Attach, Stats and a peer's Cancel or Close stay responsive during
+// backpressure. Shard workers take only the session locks, never
+// Manager.mu, so a publisher blocked on a full shard queue cannot deadlock
+// against its own workers; a worker that must unregister a dead session does
+// so from a fresh goroutine, and teardown takes Manager.mu with neither
+// session lock held.
 package live

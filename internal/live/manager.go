@@ -39,7 +39,7 @@ type Manager struct {
 	count atomic.Int64 // len(subs), readable without m.mu
 	snap  atomic.Value // []*Session, for lock-free Subscribers()
 	// plansSnap is a copy-on-write copy of plans (map[string]*Session), so
-	// ResidentOutput finds a session without m.mu.
+	// ResidentOutput and ResidentTable find a session without m.mu.
 	plansSnap atomic.Value
 
 	// obsm holds the manager-wide delivery counters (nil without
@@ -206,7 +206,7 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 }
 
 // shareLocked records the registered session id under plan key, where
-// Subscribe attaches to it and ResidentOutput finds it.
+// Subscribe attaches to it and ResidentOutput and ResidentTable find it.
 func (m *Manager) shareLocked(key string, id int, sess *Session) {
 	m.plans[key] = sess
 	m.keys[id] = key
@@ -294,17 +294,30 @@ const (
 	ReplayOverflow   = "overflow"     // its retained output was released
 )
 
-// ResidentOutput returns the retained output changelog of the session
-// resident under key, when it can answer a read (see the read contract in
-// the package documentation); otherwise replay is one of the Replay*
-// reasons. It takes neither m.mu nor any session's ingestMu, only the
-// session's mu.
-func (m *Manager) ResidentOutput(key string) (log tvr.Changelog, replay string) {
+// ResidentOutput returns the prefix with ptime <= at of the retained output
+// changelog of the session resident under key, when it can answer a read
+// (see the read contract in the package documentation); otherwise replay is
+// one of the Replay* reasons. It takes neither m.mu nor any session's
+// ingestMu, only the session's mu.
+func (m *Manager) ResidentOutput(key string, at types.Time) (log tvr.Changelog, replay string) {
 	sess := m.plansSnap.Load().(map[string]*Session)[key]
 	if sess == nil {
 		return nil, ReplayNoSession
 	}
-	return sess.retainedOutput()
+	return sess.retainedOutput(at)
+}
+
+// ResidentTable is ResidentOutput for a table read: the rows of the
+// snapshot at at, in the relation's iteration order, in a slice the caller
+// owns, taken from the session's fold of its retained output (see the read
+// contract). folded counts the retained-output rows the read folded; err is
+// a retraction of a row the output never inserted.
+func (m *Manager) ResidentTable(key string, at types.Time) (rows []types.Row, folded int, replay string, err error) {
+	sess := m.plansSnap.Load().(map[string]*Session)[key]
+	if sess == nil {
+		return nil, 0, ReplayNoSession, nil
+	}
+	return sess.retainedTable(at)
 }
 
 // PublishSpan atomically commits an engine-side change and routes the

@@ -75,6 +75,11 @@ type Session struct {
 	outLog     tvr.Changelog
 	noRetain   bool
 	overflowed bool // retention exceeded cfg.MaxRetainedRows and was released
+	// fold is the table rendering of a prefix of outLog that table reads
+	// extend (see retainedTable); no delivery touches it. Nil until the
+	// first table read, and again once outLog is released or the session
+	// closes.
+	fold *tableFold
 
 	// Observability state lives outside s.mu so Stats and Err stay
 	// responsive while a Block-policy delivery is parked on a full
@@ -90,8 +95,8 @@ type Session struct {
 	dispatches       atomic.Int64
 	dispatchedEvents atomic.Int64
 	// outOfOrder mirrors !driver.FedInMergeOrder() the same way, before the
-	// feed's output reaches outLog, so retainedOutput never serves output of
-	// an out-of-order feed.
+	// feed's output reaches outLog, so retained never serves output of an
+	// out-of-order feed.
 	outOfOrder atomic.Bool
 
 	teardown     func() // unregisters from the owning manager
@@ -204,28 +209,7 @@ func (s *Session) DropRetainedOutput() {
 	defer s.mu.Unlock()
 	s.noRetain = true
 	s.outLog = nil
-}
-
-// retainedOutput returns the cumulative output changelog of an open session
-// whose driver has only been fed in merge order, capped so later appends
-// never show through; otherwise replay names why not (see the read contract
-// in the package documentation). It takes only s.mu, so a Block-policy
-// delivery parked on a full cursor cannot stall it.
-func (s *Session) retainedOutput() (log tvr.Changelog, replay string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The bit is read after s.mu is taken: a feed stores it before its
-	// delivery appends to outLog under s.mu, so output of an out-of-order
-	// feed is never handed out.
-	switch {
-	case s.closed:
-		return nil, ReplayClosed
-	case s.outOfOrder.Load():
-		return nil, ReplayOutOfOrder
-	case s.noRetain || s.overflowed:
-		return nil, ReplayOverflow
-	}
-	return s.outLog[:len(s.outLog):len(s.outLog)], ""
+	s.fold = nil
 }
 
 // releaseRetainedLocked drops the late-attach retention after it outgrew the
@@ -235,6 +219,7 @@ func (s *Session) retainedOutput() (log tvr.Changelog, replay string) {
 func (s *Session) releaseRetainedLocked() {
 	s.overflowed = true
 	s.outLog = nil
+	s.fold = nil
 }
 
 // Attach adds a subscriber cursor in opts.Mode and returns its
@@ -332,6 +317,7 @@ func (s *Session) closeSessionLocked(err error) {
 	}
 	if !s.closed {
 		s.closed = true
+		s.fold = nil
 		// A driver being closed *because* it panicked may well panic
 		// again out of its half-unwound operator state; the session is
 		// already terminal either way.

@@ -98,20 +98,13 @@ func LoadChangelog(dec *checkpoint.Decoder) (Changelog, error) {
 }
 
 // SaveState writes the relation's bag contents in iteration order. Entries
-// whose multiplicity dropped to zero are omitted: re-inserting a row after it
-// left the bag places it at the back of the iteration order either way, so
-// the restored relation iterates identically to the live one.
+// that left the bag are not written: a row that enters again is a new entry
+// at the back of the iteration order either way, so the restored relation
+// iterates identically to the live one.
 func (r *Relation) SaveState(enc *checkpoint.Encoder) {
 	enc.Section("tvr.Relation")
-	live := 0
-	for _, k := range r.order {
-		if r.entries[k].count > 0 {
-			live++
-		}
-	}
-	enc.Uvarint(uint64(live))
-	for _, k := range r.order {
-		e := r.entries[k]
+	enc.Uvarint(uint64(len(r.entries)))
+	for _, e := range r.order {
 		if e.count == 0 {
 			continue
 		}
@@ -121,7 +114,8 @@ func (r *Relation) SaveState(enc *checkpoint.Encoder) {
 }
 
 // LoadState rebuilds the relation from a SaveState stream. The receiver must
-// be empty.
+// be empty. A stream that lists one row twice is corrupt: SaveState writes
+// each row once, with its multiplicity.
 func (r *Relation) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Expect("tvr.Relation"); err != nil {
 		return err
@@ -137,9 +131,10 @@ func (r *Relation) LoadState(dec *checkpoint.Decoder) error {
 			return fmt.Errorf("tvr: corrupt relation entry in checkpoint")
 		}
 		k := row.Key()
-		r.entries[k] = &entry{row: row, count: count}
-		r.order = append(r.order, k)
-		r.size += count
+		if _, dup := r.entries[k]; dup {
+			return fmt.Errorf("tvr: duplicate relation entry %s in checkpoint", row)
+		}
+		r.add(&entry{key: k, row: row, count: count})
 	}
 	return dec.Err()
 }

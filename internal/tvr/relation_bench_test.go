@@ -39,3 +39,37 @@ func BenchmarkKeyedApply(b *testing.B) {
 		}
 	}
 }
+
+// churnRows is the working set of BenchmarkRelationChurn and
+// TestRelationChurnAllocs.
+func churnRows() []types.Row {
+	rows := make([]types.Row, 256)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString("abcdefghij")}
+	}
+	return rows
+}
+
+// BenchmarkRelationChurn folds rows that leave the bag and re-enter it, the
+// shape of a retraction-heavy output folded by a resident read: each
+// iteration inserts the whole working set, then deletes it again. The bag
+// forgets each row at zero, and TestRelationChurnAllocs pins the allocations.
+func BenchmarkRelationChurn(b *testing.B) {
+	rows := churnRows()
+	ins := make(Changelog, len(rows))
+	del := make(Changelog, len(rows))
+	for i, row := range rows {
+		ins[i], del[i] = InsertEvent(0, row), DeleteEvent(0, row)
+	}
+	r := NewRelation()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.ApplyOwned(ins); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.ApplyOwned(del); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
