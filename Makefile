@@ -118,8 +118,9 @@ obs-guard:
 
 # Fuzz smoke: ten seconds each of the engine-snapshot decoder (FuzzRestoreAll),
 # of reads served from a resident pipeline against replay (FuzzResidentRead),
-# and of cmd/serve's wire codec against its encoding/json reference
-# (FuzzIngestDecode, FuzzWireEncode), two workers each. Minimizing a new input
+# of cmd/serve's wire codec against its encoding/json reference
+# (FuzzIngestDecode, FuzzWireEncode), and of the SQL parser's error contract
+# (FuzzParse), two workers each. Minimizing a new input
 # takes 60 s by default, which reads as a stall; -fuzzminimizetime caps it at
 # 3 s. A failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzResidentRead$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
+	$(GO) test ./internal/sqlparser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
 # Short-mode standing-query benchmarks: run the serving and recovery benches
 # at reduced scale and refresh the reduced-scale record

@@ -5,8 +5,9 @@ package main
 // closes, dropping every connection), and a new process restores from the
 // data dir. The restored process must serve the standing query's resident
 // pipeline to a reconnecting subscriber — snapshot hand-off first, identical
-// bytes to a fresh dedicated subscription — without rescanning history, and
-// continue delivering live deltas for newly ingested events.
+// bytes to a fresh subscription on a second server fed the same events —
+// without rescanning history, and continue delivering live deltas for newly
+// ingested events.
 
 import (
 	"bufio"
@@ -59,6 +60,17 @@ func subscribeLines(t *testing.T, c *http.Client, base, params string) (*http.Re
 	return resp, read
 }
 
+// twinServer is a second, fresh server fed events: a subscription on it
+// compiles its own pipeline and replays them, as one that shares nothing
+// with a restored pipeline does.
+func twinServer(t *testing.T, events []eventJSON) (*httptest.Server, *http.Client) {
+	t.Helper()
+	ts, c := newTestServer(t)
+	registerBid(t, c, ts.URL)
+	ingestBids(t, c, ts.URL, events)
+	return ts, c
+}
+
 // TestServeKillAndRestart: checkpoint under live traffic, crash, restore,
 // reconnect.
 func TestServeKillAndRestart(t *testing.T) {
@@ -76,10 +88,12 @@ func TestServeKillAndRestart(t *testing.T) {
 	mkEvent := func(ptime, auction, price, et int64) eventJSON {
 		return eventJSON{Kind: "insert", Ptime: timeMS(ptime), Row: []any{auction, price, et}}
 	}
-	ingestBids(t, c1, ts1.URL, []eventJSON{
+	history := []eventJSON{
 		mkEvent(1000, 1, 950, 1000),
 		mkEvent(2000, 2, 800, 2000),
-	})
+		mkEvent(3000, 3, 1200, 3000),
+	}
+	ingestBids(t, c1, ts1.URL, history[:2])
 	resp1, read1 := subscribeLines(t, c1, ts1.URL, "sql="+sql)
 	defer resp1.Body.Close()
 	if hdr := read1(); hdr["type"] != "schema" {
@@ -88,7 +102,7 @@ func TestServeKillAndRestart(t *testing.T) {
 	if got := deltaPrices(t, read1()); len(got) != 1 || got[0] != 950 {
 		t.Fatalf("history delta prices = %v, want [950]", got)
 	}
-	ingestBids(t, c1, ts1.URL, []eventJSON{mkEvent(3000, 3, 1200, 3000)})
+	ingestBids(t, c1, ts1.URL, history[2:])
 	if got := deltaPrices(t, read1()); len(got) != 1 || got[0] != 1200 {
 		t.Fatalf("live delta prices = %v, want [1200]", got)
 	}
@@ -144,9 +158,10 @@ func TestServeKillAndRestart(t *testing.T) {
 		t.Fatalf("reconnect built a new pipeline: healthz = %v", hz)
 	}
 
-	// The snapshot equals what a fresh dedicated subscription sees at the
-	// same instant (the dedicated twin replays restored history instead).
-	respTwin, readTwin := subscribeLines(t, c2, ts2.URL, "sql="+sql+"&exclusive=1")
+	// The snapshot equals what a fresh subscription on a second server fed
+	// the same events sees (the twin replays that history instead).
+	tsTwin, cTwin := twinServer(t, history)
+	respTwin, readTwin := subscribeLines(t, cTwin, tsTwin.URL, "sql="+sql)
 	defer respTwin.Body.Close()
 	if hdr := readTwin(); hdr["type"] != "schema" {
 		t.Fatalf("twin first line = %v, want schema", hdr)
@@ -160,7 +175,9 @@ func TestServeKillAndRestart(t *testing.T) {
 	}
 
 	// Live continuation on the restored pipeline.
-	ingestBids(t, c2, ts2.URL, []eventJSON{mkEvent(4000, 4, 1500, 4000)})
+	more := []eventJSON{mkEvent(4000, 4, 1500, 4000)}
+	ingestBids(t, c2, ts2.URL, more)
+	ingestBids(t, cTwin, tsTwin.URL, more)
 	if got := deltaPrices(t, read2()); len(got) != 1 || got[0] != 1500 {
 		t.Fatalf("post-restore live delta = %v, want [1500]", got)
 	}

@@ -14,8 +14,11 @@ package main
 // change. The
 // /v1/subscriptions listing exposes the sharing: each entry reports the
 // resident pipeline's id and how many subscribers are attached to it
-// (entries sharing a pipeline report the same id). Pass exclusive=1 to
-// /v1/subscribe to opt a subscription out of sharing.
+// (entries sharing a pipeline report the same id). A pipeline whose retained
+// output outgrew its retain= cap keeps serving the subscriptions it has,
+// while a later subscription of the plan gets a successor pipeline built
+// under its own retain=; it is refused with 400 only when its own cap cannot
+// hold the recorded history's output (retain=0, unbounded, always can).
 //
 // Endpoints:
 //
@@ -491,6 +494,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad buffer parameter: %w", err))
 			return
 		}
+		if n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("buffer %d is negative; use 0 for the default", n))
+			return
+		}
 		if n > maxSubscribeBuffer {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("buffer %d exceeds the limit of %d", n, maxSubscribeBuffer))
 			return
@@ -516,14 +523,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		opts.Policy = live.DropWithError
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("policy must be block or drop"))
-		return
-	}
-	switch q.Get("exclusive") {
-	case "", "0", "false":
-	case "1", "true":
-		opts.Exclusive = true
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("exclusive must be 0 or 1"))
 		return
 	}
 	mode := q.Get("mode")

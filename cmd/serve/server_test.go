@@ -361,16 +361,15 @@ func TestServeBodyLimit(t *testing.T) {
 
 // TestServeSharedSubscriptions: two standing queries with the same SQL are
 // served from one resident pipeline (same pipeline id, subscribers=2 in the
-// listing), while exclusive=1 opts out; healthz distinguishes pipelines from
-// subscribers.
+// listing), while a query with another predicate gets its own; healthz
+// distinguishes pipelines from subscribers.
 func TestServeSharedSubscriptions(t *testing.T) {
 	ts, c := newTestServer(t)
 	registerBid(t, c, ts.URL)
-	sql := queryEscape(`SELECT auction, price FROM Bid WHERE price > 900`)
 
-	open := func(extra string) *http.Response {
+	open := func(sql string) *http.Response {
 		t.Helper()
-		resp, err := c.Get(ts.URL + "/v1/subscribe?sql=" + sql + extra)
+		resp, err := c.Get(ts.URL + "/v1/subscribe?sql=" + queryEscape(sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,9 +384,9 @@ func TestServeSharedSubscriptions(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	open("")
-	open("")
-	open("&exclusive=1")
+	open(`SELECT auction, price FROM Bid WHERE price > 900`)
+	open(`SELECT auction, price FROM Bid WHERE price > 900`)
+	open(`SELECT auction, price FROM Bid WHERE price > 100`)
 
 	code, stats := getJSON(t, c, ts.URL+"/v1/subscriptions")
 	if code != http.StatusOK {
@@ -404,7 +403,7 @@ func TestServeSharedSubscriptions(t *testing.T) {
 			byPipeline[int(m["pipeline"].(float64))], m["subscribers"].(float64))
 	}
 	if len(byPipeline) != 2 {
-		t.Fatalf("subscriptions span %d pipelines, want 2 (shared pair + exclusive): %v", len(byPipeline), byPipeline)
+		t.Fatalf("subscriptions span %d pipelines, want 2 (shared pair + other query): %v", len(byPipeline), byPipeline)
 	}
 	for id, subs := range byPipeline {
 		want := float64(len(subs))
@@ -481,10 +480,10 @@ func TestServeOnePipelinePerRelation(t *testing.T) {
 	}
 }
 
-// TestServeSubscribeLimits: a buffer above maxSubscribeBuffer and a negative
-// retain are refused with 400 and an error naming the limit, before any
-// session opens — liveSessions in /v1/healthz does not move — while a buffer
-// at the limit is accepted.
+// TestServeSubscribeLimits: a buffer above maxSubscribeBuffer, a negative
+// buffer and a negative retain are refused with 400 and an error naming the
+// limit, before any session opens — liveSessions in /v1/healthz does not
+// move — while a buffer at the limit is accepted.
 func TestServeSubscribeLimits(t *testing.T) {
 	ts, c := newTestServer(t)
 	registerBid(t, c, ts.URL)
@@ -497,6 +496,7 @@ func TestServeSubscribeLimits(t *testing.T) {
 	for _, tc := range []struct{ params, want string }{
 		{fmt.Sprintf("&buffer=%d", maxSubscribeBuffer+1), fmt.Sprint(maxSubscribeBuffer)},
 		{"&buffer=100000000", fmt.Sprint(maxSubscribeBuffer)},
+		{"&buffer=-5", "negative"},
 		{"&retain=-1", "negative"},
 	} {
 		code, body := getJSON(t, c, ts.URL+"/v1/subscribe?"+sql+tc.params)
@@ -515,6 +515,24 @@ func TestServeSubscribeLimits(t *testing.T) {
 	}
 	if n := sessions(); n != 1 {
 		t.Fatalf("%v live sessions after a subscribe at the limit, want 1", n)
+	}
+}
+
+// TestServeRefusesDeepNesting: a query nested 400,000 parentheses deep
+// (800 KB, inside net/http's default 1 MiB header cap) is refused with 400;
+// recursing that deep would overflow the goroutine stack, a fatal error that
+// kills the process. The server then answers a normal query.
+func TestServeRefusesDeepNesting(t *testing.T) {
+	ts, c := newTestServer(t)
+	registerBid(t, c, ts.URL)
+	const depth = 400_000
+	deep := "SELECT+" + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "+FROM+Bid"
+	code, body := getJSON(t, c, ts.URL+"/v1/query?sql="+deep)
+	if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "levels deep") {
+		t.Fatalf("deep query: status %d body %.200v, want 400 naming the nesting limit", code, body)
+	}
+	if code, body := getJSON(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT auction FROM Bid`)); code != http.StatusOK {
+		t.Fatalf("query after the deep one: status %d body %v, want 200", code, body)
 	}
 }
 

@@ -41,7 +41,8 @@ func openServer(t *testing.T, dir string) (*Server, *httptest.Server, bool) {
 // TestServeWALKillAndRestart: snapshot mid-stream, keep ingesting, crash
 // WITHOUT another snapshot, recover — the post-snapshot events come back
 // from the WAL tail, and a reconnecting subscriber's snapshot hand-off is
-// byte-identical to a fresh dedicated subscription.
+// byte-identical to a fresh subscription on a second server fed the same
+// events.
 func TestServeWALKillAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	sql := queryEscape(`SELECT auction, price FROM Bid WHERE price > 900`)
@@ -56,10 +57,12 @@ func TestServeWALKillAndRestart(t *testing.T) {
 	}
 	c1 := ts1.Client()
 	registerBid(t, c1, ts1.URL)
-	ingestBids(t, c1, ts1.URL, []eventJSON{
+	history := []eventJSON{
 		mkEvent(1000, 1, 950, 1000),
 		mkEvent(2000, 2, 800, 2000),
-	})
+		mkEvent(3000, 3, 1200, 3000),
+	}
+	ingestBids(t, c1, ts1.URL, history[:2])
 	resp1, read1 := subscribeLines(t, c1, ts1.URL, "sql="+sql)
 	defer resp1.Body.Close()
 	if hdr := read1(); hdr["type"] != "schema" {
@@ -72,7 +75,7 @@ func TestServeWALKillAndRestart(t *testing.T) {
 	if code, body := postJSON(t, c1, ts1.URL+"/v1/checkpoint", struct{}{}); code != 200 {
 		t.Fatalf("checkpoint: status %d body %v", code, body)
 	}
-	ingestBids(t, c1, ts1.URL, []eventJSON{mkEvent(3000, 3, 1200, 3000)})
+	ingestBids(t, c1, ts1.URL, history[2:])
 	if got := deltaPrices(t, read1()); len(got) != 1 || got[0] != 1200 {
 		t.Fatalf("live delta prices = %v, want [1200]", got)
 	}
@@ -114,9 +117,10 @@ func TestServeWALKillAndRestart(t *testing.T) {
 		t.Fatalf("reconnect built a new pipeline: healthz = %v", hz)
 	}
 
-	// Byte-identical to a dedicated twin compiled fresh from the recovered
-	// catalog.
-	respTwin, readTwin := subscribeLines(t, c2, ts2.URL, "sql="+sql+"&exclusive=1")
+	// Byte-identical to a twin compiled fresh on a second server fed the
+	// same events.
+	tsTwin, cTwin := twinServer(t, history)
+	respTwin, readTwin := subscribeLines(t, cTwin, tsTwin.URL, "sql="+sql)
 	defer respTwin.Body.Close()
 	if hdr := readTwin(); hdr["type"] != "schema" {
 		t.Fatalf("twin first line = %v, want schema", hdr)
@@ -127,7 +131,9 @@ func TestServeWALKillAndRestart(t *testing.T) {
 	}
 
 	// Live continuation, logged to the recovered WAL.
-	ingestBids(t, c2, ts2.URL, []eventJSON{mkEvent(4000, 4, 1500, 4000)})
+	more := []eventJSON{mkEvent(4000, 4, 1500, 4000)}
+	ingestBids(t, c2, ts2.URL, more)
+	ingestBids(t, cTwin, tsTwin.URL, more)
 	if got := deltaPrices(t, read2()); len(got) != 1 || got[0] != 1500 {
 		t.Fatalf("post-recovery live delta = %v, want [1500]", got)
 	}

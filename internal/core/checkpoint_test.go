@@ -43,8 +43,8 @@ func restartEngine(t *testing.T, e *core.Engine, opts ...core.Option) *core.Engi
 // engine from a checkpoint at that split point, finish ingestion on the
 // restored engine, and require (a) a late attacher to the restored shared
 // session to be byte-identical to a dedicated twin opened at the same
-// instant, and (b) both to equal the uninterrupted replay — on the serial
-// fan-out and on a sharded one.
+// instant on a second engine fed the same commits, and (b) both to equal
+// the uninterrupted replay — on the serial fan-out and on a sharded one.
 func TestCheckpointRestoreLive(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
@@ -66,8 +66,6 @@ func TestCheckpointRestoreLive(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
 			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
-			exclOpts := opts
-			exclOpts.Exclusive = true
 			for _, split := range splits {
 				e := partsEngine(t, parts)
 				early, err := e.SubscribeStream(liveBidQuery, opts)
@@ -97,8 +95,8 @@ func TestCheckpointRestoreLive(t *testing.T) {
 				prefixRows := collectStream(early, nil)
 
 				// A late attacher lands on the restored resident pipeline
-				// (no new session), its dedicated twin compiles its own
-				// and replays the restored catalog history.
+				// (no new session); its dedicated twin, on a second engine
+				// fed the same history, compiles its own and replays it.
 				late, err := restored.SubscribeStream(liveBidQuery, opts)
 				if err != nil {
 					t.Fatalf("split=%d: late attach to restored session: %v", split, err)
@@ -106,25 +104,30 @@ func TestCheckpointRestoreLive(t *testing.T) {
 				if got := restored.LiveSessions(); got != 1 {
 					t.Fatalf("split=%d: late attach created a session (%d live), want to share the restored one", split, got)
 				}
-				twin, err := restored.SubscribeStream(liveBidQuery, exclOpts)
+				twinEng := twinEngine(t, parts, g.Bids[:split])
+				twin, err := twinEng.SubscribeStream(liveBidQuery, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				// Finish the stream on the restored engine.
+				// Finish the stream on the restored engine and the twin's.
+				appendLog := func(log tvr.Changelog) {
+					t.Helper()
+					for _, e := range []*core.Engine{restored, twinEng} {
+						if err := e.AppendLog("Bid", log); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				for i := split; i < len(g.Bids); {
 					end := i + 1 + rng.Intn(8)
 					if end > len(g.Bids) {
 						end = len(g.Bids)
 					}
-					if err := restored.AppendLog("Bid", g.Bids[i:end]); err != nil {
-						t.Fatal(err)
-					}
+					appendLog(g.Bids[i:end])
 					i = end
 				}
-				if err := restored.AppendLog("Bid", tvr.Changelog{finalWM}); err != nil {
-					t.Fatal(err)
-				}
+				appendLog(tvr.Changelog{finalWM})
 
 				lateFinal, err := late.Close()
 				if err != nil {
@@ -227,28 +230,48 @@ GROUP BY TB.auction, TB.wstart, TB.wend`
 	}
 }
 
-// TestCheckpointSkipsExclusiveSessions: exclusive sessions cannot be
-// re-attached after a restart (their retained output is dropped and their
-// only subscriber died with the process), so they are not checkpointed.
-func TestCheckpointSkipsExclusiveSessions(t *testing.T) {
+// TestCheckpointSkipsSupersededSessions: a session that overflowed its
+// retain cap and was superseded by a late subscriber's successor keeps its
+// cursors until they go, but no longer holds its plan key, so a checkpoint
+// taken while both are open restores exactly one session under the key: the
+// successor's, which answers a reconnect with its full snapshot.
+func TestCheckpointSkipsSupersededSessions(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
-	shared, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	pred, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16, MaxRetainedRows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shared.Cancel()
-	excl, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16, Exclusive: true})
+	defer pred.Cancel()
+	if err := e.AppendLog("Bid", g.Bids); err != nil {
+		t.Fatal(err)
+	}
+	succ, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer excl.Cancel()
-	if err := e.AppendLog("Bid", g.Bids[:200]); err != nil {
-		t.Fatal(err)
+	defer succ.Cancel()
+	if e.LiveSessions() != 2 || succ.Stats().PipelineID == pred.Stats().PipelineID {
+		t.Fatalf("%d sessions, pipelines %d and %d: want the predecessor and its successor",
+			e.LiveSessions(), pred.Stats().PipelineID, succ.Stats().PipelineID)
 	}
 	restored := restartEngine(t, e)
 	if got := restored.LiveSessions(); got != 1 {
-		t.Fatalf("restored %d sessions, want only the shared one", got)
+		t.Fatalf("restored %d sessions, want only the successor", got)
+	}
+	// The restored session is the successor, which retains its output:
+	// a reconnect attaches to it and is handed what the successor's own
+	// subscriber has received.
+	back, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	if err != nil {
+		t.Fatalf("reconnect to the restored successor: %v", err)
+	}
+	defer back.Cancel()
+	if got := restored.LiveSessions(); got != 1 {
+		t.Fatalf("reconnect built a pipeline: %d sessions, want 1", got)
+	}
+	if got, want := tvr.FormatStreamTable(back.Schema(), collectPending(back)), tvr.FormatStreamTable(succ.Schema(), collectPending(succ)); got != want {
+		t.Fatalf("reconnect hand-off differs from the successor's deltas:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
 	}
 }
 
@@ -310,15 +333,16 @@ func TestRestoreNeedsEmptyEngine(t *testing.T) {
 }
 
 // TestRetainedOverflowDegradesLateAttach: the SubscribeOptions.MaxRetainedRows
-// cap bounds the shared session's retention; once exceeded, late attaches
-// fail with live.ErrRetainedOverflow while existing subscribers continue,
-// and an Exclusive subscription remains available (history replay).
+// cap bounds the shared session's retention; once exceeded, the session
+// keeps serving its subscriber, and a late subscriber whose own cap cannot
+// hold the recorded history's output gets live.ErrRetainedOverflow and
+// leaves no pipeline behind. (TestSharedPlanOverflowSuccessor covers a late
+// subscriber whose cap can.)
 func TestRetainedOverflowDegradesLateAttach(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
-	first, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{
-		Buffer: len(g.Bids) + 16, MaxRetainedRows: 8,
-	})
+	capped := core.SubscribeOptions{Buffer: len(g.Bids) + 16, MaxRetainedRows: 8}
+	first, err := e.SubscribeStream(liveBidQuery, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,39 +357,27 @@ func TestRetainedOverflowDegradesLateAttach(t *testing.T) {
 	if st := first.Stats(); st.RowsOut <= 8 {
 		t.Fatalf("test needs more than 8 output rows to overflow, got %d", st.RowsOut)
 	}
-	// Late attach degrades to the documented error instead of unbounded
-	// retention.
-	_, err = e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 16})
+	// Late attach under the same cap degrades to the documented error
+	// instead of unbounded retention.
+	_, err = e.SubscribeStream(liveBidQuery, capped)
 	if !errors.Is(err, live.ErrRetainedOverflow) {
-		t.Fatalf("late attach after overflow: err = %v, want ErrRetainedOverflow", err)
+		t.Fatalf("late subscribe after overflow: err = %v, want ErrRetainedOverflow", err)
 	}
-	// The session (and its existing subscriber) survives.
+	// The session (and its existing subscriber) survives, alone.
 	if e.LiveSessions() != 1 || first.Err() != nil {
 		t.Fatalf("overflow damaged the resident session: sessions=%d err=%v", e.LiveSessions(), first.Err())
 	}
-	// Exclusive path still works: it replays recorded history instead.
-	excl, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16, Exclusive: true})
-	if err != nil {
-		t.Fatalf("exclusive subscribe after overflow: %v", err)
-	}
-	finalExcl, err := excl.Close()
-	if err != nil {
+	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(last.Ptime+2, g.Bids[0].Row)}); err != nil {
 		t.Fatal(err)
 	}
-	exclRows := collectStream(excl, finalExcl)
-	firstFinal, err := first.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstRows := collectStream(first, firstFinal)
-	if got, want := tvr.FormatStreamTable(excl.Schema(), exclRows), tvr.FormatStreamTable(first.Schema(), firstRows); got != want {
-		t.Fatalf("exclusive replay differs from the capped session's deltas:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+	if st := first.Stats(); st.EventsIn != int64(len(g.Bids))+2 {
+		t.Fatalf("resident session saw %d events after the refusal, want %d", st.EventsIn, len(g.Bids)+2)
 	}
 }
 
 // TestOverflowedSessionCheckpointRestore: an overflowed session still
 // checkpoints and restores (its pipeline state is intact); the restored copy
-// keeps refusing late attaches.
+// has no output to hand off either, so a late subscriber gets a successor.
 func TestOverflowedSessionCheckpointRestore(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
@@ -381,8 +393,12 @@ func TestOverflowedSessionCheckpointRestore(t *testing.T) {
 	if got := restored.LiveSessions(); got != 1 {
 		t.Fatalf("restored %d sessions, want 1", got)
 	}
-	_, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 16})
-	if !errors.Is(err, live.ErrRetainedOverflow) {
-		t.Fatalf("restored overflowed session should refuse late attach, got %v", err)
+	sub, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	if err != nil {
+		t.Fatalf("late subscribe to a restored overflowed session: %v", err)
+	}
+	defer sub.Cancel()
+	if got := restored.LiveSessions(); got != 2 {
+		t.Fatalf("%d sessions after the late subscribe, want the restored one and a successor", got)
 	}
 }

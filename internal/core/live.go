@@ -28,7 +28,7 @@ import (
 // lifecycle makes incremental feeding byte-identical to replay when commits
 // reach the pipeline in (ptime, scan order) across the relations it scans;
 // then the delta sequence each subscriber observes equals what a post-hoc
-// QueryStream over the final changelog would return — shared or not. A
+// QueryStream over the final changelog would return, whenever it attached. A
 // resident pipeline also answers QueryTable and QueryStreamAt at any instant
 // from a prefix of its retained output (see residentRead and the read
 // contract in package live).
@@ -40,21 +40,16 @@ type SubscribeOptions struct {
 	// Policy is the slow-consumer policy (live.Block or
 	// live.DropWithError).
 	Policy live.Policy
-	// Exclusive opts out of plan sharing: the subscription always gets a
-	// dedicated resident pipeline, even when an identical one is already
-	// serving other subscribers. The delta sequence is identical either
-	// way; Exclusive trades the shared pipeline's amortized cost for
-	// isolation (a benchmark A/B, or decoupling from a peer's Block-policy
-	// backpressure).
-	Exclusive bool
 	// MaxRetainedRows bounds the shared session's late-attach retention:
 	// its output changelog, from which both a stream and a table reader's
-	// hand-off derive. 0 means unbounded. When the retained output outgrows
-	// the cap it is released — memory stays bounded — and later attaches to
-	// that session fail with live.ErrRetainedOverflow instead of receiving
-	// an incomplete snapshot; existing subscribers are unaffected. The cap
-	// is fixed by the subscription that creates the resident pipeline
-	// (later sharers inherit it).
+	// hand-off derive. 0 means unbounded. The cap is fixed by the
+	// subscription that creates the resident pipeline (later sharers
+	// inherit it). When the retained output outgrows the cap it is released
+	// — memory stays bounded — and existing subscribers are unaffected. A
+	// later subscription of the plan then gets a successor pipeline, built
+	// under its own options like a first subscriber's, which replays the
+	// recorded history; it fails with live.ErrRetainedOverflow only when
+	// its own cap cannot hold that history's output.
 	//
 	// The trade of one pipeline per relation: a session that only table
 	// readers use retains its changelog too, not one entry per distinct
@@ -91,11 +86,9 @@ func (e *Engine) subscribe(sql string, mode live.Mode, opts SubscribeOptions) (*
 	}
 	q := e.standing(sql, pq)
 	q.Config.MaxRetainedRows = opts.MaxRetainedRows
-	if opts.Exclusive {
-		q.Key = ""
-	}
-	// Attach to the resident pipeline for this plan, or compile one and
-	// replay recorded history into it. The manager runs both under its
+	// Attach to the resident pipeline for this plan, or compile one (a
+	// first pipeline, or the successor of one that closed or overflowed)
+	// and replay recorded history into it. The manager runs both under its
 	// ordering lock, so no concurrently committed change can fall between
 	// the snapshot (history replay or late-attach hand-off) and live
 	// routing; on any failure it cancels the session.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/live"
 	"repro/internal/nexmark"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -90,6 +91,22 @@ func ingestEvent(t testing.TB, e *core.Engine, name string, ev tvr.Event) {
 	if err := e.AppendLog(name, tvr.Changelog{ev}); err != nil {
 		t.Fatalf("ingest %s: %v", ev, err)
 	}
+}
+
+// twinEngine is the second engine a dedicated twin subscribes on: a
+// partsEngine fed log, the Bid changelog so far, in one commit. A
+// subscription on it compiles its own pipeline and replays that history, as
+// one that shares nothing does; the test then feeds it the commits it feeds
+// the engine under test.
+func twinEngine(t testing.TB, parts int, log tvr.Changelog) *core.Engine {
+	t.Helper()
+	e := partsEngine(t, parts)
+	if len(log) > 0 {
+		if err := e.AppendLog("Bid", log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
 }
 
 // collectStream drains every delta (delivered plus final) into one sequence.
@@ -391,8 +408,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 
 // TestSharedPlanDedup: subscriptions of one plan share one resident
 // pipeline whatever their rendering — observable via
-// LiveSessions/LiveSubscribers and the PipelineID/Subscribers stats — while
-// Exclusive gets its own pipeline.
+// LiveSessions/LiveSubscribers and the PipelineID/Subscribers stats.
 func TestSharedPlanDedup(t *testing.T) {
 	e := newBidEngine(t)
 	opts := core.SubscribeOptions{Buffer: 64}
@@ -416,31 +432,23 @@ func TestSharedPlanDedup(t *testing.T) {
 	if stA.Subscribers != 2 || stB.Subscribers != 2 {
 		t.Fatalf("Subscribers = %d/%d, want 2/2", stA.Subscribers, stB.Subscribers)
 	}
-	// A table reader of the same query joins the same pipeline; an explicit
-	// Exclusive gets its own.
+	// A table reader of the same query joins the same pipeline.
 	subTable, err := e.SubscribeTable(liveBidQuery, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subExcl, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64, Exclusive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.LiveSessions() != 2 || e.LiveSubscribers() != 4 {
-		t.Fatalf("sessions=%d subscribers=%d, want 2/4", e.LiveSessions(), e.LiveSubscribers())
+	if e.LiveSessions() != 1 || e.LiveSubscribers() != 3 {
+		t.Fatalf("sessions=%d subscribers=%d, want 1/3", e.LiveSessions(), e.LiveSubscribers())
 	}
 	if st := subTable.Stats(); st.PipelineID != stA.PipelineID || st.Subscribers != 3 {
 		t.Errorf("table reader: pipeline %d with %d subscribers, want the stream plan's %d with 3",
 			st.PipelineID, st.Subscribers, stA.PipelineID)
 	}
-	if st := subExcl.Stats(); st.PipelineID == stA.PipelineID || st.Subscribers != 1 {
-		t.Errorf("exclusive: pipeline %d with %d subscribers, want its own with 1", st.PipelineID, st.Subscribers)
-	}
 	// The departure of one sharer must not disturb the other; the
 	// pipeline dies with the last one.
 	subA.Cancel()
-	if e.LiveSessions() != 2 || e.LiveSubscribers() != 3 {
-		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 2/3",
+	if e.LiveSessions() != 1 || e.LiveSubscribers() != 2 {
+		t.Fatalf("sessions=%d subscribers=%d after one sharer canceled, want 1/2",
 			e.LiveSessions(), e.LiveSubscribers())
 	}
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
@@ -470,7 +478,6 @@ func TestSharedPlanDedup(t *testing.T) {
 	}
 	subB.Cancel()
 	subTable.Cancel()
-	subExcl.Cancel()
 	if e.LiveSessions() != 0 || e.LiveSubscribers() != 0 {
 		t.Fatalf("sessions=%d subscribers=%d after all cancels, want 0/0",
 			e.LiveSessions(), e.LiveSubscribers())
@@ -561,10 +568,11 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 // points of a randomly Feed-split ingest (the first from the start, the rest
 // late), in both renderings and under four spellings of the query —
 // verbatim, reflowed whitespace, lower-case keywords, another table alias.
-// Each is paired with a dedicated Exclusive subscription of the same text
-// and mode opened at the same instant. All shared readers must land on one
-// pipeline, and every reader's concatenated deltas — snapshot hand-off
-// included — must equal its dedicated twin's and a post-hoc QueryStream
+// Each is paired with a dedicated twin: a subscription of the same text and
+// mode, opened at the same instant on a second engine of its own that is fed
+// the same commits. All shared readers must land on one pipeline, and every
+// reader's concatenated deltas — snapshot hand-off included — must equal its
+// dedicated twin's and a post-hoc QueryStream
 // replay (a stream reader) or the fold of it (a table reader), on the
 // serial fan-out and on a sharded one. A final far-future watermark
 // completes all windows before closing, so close-time flushes are empty and
@@ -606,18 +614,27 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 * parts)))
 			attachAt := []int{0, len(g.Bids) / 3, 2 * len(g.Bids) / 3}
 			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
-			exclOpts := opts
-			exclOpts.Exclusive = true
 			type pair struct {
 				reader
 				shared, dedicated *live.Subscription
 			}
 			var pairs []pair
+			engines := []*core.Engine{e} // e and every twin's engine
+			appendLog := func(log tvr.Changelog) {
+				t.Helper()
+				for _, e := range engines {
+					if err := e.AppendLog("Bid", log); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			i, next := 0, 0
 			for i <= len(g.Bids) {
 				for next < len(attachAt) && attachAt[next] <= i {
 					for _, r := range readers {
-						pairs = append(pairs, pair{r, r.subscribe(t, e, opts), r.subscribe(t, e, exclOpts)})
+						twin := twinEngine(t, parts, g.Bids[:i])
+						engines = append(engines, twin)
+						pairs = append(pairs, pair{r, r.subscribe(t, e, opts), r.subscribe(t, twin, opts)})
 					}
 					next++
 				}
@@ -629,32 +646,16 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 				if end > len(g.Bids) {
 					end = len(g.Bids)
 				}
-				if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
-					t.Fatal(err)
-				}
+				appendLog(g.Bids[i:end])
 				i = end
 			}
-			if err := e.AppendLog("Bid", tvr.Changelog{finalWM}); err != nil {
-				t.Fatal(err)
-			}
-			// One resident pipeline serves all shared readers; each
-			// dedicated twin has its own.
-			k := len(pairs)
-			if e.LiveSessions() != 1+k || e.LiveSubscribers() != 2*k {
-				t.Fatalf("sessions=%d subscribers=%d, want %d/%d",
-					e.LiveSessions(), e.LiveSubscribers(), 1+k, 2*k)
-			}
-			sharedID := pairs[0].shared.Stats().PipelineID
-			for pi, p := range pairs {
-				if p.shared.Stats().PipelineID != sharedID {
-					t.Fatalf("pair %d shared pipeline id %d, want %d", pi, p.shared.Stats().PipelineID, sharedID)
-				}
-				if p.dedicated.Stats().PipelineID == sharedID {
-					t.Fatalf("pair %d dedicated subscription landed on the shared pipeline", pi)
-				}
+			appendLog(tvr.Changelog{finalWM})
+			// One resident pipeline serves all shared readers.
+			if k := len(pairs); e.LiveSessions() != 1 || e.LiveSubscribers() != k {
+				t.Fatalf("sessions=%d subscribers=%d, want 1/%d", e.LiveSessions(), e.LiveSubscribers(), k)
 			}
 			// Close shared cursors in attach order (only the last completes
-			// the pipeline) and every dedicated pipeline individually.
+			// the pipeline), and every twin.
 			for pi, p := range pairs {
 				got, twin := closeDeltas(t, p.shared), closeDeltas(t, p.dedicated)
 				if a, b := formatDeltas(p.shared.Schema(), got), formatDeltas(p.shared.Schema(), twin); fmt.Sprint(a) != fmt.Sprint(b) {
@@ -681,6 +682,143 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 				t.Fatalf("%d sessions left after closing every subscriber", e.LiveSessions())
 			}
 		})
+	}
+}
+
+// TestSharedPlanOverflowSuccessor: a late subscriber of a plan whose
+// resident session released its output at its retain cap gets a successor
+// session, built under its own options, on the serial fan-out and on a
+// sharded one. Each step is held to a second engine fed the same commits:
+// the successor's hand-off equals a subscription there, the predecessor's
+// cursor keeps receiving what the subscription there that was opened with it
+// receives, and table reads are served from the successor (no overflow
+// replay), also after the predecessor tears down with its last cursor. A
+// late subscriber whose own cap is too small still gets
+// live.ErrRetainedOverflow and leaves no pipeline behind.
+func TestSharedPlanOverflowSuccessor(t *testing.T) {
+	g := liveData(t)
+	last := g.Bids[len(g.Bids)-1]
+	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			e := core.NewEngine(append(shardOpts(parts), core.WithObs(reg))...)
+			t.Cleanup(e.Close)
+			if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+				t.Fatal(err)
+			}
+			twin := partsEngine(t, parts)
+			appendLog := func(log tvr.Changelog) {
+				t.Helper()
+				for _, e := range []*core.Engine{e, twin} {
+					if err := e.AppendLog("Bid", log); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const maxRows = 8
+			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+			capped := opts
+			capped.MaxRetainedRows = maxRows
+			subscribe := func(e *core.Engine, opts core.SubscribeOptions) *live.Subscription {
+				t.Helper()
+				sub, err := e.SubscribeStream(liveBidQuery, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sub
+			}
+			pred, twinPred := subscribe(e, capped), subscribe(twin, opts)
+			rng := rand.New(rand.NewSource(int64(parts)))
+			ingest := func(from, to int) {
+				for i := from; i < to; {
+					end := min(to, i+1+rng.Intn(8))
+					appendLog(g.Bids[i:end])
+					i = end
+				}
+			}
+			half := len(g.Bids) / 2
+			ingest(0, half)
+			e.Quiesce()
+			if st := pred.Stats(); st.RowsOut <= maxRows {
+				t.Fatalf("test needs more than %d output rows by mid-stream to overflow, got %d", maxRows, st.RowsOut)
+			}
+
+			if _, err := e.SubscribeStream(liveBidQuery, capped); !errors.Is(err, live.ErrRetainedOverflow) {
+				t.Fatalf("late subscribe under a cap the history overflows: err = %v, want ErrRetainedOverflow", err)
+			}
+			if n := e.LiveSessions(); n != 1 {
+				t.Fatalf("%d sessions after the refused subscribe, want 1", n)
+			}
+			succ, twinLate := subscribe(e, opts), subscribe(twin, opts)
+			if n := e.LiveSessions(); n != 2 || succ.Stats().PipelineID == pred.Stats().PipelineID {
+				t.Fatalf("%d sessions, pipelines %d and %d: want a successor beside the predecessor",
+					n, pred.Stats().PipelineID, succ.Stats().PipelineID)
+			}
+			format := func(rows []tvr.StreamRow) string { return tvr.FormatStreamTable(succ.Schema(), rows) }
+			if got, want := format(collectPending(succ)), format(collectPending(twinLate)); got != want || got == format(nil) {
+				t.Fatalf("successor hand-off differs from a subscription on a second engine:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+			}
+
+			ingest(half, len(g.Bids))
+			appendLog(tvr.Changelog{finalWM})
+			tableRead := func(when string) {
+				t.Helper()
+				served, overflowed := residentReads(reg), replayReads(reg, live.ReplayOverflow)
+				got, err := e.QueryTable(liveBidQuery, types.MaxTime)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := twin.QueryTable(liveBidQuery, types.MaxTime)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Format() != want.Format() {
+					t.Fatalf("%s: table read differs from the second engine's:\ngot:\n%s\nwant:\n%s", when, truncate(got.Format()), truncate(want.Format()))
+				}
+				if residentReads(reg)-served != 1 || replayReads(reg, live.ReplayOverflow) != overflowed {
+					t.Fatalf("%s: table read not served from the successor (resident %+d, overflow replays %+d)",
+						when, residentReads(reg)-served, replayReads(reg, live.ReplayOverflow)-overflowed)
+				}
+			}
+			tableRead("beside the predecessor")
+
+			closeRows := func(sub *live.Subscription) string {
+				t.Helper()
+				final, err := sub.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return format(collectStream(sub, final))
+			}
+			if got, want := closeRows(pred), closeRows(twinPred); got != want {
+				t.Fatalf("predecessor's cursor differs from the second engine's subscription:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+			}
+			if n := e.LiveSessions(); n != 1 {
+				t.Fatalf("%d sessions after the predecessor's last cursor closed, want the successor alone", n)
+			}
+			tableRead("after the predecessor tore down")
+			if got, want := closeRows(succ), closeRows(twinLate); got != want {
+				t.Fatalf("successor's live deltas differ from the second engine's:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+			}
+		})
+	}
+}
+
+// collectPending drains the stream deltas sub has buffered so far, without
+// waiting for more.
+func collectPending(sub *live.Subscription) []tvr.StreamRow {
+	var rows []tvr.StreamRow
+	for {
+		select {
+		case d, ok := <-sub.Deltas():
+			if !ok {
+				return rows
+			}
+			rows = append(rows, d.Stream...)
+		default:
+			return rows
+		}
 	}
 }
 
@@ -829,9 +967,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 		return types.Row{types.NewInt(1), types.NewInt(1), types.NewInt(price), types.NewTimestamp(et)}
 	}
 	e := newBidEngine(t)
-	// Exclusive on both sides: the point is the resident pipeline's clock,
-	// not the shared-attach snapshot path.
-	opts := core.SubscribeOptions{Buffer: 16, Exclusive: true}
+	opts := core.SubscribeOptions{Buffer: 16}
 	early, err := e.SubscribeStream(sql, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -842,8 +978,11 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	}
 	e.Heartbeat(sec(10))
 	// Late joiner: replays the bid (re-arming the 6s deadline) and must be
-	// caught up to the 10s heartbeat so that timer fires NOW.
-	late, err := e.SubscribeStream(sql, opts)
+	// caught up to the 10s heartbeat so that timer fires NOW. Its output
+	// column has another name, so it is another relation with a pipeline of
+	// its own: the point is a fresh pipeline's clock, not the shared-attach
+	// snapshot path.
+	late, err := e.SubscribeStream(strings.Replace(sql, "maxPrice", "topPrice", 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -868,7 +1007,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	gotEarly := collectStream(early, finalEarly)
 	gotLate := collectStream(late, finalLate)
 	earlyStr := tvr.FormatStreamTable(early.Schema(), gotEarly)
-	lateStr := tvr.FormatStreamTable(late.Schema(), gotLate)
+	lateStr := tvr.FormatStreamTable(early.Schema(), gotLate)
 	if earlyStr != lateStr {
 		t.Fatalf("late joiner's deltas differ from an early subscriber's (stale processing-time clock):\nearly:\n%s\nlate:\n%s",
 			earlyStr, lateStr)

@@ -148,8 +148,9 @@ func (r reader) subscribe(t *testing.T, e *core.Engine, opts core.SubscribeOptio
 // checkReconnects attaches every reader to the restored engine e and checks
 // that none compiled a pipeline (LiveSessions unchanged), then continues the
 // changelog and requires each reader's deltas — the snapshot hand-off and
-// every later one — to equal those of an Exclusive twin opened at the same
-// instant.
+// every later one — to equal those of a dedicated twin: the same reader,
+// opened at the same instant on a second engine of its own that holds e's
+// Bid changelog.
 func checkReconnects(t *testing.T, e *core.Engine, readers []reader) {
 	t.Helper()
 	opts := core.SubscribeOptions{Buffer: 64}
@@ -161,14 +162,24 @@ func checkReconnects(t *testing.T, e *core.Engine, readers []reader) {
 	if n := e.LiveSessions(); n != sessions {
 		t.Fatalf("%d sessions after reconnecting, want %d: a reconnect compiled a pipeline instead of attaching to the restored one", n, sessions)
 	}
-	excl := opts
-	excl.Exclusive = true
+	log, err := e.Log("Bid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []*core.Engine{e}
 	twins := make([]*live.Subscription, len(readers))
 	for i, r := range readers {
-		twins[i] = r.subscribe(t, e, excl)
+		twin := newBidEngine(t)
+		if err := twin.AppendLog("Bid", log); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, twin)
+		twins[i] = r.subscribe(t, twin, opts)
 	}
-	if err := e.AppendLog("Bid", fixtureMoreBids()); err != nil {
-		t.Fatal(err)
+	for _, e := range engines {
+		if err := e.AppendLog("Bid", fixtureMoreBids()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, r := range readers {
 		got, want := deltaLines(t, shared[i]), deltaLines(t, twins[i])

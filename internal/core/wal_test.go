@@ -64,8 +64,9 @@ func recoverEngine(t *testing.T, ckptPath, walDir string, opts ...core.Option) (
 // random split point, crash without any further snapshot, recover from
 // snapshot + WAL tail, and require (a) everything ingested after the
 // snapshot to survive — nothing is rewound — and (b) a late attacher to the
-// recovered resident pipeline to be byte-identical to a dedicated twin and
-// to the uninterrupted replay, on the serial fan-out and on a sharded one.
+// recovered resident pipeline to be byte-identical to a dedicated twin on a
+// second engine fed the recovered changelog and to the uninterrupted
+// replay, on the serial fan-out and on a sharded one.
 // Odd split indexes truncate the log after the snapshot; even ones crash
 // between snapshot and truncation, so recovery must skip the already-covered
 // records by sequence number.
@@ -90,8 +91,6 @@ func TestWALRecoveryLive(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(11 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
 			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
-			exclOpts := opts
-			exclOpts.Exclusive = true
 			for si, split := range splits {
 				dataDir := t.TempDir()
 				walDir := filepath.Join(dataDir, "wal")
@@ -173,7 +172,7 @@ func TestWALRecoveryLive(t *testing.T) {
 				if got := r.LiveSessions(); got != 1 {
 					t.Fatalf("split=%d: late attach created a session (%d live), want to share the recovered one", split, got)
 				}
-				twin, err := r.SubscribeStream(liveBidQuery, exclOpts)
+				twin, err := twinEngine(t, parts, log).SubscribeStream(liveBidQuery, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,7 +10,7 @@ import (
 )
 
 // Durable checkpoint/restore of the resident sessions. The contract —
-// what a snapshot holds, why exclusive sessions are skipped, how restore
+// what a snapshot holds, why a superseded session is skipped, how restore
 // re-derives keys and reads the legacy layout — is in the package
 // documentation, "Checkpoint and restore".
 
@@ -39,7 +39,7 @@ func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Varint(s.eventsIn.Load())
 	enc.Time(types.Time(s.wm.Load()))
 	enc.Bool(s.produced)
-	enc.Bool(s.noRetain)
+	enc.Bool(false) // a retired flag; the slot keeps the record's layout
 	enc.Bool(s.overflowed)
 	if err := exec.SaveDriver(enc, s.driver); err != nil {
 		return err
@@ -81,7 +81,7 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	eventsIn := dec.Varint()
 	wm := dec.Time()
 	produced := dec.Bool()
-	noRetain := dec.Bool()
+	_ = dec.Bool() // the retired slot
 	overflowed := dec.Bool()
 	if err := dec.Err(); err != nil {
 		return err
@@ -107,26 +107,24 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	if err := dec.Err(); err != nil || m.plans[q.Key] != nil {
 		return err
 	}
-	var id int
 	if table {
 		if s, err = q.Create(); err != nil {
 			return err
 		}
-		if id, err = m.registerLocked(s, q.History); err != nil {
+		if _, err = m.registerLocked(s, q.History); err != nil {
 			s.cancel()
 			return err
 		}
 	} else {
-		s.produced, s.noRetain, s.overflowed = produced, noRetain, overflowed
+		s.produced, s.overflowed = produced, overflowed
 		s.wm.Store(int64(wm))
 		s.eventsIn.Store(eventsIn)
 		s.outOfOrder.Store(!d.FedInMergeOrder())
-		s.setObs(m.obsm) // restored pipelines count like registered ones
-		id = m.nextID
+		s.setObs(m.obsm)             // restored pipelines count like registered ones
+		m.installLocked(m.nextID, s) // routing table + shard placement
 		m.nextID++
-		m.installLocked(id, s) // routing table + shard placement
 	}
-	m.shareLocked(q.Key, id, s)
+	m.shareLocked(q.Key, s)
 	return nil
 }
 
@@ -144,10 +142,10 @@ func skipTableAcc(dec *checkpoint.Decoder) {
 	}
 }
 
-// CheckpointAll writes the manager's routing clock and every shareable open
-// session under the ordering lock. The extra callback (the owning engine's
-// catalog snapshot) runs first under the same lock, so catalog and pipeline
-// state describe the same commit point. Every open session's locks are taken
+// CheckpointAll writes the manager's routing clock and every open session
+// that holds its plan key under the ordering lock. The extra callback (the
+// owning engine's catalog snapshot) runs first under the same lock, so
+// catalog and pipeline state describe the same commit point. Every open session's locks are taken
 // before any bytes are written, so a session cannot close or deliver halfway
 // through the snapshot.
 func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.Encoder) error) error {
@@ -175,10 +173,10 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 		}
 	}()
 	for _, id := range m.order {
-		if _, shared := m.keys[id]; !shared {
-			continue // exclusive/dedicated sessions die with their subscriber
-		}
 		s := m.subs[id]
+		if m.plans[s.key] != s {
+			continue // a superseded session dies with its last cursor
+		}
 		s.ingestMu.Lock()
 		s.mu.Lock()
 		held = append(held, s)

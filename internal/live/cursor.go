@@ -11,7 +11,7 @@ import (
 // bounded delta channel, slow-consumer policy, rendering mode, and counters.
 // The session fans every rendered delta out to all attached cursors in
 // attach order, each in its cursor's mode, so a cursor's delta sequence is
-// exactly what a dedicated session would have delivered — sharing changes
+// exactly what a session of its own would have delivered — sharing changes
 // ownership, not bytes.
 type cursor struct {
 	s      *Session

@@ -33,8 +33,8 @@
 // AFTER WATERMARK, the AFTER DELAY duration and the emit-key columns. Stream
 // and table readers of a query, and its spellings (whitespace, keyword case,
 // table aliases), therefore share one pipeline; EMIT STREAM, ORDER BY and
-// LIMIT are presentation and stay out of the key. An empty key makes a
-// dedicated session that retains no output (core's Exclusive option).
+// LIMIT are presentation and stay out of the key. Every session is keyed and
+// retains its output; there is no other kind.
 //
 // The mode belongs to the cursor (CursorOpts.Mode). The session retains one
 // output changelog, from which both renderings derive: every delivery
@@ -44,29 +44,41 @@
 // the pipeline has produced output first receives a snapshot hand-off: the
 // stream rendering re-rendered from the retained log, so it starts at the
 // current version numbers, or the log consolidated into one diff. Either is
-// byte-identical to what a dedicated subscription opened at the same instant
-// would deliver. Attach runs under the manager's ordering lock, so no commit
-// slips between the snapshot and live routing. The session tears down when
+// byte-identical to what a fresh pipeline, replaying the recorded history at
+// the same instant, would deliver. Attach runs under the manager's ordering
+// lock, so no commit slips between the snapshot and live routing. The session tears down when
 // its last cursor departs; that cursor's Close completes the pipeline and
 // receives the close-time output in its own mode.
 //
 // The retained log is the cost of one pipeline per relation: a session only
 // table readers use keeps its changelog too, not one entry per distinct row.
-// Config.MaxRetainedRows caps it in changelog rows; past the cap the log is
-// released and later attaches fail with ErrRetainedOverflow, existing
-// cursors unaffected. The subscription that creates the session fixes it.
+// Config.MaxRetainedRows caps it in changelog rows; the subscription that
+// creates the session fixes it. Past the cap the log is released, existing
+// cursors unaffected, and the session can no longer hand a snapshot to a new
+// cursor. A released session is then treated like a closed one: the next
+// Subscribe under its key builds a successor through the ordinary create
+// path, under the new subscriber's own options (history replay, clock
+// catch-up, then its cursor). The successor takes the plan key, so later
+// attaches and resident reads find it. The predecessor keeps serving the
+// cursors it already has and tears down with the last one; its teardown
+// leaves the successor's key alone. A subscriber sees ErrRetainedOverflow
+// only when its own cap cannot hold the output of the recorded history, and
+// then no session is left behind.
 //
 // # Checkpoint and restore
 //
-// Manager.CheckpointAll writes every shareable open session (driver state,
-// stream-renderer counters, retained log) under the ordering lock, after the
-// engine's catalog, so both describe one commit point. Exclusive sessions are
-// skipped: their one subscriber dies with the process. Sessions are written
-// with neither key nor mode. RestoreAll re-plans each one's SQL against the
-// restored catalog (RestoreQuery), re-derives its key, and registers it with
-// zero cursors, so a reconnecting reader of either mode attaches and gets
-// the hand-off. It also reads the layout written while sessions had a mode
-// and were keyed by SQL text. A legacy stream session loads as above. A
+// Manager.CheckpointAll writes every open session that holds its plan key
+// (driver state, stream-renderer counters, retained log) under the ordering
+// lock, after the engine's catalog, so both describe one commit point. A
+// predecessor superseded by a successor is skipped: its cursors die with the
+// process, and a reconnect attaches to the restored successor. Sessions are
+// written with neither key nor mode. The session record keeps a retired flag
+// slot, always written false and ignored on restore, so the layout is
+// unchanged. RestoreAll re-plans each one's SQL against the restored catalog
+// (RestoreQuery), re-derives its key, and registers it with zero cursors,
+// so a reconnecting reader of either mode attaches and gets the hand-off. It
+// also reads the layout written while sessions had a mode and were keyed by
+// SQL text. A legacy stream session loads as above. A
 // legacy table session kept only distinct rows, no log a stream reader could
 // be handed, so its state is decoded and dropped, and the session is rebuilt
 // from the recorded history and caught up to the last heartbeat, as
@@ -125,8 +137,8 @@
 // each read applies its own ORDER BY and LIMIT to its copy
 // (exec.PresentRows), so readers of one plan that present it differently
 // share the fold. Only table reads touch it: no commit, delivery or stream
-// read extends it, and it goes when the retained output does (overflow,
-// DropRetainedOutput) and at close.
+// read extends it, and it goes when the retained output does (overflow) and
+// at close.
 //
 // The cut is exact. The session is fed in (ptime, scan rank) merge order,
 // and every operator stamps an output event with the ptime of the input
@@ -146,7 +158,7 @@
 //     completes, and a delay timer fires, only at Close or on a heartbeat).
 //     Reason not_inert;
 //   - a session is resident under the read's plan key, whatever its
-//     readers' modes; exclusive sessions never answer. Reason no_session;
+//     readers' modes. Reason no_session;
 //   - the session is open. Reason closed;
 //   - its driver has only ever been fed in merge order
 //     (exec.Driver.FedInMergeOrder). The session mirrors that bit into an
@@ -154,8 +166,9 @@
 //     read never sees output of an out-of-order feed. The bit is not
 //     checkpointed: a restored session counts as out of order. Reason
 //     out_of_order;
-//   - the session still retains its output, so neither DropRetainedOutput
-//     nor a MaxRetainedRows overflow released it. Reason overflow.
+//   - the session still retains its output: no MaxRetainedRows overflow
+//     released it. Once a later subscriber's successor takes the key, reads
+//     go to the successor instead. Reason overflow.
 //
 // The commit point is the engine's Quiesce, the same barrier a replaying
 // read passes: every commit acknowledged before the read began has been

@@ -61,13 +61,14 @@ var ErrSlowConsumer = errors.New("live: subscription dropped: consumer too slow"
 // ErrClosed reports an operation on a canceled or closed subscription.
 var ErrClosed = errors.New("live: subscription closed")
 
-// ErrRetainedOverflow reports a late attach to a shared session whose
-// retained output exceeded its Config.MaxRetainedRows cap: the retention was
-// released to bound memory, so the session can no longer synthesize the
-// snapshot hand-off a late subscriber needs. Existing cursors are unaffected;
-// the caller can open a dedicated (Exclusive) subscription instead, which
-// replays recorded history rather than the retained log.
-var ErrRetainedOverflow = errors.New("live: retained output exceeded the configured cap; late attach unavailable")
+// ErrRetainedOverflow reports that a session's retained output exceeded its
+// Config.MaxRetainedRows cap and was released to bound memory, so the session
+// can no longer synthesize the snapshot hand-off a new cursor needs. Existing
+// cursors are unaffected. Manager.Subscribe answers a late subscriber of such
+// a session with a successor, so a subscriber sees this error only when its
+// own cap cannot hold the output of the recorded history; retain 0
+// (unbounded) always can.
+var ErrRetainedOverflow = errors.New("live: retained output exceeded the configured cap")
 
 // Delta is one incremental result delivery. Exactly one of Stream and Table
 // is populated, matching the subscription's Mode.
@@ -166,7 +167,7 @@ type Stats struct {
 	// a plan report the same id.
 	PipelineID int
 	// Subscribers is the number of cursors currently attached to the
-	// resident pipeline (1 for an unshared subscription).
+	// resident pipeline.
 	Subscribers int
 	// Shard is the resident pipeline's shard index under the sharded
 	// ingest subsystem, or -1 under the serial fan-out.

@@ -8,6 +8,7 @@ package live_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -747,7 +748,7 @@ func TestManagerRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -824,7 +825,7 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -873,7 +874,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub1, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return s1, nil }, nil)
+	sub1, err := m.Subscribe(fmt.Sprintf("%p", s1), live.CursorOpts{}, func() (*live.Session, error) { return s1, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -889,7 +890,7 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return s2, nil }, func() ([]exec.Source, error) { return nil, nil })
+	sub2, err := m.Subscribe(fmt.Sprintf("%p", s2), live.CursorOpts{}, func() (*live.Session, error) { return s2, nil }, func() ([]exec.Source, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -913,7 +914,7 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("history snapshot failed")
-	if _, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil }, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := m.Subscribe(fmt.Sprintf("%p", sess), live.CursorOpts{}, func() (*live.Session, error) { return sess, nil }, func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Subscribe error = %v, want %v", err, boom)
 	}
 	if !d.closed {
@@ -938,7 +939,7 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 1, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 1, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -973,7 +974,7 @@ func TestConcurrentIngestAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 2, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 2, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

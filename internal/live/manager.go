@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +23,6 @@ type Manager struct {
 	subs   map[int]*Session
 	order  []int               // registration ids, ascending — the fan-out order
 	plans  map[string]*Session // shared-plan table: plan key -> resident session
-	keys   map[int]string      // registration id -> plan key (for cleanup)
 
 	// seq is the global commit sequencer. Its sequence counter and
 	// last-heartbeat clock advance only inside the m.mu commit critical
@@ -69,7 +67,6 @@ func NewManagerWith(o Options) *Manager {
 	m := &Manager{
 		subs:  make(map[int]*Session),
 		plans: make(map[string]*Session),
-		keys:  make(map[int]string),
 		seq:   shard.NewSequencer(),
 	}
 	if o.Shards > 0 {
@@ -106,44 +103,28 @@ func (q Query) Create() (*Session, error) {
 	return NewSession(d, q.Config)
 }
 
-// Subscribe is the shared-plan entry point. When key is non-empty and a
-// resident session for it exists, the new subscriber attaches to it as an
-// extra cursor, in whichever mode opts asks for — no second pipeline is
-// compiled or fed. Otherwise create builds a fresh session, which is
-// registered (history replay plus processing-time catch-up, all under the
-// ordering lock so no concurrently published change can slip into the gap)
-// and recorded under key. An empty key always creates a dedicated session.
-// Any failure on the create path cancels the session so a started driver
-// can never leak.
+// Subscribe is the shared-plan entry point. When the session resident under
+// key can take a late subscriber, the new cursor attaches to it, in
+// whichever mode opts asks for: no second pipeline is compiled or fed.
+// Otherwise create builds a fresh session, which is registered (history
+// replay plus processing-time catch-up, all under the ordering lock so no
+// concurrently published change can slip into the gap) and takes the key.
+// A resident session that cannot take the cursor has closed, or has released
+// its retained output at its cap; the fresh session is its successor, built
+// under this subscriber's options. The predecessor keeps serving the cursors
+// it has and tears down with the last one. Any failure on the create path
+// cancels the session so a started driver can never leak.
 func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session, error), history func() ([]exec.Source, error)) (*Subscription, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if key != "" {
-		if sess := m.plans[key]; sess != nil {
-			// Attach barrier: the snapshot hand-off must reflect every
-			// commit acknowledged so far, so drain the session's shard to
-			// the current sequence point first. New commits cannot slip
-			// in — we hold the ordering lock.
-			m.drainSessionLocked(sess)
-			sub, err := sess.Attach(opts)
-			if err == nil {
-				return sub, nil
-			}
-			if errors.Is(err, ErrRetainedOverflow) {
-				// The resident session is alive but shed its retained
-				// output at the configured cap, so it cannot hand a
-				// late subscriber the snapshot. Surfacing the error
-				// (rather than silently compiling a shadow pipeline
-				// for the same plan) keeps both memory and pipeline
-				// count bounded; the caller can subscribe Exclusive,
-				// which replays recorded history instead.
-				return nil, err
-			}
-			// The resident session died concurrently (its last cursor
-			// departed between our lookup and the attach); fall
-			// through and build a replacement.
-			delete(m.plans, key)
-			m.refreshLocked()
+	if sess := m.plans[key]; sess != nil {
+		// Attach barrier: the snapshot hand-off must reflect every
+		// commit acknowledged so far, so drain the session's shard to
+		// the current sequence point first. New commits cannot slip
+		// in — we hold the ordering lock.
+		m.drainSessionLocked(sess)
+		if sub, err := sess.Attach(opts); err == nil {
+			return sub, nil
 		}
 	}
 	sess, err := create()
@@ -162,14 +143,7 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 		sess.cancel()
 		return nil, err
 	}
-	if key != "" {
-		m.shareLocked(key, id, sess)
-	} else {
-		// A dedicated session can never see a late attach, so retaining
-		// its output changelog for snapshot hand-off would be dead
-		// weight; its only subscriber already got the history delta.
-		sess.DropRetainedOutput()
-	}
+	m.shareLocked(key, sess)
 	return sub, nil
 }
 
@@ -205,11 +179,12 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 	return id, nil
 }
 
-// shareLocked records the registered session id under plan key, where
-// Subscribe attaches to it and ResidentOutput and ResidentTable find it.
-func (m *Manager) shareLocked(key string, id int, sess *Session) {
+// shareLocked records the registered session under plan key, where
+// Subscribe attaches to it and ResidentOutput and ResidentTable find it. A
+// predecessor under the same key loses it.
+func (m *Manager) shareLocked(key string, sess *Session) {
+	sess.key = key
 	m.plans[key] = sess
-	m.keys[id] = key
 	m.refreshLocked()
 }
 
@@ -256,14 +231,11 @@ func (m *Manager) removeLocked(id int) {
 			break
 		}
 	}
-	if key, ok := m.keys[id]; ok {
-		delete(m.keys, id)
-		// Only drop the shared-plan entry while it still points at this
-		// session: a dying session's deferred teardown must not clobber
-		// the replacement that Subscribe installed under the same key.
-		if m.plans[key] == sess {
-			delete(m.plans, key)
-		}
+	// Only drop the shared-plan entry while it still points at this
+	// session: a predecessor's teardown must not clobber the successor
+	// that Subscribe installed under the same key.
+	if m.plans[sess.key] == sess {
+		delete(m.plans, sess.key)
 	}
 	m.refreshLocked()
 }

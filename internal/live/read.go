@@ -36,7 +36,7 @@ func (s *Session) retained(table bool) (log tvr.Changelog, fold *tableFold, repl
 		return nil, nil, ReplayClosed
 	case s.outOfOrder.Load():
 		return nil, nil, ReplayOutOfOrder
-	case s.noRetain || s.overflowed:
+	case s.overflowed:
 		return nil, nil, ReplayOverflow
 	}
 	if table && s.fold == nil {

@@ -39,8 +39,8 @@ func (d *inOrderDriver) DispatchStats() (int64, int64) { return 0, 0 }
 func (d *inOrderDriver) FedInMergeOrder() bool         { return true }
 
 // TestTableFoldReleasedWithRetainedOutput: the fold a table read builds goes
-// when the retained output does — on overflow, on DropRetainedOutput and at
-// close — and later reads replay instead of reading it.
+// when the retained output does — on overflow and at close — and later
+// reads replay instead of reading it.
 func TestTableFoldReleasedWithRetainedOutput(t *testing.T) {
 	feed := func(s *Session, vs ...int64) {
 		t.Helper()
@@ -58,7 +58,6 @@ func TestTableFoldReleasedWithRetainedOutput(t *testing.T) {
 		replay  string
 	}{
 		{"overflow", func(s *Session) { feed(s, 3, 4) }, ReplayOverflow},
-		{"drop", (*Session).DropRetainedOutput, ReplayOverflow},
 		{"close", func(s *Session) { s.cancel() }, ReplayClosed},
 	} {
 		s, err := NewSession(&inOrderDriver{}, Config{Name: c.name, Sources: []string{"r"}, MaxRetainedRows: 3})

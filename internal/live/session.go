@@ -29,9 +29,9 @@ type Config struct {
 	// MaxRetainedRows bounds the late-attach retention: the output-changelog
 	// rows the session keeps so late subscribers of either mode can receive
 	// a snapshot hand-off. 0 means unbounded. On overflow the retained log
-	// is released — memory stays bounded — and subsequent Attach calls
-	// fail with ErrRetainedOverflow instead of handing off an incomplete
-	// snapshot.
+	// is released — memory stays bounded — and Attach fails with
+	// ErrRetainedOverflow instead of handing off an incomplete snapshot;
+	// Manager.Subscribe then builds a successor session.
 	MaxRetainedRows int
 }
 
@@ -57,6 +57,7 @@ type Session struct {
 	driver   exec.Driver
 	renderer *tvr.StreamRenderer
 	sources  map[string]bool
+	key      string // plan key, set by the manager when the session takes it
 
 	// ingestMu serializes driver access and keeps deliveries in order.
 	ingestMu sync.Mutex
@@ -70,10 +71,8 @@ type Session struct {
 	// The late-attach snapshot state: the cumulative output changelog,
 	// from which both hand-offs derive (the stream rendering needs every
 	// row's version history; same retention posture as the engine's
-	// recorded relation changelogs). Dropped on sessions that can never
-	// see a late attach (see DropRetainedOutput).
+	// recorded relation changelogs).
 	outLog     tvr.Changelog
-	noRetain   bool
 	overflowed bool // retention exceeded cfg.MaxRetainedRows and was released
 	// fold is the table rendering of a prefix of outLog that table reads
 	// extend (see retainedTable); no delivery touches it. Nil until the
@@ -199,29 +198,6 @@ func (s *Session) terminalErr() error {
 // Subscribers reports the number of attached cursors. Lock-free.
 func (s *Session) Subscribers() int { return int(s.nsubs.Load()) }
 
-// DropRetainedOutput releases the cumulative output changelog and stops
-// retaining future output. The manager calls it on sessions that can never
-// see a late attach (exclusive subscriptions), where the retention would be
-// dead weight; afterwards Attach refuses rather than hand off an incomplete
-// snapshot.
-func (s *Session) DropRetainedOutput() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noRetain = true
-	s.outLog = nil
-	s.fold = nil
-}
-
-// releaseRetainedLocked drops the late-attach retention after it outgrew the
-// configured cap: memory stays bounded by the cap, and Attach degrades to
-// ErrRetainedOverflow instead of handing off an incomplete snapshot.
-// Existing cursors are untouched — their deltas were already delivered.
-func (s *Session) releaseRetainedLocked() {
-	s.overflowed = true
-	s.outLog = nil
-	s.fold = nil
-}
-
 // Attach adds a subscriber cursor in opts.Mode and returns its
 // consumer-facing handle. When the pipeline has already produced output, the
 // cursor's first delta is a snapshot hand-off synthesized from the retained
@@ -229,8 +205,8 @@ func (s *Session) releaseRetainedLocked() {
 // the current snapshot, for a stream cursor the full stream rendering
 // (re-rendered from the log, so its version numbers match the ones already
 // delivered to earlier subscribers and new rows continue from the current
-// counters). That is byte-identical to the history-replay delta a dedicated
-// subscription opened at the same instant would receive. The caller must
+// counters). That is byte-identical to the history-replay delta a fresh
+// pipeline opened at the same instant would deliver. The caller must
 // guarantee no publish runs concurrently (the manager attaches under its
 // ordering lock).
 func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
@@ -244,9 +220,6 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	}
 	if s.overflowed {
 		return nil, fmt.Errorf("live: session %q: %w", s.cfg.Name, ErrRetainedOverflow)
-	}
-	if s.noRetain {
-		return nil, fmt.Errorf("live: session %q does not retain output for late attach", s.cfg.Name)
 	}
 	c := &cursor{
 		s:      s,
@@ -267,7 +240,7 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 
 // snapshotDeltaLocked synthesizes a mode cursor's late-attach initial delta
 // from the retained output: exactly what replaying the full history through
-// a dedicated pipeline would have delivered as its first delta. Nil when the
+// a fresh pipeline would have delivered as its first delta. Nil when the
 // pipeline has produced no output yet.
 func (s *Session) snapshotDeltaLocked(mode Mode) *Delta {
 	if !s.produced {
@@ -450,10 +423,14 @@ func (s *Session) renderLocked() *Delta {
 		return nil
 	}
 	s.produced = true
-	if !s.noRetain && !s.overflowed {
+	if !s.overflowed {
 		s.outLog = append(s.outLog, out...)
 		if s.cfg.MaxRetainedRows > 0 && len(s.outLog) > s.cfg.MaxRetainedRows {
-			s.releaseRetainedLocked()
+			// Past the cap the retention is released, so memory stays
+			// bounded by it; existing cursors already have their deltas.
+			s.overflowed = true
+			s.outLog = nil
+			s.fold = nil
 		}
 	}
 	d := Delta{Watermark: wm, Stream: s.renderer.Append(out)}

@@ -60,7 +60,7 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sub, err := m.Subscribe("", live.CursorOpts{Buffer: 4096}, func() (*live.Session, error) { return s, nil }, nil)
+					sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 4096}, func() (*live.Session, error) { return s, nil }, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,7 +179,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe("", live.CursorOpts{Buffer: 64, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestCrossShardFairness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe("", live.CursorOpts{Buffer: buffer, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: buffer, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe("", live.CursorOpts{Buffer: 1, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 1, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,27 +173,27 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Exclusive: closing the table reader at mid must complete a
-			// pipeline of its own, while a shared one would live on for the
-			// stream reader.
-			tableOpts := subOpts
-			tableOpts.Exclusive = true
-			table, err := e.SubscribeTable(q.SQL, tableOpts)
+			// The table reader runs on a second engine, fed the same
+			// commits up to mid: closing it there must complete a pipeline
+			// of its own, while the stream reader's lives on.
+			tableEngine := shardedEngine(t, opts)
+			table, err := tableEngine.SubscribeTable(q.SQL, subOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stream.Stats().PipelineID == table.Stats().PipelineID {
-				t.Fatal("stream and table subscriptions share a pipeline")
-			}
-			rng := rand.New(rand.NewSource(int64(q.ID) + 100))
+			seed := int64(q.ID) + 100
+			rng := rand.New(rand.NewSource(seed))
 			half := sort.Search(len(evs), func(i int) bool { return evs[i].ev.Ptime > mid })
 			ingest(t, e, rng, evs[:half])
+			ingest(t, tableEngine, rand.New(rand.NewSource(seed)), evs[:half])
 
 			// The table rendering at mid: advance the clock to the horizon
 			// and complete the table pipeline, exactly as a one-shot
 			// QueryTable(mid) does.
-			if err := e.Heartbeat(mid); err != nil {
-				t.Fatal(err)
+			for _, e := range []*core.Engine{e, tableEngine} {
+				if err := e.Heartbeat(mid); err != nil {
+					t.Fatal(err)
+				}
 			}
 			final, err := table.Close()
 			if err != nil {

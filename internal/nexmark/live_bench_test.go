@@ -111,14 +111,11 @@ func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode) bench.LiveRes
 }
 
 // measureLiveFanout is the K-subscriber serving scenario: K standing
-// subscriptions to the same SQL, either sharing one resident pipeline
-// (shared=true, the plan-cache path) or each on a dedicated pipeline
-// (shared=false, Exclusive). The bid changelog is ingested once; Deltas,
-// Rows, and latency samples aggregate across all K subscribers, so the
-// record directly compares fan-out cost: the shared configuration evaluates
-// each change once and hands it to K cursors, the unshared one evaluates it
-// K times.
-func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int, shared bool) bench.LiveResult {
+// subscriptions to the same SQL, sharing one resident pipeline that
+// evaluates each change once and hands it to K cursors. The bid changelog is
+// ingested once; Deltas, Rows, and latency samples aggregate across all K
+// subscribers.
+func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int) bench.LiveResult {
 	t.Helper()
 	e := core.NewEngine()
 	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
@@ -127,19 +124,13 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int, shared bool) ben
 	subs := make([]*live.Subscription, k)
 	for i := range subs {
 		var err error
-		subs[i], err = e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{
-			Buffer: len(bids) + 16, Exclusive: !shared,
-		})
+		subs[i], err = e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: len(bids) + 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantSessions := 1
-	if !shared {
-		wantSessions = k
-	}
-	if got := e.LiveSessions(); got != wantSessions {
-		t.Fatalf("%d resident pipelines for shared=%v, want %d", got, shared, wantSessions)
+	if got := e.LiveSessions(); got != 1 {
+		t.Fatalf("%d resident pipelines for %d subscribers of one query, want 1", got, k)
 	}
 	var latencies []int64
 	drainAll := func(since time.Time) {
@@ -172,7 +163,7 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int, shared bool) ben
 		Query:       "Per-auction windowed max, K-subscriber fan-out",
 		Mode:        live.Stream.String(),
 		Subscribers: k,
-		Shared:      shared,
+		Shared:      true,
 		Events:      len(bids),
 		IngestNs:    ingestNs,
 	}
@@ -292,24 +283,25 @@ func TestLiveBench(t *testing.T) {
 			float64(res.Events)/(float64(res.IngestNs)/1e9),
 			time.Duration(res.LatencyP50Ns), time.Duration(res.LatencyP99Ns))
 	}
+	var single bench.LiveResult // the stream subscription, on an engine of its own
 	for _, mode := range []live.Mode{live.Stream, live.Table} {
 		res := measureLive(t, g.Bids, mode)
 		rec.Add(res)
 		logRes(res)
+		if mode == live.Stream {
+			single = res
+		}
 	}
-	// K-subscriber fan-out: one shared resident pipeline vs. K dedicated
-	// pipelines for the same SQL. Shared must sustain at least the
-	// unshared ingest throughput (it does strictly less evaluation work).
+	// K-subscriber fan-out: K subscribers of one query share one resident
+	// pipeline, and each must receive what the lone stream subscription
+	// above received on its own engine.
 	const fanout = 4
-	sharedRes := measureLiveFanout(t, g.Bids, fanout, true)
+	sharedRes := measureLiveFanout(t, g.Bids, fanout)
 	rec.Add(sharedRes)
 	logRes(sharedRes)
-	unsharedRes := measureLiveFanout(t, g.Bids, fanout, false)
-	rec.Add(unsharedRes)
-	logRes(unsharedRes)
-	if sharedRes.Deltas != unsharedRes.Deltas || sharedRes.Rows != unsharedRes.Rows {
-		t.Errorf("shared fan-out delivered %d deltas/%d rows, unshared %d/%d — outputs must match",
-			sharedRes.Deltas, sharedRes.Rows, unsharedRes.Deltas, unsharedRes.Rows)
+	if sharedRes.Deltas != fanout*single.Deltas || sharedRes.Rows != fanout*single.Rows {
+		t.Errorf("shared fan-out delivered %d deltas/%d rows to %d subscribers; one dedicated subscription got %d/%d each — outputs must match",
+			sharedRes.Deltas, sharedRes.Rows, fanout, single.Deltas, single.Rows)
 	}
 	// Multi-query scaling: 8 disjoint standing queries fed by one ingest,
 	// serial fan-out vs. 8 shard workers, at 1 and 4 procs. Every

@@ -15,6 +15,7 @@ package nexmark
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -101,14 +102,20 @@ func measureRecovery(t *testing.T, g *Generated, runs int) bench.RecoveryResult 
 	if err := replayEngine.AppendLog("Bid", g.Bids); err != nil {
 		t.Fatal(err)
 	}
+	// Each run compiles a fresh pipeline: the previous run's Cancel closed
+	// its only cursor, so no session is resident for the new one to join.
+	prevID := -1
 	replayNs, err := bench.MedianNs(runs, func() error {
-		s, err := replayEngine.SubscribeStream(liveBenchSQL, core.SubscribeOptions{
-			Buffer: 16, Exclusive: true, // dedicated pipeline per run
-		})
+		s, err := replayEngine.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: 16})
 		if err != nil {
 			return err
 		}
+		id := s.Stats().PipelineID
 		s.Cancel()
+		if id == prevID || replayEngine.LiveSessions() != 0 {
+			return fmt.Errorf("replay run reused pipeline %d (%d left resident), want a fresh one", id, replayEngine.LiveSessions())
+		}
+		prevID = id
 		return nil
 	})
 	if err != nil {

@@ -29,9 +29,27 @@ func Parse(sql string) (*Query, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // nesting levels entered (see enter)
 }
+
+// maxDepth bounds how deeply a query nests: parenthesised expressions,
+// subqueries, table functions, and NOT and unary minus chains. The parser
+// recurses once per level, and a goroutine that outgrows its stack dies with
+// a fatal error that recover cannot catch, so a deeper query is refused.
+const maxDepth = 1000
+
+// enter opens one nesting level, refusing the query at the token that would
+// open level maxDepth+1; leave closes it.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxDepth {
+		return p.errf("query nests more than %d levels deep", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
 func (p *parser) peek2() Token {
@@ -187,6 +205,10 @@ func (p *parser) parseEmit() (*EmitClause, error) {
 
 // parseQueryBody parses SELECT ... [UNION [ALL] SELECT ...]*, left-assoc.
 func (p *parser) parseQueryBody() (QueryBody, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseSelectOrParen()
 	if err != nil {
 		return nil, err
@@ -321,6 +343,10 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 
 // parseTableExpr parses one FROM element, including chained explicit JOINs.
 func (p *parser) parseTableExpr() (TableExpr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parsePrimaryTable()
 	if err != nil {
 		return nil, err
@@ -525,7 +551,13 @@ func (p *parser) parseTVFArgValue() (TVFArgValue, error) {
 
 // ---- Expressions (precedence climbing) ----
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
@@ -565,6 +597,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.matchKw("NOT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -696,6 +732,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.matchOp("-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
