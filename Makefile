@@ -40,13 +40,15 @@ deadcode:
 # at GOMAXPROCS=4 even on boxes whose default would serialize the schedule
 # (a 1-core default hides exactly the interleavings sharding introduces).
 # The one-shot reads answered from a resident pipeline ride along: quiesce
-# then read while another goroutine commits through 4 shards, and a read
-# beside a parked Block-policy delivery. So do shared plans: stream and table
-# cursors of several spellings on one session, attaching late, on 4 shards.
+# then read while another goroutine commits through 4 shards. So do shared
+# plans (stream and table cursors of several spellings on one session,
+# attaching late, on 4 shards) and stalled readers: a subscriber that stops
+# reading beside commits, peers, resident reads and checkpoints, then resumes.
 race-shard:
 	GOMAXPROCS=4 $(GO) test -race ./internal/shard/... ./internal/live/...
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestSharedPlan'
+	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestStalledReader'
 
 # Fault-injection and crash-safety suite: the vfs fault matrix, the WAL and
 # checkpoint I/O-failure tests, the ALICE-style crash-point soak (crash after
@@ -103,8 +105,9 @@ batch-guard:
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /
-# Histogram.Observe, the /metrics + slow-commit serving integration tests,
-# the no-hot-Stats audit, and the instrumented batch-push alloc pin (a
+# Histogram.Observe, the /metrics + slow-commit serving integration tests
+# (TestMetricsDispatchCountersNeverFall: a pipeline's teardown lowers no
+# counter), the no-hot-Stats audit, and the instrumented batch-push alloc pin (a
 # single-iteration BenchmarkBatchPush with -benchmem, so an instrumentation
 # regression on the hot path is visible in the verify output).
 obs-guard:

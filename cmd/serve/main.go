@@ -7,9 +7,15 @@
 // With -shards N the standing-query fan-out runs on the sharded ingest
 // subsystem: each resident pipeline is pinned to one of N shard workers and
 // commits are applied asynchronously in global commit order, so disjoint
-// standing queries scale across cores and a stalled Block-policy subscriber
-// parks only its own shard. Delta sequences are byte-identical to the serial
-// fan-out; /healthz and /v1/subscriptions report per-shard depth and lag.
+// standing queries scale across cores. Delta sequences are byte-identical to
+// the serial fan-out; /healthz and /v1/subscriptions report per-shard depth
+// and lag.
+//
+// A subscriber never slows ingest: each subscription's handler writes its
+// deltas at its socket's pace from the session's retained output, and a
+// commit only appends to that output. A subscriber whose connection stops
+// reading holds the deltas it has not received in that output (bounded by
+// retain= once the session is past it) and stalls nothing else.
 // Graceful shutdown drains the shard queues before the final checkpoint, so
 // every acknowledged commit is captured in the snapshot.
 //
@@ -103,7 +109,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "directory for durable state (snapshot + write-ahead log); restart restores the engine and its standing queries from the last snapshot plus the WAL tail")
 		ckptEvery  = flag.Duration("checkpoint-every", 30*time.Second, "interval between periodic snapshots, each truncating the applied WAL segments (needs -data-dir; 0 disables the ticker, leaving on-shutdown and POST /v1/checkpoint)")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: \"always\" (per committed batch), \"none\", or an interval like \"250ms\" (needs -data-dir)")
-		shards     = flag.Int("shards", 0, "shard workers for standing-query fan-out (0 = serial: deliveries run on the ingesting goroutine); with N > 0 each resident pipeline is pinned to one of N workers and commits are applied asynchronously in commit order, so disjoint standing queries scale across cores and a stalled Block-policy subscriber parks only its own shard")
+		shards     = flag.Int("shards", 0, "shard workers for standing-query fan-out (0 = serial: deliveries run on the ingesting goroutine); with N > 0 each resident pipeline is pinned to one of N workers and commits are applied asynchronously in commit order, so disjoint standing queries scale across cores")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "deadline for one-shot requests (register, ingest, query, ...); past it the client gets a 503 and the handler context is canceled. Streaming /v1/subscribe is exempt. 0 disables")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints expose internals)")
 		slowCommit = flag.Duration("slow-commit", obs.DefaultSlowCommit, "emit a structured span-breakdown log line for any commit slower than this (validate/wal/sequence/enqueue/apply/render/deliver attribution); 0 disables the log, histograms stay on")
@@ -243,36 +249,16 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 
 	// 1. Final checkpoint while every resident pipeline is still alive —
 	//    canceling a session's last cursor would tear its pipeline down.
-	//    The snapshot runs under the live ordering lock, which a delivery
-	//    parked on a stalled Block-policy subscriber can hold indefinitely;
-	//    if the checkpoint cannot start promptly, end the subscriptions to
-	//    release the park and let it complete against the surviving state
-	//    (the catalog always; torn-down sessions rebuild by history replay
-	//    after restart). Hanging forever would be worse: the operator's
-	//    eventual SIGKILL would discard everything since the last periodic
-	//    checkpoint.
+	//    Drain the shard queues first so every acknowledged commit is
+	//    applied to its resident pipelines before they are snapshotted (a
+	//    no-op under the serial fan-out). No subscriber can hold it up: a
+	//    commit never waits on one.
 	if dataDir != "" {
-		ckptDone := make(chan struct{})
-		go func() {
-			defer close(ckptDone)
-			// Drain the shard queues first so every acknowledged commit is
-			// applied to its resident pipelines before they are snapshotted
-			// (a no-op under the serial fan-out). Runs inside the timed
-			// goroutine because a stalled Block-policy subscriber parks its
-			// shard; CancelSubscriptions below releases the park.
-			engine.Quiesce()
-			if n, err := srv.CheckpointNow(); err != nil {
-				slog.Error("final checkpoint failed", "err", err)
-			} else {
-				slog.Info("final checkpoint written", "bytes", n, "sessions", engine.LiveSessions())
-			}
-		}()
-		select {
-		case <-ckptDone:
-		case <-time.After(5 * time.Second):
-			slog.Warn("final checkpoint blocked (delivery parked on a stalled subscriber?); ending subscriptions to release it")
-			srv.CancelSubscriptions()
-			<-ckptDone
+		engine.Quiesce()
+		if n, err := srv.CheckpointNow(); err != nil {
+			slog.Error("final checkpoint failed", "err", err)
+		} else {
+			slog.Info("final checkpoint written", "bytes", n, "sessions", engine.LiveSessions())
 		}
 	}
 	// 2. End the standing-query streams so their chunked handlers return,

@@ -158,6 +158,72 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsDispatchCountersNeverFall: exec_dispatches_total and
+// exec_dispatched_events_total are counters, so the teardown of the pipeline
+// whose dispatches they counted must not lower them: subscribe, ingest,
+// scrape, cancel, scrape.
+func TestMetricsDispatchCountersNeverFall(t *testing.T) {
+	engine := core.NewEngine(core.WithObs(obs.NewRegistry()))
+	defer engine.Close()
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	resp, read := subscribeLines(t, c, ts.URL, "sql="+queryEscape(`SELECT auction, price FROM Bid`))
+	defer resp.Body.Close()
+	id := int(read()["id"].(float64))
+	ingestBids(t, c, ts.URL, []eventJSON{
+		{Kind: "insert", Ptime: timeMS(1000), Row: []any{int64(1), int64(500), int64(1000)}},
+		{Kind: "insert", Ptime: timeMS(2000), Row: []any{int64(2), int64(950), int64(2000)}},
+	})
+	// sample reads one unlabelled series from /metrics.
+	sample := func(body, name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				var f float64
+				if _, err := fmt.Sscan(v, &f); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	counters := []string{"exec_dispatches_total", "exec_dispatched_events_total"}
+	_, body, _ := getBody(t, c, ts.URL+"/metrics")
+	before := make([]float64, len(counters))
+	for i, name := range counters {
+		if before[i] = sample(body, name); before[i] == 0 {
+			t.Fatalf("%s = 0 after ingest; the test needs a dispatch", name)
+		}
+	}
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/subscriptions/%d", ts.URL, id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del, err := c.Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		del.Body.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, body, _ = getBody(t, c, ts.URL+"/metrics")
+		if sample(body, "live_sessions") == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled subscription's pipeline never tore down")
+		}
+	}
+	for i, name := range counters {
+		if after := sample(body, name); after < before[i] {
+			t.Errorf("%s fell from %v to %v when its pipeline tore down", name, before[i], after)
+		}
+	}
+}
+
 // TestMetricsAfterRestore: a pipeline restored from a checkpoint counts
 // into the live_* families exactly like a freshly registered one (the
 // restore path must wire the session to the manager's metrics too).

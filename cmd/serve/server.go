@@ -101,11 +101,6 @@ const maxBodyBytes = 8 << 20
 // defined behavior, not an ever-growing durability debt.
 const ckptDegradeAfter = 3
 
-// maxSubscribeBuffer caps the buffer= parameter of /v1/subscribe. The delta
-// channel allocates every slot up front, so an unchecked buffer would let one
-// GET reserve gigabytes.
-const maxSubscribeBuffer = 65536
-
 type subEntry struct {
 	id   int
 	sql  string
@@ -478,8 +473,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleSubscribe opens a standing query and streams its deltas as ndjson
 // over a chunked response: first a schema line, then one line per delta,
-// then an end line when the subscription terminates. Client disconnect
-// cancels the standing query.
+// then an end line when the subscription terminates. It takes sql, mode
+// (stream or table) and retain (the session's MaxRetainedRows); any other
+// parameter is ignored. The handler writes at the socket's pace: deltas it
+// has not yet written wait in the session's retained output, and ingest
+// never waits on it. Client disconnect cancels the standing query.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sql := q.Get("sql")
@@ -488,22 +486,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := core.SubscribeOptions{}
-	if v := q.Get("buffer"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad buffer parameter: %w", err))
-			return
-		}
-		if n < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("buffer %d is negative; use 0 for the default", n))
-			return
-		}
-		if n > maxSubscribeBuffer {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("buffer %d exceeds the limit of %d", n, maxSubscribeBuffer))
-			return
-		}
-		opts.Buffer = n
-	}
 	if v := q.Get("retain"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -515,15 +497,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.MaxRetainedRows = n
-	}
-	switch q.Get("policy") {
-	case "", "block":
-		opts.Policy = live.Block
-	case "drop":
-		opts.Policy = live.DropWithError
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("policy must be block or drop"))
-		return
 	}
 	mode := q.Get("mode")
 	var sub *live.Subscription
@@ -692,8 +665,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out["degraded"] = false
 	}
 	// Sharded fan-out health: per-shard queue depth and apply lag, read
-	// lock-free so the probe stays responsive while a shard is parked on a
-	// stalled Block-policy subscriber.
+	// lock-free.
 	if stats := s.engine.ShardStats(); stats != nil {
 		out["shards"] = len(stats)
 		out["shardStats"] = stats

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/live"
@@ -65,7 +64,7 @@ func TestCheckpointRestoreLive(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(7 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{}
 			for _, split := range splits {
 				e := partsEngine(t, parts)
 				early, err := e.SubscribeStream(liveBidQuery, opts)
@@ -174,7 +173,7 @@ FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
             dur => INTERVAL '10' SECONDS) TB
 GROUP BY TB.auction, TB.wstart, TB.wend`
 	e := newBidEngine(t)
-	sub, err := e.SubscribeTable(sql, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	sub, err := e.SubscribeTable(sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ GROUP BY TB.auction, TB.wstart, TB.wend`
 	restored := restartEngine(t, e)
 	sub.Cancel()
 
-	late, err := restored.SubscribeTable(sql, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	late, err := restored.SubscribeTable(sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ GROUP BY TB.auction, TB.wstart, TB.wend`
 func TestCheckpointSkipsSupersededSessions(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
-	pred, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16, MaxRetainedRows: 4})
+	pred, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{MaxRetainedRows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestCheckpointSkipsSupersededSessions(t *testing.T) {
 	if err := e.AppendLog("Bid", g.Bids); err != nil {
 		t.Fatal(err)
 	}
-	succ, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	succ, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestCheckpointSkipsSupersededSessions(t *testing.T) {
 	// The restored session is the successor, which retains its output:
 	// a reconnect attaches to it and is handed what the successor's own
 	// subscriber has received.
-	back, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	back, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatalf("reconnect to the restored successor: %v", err)
 	}
@@ -270,53 +269,8 @@ func TestCheckpointSkipsSupersededSessions(t *testing.T) {
 	if got := restored.LiveSessions(); got != 1 {
 		t.Fatalf("reconnect built a pipeline: %d sessions, want 1", got)
 	}
-	if got, want := tvr.FormatStreamTable(back.Schema(), collectPending(back)), tvr.FormatStreamTable(succ.Schema(), collectPending(succ)); got != want {
+	if got, want := tvr.FormatStreamTable(back.Schema(), collectPending(t, back, 0)), tvr.FormatStreamTable(succ.Schema(), collectPending(t, succ, 0)); got != want {
 		t.Fatalf("reconnect hand-off differs from the successor's deltas:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
-	}
-}
-
-// TestCheckpointCompletesAfterParkedDeliveryReleased: a delivery parked on
-// a full Block-policy cursor holds the live ordering lock, so a concurrent
-// CheckpointAll must wait — and canceling the stalled subscription must
-// release the park and let the checkpoint complete. cmd/serve's graceful
-// shutdown relies on exactly this to unwedge its final checkpoint.
-func TestCheckpointCompletesAfterParkedDeliveryReleased(t *testing.T) {
-	e := newBidEngine(t)
-	sub, err := e.SubscribeStream(`SELECT auction, price FROM Bid`, core.SubscribeOptions{Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The subscriber never drains: the second delta fills the channel and
-	// the third delivery parks the publisher (holding the ordering lock).
-	ingestDone := make(chan struct{})
-	go func() {
-		defer close(ingestDone)
-		for i := 0; i < 4; i++ {
-			row := types.Row{types.NewInt(int64(i)), types.NewInt(1000), types.NewTimestamp(types.Time(i * 1000))}
-			if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(types.Time(i*1000), row)}); err != nil {
-				return // session torn down by the cancel below
-			}
-		}
-	}()
-	ckptDone := make(chan error, 1)
-	go func() {
-		var buf bytes.Buffer
-		ckptDone <- e.CheckpointAll(&buf)
-	}()
-	// Whether or not the checkpoint slipped in before the park, canceling
-	// the stalled subscriber must let both the publisher and the
-	// checkpoint finish promptly.
-	time.Sleep(50 * time.Millisecond)
-	sub.Cancel()
-	select {
-	case <-ckptDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("CheckpointAll still blocked after the stalled subscription was canceled")
-	}
-	select {
-	case <-ingestDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked publisher still blocked after cancel")
 	}
 }
 
@@ -341,7 +295,7 @@ func TestRestoreNeedsEmptyEngine(t *testing.T) {
 func TestRetainedOverflowDegradesLateAttach(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
-	capped := core.SubscribeOptions{Buffer: len(g.Bids) + 16, MaxRetainedRows: 8}
+	capped := core.SubscribeOptions{MaxRetainedRows: 8}
 	first, err := e.SubscribeStream(liveBidQuery, capped)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +336,7 @@ func TestOverflowedSessionCheckpointRestore(t *testing.T) {
 	g := liveData(t)
 	e := newBidEngine(t)
 	if _, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{
-		Buffer: len(g.Bids) + 16, MaxRetainedRows: 4,
+		MaxRetainedRows: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +347,7 @@ func TestOverflowedSessionCheckpointRestore(t *testing.T) {
 	if got := restored.LiveSessions(); got != 1 {
 		t.Fatalf("restored %d sessions, want 1", got)
 	}
-	sub, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	sub, err := restored.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatalf("late subscribe to a restored overflowed session: %v", err)
 	}

@@ -120,7 +120,7 @@ func TestDegradedModePersistentFsyncFault(t *testing.T) {
 	if err := e.RegisterStream("Bid", faultBidSchema()); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := e.SubscribeStream(faultStateQuery, core.SubscribeOptions{Buffer: 16})
+	sub, err := e.SubscribeStream(faultStateQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

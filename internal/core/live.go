@@ -33,23 +33,21 @@ import (
 // from a prefix of its retained output (see residentRead and the read
 // contract in package live).
 
-// SubscribeOptions configures a standing query.
+// SubscribeOptions configures a standing query. Delivery has no options: a
+// subscription's deltas wait in the shared session's retained output until
+// its consumer reads them, so a slow consumer stalls neither commits nor
+// other subscribers.
 type SubscribeOptions struct {
-	// Buffer is the delta channel capacity (default 64).
-	Buffer int
-	// Policy is the slow-consumer policy (live.Block or
-	// live.DropWithError).
-	Policy live.Policy
-	// MaxRetainedRows bounds the shared session's late-attach retention:
-	// its output changelog, from which both a stream and a table reader's
-	// hand-off derive. 0 means unbounded. The cap is fixed by the
+	// MaxRetainedRows caps the shared session's retained output, counted
+	// in changelog rows. 0 means unbounded. The cap is fixed by the
 	// subscription that creates the resident pipeline (later sharers
-	// inherit it). When the retained output outgrows the cap it is released
-	// — memory stays bounded — and existing subscribers are unaffected. A
-	// later subscription of the plan then gets a successor pipeline, built
-	// under its own options like a first subscriber's, which replays the
-	// recorded history; it fails with live.ErrRetainedOverflow only when
-	// its own cap cannot hold that history's output.
+	// inherit it). Past it the session serves no late attach and no
+	// resident read, and keeps only the rows some subscriber has not yet
+	// read; existing subscribers are unaffected. A later subscription of
+	// the plan then gets a successor pipeline, built under its own options
+	// like a first subscriber's, which replays the recorded history; it
+	// fails with live.ErrRetainedOverflow only when its own cap cannot hold
+	// that history's output.
 	//
 	// The trade of one pipeline per relation: a session that only table
 	// readers use retains its changelog too, not one entry per distinct
@@ -92,7 +90,7 @@ func (e *Engine) subscribe(sql string, mode live.Mode, opts SubscribeOptions) (*
 	// ordering lock, so no concurrently committed change can fall between
 	// the snapshot (history replay or late-attach hand-off) and live
 	// routing; on any failure it cancels the session.
-	return e.live.Subscribe(q.Key, live.CursorOpts{Buffer: opts.Buffer, Policy: opts.Policy, Mode: mode}, q.Create, q.History)
+	return e.live.Subscribe(q.Key, live.CursorOpts{Mode: mode}, q.Create, q.History)
 }
 
 // standing describes the planned query to the live manager: its plan key,
@@ -184,9 +182,7 @@ func (e *Engine) LiveSubscribers() int {
 }
 
 // ShardStats snapshots the sharded fan-out's per-shard queue depth and lag,
-// or nil when the engine runs the serial fan-out (see WithShards). Lock-free,
-// so health probes stay responsive while a shard is stalled on a Block-policy
-// subscriber.
+// or nil when the engine runs the serial fan-out (see WithShards). Lock-free.
 func (e *Engine) ShardStats() []shard.Stat {
 	return e.live.ShardStats()
 }

@@ -148,9 +148,7 @@ func TestLiveStreamMatchesReplay(t *testing.T) {
 			if err := liveEngine.AppendLog("Bid", g.Bids[:half]); err != nil {
 				t.Fatal(err)
 			}
-			sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{
-				Buffer: len(g.Bids) + 16,
-			})
+			sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +216,7 @@ func TestLiveStreamLateData(t *testing.T) {
 	}
 
 	liveEngine := newBidEngine(t)
-	sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
+	sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +261,14 @@ func TestLiveTableDiffs(t *testing.T) {
 	}
 
 	liveEngine := newBidEngine(t)
-	sub, err := liveEngine.SubscribeTable(sql, core.SubscribeOptions{Buffer: len(g.Bids) + 16})
+	sub, err := liveEngine.SubscribeTable(sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range g.Bids {
 		ingestEvent(t, liveEngine, "Bid", ev)
 	}
+	diffs := receiveOwed(t, sub, 0)
 	final, err := sub.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +286,7 @@ func TestLiveTableDiffs(t *testing.T) {
 		}
 	}
 	n := 0
-	for d := range sub.Deltas() {
+	for _, d := range diffs {
 		if d.Table == nil {
 			t.Fatal("table subscription delivered a nil Table diff")
 		}
@@ -373,7 +372,7 @@ FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
 GROUP BY TB.wstart, TB.wend
 EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	e := newBidEngine(t)
-	sub, err := e.SubscribeStream(sql, core.SubscribeOptions{Buffer: 16})
+	sub, err := e.SubscribeStream(sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,20 +381,16 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(1), row)}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-sub.Deltas():
-		t.Fatalf("delta before the delay elapsed: %+v", d)
-	default:
+	if st := sub.Stats(); st.DeltasOut != 0 {
+		t.Fatalf("delta before the delay elapsed: %+v", st)
 	}
 	// Advance processing time past the 6s deadline: the timer fires.
 	e.Heartbeat(sec(10))
-	select {
-	case d := <-sub.Deltas():
-		if len(d.Stream) != 1 || d.Stream[0].Row[2].Int() != 10 {
-			t.Fatalf("unexpected delta: %+v", d)
-		}
-	default:
-		t.Fatal("no delta after heartbeat fired the delay timer")
+	if st := sub.Stats(); st.DeltasOut != 1 {
+		t.Fatalf("no delta after heartbeat fired the delay timer: %+v", st)
+	}
+	if d := waitDelta(t, sub); len(d.Stream) != 1 || d.Stream[0].Row[2].Int() != 10 {
+		t.Fatalf("unexpected delta: %+v", d)
 	}
 	sub.Cancel()
 	if sub.Err() != live.ErrClosed {
@@ -411,7 +406,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 // LiveSessions/LiveSubscribers and the PipelineID/Subscribers stats.
 func TestSharedPlanDedup(t *testing.T) {
 	e := newBidEngine(t)
-	opts := core.SubscribeOptions{Buffer: 64}
+	opts := core.SubscribeOptions{}
 	subA, err := e.SubscribeStream(liveBidQuery, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -460,21 +455,11 @@ func TestSharedPlanDedup(t *testing.T) {
 	if err := e.AppendLog("Bid", tvr.Changelog{tvr.WatermarkEvent(sec(12), sec(11))}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-subB.Deltas():
-		if len(d.Stream) != 1 {
-			t.Fatalf("surviving sharer delta = %+v", d)
-		}
-	default:
-		t.Fatal("surviving sharer received no delta after its peer canceled")
+	if d := waitDelta(t, subB); len(d.Stream) != 1 {
+		t.Fatalf("surviving sharer delta = %+v", d)
 	}
-	select {
-	case d := <-subTable.Deltas():
-		if d.Table == nil || len(d.Table.Inserted) != 1 || d.Stream != nil {
-			t.Fatalf("table reader delta = %+v, want one inserted row and no stream rows", d)
-		}
-	default:
-		t.Fatal("table reader received no delta")
+	if d := waitDelta(t, subTable); d.Table == nil || len(d.Table.Inserted) != 1 || d.Stream != nil {
+		t.Fatalf("table reader delta = %+v, want one inserted row and no stream rows", d)
 	}
 	subB.Cancel()
 	subTable.Cancel()
@@ -497,7 +482,7 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 	if err := e.RegisterStream("S", sch); err != nil {
 		t.Fatal(err)
 	}
-	opts := core.SubscribeOptions{Buffer: 8}
+	opts := core.SubscribeOptions{}
 	a, err := e.SubscribeStream(`SELECT v FROM S WHERE name = 'a b'`, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -523,18 +508,14 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 	if err := e.AppendLog("S", tvr.Changelog{tvr.InsertEvent(1, types.Row{types.NewString("a  b"), types.NewInt(7)})}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-a.Deltas():
-		t.Fatalf("'a b' subscriber received a delta for the 'a  b' row: %+v", d)
-	default:
+	if st := a.Stats(); st.DeltasOut != 0 {
+		t.Fatalf("'a b' subscriber was owed a delta for the 'a  b' row: %+v", st)
 	}
-	select {
-	case d := <-b.Deltas():
-		if len(d.Stream) != 1 || d.Stream[0].Row[0].Int() != 7 {
-			t.Fatalf("'a  b' subscriber delta = %+v", d)
-		}
-	default:
-		t.Fatal("'a  b' subscriber missed its row")
+	if st := b.Stats(); st.DeltasOut != 1 {
+		t.Fatalf("'a  b' subscriber missed its row: %+v", st)
+	}
+	if d := waitDelta(t, b); len(d.Stream) != 1 || d.Stream[0].Row[0].Int() != 7 {
+		t.Fatalf("'a  b' subscriber delta = %+v", d)
 	}
 	a.Cancel()
 	b.Cancel()
@@ -613,7 +594,7 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 			e := partsEngine(t, parts)
 			rng := rand.New(rand.NewSource(int64(31 * parts)))
 			attachAt := []int{0, len(g.Bids) / 3, 2 * len(g.Bids) / 3}
-			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{}
 			type pair struct {
 				reader
 				shared, dedicated *live.Subscription
@@ -655,7 +636,10 @@ func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
 				t.Fatalf("sessions=%d subscribers=%d, want 1/%d", e.LiveSessions(), e.LiveSubscribers(), k)
 			}
 			// Close shared cursors in attach order (only the last completes
-			// the pipeline), and every twin.
+			// the pipeline), and every twin, once every commit is applied.
+			for _, e := range engines {
+				e.Quiesce()
+			}
 			for pi, p := range pairs {
 				got, twin := closeDeltas(t, p.shared), closeDeltas(t, p.dedicated)
 				if a, b := formatDeltas(p.shared.Schema(), got), formatDeltas(p.shared.Schema(), twin); fmt.Sprint(a) != fmt.Sprint(b) {
@@ -717,7 +701,7 @@ func TestSharedPlanOverflowSuccessor(t *testing.T) {
 				}
 			}
 			const maxRows = 8
-			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{}
 			capped := opts
 			capped.MaxRetainedRows = maxRows
 			subscribe := func(e *core.Engine, opts core.SubscribeOptions) *live.Subscription {
@@ -756,7 +740,7 @@ func TestSharedPlanOverflowSuccessor(t *testing.T) {
 					n, pred.Stats().PipelineID, succ.Stats().PipelineID)
 			}
 			format := func(rows []tvr.StreamRow) string { return tvr.FormatStreamTable(succ.Schema(), rows) }
-			if got, want := format(collectPending(succ)), format(collectPending(twinLate)); got != want || got == format(nil) {
+			if got, want := format(collectPending(t, succ, 0)), format(collectPending(t, twinLate, 0)); got != want || got == format(nil) {
 				t.Fatalf("successor hand-off differs from a subscription on a second engine:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
 			}
 
@@ -805,21 +789,26 @@ func TestSharedPlanOverflowSuccessor(t *testing.T) {
 	}
 }
 
-// collectPending drains the stream deltas sub has buffered so far, without
-// waiting for more.
-func collectPending(sub *live.Subscription) []tvr.StreamRow {
-	var rows []tvr.StreamRow
-	for {
-		select {
-		case d, ok := <-sub.Deltas():
-			if !ok {
-				return rows
-			}
-			rows = append(rows, d.Stream...)
-		default:
-			return rows
-		}
+// receiveOwed receives every delta owed to sub beyond the read it has
+// already received. DeltasOut counts a delivery as it is appended, so call
+// it with the engine quiescent.
+func receiveOwed(t *testing.T, sub *live.Subscription, read int) []live.Delta {
+	t.Helper()
+	var ds []live.Delta
+	for n := sub.Stats().DeltasOut - int64(read); n > 0; n-- {
+		ds = append(ds, waitDelta(t, sub))
 	}
+	return ds
+}
+
+// collectPending is receiveOwed's stream rows.
+func collectPending(t *testing.T, sub *live.Subscription, read int) []tvr.StreamRow {
+	t.Helper()
+	var rows []tvr.StreamRow
+	for _, d := range receiveOwed(t, sub, read) {
+		rows = append(rows, d.Stream...)
+	}
+	return rows
 }
 
 // foldDiffs applies a table reader's diffs to an empty relation.
@@ -891,7 +880,7 @@ func TestSharedTableLateAttach(t *testing.T) {
 	}
 
 	e := newBidEngine(t)
-	opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+	opts := core.SubscribeOptions{}
 	early, err := e.SubscribeTable(sql, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -967,7 +956,7 @@ EMIT STREAM AFTER DELAY INTERVAL '5' SECONDS`
 		return types.Row{types.NewInt(1), types.NewInt(1), types.NewInt(price), types.NewTimestamp(et)}
 	}
 	e := newBidEngine(t)
-	opts := core.SubscribeOptions{Buffer: 16}
+	opts := core.SubscribeOptions{}
 	early, err := e.SubscribeStream(sql, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -1090,9 +1079,9 @@ func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 }
 
 // TestSubscriptionGoroutineHygiene drives every subscription-ending path —
-// failed subscribe (runtime error during history replay), slow-consumer
-// drop, cancel, and graceful close, shared — and checks the goroutine count
-// settles back to the baseline.
+// failed subscribe (runtime error during history replay), cancel of a
+// subscriber that never read, and cancel and graceful close, shared — and
+// checks the goroutine count settles back to the baseline.
 func TestSubscriptionGoroutineHygiene(t *testing.T) {
 	e := newBidEngine(t)
 	sec := func(n int64) types.Time { return types.Time(n) * types.Time(types.Second) }
@@ -1115,29 +1104,26 @@ func TestSubscriptionGoroutineHygiene(t *testing.T) {
 		t.Fatalf("failed subscribe left %d sessions registered", e.LiveSessions())
 	}
 
-	// Slow-consumer drop.
-	drop, err := e.SubscribeStream(`SELECT auction, price FROM Bid`,
-		core.SubscribeOptions{Buffer: 1, Policy: live.DropWithError})
+	// A subscriber that never reads, canceled with deltas still owed.
+	stalled, err := e.SubscribeStream(`SELECT auction, price FROM Bid`, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(8); i < 16 && drop.Err() == nil; i++ {
+	for i := int64(8); i < 16; i++ {
 		if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(sec(i), types.Row{
 			types.NewInt(i % 3), types.NewInt(i), types.NewInt(100 + i), types.NewTimestamp(sec(i)),
 		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !errors.Is(drop.Err(), live.ErrSlowConsumer) {
-		t.Fatalf("drop path Err = %v, want ErrSlowConsumer", drop.Err())
-	}
+	stalled.Cancel()
 
 	// Cancel and graceful close on a shared pair.
-	a, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
+	a, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
+	b, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

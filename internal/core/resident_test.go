@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nexmark"
@@ -337,7 +336,7 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 						if q.table {
 							subscribe = live.SubscribeTable
 						}
-						sub, err := subscribe(sql, core.SubscribeOptions{Buffer: 2*len(commits) + 16})
+						sub, err := subscribe(sql, core.SubscribeOptions{})
 						if err != nil {
 							t.Fatalf("subscribe %s: %v", q.name, err)
 						}
@@ -393,7 +392,7 @@ func TestResidentTableReadFoldsOnlyNewOutput(t *testing.T) {
 	reg := obs.NewRegistry()
 	live := residentEngine(t, 0, reg)
 	twin := residentEngine(t, 0, nil)
-	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{Buffer: 64})
+	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +463,7 @@ func TestResidentReadFallsBackAfterReorder(t *testing.T) {
 	reg := obs.NewRegistry()
 	live := residentEngine(t, 0, reg)
 	twin := residentEngine(t, 0, nil)
-	sub, err := live.SubscribeStream(q4.sql, core.SubscribeOptions{Buffer: 16})
+	sub, err := live.SubscribeStream(q4.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +499,7 @@ func TestResidentReadFallsBackAfterRestore(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := residentEngine(t, 0, reg)
 	twin := residentEngine(t, 0, nil)
-	sub, err := e.SubscribeStream(q.sql, core.SubscribeOptions{Buffer: 16})
+	sub, err := e.SubscribeStream(q.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestResidentReadReplayReasons(t *testing.T) {
 		sql     string
 		maxRows int
 	}{{delay.sql, 0}, {filter.sql, 5}} {
-		s, err := live.SubscribeStream(sub.sql, core.SubscribeOptions{Buffer: 16, MaxRetainedRows: sub.maxRows})
+		s, err := live.SubscribeStream(sub.sql, core.SubscribeOptions{MaxRetainedRows: sub.maxRows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +621,7 @@ func TestResidentReadDuringCommits(t *testing.T) {
 	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := e.SubscribeStream(q, core.SubscribeOptions{Buffer: len(commits) + 16})
+	sub, err := e.SubscribeStream(q, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,81 +707,6 @@ func mustFormat(t *testing.T, e *core.Engine, q string) string {
 	return res.Format()
 }
 
-// TestResidentReadWhileBlockParked: a Block-policy subscriber that stopped
-// reading parks the serial fan-out inside a commit, holding the manager's
-// ordering lock and the session's ingest lock. A read of the same SQL must
-// still return, answered from the resident pipeline with the parked commit
-// in it (its output is retained before the delivery parks), and equal to
-// replay.
-func TestResidentReadWhileBlockParked(t *testing.T) {
-	const q = `SELECT auction, price FROM Bid WHERE price > 10`
-	g := liveData(t)
-	var bids tvr.Changelog
-	for _, ev := range g.Bids {
-		if ev.Kind == tvr.Insert {
-			bids = append(bids, ev)
-		}
-	}
-	reg := obs.NewRegistry()
-	e := core.NewEngine(core.WithObs(reg))
-	t.Cleanup(e.Close)
-	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
-		t.Fatal(err)
-	}
-	twin := newBidEngine(t)
-	sub, err := e.SubscribeStream(q, core.SubscribeOptions{Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []tvr.Changelog{bids[:1], bids[1:2]} {
-		if err := twin.AppendLog("Bid", c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.AppendLog("Bid", bids[:1]); err != nil { // fills the buffer
-		t.Fatal(err)
-	}
-	parked := make(chan error, 1)
-	go func() { parked <- e.AppendLog("Bid", bids[1:2]) }()
-	parks := reg.Counter("live_parks_total", "")
-	for deadline := time.Now().Add(10 * time.Second); parks.Value() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second commit never parked")
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	read := make(chan *core.TableResult, 1)
-	go func() {
-		defer wg.Done()
-		res, err := e.QueryTable(q, types.MaxTime)
-		if err != nil {
-			t.Error(err)
-		}
-		read <- res
-	}()
-	select {
-	case res := <-read:
-		if res != nil && res.Format() != mustFormat(t, twin, q) {
-			t.Errorf("read beside a parked delivery:\n%s\nwant:\n%s", res.Format(), mustFormat(t, twin, q))
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("read stalled behind a parked Block delivery")
-	}
-	if got := residentReads(reg); got != 1 {
-		t.Errorf("resident counter = %d, want 1", got)
-	}
-	for range 2 { // unpark the commit
-		<-sub.Deltas()
-	}
-	if err := <-parked; err != nil {
-		t.Fatal(err)
-	}
-	sub.Cancel()
-	wg.Wait()
-}
-
 // fuzzCommits is FuzzResidentRead's fixed input: ~300 generated Person,
 // Auction and Bid events (watermarks included), merged in ptime order and
 // re-stamped with distinct ptimes, so committing them in order is merge
@@ -865,7 +789,7 @@ func FuzzResidentRead(f *testing.F) {
 		live, twin := engines[0], engines[1]
 		for k, c := range commits {
 			if k == len(commits)/3 {
-				if sub, err := live.SubscribeStream(sql, core.SubscribeOptions{Buffer: len(commits) + 16}); err == nil {
+				if sub, err := live.SubscribeStream(sql, core.SubscribeOptions{}); err == nil {
 					t.Cleanup(sub.Cancel)
 				}
 			}

@@ -63,7 +63,7 @@ func fixtureSessionsEngine(t *testing.T) *core.Engine {
 	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
 		t.Fatal(err)
 	}
-	opts := core.SubscribeOptions{Buffer: 64}
+	opts := core.SubscribeOptions{}
 	if _, err := e.SubscribeStream(fixtureStreamSQL, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func (r reader) subscribe(t *testing.T, e *core.Engine, opts core.SubscribeOptio
 // Bid changelog.
 func checkReconnects(t *testing.T, e *core.Engine, readers []reader) {
 	t.Helper()
-	opts := core.SubscribeOptions{Buffer: 64}
+	opts := core.SubscribeOptions{}
 	sessions := e.LiveSessions()
 	shared := make([]*live.Subscription, len(readers))
 	for i, r := range readers {
@@ -269,17 +269,14 @@ func deltaLines(t *testing.T, sub *live.Subscription) []string {
 	return formatDeltas(sub.Schema(), closeDeltas(t, sub))
 }
 
-// closeDeltas closes sub and returns every delta it received, the final one
-// included.
+// closeDeltas receives every delta owed to sub, then closes it, and returns
+// them all, the final one included. Its engine must be quiescent.
 func closeDeltas(t *testing.T, sub *live.Subscription) []live.Delta {
 	t.Helper()
+	ds := receiveOwed(t, sub, 0)
 	final, err := sub.Close()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var ds []live.Delta
-	for d := range sub.Deltas() {
-		ds = append(ds, d)
 	}
 	if final != nil {
 		ds = append(ds, *final)

@@ -68,7 +68,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 		t.Fatalf("%d shards, want 4", got)
 	}
 
-	opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+	opts := core.SubscribeOptions{}
 	type pair struct{ serial, sharded *live.Subscription }
 	subs := make([]pair, len(queries))
 	for i, q := range queries {
@@ -178,7 +178,7 @@ func TestShardedWALRecovery(t *testing.T) {
 	wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
 
 	rng := rand.New(rand.NewSource(17))
-	opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+	opts := core.SubscribeOptions{}
 	for _, split := range []int{1, len(g.Bids) / 2, len(g.Bids) - 1} {
 		dataDir := t.TempDir()
 		walDir := filepath.Join(dataDir, "wal")
@@ -264,7 +264,7 @@ func TestShardedWALRecovery(t *testing.T) {
 func TestShardedEngineCloseStopsWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := newShardedBidEngine(t, 8)
-	sub, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{Buffer: 64})
+	sub, err := e.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestWALRecoveryLive(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(11 * parts)))
 			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{Buffer: len(g.Bids) + 16}
+			opts := core.SubscribeOptions{}
 			for si, split := range splits {
 				dataDir := t.TempDir()
 				walDir := filepath.Join(dataDir, "wal")

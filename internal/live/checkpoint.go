@@ -31,21 +31,28 @@ type RestoreQuery func(sql string) (Query, error)
 
 // saveStateLocked writes one session. Caller holds ingestMu and mu (the
 // manager's checkpoint pass locks every open session first), and the session
-// is not closed.
+// is not closed. Past its cap a session writes no output: what it still
+// holds is its cursors' unread tail, and its cursors die with the process.
+// Delivery boundaries and stream versions are not written; restore derives
+// the versions again.
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Section("live.Session")
 	enc.String(s.cfg.Name)
 	enc.Int(s.cfg.MaxRetainedRows)
 	enc.Varint(s.eventsIn.Load())
 	enc.Time(types.Time(s.wm.Load()))
-	enc.Bool(s.produced)
-	enc.Bool(false) // a retired flag; the slot keeps the record's layout
+	enc.Bool(s.base+len(s.outLog) > 0 || s.overflowed) // output was produced
+	enc.Bool(false)                                    // a retired flag; the slot keeps the record's layout
 	enc.Bool(s.overflowed)
 	if err := exec.SaveDriver(enc, s.driver); err != nil {
 		return err
 	}
 	s.renderer.SaveState(enc)
-	tvr.SaveChangelog(enc, s.outLog)
+	if s.overflowed {
+		tvr.SaveChangelog(enc, nil)
+	} else {
+		tvr.SaveChangelog(enc, s.outLog)
+	}
 	return enc.Err()
 }
 
@@ -80,7 +87,7 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	maxRetain := dec.Int()
 	eventsIn := dec.Varint()
 	wm := dec.Time()
-	produced := dec.Bool()
+	_ = dec.Bool() // produced: the restored output says as much
 	_ = dec.Bool() // the retired slot
 	overflowed := dec.Bool()
 	if err := dec.Err(); err != nil {
@@ -116,7 +123,10 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 			return err
 		}
 	} else {
-		s.produced, s.overflowed = produced, overflowed
+		// The renderer gave the retained output its versions from a fresh
+		// start, so a fresh renderer derives them again.
+		s.vers = tvr.NewStreamRenderer(q.Config.EmitKeys).AppendVersions(nil, s.outLog)
+		s.overflowed = overflowed
 		s.wm.Store(int64(wm))
 		s.eventsIn.Store(eventsIn)
 		s.outOfOrder.Store(!d.FedInMergeOrder())

@@ -1,38 +1,67 @@
 package live
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
-// cursor is one subscriber's delivery state on a shared Session: its own
-// bounded delta channel, slow-consumer policy, rendering mode, and counters.
-// The session fans every rendered delta out to all attached cursors in
-// attach order, each in its cursor's mode, so a cursor's delta sequence is
-// exactly what a session of its own would have delivered — sharing changes
-// ownership, not bytes.
+// cursor is one subscriber's position in its session's retained output, in
+// the subscriber's rendering mode. Its reader goroutine sends the output
+// from that position on, one delta per delivery, at the consumer's pace;
+// the session appends deliveries and never waits on a reader. A cursor that
+// attached after the pipeline produced output starts at row 0, before its
+// attach point, and its first delta folds everything up to that point (the
+// hand-off). Either way its delta sequence is exactly what a session of its
+// own would have delivered — sharing changes ownership, not bytes.
 type cursor struct {
-	s      *Session
-	policy Policy
-	mode   Mode
+	s    *Session
+	mode Mode
+	// deltas is unbuffered, so a delta is in flight only while the consumer
+	// takes it. The reader sends on it, and so does a commit, under the
+	// session's mu, while the reader is idle (notifyLocked). The reader
+	// closes it on exit; by then the cursor is stopped or detached, and no
+	// commit sends to it again.
 	deltas chan Delta
-	done   chan struct{} // closed by Cancel/Close to unblock a producer
-	once   sync.Once     // guards close(done)
+	wake   chan struct{} // capacity 1: output appended while the reader was idle
+	stop   chan struct{} // closed once stopped is set, to abandon a send or a wait
+	exited chan struct{} // closed by the reader after it closes deltas
 
 	// The fields below are guarded by the owning session's mu.
-	parked   bool   // a producer is mid-send to this cursor (holding no mu)
-	leaving  bool   // done closed mid-delivery; deltas fold into pending
-	detached bool   // removed from the fan-out list; channel closed
-	discard  bool   // Cancel: abandon pending instead of folding into it
-	pending  *Delta // rendered but undelivered (interrupted by Close)
+	row      int        // absolute output row where the unread output begins
+	next     int        // absolute index of the next delivery to send
+	handWm   types.Time // the hand-off's watermark: the session's at attach
+	idle     bool       // the reader has read everything and waits on wake
+	stopped  bool       // Cancel or Close: the reader sends nothing more
+	detached bool       // removed from the session's cursor list
 
-	// Counters are atomic so Stats/Err stay responsive while a
-	// Block-policy delivery is parked on this (or any) cursor.
 	err       atomic.Value // error; terminal, nil after a graceful Close
 	deltasOut atomic.Int64
 	rowsOut   atomic.Int64
+}
+
+// piece is one delta's worth of a cursor's unread output: the hand-off, one
+// delivery, or at Close everything left. Reading it moves the cursor to row
+// end and delivery next.
+type piece struct {
+	log       tvr.Changelog
+	vers      []int
+	wm        types.Time
+	end, next int
+}
+
+// delta renders the piece in mode: the stream rows at their retained
+// versions, or the consolidated table diff.
+func (p piece) delta(mode Mode) Delta {
+	if mode == Table {
+		return Delta{Table: consolidate(p.log), Watermark: p.wm}
+	}
+	rows := make([]tvr.StreamRow, len(p.log))
+	for i, ev := range p.log {
+		rows[i] = tvr.StreamRowOf(ev, p.vers[i])
+	}
+	return Delta{Stream: rows, Watermark: p.wm}
 }
 
 // loadErr returns the cursor's terminal error, if any. Lock-free.
@@ -59,32 +88,164 @@ func (c *cursor) terminalErr() error {
 	return c.s.terminalErr()
 }
 
-// noteDelivered advances the delivery counters for one delta.
-func (c *cursor) noteDelivered(d *Delta) {
-	rows := deltaRows(d)
-	c.deltasOut.Add(1)
-	c.rowsOut.Add(rows)
-	c.s.obsm.noteDelivered(rows)
-}
-
-// deltaRows counts the output rows a delta carries.
-func deltaRows(d *Delta) int64 {
-	if d.Table != nil {
-		return int64(len(d.Table.Inserted) + len(d.Table.Deleted))
+// noteOwed counts one delta owed to the cursor and, for a stream cursor, its
+// rows; a table cursor's rows are counted when its reader consolidates them.
+func (c *cursor) noteOwed(rows int) {
+	if c.mode == Table {
+		rows = 0
 	}
-	return int64(len(d.Stream))
+	c.deltasOut.Add(1)
+	c.rowsOut.Add(int64(rows))
+	c.s.obsm.noteDelivered(1, int64(rows))
 }
 
-// stats snapshots the cursor's counters plus the shared pipeline's. It takes
-// no locks, so it stays responsive while a delivery is blocked.
+// pendingLocked returns the first piece the cursor has not read, or false
+// when it has read everything appended so far.
+func (c *cursor) pendingLocked() (piece, bool) {
+	s := c.s
+	start := s.base + len(s.outLog)
+	if i := c.next - s.delBase; i < len(s.dels) {
+		start = s.dels[i].start
+	}
+	if c.row < start {
+		return s.pieceLocked(c.row, start, c.handWm, c.next), true
+	}
+	i := c.next - s.delBase
+	if i == len(s.dels) {
+		return piece{}, false
+	}
+	d := s.dels[i]
+	return s.pieceLocked(d.start, d.end, d.wm, c.next+1), true
+}
+
+// advanceLocked moves the cursor past a piece it has received as d.
+func (c *cursor) advanceLocked(p piece, d *Delta) {
+	c.row, c.next = p.end, p.next
+	if d.Table != nil {
+		rows := int64(len(d.Table.Inserted) + len(d.Table.Deleted))
+		c.rowsOut.Add(rows)
+		c.s.obsm.noteDelivered(0, rows)
+	}
+	c.s.trimLocked()
+}
+
+// run is the cursor's reader: it sends each unread piece as one delta until
+// the cursor stops, or the session has closed and nothing is left unread.
+func (c *cursor) run() {
+	defer close(c.exited)
+	defer close(c.deltas)
+	s := c.s
+	for {
+		s.mu.Lock()
+		p, ok := c.pendingLocked()
+		c.idle = !ok
+		done := c.stopped || !ok && s.closed
+		s.mu.Unlock()
+		if done {
+			return
+		}
+		if !ok {
+			select {
+			case <-c.wake:
+			case <-c.stop:
+				return
+			}
+			continue
+		}
+		d := p.delta(c.mode)
+		select {
+		case c.deltas <- d:
+			s.mu.Lock()
+			c.advanceLocked(p, &d)
+			s.mu.Unlock()
+		case <-c.stop:
+			return
+		}
+	}
+}
+
+// notifyLocked tells the cursor that output was appended. A busy reader
+// finds it by itself. An idle stream cursor whose consumer already waits on
+// the channel is handed the delivery by the commit, in a send that cannot
+// block, which spares the reader a wake-up on the delivery's way to the
+// consumer; otherwise the reader is woken.
+func (c *cursor) notifyLocked() {
+	if c.stopped || !c.idle {
+		return
+	}
+	if p, ok := c.pendingLocked(); ok && c.mode == Stream {
+		d := p.delta(Stream)
+		select {
+		case c.deltas <- d:
+			c.advanceLocked(p, &d)
+			return
+		default:
+		}
+	}
+	c.idle = false
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// halt stops the reader and waits for it to exit, so the cursor's position
+// is final and its channel closed.
+func (c *cursor) halt() {
+	s := c.s
+	s.mu.Lock()
+	if !c.stopped {
+		c.stopped = true
+		close(c.stop)
+	}
+	s.mu.Unlock()
+	<-c.exited
+}
+
+// unreadLocked renders everything the cursor has not received as one delta
+// (nil when there is nothing): the rows in order for a stream cursor, their
+// net change for a table cursor, and the watermark of the last of them. It
+// moves the cursor to the end. The reader must have exited.
+func (c *cursor) unreadLocked() *Delta {
+	s := c.s
+	end, next := s.base+len(s.outLog), s.delBase+len(s.dels)
+	if c.row == end {
+		return nil
+	}
+	wm := c.handWm
+	if c.next < next {
+		wm = s.dels[len(s.dels)-1].wm
+	}
+	p := s.pieceLocked(c.row, end, wm, next)
+	d := p.delta(c.mode)
+	c.advanceLocked(p, &d)
+	return &d
+}
+
+// queueDepthLocked counts the deltas the consumer has not yet received.
+func (c *cursor) queueDepthLocked() int {
+	if c.stopped {
+		return 0
+	}
+	n := c.s.delBase + len(c.s.dels) - c.next
+	if p, ok := c.pendingLocked(); ok && p.next == c.next {
+		n++ // the hand-off
+	}
+	return n
+}
+
+// stats snapshots the cursor's counters plus the shared pipeline's.
 func (c *cursor) stats() Stats {
 	s := c.s
+	s.mu.Lock()
+	depth := c.queueDepthLocked()
+	s.mu.Unlock()
 	st := Stats{
 		EventsIn:    s.eventsIn.Load(),
 		DeltasOut:   c.deltasOut.Load(),
 		RowsOut:     c.rowsOut.Load(),
 		Watermark:   types.Time(s.wm.Load()),
-		QueueDepth:  len(c.deltas),
+		QueueDepth:  depth,
 		PipelineID:  int(s.id.Load()),
 		Subscribers: int(s.nsubs.Load()),
 		Shard:       s.shardIndex(),
@@ -96,46 +257,28 @@ func (c *cursor) stats() Stats {
 	return st
 }
 
-// waitUnparkedLocked waits until no producer is mid-send to this cursor.
-// Callers have already closed c.done, so the wait is brief: the parked
-// producer wakes on it immediately and clears the bit.
-func (c *cursor) waitUnparkedLocked() {
-	for c.parked {
-		c.s.parkCond.Wait()
-	}
-}
-
-// cancel terminates this cursor immediately: pending and future deliveries
-// are abandoned, its channel closes, and Err reports ErrClosed unless a
-// terminal error was already recorded. When it was the session's last
-// cursor, the shared pipeline is torn down with it. Cancel never waits on a
-// slow peer: it only synchronizes with a producer mid-send to THIS cursor,
-// which the closed done channel releases at once.
+// cancel terminates this cursor immediately: unread output is abandoned, its
+// channel closes, and Err reports ErrClosed unless a terminal error was
+// already recorded. When it was the session's last cursor, the shared
+// pipeline is torn down with it.
 func (c *cursor) cancel() {
-	// Unblock a producer mid-delivery to this cursor before taking any
-	// lock.
-	c.once.Do(func() { close(c.done) })
+	c.halt()
 	s := c.s
 	s.mu.Lock()
-	c.discard = true // Cancel abandons undelivered output by design
-	c.pending = nil
-	c.waitUnparkedLocked()
 	if c.detached {
 		s.mu.Unlock()
 		return
 	}
 	c.setErr(ErrClosed)
 	s.removeCursorLocked(c)
-	last := s.everAttached && len(s.cursors) == 0 && !s.closed
+	last := len(s.cursors) == 0 && !s.closed
 	s.mu.Unlock()
 	if !last {
 		return
 	}
-	// Last subscriber gone: finish the driver. Serialize with the
-	// producer side (an in-flight delivery could only have been parked on
-	// this very cursor, and the closed done has already released it) and
-	// re-check — a racing attach may have revived the session, or a
-	// racing publish may have already closed it.
+	// Last subscriber gone: finish the driver once any running feed is
+	// done, and re-check — a racing attach may have revived the session,
+	// or a failing feed already closed it.
 	s.ingestMu.Lock()
 	s.mu.Lock()
 	closedNow := false
@@ -150,27 +293,23 @@ func (c *cursor) cancel() {
 	}
 }
 
-// closeGraceful finishes this cursor. A non-last cursor detaches from the
-// shared pipeline, returning any delivery that was interrupted by the close
-// (the pipeline lives on for its peers). The last cursor completes the
-// pipeline input — bounded relations close, pending EMIT timers flush — and
-// returns the emissions those completions produce, folded together with any
-// interrupted delivery so the sequence stays gapless. The final delta is
+// closeGraceful finishes this cursor and returns, as one final delta, every
+// delivery its consumer had not yet received. A non-last cursor detaches
+// from the shared pipeline, which lives on for its peers. The last cursor
+// first completes the pipeline input — bounded relations close, pending EMIT
+// timers flush — and the emissions that produces follow the unread output
+// in the final delta, so the sequence stays gapless. The final delta is
 // returned rather than channeled so a subscriber that has stopped draining
 // cannot deadlock its own close.
 func (c *cursor) closeGraceful() (*Delta, error) {
-	// Unblock a delivery already waiting on this (no longer drained)
-	// channel; the interrupted producer folds the delta into pending.
-	c.once.Do(func() { close(c.done) })
 	s := c.s
 	// Sharded mode: wait for the session's shard to apply every commit
-	// acknowledged before this close, so those deliveries land in the
-	// buffer (or fold into pending via the closed done) and the final
-	// delta misses nothing the engine already acked as durable. Holds no
-	// locks — the shard worker needs ingestMu/mu to make progress.
+	// acknowledged before this close, so the final delta misses nothing the
+	// engine already acked as durable. Holds no locks — the shard worker
+	// needs ingestMu and mu to make progress.
 	s.drainShard()
+	c.halt()
 	s.mu.Lock()
-	c.waitUnparkedLocked()
 	if c.detached {
 		s.mu.Unlock()
 		return nil, c.terminalErr()
@@ -178,23 +317,18 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 	if len(s.cursors) > 1 || s.closed {
 		// Peers remain (or the session already ended): detach without
 		// touching the shared driver.
-		final := c.pending
-		c.pending = nil
+		final := c.unreadLocked()
 		s.removeCursorLocked(c)
-		if final != nil {
-			c.noteDelivered(final)
-		}
-		closedNow := s.closed
+		closed := s.closed
 		s.mu.Unlock()
-		if closedNow {
+		if closed {
 			return final, c.terminalErr()
 		}
 		return final, nil
 	}
 	// Last subscriber: the standing query finishes with it. Marking the
 	// session closed stops new ingest; the teardown stops the manager
-	// from routing (waiting out any in-flight publish, which the closed
-	// done channel has already released from a park on this cursor).
+	// from routing, waiting out any in-flight publish.
 	s.closed = true
 	s.mu.Unlock()
 	s.runTeardown()
@@ -209,15 +343,8 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 		s.removeCursorLocked(c)
 		return nil, err
 	}
-	final := c.pending
-	if d := s.renderLocked(); d != nil {
-		v := d.as(c.mode)
-		final = mergeDeltas(c.mode, final, &v)
-	}
-	c.pending = nil
-	if final != nil {
-		c.noteDelivered(final)
-	}
+	s.appendOutputLocked(nil)
+	final := c.unreadLocked()
 	s.removeCursorLocked(c)
 	return final, nil
 }

@@ -10,8 +10,8 @@
 // read contract below); package live supplies the third mode of
 // consumption: a Session wraps an exec.Driver started once, feeds it every
 // subsequent ingested change through the same deterministic merge the replay
-// path uses, and delivers the incremental output — stream-rendered deltas or
-// consolidated table diffs — to its subscribers. The driver lifecycle
+// path uses, and retains the incremental output, which its subscribers read
+// as stream-rendered deltas or consolidated table diffs. The driver lifecycle
 // guarantees that incremental feeding is byte-identical to replay when the
 // batches reach the pipeline in the replay's merge order: by ptime, ties
 // broken by scan order, across every relation the plan scans (see
@@ -26,8 +26,8 @@
 //
 // One time-varying relation is one pipeline, however many consumers watch it
 // and in whichever rendering: a Session is the resident pipeline, and any
-// number of subscriber cursors attach to it, each with its own bounded delta
-// channel, slow-consumer policy, rendering mode and stats (Attach).
+// number of subscriber cursors attach to it, each with its own rendering
+// mode, position and stats (Attach).
 // Manager.Subscribe shares sessions by plan key, which the engine derives
 // from the optimized plan: its EXPLAIN rendering, the output schema, EMIT
 // AFTER WATERMARK, the AFTER DELAY duration and the emit-key columns. Stream
@@ -36,52 +36,61 @@
 // LIMIT are presentation and stay out of the key. Every session is keyed and
 // retains its output; there is no other kind.
 //
-// The mode belongs to the cursor (CursorOpts.Mode). The session retains one
-// output changelog, from which both renderings derive: every delivery
-// advances the stream renderer, whose version counters must see every row,
-// and is consolidated into a table diff only while a table cursor is
-// attached; each cursor takes its own (Delta.as). A cursor attaching after
-// the pipeline has produced output first receives a snapshot hand-off: the
-// stream rendering re-rendered from the retained log, so it starts at the
-// current version numbers, or the log consolidated into one diff. Either is
+// The retained output is the relation's changelog (the stream rendering of
+// the source paper's Extension 4) cut into deliveries: each commit's output
+// rows, the stream version of each row, and the output watermark. The
+// commit renders the versions once, as it appends, so every reader of the
+// log sees the same ones. A cursor is a position in that output, in its
+// cursor's mode (CursorOpts.Mode): its reader goroutine sends everything from
+// the position on, one delta per delivery — the rows at their versions, or
+// consolidate of them for a table cursor, computed by the reader — at the
+// pace its consumer receives them. A cursor attaches at the end of the
+// retained output but starts at its beginning, so when the pipeline has
+// already produced output its first read is the hand-off: everything before
+// its attach point as one delta, the rows at their versions or their
+// consolidated diff, with the session's watermark at attach. That is
 // byte-identical to what a fresh pipeline, replaying the recorded history at
-// the same instant, would deliver. Attach runs under the manager's ordering
-// lock, so no commit slips between the snapshot and live routing. The session tears down when
-// its last cursor departs; that cursor's Close completes the pipeline and
-// receives the close-time output in its own mode.
+// the same instant, would deliver, and no rendering is redone for it. Attach
+// takes its position under the session's mu, which every append holds, so
+// no delivery falls between the hand-off and the live deltas. The session
+// tears down when its last cursor departs; that cursor's Close completes the
+// pipeline and receives, after what it had not yet read, the close-time
+// output in its own mode.
 //
-// The retained log is the cost of one pipeline per relation: a session only
-// table readers use keeps its changelog too, not one entry per distinct row.
-// Config.MaxRetainedRows caps it in changelog rows; the subscription that
-// creates the session fixes it. Past the cap the log is released, existing
-// cursors unaffected, and the session can no longer hand a snapshot to a new
-// cursor. A released session is then treated like a closed one: the next
-// Subscribe under its key builds a successor through the ordinary create
-// path, under the new subscriber's own options (history replay, clock
-// catch-up, then its cursor). The successor takes the plan key, so later
-// attaches and resident reads find it. The predecessor keeps serving the
-// cursors it already has and tears down with the last one; its teardown
-// leaves the successor's key alone. A subscriber sees ErrRetainedOverflow
-// only when its own cap cannot hold the output of the recorded history, and
-// then no session is left behind.
+// The retained output is the cost of one pipeline per relation: a session only
+// table readers use keeps its changelog too, not one entry per distinct row. An
+// uncapped session keeps all of it. Config.MaxRetainedRows caps it in changelog
+// rows; the subscription that creates the session fixes it. Past the cap the
+// session stops serving late attach and resident reads, and keeps only the
+// output some cursor has not yet read; its existing cursors are unaffected. A
+// session past its cap is then treated like a closed one: the next Subscribe
+// under its key builds a successor through the ordinary create path, under the
+// new subscriber's own options (history replay, clock catch-up, then its
+// cursor). The successor takes the plan key, so later attaches and resident
+// reads find it. The predecessor keeps serving the cursors it already has and
+// tears down with the last one; its teardown leaves the successor's key alone.
+// A subscriber sees ErrRetainedOverflow only when its own cap cannot hold the
+// output of the recorded history, and then no session is left behind.
 //
 // # Checkpoint and restore
 //
 // Manager.CheckpointAll writes every open session that holds its plan key
-// (driver state, stream-renderer counters, retained log) under the ordering
-// lock, after the engine's catalog, so both describe one commit point. A
-// predecessor superseded by a successor is skipped: its cursors die with the
-// process, and a reconnect attaches to the restored successor. Sessions are
-// written with neither key nor mode. The session record keeps a retired flag
-// slot, always written false and ignored on restore, so the layout is
-// unchanged. RestoreAll re-plans each one's SQL against the restored catalog
-// (RestoreQuery), re-derives its key, and registers it with zero cursors,
-// so a reconnecting reader of either mode attaches and gets the hand-off. It
-// also reads the layout written while sessions had a mode and were keyed by
-// SQL text. A legacy stream session loads as above. A
-// legacy table session kept only distinct rows, no log a stream reader could
-// be handed, so its state is decoded and dropped, and the session is rebuilt
-// from the recorded history and caught up to the last heartbeat, as
+// (driver state, stream-renderer counters, retained output rows; a session past
+// its cap writes none) under the ordering lock, after the engine's catalog, so
+// both describe one commit point. A predecessor superseded by a successor is
+// skipped: its cursors die with the process, and a reconnect attaches to the
+// restored successor. Sessions are written with neither key nor mode, and
+// without delivery boundaries or stream versions: restore derives the versions
+// again, and the restored output is one hand-off for whoever attaches. The
+// session record keeps a retired flag slot, always written false and ignored on
+// restore, so the layout is unchanged. RestoreAll re-plans each one's SQL
+// against the restored catalog (RestoreQuery), re-derives its key, and
+// registers it with zero cursors, so a reconnecting reader of either mode
+// attaches and gets the hand-off. It also reads the layout written while
+// sessions had a mode and were keyed by SQL text. A legacy stream session loads
+// as above. A legacy table session kept only distinct rows, no log a stream
+// reader could be handed, so its state is decoded and dropped, and the session
+// is rebuilt from the recorded history and caught up to the last heartbeat, as
 // Subscribe builds one. A session whose re-derived key is already taken is
 // decoded and dropped; its readers reconnect to the survivor. The snapshot
 // goldens in internal/core/testdata pin both layouts.
@@ -97,24 +106,36 @@
 //     holds changes that committed;
 //   - every session observes changes in commit order, which is also log
 //     order;
-//   - each session gets a published batch as one delivery (one delta per
-//     attached cursor), in registration-id order across sessions;
+//   - each session gets a published batch as one delivery (one delta owed
+//     to each attached cursor), in registration-id order across sessions;
 //   - a session registered late replays the recorded history and is caught
 //     up to the last committed heartbeat under the same lock, so its delay
 //     timers fire as an early subscriber's did.
+//
+// Fan-out feeds the driver, appends the output to the session's retained output
+// as one delivery and wakes the session's idle readers; it never waits on one.
+// A stream cursor whose reader is idle and whose consumer already waits on the
+// channel is handed its delta by the commit itself, in a send that cannot
+// block, so a consumer that keeps up pays no extra wake-up. A subscriber that
+// stops reading therefore stalls no commit, no peer, no resident read and no
+// checkpoint: its unread deliveries wait in the retained output, and when it
+// reads again it receives exactly what a reading peer received. DeltasOut
+// counts a delivery as it is appended, so it is final once the producer is
+// idle.
 //
 // With Options.Shards > 0 the commit also takes a global sequence number and
 // enqueues one task per affected shard inside the lock; each session is
 // pinned to one shard (hash of its registration id) and each shard's single
 // worker applies its FIFO queue, so per-session delivery order equals the
 // serial fan-out's. A full shard queue blocks the publisher. A session that
-// refuses a delivery (canceled, every cursor dropped, or failed) leaves the
-// routing table; a panicking operator fails only its own session.
+// refuses a delivery (closed or failed) leaves the routing table; a
+// panicking operator fails only its own session, whose readers still send
+// what was appended before it, then end with its error.
 //
 // Asynchronous apply is never observable: Manager.Quiesce drains every
 // shard before a one-shot query or a checkpoint, a plan-hit attach drains
-// its session's shard before snapshotting, and a graceful cursor Close
-// drains its shard so acknowledged commits fold into the final delta.
+// its session's shard before taking its attach point, and a graceful cursor
+// Close drains its shard so acknowledged commits fold into the final delta.
 //
 // # One-shot reads from a resident pipeline
 //
@@ -176,23 +197,24 @@
 // the session's mu only long enough to copy the slice header of the
 // retained log (capped, so later appends stay invisible) and the fold, and
 // cuts the log outside it; a table read then takes the fold's mutex alone.
-// It never takes Manager.mu or ingestMu, so a delivery parked on a full
-// Block-policy cursor, whose output is retained before it parks, cannot
-// stall it. TestResidentReadMatchesReplay and FuzzResidentRead hold every
+// It never takes Manager.mu or ingestMu, so a running feed cannot stall it.
+// TestResidentReadMatchesReplay and FuzzResidentRead hold every
 // served read to a replay, and TestResidentTableReadFoldsOnlyNewOutput pins
 // how much of the retained output each table read folds.
 //
 // # Lock order
 //
 // Manager.mu → engine catalog lock → Session.ingestMu → Session.mu; nothing
-// takes them in reverse. A table read takes the fold's mutex with no other
-// lock held, and takes none while holding it. ingestMu serializes driver
-// access; mu guards the cursor list, channels and retained output, and is
-// never held while a Block-policy delivery parks on a full cursor, so
-// Attach, Stats and a peer's Cancel or Close stay responsive during
-// backpressure. Shard workers take only the session locks, never
-// Manager.mu, so a publisher blocked on a full shard queue cannot deadlock
-// against its own workers; a worker that must unregister a dead session does
-// so from a fresh goroutine, and teardown takes Manager.mu with neither
-// session lock held.
+// takes them in reverse. A table read takes the fold's mutex with no other lock
+// held, and takes none while holding it. ingestMu serializes driver access and
+// is held for a whole feed; mu guards the cursors and the retained output, and
+// a commit holds it only to append a delivery. So readers, Attach, Stats,
+// resident reads and a peer's Cancel or Close wait at most for an append, never
+// for a running feed; a reader holds mu only to find its next piece or record a
+// receipt, never while it sends, and nothing holds either lock while waiting on
+// a consumer (the commit's hand-off to a waiting consumer cannot block). Shard
+// workers take only the session locks, never Manager.mu, so a publisher blocked
+// on a full shard queue cannot deadlock against its own workers; a worker that
+// must unregister a dead session does so from a fresh goroutine, and teardown
+// takes Manager.mu with neither session lock held.
 package live

@@ -28,36 +28,6 @@ func (m Mode) String() string {
 	return "stream"
 }
 
-// Policy says what happens when a subscriber's delta channel is full.
-type Policy int
-
-const (
-	// Block applies backpressure: the ingesting goroutine waits until the
-	// subscriber drains (or the subscription is canceled). Ingest latency
-	// becomes coupled to the slowest blocking subscriber; on a shared
-	// session every other cursor still receives its buffer hand-off
-	// first, so peers keep draining while the ingest waits.
-	Block Policy = iota
-	// DropWithError terminates the subscription with ErrSlowConsumer
-	// instead of stalling ingestion: the channel closes and Err reports
-	// the drop, so the subscriber knows its view is no longer complete.
-	// On a shared session only the slow cursor is dropped; the resident
-	// pipeline and its other subscribers are untouched.
-	DropWithError
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == DropWithError {
-		return "drop"
-	}
-	return "block"
-}
-
-// ErrSlowConsumer reports that a DropWithError subscription fell behind and
-// was terminated rather than stalling ingestion.
-var ErrSlowConsumer = errors.New("live: subscription dropped: consumer too slow")
-
 // ErrClosed reports an operation on a canceled or closed subscription.
 var ErrClosed = errors.New("live: subscription closed")
 
@@ -82,16 +52,6 @@ type Delta struct {
 	Watermark types.Time
 }
 
-// as projects a session delivery, which carries the stream rendering and,
-// while a table cursor is attached, the table rendering too, onto the one a
-// cursor of mode m receives.
-func (d *Delta) as(m Mode) Delta {
-	if m == Table {
-		return Delta{Table: d.Table, Watermark: d.Watermark}
-	}
-	return Delta{Stream: d.Stream, Watermark: d.Watermark}
-}
-
 // TableDiff is the net change to the output snapshot across one delivery:
 // insert/delete pairs for the same row within the window cancel out.
 type TableDiff struct {
@@ -105,8 +65,8 @@ type TableDiff struct {
 
 // consolidate nets an output changelog into a snapshot diff: each row's net
 // multiplicity, in first-appearance order, plus the latest data ptime. A
-// table cursor receives it per delivery, and over the whole retained log as
-// its late-attach hand-off.
+// table cursor's reader builds it per delivery, and over the whole retained
+// output before its attach point as its hand-off.
 func consolidate(out tvr.Changelog) *TableDiff {
 	type rowAcc struct {
 		row types.Row
@@ -155,13 +115,18 @@ type Stats struct {
 	// EventsIn counts source events fed into the standing pipeline
 	// (including watermarks).
 	EventsIn int64
-	// DeltasOut counts deltas delivered to the subscriber.
+	// DeltasOut counts the deltas owed to the subscriber: its hand-off and
+	// one per delivery since, counted when the delivery is appended to the
+	// session's output, so it is final once the producer is idle.
 	DeltasOut int64
-	// RowsOut counts output rows across all delivered deltas.
+	// RowsOut counts output rows across those deltas. A stream cursor's
+	// are counted with DeltasOut; a table cursor's, the rows of each
+	// consolidated diff, when its reader builds the diff.
 	RowsOut int64
 	// Watermark is the output relation's current watermark.
 	Watermark types.Time
-	// QueueDepth is the number of deltas waiting in the channel.
+	// QueueDepth is the number of deltas the subscriber has not yet
+	// received.
 	QueueDepth int
 	// PipelineID identifies the resident pipeline; subscriptions sharing
 	// a plan report the same id.
@@ -183,10 +148,6 @@ type Stats struct {
 
 // CursorOpts configures one subscriber cursor attached to a session.
 type CursorOpts struct {
-	// Buffer is the cursor's delta channel capacity (default 64).
-	Buffer int
-	// Policy is the cursor's slow-consumer policy.
-	Policy Policy
 	// Mode is the rendering the cursor receives. Cursors of either mode
 	// share one session: both renderings derive from its output changelog.
 	Mode Mode

@@ -1,14 +1,15 @@
 package live_test
 
-// Unit tests for the session/cursor/subscription machinery: slow-consumer
-// policies, cancellation under backpressure, graceful close, diff
-// consolidation, shared-plan fan-out with per-subscriber cursors, and
-// manager routing — driven by a scripted in-memory exec.Driver so the tests
-// control exactly when output materializes.
+// Unit tests for the session/cursor/subscription machinery: cancellation,
+// graceful close, diff consolidation, shared-plan fan-out with
+// per-subscriber cursors, and manager routing — driven by a scripted
+// in-memory exec.Driver so the tests control exactly when output
+// materializes.
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -82,7 +83,7 @@ func testSchema() *types.Schema {
 
 func intRow(v int64) types.Row { return types.Row{types.NewInt(v)} }
 
-func newTestSession(t *testing.T, d exec.Driver, mode live.Mode, buffer int, pol live.Policy) (*live.Session, *live.Subscription) {
+func newTestSession(t *testing.T, d exec.Driver, mode live.Mode) (*live.Session, *live.Subscription) {
 	t.Helper()
 	s, err := live.NewSession(d, live.Config{
 		Name: "test", Schema: testSchema(), Sources: []string{"S"},
@@ -90,7 +91,7 @@ func newTestSession(t *testing.T, d exec.Driver, mode live.Mode, buffer int, pol
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := s.Attach(live.CursorOpts{Buffer: buffer, Policy: pol, Mode: mode})
+	sub, err := s.Attach(live.CursorOpts{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +103,21 @@ func ingest(sess *live.Session, ev tvr.Event) error {
 	return sess.IngestLog([]exec.Source{{Name: "s", Log: tvr.Changelog{ev}}})
 }
 
+// next receives the subscription's next delta, failing after a deadline.
+func next(t *testing.T, sub *live.Subscription) live.Delta {
+	t.Helper()
+	select {
+	case d, ok := <-sub.Deltas():
+		if !ok {
+			t.Fatalf("subscription closed (err=%v)", sub.Err())
+		}
+		return d
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a delta")
+	}
+	panic("unreachable")
+}
+
 // streamInts extracts the int payloads of a delta's stream rows.
 func streamInts(d live.Delta) []int64 {
 	var out []int64
@@ -111,105 +127,26 @@ func streamInts(d live.Delta) []int64 {
 	return out
 }
 
-// TestDropWithError: when the bounded channel fills, the subscription is
-// terminated with ErrSlowConsumer instead of stalling the producer; with no
-// subscribers left, the session dies with it.
-func TestDropWithError(t *testing.T) {
-	sess, sub := newTestSession(t, &echoDriver{}, live.Stream, 2, live.DropWithError)
-	var err error
-	for i := 0; i < 10; i++ {
-		err = ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i))))
-		if err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, live.ErrSlowConsumer) {
-		t.Fatalf("ingest error = %v, want ErrSlowConsumer", err)
-	}
-	if !errors.Is(sub.Err(), live.ErrSlowConsumer) {
-		t.Fatalf("Err() = %v, want ErrSlowConsumer", sub.Err())
-	}
-	// The channel must be closed so a ranging consumer terminates; the two
-	// buffered deltas are still readable.
-	n := 0
-	for range sub.Deltas() {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("drained %d buffered deltas, want 2", n)
-	}
-	// Further ingests keep failing with the recorded error.
-	if err := ingest(sess, tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrSlowConsumer) {
-		t.Fatalf("post-drop ingest error = %v", err)
-	}
-}
-
-// TestBlockBackpressure: a full channel stalls the producer until the
-// consumer drains; nothing is lost.
-func TestBlockBackpressure(t *testing.T) {
-	sess, sub := newTestSession(t, &echoDriver{}, live.Stream, 1, live.Block)
-	const n = 20
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	var got []int64
-	for len(got) < n {
-		d := <-sub.Deltas()
-		time.Sleep(time.Millisecond) // deliberately slow consumer
-		got = append(got, streamInts(d)...)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("producer error: %v", err)
-	}
-	for i, v := range got {
-		if v != int64(i) {
-			t.Fatalf("delta %d = %d, want %d (order or loss under backpressure)", i, v, i)
-		}
-	}
-}
-
-// TestCancelUnblocksProducer: canceling a subscription releases a producer
-// blocked on its full channel, and the last cursor's cancel tears the
-// session down.
+// TestCancelUnblocksProducer: a producer never waits on a subscriber that
+// stopped reading, canceling that subscriber ends its subscription, and the
+// last cursor's cancel tears the session down.
 func TestCancelUnblocksProducer(t *testing.T) {
-	sess, sub := newTestSession(t, &echoDriver{}, live.Stream, 1, live.Block)
-	blocked := make(chan error, 1)
-	go func() {
-		var err error
-		for i := 0; i < 5; i++ {
-			if err = ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
-				break
-			}
+	sess, sub := newTestSession(t, &echoDriver{}, live.Stream)
+	for i := 0; i < 5; i++ {
+		if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
 		}
-		blocked <- err
-	}()
-	// Give the producer time to fill the buffer and block, then cancel.
-	time.Sleep(10 * time.Millisecond)
-	sub.Cancel()
-	select {
-	case err := <-blocked:
-		// The interrupted delivery parks in the leaving cursor's pending
-		// slot (nil error); once the cancel lands the session is closed
-		// and later ingests report ErrClosed. Either way the producer
-		// must not stay blocked.
-		if err != nil && !errors.Is(err, live.ErrClosed) {
-			t.Fatalf("producer error = %v, want nil or ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("producer still blocked after Cancel")
 	}
+	if st := sub.Stats(); st.DeltasOut != 5 || st.QueueDepth != 5 {
+		t.Fatalf("stats = %+v, want 5 deltas owed, all unread", st)
+	}
+	sub.Cancel()
 	if !errors.Is(sub.Err(), live.ErrClosed) {
 		t.Fatalf("Err() = %v, want ErrClosed", sub.Err())
 	}
-	// Channel must be closed.
+	// Channel must be closed: the unread deltas are abandoned.
 	for range sub.Deltas() {
+		t.Fatal("a canceled subscription delivered a delta")
 	}
 	// The session died with its last cursor: no more input accepted.
 	if err := ingest(sess, tvr.InsertEvent(100, intRow(100))); !errors.Is(err, live.ErrClosed) {
@@ -217,12 +154,137 @@ func TestCancelUnblocksProducer(t *testing.T) {
 	}
 }
 
+// returnsWithin fails the test if fn does not return within a deadline.
+func returnsWithin(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s stalled behind a subscriber that stopped reading", what)
+	}
+}
+
+// TestBlockBackpressure (named for the blocking policy it replaced): a slow
+// consumer loses nothing and exerts no backpressure. The producer commits
+// every event without waiting on it, and the consumer, reading at its own
+// pace, then receives one delta per commit, in order.
+func TestBlockBackpressure(t *testing.T) {
+	sess, sub := newTestSession(t, &echoDriver{}, live.Stream)
+	defer sub.Cancel()
+	const n = 20
+	returnsWithin(t, "the producer", func() {
+		for i := 0; i < n; i++ {
+			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+				t.Errorf("ingest %d: %v", i, err)
+				return
+			}
+		}
+	})
+	if st := sub.Stats(); st.DeltasOut != n || st.QueueDepth != n {
+		t.Fatalf("stats = %+v, want %d deltas owed, all unread", st, n)
+	}
+	var got []int64
+	for i := 0; i < n; i++ {
+		d := next(t, sub)
+		time.Sleep(time.Millisecond) // deliberately slow consumer
+		got = append(got, streamInts(d)...)
+	}
+	if len(got) != n {
+		t.Fatalf("received %d rows, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("delta %d = %d, want %d (order or loss for a slow consumer)", i, v, i)
+		}
+	}
+}
+
+// TestSlowBlockPeerDoesNotStallOthers: with two cursors on one session, a
+// peer that stops reading stalls neither the producer nor the reading
+// cursor, which receives each delta as it is committed; the stalled peer,
+// once it resumes, receives exactly the same deltas.
+func TestSlowBlockPeerDoesNotStallOthers(t *testing.T) {
+	sess, slow := newTestSession(t, &echoDriver{}, live.Stream)
+	defer slow.Cancel()
+	fast, err := sess.Attach(live.CursorOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Cancel()
+	const n = 100
+	var want []live.Delta
+	for i := 0; i < n; i++ {
+		returnsWithin(t, "a commit", func() {
+			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+				t.Error(err)
+			}
+		})
+		d := next(t, fast)
+		if got := streamInts(d); len(got) != 1 || got[0] != int64(i) {
+			t.Fatalf("fast delta %d = %v", i, got)
+		}
+		want = append(want, d)
+	}
+	if st := slow.Stats(); st.DeltasOut != n || st.QueueDepth != n {
+		t.Fatalf("slow stats = %+v, want %d deltas owed, all unread", st, n)
+	}
+	var got []live.Delta
+	for i := 0; i < n; i++ {
+		got = append(got, next(t, slow))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the resumed slow cursor's deltas differ from its reading peer's")
+	}
+}
+
+// TestCancelNotBlockedBehindSlowPeer: canceling or closing a healthy cursor
+// completes promptly while a peer on the same session has stopped reading
+// with deltas owed, and neither leaves the producer waiting on that peer.
+func TestCancelNotBlockedBehindSlowPeer(t *testing.T) {
+	sess, slow := newTestSession(t, &echoDriver{}, live.Stream)
+	defer slow.Cancel()
+	healthy, err := sess.Attach(live.CursorOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander, err := sess.Attach(live.CursorOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	returnsWithin(t, "Cancel of a healthy cursor", healthy.Cancel)
+	returnsWithin(t, "Close of a healthy cursor", func() {
+		if _, err := bystander.Close(); err != nil {
+			t.Errorf("bystander Close: %v", err)
+		}
+	})
+	returnsWithin(t, "a commit after the peers left", func() {
+		if err := ingest(sess, tvr.InsertEvent(2, intRow(2))); err != nil {
+			t.Error(err)
+		}
+	})
+	for i := int64(0); i < 3; i++ {
+		if got := streamInts(next(t, slow)); len(got) != 1 || got[0] != i {
+			t.Fatalf("slow delta %d = %v", i, got)
+		}
+	}
+}
+
 // TestGracefulCloseDeliversFinalDelta: Close completes the pipeline and
-// returns end-of-input emissions as the final delta without touching the
-// (possibly full) channel.
+// returns the unread delivery and the end-of-input emissions as the final
+// delta, without touching the channel.
 func TestGracefulCloseDeliversFinalDelta(t *testing.T) {
 	d := &echoDriver{final: intRow(999)}
-	sess, sub := newTestSession(t, d, live.Stream, 4, live.Block)
+	sess, sub := newTestSession(t, d, live.Stream)
 	if err := ingest(sess, tvr.InsertEvent(1, intRow(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +292,17 @@ func TestGracefulCloseDeliversFinalDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final == nil || len(final.Stream) != 1 || final.Stream[0].Row[0].Int() != 999 {
-		t.Fatalf("final delta = %+v, want the close marker row", final)
+	if final == nil || fmt.Sprint(streamInts(*final)) != "[1 999]" {
+		t.Fatalf("final delta = %+v, want the unread row 1, then the close marker", final)
 	}
 	if !d.closed {
 		t.Fatal("driver was not closed")
 	}
 	if sub.Err() != nil {
 		t.Fatalf("Err after graceful close = %v", sub.Err())
+	}
+	if _, ok := <-sub.Deltas(); ok {
+		t.Fatal("channel still open after Close")
 	}
 	st := sub.Stats()
 	if st.EventsIn != 1 || st.DeltasOut != 2 || st.RowsOut != 2 {
@@ -249,46 +314,41 @@ func TestGracefulCloseDeliversFinalDelta(t *testing.T) {
 	}
 }
 
-// TestCloseKeepsInterruptedDelta: a delivery blocked on a full channel when
-// the consumer calls Close must not be lost — it folds into the final delta.
+// TestCloseKeepsInterruptedDelta: deliveries appended after the consumer
+// stopped reading are not lost when it calls Close — they fold into the
+// final delta, ahead of the close-time output.
 func TestCloseKeepsInterruptedDelta(t *testing.T) {
 	d := &echoDriver{final: intRow(999)}
-	sess, sub := newTestSession(t, d, live.Stream, 1, live.Block)
-	// Fill the buffer (delta 0 delivered), then block a producer on delta 1.
+	sess, sub := newTestSession(t, d, live.Stream)
 	if err := ingest(sess, tvr.InsertEvent(1, intRow(1))); err != nil {
 		t.Fatal(err)
 	}
-	blocked := make(chan error, 1)
-	go func() {
-		blocked <- ingest(sess, tvr.InsertEvent(2, intRow(2)))
-	}()
-	time.Sleep(10 * time.Millisecond) // let the producer block
+	if got := streamInts(next(t, sub)); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("delta 0 = %v, want [1]", got)
+	}
+	// The consumer stops reading; the producer does not wait for it.
+	if err := ingest(sess, tvr.InsertEvent(2, intRow(2))); err != nil {
+		t.Fatal(err)
+	}
 	final, err := sub.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The interrupted delivery succeeded from the producer's point of
-	// view: the delta is parked for the closing cursor, not lost.
-	if perr := <-blocked; perr != nil {
-		t.Fatalf("producer error = %v, want nil (delta parked as pending)", perr)
-	}
-	// The final delta must contain the interrupted row 2 AND the close
-	// marker 999 — nothing lost, order preserved.
+	// The final delta must contain the unread row 2 AND the close marker
+	// 999 — nothing lost, order preserved.
 	got := streamInts(*final)
 	if len(got) != 2 || got[0] != 2 || got[1] != 999 {
 		t.Fatalf("final delta rows = %v, want [2 999]", got)
 	}
-	// The buffered delta 0 is still readable.
-	d0 := <-sub.Deltas()
-	if len(d0.Stream) != 1 || d0.Stream[0].Row[0].Int() != 1 {
-		t.Fatalf("buffered delta = %+v, want row 1", d0)
+	if _, ok := <-sub.Deltas(); ok {
+		t.Fatal("channel still open after Close")
 	}
 }
 
 // TestTableDiffConsolidation: insert+delete of the same row inside one
 // delivery cancels out of the diff.
 func TestTableDiffConsolidation(t *testing.T) {
-	sess, sub := newTestSession(t, &echoDriver{}, live.Table, 4, live.Block)
+	sess, sub := newTestSession(t, &echoDriver{}, live.Table)
 	err := sess.IngestLog([]exec.Source{{Name: "s", Log: tvr.Changelog{
 		tvr.InsertEvent(1, intRow(1)),
 		tvr.InsertEvent(2, intRow(2)),
@@ -298,7 +358,7 @@ func TestTableDiffConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := <-sub.Deltas()
+	d := next(t, sub)
 	if d.Table == nil {
 		t.Fatal("nil table diff")
 	}
@@ -326,7 +386,7 @@ func TestSharedFanout(t *testing.T) {
 	}
 	subs := make([]*live.Subscription, 3)
 	for i := range subs {
-		if subs[i], err = m.Subscribe("fanout", live.CursorOpts{Buffer: 8}, func() (*live.Session, error) { return sess, nil }, nil); err != nil {
+		if subs[i], err = m.Subscribe("fanout", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +408,7 @@ func TestSharedFanout(t *testing.T) {
 			t.Fatalf("sub %d pipeline id %d differs from %d", i, st.PipelineID, subs[0].Stats().PipelineID)
 		}
 		for j := 0; j < 3; j++ {
-			d := <-sub.Deltas()
+			d := next(t, sub)
 			if got := streamInts(d); len(got) != 1 || got[0] != int64(j) {
 				t.Fatalf("sub %d delta %d = %v", i, j, got)
 			}
@@ -378,11 +438,11 @@ func TestRefcountTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.Subscribe("rc", live.CursorOpts{Buffer: 4}, func() (*live.Session, error) { return sess, nil }, nil)
+	a, err := m.Subscribe("rc", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := sess.Attach(live.CursorOpts{Buffer: 4})
+	b, _ := sess.Attach(live.CursorOpts{})
 	a.Cancel()
 	if d.closed {
 		t.Fatal("driver closed while a subscriber remains")
@@ -395,7 +455,7 @@ func TestRefcountTeardown(t *testing.T) {
 		tvr.Changelog{tvr.InsertEvent(1, intRow(7))}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := streamInts(<-b.Deltas()); len(got) != 1 || got[0] != 7 {
+	if got := streamInts(next(t, b)); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("survivor delta = %v, want [7]", got)
 	}
 	b.Cancel()
@@ -408,12 +468,12 @@ func TestRefcountTeardown(t *testing.T) {
 }
 
 // TestNonLastCloseLeavesPipeline: a graceful Close with peers attached only
-// detaches the cursor; the standing query keeps running for the others, and
-// the last Close completes it.
+// detaches the cursor, handing over what it had not read; the standing query
+// keeps running for the others, and the last Close completes it.
 func TestNonLastCloseLeavesPipeline(t *testing.T) {
 	d := &echoDriver{final: intRow(999)}
-	sess, a := newTestSession(t, d, live.Stream, 4, live.Block)
-	b, err := sess.Attach(live.CursorOpts{Buffer: 4})
+	sess, a := newTestSession(t, d, live.Stream)
+	b, err := sess.Attach(live.CursorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +484,8 @@ func TestNonLastCloseLeavesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final != nil {
-		t.Fatalf("non-last Close returned a final delta: %+v", final)
+	if final == nil || fmt.Sprint(streamInts(*final)) != "[1]" {
+		t.Fatalf("non-last Close final delta = %+v, want its unread row 1", final)
 	}
 	if a.Err() != nil {
 		t.Fatalf("Err after non-last Close = %v", a.Err())
@@ -441,18 +501,14 @@ func TestNonLastCloseLeavesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalB == nil || len(finalB.Stream) != 1 || finalB.Stream[0].Row[0].Int() != 999 {
-		t.Fatalf("last Close final delta = %+v, want the close marker", finalB)
+	if finalB == nil || fmt.Sprint(streamInts(*finalB)) != "[1 2 999]" {
+		t.Fatalf("last Close final delta = %+v, want the unread rows 1 and 2, then the close marker", finalB)
 	}
 	if !d.closed {
 		t.Fatal("driver not closed after last Close")
 	}
-	var got []int64
-	for d := range b.Deltas() {
-		got = append(got, streamInts(d)...)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("b's deltas = %v, want [1 2]", got)
+	if _, ok := <-b.Deltas(); ok {
+		t.Fatal("channel still open after Close")
 	}
 }
 
@@ -462,17 +518,17 @@ func TestNonLastCloseLeavesPipeline(t *testing.T) {
 // reconstructing the snapshot (Table mode) — then lives on the shared feed.
 func TestLateAttachSnapshot(t *testing.T) {
 	t.Run("stream", func(t *testing.T) {
-		sess, early := newTestSession(t, &echoDriver{}, live.Stream, 8, live.Block)
+		sess, early := newTestSession(t, &echoDriver{}, live.Stream)
 		for i := 0; i < 3; i++ {
 			if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		late, err := sess.Attach(live.CursorOpts{Buffer: 8})
+		late, err := sess.Attach(live.CursorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := <-late.Deltas()
+		snap := next(t, late)
 		if got := streamInts(snap); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 			t.Fatalf("snapshot rows = %v, want [0 1 2]", got)
 		}
@@ -482,9 +538,9 @@ func TestLateAttachSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			<-early.Deltas() // skip the three pre-attach deltas
+			next(t, early) // skip the three pre-attach deltas
 		}
-		de, dl := <-early.Deltas(), <-late.Deltas()
+		de, dl := next(t, early), next(t, late)
 		if len(de.Stream) != 1 || len(dl.Stream) != 1 || de.Stream[0].Ver != dl.Stream[0].Ver {
 			t.Fatalf("post-attach versions diverge: early %+v late %+v", de.Stream, dl.Stream)
 		}
@@ -492,7 +548,7 @@ func TestLateAttachSnapshot(t *testing.T) {
 		late.Cancel()
 	})
 	t.Run("table", func(t *testing.T) {
-		sess, early := newTestSession(t, &echoDriver{}, live.Table, 8, live.Block)
+		sess, early := newTestSession(t, &echoDriver{}, live.Table)
 		err := sess.IngestLog([]exec.Source{{Name: "s", Log: tvr.Changelog{
 			tvr.InsertEvent(1, intRow(1)),
 			tvr.InsertEvent(2, intRow(2)),
@@ -503,11 +559,11 @@ func TestLateAttachSnapshot(t *testing.T) {
 		if err := ingest(sess, tvr.DeleteEvent(3, intRow(1))); err != nil {
 			t.Fatal(err)
 		}
-		late, err := sess.Attach(live.CursorOpts{Buffer: 8, Mode: live.Table})
+		late, err := sess.Attach(live.CursorOpts{Mode: live.Table})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := <-late.Deltas()
+		snap := next(t, late)
 		if snap.Table == nil {
 			t.Fatal("nil snapshot diff")
 		}
@@ -524,109 +580,6 @@ func TestLateAttachSnapshot(t *testing.T) {
 	})
 }
 
-// TestSlowBlockPeerDoesNotStallOthers: with two Block cursors on one
-// session, a delta is handed to every cursor with buffer space before the
-// producer waits on the full one — the fast subscriber keeps receiving while
-// its slow peer exerts backpressure.
-func TestSlowBlockPeerDoesNotStallOthers(t *testing.T) {
-	sess, slow := newTestSession(t, &echoDriver{}, live.Stream, 1, live.Block)
-	fast, err := sess.Attach(live.CursorOpts{Buffer: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delta 0 fills slow's buffer; delta 1 blocks the producer on slow.
-	if err := ingest(sess, tvr.InsertEvent(0, intRow(0))); err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan error, 1)
-	go func() {
-		blocked <- ingest(sess, tvr.InsertEvent(1, intRow(1)))
-	}()
-	// The fast cursor receives delta 1 even though the producer is still
-	// blocked on the slow peer.
-	for i := 0; i < 2; i++ {
-		select {
-		case d := <-fast.Deltas():
-			if got := streamInts(d); len(got) != 1 || got[0] != int64(i) {
-				t.Fatalf("fast delta %d = %v", i, got)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("fast subscriber stalled behind slow peer (delta %d)", i)
-		}
-	}
-	select {
-	case err := <-blocked:
-		t.Fatalf("producer returned (%v) before the slow cursor drained", err)
-	default:
-	}
-	// Draining the slow cursor releases the producer.
-	<-slow.Deltas()
-	if err := <-blocked; err != nil {
-		t.Fatalf("producer error = %v", err)
-	}
-	if got := streamInts(<-slow.Deltas()); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("slow delta 1 = %v", got)
-	}
-	slow.Cancel()
-	fast.Cancel()
-}
-
-// TestCancelNotBlockedBehindSlowPeer: canceling (or closing) a healthy
-// cursor must complete promptly even while the producer is parked on a
-// different, slow Block-policy cursor — the park holds no cursor-state lock.
-func TestCancelNotBlockedBehindSlowPeer(t *testing.T) {
-	sess, slow := newTestSession(t, &echoDriver{}, live.Stream, 1, live.Block)
-	healthy, err := sess.Attach(live.CursorOpts{Buffer: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bystander, err := sess.Attach(live.CursorOpts{Buffer: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delta 0 fills slow's buffer; delta 1 parks the producer on slow.
-	if err := ingest(sess, tvr.InsertEvent(0, intRow(0))); err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan error, 1)
-	go func() {
-		parked <- ingest(sess, tvr.InsertEvent(1, intRow(1)))
-	}()
-	time.Sleep(10 * time.Millisecond) // let the producer park
-	canceled := make(chan struct{})
-	go func() {
-		healthy.Cancel()
-		close(canceled)
-	}()
-	closed := make(chan struct{})
-	go func() {
-		if _, err := bystander.Close(); err != nil {
-			t.Errorf("bystander Close: %v", err)
-		}
-		close(closed)
-	}()
-	for _, wait := range []struct {
-		name string
-		ch   chan struct{}
-	}{{"Cancel", canceled}, {"Close", closed}} {
-		select {
-		case <-wait.ch:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s of a healthy cursor stalled behind the slow peer", wait.name)
-		}
-	}
-	select {
-	case err := <-parked:
-		t.Fatalf("producer returned (%v) before the slow cursor drained", err)
-	default: // still parked on slow, as it should be
-	}
-	<-slow.Deltas() // drain: releases the producer
-	if err := <-parked; err != nil {
-		t.Fatalf("producer error = %v", err)
-	}
-	slow.Cancel()
-}
-
 // TestPlanTableSurvivesTeardownRace: a dying shared session's deferred
 // unregister must not clobber the replacement Subscribe installed under the
 // same plan key — otherwise later identical subscriptions silently stop
@@ -636,7 +589,7 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	subscribe := func() *live.Subscription {
 		t.Helper()
-		sub, err := m.Subscribe("k", live.CursorOpts{Buffer: 8},
+		sub, err := m.Subscribe("k", live.CursorOpts{},
 			func() (*live.Session, error) {
 				return live.NewSession(&echoDriver{}, live.Config{
 					Name: "k", Schema: testSchema(), Sources: []string{"s"},
@@ -697,46 +650,6 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 	}
 }
 
-// TestDropOnlyDropsSlowCursor: a DropWithError cursor falling behind is
-// dropped alone; the shared pipeline and its other subscribers continue.
-func TestDropOnlyDropsSlowCursor(t *testing.T) {
-	sess, droppy := newTestSession(t, &echoDriver{}, live.Stream, 1, live.DropWithError)
-	keeper, err := sess.Attach(live.CursorOpts{Buffer: 16, Policy: live.Block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := ingest(sess, tvr.InsertEvent(types.Time(i), intRow(int64(i)))); err != nil {
-			t.Fatalf("ingest %d failed: %v (drop must not kill the shared session)", i, err)
-		}
-	}
-	if !errors.Is(droppy.Err(), live.ErrSlowConsumer) {
-		t.Fatalf("dropped cursor Err = %v, want ErrSlowConsumer", droppy.Err())
-	}
-	if keeper.Err() != nil {
-		t.Fatalf("keeper Err = %v, want nil", keeper.Err())
-	}
-	n := 0
-	for range droppy.Deltas() { // closed after the drop; one buffered delta
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("dropped cursor had %d buffered deltas, want 1", n)
-	}
-	got := 0
-	for i := 0; i < 5; i++ {
-		d := <-keeper.Deltas()
-		got += len(d.Stream)
-	}
-	if got != 5 {
-		t.Fatalf("keeper received %d rows, want all 5", got)
-	}
-	if st := keeper.Stats(); st.Subscribers != 1 {
-		t.Fatalf("Subscribers = %d after drop, want 1", st.Subscribers)
-	}
-	keeper.Cancel()
-}
-
 // TestManagerRouting: Publish routes only to sessions scanning the named
 // relation, in commit order, and drops dead sessions from the table.
 func TestManagerRouting(t *testing.T) {
@@ -748,7 +661,7 @@ func TestManagerRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -772,16 +685,15 @@ func TestManagerRouting(t *testing.T) {
 	if commits != 3 {
 		t.Fatalf("commits = %d, want 3", commits)
 	}
+	// readAll receives every delta owed to sub so far: DeltasOut counts a
+	// delivery as it is appended.
+	read := map[*live.Subscription]int64{}
 	readAll := func(sub *live.Subscription) []int64 {
 		var out []int64
-		for {
-			select {
-			case d := <-sub.Deltas():
-				out = append(out, streamInts(d)...)
-			default:
-				return out
-			}
+		for ; read[sub] < sub.Stats().DeltasOut; read[sub]++ {
+			out = append(out, streamInts(next(t, sub))...)
 		}
+		return out
 	}
 	if got := readAll(subA); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("subA rows = %v, want [1 3]", got)
@@ -825,7 +737,7 @@ func TestFanoutRegistrationOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64}, func() (*live.Session, error) { return s, nil }, nil)
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -929,8 +841,7 @@ func TestRegisterFailureCancelsSession(t *testing.T) {
 }
 
 // TestPublishBatchesOneDelta: a published changelog batch reaches each
-// cursor as a single delivery, so a small DropWithError buffer survives
-// large atomic appends instead of being spuriously dropped.
+// cursor as a single delivery.
 func TestPublishBatchesOneDelta(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	s, err := live.NewSession(&echoDriver{}, live.Config{
@@ -939,7 +850,7 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 1, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -953,7 +864,7 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 	if err := sub.Err(); err != nil {
 		t.Fatalf("batch publish dropped the subscription: %v", err)
 	}
-	d := <-sub.Deltas()
+	d := next(t, sub)
 	if len(d.Stream) != 100 {
 		t.Fatalf("delta has %d rows, want the whole batch (100)", len(d.Stream))
 	}
@@ -974,7 +885,7 @@ func TestConcurrentIngestAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 2, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,9 +299,8 @@ func (m *Manager) ResidentTable(key string, at types.Time) (rows []types.Row, fo
 // committing goroutine in serial mode or on the shard workers otherwise.
 // Each session receives the whole batch in one delivery (one delta per
 // attached cursor) rather than per-event. A session
-// that refuses the batch (canceled, every cursor dropped, or failed) is
-// removed from the routing table; its subscribers learn why from
-// Subscription.Err.
+// that refuses the batch (closed or failed) is removed from the routing
+// table; its subscribers learn why from Subscription.Err.
 //
 // The commit-path span's sequence and enqueue stages are timed here; validate/WAL happen inside commit (the
 // engine times them before handing the span over) and apply/render/deliver
@@ -435,9 +434,9 @@ func (m *Manager) fanOutLocked(seq uint64, span *obs.CommitSpan, match func(*Ses
 			defer span.Finish()
 			for _, sess := range sessions {
 				if err := safeApply(sess, apply); err != nil {
-					// The session refused the delivery (canceled,
-					// dropped, or failed): unregister it without
-					// blocking this worker on the manager lock.
+					// The session refused the delivery (closed or
+					// failed): unregister it without blocking this
+					// worker on the manager lock.
 					go sess.runTeardown()
 				}
 			}
@@ -484,8 +483,7 @@ func (m *Manager) Close() {
 }
 
 // ShardStats snapshots every shard's queue depth and lag (nil in serial
-// mode). Lock-free, so health probes stay responsive while a shard is
-// stalled on a Block-policy subscriber.
+// mode). Lock-free.
 func (m *Manager) ShardStats() []shard.Stat {
 	if m.pool == nil {
 		return nil
@@ -494,7 +492,7 @@ func (m *Manager) ShardStats() []shard.Stat {
 }
 
 // Len reports the number of resident pipelines without taking the routing
-// lock, so liveness probes stay responsive during a blocked delivery.
+// lock, so liveness probes stay responsive during a long commit.
 func (m *Manager) Len() int {
 	return int(m.count.Load())
 }

@@ -12,11 +12,11 @@ import (
 // sampled at scrape time from the manager's existing lock-free
 // observability state, so a scrape never takes the ordering lock.
 type liveMetrics struct {
-	eventsIn  *obs.Counter
-	deltasOut *obs.Counter
-	rowsOut   *obs.Counter
-	parks     *obs.Counter
-	drops     *obs.Counter
+	eventsIn         *obs.Counter
+	deltasOut        *obs.Counter
+	rowsOut          *obs.Counter
+	dispatches       *obs.Counter
+	dispatchedEvents *obs.Counter
 }
 
 // The increment helpers are nil-safe on the *liveMetrics itself so sessions
@@ -29,26 +29,20 @@ func (m *liveMetrics) noteEventsIn(n int64) {
 	m.eventsIn.Add(n)
 }
 
-func (m *liveMetrics) noteDelivered(rows int64) {
+func (m *liveMetrics) noteDelivered(deltas, rows int64) {
 	if m == nil {
 		return
 	}
-	m.deltasOut.Inc()
+	m.deltasOut.Add(deltas)
 	m.rowsOut.Add(rows)
 }
 
-func (m *liveMetrics) noteParks(n int) {
-	if m == nil || n == 0 {
+func (m *liveMetrics) noteDispatched(dispatches, events int64) {
+	if m == nil {
 		return
 	}
-	m.parks.Add(int64(n))
-}
-
-func (m *liveMetrics) noteDrops(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.drops.Add(int64(n))
+	m.dispatches.Add(dispatches)
+	m.dispatchedEvents.Add(events)
 }
 
 // registerMetrics wires the live_* and exec_* families onto reg. Called
@@ -56,16 +50,18 @@ func (m *liveMetrics) noteDrops(n int) {
 func (m *Manager) registerMetrics(reg *obs.Registry) {
 	m.obsm = &liveMetrics{
 		eventsIn:  reg.Counter("live_events_in_total", "Source events delivered into live sessions (counted per matching session)."),
-		deltasOut: reg.Counter("live_deltas_out_total", "Deltas handed to subscriber cursors."),
-		rowsOut:   reg.Counter("live_rows_out_total", "Output rows handed to subscriber cursors."),
-		parks:     reg.Counter("live_parks_total", "Deliveries parked on a full Block-policy cursor."),
-		drops:     reg.Counter("live_dropped_subscribers_total", "Subscribers dropped with ErrSlowConsumer."),
+		deltasOut: reg.Counter("live_deltas_out_total", "Deltas owed to subscriber cursors (see live.Stats.DeltasOut)."),
+		rowsOut:   reg.Counter("live_rows_out_total", "Output rows owed to subscriber cursors (see live.Stats.RowsOut)."),
+		dispatches: reg.Counter("exec_dispatches_total",
+			"Driver dispatches across resident pipelines."),
+		dispatchedEvents: reg.Counter("exec_dispatched_events_total",
+			"Events pushed through driver dispatches across resident pipelines."),
 	}
 	reg.GaugeFunc("live_sessions", "Resident live pipelines.",
 		func() float64 { return float64(m.Len()) })
 	reg.GaugeFunc("live_subscribers", "Attached subscriber cursors.",
 		func() float64 { return float64(m.Subscribers()) })
-	reg.GaugeFunc("live_queue_depth", "Buffered undrained deltas across all cursors.",
+	reg.GaugeFunc("live_queue_depth", "Deltas appended but not yet received, across all cursors.",
 		func() float64 {
 			n := 0
 			for _, sess := range m.snap.Load().([]*Session) {
@@ -92,33 +88,15 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 			// types.Time is milliseconds.
 			return float64(worst) / 1e3
 		})
-	reg.CounterFunc("exec_dispatches_total", "Driver dispatches across resident pipelines.",
-		func() float64 {
-			var n int64
-			for _, sess := range m.snap.Load().([]*Session) {
-				n += sess.dispatches.Load()
-			}
-			return float64(n)
-		})
-	reg.CounterFunc("exec_dispatched_events_total", "Events pushed through driver dispatches across resident pipelines.",
-		func() float64 {
-			var n int64
-			for _, sess := range m.snap.Load().([]*Session) {
-				n += sess.dispatchedEvents.Load()
-			}
-			return float64(n)
-		})
 }
 
-// queueDepth sums the buffered, undrained deltas across this session's
-// cursors. Takes s.mu briefly (never held across a park), so it is safe
-// from a scrape goroutine that holds no other lock.
+// queueDepth sums the deltas this session's cursors have not yet received.
 func (s *Session) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, c := range s.cursors {
-		n += len(c.deltas)
+		n += c.queueDepthLocked()
 	}
 	return n
 }

@@ -83,7 +83,7 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+				sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func TestPanicDuringAdvance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 8, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+			sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,8 +23,8 @@ type tableFold struct {
 // retained returns the retained output of an open session whose driver has
 // only been fed in merge order, capped so later appends never show through,
 // and with table set the session's fold, made on first use; otherwise
-// replay names why not. It takes only s.mu, so a Block-policy delivery
-// parked on a full cursor cannot stall it.
+// replay names why not. It takes only s.mu, which a commit holds only to
+// append, so a running feed cannot stall it.
 func (s *Session) retained(table bool) (log tvr.Changelog, fold *tableFold, replay string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,32 +25,27 @@ type Config struct {
 	// Sources are the relation names the plan scans (the session only
 	// accepts events for these).
 	Sources []string
-	// MaxRetainedRows bounds the late-attach retention: the output-changelog
-	// rows the session keeps so late subscribers of either mode can receive
-	// a snapshot hand-off. 0 means unbounded. On overflow the retained log
-	// is released — memory stays bounded — and Attach fails with
-	// ErrRetainedOverflow instead of handing off an incomplete snapshot;
-	// Manager.Subscribe then builds a successor session.
+	// MaxRetainedRows caps the output-changelog rows the session retains
+	// for late attach and resident reads. 0 means unbounded: the session
+	// keeps all of its output. Past the cap the session serves neither
+	// (Attach fails with ErrRetainedOverflow, and Manager.Subscribe builds a
+	// successor) and keeps only the rows some cursor has not yet read.
 	MaxRetainedRows int
 }
 
 // Session is the engine-facing half of a standing query: it owns a started
-// exec.Driver and converts ingested source events into subscriber deltas.
-// One session serves any number of subscribers — the consumer-facing half is
-// the per-subscriber cursor created by Attach — and every rendered delta is
-// fanned out to all attached cursors in attach order, each in its own mode.
-// The session retains its cumulative output changelog so a cursor attaching
-// late receives a snapshot hand-off first (see Attach); it tears down when
-// the last cursor departs, or immediately on a pipeline error.
+// exec.Driver and appends its output to a retained log that any number of
+// subscriber cursors read (Attach), each at its own pace and in its own
+// mode. Every commit's output is one delivery: the output rows, the stream
+// version of each, and the output watermark. The session tears down when the
+// last cursor departs, or immediately on a pipeline error.
 //
 // A session is safe for concurrent use. Two locks split the work: ingestMu
-// serializes the producer side (driver access: Feed/Advance/Close and
-// Drain), while mu guards the cursor list, channel state, and the retained
-// output. A Block-policy delivery parks on a full cursor holding ONLY
-// ingestMu, never mu, so cursor-level operations (Attach under the manager's
-// lock, Cancel, Close, Stats) stay responsive while a slow subscriber
-// exerts backpressure. Lock order: ingestMu before mu; neither is held while
-// acquiring the manager lock (runTeardown).
+// serializes driver access (Feed/Advance/Close and Drain), while mu guards
+// the cursors and the retained output. A commit holds mu only to append, so
+// readers, Attach, Stats and resident reads wait at most for an append,
+// never for a running feed. Lock order: ingestMu before mu; neither is held
+// while acquiring the manager lock (runTeardown).
 type Session struct {
 	cfg      Config
 	driver   exec.Driver
@@ -62,27 +56,27 @@ type Session struct {
 	// ingestMu serializes driver access and keeps deliveries in order.
 	ingestMu sync.Mutex
 
-	mu           sync.Mutex
-	parkCond     *sync.Cond // broadcast whenever a cursor's parked bit clears
-	closed       bool       // no further input accepted
-	cursors      []*cursor  // attach order — also the fan-out order
-	everAttached bool
-	produced     bool // the pipeline has drained output at least once
-	// The late-attach snapshot state: the cumulative output changelog,
-	// from which both hand-offs derive (the stream rendering needs every
-	// row's version history; same retention posture as the engine's
-	// recorded relation changelogs).
+	mu      sync.Mutex
+	closed  bool      // no further input accepted
+	cursors []*cursor // attach order
+	// The retained output: the output changelog from absolute row base on,
+	// the stream version of each of its rows (rendered once, as it is
+	// appended), and the deliveries from absolute index delBase on. base and
+	// delBase move only past the cap, as the rows every cursor has read go
+	// (trimLocked).
 	outLog     tvr.Changelog
-	overflowed bool // retention exceeded cfg.MaxRetainedRows and was released
+	vers       []int
+	base       int
+	dels       []delivery
+	delBase    int
+	overflowed bool // the output outgrew cfg.MaxRetainedRows
 	// fold is the table rendering of a prefix of outLog that table reads
 	// extend (see retainedTable); no delivery touches it. Nil until the
-	// first table read, and again once outLog is released or the session
-	// closes.
+	// first table read, and again once the session overflows or closes.
 	fold *tableFold
 
-	// Observability state lives outside s.mu so Stats and Err stay
-	// responsive while a Block-policy delivery is parked on a full
-	// cursor.
+	// Observability state lives outside s.mu so Err and the manager's
+	// gauges read it lock-free.
 	err      atomic.Value // error; terminal, nil after a graceful Close
 	eventsIn atomic.Int64
 	wm       atomic.Int64 // types.Time
@@ -114,6 +108,13 @@ type Session struct {
 	obsm *liveMetrics
 }
 
+// delivery is one commit's output in the retained log: absolute output rows
+// [start, end) and the output watermark when they materialized.
+type delivery struct {
+	start, end int
+	wm         types.Time
+}
+
 // NewSession starts the driver and wraps it as a standing query with no
 // subscribers yet; Attach adds them.
 func NewSession(d exec.Driver, cfg Config) (*Session, error) {
@@ -131,12 +132,14 @@ func newSession(d exec.Driver, cfg Config) *Session {
 		renderer: tvr.NewStreamRenderer(cfg.EmitKeys),
 		sources:  make(map[string]bool, len(cfg.Sources)),
 	}
-	s.parkCond = sync.NewCond(&s.mu)
 	s.shard.Store(-1)
 	s.wm.Store(int64(types.MinTime))
 	for _, name := range cfg.Sources {
 		s.sources[strings.ToLower(name)] = true
 	}
+	d0, ev0 := d.DispatchStats()
+	s.dispatches.Store(d0)
+	s.dispatchedEvents.Store(ev0)
 	return s
 }
 
@@ -170,8 +173,7 @@ func (s *Session) drainShard() {
 func (s *Session) Matches(name string) bool { return s.sources[strings.ToLower(name)] }
 
 // loadErr returns the recorded terminal error, if any. Writes happen under
-// s.mu; reads are lock-free so Err stays responsive during a parked
-// delivery.
+// s.mu; reads are lock-free.
 func (s *Session) loadErr() error {
 	if v := s.err.Load(); v != nil {
 		return v.(error)
@@ -199,20 +201,16 @@ func (s *Session) terminalErr() error {
 func (s *Session) Subscribers() int { return int(s.nsubs.Load()) }
 
 // Attach adds a subscriber cursor in opts.Mode and returns its
-// consumer-facing handle. When the pipeline has already produced output, the
-// cursor's first delta is a snapshot hand-off synthesized from the retained
-// output changelog: for a table cursor the consolidated diff reconstructing
-// the current snapshot, for a stream cursor the full stream rendering
-// (re-rendered from the log, so its version numbers match the ones already
-// delivered to earlier subscribers and new rows continue from the current
-// counters). That is byte-identical to the history-replay delta a fresh
-// pipeline opened at the same instant would deliver. The caller must
-// guarantee no publish runs concurrently (the manager attaches under its
-// ordering lock).
+// consumer-facing handle. The cursor starts at the beginning of the
+// retained output, and its attach point is the end: when the pipeline has
+// already produced output, its first delta is everything before that point
+// (the hand-off) — for a table cursor the consolidated diff reconstructing
+// the current snapshot, for a stream cursor every row at the version it was
+// rendered with, so new rows continue from the current counters. That is
+// byte-identical to the history-replay delta a fresh pipeline opened at the
+// same instant would deliver. Every delivery appended after the attach
+// point follows as its own delta.
 func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
-	if opts.Buffer <= 0 {
-		opts.Buffer = 64
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -223,49 +221,31 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	}
 	c := &cursor{
 		s:      s,
-		policy: opts.Policy,
 		mode:   opts.Mode,
-		deltas: make(chan Delta, opts.Buffer),
-		done:   make(chan struct{}),
+		deltas: make(chan Delta),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		exited: make(chan struct{}),
+		next:   s.delBase + len(s.dels),
+		handWm: types.Time(s.wm.Load()),
 	}
-	if d := s.snapshotDeltaLocked(opts.Mode); d != nil {
-		c.deltas <- *d // fresh channel, capacity >= 1: never blocks
-		c.noteDelivered(d)
+	if n := len(s.outLog); n > 0 {
+		c.noteOwed(n)
 	}
 	s.cursors = append(s.cursors, c)
-	s.everAttached = true
 	s.nsubs.Store(int64(len(s.cursors)))
+	go c.run()
 	return &Subscription{c: c}, nil
 }
 
-// snapshotDeltaLocked synthesizes a mode cursor's late-attach initial delta
-// from the retained output: exactly what replaying the full history through
-// a fresh pipeline would have delivered as its first delta. Nil when the
-// pipeline has produced no output yet.
-func (s *Session) snapshotDeltaLocked(mode Mode) *Delta {
-	if !s.produced {
-		return nil
-	}
-	d := Delta{Watermark: types.Time(s.wm.Load())}
-	if mode == Table {
-		d.Table = consolidate(s.outLog)
-	} else {
-		d.Stream = tvr.RenderStream(s.outLog, s.cfg.EmitKeys)
-	}
-	return &d
-}
-
-// removeCursorLocked detaches a cursor from the fan-out list and closes its
-// channel. It records no error — callers set one first when the detach is
-// not graceful. The cursor must not be parked (no producer may be mid-send
-// to it): callers wait out c.parked first.
+// removeCursorLocked detaches a cursor from the session. It records no
+// error — callers set one first when the detach is not graceful — and
+// leaves the cursor's reader to its stop or the session's close.
 func (s *Session) removeCursorLocked(c *cursor) {
 	if c.detached {
 		return
 	}
 	c.detached = true
-	c.once.Do(func() { close(c.done) })
-	close(c.deltas)
 	for i, cc := range s.cursors {
 		if cc == c {
 			s.cursors = append(s.cursors[:i], s.cursors[i+1:]...)
@@ -273,24 +253,28 @@ func (s *Session) removeCursorLocked(c *cursor) {
 		}
 	}
 	s.nsubs.Store(int64(len(s.cursors)))
+	s.trimLocked()
 }
 
-// closeSessionLocked ends the session: the terminal error is recorded, every
-// remaining cursor is dropped with it, and the driver is completed (errors
-// irrelevant on a failing session). Callers hold s.mu AND ingestMu (driver access),
-// with no cursor parked. Cursor-detach-path callers must run runTeardown
+// closeSessionLocked ends the session: the terminal error is recorded,
+// every remaining cursor is detached with it — its reader still sends what
+// was appended, then closes the channel — and the driver is completed
+// (errors irrelevant on a failing session). Callers hold s.mu AND ingestMu
+// (driver access). Cursor-detach-path callers must run runTeardown
 // afterwards, without holding any lock; the ingest path instead returns the
 // error to the manager, which removes the session itself.
 func (s *Session) closeSessionLocked(err error) {
 	s.setErr(err)
+	wasOpen := !s.closed
+	s.closed = true
+	s.fold = nil
 	for len(s.cursors) > 0 {
 		c := s.cursors[0]
 		c.setErr(err)
+		c.notifyLocked() // an idle reader sees the close
 		s.removeCursorLocked(c)
 	}
-	if !s.closed {
-		s.closed = true
-		s.fold = nil
+	if wasOpen {
 		// A driver being closed *because* it panicked may well panic
 		// again out of its half-unwound operator state; the session is
 		// already terminal either way.
@@ -333,15 +317,16 @@ func (s *Session) ingestLog(batch []exec.Source, span *obs.CommitSpan) error {
 	}
 	span.AddSince(obs.SpanApply, tApply)
 	s.mirrorDriver()
-	return s.deliver(span)
+	s.deliver(span)
+	return nil
 }
 
 // mirrorDriver copies the driver's dispatch counters and merge-order bit into
-// the session's atomics. Caller holds ingestMu, so the driver is quiescent.
+// the session's atomics, and adds the dispatches since the last feed to the
+// manager's counters. Caller holds ingestMu, so the driver is quiescent.
 func (s *Session) mirrorDriver() {
 	d, ev := s.driver.DispatchStats()
-	s.dispatches.Store(d)
-	s.dispatchedEvents.Store(ev)
+	s.obsm.noteDispatched(d-s.dispatches.Swap(d), ev-s.dispatchedEvents.Swap(ev))
 	s.outOfOrder.Store(!s.driver.FedInMergeOrder())
 }
 
@@ -393,7 +378,8 @@ func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
 	}
 	span.AddSince(obs.SpanApply, tApply)
 	s.mirrorDriver()
-	return s.deliver(span)
+	s.deliver(span)
+	return nil
 }
 
 func (s *Session) isClosed() bool {
@@ -409,159 +395,76 @@ func (s *Session) failFeed(err error) {
 	s.closeSessionLocked(err)
 }
 
-// renderLocked drains the driver's new output, retains it in the cumulative
-// output log, and renders it: the stream rendering always, since the
-// renderer's version counters must advance on every delivery, and the table
-// rendering only while a table cursor is attached. Each cursor takes its
-// own (Delta.as). It returns nil when nothing materialized. Caller holds
-// ingestMu (driver access) and s.mu (renderer/outLog/cursors).
-func (s *Session) renderLocked() *Delta {
-	out := s.driver.Drain()
-	wm := s.driver.OutputWatermark()
-	s.wm.Store(int64(wm))
-	if len(out) == 0 {
-		return nil
-	}
-	s.produced = true
-	if !s.overflowed {
-		s.outLog = append(s.outLog, out...)
-		if s.cfg.MaxRetainedRows > 0 && len(s.outLog) > s.cfg.MaxRetainedRows {
-			// Past the cap the retention is released, so memory stays
-			// bounded by it; existing cursors already have their deltas.
-			s.overflowed = true
-			s.outLog = nil
-			s.fold = nil
-		}
-	}
-	d := Delta{Watermark: wm, Stream: s.renderer.Append(out)}
-	for _, c := range s.cursors {
-		if c.mode == Table {
-			d.Table = consolidate(out)
-			break
-		}
-	}
-	return &d
+// deliver appends the driver's new output to the retained output as one
+// delivery and notifies the cursors; it never waits on one. Caller holds
+// ingestMu.
+func (s *Session) deliver(span *obs.CommitSpan) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.appendOutputLocked(span)
 }
 
-// deliver renders the driver's new output and fans it out to every attached
-// cursor in attach order, under each cursor's slow-consumer policy. Caller
-// holds ingestMu.
-//
-// Delivery is two-phase so one slow Block subscriber cannot starve its
-// peers: first every cursor with buffer space receives its hand-off
-// non-blocking (full DropWithError cursors are dropped right there), then
-// the producer parks on the full Block cursors — simultaneously, holding
-// only ingestMu — whose peers already hold the delta in their own buffers
-// and keep draining meanwhile. The session stalls with nothing delivered at
-// all only when every attached cursor is full. A park ends for a cursor
-// when it makes space, cancels (the delta is abandoned with it), or closes
-// (the delta folds into the cursor's final delta).
-func (s *Session) deliver(span *obs.CommitSpan) error {
+// appendOutputLocked drains the driver's new output and appends it as one
+// delivery: the rows, their stream versions (the renderer's counters must
+// see every row, whatever the cursors' modes), and the output watermark.
+// Each attached cursor is owed one delta more. Nothing is appended when
+// nothing materialized. Caller holds ingestMu (driver access) and s.mu.
+func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	tRender := time.Time{}
 	if span != nil {
 		tRender = time.Now()
 	}
-	s.mu.Lock()
-	d := s.renderLocked()
-	span.AddSince(obs.SpanRender, tRender)
-	if d == nil {
-		s.mu.Unlock()
-		return nil
+	out := s.driver.Drain()
+	wm := s.driver.OutputWatermark()
+	s.wm.Store(int64(wm))
+	if len(out) == 0 {
+		span.AddSince(obs.SpanRender, tRender)
+		return
 	}
+	start := s.base + len(s.outLog)
+	s.outLog = append(s.outLog, out...)
+	s.vers = s.renderer.AppendVersions(s.vers, out)
+	s.dels = append(s.dels, delivery{start: start, end: start + len(out), wm: wm})
+	if max := s.cfg.MaxRetainedRows; max > 0 && start+len(out) > max && !s.overflowed {
+		s.overflowed = true
+		s.fold = nil
+	}
+	span.AddSince(obs.SpanRender, tRender)
 	tDeliver := time.Time{}
 	if span != nil {
 		tDeliver = time.Now()
 	}
-	var blocked []*cursor
-	var dropped []*cursor
 	for _, c := range s.cursors {
-		v := d.as(c.mode)
-		if c.leaving {
-			pending := v // a copy per folded cursor, so v itself stays on the stack
-			c.pending = mergeDeltas(c.mode, c.pending, &pending)
-			continue
-		}
-		select {
-		case c.deltas <- v:
-			c.noteDelivered(&v)
-		default:
-			if c.policy == DropWithError {
-				dropped = append(dropped, c)
-			} else {
-				blocked = append(blocked, c)
-			}
-		}
+		c.noteOwed(len(out))
+		c.notifyLocked()
 	}
-	anyDropped := len(dropped) > 0
-	s.obsm.noteDrops(len(dropped))
-	s.obsm.noteParks(len(blocked))
-	for _, c := range dropped {
-		c.setErr(ErrSlowConsumer)
-		s.removeCursorLocked(c)
-	}
-	for _, c := range blocked {
-		c.parked = true
-	}
-	s.mu.Unlock()
-
-	if len(blocked) > 0 {
-		s.parkAndDeliver(blocked, d)
-	}
+	s.trimLocked()
 	span.AddSince(obs.SpanDeliver, tDeliver)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.everAttached && len(s.cursors) == 0 && !s.closed {
-		// Every subscriber departed mid-delivery: the shared pipeline
-		// dies with the last one, and the manager removes it on this
-		// error. ErrSlowConsumer when a drop emptied the session (the
-		// pre-sharing semantics); ErrClosed when cancels did.
-		err := ErrClosed
-		if anyDropped {
-			err = ErrSlowConsumer
-		}
-		s.closeSessionLocked(err)
-		return s.terminalErr()
-	}
-	return nil
 }
 
-// parkAndDeliver blocks until every full Block cursor has accepted the
-// delta or departed (done closed by Cancel/Close). It waits on all of them
-// simultaneously, so one slow peer cannot delay noticing another's
-// departure. Holds no locks while parked; each resolution is finalized
-// under s.mu and parkCond is broadcast so a Cancel/Close waiting for the
-// cursor's parked bit can proceed.
-func (s *Session) parkAndDeliver(blocked []*cursor, d *Delta) {
-	cases := make([]reflect.SelectCase, 2*len(blocked))
-	for i, c := range blocked {
-		cases[2*i] = reflect.SelectCase{Dir: reflect.SelectSend, Chan: reflect.ValueOf(c.deltas), Send: reflect.ValueOf(d.as(c.mode))}
-		cases[2*i+1] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(c.done)}
+// pieceLocked is the retained output between absolute rows start and end,
+// with watermark wm, read up to delivery next. The slices are capped, so a later append never shows
+// through, and trimming only reslices, so a reader may use them unlocked.
+func (s *Session) pieceLocked(start, end int, wm types.Time, next int) piece {
+	i, j := start-s.base, end-s.base
+	return piece{log: s.outLog[i:j:j], vers: s.vers[i:j:j], wm: wm, end: end, next: next}
+}
+
+// trimLocked applies the retention rule past the cap: the session keeps only
+// the output some attached cursor has not yet read, and the deliveries it
+// has not yet received. An uncapped session, and one within its cap, keeps
+// everything; a closed one keeps what it has for its detached readers.
+func (s *Session) trimLocked() {
+	if !s.overflowed || s.closed {
+		return
 	}
-	for remaining := len(blocked); remaining > 0; remaining-- {
-		chosen, _, _ := reflect.Select(cases)
-		ci := chosen / 2
-		c := blocked[ci]
-		sent := chosen%2 == 0
-		cases[2*ci].Chan = reflect.Value{} // a zero Chan is never selected
-		cases[2*ci+1].Chan = reflect.Value{}
-		v := d.as(c.mode)
-		s.mu.Lock()
-		c.parked = false
-		if sent {
-			c.noteDelivered(&v)
-		} else {
-			// Departed mid-delivery: keep the rendered delta so a
-			// graceful Close can still hand it over (Cancel discards
-			// it by design), and stop delivering to this cursor.
-			c.leaving = true
-			if !c.discard {
-				c.pending = mergeDeltas(c.mode, c.pending, &v)
-			}
-		}
-		s.parkCond.Broadcast()
-		s.mu.Unlock()
+	row, next := s.base+len(s.outLog), s.delBase+len(s.dels)
+	for _, c := range s.cursors {
+		row = min(row, c.row)
+		next = min(next, c.next)
 	}
+	s.outLog, s.vers, s.base = s.outLog[row-s.base:], s.vers[row-s.base:], row
+	s.dels, s.delBase = s.dels[next-s.delBase:], next
 }
 
 // runTeardown unregisters the session from its manager exactly once. It must
@@ -577,10 +480,9 @@ func (s *Session) runTeardown() {
 }
 
 // cancel tears the whole session down immediately: every cursor terminates
-// (pending and future deliveries abandoned, channels closed, Err reporting
-// ErrClosed unless a terminal error was already recorded) and the driver is
-// completed. The manager uses it to release a session whose registration
-// failed partway; no delivery can be in flight there.
+// (Err reporting ErrClosed unless a terminal error was already recorded)
+// and the driver is completed. The manager uses it to release a session
+// whose registration failed partway, before any cursor attached.
 func (s *Session) cancel() {
 	s.ingestMu.Lock()
 	s.mu.Lock()
@@ -588,31 +490,6 @@ func (s *Session) cancel() {
 	s.mu.Unlock()
 	s.ingestMu.Unlock()
 	s.runTeardown()
-}
-
-// mergeDeltas folds two consecutive deltas into one so an interrupted
-// delivery concatenates gaplessly with the close-time delta.
-func mergeDeltas(mode Mode, a, b *Delta) *Delta {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := Delta{Watermark: b.Watermark}
-	if mode == Table {
-		out.Table = &TableDiff{
-			Ptime:    a.Table.Ptime,
-			Inserted: append(append([]types.Row{}, a.Table.Inserted...), b.Table.Inserted...),
-			Deleted:  append(append([]types.Row{}, a.Table.Deleted...), b.Table.Deleted...),
-		}
-		if b.Table.Ptime > out.Table.Ptime {
-			out.Table.Ptime = b.Table.Ptime
-		}
-		return &out
-	}
-	out.Stream = append(append([]tvr.StreamRow{}, a.Stream...), b.Stream...)
-	return &out
 }
 
 // String renders a one-line diagnostic summary of the shared pipeline.

@@ -3,8 +3,7 @@ package live_test
 // Tests for the sharded ingest subsystem at the manager level: the
 // byte-identical property (every sharded session ≡ its serial twin under
 // random interleavings), the registration-during-heartbeat-storm regression,
-// cross-shard fairness under a saturated Block subscriber, and the drain
-// barriers (late attach, graceful close).
+// and the drain barriers (late attach, graceful close).
 
 import (
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/live"
@@ -20,21 +18,16 @@ import (
 	"repro/internal/types"
 )
 
-// drainDeltas collects everything buffered on a subscription without
-// blocking. Call only after the manager is quiesced.
-func drainDeltas(sub *live.Subscription) []live.Delta {
+// drainDeltas receives every delta owed to a subscription beyond the read
+// it has already received. Call only after the manager is quiesced, so
+// DeltasOut, which counts a delivery as it is appended, is final.
+func drainDeltas(t *testing.T, sub *live.Subscription, read int) []live.Delta {
+	t.Helper()
 	var out []live.Delta
-	for {
-		select {
-		case d, ok := <-sub.Deltas():
-			if !ok {
-				return out
-			}
-			out = append(out, d)
-		default:
-			return out
-		}
+	for n := sub.Stats().DeltasOut - int64(read); n > 0; n-- {
+		out = append(out, next(t, sub))
 	}
+	return out
 }
 
 // TestShardedMatchesSerialProperty is the byte-identical pin: K sessions
@@ -60,7 +53,7 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 4096}, func() (*live.Session, error) { return s, nil }, nil)
+					sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -109,8 +102,8 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 				}
 				sharded.Quiesce()
 				for i, p := range pairs {
-					want := drainDeltas(p.serial)
-					got := drainDeltas(p.sharded)
+					want := drainDeltas(t, p.serial, 0)
+					got := drainDeltas(t, p.sharded, 0)
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("session %d (%s): sharded deltas diverge from serial twin:\nserial:  %d deltas %+v\nsharded: %d deltas %+v",
 							i, p.src, len(want), want, len(got), got)
@@ -179,7 +172,7 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 64, Policy: live.DropWithError}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,91 +201,6 @@ func TestRegisterDuringHeartbeatStorm(t *testing.T) {
 	}
 }
 
-// TestCrossShardFairness is the satellite-3 pin: a saturated Block-policy
-// subscriber parks only its own shard worker; a session on another shard
-// keeps receiving deltas promptly.
-func TestCrossShardFairness(t *testing.T) {
-	m := live.NewManagerWith(live.Options{Shards: 4, QueueDepth: 4})
-	defer m.Close()
-	mk := func(src string, buffer int) *live.Subscription {
-		t.Helper()
-		s, err := live.NewSession(&echoDriver{}, live.Config{
-			Name: src, Schema: testSchema(), Sources: []string{src},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: buffer, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sub
-	}
-	slow := mk("slow", 1)
-	slowShard := slow.Stats().Shard
-	if slowShard < 0 {
-		t.Fatal("sharded manager reports Shard=-1")
-	}
-	// Find a session that hashes onto a different shard.
-	var fast *live.Subscription
-	var fastSrc string
-	for i := 0; i < 64 && fast == nil; i++ {
-		fastSrc = fmt.Sprintf("fast%d", i)
-		sub := mk(fastSrc, 64)
-		if sub.Stats().Shard != slowShard {
-			fast = sub
-		} else {
-			sub.Cancel()
-		}
-	}
-	if fast == nil {
-		t.Fatal("could not place two sessions on distinct shards")
-	}
-	publish := func(src string, v int64) {
-		t.Helper()
-		if err := m.PublishSpan(func() error { return nil }, src,
-			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Delta 1 fills slow's buffer; delta 2 parks slow's shard worker.
-	publish("slow", 1)
-	publish("slow", 2)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := m.ShardStats()[slowShard]
-		if st.Lag >= 1 && st.Depth == 0 {
-			break // the worker has picked up delta 2 and is parked on it
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slow shard never parked: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	start := time.Now()
-	publish(fastSrc, 3)
-	select {
-	case d := <-fast.Deltas():
-		if lat := time.Since(start); lat > 500*time.Millisecond {
-			t.Fatalf("cross-shard delta took %s behind a saturated peer, want prompt delivery", lat)
-		}
-		if got := streamInts(d); len(got) != 1 || got[0] != 3 {
-			t.Fatalf("fast delta = %v, want [3]", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("delta on an unrelated shard never arrived while a peer shard was parked")
-	}
-	// The parked shard really is parked: nothing beyond delta 1 delivered yet.
-	if got := streamInts(<-slow.Deltas()); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("slow delta 1 = %v", got)
-	}
-	if got := streamInts(<-slow.Deltas()); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("slow delta 2 = %v", got)
-	}
-	slow.Cancel()
-	fast.Cancel()
-}
-
 // TestShardedLateAttachSeesAckedCommits: the plan-hit attach drains the
 // session's shard first, so the snapshot hand-off reflects every
 // acknowledged commit exactly once — no missing rows, no double delivery.
@@ -304,7 +212,7 @@ func TestShardedLateAttachSeesAckedCommits(t *testing.T) {
 			Name: "k", Schema: testSchema(), Sources: []string{"s"},
 		})
 	}
-	sub1, err := m.Subscribe("k", live.CursorOpts{Buffer: 64}, create, nil)
+	sub1, err := m.Subscribe("k", live.CursorOpts{}, create, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,19 +224,19 @@ func TestShardedLateAttachSeesAckedCommits(t *testing.T) {
 	}
 	// All five commits are acked; some may still sit in the shard queue.
 	// The attach barrier must fold them all into the snapshot.
-	sub2, err := m.Subscribe("k", live.CursorOpts{Buffer: 64}, create, nil)
+	sub2, err := m.Subscribe("k", live.CursorOpts{}, create, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := sub1.Stats().PipelineID, sub2.Stats().PipelineID; a != b {
 		t.Fatalf("late subscriber got pipeline %d, want shared %d", b, a)
 	}
-	snap := <-sub2.Deltas()
+	snap := next(t, sub2)
 	if got := streamInts(snap); len(got) != 5 || got[0] != 1 || got[4] != 5 {
 		t.Fatalf("snapshot hand-off rows = %v, want [1 2 3 4 5]", got)
 	}
 	m.Quiesce()
-	if extra := drainDeltas(sub2); len(extra) != 0 {
+	if extra := drainDeltas(t, sub2, 1); len(extra) != 0 {
 		t.Fatalf("late subscriber got %d deltas beyond the snapshot (double delivery): %+v", len(extra), extra)
 	}
 	sub1.Cancel()
@@ -337,7 +245,7 @@ func TestShardedLateAttachSeesAckedCommits(t *testing.T) {
 
 // TestShardedGracefulCloseKeepsAckedCommits: Close on a cursor drains the
 // session's shard, so commits acknowledged before the close fold into the
-// buffered/final deltas — ack == durable == delivered-or-folded.
+// final delta — ack == durable == delivered-or-folded.
 func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	m := live.NewManagerWith(live.Options{Shards: 2})
 	defer m.Close()
@@ -348,12 +256,12 @@ func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{Buffer: 1, Policy: live.Block}, func() (*live.Session, error) { return s, nil }, nil)
+	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three acked commits against a buffer of one: delta 1 lands in the
-	// buffer, the shard worker parks on delta 2, delta 3 queues behind it.
+	// Three acked commits the consumer never reads; some may still sit in
+	// the shard queue when Close begins.
 	for v := int64(1); v <= 3; v++ {
 		if err := m.PublishSpan(func() error { return nil }, "s",
 			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
@@ -373,9 +281,87 @@ func TestShardedGracefulCloseKeepsAckedCommits(t *testing.T) {
 	}
 	want := []int64{1, 2, 3, 999}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rows across buffered+final deltas = %v, want %v (acked commit lost at close)", got, want)
+		t.Fatalf("rows across received+final deltas = %v, want %v (acked commit lost at close)", got, want)
 	}
 	if !d.closed {
 		t.Fatal("driver not closed by last-cursor Close")
+	}
+}
+
+// TestCrossShardFairness: on four shards, a subscriber that stops reading
+// holds up neither its own shard worker nor any other. Commits to its
+// session and to a session on another shard are all applied (every shard's
+// lag drains to zero), the other session's reader receives its delta, and
+// the stalled subscriber, once it resumes, receives each of its deltas in
+// order.
+func TestCrossShardFairness(t *testing.T) {
+	m := live.NewManagerWith(live.Options{Shards: 4, QueueDepth: 4})
+	defer m.Close()
+	mk := func(src string) *live.Subscription {
+		t.Helper()
+		s, err := live.NewSession(&echoDriver{}, live.Config{
+			Name: src, Schema: testSchema(), Sources: []string{src},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sub.Cancel)
+		return sub
+	}
+	slow := mk("slow")
+	slowShard := slow.Stats().Shard
+	if slowShard < 0 {
+		t.Fatal("sharded manager reports Shard=-1")
+	}
+	// Find a session that hashes onto a different shard.
+	var fast *live.Subscription
+	var fastSrc string
+	for i := 0; i < 64 && fast == nil; i++ {
+		fastSrc = fmt.Sprintf("fast%d", i)
+		sub := mk(fastSrc)
+		if sub.Stats().Shard != slowShard {
+			fast = sub
+		} else {
+			sub.Cancel()
+		}
+	}
+	if fast == nil {
+		t.Fatal("could not place two sessions on distinct shards")
+	}
+	publish := func(src string, v int64) {
+		t.Helper()
+		if err := m.PublishSpan(func() error { return nil }, src,
+			tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Far more commits than the slow shard's queue holds.
+	const n = 64
+	returnsWithin(t, "publishing to the stalled subscriber's shard", func() {
+		for v := int64(1); v <= n; v++ {
+			publish("slow", v)
+		}
+	})
+	publish(fastSrc, n+1)
+	if got := streamInts(next(t, fast)); len(got) != 1 || got[0] != n+1 {
+		t.Fatalf("fast delta = %v, want [%d]", got, n+1)
+	}
+	returnsWithin(t, "draining every shard", m.Quiesce)
+	for i, st := range m.ShardStats() {
+		if st.Lag != 0 {
+			t.Fatalf("shard %d not drained while a subscriber stalls: %+v", i, st)
+		}
+	}
+	if st := slow.Stats(); st.DeltasOut != n || st.QueueDepth != n {
+		t.Fatalf("slow stats = %+v, want %d deltas owed, all unread", st, n)
+	}
+	for v := int64(1); v <= n; v++ {
+		if got := streamInts(next(t, slow)); len(got) != 1 || got[0] != v {
+			t.Fatalf("slow delta %d = %v", v, got)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func (d *statsCountingDriver) DispatchStats() (int64, int64) {
 
 func TestNoHotPathDriverStats(t *testing.T) {
 	d := &statsCountingDriver{}
-	s, sub := newTestSession(t, d, live.Stream, 256, live.Block)
+	s, sub := newTestSession(t, d, live.Stream)
 	defer sub.Cancel()
 
 	const rounds = 50
@@ -49,11 +49,8 @@ func TestNoHotPathDriverStats(t *testing.T) {
 		if err := s.Advance(types.Time(i + 1)); err != nil {
 			t.Fatal(err)
 		}
-		// Drain the delivery so the full render/deliver path runs too.
-		select {
-		case <-sub.Deltas():
-		default:
-		}
+		// Receive the delivery so the full render/deliver path runs too.
+		next(t, sub)
 	}
 
 	// Neither construction nor the ingest, heartbeat, and delivery paths

@@ -168,7 +168,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 			e := shardedEngine(t, opts)
 			evs := ingestOrder(t, e, g, q)
-			subOpts := core.SubscribeOptions{Buffer: len(evs) + 16}
+			subOpts := core.SubscribeOptions{}
 			stream, err := e.SubscribeStream(q.SQL, subOpts)
 			if err != nil {
 				t.Fatal(err)

@@ -40,7 +40,7 @@ func liveSubscribe(t testing.TB, mode live.Mode, buffer int) (*core.Engine, *liv
 	}
 	var sub *live.Subscription
 	var err error
-	opts := core.SubscribeOptions{Buffer: buffer}
+	opts := core.SubscribeOptions{}
 	if mode == live.Table {
 		sub, err = e.SubscribeTable(liveBenchSQL, opts)
 	} else {
@@ -53,26 +53,20 @@ func liveSubscribe(t testing.TB, mode live.Mode, buffer int) (*core.Engine, *liv
 }
 
 // measureLive ingests the bid changelog through a standing subscription and
-// measures throughput and per-delta latency. The consumer is inline and
-// non-blocking (drain after every ingest), so latency is the full
-// ingest->pipeline->delivery path as a synchronous server would see it.
+// measures throughput and per-delta latency. The consumer is inline: after
+// every ingest it receives the deltas the ingest made owed, so latency is the
+// full ingest->pipeline->delivery path as a synchronous server would see it.
 func measureLive(t testing.TB, bids tvr.Changelog, mode live.Mode) bench.LiveResult {
 	t.Helper()
 	e, sub := liveSubscribe(t, mode, len(bids)+16)
 	st0 := sub.Stats()
 
 	var latencies []int64
+	received := int64(0)
 	drain := func(since time.Time) {
-		for {
-			select {
-			case _, ok := <-sub.Deltas():
-				if !ok {
-					return
-				}
-				latencies = append(latencies, time.Since(since).Nanoseconds())
-			default:
-				return
-			}
+		for owed := sub.Stats().DeltasOut; received < owed; received++ {
+			<-sub.Deltas()
+			latencies = append(latencies, time.Since(since).Nanoseconds())
 		}
 	}
 	start := time.Now()
@@ -124,7 +118,7 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int) bench.LiveResult
 	subs := make([]*live.Subscription, k)
 	for i := range subs {
 		var err error
-		subs[i], err = e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: len(bids) + 16})
+		subs[i], err = e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,20 +127,12 @@ func measureLiveFanout(t testing.TB, bids tvr.Changelog, k int) bench.LiveResult
 		t.Fatalf("%d resident pipelines for %d subscribers of one query, want 1", got, k)
 	}
 	var latencies []int64
+	received := make([]int64, k)
 	drainAll := func(since time.Time) {
-		for _, sub := range subs {
-			draining := true
-			for draining {
-				select {
-				case _, ok := <-sub.Deltas():
-					if !ok {
-						draining = false
-						break
-					}
-					latencies = append(latencies, time.Since(since).Nanoseconds())
-				default:
-					draining = false
-				}
+		for i, sub := range subs {
+			for owed := sub.Stats().DeltasOut; received[i] < owed; received[i]++ {
+				<-sub.Deltas()
+				latencies = append(latencies, time.Since(since).Nanoseconds())
 			}
 		}
 	}
@@ -224,7 +210,7 @@ func measureMultiQuery(t testing.TB, bids tvr.Changelog, shards, procs, queries 
 	subs := make([]*live.Subscription, queries)
 	for i, sql := range multiQuerySQL(queries) {
 		var err error
-		subs[i], err = e.SubscribeStream(sql, core.SubscribeOptions{Buffer: len(bids) + 16})
+		subs[i], err = e.SubscribeStream(sql, core.SubscribeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

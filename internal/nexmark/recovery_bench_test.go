@@ -31,7 +31,7 @@ import (
 // history), then times checkpoint, restore, and replay-rebuild.
 func measureRecovery(t *testing.T, g *Generated, runs int) bench.RecoveryResult {
 	t.Helper()
-	opts := core.SubscribeOptions{Buffer: 16}
+	opts := core.SubscribeOptions{}
 
 	// The serving engine whose durability we measure.
 	e := core.NewEngine()
@@ -46,17 +46,6 @@ func measureRecovery(t *testing.T, g *Generated, runs int) bench.RecoveryResult 
 	if err := e.AppendLog("Bid", g.Bids); err != nil {
 		t.Fatal(err)
 	}
-	drain := func() {
-		for {
-			select {
-			case <-sub.Deltas():
-			default:
-				return
-			}
-		}
-	}
-	drain()
-
 	var ckpt bytes.Buffer
 	ckptNs, err := bench.MedianNs(runs, func() error {
 		ckpt.Reset()
@@ -106,7 +95,7 @@ func measureRecovery(t *testing.T, g *Generated, runs int) bench.RecoveryResult 
 	// its only cursor, so no session is resident for the new one to join.
 	prevID := -1
 	replayNs, err := bench.MedianNs(runs, func() error {
-		s, err := replayEngine.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: 16})
+		s, err := replayEngine.SubscribeStream(liveBenchSQL, core.SubscribeOptions{})
 		if err != nil {
 			return err
 		}
@@ -146,7 +135,7 @@ func measureDurability(t *testing.T, g *Generated, history, delta, batch int) be
 	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{Buffer: 16})
+	sub, err := e.SubscribeStream(liveBenchSQL, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +143,8 @@ func measureDurability(t *testing.T, g *Generated, history, delta, batch int) be
 	if err := e.AppendLog("Bid", g.Bids[:history]); err != nil {
 		t.Fatal(err)
 	}
-	// The subscriber is a Block-policy consumer: drain it between batches
-	// or the fan-out parks once the cursor buffer fills.
-	drain := func() {
-		for {
-			select {
-			case <-sub.Deltas():
-			default:
-				return
-			}
-		}
-	}
-	drain()
+	// The subscriber never reads: its deltas wait in the session's
+	// retained output, and no commit waits on it.
 
 	w, err := wal.Open(t.TempDir(), e.WALSeq()+1, wal.Options{Mode: wal.SyncAlways})
 	if err != nil {
@@ -185,7 +164,6 @@ func measureDurability(t *testing.T, g *Generated, history, delta, batch int) be
 		if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
 			t.Fatal(err)
 		}
-		drain()
 		i = end
 	}
 	after := w.Stats()

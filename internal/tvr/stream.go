@@ -83,33 +83,55 @@ func (r *StreamRenderer) Append(c Changelog) []StreamRow {
 	}
 	out := make([]StreamRow, 0, nData)
 	for _, e := range c {
-		if !e.IsData() {
-			continue
+		if e.IsData() {
+			out = append(out, StreamRowOf(e, r.next(e.Row)))
 		}
-		r.scratch = r.scratch[:0]
-		if len(r.keyIdxs) > 0 {
-			r.scratch = e.Row.AppendKeyOf(r.scratch, r.keyIdxs)
-		}
-		ver := r.prevVer
-		if ver == nil || !bytes.Equal(r.scratch, r.prevKey) {
-			v, ok := r.vers[string(r.scratch)] // allocation-free lookup
-			if !ok {
-				v = new(int)
-				r.vers[string(r.scratch)] = v
-			}
-			ver = v
-			r.prevKey = append(r.prevKey[:0], r.scratch...)
-			r.prevVer = ver
-		}
-		out = append(out, StreamRow{
-			Row:   e.Row,
-			Undo:  e.Kind == Delete,
-			Ptime: e.Ptime,
-			Ver:   *ver,
-		})
-		*ver++
 	}
 	return out
+}
+
+// AppendVersions is Append keeping only the versions: it appends to dst one
+// entry per event of c, the version Append would give it (0 for an event
+// that is not data), and advances the counters as Append does. A standing
+// query keeps these beside its retained output, so any stretch of that
+// output renders with StreamRowOf without re-rendering what came before.
+func (r *StreamRenderer) AppendVersions(dst []int, c Changelog) []int {
+	for _, e := range c {
+		v := 0
+		if e.IsData() {
+			v = r.next(e.Row)
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// StreamRowOf is the stream row of data event e at version ver.
+func StreamRowOf(e Event, ver int) StreamRow {
+	return StreamRow{Row: e.Row, Undo: e.Kind == Delete, Ptime: e.Ptime, Ver: ver}
+}
+
+// next returns the version of the next change to row's group and advances
+// the group's counter.
+func (r *StreamRenderer) next(row types.Row) int {
+	r.scratch = r.scratch[:0]
+	if len(r.keyIdxs) > 0 {
+		r.scratch = row.AppendKeyOf(r.scratch, r.keyIdxs)
+	}
+	ver := r.prevVer
+	if ver == nil || !bytes.Equal(r.scratch, r.prevKey) {
+		v, ok := r.vers[string(r.scratch)] // allocation-free lookup
+		if !ok {
+			v = new(int)
+			r.vers[string(r.scratch)] = v
+		}
+		ver = v
+		r.prevKey = append(r.prevKey[:0], r.scratch...)
+		r.prevVer = ver
+	}
+	n := *ver
+	*ver++
+	return n
 }
 
 // FormatStreamTable renders stream rows as the paper's EMIT STREAM listings
