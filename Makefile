@@ -122,16 +122,17 @@ obs-guard:
 # Fuzz smoke: ten seconds each of the engine-snapshot decoder (FuzzRestoreAll),
 # of reads served from a resident pipeline against replay (FuzzResidentRead),
 # of cmd/serve's wire codec against its encoding/json reference
-# (FuzzIngestDecode, FuzzWireEncode), and of the SQL parser's error contract
-# (FuzzParse), two workers each. Minimizing a new input
-# takes 60 s by default, which reads as a stall; -fuzzminimizetime caps it at
-# 3 s. A failing input is written under the package's testdata/fuzz.
+# (FuzzIngestDecode, FuzzWireEncode), of the SQL parser's error contract
+# (FuzzParse) and of the WAL frame reader (FuzzWALFrame), two workers each.
+# Minimizing a new input takes 60 s by default, which reads as a stall;
+# -fuzzminimizetime caps it at 3 s. A failing input is written under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRestoreAll$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzResidentRead$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./cmd/serve -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
 # Short-mode standing-query benchmarks: run the serving and recovery benches
 # at reduced scale and refresh the reduced-scale record

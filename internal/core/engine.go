@@ -359,11 +359,11 @@ type StreamResult struct {
 // takes the snapshot at at from that pipeline's fold of its retained output
 // (see residentRead); otherwise the recorded history is replayed.
 func (e *Engine) QueryTable(sql string, at types.Time) (*TableResult, error) {
-	r, err := e.run(sql, at, true)
+	r, err := e.run(sql, at, live.Table)
 	if err != nil {
 		return nil, err
 	}
-	return &TableResult{Schema: r.schema, Rows: r.table, Stats: r.stats}, nil
+	return &TableResult{Schema: r.schema, Rows: r.Table, Stats: r.stats}, nil
 }
 
 // QueryStream evaluates the query over the full recorded input and returns
@@ -377,11 +377,11 @@ func (e *Engine) QueryStream(sql string) (*StreamResult, error) {
 // of a resident pipeline's retained output when one holds the answer, with
 // versions counted from 1 as a replay counts them, and replays otherwise.
 func (e *Engine) QueryStreamAt(sql string, at types.Time) (*StreamResult, error) {
-	r, err := e.run(sql, at, false)
+	r, err := e.run(sql, at, live.Stream)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamResult{Schema: r.schema, Rows: r.stream, Stats: r.stats}, nil
+	return &StreamResult{Schema: r.schema, Rows: r.Stream, Stats: r.stats}, nil
 }
 
 // Explain returns the optimized logical plan of the query.
@@ -405,30 +405,30 @@ func (e *Engine) plan(sql string) (*plan.PlannedQuery, error) {
 	return opt.Optimize(pq), nil
 }
 
-// reading is a one-shot read's answer in the rendering its caller asked for.
+// reading is a one-shot read's answer in the rendering its caller asked for
+// (a table read's rows with presentation applied).
 type reading struct {
+	live.Reading
 	schema *types.Schema
-	table  []types.Row     // a table read's rows, presentation applied
-	stream []tvr.StreamRow // a stream read's rows
 	stats  exec.Stats
 }
 
-// run plans the query and evaluates it at at, in the table rendering when
-// table is set and in the stream rendering otherwise: from a resident
-// pipeline's retained output when one qualifies, otherwise by replaying the
-// recorded changelogs of the relations it scans through a freshly compiled
-// pipeline. Query latency feeds the engine_queries_* families.
-func (e *Engine) run(sql string, at types.Time, table bool) (*reading, error) {
+// run plans the query and evaluates it at at, in the rendering mode names:
+// from a resident pipeline's retained output when one qualifies, otherwise
+// by replaying the recorded changelogs of the relations it scans through a
+// freshly compiled pipeline. Query latency feeds the engine_queries_*
+// families.
+func (e *Engine) run(sql string, at types.Time, mode live.Mode) (*reading, error) {
 	if e.metrics == nil {
-		return e.runInner(sql, at, table)
+		return e.runInner(sql, at, mode)
 	}
 	t0 := time.Now()
-	r, err := e.runInner(sql, at, table)
+	r, err := e.runInner(sql, at, mode)
 	e.metrics.noteQuery(time.Since(t0), err)
 	return r, err
 }
 
-func (e *Engine) runInner(sql string, at types.Time, table bool) (*reading, error) {
+func (e *Engine) runInner(sql string, at types.Time, mode live.Mode) (*reading, error) {
 	// Read-your-writes: under the sharded fan-out an acknowledged change may
 	// still be in a shard queue; one-shot queries read the recorded catalog
 	// logs, which the commit already updated, but quiescing first also keeps
@@ -439,7 +439,7 @@ func (e *Engine) runInner(sql string, at types.Time, table bool) (*reading, erro
 		return nil, err
 	}
 	r := &reading{schema: pq.Root.Schema()}
-	replay, err := e.residentRead(pq, at, table, r)
+	replay, err := e.residentRead(pq, at, mode, r)
 	if replay == "" {
 		return r, err
 	}
@@ -456,10 +456,10 @@ func (e *Engine) runInner(sql string, at types.Time, table bool) (*reading, erro
 	if err != nil {
 		return nil, err
 	}
-	if table {
-		r.table = res.TableRows()
+	if mode == live.Table {
+		r.Table = res.TableRows()
 	} else {
-		r.stream = res.StreamRows()
+		r.Stream = res.StreamRows()
 	}
 	r.stats = pipe.Stats()
 	return r, nil
@@ -469,40 +469,27 @@ func (e *Engine) runInner(sql string, at types.Time, table bool) (*reading, erro
 const replayNotInert = "not_inert"
 
 // residentRead answers a read at processing time at into r from the session
-// resident under the query's plan key, whatever its readers' modes. A table
-// read takes the snapshot at at from the session's fold of its retained
-// output (live.Manager.ResidentTable) and presents it with the read's own
-// ORDER BY and LIMIT; a stream read renders the prefix of the retained
-// output with ptime <= at, folded as a one-shot Run folds its own output.
-// Why that prefix is what a replay up to at collects is the read contract in
+// resident under the query's plan key, whatever its readers' modes: from the
+// cut of its retained output at at (live.Manager.ResidentRead). A table read
+// takes the snapshot from the session's fold and presents it with the read's
+// own ORDER BY and LIMIT; a stream read is the cut at its retained versions.
+// Why that cut is what a replay up to at collects is the read contract in
 // package live. Unless the plan is close-inert and the session qualifies,
 // replay names why the caller must replay. The read takes no ordering lock:
 // after the caller's Quiesce, the retained output reflects every commit
 // acknowledged before the read began.
-func (e *Engine) residentRead(pq *plan.PlannedQuery, at types.Time, table bool, r *reading) (replay string, err error) {
+func (e *Engine) residentRead(pq *plan.PlannedQuery, at types.Time, mode live.Mode, r *reading) (replay string, err error) {
 	if !closeInert(pq) {
 		return replayNotInert, nil
 	}
-	if table {
-		rows, folded, replay, err := e.live.ResidentTable(planKey(pq), at)
-		if replay != "" {
-			return replay, nil
-		}
-		e.metrics.noteResident(folded)
-		r.table = exec.PresentRows(rows, pq.OrderBy, pq.Limit)
-		return "", err
-	}
-	log, replay := e.live.ResidentOutput(planKey(pq), at)
+	res, replay, err := e.live.ResidentRead(planKey(pq), at, mode)
 	if replay != "" {
 		return replay, nil
 	}
-	e.metrics.noteResident(len(log))
-	res, err := exec.FoldResult(pq, log)
-	if err != nil {
-		return "", err
-	}
-	r.stream = res.StreamRows()
-	return "", nil
+	e.metrics.noteResident(res.Folded)
+	r.Reading = res
+	r.Table = exec.PresentRows(r.Table, pq.OrderBy, pq.Limit)
+	return "", err
 }
 
 // closeInert reports whether the heartbeat and Close a one-shot Run ends with

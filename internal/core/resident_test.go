@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -449,6 +450,48 @@ func TestResidentTableReadFoldsOnlyNewOutput(t *testing.T) {
 	commit([3]int64{60, 1, 400}, [3]int64{70, 4, 10})
 	read(residentRead{at: 65}, 2)
 	read(now, 1)
+}
+
+// TestResidentReadFailsOnAbsentRetraction: a client may ingest a Delete of
+// a Bid it never inserted, and a passthrough plan carries it to its output,
+// where a replay's fold fails on it. A read served from the resident
+// pipeline, table or stream, must fail with the replay's error; a read cut
+// before the Delete must still equal the replay.
+func TestResidentReadFailsOnAbsentRetraction(t *testing.T) {
+	q := residentQuery{name: "passthrough", sql: `SELECT auction, price FROM Bid`}
+	reg := obs.NewRegistry()
+	live := residentEngine(t, 0, reg)
+	twin := residentEngine(t, 0, nil)
+	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	bid := func(p types.Time, auction, price int64) types.Row {
+		return types.Row{types.NewInt(auction), types.NewInt(7), types.NewInt(price), types.NewTimestamp(p)}
+	}
+	log := tvr.Changelog{tvr.InsertEvent(10, bid(10, 1, 100)), tvr.DeleteEvent(20, bid(20, 2, 200))}
+	for _, e := range []*core.Engine{live, twin} {
+		if err := e.AppendLog("Bid", log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stream := range []bool{false, true} {
+		r := residentRead{at: types.MaxTime, stream: stream}
+		before := residentReads(reg)
+		_, _, err := doRead(live, q.sql, r)
+		_, _, want := doRead(twin, q.sql, r)
+		if want == nil || !strings.Contains(want.Error(), "retraction of absent row") {
+			t.Fatalf("%s (twin): err %v, want a retraction of an absent row", r, want)
+		}
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: err %v, want the replay's %v", r, err, want)
+		}
+		if moved := residentReads(reg) - before; moved != 1 {
+			t.Fatalf("%s: resident counter moved by %d, want 1", r, moved)
+		}
+		checkRead(t, live, twin, reg, q, residentRead{at: 15, stream: stream}, true)
+	}
 }
 
 // TestResidentReadFallsBackAfterReorder: a Q4 session fed a Bid commit at

@@ -143,12 +143,10 @@
 //     collected and folds the table rendering (Result.Snapshot) from that
 //     log once, failing on a retraction of a row the log never inserted.
 //     The stream rendering (Result.StreamRows) is derived from the log on
-//     demand. A standing pipeline builds no table rendering as it runs; a
-//     one-shot stream read the engine answers from a resident pipeline
-//     folds the output that pipeline's session retained through the same
-//     FoldResult that Run uses, and a table read extends the session's one
-//     fold of it (internal/live) and presents the rows through the
-//     PresentRows that Result.TableRows uses.
+//     demand. A standing pipeline builds no table rendering as it runs. A
+//     one-shot read the engine answers from a resident pipeline is a cut of
+//     the output that pipeline's session retained (internal/live), and a
+//     table read presents its rows through Result.TableRows' PresentRows.
 //
 // Emitted rows are immutable: the collector, a Result and a drain caller
 // may all share them without copying.

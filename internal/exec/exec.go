@@ -484,26 +484,21 @@ func (c *Collector) Finish() error { return nil }
 func (c *Collector) stats(s *Stats) { s.OutputEvents += c.outN }
 
 // result builds a one-shot Run's Result. Run never drains, so the collector
-// holds the whole output log.
-func (c *Collector) result() (*Result, error) { return FoldResult(c.pq, c.drain()) }
-
-// FoldResult builds the Result of pq from its complete output changelog: the
-// table rendering is folded from log once, and a retraction of a row the log
-// never inserted fails. A one-shot Run and a read served from a standing
-// pipeline's retained output both come through here, so presentation (ORDER
-// BY, LIMIT) and the fold's errors have one source. Emitted rows are
+// holds the whole output log. The table rendering is folded from it once,
+// and a retraction of a row the log never inserted fails. Emitted rows are
 // immutable, so the fold shares them with the log.
-func FoldResult(pq *plan.PlannedQuery, log tvr.Changelog) (*Result, error) {
+func (c *Collector) result() (*Result, error) {
+	log := c.drain()
 	snap := tvr.NewRelation()
 	if err := snap.ApplyOwned(log); err != nil {
 		return nil, err
 	}
 	return &Result{
-		Schema:      pq.Root.Schema(),
+		Schema:      c.pq.Root.Schema(),
 		Log:         log,
 		Snapshot:    snap,
-		EmitKeyIdxs: pq.EmitKeyIdxs,
-		OrderBy:     pq.OrderBy,
-		Limit:       pq.Limit,
+		EmitKeyIdxs: c.pq.EmitKeyIdxs,
+		OrderBy:     c.pq.OrderBy,
+		Limit:       c.pq.Limit,
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/exec"
-	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
@@ -29,30 +28,22 @@ const (
 // against the catalog.
 type RestoreQuery func(sql string) (Query, error)
 
-// saveStateLocked writes one session. Caller holds ingestMu and mu (the
-// manager's checkpoint pass locks every open session first), and the session
-// is not closed. Past its cap a session writes no output: what it still
-// holds is its cursors' unread tail, and its cursors die with the process.
-// Delivery boundaries and stream versions are not written; restore derives
-// the versions again.
+// saveStateLocked writes one session; its retained output writes itself
+// (output.save). Caller holds ingestMu and mu (the manager's checkpoint pass
+// locks every open session first), and the session is not closed.
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Section("live.Session")
 	enc.String(s.cfg.Name)
 	enc.Int(s.cfg.MaxRetainedRows)
 	enc.Varint(s.eventsIn.Load())
 	enc.Time(types.Time(s.wm.Load()))
-	enc.Bool(s.base+len(s.outLog) > 0 || s.overflowed) // output was produced
-	enc.Bool(false)                                    // a retired flag; the slot keeps the record's layout
-	enc.Bool(s.overflowed)
+	enc.Bool(s.out.end() > 0 || s.out.overflowed) // output was produced
+	enc.Bool(false)                               // a retired flag; the slot keeps the record's layout
+	enc.Bool(s.out.overflowed)
 	if err := exec.SaveDriver(enc, s.driver); err != nil {
 		return err
 	}
-	s.renderer.SaveState(enc)
-	if s.overflowed {
-		tvr.SaveChangelog(enc, nil)
-	} else {
-		tvr.SaveChangelog(enc, s.outLog)
-	}
+	s.out.save(enc)
 	return enc.Err()
 }
 
@@ -103,12 +94,13 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 		return err
 	}
 	s := newSession(d, q.Config)
-	if err := s.renderer.LoadState(dec); err != nil {
-		return err
-	}
 	if table {
+		err = s.out.renderer.LoadState(dec)
 		skipTableAcc(dec)
-	} else if s.outLog, err = tvr.LoadChangelog(dec); err != nil {
+	} else {
+		err = s.out.load(dec, q.Config.EmitKeys, wm, overflowed)
+	}
+	if err != nil {
 		return err
 	}
 	if err := dec.Err(); err != nil || m.plans[q.Key] != nil {
@@ -123,10 +115,6 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 			return err
 		}
 	} else {
-		// The renderer gave the retained output its versions from a fresh
-		// start, so a fresh renderer derives them again.
-		s.vers = tvr.NewStreamRenderer(q.Config.EmitKeys).AppendVersions(nil, s.outLog)
-		s.overflowed = overflowed
 		s.wm.Store(int64(wm))
 		s.eventsIn.Store(eventsIn)
 		s.outOfOrder.Store(!d.FedInMergeOrder())

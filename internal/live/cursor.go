@@ -3,18 +3,17 @@ package live
 import (
 	"sync/atomic"
 
-	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
 // cursor is one subscriber's position in its session's retained output, in
 // the subscriber's rendering mode. Its reader goroutine sends the output
 // from that position on, one delta per delivery, at the consumer's pace;
-// the session appends deliveries and never waits on a reader. A cursor that
-// attached after the pipeline produced output starts at row 0, before its
-// attach point, and its first delta folds everything up to that point (the
-// hand-off). Either way its delta sequence is exactly what a session of its
-// own would have delivered — sharing changes ownership, not bytes.
+// the session appends deliveries and never waits on a reader. A cursor
+// starts at the first delivery, and the deliveries appended before it
+// attached reach it as one first delta (the hand-off). Either way its delta
+// sequence is exactly what a session of its own would have delivered —
+// sharing changes ownership, not bytes.
 type cursor struct {
 	s    *Session
 	mode Mode
@@ -29,39 +28,14 @@ type cursor struct {
 	exited chan struct{} // closed by the reader after it closes deltas
 
 	// The fields below are guarded by the owning session's mu.
-	row      int        // absolute output row where the unread output begins
-	next     int        // absolute index of the next delivery to send
-	handWm   types.Time // the hand-off's watermark: the session's at attach
-	idle     bool       // the reader has read everything and waits on wake
-	stopped  bool       // Cancel or Close: the reader sends nothing more
-	detached bool       // removed from the session's cursor list
+	position      // in the session's retained output
+	idle     bool // the reader has read everything and waits on wake
+	stopped  bool // Cancel or Close: the reader sends nothing more
+	detached bool // removed from the session's cursor list
 
 	err       atomic.Value // error; terminal, nil after a graceful Close
 	deltasOut atomic.Int64
 	rowsOut   atomic.Int64
-}
-
-// piece is one delta's worth of a cursor's unread output: the hand-off, one
-// delivery, or at Close everything left. Reading it moves the cursor to row
-// end and delivery next.
-type piece struct {
-	log       tvr.Changelog
-	vers      []int
-	wm        types.Time
-	end, next int
-}
-
-// delta renders the piece in mode: the stream rows at their retained
-// versions, or the consolidated table diff.
-func (p piece) delta(mode Mode) Delta {
-	if mode == Table {
-		return Delta{Table: consolidate(p.log), Watermark: p.wm}
-	}
-	rows := make([]tvr.StreamRow, len(p.log))
-	for i, ev := range p.log {
-		rows[i] = tvr.StreamRowOf(ev, p.vers[i])
-	}
-	return Delta{Stream: rows, Watermark: p.wm}
 }
 
 // loadErr returns the cursor's terminal error, if any. Lock-free.
@@ -99,28 +73,9 @@ func (c *cursor) noteOwed(rows int) {
 	c.s.obsm.noteDelivered(1, int64(rows))
 }
 
-// pendingLocked returns the first piece the cursor has not read, or false
-// when it has read everything appended so far.
-func (c *cursor) pendingLocked() (piece, bool) {
-	s := c.s
-	start := s.base + len(s.outLog)
-	if i := c.next - s.delBase; i < len(s.dels) {
-		start = s.dels[i].start
-	}
-	if c.row < start {
-		return s.pieceLocked(c.row, start, c.handWm, c.next), true
-	}
-	i := c.next - s.delBase
-	if i == len(s.dels) {
-		return piece{}, false
-	}
-	d := s.dels[i]
-	return s.pieceLocked(d.start, d.end, d.wm, c.next+1), true
-}
-
 // advanceLocked moves the cursor past a piece it has received as d.
 func (c *cursor) advanceLocked(p piece, d *Delta) {
-	c.row, c.next = p.end, p.next
+	c.next = p.next
 	if d.Table != nil {
 		rows := int64(len(d.Table.Inserted) + len(d.Table.Deleted))
 		c.rowsOut.Add(rows)
@@ -137,7 +92,7 @@ func (c *cursor) run() {
 	s := c.s
 	for {
 		s.mu.Lock()
-		p, ok := c.pendingLocked()
+		p, ok := s.out.pending(c.position)
 		c.idle = !ok
 		done := c.stopped || !ok && s.closed
 		s.mu.Unlock()
@@ -173,7 +128,7 @@ func (c *cursor) notifyLocked() {
 	if c.stopped || !c.idle {
 		return
 	}
-	if p, ok := c.pendingLocked(); ok && c.mode == Stream {
+	if p, ok := c.s.out.pending(c.position); ok && c.mode == Stream {
 		d := p.delta(Stream)
 		select {
 		case c.deltas <- d:
@@ -207,16 +162,10 @@ func (c *cursor) halt() {
 // net change for a table cursor, and the watermark of the last of them. It
 // moves the cursor to the end. The reader must have exited.
 func (c *cursor) unreadLocked() *Delta {
-	s := c.s
-	end, next := s.base+len(s.outLog), s.delBase+len(s.dels)
-	if c.row == end {
+	p, ok := c.s.out.unread(c.position)
+	if !ok {
 		return nil
 	}
-	wm := c.handWm
-	if c.next < next {
-		wm = s.dels[len(s.dels)-1].wm
-	}
-	p := s.pieceLocked(c.row, end, wm, next)
 	d := p.delta(c.mode)
 	c.advanceLocked(p, &d)
 	return &d
@@ -227,11 +176,7 @@ func (c *cursor) queueDepthLocked() int {
 	if c.stopped {
 		return 0
 	}
-	n := c.s.delBase + len(c.s.dels) - c.next
-	if p, ok := c.pendingLocked(); ok && p.next == c.next {
-		n++ // the hand-off
-	}
-	return n
+	return c.s.out.depth(c.position)
 }
 
 // stats snapshots the cursor's counters plus the shared pipeline's.

@@ -27,73 +27,63 @@
 // One time-varying relation is one pipeline, however many consumers watch it
 // and in whichever rendering: a Session is the resident pipeline, and any
 // number of subscriber cursors attach to it, each with its own rendering
-// mode, position and stats (Attach).
-// Manager.Subscribe shares sessions by plan key, which the engine derives
-// from the optimized plan: its EXPLAIN rendering, the output schema, EMIT
-// AFTER WATERMARK, the AFTER DELAY duration and the emit-key columns. Stream
-// and table readers of a query, and its spellings (whitespace, keyword case,
-// table aliases), therefore share one pipeline; EMIT STREAM, ORDER BY and
-// LIMIT are presentation and stay out of the key. Every session is keyed and
-// retains its output; there is no other kind.
+// mode, position and stats (Attach). Manager.Subscribe shares sessions by
+// plan key, which the engine derives from the optimized plan: its EXPLAIN
+// rendering, the output schema, EMIT AFTER WATERMARK, the AFTER DELAY
+// duration and the emit-key columns. Stream and table readers of a query,
+// and its spellings (whitespace, keyword case, table aliases), therefore
+// share one pipeline; EMIT STREAM, ORDER BY and LIMIT are presentation and
+// stay out of the key.
 //
-// The retained output is the relation's changelog (the stream rendering of
-// the source paper's Extension 4) cut into deliveries: each commit's output
-// rows, the stream version of each row, and the output watermark. The
-// commit renders the versions once, as it appends, so every reader of the
-// log sees the same ones. A cursor is a position in that output, in its
-// cursor's mode (CursorOpts.Mode): its reader goroutine sends everything from
-// the position on, one delta per delivery — the rows at their versions, or
-// consolidate of them for a table cursor, computed by the reader — at the
-// pace its consumer receives them. A cursor attaches at the end of the
-// retained output but starts at its beginning, so when the pipeline has
-// already produced output its first read is the hand-off: everything before
-// its attach point as one delta, the rows at their versions or their
-// consolidated diff, with the session's watermark at attach. That is
-// byte-identical to what a fresh pipeline, replaying the recorded history at
-// the same instant, would deliver, and no rendering is redone for it. Attach
-// takes its position under the session's mu, which every append holds, so
-// no delivery falls between the hand-off and the live deltas. The session
+// A session's retained output (type output) is the relation's changelog,
+// the stream rendering of the source paper's Extension 4, as one log of
+// deliveries: each commit that produces output appends its rows, their
+// stream versions, rendered once as they are appended, and the output
+// watermark. A cursor is one delivery index in that log plus its attach
+// index. Its reader sends the deliveries before the attach index as one
+// first delta, the hand-off, at the session's watermark at attach, then one
+// delta per delivery, at its consumer's pace: the rows at their versions,
+// or for a table cursor their consolidated diff. The hand-off is
+// byte-identical to what a fresh pipeline replaying the recorded history at
+// the same instant would deliver, and renders nothing again. Attach takes
+// its indexes under the session's mu, which every append holds, so no
+// delivery falls between the hand-off and the live deltas. The session
 // tears down when its last cursor departs; that cursor's Close completes the
 // pipeline and receives, after what it had not yet read, the close-time
 // output in its own mode.
 //
-// The retained output is the cost of one pipeline per relation: a session only
-// table readers use keeps its changelog too, not one entry per distinct row. An
-// uncapped session keeps all of it. Config.MaxRetainedRows caps it in changelog
-// rows; the subscription that creates the session fixes it. Past the cap the
-// session stops serving late attach and resident reads, and keeps only the
-// output some cursor has not yet read; its existing cursors are unaffected. A
-// session past its cap is then treated like a closed one: the next Subscribe
-// under its key builds a successor through the ordinary create path, under the
-// new subscriber's own options (history replay, clock catch-up, then its
-// cursor). The successor takes the plan key, so later attaches and resident
-// reads find it. The predecessor keeps serving the cursors it already has and
-// tears down with the last one; its teardown leaves the successor's key alone.
-// A subscriber sees ErrRetainedOverflow only when its own cap cannot hold the
-// output of the recorded history, and then no session is left behind.
+// An uncapped session retains all of its output, even when only table
+// readers use it. Config.MaxRetainedRows, fixed by the subscription that
+// creates the session, caps it in rows. Past the cap the session serves
+// neither late attach nor resident reads and keeps only the deliveries some
+// cursor has not yet received; its cursors are unaffected. The next
+// Subscribe under its key then builds a successor through the ordinary
+// create path, under the new subscriber's options (history replay, clock
+// catch-up, then its cursor), and the successor takes the key. The
+// predecessor serves the cursors it has and tears down with the last one,
+// leaving the successor's key alone. A subscriber sees ErrRetainedOverflow
+// only when its own cap cannot hold the output of the recorded history, and
+// then no session is left behind.
 //
 // # Checkpoint and restore
 //
 // Manager.CheckpointAll writes every open session that holds its plan key
-// (driver state, stream-renderer counters, retained output rows; a session past
-// its cap writes none) under the ordering lock, after the engine's catalog, so
-// both describe one commit point. A predecessor superseded by a successor is
-// skipped: its cursors die with the process, and a reconnect attaches to the
-// restored successor. Sessions are written with neither key nor mode, and
-// without delivery boundaries or stream versions: restore derives the versions
-// again, and the restored output is one hand-off for whoever attaches. The
-// session record keeps a retired flag slot, always written false and ignored on
-// restore, so the layout is unchanged. RestoreAll re-plans each one's SQL
-// against the restored catalog (RestoreQuery), re-derives its key, and
-// registers it with zero cursors, so a reconnecting reader of either mode
-// attaches and gets the hand-off. It also reads the layout written while
-// sessions had a mode and were keyed by SQL text. A legacy stream session loads
-// as above. A legacy table session kept only distinct rows, no log a stream
-// reader could be handed, so its state is decoded and dropped, and the session
-// is rebuilt from the recorded history and caught up to the last heartbeat, as
-// Subscribe builds one. A session whose re-derived key is already taken is
-// decoded and dropped; its readers reconnect to the survivor. The snapshot
-// goldens in internal/core/testdata pin both layouts.
+// (driver state, stream-renderer counters, retained rows, none past the cap)
+// under the ordering lock, after the engine's catalog, so both describe one
+// commit point; a superseded predecessor is skipped, and its cursors die
+// with the process. Sessions are written with neither key nor mode, and
+// without delivery marks or versions; a retired flag slot, always false,
+// keeps the record's layout. RestoreAll re-plans each one's SQL against the
+// restored catalog (RestoreQuery), re-derives its key, versions the rows
+// again with a fresh renderer, and installs them, in memory only, as one
+// delivery at the restored watermark, which a reader that attaches gets as
+// its hand-off. It also reads the layout written while sessions had a mode
+// and were keyed by SQL text. A legacy stream session loads as above; a
+// legacy table session kept only distinct rows, so it is decoded, dropped
+// and rebuilt from the recorded history, caught up to the last heartbeat,
+// as Subscribe builds one. A session whose re-derived key is already taken
+// is decoded and dropped; its readers reconnect to the survivor. The
+// snapshot goldens in internal/core/testdata pin both layouts.
 //
 // # Commit and fan-out
 //
@@ -139,27 +129,27 @@
 //
 // # One-shot reads from a resident pipeline
 //
-// A session's retained output changelog holds every one-shot read of its
-// plan. A table read at processing time T is the snapshot of the output TVR
-// at T, and a stream read up to T is its changelog up to T (the source
-// paper's section 3): both derive from the prefix of the retained output
-// with ptime <= T, found by binary search. A stream read renders that prefix
-// with versions counted from 1, through the same exec.FoldResult a one-shot
-// Run uses.
+// A table read at processing time T is the snapshot of the output TVR at T,
+// and a stream read up to T is its changelog up to T (the source paper's
+// section 3). Both are one cut of the retained output
+// (Manager.ResidentRead): its rows with ptime <= T, found by binary search.
+// A stream read renders the cut at its retained versions, as a cursor
+// renders a delivery. Those are the versions a replay counts from 1,
+// because every session that serves reads versioned its output from the
+// first row: a fresh or successor session replays the history from the
+// start, and restore versions with a fresh renderer. The read also applies
+// the cut to a fresh tvr.Relation, as a replay folds its output, so an
+// output Delete of a row never inserted (a client may ingest one, and a
+// passthrough plan carries it) fails the read with the replay's error.
 //
 // A table read takes the snapshot from the session's fold: the table
-// rendering of the first n rows of the retained output, kept in a
-// tvr.Relation, which forgets a row at multiplicity zero, so the fold is as
-// large as the current table, not as the history. A read whose prefix
-// holds at least n rows extends the fold by the rows in between and copies
-// its rows out under the fold's own mutex; a read at an earlier instant
-// folds its own prefix afresh and leaves the fold alone. Either way the rows
-// come out in the iteration order a Run's fold of the same prefix has, and
-// each read applies its own ORDER BY and LIMIT to its copy
-// (exec.PresentRows), so readers of one plan that present it differently
-// share the fold. Only table reads touch it: no commit, delivery or stream
-// read extends it, and it goes when the retained output does (overflow) and
-// at close.
+// rendering of the first n retained rows, in a tvr.Relation, which forgets
+// a row at multiplicity zero, so the fold is as large as the current table,
+// not the history. A cut of at least n rows extends the fold and copies its
+// rows out under the fold's own mutex; a shorter one is folded afresh. The
+// rows come out in the iteration order a Run's fold of the same prefix has,
+// and each read presents its copy itself (exec.PresentRows), so readers of
+// one plan share the fold. It goes at overflow and at close.
 //
 // The cut is exact. The session is fed in (ptime, scan rank) merge order,
 // and every operator stamps an output event with the ptime of the input
@@ -169,10 +159,9 @@
 // replay adds after them, a heartbeat at T and Close, emits nothing for a
 // close-inert plan.
 //
-// The engine serves a read this way (Manager.ResidentOutput,
-// Manager.ResidentTable) instead of replaying the recorded history when all
-// of these hold; otherwise it replays, and engine_query_replay_total{reason}
-// counts why:
+// The engine serves a read this way instead of replaying the recorded
+// history when all of these hold; otherwise it replays, and
+// engine_query_replay_total{reason} counts why:
 //
 //   - the plan is close-inert: it scans only streams, none AS OF, and has
 //     no EMIT AFTER DELAY (the engine checks this; a bounded or AS OF scan
@@ -191,16 +180,12 @@
 //     released it. Once a later subscriber's successor takes the key, reads
 //     go to the successor instead. Reason overflow.
 //
-// The commit point is the engine's Quiesce, the same barrier a replaying
-// read passes: every commit acknowledged before the read began has been
-// applied, and its output retained, before the read looks. The read takes
-// the session's mu only long enough to copy the slice header of the
-// retained log (capped, so later appends stay invisible) and the fold, and
-// cuts the log outside it; a table read then takes the fold's mutex alone.
-// It never takes Manager.mu or ingestMu, so a running feed cannot stall it.
-// TestResidentReadMatchesReplay and FuzzResidentRead hold every
-// served read to a replay, and TestResidentTableReadFoldsOnlyNewOutput pins
-// how much of the retained output each table read folds.
+// The commit point is the engine's Quiesce, the barrier a replaying read
+// passes too. The read holds the session's mu only to cut (a capped slice,
+// so later appends stay invisible) and take the fold, and never takes
+// Manager.mu or ingestMu. TestResidentReadMatchesReplay and FuzzResidentRead
+// hold every served read to a replay, and
+// TestResidentTableReadFoldsOnlyNewOutput pins what each table read folds.
 //
 // # Lock order
 //

@@ -37,7 +37,7 @@ type Manager struct {
 	count atomic.Int64 // len(subs), readable without m.mu
 	snap  atomic.Value // []*Session, for lock-free Subscribers()
 	// plansSnap is a copy-on-write copy of plans (map[string]*Session), so
-	// ResidentOutput and ResidentTable find a session without m.mu.
+	// ResidentRead finds a session without m.mu.
 	plansSnap atomic.Value
 
 	// obsm holds the manager-wide delivery counters (nil without
@@ -180,8 +180,8 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 }
 
 // shareLocked records the registered session under plan key, where
-// Subscribe attaches to it and ResidentOutput and ResidentTable find it. A
-// predecessor under the same key loses it.
+// Subscribe attaches to it and ResidentRead finds it. A predecessor under
+// the same key loses it.
 func (m *Manager) shareLocked(key string, sess *Session) {
 	sess.key = key
 	m.plans[key] = sess
@@ -266,30 +266,15 @@ const (
 	ReplayOverflow   = "overflow"     // its retained output was released
 )
 
-// ResidentOutput returns the prefix with ptime <= at of the retained output
-// changelog of the session resident under key, when it can answer a read
-// (see the read contract in the package documentation); otherwise replay is
-// one of the Replay* reasons. It takes neither m.mu nor any session's
-// ingestMu, only the session's mu.
-func (m *Manager) ResidentOutput(key string, at types.Time) (log tvr.Changelog, replay string) {
+// ResidentRead answers a one-shot read at at, in mode, from the session
+// resident under key (Session.read), or names a Replay* reason. It takes
+// neither m.mu nor any session's ingestMu.
+func (m *Manager) ResidentRead(key string, at types.Time, mode Mode) (r Reading, replay string, err error) {
 	sess := m.plansSnap.Load().(map[string]*Session)[key]
 	if sess == nil {
-		return nil, ReplayNoSession
+		return r, ReplayNoSession, nil
 	}
-	return sess.retainedOutput(at)
-}
-
-// ResidentTable is ResidentOutput for a table read: the rows of the
-// snapshot at at, in the relation's iteration order, in a slice the caller
-// owns, taken from the session's fold of its retained output (see the read
-// contract). folded counts the retained-output rows the read folded; err is
-// a retraction of a row the output never inserted.
-func (m *Manager) ResidentTable(key string, at types.Time) (rows []types.Row, folded int, replay string, err error) {
-	sess := m.plansSnap.Load().(map[string]*Session)[key]
-	if sess == nil {
-		return nil, 0, ReplayNoSession, nil
-	}
-	return sess.retainedTable(at)
+	return sess.read(at, mode)
 }
 
 // PublishSpan atomically commits an engine-side change and routes the
@@ -322,25 +307,11 @@ func (m *Manager) PublishSpan(commit func() error, name string, evs []tvr.Event,
 	}
 	seq := m.seq.Next()
 	span.SetSeq(seq)
+	span.AddSince(obs.SpanSequence, tSeq)
 	if len(evs) == 0 {
-		span.AddSince(obs.SpanSequence, tSeq)
 		return nil
 	}
 	batch := []exec.Source{{Name: name, Log: evs}}
-	if m.pool == nil {
-		span.AddSince(obs.SpanSequence, tSeq)
-		for _, id := range append([]int(nil), m.order...) {
-			sess := m.subs[id]
-			if sess == nil || !sess.Matches(name) {
-				continue
-			}
-			if err := safeApply(sess, func(s *Session) error { return s.ingestLog(batch, span) }); err != nil {
-				m.removeLocked(id)
-			}
-		}
-		return nil
-	}
-	span.AddSince(obs.SpanSequence, tSeq)
 	m.fanOutLocked(seq, span, func(sess *Session) bool { return sess.Matches(name) },
 		func(sess *Session) error { return sess.ingestLog(batch, span) })
 	return nil
@@ -373,31 +344,28 @@ func (m *Manager) AdvanceWithSpan(pt types.Time, commit func() error, span *obs.
 	m.seq.RecordHeartbeat(pt)
 	span.SetSeq(seq)
 	span.AddSince(obs.SpanSequence, tSeq)
-	if m.pool == nil {
-		for _, id := range append([]int(nil), m.order...) {
-			sess := m.subs[id]
-			if sess == nil {
-				continue
-			}
-			if err := safeApply(sess, func(s *Session) error { return s.advance(pt, span) }); err != nil {
-				m.removeLocked(id)
-			}
-		}
-		return nil
-	}
 	m.fanOutLocked(seq, span, func(*Session) bool { return true },
 		func(sess *Session) error { return sess.advance(pt, span) })
 	return nil
 }
 
-// fanOutLocked groups the matching sessions by shard and enqueues one task
-// per affected shard, in ascending shard order, all under m.mu — so every
-// shard's FIFO queue carries commits in global sequence order. The task
-// feeds the shard's sessions in registration-id order (the groups preserve
-// m.order). A session that refuses its delivery is torn down from a fresh
-// goroutine: the worker itself must never take m.mu, which a publisher
-// blocked on a full shard queue may hold.
+// fanOutLocked applies a commit to the matching sessions in registration-id
+// order. Serially it does so on the calling goroutine, removing a session
+// that refuses its delivery (closed or failed). Sharded, it groups them by
+// shard and enqueues one task per affected shard, in ascending shard order,
+// all under m.mu — so every shard's FIFO queue carries commits in global
+// sequence order — and a session that refuses its delivery is torn down
+// from a fresh goroutine: the worker itself must never take m.mu, which a
+// publisher blocked on a full shard queue may hold.
 func (m *Manager) fanOutLocked(seq uint64, span *obs.CommitSpan, match func(*Session) bool, apply func(*Session) error) {
+	if m.pool == nil {
+		for _, id := range append([]int(nil), m.order...) {
+			if sess := m.subs[id]; sess != nil && match(sess) && safeApply(sess, apply) != nil {
+				m.removeLocked(id)
+			}
+		}
+		return
+	}
 	groups := make([][]*Session, m.pool.Shards())
 	any := false
 	nGroups := 0
@@ -449,7 +417,7 @@ func (m *Manager) fanOutLocked(seq uint64, span *obs.CommitSpan, match func(*Ses
 
 // safeApply is the fan-out's last-resort panic boundary. An operator panic
 // is already converted into the session's terminal error inside the
-// session (see Session.feedDriver); this catches anything that escapes the
+// session (see Session.step); this catches anything that escapes the
 // delivery path so it fails the one session it came from instead of
 // unwinding the committing goroutine or a shard worker and killing the
 // process. Disjoint sessions on the same shard keep their deliveries.

@@ -65,16 +65,16 @@ func TestTableFoldReleasedWithRetainedOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(s, 1, 2)
-		rows, folded, replay, err := s.retainedTable(types.MaxTime)
-		if err != nil || replay != "" || len(rows) != 2 || folded != 2 || s.fold == nil {
-			t.Fatalf("%s: first read: %d rows, folded %d, replay %q, err %v, fold kept %v", c.name, len(rows), folded, replay, err, s.fold != nil)
+		r, replay, err := s.read(types.MaxTime, Table)
+		if err != nil || replay != "" || len(r.Table) != 2 || r.Folded != 2 || s.out.fold == nil {
+			t.Fatalf("%s: first read: %d rows, folded %d, replay %q, err %v, fold kept %v", c.name, len(r.Table), r.Folded, replay, err, s.out.fold != nil)
 		}
 		c.release(s)
-		if s.fold != nil {
+		if s.out.fold != nil {
 			t.Fatalf("%s: the fold outlived the retained output", c.name)
 		}
-		if _, _, replay, _ := s.retainedTable(types.MaxTime); replay != c.replay || s.fold != nil {
-			t.Fatalf("%s: read after release: replay %q, want %q; fold rebuilt %v", c.name, replay, c.replay, s.fold != nil)
+		if _, replay, _ := s.read(types.MaxTime, Table); replay != c.replay || s.out.fold != nil {
+			t.Fatalf("%s: read after release: replay %q, want %q; fold rebuilt %v", c.name, replay, c.replay, s.out.fold != nil)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestStalledReaderBoundsCappedRetention(t *testing.T) {
 			retained := func() int {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return len(s.outLog)
+				return len(s.out.rows)
 			}
 
 			var want, got []Delta

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
@@ -36,9 +35,8 @@ type Config struct {
 // Session is the engine-facing half of a standing query: it owns a started
 // exec.Driver and appends its output to a retained log that any number of
 // subscriber cursors read (Attach), each at its own pace and in its own
-// mode. Every commit's output is one delivery: the output rows, the stream
-// version of each, and the output watermark. The session tears down when the
-// last cursor departs, or immediately on a pipeline error.
+// mode. The session tears down when the last cursor departs, or immediately
+// on a pipeline error.
 //
 // A session is safe for concurrent use. Two locks split the work: ingestMu
 // serializes driver access (Feed/Advance/Close and Drain), while mu guards
@@ -47,11 +45,10 @@ type Config struct {
 // never for a running feed. Lock order: ingestMu before mu; neither is held
 // while acquiring the manager lock (runTeardown).
 type Session struct {
-	cfg      Config
-	driver   exec.Driver
-	renderer *tvr.StreamRenderer
-	sources  map[string]bool
-	key      string // plan key, set by the manager when the session takes it
+	cfg     Config
+	driver  exec.Driver
+	sources map[string]bool
+	key     string // plan key, set by the manager when the session takes it
 
 	// ingestMu serializes driver access and keeps deliveries in order.
 	ingestMu sync.Mutex
@@ -59,21 +56,7 @@ type Session struct {
 	mu      sync.Mutex
 	closed  bool      // no further input accepted
 	cursors []*cursor // attach order
-	// The retained output: the output changelog from absolute row base on,
-	// the stream version of each of its rows (rendered once, as it is
-	// appended), and the deliveries from absolute index delBase on. base and
-	// delBase move only past the cap, as the rows every cursor has read go
-	// (trimLocked).
-	outLog     tvr.Changelog
-	vers       []int
-	base       int
-	dels       []delivery
-	delBase    int
-	overflowed bool // the output outgrew cfg.MaxRetainedRows
-	// fold is the table rendering of a prefix of outLog that table reads
-	// extend (see retainedTable); no delivery touches it. Nil until the
-	// first table read, and again once the session overflows or closes.
-	fold *tableFold
+	out     output    // the retained output every cursor and read uses
 
 	// Observability state lives outside s.mu so Err and the manager's
 	// gauges read it lock-free.
@@ -88,7 +71,7 @@ type Session struct {
 	dispatches       atomic.Int64
 	dispatchedEvents atomic.Int64
 	// outOfOrder mirrors !driver.FedInMergeOrder() the same way, before the
-	// feed's output reaches outLog, so retained never serves output of an
+	// feed's output is retained, so a read never serves output of an
 	// out-of-order feed.
 	outOfOrder atomic.Bool
 
@@ -108,13 +91,6 @@ type Session struct {
 	obsm *liveMetrics
 }
 
-// delivery is one commit's output in the retained log: absolute output rows
-// [start, end) and the output watermark when they materialized.
-type delivery struct {
-	start, end int
-	wm         types.Time
-}
-
 // NewSession starts the driver and wraps it as a standing query with no
 // subscribers yet; Attach adds them.
 func NewSession(d exec.Driver, cfg Config) (*Session, error) {
@@ -127,10 +103,10 @@ func NewSession(d exec.Driver, cfg Config) (*Session, error) {
 // newSession wraps an already started driver (see restoreSessionLocked).
 func newSession(d exec.Driver, cfg Config) *Session {
 	s := &Session{
-		cfg:      cfg,
-		driver:   d,
-		renderer: tvr.NewStreamRenderer(cfg.EmitKeys),
-		sources:  make(map[string]bool, len(cfg.Sources)),
+		cfg:     cfg,
+		driver:  d,
+		sources: make(map[string]bool, len(cfg.Sources)),
+		out:     newOutput(cfg.EmitKeys, cfg.MaxRetainedRows),
 	}
 	s.shard.Store(-1)
 	s.wm.Store(int64(types.MinTime))
@@ -201,36 +177,32 @@ func (s *Session) terminalErr() error {
 func (s *Session) Subscribers() int { return int(s.nsubs.Load()) }
 
 // Attach adds a subscriber cursor in opts.Mode and returns its
-// consumer-facing handle. The cursor starts at the beginning of the
-// retained output, and its attach point is the end: when the pipeline has
-// already produced output, its first delta is everything before that point
-// (the hand-off) — for a table cursor the consolidated diff reconstructing
-// the current snapshot, for a stream cursor every row at the version it was
-// rendered with, so new rows continue from the current counters. That is
+// consumer-facing handle. When the pipeline has already produced output,
+// the cursor's first delta is all of it (the hand-off): for a table cursor
+// the consolidated diff reconstructing the current snapshot, for a stream
+// cursor every row at the version it was rendered with. That is
 // byte-identical to the history-replay delta a fresh pipeline opened at the
-// same instant would deliver. Every delivery appended after the attach
-// point follows as its own delta.
+// same instant would deliver. Every later delivery follows as its own delta.
 func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, s.terminalErr()
 	}
-	if s.overflowed {
+	if s.out.overflowed {
 		return nil, fmt.Errorf("live: session %q: %w", s.cfg.Name, ErrRetainedOverflow)
 	}
 	c := &cursor{
-		s:      s,
-		mode:   opts.Mode,
-		deltas: make(chan Delta),
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		exited: make(chan struct{}),
-		next:   s.delBase + len(s.dels),
-		handWm: types.Time(s.wm.Load()),
+		s:        s,
+		mode:     opts.Mode,
+		deltas:   make(chan Delta),
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		exited:   make(chan struct{}),
+		position: s.out.attach(types.Time(s.wm.Load())),
 	}
-	if n := len(s.outLog); n > 0 {
-		c.noteOwed(n)
+	if p, ok := s.out.pending(c.position); ok {
+		c.noteOwed(len(p.log))
 	}
 	s.cursors = append(s.cursors, c)
 	s.nsubs.Store(int64(len(s.cursors)))
@@ -267,7 +239,7 @@ func (s *Session) closeSessionLocked(err error) {
 	s.setErr(err)
 	wasOpen := !s.closed
 	s.closed = true
-	s.fold = nil
+	s.out.fold = nil
 	for len(s.cursors) > 0 {
 		c := s.cursors[0]
 		c.setErr(err)
@@ -292,32 +264,71 @@ func (s *Session) IngestLog(batch []exec.Source) error {
 	return s.ingestLog(batch, nil)
 }
 
-// ingestLog is IngestLog carrying the commit-path span: driver feed time
-// accrues to the apply stage, render/deliver split inside deliver. The
-// span's time.Now calls are skipped entirely on the untraced path.
+// ingestLog is IngestLog carrying the commit-path span (see step).
 func (s *Session) ingestLog(batch []exec.Source, span *obs.CommitSpan) error {
+	return s.step(span, func() error {
+		n := int64(0)
+		for _, src := range batch {
+			n += int64(len(src.Log))
+		}
+		s.eventsIn.Add(n)
+		s.obsm.noteEventsIn(n)
+		return s.driver.Feed(batch)
+	})
+}
+
+// Advance moves the standing pipeline's processing-time clock to pt, firing
+// any due EMIT AFTER DELAY timers and delivering the resulting deltas.
+func (s *Session) Advance(pt types.Time) error {
+	return s.advance(pt, nil)
+}
+
+// advance is Advance carrying the commit-path span (see step).
+func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
+	return s.step(span, func() error { return s.driver.Advance(pt) })
+}
+
+// step makes one driver call, a feed or an advance, unless the session has
+// closed, and delivers its output as one delivery. The call's time accrues
+// to the span's apply stage, and appendOutputLocked splits render from
+// deliver; the untraced path skips the span's time.Now calls entirely.
+//
+// step is the operator panic boundary: a panic in a standing pipeline (its
+// operators run on the ingesting goroutine or a shard worker) becomes this
+// session's terminal error — subscribers observe it through Err() with the
+// panic value and stack — instead of unwinding the committing goroutine or
+// a shard worker and killing the process. The driver holds only this
+// session's state, so abandoning it mid-panic corrupts nothing shared.
+func (s *Session) step(span *obs.CommitSpan, call func() error) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.isClosed() {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return s.terminalErr()
 	}
-	n := int64(0)
-	for _, src := range batch {
-		n += int64(len(src.Log))
-	}
-	s.eventsIn.Add(n)
-	s.obsm.noteEventsIn(n)
 	tApply := time.Time{}
 	if span != nil {
 		tApply = time.Now()
 	}
-	if err := s.feedDriver(batch); err != nil {
-		s.failFeed(err)
+	err := func() (err error) {
+		defer func() {
+			if perr := exec.CapturePanic(recover()); perr != nil {
+				err = perr
+			}
+		}()
+		return call()
+	}()
+	span.AddSince(obs.SpanApply, tApply)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.closeSessionLocked(err)
 		return err
 	}
-	span.AddSince(obs.SpanApply, tApply)
 	s.mirrorDriver()
-	s.deliver(span)
+	s.appendOutputLocked(span)
 	return nil
 }
 
@@ -328,80 +339,6 @@ func (s *Session) mirrorDriver() {
 	d, ev := s.driver.DispatchStats()
 	s.obsm.noteDispatched(d-s.dispatches.Swap(d), ev-s.dispatchedEvents.Swap(ev))
 	s.outOfOrder.Store(!s.driver.FedInMergeOrder())
-}
-
-// feedDriver and advanceDriver are the operator panic boundary: a panic in
-// a standing pipeline (its operators run on the ingesting goroutine or a
-// shard worker) becomes this session's terminal
-// error — subscribers observe it through Err() with the panic value and
-// stack — instead of unwinding the committing goroutine or a shard worker
-// and killing the process. The driver holds only this session's state, so
-// abandoning it mid-panic corrupts nothing shared.
-func (s *Session) feedDriver(batch []exec.Source) (err error) {
-	defer func() {
-		if perr := exec.CapturePanic(recover()); perr != nil {
-			err = perr
-		}
-	}()
-	return s.driver.Feed(batch)
-}
-
-func (s *Session) advanceDriver(pt types.Time) (err error) {
-	defer func() {
-		if perr := exec.CapturePanic(recover()); perr != nil {
-			err = perr
-		}
-	}()
-	return s.driver.Advance(pt)
-}
-
-// Advance moves the standing pipeline's processing-time clock to pt, firing
-// any due EMIT AFTER DELAY timers and delivering the resulting deltas.
-func (s *Session) Advance(pt types.Time) error {
-	return s.advance(pt, nil)
-}
-
-// advance is Advance carrying the commit-path span (see ingestLog).
-func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.isClosed() {
-		return s.terminalErr()
-	}
-	tApply := time.Time{}
-	if span != nil {
-		tApply = time.Now()
-	}
-	if err := s.advanceDriver(pt); err != nil {
-		s.failFeed(err)
-		return err
-	}
-	span.AddSince(obs.SpanApply, tApply)
-	s.mirrorDriver()
-	s.deliver(span)
-	return nil
-}
-
-func (s *Session) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// failFeed ends the session on a driver error. Caller holds ingestMu.
-func (s *Session) failFeed(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closeSessionLocked(err)
-}
-
-// deliver appends the driver's new output to the retained output as one
-// delivery and notifies the cursors; it never waits on one. Caller holds
-// ingestMu.
-func (s *Session) deliver(span *obs.CommitSpan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendOutputLocked(span)
 }
 
 // appendOutputLocked drains the driver's new output and appends it as one
@@ -417,19 +354,11 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	out := s.driver.Drain()
 	wm := s.driver.OutputWatermark()
 	s.wm.Store(int64(wm))
+	s.out.append(out, wm)
+	span.AddSince(obs.SpanRender, tRender)
 	if len(out) == 0 {
-		span.AddSince(obs.SpanRender, tRender)
 		return
 	}
-	start := s.base + len(s.outLog)
-	s.outLog = append(s.outLog, out...)
-	s.vers = s.renderer.AppendVersions(s.vers, out)
-	s.dels = append(s.dels, delivery{start: start, end: start + len(out), wm: wm})
-	if max := s.cfg.MaxRetainedRows; max > 0 && start+len(out) > max && !s.overflowed {
-		s.overflowed = true
-		s.fold = nil
-	}
-	span.AddSince(obs.SpanRender, tRender)
 	tDeliver := time.Time{}
 	if span != nil {
 		tDeliver = time.Now()
@@ -442,29 +371,18 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	span.AddSince(obs.SpanDeliver, tDeliver)
 }
 
-// pieceLocked is the retained output between absolute rows start and end,
-// with watermark wm, read up to delivery next. The slices are capped, so a later append never shows
-// through, and trimming only reslices, so a reader may use them unlocked.
-func (s *Session) pieceLocked(start, end int, wm types.Time, next int) piece {
-	i, j := start-s.base, end-s.base
-	return piece{log: s.outLog[i:j:j], vers: s.vers[i:j:j], wm: wm, end: end, next: next}
-}
-
-// trimLocked applies the retention rule past the cap: the session keeps only
-// the output some attached cursor has not yet read, and the deliveries it
-// has not yet received. An uncapped session, and one within its cap, keeps
-// everything; a closed one keeps what it has for its detached readers.
+// trimLocked lets the retained output drop, past its cap, what every attached
+// cursor has received. A closed session keeps what it has for its detached
+// readers.
 func (s *Session) trimLocked() {
-	if !s.overflowed || s.closed {
+	if s.closed {
 		return
 	}
-	row, next := s.base+len(s.outLog), s.delBase+len(s.dels)
+	low := s.out.end()
 	for _, c := range s.cursors {
-		row = min(row, c.row)
-		next = min(next, c.next)
+		low = min(low, c.next)
 	}
-	s.outLog, s.vers, s.base = s.outLog[row-s.base:], s.vers[row-s.base:], row
-	s.dels, s.delBase = s.dels[next-s.delBase:], next
+	s.out.trim(low)
 }
 
 // runTeardown unregisters the session from its manager exactly once. It must

@@ -16,12 +16,21 @@
 // call site; a layer built without a Registry records nothing at zero cost
 // beyond a predictable nil check.
 //
-// Naming scheme (documented in ROADMAP.md "Observability"): every family is
-// prefixed with its layer — engine_, wal_, checkpoint_, shard_, live_,
-// exec_, commit_ — counters end in _total, histograms of durations end in
-// _seconds (observed internally in integer nanoseconds, scaled at
-// exposition). Labels are fixed-cardinality only (shard index, execution
-// path, span stage); nothing per-subscription or per-relation.
+// Naming scheme: every family is prefixed with its owning layer — engine_,
+// wal_, checkpoint_, shard_, live_, exec_, commit_ — counters end in _total,
+// and duration histograms end in _seconds (integer nanoseconds against
+// DurationBuckets, scaled by DurationScale at exposition). Variants are
+// fixed-cardinality labels (kind=, shard=, stage=), never name suffixes;
+// nothing is labelled per subscription or relation. The registry is made
+// once, in cmd/serve, and threaded down: core.WithObs (engine families, the
+// commit tracer), live.Options.Obs (live and exec families; per-shard gauges
+// via shard.NewPoolObs), wal.Options.Obs (WAL counters). Registration is
+// idempotent per (name, labels) and happens at construction, so hot paths
+// touch only handles registered in advance. A collect callback (CounterFunc,
+// GaugeFunc) must never take a lock a commit can hold across I/O, such as
+// wal.Writer.mu or the live manager's ordering lock: WAL metrics are plain
+// counters bumped at the instrument sites, and live gauges sample the
+// manager's atomic session snapshot.
 package obs
 
 import (

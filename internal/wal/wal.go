@@ -71,9 +71,6 @@ const (
 	// segments reclaim space sooner after a snapshot, at the cost of more
 	// files.
 	DefaultSegmentBytes = 4 << 20
-	// maxFrameBytes bounds a single frame so a corrupt length prefix is
-	// rejected before it can drive an allocation.
-	maxFrameBytes = 1 << 30
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -798,6 +795,15 @@ func scanSegment(fsys vfs.FS, path string, wantFirst uint64, fn func(seq uint64,
 		return res, err
 	}
 	defer f.Close()
+	// A frame cannot outsize the bytes left in the file, so a corrupt length
+	// prefix is a torn frame before it can drive an allocation.
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return res, err
+	}
 	cr := &countingReader{r: bufio.NewReader(f)}
 
 	hdr := make([]byte, len(segMagic))
@@ -832,8 +838,8 @@ func scanSegment(fsys vfs.FS, path string, wantFirst uint64, fn func(seq uint64,
 			res.torn = "truncated frame length"
 			return res, nil
 		}
-		if n > maxFrameBytes {
-			res.torn = fmt.Sprintf("implausible frame length %d", n)
+		if n > uint64(size-cr.n) {
+			res.torn = "truncated frame payload"
 			return res, nil
 		}
 		payload := make([]byte, n)
