@@ -52,16 +52,18 @@ race-shard:
 
 # Fault-injection and crash-safety suite: the vfs fault matrix, the WAL and
 # checkpoint I/O-failure tests, the ALICE-style crash-point soak (crash after
-# every file-system operation, recover, compare against the reference states),
-# the torn-write soak, degraded read-only mode end to end (engine + HTTP), and
-# the panic-isolation regressions. Runs at reduced scale by default;
+# every file-system operation of core.Open and a workload, recover through
+# core.Open, compare against the reference states), the torn-write soak,
+# core.Open's and Checkpoint's refusal and failure-count rules, degraded
+# read-only mode end to end (engine + HTTP), and the panic-isolation
+# regressions. Runs at reduced scale by default;
 # FAULT_SOAK_FULL=1 widens the soak workload.
 #   make faults
 #   FAULT_SOAK_FULL=1 make faults
 faults:
 	$(GO) test ./internal/vfs/ -v
 	$(GO) test ./internal/wal/ ./internal/checkpoint/ -run 'Torn|Fsync|ENOSPC|Recover|Trims|SyncAlwaysRetry|Atomic' -v
-	$(GO) test ./internal/core/ -run 'TestCrashPointSoak|TestTornWriteSoak|TestDegraded' -v -timeout 10m
+	$(GO) test ./internal/core/ -run 'TestCrashPointSoak|TestTornWriteSoak|TestDegraded|TestOpen' -v -timeout 10m
 	$(GO) test ./internal/exec/ ./internal/live/ -run 'Panic' -v
 	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout' -v
 

@@ -13,14 +13,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/types"
 	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // registerBidDirect registers the Bid stream on the engine itself, for
@@ -38,20 +36,9 @@ func registerBidDirect(t *testing.T, e *core.Engine) {
 }
 
 func TestServeDegradedMode(t *testing.T) {
-	dir := t.TempDir()
 	ffs := vfs.NewFault(vfs.Default)
-	w, err := wal.Open(filepath.Join(dir, "wal"), 1, wal.Options{Mode: wal.SyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	defer w.Close()
-	engine := core.NewEngine(core.WithUnboundedGroupBy())
-	if err := engine.AttachWAL(w); err != nil {
-		t.Fatalf("attach wal: %v", err)
-	}
-	srv := NewServer(engine)
-	srv.EnableCheckpoint(filepath.Join(dir, "checkpoint.ckpt"))
-	ts := httptest.NewServer(srv)
+	engine, _ := openDataDir(t, t.TempDir(), core.WithFS(ffs))
+	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()
 	c := ts.Client()
 

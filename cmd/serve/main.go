@@ -19,26 +19,25 @@
 // Graceful shutdown drains the shard queues before the final checkpoint, so
 // every acknowledged commit is captured in the snapshot.
 //
-// With -data-dir the process is durable, snapshot + write-ahead-log style:
-// every committed change (ingested batches, heartbeats, registrations) is
-// appended to a segmented CRC-framed WAL under <data-dir>/wal before it is
+// With -data-dir the process is durable: core.Open owns the directory (its
+// layout, commit order, recovery and degraded-mode rules are in package
+// core's documentation). Every committed change (ingested batches,
+// heartbeats, registrations) is in the write-ahead log before it is
 // acknowledged, and the engine (catalog, recorded changelogs, and every
 // shareable resident standing-query pipeline) is additionally snapshotted
-// periodically and on SIGINT/SIGTERM with a crash-safe atomic file swap.
-// Recovery on restart stitches the two: load the last snapshot, then
-// re-publish the WAL tail through the normal commit path — so a kill -9
-// loses nothing that was acknowledged (under the default -wal-sync=always),
-// not just nothing since the last snapshot, and restored pipelines resume
-// exactly where they stopped, with reconnecting subscribers attaching to
-// them (snapshot hand-off included) without any history rescan.
+// every -checkpoint-every, on POST /v1/checkpoint and on SIGINT/SIGTERM.
+// A restart restores the last snapshot and re-publishes the log tail, so a
+// kill -9 loses nothing that was acknowledged (under the default
+// -wal-sync=always), and restored pipelines resume exactly where they
+// stopped, with reconnecting subscribers attaching to them (snapshot
+// hand-off included) without any history rescan.
 //
-// Each completed snapshot truncates the WAL segments it covers — snapshots
-// are the log's compaction — so steady-state durability cost is the fsynced
-// delta per interval plus an occasional snapshot, not a rewrite of the full
-// history per interval. -wal-sync picks the fsync policy: "always" (fsync
-// per committed batch, the default), "none" (OS-paced writeback), or a
-// duration like "250ms" (background interval fsync; a crash can lose at
-// most that window).
+// Each snapshot truncates the log it covers, so steady-state durability
+// cost is the fsynced delta per interval plus an occasional snapshot, not a
+// rewrite of the full history per interval. -wal-sync picks the fsync
+// policy: "always" (fsync per committed batch, the default), "none"
+// (OS-paced writeback), or a duration like "250ms" (background interval
+// fsync; a crash can lose at most that window).
 //
 // Wire format. Ingest, subscription lines and one-shot query responses go
 // through one schema-directed codec (wire.go) that keeps encoding/json's
@@ -83,7 +82,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -94,17 +92,10 @@ import (
 	"repro/internal/wal"
 )
 
-// checkpointFileName is the durable engine snapshot inside -data-dir; the
-// write-ahead log lives in the walDirName subdirectory next to it.
-const (
-	checkpointFileName = "checkpoint.ckpt"
-	walDirName         = "wal"
-)
-
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		preload    = flag.Int("nexmark", 0, "preload the NEXMark catalog with this many generated events (0 = empty engine; ignored when restoring from -data-dir)")
+		preload    = flag.Int("nexmark", 0, "preload the NEXMark catalog with this many generated events (0 = empty engine; ignored when restoring from -data-dir, so a crash during the preload leaves a partial dataset that is not reloaded)")
 		seed       = flag.Int64("seed", 42, "generator seed for -nexmark")
 		dataDir    = flag.String("data-dir", "", "directory for durable state (snapshot + write-ahead log); restart restores the engine and its standing queries from the last snapshot plus the WAL tail")
 		ckptEvery  = flag.Duration("checkpoint-every", 30*time.Second, "interval between periodic snapshots, each truncating the applied WAL segments (needs -data-dir; 0 disables the ticker, leaving on-shutdown and POST /v1/checkpoint)")
@@ -144,39 +135,54 @@ func initLogger(format string) error {
 	return nil
 }
 
-// run assembles the engine (restoring snapshot + WAL tail from the data dir
-// when present), serves HTTP until SIGINT/SIGTERM, then shuts down
+// run assembles the engine (core.Open restores snapshot + WAL tail from the
+// data dir when present), serves HTTP until SIGINT/SIGTERM, then shuts down
 // gracefully: final checkpoint first (while the resident pipelines are
 // still alive), then drain the standing-query handlers, then close the
 // listener.
 func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Duration, walSync string, shards int, reqTimeout time.Duration, pprofOn bool, slowCommit time.Duration) error {
-	engine, walw, restored, err := openEngine(preload, seed, dataDir, walSync, shards,
-		core.WithObs(obs.NewRegistry()), core.WithSlowCommit(slowCommit))
-	if err != nil {
-		return err
+	opts := []core.Option{core.WithUnboundedGroupBy(), core.WithShards(shards),
+		core.WithObs(obs.NewRegistry()), core.WithSlowCommit(slowCommit)}
+	var engine *core.Engine
+	restored := false
+	if dataDir == "" {
+		engine = core.NewEngine(opts...)
+	} else {
+		mode, interval, err := wal.ParseSyncPolicy(walSync)
+		if err != nil {
+			return err
+		}
+		var rec core.Recovery
+		if engine, rec, err = core.Open(dataDir, wal.Options{Mode: mode, Interval: interval}, opts...); err != nil {
+			return err
+		}
+		restored = rec.Restored
+		slog.Info("opened data directory", "dir", dataDir, "restored", rec.Restored,
+			"sessions", engine.LiveSessions(), "replayedRecords", rec.Replay.Frames,
+			"walSeq", engine.WALSeq(), "tornTail", rec.Replay.Torn)
 	}
 	defer engine.Close()
+	// The preload commits through the log like any ingest, so a restart
+	// recovers it from the data directory, never by re-running the flags.
+	// A checkpoint right after puts it in the snapshot, so restarts restore
+	// it instead of replaying it.
+	if preload > 0 && !restored {
+		g := nexmark.Generate(nexmark.GeneratorConfig{
+			Seed: seed, NumEvents: preload, MaxOutOfOrderness: 2 * types.Second,
+		})
+		if err := nexmark.Load(engine, g); err != nil {
+			return err
+		}
+		if dataDir != "" {
+			if _, _, err := engine.Checkpoint(); err != nil {
+				return fmt.Errorf("checkpointing the preload: %w", err)
+			}
+		}
+	}
 	srv := NewServer(engine)
 	srv.SetRequestTimeout(reqTimeout)
 	if pprofOn {
 		srv.EnablePprof()
-	}
-	if dataDir != "" {
-		srv.EnableCheckpoint(filepath.Join(dataDir, checkpointFileName))
-	}
-	if walw != nil {
-		defer walw.Close()
-		srv.EnableWALTruncation(walw.TruncateThrough)
-	}
-	// A first boot writes its snapshot immediately: from here on, recovery
-	// is always snapshot + WAL tail, never a re-run of the preload flags
-	// (whose values a later restart is not obliged to repeat).
-	if dataDir != "" && !restored {
-		n, err := srv.CheckpointNow()
-		if err != nil {
-			return fmt.Errorf("initial checkpoint: %w", err)
-		}
-		slog.Info("initial checkpoint written", "bytes", n)
 	}
 
 	// No WriteTimeout: it would sever streaming /v1/subscribe responses,
@@ -197,13 +203,12 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 	// checkpoint retries on a capped exponential backoff (1s, 2s, ... up to
 	// the regular interval) instead of waiting a full interval: transient
 	// faults heal quickly, and a persistent one reaches the degraded-mode
-	// threshold in seconds rather than minutes. CheckpointNow itself tracks
+	// threshold in seconds rather than minutes. Checkpoint itself tracks
 	// consecutive failures for /healthz and flips/clears degraded mode.
 	if dataDir != "" && ckptEvery > 0 {
 		go func() {
 			backoff := time.Duration(0)
-			delay := ckptEvery
-			timer := time.NewTimer(delay)
+			timer := time.NewTimer(ckptEvery)
 			defer timer.Stop()
 			for {
 				select {
@@ -211,23 +216,15 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 					return
 				case <-timer.C:
 				}
-				if n, err := srv.CheckpointNow(); err != nil {
-					if backoff == 0 {
-						backoff = time.Second
-					} else {
-						backoff *= 2
-					}
-					if backoff > ckptEvery {
-						backoff = ckptEvery
-					}
-					delay = backoff
-					slog.Error("periodic checkpoint failed", "retryIn", delay, "err", err)
+				if n, _, err := engine.Checkpoint(); err != nil {
+					backoff = min(max(2*backoff, time.Second), ckptEvery)
+					slog.Error("periodic checkpoint failed", "retryIn", backoff, "err", err)
+					timer.Reset(backoff)
 				} else {
 					backoff = 0
-					delay = ckptEvery
 					slog.Info("checkpoint written", "bytes", n, "sessions", engine.LiveSessions())
+					timer.Reset(ckptEvery)
 				}
-				timer.Reset(delay)
 			}
 		}()
 	}
@@ -249,13 +246,11 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 
 	// 1. Final checkpoint while every resident pipeline is still alive —
 	//    canceling a session's last cursor would tear its pipeline down.
-	//    Drain the shard queues first so every acknowledged commit is
-	//    applied to its resident pipelines before they are snapshotted (a
-	//    no-op under the serial fan-out). No subscriber can hold it up: a
-	//    commit never waits on one.
+	//    The snapshot drains the shard queues under the ordering lock, so
+	//    every acknowledged commit is in it. No subscriber can hold it up:
+	//    a commit never waits on one.
 	if dataDir != "" {
-		engine.Quiesce()
-		if n, err := srv.CheckpointNow(); err != nil {
+		if n, _, err := engine.Checkpoint(); err != nil {
 			slog.Error("final checkpoint failed", "err", err)
 		} else {
 			slog.Info("final checkpoint written", "bytes", n, "sessions", engine.LiveSessions())
@@ -273,109 +268,4 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 	}
 	slog.Info("stopped")
 	return nil
-}
-
-// openEngine builds the serving engine. Without a data dir it is simply
-// fresh (optionally preloaded with the NEXMark catalog). With one, it is
-// the full recovery stitch: sweep crash litter, load the last snapshot if
-// present, re-publish the WAL tail through the normal commit path, then
-// open the log for appending and attach it so every further commit is
-// logged. The returned restored flag reports whether a snapshot existed
-// (run writes an initial one otherwise).
-func openEngine(preload int, seed int64, dataDir, walSync string, shards int, opts ...core.Option) (*core.Engine, *wal.Writer, bool, error) {
-	if dataDir == "" {
-		engine, err := buildEngine(preload, seed, shards, opts...)
-		return engine, nil, false, err
-	}
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return nil, nil, false, err
-	}
-	if err := sweepStaleCheckpointTemps(dataDir); err != nil {
-		return nil, nil, false, err
-	}
-
-	var engine *core.Engine
-	restored := false
-	path := filepath.Join(dataDir, checkpointFileName)
-	switch _, statErr := os.Stat(path); {
-	case statErr == nil:
-		engine = core.NewEngine(append([]core.Option{core.WithUnboundedGroupBy(), core.WithShards(shards)}, opts...)...)
-		if err := engine.RestoreFile(path); err != nil {
-			return nil, nil, false, fmt.Errorf("restoring %s: %w", path, err)
-		}
-		restored = true
-		slog.Info("restored engine from checkpoint (standing queries resume without history replay)",
-			"path", path, "sessions", engine.LiveSessions())
-	case os.IsNotExist(statErr):
-		var err error
-		if engine, err = buildEngine(preload, seed, shards, opts...); err != nil {
-			return nil, nil, false, err
-		}
-	default:
-		// Only a definitively-absent checkpoint may start fresh: a
-		// transient stat failure must not boot an empty engine whose
-		// next periodic checkpoint would overwrite the durable one.
-		return nil, nil, false, fmt.Errorf("checking %s: %w", path, statErr)
-	}
-
-	// Re-publish the WAL tail through the normal commit path: records the
-	// snapshot already covers are skipped by sequence number, the rest
-	// replay exactly as live changes would. A torn tail is the expected
-	// crash signature; anything else fails the boot loudly.
-	walDir := filepath.Join(dataDir, walDirName)
-	info, err := wal.Replay(walDir, engine.ReplayWALRecord)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("replaying %s: %w", walDir, err)
-	}
-	if info.Frames > 0 {
-		slog.Info("replayed WAL tail", "throughSeq", info.LastSeq, "records", info.Frames, "engineSeq", engine.WALSeq())
-	}
-	if info.Torn != "" {
-		slog.Warn("WAL tail was torn by a crash; recovered to the last valid commit", "torn", info.Torn)
-	}
-
-	mode, interval, err := wal.ParseSyncPolicy(walSync)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	walw, err := wal.Open(walDir, engine.WALSeq()+1, wal.Options{Mode: mode, Interval: interval, Obs: engine.Obs()})
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("opening %s: %w", walDir, err)
-	}
-	if err := engine.AttachWAL(walw); err != nil {
-		walw.Close()
-		return nil, nil, false, err
-	}
-	return engine, walw, restored, nil
-}
-
-// sweepStaleCheckpointTemps removes checkpoint temp files a previous run's
-// crash mid-WriteFileAtomicFS left behind. They are never the live snapshot
-// (the atomic swap either renamed the temp away or abandoned it), so
-// without this they accumulate in -data-dir forever.
-func sweepStaleCheckpointTemps(dataDir string) error {
-	stale, err := filepath.Glob(filepath.Join(dataDir, checkpointFileName+".tmp*"))
-	if err != nil {
-		return err
-	}
-	for _, p := range stale {
-		if err := os.Remove(p); err != nil {
-			return fmt.Errorf("sweeping stale checkpoint temp %s: %w", p, err)
-		}
-		slog.Info("removed stale checkpoint temp", "path", p)
-	}
-	return nil
-}
-
-// buildEngine creates the engine, optionally preloaded with the NEXMark
-// catalog and a deterministic dataset so demos have data to query.
-func buildEngine(events int, seed int64, shards int, opts ...core.Option) (*core.Engine, error) {
-	all := append([]core.Option{core.WithUnboundedGroupBy(), core.WithShards(shards)}, opts...)
-	if events <= 0 {
-		return core.NewEngine(all...), nil
-	}
-	g := nexmark.Generate(nexmark.GeneratorConfig{
-		Seed: seed, NumEvents: events, MaxOutOfOrderness: 2 * types.Second,
-	})
-	return nexmark.NewEngine(g, all...)
 }

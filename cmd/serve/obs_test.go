@@ -59,17 +59,9 @@ func getBody(t *testing.T, c *http.Client, url string) (int, string, http.Header
 // heartbeats, and a checkpoint — then scrapes /metrics and asserts every
 // layer's families are present and the exposition is well-formed.
 func TestMetricsEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	engine, walw, _, err := openEngine(0, 0, dir, "always", 2,
+	engine, _ := openDataDir(t, t.TempDir(), core.WithShards(2),
 		core.WithObs(obs.NewRegistry()), core.WithSlowCommit(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	defer walw.Close()
-	srv := NewServer(engine)
-	srv.EnableCheckpoint(dir + "/" + checkpointFileName)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()
 	c := ts.Client()
 
@@ -125,7 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"engine_query_folded_rows_total 1", // the first bid, the prefix up to 1.5 s
 		`engine_query_replay_total{reason="not_inert"} 1`,
 		`engine_query_replay_total{reason="no_session"} 0`,
-		"checkpoint_total 1",
+		"checkpoint_total 2", // the first boot's snapshot and the POST
 		"wal_appends_total",
 		"wal_fsync_seconds_bucket{le=",
 		`shard_queue_depth{shard="0"}`,
@@ -230,14 +222,8 @@ func TestMetricsDispatchCountersNeverFall(t *testing.T) {
 func TestMetricsAfterRestore(t *testing.T) {
 	dir := t.TempDir()
 	{
-		engine, walw, _, err := openEngine(0, 0, dir, "always", 0,
-			core.WithObs(obs.NewRegistry()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(engine)
-		srv.EnableCheckpoint(dir + "/" + checkpointFileName)
-		ts := httptest.NewServer(srv)
+		engine, _ := openDataDir(t, dir, core.WithObs(obs.NewRegistry()))
+		ts := httptest.NewServer(NewServer(engine))
 		c := ts.Client()
 		registerBid(t, c, ts.URL)
 		resp, err := c.Get(ts.URL + "/v1/subscribe?sql=" + queryEscape(`SELECT auction, price FROM Bid`))
@@ -249,17 +235,10 @@ func TestMetricsAfterRestore(t *testing.T) {
 		}
 		resp.Body.Close()
 		ts.Close()
-		walw.Close()
 		engine.Close()
 	}
 
-	engine, walw, restored, err := openEngine(0, 0, dir, "always", 0,
-		core.WithObs(obs.NewRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	defer walw.Close()
+	engine, restored := openDataDir(t, dir, core.WithObs(obs.NewRegistry()))
 	if !restored {
 		t.Fatal("second boot did not restore from the checkpoint")
 	}

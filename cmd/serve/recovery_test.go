@@ -15,12 +15,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // subscribeLines opens a standing query and returns a line reader.
@@ -75,14 +72,10 @@ func twinServer(t *testing.T, events []eventJSON) (*httptest.Server, *http.Clien
 // reconnect.
 func TestServeKillAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, checkpointFileName)
 	sql := queryEscape(`SELECT auction, price FROM Bid WHERE price > 900`)
 
 	// --- process one: serve, subscribe, ingest, checkpoint, die ---
-	engine1 := core.NewEngine(core.WithUnboundedGroupBy())
-	srv1 := NewServer(engine1)
-	srv1.EnableCheckpoint(ckptPath)
-	ts1 := httptest.NewServer(srv1)
+	ts1, _ := openServer(t, dir)
 	c1 := ts1.Client()
 	registerBid(t, c1, ts1.URL)
 	mkEvent := func(ptime, auction, price, et int64) eventJSON {
@@ -114,7 +107,7 @@ func TestServeKillAndRestart(t *testing.T) {
 	if body["bytes"].(float64) <= 0 {
 		t.Fatalf("checkpoint reported %v bytes", body["bytes"])
 	}
-	if _, err := os.Stat(ckptPath); err != nil {
+	if _, err := os.Stat(body["path"].(string)); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 	// The process dies: every connection (including the subscription) drops.
@@ -125,14 +118,11 @@ func TestServeKillAndRestart(t *testing.T) {
 	ts1.Close()
 
 	// --- process two: restore from the data dir ---
-	engine2 := core.NewEngine(core.WithUnboundedGroupBy())
-	if err := engine2.RestoreFile(ckptPath); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	srv2 := NewServer(engine2)
-	srv2.EnableCheckpoint(ckptPath)
-	ts2 := httptest.NewServer(srv2)
+	ts2, restored := openServer(t, dir)
 	defer ts2.Close()
+	if !restored {
+		t.Fatal("second boot found no snapshot")
+	}
 	c2 := ts2.Client()
 
 	// The standing query's resident pipeline survived the restart.

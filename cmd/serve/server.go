@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -62,25 +61,6 @@ type Server struct {
 	nextID int
 	subs   map[int]*subEntry
 
-	// Durable checkpoint state (enabled by -data-dir). ckptMu serializes
-	// checkpoint writes so the periodic ticker and the HTTP trigger cannot
-	// interleave temp-file swaps.
-	ckptPath string
-	ckptMu   sync.Mutex
-	lastCkpt struct {
-		at    time.Time
-		bytes int64
-	}
-	// Consecutive checkpoint failures and the latest failure, surfaced by
-	// /healthz so repeated periodic-checkpoint failures are visible outside
-	// the process log. Reset on the next success.
-	ckptFails   int
-	ckptLastErr error
-
-	// walTrunc, when set, truncates the write-ahead log through a sequence
-	// number after a snapshot covering it is durable.
-	walTrunc func(seq uint64) error
-
 	// reqTimeout bounds one-shot handlers (-request-timeout). Streaming
 	// subscribe is exempt: its whole point is an unbounded response. Set
 	// before serving; zero disables the wrapper.
@@ -93,13 +73,6 @@ type Server struct {
 // holds tens of thousands of changelog events; larger loads belong in several
 // requests.
 const maxBodyBytes = 8 << 20
-
-// ckptDegradeAfter is how many consecutive checkpoint failures flip the
-// engine into degraded read-only mode. A disk that keeps refusing snapshots
-// will not keep honoring WAL appends for long, and every failed snapshot
-// means an ever-longer WAL tail to replay — refusing new ingest is the
-// defined behavior, not an ever-growing durability debt.
-const ckptDegradeAfter = 3
 
 type subEntry struct {
 	id   int
@@ -156,67 +129,6 @@ func (s *Server) timed(h http.HandlerFunc) http.HandlerFunc {
 		}
 		http.TimeoutHandler(h, d, `{"error":"request timed out"}`).ServeHTTP(w, r)
 	}
-}
-
-// EnableCheckpoint turns on durable checkpointing to the given file path
-// (inside -data-dir). CheckpointNow and POST /v1/checkpoint refuse until
-// this is called.
-func (s *Server) EnableCheckpoint(path string) { s.ckptPath = path }
-
-// EnableWALTruncation registers the log-compaction hook: after each
-// successful checkpoint, trunc is called with the WAL sequence number the
-// snapshot covers through, so applied segments are reclaimed.
-func (s *Server) EnableWALTruncation(trunc func(seq uint64) error) { s.walTrunc = trunc }
-
-// CheckpointNow writes one durable checkpoint with the crash-safe atomic
-// swap, returning its size, then truncates the write-ahead log through the
-// snapshot's commit point (snapshots are the log's compaction). Safe to
-// call concurrently with serving traffic: the engine snapshot runs under
-// the live manager's ordering lock, and writes are serialized here.
-// Failures are counted for /healthz; a truncation failure is logged there
-// too but does not fail the call — the snapshot is durable, and an
-// uncompacted log only costs disk until the next snapshot retries.
-func (s *Server) CheckpointNow() (int64, error) {
-	if s.ckptPath == "" {
-		return 0, fmt.Errorf("checkpointing disabled: run with -data-dir")
-	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	n, seq, err := s.engine.CheckpointFile(s.ckptPath)
-	if err != nil {
-		s.mu.Lock()
-		s.ckptFails++
-		s.ckptLastErr = err
-		fails := s.ckptFails
-		s.mu.Unlock()
-		// Persistent snapshot failure is a durability emergency: flip the
-		// engine into degraded read-only mode so it refuses acks it may not
-		// be able to honor, instead of growing an unbounded WAL tail.
-		if fails >= ckptDegradeAfter {
-			s.engine.EnterDegraded(fmt.Errorf("%d consecutive checkpoint failures, last: %w", fails, err))
-		}
-		return 0, err
-	}
-	var truncErr error
-	if s.walTrunc != nil {
-		truncErr = s.walTrunc(seq)
-	}
-	s.mu.Lock()
-	s.lastCkpt.at = time.Now()
-	s.lastCkpt.bytes = n
-	s.ckptFails = 0
-	s.ckptLastErr = truncErr // usually nil; kept visible without counting as a checkpoint failure
-	s.mu.Unlock()
-	// A successful snapshot is evidence the disk recovered; try to reopen
-	// ingest. ClearDegraded proves writability with a durable WAL probe and
-	// keeps the engine degraded if the log is still sick, so this is safe
-	// to attempt unconditionally.
-	if s.engine.Degraded() != nil {
-		if err := s.engine.ClearDegraded(); err == nil {
-			slog.Info("degraded mode cleared after successful checkpoint")
-		}
-	}
-	return n, nil
 }
 
 // CancelSubscriptions ends every tracked standing query, releasing the
@@ -634,23 +546,25 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	n, err := s.CheckpointNow()
-	if err != nil {
-		code := http.StatusInternalServerError
-		if s.ckptPath == "" {
-			code = http.StatusConflict
-		}
-		writeErr(w, code, err)
+	path := s.engine.CheckpointStatus().Path
+	if path == "" {
+		writeErr(w, http.StatusConflict, errors.New("checkpointing disabled: run with -data-dir"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"path": s.ckptPath, "bytes": n})
+	n, _, err := s.engine.Checkpoint()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"path": path, "bytes": n})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	ckpt := s.engine.CheckpointStatus()
 	out := map[string]any{
 		"ok": true, "liveSessions": s.engine.LiveSessions(),
 		"liveSubscribers": s.engine.LiveSubscribers(),
-		"checkpointing":   s.ckptPath != "",
+		"checkpointing":   ckpt.Path != "",
 	}
 	// Degraded read-only mode: the process is alive (ok stays true — reads
 	// and standing queries keep serving) but ingest is refused until the
@@ -670,19 +584,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out["shards"] = len(stats)
 		out["shardStats"] = stats
 	}
-	if s.walTrunc != nil {
+	// With -data-dir the engine logs every commit and can checkpoint.
+	if ckpt.Path != "" {
 		out["walEnabled"] = true
 		out["walSeq"] = s.engine.WALSeq()
 	}
-	s.mu.Lock()
-	if !s.lastCkpt.at.IsZero() {
-		out["lastCheckpoint"] = s.lastCkpt.at.UTC().Format(time.RFC3339)
-		out["lastCheckpointBytes"] = s.lastCkpt.bytes
+	if !ckpt.At.IsZero() {
+		out["lastCheckpoint"] = ckpt.At.UTC().Format(time.RFC3339)
+		out["lastCheckpointBytes"] = ckpt.Bytes
 	}
-	out["checkpointFailures"] = s.ckptFails
-	if s.ckptLastErr != nil {
-		out["lastCheckpointError"] = s.ckptLastErr.Error()
+	out["checkpointFailures"] = ckpt.Failures
+	if ckpt.Err != nil {
+		out["lastCheckpointError"] = ckpt.Err.Error()
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }

@@ -283,7 +283,7 @@ func TestServeIngestAtomicity(t *testing.T) {
 // TestServeRegisterRefusesUnservableSchema: registering a schema the engine
 // cannot serve answers 400 and logs nothing.
 func TestServeRegisterRefusesUnservableSchema(t *testing.T) {
-	_, ts, _ := openServer(t, t.TempDir())
+	ts, _ := openServer(t, t.TempDir())
 	defer ts.Close()
 	c := ts.Client()
 	registerBid(t, c, ts.URL)
@@ -308,11 +308,31 @@ func TestServeRegisterRefusesUnservableSchema(t *testing.T) {
 	}
 }
 
+// TestServeEmptyIngestCommitsNothing: an ingest of no events is answered
+// 200 {"appended":0} and takes no WAL sequence number (nor its fsync).
+func TestServeEmptyIngestCommitsNothing(t *testing.T) {
+	ts, _ := openServer(t, t.TempDir())
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	_, hz := getJSON(t, c, ts.URL+"/v1/healthz")
+	seq := hz["walSeq"]
+	for i := 0; i < 5; i++ {
+		code, body := postJSON(t, c, ts.URL+"/v1/relations/Bid/events", ingestJSON{Events: []eventJSON{}})
+		if code != http.StatusOK || body["appended"] != float64(0) {
+			t.Fatalf("empty ingest: status %d body %v", code, body)
+		}
+	}
+	if _, hz := getJSON(t, c, ts.URL+"/v1/healthz"); hz["walSeq"] != seq {
+		t.Fatalf("empty ingests moved walSeq from %v to %v", seq, hz["walSeq"])
+	}
+}
+
 // TestServeBodyLimit: a POST body over maxBodyBytes is refused with 413 and
 // an error naming the limit, and commits nothing — the WAL sequence and the
 // relation's row count are unchanged — on ingest, register and heartbeat.
 func TestServeBodyLimit(t *testing.T) {
-	_, ts, _ := openServer(t, t.TempDir())
+	ts, _ := openServer(t, t.TempDir())
 	defer ts.Close()
 	c := ts.Client()
 	registerBid(t, c, ts.URL)

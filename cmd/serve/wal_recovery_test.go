@@ -1,6 +1,6 @@
 package main
 
-// WAL kill-and-restart integration tests, driven through openEngine — the
+// WAL kill-and-restart integration tests, driven through core.Open — the
 // production recovery path. The difference from TestServeKillAndRestart:
 // events ingested AFTER the last snapshot must survive the crash (they live
 // only in the WAL tail), where the snapshot-only engine rewound them. Plus
@@ -13,29 +13,30 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/wal"
 )
 
-// openServer runs the production boot sequence (openEngine + checkpoint and
-// WAL-truncation wiring + first-boot snapshot) and returns the HTTP server.
-func openServer(t *testing.T, dir string) (*Server, *httptest.Server, bool) {
+// openDataDir opens dir as run does with -data-dir (-wal-sync=always, no
+// shards) plus opts, and closes the engine when the test ends.
+func openDataDir(t *testing.T, dir string, opts ...core.Option) (*core.Engine, bool) {
 	t.Helper()
-	engine, walw, restored, err := openEngine(0, 0, dir, "always", 0)
+	engine, rec, err := core.Open(dir, wal.Options{Mode: wal.SyncAlways},
+		append([]core.Option{core.WithUnboundedGroupBy()}, opts...)...)
 	if err != nil {
-		t.Fatalf("openEngine: %v", err)
+		t.Fatalf("core.Open: %v", err)
 	}
-	if walw == nil {
-		t.Fatal("openEngine with a data dir returned no WAL writer")
-	}
-	srv := NewServer(engine)
-	srv.EnableCheckpoint(filepath.Join(dir, checkpointFileName))
-	srv.EnableWALTruncation(walw.TruncateThrough)
-	if !restored {
-		if _, err := srv.CheckpointNow(); err != nil {
-			t.Fatalf("initial checkpoint: %v", err)
-		}
-	}
-	ts := httptest.NewServer(srv)
-	return srv, ts, restored
+	t.Cleanup(engine.Close)
+	return engine, rec.Restored
+}
+
+// openServer runs the production boot sequence and returns the HTTP server
+// and whether the boot restored a snapshot.
+func openServer(t *testing.T, dir string) (*httptest.Server, bool) {
+	t.Helper()
+	engine, restored := openDataDir(t, dir)
+	return httptest.NewServer(NewServer(engine)), restored
 }
 
 // TestServeWALKillAndRestart: snapshot mid-stream, keep ingesting, crash
@@ -51,7 +52,7 @@ func TestServeWALKillAndRestart(t *testing.T) {
 	}
 
 	// --- process one ---
-	_, ts1, restored := openServer(t, dir)
+	ts1, restored := openServer(t, dir)
 	if restored {
 		t.Fatal("first boot claims to have restored a snapshot")
 	}
@@ -88,7 +89,7 @@ func TestServeWALKillAndRestart(t *testing.T) {
 	ts1.Close()
 
 	// --- process two: snapshot + WAL tail ---
-	_, ts2, restored2 := openServer(t, dir)
+	ts2, restored2 := openServer(t, dir)
 	defer ts2.Close()
 	if !restored2 {
 		t.Fatal("second boot found no snapshot")
@@ -150,20 +151,20 @@ func TestServeWALDoubleCrash(t *testing.T) {
 	mkEvent := func(ptime, auction, price, et int64) eventJSON {
 		return eventJSON{Kind: "insert", Ptime: timeMS(ptime), Row: []any{auction, price, et}}
 	}
-	_, ts1, _ := openServer(t, dir)
+	ts1, _ := openServer(t, dir)
 	c1 := ts1.Client()
 	registerBid(t, c1, ts1.URL)
 	ingestBids(t, c1, ts1.URL, []eventJSON{mkEvent(1000, 1, 100, 1000)})
 	ts1.CloseClientConnections()
 	ts1.Close()
 
-	_, ts2, _ := openServer(t, dir)
+	ts2, _ := openServer(t, dir)
 	c2 := ts2.Client()
 	ingestBids(t, c2, ts2.URL, []eventJSON{mkEvent(2000, 2, 200, 2000)})
 	ts2.CloseClientConnections()
 	ts2.Close()
 
-	_, ts3, _ := openServer(t, dir)
+	ts3, _ := openServer(t, dir)
 	defer ts3.Close()
 	c3 := ts3.Client()
 	code, body := getJSON(t, c3, ts3.URL+"/v1/query?sql="+queryEscape(`SELECT COUNT(*) c FROM Bid`))
@@ -180,20 +181,18 @@ func TestServeWALDoubleCrash(t *testing.T) {
 // WriteFileAtomicFS are removed at startup; unrelated files survive.
 func TestStaleCheckpointTempSweep(t *testing.T) {
 	dir := t.TempDir()
-	stale1 := filepath.Join(dir, checkpointFileName+".tmp123456")
-	stale2 := filepath.Join(dir, checkpointFileName+".tmp999")
+	engine, _ := openDataDir(t, dir)
+	snapshot := engine.CheckpointStatus().Path
+	engine.Close()
+	stale1 := snapshot + ".tmp123456"
+	stale2 := snapshot + ".tmp999"
 	keep := filepath.Join(dir, "unrelated.txt")
 	for _, p := range []string{stale1, stale2, keep} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	engine, walw, _, err := openEngine(0, 0, dir, "always", 0)
-	if err != nil {
-		t.Fatalf("openEngine: %v", err)
-	}
-	defer walw.Close()
-	_ = engine
+	openDataDir(t, dir)
 	for _, p := range []string{stale1, stale2} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("stale temp %s survived the sweep (err=%v)", p, err)
@@ -208,15 +207,19 @@ func TestStaleCheckpointTempSweep(t *testing.T) {
 // visible in /healthz (consecutive count + last error) and reset on the
 // next success.
 func TestHealthzCheckpointFailures(t *testing.T) {
-	ts, c := newTestServer(t)
-	srv := tsServer(t, ts)
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "missing-subdir")
+	engine, _ := openDataDir(t, dir)
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	c := ts.Client()
 
-	// Point the checkpoint at a path whose parent does not exist: every
-	// attempt fails before writing anything.
-	srv.EnableCheckpoint(filepath.Join(dir, "missing-subdir", checkpointFileName))
+	// The data directory goes missing: every attempt fails before writing
+	// anything.
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
-		if _, err := srv.CheckpointNow(); err == nil {
+		if _, _, err := engine.Checkpoint(); err == nil {
 			t.Fatal("checkpoint into a missing directory succeeded")
 		}
 	}
@@ -230,8 +233,10 @@ func TestHealthzCheckpointFailures(t *testing.T) {
 	}
 
 	// Recovery: the next success resets both.
-	srv.EnableCheckpoint(filepath.Join(dir, checkpointFileName))
-	if _, err := srv.CheckpointNow(); err != nil {
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := engine.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint into a valid dir: %v", err)
 	}
 	_, hz = getJSON(t, c, ts.URL+"/v1/healthz")
@@ -241,14 +246,4 @@ func TestHealthzCheckpointFailures(t *testing.T) {
 	if _, bad := hz["lastCheckpointError"]; bad {
 		t.Fatalf("healthz still reports lastCheckpointError after success: %v", hz)
 	}
-}
-
-// tsServer digs the *Server back out of a newTestServer handler.
-func tsServer(t *testing.T, ts *httptest.Server) *Server {
-	t.Helper()
-	srv, ok := ts.Config.Handler.(*Server)
-	if !ok {
-		t.Fatalf("test server handler is %T, want *Server", ts.Config.Handler)
-	}
-	return srv
 }

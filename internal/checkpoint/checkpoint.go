@@ -459,8 +459,8 @@ func (d *Decoder) Expect(name string) error {
 // checkpoint that was already reported successful. The write callback
 // receives the open Encoder; the trailer is appended after it returns. On
 // any failure the temp file is removed, so an interrupted checkpoint leaves
-// no `.tmp` litter of its own — only a hard crash can, and the serve startup
-// sweep collects those.
+// no `.tmp` litter of its own — only a hard crash can, and core.Open sweeps
+// those.
 func WriteFileAtomicFS(fsys vfs.FS, path string, write func(*Encoder) error) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")

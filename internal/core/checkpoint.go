@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/live"
@@ -14,28 +13,20 @@ import (
 	"repro/internal/types"
 )
 
-// Durable engine checkpoints: CheckpointAll snapshots the catalog (schemas +
-// recorded changelogs + monotonicity cursors) and every shareable resident
-// standing-query pipeline in one consistent stream; RestoreAll rebuilds a
-// fresh engine to exactly that commit point, with every restored pipeline
-// resuming where it stopped — no history rescan. Both run under the live
-// manager's ordering lock, the same lock every PublishSpan commits under, so the
-// snapshot can never observe a half-routed change.
+// Engine snapshots: CheckpointAll snapshots the catalog (schemas + recorded
+// changelogs + monotonicity cursors) and every shareable resident
+// standing-query pipeline in one consistent stream, under the live manager's
+// ordering lock; RestoreAll rebuilds a fresh engine to exactly that commit
+// point, every restored pipeline resuming where it stopped. Open and
+// Checkpoint keep them in the data directory.
 
 // saveAll and loadAll are the single definitions of the checkpoint stream's
 // section order (WAL position + catalog, then manager + sessions); every
 // public entry point delegates here so the writer and both readers cannot
-// drift.
-func (e *Engine) saveAll(enc *checkpoint.Encoder) error {
-	return e.saveAllSeq(enc, nil)
-}
-
-// saveAllSeq is saveAll with the snapshot's WAL position reported back to
-// the caller (when seqOut is non-nil): the sequence number the snapshot
-// covers through, captured under the same locks as the state itself, which
-// is exactly how far the write-ahead log may be truncated once the snapshot
-// is durable.
-func (e *Engine) saveAllSeq(enc *checkpoint.Encoder, seqOut *uint64) error {
+// drift. saveAll reports the snapshot's WAL position in seqOut when it is
+// non-nil: captured under the same locks as the state, it is how far the log
+// may be truncated once the snapshot is durable.
+func (e *Engine) saveAll(enc *checkpoint.Encoder, seqOut *uint64) error {
 	return e.live.CheckpointAll(enc, func(enc *checkpoint.Encoder) error {
 		return e.saveCatalog(enc, seqOut)
 	})
@@ -51,27 +42,10 @@ func (e *Engine) loadAll(dec *checkpoint.Decoder) error {
 // CheckpointAll writes the engine's full durable state to w.
 func (e *Engine) CheckpointAll(w io.Writer) error {
 	enc := checkpoint.NewEncoder(w)
-	if err := e.saveAll(enc); err != nil {
+	if err := e.saveAll(enc, nil); err != nil {
 		return err
 	}
 	return enc.Close()
-}
-
-// CheckpointFile writes the engine checkpoint to path with a crash-safe
-// atomic swap (temp file + fsync + rename + directory fsync), returning the
-// encoded size and the WAL sequence number the snapshot covers through —
-// once this call returns, the log may be truncated through that sequence.
-func (e *Engine) CheckpointFile(path string) (int64, uint64, error) {
-	t0 := time.Now()
-	var seq uint64
-	n, err := checkpoint.WriteFileAtomicFS(e.fs, path, func(enc *checkpoint.Encoder) error {
-		return e.saveAllSeq(enc, &seq)
-	})
-	e.metrics.noteCheckpoint(n, time.Since(t0), err)
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, seq, nil
 }
 
 // RestoreAll rebuilds the engine from a checkpoint stream. The engine must
@@ -86,11 +60,6 @@ func (e *Engine) RestoreAll(r io.Reader) error {
 		return err
 	}
 	return dec.Close()
-}
-
-// RestoreFile is RestoreAll over a checkpoint file written by CheckpointFile.
-func (e *Engine) RestoreFile(path string) error {
-	return checkpoint.ReadFileFS(e.fs, path, e.loadAll)
 }
 
 // saveCatalog serializes the engine's WAL position and every registered

@@ -1,13 +1,3 @@
-// Package core is the public face of the streaming SQL engine: a catalog of
-// time-varying relations (streams and tables) plus query entry points that
-// parse, plan, optimize, and execute the paper's SQL dialect.
-//
-// The engine models processing time explicitly: every ingested change
-// carries a ptime, and queries are evaluated either as a table snapshot "as
-// of" a processing time (the classic point-in-time rendering) or as a stream
-// (the changelog rendering with undo/ptime/ver metadata, Extension 4). This
-// determinism is what lets the test suite regenerate the paper's listings
-// byte for byte.
 package core
 
 import (
@@ -28,6 +18,7 @@ import (
 	"repro/internal/tvr"
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // Engine is a catalog of registered relations and the query interface over
@@ -48,13 +39,18 @@ type Engine struct {
 
 	// wal, when attached, receives every committed change before it is
 	// applied or fanned out; walSeq is the last committed sequence number
-	// (both guarded by mu — see wal.go for the ordering argument).
-	wal    CommitLog
+	// (both guarded by mu — see "Commit order" in doc.go).
+	wal    *wal.Writer
 	walSeq uint64
 
-	// fs is the filesystem checkpoints are written through (vfs.Default
-	// unless WithFS overrides it for fault-injection tests).
-	fs vfs.FS
+	// fs is the filesystem the data directory's I/O goes through
+	// (vfs.Default unless WithFS overrides it). ckptPath is the snapshot
+	// file Open set ("" without a data directory), ckptMu serializes
+	// Checkpoint, and ckpt is what CheckpointStatus reports (guarded by mu).
+	fs       vfs.FS
+	ckptPath string
+	ckptMu   sync.Mutex
+	ckpt     CheckpointStatus
 
 	// Degraded read-only mode (see degraded.go): degraded holds the cause
 	// when ingest is refused, walFails counts consecutive commit-log
@@ -98,9 +94,9 @@ func WithShards(n int) Option {
 	return func(e *Engine) { e.shards = n }
 }
 
-// WithFS routes the engine's checkpoint I/O through fsys instead of the
-// real filesystem — the fault-injection seam (the WAL has its own FS in
-// wal.Options; this covers CheckpointFile/RestoreFile).
+// WithFS routes the data directory's I/O (Open's sweep, stat, restore and
+// log replay, the write-ahead log, and every Checkpoint) through fsys
+// instead of the real filesystem: the fault-injection seam.
 func WithFS(fsys vfs.FS) Option {
 	return func(e *Engine) {
 		if fsys != nil {
@@ -130,9 +126,17 @@ func NewEngine(opts ...Option) *Engine {
 func (e *Engine) Quiesce() { e.live.Quiesce() }
 
 // Close drains and stops the sharded fan-out workers (a no-op on a
-// serial-fan-out engine). Call after publishing has stopped; standing
-// subscriptions are not canceled.
-func (e *Engine) Close() { e.live.Close() }
+// serial-fan-out engine), then closes the write-ahead log if one is
+// attached. Call after publishing has stopped; standing subscriptions are
+// not canceled.
+func (e *Engine) Close() {
+	e.live.Close()
+	if e.wal != nil {
+		// Every acknowledged commit is already as durable as the sync
+		// policy promised; a failed final sync has no caller to refuse.
+		_ = e.wal.Close()
+	}
+}
 
 // RegisterStream registers an unbounded relation (a stream). Columns marked
 // EventTime carry the stream's watermark.
@@ -217,12 +221,10 @@ func (e *Engine) register(name string, schema *types.Schema, unbounded bool) err
 	return nil
 }
 
-// AppendLog appends a pre-built changelog to the relation atomically: the
-// whole log is validated against the relation's current state under a single
-// lock acquisition before any event is applied, so a mid-log validation
-// error leaves the relation untouched rather than half-appended. The commit
-// and the fan-out to matching standing queries run under the live manager's
-// ordering lock, so every subscription observes changes in commit order.
+// AppendLog appends a pre-built changelog to the relation atomically, in the
+// commit order doc.go describes: a mid-log validation error leaves the
+// relation untouched rather than half-appended, and an empty log commits
+// nothing.
 //
 // A commit-path span is carried when tracing is enabled: validate and WAL
 // stages are timed inside applyLog, sequence/enqueue by the manager,
@@ -230,6 +232,12 @@ func (e *Engine) register(name string, schema *types.Schema, unbounded bool) err
 // histograms and possibly the slow-commit log line — when the last
 // participant (the publisher, or the last shard worker) releases it.
 func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
+	if len(log) == 0 {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		_, err := e.relationLocked(name)
+		return err
+	}
 	span := e.tracer.Begin(name, len(log))
 	err := e.live.PublishSpan(func() error { return e.applyLog(name, log, span) }, name, log, span)
 	if err == nil {
@@ -240,20 +248,13 @@ func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
 
 // applyLog validates the whole log against the relation's current cursors,
 // write-ahead-logs it, then applies it, all under one catalog lock
-// acquisition. The order matters twice over: validation first means the WAL
-// only ever records changes that commit (replay cannot trip over a record
-// live ingestion rejected), and logging before applying means a WAL failure
-// leaves the relation untouched and the batch unrouted — the change is
-// refused, not silently volatile.
+// acquisition (validate → WAL → apply, doc.go's commit order).
 func (e *Engine) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.degradedLocked(); err != nil {
+	rel, err := e.relationLocked(name)
+	if err != nil {
 		return err
-	}
-	rel, ok := e.rels[strings.ToLower(name)]
-	if !ok {
-		return fmt.Errorf("core: relation %q not registered", name)
 	}
 	tValidate := time.Time{}
 	if span != nil {
@@ -261,7 +262,6 @@ func (e *Engine) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) 
 	}
 	lastPtime, lastWM := rel.lastPtime, rel.lastWM
 	for _, ev := range log {
-		var err error
 		lastPtime, lastWM, err = validateEvent(name, &rel.meta, ev, lastPtime, lastWM)
 		if err != nil {
 			return err
@@ -272,7 +272,7 @@ func (e *Engine) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) 
 	if span != nil {
 		tWAL = time.Now()
 	}
-	err := e.walAppendLocked(func(enc *checkpoint.Encoder) error {
+	err = e.walAppendLocked(func(enc *checkpoint.Encoder) error {
 		enc.String(walRecPublish)
 		enc.String(rel.meta.Name)
 		tvr.SaveChangelog(enc, log)
@@ -285,6 +285,19 @@ func (e *Engine) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) 
 	rel.lastPtime, rel.lastWM = lastPtime, lastWM
 	rel.log = append(rel.log, log...)
 	return nil
+}
+
+// relationLocked returns the relation a commit appends to, refusing while
+// the engine is degraded. Called with e.mu held.
+func (e *Engine) relationLocked(name string) (*relation, error) {
+	if err := e.degradedLocked(); err != nil {
+		return nil, err
+	}
+	rel, ok := e.rels[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("core: relation %q not registered", name)
+	}
+	return rel, nil
 }
 
 // validateEvent checks one event against the relation schema and the running

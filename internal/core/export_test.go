@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/tvr"
 )
 
@@ -19,4 +20,9 @@ func (e *Engine) Log(name string) (tvr.Changelog, error) {
 		return nil, fmt.Errorf("core: relation %q not found", name)
 	}
 	return append(tvr.Changelog(nil), rel.log...), nil
+}
+
+// ReplayWALRecord exposes Open's replay callback to the external tests.
+func (e *Engine) ReplayWALRecord(seq uint64, dec *checkpoint.Decoder) error {
+	return e.replayWALRecord(seq, dec)
 }

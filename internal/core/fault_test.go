@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -105,18 +104,8 @@ func expectNoDelta(t *testing.T, sub *live.Subscription) {
 // ClearDegraded restores normal service with no acknowledged commit lost.
 func TestDegradedModePersistentFsyncFault(t *testing.T) {
 	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
 	ffs := vfs.NewFault(vfs.Default)
-	w, err := wal.Open(walDir, 1, wal.Options{Mode: wal.SyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	e := core.NewEngine(core.WithUnboundedGroupBy())
-	defer e.Close()
-	if err := e.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
+	e := openFaultEngine(t, dir, wal.Options{Mode: wal.SyncAlways}, core.WithFS(ffs))
 	if err := e.RegisterStream("Bid", faultBidSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +179,7 @@ func TestDegradedModePersistentFsyncFault(t *testing.T) {
 	// from after the recovery, and the no-op probe record) must replay into
 	// an identical engine.
 	finalState := faultState(t, e)
-	r := core.NewEngine(core.WithUnboundedGroupBy())
-	defer r.Close()
-	if _, err := wal.Replay(walDir, r.ReplayWALRecord); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	r := openFaultEngine(t, dir, wal.Options{Mode: wal.SyncAlways})
 	if got := faultState(t, r); got != finalState {
 		t.Fatalf("recovered state differs from live state\n got: %s\nwant: %s", got, finalState)
 	}
@@ -205,20 +190,10 @@ func TestDegradedModePersistentFsyncFault(t *testing.T) {
 // degrades only after DegradeAfter CONSECUTIVE failures; a success in
 // between resets the count.
 func TestDegradedThreshold(t *testing.T) {
-	dir := t.TempDir()
 	ffs := vfs.NewFault(vfs.Default)
 	// SegmentBytes 1: every append after the first wants a fresh segment,
 	// so a persistent create fault fails every commit without poisoning.
-	w, err := wal.Open(filepath.Join(dir, "wal"), 1, wal.Options{Mode: wal.SyncAlways, SegmentBytes: 1, FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	e := core.NewEngine(core.WithUnboundedGroupBy())
-	defer e.Close()
-	if err := e.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
+	e := openFaultEngine(t, t.TempDir(), wal.Options{Mode: wal.SyncAlways, SegmentBytes: 1}, core.WithFS(ffs))
 	if err := e.RegisterStream("Bid", faultBidSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -253,44 +228,74 @@ func TestDegradedThreshold(t *testing.T) {
 
 // ---- crash-point soak ----
 
-// soakStep is one committed operation of the recorded workload. The wal
-// writer is nil in the reference run (no durability layer), in which case
-// the checkpoint step is a no-op — checkpoints never change query state.
+// openFaultEngine opens dir through core.Open, the production stitch, and
+// closes the engine when the test ends.
+func openFaultEngine(t *testing.T, dir string, walOpts wal.Options, opts ...core.Option) *core.Engine {
+	t.Helper()
+	e, _, err := core.Open(dir, walOpts, append([]core.Option{core.WithUnboundedGroupBy()}, opts...)...)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// soakWAL is the soak's log: small segments, so the workload rotates and
+// truncation removes whole segments.
+var soakWAL = wal.Options{Mode: wal.SyncAlways, SegmentBytes: 512}
+
+// soakStep is one committed operation of the recorded workload.
 type soakStep struct {
 	name string
-	run  func(e *core.Engine, w *wal.Writer) error
+	run  func(e *core.Engine) error
+}
+
+// snapshotHookFS runs hook, once it is armed, right after the next rename
+// succeeds: inside a checkpoint, that is the snapshot moving into place,
+// between the snapshot and the log truncation.
+type snapshotHookFS struct {
+	*vfs.FaultFS
+	hook func() error
+}
+
+func (f *snapshotHookFS) Rename(oldpath, newpath string) error {
+	if err := f.FaultFS.Rename(oldpath, newpath); err != nil || f.hook == nil {
+		return err
+	}
+	hook := f.hook
+	f.hook = nil
+	return hook()
 }
 
 // soakWorkload builds the recorded workload: register, ingest batches with
-// interleaved heartbeats, one checkpoint + WAL truncation in the middle.
-// dataDir parameterizes the checkpoint path per run.
-func soakWorkload(dataDir string, batches int) []soakStep {
+// interleaved heartbeats, and one checkpoint in the middle with a batch
+// committed between its snapshot and its log truncation. fs is the durable
+// run's filesystem; the reference run passes nil and uses a plain
+// NewEngine, whose checkpoint step only commits that batch: checkpoints
+// never change query state.
+func soakWorkload(batches int, fs *snapshotHookFS) []soakStep {
 	steps := []soakStep{{
 		name: "register",
-		run: func(e *core.Engine, w *wal.Writer) error {
-			return e.RegisterStream("Bid", faultBidSchema())
-		},
+		run:  func(e *core.Engine) error { return e.RegisterStream("Bid", faultBidSchema()) },
 	}}
 	for i := 0; i < batches; i++ {
 		i := i
 		steps = append(steps, soakStep{
 			name: fmt.Sprintf("batch-%d", i),
-			run: func(e *core.Engine, w *wal.Writer) error {
-				return e.AppendLog("Bid", faultBatch(i))
-			},
+			run:  func(e *core.Engine) error { return e.AppendLog("Bid", faultBatch(i)) },
 		})
 		if i == batches/2 {
 			steps = append(steps, soakStep{
 				name: "checkpoint",
-				run: func(e *core.Engine, w *wal.Writer) error {
-					if w == nil {
-						return nil
+				run: func(e *core.Engine) error {
+					during := func() error { return e.AppendLog("Bid", midCheckpointBatch(i, batches)) }
+					if e.CheckpointStatus().Path == "" {
+						return during()
 					}
-					_, seq, err := e.CheckpointFile(filepath.Join(dataDir, "checkpoint.ckpt"))
-					if err != nil {
-						return err
-					}
-					return w.TruncateThrough(seq)
+					fs.hook = during
+					_, _, err := e.Checkpoint()
+					fs.hook = nil
+					return err
 				},
 			})
 		}
@@ -298,81 +303,86 @@ func soakWorkload(dataDir string, batches int) []soakStep {
 			pt := types.Time(int64(i)*1000 + 900)
 			steps = append(steps, soakStep{
 				name: fmt.Sprintf("heartbeat-%d", i),
-				run: func(e *core.Engine, w *wal.Writer) error {
-					return e.Heartbeat(pt)
-				},
+				run:  func(e *core.Engine) error { return e.Heartbeat(pt) },
 			})
 		}
 	}
 	return steps
 }
 
-// runSoakWorkload executes the workload over a FaultFS-backed engine+WAL in
-// dataDir. It returns how many steps were acknowledged (with retryOnce,
-// each failing step is retried once before giving up) and the FaultFS for
-// op-count inspection. Close errors are ignored: a crashed run's close path
-// fails by design.
+// midCheckpointBatch is the batch the soak commits inside the checkpoint
+// after batch i: rows no other batch holds, at processing times between
+// batch i's and the next heartbeat's.
+func midCheckpointBatch(i, batches int) tvr.Changelog {
+	log := faultBatch(batches)
+	for k := range log {
+		log[k].Ptime = types.Time(int64(i)*1000 + 500 + int64(k)*10)
+	}
+	return log
+}
+
+// runSoakWorkload opens dataDir through core.Open over ffs and executes the
+// workload. It returns how many steps were acknowledged (with retryOnce,
+// Open and each failing step are retried once before giving up); a failed
+// Open acknowledges none. Close errors are ignored: a crashed run's close
+// path fails by design.
 func runSoakWorkload(t *testing.T, dataDir string, ffs *vfs.FaultFS, retryOnce bool) int {
 	t.Helper()
-	walDir := filepath.Join(dataDir, "wal")
-	w, err := wal.Open(walDir, 1, wal.Options{Mode: wal.SyncAlways, SegmentBytes: 512, FS: ffs})
-	if err != nil {
-		return 0 // crashed before the log existed: nothing acknowledged
+	fs := &snapshotHookFS{FaultFS: ffs}
+	var e *core.Engine
+	open := func(*core.Engine) (err error) {
+		e, _, err = core.Open(dataDir, soakWAL, core.WithUnboundedGroupBy(), core.WithFS(fs))
+		return err
 	}
-	e := core.NewEngine(core.WithUnboundedGroupBy(), core.WithFS(ffs))
-	if err := e.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	acked := 0
-	for _, st := range soakWorkload(dataDir, soakBatches()) {
-		err := st.run(e, w)
+	try := func(run func(*core.Engine) error) error {
+		err := run(e)
 		if err != nil && retryOnce {
-			err = st.run(e, w)
+			err = run(e)
 		}
+		return err
+	}
+	if try(open) != nil {
+		return 0
+	}
+	defer e.Close()
+	n := 0
+	for _, st := range soakWorkload(soakBatches(), fs) {
+		err := try(st.run)
 		if err != nil {
 			break
 		}
-		acked++
+		n++
 	}
-	e.Close()
-	_ = w.Close()
-	return acked
+	return n
 }
 
-// soakRecover is the production recovery stitch over the crash-frozen
-// directory, through a CLEAN filesystem: sweep checkpoint temp litter,
-// restore the snapshot if one exists, replay the WAL tail, and prove the
-// log reopens for appending at the recovered sequence.
+// soakReference runs the workload on a plain engine with no durability
+// layer and returns the query state after every step: the oracle the
+// durable runs are held to.
+func soakReference(t *testing.T, steps []soakStep) []string {
+	t.Helper()
+	ref := core.NewEngine(core.WithUnboundedGroupBy())
+	defer ref.Close()
+	states := make([]string, len(steps))
+	for k, st := range steps {
+		if err := st.run(ref); err != nil {
+			t.Fatalf("reference step %s: %v", st.name, err)
+		}
+		states[k] = faultState(t, ref)
+	}
+	return states
+}
+
+// soakRecover opens the crash-frozen directory through core.Open over a
+// CLEAN filesystem: the recovery a restarted process runs, which also
+// proves the log reopens for appending at the recovered sequence.
 func soakRecover(t *testing.T, dataDir string) *core.Engine {
 	t.Helper()
-	stale, err := filepath.Glob(filepath.Join(dataDir, "checkpoint.ckpt.tmp*"))
+	r, _, err := core.Open(dataDir, soakWAL, core.WithUnboundedGroupBy())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("recover %s: %v", dataDir, err)
 	}
-	for _, p := range stale {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := core.NewEngine(core.WithUnboundedGroupBy())
 	t.Cleanup(r.Close)
-	ckpt := filepath.Join(dataDir, "checkpoint.ckpt")
-	if _, err := os.Stat(ckpt); err == nil {
-		if err := r.RestoreFile(ckpt); err != nil {
-			t.Fatalf("restore %s: %v", ckpt, err)
-		}
-	}
-	walDir := filepath.Join(dataDir, "wal")
-	if _, err := wal.Replay(walDir, r.ReplayWALRecord); err != nil {
-		t.Fatalf("replay %s: %v", walDir, err)
-	}
-	w, err := wal.Open(walDir, r.WALSeq()+1, wal.Options{Mode: wal.SyncAlways, SegmentBytes: 512})
-	if err != nil {
-		t.Fatalf("reopen log after recovery: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("close reopened log: %v", err)
-	}
 	return r
 }
 
@@ -397,29 +407,21 @@ func soakBatches() int {
 // corrupts the log beyond replay.
 func TestCrashPointSoak(t *testing.T) {
 	// Phase 1 — oracle: a fault-free run over a FaultFS records the op
-	// count (the crash-point enumeration domain), and a plain reference
-	// engine records the expected state after every acknowledged step.
-	refDir := t.TempDir()
+	// count (the crash-point enumeration domain, Open's own operations
+	// included), and a plain reference engine records the expected state
+	// after every acknowledged step.
 	ffs := vfs.NewFault(vfs.Default)
-	steps := soakWorkload("", soakBatches())
-	if acked := runSoakWorkload(t, refDir, ffs, false); acked != len(steps) {
+	steps := soakWorkload(soakBatches(), nil)
+	if acked := runSoakWorkload(t, t.TempDir(), ffs, false); acked != len(steps) {
 		t.Fatalf("fault-free run acked %d of %d steps", acked, len(steps))
 	}
 	totalOps := ffs.Ops()
-	ref := core.NewEngine(core.WithUnboundedGroupBy())
-	defer ref.Close()
-	refStates := make([]string, len(steps))
-	for k, st := range steps {
-		if err := st.run(ref, nil); err != nil {
-			t.Fatalf("reference step %s: %v", st.name, err)
-		}
-		refStates[k] = faultState(t, ref)
-	}
+	refStates := soakReference(t, steps)
 	emptyState := "<empty>"
 	t.Logf("soak: %d steps, %d filesystem operations to crash after", len(steps), totalOps)
 
 	// Phase 2 — crash after every op. CrashAfter(0) crashes before the
-	// first op (even the WAL directory never appears).
+	// first op (even the data directory never appears).
 	for i := 0; i <= totalOps; i++ {
 		dir := t.TempDir()
 		crashFS := vfs.NewFault(vfs.Default)
@@ -462,21 +464,14 @@ func TestCrashPointSoak(t *testing.T) {
 // the segment, later acknowledged frames sit behind it, and replay loses
 // them.
 func TestTornWriteSoak(t *testing.T) {
-	refDir := t.TempDir()
 	ffs := vfs.NewFault(vfs.Default)
-	steps := soakWorkload("", soakBatches())
-	if acked := runSoakWorkload(t, refDir, ffs, false); acked != len(steps) {
+	steps := soakWorkload(soakBatches(), nil)
+	if acked := runSoakWorkload(t, t.TempDir(), ffs, false); acked != len(steps) {
 		t.Fatalf("fault-free run acked %d of %d steps", acked, len(steps))
 	}
 	writes := ffs.OpCount(vfs.OpWrite)
-	ref := core.NewEngine(core.WithUnboundedGroupBy())
-	defer ref.Close()
-	for _, st := range steps {
-		if err := st.run(ref, nil); err != nil {
-			t.Fatalf("reference step %s: %v", st.name, err)
-		}
-	}
-	want := faultState(t, ref)
+	refStates := soakReference(t, steps)
+	want := refStates[len(refStates)-1]
 	t.Logf("torn-write soak: %d writes to tear", writes)
 
 	for j := 1; j <= writes; j++ {

@@ -9,9 +9,8 @@ import (
 
 // WithObs attaches a metrics registry to the engine: the engine_*,
 // checkpoint_*, and commit_* families register here, and the registry is
-// threaded into the live manager (live_*, exec_*, shard_*). The serving
-// layer passes the same registry into wal.Options.Obs so one scrape covers
-// every layer. Without this option the engine records nothing and the hot
+// threaded into the live manager (live_*, exec_*, shard_*) and, by Open,
+// into the write-ahead log (wal_*), so one scrape covers every layer. Without this option the engine records nothing and the hot
 // paths pay only nil checks.
 func WithObs(reg *obs.Registry) Option {
 	return func(e *Engine) { e.obsReg = reg }
@@ -26,8 +25,7 @@ func WithSlowCommit(d time.Duration) Option {
 }
 
 // Obs returns the engine's metrics registry (nil without WithObs). The
-// serving layer mounts its Handler at GET /metrics and hands it to
-// wal.Options.Obs.
+// serving layer mounts its Handler at GET /metrics.
 func (e *Engine) Obs() *obs.Registry { return e.obsReg }
 
 // engineMetrics are the engine-layer families. All note* helpers are

@@ -8,7 +8,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -17,7 +16,6 @@ import (
 	"repro/internal/nexmark"
 	"repro/internal/tvr"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
 
 // shardBidQueries builds n distinct NEXMark standing queries (different
@@ -181,16 +179,7 @@ func TestShardedWALRecovery(t *testing.T) {
 	opts := core.SubscribeOptions{}
 	for _, split := range []int{1, len(g.Bids) / 2, len(g.Bids) - 1} {
 		dataDir := t.TempDir()
-		walDir := filepath.Join(dataDir, "wal")
-		ckptPath := filepath.Join(dataDir, "checkpoint.ckpt")
-		w, err := wal.Open(walDir, 1, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := newShardedBidEngine(t, 4)
-		if err := e.AttachWAL(w); err != nil {
-			t.Fatal(err)
-		}
+		e := walBidEngine(t, dataDir, core.WithShards(4))
 		early, err := e.SubscribeStream(liveBidQuery, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +197,7 @@ func TestShardedWALRecovery(t *testing.T) {
 			}
 		}
 		ingest(0, split)
-		if _, seq, err := e.CheckpointFile(ckptPath); err != nil {
+		if _, seq, err := e.Checkpoint(); err != nil {
 			t.Fatal(err)
 		} else if seq != e.WALSeq() {
 			t.Fatalf("split=%d: snapshot at seq %d, engine at %d", split, seq, e.WALSeq())
@@ -224,15 +213,7 @@ func TestShardedWALRecovery(t *testing.T) {
 		early.Cancel() // the crashed process's subscriber is gone
 		e.Close()      // crash: no final snapshot; just stop the shard workers
 
-		r := core.NewEngine(core.WithShards(4))
-		defer r.Close()
-		if err := r.RestoreFile(ckptPath); err != nil {
-			t.Fatalf("split=%d: restore: %v", split, err)
-		}
-		info, err := wal.Replay(walDir, r.ReplayWALRecord)
-		if err != nil {
-			t.Fatalf("split=%d: wal replay: %v", split, err)
-		}
+		r, info := recoverEngine(t, dataDir, core.WithShards(4))
 		if info.LastSeq != crashSeq || r.WALSeq() != crashSeq {
 			t.Fatalf("split=%d: recovered through seq %d (log says %d), crashed at %d",
 				split, r.WALSeq(), info.LastSeq, crashSeq)

@@ -6,30 +6,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/tvr"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
-
-// The engine's write-ahead log seam. With a log attached, every committed
-// change — AppendLog batches, Heartbeats, and relation registrations — is
-// appended to the log under the same ordering that standing queries observe
-// it, stamped with a commit sequence number, BEFORE it is applied or fanned
-// out. Recovery is then "restore the last snapshot, re-publish the WAL tail
-// through the normal commit path": replayed records flow through exactly the
-// code live changes flow through, so restored subscribers' delta sequences
-// are byte-identical to an uninterrupted run (the property the checkpoint
-// tests pin).
-//
-// Ordering: publishes and heartbeats commit under the live manager's
-// ordering lock and allocate their sequence number under the catalog lock
-// inside that critical section, so WAL order equals fan-out order.
-// Registrations take only the catalog lock — they fan out to no one, and
-// any publish touching the new relation necessarily commits after it.
-
-// CommitLog is the narrow interface the engine appends committed changes
-// to. The callback writes the record body with the snapshot encoder's own
-// helpers; implementations frame and persist it (see internal/wal).
-type CommitLog interface {
-	Append(seq uint64, write func(*checkpoint.Encoder) error) error
-}
 
 // WAL record kinds. Stable wire tags, independent of any in-memory enum.
 const (
@@ -39,10 +17,12 @@ const (
 	walRecNoop      = "N" // durable no-op, the degraded-recovery probe
 )
 
-// AttachWAL starts logging every subsequent commit to l. Attach after
-// restore and replay are complete: an engine with a log attached refuses
-// ApplyWALRecord, precisely so a replayed record cannot be re-logged.
-func (e *Engine) AttachWAL(l CommitLog) error {
+// AttachWAL starts logging every subsequent commit to l, which the engine
+// then owns: Close closes it. Open attaches its own log; attach by hand only
+// to an engine built by NewEngine, after any restore and replay (an engine
+// with a log attached refuses to replay, so a replayed record cannot be
+// logged twice).
+func (e *Engine) AttachWAL(l *wal.Writer) error {
 	if l == nil {
 		return fmt.Errorf("core: AttachWAL needs a non-nil log")
 	}
@@ -94,12 +74,12 @@ type walRecord struct {
 	schema    *types.Schema // register
 }
 
-// ReplayWALRecord is the wal.Replay callback: records at or below the
+// replayWALRecord is Open's wal.Replay callback: records at or below the
 // engine's committed sequence are already covered by the restored snapshot
 // and are skipped without decoding (the log's frame CRC has verified their
 // bytes); later records are decoded, integrity-checked, and re-published
 // through the normal commit path. The log must not be attached yet.
-func (e *Engine) ReplayWALRecord(seq uint64, dec *checkpoint.Decoder) error {
+func (e *Engine) replayWALRecord(seq uint64, dec *checkpoint.Decoder) error {
 	e.mu.RLock()
 	attached, cur := e.wal != nil, e.walSeq
 	e.mu.RUnlock()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,45 +20,36 @@ import (
 	"repro/internal/core"
 	"repro/internal/tvr"
 	"repro/internal/types"
+	"repro/internal/vfs"
 	"repro/internal/wal"
 )
 
-// walBidEngine builds an empty engine with a WAL attached in dir and then
-// registers the Bid stream THROUGH the log (record 1), so recovery rebuilds
-// the catalog entry from the log rather than assuming it.
-func walBidEngine(t *testing.T, dir string, opts ...core.Option) (*core.Engine, *wal.Writer) {
+// walBidEngine opens an engine on dataDir through core.Open and then
+// registers the Bid stream THROUGH the log (the first record), so recovery
+// rebuilds the catalog entry from the log rather than assuming it.
+func walBidEngine(t *testing.T, dataDir string, opts ...core.Option) *core.Engine {
 	t.Helper()
-	w, err := wal.Open(dir, 1, wal.Options{})
+	e, _, err := core.Open(dataDir, wal.Options{}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(opts...)
 	t.Cleanup(e.Close)
-	if err := e.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.RegisterStream("Bid", liveBidSchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	return e, w
+	return e
 }
 
-// recoverEngine performs the production recovery stitch: fresh engine,
-// restore the snapshot when one exists, replay the WAL tail.
-func recoverEngine(t *testing.T, ckptPath, walDir string, opts ...core.Option) (*core.Engine, wal.ReplayInfo) {
+// recoverEngine reopens a crashed engine's data directory through
+// core.Open: restore the snapshot, replay the WAL tail.
+func recoverEngine(t *testing.T, dataDir string, opts ...core.Option) (*core.Engine, wal.ReplayInfo) {
 	t.Helper()
-	r := core.NewEngine(opts...)
-	t.Cleanup(r.Close)
-	if ckptPath != "" {
-		if err := r.RestoreFile(ckptPath); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
-	info, err := wal.Replay(walDir, r.ReplayWALRecord)
+	r, rec, err := core.Open(dataDir, wal.Options{}, opts...)
 	if err != nil {
-		t.Fatalf("wal replay: %v", err)
+		t.Fatalf("recover: %v", err)
 	}
-	return r, info
+	t.Cleanup(r.Close)
+	return r, rec.Replay
 }
 
 // TestWALRecoveryLive: ingest a full stream with a snapshot taken at a
@@ -67,9 +59,10 @@ func recoverEngine(t *testing.T, ckptPath, walDir string, opts ...core.Option) (
 // recovered resident pipeline to be byte-identical to a dedicated twin on a
 // second engine fed the recovered changelog and to the uninterrupted
 // replay, on the serial fan-out and on a sharded one.
-// Odd split indexes truncate the log after the snapshot; even ones crash
-// between snapshot and truncation, so recovery must skip the already-covered
-// records by sequence number.
+// Odd split indexes truncate the log after the snapshot; on even ones the
+// truncation fails (a crash between snapshot and truncation leaves the same
+// directory), so recovery must skip the already-covered records by
+// sequence number.
 func TestWALRecoveryLive(t *testing.T) {
 	g := liveData(t)
 	last := g.Bids[len(g.Bids)-1]
@@ -93,9 +86,11 @@ func TestWALRecoveryLive(t *testing.T) {
 			opts := core.SubscribeOptions{}
 			for si, split := range splits {
 				dataDir := t.TempDir()
-				walDir := filepath.Join(dataDir, "wal")
-				ckptPath := filepath.Join(dataDir, "checkpoint.ckpt")
-				e, w := walBidEngine(t, dataDir+"/wal", shardOpts(parts)...)
+				ffs := vfs.NewFault(vfs.Default)
+				if si%2 == 0 {
+					ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: "wal-"})
+				}
+				e := walBidEngine(t, dataDir, append(shardOpts(parts), core.WithFS(ffs))...)
 
 				early, err := e.SubscribeStream(liveBidQuery, opts)
 				if err != nil {
@@ -115,19 +110,17 @@ func TestWALRecoveryLive(t *testing.T) {
 				}
 				ingest(0, split)
 
-				// Snapshot mid-stream; on odd iterations also compact the
-				// log, on even ones "crash" before the truncation runs.
-				_, seq, err := e.CheckpointFile(ckptPath)
+				// Snapshot mid-stream; on odd iterations the log is also
+				// compacted, on even ones its truncation fails.
+				_, seq, err := e.Checkpoint()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if seq != e.WALSeq() {
 					t.Fatalf("split=%d: snapshot reports seq %d, engine at %d", split, seq, e.WALSeq())
 				}
-				if si%2 == 1 {
-					if err := w.TruncateThrough(seq); err != nil {
-						t.Fatal(err)
-					}
+				if truncErr := e.CheckpointStatus().Err; (truncErr == nil) != (si%2 == 1) {
+					t.Fatalf("split=%d: truncation error %v", split, truncErr)
 				}
 
 				// Everything after this point exists ONLY in the WAL tail.
@@ -143,7 +136,7 @@ func TestWALRecoveryLive(t *testing.T) {
 
 				// Crash: no Close, no final snapshot. Recover from the
 				// snapshot plus the log tail.
-				r, info := recoverEngine(t, ckptPath, walDir, shardOpts(parts)...)
+				r, info := recoverEngine(t, dataDir, shardOpts(parts)...)
 				if info.LastSeq != crashSeq || r.WALSeq() != crashSeq {
 					t.Fatalf("split=%d: recovered through seq %d (log says %d), crashed at %d",
 						split, r.WALSeq(), info.LastSeq, crashSeq)
@@ -202,19 +195,23 @@ func TestWALRecoveryLive(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryWithoutSnapshot: a crash before the first snapshot ever
-// completes still loses nothing — the log alone carries the registration
-// and every committed batch.
+// TestWALRecoveryWithoutSnapshot: a data directory whose snapshot is gone
+// (Open writes one on first boot, so only loss removes it) still loses
+// nothing — the log alone carries the registration and every committed
+// batch.
 func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	g := liveData(t)
 	dir := t.TempDir()
-	e, _ := walBidEngine(t, dir)
+	e := walBidEngine(t, dir)
 	if err := e.AppendLog("Bid", g.Bids[:300]); err != nil {
 		t.Fatal(err)
 	}
 	crashSeq := e.WALSeq()
+	if err := os.Remove(e.CheckpointStatus().Path); err != nil {
+		t.Fatal(err)
+	}
 
-	r, info := recoverEngine(t, "", dir)
+	r, info := recoverEngine(t, dir)
 	if info.LastSeq != crashSeq {
 		t.Fatalf("replayed through %d, crashed at %d", info.LastSeq, crashSeq)
 	}
@@ -247,13 +244,11 @@ func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 func TestWALRecoveryFreshRelation(t *testing.T) {
 	g := liveData(t)
 	dataDir := t.TempDir()
-	walDir := filepath.Join(dataDir, "wal")
-	ckptPath := filepath.Join(dataDir, "checkpoint.ckpt")
-	e, _ := walBidEngine(t, walDir)
+	e := walBidEngine(t, dataDir)
 	if err := e.AppendLog("Bid", g.Bids[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.CheckpointFile(ckptPath); err != nil {
+	if _, _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot: a brand-new relation and rows into it.
@@ -264,7 +259,7 @@ func TestWALRecoveryFreshRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, _ := recoverEngine(t, ckptPath, walDir)
+	r, _ := recoverEngine(t, dataDir)
 	log, err := r.Log("Extra")
 	if err != nil {
 		t.Fatalf("relation registered after the snapshot did not survive: %v", err)
@@ -282,11 +277,11 @@ func TestWALRecoveryFreshRelation(t *testing.T) {
 // logging would re-log every replayed record; the engine must refuse.
 func TestWALReplayRefusedWhenAttached(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := walBidEngine(t, dir)
+	e := walBidEngine(t, dir)
 	if err := e.AppendLog("Bid", tvr.Changelog{tvr.InsertEvent(0, bidRow(1, 100, 0))}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := wal.Replay(dir, e.ReplayWALRecord)
+	_, err := wal.Replay(filepath.Join(dir, "wal"), e.ReplayWALRecord)
 	if err == nil {
 		t.Fatal("replay into an attached engine succeeded")
 	}
@@ -296,7 +291,7 @@ func TestWALReplayRefusedWhenAttached(t *testing.T) {
 // that differ only in case, and EventTime on a column that is not TIMESTAMP
 // are refused with an error naming the column, before anything is logged.
 func TestRegisterRefusesUnservableSchema(t *testing.T) {
-	e, _ := walBidEngine(t, t.TempDir())
+	e := walBidEngine(t, t.TempDir())
 	seq := e.WALSeq()
 	for _, c := range []struct {
 		cols []types.Column

@@ -346,7 +346,7 @@ func continueFromFixture(t *testing.T, fixture string, e *fixture, sql string, m
 
 	var outs [2][]string
 	var stats [2]exec.Stats
-	for i, d := range []exec.Driver{uninterrupted, restored} {
+	for i, d := range []*exec.Pipeline{uninterrupted, restored} {
 		if err := d.Feed([]exec.Source{{Name: "S", Log: more}}); err != nil {
 			t.Fatal(err)
 		}

@@ -38,10 +38,6 @@ type Driver interface {
 	Drain() tvr.Changelog
 	// OutputWatermark is the output relation's current watermark.
 	OutputWatermark() types.Time
-	// Stats reports the pipeline's execution statistics. It walks operator
-	// state (O(aggregate groups)); per-ingest callers that only need the
-	// dispatch counters must use DispatchStats instead.
-	Stats() Stats
 	// DispatchStats returns the cumulative dispatch count and dispatched
 	// event count without touching operator state — cheap enough to call
 	// after every Feed/Advance.

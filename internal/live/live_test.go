@@ -73,7 +73,6 @@ func (d *echoDriver) Drain() tvr.Changelog {
 }
 
 func (d *echoDriver) OutputWatermark() types.Time   { return d.wm }
-func (d *echoDriver) Stats() exec.Stats             { return exec.Stats{} }
 func (d *echoDriver) DispatchStats() (int64, int64) { return 0, 0 }
 func (d *echoDriver) FedInMergeOrder() bool         { return false }
 

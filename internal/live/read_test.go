@@ -34,7 +34,6 @@ func (d *inOrderDriver) Drain() tvr.Changelog {
 func (d *inOrderDriver) Advance(types.Time) error      { return nil }
 func (d *inOrderDriver) Close() error                  { return nil }
 func (d *inOrderDriver) OutputWatermark() types.Time   { return types.MinTime }
-func (d *inOrderDriver) Stats() exec.Stats             { return exec.Stats{} }
 func (d *inOrderDriver) DispatchStats() (int64, int64) { return 0, 0 }
 func (d *inOrderDriver) FedInMergeOrder() bool         { return true }
 

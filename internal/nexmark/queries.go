@@ -161,29 +161,35 @@ ON P.id = A.seller AND P.wstart = A.wstart AND P.wend = A.wend`
 // needing the Extension 2 escape hatch get it via the option.
 func NewEngine(g *Generated, opts ...core.Option) (*core.Engine, error) {
 	e := core.NewEngine(opts...)
-	if err := e.RegisterStream("Person", PersonSchema()); err != nil {
-		return nil, err
-	}
-	if err := e.RegisterStream("Auction", AuctionSchema()); err != nil {
-		return nil, err
-	}
-	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
-		return nil, err
-	}
-	if err := e.RegisterTable("Category", CategorySchema()); err != nil {
-		return nil, err
-	}
-	if err := e.AppendLog("Person", g.Persons); err != nil {
-		return nil, err
-	}
-	if err := e.AppendLog("Auction", g.Auctions); err != nil {
-		return nil, err
-	}
-	if err := e.AppendLog("Bid", g.Bids); err != nil {
-		return nil, err
-	}
-	if err := e.AppendLog("Category", g.Categories); err != nil {
+	if err := Load(e, g); err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// Load registers the NEXMark catalog in e and appends the generated dataset
+// to it, through e's ordinary commit path (and its log, if it has one).
+func Load(e *core.Engine, g *Generated) error {
+	if err := e.RegisterStream("Person", PersonSchema()); err != nil {
+		return err
+	}
+	if err := e.RegisterStream("Auction", AuctionSchema()); err != nil {
+		return err
+	}
+	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
+		return err
+	}
+	if err := e.RegisterTable("Category", CategorySchema()); err != nil {
+		return err
+	}
+	if err := e.AppendLog("Person", g.Persons); err != nil {
+		return err
+	}
+	if err := e.AppendLog("Auction", g.Auctions); err != nil {
+		return err
+	}
+	if err := e.AppendLog("Bid", g.Bids); err != nil {
+		return err
+	}
+	return e.AppendLog("Category", g.Categories)
 }

@@ -23,6 +23,9 @@ const (
 	OpRemove   Op = "remove"
 	OpMkdir    Op = "mkdir"
 	OpSyncDir  Op = "syncdir"
+	// OpStat is a read, so it is not counted and Op "" does not match it;
+	// only a rule naming it fails Stat.
+	OpStat Op = "stat"
 )
 
 var (
@@ -155,12 +158,35 @@ func (f *FaultFS) begin(op Op, path string, n int) (persist int, err error) {
 		f.crashed = true
 		return 0, ErrCrashed
 	}
+	if torn, err := f.matchLocked(op, path, n); err != nil {
+		return torn, err
+	}
+	if op == OpWrite && f.writeBudget >= 0 {
+		remaining := f.writeBudget - f.written
+		if remaining < 0 {
+			remaining = 0
+		}
+		if int64(n) > remaining {
+			f.written += remaining
+			return int(remaining), ErrNoSpace
+		}
+	}
+	if op == OpWrite {
+		f.written += int64(n)
+	}
+	return -1, nil
+}
+
+// matchLocked fires the first live rule matching the operation, returning
+// the bytes to persist and its error, or a nil error when none matches.
+// Called with f.mu held.
+func (f *FaultFS) matchLocked(op Op, path string, n int) (int, error) {
 	for _, r := range f.faults {
 		if r.spent {
 			continue
 		}
-		if r.Op != "" && r.Op != op {
-			continue
+		if r.Op != op && (r.Op != "" || op == OpStat) {
+			continue // Op "" matches every counted op, never a stat
 		}
 		if r.Path != "" && !strings.Contains(path, r.Path) {
 			continue
@@ -182,24 +208,7 @@ func (f *FaultFS) begin(op Op, path string, n int) (persist int, err error) {
 		if ferr == nil {
 			ferr = ErrInjected
 		}
-		torn := r.TornBytes
-		if torn > n {
-			torn = n
-		}
-		return torn, ferr
-	}
-	if op == OpWrite && f.writeBudget >= 0 {
-		remaining := f.writeBudget - f.written
-		if remaining < 0 {
-			remaining = 0
-		}
-		if int64(n) > remaining {
-			f.written += remaining
-			return int(remaining), ErrNoSpace
-		}
-	}
-	if op == OpWrite {
-		f.written += int64(n)
+		return min(r.TornBytes, n), ferr
 	}
 	return -1, nil
 }
@@ -282,6 +291,12 @@ func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
 
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 	if err := f.blocked(); err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	_, err := f.matchLocked(OpStat, name, 0)
+	f.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return f.inner.Stat(name)

@@ -37,7 +37,27 @@
 // commit ordering lock), increase by exactly one per record, and are never
 // reused; the log as a whole is always one contiguous run. Truncation only
 // removes whole segments from the front, so the invariant survives
-// compaction.
+// compaction. Which directory holds the log, and when it is replayed,
+// reopened and truncated, is package core's (core.Open).
+//
+// # Failure contract
+//
+// Never acknowledge what is not durable; never lose what was acknowledged.
+//
+//   - A failed frame write is repaired in place: the torn bytes are
+//     truncated away, the sequence number is not consumed, and the same
+//     commit may retry. Only a failed repair poisons the writer.
+//   - A failed fsync poisons the writer (the fsync gate): the kernel may
+//     have dropped the dirty pages and cleared the error, so a file that
+//     failed one sync never carries an acknowledgment again. Sick reports
+//     the poison; every Append refuses until Recover abandons the segment
+//     at its durable prefix and resumes on a fresh one. Recover refuses
+//     when acknowledged records were never synced (a lax sync policy): only
+//     a restart from the snapshot can honor those acks.
+//   - Rotation seals and fsyncs a segment before its successor exists, so a
+//     crash can tear only the last segment. A failed rotation (ENOSPC
+//     creating the successor) refuses the append, removes the aborted
+//     segment, and leaves the log append-safe.
 package wal
 
 import (
