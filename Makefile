@@ -55,8 +55,10 @@ race-shard:
 # every file-system operation of core.Open and a workload, recover through
 # core.Open, compare against the reference states), the torn-write soak,
 # core.Open's and Checkpoint's refusal and failure-count rules, degraded
-# read-only mode end to end (engine + HTTP), and the panic-isolation
-# regressions. Runs at reduced scale by default;
+# read-only mode end to end (engine + HTTP), the commit routes' truthful
+# outcome under -request-timeout (a commit that waited past its deadline is a
+# 503 that committed nothing, in the catalog, the log and every subscriber),
+# and the panic-isolation regressions. Runs at reduced scale by default;
 # FAULT_SOAK_FULL=1 widens the soak workload.
 #   make faults
 #   FAULT_SOAK_FULL=1 make faults
@@ -65,7 +67,7 @@ faults:
 	$(GO) test ./internal/wal/ ./internal/checkpoint/ -run 'Torn|Fsync|ENOSPC|Recover|Trims|SyncAlwaysRetry|Atomic' -v
 	$(GO) test ./internal/core/ -run 'TestCrashPointSoak|TestTornWriteSoak|TestDegraded|TestOpen' -v -timeout 10m
 	$(GO) test ./internal/exec/ ./internal/live/ -run 'Panic' -v
-	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout' -v
+	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout|TestServeIngestPastDeadlineCommitsNothing' -v
 
 # Batched-execution guardrails: the re-chunking invariance property (for
 # every operator family, any PushBatch chunking of a log must reproduce the
@@ -90,6 +92,8 @@ faults:
 # The wire codec rides along: a Bid batch decodes in a constant handful of
 # allocations at 50 and at 500 events, a delta appends into a warmed buffer
 # with none, and BenchmarkIngestDecode/BenchmarkDeltaEncode print us/event.
+# A 7-event ingest through Server.ServeHTTP stays at the allocation count it
+# had when the commit routes left http.TimeoutHandler.
 # So does the relation a resident table read folds into: a row leaves the
 # bag at multiplicity zero (10k insert/delete pairs leave it empty), a
 # leave/re-enter pair allocates only the new entry and its key, and
@@ -100,7 +104,7 @@ batch-guard:
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
 	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
-	$(GO) test ./cmd/serve -run 'TestWireAllocs' -v
+	$(GO) test ./cmd/serve -run 'TestWireAllocs|TestIngestHandlerAllocs' -v
 	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem
 	$(GO) test ./internal/tvr -run 'TestRelationForgetsRowsAtZero|TestRelationChurnAllocs|TestRelationMatchesReference' -v
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkRelationChurn -benchtime 200x -benchmem

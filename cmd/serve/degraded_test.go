@@ -13,6 +13,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,20 +127,73 @@ func TestServeDegradedMode(t *testing.T) {
 	}
 }
 
-// TestServeRequestTimeout: the one-shot handlers run under the request
-// timeout while the streaming subscribe endpoint is exempt — a subscription
-// is *supposed* to outlive any timeout.
+// TestServeRequestTimeout: under -request-timeout every commit route
+// (register, ingest, heartbeat, checkpoint) checks its deadline at commit
+// and, past it, answers 503 with nothing committed; the one-shot reads run
+// under the timed wrapper; the streaming subscribe endpoint is exempt — a
+// subscription is *supposed* to outlive any timeout.
 func TestServeRequestTimeout(t *testing.T) {
-	engine := core.NewEngine()
+	engine, _ := openDataDir(t, t.TempDir())
 	srv := NewServer(engine)
-	srv.SetRequestTimeout(time.Nanosecond) // absurd on purpose: every timed route must trip
+	srv.SetRequestTimeout(time.Nanosecond) // absurd on purpose: every bounded route must trip
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := ts.Client()
 
-	// A fast route can finish inside even 1ns, so the timed half uses a
+	// Register through the engine directly: this server's POST routes are
+	// deliberately unusable, since a 1ns deadline has always passed by the
+	// time a commit checks it.
+	registerBidDirect(t, engine)
+	seq := engine.WALSeq()
+	ckpt := engine.CheckpointStatus()
+
+	// Subscribe must NOT be bounded: it stays open well past the timeout.
+	sresp, err := c.Get(ts.URL + "/v1/subscribe?sql=" + queryEscape(`SELECT auction FROM Bid`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe under request timeout: status %d, want 200 (exempt)", sresp.StatusCode)
+	}
+
+	// Each commit route answers 503 {"error":...} and commits nothing.
+	for _, p := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/relations", registerJSON{Name: "Person", Kind: "stream",
+			Schema: []columnJSON{{Name: "id", Type: "BIGINT"}}}},
+		{"/v1/relations/Bid/events", ingestJSON{Events: []eventJSON{
+			{Kind: "insert", Ptime: 1000, Row: []any{1, 950, 1000}}}}},
+		{"/v1/heartbeat", map[string]any{"ptime": 5000}},
+		{"/v1/checkpoint", struct{}{}},
+	} {
+		code, body := postJSON(t, c, ts.URL+p.path, p.body)
+		if msg, _ := body["error"].(string); code != http.StatusServiceUnavailable || !strings.Contains(msg, "deadline") {
+			t.Errorf("POST %s under 1ns timeout: status %d body %v, want 503 naming the deadline", p.path, code, body)
+		}
+	}
+	if _, err := engine.Resolve("Person"); err == nil {
+		t.Error("a registration refused for its deadline registered its relation")
+	}
+	if got := engine.WALSeq(); got != seq {
+		t.Errorf("WAL sequence moved from %d to %d across refused commits", seq, got)
+	}
+	if got := engine.CheckpointStatus(); got.At != ckpt.At || got.Failures != 0 {
+		t.Errorf("checkpoint status after a refused checkpoint = %+v, want %+v", got, ckpt)
+	}
+	srv.mu.Lock()
+	for _, e := range srv.subs {
+		if st := e.sub.Stats(); st.EventsIn != 0 {
+			t.Errorf("subscription %d saw %d events from refused commits", e.id, st.EventsIn)
+		}
+	}
+	srv.mu.Unlock()
+
+	// A fast read can finish inside even 1ns, so the timed half uses a
 	// handler that cannot finish before the wrapper has answered, behind the
-	// same wrapper the routes use: only the deadline can answer it.
+	// same wrapper the reads use: only the timeout can answer it.
 	rec := httptest.NewRecorder()
 	release := make(chan struct{})
 	srv.timed(func(http.ResponseWriter, *http.Request) { <-release })(
@@ -149,20 +203,8 @@ func TestServeRequestTimeout(t *testing.T) {
 		t.Fatalf("timed handler under 1ns timeout: status %d, want 503", rec.Code)
 	}
 
-	// Subscribe must NOT be wrapped: it stays open well past the timeout.
-	// Register through the engine directly — this server's POST routes are
-	// deliberately unusable under the 1ns timeout.
-	registerBidDirect(t, engine)
-	sresp, err := c.Get(ts.URL + "/v1/subscribe?sql=" + queryEscape(`SELECT auction FROM Bid`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("subscribe under request timeout: status %d, want 200 (exempt)", sresp.StatusCode)
-	}
-	// Give the timeout wrapper every chance to misfire, then confirm the
-	// stream is still delivering: read the schema line.
+	// Give the timeout every chance to misfire on the subscription, then
+	// confirm the stream is still delivering: read the schema line.
 	time.Sleep(20 * time.Millisecond)
 	buf := make([]byte, 1)
 	if _, err := sresp.Body.Read(buf); err != nil {

@@ -101,7 +101,7 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-every", 30*time.Second, "interval between periodic snapshots, each truncating the applied WAL segments (needs -data-dir; 0 disables the ticker, leaving on-shutdown and POST /v1/checkpoint)")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: \"always\" (per committed batch), \"none\", or an interval like \"250ms\" (needs -data-dir)")
 		shards     = flag.Int("shards", 0, "shard workers for standing-query fan-out (0 = serial: deliveries run on the ingesting goroutine); with N > 0 each resident pipeline is pinned to one of N workers and commits are applied asynchronously in commit order, so disjoint standing queries scale across cores")
-		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "deadline for one-shot requests (register, ingest, query, ...); past it the client gets a 503 and the handler context is canceled. Streaming /v1/subscribe is exempt. 0 disables")
+		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "bound on every request but /v1/subscribe. Register, ingest, heartbeat and checkpoint check their deadline once, when their commit is ordered: past it they answer 503 and commit nothing, and a commit that passed the check completes and is reported, late if need be. Reads (query, subscriptions, healthz, unsubscribe) past it get a 503 and their context is canceled. 0 disables")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints expose internals)")
 		slowCommit = flag.Duration("slow-commit", obs.DefaultSlowCommit, "emit a structured span-breakdown log line for any commit slower than this (validate/wal/sequence/enqueue/apply/render/deliver attribution); 0 disables the log, histograms stay on")
 		logFormat  = flag.String("log-format", "text", "structured log format: \"text\" or \"json\"")
@@ -186,9 +186,10 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 	}
 
 	// No WriteTimeout: it would sever streaming /v1/subscribe responses,
-	// which are unbounded by design. One-shot handlers are bounded by
-	// -request-timeout instead; slow or stuck clients on the read side are
-	// bounded by the header/read/idle deadlines below.
+	// which are unbounded by design. Every other route is bounded by
+	// -request-timeout instead: the commit routes by a deadline their
+	// commit checks, the reads by a timeout wrapper. Slow or stuck clients
+	// on the read side are bounded by the header/read/idle deadlines below.
 	httpSrv := &http.Server{
 		Addr:              addr,
 		Handler:           srv,

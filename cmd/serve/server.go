@@ -61,9 +61,11 @@ type Server struct {
 	nextID int
 	subs   map[int]*subEntry
 
-	// reqTimeout bounds one-shot handlers (-request-timeout). Streaming
-	// subscribe is exempt: its whole point is an unbounded response. Set
-	// before serving; zero disables the wrapper.
+	// reqTimeout bounds every request but subscribe (-request-timeout).
+	// The four commit routes carry it to the engine as a deadline their
+	// commit checks; the one-shot reads run under the timed wrapper.
+	// Streaming subscribe is exempt: its whole point is an unbounded
+	// response. Set before serving; zero disables both bounds.
 	reqTimeout time.Duration
 }
 
@@ -84,14 +86,16 @@ type subEntry struct {
 // NewServer wraps the engine in the HTTP front-end.
 func NewServer(e *core.Engine) *Server {
 	s := &Server{engine: e, subs: make(map[int]*subEntry), mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/relations", s.timed(s.handleRegister))
-	s.mux.HandleFunc("POST /v1/relations/{name}/events", s.timed(s.handleIngest))
-	s.mux.HandleFunc("POST /v1/heartbeat", s.timed(s.handleHeartbeat))
+	// The commit routes run on the connection's goroutine and bound
+	// themselves by their deadline (see deadline); the reads are timed.
+	s.mux.HandleFunc("POST /v1/relations", s.handleRegister)
+	s.mux.HandleFunc("POST /v1/relations/{name}/events", s.handleIngest)
+	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("GET /v1/query", s.timed(s.handleQuery))
 	s.mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe) // streaming: never timed
 	s.mux.HandleFunc("GET /v1/subscriptions", s.timed(s.handleSubscriptions))
 	s.mux.HandleFunc("DELETE /v1/subscriptions/{id}", s.timed(s.handleUnsubscribe))
-	s.mux.HandleFunc("POST /v1/checkpoint", s.timed(s.handleCheckpoint))
+	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /v1/healthz", s.timed(s.handleHealthz))
 	// Metrics scrape: untimed (it is cheap and lock-light by design — see
 	// internal/obs) and only mounted when the engine carries a registry.
@@ -112,14 +116,35 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-// SetRequestTimeout bounds every one-shot handler to d (-request-timeout):
-// past the deadline the client gets a 503 and the handler's request context
-// is canceled. The streaming subscribe endpoint is exempt. d <= 0 disables
-// the bound. Call before serving traffic.
+// SetRequestTimeout bounds every request but subscribe to d
+// (-request-timeout). A commit route (register, ingest, heartbeat,
+// checkpoint) gives its commit the deadline of its arrival plus d: the
+// commit checks it once, under the lock that orders it, and past it
+// commits nothing and answers 503; a commit that passed the check answers
+// with its outcome, however late. A one-shot read past d gets a 503 from the
+// timed wrapper and its request context is canceled. The streaming
+// subscribe endpoint is exempt. d <= 0 disables the bound. Call before
+// serving traffic.
 func (s *Server) SetRequestTimeout(d time.Duration) { s.reqTimeout = d }
 
-// timed wraps a one-shot handler with the request deadline, consulted at
-// request time so SetRequestTimeout works after route registration.
+// deadline is the commit deadline of a request arriving now, or the zero
+// time (no deadline) when the bound is disabled. It is a value the commit
+// compares with the clock, not a timer: a commit route runs on the
+// connection's goroutine, and only the commit can tell whether it still may
+// change the engine.
+func (s *Server) deadline() time.Time {
+	if s.reqTimeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(s.reqTimeout)
+}
+
+// timed wraps a one-shot read with the request timeout, consulted at request
+// time so SetRequestTimeout works after route registration. The wrapper runs
+// the handler on a goroutine of its own and answers 503 when the timeout
+// fires first, whatever the handler is doing; a read changes nothing, so
+// abandoning it is truthful. Commit routes are never wrapped: an abandoned
+// commit could still commit after its 503.
 func (s *Server) timed(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d := s.reqTimeout
@@ -214,17 +239,22 @@ func writeBodyErr(w http.ResponseWriter, err error) {
 }
 
 // writeCommitErr routes a failed commit-path request (register, ingest,
-// heartbeat). A degraded engine is overload/fault shedding, not a client
-// mistake: 503 with Retry-After tells well-behaved clients to back off and
-// retry once the operator (or a successful checkpoint) clears the fault.
-// Anything else keeps the handler's usual status.
+// heartbeat, checkpoint). A degraded engine is overload/fault shedding, not
+// a client mistake: 503 with Retry-After tells well-behaved clients to back
+// off and retry once the operator (or a successful checkpoint) clears the
+// fault. A commit refused for its deadline is a 503 too, and it committed
+// nothing, so the client may retry it at once. Anything else keeps the
+// handler's usual status.
 func writeCommitErr(w http.ResponseWriter, fallback int, err error) {
-	if errors.Is(err, core.ErrDegraded) {
+	switch {
+	case errors.Is(err, core.ErrDegraded):
 		w.Header().Set("Retry-After", "5")
 		writeErr(w, http.StatusServiceUnavailable, err)
-		return
+	case errors.Is(err, core.ErrDeadlinePassed):
+		writeErr(w, http.StatusServiceUnavailable, err)
+	default:
+		writeErr(w, fallback, err)
 	}
-	writeErr(w, fallback, err)
 }
 
 // parseKind maps a wire type name to a value kind.
@@ -250,6 +280,7 @@ func parseKind(s string) (types.Kind, error) {
 // ---- handlers ----
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	commits := s.engine.Before(s.deadline())
 	var req registerJSON
 	if !decodeBody(w, r, &req) {
 		return
@@ -267,9 +298,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch strings.ToLower(req.Kind) {
 	case "", "stream":
-		err = s.engine.RegisterStream(req.Name, sch)
+		err = commits.RegisterStream(req.Name, sch)
 	case "table":
-		err = s.engine.RegisterTable(req.Name, sch)
+		err = commits.RegisterTable(req.Name, sch)
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("kind must be stream or table, got %q", req.Kind))
 		return
@@ -286,6 +317,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	commits := s.engine.Before(s.deadline())
 	name := r.PathValue("name")
 	rel, err := s.engine.Resolve(name)
 	if err != nil {
@@ -305,8 +337,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// AppendLog validates and applies the whole batch atomically and
-	// routes it to standing queries in commit order.
-	if err := s.engine.AppendLog(name, log); err != nil {
+	// routes it to standing queries in commit order, unless the request's
+	// deadline has passed by the time the commit is ordered.
+	if err := commits.AppendLog(name, log); err != nil {
 		writeCommitErr(w, http.StatusConflict, err)
 		return
 	}
@@ -321,15 +354,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	commits := s.engine.Before(s.deadline())
 	var req struct {
 		Ptime types.Time `json:"ptime"`
 	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.engine.Heartbeat(req.Ptime); err != nil {
-		// Only a write-ahead-log append (or degraded mode) can fail here;
-		// the heartbeat was suppressed, so refusing keeps ack == durable.
+	if err := commits.Heartbeat(req.Ptime); err != nil {
+		// Only a write-ahead-log append, degraded mode or the deadline can
+		// fail here; the heartbeat was suppressed, so refusing keeps
+		// ack == durable.
 		writeCommitErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -546,14 +581,15 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	commits := s.engine.Before(s.deadline())
 	path := s.engine.CheckpointStatus().Path
 	if path == "" {
 		writeErr(w, http.StatusConflict, errors.New("checkpointing disabled: run with -data-dir"))
 		return
 	}
-	n, _, err := s.engine.Checkpoint()
+	n, _, err := commits.Checkpoint()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		writeCommitErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "bytes": n})

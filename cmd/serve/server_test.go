@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nexmark"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -775,5 +776,62 @@ func TestServeNonFiniteResult(t *testing.T) {
 		if code < 300 || !strings.Contains(fmt.Sprint(res["error"]), "+Inf") {
 			t.Errorf("%s query: status %d body %v, want a non-2xx error naming +Inf", mode, code, res)
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status, reusable
+// across requests so that a measurement counts the handler's allocations.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestIngestHandlerAllocs pins what one small ingest allocates end to end
+// through Server.ServeHTTP: routing, the body read, the decode, the commit
+// and the reply. A commit route runs on the caller's goroutine with its
+// deadline a plain value, so wrapping it in a goroutine, a timer or a
+// buffered writer again (http.TimeoutHandler costs all three) fails the pin.
+func TestIngestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	engine := core.NewEngine()
+	if err := engine.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(engine)
+	srv.SetRequestTimeout(30 * time.Second) // the -request-timeout default
+	// Seven events, as join_query_mix posts them, all at one ptime so the
+	// same batch can commit again and again.
+	var b bytes.Buffer
+	b.WriteString(`{"events":[`)
+	for i := 0; i < 7; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"kind":"insert","ptime":1700000000000,"row":[%d,%d,%d,1699999999997]}`, 1000+i, 5000+i, 100+i*7)
+	}
+	b.WriteString(`]}`)
+	body := bytes.NewReader(b.Bytes())
+	req := httptest.NewRequest("POST", "/v1/relations/Bid/events", body)
+	req.Body = io.NopCloser(body)
+	w := &discardWriter{h: http.Header{}}
+	post := func() {
+		body.Reset(b.Bytes())
+		srv.ServeHTTP(w, req)
+	}
+	post()
+	if w.code != http.StatusOK {
+		t.Fatalf("ingest: status %d", w.code)
+	}
+	// The ceiling is the count measured when the commit routes left
+	// http.TimeoutHandler: under it the same request made 25.
+	const ceiling = 10
+	if allocs := testing.AllocsPerRun(200, post); allocs > ceiling || w.code != http.StatusOK {
+		t.Errorf("a 7-event ingest through ServeHTTP: %v allocations (status %d), want <= %d", allocs, w.code, ceiling)
 	}
 }

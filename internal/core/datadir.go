@@ -118,11 +118,22 @@ func (e *Engine) CheckpointStatus() CheckpointStatus {
 // beside serving traffic: the snapshot runs under the live manager's
 // ordering lock, and checkpoints are serialized.
 func (e *Engine) Checkpoint() (int64, uint64, error) {
+	return e.Before(time.Time{}).Checkpoint()
+}
+
+// Checkpoint is Engine.Checkpoint under the deadline, checked first under
+// the lock that serializes checkpoints. A refused checkpoint writes nothing
+// and is not a failure: it leaves CheckpointStatus and degraded mode alone.
+func (c Commits) Checkpoint() (int64, uint64, error) {
+	e := c.e
 	if e.ckptPath == "" {
 		return 0, 0, errors.New("core: checkpointing needs an engine opened on a data directory")
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
+	if err := c.checkDeadline(); err != nil {
+		return 0, 0, err
+	}
 	t0 := time.Now()
 	var seq uint64
 	n, err := checkpoint.WriteFileAtomicFS(e.fs, e.ckptPath, func(enc *checkpoint.Encoder) error {

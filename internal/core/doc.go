@@ -34,9 +34,18 @@
 // the catalog lock. So the log records only changes that commit, a log
 // failure refuses the change with the catalog untouched, and log order is
 // fan-out order. An empty AppendLog batch is checked (registered relation,
-// not degraded) but neither logged, sequenced nor fanned out. Under
-// wal.SyncAlways a commit is acknowledged only once its record is fsynced:
-// ack == durable. An interval policy risks up to one interval of
+// not degraded) but neither logged, sequenced nor fanned out.
+//
+// A commit made through Before carries a deadline. Its first step under the
+// lock that orders it (the ordering lock; the catalog lock for a
+// registration; the checkpoint lock for a Checkpoint) compares the deadline
+// with the clock, and past it the commit is refused with ErrDeadlinePassed,
+// leaving no log frame, no sequence number and no change behind. A commit
+// that passes the check completes however long its log append takes, so a
+// refusal always means nothing committed.
+//
+// Under wal.SyncAlways a commit is acknowledged only once its record is
+// fsynced: ack == durable. An interval policy risks up to one interval of
 // acknowledged commits; wal.SyncNone leaves write-back to the OS.
 //
 // # Recovery = snapshot + tail

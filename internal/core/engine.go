@@ -141,20 +141,30 @@ func (e *Engine) Close() {
 // RegisterStream registers an unbounded relation (a stream). Columns marked
 // EventTime carry the stream's watermark.
 func (e *Engine) RegisterStream(name string, schema *types.Schema) error {
-	if err := checkSchema(name, schema); err != nil {
-		return err
-	}
-	return e.register(name, schema, true)
+	return e.Before(time.Time{}).RegisterStream(name, schema)
 }
 
 // RegisterTable registers a bounded relation (a classic table). At query
 // time a table is considered complete: a final watermark is asserted when
 // its recorded changelog is exhausted.
 func (e *Engine) RegisterTable(name string, schema *types.Schema) error {
+	return e.Before(time.Time{}).RegisterTable(name, schema)
+}
+
+// RegisterStream is Engine.RegisterStream under the deadline.
+func (c Commits) RegisterStream(name string, schema *types.Schema) error {
 	if err := checkSchema(name, schema); err != nil {
 		return err
 	}
-	return e.register(name, schema, false)
+	return c.register(name, schema, true)
+}
+
+// RegisterTable is Engine.RegisterTable under the deadline.
+func (c Commits) RegisterTable(name string, schema *types.Schema) error {
+	if err := checkSchema(name, schema); err != nil {
+		return err
+	}
+	return c.register(name, schema, false)
 }
 
 // ErrInvalidSchema is wrapped by every registration refused for its schema.
@@ -187,12 +197,18 @@ func checkSchema(name string, schema *types.Schema) error {
 	return nil
 }
 
-func (e *Engine) register(name string, schema *types.Schema, unbounded bool) error {
+// register commits a registration under the catalog lock, the one lock
+// that orders it: a registration fans out to no one.
+func (c Commits) register(name string, schema *types.Schema, unbounded bool) error {
 	if name == "" || schema == nil || schema.Len() == 0 {
 		return fmt.Errorf("core: relation needs a name and a non-empty schema")
 	}
+	e := c.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := c.checkDeadline(); err != nil {
+		return err
+	}
 	if err := e.degradedLocked(); err != nil {
 		return err
 	}
@@ -232,6 +248,13 @@ func (e *Engine) register(name string, schema *types.Schema, unbounded bool) err
 // histograms and possibly the slow-commit log line — when the last
 // participant (the publisher, or the last shard worker) releases it.
 func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
+	return e.Before(time.Time{}).AppendLog(name, log)
+}
+
+// AppendLog is Engine.AppendLog under the deadline. An empty log commits
+// nothing, so it is never refused for its deadline.
+func (c Commits) AppendLog(name string, log tvr.Changelog) error {
+	e := c.e
 	if len(log) == 0 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
@@ -239,19 +262,24 @@ func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
 		return err
 	}
 	span := e.tracer.Begin(name, len(log))
-	err := e.live.PublishSpan(func() error { return e.applyLog(name, log, span) }, name, log, span)
+	err := e.live.PublishSpan(func() error { return c.applyLog(name, log, span) }, name, log, span)
 	if err == nil {
 		e.metrics.notePublish(len(log))
 	}
 	return err
 }
 
-// applyLog validates the whole log against the relation's current cursors,
-// write-ahead-logs it, then applies it, all under one catalog lock
-// acquisition (validate → WAL → apply, doc.go's commit order).
-func (e *Engine) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) error {
+// applyLog checks the deadline, validates the whole log against the
+// relation's current cursors, write-ahead-logs it, then applies it, all
+// under one catalog lock acquisition and inside the manager's ordering lock
+// (deadline → validate → WAL → apply, doc.go's commit order).
+func (c Commits) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) error {
+	e := c.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := c.checkDeadline(); err != nil {
+		return err
+	}
 	rel, err := e.relationLocked(name)
 	if err != nil {
 		return err

@@ -141,10 +141,20 @@ func planKey(pq *plan.PlannedQuery) string {
 // any session sees it) — timers it fires must refire identically on
 // replay — and a log failure suppresses the broadcast.
 func (e *Engine) Heartbeat(pt types.Time) error {
+	return e.Before(time.Time{}).Heartbeat(pt)
+}
+
+// Heartbeat is Engine.Heartbeat under the deadline, checked first under the
+// ordering lock.
+func (c Commits) Heartbeat(pt types.Time) error {
+	e := c.e
 	span := e.tracer.Begin("(heartbeat)", 0)
 	err := e.live.AdvanceWithSpan(pt, func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		if err := c.checkDeadline(); err != nil {
+			return err
+		}
 		if err := e.degradedLocked(); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/tvr"
@@ -103,7 +104,7 @@ func (e *Engine) replayWALRecord(seq uint64, dec *checkpoint.Decoder) error {
 	case walRecHeartbeat:
 		err = e.Heartbeat(rec.pt)
 	case walRecRegister:
-		err = e.register(rec.name, rec.schema, rec.unbounded)
+		err = e.Before(time.Time{}).register(rec.name, rec.schema, rec.unbounded)
 	case walRecNoop:
 		// A degraded-recovery probe: durable by design, applies nothing.
 	}
