@@ -1,19 +1,9 @@
 # Build / verify entry points. `make verify` is the tier-1 gate plus the
-# race-checked suite and a short benchmark pass.
+# race-checked suite and a one-iteration benchmark smoke.
 
 GO ?= go
 
-# Benchmark scale overrides, read by the harnesses via the environment:
-#   BENCH_COUNT=60000   pin the exact event count for every bench-* target
-#   BENCH_SCALE=0.25    multiply each harness's built-in default instead
-# BENCH_COUNT wins when both are set; unset means the built-in defaults.
-# e.g.  make bench-live BENCH_COUNT=100000
-#       make bench-recovery BENCH_SCALE=2
-BENCH_COUNT ?=
-BENCH_SCALE ?=
-export BENCH_COUNT BENCH_SCALE
-
-.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-diff bench-live bench-recovery bench-harness verify
+.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-harness verify
 
 all: verify
 
@@ -140,37 +130,15 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
-# Short-mode standing-query benchmarks: run the serving and recovery benches
-# at reduced scale and refresh the reduced-scale record
-# (BENCH_live_short.json). The committed full-scale BENCH_live.json is only
-# rewritten by bench-live / bench-recovery.
+# One-iteration smoke of the in-process standing-query benchmarks at 1 and 2
+# procs: the sharded fan-out's scaling row (BenchmarkMultiQuery, 8 disjoint
+# queries, serial against 8 shards, each run held to the serial run's delta
+# and row totals), K=4 cursors on one shared pipeline (BenchmarkSharedFanout)
+# and checkpoint / restore / full-history replay (BenchmarkRecovery, with the
+# checkpoint's bytes). Each prints events/s or ns/op and writes no file; run
+# with a larger -benchtime or -count to measure.
 bench:
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestLiveBench|TestRecoveryBench' -short -v
-
-# Standing-query serving benchmark: ingests the NEXMark bid stream through
-# live subscriptions — single-subscriber scenarios plus the K-subscriber
-# shared-vs-unshared fan-out — and refreshes BENCH_live.json (steady-state
-# throughput + per-delta latency percentiles).
-bench-live:
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestLiveBench -v -timeout 10m
-
-# Recovery benchmark: checkpoint size, checkpoint/restore latency, and the
-# full-history replay it replaces, for the standing benchmark query. Merges into the Recovery section of BENCH_live.json
-# (short runs: BENCH_live_short.json) without touching the subscription rows.
-bench-recovery:
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run TestRecoveryBench -v -timeout 10m
-
-# Compare a fresh short benchmark run against the committed short-mode
-# baseline (like for like — short runs never compare against the full-scale
-# BENCH_live.json): snapshots the baseline, reruns the short benches (which
-# rewrite BENCH_live_short.json), and prints per-subscription throughput and
-# recovery deltas.
-bench-diff:
-	@livebase=$$(mktemp -t bench_live_base.XXXXXX.json) && \
-	cp BENCH_live_short.json $$livebase && \
-	NEXMARK_BENCH_WRITE=1 $(GO) test ./internal/nexmark -run 'TestLiveBench|TestRecoveryBench' -short && \
-	$(GO) run ./cmd/benchdiff $$livebase BENCH_live_short.json; \
-	status=$$?; rm -f $$livebase; exit $$status
+	$(GO) test ./internal/nexmark -run '^$$' -bench . -benchtime 1x -cpu 1,2
 
 # The repository benchmark's harness (benchmark/, named by BENCHMARK.json) is
 # a Go module of its own, so `go build ./...` and `go test ./...` at the root

@@ -43,6 +43,11 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *events < 1 {
+		fmt.Fprintf(stderr, "nexmark: -events must be at least 1, got %d\n", *events)
+		fs.Usage()
+		return 2
+	}
 	if err := run(stdout, *queryID, *events, *seed, *explain, *rows); err != nil {
 		fmt.Fprintln(stderr, "nexmark:", err)
 		return 1
@@ -85,8 +90,8 @@ func run(out io.Writer, queryID, events int, seed int64, explain bool, maxRows i
 		return err
 	}
 	d := time.Since(start)
-	fmt.Fprintf(out, "executed in %s (%.0f events/s); state rows %d, late dropped %d\n",
-		d.Round(time.Microsecond), float64(events)/d.Seconds(), res.Stats.StateRows, res.Stats.LateDropped)
+	fmt.Fprintf(out, "executed in %s (%.0f events/s); state rows %d, late dropped %d\n", d.Round(time.Microsecond),
+		float64(g.NumPersons+g.NumAuctions+g.NumBids)/d.Seconds(), res.Stats.StateRows, res.Stats.LateDropped)
 	printRows(out, res, maxRows)
 	return nil
 }

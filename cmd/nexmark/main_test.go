@@ -61,3 +61,21 @@ func TestBadFlag(t *testing.T) {
 		t.Error("flag error not reported on stderr")
 	}
 }
+
+// TestEventsBelowOne exits 2 before generating anything: the generator
+// reads 0 as its 1000-event default, and a negative count generates none.
+func TestEventsBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-5"} {
+		var stdout, stderr strings.Builder
+		code := cliMain([]string{"-query", "1", "-events", n}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-events %s: exit code = %d, want 2", n, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-events %s: ran anyway:\n%s", n, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-events must be at least 1") {
+			t.Errorf("-events %s: stderr = %q, want the flag error", n, stderr.String())
+		}
+	}
+}

@@ -113,19 +113,11 @@
 // counts a delivery as it is appended, so it is final once the producer is
 // idle.
 //
-// With Options.Shards > 0 the commit also takes a global sequence number and
-// enqueues one task per affected shard inside the lock; each session is
-// pinned to one shard (hash of its registration id) and each shard's single
-// worker applies its FIFO queue, so per-session delivery order equals the
-// serial fan-out's. A full shard queue blocks the publisher. A session that
-// refuses a delivery (closed or failed) leaves the routing table; a
-// panicking operator fails only its own session, whose readers still send
-// what was appended before it, then end with its error.
-//
-// Asynchronous apply is never observable: Manager.Quiesce drains every
-// shard before a one-shot query or a checkpoint, a plan-hit attach drains
-// its session's shard before taking its attach point, and a graceful cursor
-// Close drains its shard so acknowledged commits fold into the final delta.
+// With Options.Shards > 0 the fan-out runs on shard workers; the commit
+// protocol, placement and quiesce points are the internal/shard package
+// comment. A session that refuses a delivery (closed or failed) leaves the
+// routing table; a panicking operator fails only its own session, whose
+// readers still send what was appended before it, then end with its error.
 //
 // # One-shot reads from a resident pipeline
 //

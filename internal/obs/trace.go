@@ -22,7 +22,7 @@ const (
 	SpanApply
 	// SpanRender is Drain + delta render + retention accounting.
 	SpanRender
-	// SpanDeliver is cursor fan-out, including parked blocking sends.
+	// SpanDeliver is cursor fan-out: owing each cursor the delivery and waking its reader.
 	SpanDeliver
 
 	numSpanStages

@@ -1,23 +1,35 @@
-// Package shard implements the sharded ingest subsystem behind the live
-// manager: a global commit sequencer plus a pool of shard workers, each with
-// a bounded FIFO ingest queue.
+// Package shard implements the sharded fan-out behind the live manager: a
+// global commit sequencer plus a pool of shard workers, each with a bounded
+// FIFO queue. With 0 shards (the default of live.Options.Shards,
+// core.WithShards and cmd/serve -shards) the manager fans out serially on
+// the committing goroutine and this package is unused.
 //
-// The division of labor is the paper-preserving part. A commit still happens
-// under one short critical section (the manager's ordering lock): validate,
-// write-ahead-log, apply to the catalog, acquire the next global sequence
-// number — ack == durable is unchanged. Only the fan-out moves off the
-// committing goroutine: every resident session is placed on exactly one
-// shard (a hash of its pipeline id, never rebalanced), and the commit
-// enqueues one task per affected shard while still inside the critical
-// section. Per-shard queues are FIFO and each shard has a single worker, so
-// a shard applies its tasks in exactly the global commit order restricted to
-// its sessions — which is why a subscriber's delta sequence through the
-// sharded path is byte-identical to the serial fan-out, and why a
-// Block-policy subscriber that stops draining stalls only its own shard.
+// Commit protocol. A commit still happens under the manager's ordering lock:
+// validate, write-ahead-log append, catalog apply, Sequencer.Next, then one
+// Enqueue per affected shard, its sessions in registration-id order. Ack ==
+// durable is unchanged; only pipeline apply leaves the critical section. A
+// heartbeat calls RecordHeartbeat inside it, so LastHeartbeat, a lock-free
+// read, is the clock a late-registered session starts from.
 //
-// Backpressure composes: a full shard queue blocks Enqueue, i.e. the
-// committing publisher, exactly as a parked serial fan-out would — just with
-// `depth` commits of slack instead of zero.
+// Placement. A session is pinned to Pool.ShardOf(its id) at registration
+// and never moves. Each shard's single worker applies its queue in order,
+// so it sees the global commit order restricted to its sessions, and every
+// delta sequence is byte-identical to the serial fan-out's.
+//
+// Backpressure and locks. A full queue blocks Enqueue and with it the
+// publisher; no subscriber can hold a worker up, since a delivery is an
+// append to its session's retained output. Workers take only session
+// locks, never the manager's lock, which a publisher blocked on a full
+// queue may hold (lock order: the internal/live package comment).
+//
+// Quiesce points. Asynchronous apply is never observable: the manager
+// drains every shard (Pool.Drain) before a one-shot query, and a
+// checkpoint does so right after taking the ordering lock and before any
+// session lock, since a worker holds its session's ingest lock while it
+// applies. A late attach to a resident plan drains that session's shard
+// (Pool.DrainShard) before taking its attach point, and a graceful Close
+// drains its shard so acknowledged commits fold into its final delta.
+// Cancel does not drain: it abandons undelivered output by design.
 package shard
 
 import (
