@@ -63,8 +63,10 @@ faults:
 # every operator family, any PushBatch chunking of a log must reproduce the
 # output recorded in internal/exec/testdata/rechunk_*.golden while operators
 # still had a per-event entry point), the 0 allocs/op pin on the keyed
-# steady-state PushBatch, the dispatch-stats accounting test, and a
-# single-iteration BenchmarkBatchPush smoke with -benchmem (the Q1 chain, the
+# steady-state PushBatch, the windowed_agg allocation ceiling (every event
+# opens and closes a Tumble MAX window group, EMIT AFTER WATERMARK, at most 8
+# allocations per event; skipped under -race), the dispatch-stats accounting
+# test, and a single-iteration BenchmarkBatchPush smoke with -benchmem (the Q1 chain, the
 # keyed aggregate and a Q4-shaped join -> aggregate) so an alloc regression
 # on the batch path is visible in the verify output.
 # The ptime rule reads from a resident pipeline rest on rides along too:
@@ -89,7 +91,7 @@ faults:
 # leave/re-enter pair allocates only the new entry and its key, and
 # BenchmarkRelationChurn prints ns and allocs per churn round.
 batch-guard:
-	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestBatchDispatchStats' -v
+	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestWindowedAggAllocs|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem

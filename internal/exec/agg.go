@@ -58,10 +58,23 @@ func eventKeysOf(x *plan.Aggregate) []eventKey {
 
 type aggGroup struct {
 	keyRow types.Row
-	accs   []accumulator
-	n      int       // live input rows
-	outRow types.Row // last emitted output row (nil if none)
-	seq    int       // first-seen sequence (snapshot order)
+	accs   []accumulator // backed by slots when the query has at most two
+	n      int           // live input rows
+	outRow types.Row     // last emitted output row (nil if none)
+	seq    int           // first-seen sequence (snapshot order)
+	slots  [2]accumulator
+}
+
+// newAggGroup returns a group with n accumulator slots, allocated with the
+// group itself when n is small.
+func newAggGroup(n int) *aggGroup {
+	g := &aggGroup{}
+	if n <= len(g.slots) {
+		g.accs = g.slots[:n]
+	} else {
+		g.accs = make([]accumulator, n)
+	}
+	return g
 }
 
 func newAggOp(x *plan.Aggregate, out sink) *aggOp {
@@ -92,8 +105,11 @@ func (a *aggOp) Open() error {
 }
 
 func (a *aggOp) newGroup(keyRow types.Row) *aggGroup {
-	g := &aggGroup{keyRow: keyRow.Clone()}
-	g.accs = make([]accumulator, len(a.aggs))
+	g := newAggGroup(len(a.aggs))
+	// The key row has room for the aggregate values behind it: the group's
+	// first output row is the key row extended in place (see reemit).
+	g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
+	copy(g.keyRow, keyRow)
 	for i, call := range a.aggs {
 		g.accs[i] = newAccumulator(call)
 	}
@@ -189,7 +205,7 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 func (a *aggOp) reemit(g *aggGroup, p types.Time) {
 	// The candidate row builds in a reusable scratch: a suppressed reemit
 	// (e.g. a bid below the running MAX) costs no allocation, and an actual
-	// emission clones exactly once.
+	// emission copies it once, into the group's key row on the first.
 	var row types.Row
 	if g.n > 0 || a.global {
 		row = append(a.emitScratch[:0], g.keyRow...)
@@ -208,7 +224,17 @@ func (a *aggOp) reemit(g *aggGroup, p types.Time) {
 	if row == nil {
 		return
 	}
-	g.outRow = row.Clone()
+	if nk := len(g.keyRow); cap(g.keyRow) == len(row) {
+		// The spare capacity newGroup gave the key row becomes the first
+		// output row's aggregate values. Neither row is written again: the
+		// key row is clipped to its length, so no later emission reuses
+		// the space.
+		g.outRow = g.keyRow[:len(row)]
+		copy(g.outRow[nk:], row[nk:])
+		g.keyRow = g.keyRow[:nk:nk]
+	} else {
+		g.outRow = row.Clone()
+	}
 	a.pend = append(a.pend, tvr.InsertEvent(p, g.outRow))
 }
 
@@ -370,17 +396,25 @@ func (a *avgAcc) value() types.Value {
 }
 
 // minMaxAcc supports retractions by keeping the multiset of values; the
-// extremum is cached and recomputed only when it is retracted away. Entries
-// are pointers so the steady-state update path — encode into the scratch
-// buffer, look up, mutate through the pointer — never materializes a key
-// string (only first-seen values allocate).
+// extremum is cached and recomputed only when it is retracted away.
+//
+// Most groups only ever see one distinct value (a window group that one bid
+// opens), so the first distinct value lives inline, in one and oneCount, and
+// the keyed multiset is built only when a second distinct value arrives; from
+// then on counts holds every value, one included. Values are the same
+// multiset member when their keys are (types.SameKey, the identity the map's
+// AppendKey keys give). Map entries are pointers so the steady-state update
+// path — encode into the scratch buffer, look up, mutate through the pointer
+// — never materializes a key string (only first-seen values allocate).
 type minMaxAcc struct {
-	min     bool
-	counts  map[string]*minMaxEntry
-	current types.Value
-	valid   bool // current holds the true extremum
-	n       int64
-	scratch []byte // reusable key-encoding buffer
+	min      bool
+	one      types.Value // the only distinct value, while counts is nil
+	oneCount int         // its multiplicity; 0 when the multiset is empty
+	counts   map[string]*minMaxEntry
+	current  types.Value
+	valid    bool // current holds the true extremum
+	n        int64
+	scratch  []byte // reusable key-encoding buffer
 }
 
 type minMaxEntry struct {
@@ -389,12 +423,48 @@ type minMaxEntry struct {
 }
 
 func newMinMaxAcc(min bool) *minMaxAcc {
-	return &minMaxAcc{min: min, counts: make(map[string]*minMaxEntry), current: types.Null()}
+	return &minMaxAcc{min: min, current: types.Null()}
 }
 
 func (m *minMaxAcc) update(v types.Value, delta int) error {
 	if v.IsNull() {
 		return nil
+	}
+	if m.counts == nil && (m.oneCount == 0 || types.SameKey(m.one, v)) {
+		// Like a map entry, the member keeps the latest value written under
+		// its key as its representative.
+		m.one = v
+		m.oneCount += delta
+		if m.oneCount < 0 {
+			return fmt.Errorf("exec: MIN/MAX retraction of absent value %s", v)
+		}
+		if m.oneCount == 0 {
+			m.one = types.Null()
+		}
+	} else if err := m.updateCounts(v, delta); err != nil {
+		return err
+	}
+	m.n += int64(delta)
+	if delta > 0 {
+		if !m.valid || m.better(v, m.current) {
+			m.current = v
+			m.valid = true
+		}
+	} else if m.valid && v.Equal(m.current) {
+		// The extremum may have been retracted; recompute lazily.
+		m.valid = false
+	}
+	return nil
+}
+
+// updateCounts applies the update to the keyed multiset, first moving the
+// inline value into it when v is the second distinct value.
+func (m *minMaxAcc) updateCounts(v types.Value, delta int) error {
+	if m.counts == nil {
+		m.counts = make(map[string]*minMaxEntry)
+		m.scratch = m.one.AppendKey(m.scratch[:0])
+		m.counts[string(m.scratch)] = &minMaxEntry{val: m.one, count: m.oneCount}
+		m.one, m.oneCount = types.Null(), 0
 	}
 	m.scratch = v.AppendKey(m.scratch[:0])
 	e, ok := m.counts[string(m.scratch)]
@@ -409,16 +479,6 @@ func (m *minMaxAcc) update(v types.Value, delta int) error {
 	}
 	if e.count == 0 {
 		delete(m.counts, string(m.scratch))
-	}
-	m.n += int64(delta)
-	if delta > 0 {
-		if !m.valid || m.better(v, m.current) {
-			m.current = v
-			m.valid = true
-		}
-	} else if m.valid && v.Equal(m.current) {
-		// The extremum may have been retracted; recompute lazily.
-		m.valid = false
 	}
 	return nil
 }
@@ -442,7 +502,7 @@ func (m *minMaxAcc) value() types.Value {
 		return types.Null()
 	}
 	if !m.valid {
-		m.current = types.Null()
+		m.current = m.one // NULL unless the value is inline
 		for _, e := range m.counts {
 			if e.count > 0 && (m.current.IsNull() || m.better(e.val, m.current)) {
 				m.current = e.val

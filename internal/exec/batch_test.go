@@ -85,7 +85,8 @@ func batchEvents(n int) []tvr.Event {
 }
 
 // rechunkCatalog resolves the two streams S and R, both (k, v, t) with t the
-// event-time column, that the SQL-built shapes read.
+// event-time column, that the SQL-built shapes read, and NEXMark's Bid stream
+// (auction, bidder, price, dateTime) for the benchmark's windowed query.
 type rechunkCatalog struct{}
 
 func (rechunkCatalog) Resolve(name string) (*plan.Relation, error) {
@@ -95,6 +96,13 @@ func (rechunkCatalog) Resolve(name string) (*plan.Relation, error) {
 			types.Column{Name: "k", Kind: types.KindInt64},
 			types.Column{Name: "v", Kind: types.KindInt64},
 			types.Column{Name: "t", Kind: types.KindTimestamp, EventTime: true},
+		)}, nil
+	case "BID":
+		return &plan.Relation{Name: "Bid", Unbounded: true, Schema: types.NewSchema(
+			types.Column{Name: "auction", Kind: types.KindInt64},
+			types.Column{Name: "bidder", Kind: types.KindInt64},
+			types.Column{Name: "price", Kind: types.KindInt64},
+			types.Column{Name: "dateTime", Kind: types.KindTimestamp, EventTime: true},
 		)}, nil
 	}
 	return nil, fmt.Errorf("no relation %q", name)

@@ -407,7 +407,9 @@ func (w *windowOp) LoadState(dec *checkpoint.Decoder) error {
 
 // saveAcc serializes one accumulator by kind; loadAcc mirrors it. The
 // multiset-backed accumulators (MIN/MAX, DISTINCT) re-derive their map keys
-// from the stored values and serialize sorted by key.
+// from the stored values and serialize sorted by key. A MIN/MAX multiset of
+// one distinct value is held inline (see minMaxAcc) and writes the same one
+// entry a map of one would; loadAcc puts a one-entry multiset back inline.
 func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 	switch a := acc.(type) {
 	case *countStarAcc:
@@ -427,6 +429,17 @@ func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 		enc.Varint(a.n)
 		enc.Bool(a.valid)
 		enc.Value(a.current)
+		if a.counts == nil {
+			// The inline value is the multiset's one entry, if it has any.
+			if a.oneCount == 0 {
+				enc.Uvarint(0)
+				break
+			}
+			enc.Uvarint(1)
+			enc.Value(a.one)
+			enc.Int(a.oneCount)
+			break
+		}
 		keys := tvr.SortedKeys(a.counts)
 		enc.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
@@ -466,15 +479,21 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 		a.valid = dec.Bool()
 		a.current = dec.Value()
 		n := int(dec.Uvarint())
-		var scratch []byte
 		for i := 0; i < n; i++ {
 			v := dec.Value()
 			count := dec.Int()
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			scratch = v.AppendKey(scratch[:0])
-			a.counts[string(scratch)] = &minMaxEntry{val: v, count: count}
+			if n == 1 {
+				a.one, a.oneCount = v, count
+				continue
+			}
+			if a.counts == nil {
+				a.counts = make(map[string]*minMaxEntry, checkpoint.CapHint(uint64(n)))
+			}
+			a.scratch = v.AppendKey(a.scratch[:0])
+			a.counts[string(a.scratch)] = &minMaxEntry{val: v, count: count}
 		}
 	case *distinctAcc:
 		n := int(dec.Uvarint())
@@ -544,8 +563,8 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 		if closed {
 			continue
 		}
-		g := &aggGroup{keyRow: keyRow, n: gn, outRow: outRow}
-		g.accs = make([]accumulator, len(a.aggs))
+		g := newAggGroup(len(a.aggs))
+		g.keyRow, g.n, g.outRow = keyRow, gn, outRow
 		for ci, call := range a.aggs {
 			g.accs[ci] = newAccumulator(call)
 			if err := loadAcc(dec, g.accs[ci]); err != nil {

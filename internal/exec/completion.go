@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"slices"
 
 	"repro/internal/types"
@@ -67,10 +66,10 @@ type dueGroup[G any] struct {
 type completionIndex[G any] struct {
 	keys []eventKey
 
-	due    completionHeap[G]
-	closed []*dueGroup[G] // advance's reusable result buffer
-	freed  int            // groups closed by advance, ever
-	seq    int            // next first-seen sequence
+	due    []dueGroup[G] // min-heap by (at, seq), entries held by value
+	closed []dueGroup[G] // advance's reusable result buffer
+	freed  int           // groups closed by advance, ever
+	seq    int           // next first-seen sequence
 }
 
 // complete reports whether wm has passed every event-time key of the row: a
@@ -86,7 +85,8 @@ func (x *completionIndex[G]) add(key string, g G, keyRow types.Row) (seq int) {
 	seq = x.seq
 	x.seq++
 	if at, ok := completionTime(x.keys, keyRow); ok {
-		heap.Push(&x.due, &dueGroup[G]{g: g, key: key, seq: seq, at: at})
+		x.due = append(x.due, dueGroup[G]{g: g, key: key, seq: seq, at: at})
+		x.siftUp(len(x.due) - 1)
 	}
 	return seq
 }
@@ -95,15 +95,57 @@ func (x *completionIndex[G]) add(key string, g G, keyRow types.Row) (seq int) {
 // and returns them in first-seen order (the order a walk over every group
 // would have met them in, which downstream materialization depends on). The
 // result is valid until the next advance.
-func (x *completionIndex[G]) advance(wm types.Time) []*dueGroup[G] {
+func (x *completionIndex[G]) advance(wm types.Time) []dueGroup[G] {
 	clear(x.closed) // drop the previous round's groups
 	x.closed = x.closed[:0]
 	for len(x.due) > 0 && x.due[0].at <= wm {
-		x.closed = append(x.closed, heap.Pop(&x.due).(*dueGroup[G]))
+		x.closed = append(x.closed, x.due[0])
+		last := len(x.due) - 1
+		x.due[0] = x.due[last]
+		x.due[last] = dueGroup[G]{}
+		x.due = x.due[:last]
+		x.siftDown(0)
 	}
 	x.freed += len(x.closed)
-	slices.SortFunc(x.closed, func(a, b *dueGroup[G]) int { return a.seq - b.seq })
+	slices.SortFunc(x.closed, func(a, b dueGroup[G]) int { return a.seq - b.seq })
 	return x.closed
+}
+
+// before orders the heap: by completion time, first-seen sequence breaking
+// ties.
+func (x *completionIndex[G]) before(i, j int) bool {
+	if x.due[i].at != x.due[j].at {
+		return x.due[i].at < x.due[j].at
+	}
+	return x.due[i].seq < x.due[j].seq
+}
+
+func (x *completionIndex[G]) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(i, parent) {
+			return
+		}
+		x.due[i], x.due[parent] = x.due[parent], x.due[i]
+		i = parent
+	}
+}
+
+func (x *completionIndex[G]) siftDown(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(x.due) {
+			return
+		}
+		if r := c + 1; r < len(x.due) && x.before(r, c) {
+			c = r
+		}
+		if !x.before(c, i) {
+			return
+		}
+		x.due[i], x.due[c] = x.due[c], x.due[i]
+		i = c
+	}
 }
 
 // reset forgets every group (restore replaces state wholesale).
@@ -121,26 +163,4 @@ func firstSeen[G any](groups map[string]G, seq func(G) int) []G {
 	}
 	slices.SortFunc(out, func(a, b G) int { return seq(a) - seq(b) })
 	return out
-}
-
-// completionHeap orders open groups by completion time, first-seen sequence
-// breaking ties.
-type completionHeap[G any] []*dueGroup[G]
-
-func (h completionHeap[G]) Len() int { return len(h) }
-func (h completionHeap[G]) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h completionHeap[G]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap[G]) Push(x any)   { *h = append(*h, x.(*dueGroup[G])) }
-func (h *completionHeap[G]) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

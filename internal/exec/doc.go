@@ -28,6 +28,9 @@
 //     arrive inside batches, between data events;
 //   - neither retain nor mutate evs: callers reuse the backing array, and
 //     drivers hand down sub-slices of the source logs;
+//   - never mutate a row it receives or emits, and keep a row it receives
+//     (as state, or in an output event) as is, without copying it. Rows are
+//     immutable once emitted (see "Rows" below);
 //   - treat an empty batch, PushBatch(nil) included, as a no-op;
 //   - stamp every output event with the ptime of the input event whose
 //     processing emitted it. EMIT AFTER DELAY is the one exception: a timer
@@ -63,13 +66,20 @@
 // ingest granularity allows.
 //
 // Costs the batch shape buys: scan, filter and project forward one scratch
-// batch (project carves all output rows from one block allocation); the
-// keyed aggregate probes its group map once per run of same-key events (a
-// run cache keyed on the previous event's encoded key) and builds a
-// suppressed reemit's candidate row in reused scratch, so its steady state
-// costs 0 allocs/op (TestKeyedHotPathAllocFree). make batch-guard runs the
-// re-chunking property, that pin and BenchmarkBatchPush with -benchmem
-// (including a Q4-shaped join -> aggregate case).
+// batch (project, Tumble and Hop carve their output rows from one block
+// allocation); the keyed aggregate probes its group map once per run of
+// same-key events (a run cache keyed on the previous event's encoded key)
+// and builds a suppressed reemit's candidate row in reused scratch, so its
+// steady state costs 0 allocs/op (TestKeyedHotPathAllocFree). Opening a
+// group is cheap too, because in a windowed query nearly every event opens
+// one: a group's accumulator slots come with the group, a MIN/MAX holds its
+// first distinct value inline and builds its keyed multiset only for a
+// second, and EMIT AFTER WATERMARK keeps the rows it receives.
+// TestWindowedAggAllocs pins the benchmark's windowed_agg query, where every
+// event opens and closes a group, at no more than 8 allocations per event.
+// make batch-guard runs the re-chunking property, both pins and
+// BenchmarkBatchPush with -benchmem (including a Q4-shaped join ->
+// aggregate case).
 //
 // Constant relations are complete: a VALUES operator emits its rows at Open
 // followed by a final watermark, and Close finishes it with the scans.
@@ -95,7 +105,10 @@
 //
 //   - It owns a min-heap of the operator's open groups by completion time
 //     max(key_i + WmOffset_i), first-seen sequence as tie-break, plus the
-//     sequence counter and the closed-group count. The open groups are
+//     sequence counter and the closed-group count. The heap holds its
+//     entries (group, map key, sequence, completion time) by value in one
+//     slice, ordered by a hand-written sift, so registering a group costs no
+//     allocation beyond the slice's amortized growth. The open groups are
 //     exactly the entries of the operator's groups map. A group with a NULL
 //     or non-timestamp event key, and every group of an operator with no
 //     event-time keys (Q4's aggregates, AFTER DELAY without AND AFTER
@@ -148,8 +161,24 @@
 //     the output that pipeline's session retained (internal/live), and a
 //     table read presents its rows through Result.TableRows' PresentRows.
 //
-// Emitted rows are immutable: the collector, a Result and a drain caller
-// may all share them without copying.
+// # Rows
+//
+// Emitted rows are immutable: the collector, a Result, a drain caller and
+// every downstream operator may all share them without copying. So an
+// operator may keep a row it receives: emitAfterWatermarkOp holds its input
+// rows as its groups' samples and buffered contents (tvr.Relation's
+// InsertOwned), with no copy. No operator, driver or reader mutates a row
+// once it is emitted.
+//
+// A row carved from a per-batch block (projectOp, and windowOp's Tumble and
+// Hop rows) shares that block's backing array, so a retained row keeps the
+// whole block, every row of its batch, alive while it is held. An
+// aggregate copies what it keeps from its input, and an EMIT AFTER
+// WATERMARK group holds its rows only until the watermark closes its
+// window, so each holds a block briefly. State held for as long as its rows
+// live does not rely on that: joinOp, the set operators (DISTINCT,
+// INTERSECT, EXCEPT), session windows and emitAfterDelayOp still copy the
+// rows they hold.
 //
 // A checkpoint of the collector carries the undrained events, so the
 // concatenation of Drains before and after a restore equals the

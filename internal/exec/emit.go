@@ -28,6 +28,8 @@ func groupKeysOf(sch *types.Schema) emitGroupKeys {
 // buffers the evolving result per event-time group and materializes each
 // group exactly once — its final contents — when the watermark declares the
 // group complete. Changes to already-complete groups are dropped as late.
+// Emitted rows are immutable, so a group keeps the rows it receives (its
+// sample and its relation's rows) without copying them.
 type emitAfterWatermarkOp struct {
 	out    sink
 	keys   emitGroupKeys
@@ -40,7 +42,7 @@ type emitAfterWatermarkOp struct {
 }
 
 type wmGroup struct {
-	sample types.Row // carries the event-time key values
+	sample types.Row // an input row, kept as is: carries the event-time key values
 	rel    *tvr.Relation
 	seq    int // first-seen sequence (snapshot order)
 }
@@ -83,10 +85,14 @@ func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 			e.late++
 			return nil
 		}
-		g = &wmGroup{sample: ev.Row.Clone(), rel: tvr.NewRelation()}
+		g = &wmGroup{sample: ev.Row, rel: tvr.NewRelation()}
 		k := string(e.keyBuf)
 		e.groups[k] = g
 		g.seq = e.idx.add(k, g, g.sample)
+	}
+	if ev.Kind == tvr.Insert {
+		g.rel.InsertOwned(ev.Row)
+		return nil
 	}
 	return g.rel.Apply(ev)
 }

@@ -265,3 +265,79 @@ type nullSink struct{}
 
 func (n *nullSink) PushBatch([]tvr.Event) error { return nil }
 func (n *nullSink) Finish() error               { return nil }
+
+// windowedAggSQL is the repository benchmark's windowed_agg query: per-auction
+// 10 s Tumble windows, MAX(price), materialized once per window by EMIT
+// STREAM AFTER WATERMARK.
+const windowedAggSQL = `
+SELECT auction, wstart, wend, MAX(price) maxPrice
+FROM Tumble(
+  data => TABLE(Bid),
+  timecol => DESCRIPTOR(dateTime),
+  dur => INTERVAL '10' SECONDS)
+GROUP BY auction, wstart, wend
+EMIT STREAM AFTER WATERMARK`
+
+// TestWindowedAggAllocs pins what opening, updating and closing a window
+// group costs on the heap. Every bid of a batch opens its own (auction,
+// window) group, as nearly every bid of the windowed_agg workload does, and
+// the batch's closing watermark materializes and evicts the previous batch's
+// groups, so each event pays for one group's whole life: its Tumble row, the
+// aggregate group with its MAX state, completion-index entry and output row,
+// and the row's place in its window's EMIT AFTER WATERMARK relation. It reads
+// about 6; the ceiling of 8 leaves room for noise but not for a MIN/MAX
+// multiset, a boxed heap entry or a row copy coming back per group, each of
+// which costs at least one more.
+func TestWindowedAggAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const (
+		perBatch = 250
+		ceiling  = 8.0
+	)
+	p, err := Compile(planRechunkSQL(t, windowedAggSQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	window := types.Time(10 * types.Second)
+	batch := func(b int) []Source {
+		log := make(tvr.Changelog, 0, perBatch+1)
+		start := types.Time(b) * window
+		for i := 0; i < perBatch; i++ {
+			at := start + types.Time(i)
+			log = append(log, tvr.InsertEvent(at, types.Row{
+				types.NewInt(int64(b*perBatch + i)), types.NewInt(7),
+				types.NewInt(int64(100 + i)), types.NewTimestamp(at),
+			}))
+		}
+		// Closes the previous batch's windows, which end at start.
+		log = append(log, tvr.WatermarkEvent(start+perBatch, start))
+		return []Source{{Name: "Bid", Log: log}}
+	}
+	const runs = 20
+	batches := make([][]Source, runs+3)
+	for b := range batches {
+		batches[b] = batch(b)
+	}
+	next := 0
+	feed := func() {
+		if err := p.Feed(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if out := p.Drain(); next > 1 && len(out) != perBatch {
+			t.Fatalf("batch %d emitted %d rows, want %d window rows", next-1, len(out), perBatch)
+		}
+	}
+	feed() // warms the operators' scratch and pend buffers
+	feed()
+	perEvent := testing.AllocsPerRun(runs, feed) / perBatch
+	t.Logf("%.2f allocs per event", perEvent)
+	if perEvent > ceiling {
+		t.Fatalf("windowed aggregation costs %.2f allocs per event, want at most %v", perEvent, ceiling)
+	}
+}

@@ -170,7 +170,9 @@ type windowOp struct {
 	rowsAt   map[types.Time][]rowRef // rows carrying each timestamp
 	timeList []types.Time            // insertion order of distinct timestamps
 
-	pend []tvr.Event // output scratch, reused across batches
+	pend      []tvr.Event // output scratch, reused across batches
+	block     types.Row   // unused rest of the block output rows are carved from
+	blockRows int         // rows per block: the batch's data event count
 }
 
 type rowRef struct {
@@ -190,11 +192,21 @@ func newWindowOp(x *plan.WindowTVF, out sink) *windowOp {
 	return w
 }
 
-// emit appends ev's row, widened with the window bounds, to the output.
+// emit appends ev's row, widened with the window bounds, to the output. Rows
+// are carved from a block of one row per data event of the batch, so a
+// Tumble batch allocates its rows once, as projectOp's do; Hop and Session,
+// which may emit several rows per event, take a fresh block when one runs
+// out.
 func (w *windowOp) emit(ev tvr.Event, iv window.Interval) {
-	row := make(types.Row, 0, len(ev.Row)+2)
-	row = append(row, ev.Row...)
-	row = append(row, types.NewTimestamp(iv.Start), types.NewTimestamp(iv.End))
+	width := len(ev.Row) + 2
+	if len(w.block) < width {
+		w.block = make(types.Row, w.blockRows*width)
+	}
+	row := w.block[:width:width]
+	w.block = w.block[width:]
+	copy(row, ev.Row)
+	row[width-2] = types.NewTimestamp(iv.Start)
+	row[width-1] = types.NewTimestamp(iv.End)
 	w.pend = append(w.pend, tvr.Event{Ptime: ev.Ptime, Kind: ev.Kind, Row: row})
 }
 
@@ -202,6 +214,12 @@ func (w *windowOp) emit(ev tvr.Event, iv window.Interval) {
 // retractions and re-emissions included, are gathered and handed down in one
 // dispatch.
 func (w *windowOp) PushBatch(evs []tvr.Event) error {
+	w.block, w.blockRows = nil, 0
+	for i := range evs {
+		if evs[i].IsData() {
+			w.blockRows++
+		}
+	}
 	for _, ev := range evs {
 		if !ev.IsData() {
 			w.pend = append(w.pend, ev)

@@ -39,6 +39,11 @@ func NewRelation() *Relation {
 // enters the bag (map lookups through string(scratch) are allocation-free).
 func (r *Relation) Insert(row types.Row) { r.insert(row, true) }
 
+// InsertOwned is Insert for callers that guarantee row is immutable and may
+// be retained (an operator keeping the emitted rows it receives): a row
+// entering the bag is kept as is, not copied.
+func (r *Relation) InsertOwned(row types.Row) { r.insert(row, false) }
+
 // insert adds one copy of row; clone says whether a row entering the bag is
 // copied or retained as is.
 func (r *Relation) insert(row types.Row, clone bool) {
@@ -107,7 +112,7 @@ func (r *Relation) Apply(e Event) error {
 func (r *Relation) ApplyOwned(log Changelog) error {
 	for _, e := range log {
 		if e.Kind == Insert {
-			r.insert(e.Row, false)
+			r.InsertOwned(e.Row)
 		} else if err := r.Apply(e); err != nil {
 			return err
 		}

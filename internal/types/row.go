@@ -39,8 +39,9 @@ func (r Row) Concat(o Row) Row {
 }
 
 // Key returns a canonical byte-string encoding of the row, suitable for use
-// as a map key in operator state. Numeric values encode through float64 so
-// that BIGINT 1 and DOUBLE 1.0 produce the same key (mirroring Equal).
+// as a map key in operator state. Numeric values share one encoding per
+// number, so that BIGINT 1 and DOUBLE 1.0 produce the same key (mirroring
+// Equal; see keyParts).
 func (r Row) Key() string {
 	var b []byte
 	for _, v := range r {
@@ -82,29 +83,84 @@ func (r Row) AppendKeyOf(dst []byte, idxs []int) []byte {
 // the scalar analogue of Row.AppendKey (used by accumulator multisets).
 func (v Value) AppendKey(dst []byte) []byte { return appendValueKey(dst, v) }
 
-func appendValueKey(b []byte, v Value) []byte {
+// SameKey reports whether a and b have the same key encoding, exactly
+// a.AppendKey(nil) == b.AppendKey(nil), without encoding either. It reads
+// the same keyParts appendValueKey writes, so the two cannot drift.
+func SameKey(a, b Value) bool {
+	ta, xa := keyParts(a)
+	tb, xb := keyParts(b)
+	if ta != tb || xa != xb {
+		return false
+	}
+	return ta != keyString || a.s == b.s
+}
+
+// Key tags: the first byte of a value's key encoding.
+const (
+	keyNull      byte = 0
+	keyBool      byte = 1
+	keyNumber    byte = 2 // float64 bits of a numeric in the exact float range
+	keyString    byte = 3
+	keyTimestamp byte = 4
+	keyInterval  byte = 5
+	keyBigInt    byte = 6 // an integer beyond ±2^53, as its exact int64
+	keyOther     byte = 0xFF
+)
+
+// exactFloatInt is 2^53: every integer of magnitude up to it is exactly a
+// float64, and 2^53+1 is the first that is not.
+const exactFloatInt = 1 << 53
+
+// keyParts returns a value's key tag and fixed-width payload (a string's
+// payload is its bytes, which appendValueKey writes after a length).
+//
+// Numerics share encodings so that BIGINT 1 and DOUBLE 1.0 produce the same
+// key, mirroring Equal. Within ±2^53 that is the float64 bits. Beyond it a
+// BIGINT keeps its exact int64, so 2^53 and 2^53+1 stay distinct keys, and a
+// DOUBLE in int64 range (every DOUBLE of that magnitude is integral) takes
+// the same form as the BIGINT it converts to exactly. Mixed-kind Equal stays
+// lossy there: it compares through float64, so BIGINT 2^53+1 Equals DOUBLE
+// 2^53 while their keys differ.
+func keyParts(v Value) (tag byte, x uint64) {
 	switch v.kind {
 	case KindNull:
-		return append(b, 0)
+		return keyNull, 0
 	case KindBool:
-		b = append(b, 1)
-		return append(b, byte(v.i))
-	case KindInt64, KindFloat64:
-		// Shared tag for numerics so 1 == 1.0 as keys.
-		b = append(b, 2)
-		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.AsFloat()))
+		return keyBool, uint64(byte(v.i))
+	case KindInt64:
+		if v.i > exactFloatInt || v.i < -exactFloatInt {
+			return keyBigInt, uint64(v.i)
+		}
+		return keyNumber, math.Float64bits(float64(v.i))
+	case KindFloat64:
+		if f := v.f; (f > exactFloatInt || f < -exactFloatInt) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return keyBigInt, uint64(int64(f))
+		}
+		return keyNumber, math.Float64bits(v.f)
 	case KindString:
-		b = append(b, 3)
+		return keyString, 0
+	case KindTimestamp:
+		return keyTimestamp, uint64(v.i)
+	case KindInterval:
+		return keyInterval, uint64(v.i)
+	default:
+		return keyOther, 0
+	}
+}
+
+func appendValueKey(b []byte, v Value) []byte {
+	tag, x := keyParts(v)
+	b = append(b, tag)
+	switch tag {
+	case keyNull, keyOther:
+		return b
+	case keyBool:
+		return append(b, byte(x))
+	case keyString:
 		b = binary.BigEndian.AppendUint32(b, uint32(len(v.s)))
 		return append(b, v.s...)
-	case KindTimestamp:
-		b = append(b, 4)
-		return binary.BigEndian.AppendUint64(b, uint64(v.i))
-	case KindInterval:
-		b = append(b, 5)
-		return binary.BigEndian.AppendUint64(b, uint64(v.i))
 	default:
-		return append(b, 0xFF)
+		return binary.BigEndian.AppendUint64(b, x)
 	}
 }
 
