@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-harness verify
+.PHONY: all build vet test deadcode race race-live faults batch-guard obs-guard fuzz-smoke bench bench-harness verify
 
 all: verify
 
@@ -25,17 +25,17 @@ race:
 deadcode:
 	$(GO) run ./internal/tools/deadcode
 
-# The sharded ingest subsystem under forced parallelism: the shard workers,
-# commit sequencer, and sharded-vs-serial equivalence properties race-checked
-# at GOMAXPROCS=4 even on boxes whose default would serialize the schedule
-# (a 1-core default hides exactly the interleavings sharding introduces).
-# The one-shot reads answered from a resident pipeline ride along: quiesce
-# then read while another goroutine commits through 4 shards. So do shared
-# plans (stream and table cursors of several spellings on one session,
-# attaching late, on 4 shards) and stalled readers: a subscriber that stops
-# reading beside commits, peers, resident reads and checkpoints, then resumes.
-race-shard:
-	GOMAXPROCS=4 $(GO) test -race ./internal/shard/... ./internal/live/...
+# The live subsystem under forced parallelism, at GOMAXPROCS=4 even on boxes
+# whose default would serialize the schedule: fan-out runs on the committing
+# goroutine, but each cursor's reader is a goroutine of its own, and one-shot
+# reads answered from a resident pipeline take no ordering lock. So the
+# manager and session tests race here, beside resident reads while another
+# goroutine commits, shared plans (stream and table cursors of several
+# spellings on one session, attaching late) and stalled readers: a subscriber
+# that stops reading beside commits, peers, resident reads and checkpoints,
+# then resumes.
+race-live:
+	GOMAXPROCS=4 $(GO) test -race ./internal/live/...
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestSharedPlan'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestStalledReader'
@@ -133,11 +133,11 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 10s -fuzzminimizetime 3s -parallel 2
 
 # One-iteration smoke of the in-process standing-query benchmarks at 1 and 2
-# procs: the sharded fan-out's scaling row (BenchmarkMultiQuery, 8 disjoint
-# queries, serial against 8 shards, each run held to the serial run's delta
-# and row totals), K=4 cursors on one shared pipeline (BenchmarkSharedFanout)
-# and checkpoint / restore / full-history replay (BenchmarkRecovery, with the
-# checkpoint's bytes). Each prints events/s or ns/op and writes no file; run
+# procs: the multi-query fan-out row (BenchmarkMultiQuery, 8 disjoint
+# queries, each run held to the first run's delta and row totals), K=4
+# cursors on one shared pipeline (BenchmarkSharedFanout) and checkpoint /
+# restore / full-history replay (BenchmarkRecovery, with the checkpoint's
+# bytes). Each prints events/s or ns/op and writes no file; run
 # with a larger -benchtime or -count to measure.
 bench:
 	$(GO) test ./internal/nexmark -run '^$$' -bench . -benchtime 1x -cpu 1,2
@@ -151,4 +151,4 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-verify: vet build deadcode race race-shard faults batch-guard obs-guard fuzz-smoke bench bench-harness
+verify: vet build deadcode race race-live faults batch-guard obs-guard fuzz-smoke bench bench-harness

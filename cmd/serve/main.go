@@ -4,20 +4,13 @@
 // deltas back over chunked ndjson responses — no recompilation or history
 // rescan per request.
 //
-// With -shards N the standing-query fan-out runs on the sharded ingest
-// subsystem: each resident pipeline is pinned to one of N shard workers and
-// commits are applied asynchronously in global commit order, so disjoint
-// standing queries scale across cores. Delta sequences are byte-identical to
-// the serial fan-out; /healthz and /v1/subscriptions report per-shard depth
-// and lag.
-//
 // A subscriber never slows ingest: each subscription's handler writes its
 // deltas at its socket's pace from the session's retained output, and a
 // commit only appends to that output. A subscriber whose connection stops
 // reading holds the deltas it has not received in that output (bounded by
 // retain= once the session is past it) and stalls nothing else.
-// Graceful shutdown drains the shard queues before the final checkpoint, so
-// every acknowledged commit is captured in the snapshot.
+// Graceful shutdown takes the final checkpoint before it closes any
+// subscription, so every acknowledged commit is captured in the snapshot.
 //
 // With -data-dir the process is durable: core.Open owns the directory (its
 // layout, commit order, recovery and degraded-mode rules are in package
@@ -100,10 +93,9 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "directory for durable state (snapshot + write-ahead log); restart restores the engine and its standing queries from the last snapshot plus the WAL tail")
 		ckptEvery  = flag.Duration("checkpoint-every", 30*time.Second, "interval between periodic snapshots, each truncating the applied WAL segments (needs -data-dir; 0 disables the ticker, leaving on-shutdown and POST /v1/checkpoint)")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: \"always\" (per committed batch), \"none\", or an interval like \"250ms\" (needs -data-dir)")
-		shards     = flag.Int("shards", 0, "shard workers for standing-query fan-out (0 = serial: deliveries run on the ingesting goroutine); with N > 0 each resident pipeline is pinned to one of N workers and commits are applied asynchronously in commit order, so disjoint standing queries scale across cores")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "bound on every request but /v1/subscribe. Register, ingest, heartbeat and checkpoint check their deadline once, when their commit is ordered: past it they answer 503 and commit nothing, and a commit that passed the check completes and is reported, late if need be. Reads (query, subscriptions, healthz, unsubscribe) past it get a 503 and their context is canceled. 0 disables")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints expose internals)")
-		slowCommit = flag.Duration("slow-commit", obs.DefaultSlowCommit, "emit a structured span-breakdown log line for any commit slower than this (validate/wal/sequence/enqueue/apply/render/deliver attribution); 0 disables the log, histograms stay on")
+		slowCommit = flag.Duration("slow-commit", obs.DefaultSlowCommit, "emit a structured span-breakdown log line for any commit slower than this (validate/wal/sequence/apply/render/deliver attribution); 0 disables the log, histograms stay on")
 		logFormat  = flag.String("log-format", "text", "structured log format: \"text\" or \"json\"")
 	)
 	flag.Parse()
@@ -111,7 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *preload, *seed, *dataDir, *ckptEvery, *walSync, *shards, *reqTimeout, *pprofOn, *slowCommit); err != nil {
+	if err := run(*addr, *preload, *seed, *dataDir, *ckptEvery, *walSync, *reqTimeout, *pprofOn, *slowCommit); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -140,9 +132,8 @@ func initLogger(format string) error {
 // gracefully: final checkpoint first (while the resident pipelines are
 // still alive), then drain the standing-query handlers, then close the
 // listener.
-func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Duration, walSync string, shards int, reqTimeout time.Duration, pprofOn bool, slowCommit time.Duration) error {
-	opts := []core.Option{core.WithUnboundedGroupBy(), core.WithShards(shards),
-		core.WithObs(obs.NewRegistry()), core.WithSlowCommit(slowCommit)}
+func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Duration, walSync string, reqTimeout time.Duration, pprofOn bool, slowCommit time.Duration) error {
+	opts := []core.Option{core.WithUnboundedGroupBy(), core.WithObs(obs.NewRegistry()), core.WithSlowCommit(slowCommit)}
 	var engine *core.Engine
 	restored := false
 	if dataDir == "" {
@@ -247,9 +238,9 @@ func run(addr string, preload int, seed int64, dataDir string, ckptEvery time.Du
 
 	// 1. Final checkpoint while every resident pipeline is still alive —
 	//    canceling a session's last cursor would tear its pipeline down.
-	//    The snapshot drains the shard queues under the ordering lock, so
-	//    every acknowledged commit is in it. No subscriber can hold it up:
-	//    a commit never waits on one.
+	//    The snapshot is taken under the ordering lock, so every
+	//    acknowledged commit is in it. No subscriber can hold it up: a
+	//    commit never waits on one.
 	if dataDir != "" {
 		if n, _, err := engine.Checkpoint(); err != nil {
 			slog.Error("final checkpoint failed", "err", err)

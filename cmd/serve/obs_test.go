@@ -55,12 +55,11 @@ func getBody(t *testing.T, c *http.Client, url string) (int, string, http.Header
 }
 
 // TestMetricsEndpoint drives real traffic through a fully wired engine —
-// WAL attached, sharded fan-out, a standing query, one-shot queries,
-// heartbeats, and a checkpoint — then scrapes /metrics and asserts every
-// layer's families are present and the exposition is well-formed.
+// WAL attached, a standing query, one-shot queries, heartbeats, and a
+// checkpoint — then scrapes /metrics and asserts every layer's families are
+// present and the exposition is well-formed.
 func TestMetricsEndpoint(t *testing.T) {
-	engine, _ := openDataDir(t, t.TempDir(), core.WithShards(2),
-		core.WithObs(obs.NewRegistry()), core.WithSlowCommit(0))
+	engine, _ := openDataDir(t, t.TempDir(), core.WithObs(obs.NewRegistry()), core.WithSlowCommit(0))
 	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()
 	c := ts.Client()
@@ -120,8 +119,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"checkpoint_total 2", // the first boot's snapshot and the POST
 		"wal_appends_total",
 		"wal_fsync_seconds_bucket{le=",
-		`shard_queue_depth{shard="0"}`,
-		`shard_applied_total{shard="1"}`,
 		"live_sessions 1",
 		"live_deltas_out_total",
 		"live_events_in_total 2",

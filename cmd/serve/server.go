@@ -31,7 +31,7 @@ package main
 //	DELETE /v1/subscriptions/{id}       cancel a standing query
 //	POST /v1/checkpoint                 force a durable checkpoint (needs -data-dir)
 //	GET  /v1/healthz                    liveness + pipeline/subscriber/checkpoint state
-//	GET  /metrics                       Prometheus text-format metrics (engine/WAL/checkpoint/shard/live/exec/commit families)
+//	GET  /metrics                       Prometheus text-format metrics (engine/WAL/checkpoint/live/exec/commit families)
 //	GET  /debug/pprof/...               net/http/pprof profiling (only with -pprof)
 import (
 	"encoding/json"
@@ -541,26 +541,17 @@ func (s *Server) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 			"id": e.id, "sql": e.sql, "mode": e.mode,
 			"eventsIn": st.EventsIn, "deltasOut": st.DeltasOut,
 			"rowsOut": st.RowsOut, "watermark": int64(st.Watermark),
-			"queueDepth": st.QueueDepth,
+			"queueDepth": st.Unread,
 			// Plan sharing: subscriptions served from the same resident
 			// pipeline report the same pipeline id and the count of
 			// subscribers attached to it.
 			"pipeline": st.PipelineID, "subscribers": st.Subscribers,
-			// Shard placement: which shard worker applies this pipeline's
-			// deliveries, or -1 under the serial fan-out.
-			"shard": st.Shard,
 			// Batching efficiency: mean source events carried per
 			// operator-chain dispatch (1.0 = pure per-event delivery).
 			"dispatches": st.Dispatches, "eventsPerDispatch": st.EventsPerDispatch,
 		})
 	}
-	resp := map[string]any{"subscriptions": out}
-	// Per-shard ingest queue state (depth = commits waiting, lag = enqueued
-	// minus applied), present only when running with -shards.
-	if stats := s.engine.ShardStats(); stats != nil {
-		resp["shards"] = stats
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"subscriptions": out})
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
@@ -613,12 +604,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		out["status"] = "ok"
 		out["degraded"] = false
-	}
-	// Sharded fan-out health: per-shard queue depth and apply lag, read
-	// lock-free.
-	if stats := s.engine.ShardStats(); stats != nil {
-		out["shards"] = len(stats)
-		out["shardStats"] = stats
 	}
 	// With -data-dir the engine logs every commit and can checkpoint.
 	if ckpt.Path != "" {

@@ -587,107 +587,6 @@ func TestServeSubscriptionsSorted(t *testing.T) {
 	}
 }
 
-// TestServeSharded: the HTTP front-end over a sharded engine. Deltas still
-// arrive (through the shard workers instead of the ingesting goroutine), the
-// subscription listing reports each pipeline's shard placement plus the
-// per-shard queue state, and /healthz exposes the shard count and stats. The
-// serial server, by contrast, must omit the shard keys and report shard -1.
-func TestServeSharded(t *testing.T) {
-	engine := core.NewEngine(core.WithShards(4))
-	t.Cleanup(engine.Close)
-	ts := httptest.NewServer(NewServer(engine))
-	t.Cleanup(ts.Close)
-	c := ts.Client()
-	registerBid(t, c, ts.URL)
-
-	// Two distinct standing queries → two resident pipelines, each pinned to
-	// its own (possibly equal) shard.
-	resp1, read1 := subscribeLines(t, c, ts.URL,
-		"sql="+queryEscape(`SELECT auction, price FROM Bid WHERE price > 900`))
-	defer resp1.Body.Close()
-	resp2, read2 := subscribeLines(t, c, ts.URL,
-		"sql="+queryEscape(`SELECT auction, price FROM Bid WHERE price > 100`))
-	defer resp2.Body.Close()
-	if hdr := read1(); hdr["type"] != "schema" {
-		t.Fatalf("sub1 first line = %v, want schema", hdr)
-	}
-	if hdr := read2(); hdr["type"] != "schema" {
-		t.Fatalf("sub2 first line = %v, want schema", hdr)
-	}
-
-	ingestBids(t, c, ts.URL, []eventJSON{
-		{Kind: "insert", Ptime: timeMS(1000), Row: []any{1, 950, 1000}},
-	})
-	if got := deltaPrices(t, read1()); len(got) != 1 || got[0] != 950 {
-		t.Fatalf("sub1 delta prices = %v, want [950]", got)
-	}
-	if got := deltaPrices(t, read2()); len(got) != 1 || got[0] != 950 {
-		t.Fatalf("sub2 delta prices = %v, want [950]", got)
-	}
-
-	code, stats := getJSON(t, c, ts.URL+"/v1/subscriptions")
-	if code != http.StatusOK {
-		t.Fatalf("subscriptions: status %d", code)
-	}
-	for _, e := range stats["subscriptions"].([]any) {
-		m := e.(map[string]any)
-		sh, ok := m["shard"].(float64)
-		if !ok || sh < 0 || sh >= 4 {
-			t.Fatalf("subscription shard = %v, want 0..3", m["shard"])
-		}
-	}
-	shardsList, ok := stats["shards"].([]any)
-	if !ok || len(shardsList) != 4 {
-		t.Fatalf("subscriptions shards = %v, want 4 entries", stats["shards"])
-	}
-	for _, s := range shardsList {
-		m := s.(map[string]any)
-		for _, k := range []string{"shard", "depth", "lag", "lastSeq"} {
-			if _, ok := m[k]; !ok {
-				t.Fatalf("shard stat %v missing %q", m, k)
-			}
-		}
-	}
-
-	code, hz := getJSON(t, c, ts.URL+"/v1/healthz")
-	if code != http.StatusOK || hz["ok"] != true {
-		t.Fatalf("healthz: status %d body %v", code, hz)
-	}
-	if hz["shards"].(float64) != 4 {
-		t.Fatalf("healthz shards = %v, want 4", hz["shards"])
-	}
-	if _, ok := hz["shardStats"].([]any); !ok {
-		t.Fatalf("healthz shardStats = %v, want array", hz["shardStats"])
-	}
-
-	// Serial control: no shard keys, placement -1.
-	ts2, c2 := newTestServer(t)
-	registerBid(t, c2, ts2.URL)
-	resp3, read3 := subscribeLines(t, c2, ts2.URL,
-		"sql="+queryEscape(`SELECT auction FROM Bid`))
-	defer resp3.Body.Close()
-	if hdr := read3(); hdr["type"] != "schema" {
-		t.Fatalf("serial sub first line = %v, want schema", hdr)
-	}
-	code, hz = getJSON(t, c2, ts2.URL+"/v1/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("serial healthz: status %d", code)
-	}
-	if _, ok := hz["shards"]; ok {
-		t.Fatalf("serial healthz reports shards: %v", hz)
-	}
-	code, stats = getJSON(t, c2, ts2.URL+"/v1/subscriptions")
-	if code != http.StatusOK {
-		t.Fatalf("serial subscriptions: status %d", code)
-	}
-	if _, ok := stats["shards"]; ok {
-		t.Fatalf("serial subscriptions report shards: %v", stats)
-	}
-	if m := stats["subscriptions"].([]any)[0].(map[string]any); m["shard"].(float64) != -1 {
-		t.Fatalf("serial subscription shard = %v, want -1", m["shard"])
-	}
-}
-
 func deltaPrices(t *testing.T, d map[string]any) []int64 {
 	t.Helper()
 	rows, ok := d["rows"].([]any)

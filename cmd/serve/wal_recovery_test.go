@@ -18,8 +18,8 @@ import (
 	"repro/internal/wal"
 )
 
-// openDataDir opens dir as run does with -data-dir (-wal-sync=always, no
-// shards) plus opts, and closes the engine when the test ends.
+// openDataDir opens dir as run does with -data-dir (-wal-sync=always) plus
+// opts, and closes the engine when the test ends.
 func openDataDir(t *testing.T, dir string, opts ...core.Option) (*core.Engine, bool) {
 	t.Helper()
 	engine, rec, err := core.Open(dir, wal.Options{Mode: wal.SyncAlways},

@@ -10,7 +10,6 @@ package core_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -43,123 +42,122 @@ func restartEngine(t *testing.T, e *core.Engine, opts ...core.Option) *core.Engi
 // restored engine, and require (a) a late attacher to the restored shared
 // session to be byte-identical to a dedicated twin opened at the same
 // instant on a second engine fed the same commits, and (b) both to equal
-// the uninterrupted replay — on the serial fan-out and on a sharded one.
+// the uninterrupted replay.
 func TestCheckpointRestoreLive(t *testing.T) {
-	g := liveData(t)
-	last := g.Bids[len(g.Bids)-1]
-	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
-	for _, parts := range []int{1, 4} {
-		parts := parts
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			// Uninterrupted reference: post-hoc replay over the full log.
-			replayEngine := newBidEngine(t)
-			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := replayEngine.QueryStream(liveBidQuery)
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("parts=1", func(t *testing.T) {
+		g := liveData(t)
+		last := g.Bids[len(g.Bids)-1]
+		finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+		// Uninterrupted reference: post-hoc replay over the full log.
+		replayEngine := newBidEngine(t)
+		if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := replayEngine.QueryStream(liveBidQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
+
+		rng := rand.New(rand.NewSource(7))
+		splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
+		opts := core.SubscribeOptions{}
+		for _, split := range splits {
+			e := newBidEngine(t)
+			early, err := e.SubscribeStream(liveBidQuery, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
-
-			rng := rand.New(rand.NewSource(int64(7 * parts)))
-			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{}
-			for _, split := range splits {
-				e := partsEngine(t, parts)
-				early, err := e.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
+			// Random ptime-axis batches up to the split point.
+			for i := 0; i < split; {
+				end := i + 1 + rng.Intn(8)
+				if end > split {
+					end = split
+				}
+				if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
 					t.Fatal(err)
 				}
-				// Random ptime-axis batches up to the split point.
-				for i := 0; i < split; {
-					end := i + 1 + rng.Intn(8)
-					if end > split {
-						end = split
-					}
-					if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
+				i = end
+			}
+
+			// Process restart at the split point.
+			restored := restartEngine(t, e)
+			if got := restored.LiveSessions(); got != 1 {
+				t.Fatalf("split=%d: restored engine has %d live sessions, want 1", split, got)
+			}
+			// The early subscriber's prefix deltas, for the continuation
+			// check below. Cancel releases the abandoned engine.
+			early.Cancel()
+			prefixRows := collectStream(early, nil)
+
+			// A late attacher lands on the restored resident pipeline
+			// (no new session); its dedicated twin, on a second engine
+			// fed the same history, compiles its own and replays it.
+			late, err := restored.SubscribeStream(liveBidQuery, opts)
+			if err != nil {
+				t.Fatalf("split=%d: late attach to restored session: %v", split, err)
+			}
+			if got := restored.LiveSessions(); got != 1 {
+				t.Fatalf("split=%d: late attach created a session (%d live), want to share the restored one", split, got)
+			}
+			twinEng := twinEngine(t, g.Bids[:split])
+			twin, err := twinEng.SubscribeStream(liveBidQuery, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Finish the stream on the restored engine and the twin's.
+			appendLog := func(log tvr.Changelog) {
+				t.Helper()
+				for _, e := range []*core.Engine{restored, twinEng} {
+					if err := e.AppendLog("Bid", log); err != nil {
 						t.Fatal(err)
 					}
-					i = end
-				}
-
-				// Process restart at the split point.
-				restored := restartEngine(t, e, shardOpts(parts)...)
-				if got := restored.LiveSessions(); got != 1 {
-					t.Fatalf("split=%d: restored engine has %d live sessions, want 1", split, got)
-				}
-				// The early subscriber's prefix deltas, for the continuation
-				// check below. Cancel releases the abandoned engine.
-				early.Cancel()
-				prefixRows := collectStream(early, nil)
-
-				// A late attacher lands on the restored resident pipeline
-				// (no new session); its dedicated twin, on a second engine
-				// fed the same history, compiles its own and replays it.
-				late, err := restored.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatalf("split=%d: late attach to restored session: %v", split, err)
-				}
-				if got := restored.LiveSessions(); got != 1 {
-					t.Fatalf("split=%d: late attach created a session (%d live), want to share the restored one", split, got)
-				}
-				twinEng := twinEngine(t, parts, g.Bids[:split])
-				twin, err := twinEng.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Finish the stream on the restored engine and the twin's.
-				appendLog := func(log tvr.Changelog) {
-					t.Helper()
-					for _, e := range []*core.Engine{restored, twinEng} {
-						if err := e.AppendLog("Bid", log); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				for i := split; i < len(g.Bids); {
-					end := i + 1 + rng.Intn(8)
-					if end > len(g.Bids) {
-						end = len(g.Bids)
-					}
-					appendLog(g.Bids[i:end])
-					i = end
-				}
-				appendLog(tvr.Changelog{finalWM})
-
-				lateFinal, err := late.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				lateRows := collectStream(late, lateFinal)
-				twinFinal, err := twin.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				twinRows := collectStream(twin, twinFinal)
-
-				lateStr := tvr.FormatStreamTable(late.Schema(), lateRows)
-				twinStr := tvr.FormatStreamTable(twin.Schema(), twinRows)
-				if lateStr != twinStr {
-					t.Fatalf("split=%d: late attacher to restored session differs from dedicated twin:\nlate:\n%s\ntwin:\n%s",
-						split, truncate(lateStr), truncate(twinStr))
-				}
-				if lateStr != wantStr {
-					t.Fatalf("split=%d: restored output differs from uninterrupted replay:\ngot:\n%s\nwant:\n%s",
-						split, truncate(lateStr), truncate(wantStr))
-				}
-				// Continuation check: the rows delivered before the restart
-				// plus the restored pipeline's post-restart rows must be
-				// exactly the uninterrupted sequence — the restored driver
-				// resumed, it did not re-derive or skip anything.
-				combined := append(append([]tvr.StreamRow{}, prefixRows...), lateRows[len(prefixRows):]...)
-				if got := tvr.FormatStreamTable(late.Schema(), combined); got != wantStr {
-					t.Fatalf("split=%d: pre-restart + post-restart delta concatenation differs from replay", split)
 				}
 			}
-		})
-	}
+			for i := split; i < len(g.Bids); {
+				end := i + 1 + rng.Intn(8)
+				if end > len(g.Bids) {
+					end = len(g.Bids)
+				}
+				appendLog(g.Bids[i:end])
+				i = end
+			}
+			appendLog(tvr.Changelog{finalWM})
+
+			lateFinal, err := late.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lateRows := collectStream(late, lateFinal)
+			twinFinal, err := twin.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinRows := collectStream(twin, twinFinal)
+
+			lateStr := tvr.FormatStreamTable(late.Schema(), lateRows)
+			twinStr := tvr.FormatStreamTable(twin.Schema(), twinRows)
+			if lateStr != twinStr {
+				t.Fatalf("split=%d: late attacher to restored session differs from dedicated twin:\nlate:\n%s\ntwin:\n%s",
+					split, truncate(lateStr), truncate(twinStr))
+			}
+			if lateStr != wantStr {
+				t.Fatalf("split=%d: restored output differs from uninterrupted replay:\ngot:\n%s\nwant:\n%s",
+					split, truncate(lateStr), truncate(wantStr))
+			}
+			// Continuation check: the rows delivered before the restart
+			// plus the restored pipeline's post-restart rows must be
+			// exactly the uninterrupted sequence — the restored driver
+			// resumed, it did not re-derive or skip anything.
+			combined := append(append([]tvr.StreamRow{}, prefixRows...), lateRows[len(prefixRows):]...)
+			if got := tvr.FormatStreamTable(late.Schema(), combined); got != wantStr {
+				t.Fatalf("split=%d: pre-restart + post-restart delta concatenation differs from replay", split)
+			}
+		}
+	})
 }
 
 // TestCheckpointRestoreTable: a Table-mode standing query survives restart —

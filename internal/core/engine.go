@@ -31,11 +31,10 @@ import (
 // the live manager's ordering lock so standing queries observe changes in
 // commit order.
 type Engine struct {
-	mu     sync.RWMutex
-	rels   map[string]*relation
-	cfg    plan.Config
-	live   *live.Manager
-	shards int // live fan-out shard workers; 0 = serial (see WithShards)
+	mu   sync.RWMutex
+	rels map[string]*relation
+	cfg  plan.Config
+	live *live.Manager
 
 	// wal, when attached, receives every committed change before it is
 	// applied or fanned out; walSeq is the last committed sequence number
@@ -83,17 +82,6 @@ func WithUnboundedGroupBy() Option {
 	return func(e *Engine) { e.cfg.AllowUnboundedGroupBy = true }
 }
 
-// WithShards enables the sharded ingest subsystem for standing queries: n
-// shard workers fan committed changes out to resident sessions off the
-// committing goroutine, each session pinned to one shard, per-shard strictly
-// in commit order (delta sequences stay byte-identical to the serial
-// fan-out). 0 (the default) keeps the serial fan-out on the publisher's
-// goroutine. One-shot queries and checkpoints quiesce the shards first, so
-// read-your-writes is preserved either way.
-func WithShards(n int) Option {
-	return func(e *Engine) { e.shards = n }
-}
-
 // WithFS routes the data directory's I/O (Open's sweep, stat, restore and
 // log replay, the write-ahead log, and every Checkpoint) through fsys
 // instead of the real filesystem: the fault-injection seam.
@@ -116,21 +104,13 @@ func NewEngine(opts ...Option) *Engine {
 		e.metrics = newEngineMetrics(e.obsReg)
 		e.tracer = obs.NewCommitTracer(e.obsReg, e.slowCommit)
 	}
-	e.live = live.NewManagerWith(live.Options{Shards: e.shards, Obs: e.obsReg})
+	e.live = live.NewManagerWith(live.Options{Obs: e.obsReg})
 	return e
 }
 
-// Quiesce blocks until every change acknowledged before the call has been
-// applied to all standing queries — the read-your-writes barrier when the
-// sharded fan-out is enabled. A no-op on a serial-fan-out engine.
-func (e *Engine) Quiesce() { e.live.Quiesce() }
-
-// Close drains and stops the sharded fan-out workers (a no-op on a
-// serial-fan-out engine), then closes the write-ahead log if one is
-// attached. Call after publishing has stopped; standing subscriptions are
-// not canceled.
+// Close closes the write-ahead log if one is attached. Call after
+// publishing has stopped; standing subscriptions are not canceled.
 func (e *Engine) Close() {
-	e.live.Close()
 	if e.wal != nil {
 		// Every acknowledged commit is already as durable as the sync
 		// policy promised; a failed final sync has no caller to refuse.
@@ -243,10 +223,10 @@ func (c Commits) register(name string, schema *types.Schema, unbounded bool) err
 // nothing.
 //
 // A commit-path span is carried when tracing is enabled: validate and WAL
-// stages are timed inside applyLog, sequence/enqueue by the manager,
-// apply/render/deliver inside each session. The span finalizes — recording
-// histograms and possibly the slow-commit log line — when the last
-// participant (the publisher, or the last shard worker) releases it.
+// stages are timed inside applyLog, sequence by the manager,
+// apply/render/deliver inside each session. The span finishes — recording
+// histograms and possibly the slow-commit log line — before AppendLog
+// returns.
 func (e *Engine) AppendLog(name string, log tvr.Changelog) error {
 	return e.Before(time.Time{}).AppendLog(name, log)
 }
@@ -470,11 +450,6 @@ func (e *Engine) run(sql string, at types.Time, mode live.Mode) (*reading, error
 }
 
 func (e *Engine) runInner(sql string, at types.Time, mode live.Mode) (*reading, error) {
-	// Read-your-writes: under the sharded fan-out an acknowledged change may
-	// still be in a shard queue; one-shot queries read the recorded catalog
-	// logs, which the commit already updated, but quiescing first also keeps
-	// "query result" and "what subscriptions have seen" at one commit point.
-	e.live.Quiesce()
 	pq, err := e.plan(sql)
 	if err != nil {
 		return nil, err
@@ -517,8 +492,9 @@ const replayNotInert = "not_inert"
 // Why that cut is what a replay up to at collects is the read contract in
 // package live. Unless the plan is close-inert and the session qualifies,
 // replay names why the caller must replay. The read takes no ordering lock:
-// after the caller's Quiesce, the retained output reflects every commit
-// acknowledged before the read began.
+// the fan-out appends a commit's output before the commit is acknowledged,
+// so the retained output reflects every commit acknowledged before the read
+// began.
 func (e *Engine) residentRead(pq *plan.PlannedQuery, at types.Time, mode live.Mode, r *reading) (replay string, err error) {
 	if !closeInert(pq) {
 		return replayNotInert, nil

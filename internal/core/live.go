@@ -10,7 +10,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/shard"
 	"repro/internal/types"
 )
 
@@ -189,10 +188,4 @@ func (e *Engine) LiveSessions() int {
 // all resident pipelines.
 func (e *Engine) LiveSubscribers() int {
 	return e.live.Subscribers()
-}
-
-// ShardStats snapshots the sharded fan-out's per-shard queue depth and lag,
-// or nil when the engine runs the serial fan-out (see WithShards). Lock-free.
-func (e *Engine) ShardStats() []shard.Stat {
-	return e.live.ShardStats()
 }

@@ -57,31 +57,6 @@ func newBidEngine(t testing.TB) *core.Engine {
 	return e
 }
 
-// shardOpts are the engine options of a parts=N subtest: parts=1 keeps the
-// serial fan-out, a larger count partitions the resident pipelines across
-// that many shard workers.
-func shardOpts(parts int) []core.Option {
-	if parts == 1 {
-		return nil
-	}
-	return []core.Option{core.WithShards(parts)}
-}
-
-// partsEngine is newBidEngine for a parts=N subtest; the shard workers, if
-// any, stop when the test ends.
-func partsEngine(t testing.TB, parts int) *core.Engine {
-	t.Helper()
-	e := core.NewEngine(shardOpts(parts)...)
-	t.Cleanup(e.Close)
-	if got := len(e.ShardStats()); parts > 1 && got != parts {
-		t.Fatalf("%d shards, want %d", got, parts)
-	}
-	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // ingestEvent commits one recorded changelog event on its own.
 func ingestEvent(t testing.TB, e *core.Engine, name string, ev tvr.Event) {
 	t.Helper()
@@ -94,13 +69,13 @@ func ingestEvent(t testing.TB, e *core.Engine, name string, ev tvr.Event) {
 }
 
 // twinEngine is the second engine a dedicated twin subscribes on: a
-// partsEngine fed log, the Bid changelog so far, in one commit. A
+// newBidEngine fed log, the Bid changelog so far, in one commit. A
 // subscription on it compiles its own pipeline and replays that history, as
 // one that shares nothing does; the test then feeds it the commits it feeds
 // the engine under test.
-func twinEngine(t testing.TB, parts int, log tvr.Changelog) *core.Engine {
+func twinEngine(t testing.TB, log tvr.Changelog) *core.Engine {
 	t.Helper()
-	e := partsEngine(t, parts)
+	e := newBidEngine(t)
 	if len(log) > 0 {
 		if err := e.AppendLog("Bid", log); err != nil {
 			t.Fatal(err)
@@ -124,65 +99,62 @@ func collectStream(sub *live.Subscription, final *live.Delta) []tvr.StreamRow {
 // TestLiveStreamMatchesReplay is the subsystem's core guarantee: subscribe,
 // ingest the changelog event by event (half of it before subscribing, to
 // exercise the history-replay handoff), close, and the concatenated delta
-// sequence is byte-identical to QueryStream replay over the full log — on
-// the serial fan-out and on a sharded one.
+// sequence is byte-identical to QueryStream replay over the full log.
 func TestLiveStreamMatchesReplay(t *testing.T) {
-	g := liveData(t)
-	for _, parts := range []int{1, 4} {
-		parts := parts
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			// Replay rendering of the full recorded changelog.
-			replayEngine := newBidEngine(t)
-			if err := replayEngine.AppendLog("Bid", g.Bids); err != nil {
-				t.Fatal(err)
-			}
-			want, err := replayEngine.QueryStream(liveBidQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("parts=1", func(t *testing.T) {
+		g := liveData(t)
+		// Replay rendering of the full recorded changelog.
+		replayEngine := newBidEngine(t)
+		if err := replayEngine.AppendLog("Bid", g.Bids); err != nil {
+			t.Fatal(err)
+		}
+		want, err := replayEngine.QueryStream(liveBidQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Live: ingest the first half as history, subscribe, then feed
-			// the second half event by event.
-			liveEngine := partsEngine(t, parts)
-			half := len(g.Bids) / 2
-			if err := liveEngine.AppendLog("Bid", g.Bids[:half]); err != nil {
-				t.Fatal(err)
-			}
-			sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range g.Bids[half:] {
-				ingestEvent(t, liveEngine, "Bid", ev)
-			}
-			liveEngine.Quiesce() // sharded fan-out applies changes asynchronously
-			st := sub.Stats()
-			if st.EventsIn != int64(len(g.Bids)) {
-				t.Errorf("EventsIn = %d, want %d", st.EventsIn, len(g.Bids))
-			}
-			final, err := sub.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectStream(sub, final)
+		// Live: ingest the first half as history, subscribe, then feed
+		// the second half event by event.
+		liveEngine := newBidEngine(t)
+		half := len(g.Bids) / 2
+		if err := liveEngine.AppendLog("Bid", g.Bids[:half]); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := liveEngine.SubscribeStream(liveBidQuery, core.SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range g.Bids[half:] {
+			ingestEvent(t, liveEngine, "Bid", ev)
+		}
+		st := sub.Stats()
+		if st.EventsIn != int64(len(g.Bids)) {
+			t.Errorf("EventsIn = %d, want %d", st.EventsIn, len(g.Bids))
+		}
+		final, err := sub.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collectStream(sub, final)
 
-			gotStr := tvr.FormatStreamTable(sub.Schema(), got)
-			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
-			if gotStr != wantStr {
-				t.Fatalf("live delta sequence differs from replay:\nlive (%d rows):\n%s\nreplay (%d rows):\n%s",
-					len(got), truncate(gotStr), len(want.Rows), truncate(wantStr))
-			}
-			if len(got) == 0 {
-				t.Fatal("no deltas delivered; test is vacuous")
-			}
-			if sub.Err() != nil {
-				t.Errorf("Err after graceful close = %v", sub.Err())
-			}
-			if liveEngine.LiveSessions() != 0 {
-				t.Errorf("%d sessions still registered after close", liveEngine.LiveSessions())
-			}
-		})
-	}
+		gotStr := tvr.FormatStreamTable(sub.Schema(), got)
+		wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
+		if gotStr != wantStr {
+			t.Fatalf("live delta sequence differs from replay:\nlive (%d rows):\n%s\nreplay (%d rows):\n%s",
+				len(got), truncate(gotStr), len(want.Rows), truncate(wantStr))
+		}
+		if len(got) == 0 {
+			t.Fatal("no deltas delivered; test is vacuous")
+		}
+		if sub.Err() != nil {
+			t.Errorf("Err after graceful close = %v", sub.Err())
+		}
+		if liveEngine.LiveSessions() != 0 {
+			t.Errorf("%d sessions still registered after close", liveEngine.LiveSessions())
+		}
+	})
 }
 
 // TestLiveStreamLateData pins down the late-data behaviour rather than
@@ -553,245 +525,238 @@ func TestPlanKeyRespectsStringLiterals(t *testing.T) {
 // mode, opened at the same instant on a second engine of its own that is fed
 // the same commits. All shared readers must land on one pipeline, and every
 // reader's concatenated deltas — snapshot hand-off included — must equal its
-// dedicated twin's and a post-hoc QueryStream
-// replay (a stream reader) or the fold of it (a table reader), on the
-// serial fan-out and on a sharded one. A final far-future watermark
-// completes all windows before closing, so close-time flushes are empty and
-// the property covers every reader, not just the last closer.
+// dedicated twin's and a post-hoc QueryStream replay (a stream reader) or
+// the fold of it (a table reader). A final far-future watermark completes
+// all windows before closing, so close-time flushes are empty and the
+// property covers every reader, not just the last closer.
 func TestSharedPlanMatchesDedicatedAndReplay(t *testing.T) {
-	g := liveData(t)
-	last := g.Bids[len(g.Bids)-1]
-	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
-	readers := []reader{
-		{sql: liveBidQuery},
-		{sql: strings.Join(strings.Fields(liveBidQuery), " "), table: true},
-		{sql: keywordCase.Replace(liveBidQuery)},
-		{sql: strings.ReplaceAll(liveBidQuery, "TB", "W"), table: true},
-	}
-	for _, parts := range []int{1, 4} {
-		parts := parts
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			replayEngine := newBidEngine(t)
-			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := replayEngine.QueryStream(liveBidQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
-			wantRel := tvr.NewRelation()
-			for _, r := range want.Rows {
-				if r.Undo {
-					if err := wantRel.Delete(r.Row); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					wantRel.Insert(r.Row)
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("parts=1", func(t *testing.T) {
+		g := liveData(t)
+		last := g.Bids[len(g.Bids)-1]
+		finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+		readers := []reader{
+			{sql: liveBidQuery},
+			{sql: strings.Join(strings.Fields(liveBidQuery), " "), table: true},
+			{sql: keywordCase.Replace(liveBidQuery)},
+			{sql: strings.ReplaceAll(liveBidQuery, "TB", "W"), table: true},
+		}
+		replayEngine := newBidEngine(t)
+		if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := replayEngine.QueryStream(liveBidQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
+		wantRel := tvr.NewRelation()
+		for _, r := range want.Rows {
+			if r.Undo {
+				if err := wantRel.Delete(r.Row); err != nil {
+					t.Fatal(err)
 				}
+			} else {
+				wantRel.Insert(r.Row)
 			}
+		}
 
-			e := partsEngine(t, parts)
-			rng := rand.New(rand.NewSource(int64(31 * parts)))
-			attachAt := []int{0, len(g.Bids) / 3, 2 * len(g.Bids) / 3}
-			opts := core.SubscribeOptions{}
-			type pair struct {
-				reader
-				shared, dedicated *live.Subscription
-			}
-			var pairs []pair
-			engines := []*core.Engine{e} // e and every twin's engine
-			appendLog := func(log tvr.Changelog) {
-				t.Helper()
-				for _, e := range engines {
-					if err := e.AppendLog("Bid", log); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			i, next := 0, 0
-			for i <= len(g.Bids) {
-				for next < len(attachAt) && attachAt[next] <= i {
-					for _, r := range readers {
-						twin := twinEngine(t, parts, g.Bids[:i])
-						engines = append(engines, twin)
-						pairs = append(pairs, pair{r, r.subscribe(t, e, opts), r.subscribe(t, twin, opts)})
-					}
-					next++
-				}
-				if i == len(g.Bids) {
-					break
-				}
-				// Random ptime-axis Feed split.
-				end := i + 1 + rng.Intn(8)
-				if end > len(g.Bids) {
-					end = len(g.Bids)
-				}
-				appendLog(g.Bids[i:end])
-				i = end
-			}
-			appendLog(tvr.Changelog{finalWM})
-			// One resident pipeline serves all shared readers.
-			if k := len(pairs); e.LiveSessions() != 1 || e.LiveSubscribers() != k {
-				t.Fatalf("sessions=%d subscribers=%d, want 1/%d", e.LiveSessions(), e.LiveSubscribers(), k)
-			}
-			// Close shared cursors in attach order (only the last completes
-			// the pipeline), and every twin, once every commit is applied.
+		e := newBidEngine(t)
+		rng := rand.New(rand.NewSource(31))
+		attachAt := []int{0, len(g.Bids) / 3, 2 * len(g.Bids) / 3}
+		opts := core.SubscribeOptions{}
+		type pair struct {
+			reader
+			shared, dedicated *live.Subscription
+		}
+		var pairs []pair
+		engines := []*core.Engine{e} // e and every twin's engine
+		appendLog := func(log tvr.Changelog) {
+			t.Helper()
 			for _, e := range engines {
-				e.Quiesce()
-			}
-			for pi, p := range pairs {
-				got, twin := closeDeltas(t, p.shared), closeDeltas(t, p.dedicated)
-				if a, b := formatDeltas(p.shared.Schema(), got), formatDeltas(p.shared.Schema(), twin); fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("pair %d (table=%v) shared reader differs from its dedicated twin:\n%s\nwant:\n%s",
-						pi, p.table, truncate(fmt.Sprint(a)), truncate(fmt.Sprint(b)))
-				}
-				if p.table {
-					if rel := foldDiffs(t, got); !rel.Equal(wantRel) {
-						t.Fatalf("pair %d table reader folds to\n%s\nwant the fold of the replay\n%s",
-							pi, truncate(rel.String()), truncate(wantRel.String()))
-					}
-					continue
-				}
-				var rows []tvr.StreamRow
-				for _, d := range got {
-					rows = append(rows, d.Stream...)
-				}
-				if got := tvr.FormatStreamTable(p.shared.Schema(), rows); got != wantStr {
-					t.Fatalf("pair %d stream reader differs from replay:\ngot (%d rows):\n%s\nwant (%d rows):\n%s",
-						pi, len(rows), truncate(got), len(want.Rows), truncate(wantStr))
+				if err := e.AppendLog("Bid", log); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if e.LiveSessions() != 0 {
-				t.Fatalf("%d sessions left after closing every subscriber", e.LiveSessions())
+		}
+		i, next := 0, 0
+		for i <= len(g.Bids) {
+			for next < len(attachAt) && attachAt[next] <= i {
+				for _, r := range readers {
+					twin := twinEngine(t, g.Bids[:i])
+					engines = append(engines, twin)
+					pairs = append(pairs, pair{r, r.subscribe(t, e, opts), r.subscribe(t, twin, opts)})
+				}
+				next++
 			}
-		})
-	}
+			if i == len(g.Bids) {
+				break
+			}
+			// Random ptime-axis Feed split.
+			end := i + 1 + rng.Intn(8)
+			if end > len(g.Bids) {
+				end = len(g.Bids)
+			}
+			appendLog(g.Bids[i:end])
+			i = end
+		}
+		appendLog(tvr.Changelog{finalWM})
+		// One resident pipeline serves all shared readers.
+		if k := len(pairs); e.LiveSessions() != 1 || e.LiveSubscribers() != k {
+			t.Fatalf("sessions=%d subscribers=%d, want 1/%d", e.LiveSessions(), e.LiveSubscribers(), k)
+		}
+		// Close shared cursors in attach order (only the last completes
+		// the pipeline), and every twin.
+		for pi, p := range pairs {
+			got, twin := closeDeltas(t, p.shared), closeDeltas(t, p.dedicated)
+			if a, b := formatDeltas(p.shared.Schema(), got), formatDeltas(p.shared.Schema(), twin); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("pair %d (table=%v) shared reader differs from its dedicated twin:\n%s\nwant:\n%s",
+					pi, p.table, truncate(fmt.Sprint(a)), truncate(fmt.Sprint(b)))
+			}
+			if p.table {
+				if rel := foldDiffs(t, got); !rel.Equal(wantRel) {
+					t.Fatalf("pair %d table reader folds to\n%s\nwant the fold of the replay\n%s",
+						pi, truncate(rel.String()), truncate(wantRel.String()))
+				}
+				continue
+			}
+			var rows []tvr.StreamRow
+			for _, d := range got {
+				rows = append(rows, d.Stream...)
+			}
+			if got := tvr.FormatStreamTable(p.shared.Schema(), rows); got != wantStr {
+				t.Fatalf("pair %d stream reader differs from replay:\ngot (%d rows):\n%s\nwant (%d rows):\n%s",
+					pi, len(rows), truncate(got), len(want.Rows), truncate(wantStr))
+			}
+		}
+		if e.LiveSessions() != 0 {
+			t.Fatalf("%d sessions left after closing every subscriber", e.LiveSessions())
+		}
+	})
 }
 
 // TestSharedPlanOverflowSuccessor: a late subscriber of a plan whose
 // resident session released its output at its retain cap gets a successor
-// session, built under its own options, on the serial fan-out and on a
-// sharded one. Each step is held to a second engine fed the same commits:
-// the successor's hand-off equals a subscription there, the predecessor's
-// cursor keeps receiving what the subscription there that was opened with it
-// receives, and table reads are served from the successor (no overflow
-// replay), also after the predecessor tears down with its last cursor. A
-// late subscriber whose own cap is too small still gets
-// live.ErrRetainedOverflow and leaves no pipeline behind.
+// session, built under its own options. Each step is held to a second engine
+// fed the same commits: the successor's hand-off equals a subscription
+// there, the predecessor's cursor keeps receiving what the subscription
+// there that was opened with it receives, and table reads are served from
+// the successor (no overflow replay), also after the predecessor tears down
+// with its last cursor. A late subscriber whose own cap is too small still
+// gets live.ErrRetainedOverflow and leaves no pipeline behind.
 func TestSharedPlanOverflowSuccessor(t *testing.T) {
-	g := liveData(t)
-	last := g.Bids[len(g.Bids)-1]
-	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
-	for _, parts := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			e := core.NewEngine(append(shardOpts(parts), core.WithObs(reg))...)
-			t.Cleanup(e.Close)
-			if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("parts=1", func(t *testing.T) {
+		g := liveData(t)
+		last := g.Bids[len(g.Bids)-1]
+		finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+		reg := obs.NewRegistry()
+		e := core.NewEngine(core.WithObs(reg))
+		t.Cleanup(e.Close)
+		if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+			t.Fatal(err)
+		}
+		twin := newBidEngine(t)
+		appendLog := func(log tvr.Changelog) {
+			t.Helper()
+			for _, e := range []*core.Engine{e, twin} {
+				if err := e.AppendLog("Bid", log); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		const maxRows = 8
+		opts := core.SubscribeOptions{}
+		capped := opts
+		capped.MaxRetainedRows = maxRows
+		subscribe := func(e *core.Engine, opts core.SubscribeOptions) *live.Subscription {
+			t.Helper()
+			sub, err := e.SubscribeStream(liveBidQuery, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			twin := partsEngine(t, parts)
-			appendLog := func(log tvr.Changelog) {
-				t.Helper()
-				for _, e := range []*core.Engine{e, twin} {
-					if err := e.AppendLog("Bid", log); err != nil {
-						t.Fatal(err)
-					}
-				}
+			return sub
+		}
+		pred, twinPred := subscribe(e, capped), subscribe(twin, opts)
+		rng := rand.New(rand.NewSource(1))
+		ingest := func(from, to int) {
+			for i := from; i < to; {
+				end := min(to, i+1+rng.Intn(8))
+				appendLog(g.Bids[i:end])
+				i = end
 			}
-			const maxRows = 8
-			opts := core.SubscribeOptions{}
-			capped := opts
-			capped.MaxRetainedRows = maxRows
-			subscribe := func(e *core.Engine, opts core.SubscribeOptions) *live.Subscription {
-				t.Helper()
-				sub, err := e.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sub
-			}
-			pred, twinPred := subscribe(e, capped), subscribe(twin, opts)
-			rng := rand.New(rand.NewSource(int64(parts)))
-			ingest := func(from, to int) {
-				for i := from; i < to; {
-					end := min(to, i+1+rng.Intn(8))
-					appendLog(g.Bids[i:end])
-					i = end
-				}
-			}
-			half := len(g.Bids) / 2
-			ingest(0, half)
-			e.Quiesce()
-			if st := pred.Stats(); st.RowsOut <= maxRows {
-				t.Fatalf("test needs more than %d output rows by mid-stream to overflow, got %d", maxRows, st.RowsOut)
-			}
+		}
+		half := len(g.Bids) / 2
+		ingest(0, half)
+		if st := pred.Stats(); st.RowsOut <= maxRows {
+			t.Fatalf("test needs more than %d output rows by mid-stream to overflow, got %d", maxRows, st.RowsOut)
+		}
 
-			if _, err := e.SubscribeStream(liveBidQuery, capped); !errors.Is(err, live.ErrRetainedOverflow) {
-				t.Fatalf("late subscribe under a cap the history overflows: err = %v, want ErrRetainedOverflow", err)
-			}
-			if n := e.LiveSessions(); n != 1 {
-				t.Fatalf("%d sessions after the refused subscribe, want 1", n)
-			}
-			succ, twinLate := subscribe(e, opts), subscribe(twin, opts)
-			if n := e.LiveSessions(); n != 2 || succ.Stats().PipelineID == pred.Stats().PipelineID {
-				t.Fatalf("%d sessions, pipelines %d and %d: want a successor beside the predecessor",
-					n, pred.Stats().PipelineID, succ.Stats().PipelineID)
-			}
-			format := func(rows []tvr.StreamRow) string { return tvr.FormatStreamTable(succ.Schema(), rows) }
-			if got, want := format(collectPending(t, succ, 0)), format(collectPending(t, twinLate, 0)); got != want || got == format(nil) {
-				t.Fatalf("successor hand-off differs from a subscription on a second engine:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
-			}
+		if _, err := e.SubscribeStream(liveBidQuery, capped); !errors.Is(err, live.ErrRetainedOverflow) {
+			t.Fatalf("late subscribe under a cap the history overflows: err = %v, want ErrRetainedOverflow", err)
+		}
+		if n := e.LiveSessions(); n != 1 {
+			t.Fatalf("%d sessions after the refused subscribe, want 1", n)
+		}
+		succ, twinLate := subscribe(e, opts), subscribe(twin, opts)
+		if n := e.LiveSessions(); n != 2 || succ.Stats().PipelineID == pred.Stats().PipelineID {
+			t.Fatalf("%d sessions, pipelines %d and %d: want a successor beside the predecessor",
+				n, pred.Stats().PipelineID, succ.Stats().PipelineID)
+		}
+		format := func(rows []tvr.StreamRow) string { return tvr.FormatStreamTable(succ.Schema(), rows) }
+		if got, want := format(collectPending(t, succ, 0)), format(collectPending(t, twinLate, 0)); got != want || got == format(nil) {
+			t.Fatalf("successor hand-off differs from a subscription on a second engine:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+		}
 
-			ingest(half, len(g.Bids))
-			appendLog(tvr.Changelog{finalWM})
-			tableRead := func(when string) {
-				t.Helper()
-				served, overflowed := residentReads(reg), replayReads(reg, live.ReplayOverflow)
-				got, err := e.QueryTable(liveBidQuery, types.MaxTime)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := twin.QueryTable(liveBidQuery, types.MaxTime)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Format() != want.Format() {
-					t.Fatalf("%s: table read differs from the second engine's:\ngot:\n%s\nwant:\n%s", when, truncate(got.Format()), truncate(want.Format()))
-				}
-				if residentReads(reg)-served != 1 || replayReads(reg, live.ReplayOverflow) != overflowed {
-					t.Fatalf("%s: table read not served from the successor (resident %+d, overflow replays %+d)",
-						when, residentReads(reg)-served, replayReads(reg, live.ReplayOverflow)-overflowed)
-				}
+		ingest(half, len(g.Bids))
+		appendLog(tvr.Changelog{finalWM})
+		tableRead := func(when string) {
+			t.Helper()
+			served, overflowed := residentReads(reg), replayReads(reg, live.ReplayOverflow)
+			got, err := e.QueryTable(liveBidQuery, types.MaxTime)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tableRead("beside the predecessor")
+			want, err := twin.QueryTable(liveBidQuery, types.MaxTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Format() != want.Format() {
+				t.Fatalf("%s: table read differs from the second engine's:\ngot:\n%s\nwant:\n%s", when, truncate(got.Format()), truncate(want.Format()))
+			}
+			if residentReads(reg)-served != 1 || replayReads(reg, live.ReplayOverflow) != overflowed {
+				t.Fatalf("%s: table read not served from the successor (resident %+d, overflow replays %+d)",
+					when, residentReads(reg)-served, replayReads(reg, live.ReplayOverflow)-overflowed)
+			}
+		}
+		tableRead("beside the predecessor")
 
-			closeRows := func(sub *live.Subscription) string {
-				t.Helper()
-				final, err := sub.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return format(collectStream(sub, final))
+		closeRows := func(sub *live.Subscription) string {
+			t.Helper()
+			final, err := sub.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := closeRows(pred), closeRows(twinPred); got != want {
-				t.Fatalf("predecessor's cursor differs from the second engine's subscription:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
-			}
-			if n := e.LiveSessions(); n != 1 {
-				t.Fatalf("%d sessions after the predecessor's last cursor closed, want the successor alone", n)
-			}
-			tableRead("after the predecessor tore down")
-			if got, want := closeRows(succ), closeRows(twinLate); got != want {
-				t.Fatalf("successor's live deltas differ from the second engine's:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
-			}
-		})
-	}
+			return format(collectStream(sub, final))
+		}
+		if got, want := closeRows(pred), closeRows(twinPred); got != want {
+			t.Fatalf("predecessor's cursor differs from the second engine's subscription:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+		}
+		if n := e.LiveSessions(); n != 1 {
+			t.Fatalf("%d sessions after the predecessor's last cursor closed, want the successor alone", n)
+		}
+		tableRead("after the predecessor tore down")
+		if got, want := closeRows(succ), closeRows(twinLate); got != want {
+			t.Fatalf("successor's live deltas differ from the second engine's:\ngot:\n%s\nwant:\n%s", truncate(got), truncate(want))
+		}
+	})
 }
 
 // receiveOwed receives every delta owed to sub beyond the read it has
 // already received. DeltasOut counts a delivery as it is appended, so call
-// it with the engine quiescent.
+// it once the commits it should see have returned.
 func receiveOwed(t *testing.T, sub *live.Subscription, read int) []live.Delta {
 	t.Helper()
 	var ds []live.Delta
@@ -1043,8 +1008,8 @@ func waitForGoroutines(t *testing.T, base int) {
 // TestFailedRegisterReleasesPartitionedWorkers is the failed-subscribe leak
 // regression: live.NewSession has already Start()ed the driver, so a
 // registration that fails in the history snapshot must cancel the
-// session — completing the driver and registering nothing — and the
-// manager's shard workers must still stop cleanly on Close.
+// session — completing the driver and registering nothing — and leak no
+// goroutine.
 func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 	e := newBidEngine(t)
 	boom := errors.New("history snapshot failed")
@@ -1062,7 +1027,7 @@ func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := live.NewManagerWith(live.Options{Shards: 4})
+		m := live.NewManagerWith(live.Options{})
 		if _, err := m.Subscribe("", live.CursorOpts{}, func() (*live.Session, error) { return sess, nil },
 			func() ([]exec.Source, error) { return nil, boom }); !errors.Is(err, boom) {
 			t.Fatalf("Subscribe error = %v, want %v", err, boom)
@@ -1073,7 +1038,6 @@ func TestFailedRegisterReleasesPartitionedWorkers(t *testing.T) {
 		if err := p.Close(); err == nil {
 			t.Fatal("failed Register left the started pipeline open")
 		}
-		m.Close()
 	}
 	waitForGoroutines(t, base)
 }

@@ -9,7 +9,7 @@ import (
 
 // WithObs attaches a metrics registry to the engine: the engine_*,
 // checkpoint_*, and commit_* families register here, and the registry is
-// threaded into the live manager (live_*, exec_*, shard_*) and, by Open,
+// threaded into the live manager (live_*, exec_*) and, by Open,
 // into the write-ahead log (wal_*), so one scrape covers every layer. Without this option the engine records nothing and the hot
 // paths pay only nil checks.
 func WithObs(reg *obs.Registry) Option {

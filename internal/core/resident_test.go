@@ -81,14 +81,10 @@ EMIT AFTER DELAY INTERVAL '2' SECONDS`},
 }
 
 // residentEngine registers the Auction and Bid streams and the Category
-// table. shards > 0 enables the sharded fan-out; reg, when non-nil, carries
-// the engine's metrics.
-func residentEngine(t testing.TB, shards int, reg *obs.Registry) *core.Engine {
+// table. reg, when non-nil, carries the engine's metrics.
+func residentEngine(t testing.TB, reg *obs.Registry) *core.Engine {
 	t.Helper()
 	opts := []core.Option{core.WithUnboundedGroupBy()}
-	if shards > 0 {
-		opts = append(opts, core.WithShards(shards))
-	}
 	if reg != nil {
 		opts = append(opts, core.WithObs(reg))
 	}
@@ -314,69 +310,69 @@ func randomReads(t *testing.T, rng *rand.Rand, twin *core.Engine, q residentQuer
 // exactly for the close-inert queries whose session was fed in merge order
 // — after the injected reorder, no longer for Q4.
 func TestResidentReadMatchesReplay(t *testing.T) {
-	queries := residentQueries(t)
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(7 + shards)))
-			commits := residentWorkload(rng)
-			reg := obs.NewRegistry()
-			live := residentEngine(t, shards, reg)
-			twin := residentEngine(t, 0, nil)
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("shards=0", func(t *testing.T) {
+		queries := residentQueries(t)
+		rng := rand.New(rand.NewSource(7))
+		commits := residentWorkload(rng)
+		reg := obs.NewRegistry()
+		live := residentEngine(t, reg)
+		twin := residentEngine(t, nil)
 
-			subscribeAt := len(commits) / 4
-			disordered := false
-			pt := types.Time(0)
-			reads := 0
-			for k, c := range commits {
-				if k == subscribeAt {
-					for _, q := range queries {
-						sql, subscribe := q.sql, live.SubscribeStream
-						if q.subscribe != "" {
-							sql = q.subscribe
-						}
-						if q.table {
-							subscribe = live.SubscribeTable
-						}
-						sub, err := subscribe(sql, core.SubscribeOptions{})
-						if err != nil {
-							t.Fatalf("subscribe %s: %v", q.name, err)
-						}
-						t.Cleanup(sub.Cancel)
-					}
-				}
-				for _, e := range []*core.Engine{live, twin} {
-					if err := e.AppendLog(c.rel, c.log); err != nil {
-						t.Fatalf("commit %d to %s: %v", k, c.rel, err)
-					}
-				}
-				disordered = disordered || c.reorders
-				pt = max(pt, c.log[len(c.log)-1].Ptime)
-				if rng.Intn(5) == 0 {
-					for _, e := range []*core.Engine{live, twin} {
-						if err := e.Heartbeat(pt); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if k < subscribeAt || rng.Intn(10) != 0 && k != len(commits)-1 {
-					continue
-				}
+		subscribeAt := len(commits) / 4
+		disordered := false
+		pt := types.Time(0)
+		reads := 0
+		for k, c := range commits {
+			if k == subscribeAt {
 				for _, q := range queries {
-					served := q.resident && !(q.scansBoth && disordered)
-					for _, r := range randomReads(t, rng, twin, q, pt) {
-						n := checkRead(t, live, twin, reg, q, r, served)
-						if k == len(commits)-1 && r.at == types.MaxTime && n == 0 {
-							t.Errorf("%s %s: empty final result; the comparison is vacuous", q.name, r)
-						}
+					sql, subscribe := q.sql, live.SubscribeStream
+					if q.subscribe != "" {
+						sql = q.subscribe
+					}
+					if q.table {
+						subscribe = live.SubscribeTable
+					}
+					sub, err := subscribe(sql, core.SubscribeOptions{})
+					if err != nil {
+						t.Fatalf("subscribe %s: %v", q.name, err)
+					}
+					t.Cleanup(sub.Cancel)
+				}
+			}
+			for _, e := range []*core.Engine{live, twin} {
+				if err := e.AppendLog(c.rel, c.log); err != nil {
+					t.Fatalf("commit %d to %s: %v", k, c.rel, err)
+				}
+			}
+			disordered = disordered || c.reorders
+			pt = max(pt, c.log[len(c.log)-1].Ptime)
+			if rng.Intn(5) == 0 {
+				for _, e := range []*core.Engine{live, twin} {
+					if err := e.Heartbeat(pt); err != nil {
+						t.Fatal(err)
 					}
 				}
-				reads++
 			}
-			if !disordered || reads < 5 {
-				t.Fatalf("workload exercised too little: disordered=%v, %d read points", disordered, reads)
+			if k < subscribeAt || rng.Intn(10) != 0 && k != len(commits)-1 {
+				continue
 			}
-		})
-	}
+			for _, q := range queries {
+				served := q.resident && !(q.scansBoth && disordered)
+				for _, r := range randomReads(t, rng, twin, q, pt) {
+					n := checkRead(t, live, twin, reg, q, r, served)
+					if k == len(commits)-1 && r.at == types.MaxTime && n == 0 {
+						t.Errorf("%s %s: empty final result; the comparison is vacuous", q.name, r)
+					}
+				}
+			}
+			reads++
+		}
+		if !disordered || reads < 5 {
+			t.Fatalf("workload exercised too little: disordered=%v, %d read points", disordered, reads)
+		}
+	})
 }
 
 // TestResidentTableReadFoldsOnlyNewOutput pins the fold a resident session
@@ -391,8 +387,8 @@ func TestResidentReadMatchesReplay(t *testing.T) {
 func TestResidentTableReadFoldsOnlyNewOutput(t *testing.T) {
 	q := residentQuery{name: "max-per-auction", sql: `SELECT auction, MAX(price) AS top FROM Bid GROUP BY auction`}
 	reg := obs.NewRegistry()
-	live := residentEngine(t, 0, reg)
-	twin := residentEngine(t, 0, nil)
+	live := residentEngine(t, reg)
+	twin := residentEngine(t, nil)
 	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -460,8 +456,8 @@ func TestResidentTableReadFoldsOnlyNewOutput(t *testing.T) {
 func TestResidentReadFailsOnAbsentRetraction(t *testing.T) {
 	q := residentQuery{name: "passthrough", sql: `SELECT auction, price FROM Bid`}
 	reg := obs.NewRegistry()
-	live := residentEngine(t, 0, reg)
-	twin := residentEngine(t, 0, nil)
+	live := residentEngine(t, reg)
+	twin := residentEngine(t, nil)
 	sub, err := live.SubscribeStream(q.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -504,8 +500,8 @@ func TestResidentReadFallsBackAfterReorder(t *testing.T) {
 	queries := residentQueries(t)
 	q4 := queries[0]
 	reg := obs.NewRegistry()
-	live := residentEngine(t, 0, reg)
-	twin := residentEngine(t, 0, nil)
+	live := residentEngine(t, reg)
+	twin := residentEngine(t, nil)
 	sub, err := live.SubscribeStream(q4.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -540,8 +536,8 @@ func TestResidentReadFallsBackAfterReorder(t *testing.T) {
 func TestResidentReadFallsBackAfterRestore(t *testing.T) {
 	q := residentQueries(t)[1] // the filter
 	reg := obs.NewRegistry()
-	e := residentEngine(t, 0, reg)
-	twin := residentEngine(t, 0, nil)
+	e := residentEngine(t, reg)
+	twin := residentEngine(t, nil)
 	sub, err := e.SubscribeStream(q.sql, core.SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -581,8 +577,8 @@ func TestResidentReadReplayReasons(t *testing.T) {
 	queries := residentQueries(t)
 	filter, delay := queries[1], queries[7]
 	reg := obs.NewRegistry()
-	live := residentEngine(t, 0, reg)
-	twin := residentEngine(t, 0, nil)
+	live := residentEngine(t, reg)
+	twin := residentEngine(t, nil)
 	for _, sub := range []struct {
 		sql     string
 		maxRows int
@@ -618,8 +614,8 @@ func TestResidentReadReplayReasons(t *testing.T) {
 	}
 }
 
-// TestResidentReadDuringCommits race-checks the quiesce-then-read path: a
-// goroutine commits bids through a sharded engine while three table readers
+// TestResidentReadDuringCommits race-checks the lock-free read path: a
+// goroutine commits bids through an engine while three table readers
 // run beside it, extending and sharing the session's fold. Every read must
 // be answered from the resident pipeline and equal the replay after some
 // whole commit — never a partial one — no earlier than the last commit
@@ -659,7 +655,7 @@ func TestResidentReadDuringCommits(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	e := core.NewEngine(core.WithShards(4), core.WithObs(reg))
+	e := core.NewEngine(core.WithObs(reg))
 	t.Cleanup(e.Close)
 	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ package core_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,9 +41,9 @@ func walBidEngine(t *testing.T, dataDir string, opts ...core.Option) *core.Engin
 
 // recoverEngine reopens a crashed engine's data directory through
 // core.Open: restore the snapshot, replay the WAL tail.
-func recoverEngine(t *testing.T, dataDir string, opts ...core.Option) (*core.Engine, wal.ReplayInfo) {
+func recoverEngine(t *testing.T, dataDir string) (*core.Engine, wal.ReplayInfo) {
 	t.Helper()
-	r, rec, err := core.Open(dataDir, wal.Options{}, opts...)
+	r, rec, err := core.Open(dataDir, wal.Options{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -58,141 +57,140 @@ func recoverEngine(t *testing.T, dataDir string, opts ...core.Option) (*core.Eng
 // snapshot to survive — nothing is rewound — and (b) a late attacher to the
 // recovered resident pipeline to be byte-identical to a dedicated twin on a
 // second engine fed the recovered changelog and to the uninterrupted
-// replay, on the serial fan-out and on a sharded one.
+// replay.
 // Odd split indexes truncate the log after the snapshot; on even ones the
 // truncation fails (a crash between snapshot and truncation leaves the same
 // directory), so recovery must skip the already-covered records by
 // sequence number.
 func TestWALRecoveryLive(t *testing.T) {
-	g := liveData(t)
-	last := g.Bids[len(g.Bids)-1]
-	finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
-	for _, parts := range []int{1, 4} {
-		parts := parts
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			// Uninterrupted reference: post-hoc replay over the full log.
-			replayEngine := newBidEngine(t)
-			if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
-				t.Fatal(err)
+	// The subtest keeps the name the serial case had when a sharded
+	// fan-out ran beside it.
+	t.Run("parts=1", func(t *testing.T) {
+		g := liveData(t)
+		last := g.Bids[len(g.Bids)-1]
+		finalWM := tvr.WatermarkEvent(last.Ptime+1, last.Ptime+types.Time(1000*types.Second))
+		// Uninterrupted reference: post-hoc replay over the full log.
+		replayEngine := newBidEngine(t)
+		if err := replayEngine.AppendLog("Bid", append(append(tvr.Changelog{}, g.Bids...), finalWM)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := replayEngine.QueryStream(liveBidQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
+
+		rng := rand.New(rand.NewSource(11))
+		splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
+		opts := core.SubscribeOptions{}
+		for si, split := range splits {
+			dataDir := t.TempDir()
+			ffs := vfs.NewFault(vfs.Default)
+			if si%2 == 0 {
+				ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: "wal-"})
 			}
-			want, err := replayEngine.QueryStream(liveBidQuery)
+			e := walBidEngine(t, dataDir, core.WithFS(ffs))
+
+			early, err := e.SubscribeStream(liveBidQuery, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantStr := tvr.FormatStreamTable(want.Schema, want.Rows)
-
-			rng := rand.New(rand.NewSource(int64(11 * parts)))
-			splits := []int{1, len(g.Bids) / 3, len(g.Bids) / 2, len(g.Bids) - 1}
-			opts := core.SubscribeOptions{}
-			for si, split := range splits {
-				dataDir := t.TempDir()
-				ffs := vfs.NewFault(vfs.Default)
-				if si%2 == 0 {
-					ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: "wal-"})
-				}
-				e := walBidEngine(t, dataDir, append(shardOpts(parts), core.WithFS(ffs))...)
-
-				early, err := e.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ingest := func(from, to int) {
-					for i := from; i < to; {
-						end := i + 1 + rng.Intn(8)
-						if end > to {
-							end = to
-						}
-						if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
-							t.Fatal(err)
-						}
-						i = end
+			ingest := func(from, to int) {
+				for i := from; i < to; {
+					end := i + 1 + rng.Intn(8)
+					if end > to {
+						end = to
 					}
-				}
-				ingest(0, split)
-
-				// Snapshot mid-stream; on odd iterations the log is also
-				// compacted, on even ones its truncation fails.
-				_, seq, err := e.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seq != e.WALSeq() {
-					t.Fatalf("split=%d: snapshot reports seq %d, engine at %d", split, seq, e.WALSeq())
-				}
-				if truncErr := e.CheckpointStatus().Err; (truncErr == nil) != (si%2 == 1) {
-					t.Fatalf("split=%d: truncation error %v", split, truncErr)
-				}
-
-				// Everything after this point exists ONLY in the WAL tail.
-				ingest(split, len(g.Bids))
-				if err := e.Heartbeat(last.Ptime); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.AppendLog("Bid", tvr.Changelog{finalWM}); err != nil {
-					t.Fatal(err)
-				}
-				crashSeq := e.WALSeq()
-				early.Cancel() // the crashed process's subscriber is gone
-
-				// Crash: no Close, no final snapshot. Recover from the
-				// snapshot plus the log tail.
-				r, info := recoverEngine(t, dataDir, shardOpts(parts)...)
-				if info.LastSeq != crashSeq || r.WALSeq() != crashSeq {
-					t.Fatalf("split=%d: recovered through seq %d (log says %d), crashed at %d",
-						split, r.WALSeq(), info.LastSeq, crashSeq)
-				}
-				// Nothing ingested after the snapshot was rewound.
-				log, err := r.Log("Bid")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(log) != len(g.Bids)+1 {
-					t.Fatalf("split=%d: recovered changelog has %d events, want %d — post-snapshot commits were rewound",
-						split, len(log), len(g.Bids)+1)
-				}
-
-				// The snapshot carried the resident pipeline; the WAL tail
-				// caught it up through the normal commit path. A late
-				// attacher must land on it and equal both a dedicated twin
-				// and the uninterrupted replay.
-				if got := r.LiveSessions(); got != 1 {
-					t.Fatalf("split=%d: recovered engine has %d live sessions, want 1", split, got)
-				}
-				late, err := r.SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatalf("split=%d: late attach to recovered session: %v", split, err)
-				}
-				if got := r.LiveSessions(); got != 1 {
-					t.Fatalf("split=%d: late attach created a session (%d live), want to share the recovered one", split, got)
-				}
-				twin, err := twinEngine(t, parts, log).SubscribeStream(liveBidQuery, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lateFinal, err := late.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				lateRows := collectStream(late, lateFinal)
-				twinFinal, err := twin.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				twinRows := collectStream(twin, twinFinal)
-
-				lateStr := tvr.FormatStreamTable(late.Schema(), lateRows)
-				twinStr := tvr.FormatStreamTable(twin.Schema(), twinRows)
-				if lateStr != twinStr {
-					t.Fatalf("split=%d: late attacher to recovered session differs from dedicated twin:\nlate:\n%s\ntwin:\n%s",
-						split, truncate(lateStr), truncate(twinStr))
-				}
-				if lateStr != wantStr {
-					t.Fatalf("split=%d: recovered output differs from uninterrupted replay:\ngot:\n%s\nwant:\n%s",
-						split, truncate(lateStr), truncate(wantStr))
+					if err := e.AppendLog("Bid", g.Bids[i:end]); err != nil {
+						t.Fatal(err)
+					}
+					i = end
 				}
 			}
-		})
-	}
+			ingest(0, split)
+
+			// Snapshot mid-stream; on odd iterations the log is also
+			// compacted, on even ones its truncation fails.
+			_, seq, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq != e.WALSeq() {
+				t.Fatalf("split=%d: snapshot reports seq %d, engine at %d", split, seq, e.WALSeq())
+			}
+			if truncErr := e.CheckpointStatus().Err; (truncErr == nil) != (si%2 == 1) {
+				t.Fatalf("split=%d: truncation error %v", split, truncErr)
+			}
+
+			// Everything after this point exists ONLY in the WAL tail.
+			ingest(split, len(g.Bids))
+			if err := e.Heartbeat(last.Ptime); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AppendLog("Bid", tvr.Changelog{finalWM}); err != nil {
+				t.Fatal(err)
+			}
+			crashSeq := e.WALSeq()
+			early.Cancel() // the crashed process's subscriber is gone
+
+			// Crash: no Close, no final snapshot. Recover from the
+			// snapshot plus the log tail.
+			r, info := recoverEngine(t, dataDir)
+			if info.LastSeq != crashSeq || r.WALSeq() != crashSeq {
+				t.Fatalf("split=%d: recovered through seq %d (log says %d), crashed at %d",
+					split, r.WALSeq(), info.LastSeq, crashSeq)
+			}
+			// Nothing ingested after the snapshot was rewound.
+			log, err := r.Log("Bid")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(log) != len(g.Bids)+1 {
+				t.Fatalf("split=%d: recovered changelog has %d events, want %d — post-snapshot commits were rewound",
+					split, len(log), len(g.Bids)+1)
+			}
+
+			// The snapshot carried the resident pipeline; the WAL tail
+			// caught it up through the normal commit path. A late
+			// attacher must land on it and equal both a dedicated twin
+			// and the uninterrupted replay.
+			if got := r.LiveSessions(); got != 1 {
+				t.Fatalf("split=%d: recovered engine has %d live sessions, want 1", split, got)
+			}
+			late, err := r.SubscribeStream(liveBidQuery, opts)
+			if err != nil {
+				t.Fatalf("split=%d: late attach to recovered session: %v", split, err)
+			}
+			if got := r.LiveSessions(); got != 1 {
+				t.Fatalf("split=%d: late attach created a session (%d live), want to share the recovered one", split, got)
+			}
+			twin, err := twinEngine(t, log).SubscribeStream(liveBidQuery, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lateFinal, err := late.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lateRows := collectStream(late, lateFinal)
+			twinFinal, err := twin.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinRows := collectStream(twin, twinFinal)
+
+			lateStr := tvr.FormatStreamTable(late.Schema(), lateRows)
+			twinStr := tvr.FormatStreamTable(twin.Schema(), twinRows)
+			if lateStr != twinStr {
+				t.Fatalf("split=%d: late attacher to recovered session differs from dedicated twin:\nlate:\n%s\ntwin:\n%s",
+					split, truncate(lateStr), truncate(twinStr))
+			}
+			if lateStr != wantStr {
+				t.Fatalf("split=%d: recovered output differs from uninterrupted replay:\ngot:\n%s\nwant:\n%s",
+					split, truncate(lateStr), truncate(wantStr))
+			}
+		}
+	})
 }
 
 // TestWALRecoveryWithoutSnapshot: a data directory whose snapshot is gone

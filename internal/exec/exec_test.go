@@ -7,6 +7,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -150,6 +151,36 @@ func TestAggregateRetraction(t *testing.T) {
 	if res.Snapshot.Len() != 0 {
 		t.Errorf("snapshot size = %d, want 0 (group emptied)", res.Snapshot.Len())
 	}
+}
+
+// TestNegativeZeroGroupsWithZero: -0.0 equals 0.0, so GROUP BY puts both in
+// one group, the one the first of them opened.
+func TestNegativeZeroGroupsWithZero(t *testing.T) {
+	// SELECT x, COUNT(*) FROM s GROUP BY x, x a DOUBLE
+	sch := types.NewSchema(
+		types.Column{Name: "x", Kind: types.KindFloat64},
+		types.Column{Name: "ts", Kind: types.KindTimestamp, EventTime: true},
+	)
+	agg := &plan.Aggregate{
+		Input: &plan.Scan{Name: "s", Sch: sch, Stream: true},
+		Keys:  []plan.Scalar{col(0, types.KindFloat64)},
+		Aggs:  []plan.AggCall{{Kind: plan.AggCountStar, K: types.KindInt64}},
+		Sch: types.NewSchema(
+			types.Column{Name: "x", Kind: types.KindFloat64},
+			types.Column{Name: "n", Kind: types.KindInt64},
+		),
+	}
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	log := tvr.Changelog{
+		tvr.InsertEvent(1, types.Row{negZero, types.NewTimestamp(100)}),
+		tvr.InsertEvent(2, types.Row{types.NewFloat(0), types.NewTimestamp(110)}),
+	}
+	res, _ := runPlan(t, &plan.PlannedQuery{Root: agg}, log, types.MaxTime)
+	assertLog(t, res.Log, []string{
+		"0:00:00.001 INSERT (-0, 1)",
+		"0:00:00.002 DELETE (-0, 1)",
+		"0:00:00.002 INSERT (-0, 2)",
+	})
 }
 
 // eventTimeAgg groups by the event-time column, so watermarks complete

@@ -6,7 +6,7 @@ import (
 )
 
 // PanicError is a panic caught at an isolation boundary — a standing-query
-// session or a shard worker in internal/live — and converted into an
+// session or the fan-out in internal/live — and converted into an
 // ordinary error so one misbehaving operator fails its own query instead of
 // the process. The original panic value and stack ride along for diagnosis.
 type PanicError struct {

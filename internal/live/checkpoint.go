@@ -119,7 +119,7 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 		s.eventsIn.Store(eventsIn)
 		s.outOfOrder.Store(!d.FedInMergeOrder())
 		s.setObs(m.obsm)             // restored pipelines count like registered ones
-		m.installLocked(m.nextID, s) // routing table + shard placement
+		m.installLocked(m.nextID, s) // routing table + teardown hook
 		m.nextID++
 	}
 	m.shareLocked(q.Key, s)
@@ -149,15 +149,6 @@ func skipTableAcc(dec *checkpoint.Decoder) {
 func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.Encoder) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Sharded mode: with the ordering lock held no new commit can enter, so
-	// draining the shard queues here brings every session exactly up to the
-	// last acknowledged commit — the single commit point the snapshot
-	// describes. The drain MUST run before any session lock is taken below:
-	// a shard worker holds ingestMu while applying a delivery, so draining
-	// after would deadlock.
-	if m.pool != nil {
-		m.pool.Drain()
-	}
 	if extra != nil {
 		if err := extra(enc); err != nil {
 			return err
@@ -183,7 +174,7 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 		}
 	}
 	enc.Section(sessionsSection)
-	enc.Time(m.seq.LastHeartbeat())
+	enc.Time(types.Time(m.lastHeartbeat.Load()))
 	enc.Uvarint(uint64(len(open)))
 	for _, s := range open {
 		if err := s.saveStateLocked(enc); err != nil {
@@ -209,7 +200,7 @@ func (m *Manager) RestoreAll(dec *checkpoint.Decoder, restore RestoreQuery) erro
 	case name != sessionsSection:
 		return fmt.Errorf("live: unknown checkpoint section %q", name)
 	}
-	m.seq.RecordHeartbeat(dec.Time())
+	m.recordHeartbeatLocked(dec.Time())
 	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
 		if err := m.restoreSessionLocked(dec, legacy, restore); err != nil {
 			return err

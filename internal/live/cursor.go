@@ -190,10 +190,9 @@ func (c *cursor) stats() Stats {
 		DeltasOut:   c.deltasOut.Load(),
 		RowsOut:     c.rowsOut.Load(),
 		Watermark:   types.Time(s.wm.Load()),
-		QueueDepth:  depth,
+		Unread:      depth,
 		PipelineID:  int(s.id.Load()),
 		Subscribers: int(s.nsubs.Load()),
-		Shard:       s.shardIndex(),
 		Dispatches:  s.dispatches.Load(),
 	}
 	if st.Dispatches > 0 {
@@ -248,11 +247,6 @@ func (c *cursor) cancel() {
 // cannot deadlock its own close.
 func (c *cursor) closeGraceful() (*Delta, error) {
 	s := c.s
-	// Sharded mode: wait for the session's shard to apply every commit
-	// acknowledged before this close, so the final delta misses nothing the
-	// engine already acked as durable. Holds no locks — the shard worker
-	// needs ingestMu and mu to make progress.
-	s.drainShard()
 	c.halt()
 	s.mu.Lock()
 	if c.detached {

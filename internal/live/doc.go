@@ -102,22 +102,26 @@
 //     up to the last committed heartbeat under the same lock, so its delay
 //     timers fire as an early subscriber's did.
 //
-// Fan-out feeds the driver, appends the output to the session's retained output
-// as one delivery and wakes the session's idle readers; it never waits on one.
-// A stream cursor whose reader is idle and whose consumer already waits on the
-// channel is handed its delta by the commit itself, in a send that cannot
-// block, so a consumer that keeps up pays no extra wake-up. A subscriber that
-// stops reading therefore stalls no commit, no peer, no resident read and no
-// checkpoint: its unread deliveries wait in the retained output, and when it
-// reads again it receives exactly what a reading peer received. DeltasOut
-// counts a delivery as it is appended, so it is final once the producer is
-// idle.
+// The manager numbers each commit, a publish or a heartbeat, with a sequence
+// number that the slow-commit log line carries, and keeps the last committed
+// heartbeat: the clock a late registration starts from, and the clock the
+// live_watermark_lag_seconds gauge measures lag against. Both advance only
+// under Manager.mu; the clock is also an atomic, so the gauge reads it at
+// scrape time without the lock.
 //
-// With Options.Shards > 0 the fan-out runs on shard workers; the commit
-// protocol, placement and quiesce points are the internal/shard package
-// comment. A session that refuses a delivery (closed or failed) leaves the
-// routing table; a panicking operator fails only its own session, whose
-// readers still send what was appended before it, then end with its error.
+// Fan-out runs on the committing goroutine: it feeds the driver, appends the
+// output to the session's retained output as one delivery and wakes the
+// session's idle readers; it never waits on one. A stream cursor whose reader
+// is idle and whose consumer already waits on the channel is handed its delta
+// by the commit itself, in a send that cannot block, so a consumer that keeps
+// up pays no extra wake-up. A subscriber that stops reading therefore stalls
+// no commit, no peer, no resident read and no checkpoint: its unread
+// deliveries wait in the retained output, and when it reads again it receives
+// exactly what a reading peer received. DeltasOut counts a delivery as it is
+// appended, so it is final once the producer is idle. A session that refuses
+// a delivery (closed or failed) leaves the routing table; a panicking
+// operator fails only its own session, whose readers still send what was
+// appended before it, then end with its error.
 //
 // # One-shot reads from a resident pipeline
 //
@@ -172,9 +176,10 @@
 //     released it. Once a later subscriber's successor takes the key, reads
 //     go to the successor instead. Reason overflow.
 //
-// The commit point is the engine's Quiesce, the barrier a replaying read
-// passes too. The read holds the session's mu only to cut (a capped slice,
-// so later appends stay invisible) and take the fold, and never takes
+// The commit point is the last acknowledged commit: a commit appends its
+// output before it returns, so a read that begins after an acknowledgement
+// sees it. The read holds the session's mu only to cut (a capped slice, so
+// later appends stay invisible) and take the fold, and never takes
 // Manager.mu or ingestMu. TestResidentReadMatchesReplay and FuzzResidentRead
 // hold every served read to a replay, and
 // TestResidentTableReadFoldsOnlyNewOutput pins what each table read folds.
@@ -189,9 +194,6 @@
 // resident reads and a peer's Cancel or Close wait at most for an append, never
 // for a running feed; a reader holds mu only to find its next piece or record a
 // receipt, never while it sends, and nothing holds either lock while waiting on
-// a consumer (the commit's hand-off to a waiting consumer cannot block). Shard
-// workers take only the session locks, never Manager.mu, so a publisher blocked
-// on a full shard queue cannot deadlock against its own workers; a worker that
-// must unregister a dead session does so from a fresh goroutine, and teardown
-// takes Manager.mu with neither session lock held.
+// a consumer (the commit's hand-off to a waiting consumer cannot block).
+// Teardown takes Manager.mu with neither session lock held.
 package live

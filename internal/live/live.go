@@ -109,7 +109,7 @@ func consolidate(out tvr.Changelog) *TableDiff {
 
 // Stats is a point-in-time snapshot of a subscription's counters. EventsIn,
 // Watermark, PipelineID, and Subscribers describe the shared
-// resident pipeline; DeltasOut, RowsOut, and QueueDepth are this
+// resident pipeline; DeltasOut, RowsOut, and Unread are this
 // subscriber's own cursor.
 type Stats struct {
 	// EventsIn counts source events fed into the standing pipeline
@@ -125,18 +125,15 @@ type Stats struct {
 	RowsOut int64
 	// Watermark is the output relation's current watermark.
 	Watermark types.Time
-	// QueueDepth is the number of deltas the subscriber has not yet
+	// Unread is the number of deltas the subscriber has not yet
 	// received.
-	QueueDepth int
+	Unread int
 	// PipelineID identifies the resident pipeline; subscriptions sharing
 	// a plan report the same id.
 	PipelineID int
 	// Subscribers is the number of cursors currently attached to the
 	// resident pipeline.
 	Subscribers int
-	// Shard is the resident pipeline's shard index under the sharded
-	// ingest subsystem, or -1 under the serial fan-out.
-	Shard int
 	// Dispatches counts operator-chain dispatches inside the standing
 	// pipeline (one per delivered batch or run; see exec.Stats).
 	Dispatches int64

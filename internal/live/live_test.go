@@ -136,7 +136,7 @@ func TestCancelUnblocksProducer(t *testing.T) {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
-	if st := sub.Stats(); st.DeltasOut != 5 || st.QueueDepth != 5 {
+	if st := sub.Stats(); st.DeltasOut != 5 || st.Unread != 5 {
 		t.Fatalf("stats = %+v, want 5 deltas owed, all unread", st)
 	}
 	sub.Cancel()
@@ -184,7 +184,7 @@ func TestBlockBackpressure(t *testing.T) {
 			}
 		}
 	})
-	if st := sub.Stats(); st.DeltasOut != n || st.QueueDepth != n {
+	if st := sub.Stats(); st.DeltasOut != n || st.Unread != n {
 		t.Fatalf("stats = %+v, want %d deltas owed, all unread", st, n)
 	}
 	var got []int64
@@ -229,7 +229,7 @@ func TestSlowBlockPeerDoesNotStallOthers(t *testing.T) {
 		}
 		want = append(want, d)
 	}
-	if st := slow.Stats(); st.DeltasOut != n || st.QueueDepth != n {
+	if st := slow.Stats(); st.DeltasOut != n || st.Unread != n {
 		t.Fatalf("slow stats = %+v, want %d deltas owed, all unread", st, n)
 	}
 	var got []live.Delta
@@ -810,6 +810,85 @@ func TestRegisterCatchesUpClock(t *testing.T) {
 	}
 	sub1.Cancel()
 	sub2.Cancel()
+}
+
+// TestRegisterDuringHeartbeatStorm: a session registered while heartbeats
+// storm in from other goroutines is caught up to the last committed
+// heartbeat. Each registration first commits a heartbeat itself, so that
+// value is a hard lower bound on the catch-up the new session must observe.
+// The session's advance sequence must also never regress.
+func TestRegisterDuringHeartbeatStorm(t *testing.T) {
+	m := live.NewManagerWith(live.Options{})
+	// Heartbeats commit in clock order: reading the clock and committing
+	// happen under one lock, or two storm goroutines could commit their
+	// values out of order and the regression check below would fire on the
+	// test's own race. Registration still runs concurrently with the storm.
+	var clockMu sync.Mutex
+	var clock types.Time
+	advance := func() types.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		clock++
+		m.AdvanceWithSpan(clock, nil, nil)
+		return clock
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					advance()
+				}
+			}
+		}()
+	}
+	type reg struct {
+		d   *echoDriver
+		sub *live.Subscription
+		lo  types.Time // heartbeat committed before this registration
+	}
+	var regs []reg
+	for i := 0; i < 40; i++ {
+		lo := advance() // committed once this returns: a floor for the catch-up
+		d := &echoDriver{}
+		s, err := live.NewSession(d, live.Config{
+			Name: fmt.Sprintf("storm%d", i), Schema: testSchema(), Sources: []string{"s"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, func() ([]exec.Source, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs = append(regs, reg{d: d, sub: sub, lo: lo})
+	}
+	close(stop)
+	wg.Wait()
+	for _, r := range regs {
+		r.sub.Cancel()
+	}
+	for i, r := range regs {
+		if len(r.d.advances) == 0 {
+			t.Fatalf("registration %d saw no catch-up advance despite committed heartbeats", i)
+		}
+		if r.d.advances[0] < r.lo {
+			t.Fatalf("registration %d caught up to %s, below the already-committed heartbeat %s (stale clock read)",
+				i, r.d.advances[0], r.lo)
+		}
+		for j := 1; j < len(r.d.advances); j++ {
+			if r.d.advances[j] < r.d.advances[j-1] {
+				t.Fatalf("registration %d: advance %d regresses (%s after %s)",
+					i, j, r.d.advances[j], r.d.advances[j-1])
+			}
+		}
+	}
 }
 
 // TestRegisterFailureCancelsSession: a registration whose history snapshot

@@ -8,7 +8,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/tvr"
 	"repro/internal/types"
 )
@@ -24,15 +23,14 @@ type Manager struct {
 	order  []int               // registration ids, ascending — the fan-out order
 	plans  map[string]*Session // shared-plan table: plan key -> resident session
 
-	// seq is the global commit sequencer. Its sequence counter and
-	// last-heartbeat clock advance only inside the m.mu commit critical
-	// section, making it the authoritative ordering-path state a
-	// registration's catch-up reads (see registerLocked) — its reads are
-	// atomic, so they cannot race the asynchronous shard application of
-	// the same heartbeats.
-	seq *shard.Sequencer
-	// pool is the shard worker pool; nil in serial mode.
-	pool *shard.Pool
+	// seq is the last commit sequence number and lastHeartbeat the last
+	// committed processing-time heartbeat (types.Time; MinTime = none), the
+	// clock a late registration catches up to (see registerLocked). Both
+	// advance only inside the m.mu commit critical section; lastHeartbeat
+	// is atomic so the watermark-lag gauge reads it at scrape time without
+	// m.mu.
+	seq           uint64
+	lastHeartbeat atomic.Int64
 
 	count atomic.Int64 // len(subs), readable without m.mu
 	snap  atomic.Value // []*Session, for lock-free Subscribers()
@@ -48,30 +46,19 @@ type Manager struct {
 
 // Options configures a Manager.
 type Options struct {
-	// Shards > 0 enables the sharded ingest subsystem with that many shard
-	// workers; 0 keeps the serial fan-out (every delivery on the
-	// committing goroutine).
-	Shards int
-	// QueueDepth bounds each shard's ingest queue
-	// (shard.DefaultQueueDepth when 0). A publisher blocks once a shard's
-	// queue is full.
-	QueueDepth int
-	// Obs, when non-nil, registers the live_*, exec_*, and shard_* metric
-	// families on the given registry and enables the hot-path delivery
-	// counters. Nil costs nothing beyond nil checks.
+	// Obs, when non-nil, registers the live_* and exec_* metric families on
+	// the given registry and enables the hot-path delivery counters. Nil
+	// costs nothing beyond nil checks.
 	Obs *obs.Registry
 }
 
-// NewManagerWith creates an empty registry with the given fan-out options.
+// NewManagerWith creates an empty registry with the given options.
 func NewManagerWith(o Options) *Manager {
 	m := &Manager{
 		subs:  make(map[int]*Session),
 		plans: make(map[string]*Session),
-		seq:   shard.NewSequencer(),
 	}
-	if o.Shards > 0 {
-		m.pool = shard.NewPoolObs(o.Shards, o.QueueDepth, o.Obs)
-	}
+	m.lastHeartbeat.Store(int64(types.MinTime))
 	m.snap.Store([]*Session{})
 	m.plansSnap.Store(map[string]*Session{})
 	if o.Obs != nil {
@@ -118,11 +105,6 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if sess := m.plans[key]; sess != nil {
-		// Attach barrier: the snapshot hand-off must reflect every
-		// commit acknowledged so far, so drain the session's shard to
-		// the current sequence point first. New commits cannot slip
-		// in — we hold the ordering lock.
-		m.drainSessionLocked(sess)
 		if sub, err := sess.Attach(opts); err == nil {
 			return sub, nil
 		}
@@ -164,11 +146,8 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 	// committed heartbeat, after the history replay: delay timers the
 	// replayed events armed that are already due must fire now, not at the
 	// next broadcast, or the late joiner's emissions would coalesce
-	// differently than an early subscriber's. The clock comes from the
-	// sequencer — ordering-path state advanced under this same lock at
-	// commit time — never from what the shard workers have applied so
-	// far, which lags it.
-	if pt := m.seq.LastHeartbeat(); pt > types.MinTime {
+	// differently than an early subscriber's.
+	if pt := types.Time(m.lastHeartbeat.Load()); pt > types.MinTime {
 		if err := sess.Advance(pt); err != nil {
 			return 0, err
 		}
@@ -189,28 +168,13 @@ func (m *Manager) shareLocked(key string, sess *Session) {
 }
 
 // installLocked wires a session into the routing table under the given id:
-// fan-out order, teardown hook, and — in sharded mode — its permanent shard
-// placement and the drain hook a graceful cursor close uses as its barrier.
+// fan-out order and teardown hook.
 func (m *Manager) installLocked(id int, sess *Session) {
 	m.subs[id] = sess
 	m.order = append(m.order, id) // nextID is monotonic: stays sorted
 	m.refreshLocked()
 	sess.setID(id)
 	sess.SetTeardown(func() { m.unregister(id) })
-	if m.pool != nil {
-		sh := m.pool.ShardOf(id)
-		sess.setShard(sh)
-		sess.setDrain(func() { m.pool.DrainShard(sh) })
-	}
-}
-
-// drainSessionLocked waits until the session's shard has applied every task
-// enqueued so far. Serial mode needs no barrier — fan-out is synchronous.
-// Caller holds m.mu, which the workers never take.
-func (m *Manager) drainSessionLocked(sess *Session) {
-	if m.pool != nil {
-		m.pool.DrainShard(sess.shardIndex())
-	}
 }
 
 func (m *Manager) unregister(id int) {
@@ -278,21 +242,18 @@ func (m *Manager) ResidentRead(key string, at types.Time, mode Mode) (r Reading,
 }
 
 // PublishSpan atomically commits an engine-side change and routes the
-// resulting events to every session scanning the named relation. The commit (and, in
-// sharded mode, the sequence-number acquisition and per-shard enqueues)
-// happens under the ordering lock; the deliveries themselves run on the
-// committing goroutine in serial mode or on the shard workers otherwise.
-// Each session receives the whole batch in one delivery (one delta per
-// attached cursor) rather than per-event. A session
+// resulting events to every session scanning the named relation. The commit,
+// its sequence number and the deliveries all run on the committing goroutine
+// under the ordering lock. Each session receives the whole batch in one
+// delivery (one delta per attached cursor) rather than per-event. A session
 // that refuses the batch (closed or failed) is removed from the routing
 // table; its subscribers learn why from Subscription.Err.
 //
-// The commit-path span's sequence and enqueue stages are timed here; validate/WAL happen inside commit (the
-// engine times them before handing the span over) and apply/render/deliver
-// inside each session. The publisher releases its span reference before
-// returning; in sharded mode the span finalizes — recording histograms and
-// possibly emitting the slow-commit log — when the last shard task
-// finishes. A nil span is a no-op on every path.
+// The commit-path span's sequence stage is timed here; validate/WAL happen
+// inside commit (the engine times them before handing the span over) and
+// apply/render/deliver inside each session. The span finishes — recording
+// histograms and possibly emitting the slow-commit log — before PublishSpan
+// returns. A nil span is a no-op on every path.
 func (m *Manager) PublishSpan(commit func() error, name string, evs []tvr.Event, span *obs.CommitSpan) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -305,21 +266,21 @@ func (m *Manager) PublishSpan(commit func() error, name string, evs []tvr.Event,
 	if span != nil {
 		tSeq = time.Now()
 	}
-	seq := m.seq.Next()
-	span.SetSeq(seq)
+	m.seq++
+	span.SetSeq(m.seq)
 	span.AddSince(obs.SpanSequence, tSeq)
 	if len(evs) == 0 {
 		return nil
 	}
 	batch := []exec.Source{{Name: name, Log: evs}}
-	m.fanOutLocked(seq, span, func(sess *Session) bool { return sess.Matches(name) },
+	m.fanOutLocked(func(sess *Session) bool { return sess.Matches(name) },
 		func(sess *Session) error { return sess.ingestLog(batch, span) })
 	return nil
 }
 
 // AdvanceWithSpan broadcasts a processing-time heartbeat to every session,
 // firing due EMIT AFTER DELAY timers across all standing queries, and records
-// pt in the sequencer so later-registered sessions start from the same
+// pt as the last heartbeat so later-registered sessions start from the same
 // clock. A non-nil commit runs under the ordering lock before any session
 // sees the heartbeat — the same commit-before-fan-out shape as PublishSpan.
 // The engine uses it to append the heartbeat to its write-ahead log in
@@ -340,87 +301,40 @@ func (m *Manager) AdvanceWithSpan(pt types.Time, commit func() error, span *obs.
 	if span != nil {
 		tSeq = time.Now()
 	}
-	seq := m.seq.Next()
-	m.seq.RecordHeartbeat(pt)
-	span.SetSeq(seq)
+	m.seq++
+	m.recordHeartbeatLocked(pt)
+	span.SetSeq(m.seq)
 	span.AddSince(obs.SpanSequence, tSeq)
-	m.fanOutLocked(seq, span, func(*Session) bool { return true },
+	m.fanOutLocked(func(*Session) bool { return true },
 		func(sess *Session) error { return sess.advance(pt, span) })
 	return nil
 }
 
+// recordHeartbeatLocked advances the last-heartbeat clock to pt if it moved
+// forward. Caller holds m.mu.
+func (m *Manager) recordHeartbeatLocked(pt types.Time) {
+	if pt > types.Time(m.lastHeartbeat.Load()) {
+		m.lastHeartbeat.Store(int64(pt))
+	}
+}
+
 // fanOutLocked applies a commit to the matching sessions in registration-id
-// order. Serially it does so on the calling goroutine, removing a session
-// that refuses its delivery (closed or failed). Sharded, it groups them by
-// shard and enqueues one task per affected shard, in ascending shard order,
-// all under m.mu — so every shard's FIFO queue carries commits in global
-// sequence order — and a session that refuses its delivery is torn down
-// from a fresh goroutine: the worker itself must never take m.mu, which a
-// publisher blocked on a full shard queue may hold.
-func (m *Manager) fanOutLocked(seq uint64, span *obs.CommitSpan, match func(*Session) bool, apply func(*Session) error) {
-	if m.pool == nil {
-		for _, id := range append([]int(nil), m.order...) {
-			if sess := m.subs[id]; sess != nil && match(sess) && safeApply(sess, apply) != nil {
-				m.removeLocked(id)
-			}
+// order on the calling goroutine, removing a session that refuses its
+// delivery (closed or failed).
+func (m *Manager) fanOutLocked(match func(*Session) bool, apply func(*Session) error) {
+	for _, id := range append([]int(nil), m.order...) {
+		if sess := m.subs[id]; sess != nil && match(sess) && safeApply(sess, apply) != nil {
+			m.removeLocked(id)
 		}
-		return
 	}
-	groups := make([][]*Session, m.pool.Shards())
-	any := false
-	nGroups := 0
-	for _, id := range m.order {
-		sess := m.subs[id]
-		if sess == nil || !match(sess) {
-			continue
-		}
-		sh := m.pool.ShardOf(id)
-		if len(groups[sh]) == 0 {
-			nGroups++
-		}
-		groups[sh] = append(groups[sh], sess)
-		any = true
-	}
-	if !any {
-		return
-	}
-	// Each shard task holds one span reference; the publisher's own
-	// reference (released by PublishSpan/AdvanceWithSpan) keeps the span
-	// open until every task is enqueued, so the span finalizes on whichever
-	// worker finishes last.
-	span.Fork(nGroups)
-	tEnq := time.Time{}
-	if span != nil {
-		tEnq = time.Now()
-	}
-	for sh, sessions := range groups {
-		if len(sessions) == 0 {
-			continue
-		}
-		sessions := sessions
-		m.pool.Enqueue(sh, seq, func() {
-			defer span.Finish()
-			for _, sess := range sessions {
-				if err := safeApply(sess, apply); err != nil {
-					// The session refused the delivery (closed or
-					// failed): unregister it without blocking this
-					// worker on the manager lock.
-					go sess.runTeardown()
-				}
-			}
-		})
-	}
-	// Includes any time the publisher spent blocked on a full shard queue —
-	// the backpressure signal the enqueue stage exists to expose.
-	span.AddSince(obs.SpanEnqueue, tEnq)
 }
 
 // safeApply is the fan-out's last-resort panic boundary. An operator panic
 // is already converted into the session's terminal error inside the
 // session (see Session.step); this catches anything that escapes the
 // delivery path so it fails the one session it came from instead of
-// unwinding the committing goroutine or a shard worker and killing the
-// process. Disjoint sessions on the same shard keep their deliveries.
+// unwinding the committing goroutine and killing the process. The other
+// sessions keep their deliveries.
 func safeApply(sess *Session, apply func(*Session) error) (err error) {
 	defer func() {
 		if perr := exec.CapturePanic(recover()); perr != nil {
@@ -429,34 +343,6 @@ func safeApply(sess *Session, apply func(*Session) error) (err error) {
 		}
 	}()
 	return apply(sess)
-}
-
-// Quiesce blocks until every commit acknowledged before the call has been
-// applied by its shard worker — the read-your-writes barrier for one-shot
-// queries and checkpoints. Lock-free (it waits on per-shard queue
-// watermarks captured at call time); an immediate no-op in serial mode.
-func (m *Manager) Quiesce() {
-	if m.pool != nil {
-		m.pool.Drain()
-	}
-}
-
-// Close drains and stops the shard workers. Call only after all publishing
-// has stopped; live subscriptions are not canceled. A no-op in serial mode,
-// idempotent otherwise.
-func (m *Manager) Close() {
-	if m.pool != nil {
-		m.pool.Close()
-	}
-}
-
-// ShardStats snapshots every shard's queue depth and lag (nil in serial
-// mode). Lock-free.
-func (m *Manager) ShardStats() []shard.Stat {
-	if m.pool == nil {
-		return nil
-	}
-	return m.pool.Stats()
 }
 
 // Len reports the number of resident pipelines without taking the routing

@@ -71,7 +71,7 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("live_watermark_lag_seconds", "Worst session watermark lag behind the last committed heartbeat.",
 		func() float64 {
-			hb := m.seq.LastHeartbeat()
+			hb := types.Time(m.lastHeartbeat.Load())
 			if hb == types.MinTime {
 				return 0
 			}

@@ -78,13 +78,6 @@ type Session struct {
 	teardown     func() // unregisters from the owning manager
 	teardownOnce sync.Once
 
-	// Sharded-mode placement, set by the manager at registration. drain
-	// blocks until the session's shard has applied every commit enqueued so
-	// far — the barrier a graceful close uses so acknowledged commits reach
-	// the final delta. Both are nil/-1 under the serial fan-out.
-	drain func()
-	shard atomic.Int64 // shard index; -1 = serial fan-out
-
 	// obsm is the owning manager's delivery counters (nil without
 	// observability; all increments are nil-safe). Set at registration,
 	// under the manager's ordering lock, before any routing.
@@ -108,7 +101,6 @@ func newSession(d exec.Driver, cfg Config) *Session {
 		sources: make(map[string]bool, len(cfg.Sources)),
 		out:     newOutput(cfg.EmitKeys, cfg.MaxRetainedRows),
 	}
-	s.shard.Store(-1)
 	s.wm.Store(int64(types.MinTime))
 	for _, name := range cfg.Sources {
 		s.sources[strings.ToLower(name)] = true
@@ -124,26 +116,6 @@ func (s *Session) SetTeardown(fn func()) { s.teardown = fn }
 
 // setID records the manager-assigned pipeline id.
 func (s *Session) setID(id int) { s.id.Store(int64(id)) }
-
-// setShard records the session's permanent shard placement.
-func (s *Session) setShard(sh int) { s.shard.Store(int64(sh)) }
-
-// shardIndex reports the session's shard (-1 = serial fan-out). Lock-free.
-func (s *Session) shardIndex() int { return int(s.shard.Load()) }
-
-// setDrain installs the shard drain barrier (see the drain field). Called by
-// the manager at registration, before any sharded fan-out can reach the
-// session.
-func (s *Session) setDrain(fn func()) { s.drain = fn }
-
-// drainShard waits out the session's shard queue (a no-op under the serial
-// fan-out). Must be called without holding s.mu or ingestMu: the shard
-// worker takes both to apply deliveries.
-func (s *Session) drainShard() {
-	if s.drain != nil {
-		s.drain()
-	}
-}
 
 // Matches reports whether the standing query scans the named relation.
 func (s *Session) Matches(name string) bool { return s.sources[strings.ToLower(name)] }
@@ -294,11 +266,11 @@ func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
 // deliver; the untraced path skips the span's time.Now calls entirely.
 //
 // step is the operator panic boundary: a panic in a standing pipeline (its
-// operators run on the ingesting goroutine or a shard worker) becomes this
-// session's terminal error — subscribers observe it through Err() with the
-// panic value and stack — instead of unwinding the committing goroutine or
-// a shard worker and killing the process. The driver holds only this
-// session's state, so abandoning it mid-panic corrupts nothing shared.
+// operators run on the committing goroutine) becomes this session's
+// terminal error — subscribers observe it through Err() with the panic
+// value and stack — instead of unwinding the committing goroutine and
+// killing the process. The driver holds only this session's state, so
+// abandoning it mid-panic corrupts nothing shared.
 func (s *Session) step(span *obs.CommitSpan, call func() error) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()

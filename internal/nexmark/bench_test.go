@@ -1,9 +1,9 @@
 package nexmark
 
 // In-process standing-query benchmarks: what the HTTP harness under
-// benchmark/ does not measure. BenchmarkMultiQuery is the sharded fan-out's
-// scaling row (8 disjoint standing queries on one producer, serial against
-// 8 shard workers), BenchmarkSharedFanout is K cursors on one resident
+// benchmark/ does not measure. BenchmarkMultiQuery is the fan-out's
+// multi-query row (8 disjoint standing queries on one producer),
+// BenchmarkSharedFanout is K cursors on one resident
 // pipeline, and BenchmarkRecovery prices a checkpoint, a restore from it
 // and the full-history replay a restore replaces. `go test -cpu` picks the
 // procs:
@@ -43,9 +43,9 @@ func benchBids() tvr.Changelog {
 }
 
 // bidEngine returns an engine with the Bid stream registered.
-func bidEngine(tb testing.TB, opts ...core.Option) *core.Engine {
+func bidEngine(tb testing.TB) *core.Engine {
 	tb.Helper()
-	e := core.NewEngine(opts...)
+	e := core.NewEngine()
 	if err := e.RegisterStream("Bid", BidFullSchema()); err != nil {
 		tb.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func reportEventsPerSec(b *testing.B, events int) {
 
 // multiQuerySQL returns n disjoint standing queries over the Bid stream:
 // the same windowed rollup at n distinct tumble widths, so each compiles to
-// its own resident pipeline and the shard workers can spread them.
+// its own resident pipeline.
 func multiQuerySQL(n int) []string {
 	durs := []int{4, 5, 8, 10, 15, 20, 25, 30}
 	qs := make([]string, n)
@@ -80,13 +80,11 @@ EMIT STREAM AFTER WATERMARK`, durs[i%len(durs)])
 type outputTotals struct{ deltas, rows int64 }
 
 // multiQueryRun feeds bids one event per commit to `queries` disjoint
-// standing queries on an engine with `shards` shard workers (0: the serial
-// fan-out), with the benchmark timer running only from the first commit
-// until Quiesce, so a sharded run pays for every apply it enqueued.
-func multiQueryRun(b *testing.B, bids tvr.Changelog, shards, queries int) outputTotals {
+// standing queries, with the benchmark timer running only from the first
+// commit until the last one returns.
+func multiQueryRun(b *testing.B, bids tvr.Changelog, queries int) outputTotals {
 	b.StopTimer()
-	e := bidEngine(b, core.WithShards(shards))
-	defer e.Close()
+	e := bidEngine(b)
 	subs := make([]*live.Subscription, queries)
 	for i, sql := range multiQuerySQL(queries) {
 		var err error
@@ -103,7 +101,6 @@ func multiQueryRun(b *testing.B, bids tvr.Changelog, shards, queries int) output
 			b.Fatal(err)
 		}
 	}
-	e.Quiesce()
 	b.StopTimer()
 	var tot outputTotals
 	for _, sub := range subs {
@@ -120,26 +117,27 @@ func multiQueryRun(b *testing.B, bids tvr.Changelog, shards, queries int) output
 	return tot
 }
 
-// BenchmarkMultiQuery is the sharded fan-out's scaling row: 8 disjoint
-// standing queries fed by one producer, under the serial fan-out (every
-// apply on the committing goroutine) and under 8 shard workers. Every run
-// must deliver the serial run's delta and row totals.
+// BenchmarkMultiQuery is the fan-out's multi-query row: 8 disjoint
+// standing queries fed by one producer, every apply on the committing
+// goroutine. Every timed run must deliver the reference run's delta and row
+// totals.
 func BenchmarkMultiQuery(b *testing.B) {
 	const queries = 8
 	bids := benchBids()
-	// The reference run is timed on the parent, whose figures go unreported.
-	serial := multiQueryRun(b, bids, 0, queries)
-	for _, shards := range []int{0, queries} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := multiQueryRun(b, bids, shards, queries); got != serial {
-					b.Fatalf("shards=%d delivered %d deltas/%d rows, the serial fan-out %d/%d",
-						shards, got.deltas, got.rows, serial.deltas, serial.rows)
-				}
+	// The reference run is timed on the parent, whose figures go
+	// unreported. The timed runs sit in a sub-benchmark: run flat after the
+	// reference run, the same loop reads about a quarter lower at 2 procs,
+	// for a reason not pinned down, and this shape keeps the row comparable.
+	want := multiQueryRun(b, bids, queries)
+	b.Run(fmt.Sprintf("queries=%d", queries), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := multiQueryRun(b, bids, queries); got != want {
+				b.Fatalf("run %d delivered %d deltas/%d rows, the reference run %d/%d",
+					i, got.deltas, got.rows, want.deltas, want.rows)
 			}
-			reportEventsPerSec(b, len(bids))
-		})
-	}
+		}
+		reportEventsPerSec(b, len(bids))
+	})
 }
 
 // BenchmarkSharedFanout is K=4 subscribers of one query, sharing one

@@ -1,8 +1,8 @@
 package nexmark
 
-// Serial one-shot execution against standing queries on a sharded engine,
-// whose shard workers apply committed changes in parallel with ingestion,
-// for every NEXMark query plus the windowed-aggregation benchmark query.
+// Serial one-shot execution against standing queries, whose subscribers read
+// their deltas in parallel with ingestion, for every NEXMark query plus the
+// windowed-aggregation benchmark query.
 
 import (
 	"math/rand"
@@ -84,12 +84,10 @@ func ingestOrder(t *testing.T, e *core.Engine, g *Generated, q Query) []relEvent
 	return evs
 }
 
-// shardedEngine registers the NEXMark relations on an empty engine whose
-// standing queries fan out over four shard workers.
-func shardedEngine(t *testing.T, opts []core.Option) *core.Engine {
+// liveEngine registers the NEXMark relations on an empty engine.
+func liveEngine(t *testing.T, opts []core.Option) *core.Engine {
 	t.Helper()
-	e := core.NewEngine(append(opts, core.WithShards(4))...)
-	t.Cleanup(e.Close)
+	e := core.NewEngine(opts...)
 	for _, r := range []struct {
 		name string
 		sch  *types.Schema
@@ -135,7 +133,7 @@ func sortedRows(rows []types.Row) string {
 }
 
 // TestSerialParallelEquivalence asserts that, for every NEXMark query plus
-// the aggregation benchmark, standing subscriptions on a four-shard engine
+// the aggregation benchmark, standing subscriptions on an engine
 // fed the generated changelogs incrementally produce byte-identical results
 // to serial one-shot execution: the stream rendering over the full input,
 // and the table rendering at a mid-run processing-time horizon.
@@ -166,7 +164,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				t.Fatalf("serial table: %v", err)
 			}
 
-			e := shardedEngine(t, opts)
+			e := liveEngine(t, opts)
 			evs := ingestOrder(t, e, g, q)
 			subOpts := core.SubscribeOptions{}
 			stream, err := e.SubscribeStream(q.SQL, subOpts)
@@ -176,7 +174,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			// The table reader runs on a second engine, fed the same
 			// commits up to mid: closing it there must complete a pipeline
 			// of its own, while the stream reader's lives on.
-			tableEngine := shardedEngine(t, opts)
+			tableEngine := liveEngine(t, opts)
 			table, err := tableEngine.SubscribeTable(q.SQL, subOpts)
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +215,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				apply(final.Table)
 			}
 			if got, want := sortedRows(rel.Rows()), sortedRows(wantTable.Rows); got != want {
-				t.Fatalf("table renderings at %s differ:\nserial:\n%s\nsharded:\n%s", mid, want, got)
+				t.Fatalf("table renderings at %s differ:\nserial:\n%s\nstanding:\n%s", mid, want, got)
 			}
 
 			ingest(t, e, rng, evs[half:])
@@ -233,7 +231,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				rows = append(rows, final.Stream...)
 			}
 			if s, p := tvr.FormatStreamTable(wantStream.Schema, wantStream.Rows), tvr.FormatStreamTable(stream.Schema(), rows); s != p {
-				t.Fatalf("stream renderings differ:\nserial:\n%s\nsharded:\n%s", s, p)
+				t.Fatalf("stream renderings differ:\nserial:\n%s\nstanding:\n%s", s, p)
 			}
 			if len(wantStream.Rows) == 0 {
 				t.Fatal("serial stream is empty; test is vacuous")

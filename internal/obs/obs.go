@@ -17,20 +17,19 @@
 // beyond a predictable nil check.
 //
 // Naming scheme: every family is prefixed with its owning layer — engine_,
-// wal_, checkpoint_, shard_, live_, exec_, commit_ — counters end in _total,
+// wal_, checkpoint_, live_, exec_, commit_ — counters end in _total,
 // and duration histograms end in _seconds (integer nanoseconds against
 // DurationBuckets, scaled by DurationScale at exposition). Variants are
-// fixed-cardinality labels (kind=, shard=, stage=), never name suffixes;
+// fixed-cardinality labels (kind=, stage=, reason=), never name suffixes;
 // nothing is labelled per subscription or relation. The registry is made
 // once, in cmd/serve, and threaded down: core.WithObs (engine families, the
-// commit tracer), live.Options.Obs (live and exec families; per-shard gauges
-// via shard.NewPoolObs), wal.Options.Obs (WAL counters). Registration is
-// idempotent per (name, labels) and happens at construction, so hot paths
-// touch only handles registered in advance. A collect callback (CounterFunc,
-// GaugeFunc) must never take a lock a commit can hold across I/O, such as
-// wal.Writer.mu or the live manager's ordering lock: WAL metrics are plain
-// counters bumped at the instrument sites, and live gauges sample the
-// manager's atomic session snapshot.
+// commit tracer), live.Options.Obs (live and exec families), wal.Options.Obs
+// (WAL counters). Registration is idempotent per (name, labels) and happens
+// at construction, so hot paths touch only handles registered in advance. A
+// collect callback (GaugeFunc) must never take a lock a commit can hold
+// across I/O, such as wal.Writer.mu or the live manager's ordering lock: WAL
+// metrics are plain counters bumped at the instrument sites, and live gauges
+// sample the manager's atomic session snapshot and heartbeat clock.
 package obs
 
 import (
@@ -154,7 +153,7 @@ type series struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
 	g      *Gauge
-	fn     func() float64 // CounterFunc/GaugeFunc
+	fn     func() float64 // GaugeFunc
 	h      *Histogram
 }
 
@@ -252,13 +251,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.c
 }
 
-// CounterFunc registers a counter whose value is sampled from fn at scrape
-// time (for cumulative state another layer already tracks atomically). fn
-// must be safe to call from any goroutine and should not block.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.lookup(name, help, typeCounter, labels, func() *series { return &series{fn: fn} })
-}
-
 // Gauge registers (or returns the existing) gauge under name.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	s := r.lookup(name, help, typeGauge, labels, func() *series { return &series{g: &Gauge{}} })
@@ -267,8 +259,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 
 // GaugeFunc registers a gauge sampled from fn at scrape time. fn must be
 // safe to call from any goroutine and should not block.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.lookup(name, help, typeGauge, labels, func() *series { return &series{fn: fn} })
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.lookup(name, help, typeGauge, nil, func() *series { return &series{fn: fn} })
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.

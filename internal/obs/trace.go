@@ -2,7 +2,6 @@ package obs
 
 import (
 	"log/slog"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,8 +15,6 @@ const (
 	SpanWAL
 	// SpanSequence is sequencing + fan-out bookkeeping under the manager lock.
 	SpanSequence
-	// SpanEnqueue is shard-queue enqueue (including any backpressure block).
-	SpanEnqueue
 	// SpanApply is driver Feed/Advance — pushing the batch through operators.
 	SpanApply
 	// SpanRender is Drain + delta render + retention accounting.
@@ -31,7 +28,7 @@ const (
 // stageNames index by SpanStage; also the `stage` label values on
 // commit_stage_seconds.
 var stageNames = [numSpanStages]string{
-	"validate", "wal", "sequence", "enqueue", "apply", "render", "deliver",
+	"validate", "wal", "sequence", "apply", "render", "deliver",
 }
 
 // String returns the stage's label value.
@@ -81,23 +78,21 @@ func (t *CommitTracer) Begin(name string, events int) *CommitSpan {
 	if t == nil {
 		return nil
 	}
-	s := &CommitSpan{tracer: t, name: name, events: events, start: time.Now()}
-	s.pending.Store(1)
-	return s
+	return &CommitSpan{tracer: t, name: name, events: events, start: time.Now()}
 }
 
-// CommitSpan accumulates per-stage durations for one commit. The publisher
-// holds one reference; Fork adds one per shard task so the span finalizes —
-// recording histograms and possibly emitting the slow-commit log line — only
-// when the last participant calls Finish. All methods are nil-safe.
+// CommitSpan accumulates per-stage durations for one commit. Its one
+// participant, the committing goroutine, times every stage and calls Finish
+// once, which records the histograms and possibly emits the slow-commit log
+// line. All methods are nil-safe.
 type CommitSpan struct {
-	tracer  *CommitTracer
-	name    string
-	events  int
-	seq     uint64
-	start   time.Time
-	stages  [numSpanStages]atomic.Int64 // ns per stage
-	pending atomic.Int32
+	tracer *CommitTracer
+	name   string
+	events int
+	seq    uint64
+	start  time.Time
+	stages [numSpanStages]int64 // ns per stage
+	done   bool                 // finished or discarded
 }
 
 // AddSince accrues the elapsed time since t0 to the given stage.
@@ -105,7 +100,7 @@ func (s *CommitSpan) AddSince(stage SpanStage, t0 time.Time) {
 	if s == nil {
 		return
 	}
-	s.stages[stage].Add(int64(time.Since(t0)))
+	s.stages[stage] += int64(time.Since(t0))
 }
 
 // SetSeq records the commit's global sequence number for the slow log line.
@@ -116,31 +111,20 @@ func (s *CommitSpan) SetSeq(seq uint64) {
 	s.seq = seq
 }
 
-// Fork adds n participants (shard tasks) that will each call Finish.
-// Must be called before the tasks are enqueued.
-func (s *CommitSpan) Fork(n int) {
-	if s == nil || n <= 0 {
-		return
-	}
-	s.pending.Add(int32(n))
-}
-
-// Finish releases one participant. The last release records the stage and
-// total histograms and emits the slow-commit log line if the commit exceeded
-// the tracer's threshold.
+// Finish records the stage and total histograms and emits the slow-commit
+// log line if the commit exceeded the tracer's threshold. Only the first
+// Finish of a span that was not discarded records anything.
 func (s *CommitSpan) Finish() {
-	if s == nil {
+	if s == nil || s.done {
 		return
 	}
-	if s.pending.Add(-1) != 0 {
-		return
-	}
+	s.done = true
 	t := s.tracer
 	total := time.Since(s.start)
 	for i := SpanStage(0); i < numSpanStages; i++ {
-		// Skip stages this commit never touched (e.g. enqueue on the serial
-		// path) so their histograms aren't flooded with zeros.
-		if v := s.stages[i].Load(); v > 0 {
+		// Skip stages this commit never touched (e.g. apply when no session
+		// matched) so their histograms aren't flooded with zeros.
+		if v := s.stages[i]; v > 0 {
 			t.stages[i].Observe(v)
 		}
 	}
@@ -157,7 +141,7 @@ func (s *CommitSpan) Finish() {
 		slog.Duration("total", total),
 	)
 	for i := SpanStage(0); i < numSpanStages; i++ {
-		if v := s.stages[i].Load(); v > 0 {
+		if v := s.stages[i]; v > 0 {
 			attrs = append(attrs, slog.Duration(i.String(), time.Duration(v)))
 		}
 	}
@@ -165,10 +149,10 @@ func (s *CommitSpan) Finish() {
 }
 
 // Discard abandons the span without recording anything — for commits that
-// fail before publication. Only valid before any Fork'd task runs.
+// fail before publication. A later Finish is a no-op.
 func (s *CommitSpan) Discard() {
 	if s == nil {
 		return
 	}
-	s.pending.Store(0)
+	s.done = true
 }

@@ -133,8 +133,8 @@ func pushIntoJoin(j *plan.Join, cond plan.Scalar) plan.Scalar {
 	leftW := j.Left.Schema().Len()
 	total := leftW + j.Right.Schema().Len()
 	var leftOnly, rightOnly, residual []plan.Scalar
-	for _, c := range conjuncts(cond) {
-		if lk, rk, ok := equiPair(c, leftW); ok {
+	for _, c := range plan.Conjuncts(cond) {
+		if lk, rk, ok := plan.EquiPair(c, leftW); ok {
 			j.LeftKeys = append(j.LeftKeys, lk)
 			j.RightKeys = append(j.RightKeys, rk)
 			continue
@@ -150,55 +150,15 @@ func pushIntoJoin(j *plan.Join, cond plan.Scalar) plan.Scalar {
 		}
 	}
 	if len(leftOnly) > 0 {
-		j.Left = &plan.Filter{Input: j.Left, Cond: conjoin(leftOnly)}
+		j.Left = &plan.Filter{Input: j.Left, Cond: plan.Conjoin(nil, leftOnly)}
 	}
 	if len(rightOnly) > 0 {
-		j.Right = &plan.Filter{Input: j.Right, Cond: conjoin(rightOnly)}
+		j.Right = &plan.Filter{Input: j.Right, Cond: plan.Conjoin(nil, rightOnly)}
 	}
 	if len(residual) > 0 {
-		j.Residual = conjoinWith(j.Residual, residual)
+		j.Residual = plan.Conjoin(j.Residual, residual)
 	}
 	return nil
-}
-
-func conjuncts(s plan.Scalar) []plan.Scalar {
-	if b, ok := s.(*plan.BinOp); ok && b.Op == sqlparser.OpAnd {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	return []plan.Scalar{s}
-}
-
-func conjoin(cs []plan.Scalar) plan.Scalar { return conjoinWith(nil, cs) }
-
-func conjoinWith(acc plan.Scalar, cs []plan.Scalar) plan.Scalar {
-	for _, c := range cs {
-		if acc == nil {
-			acc = c
-		} else {
-			acc = &plan.BinOp{Op: sqlparser.OpAnd, L: acc, R: c, K: types.KindBool}
-		}
-	}
-	return acc
-}
-
-// equiPair recognizes ColRef = ColRef across the join boundary.
-func equiPair(c plan.Scalar, leftW int) (int, int, bool) {
-	b, ok := c.(*plan.BinOp)
-	if !ok || b.Op != sqlparser.OpEq {
-		return 0, 0, false
-	}
-	l, lok := b.L.(*plan.ColRef)
-	r, rok := b.R.(*plan.ColRef)
-	if !lok || !rok {
-		return 0, 0, false
-	}
-	if l.Idx < leftW && r.Idx >= leftW {
-		return l.Idx, r.Idx - leftW, true
-	}
-	if r.Idx < leftW && l.Idx >= leftW {
-		return r.Idx, l.Idx - leftW, true
-	}
-	return 0, 0, false
 }
 
 // colRange returns the min and max column index referenced by s
@@ -301,7 +261,7 @@ func detectExpiry(j *plan.Join) {
 	isEventCol := func(idx int) bool {
 		return idx < sch.Len() && sch.Cols[idx].EventTime && sch.Cols[idx].WmOffset == 0
 	}
-	for _, c := range conjuncts(j.Residual) {
+	for _, c := range plan.Conjuncts(j.Residual) {
 		b, ok := c.(*plan.BinOp)
 		if !ok {
 			continue

@@ -575,54 +575,67 @@ func (p *Planner) planJoin(j *sqlparser.JoinExpr) (Node, *scope, error) {
 		if cond.Kind() != types.KindBool && cond.Kind() != types.KindNull {
 			return nil, nil, fmt.Errorf("plan: JOIN ON condition must be BOOLEAN")
 		}
-		ExtractJoinKeys(node, cond, left.Schema().Len())
+		extractJoinKeys(node, cond, left.Schema().Len())
 	}
 	return node, sc, nil
 }
 
-// ExtractJoinKeys splits cond into equi-key pairs and a residual predicate,
-// storing both on the join node. Exported for the optimizer, which performs
-// the same extraction when pushing WHERE predicates into cross joins.
-func ExtractJoinKeys(j *Join, cond Scalar, leftWidth int) {
+// extractJoinKeys splits cond into equi-key pairs and a residual predicate,
+// storing both on the join node.
+func extractJoinKeys(j *Join, cond Scalar, leftWidth int) {
 	var residuals []Scalar
-	for _, c := range splitConjuncts(cond) {
-		if b, ok := c.(*BinOp); ok && b.Op == sqlparser.OpEq {
-			l, lok := b.L.(*ColRef)
-			r, rok := b.R.(*ColRef)
-			if lok && rok {
-				if l.Idx < leftWidth && r.Idx >= leftWidth {
-					j.LeftKeys = append(j.LeftKeys, l.Idx)
-					j.RightKeys = append(j.RightKeys, r.Idx-leftWidth)
-					continue
-				}
-				if r.Idx < leftWidth && l.Idx >= leftWidth {
-					j.LeftKeys = append(j.LeftKeys, r.Idx)
-					j.RightKeys = append(j.RightKeys, l.Idx-leftWidth)
-					continue
-				}
-			}
+	for _, c := range Conjuncts(cond) {
+		if lk, rk, ok := EquiPair(c, leftWidth); ok {
+			j.LeftKeys = append(j.LeftKeys, lk)
+			j.RightKeys = append(j.RightKeys, rk)
+			continue
 		}
 		residuals = append(residuals, c)
 	}
-	j.Residual = combineConjuncts(j.Residual, residuals)
+	j.Residual = Conjoin(j.Residual, residuals)
 }
 
-func splitConjuncts(s Scalar) []Scalar {
+// Conjuncts splits s into the operands of its top-level ANDs, left to right.
+func Conjuncts(s Scalar) []Scalar {
 	if b, ok := s.(*BinOp); ok && b.Op == sqlparser.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
 	}
 	return []Scalar{s}
 }
 
-func combineConjuncts(acc Scalar, more []Scalar) Scalar {
-	for _, m := range more {
+// Conjoin ANDs cs onto acc (nil: no predicate yet), left-deep and in order,
+// and returns the conjunction (nil when both are empty).
+func Conjoin(acc Scalar, cs []Scalar) Scalar {
+	for _, c := range cs {
 		if acc == nil {
-			acc = m
+			acc = c
 		} else {
-			acc = &BinOp{Op: sqlparser.OpAnd, L: acc, R: m, K: types.KindBool}
+			acc = &BinOp{Op: sqlparser.OpAnd, L: acc, R: c, K: types.KindBool}
 		}
 	}
 	return acc
+}
+
+// EquiPair recognizes c as an equi-join key, ColRef = ColRef across the
+// boundary of a join whose left input is leftWidth columns wide, and returns
+// the left column and the right input's column.
+func EquiPair(c Scalar, leftWidth int) (lk, rk int, ok bool) {
+	b, ok := c.(*BinOp)
+	if !ok || b.Op != sqlparser.OpEq {
+		return 0, 0, false
+	}
+	l, lok := b.L.(*ColRef)
+	r, rok := b.R.(*ColRef)
+	if !lok || !rok {
+		return 0, 0, false
+	}
+	if l.Idx < leftWidth && r.Idx >= leftWidth {
+		return l.Idx, r.Idx - leftWidth, true
+	}
+	if r.Idx < leftWidth && l.Idx >= leftWidth {
+		return r.Idx, l.Idx - leftWidth, true
+	}
+	return 0, 0, false
 }
 
 func (p *Planner) planTVF(t *sqlparser.TVFRef) (Node, *scope, error) {

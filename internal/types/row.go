@@ -120,7 +120,8 @@ const exactFloatInt = 1 << 53
 // DOUBLE in int64 range (every DOUBLE of that magnitude is integral) takes
 // the same form as the BIGINT it converts to exactly. Mixed-kind Equal stays
 // lossy there: it compares through float64, so BIGINT 2^53+1 Equals DOUBLE
-// 2^53 while their keys differ.
+// 2^53 while their keys differ. A DOUBLE -0.0 Equals 0, so it takes 0.0's
+// key, which BIGINT 0 shares.
 func keyParts(v Value) (tag byte, x uint64) {
 	switch v.kind {
 	case KindNull:
@@ -133,7 +134,10 @@ func keyParts(v Value) (tag byte, x uint64) {
 		}
 		return keyNumber, math.Float64bits(float64(v.i))
 	case KindFloat64:
-		if f := v.f; (f > exactFloatInt || f < -exactFloatInt) && f >= math.MinInt64 && f < math.MaxInt64 {
+		switch f := v.f; {
+		case f == 0:
+			return keyNumber, 0 // +0.0's bits, for -0.0 too
+		case (f > exactFloatInt || f < -exactFloatInt) && f >= math.MinInt64 && f < math.MaxInt64:
 			return keyBigInt, uint64(int64(f))
 		}
 		return keyNumber, math.Float64bits(v.f)
