@@ -27,18 +27,23 @@ deadcode:
 
 # The live subsystem under forced parallelism, at GOMAXPROCS=4 even on boxes
 # whose default would serialize the schedule: fan-out runs on the committing
-# goroutine, but each cursor's reader is a goroutine of its own, and one-shot
-# reads answered from a resident pipeline take no ordering lock. So the
-# manager and session tests race here, beside resident reads while another
-# goroutine commits, shared plans (stream and table cursors of several
-# spellings on one session, attaching late) and stalled readers: a subscriber
-# that stops reading beside commits, peers, resident reads and checkpoints,
-# then resumes.
+# goroutine, but each cursor's reader is a goroutine of its own, one-shot
+# reads answered from a resident pipeline take no ordering lock, and a
+# session's last cursor removes it from the routing table and completes its
+# driver on the departing consumer's goroutine. So the manager and session
+# tests race here, beside resident reads while another goroutine commits,
+# shared plans (stream and table cursors of several spellings on one session,
+# attaching late), stalled readers (a subscriber that stops reading beside
+# commits, peers, resident reads and checkpoints, then resumes), the engine's
+# live subscriptions and checkpoints (TestLive*, TestCheckpoint*), and the
+# departures that must leave no goroutine, session or worker behind
+# (TestSubscriptionGoroutineHygiene, TestFailedRegister*).
 race-live:
 	GOMAXPROCS=4 $(GO) test -race ./internal/live/...
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestSharedPlan'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestStalledReader'
+	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestLive|TestCheckpoint|TestSubscriptionGoroutineHygiene|TestFailedRegister'
 
 # Fault-injection and crash-safety suite: the vfs fault matrix, the WAL and
 # checkpoint I/O-failure tests, the ALICE-style crash-point soak (crash after

@@ -265,12 +265,16 @@ func TestServeQueryAndHealth(t *testing.T) {
 func TestServeIngestAtomicity(t *testing.T) {
 	ts, c := newTestServer(t)
 	registerBid(t, c, ts.URL)
-	code, _ := postJSON(t, c, ts.URL+"/v1/relations/Bid/events", ingestJSON{Events: []eventJSON{
+	code, body := postJSON(t, c, ts.URL+"/v1/relations/Bid/events", ingestJSON{Events: []eventJSON{
 		{Kind: "insert", Ptime: timeMS(2000), Row: []any{1, 500, 2000}},
 		{Kind: "insert", Ptime: timeMS(1000), Row: []any{2, 600, 1000}}, // ptime regression
 	}})
 	if code != http.StatusConflict {
 		t.Fatalf("status = %d, want conflict", code)
+	}
+	// The refusal names the failing event's index in the batch.
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "event 1: ptime") {
+		t.Fatalf("error = %q, want it to name event 1", msg)
 	}
 	code, res := getJSON(t, c, ts.URL+"/v1/query?sql="+queryEscape(`SELECT auction FROM Bid`))
 	if code != http.StatusOK {

@@ -269,8 +269,8 @@ func (c Commits) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) 
 		tValidate = time.Now()
 	}
 	lastPtime, lastWM := rel.lastPtime, rel.lastWM
-	for _, ev := range log {
-		lastPtime, lastWM, err = validateEvent(name, &rel.meta, ev, lastPtime, lastWM)
+	for i, ev := range log {
+		lastPtime, lastWM, err = validateEvent(name, i, &rel.meta, ev, lastPtime, lastWM)
 		if err != nil {
 			return err
 		}
@@ -308,29 +308,30 @@ func (e *Engine) relationLocked(name string) (*relation, error) {
 	return rel, nil
 }
 
-// validateEvent checks one event against the relation schema and the running
-// monotonicity cursors, returning the advanced cursors.
-func validateEvent(name string, meta *plan.Relation, ev tvr.Event, lastPtime, lastWM types.Time) (types.Time, types.Time, error) {
+// validateEvent checks event i of a batch against the relation schema and
+// the running monotonicity cursors, returning the advanced cursors. A
+// refusal names the event's 0-based index in the batch.
+func validateEvent(name string, i int, meta *plan.Relation, ev tvr.Event, lastPtime, lastWM types.Time) (types.Time, types.Time, error) {
 	if ev.Ptime < lastPtime {
-		return 0, 0, fmt.Errorf("core: %s: ptime %s regresses from %s", name, ev.Ptime, lastPtime)
+		return 0, 0, fmt.Errorf("core: %s: event %d: ptime %s regresses from %s", name, i, ev.Ptime, lastPtime)
 	}
 	switch ev.Kind {
 	case tvr.Insert, tvr.Delete:
 		if len(ev.Row) != meta.Schema.Len() {
-			return 0, 0, fmt.Errorf("core: %s: row has %d columns, schema has %d", name, len(ev.Row), meta.Schema.Len())
+			return 0, 0, fmt.Errorf("core: %s: event %d: row has %d columns, schema has %d", name, i, len(ev.Row), meta.Schema.Len())
 		}
-		for i, c := range meta.Schema.Cols {
-			v := ev.Row[i]
+		for j, c := range meta.Schema.Cols {
+			v := ev.Row[j]
 			if !v.IsNull() && v.Kind() != c.Kind {
 				if v.Kind().IsNumeric() && c.Kind.IsNumeric() {
 					continue
 				}
-				return 0, 0, fmt.Errorf("core: %s: column %s expects %s, got %s", name, c.Name, c.Kind, v.Kind())
+				return 0, 0, fmt.Errorf("core: %s: event %d: column %s expects %s, got %s", name, i, c.Name, c.Kind, v.Kind())
 			}
 		}
 	case tvr.Watermark:
 		if ev.Wm < lastWM {
-			return 0, 0, fmt.Errorf("core: %s: watermark %s regresses from %s", name, ev.Wm, lastWM)
+			return 0, 0, fmt.Errorf("core: %s: event %d: watermark %s regresses from %s", name, i, ev.Wm, lastWM)
 		}
 		lastWM = ev.Wm
 	}

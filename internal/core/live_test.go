@@ -315,8 +315,15 @@ func TestLiveAppendLogAtomic(t *testing.T) {
 			types.NewInt(3), types.NewInt(3), types.NewInt(7), types.NewTimestamp(3),
 		}),
 	}
-	if err := e.AppendLog("Bid", bad); err == nil {
-		t.Fatal("expected validation error")
+	if err := e.AppendLog("Bid", bad); err == nil || !strings.Contains(err.Error(), "Bid: event 1: ptime") {
+		t.Fatalf("AppendLog error = %v, want a refusal naming event 1's ptime", err)
+	}
+	// A type refusal names the event's index too, not its column's.
+	mistyped := tvr.Changelog{good, good, tvr.InsertEvent(3, types.Row{
+		types.NewInt(3), types.NewString("x"), types.NewInt(7), types.NewTimestamp(3),
+	})}
+	if err := e.AppendLog("Bid", mistyped); err == nil || !strings.Contains(err.Error(), "Bid: event 2: column") {
+		t.Fatalf("AppendLog error = %v, want a refusal naming event 2's column", err)
 	}
 	log, err := e.Log("Bid")
 	if err != nil {

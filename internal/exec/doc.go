@@ -12,6 +12,37 @@
 //
 // One driver, Pipeline, runs every one-shot query and every standing query.
 //
+// # The standing-query lifecycle
+//
+// A standing query's pipeline is compiled once, stays resident, and is fed
+// incrementally as changes arrive; no request recompiles it or rescans the
+// history. Pipeline implements Driver (the interface lets internal/live's
+// tests substitute a fake):
+//
+//	Compile        one-time: plan -> operator chain
+//	Start()        open the operators, parent-first
+//	Feed(batch)*   k-way ptime merge of the batch (ties by scan registration
+//	               order, as in Run), pushed through the scans
+//	Advance(pt)*   a heartbeat: fires the EMIT AFTER DELAY timers due by pt
+//	Close()        finish the scans: bounded relations complete, timers flush
+//	Drain()        at any point after Start: the output materialized since
+//	               the previous Drain
+//
+// Run is the same lifecycle in one call (Start, a feed of every source up to
+// its horizon, Advance to the horizon, Close), so one-shot queries and
+// replays run the code standing queries run. The invariant, property-tested
+// by TestFeedSplitEquivalence (lifecycle_test.go): any split of the source
+// changelogs into Feed batches along the ptime axis gives output
+// byte-identical to one Run over the same logs (see Driver for the exact
+// precondition, which FedInMergeOrder reports).
+//
+// An operator has nothing to do for Feed or Advance. It sees the same
+// PushBatch and Finish calls, carrying the same events in the same order, as
+// under Run, and its state persists between Feeds because the pipeline stays
+// alive. An operator with processing-time timers (emitAfterDelayOp) also
+// fires on the heartbeats Advance injects. A new operator inherits
+// standing-query support for free.
+//
 // # The operator contract
 //
 // Every operator input is a sink with one way in: PushBatch(evs) delivers a

@@ -29,8 +29,8 @@ const (
 type RestoreQuery func(sql string) (Query, error)
 
 // saveStateLocked writes one session; its retained output writes itself
-// (output.save). Caller holds ingestMu and mu (the manager's checkpoint pass
-// locks every open session first), and the session is not closed.
+// (output.save). Caller holds the manager's lock, so it owns the driver of
+// this registered (hence open) session, and s.mu.
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Section("live.Session")
 	enc.String(s.cfg.Name)
@@ -103,14 +103,14 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	if err != nil {
 		return err
 	}
-	if err := dec.Err(); err != nil || m.plans[q.Key] != nil {
+	if err := dec.Err(); err != nil || (*m.plans.Load())[q.Key] != nil {
 		return err
 	}
 	if table {
 		if s, err = q.Create(); err != nil {
 			return err
 		}
-		if _, err = m.registerLocked(s, q.History); err != nil {
+		if err = m.registerLocked(s, q.History); err != nil {
 			s.cancel()
 			return err
 		}
@@ -118,9 +118,8 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 		s.wm.Store(int64(wm))
 		s.eventsIn.Store(eventsIn)
 		s.outOfOrder.Store(!d.FedInMergeOrder())
-		s.setObs(m.obsm)             // restored pipelines count like registered ones
-		m.installLocked(m.nextID, s) // routing table + teardown hook
-		m.nextID++
+		s.setObs(m.obsm) // restored pipelines count like registered ones
+		m.installLocked(s)
 	}
 	m.shareLocked(q.Key, s)
 	return nil
@@ -140,12 +139,13 @@ func skipTableAcc(dec *checkpoint.Decoder) {
 	}
 }
 
-// CheckpointAll writes the manager's routing clock and every open session
-// that holds its plan key under the ordering lock. The extra callback (the
-// owning engine's catalog snapshot) runs first under the same lock, so
-// catalog and pipeline state describe the same commit point. Every open session's locks are taken
-// before any bytes are written, so a session cannot close or deliver halfway
-// through the snapshot.
+// CheckpointAll writes the manager's routing clock and every session that
+// holds its plan key under the ordering lock. The extra callback (the owning
+// engine's catalog snapshot) runs first under the same lock, so catalog and
+// pipeline state describe the same commit point. Under that lock no session
+// is fed, closes or leaves the routing table, so every registered session is
+// open and its driver quiescent; each session's mu is held while it is
+// written, because its cursors' readers trim its retained output.
 func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.Encoder) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -154,30 +154,21 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 			return err
 		}
 	}
-	var open, held []*Session
-	defer func() {
-		for _, s := range held {
-			s.mu.Unlock()
-			s.ingestMu.Unlock()
-		}
-	}()
-	for _, id := range m.order {
-		s := m.subs[id]
-		if m.plans[s.key] != s {
-			continue // a superseded session dies with its last cursor
-		}
-		s.ingestMu.Lock()
-		s.mu.Lock()
-		held = append(held, s)
-		if !s.closed {
-			open = append(open, s)
+	plans := *m.plans.Load()
+	var sessions []*Session
+	for _, s := range *m.sessions.Load() {
+		if plans[s.key] == s { // a superseded session dies with its last cursor
+			sessions = append(sessions, s)
 		}
 	}
 	enc.Section(sessionsSection)
 	enc.Time(types.Time(m.lastHeartbeat.Load()))
-	enc.Uvarint(uint64(len(open)))
-	for _, s := range open {
-		if err := s.saveStateLocked(enc); err != nil {
+	enc.Uvarint(uint64(len(sessions)))
+	for _, s := range sessions {
+		s.mu.Lock()
+		err := s.saveStateLocked(enc)
+		s.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}

@@ -204,7 +204,7 @@ func (c *cursor) stats() Stats {
 // cancel terminates this cursor immediately: unread output is abandoned, its
 // channel closes, and Err reports ErrClosed unless a terminal error was
 // already recorded. When it was the session's last cursor, the shared
-// pipeline is torn down with it.
+// pipeline ends with it.
 func (c *cursor) cancel() {
 	c.halt()
 	s := c.s
@@ -217,23 +217,10 @@ func (c *cursor) cancel() {
 	s.removeCursorLocked(c)
 	last := len(s.cursors) == 0 && !s.closed
 	s.mu.Unlock()
-	if !last {
-		return
-	}
-	// Last subscriber gone: finish the driver once any running feed is
-	// done, and re-check — a racing attach may have revived the session,
-	// or a failing feed already closed it.
-	s.ingestMu.Lock()
-	s.mu.Lock()
-	closedNow := false
-	if !s.closed && len(s.cursors) == 0 {
+	if last && s.retire(nil) {
+		s.mu.Lock()
 		s.closeSessionLocked(ErrClosed)
-		closedNow = true
-	}
-	s.mu.Unlock()
-	s.ingestMu.Unlock()
-	if closedNow {
-		s.runTeardown()
+		s.mu.Unlock()
 	}
 }
 
@@ -249,41 +236,36 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 	s := c.s
 	c.halt()
 	s.mu.Lock()
-	if c.detached {
-		s.mu.Unlock()
-		return nil, c.terminalErr()
-	}
-	if len(s.cursors) > 1 || s.closed {
-		// Peers remain (or the session already ended): detach without
-		// touching the shared driver.
+	last := !c.detached && !s.closed && len(s.cursors) == 1
+	s.mu.Unlock()
+	if last && s.retire(c) {
+		// The session is closed and out of the routing table, so this
+		// goroutine alone drives it: complete the input and hand the
+		// close-time output over after the unread deliveries.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.driver.Close(); err != nil {
+			s.setErr(err)
+			c.setErr(err)
+			s.removeCursorLocked(c)
+			return nil, err
+		}
+		s.appendOutputLocked(nil)
 		final := c.unreadLocked()
 		s.removeCursorLocked(c)
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return final, c.terminalErr()
-		}
 		return final, nil
 	}
-	// Last subscriber: the standing query finishes with it. Marking the
-	// session closed stops new ingest; the teardown stops the manager
-	// from routing, waiting out any in-flight publish.
-	s.closed = true
-	s.mu.Unlock()
-	s.runTeardown()
-
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	// Peers remain (or the session already ended): detach without touching
+	// the shared driver.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.driver.Close(); err != nil {
-		s.setErr(err)
-		c.setErr(err)
-		s.removeCursorLocked(c)
-		return nil, err
+	if c.detached {
+		return nil, c.terminalErr()
 	}
-	s.appendOutputLocked(nil)
 	final := c.unreadLocked()
 	s.removeCursorLocked(c)
+	if s.closed {
+		return final, c.terminalErr()
+	}
 	return final, nil
 }

@@ -109,6 +109,26 @@
 // under Manager.mu; the clock is also an atomic, so the gauge reads it at
 // scrape time without the lock.
 //
+// One rule is the whole concurrency contract of a session's driver, which
+// has one caller at a time:
+//
+//   - while a session is registered (in the manager's routing table), only
+//     code that holds Manager.mu calls its driver: the fan-out of a commit,
+//     CheckpointAll, and the registration that catches it up;
+//   - the goroutine that removes a session from the routing table, under
+//     Manager.mu, owns its driver from then on. The fan-out removes a
+//     session whose delivery failed and completes its driver as it fails.
+//     The departing last cursor (Session.retire) marks the session closed
+//     and removes it in one critical section under Manager.mu and the
+//     session's mu, then completes the driver: a Close appends the
+//     close-time output under the session's mu, a Cancel discards it;
+//   - a session that was never registered is driven by its one owner:
+//     Subscribe while it registers the session, or a test that built it
+//     with NewSession.
+//
+// So a registered session is open whenever Manager.mu is free, and a
+// checkpoint under that lock finds every driver quiescent.
+//
 // Fan-out runs on the committing goroutine: it feeds the driver, appends the
 // output to the session's retained output as one delivery and wakes the
 // session's idle readers; it never waits on one. A stream cursor whose reader
@@ -119,9 +139,11 @@
 // deliveries wait in the retained output, and when it reads again it receives
 // exactly what a reading peer received. DeltasOut counts a delivery as it is
 // appended, so it is final once the producer is idle. A session that refuses
-// a delivery (closed or failed) leaves the routing table; a panicking
-// operator fails only its own session, whose readers still send what was
-// appended before it, then end with its error.
+// a delivery (closed or failed) leaves the routing table. A panic anywhere
+// in a delivery (the driver call, draining and rendering its output, waking
+// the cursors) fails only its own session (Session.step is the one
+// boundary): its readers still send what was appended before it, then end
+// with its error, and a registration that panics fails its Subscribe.
 //
 // # One-shot reads from a resident pipeline
 //
@@ -180,20 +202,21 @@
 // output before it returns, so a read that begins after an acknowledgement
 // sees it. The read holds the session's mu only to cut (a capped slice, so
 // later appends stay invisible) and take the fold, and never takes
-// Manager.mu or ingestMu. TestResidentReadMatchesReplay and FuzzResidentRead
+// Manager.mu. TestResidentReadMatchesReplay and FuzzResidentRead
 // hold every served read to a replay, and
 // TestResidentTableReadFoldsOnlyNewOutput pins what each table read folds.
 //
 // # Lock order
 //
-// Manager.mu → engine catalog lock → Session.ingestMu → Session.mu; nothing
-// takes them in reverse. A table read takes the fold's mutex with no other lock
-// held, and takes none while holding it. ingestMu serializes driver access and
-// is held for a whole feed; mu guards the cursors and the retained output, and
-// a commit holds it only to append a delivery. So readers, Attach, Stats,
-// resident reads and a peer's Cancel or Close wait at most for an append, never
-// for a running feed; a reader holds mu only to find its next piece or record a
-// receipt, never while it sends, and nothing holds either lock while waiting on
-// a consumer (the commit's hand-off to a waiting consumer cannot block).
-// Teardown takes Manager.mu with neither session lock held.
+// Manager.mu → engine catalog lock → Session.mu; nothing takes them in
+// reverse. A table read takes the fold's mutex with no other lock held, and
+// takes none while holding it. Manager.mu is held for a whole commit, feeds
+// included; Session.mu guards the cursors and the retained output, and a
+// commit holds it only to append a delivery. So readers, Attach, Stats,
+// resident reads and a non-last cursor's Cancel or Close wait at most for an
+// append, never for a running feed; only the last cursor's departure waits
+// for Manager.mu, to remove its session. A reader holds Session.mu only to
+// find its next piece or record a receipt, never while it sends, and nothing
+// holds either lock while waiting on a consumer (the commit's hand-off to a
+// waiting consumer cannot block).
 package live

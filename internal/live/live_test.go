@@ -9,13 +9,17 @@ package live_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/exec"
 	"repro/internal/live"
+	"repro/internal/plan"
+	"repro/internal/sqlparser"
 	"repro/internal/tvr"
 	"repro/internal/types"
 )
@@ -579,11 +583,14 @@ func TestLateAttachSnapshot(t *testing.T) {
 	})
 }
 
-// TestPlanTableSurvivesTeardownRace: a dying shared session's deferred
-// unregister must not clobber the replacement Subscribe installed under the
-// same plan key — otherwise later identical subscriptions silently stop
-// sharing. Stress loop: with the bug, a stale teardown deletes the live
-// plans entry and the next subscribe builds a second resident pipeline.
+// TestPlanTableSurvivesTeardownRace: a shared session whose last cursor
+// departs while a Subscribe of the same plan key waits on the manager lock
+// must leave exactly one resident session under the key — either the
+// subscribe revives it, and its departing cursor then leaves it alone, or the
+// session leaves first and the subscribe's replacement keeps the key.
+// Otherwise later identical subscriptions silently stop sharing. Stress loop:
+// with the bug (a departing session deleting whatever the key held), the
+// next subscribe builds a second resident pipeline.
 func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
 	subscribe := func() *live.Subscription {
@@ -601,8 +608,8 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		sub1 := subscribe()
-		// Occupy the manager's ordering lock so the cancel's deferred
-		// unregister and the replacing subscribe pile up behind it and
+		// Occupy the manager's ordering lock so the cancel's removal of
+		// its session and the replacing subscribe pile up behind it and
 		// race for it on release.
 		hold := make(chan struct{})
 		inCommit := make(chan struct{})
@@ -613,10 +620,11 @@ func TestPlanTableSurvivesTeardownRace(t *testing.T) {
 		}()
 		<-inCommit
 		// Queue the replacing subscribe on the manager lock first, THEN
-		// cancel: the cancel closes the session without the manager lock
-		// and parks its unregister behind the subscribe, which therefore
-		// observes the dead session, replaces it, and only afterwards
-		// does the stale unregister run — the clobber window.
+		// cancel: the cancel detaches its cursor without the manager lock
+		// and parks the session's removal behind the subscribe, which
+		// therefore finds the session without cursors and attaches to it;
+		// only afterwards does the removal run, and it must find the
+		// session revived.
 		var sub2 *live.Subscription
 		sub2Done := make(chan struct{})
 		go func() {
@@ -953,24 +961,34 @@ func TestPublishBatchesOneDelta(t *testing.T) {
 	sub.Cancel()
 }
 
-// TestConcurrentIngestAndCancel: racing publishers, a consumer, and a
-// midstream cancel must neither deadlock nor panic (run with -race).
+// TestConcurrentIngestAndCancel: racing publishers, consumers, a midstream
+// cancel, a midstream last-cursor Close and a checkpoint loop must neither
+// deadlock nor panic (run with -race). The closed subscription's rows, on the
+// channel and in its final delta, are a gapless prefix of the commits, and
+// every checkpoint succeeds while sessions leave beside it.
 func TestConcurrentIngestAndCancel(t *testing.T) {
 	m := live.NewManagerWith(live.Options{})
-	s, err := live.NewSession(&echoDriver{}, live.Config{
-		Name: "race", Schema: testSchema(), Sources: []string{"s"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	subscribe := func(name string) *live.Subscription {
+		t.Helper()
+		s, err := live.NewSession(compilePassthrough(t), live.Config{
+			Name: name, Schema: testSchema(), Sources: []string{"s"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := m.Subscribe(name, live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
 	}
-	sub, err := m.Subscribe(fmt.Sprintf("%p", s), live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	canceled, closed := subscribe("cancel"), subscribe("close")
 	var wg sync.WaitGroup
+	published := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(published)
 		for i := 0; i < 200; i++ {
 			_ = m.PublishSpan(func() error { return nil }, "s",
 				tvr.Changelog{tvr.InsertEvent(types.Time(i), intRow(int64(i)))}, nil)
@@ -980,15 +998,93 @@ func TestConcurrentIngestAndCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		n := 0
-		for range sub.Deltas() {
+		for range canceled.Deltas() {
 			n++
 			if n == 50 {
-				sub.Cancel()
+				canceled.Cancel()
+			}
+		}
+	}()
+	var rows []int64
+	var closeErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for d := range closed.Deltas() {
+			if rows = append(rows, streamInts(d)...); len(rows) >= 50 {
+				break
+			}
+		}
+		final, err := closed.Close()
+		if final != nil {
+			rows = append(rows, streamInts(*final)...)
+		}
+		closeErr = err
+	}()
+	var checkpoints int
+	var checkpointErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if err := m.CheckpointAll(checkpoint.NewEncoder(io.Discard), nil); err != nil {
+				checkpointErr = err
+				return
+			}
+			checkpoints++
+			select {
+			case <-published:
+				return
+			default:
 			}
 		}
 	}()
 	wg.Wait()
 	if m.Len() != 0 {
-		t.Fatalf("Len = %d after cancel, want 0", m.Len())
+		t.Fatalf("Len = %d after cancel and close, want 0", m.Len())
 	}
+	if closeErr != nil || closed.Err() != nil {
+		t.Fatalf("last-cursor Close: err %v, Err() %v; want nil", closeErr, closed.Err())
+	}
+	if len(rows) < 50 {
+		t.Fatalf("closed subscription received %d rows, want at least the 50 before its Close", len(rows))
+	}
+	for i, v := range rows {
+		if v != int64(i) {
+			t.Fatalf("closed subscription row %d = %d: not a gapless prefix of the commits", i, v)
+		}
+	}
+	if checkpointErr != nil || checkpoints == 0 {
+		t.Fatalf("checkpoints: %d passes, err %v", checkpoints, checkpointErr)
+	}
+}
+
+// compilePassthrough compiles SELECT v FROM s, over a stream s of testSchema,
+// into a real pipeline, which unlike the scripted drivers can be
+// checkpointed.
+func compilePassthrough(t *testing.T) exec.Driver {
+	t.Helper()
+	q, err := sqlparser.Parse("SELECT v FROM s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := plan.New(oneStream{}, plan.Config{}).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := exec.Compile(pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// oneStream is a catalog holding one unbounded relation, s, of testSchema.
+type oneStream struct{}
+
+func (oneStream) Resolve(name string) (*plan.Relation, error) {
+	if name != "s" {
+		return nil, fmt.Errorf("relation %q not found", name)
+	}
+	return &plan.Relation{Name: "s", Schema: testSchema(), Unbounded: true}, nil
 }

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +21,15 @@ import (
 type Manager struct {
 	mu     sync.Mutex
 	nextID int
-	subs   map[int]*Session
-	order  []int               // registration ids, ascending — the fan-out order
-	plans  map[string]*Session // shared-plan table: plan key -> resident session
+
+	// sessions is the routing table, every registered session in
+	// registration-id order (the fan-out order), and plans the shared-plan
+	// table, plan key -> resident session. Both are copy on write: changed
+	// only under mu, by storing a new copy, so the fan-out iterates the
+	// published slice as it is, and Len, Subscribers, the scrape-time gauges
+	// and ResidentRead read them without mu.
+	sessions atomic.Pointer[[]*Session]
+	plans    atomic.Pointer[map[string]*Session]
 
 	// seq is the last commit sequence number and lastHeartbeat the last
 	// committed processing-time heartbeat (types.Time; MinTime = none), the
@@ -31,12 +39,6 @@ type Manager struct {
 	// m.mu.
 	seq           uint64
 	lastHeartbeat atomic.Int64
-
-	count atomic.Int64 // len(subs), readable without m.mu
-	snap  atomic.Value // []*Session, for lock-free Subscribers()
-	// plansSnap is a copy-on-write copy of plans (map[string]*Session), so
-	// ResidentRead finds a session without m.mu.
-	plansSnap atomic.Value
 
 	// obsm holds the manager-wide delivery counters (nil without
 	// Options.Obs; see obs.go). Sessions receive the same pointer at
@@ -54,13 +56,10 @@ type Options struct {
 
 // NewManagerWith creates an empty registry with the given options.
 func NewManagerWith(o Options) *Manager {
-	m := &Manager{
-		subs:  make(map[int]*Session),
-		plans: make(map[string]*Session),
-	}
+	m := &Manager{}
+	m.sessions.Store(&[]*Session{})
+	m.plans.Store(&map[string]*Session{})
 	m.lastHeartbeat.Store(int64(types.MinTime))
-	m.snap.Store([]*Session{})
-	m.plansSnap.Store(map[string]*Session{})
 	if o.Obs != nil {
 		m.registerMetrics(o.Obs)
 	}
@@ -104,7 +103,7 @@ func (q Query) Create() (*Session, error) {
 func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session, error), history func() ([]exec.Source, error)) (*Subscription, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if sess := m.plans[key]; sess != nil {
+	if sess := (*m.plans.Load())[key]; sess != nil {
 		if sub, err := sess.Attach(opts); err == nil {
 			return sub, nil
 		}
@@ -113,15 +112,13 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 	if err != nil {
 		return nil, err
 	}
-	id, err := m.registerLocked(sess, history)
-	if err != nil {
+	if err := m.registerLocked(sess, history); err != nil {
 		sess.cancel()
 		return nil, err
 	}
 	sub, err := sess.Attach(opts)
 	if err != nil {
-		m.removeLocked(id)
-		sess.teardownOnce.Do(func() {}) // already unregistered; neutralize the hook
+		m.removeLocked(sess)
 		sess.cancel()
 		return nil, err
 	}
@@ -129,17 +126,17 @@ func (m *Manager) Subscribe(key string, opts CursorOpts, create func() (*Session
 	return sub, nil
 }
 
-func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, error)) (int, error) {
+func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, error)) error {
 	// Hand the session the delivery counters before the history replay so
 	// the replayed batch is counted like any live delivery.
 	sess.setObs(m.obsm)
 	if history != nil {
 		batch, err := history()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := sess.IngestLog(batch); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	// Catch the new pipeline's processing-time clock up to the last
@@ -149,13 +146,11 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 	// differently than an early subscriber's.
 	if pt := types.Time(m.lastHeartbeat.Load()); pt > types.MinTime {
 		if err := sess.Advance(pt); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	id := m.nextID
-	m.nextID++
-	m.installLocked(id, sess)
-	return id, nil
+	m.installLocked(sess)
+	return nil
 }
 
 // shareLocked records the registered session under plan key, where
@@ -163,61 +158,39 @@ func (m *Manager) registerLocked(sess *Session, history func() ([]exec.Source, e
 // the same key loses it.
 func (m *Manager) shareLocked(key string, sess *Session) {
 	sess.key = key
-	m.plans[key] = sess
-	m.refreshLocked()
+	plans := maps.Clone(*m.plans.Load())
+	plans[key] = sess
+	m.plans.Store(&plans)
 }
 
-// installLocked wires a session into the routing table under the given id:
-// fan-out order and teardown hook.
-func (m *Manager) installLocked(id int, sess *Session) {
-	m.subs[id] = sess
-	m.order = append(m.order, id) // nextID is monotonic: stays sorted
-	m.refreshLocked()
-	sess.setID(id)
-	sess.SetTeardown(func() { m.unregister(id) })
+// installLocked gives the session the next pipeline id and appends it to
+// the routing table: ids are handed out in order, so the table stays in id
+// order. From here on only a holder of m.mu drives the session.
+func (m *Manager) installLocked(sess *Session) {
+	sess.m = m
+	sess.id.Store(int64(m.nextID))
+	m.nextID++
+	sessions := append(slices.Clip(*m.sessions.Load()), sess)
+	m.sessions.Store(&sessions)
 }
 
-func (m *Manager) unregister(id int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.removeLocked(id)
-}
-
-func (m *Manager) removeLocked(id int) {
-	sess, ok := m.subs[id]
-	if !ok {
+// removeLocked takes the session out of the routing table, and out of the
+// shared-plan table while it still holds its key (a predecessor leaving must
+// not clobber the successor Subscribe installed under the same key). A
+// session that has left already is not there.
+func (m *Manager) removeLocked(sess *Session) {
+	old := *m.sessions.Load()
+	i := slices.Index(old, sess)
+	if i < 0 {
 		return
 	}
-	delete(m.subs, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	sessions := slices.Delete(slices.Clone(old), i, i+1)
+	m.sessions.Store(&sessions)
+	if plans := *m.plans.Load(); plans[sess.key] == sess {
+		plans = maps.Clone(plans)
+		delete(plans, sess.key)
+		m.plans.Store(&plans)
 	}
-	// Only drop the shared-plan entry while it still points at this
-	// session: a predecessor's teardown must not clobber the successor
-	// that Subscribe installed under the same key.
-	if m.plans[sess.key] == sess {
-		delete(m.plans, sess.key)
-	}
-	m.refreshLocked()
-}
-
-// refreshLocked rebuilds the lock-free state: the observability snapshot and
-// the copy of the plan table. Every change to subs or plans ends here.
-func (m *Manager) refreshLocked() {
-	m.count.Store(int64(len(m.subs)))
-	sessions := make([]*Session, 0, len(m.order))
-	for _, id := range m.order {
-		sessions = append(sessions, m.subs[id])
-	}
-	m.snap.Store(sessions)
-	plans := make(map[string]*Session, len(m.plans))
-	for key, sess := range m.plans {
-		plans[key] = sess
-	}
-	m.plansSnap.Store(plans)
 }
 
 // Why a one-shot read of a close-inert plan could not be answered from a
@@ -231,10 +204,10 @@ const (
 )
 
 // ResidentRead answers a one-shot read at at, in mode, from the session
-// resident under key (Session.read), or names a Replay* reason. It takes
-// neither m.mu nor any session's ingestMu.
+// resident under key (Session.read), or names a Replay* reason. It does not
+// take m.mu.
 func (m *Manager) ResidentRead(key string, at types.Time, mode Mode) (r Reading, replay string, err error) {
-	sess := m.plansSnap.Load().(map[string]*Session)[key]
+	sess := (*m.plans.Load())[key]
 	if sess == nil {
 		return r, ReplayNoSession, nil
 	}
@@ -320,42 +293,27 @@ func (m *Manager) recordHeartbeatLocked(pt types.Time) {
 
 // fanOutLocked applies a commit to the matching sessions in registration-id
 // order on the calling goroutine, removing a session that refuses its
-// delivery (closed or failed).
+// delivery (closed or failed). It iterates the table as published: a
+// removal stores a new copy and leaves this one as it is.
 func (m *Manager) fanOutLocked(match func(*Session) bool, apply func(*Session) error) {
-	for _, id := range append([]int(nil), m.order...) {
-		if sess := m.subs[id]; sess != nil && match(sess) && safeApply(sess, apply) != nil {
-			m.removeLocked(id)
+	for _, sess := range *m.sessions.Load() {
+		if match(sess) && apply(sess) != nil {
+			m.removeLocked(sess)
 		}
 	}
-}
-
-// safeApply is the fan-out's last-resort panic boundary. An operator panic
-// is already converted into the session's terminal error inside the
-// session (see Session.step); this catches anything that escapes the
-// delivery path so it fails the one session it came from instead of
-// unwinding the committing goroutine and killing the process. The other
-// sessions keep their deliveries.
-func safeApply(sess *Session, apply func(*Session) error) (err error) {
-	defer func() {
-		if perr := exec.CapturePanic(recover()); perr != nil {
-			sess.setErr(perr)
-			err = perr
-		}
-	}()
-	return apply(sess)
 }
 
 // Len reports the number of resident pipelines without taking the routing
 // lock, so liveness probes stay responsive during a long commit.
 func (m *Manager) Len() int {
-	return int(m.count.Load())
+	return len(*m.sessions.Load())
 }
 
 // Subscribers reports the total number of attached subscriber cursors
 // across all resident pipelines. Like Len it takes no locks.
 func (m *Manager) Subscribers() int {
 	n := 0
-	for _, sess := range m.snap.Load().([]*Session) {
+	for _, sess := range *m.sessions.Load() {
 		n += sess.Subscribers()
 	}
 	return n

@@ -64,7 +64,7 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("live_queue_depth", "Deltas appended but not yet received, across all cursors.",
 		func() float64 {
 			n := 0
-			for _, sess := range m.snap.Load().([]*Session) {
+			for _, sess := range *m.sessions.Load() {
 				n += sess.queueDepth()
 			}
 			return float64(n)
@@ -76,7 +76,7 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 				return 0
 			}
 			var worst int64
-			for _, sess := range m.snap.Load().([]*Session) {
+			for _, sess := range *m.sessions.Load() {
 				wm := sess.wm.Load()
 				if wm == int64(types.MinTime) {
 					continue

@@ -140,6 +140,105 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 			t.Fatalf("healthy subscription failed: %v", healthySub.Err())
 		}
 	})
+
+	// A panic in the render/deliver half of a delivery (here Drain, after
+	// a Feed that succeeded) fails only its own session too.
+	t.Run("drain", func(t *testing.T) {
+		t.Run("at registration", func(t *testing.T) {
+			m := live.NewManagerWith(live.Options{})
+			_, healthySub := subscribeNew(t, m, "healthy", &echoDriver{}, nil)
+			d := &drainPanicDriver{panicOn: 13}
+			s, err := live.NewSession(d, live.Config{Name: "doomed", Schema: testSchema(), Sources: []string{"S"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			history := func() ([]exec.Source, error) {
+				return []exec.Source{{Name: "S", Log: tvr.Changelog{tvr.InsertEvent(1, intRow(13))}}}, nil
+			}
+			_, err = m.Subscribe("doomed", live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, history)
+			var perr *exec.PanicError
+			if !errors.As(err, &perr) || !strings.Contains(fmt.Sprint(perr.Value), "drain exploded") {
+				t.Fatalf("Subscribe error = %v, want the Drain panic as *exec.PanicError", err)
+			}
+			if !d.closed {
+				t.Fatal("the panicking registration left its driver running")
+			}
+			if m.Len() != 1 {
+				t.Fatalf("Len = %d after the failed registration, want 1 (the healthy session)", m.Len())
+			}
+			if _, err := s.Attach(live.CursorOpts{}); !errors.As(err, &perr) {
+				t.Fatalf("Attach to the failed session = %v, want its panic", err)
+			}
+			publishInt(t, m, 2)
+			if got := streamInts(recvDelta(t, healthySub, "healthy after the failed registration")); len(got) != 1 || got[0] != 2 {
+				t.Fatalf("healthy delta = %v, want [2]", got)
+			}
+			healthySub.Cancel()
+		})
+		t.Run("at a commit", func(t *testing.T) {
+			m := live.NewManagerWith(live.Options{})
+			_, healthySub := subscribeNew(t, m, "healthy", &echoDriver{}, nil)
+			d := &drainPanicDriver{panicOn: 13}
+			_, doomedSub := subscribeNew(t, m, "doomed", d, nil)
+			publishInt(t, m, 13)
+			recvClosed(t, doomedSub, "doomed after the Drain panic")
+			var perr *exec.PanicError
+			if err := doomedSub.Err(); !errors.As(err, &perr) || !strings.Contains(fmt.Sprint(perr.Value), "drain exploded") {
+				t.Fatalf("doomed Err = %v, want the Drain panic as *exec.PanicError", err)
+			}
+			if !d.closed || m.Len() != 1 {
+				t.Fatalf("driver closed=%v, Len=%d after the Drain panic; want closed and 1", d.closed, m.Len())
+			}
+			if got := streamInts(recvDelta(t, healthySub, "healthy at the panic")); len(got) != 1 || got[0] != 13 {
+				t.Fatalf("healthy delta during the panic commit = %v", got)
+			}
+			publishInt(t, m, 2)
+			if got := streamInts(recvDelta(t, healthySub, "healthy after the panic")); len(got) != 1 || got[0] != 2 {
+				t.Fatalf("healthy delta after the panic = %v", got)
+			}
+			healthySub.Cancel()
+		})
+	})
+}
+
+// drainPanicDriver is an echoDriver whose Drain panics when the output holds
+// the trigger value: a stand-in for a fault in draining or rendering the
+// output after an operator chain ran cleanly.
+type drainPanicDriver struct {
+	echoDriver
+	panicOn int64
+}
+
+func (d *drainPanicDriver) Drain() tvr.Changelog {
+	for _, ev := range d.out {
+		if ev.Row[0].Int() == d.panicOn {
+			panic(fmt.Sprintf("drain exploded on value %d", d.panicOn))
+		}
+	}
+	return d.echoDriver.Drain()
+}
+
+// subscribeNew registers a fresh session on d with one cursor, under a key
+// of its own.
+func subscribeNew(t *testing.T, m *live.Manager, name string, d exec.Driver, history func() ([]exec.Source, error)) (*live.Session, *live.Subscription) {
+	t.Helper()
+	s, err := live.NewSession(d, live.Config{Name: name, Schema: testSchema(), Sources: []string{"S"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.Subscribe(name, live.CursorOpts{}, func() (*live.Session, error) { return s, nil }, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, sub
+}
+
+// publishInt commits one insert of v to relation S.
+func publishInt(t *testing.T, m *live.Manager, v int64) {
+	t.Helper()
+	if err := m.PublishSpan(func() error { return nil }, "S", tvr.Changelog{tvr.InsertEvent(types.Time(v), intRow(v))}, nil); err != nil {
+		t.Fatalf("publish %d: %v", v, err)
+	}
 }
 
 // TestPanicDuringAdvance: the same isolation holds on the heartbeat path

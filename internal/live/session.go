@@ -35,23 +35,25 @@ type Config struct {
 // Session is the engine-facing half of a standing query: it owns a started
 // exec.Driver and appends its output to a retained log that any number of
 // subscriber cursors read (Attach), each at its own pace and in its own
-// mode. The session tears down when the last cursor departs, or immediately
-// on a pipeline error.
+// mode. The session ends when the last cursor departs, or immediately on a
+// pipeline error.
 //
-// A session is safe for concurrent use. Two locks split the work: ingestMu
-// serializes driver access (Feed/Advance/Close and Drain), while mu guards
-// the cursors and the retained output. A commit holds mu only to append, so
-// readers, Attach, Stats and resident reads wait at most for an append,
-// never for a running feed. Lock order: ingestMu before mu; neither is held
-// while acquiring the manager lock (runTeardown).
+// The driver has one caller at a time, by the ownership rule in the package
+// documentation: while the session is registered, the holder of its
+// manager's ordering lock; before that, and after the goroutine that
+// removes it from the routing table, that goroutine. mu guards the cursors
+// and the retained output; a commit holds it only to append, so readers,
+// Attach, Stats and resident reads wait at most for an append, never for a
+// running feed.
 type Session struct {
 	cfg     Config
 	driver  exec.Driver
 	sources map[string]bool
-	key     string // plan key, set by the manager when the session takes it
-
-	// ingestMu serializes driver access and keeps deliveries in order.
-	ingestMu sync.Mutex
+	// m and key are set by the manager, under its lock, when it registers
+	// the session and when the session takes its plan key, before any
+	// cursor can depart; the session keeps both when it leaves.
+	m   *Manager
+	key string
 
 	mu      sync.Mutex
 	closed  bool      // no further input accepted
@@ -74,9 +76,6 @@ type Session struct {
 	// feed's output is retained, so a read never serves output of an
 	// out-of-order feed.
 	outOfOrder atomic.Bool
-
-	teardown     func() // unregisters from the owning manager
-	teardownOnce sync.Once
 
 	// obsm is the owning manager's delivery counters (nil without
 	// observability; all increments are nil-safe). Set at registration,
@@ -110,12 +109,6 @@ func newSession(d exec.Driver, cfg Config) *Session {
 	s.dispatchedEvents.Store(ev0)
 	return s
 }
-
-// SetTeardown installs the hook run when the session leaves its manager.
-func (s *Session) SetTeardown(fn func()) { s.teardown = fn }
-
-// setID records the manager-assigned pipeline id.
-func (s *Session) setID(id int) { s.id.Store(int64(id)) }
 
 // Matches reports whether the standing query scans the named relation.
 func (s *Session) Matches(name string) bool { return s.sources[strings.ToLower(name)] }
@@ -203,13 +196,12 @@ func (s *Session) removeCursorLocked(c *cursor) {
 // closeSessionLocked ends the session: the terminal error is recorded,
 // every remaining cursor is detached with it — its reader still sends what
 // was appended, then closes the channel — and the driver is completed
-// (errors irrelevant on a failing session). Callers hold s.mu AND ingestMu
-// (driver access). Cursor-detach-path callers must run runTeardown
-// afterwards, without holding any lock; the ingest path instead returns the
-// error to the manager, which removes the session itself.
+// (errors irrelevant on a failing session). Caller holds s.mu and owns the
+// driver, which nothing has completed before. A registered session's
+// caller removes it from the routing table too: the fan-out when a delivery
+// fails, the departing last cursor (retire) otherwise.
 func (s *Session) closeSessionLocked(err error) {
 	s.setErr(err)
-	wasOpen := !s.closed
 	s.closed = true
 	s.out.fold = nil
 	for len(s.cursors) > 0 {
@@ -218,15 +210,13 @@ func (s *Session) closeSessionLocked(err error) {
 		c.notifyLocked() // an idle reader sees the close
 		s.removeCursorLocked(c)
 	}
-	if wasOpen {
-		// A driver being closed *because* it panicked may well panic
-		// again out of its half-unwound operator state; the session is
-		// already terminal either way.
-		func() {
-			defer func() { recover() }() //nolint:errcheck
-			s.driver.Close()             //nolint:errcheck
-		}()
-	}
+	// A driver being closed *because* it panicked may well panic again out
+	// of its half-unwound operator state; the session is terminal either
+	// way.
+	func() {
+		defer func() { recover() }() //nolint:errcheck
+		s.driver.Close()             //nolint:errcheck
+	}()
 }
 
 // IngestLog feeds a batch of per-source events (merged deterministically by
@@ -264,41 +254,45 @@ func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
 // closed, and delivers its output as one delivery. The call's time accrues
 // to the span's apply stage, and appendOutputLocked splits render from
 // deliver; the untraced path skips the span's time.Now calls entirely.
+// Caller owns the driver (see Session).
 //
-// step is the operator panic boundary: a panic in a standing pipeline (its
-// operators run on the committing goroutine) becomes this session's
-// terminal error — subscribers observe it through Err() with the panic
-// value and stack — instead of unwinding the committing goroutine and
-// killing the process. The driver holds only this session's state, so
-// abandoning it mid-panic corrupts nothing shared.
-func (s *Session) step(span *obs.CommitSpan, call func() error) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+// step is the standing pipeline's panic boundary: a panic anywhere in it —
+// the driver call, mirroring its counters, draining and rendering its
+// output, waking the cursors (operators run on the committing goroutine) —
+// becomes this session's terminal error, which subscribers observe through
+// Err() with the panic value and stack, instead of unwinding the committing
+// goroutine and killing the process. The driver and the retained output hold
+// only this session's state, so abandoning them mid-panic corrupts nothing
+// shared.
+func (s *Session) step(span *obs.CommitSpan, call func() error) (err error) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return s.terminalErr()
 	}
+	// Deferred first, so it runs last: a panic below has released s.mu.
+	defer func() {
+		if perr := exec.CapturePanic(recover()); perr != nil {
+			err = perr
+		}
+		if err != nil {
+			s.mu.Lock()
+			s.closeSessionLocked(err)
+			s.mu.Unlock()
+		}
+	}()
 	tApply := time.Time{}
 	if span != nil {
 		tApply = time.Now()
 	}
-	err := func() (err error) {
-		defer func() {
-			if perr := exec.CapturePanic(recover()); perr != nil {
-				err = perr
-			}
-		}()
-		return call()
-	}()
+	err = call()
 	span.AddSince(obs.SpanApply, tApply)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err != nil {
-		s.closeSessionLocked(err)
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.mirrorDriver()
 	s.appendOutputLocked(span)
 	return nil
@@ -306,7 +300,7 @@ func (s *Session) step(span *obs.CommitSpan, call func() error) error {
 
 // mirrorDriver copies the driver's dispatch counters and merge-order bit into
 // the session's atomics, and adds the dispatches since the last feed to the
-// manager's counters. Caller holds ingestMu, so the driver is quiescent.
+// manager's counters. Caller owns the driver, so it is quiescent.
 func (s *Session) mirrorDriver() {
 	d, ev := s.driver.DispatchStats()
 	s.obsm.noteDispatched(d-s.dispatches.Swap(d), ev-s.dispatchedEvents.Swap(ev))
@@ -317,7 +311,7 @@ func (s *Session) mirrorDriver() {
 // delivery: the rows, their stream versions (the renderer's counters must
 // see every row, whatever the cursors' modes), and the output watermark.
 // Each attached cursor is owed one delta more. Nothing is appended when
-// nothing materialized. Caller holds ingestMu (driver access) and s.mu.
+// nothing materialized. Caller owns the driver and holds s.mu.
 func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	tRender := time.Time{}
 	if span != nil {
@@ -357,29 +351,42 @@ func (s *Session) trimLocked() {
 	s.out.trim(low)
 }
 
-// runTeardown unregisters the session from its manager exactly once. It must
-// be called without holding s.mu or ingestMu: the manager routes events
-// while holding its own lock and then calls into the session, so taking the
-// locks in the opposite order here would deadlock.
-func (s *Session) runTeardown() {
-	s.teardownOnce.Do(func() {
-		if s.teardown != nil {
-			s.teardown()
-		}
-	})
+// retire takes the session out of service for its departing last cursor c
+// (nil for a cursor that has already detached). Under the manager's lock,
+// while the session is registered, and s.mu, it checks that the session is
+// open and that no cursor but c is attached: a racing Attach may have
+// revived it, or a failing commit closed it. If so, it marks the session
+// closed, so it accepts neither input nor cursors, and removes it from the
+// routing table, and reports true: the caller owns the driver from then on.
+func (s *Session) retire(c *cursor) bool {
+	if m := s.m; m != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed, len(s.cursors) > 1, len(s.cursors) == 1 && s.cursors[0] != c:
+		return false
+	}
+	s.closed = true
+	if s.m != nil {
+		s.m.removeLocked(s)
+	}
+	return true
 }
 
-// cancel tears the whole session down immediately: every cursor terminates
-// (Err reporting ErrClosed unless a terminal error was already recorded)
-// and the driver is completed. The manager uses it to release a session
-// whose registration failed partway, before any cursor attached.
+// cancel ends a session its caller owns, one that is not registered (or no
+// longer is) and has no cursor departing: every cursor terminates (Err
+// reporting ErrClosed unless a terminal error was already recorded) and the
+// driver is completed. The manager uses it to release a session whose
+// registration failed partway, before any cursor attached.
 func (s *Session) cancel() {
-	s.ingestMu.Lock()
 	s.mu.Lock()
-	s.closeSessionLocked(ErrClosed)
-	s.mu.Unlock()
-	s.ingestMu.Unlock()
-	s.runTeardown()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closeSessionLocked(ErrClosed)
+	}
 }
 
 // String renders a one-line diagnostic summary of the shared pipeline.
