@@ -95,6 +95,11 @@ faults:
 # bag at multiplicity zero (10k insert/delete pairs leave it empty), a
 # leave/re-enter pair allocates only the new entry and its key, and
 # BenchmarkRelationChurn prints ns and allocs per churn round.
+# So does the stream renderer's version store: versioning 10k rows whose emit
+# key is a distinct TIMESTAMP each stays under 0.1 allocations per row
+# (TestStreamRendererAllocs; it was 2 while every group took a heap key and a
+# heap counter), the renderer matches a byte-keyed reference in versions and
+# checkpoint bytes, and BenchmarkStreamRender prints ns/row and allocs/row.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestWindowedAggAllocs|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
@@ -105,6 +110,8 @@ batch-guard:
 	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem
 	$(GO) test ./internal/tvr -run 'TestRelationForgetsRowsAtZero|TestRelationChurnAllocs|TestRelationMatchesReference' -v
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkRelationChurn -benchtime 200x -benchmem
+	$(GO) test ./internal/tvr -run 'TestStreamRendererAllocs|TestStreamRendererMatchesReference' -v
+	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkStreamRender -benchtime 200x -benchmem
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /

@@ -147,6 +147,78 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// sample reads one unlabelled series from a /metrics body.
+func sample(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var f float64
+			if _, err := fmt.Sscan(v, &f); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
+
+// TestMetricsRendererGroups: live_renderer_groups counts one version counter
+// per event-time grouping a session renders. Q1's emit key is dateTime, so
+// N bids at distinct dateTimes under one stream subscriber read N, a bid at
+// a dateTime already seen adds none, and the session's share is gone once
+// its last subscriber leaves.
+func TestMetricsRendererGroups(t *testing.T) {
+	engine := core.NewEngine(core.WithObs(obs.NewRegistry()))
+	defer engine.Close()
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	resp, read := subscribeLines(t, c, ts.URL, "mode=stream&sql="+queryEscape(`SELECT auction, price * 908 / 1000 AS price, dateTime FROM Bid`))
+	defer resp.Body.Close()
+	id := int(read()["id"].(float64))
+
+	const n = 40
+	events := make([]eventJSON, n)
+	for i := range events {
+		events[i] = eventJSON{Kind: "insert", Ptime: timeMS(int64(1000 + i)), Row: []any{int64(i), int64(100), int64(5000 + 7*i)}}
+	}
+	ingestBids(t, c, ts.URL, events[:n/2])
+	ingestBids(t, c, ts.URL, events[n/2:])
+	_, body, _ := getBody(t, c, ts.URL+"/metrics")
+	if got := sample(t, body, "live_renderer_groups"); got != n {
+		t.Fatalf("live_renderer_groups = %v after %d bids at distinct dateTimes, want %d", got, n, n)
+	}
+	ingestBids(t, c, ts.URL, []eventJSON{{Kind: "insert", Ptime: timeMS(2000), Row: []any{int64(99), int64(1), int64(5000)}}})
+	_, body, _ = getBody(t, c, ts.URL+"/metrics")
+	if got := sample(t, body, "live_renderer_groups"); got != n {
+		t.Fatalf("live_renderer_groups = %v after a bid at a dateTime already seen, want %d", got, n)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/subscriptions/%d", ts.URL, id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del, err := c.Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		del.Body.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, body, _ = getBody(t, c, ts.URL+"/metrics")
+		if sample(t, body, "live_sessions") == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled subscription's pipeline never tore down")
+		}
+	}
+	if got := sample(t, body, "live_renderer_groups"); got != 0 {
+		t.Fatalf("live_renderer_groups = %v with no session left, want 0", got)
+	}
+}
+
 // TestMetricsDispatchCountersNeverFall: exec_dispatches_total and
 // exec_dispatched_events_total are counters, so the teardown of the pipeline
 // whose dispatches they counted must not lower them: subscribe, ingest,
@@ -165,26 +237,11 @@ func TestMetricsDispatchCountersNeverFall(t *testing.T) {
 		{Kind: "insert", Ptime: timeMS(1000), Row: []any{int64(1), int64(500), int64(1000)}},
 		{Kind: "insert", Ptime: timeMS(2000), Row: []any{int64(2), int64(950), int64(2000)}},
 	})
-	// sample reads one unlabelled series from /metrics.
-	sample := func(body, name string) float64 {
-		t.Helper()
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				var f float64
-				if _, err := fmt.Sscan(v, &f); err != nil {
-					t.Fatalf("%q: %v", line, err)
-				}
-				return f
-			}
-		}
-		t.Fatalf("/metrics has no %s", name)
-		return 0
-	}
 	counters := []string{"exec_dispatches_total", "exec_dispatched_events_total"}
 	_, body, _ := getBody(t, c, ts.URL+"/metrics")
 	before := make([]float64, len(counters))
 	for i, name := range counters {
-		if before[i] = sample(body, name); before[i] == 0 {
+		if before[i] = sample(t, body, name); before[i] == 0 {
 			t.Fatalf("%s = 0 after ingest; the test needs a dispatch", name)
 		}
 	}
@@ -199,7 +256,7 @@ func TestMetricsDispatchCountersNeverFall(t *testing.T) {
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		_, body, _ = getBody(t, c, ts.URL+"/metrics")
-		if sample(body, "live_sessions") == 0 {
+		if sample(t, body, "live_sessions") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -207,7 +264,7 @@ func TestMetricsDispatchCountersNeverFall(t *testing.T) {
 		}
 	}
 	for i, name := range counters {
-		if after := sample(body, name); after < before[i] {
+		if after := sample(t, body, name); after < before[i] {
 			t.Errorf("%s fell from %v to %v when its pipeline tore down", name, before[i], after)
 		}
 	}

@@ -22,6 +22,35 @@
 // Both halves accumulate their first error and turn every subsequent call
 // into a no-op, so call sites can encode a whole snapshot and check the error
 // once at Close.
+//
+// # The payload
+//
+// The primitives are zigzag varints (Varint, Int, Time, Duration), uvarints,
+// length-prefixed strings, booleans, tagged SQL values and nilable rows. A
+// value's tag is a byte of its own ('n', 'b', 'i', 'f', 's', 't', 'd'),
+// independent of the in-memory types.Kind numbering so that enum can be
+// reordered. A DOUBLE is written as its eight float64 bits, big-endian, and
+// reads back bit for bit: NaN payloads, -0.0, the infinities and subnormals
+// included (TestFloatBitsRoundTrip).
+//
+// Sections (Section/Expect) sit at every seam between layers (each
+// operator, the driver, a session, the engine catalog), so a reader that
+// drifted from its writer fails at the exact operator that drifted.
+//
+// # Changing the bytes
+//
+// Golden files pin the bytes: internal/exec/testdata/*.golden for each
+// operator and driver, internal/core/testdata for engine snapshots. A
+// deliberate layout change bumps FormatVersion and regenerates them with
+// UPDATE_GOLDEN=1; a change that is not meant to move bytes passes every
+// golden untouched. What each layer writes, and the order it writes it in,
+// is that layer's contract (internal/exec, "Checkpoint and restore", for
+// operators and drivers; internal/live for sessions; internal/core for the
+// data directory and the recovery guarantee).
+//
+// WriteFileAtomicFS is the crash-safe on-disk swap (temp file, fsync,
+// rename, directory fsync); a failed write leaves the previous checkpoint
+// byte-identical.
 package checkpoint
 
 import (

@@ -111,6 +111,43 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatBitsRoundTrip: a DOUBLE decodes to the exact bits it was encoded
+// with, for the values Equal cannot tell apart or never matches.
+func TestFloatBitsRoundTrip(t *testing.T) {
+	bits := []uint64{
+		math.Float64bits(math.NaN()), 0x7ff8_0000_dead_beef, // NaNs, one with a payload
+		math.Float64bits(math.Copysign(0, -1)), 0,
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		1, 0x000f_ffff_ffff_ffff, // the smallest and the largest subnormal
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, b := range bits {
+		enc.Value(types.NewFloat(math.Float64frombits(b)))
+	}
+	enc.Row(types.Row{types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN())})
+	if err := enc.Close(); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for _, want := range bits {
+		v := dec.Value()
+		if v.Kind() != types.KindFloat64 || math.Float64bits(v.Float()) != want {
+			t.Errorf("decoded %v (%s, bits %#x), want bits %#x", v, v.Kind(), math.Float64bits(v.Float()), want)
+		}
+	}
+	row := dec.Row()
+	if len(row) != 2 || math.Float64bits(row[0].Float()) != math.Float64bits(math.Copysign(0, -1)) || !math.IsNaN(row[1].Float()) {
+		t.Errorf("row = %v", row)
+	}
+	if err := dec.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 // TestSectionMismatch: a drifted reader fails loudly at the section seam.
 func TestSectionMismatch(t *testing.T) {
 	var buf bytes.Buffer

@@ -10,32 +10,8 @@ import (
 	"repro/internal/types"
 )
 
-// This file implements durable checkpoint/restore for the pipeline: every
-// stateful operator serializes its state through the versioned
-// internal/checkpoint encoding, and a pipeline compiled from the same plan
-// can be re-hydrated to exactly the point the checkpoint was taken — the
-// restored pipeline's subsequent output is byte-identical to the
-// uninterrupted run's.
-//
-// The operator contract: a stateful operator implements
-//
-//	SaveState(*checkpoint.Encoder)
-//	LoadState(*checkpoint.Decoder) error
-//
-// writing every field that influences future emissions — accumulator values,
-// per-group output rows (for retract/emit/suppress), watermarks, late/freed
-// counters, timer queues, and any *iteration order* its containers maintain
-// (order slices are part of the bytes-identical guarantee, not an
-// implementation detail). Map-backed state with no explicit order serializes
-// sorted by key so the same state always produces the same bytes; map keys
-// that are derivable from the stored rows (Row.Key, KeyOf) are re-derived at
-// load rather than stored. Stateless operators simply don't implement the
-// interface. Restore never calls Open: open-time emissions (constant
-// relations, a global aggregate's initial row) already happened before the
-// checkpoint and are part of the restored downstream state.
-//
-// Checkpoints are only taken at quiescent points — between Feed/Advance
-// calls — which the pipeline lifecycle guarantees.
+// This file implements durable checkpoint/restore for the pipeline; the
+// operator contract is in doc.go, "Checkpoint and restore".
 
 // stateSaver is implemented by operators with checkpointable state.
 type stateSaver interface {
@@ -467,11 +443,19 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 		a.n = dec.Varint()
 	case *sumAcc:
 		a.i = dec.Varint()
-		a.f = dec.Value().Float()
+		f, err := loadFloatSum(dec)
+		if err != nil {
+			return err
+		}
+		a.f = f
 		a.n = dec.Varint()
 	case *avgAcc:
 		a.sumI = dec.Varint()
-		a.sumF = dec.Value().Float()
+		f, err := loadFloatSum(dec)
+		if err != nil {
+			return err
+		}
+		a.sumF = f
 		a.n = dec.Varint()
 		a.inexact = dec.Bool()
 	case *minMaxAcc:
@@ -510,6 +494,19 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 		return loadAcc(dec, a.inner)
 	}
 	return dec.Err()
+}
+
+// loadFloatSum reads the float running sum of a SUM or AVG, which saveAcc
+// always writes as a DOUBLE: any other kind there is a corrupt snapshot.
+func loadFloatSum(dec *checkpoint.Decoder) (float64, error) {
+	v := dec.Value()
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if v.Kind() != types.KindFloat64 {
+		return 0, fmt.Errorf("exec: checkpoint holds a %v float running sum, want DOUBLE", v.Kind())
+	}
+	return v.Float(), nil
 }
 
 // Groups closed by a watermark are evicted, so only open groups are written,

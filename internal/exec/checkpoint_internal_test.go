@@ -292,6 +292,30 @@ func TestJoinOpLoadCorruptBucketCount(t *testing.T) {
 	}
 }
 
+// TestLoadAccRejectsNonFloatSum: a SUM's or AVG's float running sum that
+// holds another kind (a BIGINT here) fails the load instead of loading that
+// value's payload as float bits.
+func TestLoadAccRejectsNonFloatSum(t *testing.T) {
+	for _, acc := range []accumulator{newSumAcc(types.KindFloat64), &avgAcc{}} {
+		var buf bytes.Buffer
+		enc := checkpoint.NewEncoder(&buf)
+		enc.Varint(0)
+		enc.Value(types.NewInt(42))
+		enc.Varint(1)
+		enc.Bool(false)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadAcc(dec, acc); err == nil {
+			t.Errorf("%T loaded a BIGINT float running sum without error", acc)
+		}
+	}
+}
+
 // sessionWindowNode builds a SESSION window TVF over (v BIGINT, t TIMESTAMP).
 func sessionWindowNode() *plan.WindowTVF {
 	in := types.NewSchema(

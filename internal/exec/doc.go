@@ -120,12 +120,59 @@
 // # Adding an operator
 //
 // A new operator implements sink (and Open, if it emits before any input);
-// a stateful one also implements SaveState/LoadState (the contract is in
-// checkpoint.go) and, if its state is keyed by event-time columns,
+// a stateful one also implements SaveState/LoadState (see "Checkpoint and
+// restore" below) and, if its state is keyed by event-time columns,
 // registers its groups with a completionIndex. Pipeline.build wires it to
 // its plan node, and a shape in rechunkShapes covers it in
 // TestPushBatchRechunkEquivalence and TestOutputPtimesFollowInput.
 // Nothing else changes.
+//
+// # Checkpoint and restore
+//
+// A standing query's answer must not depend on whether the serving process
+// restarted mid-stream. A pipeline compiled from the same plan is
+// re-hydrated from a checkpoint to exactly the point it was taken, and its
+// later output is byte-identical to the uninterrupted run's. The stream
+// encoding is internal/checkpoint's.
+//
+// A stateful operator implements
+//
+//	SaveState(*checkpoint.Encoder)
+//	LoadState(*checkpoint.Decoder) error
+//
+// and a stateless one does not. SaveState writes every field that
+// influences future emissions:
+//
+//   - accumulator values, per-group last-emitted rows (the
+//     retract/emit/suppress seam), watermarks, late and freed counters and
+//     timer queues;
+//   - any iteration order its containers keep. Order slices are part of the
+//     byte-identical guarantee: the session-window operator keeps even
+//     zero-count timestamps, because their list position decides the
+//     retract/re-emit cascade order;
+//   - map-backed state with no explicit order, sorted by key, so the same
+//     state always produces the same bytes. A map key derivable from a
+//     stored row (Row.Key, KeyOf) is re-derived at load, not stored.
+//
+// Restore never calls Open: open-time emissions (constant relations, a
+// global aggregate's initial row) happened before the checkpoint and already
+// live in downstream state. Every operator has an isolation round-trip test
+// in checkpoint_internal_test.go; add one for a new operator.
+//
+// SaveDriver and LoadDriver write and read a whole pipeline, embedded in
+// the engine snapshot by internal/live (the goldens in testdata are
+// standalone streams the tests write around them). The pipeline writes its
+// operators in build order under the tag "serial". A stream tagged
+// "partitioned", written while a key-partitioned executor existed, is
+// refused with an error naming its removal
+// (testdata/partitioned_two_stage.golden). Checkpoints are taken only at
+// quiescent points, between Feed and Advance calls. The collector saves
+// its output counters, watermark and undrained output (see "Output"
+// below), so the Drains before and after a restore concatenate to the
+// uninterrupted sequence. TestCheckpointRestoreEquivalence checkpoints,
+// discards and restores a pipeline at every random Feed-split boundary and
+// requires the drained output, and the stream and table renderings derived
+// from it, to equal a one-shot Run's.
 //
 // # Watermark completion
 //

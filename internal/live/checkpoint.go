@@ -99,6 +99,7 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 		skipTableAcc(dec)
 	} else {
 		err = s.out.load(dec, q.Config.EmitKeys, wm, overflowed)
+		s.groups.Store(int64(s.out.renderer.Groups()))
 	}
 	if err != nil {
 		return err

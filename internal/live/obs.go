@@ -8,9 +8,9 @@ import (
 // liveMetrics are the manager-wide delivery counters, incremented from the
 // hot path through nil-safe obs handles (a manager built without
 // Options.Obs carries a nil *liveMetrics and records nothing). Gauge-style
-// series (sessions, subscribers, queue depth, watermark lag) are instead
-// sampled at scrape time from the manager's existing lock-free
-// observability state, so a scrape never takes the ordering lock.
+// series (sessions, subscribers, queue depth, renderer groups, watermark
+// lag) are instead sampled at scrape time from the manager's existing
+// lock-free observability state, so a scrape never takes the ordering lock.
 type liveMetrics struct {
 	eventsIn         *obs.Counter
 	deltasOut        *obs.Counter
@@ -66,6 +66,14 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 			n := 0
 			for _, sess := range *m.sessions.Load() {
 				n += sess.queueDepth()
+			}
+			return float64(n)
+		})
+	reg.GaugeFunc("live_renderer_groups", "Stream version counters (one per event-time grouping rendered) held across sessions.",
+		func() float64 {
+			n := int64(0)
+			for _, sess := range *m.sessions.Load() {
+				n += sess.groups.Load()
 			}
 			return float64(n)
 		})

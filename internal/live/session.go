@@ -67,6 +67,7 @@ type Session struct {
 	wm       atomic.Int64 // types.Time
 	nsubs    atomic.Int64 // len(cursors)
 	id       atomic.Int64 // registration (pipeline) id, set by the manager
+	groups   atomic.Int64 // the renderer's version counters, stored per delivery
 	// Batched-execution observability, mirrored from the driver's
 	// exec.Stats after every feed so lock-free Stats readers see them
 	// without touching the driver.
@@ -325,6 +326,7 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	if len(out) == 0 {
 		return
 	}
+	s.groups.Store(int64(s.out.renderer.Groups()))
 	tDeliver := time.Time{}
 	if span != nil {
 		tDeliver = time.Now()

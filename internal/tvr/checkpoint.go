@@ -1,6 +1,7 @@
 package tvr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -139,24 +140,37 @@ func (r *Relation) LoadState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SaveState writes the renderer's per-group version counters, sorted by
-// group key for deterministic bytes (the map tracks no insertion order, and
-// lookup order does not affect behavior).
+// SaveState writes the renderer's per-group version counters, both stores
+// as one list sorted by group-key encoding, for deterministic bytes (the
+// maps track no insertion order, and lookup order does not affect
+// behavior). A times-store key is written as its encoding, so the bytes do
+// not depend on the store a group sits in.
 func (sr *StreamRenderer) SaveState(enc *checkpoint.Encoder) {
 	enc.Section("tvr.StreamRenderer")
-	keys := make([]string, 0, len(sr.vers))
-	for k := range sr.vers {
-		keys = append(keys, k)
+	type counter struct {
+		key string
+		ver int
 	}
-	sort.Strings(keys)
-	enc.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.Int(*sr.vers[k])
+	counters := make([]counter, 0, len(sr.times)+len(sr.vers))
+	for k, v := range sr.vers {
+		counters = append(counters, counter{k, *v})
+	}
+	var buf []byte
+	for k, v := range sr.times {
+		buf = sr.appendTimeKey(buf[:0], k)
+		counters = append(counters, counter{string(buf), v})
+	}
+	sort.Slice(counters, func(i, j int) bool { return counters[i].key < counters[j].key })
+	enc.Uvarint(uint64(len(counters)))
+	for _, c := range counters {
+		enc.String(c.key)
+		enc.Int(c.ver)
 	}
 }
 
-// LoadState rebuilds the version counters from a SaveState stream.
+// LoadState rebuilds the version counters from a SaveState stream. A key
+// that is the encoding of one or two TIMESTAMPs, as many as the renderer's
+// key columns, goes back to the times store; any other key, to vers.
 func (sr *StreamRenderer) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Expect("tvr.StreamRenderer"); err != nil {
 		return err
@@ -164,9 +178,26 @@ func (sr *StreamRenderer) LoadState(dec *checkpoint.Decoder) error {
 	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
 		k := dec.String()
 		v := dec.Int()
-		sr.vers[k] = &v
+		if tk, ok := sr.parseTimeKey(k); ok {
+			sr.times[tk] = v
+		} else {
+			sr.vers[k] = &v
+		}
 	}
 	return dec.Err()
+}
+
+// parseTimeKey is the times-store key whose encoding is k, if there is one.
+func (sr *StreamRenderer) parseTimeKey(k string) (tk [2]int64, ok bool) {
+	const width = 9 // a TIMESTAMP's key tag and big-endian payload
+	if !sr.timed || len(k) != width*len(sr.keyIdxs) {
+		return tk, false
+	}
+	for i := range sr.keyIdxs {
+		tk[i] = int64(binary.BigEndian.Uint64([]byte(k[width*i+1 : width*(i+1)])))
+	}
+	var buf [2 * width]byte
+	return tk, string(sr.appendTimeKey(buf[:0], tk)) == k
 }
 
 // SortedKeys returns the keys of a string-keyed map in sorted order — the

@@ -47,18 +47,35 @@ func RenderStream(c Changelog, keyIdxs []int) []StreamRow {
 // StreamRenderer is the incremental form of RenderStream: it keeps the
 // per-group version counters across calls, so a changelog rendered in any
 // number of Append batches yields exactly the rows a single RenderStream
-// over the concatenated log would. Standing queries use it to decorate
-// output deltas as they materialize.
+// over the concatenated log would. Standing queries use it to version output
+// rows as they are retained.
+//
+// A group is identified by the key encoding of its emit-key values
+// (types.Row.AppendKeyOf), and its counter lives in one of two stores:
+//
+//   - times: a group whose emit-key values are one or two non-NULL
+//     TIMESTAMPs (a window's wstart and wend, Q1's dateTime) is keyed by
+//     those timestamps in a map with no pointer in it, so a new group costs
+//     no heap key and no heap counter, and the garbage collector does not
+//     scan the map;
+//   - vers: every other group (a NULL among the values, other kinds, more
+//     than two columns, or the empty key of the one global group) is keyed
+//     by its encoding, with a heap counter, so bumping it in place needs
+//     one lookup and no key string.
+//
+// A group's shape decides its store, so no group is in both. Counters are
+// ints in both: an int32 pads to the same map slot, and the global group can
+// pass 2^31 changes. SaveState writes both stores as one list, in the bytes
+// the key encoding gives, so the store a group sits in never shows in a
+// checkpoint.
 type StreamRenderer struct {
 	keyIdxs []int
-	// vers holds pointer-valued counters so the steady-state path — encode
-	// the group key into the scratch buffer, look up, bump through the
-	// pointer — never materializes a key string (map assignment with a
-	// string(bytes) key would allocate; lookups do not).
+	timed   bool // one or two key columns: a row may take the times store
+	times   map[[2]int64]int
 	vers    map[string]*int
 	scratch []byte // reusable group-key encoding buffer
-	// Run cache: consecutive changes to the same group (an aggregate's
-	// retract/emit pair is the common case) skip the map probe.
+	// Run cache for vers: consecutive changes to the same group (an
+	// aggregate's retract/emit pair is the common case) skip the map probe.
 	prevKey []byte
 	prevVer *int
 }
@@ -66,7 +83,12 @@ type StreamRenderer struct {
 // NewStreamRenderer creates a renderer grouping version numbers by the
 // columns at keyIdxs (empty means one global group).
 func NewStreamRenderer(keyIdxs []int) *StreamRenderer {
-	return &StreamRenderer{keyIdxs: keyIdxs, vers: make(map[string]*int)}
+	return &StreamRenderer{
+		keyIdxs: keyIdxs,
+		timed:   len(keyIdxs) == 1 || len(keyIdxs) == 2,
+		times:   make(map[[2]int64]int),
+		vers:    make(map[string]*int),
+	}
 }
 
 // Append renders the next slice of the changelog, continuing the version
@@ -106,6 +128,12 @@ func (r *StreamRenderer) AppendVersions(dst []int, c Changelog) []int {
 	return dst
 }
 
+// Groups is the number of version counters the renderer holds: one per
+// group it has rendered or loaded.
+func (r *StreamRenderer) Groups() int {
+	return len(r.times) + len(r.vers)
+}
+
 // StreamRowOf is the stream row of data event e at version ver.
 func StreamRowOf(e Event, ver int) StreamRow {
 	return StreamRow{Row: e.Row, Undo: e.Kind == Delete, Ptime: e.Ptime, Ver: ver}
@@ -114,6 +142,11 @@ func StreamRowOf(e Event, ver int) StreamRow {
 // next returns the version of the next change to row's group and advances
 // the group's counter.
 func (r *StreamRenderer) next(row types.Row) int {
+	if k, ok := r.timeKey(row); ok {
+		n := r.times[k]
+		r.times[k] = n + 1
+		return n
+	}
 	r.scratch = r.scratch[:0]
 	if len(r.keyIdxs) > 0 {
 		r.scratch = row.AppendKeyOf(r.scratch, r.keyIdxs)
@@ -132,6 +165,31 @@ func (r *StreamRenderer) next(row types.Row) int {
 	n := *ver
 	*ver++
 	return n
+}
+
+// timeKey is row's group as a times-store key, if its emit-key values are
+// one or two non-NULL TIMESTAMPs.
+func (r *StreamRenderer) timeKey(row types.Row) (k [2]int64, ok bool) {
+	if !r.timed {
+		return k, false
+	}
+	for i, idx := range r.keyIdxs {
+		v := row[idx]
+		if v.Kind() != types.KindTimestamp {
+			return k, false
+		}
+		k[i] = int64(v.Timestamp())
+	}
+	return k, true
+}
+
+// appendTimeKey appends the key encoding of times-store key k: what
+// AppendKeyOf gives for the row whose emit-key values are its timestamps.
+func (r *StreamRenderer) appendTimeKey(dst []byte, k [2]int64) []byte {
+	for i := range r.keyIdxs {
+		dst = types.NewTimestamp(types.Time(k[i])).AppendKey(dst)
+	}
+	return dst
 }
 
 // FormatStreamTable renders stream rows as the paper's EMIT STREAM listings

@@ -134,13 +134,13 @@ func keyParts(v Value) (tag byte, x uint64) {
 		}
 		return keyNumber, math.Float64bits(float64(v.i))
 	case KindFloat64:
-		switch f := v.f; {
+		switch f := v.Float(); {
 		case f == 0:
 			return keyNumber, 0 // +0.0's bits, for -0.0 too
 		case (f > exactFloatInt || f < -exactFloatInt) && f >= math.MinInt64 && f < math.MaxInt64:
 			return keyBigInt, uint64(int64(f))
 		}
-		return keyNumber, math.Float64bits(v.f)
+		return keyNumber, uint64(v.i)
 	case KindString:
 		return keyString, 0
 	case KindTimestamp:

@@ -12,6 +12,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -169,10 +170,18 @@ func (d Duration) String() string {
 }
 
 // Value is a single SQL value. The zero Value is SQL NULL.
+//
+// A Value is 32 bytes: the kind, one 64-bit payload and a string. Every
+// fixed-width kind shares the payload, a DOUBLE included, which keeps its
+// float64 bits there; every row the engine retains (catalog history,
+// operator state, retained output) pays for that width once per column. The
+// bits are a storage form only: Equal, Compare, AsFloat and the key
+// encoding read a DOUBLE back as a float64 and compare it as one, so NaN
+// equals nothing and -0.0 equals 0. Values are compared with Equal or
+// SameKey, never with ==, which would compare a DOUBLE's bits.
 type Value struct {
 	kind Kind
-	i    int64 // Bool (0/1), Int64, Timestamp (ms), Interval (ms)
-	f    float64
+	i    int64 // Bool (0/1), Int64, Float64 (math.Float64bits), Timestamp (ms), Interval (ms)
 	s    string
 }
 
@@ -192,7 +201,7 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{kind: KindInt64, i: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat64, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat64, i: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
@@ -216,7 +225,7 @@ func (v Value) Bool() bool { return v.i != 0 }
 func (v Value) Int() int64 { return v.i }
 
 // Float returns the float payload. It must only be called on KindFloat64.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It must only be called on KindString.
 func (v Value) Str() string { return v.s }
@@ -227,12 +236,16 @@ func (v Value) Timestamp() Time { return Time(v.i) }
 // Interval returns the duration payload. It must only be called on KindInterval.
 func (v Value) Interval() Duration { return Duration(v.i) }
 
-// AsFloat converts a numeric value to float64 for mixed-type arithmetic.
+// AsFloat converts a numeric value to float64 for mixed-type arithmetic; a
+// value of any other kind converts to 0.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt64 {
+	switch v.kind {
+	case KindInt64:
 		return float64(v.i)
+	case KindFloat64:
+		return v.Float()
 	}
-	return v.f
+	return 0
 }
 
 // String renders the value for display (and for the listing tables).
@@ -248,7 +261,7 @@ func (v Value) String() string {
 	case KindInt64:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTimestamp:
@@ -277,7 +290,7 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindFloat64:
-		return v.f == o.f
+		return v.Float() == o.Float()
 	case KindString:
 		return v.s == o.s
 	default:
@@ -397,7 +410,7 @@ func (v Value) Mul(o Value) (Value, error) {
 	case v.kind == KindInt64 && o.kind == KindInterval:
 		return NewInterval(Duration(v.i * o.i)), nil
 	case v.kind == KindInterval && o.kind == KindFloat64:
-		return NewInterval(Duration(float64(v.i) * o.f)), nil
+		return NewInterval(Duration(float64(v.i) * o.Float())), nil
 	}
 	return Null(), fmt.Errorf("types: cannot multiply %s and %s", v.kind, o.kind)
 }
@@ -436,7 +449,7 @@ func (v Value) Neg() (Value, error) {
 	case KindInt64:
 		return NewInt(-v.i), nil
 	case KindFloat64:
-		return NewFloat(-v.f), nil
+		return NewFloat(-v.Float()), nil
 	case KindInterval:
 		return NewInterval(Duration(-v.i)), nil
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -102,6 +103,14 @@ func TestValueEqualCrossNumeric(t *testing.T) {
 	}
 	if nan := NewFloat(math.NaN()); nan.Equal(nan) {
 		t.Error("NaN should not equal itself")
+	}
+}
+
+// TestValueIs32Bytes pins the Value layout: a DOUBLE keeps its bits in the
+// shared 64-bit payload, so no kind pays for a separate float field.
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }
 
