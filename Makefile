@@ -100,6 +100,15 @@ faults:
 # (TestStreamRendererAllocs; it was 2 while every group took a heap key and a
 # heap counter), the renderer matches a byte-keyed reference in versions and
 # checkpoint bytes, and BenchmarkStreamRender prints ns/row and allocs/row.
+# So does the chunked log every retained changelog lives in (tvr.Log): its
+# Cut, Since, Slice, TrimBelow and Save/Load match a plain slice under random
+# appends and trims with chunk boundaries inside and between commits, a
+# captured range survives later appends and trims, appending N events in
+# 500-event commits allocates at most 1.1 x N x sizeof(Event) bytes (no
+# history is copied), BenchmarkLogAppend prints B/op per 500-event commit,
+# a one-shot replay over a history of several chunks allocates under a
+# quarter of one copy of it (TestReplayCopiesNoHistory), and a capped session
+# fed 20 times its cap holds at most its cap plus one chunk of rows.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestWindowedAggAllocs|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
@@ -112,6 +121,10 @@ batch-guard:
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkRelationChurn -benchtime 200x -benchmem
 	$(GO) test ./internal/tvr -run 'TestStreamRendererAllocs|TestStreamRendererMatchesReference' -v
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkStreamRender -benchtime 200x -benchmem
+	$(GO) test ./internal/tvr -run 'TestLogMatchesSliceModel|TestLogRangeSurvivesAppendsAndTrims|TestLogAppendAllocs' -v
+	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkLogAppend -benchtime 200x -benchmem
+	$(GO) test ./internal/core -run 'TestReplayCopiesNoHistory' -v
+	$(GO) test ./internal/live -run 'TestCappedRetentionFreesChunks' -v
 
 # Observability guardrails: the Prometheus exposition-format and
 # concurrency tests for internal/obs, the 0 allocs/op pins on Counter.Add /

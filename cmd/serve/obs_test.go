@@ -219,6 +219,99 @@ func TestMetricsRendererGroups(t *testing.T) {
 	}
 }
 
+// TestMetricsRetainedHistory: engine_history_events counts the input
+// events the catalog holds and live_retained_rows the output rows the
+// sessions retain. N Q1 events under one uncapped stream subscriber read N
+// on both; a capped session adds its hand-off, then, past its cap, trims what
+// its reader received, so the total falls back to the uncapped session's
+// rows; and once the last cursors cancel, no session's share is left.
+func TestMetricsRetainedHistory(t *testing.T) {
+	engine := core.NewEngine(core.WithObs(obs.NewRegistry()))
+	defer engine.Close()
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	c := ts.Client()
+	registerBid(t, c, ts.URL)
+	bids := func(from, n int) []eventJSON {
+		events := make([]eventJSON, n)
+		for i := range events {
+			k := int64(from + i)
+			events[i] = eventJSON{Kind: "insert", Ptime: timeMS(1000 + k), Row: []any{k, int64(100), int64(5000 + 7*k)}}
+		}
+		return events
+	}
+	gauges := func() (history, retained float64) {
+		t.Helper()
+		_, body, _ := getBody(t, c, ts.URL+"/metrics")
+		return sample(t, body, "engine_history_events"), sample(t, body, "live_retained_rows")
+	}
+	await := func(what string, ok func(history, retained float64) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			h, r := gauges()
+			if ok(h, r) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: engine_history_events %v, live_retained_rows %v", what, h, r)
+			}
+		}
+	}
+	cancel := func(id int) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/subscriptions/%d", ts.URL, id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	resp, read := subscribeLines(t, c, ts.URL, "mode=stream&sql="+queryEscape(`SELECT auction, price * 908 / 1000 AS price, dateTime FROM Bid`))
+	defer resp.Body.Close()
+	id := int(read()["id"].(float64))
+	const n = 40
+	ingestBids(t, c, ts.URL, bids(0, n/2))
+	ingestBids(t, c, ts.URL, bids(n/2, n/2))
+	if h, r := gauges(); h != n || r != n {
+		t.Fatalf("after %d Q1 events: engine_history_events %v, live_retained_rows %v, want %d and %d", n, h, r, n, n)
+	}
+
+	// A second plan, capped just above the history: its hand-off fits.
+	const capRows, more = n + 10, 3
+	capResp, capRead := subscribeLines(t, c, ts.URL, fmt.Sprintf("retain=%d&sql=%s", capRows, queryEscape(`SELECT auction, price FROM Bid`)))
+	defer capResp.Body.Close()
+	capID := int(capRead()["id"].(float64))
+	capRead() // the hand-off
+	if h, r := gauges(); h != n || r != 2*n {
+		t.Fatalf("with a capped session holding the history: engine_history_events %v, live_retained_rows %v, want %d and %d", h, r, n, 2*n)
+	}
+	for i := 0; i < more; i++ {
+		ingestBids(t, c, ts.URL, bids(n+10*i, 10))
+		capRead()
+	}
+	total := float64(n + 10*more)
+	await("after the capped session passed its cap and its reader caught up", func(h, r float64) bool { return h == total && r == total })
+
+	cancel(capID)
+	cancel(id)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, body, _ := getBody(t, c, ts.URL+"/metrics")
+		if sample(t, body, "live_sessions") == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled subscriptions' pipelines never tore down")
+		}
+	}
+	if h, r := gauges(); h != total || r != 0 {
+		t.Fatalf("with no session left: engine_history_events %v, live_retained_rows %v, want %v and 0", h, r, total)
+	}
+}
+
 // TestMetricsDispatchCountersNeverFall: exec_dispatches_total and
 // exec_dispatched_events_total are counters, so the teardown of the pipeline
 // whose dispatches they counted must not lower them: subscribe, ingest,

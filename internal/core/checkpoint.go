@@ -90,7 +90,7 @@ func (e *Engine) saveCatalog(enc *checkpoint.Encoder, seqOut *uint64) error {
 		saveSchema(enc, rel.meta.Schema)
 		enc.Time(rel.lastPtime)
 		enc.Time(rel.lastWM)
-		tvr.SaveChangelog(enc, rel.log)
+		tvr.SaveLog(enc, rel.log.Since(0))
 	}
 	return enc.Err()
 }
@@ -123,18 +123,17 @@ func (e *Engine) loadCatalog(dec *checkpoint.Decoder) error {
 		if err != nil {
 			return err
 		}
-		lastPtime := dec.Time()
-		lastWM := dec.Time()
-		log, err := tvr.LoadChangelog(dec)
-		if err != nil {
+		rel := &relation{
+			meta:      plan.Relation{Name: name, Schema: schema, Unbounded: unbounded},
+			lastPtime: dec.Time(),
+			lastWM:    dec.Time(),
+		}
+		if err := tvr.LoadLog(dec, &rel.log); err != nil {
 			return err
 		}
-		e.rels[strings.ToLower(name)] = &relation{
-			meta:      plan.Relation{Name: name, Schema: schema, Unbounded: unbounded},
-			log:       log,
-			lastPtime: lastPtime,
-			lastWM:    lastWM,
-		}
+		rel.log.Publish()
+		e.history.Add(int64(rel.log.Len()))
+		e.rels[strings.ToLower(name)] = rel
 	}
 	return dec.Err()
 }

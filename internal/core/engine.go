@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -51,6 +52,11 @@ type Engine struct {
 	ckptMu   sync.Mutex
 	ckpt     CheckpointStatus
 
+	// history counts the events the catalog's logs hold, for the
+	// engine_history_events gauge: added to at each commit under mu, read
+	// by a scrape without it.
+	history atomic.Int64
+
 	// Degraded read-only mode (see degraded.go): degraded holds the cause
 	// when ingest is refused, walFails counts consecutive commit-log
 	// failures. Both guarded by mu.
@@ -68,7 +74,7 @@ type Engine struct {
 
 type relation struct {
 	meta      plan.Relation
-	log       tvr.Changelog
+	log       tvr.Log[tvr.Event] // the recorded changelog, guarded by Engine.mu
 	lastPtime types.Time
 	lastWM    types.Time
 }
@@ -101,7 +107,7 @@ func NewEngine(opts ...Option) *Engine {
 		o(e)
 	}
 	if e.obsReg != nil {
-		e.metrics = newEngineMetrics(e.obsReg)
+		e.metrics = newEngineMetrics(e.obsReg, e)
 		e.tracer = obs.NewCommitTracer(e.obsReg, e.slowCommit)
 	}
 	e.live = live.NewManagerWith(live.Options{Obs: e.obsReg})
@@ -291,7 +297,8 @@ func (c Commits) applyLog(name string, log tvr.Changelog, span *obs.CommitSpan) 
 	}
 	span.AddSince(obs.SpanWAL, tWAL)
 	rel.lastPtime, rel.lastWM = lastPtime, lastWM
-	rel.log = append(rel.log, log...)
+	rel.log.Append(log...)
+	e.history.Add(int64(len(log)))
 	return nil
 }
 
@@ -563,11 +570,11 @@ func (e *Engine) sources(root plan.Node) ([]exec.Source, error) {
 	return e.sourcesByName(scanNames(root))
 }
 
-// sourcesByName snapshots the recorded changelogs of the named relations.
-// The snapshot caps rather than copies: drivers treat source logs as
-// immutable (the batched feed hands sub-slices of them straight to operator
-// chains), and the three-index slice keeps appends committed after the
-// snapshot from aliasing into this view.
+// sourcesByName captures the recorded changelogs of the named relations, as
+// ranges of their logs taken under the catalog lock. A range holds chunks
+// and copies no event: a sealed chunk never changes, and a commit after the
+// capture writes only past the range's end, so the replay walks it without
+// the lock while ingest goes on (the tvr package's "Logs").
 func (e *Engine) sourcesByName(names []string) ([]exec.Source, error) {
 	var out []exec.Source
 	e.mu.RLock()
@@ -577,7 +584,7 @@ func (e *Engine) sourcesByName(names []string) ([]exec.Source, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: relation %q not found", name)
 		}
-		out = append(out, exec.Source{Name: name, Log: rel.log[:len(rel.log):len(rel.log)]})
+		out = append(out, exec.Source{Name: name, Range: rel.log.Since(0)})
 	}
 	return out, nil
 }

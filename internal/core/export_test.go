@@ -19,7 +19,7 @@ func (e *Engine) Log(name string) (tvr.Changelog, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: relation %q not found", name)
 	}
-	return append(tvr.Changelog(nil), rel.log...), nil
+	return append(tvr.Changelog(nil), rel.log.Since(0).Flat()...), nil
 }
 
 // ReplayWALRecord exposes Open's replay callback to the external tests.

@@ -51,7 +51,7 @@ type engineMetrics struct {
 	ckptSeconds  *obs.Histogram
 }
 
-func newEngineMetrics(reg *obs.Registry) *engineMetrics {
+func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	m := &engineMetrics{
 		commitsPublish:   reg.Counter("engine_commits_total", "Committed changes by kind.", "kind", "publish"),
 		commitsHeartbeat: reg.Counter("engine_commits_total", "Committed changes by kind.", "kind", "heartbeat"),
@@ -70,6 +70,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		ckptBytes:        reg.Gauge("checkpoint_bytes", "Size of the last successful checkpoint."),
 		ckptSeconds:      reg.Histogram("checkpoint_seconds", "Checkpoint write duration.", obs.DurationScale, obs.DurationBuckets),
 	}
+	reg.GaugeFunc("engine_history_events", "Input events the catalog's recorded changelogs hold.",
+		func() float64 { return float64(e.history.Load()) })
 	for _, reason := range []string{replayNotInert, live.ReplayNoSession, live.ReplayOutOfOrder, live.ReplayOverflow, live.ReplayClosed} {
 		m.queryReplay[reason] = reg.Counter("engine_query_replay_total",
 			"One-shot queries that replayed history, by why no resident pipeline answered.", "reason", reason)

@@ -144,16 +144,16 @@ func (s *scanOp) LoadState(dec *checkpoint.Decoder) error {
 
 // SaveState implements stateSaver: an empty relation (the slot keeps the
 // byte layout; the collector holds no relation), the output counters,
-// watermark, and the not-yet-drained output. A restored pipeline's Drain
-// resumes exactly at the first undelivered event, which is what keeps the
-// concatenation of pre- and post-restore drains identical to the
-// uninterrupted sequence. (Standing queries retain delivered history at the
-// session layer, where retention policy lives.)
+// watermark, and the output staged and not yet taken. A restored pipeline's
+// Drain resumes exactly at the first undelivered event, which is what keeps
+// the concatenation of pre- and post-restore drains identical to the
+// uninterrupted sequence. (Standing queries publish and retain their output
+// at the session layer, where retention policy lives, and save it there.)
 func (c *Collector) SaveState(enc *checkpoint.Encoder) {
 	tvr.NewRelation().SaveState(enc)
 	enc.Int(c.outN)
 	enc.Time(c.wm)
-	tvr.SaveChangelog(enc, c.out)
+	tvr.SaveLog(enc, c.out.Staged())
 }
 
 // LoadState implements stateSaver. An older snapshot's relation slot holds
@@ -164,11 +164,9 @@ func (c *Collector) LoadState(dec *checkpoint.Decoder) error {
 	}
 	c.outN = dec.Int()
 	c.wm = dec.Time()
-	out, err := tvr.LoadChangelog(dec)
-	if err != nil {
+	if err := tvr.LoadLog(dec, &c.out); err != nil {
 		return err
 	}
-	c.out = out
 	return dec.Err()
 }
 

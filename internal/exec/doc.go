@@ -25,8 +25,8 @@
 //	               order, as in Run), pushed through the scans
 //	Advance(pt)*   a heartbeat: fires the EMIT AFTER DELAY timers due by pt
 //	Close()        finish the scans: bounded relations complete, timers flush
-//	Drain()        at any point after Start: the output materialized since
-//	               the previous Drain
+//	Output()       the log each of them stages its output in, which the
+//	               caller publishes and retains (Drain hands it over instead)
 //
 // Run is the same lifecycle in one call (Start, a feed of every source up to
 // its horizon, Advance to the horizon, Close), so one-shot queries and
@@ -167,9 +167,9 @@
 // refused with an error naming its removal
 // (testdata/partitioned_two_stage.golden). Checkpoints are taken only at
 // quiescent points, between Feed and Advance calls. The collector saves
-// its output counters, watermark and undrained output (see "Output"
-// below), so the Drains before and after a restore concatenate to the
-// uninterrupted sequence. TestCheckpointRestoreEquivalence checkpoints,
+// its output counters, watermark and the output staged but not yet taken
+// (see "Output" below), so the Drains before and after a restore
+// concatenate to the uninterrupted sequence. TestCheckpointRestoreEquivalence checkpoints,
 // discards and restores a pipeline at every random Feed-split boundary and
 // requires the drained output, and the stream and table renderings derived
 // from it, to equal a one-shot Run's.
@@ -222,22 +222,36 @@
 // # Output: who holds it, who renders it
 //
 // A pipeline's output is held once, by whoever asked for it. The Collector
-// at the root of every pipeline keeps only the events not yet drained, the
-// output watermark, and counters:
+// at the root of every pipeline stages each output event in its log, a
+// tvr.Log, past the log's published end, as the event reaches it: one copy,
+// into the log's tail chunk, and no buffer that regrows. It also keeps the
+// output watermark and counters. Who takes the output publishes it:
 //
-//   - Drain hands the undrained events to the caller, which owns them from
-//     then on; the collector starts a fresh buffer and keeps nothing. A
-//     standing query (internal/live) renders and retains what it drains by
-//     its own policy. Close completes the input and leaves what that
-//     materializes for one more Drain.
-//   - Run never drains. It builds its Result from the whole log it
-//     collected and folds the table rendering (Result.Snapshot) from that
-//     log once, failing on a retraction of a row the log never inserted.
-//     The stream rendering (Result.StreamRows) is derived from the log on
-//     demand. A standing pipeline builds no table rendering as it runs. A
-//     one-shot read the engine answers from a resident pipeline is a cut of
-//     the output that pipeline's session retained (internal/live), and a
-//     table read presents its rows through Result.TableRows' PresentRows.
+//   - A standing query (internal/live) takes the log itself
+//     (Driver.Output). The operators stage on the committing goroutine; the
+//     session publishes what they staged as one delivery under its own
+//     lock, renders and retains it in place, and trims the log by its own
+//     policy. Readers of the log never see a staged event, so a feed needs
+//     no lock of the session's. Close stages what it materializes like any
+//     feed.
+//   - Drain publishes the staged events and hands them over, and trims the
+//     log: the caller owns what it got, and the log keeps no event, only its
+//     tail chunk for the events to come. TestStandingCollectorRetainsNothing
+//     pins it.
+//   - Run takes its Result from the whole log it staged and folds the table
+//     rendering (Result.Snapshot) from it once, failing on a retraction of a
+//     row the log never inserted. The stream rendering (Result.StreamRows) is
+//     derived from the log on demand. A standing pipeline builds no table
+//     rendering as it runs. A one-shot read the engine answers from a
+//     resident pipeline is a cut of the output that pipeline's session
+//     retained (internal/live), and a table read presents its rows through
+//     Result.TableRows' PresentRows.
+//
+// A source changelog reaches Feed or Run as a Source: a plain slice (a
+// commit's batch), or a range captured from a relation's tvr.Log (the
+// recorded history a one-shot read or a registration replays). The merge
+// walks a range chunk by chunk and never flattens it, so replaying a history
+// copies none of it (core's TestReplayCopiesNoHistory).
 //
 // # Rows
 //
@@ -258,8 +272,8 @@
 // INTERSECT, EXCEPT), session windows and emitAfterDelayOp still copy the
 // rows they hold.
 //
-// A checkpoint of the collector carries the undrained events, so the
-// concatenation of Drains before and after a restore equals the
+// A checkpoint of the collector carries the staged events no one has taken,
+// so the concatenation of Drains before and after a restore equals the
 // uninterrupted sequence. Its relation slot is always written empty;
 // snapshots taken before the collector stopped keeping a relation load, and
 // the relation they carry is discarded.

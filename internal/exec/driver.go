@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tvr"
 	"repro/internal/types"
@@ -14,8 +13,9 @@ import (
 // resident: Start opens the operators, Feed pushes batches of new source
 // events through the same deterministic k-way ptime merge the one-shot Run
 // uses, Advance moves the processing-time clock (firing EMIT AFTER DELAY
-// timers), and Close completes the input. Drain hands back output deltas as
-// they materialize — the primitive the standing-query subsystem
+// timers), and Close completes the input. Each stages the output it
+// materializes in the driver's output log (Output), which its caller
+// publishes and retains: the primitive the standing-query subsystem
 // (internal/live) is built on.
 //
 // Determinism contract: feeding a set of source changelogs through any
@@ -31,11 +31,14 @@ type Driver interface {
 	Feed(batch []Source) error
 	// Advance moves the processing-time clock to pt (a heartbeat).
 	Advance(pt types.Time) error
-	// Close signals end-of-input; what that materializes is left for Drain.
+	// Close signals end-of-input; what that materializes is staged like
+	// any output.
 	Close() error
-	// Drain hands over the output events materialized since the previous
-	// Drain; the caller owns them (see the package doc).
-	Drain() tvr.Changelog
+	// Output is the log the driver stages its output events in, in
+	// emission order (tvr.Log.Stage), from the goroutine that drives it.
+	// The caller publishes, reads and trims it under a lock of its own (see
+	// the package doc); the driver writes only past its published end.
+	Output() *tvr.Log[tvr.Event]
 	// OutputWatermark is the output relation's current watermark.
 	OutputWatermark() types.Time
 	// DispatchStats returns the cumulative dispatch count and dispatched
@@ -54,27 +57,24 @@ var _ Driver = (*Pipeline)(nil)
 // forEachMergedRuns merges the batch's per-source changelogs into one
 // ptime-ordered delivery sequence — ties broken by scan registration order,
 // the same tie-break the one-shot Run uses — and invokes deliver
-// once per maximal run of consecutive events drawn from the same cursor,
-// naming the run's source by its rank in scanOrder. Concatenating the
-// delivered runs reproduces the per-event merge order
-// exactly; the run grouping only changes the dispatch shape, letting callers
-// hand contiguous log slices to the batch fast path. The delivered slice
-// aliases the source log: callees must not retain or mutate it.
+// once per maximal run of consecutive events drawn from the same cursor and
+// the same chunk of its source, naming the run's source by its rank in
+// scanOrder. Concatenating the delivered runs reproduces the per-event merge
+// order exactly; the run grouping only changes the dispatch shape, letting
+// callers hand contiguous log slices to the batch fast path. A source held
+// as a captured tvr.Log range is walked chunk by chunk, never copied. The
+// delivered slice aliases the source log: callees must not retain or mutate
+// it.
 //
 // Events with ptime beyond upTo are discarded. With requireAll set, every
 // scanned source must appear in the batch (the Run contract); otherwise
 // absent sources simply contribute no events.
 func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requireAll bool, deliver func(rank int, evs []tvr.Event) error) error {
-	bySource := make(map[string]tvr.Changelog, len(batch))
+	bySource := make(map[string]tvr.Range[tvr.Event], len(batch))
 	for _, s := range batch {
-		bySource[lowered(s.Name)] = s.Log
+		bySource[lowered(s.Name)] = s.events()
 	}
-	type cursor struct {
-		rank int
-		log  tvr.Changelog
-		pos  int
-	}
-	var cursors []*cursor
+	var cursors []*mergeCursor
 	for rank, name := range scanOrder {
 		log, ok := bySource[name]
 		if !ok {
@@ -86,17 +86,23 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 		if upTo != types.MaxTime {
 			// Discard the tail beyond the horizon up front: logs are
 			// ptime-ordered, so everything from the first event past it goes.
-			log = log[:sort.Search(len(log), func(i int) bool { return log[i].Ptime > upTo })]
+			log = tvr.Cut(log, upTo)
 		}
-		cursors = append(cursors, &cursor{rank: rank, log: log})
+		c := &mergeCursor{rank: rank}
+		c.log, c.rest = log.Next()
+		cursors = append(cursors, c)
 	}
 	if len(cursors) == 1 {
-		// Single-source fast path: the whole batch is one run.
+		// Single-source fast path: each chunk is one run.
 		c := cursors[0]
-		if len(c.log) == 0 {
-			return nil
+		for c.pos < len(c.log) {
+			if err := deliver(c.rank, c.log); err != nil {
+				return err
+			}
+			c.pos = len(c.log)
+			c.refill()
 		}
-		return deliver(c.rank, c.log)
+		return nil
 	}
 	for {
 		best := -1
@@ -114,9 +120,10 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 		c := cursors[best]
 		start := c.pos
 		c.pos++
-		// Extend the run while this cursor keeps winning the merge: its next
-		// event must beat every other live cursor under the same
-		// smallest-ptime, earliest-scan-order tie-break.
+		// Extend the run, within the cursor's chunk, while this cursor keeps
+		// winning the merge: its next event must beat every other live
+		// cursor under the same smallest-ptime, earliest-scan-order
+		// tie-break.
 		for c.pos < len(c.log) {
 			p := c.log[c.pos].Ptime
 			wins := true
@@ -138,5 +145,25 @@ func forEachMergedRuns(batch []Source, scanOrder []string, upTo types.Time, requ
 		if err := deliver(c.rank, c.log[start:c.pos:c.pos]); err != nil {
 			return err
 		}
+		c.refill()
+	}
+}
+
+// mergeCursor is one source's place in the merge: pos in its current chunk,
+// log, and the chunks after it. A cursor whose pos has reached the end of
+// log has no event left: refill runs after every run that could use a chunk
+// up.
+type mergeCursor struct {
+	rank int
+	log  []tvr.Event
+	pos  int
+	rest tvr.Range[tvr.Event]
+}
+
+// refill moves the cursor to its next chunk once the current one is used up.
+func (c *mergeCursor) refill() {
+	if c.pos == len(c.log) && c.rest.Len() > 0 {
+		c.log, c.rest = c.rest.Next()
+		c.pos = 0
 	}
 }

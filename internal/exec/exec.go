@@ -71,9 +71,10 @@ type Stats struct {
 // A pipeline has two interchangeable driving styles. Run replays recorded
 // changelogs in one shot. The incremental lifecycle — Start, any number of
 // Feed/Advance calls, then Close — keeps the pipeline resident so a standing
-// query can be fed new events as they arrive; Drain hands back the output
-// deltas materialized so far. Any Feed-batch split of the same delivery
-// sequence produces byte-identical output to a one-shot Run.
+// query can be fed new events as they arrive; its output is staged in the
+// output log (Output) as it materializes, and Drain hands it over to a
+// caller that does not take the log. Any Feed-batch split of the same
+// delivery sequence produces byte-identical output to a one-shot Run.
 type Pipeline struct {
 	collector *Collector
 	scans     map[string][]*scanOp // lower-cased source name -> scan operators
@@ -93,11 +94,25 @@ type Pipeline struct {
 	outOfOrder bool
 }
 
-// Source provides the recorded changelog of one named relation.
+// Source provides the recorded changelog of one named relation: Log, a
+// plain slice, or Range, a range captured from a tvr.Log, which the merge
+// walks chunk by chunk without flattening. Set one of them.
 type Source struct {
-	Name string
-	Log  tvr.Changelog
+	Name  string
+	Log   tvr.Changelog
+	Range tvr.Range[tvr.Event]
 }
+
+// events is the source's changelog as a range.
+func (s Source) events() tvr.Range[tvr.Event] {
+	if s.Log != nil {
+		return tvr.RangeOf(s.Log)
+	}
+	return s.Range
+}
+
+// Len is the number of events the source provides.
+func (s Source) Len() int { return s.events().Len() }
 
 // Compile builds a pipeline for the planned query: the collector, wrapped by
 // the query's EMIT materialization-control operator (if any), fed by the
@@ -317,7 +332,7 @@ func (p *Pipeline) Advance(pt types.Time) error {
 // Close signals end-of-input on every scan (completing bounded relations and
 // flushing pending timers), then on every constant relation, so a
 // multi-input operator fed by one finishes too. What that materializes is
-// left for Drain.
+// staged in the output log like any output.
 func (p *Pipeline) Close() error {
 	if !p.opened {
 		return fmt.Errorf("exec: pipeline not started")
@@ -342,9 +357,13 @@ func (p *Pipeline) Close() error {
 }
 
 // Drain hands over the output changelog events materialized since the
-// previous Drain (or since Start), in emission order. The caller owns the
-// returned slice; the pipeline keeps nothing of it.
+// previous Drain (or since Start), in emission order, for a caller that does
+// not take the output log itself (Output). The caller owns the returned
+// slice; the pipeline keeps nothing of it.
 func (p *Pipeline) Drain() tvr.Changelog { return p.collector.drain() }
+
+// Output implements Driver.
+func (p *Pipeline) Output() *tvr.Log[tvr.Event] { return &p.collector.out }
 
 // OutputWatermark reports the output relation's current watermark: the
 // completeness assertion that has propagated through the plan to the root.
@@ -440,12 +459,14 @@ func (r *Result) StreamRows() []tvr.StreamRow {
 	return tvr.RenderStream(r.Log, r.EmitKeyIdxs)
 }
 
-// Collector is the terminal sink. It holds only the output not yet drained,
-// plus the output watermark and counters: drain hands that buffer over, and a
-// one-shot Run builds its Result from it.
+// Collector is the terminal sink. It stages the output in its log as it
+// materializes, where whoever takes the output publishes it: a standing
+// query's session, which retains the log (Driver.Output), or Drain, which
+// hands the output over and trims the log. It also keeps the output
+// watermark and counters, and a one-shot Run builds its Result from the log.
 type Collector struct {
 	pq   *plan.PlannedQuery
-	out  tvr.Changelog // output not yet drained
+	out  tvr.Log[tvr.Event]
 	outN int
 	wm   types.Time
 }
@@ -454,25 +475,35 @@ func newCollector(pq *plan.PlannedQuery) *Collector {
 	return &Collector{pq: pq, wm: types.MinTime}
 }
 
-// PushBatch implements sink: data events join the undrained output, and
-// watermarks advance the output watermark.
+// PushBatch implements sink: runs of data events are staged in the output
+// log, each copied once, and watermarks advance the output watermark.
 func (c *Collector) PushBatch(evs []tvr.Event) error {
+	start := 0
 	for i := range evs {
-		switch evs[i].Kind {
-		case tvr.Insert, tvr.Delete:
-			c.out = append(c.out, evs[i])
-			c.outN++
-		case tvr.Watermark:
+		if evs[i].IsData() {
+			continue
+		}
+		c.stage(evs[start:i])
+		start = i + 1
+		if evs[i].Kind == tvr.Watermark {
 			c.wm = max(c.wm, evs[i].Wm)
 		}
 	}
+	c.stage(evs[start:])
 	return nil
 }
 
-// drain hands the undrained output to the caller and starts a fresh buffer.
+func (c *Collector) stage(evs []tvr.Event) {
+	c.out.Stage(evs...)
+	c.outN += len(evs)
+}
+
+// drain publishes the staged output, hands it to the caller and trims it
+// from the log.
 func (c *Collector) drain() tvr.Changelog {
-	out := c.out
-	c.out = nil
+	c.out.Publish()
+	out := c.out.Since(c.out.Base()).Flat()
+	c.out.TrimBelow(c.out.End())
 	return out
 }
 

@@ -139,7 +139,7 @@ func compileDriver(t *testing.T, pq *plan.PlannedQuery) *exec.Pipeline {
 // event with ptime <= cut), fed batch by batch, drained incrementally, then
 // advanced to upTo (when finite) and closed. It returns the concatenation of
 // all Drain calls — everything the pipeline output.
-func feedInBatches(t *testing.T, d exec.Driver, sources []exec.Source, cuts []types.Time, upTo types.Time) tvr.Changelog {
+func feedInBatches(t *testing.T, d *exec.Pipeline, sources []exec.Source, cuts []types.Time, upTo types.Time) tvr.Changelog {
 	t.Helper()
 	if err := d.Start(); err != nil {
 		t.Fatalf("start: %v", err)

@@ -100,6 +100,7 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	} else {
 		err = s.out.load(dec, q.Config.EmitKeys, wm, overflowed)
 		s.groups.Store(int64(s.out.renderer.Groups()))
+		s.retained.Store(int64(s.out.rows.Len()))
 	}
 	if err != nil {
 		return err

@@ -36,11 +36,18 @@
 // stay out of the key.
 //
 // A session's retained output (type output) is the relation's changelog,
-// the stream rendering of the source paper's Extension 4, as one log of
-// deliveries: each commit that produces output appends its rows, their
-// stream versions, rendered once as they are appended, and the output
-// watermark. A cursor is one delivery index in that log plus its attach
-// index. Its reader sends the deliveries before the attach index as one
+// the stream rendering of the source paper's Extension 4, as three
+// tvr.Logs addressed by absolute position: the output rows, their stream
+// versions, and the delivery marks (where each delivery ends, and the
+// output watermark). The rows log is the driver's own output log
+// (exec.Driver.Output): the operators stage each row there as they emit it,
+// on the committing goroutine and without the session's mu, past the
+// published end where no reader looks. The commit then publishes what was
+// staged as one delivery under the session's mu, versions it (rendered
+// once, as it is delivered) and appends its mark. So a row is copied once
+// between the operator that emits it and the retained log, and no
+// delivery copies the history before it. A cursor is one delivery index in
+// that log plus its attach index. Its reader sends the deliveries before the attach index as one
 // first delta, the hand-off, at the session's watermark at attach, then one
 // delta per delivery, at its consumer's pace: the rows at their versions,
 // or for a table cursor their consolidated diff. The hand-off is
@@ -56,7 +63,12 @@
 // readers use it. Config.MaxRetainedRows, fixed by the subscription that
 // creates the session, caps it in rows. Past the cap the session serves
 // neither late attach nor resident reads and keeps only the deliveries some
-// cursor has not yet received; its cursors are unaffected. The next
+// cursor has not yet received; its cursors are unaffected. Trimming retires
+// the deliveries below the lowest cursor and frees every chunk of the three
+// logs that holds none of the rest, so a capped session whose readers keep
+// up holds at most its cap plus one chunk of rows
+// (TestCappedRetentionFreesChunks). The live_retained_rows gauge sums the
+// rows each session retains, stored per delivery and per trim. The next
 // Subscribe under its key then builds a successor through the ordinary
 // create path, under the new subscriber's options (history replay, clock
 // catch-up, then its cursor), and the successor takes the key. The
@@ -150,7 +162,8 @@
 // A table read at processing time T is the snapshot of the output TVR at T,
 // and a stream read up to T is its changelog up to T (the source paper's
 // section 3). Both are one cut of the retained output
-// (Manager.ResidentRead): its rows with ptime <= T, found by binary search.
+// (Manager.ResidentRead): its rows with ptime <= T, found by tvr.Cut, a
+// binary search over the chunks' first ptimes and then inside one chunk.
 // A stream read renders the cut at its retained versions, as a cursor
 // renders a delivery. Those are the versions a replay counts from 1,
 // because every session that serves reads versioned its output from the
@@ -200,9 +213,12 @@
 //
 // The commit point is the last acknowledged commit: a commit appends its
 // output before it returns, so a read that begins after an acknowledgement
-// sees it. The read holds the session's mu only to cut (a capped slice, so
-// later appends stay invisible) and take the fold, and never takes
-// Manager.mu. TestResidentReadMatchesReplay and FuzzResidentRead
+// sees it. The read holds the session's mu only to cut and take the fold,
+// and never takes Manager.mu. The cut is a captured range of the rows and
+// versions logs, walked chunk by chunk without the lock and never
+// flattened: later deliveries write only past it, and a trim leaves the
+// chunks it holds alone (the tvr package's "Logs"). A cursor's piece is
+// such a range too. TestResidentReadMatchesReplay and FuzzResidentRead
 // hold every served read to a replay, and
 // TestResidentTableReadFoldsOnlyNewOutput pins what each table read folds.
 //
@@ -212,9 +228,10 @@
 // reverse. A table read takes the fold's mutex with no other lock held, and
 // takes none while holding it. Manager.mu is held for a whole commit, feeds
 // included; Session.mu guards the cursors and the retained output, and a
-// commit holds it only to append a delivery. So readers, Attach, Stats,
-// resident reads and a non-last cursor's Cancel or Close wait at most for an
-// append, never for a running feed; only the last cursor's departure waits
+// commit holds it only to publish a delivery (the feed stages the rows
+// before it, without the lock). So readers, Attach, Stats, resident reads
+// and a non-last cursor's Cancel or Close wait at most for a publish, never
+// for a running feed; only the last cursor's departure waits
 // for Manager.mu, to remove its session. A reader holds Session.mu only to
 // find its next piece or record a receipt, never while it sends, and nothing
 // holds either lock while waiting on a consumer (the commit's hand-off to a

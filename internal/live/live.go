@@ -67,7 +67,7 @@ type TableDiff struct {
 // multiplicity, in first-appearance order, plus the latest data ptime. A
 // table cursor's reader builds it per delivery, and over the whole retained
 // output before its attach point as its hand-off.
-func consolidate(out tvr.Changelog) *TableDiff {
+func consolidate(out tvr.Range[tvr.Event]) *TableDiff {
 	type rowAcc struct {
 		row types.Row
 		n   int
@@ -76,24 +76,28 @@ func consolidate(out tvr.Changelog) *TableDiff {
 	var order []*rowAcc
 	var key []byte // reused: a lookup through string(key) does not allocate
 	d := &TableDiff{Ptime: types.MinTime}
-	for _, ev := range out {
-		if !ev.IsData() {
-			continue
-		}
-		if ev.Ptime > d.Ptime {
-			d.Ptime = ev.Ptime
-		}
-		key = ev.Row.AppendKey(key[:0])
-		r := counts[string(key)]
-		if r == nil {
-			r = &rowAcc{row: ev.Row}
-			counts[string(key)] = r
-			order = append(order, r)
-		}
-		if ev.Kind == tvr.Insert {
-			r.n++
-		} else {
-			r.n--
+	for out.Len() > 0 {
+		var evs []tvr.Event
+		evs, out = out.Next()
+		for _, ev := range evs {
+			if !ev.IsData() {
+				continue
+			}
+			if ev.Ptime > d.Ptime {
+				d.Ptime = ev.Ptime
+			}
+			key = ev.Row.AppendKey(key[:0])
+			r := counts[string(key)]
+			if r == nil {
+				r = &rowAcc{row: ev.Row}
+				counts[string(key)] = r
+				order = append(order, r)
+			}
+			if ev.Kind == tvr.Insert {
+				r.n++
+			} else {
+				r.n--
+			}
 		}
 	}
 	for _, r := range order {

@@ -29,7 +29,7 @@ import (
 type echoDriver struct {
 	started  bool
 	closed   bool
-	out      tvr.Changelog // undrained output
+	out      tvr.Log[tvr.Event] // output, staged until the session publishes it
 	wm       types.Time
 	final    types.Row    // emitted at Close when non-nil
 	advances []types.Time // recorded Advance calls
@@ -48,7 +48,7 @@ func (d *echoDriver) Feed(batch []exec.Source) error {
 	for _, s := range batch {
 		for _, ev := range s.Log {
 			if ev.IsData() {
-				d.out = append(d.out, ev)
+				d.out.Stage(ev)
 			} else if ev.Kind == tvr.Watermark && ev.Wm > d.wm {
 				d.wm = ev.Wm
 			}
@@ -65,16 +65,12 @@ func (d *echoDriver) Advance(pt types.Time) error {
 func (d *echoDriver) Close() error {
 	d.closed = true
 	if d.final != nil {
-		d.out = append(d.out, tvr.InsertEvent(types.MaxTime, d.final))
+		d.out.Stage(tvr.InsertEvent(types.MaxTime, d.final))
 	}
 	return nil
 }
 
-func (d *echoDriver) Drain() tvr.Changelog {
-	out := d.out
-	d.out = nil
-	return out
-}
+func (d *echoDriver) Output() *tvr.Log[tvr.Event] { return &d.out }
 
 func (d *echoDriver) OutputWatermark() types.Time   { return d.wm }
 func (d *echoDriver) DispatchStats() (int64, int64) { return 0, 0 }

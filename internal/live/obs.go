@@ -77,6 +77,14 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
+	reg.GaugeFunc("live_retained_rows", "Output rows the sessions' retained outputs hold.",
+		func() float64 {
+			n := int64(0)
+			for _, sess := range *m.sessions.Load() {
+				n += sess.retained.Load()
+			}
+			return float64(n)
+		})
 	reg.GaugeFunc("live_watermark_lag_seconds", "Worst session watermark lag behind the last committed heartbeat.",
 		func() float64 {
 			hb := types.Time(m.lastHeartbeat.Load())

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -10,22 +9,25 @@ import (
 )
 
 // output is a session's retained output: the output changelog, the stream
-// version of each row (rendered once, as it is appended), and the
-// deliveries, numbered from 0, that every retained row belongs to. A cursor
-// is a position in it, and a one-shot read is a cut of it. The session's mu
-// guards it; the pieces it hands out are capped and trim only reslices, so
-// a piece stays valid without the lock.
+// version of each row (rendered once, as it is delivered), and the
+// deliveries, numbered from 0, that every retained row belongs to, each a
+// tvr.Log addressed by absolute position. A cursor is a position in it, and
+// a one-shot read is a cut of it. The session's mu guards it; the pieces it
+// hands out are captured log ranges, which stay valid without the lock.
 type output struct {
-	rows tvr.Changelog
-	vers []int
-	// marks[i] ends delivery base+i-1 and starts base+i, so marks[0] is where
-	// the retained rows start. base moves only past the cap (trim).
-	marks    []mark
-	base     int
+	// rows is the driver's output log (exec.Driver.Output): feeds stage
+	// rows in it, and deliver publishes them.
+	rows *tvr.Log[tvr.Event]
+	vers tvr.Log[int]
+	// marks at position d ends delivery d-1 and starts d, so marks.Base() is
+	// the first retained delivery and the mark there is where the retained
+	// rows start. The base moves only past the cap (trim).
+	marks    tvr.Log[mark]
 	renderer *tvr.StreamRenderer
+	verBuf   []int // scratch for a chunk's versions
 
 	max        int  // Config.MaxRetainedRows; 0 keeps everything
-	overflowed bool // more than max rows were appended
+	overflowed bool // more than max rows were delivered
 	// fold is the table rendering of a prefix of rows that table reads
 	// extend. Nil until the first, and again after overflow or close.
 	fold *tableFold
@@ -49,8 +51,8 @@ type position struct {
 // piece is one delta's worth of output. Reading it moves a reader to
 // delivery next.
 type piece struct {
-	log  tvr.Changelog
-	vers []int
+	log  tvr.Range[tvr.Event]
+	vers tvr.Range[int]
 	wm   types.Time
 	next int
 }
@@ -61,46 +63,66 @@ func (p piece) delta(mode Mode) Delta {
 	if mode == Table {
 		return Delta{Table: consolidate(p.log), Watermark: p.wm}
 	}
-	rows := make([]tvr.StreamRow, len(p.log))
-	for i, ev := range p.log {
-		rows[i] = tvr.StreamRowOf(ev, p.vers[i])
+	rows := make([]tvr.StreamRow, 0, p.log.Len())
+	log, vers := p.log, p.vers
+	for log.Len() > 0 {
+		// The two logs share positions, so their chunks line up.
+		var evs []tvr.Event
+		var vs []int
+		evs, log = log.Next()
+		vs, vers = vers.Next()
+		for i, ev := range evs {
+			rows = append(rows, tvr.StreamRowOf(ev, vs[i]))
+		}
 	}
 	return Delta{Stream: rows, Watermark: p.wm}
 }
 
-func newOutput(emitKeys []int, max int) output {
-	return output{marks: []mark{{}}, renderer: tvr.NewStreamRenderer(emitKeys), max: max}
+// newOutput is the output of a session whose driver stages its rows in
+// rows, an empty log.
+func newOutput(rows *tvr.Log[tvr.Event], emitKeys []int, max int) output {
+	o := output{rows: rows, renderer: tvr.NewStreamRenderer(emitKeys), max: max}
+	o.marks.Append(mark{})
+	return o
 }
 
-// end is the number of deliveries appended so far.
-func (o *output) end() int { return o.base + len(o.marks) - 1 }
+// end is the number of deliveries made so far.
+func (o *output) end() int { return o.marks.End() - 1 }
 
-// append adds out as the next delivery, at watermark wm; an empty out is no
-// delivery. The append that passes the cap overflows the output.
-func (o *output) append(out tvr.Changelog, wm types.Time) {
-	if len(out) == 0 {
-		return
+// deliver publishes what the driver staged in rows as the next delivery, at
+// watermark wm, versioned by sr (the output's renderer, or a fresh one at
+// load), and returns its row count; nothing staged is no delivery. The
+// delivery that passes the cap overflows the output.
+func (o *output) deliver(wm types.Time, sr *tvr.StreamRenderer) int {
+	from := o.rows.End()
+	o.rows.Publish()
+	end := o.rows.End()
+	if end == from {
+		return 0
 	}
-	o.rows = append(o.rows, out...)
-	o.vers = o.renderer.AppendVersions(o.vers, out)
-	end := o.marks[len(o.marks)-1].end + len(out)
-	o.marks = append(o.marks, mark{end: end, wm: wm})
+	for r := o.rows.Since(from); r.Len() > 0; {
+		var evs []tvr.Event
+		evs, r = r.Next()
+		o.verBuf = sr.AppendVersions(o.verBuf[:0], evs)
+		o.vers.Append(o.verBuf...)
+	}
+	o.marks.Append(mark{end: end, wm: wm})
 	if o.max > 0 && end > o.max && !o.overflowed {
 		o.overflowed, o.fold = true, nil
 	}
+	return end - from
 }
 
 // attach is the position of a reader attaching now, while the output
 // watermark is wm: everything retained is its hand-off.
 func (o *output) attach(wm types.Time) position {
-	return position{next: o.base, attach: o.end(), handWm: wm}
+	return position{next: o.marks.Base(), attach: o.end(), handWm: wm}
 }
 
 // span is deliveries [from, to) as one piece at watermark wm.
 func (o *output) span(from, to int, wm types.Time) piece {
-	i := o.marks[from-o.base].end - o.marks[0].end
-	j := o.marks[to-o.base].end - o.marks[0].end
-	return piece{log: o.rows[i:j:j], vers: o.vers[i:j:j], wm: wm, next: to}
+	i, j := o.marks.At(from).end, o.marks.At(to).end
+	return piece{log: o.rows.Since(i).Slice(0, j-i), vers: o.vers.Since(i).Slice(0, j-i), wm: wm, next: to}
 }
 
 // pending is the first piece a reader at p has not received, if any.
@@ -109,7 +131,7 @@ func (o *output) pending(p position) (piece, bool) {
 	case p.next < p.attach:
 		return o.span(p.next, p.attach, p.handWm), true
 	case p.next < o.end():
-		return o.span(p.next, p.next+1, o.marks[p.next+1-o.base].wm), true
+		return o.span(p.next, p.next+1, o.marks.At(p.next+1).wm), true
 	}
 	return piece{}, false
 }
@@ -123,7 +145,7 @@ func (o *output) unread(p position) (piece, bool) {
 	}
 	wm := p.handWm
 	if end > p.attach {
-		wm = o.marks[len(o.marks)-1].wm
+		wm = o.marks.At(end).wm
 	}
 	return o.span(p.next, end, wm), true
 }
@@ -138,20 +160,22 @@ func (o *output) depth(p position) int {
 }
 
 // trim drops the deliveries below low, the lowest one a reader still needs,
-// once the output has overflowed; within the cap it keeps everything.
+// once the output has overflowed; within the cap it keeps everything. The
+// logs free every chunk the retained deliveries no longer reach.
 func (o *output) trim(low int) {
-	k := low - o.base
-	if !o.overflowed || k <= 0 {
+	if !o.overflowed || low <= o.marks.Base() {
 		return
 	}
-	i := o.marks[k].end - o.marks[0].end
-	o.rows, o.vers, o.marks, o.base = o.rows[i:], o.vers[i:], o.marks[k:], low
+	i := o.marks.At(low).end
+	o.rows.TrimBelow(i)
+	o.vers.TrimBelow(i)
+	o.marks.TrimBelow(low)
 }
 
 // cut is the retained rows with ptime <= at (their ptimes never decrease).
 func (o *output) cut(at types.Time) piece {
-	n := sort.Search(len(o.rows), func(i int) bool { return o.rows[i].Ptime > at })
-	return piece{log: o.rows[:n:n], vers: o.vers[:n:n]}
+	log := tvr.Cut(o.rows.Since(o.rows.Base()), at)
+	return piece{log: log, vers: o.vers.Since(o.vers.Base()).Slice(0, log.Len())}
 }
 
 // save writes the renderer's counters and the retained rows, none past the
@@ -159,11 +183,11 @@ func (o *output) cut(at types.Time) piece {
 // process. Marks and versions are not written.
 func (o *output) save(enc *checkpoint.Encoder) {
 	o.renderer.SaveState(enc)
-	if o.overflowed {
-		tvr.SaveChangelog(enc, nil)
-	} else {
-		tvr.SaveChangelog(enc, o.rows)
+	var rows tvr.Range[tvr.Event]
+	if !o.overflowed {
+		rows = o.rows.Since(o.rows.Base())
 	}
+	tvr.SaveLog(enc, rows)
 }
 
 // load reads what save wrote into an empty output. The saved rows were
@@ -173,15 +197,11 @@ func (o *output) load(dec *checkpoint.Decoder, emitKeys []int, wm types.Time, ov
 	if err := o.renderer.LoadState(dec); err != nil {
 		return err
 	}
-	rows, err := tvr.LoadChangelog(dec)
-	if err != nil {
+	if err := tvr.LoadLog(dec, o.rows); err != nil {
 		return err
 	}
-	o.rows, o.overflowed = rows, overflowed
-	o.vers = tvr.NewStreamRenderer(emitKeys).AppendVersions(nil, rows)
-	if len(rows) > 0 {
-		o.marks = append(o.marks, mark{end: len(rows), wm: wm})
-	}
+	o.deliver(wm, tvr.NewStreamRenderer(emitKeys))
+	o.overflowed = overflowed
 	return nil
 }
 
@@ -227,11 +247,11 @@ func (s *Session) read(at types.Time, mode Mode) (r Reading, replay string, err 
 	}
 	// A replay folds the output it collects, which fails on a retraction of
 	// a row never inserted; the cut is folded for the same check.
-	r.Folded = len(p.log)
-	if err := tvr.NewRelation().ApplyOwned(p.log); err != nil {
+	r.Folded = p.log.Len()
+	if err := applyOwned(tvr.NewRelation(), p.log); err != nil {
 		return r, "", err
 	}
-	if len(p.log) > 0 { // an empty cut stays nil, as a replay's rendering does
+	if p.log.Len() > 0 { // an empty cut stays nil, as a replay's rendering does
 		r.Stream = p.delta(Stream).Stream
 	}
 	return r, "", nil
@@ -250,21 +270,35 @@ type tableFold struct {
 // relation's iteration order, in a slice the caller owns, and the rows it
 // folded. A prefix of at least n rows extends the fold; a shorter one is
 // folded afresh.
-func (f *tableFold) read(log tvr.Changelog) (rows []types.Row, folded int, err error) {
+func (f *tableFold) read(log tvr.Range[tvr.Event]) (rows []types.Row, folded int, err error) {
 	f.mu.Lock()
-	if len(log) < f.n {
+	n := log.Len()
+	if n < f.n {
 		f.mu.Unlock()
 		rel := tvr.NewRelation()
-		if err := rel.ApplyOwned(log); err != nil {
+		if err := applyOwned(rel, log); err != nil {
 			return nil, 0, err
 		}
-		return rel.Rows(), len(log), nil
+		return rel.Rows(), n, nil
 	}
 	defer f.mu.Unlock()
-	if err := f.rel.ApplyOwned(log[f.n:]); err != nil {
+	if err := applyOwned(f.rel, log.Slice(f.n, n)); err != nil {
 		f.rel, f.n = tvr.NewRelation(), 0 // half applied: the next read refolds
 		return nil, 0, err
 	}
-	folded, f.n = len(log)-f.n, len(log)
+	folded, f.n = n-f.n, n
 	return f.rel.Rows(), folded, nil
+}
+
+// applyOwned folds the output rows of r into rel, chunk by chunk
+// (tvr.Relation.ApplyOwned).
+func applyOwned(rel *tvr.Relation, r tvr.Range[tvr.Event]) error {
+	for r.Len() > 0 {
+		var evs []tvr.Event
+		evs, r = r.Next()
+		if err := rel.ApplyOwned(evs); err != nil {
+			return err
+		}
+	}
+	return nil
 }

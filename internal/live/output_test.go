@@ -34,7 +34,7 @@ type modelDelivery struct {
 // piece is deliveries [from, to) as one piece at watermark wm.
 func (m *outputModel) piece(from, to int, wm types.Time) piece {
 	i, j := m.dels[from].start, m.dels[to-1].end
-	return piece{log: m.hist[i:j], vers: m.vers[i:j], wm: wm, next: to}
+	return piece{log: tvr.RangeOf(m.hist[i:j]), vers: tvr.RangeOf(m.vers[i:j]), wm: wm, next: to}
 }
 
 // retained counts the rows of the deliveries not trimmed.
@@ -49,10 +49,11 @@ func (m *outputModel) retained() int {
 // watermark and next delivery.
 func samePiece(t *testing.T, op string, got, want piece) {
 	t.Helper()
-	if len(got.log) != len(want.log) || len(got.log) > 0 && !reflect.DeepEqual(got.log, want.log) ||
-		len(got.vers) > 0 && !reflect.DeepEqual(got.vers, want.vers) || got.wm != want.wm || got.next != want.next {
+	gl, gv, wl, wv := got.log.Flat(), got.vers.Flat(), want.log.Flat(), want.vers.Flat()
+	if len(gl) != len(wl) || len(gl) > 0 && !reflect.DeepEqual(gl, wl) ||
+		len(gv) > 0 && !reflect.DeepEqual(gv, wv) || got.wm != want.wm || got.next != want.next {
 		t.Fatalf("%s: got %v vers %v wm %v next %d, want %v vers %v wm %v next %d",
-			op, got.log, got.vers, got.wm, got.next, want.log, want.vers, want.wm, want.next)
+			op, gl, gv, got.wm, got.next, wl, wv, want.wm, want.next)
 	}
 }
 
@@ -70,7 +71,7 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			limit = 4 + rng.Intn(30)
 		}
-		o := newOutput(keys, limit)
+		o := newOutput(new(tvr.Log[tvr.Event]), keys, limit)
 		m := &outputModel{wm: types.MinTime}
 		var got, want []position // the readers, in the output and the model
 		var live []types.Row     // rows inserted and not yet deleted
@@ -93,7 +94,8 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					live = append(live, row)
 				}
 				m.wm += types.Time(rng.Intn(2))
-				o.append(out, m.wm)
+				o.rows.Stage(out...)
+				o.deliver(m.wm, o.renderer)
 				if len(out) > 0 {
 					start := len(m.hist)
 					m.hist = append(m.hist, out...)
@@ -180,7 +182,7 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					n++
 				}
 				cut := o.cut(at)
-				samePiece(t, fmt.Sprintf("%s cut at %v", where, at), cut, piece{log: m.hist[:n], vers: m.vers[:n]})
+				samePiece(t, fmt.Sprintf("%s cut at %v", where, at), cut, piece{log: tvr.RangeOf(m.hist[:n]), vers: tvr.RangeOf(m.vers[:n])})
 				if o.fold == nil {
 					o.fold = &tableFold{rel: tvr.NewRelation()}
 				}
@@ -197,9 +199,9 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					t.Fatalf("%s: fold at %v folded %d rows %v, want %d rows %v", where, at, folded, rows, wantFolded, ref.Rows())
 				}
 			}
-			if r := len(o.rows); r != m.retained() || len(o.vers) != r || o.overflowed != m.overflowed || o.end() != len(m.dels) {
+			if r := o.rows.Len(); r != m.retained() || o.vers.Len() != r || o.overflowed != m.overflowed || o.end() != len(m.dels) {
 				t.Fatalf("%s: %d rows (%d versions), overflowed %v, %d deliveries; want %d, %v, %d",
-					where, r, len(o.vers), o.overflowed, o.end(), m.retained(), m.overflowed, len(m.dels))
+					where, r, o.vers.Len(), o.overflowed, o.end(), m.retained(), m.overflowed, len(m.dels))
 			}
 		}
 	}
@@ -221,7 +223,7 @@ func saveLoad(t *testing.T, where string, o output, m *outputModel, keys []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newOutput(keys, limit)
+	r := newOutput(new(tvr.Log[tvr.Event]), keys, limit)
 	if err := r.load(dec, keys, m.wm, o.overflowed); err != nil {
 		t.Fatalf("%s: load: %v", where, err)
 	}

@@ -201,21 +201,26 @@ func TestPanicKillsOnlyItsSession(t *testing.T) {
 	})
 }
 
-// drainPanicDriver is an echoDriver whose Drain panics when the output holds
-// the trigger value: a stand-in for a fault in draining or rendering the
-// output after an operator chain ran cleanly.
+// drainPanicDriver is an echoDriver that panics when the session takes its
+// output (OutputWatermark, read as the delivery begins) while the staged
+// output holds the trigger value: a stand-in for a fault in draining or
+// rendering the output after an operator chain ran cleanly.
 type drainPanicDriver struct {
 	echoDriver
 	panicOn int64
 }
 
-func (d *drainPanicDriver) Drain() tvr.Changelog {
-	for _, ev := range d.out {
-		if ev.Row[0].Int() == d.panicOn {
-			panic(fmt.Sprintf("drain exploded on value %d", d.panicOn))
+func (d *drainPanicDriver) OutputWatermark() types.Time {
+	for staged := d.out.Staged(); staged.Len() > 0; {
+		var evs []tvr.Event
+		evs, staged = staged.Next()
+		for _, ev := range evs {
+			if ev.Row[0].Int() == d.panicOn {
+				panic(fmt.Sprintf("drain exploded on value %d", d.panicOn))
+			}
 		}
 	}
-	return d.echoDriver.Drain()
+	return d.echoDriver.OutputWatermark()
 }
 
 // subscribeNew registers a fresh session on d with one cursor, under a key

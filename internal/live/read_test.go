@@ -10,7 +10,7 @@ import (
 
 // inOrderDriver outputs every fed data event as is and reports itself fed
 // in merge order, so its session answers reads.
-type inOrderDriver struct{ out tvr.Changelog }
+type inOrderDriver struct{ out tvr.Log[tvr.Event] }
 
 func (d *inOrderDriver) Start() error { return nil }
 
@@ -18,18 +18,14 @@ func (d *inOrderDriver) Feed(batch []exec.Source) error {
 	for _, s := range batch {
 		for _, ev := range s.Log {
 			if ev.IsData() {
-				d.out = append(d.out, ev)
+				d.out.Stage(ev)
 			}
 		}
 	}
 	return nil
 }
 
-func (d *inOrderDriver) Drain() tvr.Changelog {
-	out := d.out
-	d.out = nil
-	return out
-}
+func (d *inOrderDriver) Output() *tvr.Log[tvr.Event] { return &d.out }
 
 func (d *inOrderDriver) Advance(types.Time) error      { return nil }
 func (d *inOrderDriver) Close() error                  { return nil }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func TestStalledReaderBoundsCappedRetention(t *testing.T) {
 		retained := func() int {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return len(s.out.rows)
+			return s.out.rows.Len()
 		}
 
 		var want, got []Delta
@@ -93,4 +94,57 @@ func TestStalledReaderBoundsCappedRetention(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCappedRetentionFreesChunks: a capped session fed 20 times its cap,
+// with a reader that keeps up, holds at most its cap plus one chunk of rows
+// in memory. Each row carries a 1 KiB payload, so the heap shows what the
+// retained logs keep reachable: trimming frees whole chunks, and with them
+// the rows they hold, where a resliced slice keeps its whole array alive.
+func TestCappedRetentionFreesChunks(t *testing.T) {
+	const maxRows, per = tvr.ChunkLen, 500
+	const rowBytes = 1024 + 2*32 + 64 // payload, the row's two values, slack per row
+	m := NewManagerWith(Options{})
+	s, err := NewSession(&inOrderDriver{}, Config{Name: "capped", Sources: []string{"r"}, MaxRetainedRows: maxRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.Subscribe("capped", CursorOpts{}, func() (*Session, error) { return s, nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	bound := int64(maxRows+tvr.ChunkLen)*rowBytes + 4<<20 // and the logs' chunk arrays
+	v, peak := int64(0), int64(0)
+	for i := 0; v < 20*maxRows; i++ {
+		log := make(tvr.Changelog, per)
+		for j := range log {
+			v++
+			payload := make([]byte, 1024)
+			payload[0] = byte(v)
+			log[j] = tvr.InsertEvent(types.Time(v), types.Row{types.NewInt(v), types.NewString(string(payload))})
+		}
+		if err := m.PublishSpan(func() error { return nil }, "r", log, nil); err != nil {
+			t.Fatal(err)
+		}
+		recv(t, sub)
+		if i%7 == 6 {
+			grown := heap() - before
+			if grown > bound {
+				t.Fatalf("after %d rows the heap grew %d bytes, past the cap plus one chunk of rows (%d)", v, grown, bound)
+			}
+			peak = max(peak, grown)
+		}
+	}
+	t.Logf("fed %d rows under a cap of %d: the heap grew at most %d bytes (bound %d)", v, maxRows, peak, bound)
+	if !s.out.overflowed {
+		t.Fatal("the session never passed its cap")
+	}
 }

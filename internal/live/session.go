@@ -68,6 +68,7 @@ type Session struct {
 	nsubs    atomic.Int64 // len(cursors)
 	id       atomic.Int64 // registration (pipeline) id, set by the manager
 	groups   atomic.Int64 // the renderer's version counters, stored per delivery
+	retained atomic.Int64 // the retained output rows, stored per delivery, trim and restore
 	// Batched-execution observability, mirrored from the driver's
 	// exec.Stats after every feed so lock-free Stats readers see them
 	// without touching the driver.
@@ -99,7 +100,7 @@ func newSession(d exec.Driver, cfg Config) *Session {
 		cfg:     cfg,
 		driver:  d,
 		sources: make(map[string]bool, len(cfg.Sources)),
-		out:     newOutput(cfg.EmitKeys, cfg.MaxRetainedRows),
+		out:     newOutput(d.Output(), cfg.EmitKeys, cfg.MaxRetainedRows),
 	}
 	s.wm.Store(int64(types.MinTime))
 	for _, name := range cfg.Sources {
@@ -168,7 +169,7 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 		position: s.out.attach(types.Time(s.wm.Load())),
 	}
 	if p, ok := s.out.pending(c.position); ok {
-		c.noteOwed(len(p.log))
+		c.noteOwed(p.log.Len())
 	}
 	s.cursors = append(s.cursors, c)
 	s.nsubs.Store(int64(len(s.cursors)))
@@ -232,7 +233,7 @@ func (s *Session) ingestLog(batch []exec.Source, span *obs.CommitSpan) error {
 	return s.step(span, func() error {
 		n := int64(0)
 		for _, src := range batch {
-			n += int64(len(src.Log))
+			n += int64(src.Len())
 		}
 		s.eventsIn.Add(n)
 		s.obsm.noteEventsIn(n)
@@ -308,22 +309,21 @@ func (s *Session) mirrorDriver() {
 	s.outOfOrder.Store(!s.driver.FedInMergeOrder())
 }
 
-// appendOutputLocked drains the driver's new output and appends it as one
+// appendOutputLocked publishes the output the driver staged as one
 // delivery: the rows, their stream versions (the renderer's counters must
 // see every row, whatever the cursors' modes), and the output watermark.
-// Each attached cursor is owed one delta more. Nothing is appended when
+// Each attached cursor is owed one delta more. Nothing is delivered when
 // nothing materialized. Caller owns the driver and holds s.mu.
 func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	tRender := time.Time{}
 	if span != nil {
 		tRender = time.Now()
 	}
-	out := s.driver.Drain()
 	wm := s.driver.OutputWatermark()
 	s.wm.Store(int64(wm))
-	s.out.append(out, wm)
+	n := s.out.deliver(wm, s.out.renderer)
 	span.AddSince(obs.SpanRender, tRender)
-	if len(out) == 0 {
+	if n == 0 {
 		return
 	}
 	s.groups.Store(int64(s.out.renderer.Groups()))
@@ -332,7 +332,7 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 		tDeliver = time.Now()
 	}
 	for _, c := range s.cursors {
-		c.noteOwed(len(out))
+		c.noteOwed(n)
 		c.notifyLocked()
 	}
 	s.trimLocked()
@@ -340,8 +340,9 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 }
 
 // trimLocked lets the retained output drop, past its cap, what every attached
-// cursor has received. A closed session keeps what it has for its detached
-// readers.
+// cursor has received, and stores the rows it retains for the
+// live_retained_rows gauge. A closed session keeps what it has for its
+// detached readers.
 func (s *Session) trimLocked() {
 	if s.closed {
 		return
@@ -351,6 +352,7 @@ func (s *Session) trimLocked() {
 		low = min(low, c.next)
 	}
 	s.out.trim(low)
+	s.retained.Store(int64(s.out.rows.Len()))
 }
 
 // retire takes the session out of service for its departing last cursor c

@@ -29,7 +29,27 @@
 // collect callback (GaugeFunc) must never take a lock a commit can hold
 // across I/O, such as wal.Writer.mu or the live manager's ordering lock: WAL
 // metrics are plain counters bumped at the instrument sites, and live gauges
-// sample the manager's atomic session snapshot and heartbeat clock.
+// sample the manager's atomic session snapshot and heartbeat clock, or
+// atomics a session stores per delivery (live_renderer_groups,
+// live_retained_rows) and the engine per commit (engine_history_events).
+//
+// Commit-path tracing (trace.go): CommitTracer.Begin opens one CommitSpan
+// per commit (a publish or a heartbeat), and every stage is timed on the
+// committing goroutine by the layer that runs it: the engine times
+// validate and wal, the live manager sequence, and each session it feeds
+// apply (the driver call), render (publishing the staged output, versioning
+// it, retention) and deliver (owing the cursors the delivery and waking
+// them), each with AddSince. A site reads the clock only when its span is
+// non-nil, so an untraced engine makes no time.Now calls. The span's one
+// Finish records commit_stage_seconds{stage} for each stage the commit
+// touched (a stage at zero, such as apply when no session matched, records
+// nothing) and commit_seconds; when the total reaches the slow-commit
+// threshold (DefaultSlowCommit unless the engine sets one; at or below zero
+// no line is logged), it bumps commit_slow_total and emits exactly one
+// structured slog line with the relation, batch size, sequence number,
+// total and per-stage durations, through slog.Default, so cmd/serve's
+// -log-format decides its encoding. A commit that fails before it is
+// sequenced is Discarded and records nothing.
 package obs
 
 import (

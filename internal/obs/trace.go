@@ -17,7 +17,8 @@ const (
 	SpanSequence
 	// SpanApply is driver Feed/Advance — pushing the batch through operators.
 	SpanApply
-	// SpanRender is Drain + delta render + retention accounting.
+	// SpanRender is publishing the staged output as a delivery, versioning
+	// it, and retention accounting.
 	SpanRender
 	// SpanDeliver is cursor fan-out: owing each cursor the delivery and waking its reader.
 	SpanDeliver

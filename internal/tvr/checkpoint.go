@@ -70,13 +70,8 @@ func LoadEvent(dec *checkpoint.Decoder) (Event, error) {
 	return ev, dec.Err()
 }
 
-// SaveChangelog writes a length-prefixed changelog.
-func SaveChangelog(enc *checkpoint.Encoder, c Changelog) {
-	enc.Uvarint(uint64(len(c)))
-	for _, ev := range c {
-		SaveEvent(enc, ev)
-	}
-}
+// SaveChangelog writes a length-prefixed changelog, in SaveLog's bytes.
+func SaveChangelog(enc *checkpoint.Encoder, c Changelog) { SaveLog(enc, RangeOf(c)) }
 
 // LoadChangelog reads a changelog written by SaveChangelog.
 func LoadChangelog(dec *checkpoint.Decoder) (Changelog, error) {

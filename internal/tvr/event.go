@@ -9,6 +9,40 @@
 // decorated with undo/ptime/ver metadata, is the "stream" rendering
 // (Extension 4 in the paper). The two are duals; package tvr provides both
 // plus the conversions between them.
+//
+// # Logs
+//
+// Since a TVR is its changelog, the engine keeps every changelog it retains
+// in one type, Log: a relation's recorded input in the catalog, and a
+// standing query's output rows, their stream versions and its delivery
+// marks. The model is the segmented, offset-addressed log of a streaming
+// log store: an append never moves an older record, a reader is an offset,
+// and retention drops whole segments.
+//
+//   - Chunks. A log is a list of chunks of ChunkLen elements. An append fills
+//     the tail chunk and starts a new one when it is full; it never copies
+//     an element already in the log, so appending N elements allocates about
+//     N elements' worth of chunks (TestLogAppendAllocs).
+//   - Absolute positions. The first element ever appended is at position 0,
+//     and a position names the same element for as long as it is retained.
+//     TrimBelow(pos) retires the positions below pos and frees every chunk
+//     holding none of the rest; it renumbers nothing.
+//   - Sealed chunks and lock-free readers. The log's owner guards it with a
+//     lock, and a reader captures a Range under that lock (Since, or Cut of
+//     a range for a ptime prefix). The range holds the chunks and bounds,
+//     not a copy, and stays valid after the lock is released: an element
+//     is never written again once published, a later append writes only
+//     past the range's end, and a trim builds a new chunk list rather than
+//     editing the one a range holds. So a reader walks its range (Next)
+//     with no lock while appends and trims go on.
+//   - Staging. One goroutine may Stage elements past the published end
+//     without the lock, where no range reaches, and Publish them later under
+//     it. A standing query's operators stage output rows as they run, and
+//     the session publishes them as one delivery, so an output row is copied
+//     once between the operator and the retained log.
+//   - Bytes. SaveLog writes a range as SaveChangelog writes the same events
+//     as a slice, and LoadLog reads either back, so checkpoints do not
+//     depend on the chunking.
 package tvr
 
 import (
