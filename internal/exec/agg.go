@@ -26,19 +26,23 @@ type aggOp struct {
 	sch    *types.Schema
 	global bool
 
-	groups   map[string]*aggGroup       // open groups only
-	idx      completionIndex[*aggGroup] // which groups a watermark completes
+	groups keyedStore[aggGroup] // open groups only
+	// accs holds len(aggs) accumulators per slot of groups, at
+	// slot*len(aggs). They outlive the slot's group: the next group in the
+	// slot resets them in place, so a group allocates no accumulator.
+	accs     []accumulator
+	idx      completionIndex // which groups a watermark completes
 	wm       types.Time
 	lateDrop int
 	keyBuf   []byte // reusable group-key encoding buffer
 
 	// Run cache: the group resolved by the previous data event. Consecutive
 	// events for the same key (the common shape inside a batch) compare
-	// encoded keys and skip the map probe entirely. The cached pointer stays
+	// encoded keys and skip the store probe entirely. The cached slot stays
 	// valid across dispatches; onWatermark invalidates it when the cached
 	// group is among those the watermark closes.
 	prevKey  []byte
-	runGroup *aggGroup
+	runSlot  int32
 	runValid bool
 
 	keyScratch  types.Row   // reusable group-key evaluation row
@@ -56,25 +60,11 @@ func eventKeysOf(x *plan.Aggregate) []eventKey {
 	return out
 }
 
+// aggGroup is one open group; its accumulators are the slot's in aggOp.accs.
 type aggGroup struct {
 	keyRow types.Row
-	accs   []accumulator // backed by slots when the query has at most two
-	n      int           // live input rows
-	outRow types.Row     // last emitted output row (nil if none)
-	seq    int           // first-seen sequence (snapshot order)
-	slots  [2]accumulator
-}
-
-// newAggGroup returns a group with n accumulator slots, allocated with the
-// group itself when n is small.
-func newAggGroup(n int) *aggGroup {
-	g := &aggGroup{}
-	if n <= len(g.slots) {
-		g.accs = g.slots[:n]
-	} else {
-		g.accs = make([]accumulator, n)
-	}
-	return g
+	n      int       // live input rows
+	outRow types.Row // last emitted output row (nil if none)
 }
 
 func newAggOp(x *plan.Aggregate, out sink) *aggOp {
@@ -84,8 +74,7 @@ func newAggOp(x *plan.Aggregate, out sink) *aggOp {
 		aggs:   x.Aggs,
 		sch:    x.Sch,
 		global: x.Global(),
-		groups: make(map[string]*aggGroup),
-		idx:    completionIndex[*aggGroup]{keys: eventKeysOf(x)},
+		idx:    completionIndex{keys: eventKeysOf(x)},
 		wm:     types.MinTime,
 	}
 }
@@ -97,23 +86,33 @@ func (a *aggOp) Open() error {
 	if !a.global {
 		return nil
 	}
-	g := a.newGroup(types.Row{})
-	a.groups[""] = g
-	g.seq = a.idx.add("", g, g.keyRow)
-	a.reemit(g, types.MinTime)
+	s := a.openGroup(nil, types.Row{})
+	a.groups.at(s).keyRow = make(types.Row, 0, len(a.aggs))
+	a.reemit(s, types.MinTime)
 	return flush(a.out, &a.pend)
 }
 
-func (a *aggOp) newGroup(keyRow types.Row) *aggGroup {
-	g := newAggGroup(len(a.aggs))
-	// The key row has room for the aggregate values behind it: the group's
-	// first output row is the key row extended in place (see reemit).
-	g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
-	copy(g.keyRow, keyRow)
-	for i, call := range a.aggs {
-		g.accs[i] = newAccumulator(call)
+// openGroup inserts a group under key, with its accumulators reset, and
+// registers it with the completion index. The caller sets its key row.
+func (a *aggOp) openGroup(key []byte, keyRow types.Row) int32 {
+	s := a.groups.insert(key)
+	if na := len(a.aggs); int(s)*na < len(a.accs) {
+		for _, acc := range a.accsOf(s) {
+			acc.reset()
+		}
+	} else {
+		for _, call := range a.aggs {
+			a.accs = append(a.accs, newAccumulator(call))
+		}
 	}
-	return g
+	a.idx.add(s, keyRow)
+	return s
+}
+
+// accsOf is the accumulators of the group in slot s.
+func (a *aggOp) accsOf(s int32) []accumulator {
+	na := len(a.aggs)
+	return a.accs[int(s)*na : int(s)*na+na]
 }
 
 // PushBatch implements sink: the whole batch runs through the group
@@ -152,24 +151,26 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 		keyRow[i] = v
 	}
 	a.keyBuf = keyRow.AppendKey(a.keyBuf[:0])
-	g := a.runGroup
+	s := a.runSlot
 	if !a.runValid || !bytes.Equal(a.keyBuf, a.prevKey) {
-		var ok bool
-		g, ok = a.groups[string(a.keyBuf)] // allocation-free lookup
-		if !ok {
+		s = a.groups.find(a.keyBuf)
+		if s < 0 {
 			if a.idx.complete(keyRow, a.wm) {
 				// The group was completed (and evicted) before this row
 				// arrived, or the row arrives late from the start.
 				a.lateDrop++
 				return nil
 			}
-			g = a.newGroup(keyRow)
-			gk := string(a.keyBuf)
-			a.groups[gk] = g
-			g.seq = a.idx.add(gk, g, g.keyRow)
+			s = a.openGroup(a.keyBuf, keyRow)
+			// The key row has room for the aggregate values behind it:
+			// the group's first output row is the key row extended in
+			// place (see reemit).
+			g := a.groups.at(s)
+			g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
+			copy(g.keyRow, keyRow)
 		}
 		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
-		a.runGroup = g
+		a.runSlot = s
 		a.runValid = true
 	}
 
@@ -177,11 +178,12 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 	if ev.Kind == tvr.Delete {
 		delta = -1
 	}
+	g := a.groups.at(s)
 	g.n += delta
 	if g.n < 0 {
 		return fmt.Errorf("exec: aggregate retraction underflow for group %s", keyRow)
 	}
-	for i, acc := range g.accs {
+	for i, acc := range a.accsOf(s) {
 		var arg types.Value
 		if a.aggs[i].Arg != nil {
 			v, err := a.aggs[i].Arg.Eval(ev.Row)
@@ -194,7 +196,7 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 			return err
 		}
 	}
-	a.reemit(g, ev.Ptime)
+	a.reemit(s, ev.Ptime)
 	return nil
 }
 
@@ -202,14 +204,15 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 // (into the pending buffer). If the output row is unchanged (e.g. a bid below
 // the running MAX), nothing is emitted: the output relation did not change,
 // so its changelog must not either.
-func (a *aggOp) reemit(g *aggGroup, p types.Time) {
+func (a *aggOp) reemit(s int32, p types.Time) {
 	// The candidate row builds in a reusable scratch: a suppressed reemit
 	// (e.g. a bid below the running MAX) costs no allocation, and an actual
 	// emission copies it once, into the group's key row on the first.
+	g := a.groups.at(s)
 	var row types.Row
 	if g.n > 0 || a.global {
 		row = append(a.emitScratch[:0], g.keyRow...)
-		for _, acc := range g.accs {
+		for _, acc := range a.accsOf(s) {
 			row = append(row, acc.value())
 		}
 		a.emitScratch = row[:0]
@@ -225,7 +228,7 @@ func (a *aggOp) reemit(g *aggGroup, p types.Time) {
 		return
 	}
 	if nk := len(g.keyRow); cap(g.keyRow) == len(row) {
-		// The spare capacity newGroup gave the key row becomes the first
+		// The spare capacity openGroup's caller gave the key row becomes the first
 		// output row's aggregate values. Neither row is written again: the
 		// key row is clipped to its length, so no later emission reuses
 		// the space.
@@ -248,8 +251,8 @@ func (a *aggOp) onWatermark(ev tvr.Event) error {
 	}
 	a.wm = ev.Wm
 	for _, c := range a.idx.advance(a.wm) {
-		delete(a.groups, c.key)
-		if c.g == a.runGroup {
+		a.groups.remove(c.slot)
+		if c.slot == a.runSlot {
 			a.runValid = false
 		}
 	}
@@ -260,10 +263,10 @@ func (a *aggOp) onWatermark(ev tvr.Event) error {
 func (a *aggOp) Finish() error { return a.out.Finish() }
 
 func (a *aggOp) stats(s *Stats) {
-	for _, g := range a.groups {
-		s.StateRows += g.n
+	for sl := a.groups.first(); sl >= 0; sl = a.groups.next(sl) {
+		s.StateRows += a.groups.at(sl).n
 	}
-	s.StateGroups += len(a.groups)
+	s.StateGroups += a.groups.len()
 	s.LateDropped += a.lateDrop
 	s.FreedGroups += a.idx.freed
 }
@@ -271,10 +274,12 @@ func (a *aggOp) stats(s *Stats) {
 // ---- accumulators ----
 
 // accumulator maintains one aggregate function's state under inserts (+1)
-// and retractions (-1).
+// and retractions (-1). reset returns it to its state over no input, for the
+// next group of its slot.
 type accumulator interface {
 	update(v types.Value, delta int) error
 	value() types.Value
+	reset()
 }
 
 func newAccumulator(call plan.AggCall) accumulator {
@@ -308,6 +313,8 @@ func (c *countStarAcc) update(_ types.Value, delta int) error {
 
 func (c *countStarAcc) value() types.Value { return types.NewInt(c.n) }
 
+func (c *countStarAcc) reset() { c.n = 0 }
+
 type countAcc struct{ n int64 }
 
 func (c *countAcc) update(v types.Value, delta int) error {
@@ -318,6 +325,8 @@ func (c *countAcc) update(v types.Value, delta int) error {
 }
 
 func (c *countAcc) value() types.Value { return types.NewInt(c.n) }
+
+func (c *countAcc) reset() { c.n = 0 }
 
 // sumAcc keeps exact integer sums for BIGINT and float sums otherwise; SUM
 // over zero non-NULL inputs is NULL per SQL.
@@ -345,6 +354,8 @@ func (s *sumAcc) update(v types.Value, delta int) error {
 	}
 	return nil
 }
+
+func (s *sumAcc) reset() { *s = sumAcc{kind: s.kind} }
 
 func (s *sumAcc) value() types.Value {
 	if s.n == 0 {
@@ -385,6 +396,8 @@ func (a *avgAcc) update(v types.Value, delta int) error {
 	return nil
 }
 
+func (a *avgAcc) reset() { *a = avgAcc{} }
+
 func (a *avgAcc) value() types.Value {
 	if a.n == 0 {
 		return types.Null()
@@ -424,6 +437,10 @@ type minMaxEntry struct {
 
 func newMinMaxAcc(min bool) *minMaxAcc {
 	return &minMaxAcc{min: min, current: types.Null()}
+}
+
+func (m *minMaxAcc) reset() {
+	*m = minMaxAcc{min: m.min, current: types.Null(), scratch: m.scratch[:0]}
 }
 
 func (m *minMaxAcc) update(v types.Value, delta int) error {
@@ -555,3 +572,8 @@ func (d *distinctAcc) update(v types.Value, delta int) error {
 }
 
 func (d *distinctAcc) value() types.Value { return d.inner.value() }
+
+func (d *distinctAcc) reset() {
+	clear(d.counts)
+	d.inner.reset()
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -508,12 +509,15 @@ func loadFloatSum(dec *checkpoint.Decoder) (float64, error) {
 }
 
 // Groups closed by a watermark are evicted, so only open groups are written,
-// in first-seen order (firstSeen); the completion heap is never serialized —
-// LoadState re-registers every group with the operator's completionIndex,
-// which rebuilds it from the stored key rows and renumbers the groups. Each group record still carries the
-// closed flag of the format's earlier writers (always false now): snapshots
-// that predate eviction hold closed groups as tombstones, which LoadState
-// reads past and discards.
+// in first-seen order (the order their store iterates in); the completion
+// heap is never serialized — LoadState re-registers every group with the
+// operator's completionIndex, which rebuilds it from the stored key rows and
+// renumbers the groups. Each group record still carries the closed flag of
+// the format's earlier writers (always false now): snapshots that predate
+// eviction hold closed groups as tombstones, which LoadState reads past and
+// discards. A snapshot that lists one group twice is corrupt.
+
+var errDuplicateGroup = errors.New("exec: checkpoint lists a group twice")
 
 // SaveState implements stateSaver: the watermark, late/freed counters, and
 // every open group in first-seen order with its key row, live-row count,
@@ -522,13 +526,14 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(a.wm)
 	enc.Int(a.lateDrop)
 	enc.Int(a.idx.freed)
-	enc.Uvarint(uint64(len(a.groups)))
-	for _, g := range firstSeen(a.groups, func(g *aggGroup) int { return g.seq }) {
+	enc.Uvarint(uint64(a.groups.len()))
+	for s := a.groups.first(); s >= 0; s = a.groups.next(s) {
+		g := a.groups.at(s)
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
 		enc.Bool(false) // closed
 		enc.Row(g.outRow)
-		for _, acc := range g.accs {
+		for _, acc := range a.accsOf(s) {
 			saveAcc(enc, acc)
 		}
 	}
@@ -538,7 +543,9 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 	// A global aggregate's Open already created its one group; restore
 	// replaces it wholesale.
+	a.groups.reset()
 	a.idx.reset()
+	a.runValid = false
 	a.wm = dec.Time()
 	a.lateDrop = dec.Int()
 	a.idx.freed = dec.Int()
@@ -546,7 +553,6 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	a.groups = make(map[string]*aggGroup, checkpoint.CapHint(uint64(n)))
 	for i := 0; i < n; i++ {
 		keyRow := dec.Row()
 		gn := dec.Int()
@@ -558,17 +564,17 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 		if closed {
 			continue
 		}
-		g := newAggGroup(len(a.aggs))
-		g.keyRow, g.n, g.outRow = keyRow, gn, outRow
-		for ci, call := range a.aggs {
-			g.accs[ci] = newAccumulator(call)
-			if err := loadAcc(dec, g.accs[ci]); err != nil {
+		a.keyBuf = keyRow.AppendKey(a.keyBuf[:0])
+		if a.groups.find(a.keyBuf) >= 0 {
+			return errDuplicateGroup
+		}
+		s := a.openGroup(a.keyBuf, keyRow)
+		*a.groups.at(s) = aggGroup{keyRow: keyRow, n: gn, outRow: outRow}
+		for _, acc := range a.accsOf(s) {
+			if err := loadAcc(dec, acc); err != nil {
 				return err
 			}
 		}
-		gk := keyRow.Key()
-		a.groups[gk] = g
-		g.seq = a.idx.add(gk, g, keyRow)
 	}
 	return dec.Err()
 }
@@ -576,20 +582,29 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 // ---- EMIT materialization states ----
 
 // SaveState implements stateSaver: per open event-time group, the buffered
-// relation awaiting watermark completion.
+// bag awaiting watermark completion, in tvr.Relation's section and order.
 func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(e.wm)
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
-	enc.Uvarint(uint64(len(e.groups)))
-	for _, g := range firstSeen(e.groups, func(g *wmGroup) int { return g.seq }) {
+	enc.Uvarint(uint64(e.groups.len()))
+	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
+		g := e.groups.at(gs)
 		enc.Row(g.sample)
 		enc.Bool(false) // closed
-		g.rel.SaveState(enc)
+		enc.Section("tvr.Relation")
+		enc.Uvarint(uint64(g.entries))
+		for rs := g.head; rs >= 0; rs = e.rows.at(rs).next {
+			r := e.rows.at(rs)
+			enc.Row(r.row)
+			enc.Uvarint(uint64(r.count))
+		}
 	}
 }
 
-// LoadState implements stateSaver.
+// LoadState implements stateSaver. Each group's bag is read under the rules
+// of tvr.Relation.LoadState: a row listed twice, or with no multiplicity,
+// is corrupt.
 func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 	e.wm = dec.Time()
 	e.late = dec.Int()
@@ -607,13 +622,28 @@ func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 		if closed {
 			continue
 		}
-		g := &wmGroup{sample: sample, rel: tvr.NewRelation()}
-		if err := g.rel.LoadState(dec); err != nil {
+		e.keyBuf = sample.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
+		if e.groups.find(e.keyBuf) >= 0 {
+			return errDuplicateGroup
+		}
+		gs := e.openGroup(e.keyBuf, sample)
+		if err := dec.Expect("tvr.Relation"); err != nil {
 			return err
 		}
-		k := sample.KeyOf(e.keys.idxs)
-		e.groups[k] = g
-		g.seq = e.idx.add(k, g, sample)
+		for m := dec.Uvarint(); m > 0; m-- {
+			row := dec.Row()
+			count := int(dec.Uvarint())
+			if err := dec.Err(); err != nil {
+				return err
+			}
+			if row == nil || count <= 0 {
+				return fmt.Errorf("exec: corrupt EMIT AFTER WATERMARK row in checkpoint")
+			}
+			if e.rows.find(e.rowKey(gs, row)) >= 0 {
+				return fmt.Errorf("exec: duplicate EMIT AFTER WATERMARK row %s in checkpoint", row)
+			}
+			e.insertRow(gs, row, count)
+		}
 	}
 	return dec.Err()
 }
@@ -629,8 +659,9 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
 	enc.Int(e.seq)
-	enc.Uvarint(uint64(len(e.groups)))
-	for _, g := range firstSeen(e.groups, func(g *delayGroup) int { return g.seq }) {
+	enc.Uvarint(uint64(e.groups.len()))
+	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
+		g := e.groups.at(gs)
 		enc.Row(g.sample)
 		enc.Bool(g.armed)
 		enc.Bool(false) // closed
@@ -639,18 +670,18 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 	}
 	pending := 0
 	for _, t := range e.timers {
-		if t.group.armed {
+		if e.pending(t) {
 			pending++
 		}
 	}
 	enc.Uvarint(uint64(pending))
 	for _, t := range e.timers {
-		if !t.group.armed {
+		if !e.pending(t) {
 			continue
 		}
 		enc.Time(t.deadline)
 		enc.Int(t.seq)
-		enc.String(t.group.key)
+		enc.String(string(e.groups.key(t.slot)))
 	}
 }
 
@@ -672,22 +703,22 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		k := sample.KeyOf(e.keys.idxs)
+		e.keyBuf = sample.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
 		if closed {
-			closedKeys[k] = true
+			closedKeys[string(e.keyBuf)] = true
 			continue
 		}
-		g := &delayGroup{key: k, sample: sample, armed: armed}
-		g.lastMat = tvr.NewRelation()
+		if e.groups.find(e.keyBuf) >= 0 {
+			return errDuplicateGroup
+		}
+		g := e.groups.at(e.openGroup(e.keyBuf, sample))
+		g.armed = armed
 		if err := g.lastMat.LoadState(dec); err != nil {
 			return err
 		}
-		g.cur = tvr.NewRelation()
 		if err := g.cur.LoadState(dec); err != nil {
 			return err
 		}
-		e.groups[k] = g
-		g.seq = e.idx.add(k, g, sample)
 	}
 	nt := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
@@ -700,14 +731,15 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		g, ok := e.groups[gk]
-		if !ok {
+		gs := e.groups.find([]byte(gk))
+		if gs < 0 {
 			if closedKeys[gk] {
 				continue // stale timer of a closed group: a no-op
 			}
 			return fmt.Errorf("exec: checkpoint timer references unknown group")
 		}
-		e.timers = append(e.timers, timer{deadline: deadline, seq: seq, group: g})
+		e.groups.at(gs).timer = seq
+		e.timers = append(e.timers, timer{deadline: deadline, seq: seq, slot: gs})
 	}
 	heap.Init(&e.timers)
 	return dec.Err()

@@ -44,83 +44,79 @@ func groupComplete(keys []eventKey, row types.Row, wm types.Time) bool {
 }
 
 // dueGroup is one open group waiting in a completionIndex for the watermark
-// that completes it.
-type dueGroup[G any] struct {
-	g   G
-	key string     // the operator's map key for g
-	seq int        // first-seen sequence
-	at  types.Time // completion time
+// that completes it. It holds no pointer, so the heap's sifts move plain
+// words.
+type dueGroup struct {
+	slot int32      // the group's slot in the operator's keyedStore
+	seq  int        // first-seen sequence
+	at   types.Time // completion time
 }
 
 // completionIndex is how an operator whose state is keyed by event-time
 // columns finds the groups a watermark completes: a min-heap of its open
-// groups by completion time. The contract: a new group registers with the
-// index (add) and remembers the first-seen sequence it is given; on a
-// watermark the operator asks the index which groups closed (advance),
-// finishes them, and deletes them from its map. An operator never scans
-// closed groups — a watermark costs O(groups closing), and everything the
-// operator holds, serializes, or reports is bounded by the open groups, which
-// are exactly the entries of its map. A group that can never complete (no
-// event-time keys, or a NULL / non-timestamp key value) gets a sequence
-// number and is otherwise not held here.
-type completionIndex[G any] struct {
+// groups by completion time. The contract: a new group registers its slot
+// with the index (add); on a watermark the operator asks the index which
+// groups closed (advance), finishes them, and removes them from its store.
+// An operator never scans closed groups — a watermark costs O(groups
+// closing), and everything the operator holds, serializes, or reports is
+// bounded by the open groups, which are exactly the live slots of its store.
+// A group that can never complete (no event-time keys, or a NULL /
+// non-timestamp key value) gets a sequence number and is otherwise not held
+// here.
+type completionIndex struct {
 	keys []eventKey
 
-	due    []dueGroup[G] // min-heap by (at, seq), entries held by value
-	closed []dueGroup[G] // advance's reusable result buffer
-	freed  int           // groups closed by advance, ever
-	seq    int           // next first-seen sequence
+	due    []dueGroup // min-heap by (at, seq)
+	closed []dueGroup // advance's reusable result buffer
+	freed  int        // groups closed by advance, ever
+	seq    int        // next first-seen sequence
 }
 
 // complete reports whether wm has passed every event-time key of the row: a
-// row whose group is absent from the operator's map is late iff this holds.
-func (x *completionIndex[G]) complete(row types.Row, wm types.Time) bool {
+// row whose group is absent from the operator's store is late iff this holds.
+func (x *completionIndex) complete(row types.Row, wm types.Time) bool {
 	return groupComplete(x.keys, row, wm)
 }
 
-// add registers a new open group under the operator's map key and returns
-// its first-seen sequence. keyRow carries the event-time key values at the
-// index's key positions.
-func (x *completionIndex[G]) add(key string, g G, keyRow types.Row) (seq int) {
-	seq = x.seq
+// add registers a new open group by its slot. keyRow carries the event-time
+// key values at the index's key positions.
+func (x *completionIndex) add(slot int32, keyRow types.Row) {
+	seq := x.seq
 	x.seq++
 	if at, ok := completionTime(x.keys, keyRow); ok {
-		x.due = append(x.due, dueGroup[G]{g: g, key: key, seq: seq, at: at})
+		x.due = append(x.due, dueGroup{slot: slot, seq: seq, at: at})
 		x.siftUp(len(x.due) - 1)
 	}
-	return seq
 }
 
 // advance closes exactly the groups whose completion time is at or before wm
 // and returns them in first-seen order (the order a walk over every group
 // would have met them in, which downstream materialization depends on). The
 // result is valid until the next advance.
-func (x *completionIndex[G]) advance(wm types.Time) []dueGroup[G] {
-	clear(x.closed) // drop the previous round's groups
+func (x *completionIndex) advance(wm types.Time) []dueGroup {
 	x.closed = x.closed[:0]
 	for len(x.due) > 0 && x.due[0].at <= wm {
 		x.closed = append(x.closed, x.due[0])
 		last := len(x.due) - 1
 		x.due[0] = x.due[last]
-		x.due[last] = dueGroup[G]{}
 		x.due = x.due[:last]
 		x.siftDown(0)
 	}
 	x.freed += len(x.closed)
-	slices.SortFunc(x.closed, func(a, b dueGroup[G]) int { return a.seq - b.seq })
+	slices.SortFunc(x.closed, func(a, b dueGroup) int { return a.seq - b.seq })
 	return x.closed
 }
 
 // before orders the heap: by completion time, first-seen sequence breaking
 // ties.
-func (x *completionIndex[G]) before(i, j int) bool {
+func (x *completionIndex) before(i, j int) bool {
 	if x.due[i].at != x.due[j].at {
 		return x.due[i].at < x.due[j].at
 	}
 	return x.due[i].seq < x.due[j].seq
 }
 
-func (x *completionIndex[G]) siftUp(i int) {
+func (x *completionIndex) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !x.before(i, parent) {
@@ -131,7 +127,7 @@ func (x *completionIndex[G]) siftUp(i int) {
 	}
 }
 
-func (x *completionIndex[G]) siftDown(i int) {
+func (x *completionIndex) siftDown(i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(x.due) {
@@ -149,18 +145,6 @@ func (x *completionIndex[G]) siftDown(i int) {
 }
 
 // reset forgets every group (restore replaces state wholesale).
-func (x *completionIndex[G]) reset() {
-	*x = completionIndex[G]{keys: x.keys}
-}
-
-// firstSeen returns an operator's open groups in first-seen order: the order
-// snapshots list them in, so that a restore — which re-adds them in that
-// order — reproduces the sequence every later tie-break depends on.
-func firstSeen[G any](groups map[string]G, seq func(G) int) []G {
-	out := make([]G, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	slices.SortFunc(out, func(a, b G) int { return seq(a) - seq(b) })
-	return out
+func (x *completionIndex) reset() {
+	*x = completionIndex{keys: x.keys}
 }

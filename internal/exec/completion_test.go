@@ -24,32 +24,34 @@ func tsKeyRow(at types.Time) types.Row { return types.Row{types.NewTimestamp(at)
 // complete in the order c, b, a; one watermark closing all three must hand
 // them back a, b, c. Fails if advance returns its heap's pop order.
 func TestCompletionIndexFirstSeenOrder(t *testing.T) {
-	x := completionIndex[string]{keys: []eventKey{{pos: 0}}}
-	x.add("a", "a", tsKeyRow(300))
-	x.add("b", "b", tsKeyRow(200))
-	x.add("n", "n", types.Row{types.Null()}) // never completes
-	x.add("c", "c", tsKeyRow(100))
-	x.add("d", "d", tsKeyRow(400))
+	// Slots are reused out of first-seen order, as a store's free list does.
+	const a, b, n, c, d = 4, 2, 0, 1, 3
+	x := completionIndex{keys: []eventKey{{pos: 0}}}
+	x.add(a, tsKeyRow(300))
+	x.add(b, tsKeyRow(200))
+	x.add(n, types.Row{types.Null()}) // never completes
+	x.add(c, tsKeyRow(100))
+	x.add(d, tsKeyRow(400))
 
 	if got := x.advance(50); len(got) != 0 {
 		t.Fatalf("advance(50) closed %d groups, want 0", len(got))
 	}
-	var got []string
+	var got []int32
 	for _, c := range x.advance(300) {
-		got = append(got, c.g)
+		got = append(got, c.slot)
 	}
-	if fmt.Sprint(got) != "[a b c]" {
-		t.Fatalf("advance(300) closed %v, want [a b c] (first-seen order)", got)
+	if fmt.Sprint(got) != fmt.Sprint([]int32{a, b, c}) {
+		t.Fatalf("advance(300) closed slots %v, want %v (first-seen order)", got, []int32{a, b, c})
 	}
 	// Only d still waits: the NULL-keyed group was numbered, never held.
-	if len(x.due) != 1 || x.due[0].g != "d" || x.freed != 3 {
+	if len(x.due) != 1 || x.due[0].slot != d || x.freed != 3 {
 		t.Fatalf("after advance: %d groups waiting, freed %d; want 1 (d), 3", len(x.due), x.freed)
 	}
 	// A repeated watermark closes nothing; the NULL-keyed group never does.
 	if got := x.advance(300); len(got) != 0 {
 		t.Fatalf("repeated advance closed %d groups", len(got))
 	}
-	if got := x.advance(types.MaxTime); len(got) != 1 || got[0].g != "d" {
+	if got := x.advance(types.MaxTime); len(got) != 1 || got[0].slot != d {
 		t.Fatalf("advance(max) closed %v, want [d]", got)
 	}
 	if len(x.due) != 0 || x.freed != 4 || x.seq != 5 {
@@ -63,22 +65,22 @@ func TestCompletionIndexFirstSeenOrder(t *testing.T) {
 // groups were closed before and how many stay open. BenchmarkWatermarkAdvance
 // pins the same property in time.
 func TestCompletionIndexTouchesOnlyClosingGroups(t *testing.T) {
-	x := completionIndex[int]{keys: []eventKey{{pos: 0}}}
+	x := completionIndex{keys: []eventKey{{pos: 0}}}
 	const history, open = 100_000, 50_000
 	for i := 0; i < history; i++ {
-		x.add("", i, tsKeyRow(types.Time(i)))
+		x.add(int32(i), tsKeyRow(types.Time(i)))
 	}
 	if n := len(x.advance(history)); n != history {
 		t.Fatalf("closed %d groups, want %d", n, history)
 	}
 	for i := 0; i < open; i++ {
-		x.add("", i, tsKeyRow(types.Time(10*history+i)))
+		x.add(int32(i), tsKeyRow(types.Time(10*history+i)))
 	}
 	wm := types.Time(history)
 	for _, closing := range []int{0, 1, 10, 137, 0} {
 		for i := 0; i < closing; i++ {
 			wm++
-			x.add("", i, tsKeyRow(wm))
+			x.add(int32(open+i), tsKeyRow(wm))
 		}
 		before := len(x.due)
 		if n := len(x.advance(wm)); n != closing {
@@ -197,7 +199,7 @@ func randomCompletionLog(rng *rand.Rand, n int) []tvr.Event {
 }
 
 // completionCase is one operator under test next to its reference. push
-// feeds one input event to both; groups is the production operator's map
+// feeds one input event to both; groups is the production operator's store
 // size.
 type completionCase struct {
 	name     string
@@ -236,7 +238,7 @@ func completionCases() []func() *completionCase {
 			ref := newRefEmitAfterDelay(sch, 5*types.Second, alsoWatermark, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return len(op.groups) }
+			c.groups = func() int { return op.groups.len() }
 			return c
 		}
 	}
@@ -246,7 +248,7 @@ func completionCases() []func() *completionCase {
 			op, ref := newAggOp(node, c.out), newRefAggOp(node, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return len(op.groups) }
+			c.groups = func() int { return op.groups.len() }
 			return c
 		},
 		func() *completionCase {
@@ -254,7 +256,7 @@ func completionCases() []func() *completionCase {
 			op, ref := newEmitAfterWatermark(sch, c.out), newRefEmitAfterWatermark(sch, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return len(op.groups) }
+			c.groups = func() int { return op.groups.len() }
 			return c
 		},
 		delayCase("emit-after-delay", false),
@@ -271,7 +273,7 @@ func opStats(s statser) Stats {
 // TestWatermarkCompletionMatchesWalk: on random changelogs each operator's
 // output is byte-identical to its walk-everything reference after every
 // input event, its state accounting is identical after every watermark, and
-// its group map holds exactly the open groups (no tombstones).
+// its group store holds exactly the open groups (no tombstones).
 func TestWatermarkCompletionMatchesWalk(t *testing.T) {
 	logs, size := 40, 600
 	if testing.Short() {
@@ -312,7 +314,7 @@ func TestWatermarkCompletionMatchesWalk(t *testing.T) {
 						t.Fatalf("seed %d, after input %d %s: stats %+v, reference %+v", seed, i, ev, got, want)
 					}
 					if c.groups() != got.StateGroups {
-						t.Fatalf("seed %d, after input %d %s: %d groups in the map, %d open (tombstones left behind)",
+						t.Fatalf("seed %d, after input %d %s: %d groups in the store, %d open (tombstones left behind)",
 							seed, i, ev, c.groups(), got.StateGroups)
 					}
 				}

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"container/heap"
+	"encoding/binary"
+	"fmt"
 
 	"repro/internal/tvr"
 	"repro/internal/types"
@@ -29,32 +31,45 @@ func groupKeysOf(sch *types.Schema) emitGroupKeys {
 // group exactly once — its final contents — when the watermark declares the
 // group complete. Changes to already-complete groups are dropped as late.
 // Emitted rows are immutable, so a group keeps the rows it receives (its
-// sample and its relation's rows) without copying them.
+// sample and its bag's rows) without copying them.
+//
+// A group's contents are a bag with tvr.Relation's semantics: distinct rows
+// in the order they (re)entered, each with its multiplicity. One store holds
+// every open group's rows, keyed by the group's slot and the row's key, and
+// each row entry is linked into its group's (re)entry order.
 type emitAfterWatermarkOp struct {
 	out    sink
 	keys   emitGroupKeys
-	groups map[string]*wmGroup       // open groups only
-	idx    completionIndex[*wmGroup] // which groups a watermark completes
+	groups keyedStore[wmGroup] // open groups only
+	rows   keyedStore[wmRow]   // the rows of every open group
+	idx    completionIndex     // which groups a watermark completes
 	wm     types.Time
 	late   int
-	keyBuf []byte      // reusable group-key encoding buffer
+	keyBuf []byte      // reusable group- and row-key encoding buffer
 	pend   []tvr.Event // per-dispatch output buffer, flushed once
 }
 
 type wmGroup struct {
-	sample types.Row // an input row, kept as is: carries the event-time key values
-	rel    *tvr.Relation
-	seq    int // first-seen sequence (snapshot order)
+	sample     types.Row // an input row, kept as is: carries the event-time key values
+	head, tail int32     // the group's first and last row entry, -1 when it has none
+	entries    int       // distinct rows
+	size       int       // rows counting multiplicity
+}
+
+// wmRow is one distinct row of a group's bag.
+type wmRow struct {
+	row        types.Row
+	count      int
+	prev, next int32 // neighbours in the group's (re)entry order, -1 at the ends
 }
 
 func newEmitAfterWatermark(sch *types.Schema, out sink) *emitAfterWatermarkOp {
 	keys := groupKeysOf(sch)
 	return &emitAfterWatermarkOp{
-		out:    out,
-		keys:   keys,
-		groups: make(map[string]*wmGroup),
-		idx:    completionIndex[*wmGroup]{keys: keys.keys},
-		wm:     types.MinTime,
+		out:  out,
+		keys: keys,
+		idx:  completionIndex{keys: keys.keys},
+		wm:   types.MinTime,
 	}
 }
 
@@ -77,24 +92,85 @@ func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
-	if !ok {
+	gs := e.groups.find(e.keyBuf)
+	if gs < 0 {
 		if e.idx.complete(ev.Row, e.wm) {
 			// The group was materialized and evicted before this row
 			// arrived, or the row arrives late from the start.
 			e.late++
 			return nil
 		}
-		g = &wmGroup{sample: ev.Row, rel: tvr.NewRelation()}
-		k := string(e.keyBuf)
-		e.groups[k] = g
-		g.seq = e.idx.add(k, g, g.sample)
+		gs = e.openGroup(e.keyBuf, ev.Row)
 	}
 	if ev.Kind == tvr.Insert {
-		g.rel.InsertOwned(ev.Row)
+		e.insertRow(gs, ev.Row, 1)
 		return nil
 	}
-	return g.rel.Apply(ev)
+	return e.deleteRow(gs, ev.Row)
+}
+
+// openGroup inserts an empty group under key and registers it with the
+// completion index.
+func (e *emitAfterWatermarkOp) openGroup(key []byte, sample types.Row) int32 {
+	gs := e.groups.insert(key)
+	*e.groups.at(gs) = wmGroup{sample: sample, head: -1, tail: -1}
+	e.idx.add(gs, sample)
+	return gs
+}
+
+// rowKey encodes the rows-store key of row in the group in slot gs.
+func (e *emitAfterWatermarkOp) rowKey(gs int32, row types.Row) []byte {
+	e.keyBuf = binary.LittleEndian.AppendUint32(e.keyBuf[:0], uint32(gs))
+	e.keyBuf = row.AppendKey(e.keyBuf)
+	return e.keyBuf
+}
+
+// insertRow adds count copies of row to the group in slot gs; a row that
+// enters the bag goes at the back of its order.
+func (e *emitAfterWatermarkOp) insertRow(gs int32, row types.Row, count int) {
+	g := e.groups.at(gs)
+	g.size += count
+	key := e.rowKey(gs, row)
+	if rs := e.rows.find(key); rs >= 0 {
+		e.rows.at(rs).count += count
+		return
+	}
+	rs := e.rows.insert(key)
+	*e.rows.at(rs) = wmRow{row: row, count: count, prev: g.tail, next: -1}
+	if g.tail >= 0 {
+		e.rows.at(g.tail).next = rs
+	} else {
+		g.head = rs
+	}
+	g.tail = rs
+	g.entries++
+}
+
+// deleteRow removes one copy of row from the group in slot gs; a row whose
+// multiplicity reaches zero leaves the bag.
+func (e *emitAfterWatermarkOp) deleteRow(gs int32, row types.Row) error {
+	rs := e.rows.find(e.rowKey(gs, row))
+	if rs < 0 {
+		return fmt.Errorf("exec: EMIT AFTER WATERMARK retraction of absent row %s", row)
+	}
+	g, r := e.groups.at(gs), e.rows.at(rs)
+	g.size--
+	if r.count--; r.count > 0 {
+		return nil
+	}
+	if r.prev >= 0 {
+		e.rows.at(r.prev).next = r.next
+	} else {
+		g.head = r.next
+	}
+	if r.next >= 0 {
+		e.rows.at(r.next).prev = r.prev
+	} else {
+		g.tail = r.prev
+	}
+	g.entries--
+	e.rows.remove(rs)
+	return nil
 }
 
 func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
@@ -103,11 +179,17 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
 	}
 	e.wm = ev.Wm
 	for _, c := range e.idx.advance(e.wm) {
-		delete(e.groups, c.key)
 		// Materialize the final contents of the group, once.
-		for _, row := range c.g.rel.Rows() {
-			e.pend = append(e.pend, tvr.InsertEvent(ev.Ptime, row))
+		for rs := e.groups.at(c.slot).head; rs >= 0; {
+			r := e.rows.at(rs)
+			for i := 0; i < r.count; i++ {
+				e.pend = append(e.pend, tvr.InsertEvent(ev.Ptime, r.row))
+			}
+			next := r.next
+			e.rows.remove(rs)
+			rs = next
 		}
+		e.groups.remove(c.slot)
 	}
 	e.pend = append(e.pend, ev)
 }
@@ -115,10 +197,10 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
 func (e *emitAfterWatermarkOp) Finish() error { return e.out.Finish() }
 
 func (e *emitAfterWatermarkOp) stats(s *Stats) {
-	for _, g := range e.groups {
-		s.StateRows += g.rel.Len()
+	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
+		s.StateRows += e.groups.at(gs).size
 	}
-	s.StateGroups += len(e.groups)
+	s.StateGroups += e.groups.len()
 	s.LateDropped += e.late
 	s.FreedGroups += e.idx.freed
 }
@@ -136,8 +218,8 @@ type emitAfterDelayOp struct {
 	delay         types.Duration
 	alsoWatermark bool
 
-	groups map[string]*delayGroup       // open groups only
-	idx    completionIndex[*delayGroup] // which groups a watermark completes
+	groups keyedStore[delayGroup] // open groups only
+	idx    completionIndex        // which groups a watermark completes
 	timers timerHeap
 	seq    int
 	wm     types.Time
@@ -147,22 +229,22 @@ type emitAfterDelayOp struct {
 }
 
 // delayGroup is one event-time group's buffered contents. A group closed by
-// the watermark leaves the map and the index but may still be referenced by
-// a pending timer: closing fires it, which disarms it, and fire ignores
-// disarmed groups — so the stale timer is a no-op when it pops.
+// the watermark leaves the store and the index but may still be named by a
+// pending timer, and its slot may hold a newer group by the time the timer
+// pops: a timer fires only while it is its slot's group's armed timer, so
+// the stale one is a no-op.
 type delayGroup struct {
-	key     string
-	sample  types.Row
+	sample  types.Row     // an input row, kept as is: carries the event-time key values
 	lastMat *tvr.Relation // contents at last materialization
 	cur     *tvr.Relation // live contents
 	armed   bool
-	seq     int // first-seen sequence (snapshot order)
+	timer   int // the seq of the group's pending timer, while armed
 }
 
 type timer struct {
 	deadline types.Time
-	seq      int // FIFO tiebreak for determinism
-	group    *delayGroup
+	seq      int   // FIFO tiebreak for determinism
+	slot     int32 // the group's slot
 }
 
 type timerHeap []timer
@@ -184,7 +266,6 @@ func newEmitAfterDelay(sch *types.Schema, delay types.Duration, alsoWatermark bo
 		keys:          groupKeysOf(sch),
 		delay:         delay,
 		alsoWatermark: alsoWatermark,
-		groups:        make(map[string]*delayGroup),
 		wm:            types.MinTime,
 	}
 	if alsoWatermark {
@@ -220,46 +301,54 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-	g, ok := e.groups[string(e.keyBuf)] // allocation-free lookup
-	if !ok {
+	gs := e.groups.find(e.keyBuf)
+	if gs < 0 {
 		if e.idx.complete(ev.Row, e.wm) {
 			e.late++
 			return nil
 		}
-		g = &delayGroup{
-			key:     string(e.keyBuf),
-			sample:  ev.Row.Clone(),
-			lastMat: tvr.NewRelation(),
-			cur:     tvr.NewRelation(),
-		}
-		e.groups[g.key] = g
-		g.seq = e.idx.add(g.key, g, g.sample)
+		gs = e.openGroup(e.keyBuf, ev.Row)
 	}
+	g := e.groups.at(gs)
 	if err := g.cur.Apply(ev); err != nil {
 		return err
 	}
 	if !g.armed {
 		g.armed = true
 		e.seq++
-		heap.Push(&e.timers, timer{deadline: ev.Ptime.Add(e.delay), seq: e.seq, group: g})
+		g.timer = e.seq
+		heap.Push(&e.timers, timer{deadline: ev.Ptime.Add(e.delay), seq: e.seq, slot: gs})
 	}
 	return nil
+}
+
+// openGroup inserts a group with empty contents under key and registers it
+// with the completion index.
+func (e *emitAfterDelayOp) openGroup(key []byte, sample types.Row) int32 {
+	gs := e.groups.insert(key)
+	*e.groups.at(gs) = delayGroup{sample: sample, lastMat: tvr.NewRelation(), cur: tvr.NewRelation()}
+	e.idx.add(gs, sample)
+	return gs
+}
+
+// pending reports whether t is the armed timer of its slot's group.
+func (e *emitAfterDelayOp) pending(t timer) bool {
+	g := e.groups.at(t.slot)
+	return g.armed && g.timer == t.seq
 }
 
 // fireDue fires timers with deadline strictly before p, or at or before p
 // when inclusive (heartbeats, which mark "processing time has reached p").
 func (e *emitAfterDelayOp) fireDue(p types.Time, inclusive bool) {
 	for len(e.timers) > 0 && (e.timers[0].deadline < p || inclusive && e.timers[0].deadline == p) {
-		t := heap.Pop(&e.timers).(timer)
-		e.fire(t.group, t.deadline)
+		if t := heap.Pop(&e.timers).(timer); e.pending(t) {
+			e.fire(e.groups.at(t.slot), t.deadline)
+		}
 	}
 }
 
-// fire materializes the group's pending changes as a diff at ptime p.
+// fire materializes the armed group's pending changes as a diff at ptime p.
 func (e *emitAfterDelayOp) fire(g *delayGroup, p types.Time) {
-	if !g.armed {
-		return
-	}
 	g.armed = false
 	e.pend = append(e.pend, g.lastMat.Diff(g.cur, p)...)
 	g.lastMat = g.cur.Clone()
@@ -272,12 +361,11 @@ func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) {
 	}
 	e.wm = ev.Wm
 	for _, c := range e.idx.advance(e.wm) {
-		delete(e.groups, c.key)
-		// Final on-time materialization closes the group.
-		g := c.g
-		g.armed = true // force the diff even if no timer pending
-		e.fire(g, ev.Ptime)
-		g.lastMat, g.cur = nil, nil
+		// Final on-time materialization closes the group, whether or not
+		// a timer is pending.
+		g := e.groups.at(c.slot)
+		e.pend = append(e.pend, g.lastMat.Diff(g.cur, ev.Ptime)...)
+		e.groups.remove(c.slot)
 	}
 	e.pend = append(e.pend, ev)
 }
@@ -293,10 +381,10 @@ func (e *emitAfterDelayOp) Finish() error {
 }
 
 func (e *emitAfterDelayOp) stats(s *Stats) {
-	for _, g := range e.groups {
-		s.StateRows += g.cur.Len()
+	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
+		s.StateRows += e.groups.at(gs).cur.Len()
 	}
-	s.StateGroups += len(e.groups)
+	s.StateGroups += e.groups.len()
 	s.LateDropped += e.late
 	s.FreedGroups += e.idx.freed
 }

@@ -216,8 +216,8 @@ func BenchmarkWatermarkAdvance(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if agg.idx.freed != c.closed || len(agg.groups) != c.open {
-				b.Fatalf("set-up left %d closed, %d open; want %d, %d", agg.idx.freed, len(agg.groups), c.closed, c.open)
+			if agg.idx.freed != c.closed || agg.groups.len() != c.open {
+				b.Fatalf("set-up left %d closed, %d open; want %d, %d", agg.idx.freed, agg.groups.len(), c.closed, c.open)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -225,8 +225,8 @@ func BenchmarkWatermarkAdvance(b *testing.B) {
 				round(closing)
 			}
 			b.StopTimer()
-			if len(agg.groups) != c.open {
-				b.Fatalf("%d groups held after the run, want %d", len(agg.groups), c.open)
+			if agg.groups.len() != c.open {
+				b.Fatalf("%d groups held after the run, want %d", agg.groups.len(), c.open)
 			}
 		})
 	}
