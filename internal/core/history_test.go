@@ -60,3 +60,44 @@ func TestReplayCopiesNoHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallReplayAllocs: a one-shot table read that replays 100 events and
+// returns one row allocates for what it reads, not for a whole chunk of
+// output log: its logs' first chunks start small and grow with use. It reads
+// about 8 KiB; a first chunk of tvr.ChunkLen events alone is 192 KiB.
+func TestSmallReplayAllocs(t *testing.T) {
+	const n, ceiling = 100, 16 << 10
+	e := core.NewEngine()
+	if err := e.RegisterStream("Bid", nexmark.BidFullSchema()); err != nil {
+		t.Fatal(err)
+	}
+	var batch tvr.Changelog
+	for i := 0; i < n; i++ {
+		p := types.Time(1000 + i)
+		batch = append(batch, tvr.InsertEvent(p, types.Row{types.NewInt(int64(i)), types.NewInt(7), types.NewInt(int64(i)), types.NewTimestamp(p)}))
+	}
+	if err := e.AppendLog("Bid", batch); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT auction, price FROM Bid WHERE price = 42`
+	read := func() {
+		res, err := e.QueryTable(sql, types.MaxTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("the read returned %d rows, want 1", len(res.Rows))
+		}
+	}
+	read() // compile caches and the like
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("replaying %d events for one row allocated %d bytes", n, got)
+	if got > ceiling {
+		t.Fatalf("replaying %d events for one row allocated %d bytes, want at most %d", n, got, ceiling)
+	}
+}

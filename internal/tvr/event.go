@@ -20,9 +20,11 @@
 // and retention drops whole segments.
 //
 //   - Chunks. A log is a list of chunks of ChunkLen elements. An append fills
-//     the tail chunk and starts a new one when it is full; it never copies
-//     an element already in the log, so appending N elements allocates about
-//     N elements' worth of chunks (TestLogAppendAllocs).
+//     the tail chunk and starts a new one when it is full; past the first
+//     chunk it never copies an element already in the log, so appending N
+//     elements allocates about N elements' worth of chunks
+//     (TestLogAppendAllocs). The first chunk starts small and doubles up to
+//     ChunkLen, so a log of a few elements holds a few elements' worth.
 //   - Absolute positions. The first element ever appended is at position 0,
 //     and a position names the same element for as long as it is retained.
 //     TrimBelow(pos) retires the positions below pos and frees every chunk

@@ -2,6 +2,7 @@ package tvr
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -16,7 +17,13 @@ import (
 // log, small beside the histories that make chunking pay.
 const ChunkLen = 4096
 
-// Log is an append-only log of T in fixed-capacity chunks (see "Logs" in the
+// firstChunkLen is the least capacity of a log's first chunk. The first chunk
+// starts at the power of two that holds what is staged, at least this, and
+// grows by doubling up to ChunkLen, so a log of a few elements holds a few
+// elements' worth, not a whole chunk. Every later chunk is ChunkLen long.
+const firstChunkLen = 16
+
+// Log is an append-only log of T in chunks of ChunkLen (see "Logs" in the
 // package documentation). Positions are absolute: the first element ever
 // appended is at 0, and trimming does not renumber. The zero Log is empty and
 // ready to use.
@@ -27,8 +34,9 @@ const ChunkLen = 4096
 // trims under the lock, because staged elements lie past the published end,
 // where no read reaches.
 type Log[T any] struct {
-	// chunks are the published chunks, each ChunkLen long; chunks[0] is chunk
-	// number first, which holds positions [first*ChunkLen, (first+1)*ChunkLen).
+	// chunks are the published chunks, each ChunkLen long but a growing
+	// first chunk; chunks[0] is chunk number first, which holds positions
+	// [first*ChunkLen, (first+1)*ChunkLen).
 	// The list is never written in place once a Range may hold it: Publish
 	// appends past its length and TrimBelow copies it.
 	chunks [][]T
@@ -45,18 +53,32 @@ type Log[T any] struct {
 }
 
 // Stage writes vs past the published end, filling the tail chunk and adding
-// chunks as it fills; no element already in the log moves. Until Publish,
-// reads do not see them.
+// chunks as it fills. No element already in the log is written again: while
+// the first chunk grows, its elements are copied into a larger array, and
+// a range holding the old one keeps it. Until Publish, reads do not see them.
 func (l *Log[T]) Stage(vs ...T) {
 	for len(vs) > 0 {
 		i := l.staged % ChunkLen
 		if i == 0 {
-			l.open = append(l.open, make([]T, ChunkLen))
+			l.open = append(l.open, make([]T, l.chunkLen(len(vs))))
+		} else if c := l.open[len(l.open)-1]; i == len(c) {
+			grown := make([]T, l.chunkLen(i+len(vs)))
+			copy(grown, c)
+			l.open[len(l.open)-1] = grown
 		}
 		n := copy(l.open[len(l.open)-1][i:], vs)
 		vs = vs[n:]
 		l.staged += n
 	}
+}
+
+// chunkLen is the length of a new or grown tail chunk that is to hold need
+// elements: ChunkLen, except for the log's first chunk (see firstChunkLen).
+func (l *Log[T]) chunkLen(need int) int {
+	if l.staged >= ChunkLen || need >= ChunkLen {
+		return ChunkLen
+	}
+	return max(firstChunkLen, 1<<bits.Len(uint(need-1)))
 }
 
 // Publish makes everything staged part of the log.
@@ -67,6 +89,11 @@ func (l *Log[T]) Publish() {
 	fresh := l.open
 	if l.end%ChunkLen != 0 {
 		fresh = fresh[1:] // the chunk holding end is published already
+		if last := len(l.chunks) - 1; len(l.chunks[last]) != len(l.open[0]) {
+			// The first chunk grew while staging. A new list, so a Range
+			// captured earlier keeps the old one intact.
+			l.chunks = append(l.chunks[:last:last], l.open[0])
+		}
 	}
 	l.chunks = append(l.chunks, fresh...)
 	l.end = l.staged

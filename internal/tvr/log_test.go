@@ -227,6 +227,69 @@ func TestLogConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLogFirstChunkGrowsUnderReader: a log's first chunk starts small and
+// doubles up to ChunkLen, one commit at a time here so it grows many times.
+// Under the race detector, readers capture ranges under the owner's lock and
+// walk them without it while the writer stages the elements that make the
+// chunk grow; every walk must see the events its range was captured with. A
+// range captured before the growth still holds its events after it.
+func TestLogFirstChunkGrowsUnderReader(t *testing.T) {
+	const n = ChunkLen + 100
+	var mu sync.Mutex
+	var l Log[Event]
+	l.Append(InsertEvent(0, logRows[0]))
+	if got := len(l.chunks[0]); got != firstChunkLen {
+		t.Fatalf("a one-element log holds a first chunk of %d, want %d", got, firstChunkLen)
+	}
+	early := l.Since(0)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	walk := func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			mu.Lock()
+			r := l.Since(0)
+			end := l.End()
+			mu.Unlock()
+			if r.Len() != end {
+				t.Errorf("captured %d events, the log ended at %d", r.Len(), end)
+				return
+			}
+			for want := types.Time(0); r.Len() > 0; {
+				var evs []Event
+				evs, r = r.Next()
+				for _, ev := range evs {
+					if ev.Ptime != want {
+						t.Errorf("walked ptime %v, want %v", ev.Ptime, want)
+						return
+					}
+					want++
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go walk()
+	go walk()
+	for i := 1; i < n; i++ {
+		l.Stage(InsertEvent(types.Time(i), logRows[i%len(logRows)]))
+		mu.Lock()
+		l.Publish()
+		mu.Unlock()
+	}
+	close(done)
+	wg.Wait()
+	sameEvents(t, "the range captured at one element", early, Changelog{InsertEvent(0, logRows[0])})
+	if len(l.chunks) != 2 || len(l.chunks[0]) != ChunkLen {
+		t.Fatalf("%d events in %d chunks, the first %d long; want 2, %d", n, len(l.chunks), len(l.chunks[0]), ChunkLen)
+	}
+}
+
 // TestLogAppendAllocs: appending N events in 500-event commits allocates the
 // chunks that hold them and little else, at most 1.1 x N x sizeof(Event)
 // bytes, where a slice that regrows by doubling copies its history again at
