@@ -69,7 +69,7 @@ faults:
 # output recorded in internal/exec/testdata/rechunk_*.golden while operators
 # still had a per-event entry point), the 0 allocs/op pin on the keyed
 # steady-state PushBatch, the windowed_agg allocation ceiling (every event
-# opens and closes a Tumble MAX window group, EMIT AFTER WATERMARK, at most 8
+# opens and closes a Tumble MAX window group, EMIT AFTER WATERMARK, at most 2
 # allocations per event; skipped under -race), the dispatch-stats accounting
 # test, and a single-iteration BenchmarkBatchPush smoke with -benchmem (the Q1 chain, the
 # keyed aggregate and a Q4-shaped join -> aggregate) so an alloc regression
@@ -81,6 +81,13 @@ faults:
 # takes exactly the groups it closes off the heap), the three operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose
 # closed=1k and closed=100k rows must read alike (history independence).
+# So does the keyed store those three operators keep their groups in
+# (keyedStore): it matches a map[string] model under random inserts, finds,
+# removes, slot reuse, arena compaction, rehashes past tombstones,
+# first-seen iteration and save/load; 100k groups opening and closing with
+# 1,000 open at once allocate 0 bytes after warm-up, in a slab, arena and
+# index bounded by the open groups; and BenchmarkKeyedStore prints ns and
+# allocs per group life.
 # Output retention rides along too: a standing collector holds nothing after
 # each Drain (120k events), only a one-shot Run folds
 # the table rendering (and still rejects a retraction of an absent row), and
@@ -114,6 +121,8 @@ batch-guard:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
+	$(GO) test ./internal/exec -run 'TestKeyedStoreMatchesMap|TestKeyedStoreSteadyState' -v
+	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkKeyedStore -benchtime 100000x -benchmem
 	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
 	$(GO) test ./cmd/serve -run 'TestWireAllocs|TestIngestHandlerAllocs' -v
 	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem

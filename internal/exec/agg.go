@@ -118,7 +118,7 @@ func (a *aggOp) accsOf(s int32) []accumulator {
 // PushBatch implements sink: the whole batch runs through the group
 // machinery with the outputs gathered into the pending buffer and flushed in
 // one downstream dispatch. Consecutive same-key events hit the run cache
-// instead of the group map.
+// instead of the group store.
 func (a *aggOp) PushBatch(evs []tvr.Event) error {
 	for i := range evs {
 		if err := a.pushEvent(evs[i]); err != nil {

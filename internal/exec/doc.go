@@ -98,16 +98,18 @@
 //
 // Costs the batch shape buys: scan, filter and project forward one scratch
 // batch (project, Tumble and Hop carve their output rows from one block
-// allocation); the keyed aggregate probes its group map once per run of
+// allocation); the keyed aggregate probes its group store once per run of
 // same-key events (a run cache keyed on the previous event's encoded key)
 // and builds a suppressed reemit's candidate row in reused scratch, so its
 // steady state costs 0 allocs/op (TestKeyedHotPathAllocFree). Opening a
 // group is cheap too, because in a windowed query nearly every event opens
-// one: a group's accumulator slots come with the group, a MIN/MAX holds its
-// first distinct value inline and builds its keyed multiset only for a
-// second, and EMIT AFTER WATERMARK keeps the rows it receives.
-// TestWindowedAggAllocs pins the benchmark's windowed_agg query, where every
-// event opens and closes a group, at no more than 8 allocations per event.
+// one: the group, its key, its completion-index entry and the rows EMIT
+// AFTER WATERMARK buffers for it take slots that closed groups freed (see
+// "Operator state"), its accumulators are the slot's, reset in place, and a
+// MIN/MAX holds its first distinct value inline and builds its keyed
+// multiset only for a second. TestWindowedAggAllocs pins the benchmark's
+// windowed_agg query, where every event opens and closes a group: it reads
+// about 1 allocation per event (the group's output row) and may not pass 2.
 // make batch-guard runs the re-chunking property, both pins and
 // BenchmarkBatchPush with -benchmem (including a Q4-shaped join ->
 // aggregate case).
@@ -122,10 +124,44 @@
 // A new operator implements sink (and Open, if it emits before any input);
 // a stateful one also implements SaveState/LoadState (see "Checkpoint and
 // restore" below) and, if its state is keyed by event-time columns,
-// registers its groups with a completionIndex. Pipeline.build wires it to
+// keeps its groups in a keyedStore and registers them with a
+// completionIndex (see "Operator state"). Pipeline.build wires it to
 // its plan node, and a shape in rechunkShapes covers it in
 // TestPushBatchRechunkEquivalence and TestOutputPtimesFollowInput.
 // Nothing else changes.
+//
+// # Operator state
+//
+// The operators that register with a completionIndex (aggOp,
+// emitAfterWatermarkOp, emitAfterDelayOp) keep their groups in a
+// keyedStore (store.go), and emitAfterWatermarkOp keeps the rows of all its
+// groups in a second one. Window groups are short-lived, so the store is
+// built for churn:
+//
+//   - A group is a slot, an int32 index into a slab of values. A closed
+//     group's slot goes on a free list and the next group takes it; what a
+//     slot outlives its group with (aggOp's accumulators, kept per slot) is
+//     reset in place. Anything that names a group (the completion heap, the
+//     aggregate's run cache, a delay timer) holds its slot, and a holder
+//     that may outlive the group checks it is still current (a timer fires
+//     only while it is its group's armed timer).
+//   - Keys live in one byte arena, compacted into a kept second buffer when
+//     dead bytes outnumber live ones. The index is open addressing over
+//     []int32 slots, hashed with hash/maphash: it holds no pointer, and the
+//     completion heap's entries hold none either, so neither costs the
+//     garbage collector a scan. A steady churn of groups allocates nothing
+//     (TestKeyedStoreSteadyState).
+//   - The store iterates in first-seen order. That is the order SaveState
+//     writes groups in, the order restores re-add them in, and every
+//     tie-break follows from it; nothing depends on the hash or on slot
+//     numbers. An EMIT AFTER WATERMARK group's rows are linked in their
+//     (re)entry order, the order tvr.Relation keeps, and are saved as the
+//     tvr.Relation section a group held before: checkpoint bytes did not
+//     change with the store.
+//
+// The other keyed state (join buckets, DISTINCT and set-operation counts,
+// MIN/MAX and DISTINCT multisets, the AFTER DELAY relations) still keys Go
+// maps by the row key's string.
 //
 // # Checkpoint and restore
 //
@@ -184,10 +220,10 @@
 //   - It owns a min-heap of the operator's open groups by completion time
 //     max(key_i + WmOffset_i), first-seen sequence as tie-break, plus the
 //     sequence counter and the closed-group count. The heap holds its
-//     entries (group, map key, sequence, completion time) by value in one
-//     slice, ordered by a hand-written sift, so registering a group costs no
+//     entries (slot, sequence, completion time) by value in one slice,
+//     ordered by a hand-written sift, so registering a group costs no
 //     allocation beyond the slice's amortized growth. The open groups are
-//     exactly the entries of the operator's groups map. A group with a NULL
+//     exactly the live slots of the operator's store. A group with a NULL
 //     or non-timestamp event key, and every group of an operator with no
 //     event-time keys (Q4's aggregates, AFTER DELAY without AND AFTER
 //     WATERMARK), gets a sequence number and is never held by the index.
@@ -195,12 +231,13 @@
 //     the group is created. An advancing watermark calls advance(wm), which
 //     pops exactly the groups whose completion time has passed and returns
 //     them in first-seen order (materialization order is part of the
-//     byte-identical contract); the operator finishes each one and deletes
-//     it from its groups map. No operator scans closed groups or keeps a
+//     byte-identical contract); the operator finishes each one and removes
+//     it from its store. No operator scans closed groups or keeps a
 //     tombstone: a row whose group is absent is late iff complete(keyRow,
 //     wm). aggOp invalidates its run cache when the cached group is
-//     evicted; emitAfterDelayOp's timer heap may still point at a closed
-//     group, which is disarmed, so fire ignores it.
+//     evicted; emitAfterDelayOp's timer heap may still name a closed
+//     group's slot, which a newer group may hold by then, so a timer fires
+//     only while it is its slot's group's armed timer.
 //   - So a watermark costs O(groups closing · log open), and groups,
 //     checkpoints and RSS hold open groups only. stats reads StateGroups
 //     and FreedGroups in O(1) and sums StateRows over open groups.
@@ -258,9 +295,8 @@
 // Emitted rows are immutable: the collector, a Result, a drain caller and
 // every downstream operator may all share them without copying. So an
 // operator may keep a row it receives: emitAfterWatermarkOp holds its input
-// rows as its groups' samples and buffered contents (tvr.Relation's
-// InsertOwned), with no copy. No operator, driver or reader mutates a row
-// once it is emitted.
+// rows as its groups' samples and as the entries of its rows store, with no
+// copy. No operator, driver or reader mutates a row once it is emitted.
 //
 // A row carved from a per-batch block (projectOp, and windowOp's Tumble and
 // Hop rows) shares that block's backing array, so a retained row keeps the

@@ -13,7 +13,7 @@ import (
 // paper's EMIT extensions delay/coalesce materialization per event-time
 // grouping (e.g. per window).
 type emitGroupKeys struct {
-	idxs []int      // the group's map key is the row's values at these columns
+	idxs []int      // the group's store key is the row's values at these columns
 	keys []eventKey // the same columns with their completion offsets
 }
 
@@ -234,7 +234,7 @@ type emitAfterDelayOp struct {
 // pops: a timer fires only while it is its slot's group's armed timer, so
 // the stale one is a no-op.
 type delayGroup struct {
-	sample  types.Row     // an input row, kept as is: carries the event-time key values
+	sample  types.Row     // a copy of an input row: carries the event-time key values
 	lastMat *tvr.Relation // contents at last materialization
 	cur     *tvr.Relation // live contents
 	armed   bool
@@ -307,7 +307,10 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 			e.late++
 			return nil
 		}
-		gs = e.openGroup(e.keyBuf, ev.Row)
+		// A group may never close (AFTER DELAY alone), so it copies its
+		// sample rather than keep the input's row block alive (see "Rows"
+		// in doc.go).
+		gs = e.openGroup(e.keyBuf, ev.Row.Clone())
 	}
 	g := e.groups.at(gs)
 	if err := g.cur.Apply(ev); err != nil {
