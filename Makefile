@@ -114,8 +114,11 @@ faults:
 # 500-event commits allocates at most 1.1 x N x sizeof(Event) bytes (no
 # history is copied), BenchmarkLogAppend prints B/op per 500-event commit,
 # a one-shot replay over a history of several chunks allocates under a
-# quarter of one copy of it (TestReplayCopiesNoHistory), and a capped session
-# fed 20 times its cap holds at most its cap plus one chunk of rows.
+# quarter of one copy of it (TestReplayCopiesNoHistory), a log's first chunk
+# grows from 16 elements up to ChunkLen while readers walk ranges captured
+# from it, so a 100-event replay returning one row allocates under 16 KiB
+# (TestSmallReplayAllocs), and a capped session fed 20 times its cap holds
+# at most its cap plus one chunk of rows.
 batch-guard:
 	$(GO) test ./internal/exec -run 'TestPushBatchRechunkEquivalence|TestOutputPtimesFollowInput|TestMergedRunsCutTiesAtHorizon|TestKeyedHotPathAllocFree|TestWindowedAggAllocs|TestBatchDispatchStats' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
@@ -130,9 +133,9 @@ batch-guard:
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkRelationChurn -benchtime 200x -benchmem
 	$(GO) test ./internal/tvr -run 'TestStreamRendererAllocs|TestStreamRendererMatchesReference' -v
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkStreamRender -benchtime 200x -benchmem
-	$(GO) test ./internal/tvr -run 'TestLogMatchesSliceModel|TestLogRangeSurvivesAppendsAndTrims|TestLogAppendAllocs' -v
+	$(GO) test ./internal/tvr -run 'TestLogMatchesSliceModel|TestLogRangeSurvivesAppendsAndTrims|TestLogFirstChunkGrowsUnderReader|TestLogAppendAllocs' -v
 	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkLogAppend -benchtime 200x -benchmem
-	$(GO) test ./internal/core -run 'TestReplayCopiesNoHistory' -v
+	$(GO) test ./internal/core -run 'TestReplayCopiesNoHistory|TestSmallReplayAllocs' -v
 	$(GO) test ./internal/live -run 'TestCappedRetentionFreesChunks' -v
 
 # Observability guardrails: the Prometheus exposition-format and
