@@ -86,16 +86,19 @@ func (a *aggOp) Open() error {
 	if !a.global {
 		return nil
 	}
-	s := a.openGroup(nil, types.Row{})
-	a.groups.at(s).keyRow = make(types.Row, 0, len(a.aggs))
-	a.reemit(s, types.MinTime)
+	a.reemit(a.openGroup(nil, types.Row{}), types.MinTime)
 	return flush(a.out, &a.pend)
 }
 
 // openGroup inserts a group under key, with its accumulators reset, and
-// registers it with the completion index. The caller sets its key row.
+// registers it with the completion index. Its key row is a copy of keyRow
+// with room for the aggregate values behind it: the group's first output
+// row is the key row extended in place (see reemit).
 func (a *aggOp) openGroup(key []byte, keyRow types.Row) int32 {
 	s := a.groups.insert(key)
+	g := a.groups.at(s)
+	g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
+	copy(g.keyRow, keyRow)
 	if na := len(a.aggs); int(s)*na < len(a.accs) {
 		for _, acc := range a.accsOf(s) {
 			acc.reset()
@@ -162,12 +165,6 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 				return nil
 			}
 			s = a.openGroup(a.keyBuf, keyRow)
-			// The key row has room for the aggregate values behind it:
-			// the group's first output row is the key row extended in
-			// place (see reemit).
-			g := a.groups.at(s)
-			g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
-			copy(g.keyRow, keyRow)
 		}
 		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
 		a.runSlot = s
@@ -228,7 +225,7 @@ func (a *aggOp) reemit(s int32, p types.Time) {
 		return
 	}
 	if nk := len(g.keyRow); cap(g.keyRow) == len(row) {
-		// The spare capacity openGroup's caller gave the key row becomes the first
+		// The spare capacity openGroup gave the key row becomes the first
 		// output row's aggregate values. Neither row is written again: the
 		// key row is clipped to its length, so no later emission reuses
 		// the space.

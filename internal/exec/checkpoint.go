@@ -543,7 +543,7 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 	// A global aggregate's Open already created its one group; restore
 	// replaces it wholesale.
-	a.groups.reset()
+	a.groups = keyedStore[aggGroup]{}
 	a.idx.reset()
 	a.runValid = false
 	a.wm = dec.Time()
@@ -569,7 +569,8 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 			return errDuplicateGroup
 		}
 		s := a.openGroup(a.keyBuf, keyRow)
-		*a.groups.at(s) = aggGroup{keyRow: keyRow, n: gn, outRow: outRow}
+		g := a.groups.at(s)
+		g.n, g.outRow = gn, outRow
 		for _, acc := range a.accsOf(s) {
 			if err := loadAcc(dec, acc); err != nil {
 				return err

@@ -216,22 +216,3 @@ func (s *keyedStore[T]) rehash() {
 		s.place(sl)
 	}
 }
-
-// reset empties the store, keeping its buffers.
-func (s *keyedStore[T]) reset() {
-	clear(s.vals)
-	*s = keyedStore[T]{
-		vals:  s.vals[:0],
-		meta:  s.meta[:0],
-		free:  -1,
-		head:  -1,
-		tail:  -1,
-		arena: s.arena[:0],
-		spare: s.spare,
-		index: s.index,
-		seed:  s.seed,
-	}
-	for i := range s.index {
-		s.index[i] = slotEmpty
-	}
-}

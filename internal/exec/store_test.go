@@ -142,10 +142,6 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 				}
 			}
 		}
-		s.reset()
-		if s.len() != 0 || s.first() != -1 || s.find([]byte(alphabet[0])) != -1 {
-			t.Fatalf("trial %d: reset left %d keys", trial, s.len())
-		}
 	}
 	t.Logf("%d slot reuses, %d arena compactions, %d in-place rehashes, %d growths", reused, compactions, inPlace, grown)
 	if reused == 0 || compactions == 0 || inPlace == 0 || grown == 0 {
