@@ -485,6 +485,96 @@ func TestEmitAfterDelayOpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadStateRejectsDuplicateGroup: a snapshot that lists one group twice
+// (or, for EMIT AFTER WATERMARK, one row of a group twice) is corrupt, and
+// each operator that keeps its groups in a keyedStore refuses it rather
+// than holding two live slots under one key.
+func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
+	node := aggNode(false)
+	sch := wmSchema()
+	emptyBag := func(enc *checkpoint.Encoder) { tvr.NewRelation().SaveState(enc) }
+	bag := func(rows ...types.Row) func(*checkpoint.Encoder) {
+		return func(enc *checkpoint.Encoder) {
+			enc.Section("tvr.Relation")
+			enc.Uvarint(uint64(len(rows)))
+			for _, r := range rows {
+				enc.Row(r)
+				enc.Uvarint(1)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		op    stateSaver
+		write func(enc *checkpoint.Encoder)
+	}{
+		{"aggregate", newAggOp(node, &memSink{}), func(enc *checkpoint.Encoder) {
+			enc.Time(types.MinTime)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Row(ints(1))
+				enc.Int(0)
+				enc.Bool(false)
+				enc.Row(nil)
+				for _, call := range node.Aggs {
+					saveAcc(enc, newAccumulator(call))
+				}
+			}
+		}},
+		{"emit-after-watermark group", newEmitAfterWatermark(sch, &memSink{}), func(enc *checkpoint.Encoder) {
+			enc.Time(types.MinTime)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Row(wRow(1000, int64(i)))
+				enc.Bool(false)
+				bag(wRow(1000, int64(i)))(enc)
+			}
+		}},
+		{"emit-after-watermark row", newEmitAfterWatermark(sch, &memSink{}), func(enc *checkpoint.Encoder) {
+			enc.Time(types.MinTime)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Uvarint(1)
+			enc.Row(wRow(1000, 1))
+			enc.Bool(false)
+			bag(wRow(1000, 1), wRow(1000, 1))(enc)
+		}},
+		{"emit-after-delay", newEmitAfterDelay(sch, types.Second, true, &memSink{}), func(enc *checkpoint.Encoder) {
+			enc.Time(types.MinTime)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Row(wRow(1000, int64(i)))
+				enc.Bool(false)
+				enc.Bool(false)
+				emptyBag(enc)
+				emptyBag(enc)
+			}
+			enc.Uvarint(0)
+		}},
+	} {
+		var buf bytes.Buffer
+		enc := checkpoint.NewEncoder(&buf)
+		c.write(enc)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.op.LoadState(dec); err == nil {
+			t.Errorf("%s: a snapshot listing an entry twice loaded without error", c.name)
+		}
+	}
+}
+
 func TestUnionOpRoundTrip(t *testing.T) {
 	origOut := &memSink{}
 	a := newUnionOp(2, origOut)
