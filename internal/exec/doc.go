@@ -155,9 +155,9 @@
 //     writes groups in, the order restores re-add them in, and every
 //     tie-break follows from it; nothing depends on the hash or on slot
 //     numbers. An EMIT AFTER WATERMARK group's rows are linked in their
-//     (re)entry order, the order tvr.Relation keeps, and are saved as the
-//     tvr.Relation section a group held before: checkpoint bytes did not
-//     change with the store.
+//     (re)entry order, the order tvr.Relation keeps, and are saved as a
+//     tvr.Relation section. So the saved bytes do not depend on the store:
+//     the checkpoint format and its goldens are unchanged by it.
 //
 // The other keyed state (join buckets, DISTINCT and set-operation counts,
 // MIN/MAX and DISTINCT multisets, the AFTER DELAY relations) still keys Go
