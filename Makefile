@@ -81,13 +81,15 @@ faults:
 # takes exactly the groups it closes off the heap), the three operators against their
 # walk-every-group references, and BenchmarkWatermarkAdvance, whose
 # closed=1k and closed=100k rows must read alike (history independence).
-# So does the keyed store those three operators keep their groups in
-# (keyedStore): it matches a map[string] model under random inserts, finds,
-# removes, slot reuse, arena compaction, rehashes past tombstones,
-# first-seen iteration and save/load; 100k groups opening and closing with
-# 1,000 open at once allocate 0 bytes after warm-up, in a slab, arena and
-# index bounded by the open groups; and BenchmarkKeyedStore prints ns and
-# allocs per group life.
+# So does the one keyed store every keyed state lives in (tvr.Store: the
+# operators' groups, join buckets, DISTINCT, set-operation and multiset
+# counts, the stream renderer's version counters): it matches a map[string]
+# model under random inserts, finds, removes, slot reuse, arena compaction,
+# growth, first-seen and key-order iteration and save/load, and a directed
+# phase rehashes in place past tombstones whatever the hash seed; 100k
+# groups opening and closing with 1,000 open at once allocate 0 bytes after
+# warm-up, in a slab, arena and index bounded by the open groups; and
+# BenchmarkKeyedStore prints ns and allocs per group life.
 # Output retention rides along too: a standing collector holds nothing after
 # each Drain (120k events), only a one-shot Run folds
 # the table rendering (and still rejects a retraction of an absent row), and
@@ -102,11 +104,12 @@ faults:
 # bag at multiplicity zero (10k insert/delete pairs leave it empty), a
 # leave/re-enter pair allocates only the new entry and its key, and
 # BenchmarkRelationChurn prints ns and allocs per churn round.
-# So does the stream renderer's version store: versioning 10k rows whose emit
-# key is a distinct TIMESTAMP each stays under 0.1 allocations per row
-# (TestStreamRendererAllocs; it was 2 while every group took a heap key and a
-# heap counter), the renderer matches a byte-keyed reference in versions and
-# checkpoint bytes, and BenchmarkStreamRender prints ns/row and allocs/row.
+# So does the stream renderer, whose version counters are a tvr.Store:
+# versioning 10k rows whose emit key is a distinct TIMESTAMP each stays under
+# 0.1 allocations per row (TestStreamRendererAllocs; it was 2 while every
+# group took a heap key and a heap counter), the renderer matches a
+# byte-keyed reference in versions and checkpoint bytes, and
+# BenchmarkStreamRender prints ns/row and allocs/row.
 # So does the chunked log every retained changelog lives in (tvr.Log): its
 # Cut, Since, Slice, TrimBelow and Save/Load match a plain slice under random
 # appends and trims with chunk boundaries inside and between commits, a
@@ -124,8 +127,8 @@ batch-guard:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkBatchPush -benchtime 1x -benchmem
 	$(GO) test ./internal/exec -run 'TestCompletionIndex|TestWatermarkCompletionMatchesWalk' -v
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkWatermarkAdvance -benchtime 500x -benchmem
-	$(GO) test ./internal/exec -run 'TestKeyedStoreMatchesMap|TestKeyedStoreSteadyState' -v
-	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkKeyedStore -benchtime 100000x -benchmem
+	$(GO) test ./internal/tvr -run 'TestKeyedStoreMatchesMap|TestKeyedStoreSteadyState' -v
+	$(GO) test ./internal/tvr -run '^$$' -bench BenchmarkKeyedStore -benchtime 100000x -benchmem
 	$(GO) test ./internal/exec -run 'TestStandingCollectorRetainsNothing|TestRunRejectsRetractionOfAbsentRow|TestCollectorRoundTrip|TestCheckpointPreCollectorGolden' -v
 	$(GO) test ./cmd/serve -run 'TestWireAllocs|TestIngestHandlerAllocs' -v
 	$(GO) test ./cmd/serve -run '^$$' -bench 'BenchmarkIngestDecode|BenchmarkDeltaEncode' -benchtime 200x -benchmem

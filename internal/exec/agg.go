@@ -26,7 +26,7 @@ type aggOp struct {
 	sch    *types.Schema
 	global bool
 
-	groups keyedStore[aggGroup] // open groups only
+	groups tvr.Store[aggGroup] // open groups only
 	// accs holds len(aggs) accumulators per slot of groups, at
 	// slot*len(aggs). They outlive the slot's group: the next group in the
 	// slot resets them in place, so a group allocates no accumulator.
@@ -95,8 +95,8 @@ func (a *aggOp) Open() error {
 // with room for the aggregate values behind it: the group's first output
 // row is the key row extended in place (see reemit).
 func (a *aggOp) openGroup(key []byte, keyRow types.Row) int32 {
-	s := a.groups.insert(key)
-	g := a.groups.at(s)
+	s := a.groups.Insert(key)
+	g := a.groups.At(s)
 	g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
 	copy(g.keyRow, keyRow)
 	if na := len(a.aggs); int(s)*na < len(a.accs) {
@@ -156,7 +156,7 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 	a.keyBuf = keyRow.AppendKey(a.keyBuf[:0])
 	s := a.runSlot
 	if !a.runValid || !bytes.Equal(a.keyBuf, a.prevKey) {
-		s = a.groups.find(a.keyBuf)
+		s = a.groups.Find(a.keyBuf)
 		if s < 0 {
 			if a.idx.complete(keyRow, a.wm) {
 				// The group was completed (and evicted) before this row
@@ -175,7 +175,7 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 	if ev.Kind == tvr.Delete {
 		delta = -1
 	}
-	g := a.groups.at(s)
+	g := a.groups.At(s)
 	g.n += delta
 	if g.n < 0 {
 		return fmt.Errorf("exec: aggregate retraction underflow for group %s", keyRow)
@@ -205,7 +205,7 @@ func (a *aggOp) reemit(s int32, p types.Time) {
 	// The candidate row builds in a reusable scratch: a suppressed reemit
 	// (e.g. a bid below the running MAX) costs no allocation, and an actual
 	// emission copies it once, into the group's key row on the first.
-	g := a.groups.at(s)
+	g := a.groups.At(s)
 	var row types.Row
 	if g.n > 0 || a.global {
 		row = append(a.emitScratch[:0], g.keyRow...)
@@ -248,7 +248,7 @@ func (a *aggOp) onWatermark(ev tvr.Event) error {
 	}
 	a.wm = ev.Wm
 	for _, c := range a.idx.advance(a.wm) {
-		a.groups.remove(c.slot)
+		a.groups.Remove(c.slot)
 		if c.slot == a.runSlot {
 			a.runValid = false
 		}
@@ -260,10 +260,10 @@ func (a *aggOp) onWatermark(ev tvr.Event) error {
 func (a *aggOp) Finish() error { return a.out.Finish() }
 
 func (a *aggOp) stats(s *Stats) {
-	for sl := a.groups.first(); sl >= 0; sl = a.groups.next(sl) {
-		s.StateRows += a.groups.at(sl).n
+	for sl := a.groups.First(); sl >= 0; sl = a.groups.Next(sl) {
+		s.StateRows += a.groups.At(sl).n
 	}
-	s.StateGroups += a.groups.len()
+	s.StateGroups += a.groups.Len()
 	s.LateDropped += a.lateDrop
 	s.FreedGroups += a.idx.freed
 }
@@ -296,7 +296,7 @@ func newAccumulator(call plan.AggCall) accumulator {
 		inner = newMinMaxAcc(false)
 	}
 	if call.Distinct {
-		return &distinctAcc{inner: inner, counts: make(map[string]*distinctEntry)}
+		return &distinctAcc{inner: inner}
 	}
 	return inner
 }
@@ -405,31 +405,81 @@ func (a *avgAcc) value() types.Value {
 	return types.NewFloat(float64(a.sumI) / float64(a.n))
 }
 
+// multiset is an accumulator's multiset of values. Values are the same
+// member when their keys are (types.SameKey, the identity AppendKey gives),
+// and a member keeps the latest value written under its key as its
+// representative. Members are held by value in a store, so an update
+// encodes the value into the scratch buffer and allocates nothing once the
+// store has room.
+type multiset struct {
+	members tvr.Store[valueCount]
+	scratch []byte
+}
+
+type valueCount struct {
+	val   types.Value
+	count int
+}
+
+// add adds delta to v's multiplicity and returns the multiplicity before
+// it; a member whose multiplicity reaches 0 leaves. A delta that would take
+// it below 0 (a retraction of a value the multiset does not hold) fails, ok
+// false, and changes nothing.
+func (ms *multiset) add(v types.Value, delta int) (before int, ok bool) {
+	ms.scratch = v.AppendKey(ms.scratch[:0])
+	sl := ms.members.Find(ms.scratch)
+	if sl >= 0 {
+		before = ms.members.At(sl).count
+	}
+	if before+delta < 0 {
+		return before, false
+	}
+	if sl < 0 {
+		sl = ms.members.Insert(ms.scratch)
+	}
+	*ms.members.At(sl) = valueCount{val: v, count: before + delta}
+	if before+delta == 0 {
+		ms.members.Remove(sl)
+	}
+	return before, true
+}
+
+// clear removes every member. The store keeps its buffers, so the next group
+// of the accumulator's slot fills them without allocating.
+func (ms *multiset) clear() {
+	for sl := ms.members.First(); sl >= 0; sl = ms.members.First() {
+		ms.members.Remove(sl)
+	}
+}
+
+// load adds a member of a saved multiset; a value listed twice is corrupt.
+func (ms *multiset) load(v types.Value, count int) error {
+	ms.scratch = v.AppendKey(ms.scratch[:0])
+	if ms.members.Find(ms.scratch) >= 0 {
+		return errDuplicateKey
+	}
+	*ms.members.At(ms.members.Insert(ms.scratch)) = valueCount{val: v, count: count}
+	return nil
+}
+
 // minMaxAcc supports retractions by keeping the multiset of values; the
 // extremum is cached and recomputed only when it is retracted away.
 //
 // Most groups only ever see one distinct value (a window group that one bid
 // opens), so the first distinct value lives inline, in one and oneCount, and
-// the keyed multiset is built only when a second distinct value arrives; from
-// then on counts holds every value, one included. Values are the same
-// multiset member when their keys are (types.SameKey, the identity the map's
-// AppendKey keys give). Map entries are pointers so the steady-state update
-// path — encode into the scratch buffer, look up, mutate through the pointer
-// — never materializes a key string (only first-seen values allocate).
+// the multiset is used only once a second distinct value arrives (keyed);
+// from then on counts holds every value, one included. Inline, a value is
+// the same member as one under the same key (types.SameKey), as in the
+// multiset.
 type minMaxAcc struct {
 	min      bool
-	one      types.Value // the only distinct value, while counts is nil
+	one      types.Value // the only distinct value, while not keyed
 	oneCount int         // its multiplicity; 0 when the multiset is empty
-	counts   map[string]*minMaxEntry
+	keyed    bool        // counts holds the multiset
+	counts   multiset
 	current  types.Value
 	valid    bool // current holds the true extremum
 	n        int64
-	scratch  []byte // reusable key-encoding buffer
-}
-
-type minMaxEntry struct {
-	val   types.Value
-	count int
 }
 
 func newMinMaxAcc(min bool) *minMaxAcc {
@@ -437,16 +487,17 @@ func newMinMaxAcc(min bool) *minMaxAcc {
 }
 
 func (m *minMaxAcc) reset() {
-	*m = minMaxAcc{min: m.min, current: types.Null(), scratch: m.scratch[:0]}
+	m.counts.clear()
+	*m = minMaxAcc{min: m.min, current: types.Null(), counts: m.counts}
 }
 
 func (m *minMaxAcc) update(v types.Value, delta int) error {
 	if v.IsNull() {
 		return nil
 	}
-	if m.counts == nil && (m.oneCount == 0 || types.SameKey(m.one, v)) {
-		// Like a map entry, the member keeps the latest value written under
-		// its key as its representative.
+	if !m.keyed && (m.oneCount == 0 || types.SameKey(m.one, v)) {
+		// Like a multiset member, the inline value is the latest written
+		// under its key.
 		m.one = v
 		m.oneCount += delta
 		if m.oneCount < 0 {
@@ -455,8 +506,17 @@ func (m *minMaxAcc) update(v types.Value, delta int) error {
 		if m.oneCount == 0 {
 			m.one = types.Null()
 		}
-	} else if err := m.updateCounts(v, delta); err != nil {
-		return err
+	} else {
+		if !m.keyed {
+			// v is the second distinct value: the inline one moves into
+			// the multiset first.
+			m.keyed = true
+			m.counts.add(m.one, m.oneCount)
+			m.one, m.oneCount = types.Null(), 0
+		}
+		if _, ok := m.counts.add(v, delta); !ok {
+			return fmt.Errorf("exec: MIN/MAX retraction of absent value %s", v)
+		}
 	}
 	m.n += int64(delta)
 	if delta > 0 {
@@ -467,32 +527,6 @@ func (m *minMaxAcc) update(v types.Value, delta int) error {
 	} else if m.valid && v.Equal(m.current) {
 		// The extremum may have been retracted; recompute lazily.
 		m.valid = false
-	}
-	return nil
-}
-
-// updateCounts applies the update to the keyed multiset, first moving the
-// inline value into it when v is the second distinct value.
-func (m *minMaxAcc) updateCounts(v types.Value, delta int) error {
-	if m.counts == nil {
-		m.counts = make(map[string]*minMaxEntry)
-		m.scratch = m.one.AppendKey(m.scratch[:0])
-		m.counts[string(m.scratch)] = &minMaxEntry{val: m.one, count: m.oneCount}
-		m.one, m.oneCount = types.Null(), 0
-	}
-	m.scratch = v.AppendKey(m.scratch[:0])
-	e, ok := m.counts[string(m.scratch)]
-	if !ok {
-		e = &minMaxEntry{}
-		m.counts[string(m.scratch)] = e
-	}
-	e.val = v
-	e.count += delta
-	if e.count < 0 {
-		return fmt.Errorf("exec: MIN/MAX retraction of absent value %s", v)
-	}
-	if e.count == 0 {
-		delete(m.counts, string(m.scratch))
 	}
 	return nil
 }
@@ -517,9 +551,10 @@ func (m *minMaxAcc) value() types.Value {
 	}
 	if !m.valid {
 		m.current = m.one // NULL unless the value is inline
-		for _, e := range m.counts {
-			if e.count > 0 && (m.current.IsNull() || m.better(e.val, m.current)) {
-				m.current = e.val
+		ms := &m.counts.members
+		for sl := ms.First(); sl >= 0; sl = ms.Next(sl) {
+			if v := ms.At(sl).val; m.current.IsNull() || m.better(v, m.current) {
+				m.current = v
 			}
 		}
 		m.valid = true
@@ -530,40 +565,21 @@ func (m *minMaxAcc) value() types.Value {
 // distinctAcc wraps another accumulator, forwarding only multiplicity
 // transitions 0->1 and 1->0 so the inner state sees each distinct value once.
 type distinctAcc struct {
-	inner   accumulator
-	counts  map[string]*distinctEntry
-	scratch []byte
-}
-
-type distinctEntry struct {
-	val   types.Value
-	count int
+	inner  accumulator
+	counts multiset
 }
 
 func (d *distinctAcc) update(v types.Value, delta int) error {
 	if v.IsNull() {
 		return nil
 	}
-	d.scratch = v.AppendKey(d.scratch[:0])
-	e, ok := d.counts[string(d.scratch)]
+	before, ok := d.counts.add(v, delta)
 	if !ok {
-		e = &distinctEntry{}
-		d.counts[string(d.scratch)] = e
-	}
-	e.val = v
-	before := e.count
-	e.count += delta
-	if e.count < 0 {
 		return fmt.Errorf("exec: DISTINCT aggregate retraction of absent value %s", v)
 	}
-	if e.count == 0 {
-		delete(d.counts, string(d.scratch))
-	}
-	if before == 0 && e.count > 0 {
-		return d.inner.update(v, 1)
-	}
-	if before > 0 && e.count == 0 {
-		return d.inner.update(v, -1)
+	if before == 0 || before+delta == 0 {
+		// v entered (0 -> 1) or left (1 -> 0) the distinct values.
+		return d.inner.update(v, delta)
 	}
 	return nil
 }
@@ -571,6 +587,6 @@ func (d *distinctAcc) update(v types.Value, delta int) error {
 func (d *distinctAcc) value() types.Value { return d.inner.value() }
 
 func (d *distinctAcc) reset() {
-	clear(d.counts)
+	d.counts.clear()
 	d.inner.reset()
 }

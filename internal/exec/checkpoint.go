@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -130,6 +129,11 @@ func loadOps(dec *checkpoint.Decoder, ops []any) error {
 
 // ---- operator states ----
 
+// errDuplicateKey refuses a snapshot that lists one key of a keyed section
+// twice (a group, a row, a join bucket, a multiset value): every SaveState
+// writes each key of its stores once.
+var errDuplicateKey = errors.New("exec: checkpoint lists a key twice")
+
 // SaveState implements stateSaver: the scan's clock and completion bit.
 func (s *scanOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(s.lastPtime)
@@ -171,13 +175,12 @@ func (c *Collector) LoadState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SaveState implements stateSaver: DISTINCT's per-row multiplicities, sorted
-// by row key (the map key is re-derived from the row at load).
+// SaveState implements stateSaver: DISTINCT's per-row multiplicities in
+// row-key order (the key is re-derived from the row at load).
 func (d *distinctOp) SaveState(enc *checkpoint.Encoder) {
-	keys := tvr.SortedKeys(d.counts)
-	enc.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		rc := d.counts[k]
+	enc.Uvarint(uint64(d.counts.Len()))
+	for _, sl := range d.counts.Sorted() {
+		rc := d.counts.At(sl)
 		enc.Row(rc.row)
 		enc.Int(rc.count)
 	}
@@ -185,6 +188,7 @@ func (d *distinctOp) SaveState(enc *checkpoint.Encoder) {
 
 // LoadState implements stateSaver. Snapshots written before DISTINCT forgot
 // rows at multiplicity 0 may hold such rows; they are read past and dropped.
+// A row listed twice is corrupt.
 func (d *distinctOp) LoadState(dec *checkpoint.Decoder) error {
 	n := int(dec.Uvarint())
 	for i := 0; i < n; i++ {
@@ -193,9 +197,14 @@ func (d *distinctOp) LoadState(dec *checkpoint.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if count != 0 {
-			d.counts[row.Key()] = &rowCount{row: row, count: count}
+		if count == 0 {
+			continue
 		}
+		d.keyBuf = row.AppendKey(d.keyBuf[:0])
+		if d.counts.Find(d.keyBuf) >= 0 {
+			return errDuplicateKey
+		}
+		*d.counts.At(d.counts.Insert(d.keyBuf)) = rowCount{row: row, count: count}
 	}
 	return dec.Err()
 }
@@ -241,21 +250,22 @@ func (u *unionOp) SaveState(enc *checkpoint.Encoder) { u.saveMergeState(enc) }
 func (u *unionOp) LoadState(dec *checkpoint.Decoder) error { return u.loadMergeState(dec) }
 
 // SaveState implements stateSaver: both sides' multiplicities and the output
-// multiplicity per row, sorted by row key.
+// multiplicity per row, in row-key order.
 func (s *setOp) SaveState(enc *checkpoint.Encoder) {
 	s.saveMergeState(enc)
-	keys := tvr.SortedKeys(s.rowsByKey)
-	enc.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		enc.Row(s.rowsByKey[k])
-		enc.Int(s.leftN[k])
-		enc.Int(s.rightN[k])
-		enc.Int(s.outN[k])
+	enc.Uvarint(uint64(s.rows.Len()))
+	for _, sl := range s.rows.Sorted() {
+		sr := s.rows.At(sl)
+		enc.Row(sr.row)
+		enc.Int(sr.l)
+		enc.Int(sr.r)
+		enc.Int(sr.out)
 	}
 }
 
 // LoadState implements stateSaver. Rows whose three multiplicities are all 0
 // (written before the operator forgot such rows) are read past and dropped.
+// A row listed twice is corrupt.
 func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := s.loadMergeState(dec); err != nil {
 		return err
@@ -270,26 +280,25 @@ func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 		if l == 0 && r == 0 && o == 0 {
 			continue
 		}
-		k := row.Key()
-		s.rowsByKey[k] = row
-		s.leftN[k] = l
-		s.rightN[k] = r
-		s.outN[k] = o
+		s.keyBuf = row.AppendKey(s.keyBuf[:0])
+		if s.rows.Find(s.keyBuf) >= 0 {
+			return errDuplicateKey
+		}
+		*s.rows.At(s.rows.Insert(s.keyBuf)) = setRow{row: row, l: l, r: r, out: o}
 	}
 	return dec.Err()
 }
 
 // SaveState implements stateSaver: both join sides' bucketed rows with live
-// and match counts. Buckets serialize sorted by equi-key; *within* a bucket
-// the slice order is preserved — it determines the order matching pairs are
+// and match counts. Buckets are written in equi-key order; *within* a bucket
+// the row order is preserved — it determines the order matching pairs are
 // emitted in, so it is part of the byte-identical contract.
 func (j *joinOp) SaveState(enc *checkpoint.Encoder) {
 	j.saveMergeState(enc)
 	for _, side := range []*joinSide{j.left, j.right} {
-		keys := tvr.SortedKeys(side.buckets)
-		enc.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			rows := side.buckets[k].rows
+		enc.Uvarint(uint64(side.buckets.Len()))
+		for _, bs := range side.buckets.Sorted() {
+			rows := side.buckets.At(bs).rows
 			enc.Uvarint(uint64(len(rows)))
 			for _, jr := range rows {
 				enc.Row(jr.row)
@@ -300,7 +309,7 @@ func (j *joinOp) SaveState(enc *checkpoint.Encoder) {
 	}
 }
 
-// LoadState implements stateSaver.
+// LoadState implements stateSaver. A bucket listed twice is corrupt.
 func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := j.loadMergeState(dec); err != nil {
 		return err
@@ -309,7 +318,7 @@ func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 		nb := int(dec.Uvarint())
 		for b := 0; b < nb && dec.Err() == nil; b++ {
 			nr := int(dec.Uvarint())
-			bucket := &joinBucket{}
+			bs := int32(-1)
 			for r := 0; r < nr; r++ {
 				row := dec.Row()
 				count := dec.Int()
@@ -318,10 +327,14 @@ func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 					return err
 				}
 				if r == 0 {
-					bucket.key = row.KeyOf(j.keysOf(sideIdx))
-					side.buckets[bucket.key] = bucket
+					j.keyBuf = row.AppendKeyOf(j.keyBuf[:0], j.keysOf(sideIdx))
+					if side.buckets.Find(j.keyBuf) >= 0 {
+						return errDuplicateKey
+					}
+					bs = side.buckets.Insert(j.keyBuf)
 				}
-				bucket.rows = append(bucket.rows, &joinRow{row: row, count: count, matches: matches})
+				bucket := side.buckets.At(bs)
+				bucket.rows = append(bucket.rows, joinRow{row: row, count: count, matches: matches})
 				side.size += count
 			}
 		}
@@ -381,10 +394,11 @@ func (w *windowOp) LoadState(dec *checkpoint.Decoder) error {
 // ---- aggregate states ----
 
 // saveAcc serializes one accumulator by kind; loadAcc mirrors it. The
-// multiset-backed accumulators (MIN/MAX, DISTINCT) re-derive their map keys
-// from the stored values and serialize sorted by key. A MIN/MAX multiset of
-// one distinct value is held inline (see minMaxAcc) and writes the same one
-// entry a map of one would; loadAcc puts a one-entry multiset back inline.
+// multiset-backed accumulators (MIN/MAX, DISTINCT) write their members in
+// value-key order, and a load re-derives each key from its value. A MIN/MAX
+// multiset of one distinct value is held inline (see minMaxAcc) and writes
+// the same one entry a multiset of one would; loadAcc puts a one-entry
+// multiset back inline.
 func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 	switch a := acc.(type) {
 	case *countStarAcc:
@@ -404,7 +418,7 @@ func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 		enc.Varint(a.n)
 		enc.Bool(a.valid)
 		enc.Value(a.current)
-		if a.counts == nil {
+		if !a.keyed {
 			// The inline value is the multiset's one entry, if it has any.
 			if a.oneCount == 0 {
 				enc.Uvarint(0)
@@ -415,22 +429,20 @@ func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 			enc.Int(a.oneCount)
 			break
 		}
-		keys := tvr.SortedKeys(a.counts)
-		enc.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e := a.counts[k]
-			enc.Value(e.val)
-			enc.Int(e.count)
-		}
+		saveMultiset(enc, &a.counts)
 	case *distinctAcc:
-		keys := tvr.SortedKeys(a.counts)
-		enc.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e := a.counts[k]
-			enc.Value(e.val)
-			enc.Int(e.count)
-		}
+		saveMultiset(enc, &a.counts)
 		saveAcc(enc, a.inner)
+	}
+}
+
+// saveMultiset writes a multiset's members in value-key order.
+func saveMultiset(enc *checkpoint.Encoder, ms *multiset) {
+	enc.Uvarint(uint64(ms.members.Len()))
+	for _, sl := range ms.members.Sorted() {
+		e := ms.members.At(sl)
+		enc.Value(e.val)
+		enc.Int(e.count)
 	}
 }
 
@@ -472,23 +484,22 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 				a.one, a.oneCount = v, count
 				continue
 			}
-			if a.counts == nil {
-				a.counts = make(map[string]*minMaxEntry, checkpoint.CapHint(uint64(n)))
+			a.keyed = true
+			if err := a.counts.load(v, count); err != nil {
+				return err
 			}
-			a.scratch = v.AppendKey(a.scratch[:0])
-			a.counts[string(a.scratch)] = &minMaxEntry{val: v, count: count}
 		}
 	case *distinctAcc:
 		n := int(dec.Uvarint())
-		var scratch []byte
 		for i := 0; i < n; i++ {
 			v := dec.Value()
 			count := dec.Int()
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			scratch = v.AppendKey(scratch[:0])
-			a.counts[string(scratch)] = &distinctEntry{val: v, count: count}
+			if err := a.counts.load(v, count); err != nil {
+				return err
+			}
 		}
 		return loadAcc(dec, a.inner)
 	}
@@ -517,8 +528,6 @@ func loadFloatSum(dec *checkpoint.Decoder) (float64, error) {
 // eviction hold closed groups as tombstones, which LoadState reads past and
 // discards. A snapshot that lists one group twice is corrupt.
 
-var errDuplicateGroup = errors.New("exec: checkpoint lists a group twice")
-
 // SaveState implements stateSaver: the watermark, late/freed counters, and
 // every open group in first-seen order with its key row, live-row count,
 // accumulator states, and last emitted output row.
@@ -526,9 +535,9 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(a.wm)
 	enc.Int(a.lateDrop)
 	enc.Int(a.idx.freed)
-	enc.Uvarint(uint64(a.groups.len()))
-	for s := a.groups.first(); s >= 0; s = a.groups.next(s) {
-		g := a.groups.at(s)
+	enc.Uvarint(uint64(a.groups.Len()))
+	for s := a.groups.First(); s >= 0; s = a.groups.Next(s) {
+		g := a.groups.At(s)
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
 		enc.Bool(false) // closed
@@ -543,7 +552,7 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 	// A global aggregate's Open already created its one group; restore
 	// replaces it wholesale.
-	a.groups = keyedStore[aggGroup]{}
+	a.groups = tvr.Store[aggGroup]{}
 	a.idx.reset()
 	a.runValid = false
 	a.wm = dec.Time()
@@ -565,11 +574,11 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 			continue
 		}
 		a.keyBuf = keyRow.AppendKey(a.keyBuf[:0])
-		if a.groups.find(a.keyBuf) >= 0 {
-			return errDuplicateGroup
+		if a.groups.Find(a.keyBuf) >= 0 {
+			return errDuplicateKey
 		}
 		s := a.openGroup(a.keyBuf, keyRow)
-		g := a.groups.at(s)
+		g := a.groups.At(s)
 		g.n, g.outRow = gn, outRow
 		for _, acc := range a.accsOf(s) {
 			if err := loadAcc(dec, acc); err != nil {
@@ -588,15 +597,15 @@ func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(e.wm)
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
-	enc.Uvarint(uint64(e.groups.len()))
-	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
-		g := e.groups.at(gs)
+	enc.Uvarint(uint64(e.groups.Len()))
+	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+		g := e.groups.At(gs)
 		enc.Row(g.sample)
 		enc.Bool(false) // closed
 		enc.Section("tvr.Relation")
 		enc.Uvarint(uint64(g.entries))
-		for rs := g.head; rs >= 0; rs = e.rows.at(rs).next {
-			r := e.rows.at(rs)
+		for rs := g.head; rs >= 0; rs = e.rows.At(rs).next {
+			r := e.rows.At(rs)
 			enc.Row(r.row)
 			enc.Uvarint(uint64(r.count))
 		}
@@ -624,8 +633,8 @@ func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 			continue
 		}
 		e.keyBuf = sample.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-		if e.groups.find(e.keyBuf) >= 0 {
-			return errDuplicateGroup
+		if e.groups.Find(e.keyBuf) >= 0 {
+			return errDuplicateKey
 		}
 		gs := e.openGroup(e.keyBuf, sample)
 		if err := dec.Expect("tvr.Relation"); err != nil {
@@ -640,8 +649,8 @@ func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 			if row == nil || count <= 0 {
 				return fmt.Errorf("exec: corrupt EMIT AFTER WATERMARK row in checkpoint")
 			}
-			if e.rows.find(e.rowKey(gs, row)) >= 0 {
-				return fmt.Errorf("exec: duplicate EMIT AFTER WATERMARK row %s in checkpoint", row)
+			if e.rows.Find(e.rowKey(gs, row)) >= 0 {
+				return errDuplicateKey
 			}
 			e.insertRow(gs, row, count)
 		}
@@ -660,9 +669,9 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
 	enc.Int(e.seq)
-	enc.Uvarint(uint64(e.groups.len()))
-	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
-		g := e.groups.at(gs)
+	enc.Uvarint(uint64(e.groups.Len()))
+	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+		g := e.groups.At(gs)
 		enc.Row(g.sample)
 		enc.Bool(g.armed)
 		enc.Bool(false) // closed
@@ -680,9 +689,9 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 		if !e.pending(t) {
 			continue
 		}
-		enc.Time(t.deadline)
+		enc.Time(t.at)
 		enc.Int(t.seq)
-		enc.String(string(e.groups.key(t.slot)))
+		enc.String(string(e.groups.Key(t.slot)))
 	}
 }
 
@@ -709,10 +718,10 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 			closedKeys[string(e.keyBuf)] = true
 			continue
 		}
-		if e.groups.find(e.keyBuf) >= 0 {
-			return errDuplicateGroup
+		if e.groups.Find(e.keyBuf) >= 0 {
+			return errDuplicateKey
 		}
-		g := e.groups.at(e.openGroup(e.keyBuf, sample))
+		g := e.groups.At(e.openGroup(e.keyBuf, sample))
 		g.armed = armed
 		if err := g.lastMat.LoadState(dec); err != nil {
 			return err
@@ -732,16 +741,16 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		gs := e.groups.find([]byte(gk))
+		gs := e.groups.Find([]byte(gk))
 		if gs < 0 {
 			if closedKeys[gk] {
 				continue // stale timer of a closed group: a no-op
 			}
 			return fmt.Errorf("exec: checkpoint timer references unknown group")
 		}
-		e.groups.at(gs).timer = seq
-		e.timers = append(e.timers, timer{deadline: deadline, seq: seq, slot: gs})
+		e.groups.At(gs).timer = seq
+		e.timers = append(e.timers, dueGroup{slot: gs, seq: seq, at: deadline})
 	}
-	heap.Init(&e.timers)
+	e.timers.init()
 	return dec.Err()
 }

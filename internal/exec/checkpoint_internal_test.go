@@ -10,6 +10,7 @@ package exec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func TestScanOpRoundTrip(t *testing.T) {
 
 func TestDistinctOpRoundTrip(t *testing.T) {
 	opRoundTrip(t, "distinct",
-		func(out sink) stateSaver { return &distinctOp{out: out, counts: make(map[string]*rowCount)} },
+		func(out sink) stateSaver { return &distinctOp{out: out} },
 		[]tvr.Event{
 			tvr.InsertEvent(1, ints(7)), tvr.InsertEvent(2, ints(7)),
 			tvr.InsertEvent(3, ints(8)), tvr.DeleteEvent(4, ints(8)),
@@ -485,13 +486,50 @@ func TestEmitAfterDelayOpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStateRejectsDuplicateGroup: a snapshot that lists one group twice
-// (or, for EMIT AFTER WATERMARK, one row of a group twice) is corrupt, and
-// each operator that keeps its groups in a keyedStore refuses it rather
-// than holding two live slots under one key.
+// TestLoadStateRejectsDuplicateGroup: a snapshot that lists one key twice
+// in any keyed section (a group; a row of an EMIT AFTER WATERMARK group, of
+// DISTINCT or of a set operation; a join bucket; a value of a MIN/MAX or
+// DISTINCT-aggregate multiset) is corrupt, and each operator refuses it
+// rather than holding two live slots under one key or keeping either copy.
 func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
 	node := aggNode(false)
 	sch := wmSchema()
+	// aggGroup writes one group whose accumulator at index dup lists the
+	// value 5 twice in its multiset; the others are empty.
+	aggGroup := func(dup int) func(enc *checkpoint.Encoder) {
+		return func(enc *checkpoint.Encoder) {
+			enc.Time(types.MinTime)
+			enc.Int(0)
+			enc.Int(0)
+			enc.Uvarint(1)
+			enc.Row(ints(1))
+			enc.Int(2)
+			enc.Bool(false)
+			enc.Row(nil)
+			for i, call := range node.Aggs {
+				acc := newAccumulator(call)
+				if i != dup {
+					saveAcc(enc, acc)
+					continue
+				}
+				if _, ok := acc.(*minMaxAcc); ok {
+					enc.Varint(2)
+					enc.Bool(false)
+					enc.Value(types.Null())
+				}
+				enc.Uvarint(2)
+				for j := 0; j < 2; j++ {
+					enc.Value(types.NewInt(5))
+					enc.Int(1)
+				}
+				if d, ok := acc.(*distinctAcc); ok {
+					saveAcc(enc, d.inner)
+				}
+			}
+		}
+	}
+	setOpNode := &plan.SetOp{Op: sqlparser.Intersect, All: true}
+	mergeState := func(enc *checkpoint.Encoder) { newUnionOp(2, &memSink{}).saveMergeState(enc) }
 	emptyBag := func(enc *checkpoint.Encoder) { tvr.NewRelation().SaveState(enc) }
 	bag := func(rows ...types.Row) func(*checkpoint.Encoder) {
 		return func(enc *checkpoint.Encoder) {
@@ -558,6 +596,36 @@ func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
 			}
 			enc.Uvarint(0)
 		}},
+		{"distinct", &distinctOp{out: &memSink{}}, func(enc *checkpoint.Encoder) {
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Row(ints(7))
+				enc.Int(1)
+			}
+		}},
+		{"set operation", newSetOp(setOpNode, &memSink{}), func(enc *checkpoint.Encoder) {
+			mergeState(enc)
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Row(ints(7))
+				enc.Int(1)
+				enc.Int(1)
+				enc.Int(1)
+			}
+		}},
+		{"join bucket", newJoinOp(joinPlan(sqlparser.InnerJoin), &memSink{}), func(enc *checkpoint.Encoder) {
+			mergeState(enc)
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Uvarint(1)
+				enc.Row(ints(1, int64(i)))
+				enc.Int(1)
+				enc.Int(0)
+			}
+			enc.Uvarint(0)
+		}},
+		{"min multiset", newAggOp(node, &memSink{}), aggGroup(3)},
+		{"distinct-aggregate multiset", newAggOp(node, &memSink{}), aggGroup(5)},
 	} {
 		var buf bytes.Buffer
 		enc := checkpoint.NewEncoder(&buf)
@@ -569,8 +637,8 @@ func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.op.LoadState(dec); err == nil {
-			t.Errorf("%s: a snapshot listing an entry twice loaded without error", c.name)
+		if err := c.op.LoadState(dec); !errors.Is(err, errDuplicateKey) {
+			t.Errorf("%s: a snapshot listing an entry twice loaded with error %v, want %v", c.name, err, errDuplicateKey)
 		}
 	}
 }

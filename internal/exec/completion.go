@@ -43,13 +43,77 @@ func groupComplete(keys []eventKey, row types.Row, wm types.Time) bool {
 	return ok && wm >= at
 }
 
-// dueGroup is one open group waiting in a completionIndex for the watermark
-// that completes it. It holds no pointer, so the heap's sifts move plain
-// words.
+// dueGroup is a group's entry in a dueHeap: its slot, a sequence number
+// and the time it is due. It holds no pointer, so the heap's sifts move
+// plain words.
 type dueGroup struct {
-	slot int32      // the group's slot in the operator's keyedStore
-	seq  int        // first-seen sequence
-	at   types.Time // completion time
+	slot int32      // the group's slot in the operator's tvr.Store
+	seq  int        // first-seen or arming sequence: unique per heap
+	at   types.Time // completion time, or a timer's deadline
+}
+
+// dueHeap is a min-heap of groups by (at, seq), held by value in one slice:
+// the completion index's open groups and the AFTER DELAY operator's timers.
+// Its push, pop and init are container/heap's algorithms step for step, so a
+// heap saved in array order and re-initialized lays out as it did when
+// container/heap kept it.
+type dueHeap []dueGroup
+
+func (h dueHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *dueHeap) push(d dueGroup) {
+	*h = append(*h, d)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the first group; the heap must not be empty.
+func (h *dueHeap) pop() dueGroup {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+// init orders an arbitrary array into a heap.
+func (h dueHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h dueHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h dueHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // completionIndex is how an operator whose state is keyed by event-time
@@ -66,7 +130,7 @@ type dueGroup struct {
 type completionIndex struct {
 	keys []eventKey
 
-	due    []dueGroup // min-heap by (at, seq)
+	due    dueHeap    // the open groups by completion time
 	closed []dueGroup // advance's reusable result buffer
 	freed  int        // groups closed by advance, ever
 	seq    int        // next first-seen sequence
@@ -84,8 +148,7 @@ func (x *completionIndex) add(slot int32, keyRow types.Row) {
 	seq := x.seq
 	x.seq++
 	if at, ok := completionTime(x.keys, keyRow); ok {
-		x.due = append(x.due, dueGroup{slot: slot, seq: seq, at: at})
-		x.siftUp(len(x.due) - 1)
+		x.due.push(dueGroup{slot: slot, seq: seq, at: at})
 	}
 }
 
@@ -96,52 +159,11 @@ func (x *completionIndex) add(slot int32, keyRow types.Row) {
 func (x *completionIndex) advance(wm types.Time) []dueGroup {
 	x.closed = x.closed[:0]
 	for len(x.due) > 0 && x.due[0].at <= wm {
-		x.closed = append(x.closed, x.due[0])
-		last := len(x.due) - 1
-		x.due[0] = x.due[last]
-		x.due = x.due[:last]
-		x.siftDown(0)
+		x.closed = append(x.closed, x.due.pop())
 	}
 	x.freed += len(x.closed)
 	slices.SortFunc(x.closed, func(a, b dueGroup) int { return a.seq - b.seq })
 	return x.closed
-}
-
-// before orders the heap: by completion time, first-seen sequence breaking
-// ties.
-func (x *completionIndex) before(i, j int) bool {
-	if x.due[i].at != x.due[j].at {
-		return x.due[i].at < x.due[j].at
-	}
-	return x.due[i].seq < x.due[j].seq
-}
-
-func (x *completionIndex) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !x.before(i, parent) {
-			return
-		}
-		x.due[i], x.due[parent] = x.due[parent], x.due[i]
-		i = parent
-	}
-}
-
-func (x *completionIndex) siftDown(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(x.due) {
-			return
-		}
-		if r := c + 1; r < len(x.due) && x.before(r, c) {
-			c = r
-		}
-		if !x.before(c, i) {
-			return
-		}
-		x.due[i], x.due[c] = x.due[c], x.due[i]
-		i = c
-	}
 }
 
 // reset forgets every group (restore replaces state wholesale).

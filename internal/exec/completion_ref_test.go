@@ -253,7 +253,7 @@ func (e *refEmitAfterWatermarkOp) Push(ev tvr.Event) error {
 	case tvr.Heartbeat:
 		return push(e.out, ev)
 	}
-	k := ev.Row.KeyOf(e.keys.idxs)
+	k := string(ev.Row.AppendKeyOf(nil, e.keys.idxs))
 	g, ok := e.groups[k]
 	if ok && g.done {
 		e.late++
@@ -368,7 +368,7 @@ func (e *refEmitAfterDelayOp) Push(ev tvr.Event) error {
 		}
 		return push(e.out, ev)
 	}
-	k := ev.Row.KeyOf(e.keys.idxs)
+	k := string(ev.Row.AppendKeyOf(nil, e.keys.idxs))
 	g, ok := e.groups[k]
 	if ok && g.done {
 		e.late++

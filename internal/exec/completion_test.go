@@ -238,7 +238,7 @@ func completionCases() []func() *completionCase {
 			ref := newRefEmitAfterDelay(sch, 5*types.Second, alsoWatermark, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return op.groups.len() }
+			c.groups = func() int { return op.groups.Len() }
 			return c
 		}
 	}
@@ -248,7 +248,7 @@ func completionCases() []func() *completionCase {
 			op, ref := newAggOp(node, c.out), newRefAggOp(node, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return op.groups.len() }
+			c.groups = func() int { return op.groups.Len() }
 			return c
 		},
 		func() *completionCase {
@@ -256,7 +256,7 @@ func completionCases() []func() *completionCase {
 			op, ref := newEmitAfterWatermark(sch, c.out), newRefEmitAfterWatermark(sch, c.exp)
 			c.op, c.ref = op, ref
 			c.push, c.finish = pushBoth(op, ref), finishBoth(op, ref)
-			c.groups = func() int { return op.groups.len() }
+			c.groups = func() int { return op.groups.Len() }
 			return c
 		},
 		delayCase("emit-after-delay", false),

@@ -123,8 +123,8 @@
 //
 // A new operator implements sink (and Open, if it emits before any input);
 // a stateful one also implements SaveState/LoadState (see "Checkpoint and
-// restore" below) and, if its state is keyed by event-time columns,
-// keeps its groups in a keyedStore and registers them with a
+// restore" below), keeps any keyed state in a tvr.Store and, if that state
+// is keyed by event-time columns, registers its groups with a
 // completionIndex (see "Operator state"). Pipeline.build wires it to
 // its plan node, and a shape in rechunkShapes covers it in
 // TestPushBatchRechunkEquivalence and TestOutputPtimesFollowInput.
@@ -132,36 +132,27 @@
 //
 // # Operator state
 //
-// The operators that register with a completionIndex (aggOp,
-// emitAfterWatermarkOp, emitAfterDelayOp) keep their groups in a
-// keyedStore (store.go), and emitAfterWatermarkOp keeps the rows of all its
-// groups in a second one. Window groups are short-lived, so the store is
-// built for churn:
+// Every operator keeps its keyed state in a tvr.Store (contract in the tvr
+// package comment, "Stores"): aggOp, emitAfterWatermarkOp and
+// emitAfterDelayOp their groups, emitAfterWatermarkOp the rows of all its
+// groups in a second store, joinOp each side's buckets, distinctOp and
+// setOp their rows, and the MIN/MAX and DISTINCT accumulators their
+// multisets. What exec adds to it:
 //
-//   - A group is a slot, an int32 index into a slab of values. A closed
-//     group's slot goes on a free list and the next group takes it; what a
-//     slot outlives its group with (aggOp's accumulators, kept per slot) is
-//     reset in place. Anything that names a group (the completion heap, the
-//     aggregate's run cache, a delay timer) holds its slot, and a holder
-//     that may outlive the group checks it is still current (a timer fires
-//     only while it is its group's armed timer).
-//   - Keys live in one byte arena, compacted into a kept second buffer when
-//     dead bytes outnumber live ones. The index is open addressing over
-//     []int32 slots, hashed with hash/maphash: it holds no pointer, and the
-//     completion heap's entries hold none either, so neither costs the
-//     garbage collector a scan. A steady churn of groups allocates nothing
-//     (TestKeyedStoreSteadyState).
-//   - The store iterates in first-seen order. That is the order SaveState
-//     writes groups in, the order restores re-add them in, and every
-//     tie-break follows from it; nothing depends on the hash or on slot
-//     numbers. An EMIT AFTER WATERMARK group's rows are linked in their
-//     (re)entry order, the order tvr.Relation keeps, and are saved as a
-//     tvr.Relation section. So the saved bytes do not depend on the store:
-//     the checkpoint format and its goldens are unchanged by it.
-//
-// The other keyed state (join buckets, DISTINCT and set-operation counts,
-// MIN/MAX and DISTINCT multisets, the AFTER DELAY relations) still keys Go
-// maps by the row key's string.
+//   - A group is a slot. Window groups are short-lived, and a closed
+//     group's slot is the next group's. What a slot outlives its group with
+//     is reset in place: aggOp keeps len(aggs) accumulators per slot and a
+//     new group resets them rather than allocate its own. Anything that
+//     names a group (the completion heap, the aggregate's run cache, a
+//     delay timer) holds its slot, and a holder that may outlive the group
+//     checks it is still current (a timer fires only while it is its
+//     group's armed timer).
+//   - The completion heap and the delay timers are one type, dueHeap
+//     (completion.go): (slot, sequence, time) entries held by value, so
+//     neither costs the garbage collector a scan.
+//   - An EMIT AFTER WATERMARK group's rows are linked in their (re)entry
+//     order, the order tvr.Relation keeps, and are saved as a tvr.Relation
+//     section, so its checkpoint bytes do not depend on the store.
 //
 // # Checkpoint and restore
 //
@@ -186,9 +177,11 @@
 //     byte-identical guarantee: the session-window operator keeps even
 //     zero-count timestamps, because their list position decides the
 //     retract/re-emit cascade order;
-//   - map-backed state with no explicit order, sorted by key, so the same
-//     state always produces the same bytes. A map key derivable from a
-//     stored row (Row.Key, KeyOf) is re-derived at load, not stored.
+//   - keyed state with no order of its own in key order
+//     (tvr.Store.Sorted), so the same state always produces the same bytes.
+//     A key derivable from a stored row or value (AppendKey, AppendKeyOf)
+//     is re-derived at load, not stored, and a snapshot that lists one key
+//     twice is refused (errDuplicateKey).
 //
 // Restore never calls Open: open-time emissions (constant relations, a
 // global aggregate's initial row) happened before the checkpoint and already
@@ -219,10 +212,10 @@
 //
 //   - It owns a min-heap of the operator's open groups by completion time
 //     max(key_i + WmOffset_i), first-seen sequence as tie-break, plus the
-//     sequence counter and the closed-group count. The heap holds its
-//     entries (slot, sequence, completion time) by value in one slice,
-//     ordered by a hand-written sift, so registering a group costs no
-//     allocation beyond the slice's amortized growth. The open groups are
+//     sequence counter and the closed-group count. The heap is a dueHeap:
+//     its entries (slot, sequence, completion time) are held by value in
+//     one slice, so registering a group costs no allocation beyond the
+//     slice's amortized growth. The open groups are
 //     exactly the live slots of the operator's store. A group with a NULL
 //     or non-timestamp event key, and every group of an operator with no
 //     event-time keys (Q4's aggregates, AFTER DELAY without AND AFTER

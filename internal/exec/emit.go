@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 
@@ -40,9 +39,9 @@ func groupKeysOf(sch *types.Schema) emitGroupKeys {
 type emitAfterWatermarkOp struct {
 	out    sink
 	keys   emitGroupKeys
-	groups keyedStore[wmGroup] // open groups only
-	rows   keyedStore[wmRow]   // the rows of every open group
-	idx    completionIndex     // which groups a watermark completes
+	groups tvr.Store[wmGroup] // open groups only
+	rows   tvr.Store[wmRow]   // the rows of every open group
+	idx    completionIndex    // which groups a watermark completes
 	wm     types.Time
 	late   int
 	keyBuf []byte      // reusable group- and row-key encoding buffer
@@ -92,7 +91,7 @@ func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-	gs := e.groups.find(e.keyBuf)
+	gs := e.groups.Find(e.keyBuf)
 	if gs < 0 {
 		if e.idx.complete(ev.Row, e.wm) {
 			// The group was materialized and evicted before this row
@@ -112,8 +111,8 @@ func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 // openGroup inserts an empty group under key and registers it with the
 // completion index.
 func (e *emitAfterWatermarkOp) openGroup(key []byte, sample types.Row) int32 {
-	gs := e.groups.insert(key)
-	*e.groups.at(gs) = wmGroup{sample: sample, head: -1, tail: -1}
+	gs := e.groups.Insert(key)
+	*e.groups.At(gs) = wmGroup{sample: sample, head: -1, tail: -1}
 	e.idx.add(gs, sample)
 	return gs
 }
@@ -128,17 +127,17 @@ func (e *emitAfterWatermarkOp) rowKey(gs int32, row types.Row) []byte {
 // insertRow adds count copies of row to the group in slot gs; a row that
 // enters the bag goes at the back of its order.
 func (e *emitAfterWatermarkOp) insertRow(gs int32, row types.Row, count int) {
-	g := e.groups.at(gs)
+	g := e.groups.At(gs)
 	g.size += count
 	key := e.rowKey(gs, row)
-	if rs := e.rows.find(key); rs >= 0 {
-		e.rows.at(rs).count += count
+	if rs := e.rows.Find(key); rs >= 0 {
+		e.rows.At(rs).count += count
 		return
 	}
-	rs := e.rows.insert(key)
-	*e.rows.at(rs) = wmRow{row: row, count: count, prev: g.tail, next: -1}
+	rs := e.rows.Insert(key)
+	*e.rows.At(rs) = wmRow{row: row, count: count, prev: g.tail, next: -1}
 	if g.tail >= 0 {
-		e.rows.at(g.tail).next = rs
+		e.rows.At(g.tail).next = rs
 	} else {
 		g.head = rs
 	}
@@ -149,27 +148,27 @@ func (e *emitAfterWatermarkOp) insertRow(gs int32, row types.Row, count int) {
 // deleteRow removes one copy of row from the group in slot gs; a row whose
 // multiplicity reaches zero leaves the bag.
 func (e *emitAfterWatermarkOp) deleteRow(gs int32, row types.Row) error {
-	rs := e.rows.find(e.rowKey(gs, row))
+	rs := e.rows.Find(e.rowKey(gs, row))
 	if rs < 0 {
 		return fmt.Errorf("exec: EMIT AFTER WATERMARK retraction of absent row %s", row)
 	}
-	g, r := e.groups.at(gs), e.rows.at(rs)
+	g, r := e.groups.At(gs), e.rows.At(rs)
 	g.size--
 	if r.count--; r.count > 0 {
 		return nil
 	}
 	if r.prev >= 0 {
-		e.rows.at(r.prev).next = r.next
+		e.rows.At(r.prev).next = r.next
 	} else {
 		g.head = r.next
 	}
 	if r.next >= 0 {
-		e.rows.at(r.next).prev = r.prev
+		e.rows.At(r.next).prev = r.prev
 	} else {
 		g.tail = r.prev
 	}
 	g.entries--
-	e.rows.remove(rs)
+	e.rows.Remove(rs)
 	return nil
 }
 
@@ -180,16 +179,16 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
 	e.wm = ev.Wm
 	for _, c := range e.idx.advance(e.wm) {
 		// Materialize the final contents of the group, once.
-		for rs := e.groups.at(c.slot).head; rs >= 0; {
-			r := e.rows.at(rs)
+		for rs := e.groups.At(c.slot).head; rs >= 0; {
+			r := e.rows.At(rs)
 			for i := 0; i < r.count; i++ {
 				e.pend = append(e.pend, tvr.InsertEvent(ev.Ptime, r.row))
 			}
 			next := r.next
-			e.rows.remove(rs)
+			e.rows.Remove(rs)
 			rs = next
 		}
-		e.groups.remove(c.slot)
+		e.groups.Remove(c.slot)
 	}
 	e.pend = append(e.pend, ev)
 }
@@ -197,10 +196,10 @@ func (e *emitAfterWatermarkOp) onWatermark(ev tvr.Event) {
 func (e *emitAfterWatermarkOp) Finish() error { return e.out.Finish() }
 
 func (e *emitAfterWatermarkOp) stats(s *Stats) {
-	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
-		s.StateRows += e.groups.at(gs).size
+	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+		s.StateRows += e.groups.At(gs).size
 	}
-	s.StateGroups += e.groups.len()
+	s.StateGroups += e.groups.Len()
 	s.LateDropped += e.late
 	s.FreedGroups += e.idx.freed
 }
@@ -218,9 +217,9 @@ type emitAfterDelayOp struct {
 	delay         types.Duration
 	alsoWatermark bool
 
-	groups keyedStore[delayGroup] // open groups only
-	idx    completionIndex        // which groups a watermark completes
-	timers timerHeap
+	groups tvr.Store[delayGroup] // open groups only
+	idx    completionIndex       // which groups a watermark completes
+	timers dueHeap               // the armed timers, at their deadlines
 	seq    int
 	wm     types.Time
 	late   int
@@ -240,25 +239,6 @@ type delayGroup struct {
 	armed   bool
 	timer   int // the seq of the group's pending timer, while armed
 }
-
-type timer struct {
-	deadline types.Time
-	seq      int   // FIFO tiebreak for determinism
-	slot     int32 // the group's slot
-}
-
-type timerHeap []timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 func newEmitAfterDelay(sch *types.Schema, delay types.Duration, alsoWatermark bool, out sink) *emitAfterDelayOp {
 	e := &emitAfterDelayOp{
@@ -301,7 +281,7 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 		return nil
 	}
 	e.keyBuf = ev.Row.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-	gs := e.groups.find(e.keyBuf)
+	gs := e.groups.Find(e.keyBuf)
 	if gs < 0 {
 		if e.idx.complete(ev.Row, e.wm) {
 			e.late++
@@ -312,7 +292,7 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 		// in doc.go).
 		gs = e.openGroup(e.keyBuf, ev.Row.Clone())
 	}
-	g := e.groups.at(gs)
+	g := e.groups.At(gs)
 	if err := g.cur.Apply(ev); err != nil {
 		return err
 	}
@@ -320,7 +300,7 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 		g.armed = true
 		e.seq++
 		g.timer = e.seq
-		heap.Push(&e.timers, timer{deadline: ev.Ptime.Add(e.delay), seq: e.seq, slot: gs})
+		e.timers.push(dueGroup{slot: gs, seq: e.seq, at: ev.Ptime.Add(e.delay)})
 	}
 	return nil
 }
@@ -328,24 +308,24 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 // openGroup inserts a group with empty contents under key and registers it
 // with the completion index.
 func (e *emitAfterDelayOp) openGroup(key []byte, sample types.Row) int32 {
-	gs := e.groups.insert(key)
-	*e.groups.at(gs) = delayGroup{sample: sample, lastMat: tvr.NewRelation(), cur: tvr.NewRelation()}
+	gs := e.groups.Insert(key)
+	*e.groups.At(gs) = delayGroup{sample: sample, lastMat: tvr.NewRelation(), cur: tvr.NewRelation()}
 	e.idx.add(gs, sample)
 	return gs
 }
 
 // pending reports whether t is the armed timer of its slot's group.
-func (e *emitAfterDelayOp) pending(t timer) bool {
-	g := e.groups.at(t.slot)
+func (e *emitAfterDelayOp) pending(t dueGroup) bool {
+	g := e.groups.At(t.slot)
 	return g.armed && g.timer == t.seq
 }
 
 // fireDue fires timers with deadline strictly before p, or at or before p
 // when inclusive (heartbeats, which mark "processing time has reached p").
 func (e *emitAfterDelayOp) fireDue(p types.Time, inclusive bool) {
-	for len(e.timers) > 0 && (e.timers[0].deadline < p || inclusive && e.timers[0].deadline == p) {
-		if t := heap.Pop(&e.timers).(timer); e.pending(t) {
-			e.fire(e.groups.at(t.slot), t.deadline)
+	for len(e.timers) > 0 && (e.timers[0].at < p || inclusive && e.timers[0].at == p) {
+		if t := e.timers.pop(); e.pending(t) {
+			e.fire(e.groups.At(t.slot), t.at)
 		}
 	}
 }
@@ -366,9 +346,9 @@ func (e *emitAfterDelayOp) onWatermark(ev tvr.Event) {
 	for _, c := range e.idx.advance(e.wm) {
 		// Final on-time materialization closes the group, whether or not
 		// a timer is pending.
-		g := e.groups.at(c.slot)
+		g := e.groups.At(c.slot)
 		e.pend = append(e.pend, g.lastMat.Diff(g.cur, ev.Ptime)...)
-		e.groups.remove(c.slot)
+		e.groups.Remove(c.slot)
 	}
 	e.pend = append(e.pend, ev)
 }
@@ -384,10 +364,10 @@ func (e *emitAfterDelayOp) Finish() error {
 }
 
 func (e *emitAfterDelayOp) stats(s *Stats) {
-	for gs := e.groups.first(); gs >= 0; gs = e.groups.next(gs) {
-		s.StateRows += e.groups.at(gs).cur.Len()
+	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+		s.StateRows += e.groups.At(gs).cur.Len()
 	}
-	s.StateGroups += e.groups.len()
+	s.StateGroups += e.groups.Len()
 	s.LateDropped += e.late
 	s.FreedGroups += e.idx.freed
 }

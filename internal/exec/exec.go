@@ -191,7 +191,7 @@ func (p *Pipeline) build(n plan.Node, out sink) error {
 		}
 		return p.build(x.Right, j.port(1))
 	case *plan.Distinct:
-		d := &distinctOp{out: out, counts: make(map[string]*rowCount)}
+		d := &distinctOp{out: out}
 		p.allOps = append(p.allOps, d)
 		return p.build(x.Input, d)
 	case *plan.Union:

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -37,17 +38,16 @@ type joinOp struct {
 	keyBuf []byte // equi-key encoding scratch, reused across events
 }
 
-// joinSide holds one input's live rows bucketed by equi-key. Buckets are held
-// by pointer so adding a row to an existing bucket never re-stores its map
-// key: the key string is allocated once, when the bucket is created.
+// joinSide holds one input's live rows bucketed by equi-key. A bucket keeps
+// its rows in arrival order, which decides the order matching pairs are
+// emitted in.
 type joinSide struct {
-	buckets map[string]*joinBucket
+	buckets tvr.Store[joinBucket]
 	size    int
 }
 
 type joinBucket struct {
-	key  string // the bucket's map key, for allocation-free removal
-	rows []*joinRow
+	rows []joinRow
 }
 
 type joinRow struct {
@@ -65,8 +65,8 @@ func newJoinOp(x *plan.Join, out sink) *joinOp {
 		residual:    x.Residual,
 		leftW:       x.Left.Schema().Len(),
 		rightW:      x.Right.Schema().Len(),
-		left:        &joinSide{buckets: make(map[string]*joinBucket)},
-		right:       &joinSide{buckets: make(map[string]*joinBucket)},
+		left:        &joinSide{},
+		right:       &joinSide{},
 		leftExpiry:  x.LeftExpiry,
 		rightExpiry: x.RightExpiry,
 	}
@@ -131,41 +131,43 @@ func (j *joinOp) applySide(side int, ev tvr.Event) error {
 	if ev.Kind == tvr.Delete {
 		delta = -1
 	}
-	// Both sides are probed through the key scratch: m[string(buf)] lookups
-	// do not allocate.
 	j.keyBuf = ev.Row.AppendKeyOf(j.keyBuf[:0], j.keysOf(side))
 
 	// Locate/create my row entry.
-	bucket := mySide.buckets[string(j.keyBuf)]
-	var mine *joinRow
-	if bucket != nil {
-		for _, jr := range bucket.rows {
-			if jr.row.Equal(ev.Row) {
-				mine = jr
+	bs := mySide.buckets.Find(j.keyBuf)
+	mi := -1
+	if bs >= 0 {
+		rows := mySide.buckets.At(bs).rows
+		for i := range rows {
+			if rows[i].row.Equal(ev.Row) {
+				mi = i
 				break
 			}
 		}
 	}
-	if mine == nil {
+	if mi < 0 {
 		if delta < 0 {
 			return fmt.Errorf("exec: join retraction of absent row %s", ev.Row)
 		}
-		mine = &joinRow{row: ev.Row.Clone()}
-		if bucket == nil {
-			bucket = &joinBucket{key: string(j.keyBuf)}
-			mySide.buckets[bucket.key] = bucket
+		if bs < 0 {
+			bs = mySide.buckets.Insert(j.keyBuf)
 		}
-		bucket.rows = append(bucket.rows, mine)
+		b := mySide.buckets.At(bs)
+		mi = len(b.rows)
+		b.rows = append(b.rows, joinRow{row: ev.Row.Clone()})
 	}
+	bucket := mySide.buckets.At(bs)
+	mine := &bucket.rows[mi]
 
 	// Walk matching opposite rows, emitting joined deltas and updating
 	// their match counts.
-	var others []*joinRow
-	if ob := otherSide.buckets[string(j.keyBuf)]; ob != nil {
-		others = ob.rows
+	var others []joinRow
+	if ob := otherSide.buckets.Find(j.keyBuf); ob >= 0 {
+		others = otherSide.buckets.At(ob).rows
 	}
 	myMatches := 0
-	for _, other := range others {
+	for oi := range others {
+		other := &others[oi]
 		if other.count == 0 {
 			continue
 		}
@@ -219,7 +221,10 @@ func (j *joinOp) applySide(side int, ev tvr.Event) error {
 			j.emitData(ev.Ptime, -1, j.nullPad(side, mine.row))
 		}
 		if mine.count == 0 {
-			dropRow(mySide, bucket, mine)
+			bucket.rows = slices.Delete(bucket.rows, mi, mi+1)
+			if len(bucket.rows) == 0 {
+				mySide.buckets.Remove(bs)
+			}
 		}
 	}
 	return nil
@@ -231,20 +236,6 @@ func (j *joinOp) emitData(p types.Time, delta int, row types.Row) {
 		j.pend = append(j.pend, tvr.InsertEvent(p, row))
 	} else {
 		j.pend = append(j.pend, tvr.DeleteEvent(p, row))
-	}
-}
-
-// dropRow removes target from its bucket, and the bucket from the side once
-// empty.
-func dropRow(side *joinSide, bucket *joinBucket, target *joinRow) {
-	for i, jr := range bucket.rows {
-		if jr == target {
-			bucket.rows = append(bucket.rows[:i], bucket.rows[i+1:]...)
-			break
-		}
-	}
-	if len(bucket.rows) == 0 {
-		delete(side.buckets, bucket.key)
 	}
 }
 
@@ -262,21 +253,21 @@ func (j *joinOp) expire(wm types.Time) {
 }
 
 func expireSide(side *joinSide, b *plan.ExpiryBound, wm types.Time) {
-	for key, bucket := range side.buckets {
-		kept := bucket.rows[:0]
-		for _, jr := range bucket.rows {
+	for bs := side.buckets.First(); bs >= 0; {
+		bucket := side.buckets.At(bs)
+		bucket.rows = slices.DeleteFunc(bucket.rows, func(jr joinRow) bool {
 			v := jr.row[b.Col]
 			if !v.IsNull() && v.Kind() == types.KindTimestamp && wm >= v.Timestamp().Add(b.Bound) {
 				side.size -= jr.count
-				continue
+				return true
 			}
-			kept = append(kept, jr)
+			return false
+		})
+		next := side.buckets.Next(bs)
+		if len(bucket.rows) == 0 {
+			side.buckets.Remove(bs)
 		}
-		if len(kept) == 0 {
-			delete(side.buckets, key)
-		} else {
-			bucket.rows = kept
-		}
+		bs = next
 	}
 }
 

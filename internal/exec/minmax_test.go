@@ -63,17 +63,22 @@ func loadMinMax(t *testing.T, min bool, b []byte) *minMaxAcc {
 //   - saveAcc writes the bytes the always-keyed accumulator writes, and a
 //     load of them saves the same bytes again. The test continues on the
 //     loaded copy half of the time, so restored states are driven further.
+//
+// Each trial's accumulator is the one two trials back, reset, as a slot's
+// next group takes its accumulators, so a reset multiset is filled again.
 func TestMinMaxAccMatchesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	corpus := minMaxCorpus()
 	var inlineSteps, multisetSteps int
+	slot := map[bool]*minMaxAcc{true: newMinMaxAcc(true), false: newMinMaxAcc(false)}
 	for trial := 0; trial < 400; trial++ {
 		min := trial%2 == 0
 		alphabet := append([]types.Value(nil), corpus...)
 		rng.Shuffle(len(alphabet), func(i, j int) { alphabet[i], alphabet[j] = alphabet[j], alphabet[i] })
 		alphabet = alphabet[:1+rng.Intn(len(alphabet))]
-		m := newMinMaxAcc(min)
-		ref := &minMaxAcc{min: min, counts: map[string]*minMaxEntry{}, current: types.Null()}
+		m := slot[min]
+		m.reset()
+		ref := &minMaxAcc{min: min, keyed: true, current: types.Null()}
 		model := map[string]int{}        // key -> multiplicity
 		reps := map[string]types.Value{} // key -> a value under it
 		for step := 0; step < 30; step++ {
@@ -108,7 +113,7 @@ func TestMinMaxAccMatchesMultiset(t *testing.T) {
 				t.Fatalf("trial %d step %d: value() = %s, model extremum %s", trial, step, got, want)
 			}
 			ref.value()
-			if m.counts == nil {
+			if !m.keyed {
 				inlineSteps++
 			} else {
 				multisetSteps++
@@ -135,6 +140,7 @@ func TestMinMaxAccMatchesMultiset(t *testing.T) {
 				m = loaded
 			}
 		}
+		slot[min] = m
 	}
 	if inlineSteps == 0 || multisetSteps == 0 {
 		t.Fatalf("%d inline and %d multiset steps; the generator must reach both forms", inlineSteps, multisetSteps)

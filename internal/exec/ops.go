@@ -374,7 +374,7 @@ func (w *windowOp) stats(s *Stats) {
 	}
 }
 
-// rowCount supports distinctOp bookkeeping.
+// rowCount is one distinct row of distinctOp with its input multiplicity.
 type rowCount struct {
 	row   types.Row
 	count int
@@ -385,7 +385,8 @@ type rowCount struct {
 // multiplicity returns to 0 is forgotten, so state tracks the live rows.
 type distinctOp struct {
 	out    sink
-	counts map[string]*rowCount
+	counts tvr.Store[rowCount] // keyed by the row's key
+	keyBuf []byte
 	pend   []tvr.Event
 }
 
@@ -395,23 +396,25 @@ func (d *distinctOp) PushBatch(evs []tvr.Event) error {
 			d.pend = append(d.pend, ev)
 			continue
 		}
-		k := ev.Row.Key()
-		rc := d.counts[k]
+		d.keyBuf = ev.Row.AppendKey(d.keyBuf[:0])
+		sl := d.counts.Find(d.keyBuf)
 		if ev.Kind == tvr.Insert {
-			if rc == nil {
-				rc = &rowCount{row: ev.Row.Clone()}
-				d.counts[k] = rc
+			if sl < 0 {
+				sl = d.counts.Insert(d.keyBuf)
+				rc := d.counts.At(sl)
+				rc.row = ev.Row.Clone()
 				d.pend = append(d.pend, tvr.InsertEvent(ev.Ptime, rc.row))
 			}
-			rc.count++
+			d.counts.At(sl).count++
 			continue
 		}
-		if rc == nil {
+		if sl < 0 {
 			return fmt.Errorf("exec: DISTINCT retraction of absent row %s", ev.Row)
 		}
+		rc := d.counts.At(sl)
 		if rc.count--; rc.count == 0 {
-			delete(d.counts, k)
 			d.pend = append(d.pend, tvr.DeleteEvent(ev.Ptime, rc.row))
+			d.counts.Remove(sl)
 		}
 	}
 	return flush(d.out, &d.pend)
@@ -419,7 +422,7 @@ func (d *distinctOp) PushBatch(evs []tvr.Event) error {
 
 func (d *distinctOp) Finish() error { return d.out.Finish() }
 
-func (d *distinctOp) stats(s *Stats) { s.StateRows += len(d.counts) }
+func (d *distinctOp) stats(s *Stats) { s.StateRows += d.counts.Len() }
 
 // mergingSink is shared machinery for operators with several input ports:
 // watermarks min-merge, heartbeats deduplicate, and Finish propagates only
@@ -525,21 +528,20 @@ func newUnionOp(inputs int, out sink) *unionOp {
 // both sides' multiplicities and its output multiplicity are 0.
 type setOp struct {
 	*mergingSink
-	op        func(l, r int) int
-	leftN     map[string]int
-	rightN    map[string]int
-	outN      map[string]int
-	rowsByKey map[string]types.Row
+	op     func(l, r int) int
+	rows   tvr.Store[setRow] // keyed by the row's key
+	keyBuf []byte
+}
+
+// setRow is one row of a set operation with its left, right and output
+// multiplicities.
+type setRow struct {
+	row       types.Row
+	l, r, out int
 }
 
 func newSetOp(x *plan.SetOp, out sink) *setOp {
-	s := &setOp{
-		mergingSink: newMergingSink(2, out),
-		leftN:       make(map[string]int),
-		rightN:      make(map[string]int),
-		outN:        make(map[string]int),
-		rowsByKey:   make(map[string]types.Row),
-	}
+	s := &setOp{mergingSink: newMergingSink(2, out)}
 	s.apply = s.applySide
 	intersect := x.Op.String() == "INTERSECT"
 	all := x.All
@@ -571,46 +573,40 @@ func newSetOp(x *plan.SetOp, out sink) *setOp {
 }
 
 func (s *setOp) applySide(side int, ev tvr.Event) error {
-	k := ev.Row.Key()
-	counts := s.leftN
-	if side == 1 {
-		counts = s.rightN
-	}
-	if ev.Kind == tvr.Delete {
-		if counts[k] == 0 {
+	s.keyBuf = ev.Row.AppendKey(s.keyBuf[:0])
+	sl := s.rows.Find(s.keyBuf)
+	if sl < 0 {
+		if ev.Kind == tvr.Delete {
 			return fmt.Errorf("exec: set operation retraction of absent row %s", ev.Row)
 		}
-		counts[k]--
-	} else {
-		if _, ok := s.rowsByKey[k]; !ok {
-			s.rowsByKey[k] = ev.Row.Clone()
+		sl = s.rows.Insert(s.keyBuf)
+		s.rows.At(sl).row = ev.Row.Clone()
+	}
+	sr := s.rows.At(sl)
+	n := &sr.l
+	if side == 1 {
+		n = &sr.r
+	}
+	if ev.Kind == tvr.Delete {
+		if *n == 0 {
+			return fmt.Errorf("exec: set operation retraction of absent row %s", ev.Row)
 		}
-		counts[k]++
+		*n--
+	} else {
+		*n++
 	}
-	l, r := s.leftN[k], s.rightN[k]
-	newOut := s.op(l, r)
-	old := s.outN[k]
-	row := s.rowsByKey[k]
-	for i := old; i < newOut; i++ {
-		s.pend = append(s.pend, tvr.InsertEvent(ev.Ptime, row))
+	newOut := s.op(sr.l, sr.r)
+	for i := sr.out; i < newOut; i++ {
+		s.pend = append(s.pend, tvr.InsertEvent(ev.Ptime, sr.row))
 	}
-	for i := newOut; i < old; i++ {
-		s.pend = append(s.pend, tvr.DeleteEvent(ev.Ptime, row))
+	for i := newOut; i < sr.out; i++ {
+		s.pend = append(s.pend, tvr.DeleteEvent(ev.Ptime, sr.row))
 	}
-	if l == 0 && r == 0 && newOut == 0 {
-		s.forget(k)
-		return nil
+	sr.out = newOut
+	if sr.l == 0 && sr.r == 0 && sr.out == 0 {
+		s.rows.Remove(sl)
 	}
-	s.outN[k] = newOut
 	return nil
 }
 
-// forget drops every trace of row key k.
-func (s *setOp) forget(k string) {
-	delete(s.leftN, k)
-	delete(s.rightN, k)
-	delete(s.outN, k)
-	delete(s.rowsByKey, k)
-}
-
-func (s *setOp) stats(st *Stats) { st.StateRows += len(s.rowsByKey) }
+func (s *setOp) stats(st *Stats) { st.StateRows += s.rows.Len() }

@@ -74,7 +74,7 @@ func TestDistinctAndSetOpsForgetRetractedRows(t *testing.T) {
 	families := []family{{
 		name: "DISTINCT",
 		mk: func() (stateful, []sink) {
-			d := &distinctOp{out: &nullSink{}, counts: map[string]*rowCount{}}
+			d := &distinctOp{out: &nullSink{}}
 			return d, []sink{d}
 		},
 		zero: func(enc *checkpoint.Encoder) {

@@ -72,9 +72,8 @@ func consolidate(out tvr.Range[tvr.Event]) *TableDiff {
 		row types.Row
 		n   int
 	}
-	counts := make(map[string]*rowAcc)
-	var order []*rowAcc
-	var key []byte // reused: a lookup through string(key) does not allocate
+	var counts tvr.Store[rowAcc] // iterates in first-appearance order
+	var key []byte
 	d := &TableDiff{Ptime: types.MinTime}
 	for out.Len() > 0 {
 		var evs []tvr.Event
@@ -87,20 +86,20 @@ func consolidate(out tvr.Range[tvr.Event]) *TableDiff {
 				d.Ptime = ev.Ptime
 			}
 			key = ev.Row.AppendKey(key[:0])
-			r := counts[string(key)]
-			if r == nil {
-				r = &rowAcc{row: ev.Row}
-				counts[string(key)] = r
-				order = append(order, r)
+			sl := counts.Find(key)
+			if sl < 0 {
+				sl = counts.Insert(key)
+				counts.At(sl).row = ev.Row
 			}
 			if ev.Kind == tvr.Insert {
-				r.n++
+				counts.At(sl).n++
 			} else {
-				r.n--
+				counts.At(sl).n--
 			}
 		}
 	}
-	for _, r := range order {
+	for sl := counts.First(); sl >= 0; sl = counts.Next(sl) {
+		r := counts.At(sl)
 		for i := 0; i < r.n; i++ {
 			d.Inserted = append(d.Inserted, r.row)
 		}

@@ -1,17 +1,15 @@
 package tvr
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/checkpoint"
 )
 
 // This file implements checkpoint encoding for the tvr containers: events and
 // changelogs, instantaneous relations, and the incremental stream renderer.
-// Everything encodes deterministically (map-backed state is written in its
-// explicit iteration order, or sorted by key where no order is tracked) so
+// Everything encodes deterministically (keyed state is written in its
+// explicit iteration order, or in key order where none is tracked) so
 // that checkpointing the same state twice yields identical bytes — the
 // property the golden-file format tests pin down.
 
@@ -135,74 +133,32 @@ func (r *Relation) LoadState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SaveState writes the renderer's per-group version counters, both stores
-// as one list sorted by group-key encoding, for deterministic bytes (the
-// maps track no insertion order, and lookup order does not affect
-// behavior). A times-store key is written as its encoding, so the bytes do
-// not depend on the store a group sits in.
+// SaveState writes the renderer's per-group version counters in key order.
 func (sr *StreamRenderer) SaveState(enc *checkpoint.Encoder) {
 	enc.Section("tvr.StreamRenderer")
-	type counter struct {
-		key string
-		ver int
-	}
-	counters := make([]counter, 0, len(sr.times)+len(sr.vers))
-	for k, v := range sr.vers {
-		counters = append(counters, counter{k, *v})
-	}
-	var buf []byte
-	for k, v := range sr.times {
-		buf = sr.appendTimeKey(buf[:0], k)
-		counters = append(counters, counter{string(buf), v})
-	}
-	sort.Slice(counters, func(i, j int) bool { return counters[i].key < counters[j].key })
-	enc.Uvarint(uint64(len(counters)))
-	for _, c := range counters {
-		enc.String(c.key)
-		enc.Int(c.ver)
+	enc.Uvarint(uint64(sr.vers.Len()))
+	for _, sl := range sr.vers.Sorted() {
+		enc.String(string(sr.vers.Key(sl)))
+		enc.Int(*sr.vers.At(sl))
 	}
 }
 
-// LoadState rebuilds the version counters from a SaveState stream. A key
-// that is the encoding of one or two TIMESTAMPs, as many as the renderer's
-// key columns, goes back to the times store; any other key, to vers.
+// LoadState rebuilds the version counters from a SaveState stream. A stream
+// that lists one group twice is corrupt.
 func (sr *StreamRenderer) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Expect("tvr.StreamRenderer"); err != nil {
 		return err
 	}
-	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
-		k := dec.String()
+	for n := dec.Uvarint(); n > 0; n-- {
+		k := []byte(dec.String())
 		v := dec.Int()
-		if tk, ok := sr.parseTimeKey(k); ok {
-			sr.times[tk] = v
-		} else {
-			sr.vers[k] = &v
+		if err := dec.Err(); err != nil {
+			return err
 		}
+		if sr.vers.Find(k) >= 0 {
+			return fmt.Errorf("tvr: duplicate stream version counter in checkpoint")
+		}
+		*sr.vers.At(sr.vers.Insert(k)) = v
 	}
 	return dec.Err()
-}
-
-// parseTimeKey is the times-store key whose encoding is k, if there is one.
-func (sr *StreamRenderer) parseTimeKey(k string) (tk [2]int64, ok bool) {
-	const width = 9 // a TIMESTAMP's key tag and big-endian payload
-	if !sr.timed || len(k) != width*len(sr.keyIdxs) {
-		return tk, false
-	}
-	for i := range sr.keyIdxs {
-		tk[i] = int64(binary.BigEndian.Uint64([]byte(k[width*i+1 : width*(i+1)])))
-	}
-	var buf [2 * width]byte
-	return tk, string(sr.appendTimeKey(buf[:0], tk)) == k
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order — the
-// deterministic-serialization helper shared by operators whose map-backed
-// state tracks no insertion order.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

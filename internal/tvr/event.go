@@ -45,6 +45,41 @@
 //   - Bytes. SaveLog writes a range as SaveChangelog writes the same events
 //     as a slice, and LoadLog reads either back, so checkpoints do not
 //     depend on the chunking.
+//
+// # Stores
+//
+// In the paper a group is identified by its key values: an aggregate's
+// group, a join's equi-key, the event-time grouping a stream row's ver
+// numbers. The engine keeps every such keyed state in one type, Store: the
+// operators' groups, join buckets, DISTINCT, set-operation and multiset
+// counts, the stream renderer's version counters and a table diff's net
+// counts. Keys are the canonical key encoding of the values
+// (types.Row.AppendKey and AppendKeyOf). Window groups are short-lived, so
+// the store is built for churn:
+//
+//   - Slots. A value lives in one slab and is addressed by an int32 slot. A
+//     removed entry's slot goes on a free list and the next insert takes
+//     it, so the slab never outgrows the peak number of live entries, and
+//     anything that names an entry (a completion heap, a run cache, a
+//     timer) holds its slot. A holder that may outlive the entry checks it
+//     is still current. The slab doubles when it fills, as the key arena
+//     does, so a store that only grows copies about its final size once.
+//   - Keys live in one byte arena. Once dead bytes outnumber live ones the
+//     arena is compacted into a kept second buffer and the two swap, so both
+//     stay bounded by about twice the live key bytes.
+//   - The index is open addressing over []int32 slots, hashed with
+//     hash/maphash and resolved by comparing arena bytes. It holds no
+//     pointer, so it costs the garbage collector no scan; tombstones left by
+//     removals are cleared by rehashing in place. A steady churn of entries
+//     allocates nothing (TestKeyedStoreSteadyState).
+//   - Order. First and Next walk the live entries in first-seen order, and
+//     Sorted lists them by key bytes. Nothing an owner emits or saves
+//     depends on the hash or on slot numbers: state with an order of its own
+//     saves in first-seen order, the order a load re-inserts in, and state
+//     with none saves in Sorted order, the keys' bytewise order, which is
+//     the order existing checkpoints list them in. A load that meets a key
+//     already in the store refuses the snapshot: every SaveState writes each
+//     key once.
 package tvr
 
 import (

@@ -1,33 +1,18 @@
-package exec
+package tvr
 
 import (
 	"bytes"
 	"hash/maphash"
+	"slices"
 )
 
-// keyedStore is an operator's keyed state: values of T addressed by an int32
-// slot and found by key bytes. It is built so that a steady churn of entries
-// (window groups opening and closing) allocates nothing and gives the garbage
-// collector nothing new to scan:
-//
-//   - values live in one slab; a removed entry's slot goes on a free list and
-//     the next insert reuses it, so the slab never outgrows the peak number of
-//     live entries;
-//   - key bytes live in one arena; once dead bytes outnumber live ones the
-//     arena is compacted into a second buffer, and the two swap, so both stay
-//     bounded by about twice the live key bytes;
-//   - the index is open addressing over []int32 slots, hashed with
-//     hash/maphash and resolved by comparing arena bytes; it holds no
-//     pointers, and tombstones left by removals are cleared by rehashing in
-//     place;
-//   - iteration (first, next) is in first-seen order: live entries are linked
-//     in insertion order. No order an operator emits or saves depends on the
-//     hash or on slot numbers.
-//
-// A pointer from at and a slice from key are valid until the next insert;
-// a key slice also until the next remove. The zero store is empty and ready
-// to use.
-type keyedStore[T any] struct {
+// Store is keyed state: values of T addressed by an int32 slot and found by
+// key bytes (see "Stores" in the package comment). It iterates its live
+// slots in first-seen order (First, Next) or in key order (Sorted). A
+// pointer from At and a slice from Key are valid until the next Insert; a
+// Key slice also until the next Remove. The zero Store is empty and ready to
+// use.
+type Store[T any] struct {
 	vals []T        // the slab: each slot's value, zero while the slot is free
 	meta []slotMeta // each slot's key, hash and list links
 	free int32      // head of the free-slot list, chained through next; -1 when empty
@@ -55,31 +40,44 @@ const (
 	slotGone  int32 = -2 // a tombstone: the cell's slot was removed
 )
 
-// len is the number of live entries.
-func (s *keyedStore[T]) len() int { return s.live }
+// Len is the number of live entries.
+func (s *Store[T]) Len() int { return s.live }
 
-// at is the value in slot sl.
-func (s *keyedStore[T]) at(sl int32) *T { return &s.vals[sl] }
+// At is the value in slot sl.
+func (s *Store[T]) At(sl int32) *T { return &s.vals[sl] }
 
-// key is the key of the live slot sl.
-func (s *keyedStore[T]) key(sl int32) []byte {
+// Key is the key of the live slot sl.
+func (s *Store[T]) Key(sl int32) []byte {
 	m := &s.meta[sl]
 	return s.arena[m.off : m.off+m.n : m.off+m.n]
 }
 
-// first is the first-seen live slot, -1 when the store is empty.
-func (s *keyedStore[T]) first() int32 {
+// First is the first-seen live slot, -1 when the store is empty.
+func (s *Store[T]) First() int32 {
 	if s.live == 0 {
 		return -1
 	}
 	return s.head
 }
 
-// next is the live slot first seen after sl, -1 after the last.
-func (s *keyedStore[T]) next(sl int32) int32 { return s.meta[sl].next }
+// Next is the live slot first seen after sl, -1 after the last.
+func (s *Store[T]) Next(sl int32) int32 { return s.meta[sl].next }
 
-// find is the slot holding key, -1 when it is absent.
-func (s *keyedStore[T]) find(key []byte) int32 {
+// Sorted is the live slots in the bytewise order of their keys, the order
+// sort.Strings gives the keys as strings. State with no order of its own is
+// saved in it, so its checkpoint bytes depend on neither the hash nor the
+// slots.
+func (s *Store[T]) Sorted() []int32 {
+	out := make([]int32, 0, s.live)
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
+		out = append(out, sl)
+	}
+	slices.SortFunc(out, func(a, b int32) int { return bytes.Compare(s.Key(a), s.Key(b)) })
+	return out
+}
+
+// Find is the slot holding key, -1 when it is absent.
+func (s *Store[T]) Find(key []byte) int32 {
 	if s.live == 0 {
 		return -1
 	}
@@ -90,15 +88,15 @@ func (s *keyedStore[T]) find(key []byte) int32 {
 		if sl == slotEmpty {
 			return -1
 		}
-		if sl >= 0 && s.meta[sl].hash == h && bytes.Equal(s.key(sl), key) {
+		if sl >= 0 && s.meta[sl].hash == h && bytes.Equal(s.Key(sl), key) {
 			return sl
 		}
 	}
 }
 
-// insert adds key, which must be absent, at the end of the first-seen order
+// Insert adds key, which must be absent, at the end of the first-seen order
 // and returns its slot, whose value is zero.
-func (s *keyedStore[T]) insert(key []byte) int32 {
+func (s *Store[T]) Insert(key []byte) int32 {
 	if s.index == nil {
 		s.seed = maphash.MakeSeed()
 		s.free, s.head, s.tail = -1, -1, -1
@@ -111,6 +109,14 @@ func (s *keyedStore[T]) insert(key []byte) int32 {
 		s.free = s.meta[sl].next
 	} else {
 		sl = int32(len(s.vals))
+		if len(s.vals) == cap(s.vals) {
+			// Double where append would grow a large slab by a quarter: a
+			// store that only grows (a renderer's counter per dateTime)
+			// would copy five times its final size, and the garbage lifts
+			// the process's peak RSS.
+			s.vals = slices.Grow(s.vals, len(s.vals)+1)
+			s.meta = slices.Grow(s.meta, len(s.meta)+1)
+		}
 		var zero T
 		s.vals = append(s.vals, zero)
 		s.meta = append(s.meta, slotMeta{})
@@ -121,6 +127,9 @@ func (s *keyedStore[T]) insert(key []byte) int32 {
 		n:    int32(len(key)),
 		prev: s.tail,
 		next: -1,
+	}
+	if len(s.arena)+len(key) > cap(s.arena) {
+		s.arena = slices.Grow(s.arena, len(s.arena)+len(key)) // doubles, as above
 	}
 	s.arena = append(s.arena, key...)
 	if s.tail >= 0 {
@@ -136,7 +145,7 @@ func (s *keyedStore[T]) insert(key []byte) int32 {
 
 // place puts the live slot sl in the first free index cell of its probe
 // sequence.
-func (s *keyedStore[T]) place(sl int32) {
+func (s *Store[T]) place(sl int32) {
 	mask := uint64(len(s.index) - 1)
 	for i := s.meta[sl].hash & mask; ; i = (i + 1) & mask {
 		switch s.index[i] {
@@ -150,9 +159,9 @@ func (s *keyedStore[T]) place(sl int32) {
 	}
 }
 
-// remove deletes the live slot sl: its value is zeroed and the slot is
-// reused by a later insert.
-func (s *keyedStore[T]) remove(sl int32) {
+// Remove deletes the live slot sl: its value is zeroed and the slot is
+// reused by a later Insert.
+func (s *Store[T]) Remove(sl int32) {
 	m := &s.meta[sl]
 	mask := uint64(len(s.index) - 1)
 	i := m.hash & mask
@@ -185,9 +194,9 @@ func (s *keyedStore[T]) remove(sl int32) {
 // compact copies the live keys into the spare buffer, in first-seen order,
 // and swaps the two. Its cost is amortized over the removals that made the
 // dead bytes.
-func (s *keyedStore[T]) compact() {
+func (s *Store[T]) compact() {
 	out := s.spare[:0]
-	for sl := s.first(); sl >= 0; sl = s.next(sl) {
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
 		m := &s.meta[sl]
 		off := int32(len(out))
 		out = append(out, s.arena[m.off:m.off+m.n]...)
@@ -200,7 +209,7 @@ func (s *keyedStore[T]) compact() {
 // rehash rebuilds the index from the slots' stored hashes: in place, which
 // drops the tombstones, or into a table twice the size when the live entries
 // would fill more than half of it.
-func (s *keyedStore[T]) rehash() {
+func (s *Store[T]) rehash() {
 	size := max(len(s.index), 8)
 	for (s.live+1)*2 > size {
 		size *= 2
@@ -212,7 +221,7 @@ func (s *keyedStore[T]) rehash() {
 		s.index[i] = slotEmpty
 	}
 	s.gone = 0
-	for sl := s.first(); sl >= 0; sl = s.next(sl) {
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
 		s.place(sl)
 	}
 }

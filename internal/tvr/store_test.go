@@ -1,14 +1,15 @@
-package exec
+package tvr
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 )
 
-// storeModel is what a keyedStore must behave like: a map from key to value
+// storeModel is what a Store must behave like: a map from key to value
 // plus the order the live keys were first seen in.
 type storeModel struct {
 	vals  map[string]int
@@ -21,10 +22,10 @@ func (m *storeModel) remove(k string) {
 }
 
 // storeKeys is the store's live keys in its first-seen order.
-func storeKeys(s *keyedStore[int]) []string {
+func storeKeys(s *Store[int]) []string {
 	var out []string
-	for sl := s.first(); sl >= 0; sl = s.next(sl) {
-		out = append(out, string(s.key(sl)))
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
+		out = append(out, string(s.Key(sl)))
 	}
 	return out
 }
@@ -32,23 +33,25 @@ func storeKeys(s *keyedStore[int]) []string {
 // reloadStore is a fresh store holding s's entries, inserted in s's
 // first-seen order: what an operator's LoadState builds from what its
 // SaveState wrote.
-func reloadStore(s *keyedStore[int]) *keyedStore[int] {
-	var out keyedStore[int]
-	for sl := s.first(); sl >= 0; sl = s.next(sl) {
-		*out.at(out.insert(s.key(sl))) = *s.at(sl)
+func reloadStore(s *Store[int]) *Store[int] {
+	var out Store[int]
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
+		*out.At(out.Insert(s.Key(sl))) = *s.At(sl)
 	}
 	return &out
 }
 
-// TestKeyedStoreMatchesMap drives a keyedStore and a map[string]int model
+// TestKeyedStoreMatchesMap drives a Store and a map[string]int model
 // through random inserts, finds and removes over a small key alphabet (keys
 // of 0 to 40 bytes, the empty key among them), so that slots are reused,
-// the arena compacts and the index rehashes in place past its tombstones as
-// well as grows. After every step the store must find exactly the model's
-// keys with their values and iterate them in first-seen order; its slab
-// never outgrows the peak number of live keys, and its arena never holds
-// more dead bytes than live ones. Every few steps the test saves and loads
-// the store (reloadStore) and continues on the copy half of the time.
+// the arena compacts and the index grows. After every step the store must
+// find exactly the model's keys with their values and iterate them in
+// first-seen order; its slab never outgrows the peak number of live keys,
+// and its arena never holds more dead bytes than live ones. Every few steps
+// Sorted must list the model's keys in sort order, and the test saves and
+// loads the store (reloadStore) and continues on the copy half of the time.
+// A directed phase then makes the index rehash in place past its
+// tombstones.
 func TestKeyedStoreMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	var reused, compactions, inPlace, grown int
@@ -59,7 +62,7 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 			rng.Read(b)
 			alphabet[i] = string(b)
 		}
-		s := &keyedStore[int]{}
+		s := &Store[int]{}
 		m := &storeModel{vals: map[string]int{}}
 		peak := 0
 		removeOdds := 1 + rng.Intn(3) // in 5, when the key is live
@@ -68,12 +71,12 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 			_, present := m.vals[k]
 			switch {
 			case present && rng.Intn(5) < removeOdds:
-				sl := s.find([]byte(k))
+				sl := s.Find([]byte(k))
 				if sl < 0 {
 					t.Fatalf("trial %d step %d: find(%q) missed a live key", trial, step, k)
 				}
 				deadBefore, arenaBefore := s.dead, len(s.arena)
-				s.remove(sl)
+				s.Remove(sl)
 				m.remove(k)
 				if s.dead == 0 && deadBefore+len(k) > 0 && len(s.arena) < arenaBefore {
 					compactions++
@@ -81,9 +84,9 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 			case !present:
 				freeBefore, size := s.free, len(s.index)
 				due := size > 0 && (s.live+s.gone+1)*4 > size*3 // insert rehashes first
-				sl := s.insert([]byte(k))
-				if *s.at(sl) != 0 {
-					t.Fatalf("trial %d step %d: a new slot holds %d, want the zero value", trial, step, *s.at(sl))
+				sl := s.Insert([]byte(k))
+				if *s.At(sl) != 0 {
+					t.Fatalf("trial %d step %d: a new slot holds %d, want the zero value", trial, step, *s.At(sl))
 				}
 				if freeBefore >= 0 && sl == freeBefore {
 					reused++
@@ -95,29 +98,29 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 					inPlace++
 				}
 				v := rng.Int()
-				*s.at(sl) = v
+				*s.At(sl) = v
 				m.vals[k] = v
 				m.order = append(m.order, k)
 			default:
-				sl := s.find([]byte(k))
-				if sl < 0 || *s.at(sl) != m.vals[k] {
+				sl := s.Find([]byte(k))
+				if sl < 0 || *s.At(sl) != m.vals[k] {
 					t.Fatalf("trial %d step %d: find(%q) = slot %d, want the value %d", trial, step, k, sl, m.vals[k])
 				}
-				*s.at(sl) = rng.Int()
-				m.vals[k] = *s.at(sl)
+				*s.At(sl) = rng.Int()
+				m.vals[k] = *s.At(sl)
 			}
 			peak = max(peak, len(m.vals))
 
-			if s.len() != len(m.vals) {
-				t.Fatalf("trial %d step %d: len %d, model %d", trial, step, s.len(), len(m.vals))
+			if s.Len() != len(m.vals) {
+				t.Fatalf("trial %d step %d: len %d, model %d", trial, step, s.Len(), len(m.vals))
 			}
 			if got := storeKeys(s); !slices.Equal(got, m.order) {
 				t.Fatalf("trial %d step %d: iterates %q, first-seen order is %q", trial, step, got, m.order)
 			}
 			for _, probe := range alphabet[:min(len(alphabet), 8)] {
-				sl := s.find([]byte(probe))
+				sl := s.Find([]byte(probe))
 				v, ok := m.vals[probe]
-				if (sl >= 0) != ok || ok && *s.at(sl) != v {
+				if (sl >= 0) != ok || ok && *s.At(sl) != v {
 					t.Fatalf("trial %d step %d: find(%q) = slot %d, model has it: %v", trial, step, probe, sl, ok)
 				}
 			}
@@ -128,12 +131,21 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 				t.Fatalf("trial %d step %d: %d dead arena bytes beside %d live", trial, step, s.dead, len(s.arena)-s.dead)
 			}
 			if step%97 == 0 {
+				var sorted []string
+				for _, sl := range s.Sorted() {
+					sorted = append(sorted, string(s.Key(sl)))
+				}
+				want := slices.Clone(m.order)
+				slices.Sort(want)
+				if !slices.Equal(sorted, want) {
+					t.Fatalf("trial %d step %d: Sorted lists %q, want %q", trial, step, sorted, want)
+				}
 				loaded := reloadStore(s)
 				if got := storeKeys(loaded); !slices.Equal(got, m.order) {
 					t.Fatalf("trial %d step %d: a reloaded store iterates %q, want %q", trial, step, got, m.order)
 				}
 				for k, v := range m.vals {
-					if sl := loaded.find([]byte(k)); sl < 0 || *loaded.at(sl) != v {
+					if sl := loaded.Find([]byte(k)); sl < 0 || *loaded.At(sl) != v {
 						t.Fatalf("trial %d step %d: the reloaded store lost %q", trial, step, k)
 					}
 				}
@@ -143,9 +155,31 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 			}
 		}
 	}
+	// Whether the random steps rehash in place depends on the hash seed,
+	// which each store draws afresh. So a directed phase reaches it for
+	// any seed: with one key live, every insert of a fresh key followed by
+	// its removal leaves the tombstones as many or one more, until an
+	// insert finds the table full of them and rehashes it in place.
+	s := &Store[int]{}
+	s.Insert([]byte("kept"))
+	for i := 0; inPlace == 0; i++ {
+		if i == 1000 {
+			t.Fatalf("1000 insert-remove rounds beside one live key never rehashed in place")
+		}
+		key := []byte(fmt.Sprint(i))
+		size := len(s.index)
+		due := (s.live+s.gone+1)*4 > size*3
+		s.Remove(s.Insert(key))
+		if due && len(s.index) == size {
+			inPlace++
+		}
+		if got := storeKeys(s); !slices.Equal(got, []string{"kept"}) {
+			t.Fatalf("round %d: the store holds %q, want only the kept key", i, got)
+		}
+	}
 	t.Logf("%d slot reuses, %d arena compactions, %d in-place rehashes, %d growths", reused, compactions, inPlace, grown)
-	if reused == 0 || compactions == 0 || inPlace == 0 || grown == 0 {
-		t.Fatalf("the generator must reach slot reuse, compaction and both rehashes")
+	if reused == 0 || compactions == 0 || grown == 0 {
+		t.Fatalf("the generator must reach slot reuse, compaction and growth")
 	}
 }
 
@@ -168,17 +202,17 @@ func TestKeyedStoreSteadyState(t *testing.T) {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	const total, open, warm = 100_000, 1_000, 10_000
-	var s keyedStore[int]
+	var s Store[int]
 	slots := make([]int32, total)
 	var key []byte
 	step := func(i int) {
 		if i >= open {
 			key = churnKey(key, i-open)
-			s.remove(s.find(key))
+			s.Remove(s.Find(key))
 		}
 		key = churnKey(key, i)
-		slots[i] = s.insert(key)
-		*s.at(slots[i]) = i
+		slots[i] = s.Insert(key)
+		*s.At(slots[i]) = i
 	}
 	for i := 0; i < warm; i++ {
 		step(i)
@@ -196,8 +230,8 @@ func TestKeyedStoreSteadyState(t *testing.T) {
 	}
 	const maxKey = 8 + 4 + 16
 	t.Logf("%d slots, arena %d + %d bytes, index %d cells for %d open groups", len(s.vals), cap(s.arena), cap(s.spare), len(s.index), open)
-	if s.len() != open || len(s.vals) != open {
-		t.Fatalf("%d groups open in %d slots, want %d in %d", s.len(), len(s.vals), open, open)
+	if s.Len() != open || len(s.vals) != open {
+		t.Fatalf("%d groups open in %d slots, want %d in %d", s.Len(), len(s.vals), open, open)
 	}
 	if a := cap(s.arena) + cap(s.spare); a > 6*open*maxKey {
 		t.Fatalf("the arena's buffers hold %d bytes for %d open keys of at most %d bytes", a, open, maxKey)
@@ -206,8 +240,8 @@ func TestKeyedStoreSteadyState(t *testing.T) {
 		t.Fatalf("the index has %d cells for %d open groups", len(s.index), open)
 	}
 	for i := total - open; i < total; i++ {
-		if sl := s.find(churnKey(key, i)); sl != slots[i] || *s.at(sl) != i {
-			t.Fatalf("group %d: find = slot %d holding %d, want slot %d", i, sl, *s.at(sl), slots[i])
+		if sl := s.Find(churnKey(key, i)); sl != slots[i] || *s.At(sl) != i {
+			t.Fatalf("group %d: find = slot %d holding %d, want slot %d", i, sl, *s.At(sl), slots[i])
 		}
 	}
 }
@@ -217,19 +251,19 @@ func TestKeyedStoreSteadyState(t *testing.T) {
 // allocates nothing per op.
 func BenchmarkKeyedStore(b *testing.B) {
 	const open = 1_000
-	var s keyedStore[int]
+	var s Store[int]
 	var key []byte
 	for i := 0; i < open; i++ {
-		s.insert(churnKey(key, i))
+		s.Insert(churnKey(key, i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := open; i < open+b.N; i++ {
 		key = churnKey(key, i)
-		*s.at(s.insert(key)) = i
-		if s.find(key) < 0 {
+		*s.At(s.Insert(key)) = i
+		if s.Find(key) < 0 {
 			b.Fatalf("group %d not found", i)
 		}
-		s.remove(s.find(churnKey(key, i-open)))
+		s.Remove(s.Find(churnKey(key, i-open)))
 	}
 }

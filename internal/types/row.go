@@ -61,17 +61,8 @@ func (r Row) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// KeyOf returns the canonical encoding of the values at the given indexes,
-// the grouping/join-key analogue of Key.
-func (r Row) KeyOf(idxs []int) string {
-	var b []byte
-	for _, idx := range idxs {
-		b = appendValueKey(b, r[idx])
-	}
-	return string(b)
-}
-
-// AppendKeyOf is the scratch-buffer variant of KeyOf; see AppendKey.
+// AppendKeyOf appends the canonical encoding of the values at the given
+// indexes to dst, the grouping/join-key analogue of AppendKey.
 func (r Row) AppendKeyOf(dst []byte, idxs []int) []byte {
 	for _, idx := range idxs {
 		dst = appendValueKey(dst, r[idx])

@@ -67,8 +67,8 @@ func TestRowKeyDistinguishes(t *testing.T) {
 
 func TestRowKeyOf(t *testing.T) {
 	r := sampleRow()
-	if r.KeyOf([]int{1}) != (Row{NewString("a")}).Key() {
-		t.Error("KeyOf mismatch")
+	if string(r.AppendKeyOf(nil, []int{1})) != (Row{NewString("a")}).Key() {
+		t.Error("AppendKeyOf mismatch")
 	}
 }
 
