@@ -37,9 +37,16 @@ deadcode:
 # commits, peers, resident reads and checkpoints, then resumes), the engine's
 # live subscriptions and checkpoints (TestLive*, TestCheckpoint*), and the
 # departures that must leave no goroutine, session or worker behind
-# (TestSubscriptionGoroutineHygiene, TestFailedRegister*).
+# (TestSubscriptionGoroutineHygiene, TestFailedRegister*). Stream versions
+# are assigned by the readers beside the commit, not in it, so the lazy
+# versioning race (stream cursors, a stalled one, a table cursor, stream
+# reads and checkpoints against commits) runs again at -count=10, and
+# cmd/serve's socket path (a subscriber's reader versioning what it writes)
+# races too.
 race-live:
 	GOMAXPROCS=4 $(GO) test -race ./internal/live/...
+	GOMAXPROCS=4 $(GO) test -race ./internal/live -run 'TestLazyVersionsRace' -count=10
+	GOMAXPROCS=4 $(GO) test -race ./cmd/serve -run 'TestServeStalledSocketStallsNothing|TestMetricsRendererGroups'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestResidentRead'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestSharedPlan'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -run 'TestStalledReader'

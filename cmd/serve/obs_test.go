@@ -167,7 +167,9 @@ func sample(t *testing.T, body, name string) float64 {
 // per event-time grouping a session renders. Q1's emit key is dateTime, so
 // N bids at distinct dateTimes under one stream subscriber read N, a bid at
 // a dateTime already seen adds none, and the session's share is gone once
-// its last subscriber leaves.
+// its last subscriber leaves. The subscriber's reader versions the rows
+// before it sends them, so each scrape follows the delta lines it waits
+// for.
 func TestMetricsRendererGroups(t *testing.T) {
 	engine := core.NewEngine(core.WithObs(obs.NewRegistry()))
 	defer engine.Close()
@@ -184,13 +186,22 @@ func TestMetricsRendererGroups(t *testing.T) {
 	for i := range events {
 		events[i] = eventJSON{Kind: "insert", Ptime: timeMS(int64(1000 + i)), Row: []any{int64(i), int64(100), int64(5000 + 7*i)}}
 	}
+	// readRows reads delta lines until they hold n rows.
+	readRows := func(n int) {
+		t.Helper()
+		for got := 0; got < n; {
+			got += len(read()["rows"].([]any))
+		}
+	}
 	ingestBids(t, c, ts.URL, events[:n/2])
 	ingestBids(t, c, ts.URL, events[n/2:])
+	readRows(n)
 	_, body, _ := getBody(t, c, ts.URL+"/metrics")
 	if got := sample(t, body, "live_renderer_groups"); got != n {
 		t.Fatalf("live_renderer_groups = %v after %d bids at distinct dateTimes, want %d", got, n, n)
 	}
 	ingestBids(t, c, ts.URL, []eventJSON{{Kind: "insert", Ptime: timeMS(2000), Row: []any{int64(99), int64(1), int64(5000)}}})
+	readRows(1)
 	_, body, _ = getBody(t, c, ts.URL+"/metrics")
 	if got := sample(t, body, "live_renderer_groups"); got != n {
 		t.Fatalf("live_renderer_groups = %v after a bid at a dateTime already seen, want %d", got, n)

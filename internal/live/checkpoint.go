@@ -29,8 +29,9 @@ const (
 type RestoreQuery func(sql string) (Query, error)
 
 // saveStateLocked writes one session; its retained output writes itself
-// (output.save). Caller holds the manager's lock, so it owns the driver of
-// this registered (hence open) session, and s.mu.
+// (output.save), after the unversioned tail is versioned. Caller holds the
+// manager's lock, so it owns the driver of this registered (hence open)
+// session, the versioning lock, and s.mu.
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	enc.Section("live.Session")
 	enc.String(s.cfg.Name)
@@ -43,6 +44,7 @@ func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
 	if err := exec.SaveDriver(enc, s.driver); err != nil {
 		return err
 	}
+	s.version(s.out.unversioned(s.out.rows.End()))
 	s.out.save(enc)
 	return enc.Err()
 }
@@ -95,11 +97,11 @@ func (m *Manager) restoreSessionLocked(dec *checkpoint.Decoder, legacy bool, res
 	}
 	s := newSession(d, q.Config)
 	if table {
-		err = s.out.renderer.LoadState(dec)
+		err = s.out.v.renderer.LoadState(dec)
 		skipTableAcc(dec)
 	} else {
 		err = s.out.load(dec, q.Config.EmitKeys, wm, overflowed)
-		s.groups.Store(int64(s.out.renderer.Groups()))
+		s.groups.Store(int64(s.out.v.renderer.Groups()))
 		s.retained.Store(int64(s.out.rows.Len()))
 	}
 	if err != nil {
@@ -146,8 +148,9 @@ func skipTableAcc(dec *checkpoint.Decoder) {
 // engine's catalog snapshot) runs first under the same lock, so catalog and
 // pipeline state describe the same commit point. Under that lock no session
 // is fed, closes or leaves the routing table, so every registered session is
-// open and its driver quiescent; each session's mu is held while it is
-// written, because its cursors' readers trim its retained output.
+// open and its driver quiescent; each session's versioning lock and mu are
+// held while it is written, because its cursors' readers version and trim
+// its retained output.
 func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.Encoder) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -167,9 +170,11 @@ func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.
 	enc.Time(types.Time(m.lastHeartbeat.Load()))
 	enc.Uvarint(uint64(len(sessions)))
 	for _, s := range sessions {
+		s.vmu.Lock()
 		s.mu.Lock()
 		err := s.saveStateLocked(enc)
 		s.mu.Unlock()
+		s.vmu.Unlock()
 		if err != nil {
 			return err
 		}

@@ -18,10 +18,7 @@ type cursor struct {
 	s    *Session
 	mode Mode
 	// deltas is unbuffered, so a delta is in flight only while the consumer
-	// takes it. The reader sends on it, and so does a commit, under the
-	// session's mu, while the reader is idle (notifyLocked). The reader
-	// closes it on exit; by then the cursor is stopped or detached, and no
-	// commit sends to it again.
+	// takes it. Only the reader sends on it, and closes it on exit.
 	deltas chan Delta
 	wake   chan struct{} // capacity 1: output appended while the reader was idle
 	stop   chan struct{} // closed once stopped is set, to abandon a send or a wait
@@ -73,29 +70,31 @@ func (c *cursor) noteOwed(rows int) {
 	c.s.obsm.noteDelivered(1, int64(rows))
 }
 
-// advanceLocked moves the cursor past a piece it has received as d.
-func (c *cursor) advanceLocked(p piece, d *Delta) {
-	c.next = p.next
+// received counts the rows of a table delta its consumer has taken; a
+// stream delta's rows were counted when they were owed.
+func (c *cursor) received(d *Delta) {
 	if d.Table != nil {
 		rows := int64(len(d.Table.Inserted) + len(d.Table.Deleted))
 		c.rowsOut.Add(rows)
 		c.s.obsm.noteDelivered(0, rows)
 	}
-	c.s.trimLocked()
 }
 
 // run is the cursor's reader: it sends each unread piece as one delta until
-// the cursor stops, or the session has closed and nothing is left unread.
+// the cursor stops, or the session has closed and nothing is left unread. A
+// stream cursor's reader versions each piece before it sends it (capture).
 func (c *cursor) run() {
 	defer close(c.exited)
 	defer close(c.deltas)
 	s := c.s
 	for {
-		s.mu.Lock()
-		p, ok := s.out.pending(c.position)
-		c.idle = !ok
-		done := c.stopped || !ok && s.closed
-		s.mu.Unlock()
+		done := false
+		p, ok := s.capture(c.mode, func() (piece, bool) {
+			p, ok := s.out.pending(c.position)
+			c.idle = !ok
+			done = c.stopped || !ok && s.closed
+			return p, ok && !done
+		})
 		if done {
 			return
 		}
@@ -110,32 +109,25 @@ func (c *cursor) run() {
 		d := p.delta(c.mode)
 		select {
 		case c.deltas <- d:
+			c.received(&d)
 			s.mu.Lock()
-			c.advanceLocked(p, &d)
+			c.next = p.next
+			behind := s.trimLocked()
 			s.mu.Unlock()
+			if behind {
+				s.trimPastCap()
+			}
 		case <-c.stop:
 			return
 		}
 	}
 }
 
-// notifyLocked tells the cursor that output was appended. A busy reader
-// finds it by itself. An idle stream cursor whose consumer already waits on
-// the channel is handed the delivery by the commit, in a send that cannot
-// block, which spares the reader a wake-up on the delivery's way to the
-// consumer; otherwise the reader is woken.
-func (c *cursor) notifyLocked() {
+// wakeLocked tells the cursor that output was appended, or that the session
+// closed: an idle reader is woken, and a busy one finds it by itself.
+func (c *cursor) wakeLocked() {
 	if c.stopped || !c.idle {
 		return
-	}
-	if p, ok := c.s.out.pending(c.position); ok && c.mode == Stream {
-		d := p.delta(Stream)
-		select {
-		case c.deltas <- d:
-			c.advanceLocked(p, &d)
-			return
-		default:
-		}
 	}
 	c.idle = false
 	select {
@@ -157,18 +149,31 @@ func (c *cursor) halt() {
 	<-c.exited
 }
 
-// unreadLocked renders everything the cursor has not received as one delta
-// (nil when there is nothing): the rows in order for a stream cursor, their
-// net change for a table cursor, and the watermark of the last of them. It
-// moves the cursor to the end. The reader must have exited.
-func (c *cursor) unreadLocked() *Delta {
-	p, ok := c.s.out.unread(c.position)
+// leave detaches the cursor and renders everything it had not received as
+// one delta (nil when there is nothing): the rows in order for a stream
+// cursor, their net change for a table cursor, and the watermark of the
+// last of them. It reports whether the cursor had detached already, and
+// then takes nothing, and whether the session had closed. The reader must
+// have exited.
+func (c *cursor) leave() (final *Delta, detached, closed bool) {
+	s := c.s
+	p, ok := s.capture(c.mode, func() (piece, bool) {
+		if detached, closed = c.detached, s.closed; detached {
+			return piece{}, false
+		}
+		p, ok := s.out.unread(c.position)
+		if ok {
+			c.next = p.next
+		}
+		s.removeCursorLocked(c)
+		return p, ok
+	})
 	if !ok {
-		return nil
+		return nil, detached, closed
 	}
 	d := p.delta(c.mode)
-	c.advanceLocked(p, &d)
-	return &d
+	c.received(&d)
+	return &d, detached, closed
 }
 
 // queueDepthLocked counts the deltas the consumer has not yet received.
@@ -243,28 +248,28 @@ func (c *cursor) closeGraceful() (*Delta, error) {
 		// goroutine alone drives it: complete the input and hand the
 		// close-time output over after the unread deliveries.
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.driver.Close(); err != nil {
+		err := s.driver.Close()
+		if err != nil {
 			s.setErr(err)
 			c.setErr(err)
 			s.removeCursorLocked(c)
+		} else {
+			s.appendOutputLocked(nil)
+		}
+		s.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
-		s.appendOutputLocked(nil)
-		final := c.unreadLocked()
-		s.removeCursorLocked(c)
+		final, _, _ := c.leave()
 		return final, nil
 	}
 	// Peers remain (or the session already ended): detach without touching
 	// the shared driver.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c.detached {
+	final, detached, closed := c.leave()
+	if detached {
 		return nil, c.terminalErr()
 	}
-	final := c.unreadLocked()
-	s.removeCursorLocked(c)
-	if s.closed {
+	if closed {
 		return final, c.terminalErr()
 	}
 	return final, nil

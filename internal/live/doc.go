@@ -43,16 +43,32 @@
 // (exec.Driver.Output): the operators stage each row there as they emit it,
 // on the committing goroutine and without the session's mu, past the
 // published end where no reader looks. The commit then publishes what was
-// staged as one delivery under the session's mu, versions it (rendered
-// once, as it is delivered) and appends its mark. So a row is copied once
-// between the operator that emits it and the retained log, and no
-// delivery copies the history before it. A cursor is one delivery index in
-// that log plus its attach index. Its reader sends the deliveries before the attach index as one
+// staged as one delivery under the session's mu and appends its mark; it
+// versions nothing. So a row is copied once between the operator that
+// emits it and the retained log, and no delivery copies the history before
+// it.
+//
+// Versions are assigned lazily, in order, from the versioned-through
+// position (the end of the versions log), by the first party that needs
+// them: a stream cursor's reader before it sends, a stream one-shot read's
+// cut, a trim past the cap, or a checkpoint's save. That party holds the
+// session's versioning lock (Session.vmu), which guards the versions log
+// and the renderer's counters and which no commit takes: it captures the
+// unversioned rows under the session's mu and versions them after releasing
+// it (Session.capture), each row once. Extension 4 numbers the changes of
+// one event-time grouping in changelog order, and the retained output fixes
+// that order at commit, so who versions a row, and when, does not change
+// its version. A session whose cursors are all table cursors versions
+// nothing until a stream read or a checkpoint needs it, or a trim past its
+// cap. The live_renderer_groups gauge is stored by whoever versions.
+//
+// A cursor is one delivery index in the retained output plus its attach
+// index. Its reader sends the deliveries before the attach index as one
 // first delta, the hand-off, at the session's watermark at attach, then one
 // delta per delivery, at its consumer's pace: the rows at their versions,
 // or for a table cursor their consolidated diff. The hand-off is
 // byte-identical to what a fresh pipeline replaying the recorded history at
-// the same instant would deliver, and renders nothing again. Attach takes
+// the same instant would deliver, and versions no row twice. Attach takes
 // its indexes under the session's mu, which every append holds, so no
 // delivery falls between the hand-off and the live deltas. The session
 // tears down when its last cursor departs; that cursor's Close completes the
@@ -67,8 +83,13 @@
 // the deliveries below the lowest cursor and frees every chunk of the three
 // logs that holds none of the rest, so a capped session whose readers keep
 // up holds at most its cap plus one chunk of rows
-// (TestCappedRetentionFreesChunks). The live_retained_rows gauge sums the
-// rows each session retains, stored per delivery and per trim. The next
+// (TestCappedRetentionFreesChunks). A trim under the session's mu drops rows
+// only as far as they are versioned, and the versions log is trimmed by its
+// versioner. A stream cursor versions what it reads, so only a session read
+// by table cursors alone falls behind: the reader whose advance found the
+// trim held back versions up to it and trims again (Session.trimPastCap); a
+// departing cursor's rows wait for that. The live_retained_rows gauge sums
+// the rows each session retains, stored per delivery and per trim. The next
 // Subscribe under its key then builds a successor through the ordinary
 // create path, under the new subscriber's options (history replay, clock
 // catch-up, then its cursor), and the successor takes the key. The
@@ -82,8 +103,10 @@
 // Manager.CheckpointAll writes every open session that holds its plan key
 // (driver state, stream-renderer counters, retained rows, none past the cap)
 // under the ordering lock, after the engine's catalog, so both describe one
-// commit point; a superseded predecessor is skipped, and its cursors die
-// with the process. Sessions are written with neither key nor mode, and
+// commit point. It versions each session's unversioned tail first, under
+// that lock and the session's versioning lock, so the counters it writes are
+// those of every row; a superseded predecessor is skipped, and its cursors
+// die with the process. Sessions are written with neither key nor mode, and
 // without delivery marks or versions; a retired flag slot, always false,
 // keeps the record's layout. RestoreAll re-plans each one's SQL against the
 // restored catalog (RestoreQuery), re-derives its key, versions the rows
@@ -92,10 +115,10 @@
 // its hand-off. It also reads the layout written while sessions had a mode
 // and were keyed by SQL text. A legacy stream session loads as above; a
 // legacy table session kept only distinct rows, so it is decoded, dropped
-// and rebuilt from the recorded history, caught up to the last heartbeat,
-// as Subscribe builds one. A session whose re-derived key is already taken
-// is decoded and dropped; its readers reconnect to the survivor. The
-// snapshot goldens in internal/core/testdata pin both layouts.
+// and rebuilt from the recorded history, caught up to the last heartbeat, as
+// Subscribe builds one. A session whose re-derived key is already taken is
+// decoded and dropped; its readers reconnect to the survivor. The snapshot
+// goldens in internal/core/testdata pin both layouts.
 //
 // # Commit and fan-out
 //
@@ -141,21 +164,22 @@
 // So a registered session is open whenever Manager.mu is free, and a
 // checkpoint under that lock finds every driver quiescent.
 //
-// Fan-out runs on the committing goroutine: it feeds the driver, appends the
-// output to the session's retained output as one delivery and wakes the
-// session's idle readers; it never waits on one. A stream cursor whose reader
-// is idle and whose consumer already waits on the channel is handed its delta
-// by the commit itself, in a send that cannot block, so a consumer that keeps
-// up pays no extra wake-up. A subscriber that stops reading therefore stalls
-// no commit, no peer, no resident read and no checkpoint: its unread
-// deliveries wait in the retained output, and when it reads again it receives
-// exactly what a reading peer received. DeltasOut counts a delivery as it is
-// appended, so it is final once the producer is idle. A session that refuses
-// a delivery (closed or failed) leaves the routing table. A panic anywhere
-// in a delivery (the driver call, draining and rendering its output, waking
-// the cursors) fails only its own session (Session.step is the one
-// boundary): its readers still send what was appended before it, then end
-// with its error, and a registration that panics fails its Subscribe.
+// Fan-out runs on the committing goroutine: it feeds the driver, publishes
+// the output to the session's retained output as one delivery, owes each
+// cursor a delta and wakes the session's idle readers; it never waits on
+// one, and it neither versions nor renders: each reader does, before it
+// sends. A subscriber that stops reading therefore stalls no commit, no
+// peer, no resident read and no checkpoint: its unread deliveries wait in
+// the retained output, and when it reads again it receives exactly what a
+// reading peer received. DeltasOut counts a delivery as it is appended, so
+// it is final once the producer is idle. A session that refuses a delivery
+// (closed or failed) leaves the routing table. A panic anywhere in a
+// delivery (the driver call, publishing its output, waking the cursors)
+// fails only its own session (Session.step is the one boundary): its readers
+// still send what was appended before it, then end with its error, and a
+// registration that panics fails its Subscribe. A reader versions and
+// renders on its own goroutine, outside that boundary, as it always
+// consolidated a table cursor's diff.
 //
 // # One-shot reads from a resident pipeline
 //
@@ -163,15 +187,16 @@
 // and a stream read up to T is its changelog up to T (the source paper's
 // section 3). Both are one cut of the retained output
 // (Manager.ResidentRead): its rows with ptime <= T, found by tvr.Cut, a
-// binary search over the chunks' first ptimes and then inside one chunk.
-// A stream read renders the cut at its retained versions, as a cursor
-// renders a delivery. Those are the versions a replay counts from 1,
-// because every session that serves reads versioned its output from the
-// first row: a fresh or successor session replays the history from the
-// start, and restore versions with a fresh renderer. The read also applies
-// the cut to a fresh tvr.Relation, as a replay folds its output, so an
-// output Delete of a row never inserted (a client may ingest one, and a
-// passthrough plan carries it) fails the read with the replay's error.
+// binary search over the chunks' first ptimes and then inside one chunk. A
+// stream read versions the cut's unversioned rows and renders it at its
+// versions, as a cursor renders a delivery. Those are the versions a replay
+// counts from 1, because every session that serves reads versioned its
+// output from the first row: a fresh or successor session replays the
+// history from the start, and restore versions with a fresh renderer. The
+// read also applies the cut to a fresh tvr.Relation, as a replay folds its
+// output, so an output Delete of a row never inserted (a client may ingest
+// one, and a passthrough plan carries it) fails the read with the replay's
+// error.
 //
 // A table read takes the snapshot from the session's fold: the table
 // rendering of the first n retained rows, in a tvr.Relation, which forgets
@@ -214,26 +239,34 @@
 // The commit point is the last acknowledged commit: a commit appends its
 // output before it returns, so a read that begins after an acknowledgement
 // sees it. The read holds the session's mu only to cut and take the fold,
-// and never takes Manager.mu. The cut is a captured range of the rows and
-// versions logs, walked chunk by chunk without the lock and never
-// flattened: later deliveries write only past it, and a trim leaves the
-// chunks it holds alone (the tvr package's "Logs"). A cursor's piece is
-// such a range too. TestResidentReadMatchesReplay and FuzzResidentRead
-// hold every served read to a replay, and
-// TestResidentTableReadFoldsOnlyNewOutput pins what each table read folds.
+// and never takes Manager.mu; a stream read also holds the versioning lock
+// until the cut's versions are captured. The cut is a captured range of the
+// rows log, and for a stream read of the versions log, walked chunk by chunk
+// without the locks and never flattened: later deliveries write only past
+// it, and a trim leaves the chunks it holds alone (the tvr package's
+// "Logs"). A cursor's piece is such a range too.
+// TestResidentReadMatchesReplay and FuzzResidentRead hold every served read
+// to a replay, and TestResidentTableReadFoldsOnlyNewOutput pins what each
+// table read folds.
 //
 // # Lock order
 //
 // Manager.mu → engine catalog lock → Session.mu; nothing takes them in
-// reverse. A table read takes the fold's mutex with no other lock held, and
-// takes none while holding it. Manager.mu is held for a whole commit, feeds
-// included; Session.mu guards the cursors and the retained output, and a
-// commit holds it only to publish a delivery (the feed stages the rows
-// before it, without the lock). So readers, Attach, Stats, resident reads
-// and a non-last cursor's Cancel or Close wait at most for a publish, never
-// for a running feed; only the last cursor's departure waits
-// for Manager.mu, to remove its session. A reader holds Session.mu only to
-// find its next piece or record a receipt, never while it sends, and nothing
-// holds either lock while waiting on a consumer (the commit's hand-off to a
-// waiting consumer cannot block).
+// reverse. The versioning lock, Session.vmu, comes before Session.mu and
+// after Manager.mu: a versioner takes it first and holds it while it
+// captures rows under Session.mu, then versions them with Session.mu
+// released; a checkpoint takes it under Manager.mu and versions with both
+// held. No commit takes it, and nothing that holds it takes Manager.mu or
+// the catalog lock, so a commit never waits on a versioner: it waits at most
+// for a capture's hold of Session.mu. A table read takes the fold's mutex
+// with no other lock held, and takes none while holding it. Manager.mu is
+// held for a whole commit, feeds included; Session.mu guards the cursors and
+// the retained output, and a commit holds it only to publish a delivery (the
+// feed stages the rows before it, without the lock). So readers, Attach,
+// Stats, resident reads and a non-last cursor's Cancel or Close wait at most
+// for a publish, never for a running feed; only the last cursor's departure
+// waits for Manager.mu, to remove its session. A reader holds Session.mu
+// only to find its next piece or record a receipt, never while it versions
+// or sends, and nothing holds any of these locks while waiting on a
+// consumer.
 package live

@@ -2,35 +2,71 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
-// output is a session's retained output: the output changelog, the stream
-// version of each row (rendered once, as it is delivered), and the
-// deliveries, numbered from 0, that every retained row belongs to, each a
-// tvr.Log addressed by absolute position. A cursor is a position in it, and
-// a one-shot read is a cut of it. The session's mu guards it; the pieces it
-// hands out are captured log ranges, which stay valid without the lock.
+// output is a session's retained output: the output changelog, the
+// deliveries, numbered from 0, that every retained row belongs to, and the
+// stream version of each row, each a tvr.Log addressed by absolute position.
+// A cursor is a position in it, and a one-shot read is a cut of it. The
+// session's mu guards it but for the versions, which the session's
+// versioning lock (vmu) guards; the pieces it hands out are captured log
+// ranges, which stay valid without either lock.
 type output struct {
 	// rows is the driver's output log (exec.Driver.Output): feeds stage
 	// rows in it, and deliver publishes them.
 	rows *tvr.Log[tvr.Event]
-	vers tvr.Log[int]
 	// marks at position d ends delivery d-1 and starts d, so marks.Base() is
-	// the first retained delivery and the mark there is where the retained
-	// rows start. The base moves only past the cap (trim).
-	marks    tvr.Log[mark]
-	renderer *tvr.StreamRenderer
-	verBuf   []int // scratch for a chunk's versions
+	// the first retained delivery and the mark there is where its rows
+	// start; rows below it stay only until they are versioned. The base
+	// moves only past the cap (trim).
+	marks tvr.Log[mark]
+	v     versions
 
 	max        int  // Config.MaxRetainedRows; 0 keeps everything
 	overflowed bool // more than max rows were delivered
 	// fold is the table rendering of a prefix of rows that table reads
 	// extend. Nil until the first, and again after overflow or close.
 	fold *tableFold
+}
+
+// versions are the stream versions of an output's rows, assigned lazily and
+// in order: the rows below the versioned-through position (log.End()) have
+// theirs, and the first party that needs a later row's version versions
+// every row up to it (Session.capture). The session's vmu guards the fields
+// but through, and no commit takes it, so a commit never waits on a
+// versioner.
+type versions struct {
+	log      tvr.Log[int] // the version of the row at the same position
+	renderer *tvr.StreamRenderer
+	buf      []int // scratch for a chunk's versions
+	// through is log.End(), stored for trims, which hold only the
+	// session's mu: rows below it may go, the rest wait for their versions.
+	through atomic.Int64
+}
+
+// version versions tail, the rows from the versioned-through position on
+// (output.unversioned), and drops the versions below base, the first
+// retained row. Caller holds vmu.
+func (v *versions) version(tail tvr.Range[tvr.Event], base int) {
+	for tail.Len() > 0 {
+		var evs []tvr.Event
+		evs, tail = tail.Next()
+		v.buf = v.renderer.AppendVersions(v.buf[:0], evs)
+		v.log.Append(v.buf...)
+	}
+	v.through.Store(int64(v.log.End()))
+	v.log.TrimBelow(base)
+}
+
+// of is the versions of p, whose rows must all be versioned. Caller holds
+// vmu.
+func (v *versions) of(p piece) tvr.Range[int] {
+	return v.log.Since(p.from).Slice(0, p.log.Len())
 }
 
 // mark is the absolute row where a delivery ends, and its watermark.
@@ -48,9 +84,11 @@ type position struct {
 	handWm       types.Time
 }
 
-// piece is one delta's worth of output. Reading it moves a reader to
-// delivery next.
+// piece is one delta's worth of output, from row from on. Reading it moves
+// a reader to delivery next. vers is empty until Session.capture versions a
+// piece for a stream rendering.
 type piece struct {
+	from int
 	log  tvr.Range[tvr.Event]
 	vers tvr.Range[int]
 	wm   types.Time
@@ -78,33 +116,27 @@ func (p piece) delta(mode Mode) Delta {
 	return Delta{Stream: rows, Watermark: p.wm}
 }
 
-// newOutput is the output of a session whose driver stages its rows in
-// rows, an empty log.
-func newOutput(rows *tvr.Log[tvr.Event], emitKeys []int, max int) output {
-	o := output{rows: rows, renderer: tvr.NewStreamRenderer(emitKeys), max: max}
+// init makes o the empty output of a session whose driver stages its rows
+// in rows, an empty log.
+func (o *output) init(rows *tvr.Log[tvr.Event], emitKeys []int, max int) {
+	o.rows, o.max = rows, max
+	o.v.renderer = tvr.NewStreamRenderer(emitKeys)
 	o.marks.Append(mark{})
-	return o
 }
 
 // end is the number of deliveries made so far.
 func (o *output) end() int { return o.marks.End() - 1 }
 
 // deliver publishes what the driver staged in rows as the next delivery, at
-// watermark wm, versioned by sr (the output's renderer, or a fresh one at
-// load), and returns its row count; nothing staged is no delivery. The
-// delivery that passes the cap overflows the output.
-func (o *output) deliver(wm types.Time, sr *tvr.StreamRenderer) int {
+// watermark wm, and returns its row count; nothing staged is no delivery.
+// It versions nothing. The delivery that passes the cap overflows the
+// output.
+func (o *output) deliver(wm types.Time) int {
 	from := o.rows.End()
 	o.rows.Publish()
 	end := o.rows.End()
 	if end == from {
 		return 0
-	}
-	for r := o.rows.Since(from); r.Len() > 0; {
-		var evs []tvr.Event
-		evs, r = r.Next()
-		o.verBuf = sr.AppendVersions(o.verBuf[:0], evs)
-		o.vers.Append(o.verBuf...)
 	}
 	o.marks.Append(mark{end: end, wm: wm})
 	if o.max > 0 && end > o.max && !o.overflowed {
@@ -122,7 +154,7 @@ func (o *output) attach(wm types.Time) position {
 // span is deliveries [from, to) as one piece at watermark wm.
 func (o *output) span(from, to int, wm types.Time) piece {
 	i, j := o.marks.At(from).end, o.marks.At(to).end
-	return piece{log: o.rows.Since(i).Slice(0, j-i), vers: o.vers.Since(i).Slice(0, j-i), wm: wm, next: to}
+	return piece{from: i, log: o.rows.Since(i).Slice(0, j-i), wm: wm, next: to}
 }
 
 // pending is the first piece a reader at p has not received, if any.
@@ -160,29 +192,44 @@ func (o *output) depth(p position) int {
 }
 
 // trim drops the deliveries below low, the lowest one a reader still needs,
-// once the output has overflowed; within the cap it keeps everything. The
-// logs free every chunk the retained deliveries no longer reach.
-func (o *output) trim(low int) {
-	if !o.overflowed || low <= o.marks.Base() {
-		return
+// once the output has overflowed; within the cap it keeps everything. Their
+// rows go only as far as they are versioned, and trim reports whether that
+// held rows back. The logs free every chunk the retained deliveries no
+// longer reach; the versions log is trimmed by its versioner (unversioned).
+func (o *output) trim(low int) (behind bool) {
+	if !o.overflowed {
+		return false
 	}
-	i := o.marks.At(low).end
-	o.rows.TrimBelow(i)
-	o.vers.TrimBelow(i)
 	o.marks.TrimBelow(low)
+	i, through := o.marks.At(o.marks.Base()).end, int(o.v.through.Load())
+	o.rows.TrimBelow(min(i, through))
+	return i > through
+}
+
+// unversioned is what a versioner holding vmu needs to version every row
+// below end: the rows from the versioned-through position to end (none when
+// they are versioned already), and the first retained row, below which no
+// version is needed any more. Trims keep the rows past the versioned-through
+// position, so they are all retained.
+func (o *output) unversioned(end int) (tvr.Range[tvr.Event], int) {
+	from := o.v.log.End()
+	if end <= from {
+		return tvr.Range[tvr.Event]{}, o.rows.Base()
+	}
+	return o.rows.Since(from).Slice(0, end-from), o.rows.Base()
 }
 
 // cut is the retained rows with ptime <= at (their ptimes never decrease).
 func (o *output) cut(at types.Time) piece {
-	log := tvr.Cut(o.rows.Since(o.rows.Base()), at)
-	return piece{log: log, vers: o.vers.Since(o.vers.Base()).Slice(0, log.Len())}
+	base := o.rows.Base()
+	return piece{from: base, log: tvr.Cut(o.rows.Since(base), at)}
 }
 
 // save writes the renderer's counters and the retained rows, none past the
 // cap: those are only cursors' unread tails, and cursors die with the
-// process. Marks and versions are not written.
+// process. Marks and versions are not written. Every row must be versioned.
 func (o *output) save(enc *checkpoint.Encoder) {
-	o.renderer.SaveState(enc)
+	o.v.renderer.SaveState(enc)
 	var rows tvr.Range[tvr.Event]
 	if !o.overflowed {
 		rows = o.rows.Since(o.rows.Base())
@@ -191,16 +238,20 @@ func (o *output) save(enc *checkpoint.Encoder) {
 }
 
 // load reads what save wrote into an empty output. The saved rows were
-// versioned from a fresh renderer's start, so a fresh renderer grouping by
-// emitKeys versions them again, and they become one delivery at wm.
+// versioned from a fresh renderer's start, so the output's renderer, still
+// fresh, versions them again, and they become one delivery at wm; then the
+// loaded counters, grouping by emitKeys, take its place.
 func (o *output) load(dec *checkpoint.Decoder, emitKeys []int, wm types.Time, overflowed bool) error {
-	if err := o.renderer.LoadState(dec); err != nil {
+	loaded := tvr.NewStreamRenderer(emitKeys)
+	if err := loaded.LoadState(dec); err != nil {
 		return err
 	}
 	if err := tvr.LoadLog(dec, o.rows); err != nil {
 		return err
 	}
-	o.deliver(wm, tvr.NewStreamRenderer(emitKeys))
+	o.deliver(wm)
+	o.v.version(o.rows.Since(o.rows.Base()), o.rows.Base())
+	o.v.renderer = loaded
 	o.overflowed = overflowed
 	return nil
 }
@@ -215,29 +266,31 @@ type Reading struct {
 // read answers a read at at in mode from the output's cut at at, unless
 // replay names why the session cannot (see the read contract in the package
 // documentation). err is a retraction of a row the output never inserted.
-// It holds s.mu only to cut, so a running feed cannot stall it.
+// It holds s.mu only to cut, so a running feed cannot stall it; a stream
+// read versions the cut's unversioned rows outside it (capture).
 func (s *Session) read(at types.Time, mode Mode) (r Reading, replay string, err error) {
-	var p piece
 	var f *tableFold
-	s.mu.Lock()
 	// The bit is read under s.mu: a feed stores it before its delivery
 	// appends under s.mu, so output of an out-of-order feed is never cut.
-	switch {
-	case s.closed:
-		replay = ReplayClosed
-	case s.outOfOrder.Load():
-		replay = ReplayOutOfOrder
-	case s.out.overflowed:
-		replay = ReplayOverflow
-	case mode == Table:
-		if s.out.fold == nil {
-			s.out.fold = &tableFold{rel: tvr.NewRelation()}
+	p, _ := s.capture(mode, func() (piece, bool) {
+		switch {
+		case s.closed:
+			replay = ReplayClosed
+		case s.outOfOrder.Load():
+			replay = ReplayOutOfOrder
+		case s.out.overflowed:
+			replay = ReplayOverflow
+		default:
+			if mode == Table {
+				if s.out.fold == nil {
+					s.out.fold = &tableFold{rel: tvr.NewRelation()}
+				}
+				f = s.out.fold
+			}
+			return s.out.cut(at), true
 		}
-		p, f = s.out.cut(at), s.out.fold
-	default:
-		p = s.out.cut(at)
-	}
-	s.mu.Unlock()
+		return piece{}, false
+	})
 	if replay != "" {
 		return r, replay, nil
 	}

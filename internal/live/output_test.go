@@ -24,6 +24,7 @@ type outputModel struct {
 	wm         types.Time
 	overflowed bool
 	foldN      int
+	off        int // hist position minus output row position: the rows a restore past the cap dropped
 }
 
 type modelDelivery struct {
@@ -50,11 +51,24 @@ func (m *outputModel) retained() int {
 func samePiece(t *testing.T, op string, got, want piece) {
 	t.Helper()
 	gl, gv, wl, wv := got.log.Flat(), got.vers.Flat(), want.log.Flat(), want.vers.Flat()
-	if len(gl) != len(wl) || len(gl) > 0 && !reflect.DeepEqual(gl, wl) ||
+	if len(gl) != len(wl) || len(gl) > 0 && !reflect.DeepEqual(gl, wl) || len(gv) != len(gl) ||
 		len(gv) > 0 && !reflect.DeepEqual(gv, wv) || got.wm != want.wm || got.next != want.next {
 		t.Fatalf("%s: got %v vers %v wm %v next %d, want %v vers %v wm %v next %d",
 			op, gl, gv, got.wm, got.next, wl, wv, want.wm, want.next)
 	}
+}
+
+// versioned gives p its versions as Session.capture does: it versions only
+// the rows below p's end that have none yet, and drops the versions of rows
+// no longer retained.
+func versioned(t *testing.T, o *output, p piece) piece {
+	t.Helper()
+	o.v.version(o.unversioned(p.from + p.log.Len()))
+	if o.v.log.Base() != o.rows.Base() {
+		t.Fatalf("versions kept from row %d, the retained rows from %d", o.v.log.Base(), o.rows.Base())
+	}
+	p.vers = o.v.of(p)
+	return p
 }
 
 // TestOutputMatchesSliceModel drives an output and its model through random
@@ -62,7 +76,11 @@ func samePiece(t *testing.T, op string, got, want piece) {
 // attaching and detaching at arbitrary points, piece by piece and unread
 // reads, trims past a MaxRetainedRows cap, at= cuts, table folds, and
 // save/load round trips; every piece, cut, fold and retained row count must
-// equal the model's.
+// equal the model's. Versions are assigned lazily, as the readers assign
+// them: a delivery versions nothing, each piece and cut versions only up to
+// its end, a trim held back by unversioned rows versions only up to where
+// it trims, and the versions at every one of those points, and the whole
+// versions log after each step, must equal the eager model's.
 func TestOutputMatchesSliceModel(t *testing.T) {
 	keys := []int{0}
 	for seed := int64(0); seed < 300; seed++ {
@@ -71,7 +89,8 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			limit = 4 + rng.Intn(30)
 		}
-		o := newOutput(new(tvr.Log[tvr.Event]), keys, limit)
+		o := new(output)
+		o.init(new(tvr.Log[tvr.Event]), keys, limit)
 		m := &outputModel{wm: types.MinTime}
 		var got, want []position // the readers, in the output and the model
 		var live []types.Row     // rows inserted and not yet deleted
@@ -95,7 +114,11 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 				}
 				m.wm += types.Time(rng.Intn(2))
 				o.rows.Stage(out...)
-				o.deliver(m.wm, o.renderer)
+				through := o.v.log.End()
+				o.deliver(m.wm)
+				if o.v.log.End() != through {
+					t.Fatalf("%s: a delivery versioned rows %d to %d", where, through, o.v.log.End())
+				}
 				if len(out) > 0 {
 					start := len(m.hist)
 					m.hist = append(m.hist, out...)
@@ -135,7 +158,7 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					t.Fatalf("%s: pending %v, want %v", where, ok, wok)
 				}
 				if ok {
-					samePiece(t, where+" pending", gp, wp)
+					samePiece(t, where+" pending", versioned(t, o, gp), wp)
 					got[i].next, want[i].next = gp.next, wp.next
 				}
 			case k < 8 && len(got) > 0: // a reader takes all it has not read, or leaves
@@ -155,7 +178,7 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					if len(m.dels) > w.attach {
 						wm = m.dels[len(m.dels)-1].wm
 					}
-					samePiece(t, where+" unread", gp, m.piece(w.next, len(m.dels), wm))
+					samePiece(t, where+" unread", versioned(t, o, gp), m.piece(w.next, len(m.dels), wm))
 					got[i].next, want[i].next = gp.next, len(m.dels)
 				}
 			case k < 9: // the session trims below its lowest reader
@@ -163,7 +186,12 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 				for _, w := range want {
 					low = min(low, w.next)
 				}
-				o.trim(low)
+				if o.trim(low) && rng.Intn(2) == 0 { // a reader versions what held it back
+					versioned(t, o, piece{from: o.marks.At(o.marks.Base()).end})
+					if o.trim(low) {
+						t.Fatalf("%s: trim held back after its rows were versioned", where)
+					}
+				}
 				if m.overflowed && low > m.base {
 					m.base = low
 				}
@@ -181,7 +209,7 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 				for n < len(m.hist) && m.hist[n].Ptime <= at {
 					n++
 				}
-				cut := o.cut(at)
+				cut := versioned(t, o, o.cut(at))
 				samePiece(t, fmt.Sprintf("%s cut at %v", where, at), cut, piece{log: tvr.RangeOf(m.hist[:n]), vers: tvr.RangeOf(m.vers[:n])})
 				if o.fold == nil {
 					o.fold = &tableFold{rel: tvr.NewRelation()}
@@ -199,9 +227,21 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 					t.Fatalf("%s: fold at %v folded %d rows %v, want %d rows %v", where, at, folded, rows, wantFolded, ref.Rows())
 				}
 			}
-			if r := o.rows.Len(); r != m.retained() || o.vers.Len() != r || o.overflowed != m.overflowed || o.end() != len(m.dels) {
-				t.Fatalf("%s: %d rows (%d versions), overflowed %v, %d deliveries; want %d, %v, %d",
-					where, r, o.vers.Len(), o.overflowed, o.end(), m.retained(), m.overflowed, len(m.dels))
+			// The retained deliveries' rows are the model's; below them the
+			// trim keeps what is not versioned yet.
+			start, through := o.marks.At(o.marks.Base()).end, o.v.log.End()
+			if r := o.rows.End() - start; r != m.retained() || o.rows.Base() != min(start, through) ||
+				o.overflowed != m.overflowed || o.end() != len(m.dels) {
+				t.Fatalf("%s: %d rows from %d (versioned through %d), overflowed %v, %d deliveries; want %d, %v, %d",
+					where, r, o.rows.Base(), through, o.overflowed, o.end(), m.retained(), m.overflowed, len(m.dels))
+			}
+			if o.v.log.Base() > o.rows.Base() || through > o.rows.End() {
+				t.Fatalf("%s: versions [%d, %d) for rows [%d, %d)", where, o.v.log.Base(), through, o.rows.Base(), o.rows.End())
+			}
+			for i := o.v.log.Base(); i < through; i++ {
+				if v, w := o.v.log.At(i), m.vers[i+m.off]; v != w {
+					t.Fatalf("%s: row %d versioned %d, want %d", where, i, v, w)
+				}
 			}
 		}
 	}
@@ -211,10 +251,11 @@ func TestOutputMatchesSliceModel(t *testing.T) {
 // restore does, and moves the model the same way: a restored output holds
 // what was retained within the cap as one delivery at the watermark, or
 // nothing past it, and no readers.
-func saveLoad(t *testing.T, where string, o output, m *outputModel, keys []int, limit int) (output, *outputModel) {
+func saveLoad(t *testing.T, where string, o *output, m *outputModel, keys []int, limit int) (*output, *outputModel) {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := checkpoint.NewEncoder(&buf)
+	o.v.version(o.unversioned(o.rows.End())) // as Session.saveStateLocked does
 	o.save(enc)
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
@@ -223,11 +264,12 @@ func saveLoad(t *testing.T, where string, o output, m *outputModel, keys []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newOutput(new(tvr.Log[tvr.Event]), keys, limit)
+	r := new(output)
+	r.init(new(tvr.Log[tvr.Event]), keys, limit)
 	if err := r.load(dec, keys, m.wm, o.overflowed); err != nil {
 		t.Fatalf("%s: load: %v", where, err)
 	}
-	n := &outputModel{hist: m.hist, vers: m.vers, wm: m.wm, overflowed: m.overflowed}
+	n := &outputModel{hist: m.hist, vers: m.vers, wm: m.wm, overflowed: m.overflowed, off: len(m.hist) - r.rows.End()}
 	if !m.overflowed && len(m.hist) > 0 {
 		n.dels = []modelDelivery{{start: 0, end: len(m.hist), wm: m.wm}}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/tvr"
 	"repro/internal/types"
 )
 
@@ -55,6 +56,10 @@ type Session struct {
 	m   *Manager
 	key string
 
+	// vmu is the versioning lock: it guards the retained output's versions
+	// (output.v), which readers assign (capture). No commit takes it. Taken
+	// before mu, never while holding it.
+	vmu     sync.Mutex
 	mu      sync.Mutex
 	closed  bool      // no further input accepted
 	cursors []*cursor // attach order
@@ -100,8 +105,8 @@ func newSession(d exec.Driver, cfg Config) *Session {
 		cfg:     cfg,
 		driver:  d,
 		sources: make(map[string]bool, len(cfg.Sources)),
-		out:     newOutput(d.Output(), cfg.EmitKeys, cfg.MaxRetainedRows),
 	}
+	s.out.init(d.Output(), cfg.EmitKeys, cfg.MaxRetainedRows)
 	s.wm.Store(int64(types.MinTime))
 	for _, name := range cfg.Sources {
 		s.sources[strings.ToLower(name)] = true
@@ -179,7 +184,9 @@ func (s *Session) Attach(opts CursorOpts) (*Subscription, error) {
 
 // removeCursorLocked detaches a cursor from the session. It records no
 // error — callers set one first when the detach is not graceful — and
-// leaves the cursor's reader to its stop or the session's close.
+// leaves the cursor's reader to its stop or the session's close. The rows
+// its departure frees wait, past unversioned rows, for the next reader to
+// advance (trimLocked).
 func (s *Session) removeCursorLocked(c *cursor) {
 	if c.detached {
 		return
@@ -209,7 +216,7 @@ func (s *Session) closeSessionLocked(err error) {
 	for len(s.cursors) > 0 {
 		c := s.cursors[0]
 		c.setErr(err)
-		c.notifyLocked() // an idle reader sees the close
+		c.wakeLocked() // an idle reader sees the close
 		s.removeCursorLocked(c)
 	}
 	// A driver being closed *because* it panicked may well panic again out
@@ -259,8 +266,8 @@ func (s *Session) advance(pt types.Time, span *obs.CommitSpan) error {
 // Caller owns the driver (see Session).
 //
 // step is the standing pipeline's panic boundary: a panic anywhere in it —
-// the driver call, mirroring its counters, draining and rendering its
-// output, waking the cursors (operators run on the committing goroutine) —
+// the driver call, mirroring its counters, publishing its output, waking
+// the cursors (operators run on the committing goroutine) —
 // becomes this session's terminal error, which subscribers observe through
 // Err() with the panic value and stack, instead of unwinding the committing
 // goroutine and killing the process. The driver and the retained output hold
@@ -310,10 +317,10 @@ func (s *Session) mirrorDriver() {
 }
 
 // appendOutputLocked publishes the output the driver staged as one
-// delivery: the rows, their stream versions (the renderer's counters must
-// see every row, whatever the cursors' modes), and the output watermark.
-// Each attached cursor is owed one delta more. Nothing is delivered when
-// nothing materialized. Caller owns the driver and holds s.mu.
+// delivery: the rows and the output watermark. It versions nothing: the
+// readers do (capture). Each attached cursor is owed one delta more.
+// Nothing is delivered when nothing materialized. Caller owns the driver and
+// holds s.mu.
 func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	tRender := time.Time{}
 	if span != nil {
@@ -321,19 +328,18 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 	}
 	wm := s.driver.OutputWatermark()
 	s.wm.Store(int64(wm))
-	n := s.out.deliver(wm, s.out.renderer)
+	n := s.out.deliver(wm)
 	span.AddSince(obs.SpanRender, tRender)
 	if n == 0 {
 		return
 	}
-	s.groups.Store(int64(s.out.renderer.Groups()))
 	tDeliver := time.Time{}
 	if span != nil {
 		tDeliver = time.Now()
 	}
 	for _, c := range s.cursors {
 		c.noteOwed(n)
-		c.notifyLocked()
+		c.wakeLocked()
 	}
 	s.trimLocked()
 	span.AddSince(obs.SpanDeliver, tDeliver)
@@ -342,17 +348,68 @@ func (s *Session) appendOutputLocked(span *obs.CommitSpan) {
 // trimLocked lets the retained output drop, past its cap, what every attached
 // cursor has received, and stores the rows it retains for the
 // live_retained_rows gauge. A closed session keeps what it has for its
-// detached readers.
-func (s *Session) trimLocked() {
+// detached readers. Rows not yet versioned stay, and trimLocked reports
+// whether they held the trim back; a caller that may take the versioning
+// lock, which no commit does, then calls trimPastCap. Only a session whose
+// cursors are all table cursors falls behind: a stream cursor versions what
+// it reads.
+func (s *Session) trimLocked() (behind bool) {
 	if s.closed {
-		return
+		return false
 	}
 	low := s.out.end()
 	for _, c := range s.cursors {
 		low = min(low, c.next)
 	}
-	s.out.trim(low)
+	behind = s.out.trim(low)
 	s.retained.Store(int64(s.out.rows.Len()))
+	return behind
+}
+
+// trimPastCap versions the rows that held a trim back (trimLocked), then
+// trims again. A cursor's reader calls it after it advances.
+func (s *Session) trimPastCap() {
+	s.capture(Stream, func() (piece, bool) {
+		return piece{from: s.out.marks.At(s.out.marks.Base()).end}, true
+	})
+	s.mu.Lock()
+	s.trimLocked()
+	s.mu.Unlock()
+}
+
+// capture runs f under s.mu and returns the piece it captures, if any. For
+// a stream rendering it also versions the piece: it holds the versioning
+// lock from before f until the piece's versions are captured, so no other
+// versioner trims them in between, and it assigns the versions of every row
+// below the piece's end outside s.mu, so a commit never waits on it.
+func (s *Session) capture(mode Mode, f func() (piece, bool)) (piece, bool) {
+	if mode == Table {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return f()
+	}
+	s.vmu.Lock()
+	defer s.vmu.Unlock()
+	s.mu.Lock()
+	p, ok := f()
+	var tail tvr.Range[tvr.Event]
+	base := 0
+	if ok {
+		tail, base = s.out.unversioned(p.from + p.log.Len())
+	}
+	s.mu.Unlock()
+	if ok {
+		s.version(tail, base)
+		p.vers = s.out.v.of(p)
+	}
+	return p, ok
+}
+
+// version is versions.version storing the renderer's counters for the
+// live_renderer_groups gauge. Caller holds the versioning lock.
+func (s *Session) version(tail tvr.Range[tvr.Event], base int) {
+	s.out.v.version(tail, base)
+	s.groups.Store(int64(s.out.v.renderer.Groups()))
 }
 
 // retire takes the session out of service for its departing last cursor c

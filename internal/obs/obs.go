@@ -30,17 +30,21 @@
 // across I/O, such as wal.Writer.mu or the live manager's ordering lock: WAL
 // metrics are plain counters bumped at the instrument sites, and live gauges
 // sample the manager's atomic session snapshot and heartbeat clock, or
-// atomics a session stores per delivery (live_renderer_groups,
-// live_retained_rows) and the engine per commit (engine_history_events).
+// atomics a session stores as its state changes: live_retained_rows per
+// delivery and trim, live_renderer_groups by whoever versions the session's
+// output (stream versions are assigned lazily, by the readers that need
+// them, not per delivery), and engine_history_events, which the engine adds
+// per commit.
 //
 // Commit-path tracing (trace.go): CommitTracer.Begin opens one CommitSpan
 // per commit (a publish or a heartbeat), and every stage is timed on the
 // committing goroutine by the layer that runs it: the engine times
 // validate and wal, the live manager sequence, and each session it feeds
-// apply (the driver call), render (publishing the staged output, versioning
-// it, retention) and deliver (owing the cursors the delivery and waking
-// them), each with AddSince. A site reads the clock only when its span is
-// non-nil, so an untraced engine makes no time.Now calls. The span's one
+// apply (the driver call), render (publishing the staged output as a
+// delivery; it versions nothing, since the readers do) and deliver (owing
+// the cursors the delivery, waking them, and retention), each with
+// AddSince. A site reads the clock only when its span is non-nil, so an
+// untraced engine makes no time.Now calls. The span's one
 // Finish records commit_stage_seconds{stage} for each stage the commit
 // touched (a stage at zero, such as apply when no session matched, records
 // nothing) and commit_seconds; when the total reaches the slow-commit

@@ -17,8 +17,8 @@ const (
 	SpanSequence
 	// SpanApply is driver Feed/Advance — pushing the batch through operators.
 	SpanApply
-	// SpanRender is publishing the staged output as a delivery, versioning
-	// it, and retention accounting.
+	// SpanRender is publishing the staged output as a delivery and its
+	// mark. It versions nothing: the stream readers version what they send.
 	SpanRender
 	// SpanDeliver is cursor fan-out: owing each cursor the delivery and waking its reader.
 	SpanDeliver

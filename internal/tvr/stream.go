@@ -51,20 +51,22 @@ func RenderStream(c Changelog, keyIdxs []int) []StreamRow {
 //
 // A group's counter lives in a Store under the key encoding of its emit-key
 // values (types.Row.AppendKeyOf); the one global group of a renderer with no
-// key columns is the empty key. A counter is an int: the global group can
-// pass 2^31 changes. A new group takes a slot and its key bytes, so
-// versioning allocates only when the store grows (TestStreamRendererAllocs).
-// SaveState writes the counters in key order.
+// key columns is the empty key, whose slot such a renderer resolves once
+// instead of per row. A counter is an int: the global group can pass 2^31
+// changes. A new group takes a slot and its key bytes, so versioning
+// allocates only when the store grows (TestStreamRendererAllocs). SaveState
+// writes the counters in key order.
 type StreamRenderer struct {
 	keyIdxs []int
 	vers    Store[int]
 	scratch []byte // reusable group-key encoding buffer
+	global  int32  // with no key columns, the global group's slot once resolved; -1 before
 }
 
 // NewStreamRenderer creates a renderer grouping version numbers by the
 // columns at keyIdxs (empty means one global group).
 func NewStreamRenderer(keyIdxs []int) *StreamRenderer {
-	return &StreamRenderer{keyIdxs: keyIdxs}
+	return &StreamRenderer{keyIdxs: keyIdxs, global: -1}
 }
 
 // Append renders the next slice of the changelog, continuing the version
@@ -116,10 +118,15 @@ func StreamRowOf(e Event, ver int) StreamRow {
 // next returns the version of the next change to row's group and advances
 // the group's counter.
 func (r *StreamRenderer) next(row types.Row) int {
-	r.scratch = row.AppendKeyOf(r.scratch[:0], r.keyIdxs)
-	sl := r.vers.Find(r.scratch)
+	sl := r.global
 	if sl < 0 {
-		sl = r.vers.Insert(r.scratch)
+		r.scratch = row.AppendKeyOf(r.scratch[:0], r.keyIdxs)
+		if sl = r.vers.Find(r.scratch); sl < 0 {
+			sl = r.vers.Insert(r.scratch)
+		}
+		if len(r.keyIdxs) == 0 {
+			r.global = sl // the store never removes, so the slot stays the group's
+		}
 	}
 	v := r.vers.At(sl)
 	*v++

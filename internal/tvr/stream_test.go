@@ -106,6 +106,51 @@ func (r liveVersioner) versions(rng *rand.Rand, c Changelog) []int {
 
 func (r liveVersioner) save(t *testing.T) []byte { return saveBytes(t, r.SaveState) }
 
+// lazyVersioner versions as a standing query's retained output does: the
+// rows are appended to a log in random deliveries, and versions are
+// assigned only now and then, from the versioned-through position to a
+// random later row, walking the log's captured ranges chunk by chunk. A
+// save versions every row first, as a checkpoint does.
+type lazyVersioner struct {
+	*StreamRenderer
+	rows *Log[Event]
+	vers *Log[int] // the version of each row below End, the versioned-through position
+}
+
+func newLazyVersioner(keyIdxs []int) lazyVersioner {
+	return lazyVersioner{NewStreamRenderer(keyIdxs), new(Log[Event]), new(Log[int])}
+}
+
+func (r lazyVersioner) versions(rng *rand.Rand, c Changelog) []int {
+	from := r.rows.End()
+	for len(c) > 0 {
+		n := 1 + rng.Intn(len(c))
+		r.rows.Append(c[:n]...)
+		c = c[n:]
+		if rng.Intn(2) == 0 {
+			r.through(r.vers.End() + rng.Intn(r.rows.End()-r.vers.End()+1))
+		}
+	}
+	r.through(r.rows.End())
+	return append([]int{}, r.vers.Since(from).Flat()...)
+}
+
+// through versions the rows from the versioned-through position to end.
+func (r lazyVersioner) through(end int) {
+	var buf []int
+	for rows := r.rows.Since(r.vers.End()).Slice(0, end-r.vers.End()); rows.Len() > 0; {
+		var evs []Event
+		evs, rows = rows.Next()
+		buf = r.AppendVersions(buf[:0], evs)
+		r.vers.Append(buf...)
+	}
+}
+
+func (r lazyVersioner) save(t *testing.T) []byte {
+	r.through(r.rows.End())
+	return saveBytes(t, r.SaveState)
+}
+
 func saveBytes(t *testing.T, save func(*checkpoint.Encoder)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -177,10 +222,11 @@ func randomRenderCase(rng *rand.Rand) renderCase {
 }
 
 // TestStreamRendererMatchesReference renders random changelogs through the
-// renderer, in random Append/AppendVersions chunks, and through refRenderer:
-// the versions and the saved bytes must be identical at a random split, and
-// a state saved by either must load into the other and continue exactly as
-// both originals do.
+// renderer, in random Append/AppendVersions chunks, through the renderer
+// versioning lazily (lazyVersioner), and through refRenderer: the versions
+// and the saved bytes must be identical at a random split, and a state
+// saved by either must load into the other and continue exactly as both
+// originals do.
 func TestStreamRendererMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 500; iter++ {
@@ -190,14 +236,22 @@ func TestStreamRendererMatchesReference(t *testing.T) {
 		where := fmt.Sprintf("case %d (keys %v, split %d of %d)", iter, c.keyIdxs, split, len(c.log))
 
 		live := liveVersioner{NewStreamRenderer(c.keyIdxs)}
+		lazy := newLazyVersioner(c.keyIdxs)
 		ref := refVersioner{newRefRenderer(c.keyIdxs)}
-		if got, want := live.versions(rng, head), ref.versions(rng, head); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: versions %v, want %v", where, got, want)
+		headWant := ref.versions(rng, head)
+		refSaved := ref.save(t)
+		for _, v := range []struct {
+			name string
+			versioner
+		}{{"renderer", live}, {"lazy renderer", lazy}} {
+			if got := v.versions(rng, head); !reflect.DeepEqual(got, headWant) {
+				t.Fatalf("%s: %s versions %v, want %v", where, v.name, got, headWant)
+			}
+			if !bytes.Equal(v.save(t), refSaved) {
+				t.Fatalf("%s: %s saved bytes differ from the reference's", where, v.name)
+			}
 		}
-		liveSaved, refSaved := live.save(t), ref.save(t)
-		if !bytes.Equal(liveSaved, refSaved) {
-			t.Fatalf("%s: saved bytes differ from the reference's", where)
-		}
+		liveSaved := live.save(t)
 
 		fromRef := liveVersioner{NewStreamRenderer(c.keyIdxs)}
 		if err := fromRef.LoadState(openBytes(t, refSaved)); err != nil {
@@ -212,7 +266,7 @@ func TestStreamRendererMatchesReference(t *testing.T) {
 		for _, v := range []struct {
 			name string
 			versioner
-		}{{"renderer", live}, {"renderer loaded from reference", fromRef}, {"reference loaded from renderer", fromLive}} {
+		}{{"renderer", live}, {"lazy renderer", lazy}, {"renderer loaded from reference", fromRef}, {"reference loaded from renderer", fromLive}} {
 			if got := v.versions(rng, tail); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s continued with versions %v, want %v", where, v.name, got, want)
 			}
@@ -220,8 +274,8 @@ func TestStreamRendererMatchesReference(t *testing.T) {
 				t.Fatalf("%s: %s saved different bytes after continuing", where, v.name)
 			}
 		}
-		if got, want := live.Groups(), len(ref.vers); got != want {
-			t.Fatalf("%s: Groups() = %d, want %d", where, got, want)
+		if got, lazyGot, want := live.Groups(), lazy.Groups(), len(ref.vers); got != want || lazyGot != want {
+			t.Fatalf("%s: Groups() = %d, lazily %d, want %d", where, got, lazyGot, want)
 		}
 	}
 }
