@@ -60,8 +60,13 @@ race-live:
 # read-only mode end to end (engine + HTTP), the commit routes' truthful
 # outcome under -request-timeout (a commit that waited past its deadline is a
 # 503 that committed nothing, in the catalog, the log and every subscriber),
-# and the panic-isolation regressions. Runs at reduced scale by default;
-# FAULT_SOAK_FULL=1 widens the soak workload.
+# the panic-isolation regressions, and the refusals of corrupt snapshots: a
+# key listed twice in any keyed section (an operator's groups, rows, buckets
+# or multisets, the stream renderer's counters, a relation's rows) or a
+# relation listed twice in the catalog is refused, and the byte pins of the
+# operator, pre-eviction, session-window and engine-session snapshots hold.
+# Runs at reduced scale by default; FAULT_SOAK_FULL=1 widens the soak
+# workload.
 #   make faults
 #   FAULT_SOAK_FULL=1 make faults
 faults:
@@ -70,6 +75,9 @@ faults:
 	$(GO) test ./internal/core/ -run 'TestCrashPointSoak|TestTornWriteSoak|TestDegraded|TestOpen' -v -timeout 10m
 	$(GO) test ./internal/exec/ ./internal/live/ -run 'Panic' -v
 	$(GO) test ./cmd/serve/ -run 'TestServeDegradedMode|TestServeRequestTimeout|TestServeIngestPastDeadlineCommitsNothing' -v
+	$(GO) test ./internal/exec/ -run 'TestLoadStateRejectsDuplicateGroup|TestCheckpointGolden|TestCheckpointPreEvictionGolden|TestSessionWindowOpRoundTrip' -v
+	$(GO) test ./internal/tvr/ -run 'TestStreamRendererLoadRejectsDuplicateGroup|TestRelationLoadRejectsDuplicate' -v
+	$(GO) test ./internal/core/ -run 'TestRestoreRejectsDuplicateRelation|TestSessionsGolden' -v
 
 # Batched-execution guardrails: the re-chunking invariance property (for
 # every operator family, any PushBatch chunking of a log must reproduce the
@@ -92,7 +100,9 @@ faults:
 # operators' groups, join buckets, DISTINCT, set-operation and multiset
 # counts, the stream renderer's version counters): it matches a map[string]
 # model under random inserts, finds, removes, slot reuse, arena compaction,
-# growth, first-seen and key-order iteration and save/load, and a directed
+# growth, first-seen and key-order iteration and a save/load round trip
+# through the keyed-section codec (tvr.SaveStore/LoadStore) in both orders,
+# with legacy entries dropped and a repeated key refused, and a directed
 # phase rehashes in place past tombstones whatever the hash seed; 100k
 # groups opening and closing with 1,000 open at once allocate 0 bytes after
 # warm-up, in a slab, arena and index bounded by the open groups; and

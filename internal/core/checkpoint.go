@@ -95,7 +95,8 @@ func (e *Engine) saveCatalog(enc *checkpoint.Encoder, seqOut *uint64) error {
 	return enc.Err()
 }
 
-// loadCatalog rebuilds the catalog into an empty engine.
+// loadCatalog rebuilds the catalog into an empty engine. A snapshot that
+// lists one relation twice (names compare case-insensitively) is corrupt.
 func (e *Engine) loadCatalog(dec *checkpoint.Decoder) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -131,9 +132,13 @@ func (e *Engine) loadCatalog(dec *checkpoint.Decoder) error {
 		if err := tvr.LoadLog(dec, &rel.log); err != nil {
 			return err
 		}
+		key := strings.ToLower(name)
+		if _, dup := e.rels[key]; dup {
+			return fmt.Errorf("core: checkpoint lists relation %q twice", name)
+		}
 		rel.log.Publish()
 		e.history.Add(int64(rel.log.Len()))
-		e.rels[strings.ToLower(name)] = rel
+		e.rels[key] = rel
 	}
 	return dec.Err()
 }

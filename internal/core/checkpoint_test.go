@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/tvr"
@@ -281,6 +282,51 @@ func TestRestoreNeedsEmptyEngine(t *testing.T) {
 	}
 	if err := e.RestoreAll(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("restore into a non-empty engine should fail")
+	}
+}
+
+// TestRestoreRejectsDuplicateRelation: a snapshot whose catalog lists one
+// relation twice, under names that differ only in case, is corrupt, and
+// RestoreAll refuses it rather than keep either copy. The same snapshot with
+// the two names distinct restores.
+func TestRestoreRejectsDuplicateRelation(t *testing.T) {
+	snapshot := func(names ...string) []byte {
+		var buf bytes.Buffer
+		enc := checkpoint.NewEncoder(&buf)
+		enc.Section("core.wal")
+		enc.Uvarint(0)
+		enc.Section("core.catalog")
+		enc.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			enc.String(name)
+			enc.Bool(true) // unbounded
+			enc.Uvarint(1)
+			enc.String("v")
+			enc.String("BIGINT")
+			enc.Bool(false) // event time
+			enc.Duration(0)
+			enc.Bool(false) // windowed
+			enc.Time(1)     // last ptime
+			enc.Time(types.MinTime)
+			tvr.SaveChangelog(enc, tvr.Changelog{tvr.InsertEvent(1, types.Row{types.NewInt(7)})})
+		}
+		enc.Section("live.Sessions")
+		enc.Time(types.MinTime)
+		enc.Uvarint(0)
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	e := core.NewEngine()
+	t.Cleanup(e.Close)
+	if err := e.RestoreAll(bytes.NewReader(snapshot("Bid", "Person"))); err != nil {
+		t.Fatalf("a catalog of two relations: %v", err)
+	}
+	e = core.NewEngine()
+	t.Cleanup(e.Close)
+	if err := e.RestoreAll(bytes.NewReader(snapshot("Bid", "bid"))); err == nil {
+		t.Fatal("a catalog listing one relation twice restored without error")
 	}
 }
 

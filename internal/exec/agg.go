@@ -86,16 +86,17 @@ func (a *aggOp) Open() error {
 	if !a.global {
 		return nil
 	}
-	a.reemit(a.openGroup(nil, types.Row{}), types.MinTime)
+	s := a.groups.Insert(nil)
+	a.openGroup(s, types.Row{})
+	a.reemit(s, types.MinTime)
 	return flush(a.out, &a.pend)
 }
 
-// openGroup inserts a group under key, with its accumulators reset, and
-// registers it with the completion index. Its key row is a copy of keyRow
-// with room for the aggregate values behind it: the group's first output
-// row is the key row extended in place (see reemit).
-func (a *aggOp) openGroup(key []byte, keyRow types.Row) int32 {
-	s := a.groups.Insert(key)
+// openGroup sets up the group just inserted in slot s, with its
+// accumulators reset, and registers it with the completion index. Its key
+// row is a copy of keyRow with room for the aggregate values behind it: the
+// group's first output row is the key row extended in place (see reemit).
+func (a *aggOp) openGroup(s int32, keyRow types.Row) {
 	g := a.groups.At(s)
 	g.keyRow = make(types.Row, len(keyRow), len(keyRow)+len(a.aggs))
 	copy(g.keyRow, keyRow)
@@ -109,7 +110,6 @@ func (a *aggOp) openGroup(key []byte, keyRow types.Row) int32 {
 		}
 	}
 	a.idx.add(s, keyRow)
-	return s
 }
 
 // accsOf is the accumulators of the group in slot s.
@@ -164,7 +164,8 @@ func (a *aggOp) pushEvent(ev tvr.Event) error {
 				a.lateDrop++
 				return nil
 			}
-			s = a.openGroup(a.keyBuf, keyRow)
+			s = a.groups.Insert(a.keyBuf)
+			a.openGroup(s, keyRow)
 		}
 		a.prevKey = append(a.prevKey[:0], a.keyBuf...)
 		a.runSlot = s
@@ -450,16 +451,6 @@ func (ms *multiset) clear() {
 	for sl := ms.members.First(); sl >= 0; sl = ms.members.First() {
 		ms.members.Remove(sl)
 	}
-}
-
-// load adds a member of a saved multiset; a value listed twice is corrupt.
-func (ms *multiset) load(v types.Value, count int) error {
-	ms.scratch = v.AppendKey(ms.scratch[:0])
-	if ms.members.Find(ms.scratch) >= 0 {
-		return errDuplicateKey
-	}
-	*ms.members.At(ms.members.Insert(ms.scratch)) = valueCount{val: v, count: count}
-	return nil
 }
 
 // minMaxAcc supports retractions by keeping the multiset of values; the

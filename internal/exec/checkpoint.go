@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -129,11 +128,6 @@ func loadOps(dec *checkpoint.Decoder, ops []any) error {
 
 // ---- operator states ----
 
-// errDuplicateKey refuses a snapshot that lists one key of a keyed section
-// twice (a group, a row, a join bucket, a multiset value): every SaveState
-// writes each key of its stores once.
-var errDuplicateKey = errors.New("exec: checkpoint lists a key twice")
-
 // SaveState implements stateSaver: the scan's clock and completion bit.
 func (s *scanOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(s.lastPtime)
@@ -178,35 +172,25 @@ func (c *Collector) LoadState(dec *checkpoint.Decoder) error {
 // SaveState implements stateSaver: DISTINCT's per-row multiplicities in
 // row-key order (the key is re-derived from the row at load).
 func (d *distinctOp) SaveState(enc *checkpoint.Encoder) {
-	enc.Uvarint(uint64(d.counts.Len()))
-	for _, sl := range d.counts.Sorted() {
+	tvr.SaveStore(enc, &d.counts, tvr.KeyOrder, func(sl int32) {
 		rc := d.counts.At(sl)
 		enc.Row(rc.row)
 		enc.Int(rc.count)
-	}
+	})
 }
 
 // LoadState implements stateSaver. Snapshots written before DISTINCT forgot
 // rows at multiplicity 0 may hold such rows; they are read past and dropped.
-// A row listed twice is corrupt.
 func (d *distinctOp) LoadState(dec *checkpoint.Decoder) error {
-	n := int(dec.Uvarint())
-	for i := 0; i < n; i++ {
-		row := dec.Row()
-		count := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if count == 0 {
-			continue
-		}
-		d.keyBuf = row.AppendKey(d.keyBuf[:0])
-		if d.counts.Find(d.keyBuf) >= 0 {
-			return errDuplicateKey
-		}
-		*d.counts.At(d.counts.Insert(d.keyBuf)) = rowCount{row: row, count: count}
-	}
-	return dec.Err()
+	var rc rowCount
+	return tvr.LoadStore(dec, &d.counts, func() ([]byte, bool, error) {
+		rc = rowCount{row: dec.Row(), count: dec.Int()}
+		d.keyBuf = rc.row.AppendKey(d.keyBuf[:0])
+		return d.keyBuf, rc.count != 0, nil
+	}, func(sl int32) error {
+		*d.counts.At(sl) = rc
+		return nil
+	})
 }
 
 // save/load for the shared multi-input control-merge state.
@@ -253,40 +237,30 @@ func (u *unionOp) LoadState(dec *checkpoint.Decoder) error { return u.loadMergeS
 // multiplicity per row, in row-key order.
 func (s *setOp) SaveState(enc *checkpoint.Encoder) {
 	s.saveMergeState(enc)
-	enc.Uvarint(uint64(s.rows.Len()))
-	for _, sl := range s.rows.Sorted() {
+	tvr.SaveStore(enc, &s.rows, tvr.KeyOrder, func(sl int32) {
 		sr := s.rows.At(sl)
 		enc.Row(sr.row)
 		enc.Int(sr.l)
 		enc.Int(sr.r)
 		enc.Int(sr.out)
-	}
+	})
 }
 
 // LoadState implements stateSaver. Rows whose three multiplicities are all 0
 // (written before the operator forgot such rows) are read past and dropped.
-// A row listed twice is corrupt.
 func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := s.loadMergeState(dec); err != nil {
 		return err
 	}
-	n := int(dec.Uvarint())
-	for i := 0; i < n; i++ {
-		row := dec.Row()
-		l, r, o := dec.Int(), dec.Int(), dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if l == 0 && r == 0 && o == 0 {
-			continue
-		}
-		s.keyBuf = row.AppendKey(s.keyBuf[:0])
-		if s.rows.Find(s.keyBuf) >= 0 {
-			return errDuplicateKey
-		}
-		*s.rows.At(s.rows.Insert(s.keyBuf)) = setRow{row: row, l: l, r: r, out: o}
-	}
-	return dec.Err()
+	var sr setRow
+	return tvr.LoadStore(dec, &s.rows, func() ([]byte, bool, error) {
+		sr = setRow{row: dec.Row(), l: dec.Int(), r: dec.Int(), out: dec.Int()}
+		s.keyBuf = sr.row.AppendKey(s.keyBuf[:0])
+		return s.keyBuf, sr.l != 0 || sr.r != 0 || sr.out != 0, nil
+	}, func(sl int32) error {
+		*s.rows.At(sl) = sr
+		return nil
+	})
 }
 
 // SaveState implements stateSaver: both join sides' bucketed rows with live
@@ -296,8 +270,7 @@ func (s *setOp) LoadState(dec *checkpoint.Decoder) error {
 func (j *joinOp) SaveState(enc *checkpoint.Encoder) {
 	j.saveMergeState(enc)
 	for _, side := range []*joinSide{j.left, j.right} {
-		enc.Uvarint(uint64(side.buckets.Len()))
-		for _, bs := range side.buckets.Sorted() {
+		tvr.SaveStore(enc, &side.buckets, tvr.KeyOrder, func(bs int32) {
 			rows := side.buckets.At(bs).rows
 			enc.Uvarint(uint64(len(rows)))
 			for _, jr := range rows {
@@ -305,90 +278,79 @@ func (j *joinOp) SaveState(enc *checkpoint.Encoder) {
 				enc.Int(jr.count)
 				enc.Int(jr.matches)
 			}
-		}
+		})
 	}
 }
 
-// LoadState implements stateSaver. A bucket listed twice is corrupt.
+// LoadState implements stateSaver. A bucket's key is the equi-key of its
+// first row; a bucket with no rows is read past.
 func (j *joinOp) LoadState(dec *checkpoint.Decoder) error {
 	if err := j.loadMergeState(dec); err != nil {
 		return err
 	}
+	loadRow := func() joinRow { return joinRow{row: dec.Row(), count: dec.Int(), matches: dec.Int()} }
 	for sideIdx, side := range []*joinSide{j.left, j.right} {
-		nb := int(dec.Uvarint())
-		for b := 0; b < nb && dec.Err() == nil; b++ {
-			nr := int(dec.Uvarint())
-			bs := int32(-1)
-			for r := 0; r < nr; r++ {
-				row := dec.Row()
-				count := dec.Int()
-				matches := dec.Int()
-				if err := dec.Err(); err != nil {
-					return err
-				}
-				if r == 0 {
-					j.keyBuf = row.AppendKeyOf(j.keyBuf[:0], j.keysOf(sideIdx))
-					if side.buckets.Find(j.keyBuf) >= 0 {
-						return errDuplicateKey
-					}
-					bs = side.buckets.Insert(j.keyBuf)
-				}
-				bucket := side.buckets.At(bs)
-				bucket.rows = append(bucket.rows, joinRow{row: row, count: count, matches: matches})
-				side.size += count
+		var nr uint64
+		var first joinRow
+		err := tvr.LoadStore(dec, &side.buckets, func() ([]byte, bool, error) {
+			if nr = dec.Uvarint(); nr == 0 {
+				return nil, false, nil
 			}
+			first = loadRow()
+			j.keyBuf = first.row.AppendKeyOf(j.keyBuf[:0], j.keysOf(sideIdx))
+			return j.keyBuf, true, nil
+		}, func(bs int32) error {
+			bucket := side.buckets.At(bs)
+			bucket.rows = append(bucket.rows, first)
+			for ; nr > 1 && dec.Err() == nil; nr-- {
+				bucket.rows = append(bucket.rows, loadRow())
+			}
+			for _, jr := range bucket.rows {
+				side.size += jr.count
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return dec.Err()
+	return nil
 }
 
-// SaveState implements stateSaver: the session-window multiset. Tumble/Hop
-// are stateless but still write their (empty) frame so the format is uniform
+// SaveState implements stateSaver: the session window's timestamps in
+// first-seen order, each with its multiplicity and rows. Tumble/Hop are
+// stateless but still write their (empty) frame so the format is uniform
 // per operator type.
 func (w *windowOp) SaveState(enc *checkpoint.Encoder) {
-	enc.Uvarint(uint64(len(w.timeList)))
-	for _, ts := range w.timeList {
-		enc.Time(ts)
-		enc.Int(w.times[ts])
-		refs := w.rowsAt[ts]
-		enc.Uvarint(uint64(len(refs)))
-		for _, rr := range refs {
+	tvr.SaveStore(enc, &w.times, tvr.FirstSeen, func(sl int32) {
+		st := w.times.At(sl)
+		enc.Time(st.ts)
+		enc.Int(st.count)
+		enc.Uvarint(uint64(len(st.rows)))
+		for _, rr := range st.rows {
 			enc.Row(rr.row)
 			enc.Int(rr.count)
 		}
-	}
+	})
 }
 
-// LoadState implements stateSaver. The timeList keeps even zero-count
-// timestamps: their position in the list is the iteration order session
-// retract/re-emit cascades follow, so dropping them would reorder output
-// after a re-insert.
+// LoadState implements stateSaver. Zero-count timestamps load like the
+// others: their place in the order is part of the state.
 func (w *windowOp) LoadState(dec *checkpoint.Decoder) error {
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n > 0 && w.times == nil {
-		return fmt.Errorf("exec: checkpoint has session-window state for a stateless window operator")
-	}
-	for i := 0; i < n; i++ {
-		ts := dec.Time()
-		count := dec.Int()
-		nr := int(dec.Uvarint())
-		var refs []rowRef
-		for r := 0; r < nr; r++ {
-			row := dec.Row()
-			rc := dec.Int()
-			refs = append(refs, rowRef{row: row, count: rc})
+	var st sessionTime
+	return tvr.LoadStore(dec, &w.times, func() ([]byte, bool, error) {
+		if w.fn != plan.SessionFn {
+			return nil, false, fmt.Errorf("exec: checkpoint has session-window state for a stateless window operator")
 		}
-		if err := dec.Err(); err != nil {
-			return err
+		st = sessionTime{ts: dec.Time(), count: dec.Int()}
+		for nr := dec.Uvarint(); nr > 0 && dec.Err() == nil; nr-- {
+			st.rows = append(st.rows, rowRef{row: dec.Row(), count: dec.Int()})
 		}
-		w.timeList = append(w.timeList, ts)
-		w.times[ts] = count
-		w.rowsAt[ts] = refs
-	}
-	return dec.Err()
+		return w.timeKey(st.ts), true, nil
+	}, func(sl int32) error {
+		*w.times.At(sl) = st
+		return nil
+	})
 }
 
 // ---- aggregate states ----
@@ -429,21 +391,34 @@ func saveAcc(enc *checkpoint.Encoder, acc accumulator) {
 			enc.Int(a.oneCount)
 			break
 		}
-		saveMultiset(enc, &a.counts)
+		a.counts.save(enc)
 	case *distinctAcc:
-		saveMultiset(enc, &a.counts)
+		a.counts.save(enc)
 		saveAcc(enc, a.inner)
 	}
 }
 
-// saveMultiset writes a multiset's members in value-key order.
-func saveMultiset(enc *checkpoint.Encoder, ms *multiset) {
-	enc.Uvarint(uint64(ms.members.Len()))
-	for _, sl := range ms.members.Sorted() {
+// save writes the multiset's members in value-key order.
+func (ms *multiset) save(enc *checkpoint.Encoder) {
+	tvr.SaveStore(enc, &ms.members, tvr.KeyOrder, func(sl int32) {
 		e := ms.members.At(sl)
 		enc.Value(e.val)
 		enc.Int(e.count)
-	}
+	})
+}
+
+// load reads what save wrote into an empty multiset, re-deriving each
+// member's key from its value.
+func (ms *multiset) load(dec *checkpoint.Decoder) error {
+	var vc valueCount
+	return tvr.LoadStore(dec, &ms.members, func() ([]byte, bool, error) {
+		vc = valueCount{val: dec.Value(), count: dec.Int()}
+		ms.scratch = vc.val.AppendKey(ms.scratch[:0])
+		return ms.scratch, true, nil
+	}, func(sl int32) error {
+		*ms.members.At(sl) = vc
+		return nil
+	})
 }
 
 func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
@@ -473,33 +448,19 @@ func loadAcc(dec *checkpoint.Decoder, acc accumulator) error {
 		a.n = dec.Varint()
 		a.valid = dec.Bool()
 		a.current = dec.Value()
-		n := int(dec.Uvarint())
-		for i := 0; i < n; i++ {
-			v := dec.Value()
-			count := dec.Int()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if n == 1 {
-				a.one, a.oneCount = v, count
-				continue
-			}
-			a.keyed = true
-			if err := a.counts.load(v, count); err != nil {
-				return err
-			}
+		if err := a.counts.load(dec); err != nil {
+			return err
 		}
+		if ms := &a.counts.members; ms.Len() == 1 {
+			// Held inline, with no store behind it, as update holds it.
+			one := ms.At(ms.First())
+			a.one, a.oneCount = one.val, one.count
+			a.counts = multiset{}
+		}
+		a.keyed = a.counts.members.Len() > 0
 	case *distinctAcc:
-		n := int(dec.Uvarint())
-		for i := 0; i < n; i++ {
-			v := dec.Value()
-			count := dec.Int()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if err := a.counts.load(v, count); err != nil {
-				return err
-			}
+		if err := a.counts.load(dec); err != nil {
+			return err
 		}
 		return loadAcc(dec, a.inner)
 	}
@@ -535,8 +496,7 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(a.wm)
 	enc.Int(a.lateDrop)
 	enc.Int(a.idx.freed)
-	enc.Uvarint(uint64(a.groups.Len()))
-	for s := a.groups.First(); s >= 0; s = a.groups.Next(s) {
+	tvr.SaveStore(enc, &a.groups, tvr.FirstSeen, func(s int32) {
 		g := a.groups.At(s)
 		enc.Row(g.keyRow)
 		enc.Int(g.n)
@@ -545,7 +505,7 @@ func (a *aggOp) SaveState(enc *checkpoint.Encoder) {
 		for _, acc := range a.accsOf(s) {
 			saveAcc(enc, acc)
 		}
-	}
+	})
 }
 
 // LoadState implements stateSaver.
@@ -558,26 +518,16 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 	a.wm = dec.Time()
 	a.lateDrop = dec.Int()
 	a.idx.freed = dec.Int()
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		keyRow := dec.Row()
-		gn := dec.Int()
+	var keyRow, outRow types.Row
+	var gn int
+	return tvr.LoadStore(dec, &a.groups, func() ([]byte, bool, error) {
+		keyRow, gn = dec.Row(), dec.Int()
 		closed := dec.Bool()
-		outRow := dec.Row()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if closed {
-			continue
-		}
+		outRow = dec.Row()
 		a.keyBuf = keyRow.AppendKey(a.keyBuf[:0])
-		if a.groups.Find(a.keyBuf) >= 0 {
-			return errDuplicateKey
-		}
-		s := a.openGroup(a.keyBuf, keyRow)
+		return a.keyBuf, !closed, nil
+	}, func(s int32) error {
+		a.openGroup(s, keyRow)
 		g := a.groups.At(s)
 		g.n, g.outRow = gn, outRow
 		for _, acc := range a.accsOf(s) {
@@ -585,8 +535,8 @@ func (a *aggOp) LoadState(dec *checkpoint.Decoder) error {
 				return err
 			}
 		}
-	}
-	return dec.Err()
+		return nil
+	})
 }
 
 // ---- EMIT materialization states ----
@@ -597,8 +547,7 @@ func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Time(e.wm)
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
-	enc.Uvarint(uint64(e.groups.Len()))
-	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+	tvr.SaveStore(enc, &e.groups, tvr.FirstSeen, func(gs int32) {
 		g := e.groups.At(gs)
 		enc.Row(g.sample)
 		enc.Bool(false) // closed
@@ -609,53 +558,39 @@ func (e *emitAfterWatermarkOp) SaveState(enc *checkpoint.Encoder) {
 			enc.Row(r.row)
 			enc.Uvarint(uint64(r.count))
 		}
-	}
+	})
 }
 
 // LoadState implements stateSaver. Each group's bag is read under the rules
-// of tvr.Relation.LoadState: a row listed twice, or with no multiplicity,
-// is corrupt.
+// of tvr.Relation.LoadState: a row with no multiplicity is corrupt.
 func (e *emitAfterWatermarkOp) LoadState(dec *checkpoint.Decoder) error {
 	e.wm = dec.Time()
 	e.late = dec.Int()
 	e.idx.freed = dec.Int()
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		sample := dec.Row()
+	var sample types.Row
+	return tvr.LoadStore(dec, &e.groups, func() ([]byte, bool, error) {
+		sample = dec.Row()
 		closed := dec.Bool()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if closed {
-			continue
-		}
 		e.keyBuf = sample.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
-		if e.groups.Find(e.keyBuf) >= 0 {
-			return errDuplicateKey
-		}
-		gs := e.openGroup(e.keyBuf, sample)
+		return e.keyBuf, !closed, nil
+	}, func(gs int32) error {
+		e.openGroup(gs, sample)
 		if err := dec.Expect("tvr.Relation"); err != nil {
 			return err
 		}
-		for m := dec.Uvarint(); m > 0; m-- {
-			row := dec.Row()
-			count := int(dec.Uvarint())
-			if err := dec.Err(); err != nil {
-				return err
+		var row types.Row
+		var count int
+		return tvr.LoadStore(dec, &e.rows, func() ([]byte, bool, error) {
+			row, count = dec.Row(), int(dec.Uvarint())
+			if dec.Err() == nil && (row == nil || count <= 0) {
+				return nil, false, fmt.Errorf("exec: corrupt EMIT AFTER WATERMARK row in checkpoint")
 			}
-			if row == nil || count <= 0 {
-				return fmt.Errorf("exec: corrupt EMIT AFTER WATERMARK row in checkpoint")
-			}
-			if e.rows.Find(e.rowKey(gs, row)) >= 0 {
-				return errDuplicateKey
-			}
-			e.insertRow(gs, row, count)
-		}
-	}
-	return dec.Err()
+			return e.rowKey(gs, row), true, nil
+		}, func(rs int32) error {
+			e.appendRow(gs, rs, row, count)
+			return nil
+		})
+	})
 }
 
 // SaveState implements stateSaver: per open group the last-materialized and
@@ -669,15 +604,14 @@ func (e *emitAfterDelayOp) SaveState(enc *checkpoint.Encoder) {
 	enc.Int(e.late)
 	enc.Int(e.idx.freed)
 	enc.Int(e.seq)
-	enc.Uvarint(uint64(e.groups.Len()))
-	for gs := e.groups.First(); gs >= 0; gs = e.groups.Next(gs) {
+	tvr.SaveStore(enc, &e.groups, tvr.FirstSeen, func(gs int32) {
 		g := e.groups.At(gs)
 		enc.Row(g.sample)
 		enc.Bool(g.armed)
 		enc.Bool(false) // closed
 		g.lastMat.SaveState(enc)
 		g.cur.SaveState(enc)
-	}
+	})
 	pending := 0
 	for _, t := range e.timers {
 		if e.pending(t) {
@@ -701,34 +635,28 @@ func (e *emitAfterDelayOp) LoadState(dec *checkpoint.Decoder) error {
 	e.late = dec.Int()
 	e.idx.freed = dec.Int()
 	e.seq = dec.Int()
-	n := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
 	closedKeys := map[string]bool{} // tombstones of a pre-eviction snapshot
-	for i := 0; i < n; i++ {
-		sample := dec.Row()
-		armed := dec.Bool()
+	var sample types.Row
+	var armed bool
+	err := tvr.LoadStore(dec, &e.groups, func() ([]byte, bool, error) {
+		sample, armed = dec.Row(), dec.Bool()
 		closed := dec.Bool()
-		if err := dec.Err(); err != nil {
-			return err
-		}
 		e.keyBuf = sample.AppendKeyOf(e.keyBuf[:0], e.keys.idxs)
 		if closed {
 			closedKeys[string(e.keyBuf)] = true
-			continue
 		}
-		if e.groups.Find(e.keyBuf) >= 0 {
-			return errDuplicateKey
-		}
-		g := e.groups.At(e.openGroup(e.keyBuf, sample))
+		return e.keyBuf, !closed, nil
+	}, func(gs int32) error {
+		e.openGroup(gs, sample)
+		g := e.groups.At(gs)
 		g.armed = armed
 		if err := g.lastMat.LoadState(dec); err != nil {
 			return err
 		}
-		if err := g.cur.LoadState(dec); err != nil {
-			return err
-		}
+		return g.cur.LoadState(dec)
+	})
+	if err != nil {
+		return err
 	}
 	nt := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {

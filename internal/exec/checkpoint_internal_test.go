@@ -486,10 +486,14 @@ func TestEmitAfterDelayOpRoundTrip(t *testing.T) {
 	}
 }
 
+// errDuplicateKey is the refusal every keyed section's load shares
+// (tvr.LoadStore).
+var errDuplicateKey = tvr.ErrDuplicateKey
+
 // TestLoadStateRejectsDuplicateGroup: a snapshot that lists one key twice
 // in any keyed section (a group; a row of an EMIT AFTER WATERMARK group, of
 // DISTINCT or of a set operation; a join bucket; a value of a MIN/MAX or
-// DISTINCT-aggregate multiset) is corrupt, and each operator refuses it
+// DISTINCT-aggregate multiset; a session window's timestamp) is corrupt, and each operator refuses it
 // rather than holding two live slots under one key or keeping either copy.
 func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
 	node := aggNode(false)
@@ -626,6 +630,16 @@ func TestLoadStateRejectsDuplicateGroup(t *testing.T) {
 		}},
 		{"min multiset", newAggOp(node, &memSink{}), aggGroup(3)},
 		{"distinct-aggregate multiset", newAggOp(node, &memSink{}), aggGroup(5)},
+		{"session window", newWindowOp(sessionWindowNode(), &memSink{}), func(enc *checkpoint.Encoder) {
+			enc.Uvarint(2)
+			for i := 0; i < 2; i++ {
+				enc.Time(1000)
+				enc.Int(1)
+				enc.Uvarint(1)
+				enc.Row(tsRow(int64(i), 1000))
+				enc.Int(1)
+			}
+		}},
 	} {
 		var buf bytes.Buffer
 		enc := checkpoint.NewEncoder(&buf)

@@ -136,8 +136,9 @@
 // package comment, "Stores"): aggOp, emitAfterWatermarkOp and
 // emitAfterDelayOp their groups, emitAfterWatermarkOp the rows of all its
 // groups in a second store, joinOp each side's buckets, distinctOp and
-// setOp their rows, and the MIN/MAX and DISTINCT accumulators their
-// multisets. What exec adds to it:
+// setOp their rows, the MIN/MAX and DISTINCT accumulators their multisets,
+// and the session window its timestamps, each with its multiplicity and
+// rows, in a store that never removes one. What exec adds to it:
 //
 //   - A group is a slot. Window groups are short-lived, and a closed
 //     group's slot is the next group's. What a slot outlives its group with
@@ -173,15 +174,21 @@
 //   - accumulator values, per-group last-emitted rows (the
 //     retract/emit/suppress seam), watermarks, late and freed counters and
 //     timer queues;
-//   - any iteration order its containers keep. Order slices are part of the
+//   - any iteration order its containers keep. Orders are part of the
 //     byte-identical guarantee: the session-window operator keeps even
-//     zero-count timestamps, because their list position decides the
+//     zero-count timestamps, because their place in its order decides the
 //     retract/re-emit cascade order;
-//   - keyed state with no order of its own in key order
-//     (tvr.Store.Sorted), so the same state always produces the same bytes.
-//     A key derivable from a stored row or value (AppendKey, AppendKeyOf)
-//     is re-derived at load, not stored, and a snapshot that lists one key
-//     twice is refused (errDuplicateKey).
+//   - every tvr.Store through the one keyed-section codec, tvr.SaveStore
+//     and tvr.LoadStore: first-seen order where the order is part of the
+//     state (groups, the session window's timestamps), key order where
+//     there is none, so the same state always produces the same bytes. An
+//     operator writes its value codec and rebuilds its own indexes (the
+//     completion index, a group's row links). A key derivable from a stored
+//     row or value (AppendKey, AppendKeyOf) is re-derived at load, not
+//     stored, and a snapshot that lists one key twice is refused
+//     (tvr.ErrDuplicateKey). A join bucket's rows and an EMIT AFTER
+//     WATERMARK group's rows are written in their own order inside their
+//     entry.
 //
 // Restore never calls Open: open-time emissions (constant relations, a
 // global aggregate's initial row) happened before the checkpoint and already

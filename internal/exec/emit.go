@@ -99,22 +99,21 @@ func (e *emitAfterWatermarkOp) pushEvent(ev tvr.Event) error {
 			e.late++
 			return nil
 		}
-		gs = e.openGroup(e.keyBuf, ev.Row)
+		gs = e.groups.Insert(e.keyBuf)
+		e.openGroup(gs, ev.Row)
 	}
 	if ev.Kind == tvr.Insert {
-		e.insertRow(gs, ev.Row, 1)
+		e.insertRow(gs, ev.Row)
 		return nil
 	}
 	return e.deleteRow(gs, ev.Row)
 }
 
-// openGroup inserts an empty group under key and registers it with the
-// completion index.
-func (e *emitAfterWatermarkOp) openGroup(key []byte, sample types.Row) int32 {
-	gs := e.groups.Insert(key)
+// openGroup empties the group just inserted in slot gs and registers it
+// with the completion index.
+func (e *emitAfterWatermarkOp) openGroup(gs int32, sample types.Row) {
 	*e.groups.At(gs) = wmGroup{sample: sample, head: -1, tail: -1}
 	e.idx.add(gs, sample)
-	return gs
 }
 
 // rowKey encodes the rows-store key of row in the group in slot gs.
@@ -124,17 +123,24 @@ func (e *emitAfterWatermarkOp) rowKey(gs int32, row types.Row) []byte {
 	return e.keyBuf
 }
 
-// insertRow adds count copies of row to the group in slot gs; a row that
-// enters the bag goes at the back of its order.
-func (e *emitAfterWatermarkOp) insertRow(gs int32, row types.Row, count int) {
-	g := e.groups.At(gs)
-	g.size += count
+// insertRow adds one copy of row to the group in slot gs; a row that enters
+// the bag goes at the back of its order (appendRow).
+func (e *emitAfterWatermarkOp) insertRow(gs int32, row types.Row) {
 	key := e.rowKey(gs, row)
 	if rs := e.rows.Find(key); rs >= 0 {
-		e.rows.At(rs).count += count
+		e.groups.At(gs).size++
+		e.rows.At(rs).count++
 		return
 	}
-	rs := e.rows.Insert(key)
+	e.appendRow(gs, e.rows.Insert(key), row, 1)
+}
+
+// appendRow puts count copies of row, which enters the bag of the group in
+// slot gs, in the rows slot rs just inserted, at the back of the bag's
+// order.
+func (e *emitAfterWatermarkOp) appendRow(gs, rs int32, row types.Row, count int) {
+	g := e.groups.At(gs)
+	g.size += count
 	*e.rows.At(rs) = wmRow{row: row, count: count, prev: g.tail, next: -1}
 	if g.tail >= 0 {
 		e.rows.At(g.tail).next = rs
@@ -290,7 +296,8 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 		// A group may never close (AFTER DELAY alone), so it copies its
 		// sample rather than keep the input's row block alive (see "Rows"
 		// in doc.go).
-		gs = e.openGroup(e.keyBuf, ev.Row.Clone())
+		gs = e.groups.Insert(e.keyBuf)
+		e.openGroup(gs, ev.Row.Clone())
 	}
 	g := e.groups.At(gs)
 	if err := g.cur.Apply(ev); err != nil {
@@ -305,13 +312,11 @@ func (e *emitAfterDelayOp) pushEvent(ev tvr.Event) error {
 	return nil
 }
 
-// openGroup inserts a group with empty contents under key and registers it
-// with the completion index.
-func (e *emitAfterDelayOp) openGroup(key []byte, sample types.Row) int32 {
-	gs := e.groups.Insert(key)
+// openGroup gives the group just inserted in slot gs empty contents and
+// registers it with the completion index.
+func (e *emitAfterDelayOp) openGroup(gs int32, sample types.Row) {
 	*e.groups.At(gs) = delayGroup{sample: sample, lastMat: tvr.NewRelation(), cur: tvr.NewRelation()}
 	e.idx.add(gs, sample)
-	return gs
 }
 
 // pending reports whether t is the armed timer of its slot's group.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/plan"
@@ -165,14 +166,24 @@ type windowOp struct {
 	gap     types.Duration
 	offset  types.Duration
 
-	// Session state.
-	times    map[types.Time]int      // timestamp -> multiplicity
-	rowsAt   map[types.Time][]rowRef // rows carrying each timestamp
-	timeList []types.Time            // insertion order of distinct timestamps
+	// Session state: every timestamp seen, with its multiplicity and rows,
+	// in first-seen order. A timestamp whose multiplicity returns to 0 keeps
+	// its entry, because its place in that order is the order retract and
+	// re-emit cascades follow: the store never removes one.
+	times  tvr.Store[sessionTime]
+	keyBuf []byte // reusable timestamp-key encoding buffer
 
 	pend      []tvr.Event // output scratch, reused across batches
 	block     types.Row   // unused rest of the block output rows are carved from
 	blockRows int         // rows per block: the batch's data event count
+}
+
+// sessionTime is one timestamp a session window has seen: its
+// multiplicity and the distinct rows carrying it.
+type sessionTime struct {
+	ts    types.Time
+	count int
+	rows  []rowRef
 }
 
 type rowRef struct {
@@ -181,15 +192,16 @@ type rowRef struct {
 }
 
 func newWindowOp(x *plan.WindowTVF, out sink) *windowOp {
-	w := &windowOp{
+	return &windowOp{
 		out: out, fn: x.Fn, timeIdx: x.TimeIdx,
 		dur: x.Dur, slide: x.Slide, gap: x.Gap, offset: x.Offset,
 	}
-	if x.Fn == plan.SessionFn {
-		w.times = make(map[types.Time]int)
-		w.rowsAt = make(map[types.Time][]rowRef)
-	}
-	return w
+}
+
+// timeKey encodes t's key in the session store.
+func (w *windowOp) timeKey(t types.Time) []byte {
+	w.keyBuf = binary.BigEndian.AppendUint64(w.keyBuf[:0], uint64(t))
+	return w.keyBuf
 }
 
 // emit appends ev's row, widened with the window bounds, to the output. Rows
@@ -252,111 +264,100 @@ func (w *windowOp) PushBatch(evs []tvr.Event) error {
 // neighbourhood), retract their rows under the old assignment, apply the
 // change, and re-emit rows under the new assignment.
 func (w *windowOp) pushSession(ev tvr.Event, t types.Time) error {
-	oldSessions := w.mergedSessions()
-	// Collect rows assigned to sessions that may change: those whose
-	// session overlaps [t-gap, t+gap].
-	affected := func(sessions []window.Interval) map[types.Time]bool {
-		out := make(map[types.Time]bool)
+	// affected is the slots of the live timestamps in sessions that may
+	// change: those overlapping [t-gap, t+gap].
+	affected := func(sessions []window.Interval) map[int32]bool {
+		out := make(map[int32]bool)
 		for _, s := range sessions {
 			if s.End < t-types.Time(w.gap) || s.Start > t+types.Time(w.gap) {
 				continue
 			}
-			for _, ts := range w.timeList {
-				if w.times[ts] > 0 && s.Contains(ts) {
-					out[ts] = true
+			for sl := w.times.First(); sl >= 0; sl = w.times.Next(sl) {
+				if st := w.times.At(sl); st.count > 0 && s.Contains(st.ts) {
+					out[sl] = true
 				}
 			}
 		}
 		return out
 	}
-	before := affected(oldSessions)
-	// Retract affected rows under the old assignment.
-	for _, ts := range w.timeList {
-		if !before[ts] {
-			continue
-		}
-		iv, ok := window.AssignSession(ts, w.liveTimes(), w.gap)
-		if !ok {
-			return fmt.Errorf("exec: session assignment missing for %s", ts)
-		}
-		for _, rr := range w.rowsAt[ts] {
-			for i := 0; i < rr.count; i++ {
-				w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Delete, Row: rr.row}, iv)
+	// emitAll emits a kind event for every row of the marked timestamps, in
+	// the session the live timestamps assign it.
+	emitAll := func(marked map[int32]bool, live []types.Time, kind tvr.EventKind) error {
+		for sl := w.times.First(); sl >= 0; sl = w.times.Next(sl) {
+			if !marked[sl] {
+				continue
+			}
+			st := w.times.At(sl)
+			iv, ok := window.AssignSession(st.ts, live, w.gap)
+			if !ok {
+				return fmt.Errorf("exec: session assignment missing for %s", st.ts)
+			}
+			for _, rr := range st.rows {
+				for i := 0; i < rr.count; i++ {
+					w.emit(tvr.Event{Ptime: ev.Ptime, Kind: kind, Row: rr.row}, iv)
+				}
 			}
 		}
+		return nil
+	}
+	// Retract affected rows under the old assignment.
+	live := w.liveTimes()
+	if err := emitAll(affected(window.MergeSessions(live, w.gap)), live, tvr.Delete); err != nil {
+		return err
 	}
 	// Apply the change to state.
+	sl := w.times.Find(w.timeKey(t))
 	switch ev.Kind {
 	case tvr.Insert:
-		if w.times[t] == 0 {
-			if _, seen := w.rowsAt[t]; !seen {
-				w.timeList = append(w.timeList, t)
-				w.rowsAt[t] = nil
-			}
+		if sl < 0 {
+			sl = w.times.Insert(w.keyBuf)
+			w.times.At(sl).ts = t
 		}
-		w.times[t]++
-		w.addRow(t, ev.Row)
+		st := w.times.At(sl)
+		st.count++
+		st.addRow(ev.Row)
 	case tvr.Delete:
-		if w.times[t] == 0 {
+		if sl < 0 || w.times.At(sl).count == 0 {
 			return fmt.Errorf("exec: session retraction of absent timestamp %s", t)
 		}
-		w.times[t]--
-		if err := w.removeRow(t, ev.Row); err != nil {
+		st := w.times.At(sl)
+		st.count--
+		if err := st.removeRow(ev.Row); err != nil {
 			return err
 		}
 	}
 	// Re-emit everything affected under the new assignment.
-	newSessions := w.mergedSessions()
-	after := affected(newSessions)
-	for _, ts := range w.timeList {
-		if !after[ts] || w.times[ts] == 0 {
-			continue
-		}
-		iv, ok := window.AssignSession(ts, w.liveTimes(), w.gap)
-		if !ok {
-			return fmt.Errorf("exec: session assignment missing for %s", ts)
-		}
-		for _, rr := range w.rowsAt[ts] {
-			for i := 0; i < rr.count; i++ {
-				w.emit(tvr.Event{Ptime: ev.Ptime, Kind: tvr.Insert, Row: rr.row}, iv)
-			}
-		}
-	}
-	return nil
+	live = w.liveTimes()
+	return emitAll(affected(window.MergeSessions(live, w.gap)), live, tvr.Insert)
 }
 
-func (w *windowOp) mergedSessions() []window.Interval {
-	return window.MergeSessions(w.liveTimes(), w.gap)
-}
-
+// liveTimes is the timestamps of multiplicity above 0, in first-seen order.
 func (w *windowOp) liveTimes() []types.Time {
-	out := make([]types.Time, 0, len(w.timeList))
-	for _, ts := range w.timeList {
-		if w.times[ts] > 0 {
-			out = append(out, ts)
+	out := make([]types.Time, 0, w.times.Len())
+	for sl := w.times.First(); sl >= 0; sl = w.times.Next(sl) {
+		if st := w.times.At(sl); st.count > 0 {
+			out = append(out, st.ts)
 		}
 	}
 	return out
 }
 
-func (w *windowOp) addRow(t types.Time, row types.Row) {
-	refs := w.rowsAt[t]
-	for i := range refs {
-		if refs[i].row.Equal(row) {
-			refs[i].count++
+func (st *sessionTime) addRow(row types.Row) {
+	for i := range st.rows {
+		if st.rows[i].row.Equal(row) {
+			st.rows[i].count++
 			return
 		}
 	}
-	w.rowsAt[t] = append(refs, rowRef{row: row.Clone(), count: 1})
+	st.rows = append(st.rows, rowRef{row: row.Clone(), count: 1})
 }
 
-func (w *windowOp) removeRow(t types.Time, row types.Row) error {
-	refs := w.rowsAt[t]
-	for i := range refs {
-		if refs[i].row.Equal(row) && refs[i].count > 0 {
-			refs[i].count--
-			if refs[i].count == 0 {
-				w.rowsAt[t] = append(refs[:i], refs[i+1:]...)
+func (st *sessionTime) removeRow(row types.Row) error {
+	for i, rr := range st.rows {
+		if rr.row.Equal(row) && rr.count > 0 {
+			st.rows[i].count--
+			if st.rows[i].count == 0 {
+				st.rows = append(st.rows[:i], st.rows[i+1:]...)
 			}
 			return nil
 		}
@@ -367,8 +368,8 @@ func (w *windowOp) removeRow(t types.Time, row types.Row) error {
 func (w *windowOp) Finish() error { return w.out.Finish() }
 
 func (w *windowOp) stats(s *Stats) {
-	for _, refs := range w.rowsAt {
-		for _, rr := range refs {
+	for sl := w.times.First(); sl >= 0; sl = w.times.Next(sl) {
+		for _, rr := range w.times.At(sl).rows {
 			s.StateRows += rr.count
 		}
 	}

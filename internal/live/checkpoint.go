@@ -29,7 +29,7 @@ const (
 type RestoreQuery func(sql string) (Query, error)
 
 // saveStateLocked writes one session; its retained output writes itself
-// (output.save), after the unversioned tail is versioned. Caller holds the
+// (output.save), after the rows not yet versioned are. Caller holds the
 // manager's lock, so it owns the driver of this registered (hence open)
 // session, the versioning lock, and s.mu.
 func (s *Session) saveStateLocked(enc *checkpoint.Encoder) error {
@@ -150,8 +150,13 @@ func skipTableAcc(dec *checkpoint.Decoder) {
 // is fed, closes or leaves the routing table, so every registered session is
 // open and its driver quiescent; each session's versioning lock and mu are
 // held while it is written, because its cursors' readers version and trim
-// its retained output.
+// its retained output. Before it takes the lock, it versions each of those
+// sessions' output the way a stream reader does (capture), beside the
+// commits, so under the lock only the rows committed since are versioned.
 func (m *Manager) CheckpointAll(enc *checkpoint.Encoder, extra func(*checkpoint.Encoder) error) error {
+	for _, s := range *m.plans.Load() {
+		s.capture(Stream, func() (piece, bool) { return piece{from: s.out.rows.End()}, true })
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if extra != nil {

@@ -103,12 +103,13 @@
 // Manager.CheckpointAll writes every open session that holds its plan key
 // (driver state, stream-renderer counters, retained rows, none past the cap)
 // under the ordering lock, after the engine's catalog, so both describe one
-// commit point. It versions each session's unversioned tail first, under
-// that lock and the session's versioning lock, so the counters it writes are
-// those of every row; a superseded predecessor is skipped, and its cursors
-// die with the process. Sessions are written with neither key nor mode, and
-// without delivery marks or versions; a retired flag slot, always false,
-// keeps the record's layout. RestoreAll re-plans each one's SQL against the
+// commit point. The counters it writes are those of every row: before it
+// takes that lock it versions each session's output as a stream reader does
+// (capture), beside the commits, and under the lock and the session's
+// versioning lock only the rows committed since. A superseded predecessor
+// is skipped, and its cursors die with the process. Sessions are written
+// with neither key nor mode, and without delivery marks or versions; a
+// retired flag slot, always false, keeps the record's layout. RestoreAll re-plans each one's SQL against the
 // restored catalog (RestoreQuery), re-derives its key, versions the rows
 // again with a fresh renderer, and installs them, in memory only, as one
 // delivery at the restored watermark, which a reader that attaches gets as
@@ -255,8 +256,8 @@
 // reverse. The versioning lock, Session.vmu, comes before Session.mu and
 // after Manager.mu: a versioner takes it first and holds it while it
 // captures rows under Session.mu, then versions them with Session.mu
-// released; a checkpoint takes it under Manager.mu and versions with both
-// held. No commit takes it, and nothing that holds it takes Manager.mu or
+// released; a checkpoint first versions so, then takes it under Manager.mu
+// and versions the rows committed since with both held. No commit takes it, and nothing that holds it takes Manager.mu or
 // the catalog lock, so a commit never waits on a versioner: it waits at most
 // for a capture's hold of Session.mu. A table read takes the fold's mutex
 // with no other lock held, and takes none while holding it. Manager.mu is

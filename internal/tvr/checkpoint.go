@@ -136,29 +136,21 @@ func (r *Relation) LoadState(dec *checkpoint.Decoder) error {
 // SaveState writes the renderer's per-group version counters in key order.
 func (sr *StreamRenderer) SaveState(enc *checkpoint.Encoder) {
 	enc.Section("tvr.StreamRenderer")
-	enc.Uvarint(uint64(sr.vers.Len()))
-	for _, sl := range sr.vers.Sorted() {
+	SaveStore(enc, &sr.vers, KeyOrder, func(sl int32) {
 		enc.String(string(sr.vers.Key(sl)))
 		enc.Int(*sr.vers.At(sl))
-	}
+	})
 }
 
-// LoadState rebuilds the version counters from a SaveState stream. A stream
-// that lists one group twice is corrupt.
+// LoadState rebuilds the version counters from a SaveState stream.
 func (sr *StreamRenderer) LoadState(dec *checkpoint.Decoder) error {
 	if err := dec.Expect("tvr.StreamRenderer"); err != nil {
 		return err
 	}
-	for n := dec.Uvarint(); n > 0; n-- {
-		k := []byte(dec.String())
-		v := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if sr.vers.Find(k) >= 0 {
-			return fmt.Errorf("tvr: duplicate stream version counter in checkpoint")
-		}
-		*sr.vers.At(sr.vers.Insert(k)) = v
-	}
-	return dec.Err()
+	return LoadStore(dec, &sr.vers, func() ([]byte, bool, error) {
+		return []byte(dec.String()), true, nil
+	}, func(sl int32) error {
+		*sr.vers.At(sl) = dec.Int()
+		return nil
+	})
 }

@@ -52,8 +52,8 @@
 // group, a join's equi-key, the event-time grouping a stream row's ver
 // numbers. The engine keeps every such keyed state in one type, Store: the
 // operators' groups, join buckets, DISTINCT, set-operation and multiset
-// counts, the stream renderer's version counters and a table diff's net
-// counts. Keys are the canonical key encoding of the values
+// counts, a session window's timestamps, the stream renderer's version
+// counters and a table diff's net counts. Keys are the canonical key encoding of the values
 // (types.Row.AppendKey and AppendKeyOf). Window groups are short-lived, so
 // the store is built for churn:
 //
@@ -77,9 +77,13 @@
 //     depends on the hash or on slot numbers: state with an order of its own
 //     saves in first-seen order, the order a load re-inserts in, and state
 //     with none saves in Sorted order, the keys' bytewise order, which is
-//     the order existing checkpoints list them in. A load that meets a key
-//     already in the store refuses the snapshot: every SaveState writes each
-//     key once.
+//     the order existing checkpoints list them in.
+//   - One codec. SaveStore writes a store as a keyed section, a count and
+//     then each entry in FirstSeen or KeyOrder order; LoadStore reads one
+//     back, re-inserting the entries as listed, so a first-seen store
+//     iterates as it did. The owner supplies only its value codec, and on
+//     load each entry's key or that it is a legacy entry to read past. A
+//     snapshot that lists a key twice is refused (ErrDuplicateKey).
 package tvr
 
 import (

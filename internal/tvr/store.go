@@ -2,8 +2,11 @@ package tvr
 
 import (
 	"bytes"
+	"errors"
 	"hash/maphash"
 	"slices"
+
+	"repro/internal/checkpoint"
 )
 
 // Store is keyed state: values of T addressed by an int32 slot and found by
@@ -224,4 +227,64 @@ func (s *Store[T]) rehash() {
 	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
 		s.place(sl)
 	}
+}
+
+// Order is the order SaveStore writes a store's entries in.
+type Order bool
+
+const (
+	// KeyOrder is the keys' bytewise order (Sorted), for state with no
+	// order of its own.
+	KeyOrder Order = false
+	// FirstSeen is the store's own order (First, Next), the one LoadStore
+	// re-inserts in, for state whose order is part of what it emits.
+	FirstSeen Order = true
+)
+
+// ErrDuplicateKey refuses a snapshot that lists one key of a keyed section
+// twice (a group, a row, a join bucket, a multiset value, a version
+// counter): SaveStore writes each key of a store once.
+var ErrDuplicateKey = errors.New("tvr: checkpoint lists a key twice")
+
+// SaveStore writes s as a keyed section: the number of entries, then each
+// live slot's entry, in order, through save.
+func SaveStore[T any](enc *checkpoint.Encoder, s *Store[T], order Order, save func(sl int32)) {
+	enc.Uvarint(uint64(s.Len()))
+	if order == KeyOrder {
+		for _, sl := range s.Sorted() {
+			save(sl)
+		}
+		return
+	}
+	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
+		save(sl)
+	}
+}
+
+// LoadStore reads a keyed section SaveStore wrote into s. For each entry,
+// key decodes what identifies it and returns its key (re-derived, where the
+// entry holds the values it is derived from), or keep false for a legacy
+// entry the section lists and the state no longer holds, which takes no
+// slot. LoadStore refuses a key already in s with ErrDuplicateKey, inserts
+// the others at the end of s's first-seen order and calls put with the new
+// slot, which decodes the rest of the entry and fills its value.
+func LoadStore[T any](dec *checkpoint.Decoder, s *Store[T], key func() (k []byte, keep bool, err error), put func(sl int32) error) error {
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		k, keep, err := key()
+		if err == nil {
+			err = dec.Err()
+		}
+		switch {
+		case err != nil:
+			return err
+		case !keep:
+			continue
+		case s.Find(k) >= 0:
+			return ErrDuplicateKey
+		}
+		if err := put(s.Insert(k)); err != nil {
+			return err
+		}
+	}
+	return dec.Err()
 }

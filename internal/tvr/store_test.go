@@ -2,11 +2,14 @@ package tvr
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // storeModel is what a Store must behave like: a map from key to value
@@ -30,15 +33,51 @@ func storeKeys(s *Store[int]) []string {
 	return out
 }
 
-// reloadStore is a fresh store holding s's entries, inserted in s's
-// first-seen order: what an operator's LoadState builds from what its
-// SaveState wrote.
-func reloadStore(s *Store[int]) *Store[int] {
+// reloadStore saves s through SaveStore in order and loads the bytes
+// through LoadStore into a fresh store, as an operator's SaveState and
+// LoadState do. The entries whose value drop names are read past at load,
+// as legacy entries are; a nil drop keeps them all.
+func reloadStore(t *testing.T, s *Store[int], order Order, drop func(v int) bool) *Store[int] {
+	t.Helper()
+	saved := saveBytes(t, func(enc *checkpoint.Encoder) {
+		SaveStore(enc, s, order, func(sl int32) {
+			enc.String(string(s.Key(sl)))
+			enc.Int(*s.At(sl))
+		})
+	})
+	dec := openBytes(t, saved)
 	var out Store[int]
-	for sl := s.First(); sl >= 0; sl = s.Next(sl) {
-		*out.At(out.Insert(s.Key(sl))) = *s.At(sl)
+	var v int
+	err := LoadStore(dec, &out, func() ([]byte, bool, error) {
+		k := []byte(dec.String())
+		v = dec.Int()
+		return k, drop == nil || !drop(v), nil
+	}, func(sl int32) error {
+		*out.At(sl) = v
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reload: %v", err)
 	}
 	return &out
+}
+
+// reloadDuplicate loads a section listing s's entries in first-seen order
+// and then its first key again, and returns LoadStore's error.
+func reloadDuplicate(t *testing.T, s *Store[int]) error {
+	t.Helper()
+	saved := saveBytes(t, func(enc *checkpoint.Encoder) {
+		enc.Uvarint(uint64(s.Len() + 1))
+		for sl := s.First(); sl >= 0; sl = s.Next(sl) {
+			enc.String(string(s.Key(sl)))
+		}
+		enc.String(string(s.Key(s.First())))
+	})
+	dec := openBytes(t, saved)
+	var out Store[int]
+	return LoadStore(dec, &out, func() ([]byte, bool, error) {
+		return []byte(dec.String()), true, nil
+	}, func(int32) error { return nil })
 }
 
 // TestKeyedStoreMatchesMap drives a Store and a map[string]int model
@@ -48,10 +87,13 @@ func reloadStore(s *Store[int]) *Store[int] {
 // find exactly the model's keys with their values and iterate them in
 // first-seen order; its slab never outgrows the peak number of live keys,
 // and its arena never holds more dead bytes than live ones. Every few steps
-// Sorted must list the model's keys in sort order, and the test saves and
-// loads the store (reloadStore) and continues on the copy half of the time.
-// A directed phase then makes the index rehash in place past its
-// tombstones.
+// Sorted must list the model's keys in sort order, and the store must
+// round-trip through SaveStore and LoadStore (reloadStore) in both orders:
+// the copy holds the same keys and values and iterates in the order saved,
+// an entry dropped at load leaves no slot behind, and a section listing a
+// key twice is refused with ErrDuplicateKey. The test continues on a
+// first-seen copy half of the time. A directed phase then makes the index
+// rehash in place past its tombstones.
 func TestKeyedStoreMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	var reused, compactions, inPlace, grown int
@@ -140,7 +182,33 @@ func TestKeyedStoreMatchesMap(t *testing.T) {
 				if !slices.Equal(sorted, want) {
 					t.Fatalf("trial %d step %d: Sorted lists %q, want %q", trial, step, sorted, want)
 				}
-				loaded := reloadStore(s)
+				legacy := func(v int) bool { return v%4 == 0 }
+				for _, order := range []Order{FirstSeen, KeyOrder} {
+					var want []string
+					for _, k := range map[Order][]string{FirstSeen: m.order, KeyOrder: sorted}[order] {
+						if !legacy(m.vals[k]) {
+							want = append(want, k)
+						}
+					}
+					loaded := reloadStore(t, s, order, legacy)
+					if got := storeKeys(loaded); !slices.Equal(got, want) {
+						t.Fatalf("trial %d step %d: reloaded in order %v, the store iterates %q, want %q", trial, step, order, got, want)
+					}
+					if len(loaded.vals) != loaded.Len() {
+						t.Fatalf("trial %d step %d: %d slots for %d loaded entries", trial, step, len(loaded.vals), loaded.Len())
+					}
+					for k, v := range m.vals {
+						if sl := loaded.Find([]byte(k)); (sl >= 0) == legacy(v) || sl >= 0 && *loaded.At(sl) != v {
+							t.Fatalf("trial %d step %d: reloaded in order %v, find(%q) = slot %d, want the value %d unless dropped", trial, step, order, k, sl, v)
+						}
+					}
+				}
+				if s.Len() > 0 {
+					if err := reloadDuplicate(t, s); !errors.Is(err, ErrDuplicateKey) {
+						t.Fatalf("trial %d step %d: a section listing a key twice loaded with error %v", trial, step, err)
+					}
+				}
+				loaded := reloadStore(t, s, FirstSeen, nil)
 				if got := storeKeys(loaded); !slices.Equal(got, m.order) {
 					t.Fatalf("trial %d step %d: a reloaded store iterates %q, want %q", trial, step, got, m.order)
 				}
